@@ -30,11 +30,13 @@ use crate::Finding;
 
 /// Public serving entry points: P002 roots, matched as `::`-aligned
 /// qualified-name suffixes. These are the functions a request (or a fleet
-/// driver) enters through; anything they can reach must not panic.
+/// driver) enters through; anything they can reach must not panic. An
+/// entry that matches no function is skipped here, so
+/// `tests/serving_roots.rs` pins that each one still resolves in this
+/// workspace.
 pub const SERVING_ROOTS: &[&str] = &[
     "serve::engine::ServeEngine::run",
     "fleet::sim::run_fleet",
-    "serve::coalesce::score_merged",
     "serve::coalesce::score_merged_stream",
     "pipeline::query::QueryPipeline::execute",
     "pipeline::query::QueryPipeline::execute_fused",

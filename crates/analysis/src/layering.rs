@@ -62,7 +62,16 @@ pub const LAYERING: &[(&str, &[&str])] = &[
     (
         "core",
         &[
-            "sim", "forest", "data", "offload", "backend", "gpu", "fpga", "pipeline", "sched",
+            "sim",
+            "telemetry",
+            "forest",
+            "data",
+            "offload",
+            "backend",
+            "gpu",
+            "fpga",
+            "pipeline",
+            "sched",
         ],
     ),
     (

@@ -110,7 +110,7 @@ impl fmt::Debug for Lowered {
 }
 
 /// A model compiled for one backend: the prepare-phase output that
-/// [`ScoringBackend::score_prepared`] consumes.
+/// [`CompiledModel::bind`] hands to [`ScoringBackend::score`].
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     key: ArtifactKey,
@@ -121,8 +121,8 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Assembles a compiled model. Prefer [`compile`] /
-    /// [`ScoringBackend::prepare`], which run the full pass.
+    /// Assembles a compiled model. Prefer [`compile`], which runs the full
+    /// pass.
     pub fn new(
         key: ArtifactKey,
         forest: Arc<RandomForest>,
@@ -149,7 +149,8 @@ impl CompiledModel {
         &self.forest
     }
 
-    /// Shape statistics of the source model (for `estimate_prepared`).
+    /// Shape statistics of the source model (what
+    /// [`ScoringBackend::estimate`] prices).
     pub fn stats(&self) -> &ModelStats {
         &self.stats
     }
@@ -164,38 +165,76 @@ impl CompiledModel {
         self.model_bytes
     }
 
-    /// Checks that this artifact may be scored by `backend_name` against
-    /// `n_features`-wide records.
+    /// Borrows this artifact for [`ScoringBackend::score`] on the backend
+    /// named `backend_name` against `n_features`-wide records.
     ///
     /// # Errors
     ///
     /// Returns [`BackendError::Artifact`] naming the expected and actual
     /// backend or feature width — the debugging breadcrumb for cache-keyed
     /// misconfigurations.
-    pub fn ensure_scorable(
+    pub fn bind(
         &self,
         backend_name: &str,
         n_features: usize,
-    ) -> Result<(), BackendError> {
-        if self.key.backend != backend_name {
+    ) -> Result<ModelRef<'_>, BackendError> {
+        ModelRef::bind(
+            &self.key.backend,
+            &self.forest,
+            &self.lowered,
+            backend_name,
+            n_features,
+        )
+    }
+}
+
+/// A lowered model checked against the backend and record width it is
+/// about to score: the model argument of [`ScoringBackend::score`]. Only
+/// [`CompiledModel::bind`] and [`score_once`](crate::score_once) make one,
+/// so every scoring call has passed the same check.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelRef<'a> {
+    forest: &'a RandomForest,
+    lowered: &'a Lowered,
+}
+
+impl<'a> ModelRef<'a> {
+    /// Pairs `forest`, lowered by the backend named `compiled_for`, with
+    /// the backend named `backend_name` and `n_features`-wide records.
+    pub(crate) fn bind(
+        compiled_for: &str,
+        forest: &'a RandomForest,
+        lowered: &'a Lowered,
+        backend_name: &str,
+        n_features: usize,
+    ) -> Result<Self, BackendError> {
+        if compiled_for != backend_name {
+            return Err(BackendError::artifact(
+                backend_name,
+                format!("model was compiled for backend {compiled_for}, not {backend_name}"),
+            ));
+        }
+        if forest.n_features() != n_features {
             return Err(BackendError::artifact(
                 backend_name,
                 format!(
-                    "artifact {} was compiled for backend {}, not {}",
-                    self.key, self.key.backend, backend_name
+                    "feature width mismatch: model expects {} features, frame has {}",
+                    forest.n_features(),
+                    n_features
                 ),
             ));
         }
-        if self.stats.n_features != n_features {
-            return Err(BackendError::artifact(
-                backend_name,
-                format!(
-                    "feature width mismatch for artifact {}: model expects {} features, frame has {}",
-                    self.key, self.stats.n_features, n_features
-                ),
-            ));
-        }
-        Ok(())
+        Ok(Self { forest, lowered })
+    }
+
+    /// The source model.
+    pub fn forest(&self) -> &'a RandomForest {
+        self.forest
+    }
+
+    /// The backend-lowered scoring form.
+    pub fn lowered(&self) -> &'a Lowered {
+        self.lowered
     }
 }
 
@@ -609,9 +648,9 @@ mod tests {
         let b = bundle(1);
         let skl = SklearnCpu::with_threads(1);
         let model = compile(&skl, &b).unwrap();
-        let err = model.ensure_scorable("CPU_ONNX", 4).unwrap_err();
+        let err = model.bind("CPU_ONNX", 4).unwrap_err();
         assert!(matches!(err, BackendError::Artifact { .. }));
-        let err = model.ensure_scorable(skl.name(), 7).unwrap_err();
+        let err = model.bind(skl.name(), 7).unwrap_err();
         let msg = format!("{err}");
         assert!(msg.contains("expects 4"), "{msg}");
         assert!(msg.contains("frame has 7"), "{msg}");

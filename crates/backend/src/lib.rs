@@ -22,17 +22,15 @@ pub mod artifact;
 pub mod cost;
 pub mod error;
 pub mod onnx;
-pub mod request;
 pub mod sklearn;
 pub mod traits;
 
 pub use artifact::{
     artifact_key, compile, compile_timed, compile_timed_with, ArtifactCache, ArtifactKey,
-    CacheOutcome, CacheStats, CompiledModel, Lowered, PrepareTiming,
+    CacheOutcome, CacheStats, CompiledModel, Lowered, ModelRef, PrepareTiming,
 };
 pub use cost::{parallel_efficiency, CpuSpec};
 pub use error::BackendError;
 pub use onnx::{OnnxCostParams, OnnxCpu};
-pub use request::ScoringRequest;
 pub use sklearn::{SklearnCostParams, SklearnCpu};
-pub use traits::{ScoringBackend, StreamChunk, StreamOutcome};
+pub use traits::{score_once, score_whole_batch, ScoringBackend, StreamChunk, StreamOutcome};

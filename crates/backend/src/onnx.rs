@@ -12,13 +12,15 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_exec::{score_auto_batch, score_stream, ExecPool, FlatImage, KernelChoice, RunConfig};
-use mlscore_forest::{ModelStats, Predictions, RandomForest};
+use mlscore_data::RecordStream;
+use mlscore_exec::{
+    record_sequential_spans, score_stream, ExecPool, FlatImage, KernelChoice, RunConfig,
+};
+use mlscore_forest::{ModelStats, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
-use crate::artifact::{CompiledModel, Lowered};
+use crate::artifact::{Lowered, ModelRef};
 use crate::cost::{effective_parallelism, CpuSpec};
 use crate::error::BackendError;
 use crate::traits::{ScoringBackend, StreamChunk, StreamOutcome};
@@ -56,7 +58,7 @@ impl Default for OnnxCostParams {
 /// # Example
 ///
 /// ```
-/// use mlscore_backend::{OnnxCpu, ScoringBackend, ScoringRequest};
+/// use mlscore_backend::{score_once, OnnxCpu};
 /// use mlscore_data::Dataset;
 /// use mlscore_forest::{ForestConfig, RandomForest};
 ///
@@ -65,8 +67,7 @@ impl Default for OnnxCostParams {
 ///     1,
 /// );
 /// let data = Dataset::higgs(32, 9).normalized();
-/// let req = ScoringRequest::new(&forest, data.frame())?;
-/// let preds = OnnxCpu::single_thread().score(&req)?;
+/// let preds = score_once(&OnnxCpu::single_thread(), &forest, data.frame())?;
 /// assert_eq!(preds.len(), 32);
 /// # Ok::<(), mlscore_backend::BackendError>(())
 /// ```
@@ -147,67 +148,35 @@ impl ScoringBackend for OnnxCpu {
         &self.name
     }
 
-    // Lowering compiles the forest into the pre-decoded flat image once;
-    // the untraced and traced score paths both consume it (the seed built
-    // the image separately in each, doubling the compile on traced runs).
+    // Lowering compiles the forest into the pre-decoded flat image once.
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
         let image = FlatImage::from_forest(forest, forest.max_depth())?;
         Ok(Lowered::Flat(Arc::new(image)))
     }
 
-    fn score_lowered(
+    // Scoring pulls straight off the stream: each chunk is dispatched to
+    // whichever kernel tier (blocked / SIMD walk / QuickScorer) the cost
+    // model ranks fastest for that chunk's row count. All tiers are
+    // bit-exact, so the pick is a pure throughput decision.
+    fn score(
         &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let image = self.image_of(lowered)?;
-        // The cost model dispatches to whichever CPU kernel tier (blocked /
-        // SIMD walk / QuickScorer) is fastest for this shape and batch; all
-        // tiers are bit-exact, so this is a pure throughput decision.
-        let (preds, _, _) = score_auto_batch(
-            image,
-            frame,
-            ExecPool::global(),
-            &self.run_config(forest.n_trees()),
-        );
-        Ok(preds)
-    }
-
-    fn score_lowered_traced(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
         tracer: &Tracer,
         start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        let image = self.image_of(lowered)?;
-        let (preds, report, _) = score_auto_batch(
-            image,
-            frame,
-            ExecPool::global(),
-            &self.run_config(forest.n_trees()),
-        );
-        report.record_spans(tracer, start, self.name());
-        Ok(preds)
-    }
-
-    // The fused path scores straight off the scanner: each pulled chunk is
-    // dispatched to whichever kernel tier the cost model re-ranks for that
-    // chunk's row count, with no whole-batch materialization in between.
-    fn score_prepared_stream(
-        &self,
-        model: &CompiledModel,
-        stream: &mut dyn RecordStream,
     ) -> Result<StreamOutcome, BackendError> {
-        model.ensure_scorable(self.name(), stream.n_features())?;
         let image = self.image_of(model.lowered())?;
         let (predictions, report) = score_stream(
             image,
             stream,
             ExecPool::global(),
-            &self.run_config(model.stats().n_trees),
+            &self.run_config(model.forest().n_trees()),
+        );
+        record_sequential_spans(
+            report.chunks().iter().map(|c| &c.run),
+            tracer,
+            start,
+            self.name(),
         );
         Ok(StreamOutcome {
             predictions,
@@ -227,11 +196,7 @@ impl ScoringBackend for OnnxCpu {
         Some(KernelChoice::from_model_stats(stats, n_records as usize))
     }
 
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    fn estimate_traced(
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
@@ -285,7 +250,7 @@ impl ScoringBackend for OnnxCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ScoringRequest;
+    use crate::traits::score_once;
     use mlscore_data::Dataset;
     use mlscore_forest::ForestConfig;
 
@@ -300,9 +265,8 @@ mod tests {
     #[test]
     fn flat_scoring_matches_reference() {
         let (forest, data) = higgs_setup();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
         for threads in [1, 4] {
-            let preds = OnnxCpu::with_threads(threads).score(&req).unwrap();
+            let preds = score_once(&OnnxCpu::with_threads(threads), &forest, data.frame()).unwrap();
             assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
         }
     }
@@ -315,23 +279,25 @@ mod tests {
             5,
         )
         .unwrap();
-        let req = ScoringRequest::new(&forest, &frame).unwrap();
-        let preds = OnnxCpu::single_thread().score(&req).unwrap();
+        let preds = score_once(&OnnxCpu::single_thread(), &forest, &frame).unwrap();
         assert_eq!(preds, forest.predict_batch(frame.as_slice()));
     }
 
     #[test]
-    fn stream_scoring_matches_prepared_and_names_kernels() {
+    fn stream_scoring_matches_staged_and_names_kernels() {
         use mlscore_data::FrameScanner;
         use mlscore_forest::ModelBundle;
         let (forest, data) = higgs_setup();
         let bundle = ModelBundle::serialize(&forest);
         let backend = OnnxCpu::with_threads(4);
         let model = crate::artifact::compile(&backend, &bundle).unwrap();
-        let want = backend.score_prepared(&model, data.frame()).unwrap();
+        let want = score_once(&backend, &forest, data.frame()).unwrap();
         for chunk_rows in [1, 7, 64] {
             let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
-            let out = backend.score_prepared_stream(&model, &mut scanner).unwrap();
+            let bound = model.bind(backend.name(), 28).unwrap();
+            let out = backend
+                .score(bound, &mut scanner, &Tracer::disabled(), SimInstant::ZERO)
+                .unwrap();
             assert_eq!(out.predictions, want, "chunk_rows={chunk_rows}");
             assert_eq!(out.rows, data.frame().n_rows());
             assert_eq!(out.chunks.len(), data.frame().n_rows().div_ceil(chunk_rows));
@@ -355,8 +321,20 @@ mod tests {
         let sklearn = SklearnCpu::paper_default();
         let small = 100u64;
         let large = 1_000_000u64;
-        assert!(onnx.estimate(&stats, small).total() < sklearn.estimate(&stats, small).total());
-        assert!(onnx.estimate(&stats, large).total() > sklearn.estimate(&stats, large).total());
+        assert!(
+            onnx.estimate(&stats, small, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                < sklearn
+                    .estimate(&stats, small, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+        );
+        assert!(
+            onnx.estimate(&stats, large, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                > sklearn
+                    .estimate(&stats, large, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+        );
     }
 
     #[test]
@@ -371,7 +349,13 @@ mod tests {
         let mut crossover = None;
         for exp in 0..24 {
             let n = 1u64 << exp;
-            if sklearn.estimate(&stats, n).total() < onnx.estimate(&stats, n).total() {
+            if sklearn
+                .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                < onnx
+                    .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+            {
                 crossover = Some(n);
                 break;
             }
@@ -393,14 +377,15 @@ mod tests {
 
     #[test]
     fn traced_estimate_reconstructs_exactly() {
-        use mlscore_sim::SimInstant;
-        use mlscore_telemetry::{Scope, Tracer};
         let (forest, _) = higgs_setup();
         let stats = ModelStats::of(&forest);
         for backend in [OnnxCpu::single_thread(), OnnxCpu::paper_52th()] {
             let tracer = Tracer::new();
-            let traced = backend.estimate_traced(&stats, 50_000, &tracer, SimInstant::ZERO);
-            assert_eq!(traced, backend.estimate(&stats, 50_000));
+            let traced = backend.estimate(&stats, 50_000, &tracer, SimInstant::ZERO);
+            assert_eq!(
+                traced,
+                backend.estimate(&stats, 50_000, &Tracer::disabled(), SimInstant::ZERO)
+            );
             assert_eq!(tracer.take().breakdown(Scope::Offload), traced);
         }
     }

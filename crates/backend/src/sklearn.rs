@@ -12,12 +12,12 @@
 use serde::{Deserialize, Serialize};
 
 use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_exec::{kernel, ExecPool, RunConfig};
-use mlscore_forest::{ModelStats, Predictions, RandomForest};
+use mlscore_exec::{kernel, record_sequential_spans, ExecPool, RunConfig};
+use mlscore_forest::{ModelStats, Predictions};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
-use crate::artifact::{CompiledModel, Lowered};
+use crate::artifact::ModelRef;
 use crate::cost::{effective_parallelism, CpuSpec};
 use crate::error::BackendError;
 use crate::traits::{ScoringBackend, StreamChunk, StreamOutcome};
@@ -50,7 +50,7 @@ impl Default for SklearnCostParams {
 /// # Example
 ///
 /// ```
-/// use mlscore_backend::{ScoringBackend, ScoringRequest, SklearnCpu};
+/// use mlscore_backend::{score_once, SklearnCpu};
 /// use mlscore_data::Dataset;
 /// use mlscore_forest::{ForestConfig, RandomForest};
 ///
@@ -60,8 +60,7 @@ impl Default for SklearnCostParams {
 /// );
 /// let data = Dataset::iris(64, 5).normalized();
 /// let backend = SklearnCpu::with_threads(4);
-/// let req = ScoringRequest::new(&forest, data.frame())?;
-/// let preds = backend.score(&req)?;
+/// let preds = score_once(&backend, &forest, data.frame())?;
 /// assert_eq!(preds.len(), 64);
 /// # Ok::<(), mlscore_backend::BackendError>(())
 /// ```
@@ -127,53 +126,29 @@ impl ScoringBackend for SklearnCpu {
     // sklearn has no lowering step — the batch kernel walks the pointer
     // trees directly, so the default `lower` (Lowered::Reference) holds and
     // compile/warm scoring differ only in the skipped deserialize.
-
-    fn score_lowered(
+    //
+    // Each pulled chunk is scored by the batch kernel and the per-chunk
+    // predictions fold in pull order — bit-exact with one whole-frame call
+    // since every record is fully scored within one chunk.
+    fn score(
         &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let _ = lowered;
-        let (preds, _) =
-            kernel::score_forest_batch(forest, frame, ExecPool::global(), &self.run_config());
-        Ok(preds)
-    }
-
-    fn score_lowered_traced(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
         tracer: &Tracer,
         start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        let _ = lowered;
-        let (preds, report) =
-            kernel::score_forest_batch(forest, frame, ExecPool::global(), &self.run_config());
-        report.record_spans(tracer, start, self.name());
-        Ok(preds)
-    }
-
-    // The fused path walks the pointer trees one chunk at a time, folding
-    // per-chunk predictions in pull order — bit-exact with the whole-frame
-    // batch kernel since every record is fully scored within one chunk.
-    fn score_prepared_stream(
-        &self,
-        model: &CompiledModel,
-        stream: &mut dyn RecordStream,
     ) -> Result<StreamOutcome, BackendError> {
-        model.ensure_scorable(self.name(), stream.n_features())?;
         let forest = model.forest();
         let cfg = self.run_config();
         let mut chunks = Vec::new();
+        let mut runs = Vec::new();
         let mut rows = 0;
         let mut out: Option<Predictions> = None;
         while let Some(chunk) = stream.next_chunk() {
             if chunk.is_empty() {
                 continue;
             }
-            let (preds, _) = kernel::score_forest_batch(forest, chunk, ExecPool::global(), &cfg);
+            let (preds, run) = kernel::score_forest_batch(forest, chunk, ExecPool::global(), &cfg);
+            runs.push(run);
             rows += chunk.n_rows();
             chunks.push(StreamChunk {
                 rows: chunk.n_rows(),
@@ -185,9 +160,10 @@ impl ScoringBackend for SklearnCpu {
             }
         }
         let predictions = out.unwrap_or_else(|| {
-            let empty = TabularFrame::with_capacity(0, model.stats().n_features);
+            let empty = TabularFrame::with_capacity(0, forest.n_features());
             kernel::score_forest_batch(forest, &empty, ExecPool::global(), &cfg).0
         });
+        record_sequential_spans(&runs, tracer, start, self.name());
         Ok(StreamOutcome {
             predictions,
             rows,
@@ -195,11 +171,7 @@ impl ScoringBackend for SklearnCpu {
         })
     }
 
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    fn estimate_traced(
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
@@ -255,9 +227,9 @@ const MAX_WORKER_LANES: usize = 8;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ScoringRequest;
-    use mlscore_data::Dataset;
-    use mlscore_forest::ForestConfig;
+    use crate::traits::score_once;
+    use mlscore_data::{Dataset, FrameScanner};
+    use mlscore_forest::{ForestConfig, RandomForest};
 
     fn iris_setup() -> (RandomForest, Dataset) {
         let forest =
@@ -268,8 +240,7 @@ mod tests {
     #[test]
     fn multithreaded_matches_reference() {
         let (forest, data) = iris_setup();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let preds = SklearnCpu::with_threads(8).score(&req).unwrap();
+        let preds = score_once(&SklearnCpu::with_threads(8), &forest, data.frame()).unwrap();
         let reference = forest.predict_batch(data.frame().as_slice());
         assert_eq!(preds, reference);
     }
@@ -277,8 +248,7 @@ mod tests {
     #[test]
     fn single_thread_matches_reference() {
         let (forest, data) = iris_setup();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let preds = SklearnCpu::with_threads(1).score(&req).unwrap();
+        let preds = score_once(&SklearnCpu::with_threads(1), &forest, data.frame()).unwrap();
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
     }
 
@@ -290,23 +260,24 @@ mod tests {
             3,
         )
         .unwrap();
-        let req = ScoringRequest::new(&forest, &frame).unwrap();
-        let preds = SklearnCpu::with_threads(3).score(&req).unwrap();
+        let preds = score_once(&SklearnCpu::with_threads(3), &forest, &frame).unwrap();
         assert_eq!(preds, forest.predict_batch(frame.as_slice()));
     }
 
     #[test]
-    fn stream_scoring_matches_prepared() {
-        use mlscore_data::FrameScanner;
+    fn stream_scoring_matches_staged() {
         use mlscore_forest::ModelBundle;
         let (forest, data) = iris_setup();
         let bundle = ModelBundle::serialize(&forest);
         let backend = SklearnCpu::with_threads(4);
         let model = crate::artifact::compile(&backend, &bundle).unwrap();
-        let want = backend.score_prepared(&model, data.frame()).unwrap();
+        let want = score_once(&backend, &forest, data.frame()).unwrap();
         for chunk_rows in [1, 13, 512] {
             let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
-            let out = backend.score_prepared_stream(&model, &mut scanner).unwrap();
+            let bound = model.bind(backend.name(), 4).unwrap();
+            let out = backend
+                .score(bound, &mut scanner, &Tracer::disabled(), SimInstant::ZERO)
+                .unwrap();
             assert_eq!(out.predictions, want, "chunk_rows={chunk_rows}");
             assert_eq!(out.rows, data.frame().n_rows());
         }
@@ -316,7 +287,8 @@ mod tests {
     fn estimate_has_call_overhead_floor() {
         let (forest, _) = iris_setup();
         let stats = ModelStats::of(&forest);
-        let b = SklearnCpu::paper_default().estimate(&stats, 1);
+        let b =
+            SklearnCpu::paper_default().estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO);
         assert!(b.total() >= SimDuration::from_millis(1.0));
         assert!(b.get(Stage::SoftwareOverhead) >= SimDuration::from_millis(1.0));
     }
@@ -326,8 +298,12 @@ mod tests {
         let (forest, _) = iris_setup();
         let stats = ModelStats::of(&forest);
         let backend = SklearnCpu::paper_default();
-        let t1 = backend.estimate(&stats, 1_000_000).get(Stage::Scoring);
-        let t2 = backend.estimate(&stats, 2_000_000).get(Stage::Scoring);
+        let t1 = backend
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::Scoring);
+        let t2 = backend
+            .estimate(&stats, 2_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::Scoring);
         assert!((t2.ratio(t1) - 2.0).abs() < 0.01);
     }
 
@@ -336,10 +312,10 @@ mod tests {
         let (forest, _) = iris_setup();
         let stats = ModelStats::of(&forest);
         let t1 = SklearnCpu::with_threads(1)
-            .estimate(&stats, 1_000_000)
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
             .total();
         let t52 = SklearnCpu::with_threads(52)
-            .estimate(&stats, 1_000_000)
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
             .total();
         assert!(t1.ratio(t52) > 20.0);
     }
@@ -353,14 +329,15 @@ mod tests {
 
     #[test]
     fn traced_estimate_reconstructs_exactly() {
-        use mlscore_sim::SimInstant;
-        use mlscore_telemetry::{Scope, Tracer};
         let (forest, _) = iris_setup();
         let stats = ModelStats::of(&forest);
         let backend = SklearnCpu::with_threads(4);
         let tracer = Tracer::new();
-        let traced = backend.estimate_traced(&stats, 10_000, &tracer, SimInstant::ZERO);
-        assert_eq!(traced, backend.estimate(&stats, 10_000));
+        let traced = backend.estimate(&stats, 10_000, &tracer, SimInstant::ZERO);
+        assert_eq!(
+            traced,
+            backend.estimate(&stats, 10_000, &Tracer::disabled(), SimInstant::ZERO)
+        );
         let trace = tracer.take();
         assert_eq!(trace.breakdown(Scope::Offload), traced);
         // 2 offload spans + 4 worker detail lanes.
@@ -368,17 +345,24 @@ mod tests {
     }
 
     #[test]
-    fn score_traced_records_worker_detail_spans() {
-        use mlscore_sim::SimInstant;
-        use mlscore_telemetry::{Scope, Tracer};
+    fn traced_score_records_worker_detail_spans() {
         let (forest, data) = iris_setup();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
         let backend = SklearnCpu::with_threads(4);
+        let lowered = backend.lower(&forest).unwrap();
+        let model = ModelRef::bind(backend.name(), &forest, &lowered, backend.name(), 4).unwrap();
         let tracer = Tracer::new();
-        let preds = backend
-            .score_traced(&req, &tracer, SimInstant::ZERO)
+        let out = backend
+            .score(
+                model,
+                &mut FrameScanner::whole(data.frame()),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
-        assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
+        assert_eq!(
+            out.predictions,
+            forest.predict_batch(data.frame().as_slice())
+        );
         let trace = tracer.take();
         assert!(!trace.is_empty(), "expected worker spans");
         assert!(trace.events().iter().all(|e| e.scope == Scope::Detail));
@@ -390,8 +374,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let (forest, _) = iris_setup();
         let frame = mlscore_data::TabularFrame::from_rows(vec![], 4).unwrap();
-        let req = ScoringRequest::new(&forest, &frame).unwrap();
-        let preds = SklearnCpu::with_threads(4).score(&req).unwrap();
+        let preds = score_once(&SklearnCpu::with_threads(4), &forest, &frame).unwrap();
         assert!(preds.is_empty());
     }
 }

@@ -1,29 +1,25 @@
 //! The [`ScoringBackend`] trait.
 
-use std::sync::Arc;
-
-use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_forest::{ModelBundle, ModelStats, Predictions, RandomForest};
+use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
+use mlscore_forest::{ModelStats, Predictions, RandomForest};
 use mlscore_sim::{SimInstant, TimingBreakdown};
-use mlscore_telemetry::{Scope, Tracer};
+use mlscore_telemetry::Tracer;
 
-use crate::artifact::{compile, CompiledModel, Lowered};
+use crate::artifact::{Lowered, ModelRef};
 use crate::error::BackendError;
-use crate::request::ScoringRequest;
 
-/// One chunk scored off a [`RecordStream`] by
-/// [`ScoringBackend::score_prepared_stream`].
+/// One chunk scored off a [`RecordStream`] by [`ScoringBackend::score`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamChunk {
     /// Rows in the chunk.
     pub rows: usize,
     /// The scoring kernel the executor dispatched for this chunk, when
     /// the backend has a kernel tier (`None` for offload devices and for
-    /// the materializing default path).
+    /// backends with a single code path).
     pub kernel: Option<&'static str>,
 }
 
-/// The result of scoring a [`RecordStream`] against a prepared model.
+/// The result of scoring a [`RecordStream`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
     /// Folded predictions for every streamed record, in pull order.
@@ -43,22 +39,13 @@ pub struct StreamOutcome {
 /// different execution strategies, while figure generation runs entirely on
 /// modelled time.
 ///
-/// # Two-phase scoring
-///
-/// Scoring splits into a *compile* phase and a *score* phase:
-/// [`ScoringBackend::lower`] turns a deserialized model into the backend's
-/// scoring representation ([`Lowered`]) once, and
-/// [`ScoringBackend::score_lowered`] scores batches against it repeatedly.
-/// [`ScoringBackend::prepare`] runs the whole compile pass from a
-/// serialized [`ModelBundle`], producing a cacheable [`CompiledModel`]
-/// consumed by [`ScoringBackend::score_prepared`].
-///
-/// `score` and `score_lowered` have default implementations defined in
-/// terms of each other, mirroring `PartialEq::{eq, ne}`: a backend **must
-/// implement at least one** of them (both defaults together recurse
-/// forever). Backends with a real lowering step implement `lower` +
-/// `score_lowered` and get the one-shot `score` (compile-per-call) for
-/// free; trivial backends just implement `score`.
+/// Every backend writes its scoring once and its cost model once. Scoring
+/// is split into a *compile* phase ([`ScoringBackend::lower`], run by
+/// [`compile`](crate::compile) or [`score_once`]) and a *score* phase
+/// ([`ScoringBackend::score`]) that pulls a [`RecordStream`]; a staged,
+/// whole-batch call is a one-chunk stream ([`FrameScanner::whole`]).
+/// Tracing is a parameter of both `score` and `estimate`: untraced callers
+/// pass `&Tracer::disabled(), SimInstant::ZERO`.
 ///
 /// The trait is object-safe; schedulers hold `Box<dyn ScoringBackend>`.
 pub trait ScoringBackend {
@@ -101,184 +88,6 @@ pub trait ScoringBackend {
         Ok(Lowered::Reference)
     }
 
-    /// Functionally scores the batch, compiling on the fly.
-    ///
-    /// The default lowers the model and delegates to
-    /// [`ScoringBackend::score_lowered`] — the one-shot compose of the two
-    /// phases.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Unsupported`] for models this backend cannot
-    /// run, or a wrapped model error.
-    fn score(&self, request: &ScoringRequest<'_>) -> Result<Predictions, BackendError> {
-        let lowered = self.lower(request.forest())?;
-        self.score_lowered(request.forest(), &lowered, request.frame())
-    }
-
-    /// Functionally scores the batch against an already-lowered model.
-    ///
-    /// `forest` is the source model `lowered` was compiled from; reference
-    /// backends score it directly and ignore `lowered`.
-    ///
-    /// The default ignores `lowered` and delegates to
-    /// [`ScoringBackend::score`] (see the trait docs: implement at least
-    /// one of the two).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Artifact`] when `lowered` is not a form this
-    /// backend produces, otherwise fails as [`ScoringBackend::score`] does.
-    fn score_lowered(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let _ = lowered;
-        let request = ScoringRequest::new(forest, frame)?;
-        self.score(&request)
-    }
-
-    /// Functionally scores the batch while recording *measured* wall-clock
-    /// execution detail on `tracer`.
-    ///
-    /// CPU backends that execute on the shared
-    /// [`ExecPool`](mlscore_exec::ExecPool) record one
-    /// [`Scope::Detail`] span per pool worker, anchored at `start` on the
-    /// simulated timeline (1 ns measured ↦ 1 ns simulated), so a Perfetto
-    /// trace shows the pool's real occupancy. Detail spans are ignored by
-    /// breakdown folds, so modelled accounting is unaffected.
-    ///
-    /// The default lowers and forwards to
-    /// [`ScoringBackend::score_lowered_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`ScoringBackend::score`] fails.
-    fn score_traced(
-        &self,
-        request: &ScoringRequest<'_>,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        let lowered = self.lower(request.forest())?;
-        self.score_lowered_traced(request.forest(), &lowered, request.frame(), tracer, start)
-    }
-
-    /// [`ScoringBackend::score_lowered`] with measured execution detail, as
-    /// in [`ScoringBackend::score_traced`].
-    ///
-    /// The default drops the tracer and delegates to
-    /// [`ScoringBackend::score_lowered`] — it must *not* route back through
-    /// `score_traced`, whose default lowers again (and would recurse).
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`ScoringBackend::score_lowered`] fails.
-    fn score_lowered_traced(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        let _ = (tracer, start);
-        self.score_lowered(forest, lowered, frame)
-    }
-
-    /// Runs the full compile pass on a serialized bundle: deserialize →
-    /// shape stats → [`ScoringBackend::supports`] →
-    /// [`ScoringBackend::lower`], tagged with this backend's artifact key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Forest`] for undeserializable bundles and
-    /// propagates `supports`/`lower` failures.
-    fn prepare(&self, bundle: &ModelBundle) -> Result<Arc<CompiledModel>, BackendError> {
-        compile(self, bundle)
-    }
-
-    /// Scores a batch against a prepared model — the warm path that skips
-    /// deserialize + lower.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Artifact`] if `model` was compiled for a
-    /// different backend or feature width, otherwise fails as
-    /// [`ScoringBackend::score_lowered`] does.
-    fn score_prepared(
-        &self,
-        model: &CompiledModel,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        model.ensure_scorable(self.name(), frame.n_features())?;
-        self.score_lowered(model.forest(), model.lowered(), frame)
-    }
-
-    /// Scores every chunk of a pull-based [`RecordStream`] against a
-    /// prepared model — the fused warm path: a cache-resident model scores
-    /// straight off the scanner, no marshaled batch ever materializes.
-    ///
-    /// CPU backends override this to feed chunks directly into their
-    /// kernels (reusing the stream's scratch); the default — correct for
-    /// offload devices whose transfer granularity is the whole batch —
-    /// drains the stream into one frame and scores it in a single
-    /// [`ScoringBackend::score_prepared`] pass. Either way the contract
-    /// is the same: predictions are bit-exact with scoring the stream's
-    /// records as one staged frame, and `chunks` reports each pulled
-    /// chunk in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Artifact`] if `model` was compiled for a
-    /// different backend or feature width, otherwise fails as
-    /// [`ScoringBackend::score_prepared`] does.
-    fn score_prepared_stream(
-        &self,
-        model: &CompiledModel,
-        stream: &mut dyn RecordStream,
-    ) -> Result<StreamOutcome, BackendError> {
-        model.ensure_scorable(self.name(), stream.n_features())?;
-        let (rows_hint, _) = stream.size_hint();
-        let n_features = stream.n_features();
-        let mut data = Vec::with_capacity(rows_hint * n_features);
-        let mut chunks = Vec::new();
-        while let Some(chunk) = stream.next_chunk() {
-            data.extend_from_slice(chunk.as_slice());
-            chunks.push(StreamChunk {
-                rows: chunk.n_rows(),
-                kernel: None,
-            });
-        }
-        let frame = TabularFrame::from_rows(data, n_features)
-            .map_err(|e| BackendError::unsupported(self.name(), format!("streamed frame: {e}")))?;
-        let predictions = self.score_prepared(model, &frame)?;
-        Ok(StreamOutcome {
-            predictions,
-            rows: frame.n_rows(),
-            chunks,
-        })
-    }
-
-    /// [`ScoringBackend::score_prepared`] with measured execution detail,
-    /// as in [`ScoringBackend::score_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`ScoringBackend::score_prepared`] fails.
-    fn score_prepared_traced(
-        &self,
-        model: &CompiledModel,
-        frame: &TabularFrame,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        model.ensure_scorable(self.name(), frame.n_features())?;
-        self.score_lowered_traced(model.forest(), model.lowered(), frame, tracer, start)
-    }
-
     /// Reports which CPU scoring kernel this backend's executor would pick
     /// for the given model shape and batch size, with the cost model's
     /// per-kernel estimates.
@@ -299,65 +108,130 @@ pub trait ScoringBackend {
         None
     }
 
+    /// Functionally scores every chunk of `stream` against `model`, a
+    /// lowered model already checked against this backend and the
+    /// stream's width ([`CompiledModel::bind`](crate::CompiledModel::bind)).
+    ///
+    /// Predictions are bit-exact with scoring the stream's records as one
+    /// frame, and `chunks` reports each pulled chunk in order. CPU backends
+    /// feed chunks straight into their kernels; offload devices, whose
+    /// transfer granularity is the whole batch, gather the stream first
+    /// ([`score_whole_batch`]).
+    ///
+    /// Backends executing on the shared
+    /// [`ExecPool`](mlscore_exec::ExecPool) record one measured
+    /// [`Scope::Detail`](mlscore_telemetry::Scope::Detail) span per pool
+    /// worker on `tracer`, anchored at `start` on the simulated timeline
+    /// (1 ns measured ↦ 1 ns simulated), so a Perfetto trace shows the
+    /// pool's real occupancy. Detail spans are ignored by breakdown folds,
+    /// so modelled accounting is unaffected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError::Artifact`] when `model`'s lowered form is
+    /// not one this backend produces, or [`BackendError::Unsupported`] for
+    /// models it cannot run.
+    fn score(
+        &self,
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
+        tracer: &Tracer,
+        start: SimInstant,
+    ) -> Result<StreamOutcome, BackendError>;
+
     /// Estimates the *overall model scoring time* breakdown (the Fig. 7
     /// quantity: everything from invoking the scoring call to having results
     /// in host memory) for scoring `n_records` with a model of the given
-    /// shape.
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown;
-
-    /// Like [`ScoringBackend::estimate`], but also records the offload
-    /// stages as [`Scope::Offload`] spans on `tracer`, starting at `start`
-    /// on the simulated timeline.
+    /// shape, recording the offload stages as
+    /// [`Scope::Offload`](mlscore_telemetry::Scope::Offload) spans on
+    /// `tracer` from `start` on the simulated timeline.
     ///
-    /// The contract every implementation (and the default) upholds:
-    /// folding the recorded `Offload` spans in recording order —
+    /// The contract every implementation upholds: folding the recorded
+    /// `Offload` spans in recording order —
     /// [`Trace::breakdown`](mlscore_telemetry::Trace::breakdown) — yields a
     /// breakdown **equal** to the returned one, stage order and `f64` sums
-    /// included. Backends with internal structure worth seeing (FPGA
+    /// included, and the result never depends on whether `tracer` is
+    /// enabled. Backends with internal structure worth seeing (FPGA
     /// passes, PCIe streams, CPU workers) additionally record
-    /// [`Scope::Detail`] spans, which breakdowns ignore.
-    ///
-    /// The default implementation replays the direct estimate as one
-    /// sequential span per stage.
-    fn estimate_traced(
+    /// [`Scope::Detail`](mlscore_telemetry::Scope::Detail) spans, which
+    /// breakdowns ignore.
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
         tracer: &Tracer,
         start: SimInstant,
-    ) -> TimingBreakdown {
-        let b = self.estimate(stats, n_records);
-        let mut t = start;
-        for (stage, d) in b.iter() {
-            t = tracer
-                .span(stage.to_string(), t)
-                .stage(stage)
-                .scope(Scope::Offload)
-                .track(self.name(), "offload")
-                .meta("backend", self.name())
-                .finish_after(d);
+    ) -> TimingBreakdown;
+}
+
+/// Lowers `forest` for `backend` and scores `frame` as one staged call —
+/// the compile-on-every-call path for callers without a compiled artifact.
+/// The forest is lowered in place: never cloned, never serialized.
+///
+/// # Errors
+///
+/// Propagates [`ScoringBackend::lower`] failures; a frame whose width
+/// differs from the model's is [`BackendError::Artifact`], exactly as on
+/// the compiled path.
+pub fn score_once<B: ScoringBackend + ?Sized>(
+    backend: &B,
+    forest: &RandomForest,
+    frame: &TabularFrame,
+) -> Result<Predictions, BackendError> {
+    let lowered = backend.lower(forest)?;
+    let model = ModelRef::bind(
+        backend.name(),
+        forest,
+        &lowered,
+        backend.name(),
+        frame.n_features(),
+    )?;
+    let mut stream = FrameScanner::whole(frame);
+    let out = backend.score(model, &mut stream, &Tracer::disabled(), SimInstant::ZERO)?;
+    Ok(out.predictions)
+}
+
+/// Drains `stream` into one frame and scores it with `score_frame` — the
+/// [`ScoringBackend::score`] body of offload devices, whose transfer
+/// granularity is the whole batch. A stream that yields everything in one
+/// chunk (a staged call) is scored in place, without a copy.
+///
+/// # Errors
+///
+/// Propagates `score_frame`'s error.
+pub fn score_whole_batch(
+    stream: &mut dyn RecordStream,
+    score_frame: impl FnOnce(&TabularFrame) -> Result<Predictions, BackendError>,
+) -> Result<StreamOutcome, BackendError> {
+    let total = match stream.size_hint() {
+        (lower, Some(upper)) if lower == upper => Some(lower),
+        _ => None,
+    };
+    let mut frame = TabularFrame::with_capacity(0, stream.n_features());
+    let mut chunks = Vec::new();
+    while let Some(chunk) = stream.next_chunk() {
+        if chunks.is_empty() {
+            let rows = chunk.n_rows();
+            if total == Some(rows) {
+                return Ok(StreamOutcome {
+                    predictions: score_frame(chunk)?,
+                    rows,
+                    chunks: vec![StreamChunk { rows, kernel: None }],
+                });
+            }
+            frame = TabularFrame::with_capacity(total.unwrap_or(rows), chunk.n_features());
         }
-        b
+        frame.extend_rows(chunk.as_slice());
+        chunks.push(StreamChunk {
+            rows: chunk.n_rows(),
+            kernel: None,
+        });
     }
-
-    /// [`ScoringBackend::estimate`] against a prepared model's shape — the
-    /// warm-path timing, which covers scoring only (compile time is paid at
-    /// [`ScoringBackend::prepare`] and amortized by the cache).
-    fn estimate_prepared(&self, model: &CompiledModel, n_records: u64) -> TimingBreakdown {
-        self.estimate(model.stats(), n_records)
-    }
-
-    /// Traced variant of [`ScoringBackend::estimate_prepared`]; see
-    /// [`ScoringBackend::estimate_traced`] for the span contract.
-    fn estimate_prepared_traced(
-        &self,
-        model: &CompiledModel,
-        n_records: u64,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> TimingBreakdown {
-        self.estimate_traced(model.stats(), n_records, tracer, start)
-    }
+    Ok(StreamOutcome {
+        predictions: score_frame(&frame)?,
+        rows: frame.n_rows(),
+        chunks,
+    })
 }
 
 /// Blanket impl so `Box<dyn ScoringBackend>` works wherever a backend does.
@@ -378,69 +252,6 @@ impl<B: ScoringBackend + ?Sized> ScoringBackend for Box<B> {
         (**self).lower(forest)
     }
 
-    fn score(&self, request: &ScoringRequest<'_>) -> Result<Predictions, BackendError> {
-        (**self).score(request)
-    }
-
-    fn score_lowered(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        (**self).score_lowered(forest, lowered, frame)
-    }
-
-    fn score_traced(
-        &self,
-        request: &ScoringRequest<'_>,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        (**self).score_traced(request, tracer, start)
-    }
-
-    fn score_lowered_traced(
-        &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        (**self).score_lowered_traced(forest, lowered, frame, tracer, start)
-    }
-
-    fn prepare(&self, bundle: &ModelBundle) -> Result<Arc<CompiledModel>, BackendError> {
-        (**self).prepare(bundle)
-    }
-
-    fn score_prepared(
-        &self,
-        model: &CompiledModel,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        (**self).score_prepared(model, frame)
-    }
-
-    fn score_prepared_stream(
-        &self,
-        model: &CompiledModel,
-        stream: &mut dyn RecordStream,
-    ) -> Result<StreamOutcome, BackendError> {
-        (**self).score_prepared_stream(model, stream)
-    }
-
-    fn score_prepared_traced(
-        &self,
-        model: &CompiledModel,
-        frame: &TabularFrame,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<Predictions, BackendError> {
-        (**self).score_prepared_traced(model, frame, tracer, start)
-    }
-
     fn kernel_choice(
         &self,
         stats: &ModelStats,
@@ -449,170 +260,147 @@ impl<B: ScoringBackend + ?Sized> ScoringBackend for Box<B> {
         (**self).kernel_choice(stats, n_records)
     }
 
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        (**self).estimate(stats, n_records)
+    fn score(
+        &self,
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
+        tracer: &Tracer,
+        start: SimInstant,
+    ) -> Result<StreamOutcome, BackendError> {
+        (**self).score(model, stream, tracer, start)
     }
 
-    fn estimate_traced(
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
         tracer: &Tracer,
         start: SimInstant,
     ) -> TimingBreakdown {
-        (**self).estimate_traced(stats, n_records, tracer, start)
-    }
-
-    fn estimate_prepared(&self, model: &CompiledModel, n_records: u64) -> TimingBreakdown {
-        (**self).estimate_prepared(model, n_records)
-    }
-
-    fn estimate_prepared_traced(
-        &self,
-        model: &CompiledModel,
-        n_records: u64,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> TimingBreakdown {
-        (**self).estimate_prepared_traced(model, n_records, tracer, start)
+        (**self).estimate(stats, n_records, tracer, start)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_sim::{SimDuration, Stage};
+    use crate::artifact::compile;
+    use crate::OnnxCpu;
+    use mlscore_data::Dataset;
+    use mlscore_forest::{ForestConfig, ModelBundle};
+    use mlscore_telemetry::Scope;
 
     #[test]
     fn trait_is_object_safe() {
         fn _takes_dyn(_b: &dyn ScoringBackend) {}
     }
 
-    /// A backend with only `estimate` implemented, to exercise the default
-    /// `estimate_traced` replay.
-    struct FixedBackend;
+    /// A backend that echoes each row's first feature, so chunk order
+    /// matters, and scores through the whole-batch helper.
+    struct Echo;
 
-    impl ScoringBackend for FixedBackend {
+    impl ScoringBackend for Echo {
         fn name(&self) -> &str {
-            "fixed"
+            "echo"
         }
 
-        fn score(&self, _request: &ScoringRequest<'_>) -> Result<Predictions, BackendError> {
-            Ok(Predictions::Classes(vec![]))
+        fn score(
+            &self,
+            _model: ModelRef<'_>,
+            stream: &mut dyn RecordStream,
+            _tracer: &Tracer,
+            _start: SimInstant,
+        ) -> Result<StreamOutcome, BackendError> {
+            score_whole_batch(stream, |frame| {
+                Ok(Predictions::Values(frame.rows().map(|r| r[0]).collect()))
+            })
         }
 
-        fn estimate(&self, _stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-            let mut b = TimingBreakdown::new();
-            b.add(Stage::SoftwareOverhead, SimDuration::from_micros(150.0));
-            b.add(
-                Stage::Scoring,
-                SimDuration::from_nanos(70.0) * n_records as f64,
-            );
-            b
+        fn estimate(
+            &self,
+            _stats: &ModelStats,
+            _n_records: u64,
+            _tracer: &Tracer,
+            _start: SimInstant,
+        ) -> TimingBreakdown {
+            TimingBreakdown::new()
         }
-    }
-
-    fn fixed_stats() -> ModelStats {
-        use mlscore_forest::{ForestConfig, RandomForest};
-        ModelStats::of(&RandomForest::synthetic_full(
-            &ForestConfig::classification(2, 4, 2).with_depth(3),
-            1,
-        ))
     }
 
     #[test]
-    fn default_traced_replay_reconstructs_exactly() {
-        let backend = FixedBackend;
-        let tracer = Tracer::new();
-        let stats = fixed_stats();
-        let direct = backend.estimate(&stats, 12_345);
-        let traced = backend.estimate_traced(&stats, 12_345, &tracer, SimInstant::ZERO);
-        assert_eq!(direct, traced);
-        let trace = tracer.take();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.breakdown(Scope::Offload), direct);
-        // Spans are laid out back to back.
-        assert_eq!(trace.events()[1].start, trace.events()[0].end());
-    }
-
-    #[test]
-    fn boxed_backend_forwards_estimate_traced() {
-        let boxed: Box<dyn ScoringBackend> = Box::new(FixedBackend);
-        let tracer = Tracer::new();
-        let stats = fixed_stats();
-        let b = boxed.estimate_traced(&stats, 10, &tracer, SimInstant::ZERO);
-        assert_eq!(tracer.take().breakdown(Scope::Offload), b);
-    }
-
-    #[test]
-    fn score_only_backend_gets_two_phase_defaults() {
-        use mlscore_data::TabularFrame;
-        use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
-
-        // FixedBackend implements only `score`; the mutual defaults must
-        // carry it through the whole prepared path.
-        let backend = FixedBackend;
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(2, 4, 2).with_depth(3), 1);
-        let bundle = ModelBundle::serialize(&forest);
-        let model = backend.prepare(&bundle).unwrap();
-        assert_eq!(model.key().backend, "fixed");
-        assert!(matches!(model.lowered(), crate::Lowered::Reference));
-        let frame = TabularFrame::from_rows(vec![0.0; 8], 4).unwrap();
-        let prepared = backend.score_prepared(model.as_ref(), &frame).unwrap();
-        let request = ScoringRequest::new(model.forest(), &frame).unwrap();
-        assert_eq!(prepared, backend.score(&request).unwrap());
-        assert_eq!(
-            backend.estimate_prepared(model.as_ref(), 7),
-            backend.estimate(model.stats(), 7)
-        );
-        // Compiled for "fixed" — another backend must refuse it.
-        let err = model.ensure_scorable("other", 4).unwrap_err();
+    fn whole_batch_helper_gathers_chunks_in_order() {
+        let backend = Echo;
+        let forest = RandomForest::synthetic_full(&ForestConfig::regression(2, 4).with_depth(3), 1);
+        let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
+        assert!(matches!(model.lowered(), Lowered::Reference));
+        let frame = TabularFrame::from_rows((0..40).map(|i| i as f32).collect(), 4).unwrap();
+        let staged = score_once(&backend, &forest, &frame).unwrap();
+        for chunk_rows in [3, 10] {
+            let mut scanner = FrameScanner::new(&frame, chunk_rows);
+            let bound = model.bind(backend.name(), 4).unwrap();
+            let outcome = backend
+                .score(bound, &mut scanner, &Tracer::disabled(), SimInstant::ZERO)
+                .unwrap();
+            assert_eq!(outcome.rows, 10);
+            assert_eq!(outcome.chunks.len(), 10usize.div_ceil(chunk_rows));
+            assert!(outcome.chunks.iter().all(|c| c.kernel.is_none()));
+            assert_eq!(outcome.predictions, staged);
+        }
+        // Compiled for "echo" — another backend, or another width, is
+        // refused before any pull.
+        let err = model.bind("other", 4).unwrap_err();
+        assert!(matches!(err, BackendError::Artifact { .. }));
+        let err = model.bind(backend.name(), 3).unwrap_err();
         assert!(matches!(err, BackendError::Artifact { .. }));
     }
 
     #[test]
-    fn default_stream_path_materializes_and_matches_prepared() {
-        use mlscore_data::{FrameScanner, TabularFrame};
-        use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
+    fn boxed_backend_forwards_every_method() {
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(6, 4, 3).with_depth(5), 2);
+        let stats = ModelStats::of(&forest);
+        let data = Dataset::iris(70, 3).normalized();
+        let unboxed = OnnxCpu::with_threads(2);
+        let boxed: Box<dyn ScoringBackend> = Box::new(OnnxCpu::with_threads(2));
 
-        struct Echo;
-        impl ScoringBackend for Echo {
-            fn name(&self) -> &str {
-                "echo"
-            }
-            fn score(&self, request: &ScoringRequest<'_>) -> Result<Predictions, BackendError> {
-                // Deterministic per-row output so chunk order matters.
-                Ok(Predictions::Values(
-                    request.frame().rows().map(|r| r[0]).collect(),
-                ))
-            }
-            fn estimate(&self, _stats: &ModelStats, _n: u64) -> TimingBreakdown {
-                TimingBreakdown::new()
-            }
-        }
-
-        let backend = Echo;
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(2, 4).with_depth(3), 1);
-        let model = backend.prepare(&ModelBundle::serialize(&forest)).unwrap();
-        let frame = TabularFrame::from_rows((0..40).map(|i| i as f32).collect(), 4).unwrap();
-        let mut scanner = FrameScanner::new(&frame, 3);
-        let outcome = backend
-            .score_prepared_stream(model.as_ref(), &mut scanner)
-            .unwrap();
-        assert_eq!(outcome.rows, 10);
-        assert_eq!(outcome.chunks.len(), 4);
-        assert!(outcome.chunks.iter().all(|c| c.kernel.is_none()));
+        assert_eq!(boxed.name(), unboxed.name());
+        assert_eq!(boxed.supports(&stats), unboxed.supports(&stats));
+        assert_eq!(boxed.cache_config(), unboxed.cache_config());
         assert_eq!(
-            outcome.predictions,
-            backend.score_prepared(model.as_ref(), &frame).unwrap()
+            format!("{:?}", boxed.lower(&forest).unwrap()),
+            format!("{:?}", unboxed.lower(&forest).unwrap())
         );
-        // Width mismatch is refused before any pull.
-        let narrow = TabularFrame::from_rows(vec![0.0; 6], 3).unwrap();
-        let mut bad = FrameScanner::new(&narrow, 2);
-        assert!(matches!(
-            backend.score_prepared_stream(model.as_ref(), &mut bad),
-            Err(BackendError::Artifact { .. })
-        ));
+        assert_eq!(
+            boxed.kernel_choice(&stats, 70),
+            unboxed.kernel_choice(&stats, 70)
+        );
+
+        let model = compile(&unboxed, &ModelBundle::serialize(&forest)).unwrap();
+        let run = |b: &dyn ScoringBackend, tracer: &Tracer| {
+            let bound = model.bind(b.name(), 4).unwrap();
+            let mut scanner = FrameScanner::new(data.frame(), 16);
+            b.score(bound, &mut scanner, tracer, SimInstant::ZERO)
+                .unwrap()
+        };
+        let (boxed_trace, unboxed_trace) = (Tracer::new(), Tracer::new());
+        assert_eq!(run(&boxed, &boxed_trace), run(&unboxed, &unboxed_trace));
+        let workers = |t: &Tracer| {
+            t.take()
+                .events()
+                .iter()
+                .filter(|e| e.scope == Scope::Detail && e.name.starts_with("exec worker"))
+                .count()
+        };
+        assert!(workers(&boxed_trace) >= 1, "boxed score records workers");
+        assert!(workers(&unboxed_trace) >= 1);
+
+        let (boxed_trace, unboxed_trace) = (Tracer::new(), Tracer::new());
+        let b = boxed.estimate(&stats, 10_000, &boxed_trace, SimInstant::ZERO);
+        assert_eq!(
+            b,
+            unboxed.estimate(&stats, 10_000, &unboxed_trace, SimInstant::ZERO)
+        );
+        assert_eq!(boxed_trace.take().breakdown(Scope::Offload), b);
+        assert_eq!(unboxed_trace.take().breakdown(Scope::Offload), b);
     }
 }

@@ -9,6 +9,8 @@ use mlscore_backend::ScoringBackend;
 use mlscore_data::DatasetSpec;
 use mlscore_forest::ModelStats;
 use mlscore_fpga::{EngineConfig, FpgaBackend, FpgaDevice, MemoryBackend};
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 fn backend(memory: MemoryBackend) -> FpgaBackend {
     FpgaBackend::with_config(
@@ -30,7 +32,9 @@ fn print_ablation() {
         let b = backend(mem);
         let cell = |ds, trees| {
             let stats = ModelStats::of(&mlscore_core::calibration::paper_model(ds, trees, 10));
-            b.estimate(&stats, 1_000_000).total().to_string()
+            b.estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                .to_string()
         };
         println!(
             "{:<8} {:>12} {:>12} {:>12}",
@@ -70,7 +74,14 @@ fn bench(c: &mut Criterion) {
     for (name, mem) in [("bram", MemoryBackend::Bram), ("ddr", MemoryBackend::Ddr)] {
         let b_ = backend(mem);
         g.bench_function(name, |b| {
-            b.iter(|| b_.estimate(std::hint::black_box(&stats), 1_000_000))
+            b.iter(|| {
+                b_.estimate(
+                    std::hint::black_box(&stats),
+                    1_000_000,
+                    &Tracer::disabled(),
+                    SimInstant::ZERO,
+                )
+            })
         });
     }
     g.finish();

@@ -10,6 +10,8 @@ use mlscore_gpu::{
     measured_divergence, warp_efficiency, FilCostParams, HummingbirdCostParams, HummingbirdGpu,
     RapidsFil,
 };
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 fn print_ablation() {
     println!("\n--- Ablation A3: GPU mechanism knobs (HIGGS, 128 trees, 1M records) ---");
@@ -19,7 +21,9 @@ fn print_ablation() {
         10,
     ));
     // FIL: with and without the divergence penalty.
-    let with_div = RapidsFil::p100().estimate(&stats, 1_000_000).total();
+    let with_div = RapidsFil::p100()
+        .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+        .total();
     let no_div = RapidsFil::new(
         mlscore_gpu::GpuDevice::tesla_p100(),
         FilCostParams {
@@ -29,7 +33,7 @@ fn print_ablation() {
             ..FilCostParams::default()
         },
     )
-    .estimate(&stats, 1_000_000)
+    .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
     .total();
     println!(
         "  RAPIDS with divergence {with_div}, divergence-free {no_div} ({:.2}x)",
@@ -37,7 +41,9 @@ fn print_ablation() {
     );
 
     // HB: traffic factor 1.5 vs 1.0.
-    let hb_default = HummingbirdGpu::p100().estimate(&stats, 1_000_000).total();
+    let hb_default = HummingbirdGpu::p100()
+        .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+        .total();
     let hb_lean = HummingbirdGpu::new(
         mlscore_gpu::GpuDevice::tesla_p100(),
         HummingbirdCostParams {
@@ -45,7 +51,7 @@ fn print_ablation() {
             ..HummingbirdCostParams::default()
         },
     )
-    .estimate(&stats, 1_000_000)
+    .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
     .total();
     println!("  HB with gather-tensor traffic {hb_default}, lean {hb_lean}");
 
@@ -70,10 +76,24 @@ fn bench(c: &mut Criterion) {
     let fil = RapidsFil::p100();
     let hb = HummingbirdGpu::p100();
     g.bench_function("fil_estimate", |b| {
-        b.iter(|| fil.estimate(std::hint::black_box(&stats), 1_000_000))
+        b.iter(|| {
+            fil.estimate(
+                std::hint::black_box(&stats),
+                1_000_000,
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+            )
+        })
     });
     g.bench_function("hb_estimate", |b| {
-        b.iter(|| hb.estimate(std::hint::black_box(&stats), 1_000_000))
+        b.iter(|| {
+            hb.estimate(
+                std::hint::black_box(&stats),
+                1_000_000,
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+            )
+        })
     });
     let iris_model = mlscore_core::calibration::paper_model(DatasetSpec::Iris, 8, 10);
     let data = Dataset::iris(128, 3).normalized();

@@ -9,6 +9,8 @@ use mlscore_backend::{OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_data::DatasetSpec;
 use mlscore_forest::ModelStats;
 use mlscore_gpu::{FilCostParams, GpuDevice, HummingbirdCostParams, HummingbirdGpu, RapidsFil};
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 fn devices() -> [(&'static str, GpuDevice); 3] {
     [
@@ -29,9 +31,13 @@ fn print_ablation() {
     let onnx52 = OnnxCpu::paper_52th();
     let best_cpu = |n: u64| {
         sklearn
-            .estimate(&stats, n)
+            .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
             .total()
-            .min(onnx52.estimate(&stats, n).total())
+            .min(
+                onnx52
+                    .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                    .total(),
+            )
     };
     println!(
         "{:<6} {:>14} {:>14} {:>16} {:>20}",
@@ -40,16 +46,23 @@ fn print_ablation() {
     for (name, device) in devices() {
         let hb = HummingbirdGpu::new(device.clone(), HummingbirdCostParams::default());
         let fil = RapidsFil::new(device, FilCostParams::default());
-        let hb_t = hb.estimate(&stats, 1_000_000).total();
-        let fil_t = fil.estimate(&stats, 1_000_000).total();
+        let hb_t = hb
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
+        let fil_t = fil
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
         let best = hb_t.min(fil_t);
         let crossover = mlscore_core::headline::DENSE_SWEEP
             .iter()
             .copied()
             .find(|&n| {
-                hb.estimate(&stats, n)
+                hb.estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
                     .total()
-                    .min(fil.estimate(&stats, n).total())
+                    .min(
+                        fil.estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                            .total(),
+                    )
                     < best_cpu(n)
             });
         println!(
@@ -75,7 +88,14 @@ fn bench(c: &mut Criterion) {
     for (name, device) in devices() {
         let hb = HummingbirdGpu::new(device, HummingbirdCostParams::default());
         g.bench_function(name, |b| {
-            b.iter(|| hb.estimate(std::hint::black_box(&stats), 1_000_000))
+            b.iter(|| {
+                hb.estimate(
+                    std::hint::black_box(&stats),
+                    1_000_000,
+                    &Tracer::disabled(),
+                    SimInstant::ZERO,
+                )
+            })
         });
     }
     g.finish();

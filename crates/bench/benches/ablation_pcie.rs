@@ -9,6 +9,8 @@ use mlscore_data::DatasetSpec;
 use mlscore_forest::ModelStats;
 use mlscore_fpga::{EngineConfig, FpgaBackend, FpgaDevice};
 use mlscore_offload::PcieLink;
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 fn backend_with_link(link: PcieLink) -> FpgaBackend {
     let device = FpgaDevice {
@@ -36,12 +38,22 @@ fn print_ablation() {
         ("gen5 x16", PcieLink::gen5_x16()),
     ] {
         let fpga = backend_with_link(link);
-        let t = fpga.estimate(&stats, 1_000_000).total();
-        let cpu_t = cpu.estimate(&stats, 1_000_000).total();
+        let t = fpga
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
+        let cpu_t = cpu
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
         let crossover = mlscore_core::headline::DENSE_SWEEP
             .iter()
             .copied()
-            .find(|&n| fpga.estimate(&stats, n).total() < cpu.estimate(&stats, n).total());
+            .find(|&n| {
+                fpga.estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+                    < cpu
+                        .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                        .total()
+            });
         println!(
             "{:<10} {:>14} {:>13.1}x {:>18}",
             name,
@@ -68,7 +80,14 @@ fn bench(c: &mut Criterion) {
     ] {
         let backend = backend_with_link(link);
         g.bench_function(name, |b| {
-            b.iter(|| backend.estimate(std::hint::black_box(&stats), 1_000_000))
+            b.iter(|| {
+                backend.estimate(
+                    std::hint::black_box(&stats),
+                    1_000_000,
+                    &Tracer::disabled(),
+                    SimInstant::ZERO,
+                )
+            })
         });
     }
     g.finish();

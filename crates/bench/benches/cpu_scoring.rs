@@ -2,7 +2,7 @@
 //! benchmarks the library's own execution engines, not the modelled times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mlscore_backend::{OnnxCpu, ScoringBackend, ScoringRequest, SklearnCpu};
+use mlscore_backend::{score_once, OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_bench::cpu_bench::naive_predict;
 use mlscore_data::Dataset;
 use mlscore_exec::{kernel, ExecPool, RunConfig};
@@ -14,7 +14,6 @@ fn bench(c: &mut Criterion) {
     let forest =
         RandomForest::synthetic_full(&ForestConfig::classification(64, 28, 2).with_depth(10), 7);
     let data = Dataset::higgs(2_000, 3).normalized();
-    let request = ScoringRequest::new(&forest, data.frame()).unwrap();
     let n = data.frame().n_rows() as u64;
 
     let backends: Vec<(&str, Box<dyn ScoringBackend>)> = vec![
@@ -29,7 +28,7 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n));
     for (name, backend) in &backends {
         g.bench_with_input(BenchmarkId::from_parameter(name), backend, |b, backend| {
-            b.iter(|| backend.score(&request).unwrap())
+            b.iter(|| score_once(backend, &forest, data.frame()).unwrap())
         });
     }
     g.finish();

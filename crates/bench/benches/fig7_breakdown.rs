@@ -7,6 +7,8 @@ use mlscore_core::{figures, report};
 use mlscore_data::DatasetSpec;
 use mlscore_forest::ModelStats;
 use mlscore_fpga::FpgaBackend;
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 fn print_figure() {
     println!("\n--- Fig. 7a (1 record) ---");
@@ -25,7 +27,14 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fig7/panel_a", |b| b.iter(figures::fig7a));
     c.bench_function("fig7/panel_b", |b| b.iter(figures::fig7b));
     c.bench_function("fig7/single_estimate", |b| {
-        b.iter(|| backend.estimate(std::hint::black_box(&stats), 1_000_000))
+        b.iter(|| {
+            backend.estimate(
+                std::hint::black_box(&stats),
+                1_000_000,
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+            )
+        })
     });
 }
 

@@ -106,7 +106,7 @@ fn replay_policy(
             .choose(&q.stats, q.n_records, backends)
             .expect("every trace query has a supporting backend");
         let latency = backends[choice.index]
-            .estimate(&q.stats, q.n_records)
+            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
             .total();
         total += latency;
         latencies.push(latency);

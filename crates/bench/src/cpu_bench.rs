@@ -26,16 +26,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mlscore_backend::{ArtifactCache, CacheOutcome, OnnxCpu, ScoringBackend, SklearnCpu};
-use mlscore_data::{Dataset, FrameScanner, NormParams, NormalizeStream};
+use mlscore_backend::{compile, ArtifactCache, CacheOutcome, OnnxCpu, ScoringBackend, SklearnCpu};
+use mlscore_data::{Dataset, FrameScanner, NormParams, NormalizeStream, RecordStream};
 use mlscore_exec::{
     kernel, pool::default_threads, score_quickscorer_batch, score_simd_batch, ExecPool, FlatImage,
     ImageLayout, Kernel, KernelChoice, RunConfig, SimdLevel,
 };
 use mlscore_forest::{FlatForest, ForestConfig, ModelBundle, Predictions, RandomForest, Task};
 use mlscore_pipeline::QueryPipeline;
-use mlscore_sim::Stage;
+use mlscore_sim::{SimInstant, Stage};
 use mlscore_telemetry::json::{self, write_escaped, JsonValue};
+use mlscore_telemetry::Tracer;
 
 /// Tree depth used throughout the sweep (the paper's evaluation depth).
 pub const SWEEP_DEPTH: usize = 10;
@@ -220,7 +221,7 @@ pub const FUSED_CHUNK_SWEEP: [usize; 2] = [512, 4_096];
 /// over the staged path (materialize a normalized copy, hand the whole
 /// batch over) and once over the fused [`RecordStream`] path
 /// ([`NormalizeStream`] over a [`FrameScanner`] feeding
-/// [`ScoringBackend::score_prepared_stream`]).
+/// [`ScoringBackend::score`]).
 ///
 /// [`RecordStream`]: mlscore_data::RecordStream
 #[derive(Debug, Clone)]
@@ -280,44 +281,41 @@ fn fused_cells_for<B: ScoringBackend>(
     iters: usize,
 ) -> Vec<FusedCell> {
     let pipeline = QueryPipeline::new(backend);
-    let model = pipeline.backend().prepare(bundle).expect("compile");
+    let model = compile(pipeline.backend(), bundle).expect("compile");
     let model_bytes = model.model_bytes() as u64;
+    let score = |stream: &mut dyn RecordStream| {
+        let bound = model
+            .bind(pipeline.backend().name(), stream.n_features())
+            .expect("compiled for this backend");
+        pipeline
+            .backend()
+            .score(bound, stream, &Tracer::disabled(), SimInstant::ZERO)
+            .expect("scoring")
+    };
     let mut cells = Vec::new();
     for &records in record_counts {
         let raw = Dataset::higgs(records, 3);
         let frame = raw.frame();
         // The staged reference: fit + materialize the normalized copy,
-        // then score the whole batch in one prepared call.
-        let staged_preds = pipeline
-            .backend()
-            .score_prepared(&model, &frame.normalized())
-            .expect("staged scoring");
+        // then score the whole batch as one chunk.
+        let staged_preds = score(&mut FrameScanner::whole(&frame.normalized())).predictions;
         for chunk_rows in FUSED_CHUNK_SWEEP {
             let mut stream =
                 NormalizeStream::new(FrameScanner::new(frame, chunk_rows), NormParams::fit(frame));
-            let out = pipeline
-                .backend()
-                .score_prepared_stream(&model, &mut stream)
-                .expect("fused scoring");
+            let out = score(&mut stream);
             let bit_exact = out.predictions == staged_preds && out.rows == records;
             let n_chunks = out.chunks.len();
 
             let staged_wall = measure_secs(iters, || {
-                let preds = pipeline
-                    .backend()
-                    .score_prepared(&model, &frame.normalized())
-                    .expect("staged scoring");
-                std::hint::black_box(&preds);
+                let out = score(&mut FrameScanner::whole(&frame.normalized()));
+                std::hint::black_box(&out);
             });
             let fused_wall = measure_secs(iters, || {
                 let mut stream = NormalizeStream::new(
                     FrameScanner::new(frame, chunk_rows),
                     NormParams::fit(frame),
                 );
-                let out = pipeline
-                    .backend()
-                    .score_prepared_stream(&model, &mut stream)
-                    .expect("fused scoring");
+                let out = score(&mut stream);
                 std::hint::black_box(&out);
             });
 

@@ -4,9 +4,10 @@ use mlscore_backend::ScoringBackend;
 use mlscore_data::DatasetSpec;
 use mlscore_forest::ModelStats;
 use mlscore_sched::paper_backends;
-use mlscore_sim::{SimDuration, TimingBreakdown};
+use mlscore_sim::{SimDuration, SimInstant, TimingBreakdown};
 
 use crate::calibration::paper_model;
+use mlscore_telemetry::Tracer;
 
 /// One backend's modelled result at a sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +74,7 @@ impl SweepPoint {
             .filter(|b| b.supports(stats).is_ok())
             .map(|b| BackendResult {
                 backend: b.name().to_string(),
-                breakdown: b.estimate(stats, n_records),
+                breakdown: b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO),
             })
             .collect();
         Self {

@@ -6,10 +6,11 @@ use mlscore_data::DatasetSpec;
 use mlscore_forest::{ModelBundle, ModelStats};
 use mlscore_fpga::FpgaBackend;
 use mlscore_pipeline::QueryPipeline;
-use mlscore_sim::{SimDuration, TimingBreakdown};
+use mlscore_sim::{SimDuration, SimInstant, TimingBreakdown};
 
 use crate::calibration::{paper_model, RECORD_SWEEP};
 use crate::experiment::SweepPoint;
+use mlscore_telemetry::Tracer;
 
 /// One bar of Fig. 7: the FPGA scoring-time breakdown at a configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +30,12 @@ pub struct Fig7Result {
 /// Fig. 7 for one configuration.
 pub fn fig7(dataset: DatasetSpec, n_trees: usize, depth: usize, n_records: u64) -> Fig7Result {
     let stats = ModelStats::of(&paper_model(dataset, n_trees, depth));
-    let breakdown = FpgaBackend::paper_default().estimate(&stats, n_records);
+    let breakdown = FpgaBackend::paper_default().estimate(
+        &stats,
+        n_records,
+        &Tracer::disabled(),
+        SimInstant::ZERO,
+    );
     Fig7Result {
         dataset,
         n_trees,

@@ -69,7 +69,9 @@ pub trait RecordStream {
 ///
 /// Each refill copies one cache-sized row range into the scanner's
 /// reusable scratch — the stand-in for a storage engine handing over one
-/// page worth of rows.
+/// page worth of rows. When one chunk holds the whole frame (a staged,
+/// one-chunk scan — see [`FrameScanner::whole`]) the frame itself is lent
+/// out: nothing is copied and no scratch is allocated.
 #[derive(Debug)]
 pub struct FrameScanner<'a> {
     frame: &'a TabularFrame,
@@ -86,12 +88,23 @@ impl<'a> FrameScanner<'a> {
     /// Panics if `chunk_rows == 0`.
     pub fn new(frame: &'a TabularFrame, chunk_rows: usize) -> Self {
         assert!(chunk_rows > 0, "chunks must hold at least one row");
+        let scratch_rows = if chunk_rows >= frame.n_rows() {
+            0
+        } else {
+            chunk_rows
+        };
         Self {
             frame,
             chunk_rows,
             cursor: 0,
-            scratch: TabularFrame::with_capacity(chunk_rows, frame.n_features()),
+            scratch: TabularFrame::with_capacity(scratch_rows, frame.n_features()),
         }
+    }
+
+    /// A scanner yielding all of `frame` as a single borrowed chunk — how
+    /// a staged (whole-batch) call is expressed as a stream.
+    pub fn whole(frame: &'a TabularFrame) -> Self {
+        Self::new(frame, frame.n_rows().max(1))
     }
 }
 
@@ -110,6 +123,10 @@ impl RecordStream for FrameScanner<'_> {
             return None;
         }
         let end = (self.cursor + self.chunk_rows).min(self.frame.n_rows());
+        if self.cursor == 0 && end == self.frame.n_rows() {
+            self.cursor = end;
+            return Some(self.frame);
+        }
         let f = self.frame.n_features();
         self.scratch.clear();
         // analyze: hot
@@ -607,6 +624,21 @@ mod tests {
             assert_eq!(s.size_hint(), (23, Some(23)));
             assert_eq!(drain(&mut s), f);
             assert_eq!(s.size_hint(), (0, Some(0)));
+        }
+    }
+
+    #[test]
+    fn one_chunk_scan_lends_the_frame_itself() {
+        let f = frame(23, 4);
+        for mut s in [
+            FrameScanner::new(&f, 23),
+            FrameScanner::new(&f, 64),
+            FrameScanner::whole(&f),
+        ] {
+            let chunk = s.next_chunk().unwrap();
+            assert_eq!(chunk.as_slice().as_ptr(), f.as_slice().as_ptr());
+            assert_eq!(chunk.n_rows(), 23);
+            assert!(s.next_chunk().is_none());
         }
     }
 

@@ -206,7 +206,19 @@ pub fn score_auto_batch(
     pool: &ExecPool,
     cfg: &RunConfig,
 ) -> (Predictions, RunReport, KernelChoice) {
-    let choice = KernelChoice::choose(image.stats(), frame.n_rows(), SimdLevel::detect());
+    score_auto_batch_at(SimdLevel::detect(), image, frame, pool, cfg)
+}
+
+/// [`score_auto_batch`] at an already-detected SIMD tier, so a caller
+/// scoring many chunks reads the `MLSCORE_SIMD` override only once.
+pub fn score_auto_batch_at(
+    level: SimdLevel,
+    image: &FlatImage,
+    frame: &TabularFrame,
+    pool: &ExecPool,
+    cfg: &RunConfig,
+) -> (Predictions, RunReport, KernelChoice) {
+    let choice = KernelChoice::choose(image.stats(), frame.n_rows(), level);
     let (preds, report) = match choice.kernel {
         Kernel::Blocked => kernel::score_image_batch(image, frame, pool, cfg),
         Kernel::Simd => score_simd_batch(image, frame, pool, cfg, choice.level),

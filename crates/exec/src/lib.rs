@@ -54,5 +54,5 @@ pub use kernel::{
 pub use kernel_simd::{score_simd_batch, SimdLevel};
 pub use pool::{ExecPool, RunConfig};
 pub use quickscorer::score_quickscorer_batch;
-pub use report::{RunReport, WorkerReport};
+pub use report::{record_sequential_spans, RunReport, WorkerReport};
 pub use stream::{score_stream, ChunkRun, StreamReport};

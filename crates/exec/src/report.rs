@@ -142,6 +142,22 @@ impl RunReport {
     }
 }
 
+/// Records the measured worker spans of consecutive runs
+/// ([`RunReport::record_spans`]), laying them back to back from the
+/// simulated instant `base` by their measured elapsed times.
+pub fn record_sequential_spans<'a>(
+    runs: impl IntoIterator<Item = &'a RunReport>,
+    tracer: &Tracer,
+    base: SimInstant,
+    process: &str,
+) {
+    let mut at = base;
+    for run in runs {
+        run.record_spans(tracer, at, process);
+        at += SimDuration::from_secs(run.elapsed().as_secs_f64());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,20 +17,22 @@
 use mlscore_data::{RecordStream, TabularFrame};
 use mlscore_forest::Predictions;
 
-use crate::choice::{Kernel, KernelChoice};
+use crate::choice::{score_auto_batch_at, Kernel, KernelChoice};
 use crate::kernel::{self, FlatImage};
-use crate::kernel_simd::{score_simd_batch, SimdLevel};
+use crate::kernel_simd::SimdLevel;
 use crate::pool::{ExecPool, RunConfig};
-use crate::quickscorer::score_quickscorer_batch;
+use crate::report::RunReport;
 
-/// One scored chunk: its row count and the kernel the cost model picked
-/// for it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One scored chunk: its row count, the kernel the cost model picked for
+/// it, and the executor's wall-clock report for the run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkRun {
     /// Rows in the chunk.
     pub rows: usize,
     /// The cost model's verdict for this chunk.
     pub choice: KernelChoice,
+    /// Measured per-worker occupancy of the chunk's executor run.
+    pub run: RunReport,
 }
 
 /// Summary of one [`score_stream`] run.
@@ -88,16 +90,12 @@ pub fn score_stream(
         if chunk.is_empty() {
             continue;
         }
-        let choice = KernelChoice::choose(image.stats(), chunk.n_rows(), level);
-        let (preds, _run) = match choice.kernel {
-            Kernel::Blocked => kernel::score_image_batch(image, chunk, pool, cfg),
-            Kernel::Simd => score_simd_batch(image, chunk, pool, cfg, choice.level),
-            Kernel::Quickscorer => score_quickscorer_batch(image, chunk, pool, cfg),
-        };
+        let (preds, run, choice) = score_auto_batch_at(level, image, chunk, pool, cfg);
         report.rows += chunk.n_rows();
         report.chunks.push(ChunkRun {
             rows: chunk.n_rows(),
             choice,
+            run,
         });
         match &mut out {
             None => out = Some(preds),
@@ -119,6 +117,8 @@ mod tests {
     use super::*;
     use mlscore_data::{Dataset, FrameScanner};
     use mlscore_forest::{ForestConfig, RandomForest};
+    use mlscore_sim::SimInstant;
+    use mlscore_telemetry::Tracer;
 
     fn image(trees: usize, depth: usize, classes: u32, seed: u64) -> (RandomForest, FlatImage) {
         let forest = RandomForest::synthetic_full(
@@ -146,6 +146,33 @@ mod tests {
             assert_eq!(report.rows(), 333);
             assert_eq!(report.n_chunks(), 333usize.div_ceil(chunk_rows));
         }
+    }
+
+    #[test]
+    fn every_chunk_records_measured_worker_spans() {
+        let (_, image) = image(8, 5, 2, 4);
+        let data = Dataset::iris(200, 3).normalized();
+        let mut scanner = FrameScanner::new(data.frame(), 64);
+        let (_, report) = score_stream(
+            &image,
+            &mut scanner,
+            ExecPool::global(),
+            &RunConfig::default(),
+        );
+        let tracer = Tracer::new();
+        crate::report::record_sequential_spans(
+            report.chunks().iter().map(|c| &c.run),
+            &tracer,
+            SimInstant::ZERO,
+            "exec",
+        );
+        let trace = tracer.take();
+        let workers = trace
+            .events()
+            .iter()
+            .filter(|e| e.name.starts_with("exec worker"))
+            .count();
+        assert!(workers >= report.n_chunks(), "{workers} worker spans");
     }
 
     #[test]

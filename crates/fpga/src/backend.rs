@@ -2,9 +2,11 @@
 
 use std::sync::Arc;
 
-use mlscore_backend::{BackendError, Lowered, ScoringBackend};
-use mlscore_data::TabularFrame;
-use mlscore_forest::{FlatTree, ModelStats, Predictions, RandomForest};
+use mlscore_backend::{
+    score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
+};
+use mlscore_data::RecordStream;
+use mlscore_forest::{FlatTree, ModelStats, RandomForest};
 use mlscore_sim::{SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{ExactSplit, Scope, Tracer};
 
@@ -87,14 +89,14 @@ impl ScoringBackend for FpgaBackend {
         Ok(Lowered::Custom(Arc::new(model)))
     }
 
-    fn score_lowered(
+    fn score(
         &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let _ = forest;
-        let model = match lowered {
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
+        _tracer: &Tracer,
+        _start: SimInstant,
+    ) -> Result<StreamOutcome, BackendError> {
+        let loaded = match model.lowered() {
             Lowered::Custom(any) => any.downcast_ref::<LoadedModel>().ok_or_else(|| {
                 BackendError::artifact("FPGA", "custom artifact is not a LoadedModel")
             })?,
@@ -105,15 +107,12 @@ impl ScoringBackend for FpgaBackend {
                 ))
             }
         };
-        let run = self.engine.execute(model, frame.as_slice());
-        Ok(run.predictions)
+        score_whole_batch(stream, |frame| {
+            Ok(self.engine.execute(loaded, frame.as_slice()).predictions)
+        })
     }
 
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    fn estimate_traced(
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
@@ -326,8 +325,8 @@ impl FpgaBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_backend::ScoringRequest;
-    use mlscore_data::Dataset;
+    use mlscore_backend::{compile, score_once};
+    use mlscore_data::{Dataset, FrameScanner};
     use mlscore_forest::ForestConfig;
 
     fn stats(n_trees: usize, depth: usize, n_features: usize) -> ModelStats {
@@ -342,8 +341,7 @@ mod tests {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(16, 28, 2).with_depth(7), 9);
         let data = Dataset::higgs(150, 3).normalized();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let preds = FpgaBackend::paper_default().score(&req).unwrap();
+        let preds = score_once(&FpgaBackend::paper_default(), &forest, data.frame()).unwrap();
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
     }
 
@@ -354,20 +352,29 @@ mod tests {
             RandomForest::synthetic_full(&ForestConfig::classification(16, 28, 2).with_depth(7), 9);
         let data = Dataset::higgs(150, 3).normalized();
         let backend = FpgaBackend::paper_default();
-        let model = backend.prepare(&ModelBundle::serialize(&forest)).unwrap();
+        let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
         // The cache key carries the engine's compile-relevant knobs.
         assert!(
             model.key().config.contains("depth10-pe128"),
             "{:?}",
             model.key()
         );
-        let warm = backend.score_prepared(&model, data.frame()).unwrap();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        assert_eq!(warm, backend.score(&req).unwrap());
+        let warm = backend
+            .score(
+                model.bind(backend.name(), 28).unwrap(),
+                &mut FrameScanner::whole(data.frame()),
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+            )
+            .unwrap();
+        assert_eq!(
+            warm.predictions,
+            score_once(&backend, &forest, data.frame()).unwrap()
+        );
         // A foreign artifact is rejected, naming the mismatch.
         let skl = mlscore_backend::SklearnCpu::with_threads(1);
-        let foreign = skl.prepare(&ModelBundle::serialize(&forest)).unwrap();
-        let err = backend.score_prepared(&foreign, data.frame()).unwrap_err();
+        let foreign = compile(&skl, &ModelBundle::serialize(&forest)).unwrap();
+        let err = foreign.bind(backend.name(), 28).unwrap_err();
         assert!(matches!(err, BackendError::Artifact { .. }));
     }
 
@@ -383,7 +390,12 @@ mod tests {
     fn one_record_is_overhead_dominated() {
         // Fig. 7a: for 1 record, input transfer and software overhead
         // dominate; scoring itself is nanoseconds.
-        let b = FpgaBackend::paper_default().estimate(&stats(128, 10, 4), 1);
+        let b = FpgaBackend::paper_default().estimate(
+            &stats(128, 10, 4),
+            1,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
         let scoring = b.get(Stage::Scoring);
         assert!(scoring.as_micros() < 1.0, "scoring {scoring}");
         assert!(b.total().as_micros() > 500.0, "total {}", b.total());
@@ -397,7 +409,12 @@ mod tests {
     #[test]
     fn million_records_are_scoring_dominated() {
         // Fig. 7b: at 1M records the scoring component dominates.
-        let b = FpgaBackend::paper_default().estimate(&stats(128, 10, 4), 1_000_000);
+        let b = FpgaBackend::paper_default().estimate(
+            &stats(128, 10, 4),
+            1_000_000,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
         assert_eq!(b.dominant().unwrap().0, Stage::Scoring);
         // ~1M cycles at 250 MHz = 4 ms.
         assert!((3.9..6.0).contains(&b.get(Stage::Scoring).as_millis()));
@@ -408,7 +425,12 @@ mod tests {
         // HIGGS rows (112 B) need 28 GB/s at one record/cycle — more than
         // PCIe 3.0 x16 provides, so scoring is stream-bound and slower than
         // the 4 ms compute floor.
-        let b = FpgaBackend::paper_default().estimate(&stats(128, 10, 28), 1_000_000);
+        let b = FpgaBackend::paper_default().estimate(
+            &stats(128, 10, 28),
+            1_000_000,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
         let scoring = b.get(Stage::Scoring).as_millis();
         assert!((8.0..12.0).contains(&scoring), "scoring {scoring} ms");
     }
@@ -416,8 +438,18 @@ mod tests {
     #[test]
     fn multi_pass_models_cost_proportionally_more() {
         let backend = FpgaBackend::paper_default();
-        let one_pass = backend.estimate(&stats(128, 10, 4), 1_000_000);
-        let two_pass = backend.estimate(&stats(256, 10, 4), 1_000_000);
+        let one_pass = backend.estimate(
+            &stats(128, 10, 4),
+            1_000_000,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
+        let two_pass = backend.estimate(
+            &stats(256, 10, 4),
+            1_000_000,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
         let ratio = two_pass
             .get(Stage::Scoring)
             .ratio(one_pass.get(Stage::Scoring));
@@ -440,15 +472,23 @@ mod tests {
             },
         );
         let s = stats(128, 10, 4);
-        let i = interrupt.estimate(&s, 1).get(Stage::CompletionSignal);
-        let p = polling.estimate(&s, 1).get(Stage::CompletionSignal);
+        let i = interrupt
+            .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::CompletionSignal);
+        let p = polling
+            .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::CompletionSignal);
         // Interrupt: 120 µs. Polling at 10 µs: ~6.5 µs expected delay.
         assert!(p.as_micros() < 10.0, "polling completion {p}");
         assert!(i.ratio(p) > 10.0, "interrupt {i} vs polling {p}");
         // Everything else is unchanged.
         assert_eq!(
-            interrupt.estimate(&s, 1).get(Stage::Scoring),
-            polling.estimate(&s, 1).get(Stage::Scoring)
+            interrupt
+                .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
+                .get(Stage::Scoring),
+            polling
+                .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
+                .get(Stage::Scoring)
         );
     }
 
@@ -462,8 +502,11 @@ mod tests {
             (stats(300, 9, 12), 77_777),
         ] {
             let tracer = Tracer::new();
-            let traced = backend.estimate_traced(&s, n, &tracer, SimInstant::ZERO);
-            assert_eq!(traced, backend.estimate(&s, n));
+            let traced = backend.estimate(&s, n, &tracer, SimInstant::ZERO);
+            assert_eq!(
+                traced,
+                backend.estimate(&s, n, &Tracer::disabled(), SimInstant::ZERO)
+            );
             let trace = tracer.take();
             assert_eq!(trace.breakdown(Scope::Offload), traced);
         }
@@ -473,7 +516,7 @@ mod tests {
     fn traced_two_pass_span_inventory() {
         let backend = FpgaBackend::paper_default();
         let tracer = Tracer::new();
-        backend.estimate_traced(&stats(256, 10, 4), 1000, &tracer, SimInstant::ZERO);
+        backend.estimate(&stats(256, 10, 4), 1000, &tracer, SimInstant::ZERO);
         let trace = tracer.take();
         // 4 offload spans per pass x 2 passes + result dma + driver call +
         // inter-pass driver = 11 offload; 2 detail lanes per pass = 4.
@@ -510,8 +553,8 @@ mod tests {
         // Fig. 7a: FPGA setup, completion signal, and software overhead are
         // the same for 1 tree and 128 trees (both are single-pass).
         let backend = FpgaBackend::paper_default();
-        let small = backend.estimate(&stats(1, 10, 4), 1);
-        let big = backend.estimate(&stats(128, 10, 4), 1);
+        let small = backend.estimate(&stats(1, 10, 4), 1, &Tracer::disabled(), SimInstant::ZERO);
+        let big = backend.estimate(&stats(128, 10, 4), 1, &Tracer::disabled(), SimInstant::ZERO);
         assert_eq!(
             small.get(Stage::AcceleratorSetup),
             big.get(Stage::AcceleratorSetup)

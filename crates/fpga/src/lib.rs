@@ -14,7 +14,7 @@
 //! # Example
 //!
 //! ```
-//! use mlscore_backend::{ScoringBackend, ScoringRequest};
+//! use mlscore_backend::score_once;
 //! use mlscore_data::Dataset;
 //! use mlscore_forest::{ForestConfig, RandomForest};
 //! use mlscore_fpga::FpgaBackend;
@@ -24,8 +24,7 @@
 //!     2,
 //! );
 //! let data = Dataset::iris(100, 7).normalized();
-//! let req = ScoringRequest::new(&forest, data.frame())?;
-//! let preds = FpgaBackend::paper_default().score(&req)?;
+//! let preds = score_once(&FpgaBackend::paper_default(), &forest, data.frame())?;
 //! assert_eq!(preds.len(), 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

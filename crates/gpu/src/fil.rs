@@ -4,8 +4,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_backend::{BackendError, Lowered, ScoringBackend};
-use mlscore_data::{ColumnarFrame, TabularFrame};
+use mlscore_backend::{
+    score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
+};
+use mlscore_data::{ColumnarFrame, RecordStream};
 use mlscore_forest::{FlatForest, ModelStats, Predictions, RandomForest, Task};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
@@ -50,7 +52,7 @@ impl Default for FilCostParams {
 /// # Example
 ///
 /// ```
-/// use mlscore_backend::{ScoringBackend, ScoringRequest};
+/// use mlscore_backend::score_once;
 /// use mlscore_data::Dataset;
 /// use mlscore_forest::{ForestConfig, RandomForest};
 /// use mlscore_gpu::RapidsFil;
@@ -60,8 +62,7 @@ impl Default for FilCostParams {
 ///     2,
 /// );
 /// let data = Dataset::higgs(40, 4).normalized();
-/// let req = ScoringRequest::new(&forest, data.frame())?;
-/// let preds = RapidsFil::p100().score(&req)?;
+/// let preds = score_once(&RapidsFil::p100(), &forest, data.frame())?;
 /// assert_eq!(preds.len(), 40);
 /// # Ok::<(), mlscore_backend::BackendError>(())
 /// ```
@@ -120,14 +121,15 @@ impl ScoringBackend for RapidsFil {
         Ok(Lowered::Custom(Arc::new(flat)))
     }
 
-    fn score_lowered(
+    fn score(
         &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        self.check_supported(forest.task())?;
-        let flat = match lowered {
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
+        _tracer: &Tracer,
+        _start: SimInstant,
+    ) -> Result<StreamOutcome, BackendError> {
+        self.check_supported(model.forest().task())?;
+        let flat = match model.lowered() {
             Lowered::Custom(any) => any.downcast_ref::<FlatForest>().ok_or_else(|| {
                 BackendError::artifact("GPU-RAPIDS", "custom artifact is not a FIL node table")
             })?,
@@ -138,27 +140,25 @@ impl ScoringBackend for RapidsFil {
                 ))
             }
         };
-        // The RAPIDS path really converts the row-major batch into a
-        // columnar (cuDF-like) frame first, then each "block" gathers its
-        // record from the columns and the trees vote over the node table.
-        // Functionally identical to a straight vote over rows; the
-        // conversion is the work the DataPreprocessing stage charges for.
-        let columnar = ColumnarFrame::from_rows(frame);
-        let mut row = vec![0f32; columnar.n_features()];
-        let mut votes = Vec::new();
-        let mut classes = Vec::with_capacity(columnar.n_rows());
-        for i in 0..columnar.n_rows() {
-            columnar.gather_row(i, &mut row);
-            classes.push(flat.score_one_with(&row, &mut votes) as u32);
-        }
-        Ok(Predictions::Classes(classes))
+        score_whole_batch(stream, |frame| {
+            // The RAPIDS path really converts the row-major batch into a
+            // columnar (cuDF-like) frame first, then each "block" gathers its
+            // record from the columns and the trees vote over the node table.
+            // Functionally identical to a straight vote over rows; the
+            // conversion is the work the DataPreprocessing stage charges for.
+            let columnar = ColumnarFrame::from_rows(frame);
+            let mut row = vec![0f32; columnar.n_features()];
+            let mut votes = Vec::new();
+            let mut classes = Vec::with_capacity(columnar.n_rows());
+            for i in 0..columnar.n_rows() {
+                columnar.gather_row(i, &mut row);
+                classes.push(flat.score_one_with(&row, &mut votes) as u32);
+            }
+            Ok(Predictions::Classes(classes))
+        })
     }
 
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    fn estimate_traced(
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
@@ -277,7 +277,7 @@ impl ScoringBackend for RapidsFil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_backend::ScoringRequest;
+    use mlscore_backend::score_once;
     use mlscore_data::Dataset;
     use mlscore_forest::ForestConfig;
 
@@ -292,8 +292,7 @@ mod tests {
     fn predictions_match_reference() {
         let forest = binary_forest(16, 6);
         let data = Dataset::higgs(200, 3).normalized();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let preds = RapidsFil::p100().score(&req).unwrap();
+        let preds = score_once(&RapidsFil::p100(), &forest, data.frame()).unwrap();
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
     }
 
@@ -305,8 +304,7 @@ mod tests {
         let err = RapidsFil::p100().supports(&stats).unwrap_err();
         assert!(matches!(err, BackendError::Unsupported { .. }));
         let data = Dataset::iris(10, 1).normalized();
-        let req = ScoringRequest::new(&iris_model, data.frame()).unwrap();
-        assert!(RapidsFil::p100().score(&req).is_err());
+        assert!(score_once(&RapidsFil::p100(), &iris_model, data.frame()).is_err());
     }
 
     #[test]
@@ -318,7 +316,7 @@ mod tests {
     #[test]
     fn small_batches_pay_the_cudf_floor() {
         let stats = ModelStats::of(&binary_forest(1, 6));
-        let b = RapidsFil::p100().estimate(&stats, 1);
+        let b = RapidsFil::p100().estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO);
         // Fig. 9e: RAPIDS latency is very high (~120 ms) at tiny batches.
         assert!(b.total().as_millis() > 80.0, "total {}", b.total());
         let (stage, _) = b.dominant().unwrap();
@@ -330,8 +328,20 @@ mod tests {
         let fil = RapidsFil::p100();
         let small = ModelStats::of(&binary_forest(1, 6));
         let big = ModelStats::of(&binary_forest(128, 10));
-        assert!(fil.estimate(&big, 1_000_000).total() > fil.estimate(&small, 1_000_000).total());
-        assert!(fil.estimate(&big, 1_000_000).total() > fil.estimate(&big, 1_000).total());
+        assert!(
+            fil.estimate(&big, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                > fil
+                    .estimate(&small, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+        );
+        assert!(
+            fil.estimate(&big, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                > fil
+                    .estimate(&big, 1_000, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+        );
     }
 
     #[test]
@@ -342,8 +352,11 @@ mod tests {
             (ModelStats::of(&binary_forest(128, 10)), 1_000_000),
         ] {
             let tracer = Tracer::new();
-            let traced = fil.estimate_traced(&s, n, &tracer, SimInstant::ZERO);
-            assert_eq!(traced, fil.estimate(&s, n));
+            let traced = fil.estimate(&s, n, &tracer, SimInstant::ZERO);
+            assert_eq!(
+                traced,
+                fil.estimate(&s, n, &Tracer::disabled(), SimInstant::ZERO)
+            );
             let trace = tracer.take();
             assert_eq!(trace.breakdown(Scope::Offload), traced);
         }
@@ -357,7 +370,7 @@ mod tests {
         let fil = RapidsFil::p100();
         let tracer = Tracer::new();
         let s = ModelStats::of(&binary_forest(16, 8));
-        fil.estimate_traced(&s, 50_000, &tracer, SimInstant::ZERO);
+        fil.estimate(&s, 50_000, &tracer, SimInstant::ZERO);
         let trace = tracer.take();
         let events = trace.events();
         let kernel = events
@@ -379,8 +392,12 @@ mod tests {
         let fil = RapidsFil::p100();
         let d6 = ModelStats::of(&binary_forest(64, 6));
         let d10 = ModelStats::of(&binary_forest(64, 10));
-        let t6 = fil.estimate(&d6, 1_000_000).get(Stage::Scoring);
-        let t10 = fil.estimate(&d10, 1_000_000).get(Stage::Scoring);
+        let t6 = fil
+            .estimate(&d6, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::Scoring);
+        let t10 = fil
+            .estimate(&d10, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::Scoring);
         // Visits grow 11/7 = 1.57x; divergence makes scoring grow faster.
         assert!(t10.ratio(t6) > 1.6, "ratio {}", t10.ratio(t6));
     }

@@ -20,8 +20,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_backend::{BackendError, Lowered, ScoringBackend};
-use mlscore_data::TabularFrame;
+use mlscore_backend::{
+    score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
+};
+use mlscore_data::RecordStream;
 use mlscore_forest::{DecisionTree, LeafValue, ModelStats, Node, Predictions, RandomForest, Task};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
@@ -64,7 +66,7 @@ impl Default for HummingbirdCostParams {
 /// # Example
 ///
 /// ```
-/// use mlscore_backend::{ScoringBackend, ScoringRequest};
+/// use mlscore_backend::score_once;
 /// use mlscore_data::Dataset;
 /// use mlscore_forest::{ForestConfig, RandomForest};
 /// use mlscore_gpu::HummingbirdGpu;
@@ -74,9 +76,8 @@ impl Default for HummingbirdCostParams {
 ///     9,
 /// );
 /// let data = Dataset::iris(30, 2).normalized();
-/// let req = ScoringRequest::new(&forest, data.frame())?;
 /// // Unlike RAPIDS, Hummingbird handles multi-class models.
-/// let preds = HummingbirdGpu::p100().score(&req)?;
+/// let preds = score_once(&HummingbirdGpu::p100(), &forest, data.frame())?;
 /// assert_eq!(preds.len(), 30);
 /// # Ok::<(), mlscore_backend::BackendError>(())
 /// ```
@@ -211,13 +212,15 @@ impl ScoringBackend for HummingbirdGpu {
         Ok(Lowered::Custom(Arc::new(HbTensors::from_forest(forest))))
     }
 
-    fn score_lowered(
+    fn score(
         &self,
-        forest: &RandomForest,
-        lowered: &Lowered,
-        frame: &TabularFrame,
-    ) -> Result<Predictions, BackendError> {
-        let tensors = match lowered {
+        model: ModelRef<'_>,
+        stream: &mut dyn RecordStream,
+        _tracer: &Tracer,
+        _start: SimInstant,
+    ) -> Result<StreamOutcome, BackendError> {
+        let forest = model.forest();
+        let tensors = match model.lowered() {
             Lowered::Custom(any) => any.downcast_ref::<HbTensors>().ok_or_else(|| {
                 BackendError::artifact(self.name(), "custom artifact is not Hummingbird tensors")
             })?,
@@ -228,7 +231,7 @@ impl ScoringBackend for HummingbirdGpu {
                 ))
             }
         };
-        match forest.task() {
+        score_whole_batch(stream, |frame| match forest.task() {
             Task::Classification { n_classes } => {
                 let classes = frame
                     .rows()
@@ -257,14 +260,10 @@ impl ScoringBackend for HummingbirdGpu {
                     .collect();
                 Ok(Predictions::Values(values))
             }
-        }
+        })
     }
 
-    fn estimate(&self, stats: &ModelStats, n_records: u64) -> TimingBreakdown {
-        self.estimate_traced(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    fn estimate_traced(
+    fn estimate(
         &self,
         stats: &ModelStats,
         n_records: u64,
@@ -383,8 +382,8 @@ impl ScoringBackend for HummingbirdGpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_backend::ScoringRequest;
-    use mlscore_data::Dataset;
+    use mlscore_backend::{compile, score_once};
+    use mlscore_data::{Dataset, FrameScanner};
     use mlscore_forest::ForestConfig;
 
     #[test]
@@ -395,20 +394,23 @@ mod tests {
         let data = Dataset::iris(64, 7).normalized();
         let hb = HummingbirdGpu::p100();
 
-        let model = hb.prepare(&bundle).unwrap();
-        let warm = hb.score_prepared(&model, data.frame()).unwrap();
-        let fresh = hb
-            .score(&ScoringRequest::new(&forest, data.frame()).unwrap())
+        let model = compile(&hb, &bundle).unwrap();
+        let warm = hb
+            .score(
+                model.bind(hb.name(), 4).unwrap(),
+                &mut FrameScanner::whole(data.frame()),
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+            )
             .unwrap();
-        assert_eq!(warm, fresh);
+        let fresh = score_once(&hb, &forest, data.frame()).unwrap();
+        assert_eq!(warm.predictions, fresh);
 
         // An artifact compiled by another backend must be rejected, not
         // silently rescored.
-        let foreign = mlscore_backend::SklearnCpu::with_threads(1)
-            .prepare(&bundle)
-            .unwrap();
+        let foreign = compile(&mlscore_backend::SklearnCpu::with_threads(1), &bundle).unwrap();
         assert!(matches!(
-            hb.score_prepared(&foreign, data.frame()),
+            foreign.bind(hb.name(), 4),
             Err(BackendError::Artifact { .. })
         ));
     }
@@ -418,8 +420,7 @@ mod tests {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(10, 4, 3).with_depth(7), 21);
         let data = Dataset::iris(150, 5).normalized();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let preds = HummingbirdGpu::p100().score(&req).unwrap();
+        let preds = score_once(&HummingbirdGpu::p100(), &forest, data.frame()).unwrap();
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
     }
 
@@ -431,8 +432,7 @@ mod tests {
             4,
         );
         let data = Dataset::higgs(120, 8).normalized();
-        let req = ScoringRequest::new(&forest, data.frame()).unwrap();
-        let preds = HummingbirdGpu::p100().score(&req).unwrap();
+        let preds = score_once(&HummingbirdGpu::p100(), &forest, data.frame()).unwrap();
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
     }
 
@@ -444,8 +444,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let req = ScoringRequest::new(&forest, &frame).unwrap();
-        let preds = HummingbirdGpu::p100().score(&req).unwrap();
+        let preds = score_once(&HummingbirdGpu::p100(), &forest, &frame).unwrap();
         assert_eq!(preds, forest.predict_batch(frame.as_slice()));
     }
 
@@ -463,8 +462,12 @@ mod tests {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(1, 28, 2).with_depth(6), 1);
         let stats = ModelStats::of(&forest);
-        let hb = HummingbirdGpu::p100().estimate(&stats, 1).total();
-        let fil = crate::fil::RapidsFil::p100().estimate(&stats, 1).total();
+        let hb = HummingbirdGpu::p100()
+            .estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
+        let fil = crate::fil::RapidsFil::p100()
+            .estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
         // Fig. 9e: HB is far cheaper than RAPIDS at tiny batches.
         assert!(fil.ratio(hb) > 10.0, "fil {fil} hb {hb}");
     }
@@ -480,8 +483,20 @@ mod tests {
         let stats = ModelStats::of(&forest);
         let hb = HummingbirdGpu::p100();
         let fil = crate::fil::RapidsFil::p100();
-        assert!(hb.estimate(&stats, 10_000).total() < fil.estimate(&stats, 10_000).total());
-        assert!(hb.estimate(&stats, 1_000_000).total() > fil.estimate(&stats, 1_000_000).total());
+        assert!(
+            hb.estimate(&stats, 10_000, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                < fil
+                    .estimate(&stats, 10_000, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+        );
+        assert!(
+            hb.estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                > fil
+                    .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+                    .total()
+        );
     }
 
     #[test]
@@ -497,8 +512,11 @@ mod tests {
         ));
         for (s, n) in [(shallow, 1u64), (deep, 1_000_000)] {
             let tracer = Tracer::new();
-            let traced = hb.estimate_traced(&s, n, &tracer, SimInstant::ZERO);
-            assert_eq!(traced, hb.estimate(&s, n));
+            let traced = hb.estimate(&s, n, &tracer, SimInstant::ZERO);
+            assert_eq!(
+                traced,
+                hb.estimate(&s, n, &Tracer::disabled(), SimInstant::ZERO)
+            );
             let trace = tracer.take();
             assert_eq!(trace.breakdown(Scope::Offload), traced);
         }
@@ -512,7 +530,7 @@ mod tests {
             2,
         ));
         let tracer = Tracer::new();
-        hb.estimate_traced(&shallow, 100, &tracer, SimInstant::ZERO);
+        hb.estimate(&shallow, 100, &tracer, SimInstant::ZERO);
         assert!(tracer
             .take()
             .events()
@@ -533,8 +551,12 @@ mod tests {
         ));
         // GEMM on a depth-3 tree evaluates 15 nodes vs 4 levels of
         // traversal; deep trees only walk depth+1 despite 2047 nodes.
-        let t_shallow = hb.estimate(&shallow, 1 << 20).get(Stage::Scoring);
-        let t_deep = hb.estimate(&deep, 1 << 20).get(Stage::Scoring);
+        let t_shallow = hb
+            .estimate(&shallow, 1 << 20, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::Scoring);
+        let t_deep = hb
+            .estimate(&deep, 1 << 20, &Tracer::disabled(), SimInstant::ZERO)
+            .get(Stage::Scoring);
         let ratio = t_deep.ratio(t_shallow);
         assert!(ratio < 3.0, "deep/shallow scoring ratio {ratio}");
     }

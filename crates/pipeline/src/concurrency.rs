@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use mlscore_backend::ScoringBackend;
 use mlscore_forest::ModelStats;
 use mlscore_sim::{DeviceLedger, SimDuration, SimInstant, Stage, StageClass};
+use mlscore_telemetry::Tracer;
 
 use crate::params::PipelineParams;
 
@@ -126,7 +127,8 @@ pub fn consolidate_cards(
     // CPU scoring in core-seconds: the backend models a parallel run, so
     // rescale its compute component back to single-thread-equivalents via
     // the overhead-free scoring stage.
-    let cpu_breakdown = cpu_backend.estimate(stats, n_records);
+    let cpu_breakdown =
+        cpu_backend.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
     let cpu_scoring_wall = cpu_breakdown.get(Stage::Scoring);
     // Treat the backend's wall-clock scoring as having used all host
     // threads (true for the 52-thread engines at large batches).
@@ -142,7 +144,8 @@ pub fn consolidate_cards(
     // Offloaded: each query's device pass (compute + transfer) occupies one
     // card-slot on the shared reservation ledger; the host-side overhead
     // class of the offload still burns host time.
-    let accel_breakdown = accel_backend.estimate(stats, n_records);
+    let accel_breakdown =
+        accel_backend.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
     let device_busy = accel_breakdown.total_class(StageClass::Compute)
         + accel_breakdown.total_class(StageClass::Transfer);
     let mut ledger = DeviceLedger::new(accel.cards.max(1));
@@ -191,9 +194,13 @@ mod tests {
     // depend on the fpga crate (integration tests cover the real one):
     // fixed 2 ms overhead + 10 ns/record of device time.
     mod mlscore_fpga_shim {
-        use mlscore_backend::{BackendError, ScoringBackend, ScoringRequest};
-        use mlscore_forest::{ModelStats, Predictions};
-        use mlscore_sim::{SimDuration, Stage, TimingBreakdown};
+        use mlscore_backend::{
+            score_whole_batch, BackendError, ModelRef, ScoringBackend, StreamOutcome,
+        };
+        use mlscore_data::RecordStream;
+        use mlscore_forest::ModelStats;
+        use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
+        use mlscore_telemetry::Tracer;
 
         pub struct Fpga;
 
@@ -201,10 +208,24 @@ mod tests {
             fn name(&self) -> &str {
                 "accel-shim"
             }
-            fn score(&self, req: &ScoringRequest<'_>) -> Result<Predictions, BackendError> {
-                Ok(req.forest().predict_batch(req.frame().as_slice()))
+            fn score(
+                &self,
+                model: ModelRef<'_>,
+                stream: &mut dyn RecordStream,
+                _tracer: &Tracer,
+                _start: SimInstant,
+            ) -> Result<StreamOutcome, BackendError> {
+                score_whole_batch(stream, |frame| {
+                    Ok(model.forest().predict_batch(frame.as_slice()))
+                })
             }
-            fn estimate(&self, _stats: &ModelStats, n_records: u64) -> TimingBreakdown {
+            fn estimate(
+                &self,
+                _stats: &ModelStats,
+                n_records: u64,
+                _tracer: &Tracer,
+                _start: SimInstant,
+            ) -> TimingBreakdown {
                 let mut b = TimingBreakdown::new();
                 b.add(Stage::SoftwareOverhead, SimDuration::from_millis(2.0));
                 b.add(

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use mlscore_backend::{
     ArtifactCache, BackendError, CacheOutcome, PrepareTiming, ScoringBackend, StreamChunk,
 };
-use mlscore_data::{RecordStream, TabularFrame};
+use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
 use mlscore_forest::{ModelBundle, ModelStats, Predictions};
 use mlscore_sim::{SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
@@ -139,12 +139,12 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         // occupancy is recorded as Detail spans anchored at the scoring
         // span's simulated start, so the Perfetto view shows measured pool
         // activity under the modelled timeline.
+        let bound = model.bind(self.backend.name(), frame.n_features())?;
         let predictions = self
             .backend
-            .score_prepared_traced(&model, frame, tracer, t_scoring)?;
-        let scoring_breakdown = self
-            .backend
-            .estimate_prepared_traced(&model, n_records, tracer, t_scoring);
+            .score(bound, &mut FrameScanner::whole(frame), tracer, t_scoring)?
+            .predictions;
+        let scoring_breakdown = self.backend.estimate(&stats, n_records, tracer, t_scoring);
         let breakdown =
             self.assemble_sized(&stats, model_bytes, n_records, &scoring_breakdown, warm);
         if tracer.is_enabled() {
@@ -290,12 +290,16 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         let warm = outcome == CacheOutcome::Hit;
         let model_bytes = model.model_bytes() as u64;
         // Phase 2 — drain the stream through the backend's chunked scorer.
-        let out = self.backend.score_prepared_stream(&model, stream)?;
+        // Measured worker spans start where the stream does: right after
+        // model pre-processing, before any chunk handoff is charged.
+        let bound = model.bind(self.backend.name(), stream.n_features())?;
+        let t_stream = self.fused_scoring_start(start, 0, model_bytes, warm);
+        let out = self.backend.score(bound, stream, tracer, t_stream)?;
         let n_records = out.rows as u64;
         let t_scoring = self.fused_scoring_start(start, out.chunks.len(), model_bytes, warm);
         let scoring_breakdown = self
             .backend
-            .estimate_prepared_traced(&model, n_records, tracer, t_scoring);
+            .estimate(model.stats(), n_records, tracer, t_scoring);
         let breakdown = self.assemble_fused(
             model_bytes,
             n_records,
@@ -440,9 +444,7 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
         let n_chunks = (n_records as usize).div_ceil(chunk_rows);
         let t_scoring = self.fused_scoring_start(start, n_chunks, model_bytes, warm);
-        let scoring = self
-            .backend
-            .estimate_traced(stats, n_records, tracer, t_scoring);
+        let scoring = self.backend.estimate(stats, n_records, tracer, t_scoring);
         let b = self.assemble_fused(model_bytes, n_records, n_chunks, &scoring, warm);
         if tracer.is_enabled() {
             let chunks = synth_chunks(n_records as usize, chunk_rows);
@@ -469,9 +471,7 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         warm: bool,
     ) -> TimingBreakdown {
         let t_scoring = self.scoring_start(stats, model_bytes, n_records, start, warm);
-        let scoring = self
-            .backend
-            .estimate_traced(stats, n_records, tracer, t_scoring);
+        let scoring = self.backend.estimate(stats, n_records, tracer, t_scoring);
         let b = self.assemble_sized(stats, model_bytes, n_records, &scoring, warm);
         if tracer.is_enabled() {
             self.record_query_spans(tracer, start, stats, model_bytes, n_records, &scoring, warm);
@@ -941,21 +941,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn traced_execute_records_measured_worker_detail() {
-        let (bundle, data, _) = setup(6, 5);
-        let pipeline = QueryPipeline::new(SklearnCpu::with_threads(4));
+    /// Measured `exec worker` spans recorded by one staged and one fused
+    /// traced execution (the stream pulls `chunk_rows` at a time).
+    fn worker_spans<B: ScoringBackend>(
+        pipeline: &QueryPipeline<B>,
+        bundle: &ModelBundle,
+        frame: &TabularFrame,
+        chunk_rows: usize,
+    ) -> (usize, usize) {
+        let workers = |tracer: &Tracer| {
+            tracer
+                .take()
+                .events()
+                .iter()
+                .filter(|e| e.scope == Scope::Detail && e.name.starts_with("exec worker"))
+                .count()
+        };
         let tracer = Tracer::new();
         pipeline
-            .execute_traced(&bundle, data.frame(), &tracer, SimInstant::ZERO)
+            .execute_traced(bundle, frame, &tracer, SimInstant::ZERO)
             .unwrap();
-        let trace = tracer.take();
-        let workers = trace
-            .events()
-            .iter()
-            .filter(|e| e.scope == Scope::Detail && e.name.starts_with("exec worker"))
-            .count();
-        assert!(workers >= 1, "expected measured pool-worker spans");
+        let staged = workers(&tracer);
+        let mut stream = mlscore_data::FrameScanner::new(frame, chunk_rows);
+        pipeline
+            .execute_fused_traced(bundle, &mut stream, &tracer, SimInstant::ZERO)
+            .unwrap();
+        (staged, workers(&tracer))
+    }
+
+    #[test]
+    fn staged_and_fused_traces_record_measured_worker_detail() {
+        let (bundle, data, _) = setup(6, 5);
+        // 300 rows in chunks of 64: five measured executor runs when fused.
+        for (staged, fused) in [
+            worker_spans(
+                &QueryPipeline::new(SklearnCpu::with_threads(4)),
+                &bundle,
+                data.frame(),
+                64,
+            ),
+            worker_spans(
+                &QueryPipeline::new(OnnxCpu::with_threads(4)),
+                &bundle,
+                data.frame(),
+                64,
+            ),
+        ] {
+            assert!(staged >= 1, "expected measured pool-worker spans");
+            assert!(fused >= 5, "expected worker spans for every chunk");
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 
 use std::collections::HashMap;
 
-use mlscore_backend::{BackendError, ScoringBackend, ScoringRequest};
-use mlscore_forest::{ModelStats, Predictions};
-use mlscore_sim::{Clock, SimDuration};
+use mlscore_backend::{score_once, BackendError, ScoringBackend};
+use mlscore_data::TabularFrame;
+use mlscore_forest::{ModelStats, Predictions, RandomForest};
+use mlscore_sim::{Clock, SimDuration, SimInstant};
+use mlscore_telemetry::Tracer;
 
 use crate::policy::Choice;
 
@@ -63,6 +65,8 @@ impl AffineEstimate {
 /// ```
 /// use mlscore_forest::{ForestConfig, ModelStats, RandomForest};
 /// use mlscore_sched::{paper_backends, AdaptiveScheduler};
+/// use mlscore_sim::SimInstant;
+/// use mlscore_telemetry::Tracer;
 ///
 /// let backends = paper_backends();
 /// let mut sched = AdaptiveScheduler::new(0.3);
@@ -71,7 +75,9 @@ impl AffineEstimate {
 /// // Feed it a few observed runs, then it schedules from experience.
 /// for _ in 0..8 {
 ///     let choice = sched.choose(&stats, 1_000_000, &backends).unwrap();
-///     let observed = backends[choice.index].estimate(&stats, 1_000_000).total();
+///     let observed = backends[choice.index]
+///         .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+///         .total();
 ///     sched.observe(&stats, choice.index, 1_000_000, observed);
 /// }
 /// let settled = sched.choose(&stats, 1_000_000, &backends).unwrap();
@@ -155,7 +161,8 @@ impl AdaptiveScheduler {
             .map(|&s| SimDuration::from_secs(s))
     }
 
-    /// Executes `request` on `backends[backend_index]` *for real*, measures
+    /// Scores `frame` with `forest` on `backends[backend_index]` *for real*
+    /// (a compile-per-call [`score_once`]), measures
     /// the scoring time on the injected `clock`, and folds the measurement
     /// into the estimates — the calibration path for functionally real
     /// backends (the CPU engines running on the executor pool), where
@@ -181,13 +188,14 @@ impl AdaptiveScheduler {
         stats: &ModelStats,
         backend_index: usize,
         backends: &[Box<dyn ScoringBackend>],
-        request: &ScoringRequest<'_>,
+        forest: &RandomForest,
+        frame: &TabularFrame,
         clock: &dyn Clock,
     ) -> Result<(Predictions, SimDuration), BackendError> {
         let t0 = clock.now();
-        let predictions = backends[backend_index].score(request)?;
+        let predictions = score_once(&backends[backend_index], forest, frame)?;
         let measured = clock.now().duration_since(t0);
-        self.observe(stats, backend_index, request.n_records() as u64, measured);
+        self.observe(stats, backend_index, frame.n_rows() as u64, measured);
         Ok((predictions, measured))
     }
 
@@ -317,7 +325,9 @@ impl AdaptiveScheduler {
     ) -> Option<Choice> {
         for _ in 0..rounds {
             let choice = self.choose(stats, n_records, backends)?;
-            let observed = backends[choice.index].estimate(stats, n_records).total();
+            let observed = backends[choice.index]
+                .estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+                .total();
             self.observe(stats, choice.index, n_records, observed);
         }
         self.choose(stats, n_records, backends)
@@ -350,7 +360,9 @@ mod tests {
                 "revisited {} during exploration",
                 c.name
             );
-            let t = backends[c.index].estimate(&s, 1_000).total();
+            let t = backends[c.index]
+                .estimate(&s, 1_000, &Tracer::disabled(), SimInstant::ZERO)
+                .total();
             sched.observe(&s, c.index, 1_000, t);
         }
         assert_eq!(seen.len(), backends.len());
@@ -391,7 +403,7 @@ mod tests {
 
     #[test]
     fn observe_measured_runs_for_real_and_learns() {
-        use mlscore_backend::{OnnxCpu, ScoringRequest, SklearnCpu};
+        use mlscore_backend::{OnnxCpu, SklearnCpu};
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(8, 4, 3).with_depth(6), 5);
         let s = ModelStats::of(&forest);
@@ -400,7 +412,6 @@ mod tests {
             4,
         )
         .unwrap();
-        let request = ScoringRequest::new(&forest, &frame).unwrap();
         let backends: Vec<Box<dyn ScoringBackend>> = vec![
             Box::new(SklearnCpu::with_threads(2)),
             Box::new(OnnxCpu::single_thread()),
@@ -411,7 +422,7 @@ mod tests {
         let clock = mlscore_sim::WallClock::new();
         for i in 0..backends.len() {
             let (preds, measured) = sched
-                .observe_measured(&s, i, &backends, &request, &clock)
+                .observe_measured(&s, i, &backends, &forest, &frame, &clock)
                 .unwrap();
             assert_eq!(preds, forest.predict_batch(frame.as_slice()));
             assert!(measured > SimDuration::ZERO);
@@ -524,7 +535,9 @@ mod tests {
         for _ in 0..15 {
             for (s, n) in [(&heavy, 1_000_000u64), (&tiny, 10u64)] {
                 if let Some(c) = sched.choose(s, n, &backends) {
-                    let t = backends[c.index].estimate(s, n).total();
+                    let t = backends[c.index]
+                        .estimate(s, n, &Tracer::disabled(), SimInstant::ZERO)
+                        .total();
                     sched.observe(s, c.index, n, t);
                 }
             }

@@ -4,7 +4,8 @@ use mlscore_backend::{OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_forest::ModelStats;
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
-use mlscore_sim::SimDuration;
+use mlscore_sim::{SimDuration, SimInstant};
+use mlscore_telemetry::Tracer;
 
 /// The paper's full backend roster: both CPU engines (sklearn 52-thread,
 /// ONNX 1- and 52-thread), both GPU strategies, and the FPGA engine.
@@ -41,7 +42,10 @@ pub fn choose_amortized_eligible(
         .enumerate()
         .filter(|(i, b)| b.supports(stats).is_ok() && eligible(*i))
         .map(|(i, b)| {
-            let total = b.estimate(stats, n_records).total() + prepare(i) / reuse;
+            let total = b
+                .estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+                + prepare(i) / reuse;
             (i, total)
         })
         .min_by(|a, b| a.1.cmp(&b.1))
@@ -123,7 +127,13 @@ impl Policy for OraclePolicy {
             .iter()
             .enumerate()
             .filter(|(_, b)| b.supports(stats).is_ok())
-            .map(|(i, b)| (i, b.estimate(stats, n_records).total()))
+            .map(|(i, b)| {
+                (
+                    i,
+                    b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+                        .total(),
+                )
+            })
             .min_by(|a, b| a.1.cmp(&b.1))
             .map(|(index, predicted)| Choice::new(index, predicted, stats, n_records, backends))
     }
@@ -165,7 +175,8 @@ impl HeuristicPolicy {
                 (
                     i,
                     b.name().to_string(),
-                    b.estimate(stats, n_records).total(),
+                    b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+                        .total(),
                 )
             })
             .min_by(|a, b| a.2.cmp(&b.2))
@@ -239,8 +250,24 @@ impl Policy for AffineFitPolicy {
             .enumerate()
             .filter(|(_, b)| b.supports(stats).is_ok())
             .map(|(i, b)| {
-                let t0 = b.estimate(stats, self.probe_small).total().as_secs();
-                let t1 = b.estimate(stats, self.probe_large).total().as_secs();
+                let t0 = b
+                    .estimate(
+                        stats,
+                        self.probe_small,
+                        &Tracer::disabled(),
+                        SimInstant::ZERO,
+                    )
+                    .total()
+                    .as_secs();
+                let t1 = b
+                    .estimate(
+                        stats,
+                        self.probe_large,
+                        &Tracer::disabled(),
+                        SimInstant::ZERO,
+                    )
+                    .total()
+                    .as_secs();
                 let slope = (t1 - t0) / (self.probe_large - self.probe_small) as f64;
                 let predicted = t0 + slope * (n_records.saturating_sub(self.probe_small)) as f64;
                 (i, SimDuration::from_secs(predicted.max(0.0)))

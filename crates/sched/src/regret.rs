@@ -5,6 +5,8 @@ use mlscore_backend::ScoringBackend;
 use mlscore_forest::ModelStats;
 
 use crate::policy::{OraclePolicy, Policy};
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 /// Aggregate regret of a policy across a workload grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +61,9 @@ pub fn evaluate_policy(
         if picked.index != best.index {
             mispicks += 1;
         }
-        let actual = backends[picked.index].estimate(stats, *n).total();
+        let actual = backends[picked.index]
+            .estimate(stats, *n, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
         let factor = actual.ratio(best.predicted);
         worst = worst.max(factor);
         sum += factor;
@@ -144,7 +148,13 @@ mod tests {
                     .iter()
                     .enumerate()
                     .filter(|(_, b)| b.name().starts_with("CPU") && b.supports(stats).is_ok())
-                    .map(|(i, b)| (i, b.estimate(stats, n_records).total()))
+                    .map(|(i, b)| {
+                        (
+                            i,
+                            b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+                                .total(),
+                        )
+                    })
                     .min_by(|a, b| a.1.cmp(&b.1))
                     .map(|(index, predicted)| {
                         crate::policy::Choice::new(index, predicted, stats, n_records, backends)

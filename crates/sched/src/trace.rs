@@ -18,8 +18,8 @@ use rand::{Rng, SeedableRng};
 use mlscore_backend::ScoringBackend;
 use mlscore_data::DatasetSpec;
 use mlscore_forest::{ForestConfig, ModelStats, RandomForest};
-use mlscore_sim::SimDuration;
-use mlscore_telemetry::Histogram;
+use mlscore_sim::{SimDuration, SimInstant};
+use mlscore_telemetry::{Histogram, Tracer};
 
 use crate::adaptive::AdaptiveScheduler;
 
@@ -170,7 +170,7 @@ pub fn replay_adaptive(
             .choose(&q.stats, q.n_records, backends)
             .expect("some backend must support every trace query");
         let latency = backends[choice.index]
-            .estimate(&q.stats, q.n_records)
+            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
             .total();
         scheduler.observe(&q.stats, choice.index, q.n_records, latency);
         total += latency;
@@ -207,7 +207,7 @@ mod tests {
                 .choose(&q.stats, q.n_records, backends)
                 .expect("some backend must support every trace query");
             let latency = backends[choice.index]
-                .estimate(&q.stats, q.n_records)
+                .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
                 .total();
             total += latency;
             latencies.push(latency);

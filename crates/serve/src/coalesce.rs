@@ -3,18 +3,19 @@
 //!
 //! Accelerator scoring pays large fixed per-call costs (CSR setup, model
 //! DMA, completion signalling, driver overhead — the paper's `O` and part
-//! of `L`), so `k` small same-model requests scored as one concatenated
-//! batch cost one set of fixed overheads instead of `k`. The merge is
-//! *bit-exact*: scoring the concatenation and splitting the predictions
+//! of `L`), so `k` small same-model requests scored as one merged batch
+//! cost one set of fixed overheads instead of `k`. The merge is
+//! *bit-exact*: scoring the merged batch and splitting the predictions
 //! back per request yields exactly what scoring each request alone would
 //! (forest inference is row-independent).
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_backend::{BackendError, CompiledModel, ScoringBackend, ScoringRequest};
-use mlscore_data::{ChainScanner, TabularFrame};
-use mlscore_forest::{Predictions, RandomForest};
-use mlscore_sim::SimDuration;
+use mlscore_backend::{BackendError, CompiledModel, ScoringBackend};
+use mlscore_data::{ChainScanner, RecordStream, TabularFrame};
+use mlscore_forest::Predictions;
+use mlscore_sim::{SimDuration, SimInstant};
+use mlscore_telemetry::Tracer;
 
 use crate::error::ServeError;
 
@@ -75,41 +76,12 @@ impl CoalesceConfig {
     }
 }
 
-/// Functionally scores `frames` as one concatenated device pass on
-/// `backend` and splits the predictions back per input frame.
-///
-/// # Errors
-///
-/// Returns [`ServeError::EmptyBatch`] for zero frames; backend scoring
-/// errors (including mixed feature widths among `frames`, which surface
-/// as [`BackendError::Unsupported`]) propagate as
-/// [`ServeError::Backend`].
-pub fn score_merged(
-    backend: &dyn ScoringBackend,
-    forest: &RandomForest,
-    frames: &[&TabularFrame],
-) -> Result<Vec<Predictions>, ServeError> {
-    let n_features = frames.first().ok_or(ServeError::EmptyBatch)?.n_features();
-    let mut merged = Vec::with_capacity(frames.iter().map(|f| f.as_slice().len()).sum());
-    for frame in frames {
-        merged.extend_from_slice(frame.as_slice());
-    }
-    let merged = TabularFrame::from_rows(merged, n_features)
-        .map_err(|e| BackendError::unsupported(backend.name(), format!("merged frame: {e}")))?;
-    let request = ScoringRequest::new(forest, &merged)?;
-    let predictions = backend.score(&request)?;
-    Ok(split_predictions(
-        predictions,
-        frames.iter().map(|f| f.n_rows()),
-    ))
-}
-
-/// Like [`score_merged`], but over the *fused* streaming path: a
-/// [`ChainScanner`] pulls cache-sized chunks straight off the request
-/// frames (never materializing the concatenated copy `score_merged`
-/// builds) and the warm `model` scores them via
-/// [`ScoringBackend::score_prepared_stream`]. Bit-exact with
-/// [`score_merged`]: chunks never span frame boundaries, so the folded
+/// Functionally scores `frames` as one coalesced device pass on `backend`
+/// and splits the predictions back per input frame. A [`ChainScanner`]
+/// pulls cache-sized chunks straight off the request frames — never
+/// materializing a concatenated copy — and the warm `model` scores them.
+/// Bit-exact with scoring each frame alone: chunks never span frame
+/// boundaries and forest inference is row-independent, so the folded
 /// predictions split back per request on the same row counts.
 ///
 /// # Errors
@@ -128,7 +100,8 @@ pub fn score_merged_stream(
     }
     let mut scanner = ChainScanner::new(frames.to_vec(), chunk_rows)
         .map_err(|e| BackendError::unsupported(backend.name(), format!("chained frames: {e}")))?;
-    let out = backend.score_prepared_stream(model, &mut scanner)?;
+    let bound = model.bind(backend.name(), scanner.n_features())?;
+    let out = backend.score(bound, &mut scanner, &Tracer::disabled(), SimInstant::ZERO)?;
     Ok(split_predictions(
         out.predictions,
         frames.iter().map(|f| f.n_rows()),
@@ -162,8 +135,8 @@ fn split_predictions(merged: Predictions, counts: impl Iterator<Item = usize>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_backend::SklearnCpu;
-    use mlscore_forest::{ForestConfig, RandomForest};
+    use mlscore_backend::{compile, SklearnCpu};
+    use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
 
     fn frame(seed: u64, rows: usize, n_features: usize) -> TabularFrame {
         let data = (0..rows * n_features)
@@ -177,13 +150,16 @@ mod tests {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(16, 4, 3).with_depth(6), 21);
         let backend = SklearnCpu::with_threads(2);
+        let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
         let frames = [frame(1, 13, 4), frame(2, 1, 4), frame(3, 40, 4)];
         let refs: Vec<&TabularFrame> = frames.iter().collect();
-        let split = score_merged(&backend, &forest, &refs).unwrap();
-        assert_eq!(split.len(), 3);
-        for (frame, got) in frames.iter().zip(&split) {
-            let solo = forest.predict_batch(frame.as_slice());
-            assert_eq!(got, &solo);
+        for chunk_rows in [1, 8, 512] {
+            let split = score_merged_stream(&backend, &model, &refs, chunk_rows).unwrap();
+            assert_eq!(split.len(), 3);
+            for (frame, got) in frames.iter().zip(&split) {
+                let solo = forest.predict_batch(frame.as_slice());
+                assert_eq!(got, &solo, "chunk_rows={chunk_rows}");
+            }
         }
     }
 
@@ -191,36 +167,20 @@ mod tests {
     fn regression_predictions_split_too() {
         let forest = RandomForest::synthetic_full(&ForestConfig::regression(8, 5).with_depth(5), 4);
         let backend = SklearnCpu::with_threads(1);
+        let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
         let frames = [frame(7, 6, 5), frame(8, 9, 5)];
         let refs: Vec<&TabularFrame> = frames.iter().collect();
-        let split = score_merged(&backend, &forest, &refs).unwrap();
+        let split = score_merged_stream(&backend, &model, &refs, 4).unwrap();
         assert_eq!(split[0].len(), 6);
         assert_eq!(split[1].len(), 9);
         assert_eq!(split[0], forest.predict_batch(frames[0].as_slice()));
     }
 
     #[test]
-    fn fused_merge_is_bit_exact_with_staged_merge() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(16, 4, 3).with_depth(6), 21);
-        let backend = SklearnCpu::with_threads(2);
-        let bundle = mlscore_forest::ModelBundle::serialize(&forest);
-        let model = mlscore_backend::compile(&backend, &bundle).unwrap();
-        let frames = [frame(1, 13, 4), frame(2, 1, 4), frame(3, 40, 4)];
-        let refs: Vec<&TabularFrame> = frames.iter().collect();
-        let staged = score_merged(&backend, &forest, &refs).unwrap();
-        for chunk_rows in [1, 8, 512] {
-            let fused = score_merged_stream(&backend, &model, &refs, chunk_rows).unwrap();
-            assert_eq!(fused, staged, "chunk_rows={chunk_rows}");
-        }
-    }
-
-    #[test]
     fn fused_merge_rejects_empty_and_mixed_widths() {
         let forest = RandomForest::synthetic_full(&ForestConfig::regression(4, 3).with_depth(4), 1);
         let backend = SklearnCpu::with_threads(1);
-        let bundle = mlscore_forest::ModelBundle::serialize(&forest);
-        let model = mlscore_backend::compile(&backend, &bundle).unwrap();
+        let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
         assert!(matches!(
             score_merged_stream(&backend, &model, &[], 64),
             Err(ServeError::EmptyBatch)
@@ -230,16 +190,6 @@ mod tests {
         assert!(matches!(
             score_merged_stream(&backend, &model, &[&a, &b], 64),
             Err(ServeError::Backend(_))
-        ));
-    }
-
-    #[test]
-    fn empty_merge_is_an_error_not_a_panic() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(4, 3).with_depth(4), 1);
-        let backend = SklearnCpu::with_threads(1);
-        assert!(matches!(
-            score_merged(&backend, &forest, &[]),
-            Err(ServeError::EmptyBatch)
         ));
     }
 

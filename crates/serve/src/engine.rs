@@ -898,7 +898,12 @@ impl Run<'_> {
             }
         }
 
-        let breakdown = self.backend(choice.index).estimate(&stats, total_records);
+        let breakdown = self.backend(choice.index).estimate(
+            &stats,
+            total_records,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
         let score_time = breakdown.total();
         if let Some(scheduler) = &mut self.s.adaptive {
             scheduler.observe(&stats, choice.index, total_records, score_time);

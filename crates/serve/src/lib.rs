@@ -13,7 +13,7 @@
 //!   closed-loop arrival generators over the paper query mix.
 //! - [`AdmissionQueue`] / [`QueueConfig`] — bounded capacity, shed
 //!   policies ([`ShedPolicy`]), and per-class deadlines ([`ClassSlo`]).
-//! - [`CoalesceConfig`] / [`score_merged`] — micro-batch coalescing of
+//! - [`CoalesceConfig`] / [`score_merged_stream`] — micro-batch coalescing of
 //!   same-model requests into one device pass, bit-exact on split.
 //! - [`DeviceRoster`] — the contention topology: exclusive FPGA, GPU
 //!   streams, CPU executor seats.
@@ -56,7 +56,7 @@ pub mod request;
 pub mod slo;
 pub mod workload;
 
-pub use coalesce::{score_merged, score_merged_stream, CoalesceConfig};
+pub use coalesce::{score_merged_stream, CoalesceConfig};
 pub use device::{DeviceRoster, DeviceSpec};
 pub use engine::{DrainedRequest, EngineSession, ServeConfig, ServeEngine, ServePolicy};
 pub use error::ServeError;

@@ -4,13 +4,13 @@
 
 use proptest::prelude::*;
 
-use mlscore_backend::{OnnxCpu, ScoringBackend, SklearnCpu};
+use mlscore_backend::{compile, OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_data::TabularFrame;
-use mlscore_forest::{ForestConfig, RandomForest};
+use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
 use mlscore_sched::paper_backends;
 use mlscore_serve::{
-    score_merged, ArrivalProcess, ClassSlo, CoalesceConfig, ModelCatalog, QueueConfig, ServeConfig,
-    ServeEngine, ServePolicy, ShedPolicy, WorkloadSpec,
+    score_merged_stream, ArrivalProcess, ClassSlo, CoalesceConfig, ModelCatalog, QueueConfig,
+    ServeConfig, ServeEngine, ServePolicy, ShedPolicy, WorkloadSpec,
 };
 use mlscore_sim::SimDuration;
 use mlscore_telemetry::Tracer;
@@ -144,8 +144,10 @@ proptest! {
             Box::new(SklearnCpu::with_threads(1)),
             Box::new(OnnxCpu::with_threads(4)),
         ];
+        let bundle = ModelBundle::serialize(&forest);
         for backend in &backends {
-            let split = score_merged(backend.as_ref(), &forest, &refs).unwrap();
+            let model = compile(backend, &bundle).unwrap();
+            let split = score_merged_stream(backend.as_ref(), &model, &refs, 8).unwrap();
             prop_assert_eq!(split.len(), frames.len());
             for (frame, got) in frames.iter().zip(&split) {
                 let solo = forest.predict_batch(frame.as_slice());

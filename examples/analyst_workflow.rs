@@ -55,7 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let choice = scheduler
             .choose(&stats, 1_000_000, &backends)
             .expect("some backend supports the model");
-        let observed = backends[choice.index].estimate(&stats, 1_000_000).total();
+        let observed = backends[choice.index]
+            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
         scheduler.observe(&stats, choice.index, 1_000_000, observed);
         println!("  round {round}: ran on {} ({observed})", choice.name);
         if round >= 8 {

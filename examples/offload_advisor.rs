@@ -41,7 +41,8 @@ fn main() {
     for b in &backends {
         match b.supports(&stats) {
             Ok(()) => {
-                let breakdown = b.estimate(&stats, n_records);
+                let breakdown =
+                    b.estimate(&stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
                 println!("{:<18} {:>14}", b.name(), breakdown.total().to_string());
                 if b.name().starts_with("CPU")
                     && cpu_best

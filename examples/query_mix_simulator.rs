@@ -15,6 +15,8 @@ use mlscore_sched::{
     paper_backends, replay_adaptive, AdaptiveScheduler, AffineFitPolicy, HeuristicPolicy,
     OraclePolicy, Policy, QueryTrace, TraceOutcome,
 };
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 /// Serial fixed-policy replay: each trace query is charged the modelled
 /// time of the backend the policy picks. (`repro serve` layers queueing,
@@ -32,7 +34,7 @@ fn replay_policy(
             .choose(&q.stats, q.n_records, backends)
             .expect("every trace query has a supporting backend");
         let latency = backends[choice.index]
-            .estimate(&q.stats, q.n_records)
+            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
             .total();
         total += latency;
         latencies.push(latency);

@@ -21,9 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Functional scoring: both backends compute real predictions, and they
     // agree exactly.
-    let request = ScoringRequest::new(&forest, data.frame())?;
-    let cpu_preds = cpu.score(&request)?;
-    let fpga_preds = fpga.score(&request)?;
+    let cpu_preds = score_once(&cpu, &forest, data.frame())?;
+    let fpga_preds = score_once(&fpga, &forest, data.frame())?;
     assert_eq!(cpu_preds, fpga_preds);
     println!(
         "scored {} records; first ten classes: {:?}",
@@ -34,8 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Modelled timing: where does the time go on each backend?
     let stats = ModelStats::of(&forest);
     for n_records in [100u64, 10_000, 1_000_000] {
-        let cpu_t = cpu.estimate(&stats, n_records).total();
-        let fpga_b = fpga.estimate(&stats, n_records);
+        let cpu_t = cpu
+            .estimate(&stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
+        let fpga_b = fpga.estimate(&stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
         let fpga_t = fpga_b.total();
         let verdict = if fpga_t < cpu_t {
             "offload"
@@ -46,6 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nFPGA breakdown at 1M records (the Fig. 7b decomposition):");
-    println!("{}", fpga.estimate(&stats, 1_000_000));
+    println!(
+        "{}",
+        fpga.estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+    );
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! use mlscore::prelude::*;
 //! ```
 
-pub use mlscore_backend::{ScoringBackend, ScoringRequest};
+pub use mlscore_backend::{score_once, ScoringBackend};
 pub use mlscore_data::{
     Dataset, DatasetSpec, FrameScanner, NormParams, NormalizeStream, RecordStream, TabularFrame,
     DEFAULT_CHUNK_ROWS,

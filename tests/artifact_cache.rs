@@ -1,6 +1,6 @@
 //! Two-phase compile/score integration: the artifact cache must be purely
 //! an *amortization* — a cached, prepared model scores bit-for-bit the same
-//! records as the one-shot `score` path on every backend in the study, a
+//! records as the compile-per-call `score_once` path on every backend in the study, a
 //! second pipeline execution of the same bundle is a cache hit whose
 //! backend-side breakdown is unchanged, and the warm/cold split is visible
 //! in the exported Perfetto timeline.
@@ -10,8 +10,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mlscore::prelude::*;
-use mlscore_backend::{ArtifactCache, CacheOutcome, OnnxCpu, SklearnCpu};
-use mlscore_forest::ModelBundle;
+use mlscore_backend::{ArtifactCache, CacheOutcome, CompiledModel, OnnxCpu, SklearnCpu};
+use mlscore_forest::{ModelBundle, Predictions};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
 use mlscore_pipeline::QueryPipeline;
@@ -29,6 +29,24 @@ fn all_backends() -> Vec<Box<dyn ScoringBackend>> {
         Box::new(RapidsFil::p100()),
         Box::new(FpgaBackend::paper_default()),
     ]
+}
+
+/// Scores `frame` against a compiled `model` as one staged chunk.
+fn score_compiled(
+    backend: &dyn ScoringBackend,
+    model: &CompiledModel,
+    frame: &TabularFrame,
+) -> Predictions {
+    let bound = model.bind(backend.name(), frame.n_features()).unwrap();
+    backend
+        .score(
+            bound,
+            &mut FrameScanner::whole(frame),
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        )
+        .unwrap()
+        .predictions
 }
 
 proptest! {
@@ -50,15 +68,13 @@ proptest! {
         let frame = TabularFrame::from_rows(data, n_features).unwrap();
         let cache = ArtifactCache::new(16);
         for backend in all_backends() {
-            let fresh = backend
-                .score(&ScoringRequest::new(&forest, &frame).unwrap())
-                .unwrap();
+            let fresh = score_once(&backend, &forest, &frame).unwrap();
             let (model, o1) = cache.get_or_prepare(&backend, &bundle).unwrap();
             prop_assert_eq!(o1, CacheOutcome::Miss, "{}", backend.name());
-            let cold = backend.score_prepared(&model, &frame).unwrap();
+            let cold = score_compiled(&backend, &model, &frame);
             let (model, o2) = cache.get_or_prepare(&backend, &bundle).unwrap();
             prop_assert_eq!(o2, CacheOutcome::Hit, "{}", backend.name());
-            let warm = backend.score_prepared(&model, &frame).unwrap();
+            let warm = score_compiled(&backend, &model, &frame);
             prop_assert_eq!(&cold, &fresh, "cold prepared disagrees on {}", backend.name());
             prop_assert_eq!(&warm, &fresh, "warm prepared disagrees on {}", backend.name());
         }

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use mlscore::prelude::*;
-use mlscore_backend::{OnnxCpu, SklearnCpu};
-use mlscore_forest::Predictions;
+use mlscore_backend::{compile, BackendError, OnnxCpu, SklearnCpu};
+use mlscore_forest::{ModelBundle, Predictions};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
 
@@ -54,9 +54,8 @@ proptest! {
             .collect();
         let frame = TabularFrame::from_rows(data, n_features).unwrap();
         let reference = forest.predict_batch(frame.as_slice());
-        let request = ScoringRequest::new(&forest, &frame).unwrap();
         for backend in universal_backends() {
-            let preds = backend.score(&request).unwrap();
+            let preds = score_once(&backend, &forest, &frame).unwrap();
             prop_assert_eq!(
                 &preds,
                 &reference,
@@ -80,9 +79,8 @@ proptest! {
             .collect();
         let frame = TabularFrame::from_rows(data, n_features).unwrap();
         let reference = forest.predict_batch(frame.as_slice());
-        let request = ScoringRequest::new(&forest, &frame).unwrap();
         for backend in universal_backends() {
-            let preds = backend.score(&request).unwrap();
+            let preds = score_once(&backend, &forest, &frame).unwrap();
             prop_assert_eq!(
                 &preds,
                 &reference,
@@ -102,8 +100,7 @@ proptest! {
         let forest = RandomForest::synthetic_full(&cfg, seed);
         let data: Vec<f32> = (0..50 * 6).map(|i| (i as f32 * 0.37) % 1.0).collect();
         let frame = TabularFrame::from_rows(data, 6).unwrap();
-        let request = ScoringRequest::new(&forest, &frame).unwrap();
-        let preds = RapidsFil::p100().score(&request).unwrap();
+        let preds = score_once(&RapidsFil::p100(), &forest, &frame).unwrap();
         prop_assert_eq!(preds, forest.predict_batch(frame.as_slice()));
     }
 
@@ -117,7 +114,6 @@ proptest! {
         let forest = RandomForest::synthetic_full(&cfg, seed);
         let data: Vec<f32> = (0..40 * 4).map(|i| (i as f32 * 0.29) % 1.0).collect();
         let frame = TabularFrame::from_rows(data, 4).unwrap();
-        let request = ScoringRequest::new(&forest, &frame).unwrap();
         let reference = forest.predict_batch(frame.as_slice());
         let reference_vals = reference.as_values().unwrap();
         for backend in [
@@ -126,7 +122,7 @@ proptest! {
             Box::new(HummingbirdGpu::p100()),
             Box::new(FpgaBackend::paper_default()),
         ] {
-            let preds = backend.score(&request).unwrap();
+            let preds = score_once(&backend, &forest, &frame).unwrap();
             let values = preds.as_values().unwrap();
             // Averaging order may differ (FPGA averages across passes), so
             // allow float tolerance — but it must be tiny.
@@ -149,9 +145,40 @@ fn empty_batch_agreement() {
     let cfg = ForestConfig::classification(3, 4, 2).with_depth(4);
     let forest = RandomForest::synthetic_full(&cfg, 1);
     let frame = TabularFrame::from_rows(vec![], 4).unwrap();
-    let request = ScoringRequest::new(&forest, &frame).unwrap();
     for backend in universal_backends() {
-        let preds = backend.score(&request).unwrap();
+        let preds = score_once(&backend, &forest, &frame).unwrap();
         assert_eq!(preds, Predictions::Classes(vec![]), "{}", backend.name());
+    }
+}
+
+/// A frame narrower than the model is refused with the same error variant
+/// on every backend, whether the model is lowered per call (`score_once`)
+/// or bound from a compiled artifact.
+#[test]
+fn width_mismatch_is_one_artifact_error_on_every_route() {
+    let cfg = ForestConfig::classification(3, 4, 2).with_depth(4);
+    let forest = RandomForest::synthetic_full(&cfg, 1);
+    let bundle = ModelBundle::serialize(&forest);
+    let narrow = TabularFrame::from_rows(vec![0.5; 9], 3).unwrap();
+    let backends: [Box<dyn ScoringBackend>; 5] = [
+        Box::new(SklearnCpu::with_threads(2)),
+        Box::new(OnnxCpu::single_thread()),
+        Box::new(HummingbirdGpu::p100()),
+        Box::new(RapidsFil::p100()),
+        Box::new(FpgaBackend::paper_default()),
+    ];
+    for backend in &backends {
+        let once = score_once(backend, &forest, &narrow).unwrap_err();
+        let bound = compile(backend, &bundle)
+            .unwrap()
+            .bind(backend.name(), narrow.n_features())
+            .unwrap_err();
+        for (route, err) in [("score_once", once), ("bind", bound)] {
+            assert!(
+                matches!(err, BackendError::Artifact { .. }),
+                "{} via {route}: {err:?}",
+                backend.name()
+            );
+        }
     }
 }

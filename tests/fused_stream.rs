@@ -1,11 +1,11 @@
 //! Property tests for the fused scan→featurize→score path: streaming
-//! chunks through `score_prepared_stream` must be bit-exact with scoring
+//! chunks through `ScoringBackend::score` must be bit-exact with scoring
 //! the staged (materialized, pre-normalized) frame — across backends,
 //! chunk sizes, and executor thread counts.
 
 use proptest::prelude::*;
 
-use mlscore::backend::{compile, OnnxCpu, SklearnCpu};
+use mlscore::backend::{compile, CompiledModel, OnnxCpu, SklearnCpu, StreamOutcome};
 use mlscore::forest::ModelBundle;
 use mlscore::prelude::*;
 use mlscore::sched::paper_backends;
@@ -19,6 +19,20 @@ const CHUNK_SIZES: [usize; 4] = [
     mlscore::exec::kernel::LANES,
     4096,
 ];
+
+/// Scores `stream` against the compiled `model` on `backend`, untraced.
+fn score_stream(
+    backend: &dyn ScoringBackend,
+    model: &CompiledModel,
+    stream: &mut dyn RecordStream,
+) -> StreamOutcome {
+    let bound = model
+        .bind(backend.name(), stream.n_features())
+        .expect("compiled for this backend");
+    backend
+        .score(bound, stream, &Tracer::disabled(), SimInstant::ZERO)
+        .expect("fused scoring")
+}
 
 fn arb_frame() -> impl Strategy<Value = TabularFrame> {
     (1usize..6).prop_flat_map(|n_features| {
@@ -56,17 +70,14 @@ proptest! {
             ];
             for backend in &backends {
                 let model = compile(&**backend, &bundle).expect("compile");
-                let staged = backend
-                    .score_prepared(&model, &frame.normalized())
+                let staged = score_once(backend, &forest, &frame.normalized())
                     .expect("staged scoring");
                 for chunk_rows in CHUNK_SIZES {
                     let mut stream = NormalizeStream::new(
                         FrameScanner::new(&frame, chunk_rows),
                         NormParams::fit(&frame),
                     );
-                    let out = backend
-                        .score_prepared_stream(&model, &mut stream)
-                        .expect("fused scoring");
+                    let out = score_stream(backend.as_ref(), &model, &mut stream);
                     prop_assert_eq!(out.rows, frame.n_rows());
                     prop_assert_eq!(
                         &out.predictions,
@@ -82,8 +93,8 @@ proptest! {
     }
 }
 
-/// Every paper backend — including the offload devices that take the
-/// default materialize-and-delegate stream path — honours the fused
+/// Every paper backend — including the offload devices that gather the
+/// stream into one batch — honours the fused
 /// bit-exactness contract at every chunk size.
 #[test]
 fn fused_matches_staged_on_every_paper_backend() {
@@ -96,15 +107,11 @@ fn fused_matches_staged_on_every_paper_backend() {
     let bundle = ModelBundle::serialize(&forest);
     for backend in paper_backends() {
         let model = compile(&*backend, &bundle).expect("compile");
-        let staged = backend
-            .score_prepared(&model, &frame.normalized())
-            .expect("staged scoring");
+        let staged = score_once(&backend, &forest, &frame.normalized()).expect("staged scoring");
         for chunk_rows in CHUNK_SIZES {
             let mut stream =
                 NormalizeStream::new(FrameScanner::new(frame, chunk_rows), NormParams::fit(frame));
-            let out = backend
-                .score_prepared_stream(&model, &mut stream)
-                .expect("fused scoring");
+            let out = score_stream(backend.as_ref(), &model, &mut stream);
             assert_eq!(out.rows, frame.n_rows());
             assert_eq!(
                 out.predictions,

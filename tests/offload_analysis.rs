@@ -24,7 +24,7 @@ fn every_accelerator_decomposes_into_o_l_c() {
         Box::new(RapidsFil::p100()),
     ];
     for accel in accelerators {
-        let b = accel.estimate(&stats, 1_000_000);
+        let b = accel.estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO);
         let costs = OffloadCosts::from_breakdown(&b);
         // Compute dominates at 1M records for every accelerator.
         assert!(
@@ -52,8 +52,13 @@ fn kernel_speedup_always_exceeds_end_to_end_speedup() {
     let cpu = OnnxCpu::paper_52th();
     let fpga = FpgaBackend::paper_default();
     for n in [1_000u64, 100_000, 1_000_000] {
-        let host = cpu.estimate(&stats, n).total();
-        let summary = OffloadSummary::new(host, &fpga.estimate(&stats, n));
+        let host = cpu
+            .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+            .total();
+        let summary = OffloadSummary::new(
+            host,
+            &fpga.estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO),
+        );
         assert!(
             summary.kernel_speedup() >= summary.speedup(),
             "at {n} records: kernel {} < end-to-end {}",
@@ -71,13 +76,22 @@ fn logca_break_even_brackets_the_measured_crossover() {
     let cpu = OnnxCpu::paper_52th();
     let fpga = FpgaBackend::paper_default();
     let n_ref = 1_000_000u64;
-    let host = cpu.estimate(&stats, n_ref).total();
-    let breakdown = fpga.estimate(&stats, n_ref);
+    let host = cpu
+        .estimate(&stats, n_ref, &Tracer::disabled(), SimInstant::ZERO)
+        .total();
+    let breakdown = fpga.estimate(&stats, n_ref, &Tracer::disabled(), SimInstant::ZERO);
     let costs = OffloadCosts::from_breakdown(&breakdown);
 
     let model = LogCa::new(
-        costs.overhead + fpga.estimate(&stats, 1).total_class_transfer(),
-        (costs.transfer - fpga.estimate(&stats, 1).total_class_transfer()) / n_ref as f64,
+        costs.overhead
+            + fpga
+                .estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO)
+                .total_class_transfer(),
+        (costs.transfer
+            - fpga
+                .estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO)
+                .total_class_transfer())
+            / n_ref as f64,
         host / n_ref as f64,
         host.ratio(costs.compute),
     );
@@ -87,7 +101,13 @@ fn logca_break_even_brackets_the_measured_crossover() {
     let mut measured = None;
     for exp in 0..21 {
         let n = 1u64 << exp;
-        if fpga.estimate(&stats, n).total() < cpu.estimate(&stats, n).total() {
+        if fpga
+            .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+            .total()
+            < cpu
+                .estimate(&stats, n, &Tracer::disabled(), SimInstant::ZERO)
+                .total()
+        {
             measured = Some(n);
             break;
         }
@@ -117,10 +137,15 @@ fn offload_summaries_flip_with_batch_size() {
     let stats = heavy_stats();
     let cpu = OnnxCpu::paper_52th();
     let fpga = FpgaBackend::paper_default();
-    let tiny = OffloadSummary::new(cpu.estimate(&stats, 1).total(), &fpga.estimate(&stats, 1));
+    let tiny = OffloadSummary::new(
+        cpu.estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO)
+            .total(),
+        &fpga.estimate(&stats, 1, &Tracer::disabled(), SimInstant::ZERO),
+    );
     let huge = OffloadSummary::new(
-        cpu.estimate(&stats, 1_000_000).total(),
-        &fpga.estimate(&stats, 1_000_000),
+        cpu.estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
+            .total(),
+        &fpga.estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO),
     );
     assert!(!tiny.beneficial());
     assert!(tiny.mispick_penalty() > 1.0);

@@ -24,7 +24,7 @@ fn serial_replay(
             .choose(&q.stats, q.n_records, backends)
             .expect("every trace query has a supporting backend");
         total += backends[choice.index]
-            .estimate(&q.stats, q.n_records)
+            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
             .total();
         *picks.entry(choice.name).or_default() += 1;
     }

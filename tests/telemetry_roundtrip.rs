@@ -42,7 +42,8 @@ fn run_traced(
     let stats = ModelStats::of(&forest);
     let bundle = ModelBundle::serialize(&forest);
 
-    let direct_scoring = backend(idx).estimate(&stats, n_records);
+    let direct_scoring =
+        backend(idx).estimate(&stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
     let pipeline = QueryPipeline::new(backend(idx));
     let direct = pipeline.estimate(&stats, bundle.len() as u64, n_records);
 
