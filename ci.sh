@@ -152,7 +152,7 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
 cmp target/run_report.a.json target/run_report.b.json
 grep -q '"slo_alert"\|"alerts"' target/run_report.a.json
 
-echo "== trace smoke (repro trace --cold / --warm / --fused) =="
+echo "== trace smoke (repro trace --cold / --warm / --fused / --fused --warm) =="
 # Both halves of the two-phase split must render a timeline.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     trace --cold --out target/trace_cold.json >/dev/null
@@ -173,6 +173,16 @@ grep -q '"fused chunk"' target/trace_fused.json
 grep -q '"chunk handoff"' target/trace_fused.json
 if grep -q '"data preprocessing"' target/trace_fused.json; then
     echo "ci: fused trace unexpectedly charges a data-preprocessing span" >&2
+    exit 1
+fi
+# The cold fused timeline deserializes the model in process, then hands
+# off chunks: no marshal stage in either direction.
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    trace --fused --out target/trace_fused_cold.json >/dev/null
+grep -q '"model deserialization"' target/trace_fused_cold.json
+grep -q '"chunk handoff"' target/trace_fused_cold.json
+if grep -q '"marshal' target/trace_fused_cold.json; then
+    echo "ci: cold fused trace unexpectedly contains a marshal span" >&2
     exit 1
 fi
 

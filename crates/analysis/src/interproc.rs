@@ -39,7 +39,6 @@ pub const SERVING_ROOTS: &[&str] = &[
     "fleet::sim::run_fleet",
     "serve::coalesce::score_merged_stream",
     "pipeline::query::QueryPipeline::execute",
-    "pipeline::query::QueryPipeline::execute_fused",
 ];
 
 /// Export-builder roots: D004 taints anything these can reach. Matched by

@@ -7,7 +7,9 @@ use criterion::{criterion_group, Criterion};
 use mlscore_data::DatasetSpec;
 use mlscore_forest::{ModelBundle, ModelStats};
 use mlscore_fpga::FpgaBackend;
-use mlscore_pipeline::{IntegrationMode, QueryPipeline};
+use mlscore_pipeline::{IntegrationMode, QueryPipeline, QueryPlan};
+use mlscore_sim::SimInstant;
+use mlscore_telemetry::Tracer;
 
 fn print_ablation() {
     println!(
@@ -23,7 +25,14 @@ fn print_ablation() {
     let mut baseline = None;
     for mode in IntegrationMode::all() {
         let pipeline = QueryPipeline::with_params(FpgaBackend::paper_default(), mode.params());
-        let b = pipeline.estimate(&stats, model_bytes, 1_000_000);
+        let b = pipeline.estimate(
+            QueryPlan::Staged { warm: false },
+            &stats,
+            model_bytes,
+            1_000_000,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        );
         let total = b.total();
         let baseline_total = *baseline.get_or_insert(total);
         println!(
@@ -44,7 +53,16 @@ fn bench(c: &mut Criterion) {
     for mode in IntegrationMode::all() {
         let pipeline = QueryPipeline::with_params(FpgaBackend::paper_default(), mode.params());
         g.bench_function(mode.name(), |b| {
-            b.iter(|| pipeline.estimate(std::hint::black_box(&stats), model_bytes, 1_000_000))
+            b.iter(|| {
+                pipeline.estimate(
+                    QueryPlan::Staged { warm: false },
+                    std::hint::black_box(&stats),
+                    model_bytes,
+                    1_000_000,
+                    &Tracer::disabled(),
+                    SimInstant::ZERO,
+                )
+            })
         });
     }
     g.finish();

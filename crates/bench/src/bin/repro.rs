@@ -9,7 +9,7 @@ use mlscore_data::DatasetSpec;
 use mlscore_forest::{ModelBundle, ModelStats};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, QueryPlan};
 use mlscore_sched::{
     evaluate_policy, paper_backends, AffineFitPolicy, HeuristicPolicy, OraclePolicy, Policy,
     QueryTrace, TraceOutcome,
@@ -262,38 +262,22 @@ fn trace(args: &[String]) {
     // Fused queries replay the in-process streaming path: no Python launch,
     // no marshal, no separate pre-processing — the Fig. 11 breakdown
     // collapses to model prep + per-chunk handoff + scoring + post.
-    let breakdown = match (fused, warm) {
-        (true, true) => pipeline.estimate_fused_warm_traced(
-            &stats,
-            bundle.len() as u64,
-            records,
-            mlscore_data::DEFAULT_CHUNK_ROWS,
-            &tracer,
-            SimInstant::ZERO,
-        ),
-        (true, false) => pipeline.estimate_fused_traced(
-            &stats,
-            bundle.len() as u64,
-            records,
-            mlscore_data::DEFAULT_CHUNK_ROWS,
-            &tracer,
-            SimInstant::ZERO,
-        ),
-        (false, true) => pipeline.estimate_warm_traced(
-            &stats,
-            bundle.len() as u64,
-            records,
-            &tracer,
-            SimInstant::ZERO,
-        ),
-        (false, false) => pipeline.estimate_traced(
-            &stats,
-            bundle.len() as u64,
-            records,
-            &tracer,
-            SimInstant::ZERO,
-        ),
+    let plan = if fused {
+        QueryPlan::Fused {
+            chunk_rows: mlscore_data::DEFAULT_CHUNK_ROWS,
+            warm,
+        }
+    } else {
+        QueryPlan::Staged { warm }
     };
+    let breakdown = pipeline.estimate(
+        plan,
+        &stats,
+        bundle.len() as u64,
+        records,
+        &tracer,
+        SimInstant::ZERO,
+    );
     let span_trace = tracer.take();
     let json = perfetto::to_json(&span_trace);
     match out_path {

@@ -33,7 +33,7 @@ use mlscore_exec::{
     ImageLayout, Kernel, KernelChoice, RunConfig, SimdLevel,
 };
 use mlscore_forest::{FlatForest, ForestConfig, ModelBundle, Predictions, RandomForest, Task};
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, QueryPlan, Records};
 use mlscore_sim::{SimInstant, Stage};
 use mlscore_telemetry::json::{self, write_escaped, JsonValue};
 use mlscore_telemetry::Tracer;
@@ -190,8 +190,12 @@ pub fn run_cache_pair(opts: &BenchOptions) -> CacheBench {
 
     let cache = Arc::new(ArtifactCache::new(4));
     let pipeline = QueryPipeline::new(backend).with_cache(Arc::clone(&cache));
-    let cold = pipeline.execute(&bundle, data.frame()).expect("cold query");
-    let warm = pipeline.execute(&bundle, data.frame()).expect("warm query");
+    let query = || {
+        let records = Records::Staged(data.frame());
+        pipeline.execute(&bundle, records, &Tracer::disabled(), SimInstant::ZERO)
+    };
+    let cold = query().expect("cold query");
+    let warm = query().expect("warm query");
     assert_eq!(cold.cache, CacheOutcome::Miss, "first query must compile");
     assert_eq!(warm.cache, CacheOutcome::Hit, "second query must hit");
     assert_eq!(
@@ -322,13 +326,22 @@ fn fused_cells_for<B: ScoringBackend>(
             // Modelled warm-path tax on each side: the model is
             // cache-resident in both, so the difference is pure data
             // movement (Fig. 11's marshal + pre-processing stages).
-            let staged = pipeline.estimate_warm(model.stats(), model_bytes, records as u64);
-            let fused = pipeline.estimate_fused_warm(
-                model.stats(),
-                model_bytes,
-                records as u64,
+            let estimate = |plan| {
+                let (stats, n) = (model.stats(), records as u64);
+                pipeline.estimate(
+                    plan,
+                    stats,
+                    model_bytes,
+                    n,
+                    &Tracer::disabled(),
+                    SimInstant::ZERO,
+                )
+            };
+            let staged = estimate(QueryPlan::Staged { warm: true });
+            let fused = estimate(QueryPlan::Fused {
                 chunk_rows,
-            );
+                warm: true,
+            });
             let staged_tax =
                 (staged.get(Stage::DataTransfer) + staged.get(Stage::DataPreprocessing)).as_secs();
             let fused_tax =

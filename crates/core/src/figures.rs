@@ -5,7 +5,7 @@ use mlscore_backend::{OnnxCpu, ScoringBackend};
 use mlscore_data::DatasetSpec;
 use mlscore_forest::{ModelBundle, ModelStats};
 use mlscore_fpga::FpgaBackend;
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, QueryPlan};
 use mlscore_sim::{SimDuration, SimInstant, TimingBreakdown};
 
 use crate::calibration::{paper_model, RECORD_SWEEP};
@@ -181,28 +181,29 @@ pub fn fig11(dataset: DatasetSpec, n_trees: usize, depth: usize, n_records: u64)
     let stats = ModelStats::of(&model);
     let model_bytes = ModelBundle::serialize(&model).len() as u64;
     let mut rows = Vec::new();
+    let cold = |backend: Box<dyn ScoringBackend>| {
+        QueryPipeline::new(backend).estimate(
+            QueryPlan::Staged { warm: false },
+            &stats,
+            model_bytes,
+            n_records,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        )
+    };
 
-    let cpu = QueryPipeline::new(OnnxCpu::single_thread());
     rows.push(Fig11Row {
         backend: "CPU (ONNX, 1 thread)".to_string(),
-        breakdown: cpu.estimate(&stats, model_bytes, n_records),
+        breakdown: cold(Box::new(OnnxCpu::single_thread())),
     });
 
     // Best GPU for this model: RAPIDS only handles binary classification.
     let gpu_point = SweepPoint::evaluate(dataset, n_trees, depth, n_records);
     if let Some(best_gpu) = gpu_point.best_gpu() {
         let breakdown = if best_gpu.backend == "GPU-RAPIDS" {
-            QueryPipeline::new(mlscore_gpu::RapidsFil::p100()).estimate(
-                &stats,
-                model_bytes,
-                n_records,
-            )
+            cold(Box::new(mlscore_gpu::RapidsFil::p100()))
         } else {
-            QueryPipeline::new(mlscore_gpu::HummingbirdGpu::p100()).estimate(
-                &stats,
-                model_bytes,
-                n_records,
-            )
+            cold(Box::new(mlscore_gpu::HummingbirdGpu::p100()))
         };
         rows.push(Fig11Row {
             backend: format!("GPU ({})", best_gpu.backend),
@@ -210,10 +211,9 @@ pub fn fig11(dataset: DatasetSpec, n_trees: usize, depth: usize, n_records: u64)
         });
     }
 
-    let fpga = QueryPipeline::new(FpgaBackend::paper_default());
     rows.push(Fig11Row {
         backend: "FPGA".to_string(),
-        breakdown: fpga.estimate(&stats, model_bytes, n_records),
+        breakdown: cold(Box::new(FpgaBackend::paper_default())),
     });
     rows
 }

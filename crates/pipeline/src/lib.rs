@@ -16,7 +16,10 @@
 //! use mlscore_backend::SklearnCpu;
 //! use mlscore_data::Dataset;
 //! use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
-//! use mlscore_pipeline::QueryPipeline;
+//! use mlscore_forest::ModelStats;
+//! use mlscore_pipeline::{QueryPipeline, QueryPlan, Records};
+//! use mlscore_sim::SimInstant;
+//! use mlscore_telemetry::Tracer;
 //!
 //! let forest = RandomForest::synthetic_full(
 //!     &ForestConfig::classification(8, 4, 3).with_depth(6),
@@ -25,9 +28,16 @@
 //! let bundle = ModelBundle::serialize(&forest);
 //! let data = Dataset::iris(200, 7).normalized();
 //! let pipeline = QueryPipeline::new(SklearnCpu::with_threads(4));
-//! let run = pipeline.execute(&bundle, data.frame())?;
+//! let untraced = Tracer::disabled();
+//! let records = Records::Staged(data.frame());
+//! let run = pipeline.execute(&bundle, records, &untraced, SimInstant::ZERO)?;
 //! assert_eq!(run.predictions.len(), 200);
-//! assert!(!run.breakdown.is_empty());
+//!
+//! // The same query, modelled rather than run, gives the same breakdown.
+//! let plan = QueryPlan::Staged { warm: false };
+//! let stats = ModelStats::of(&forest);
+//! let estimate = pipeline.estimate(plan, &stats, bundle.len() as u64, 200, &untraced, SimInstant::ZERO);
+//! assert_eq!(estimate, run.breakdown);
 //! # Ok::<(), mlscore_pipeline::PipelineError>(())
 //! ```
 
@@ -46,4 +56,4 @@ pub use concurrency::{
 pub use error::PipelineError;
 pub use integration::IntegrationMode;
 pub use params::PipelineParams;
-pub use query::{QueryPipeline, QueryRun};
+pub use query::{QueryPipeline, QueryPlan, QueryRun, Records};

@@ -7,7 +7,7 @@ use mlscore_backend::{
 };
 use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
 use mlscore_forest::{ModelBundle, ModelStats, Predictions};
-use mlscore_sim::{SimInstant, Stage, TimingBreakdown};
+use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
 use crate::error::PipelineError;
@@ -31,9 +31,43 @@ pub struct QueryRun {
 
 impl QueryRun {
     /// Total end-to-end query time.
-    pub fn total(&self) -> mlscore_sim::SimDuration {
+    pub fn total(&self) -> SimDuration {
         self.breakdown.total()
     }
+}
+
+/// How an estimated query runs: which path, and whether its model is
+/// already compiled and cache-resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryPlan {
+    /// The paper's path: launch Python, marshal the whole batch (plus the
+    /// model bundle when cold), pre-process it, score, marshal the
+    /// predictions back.
+    Staged {
+        /// The model is cache-resident: no bundle marshal, and model
+        /// pre-processing is a cache probe.
+        warm: bool,
+    },
+    /// The fused scan→featurize→score path: the backend pulls
+    /// `chunk_rows`-row chunks in process, so there is no Python
+    /// invocation, no marshal and no separate data pre-processing — only a
+    /// per-chunk handoff under [`Stage::DataTransfer`].
+    Fused {
+        /// Rows per pulled chunk; must be positive.
+        chunk_rows: usize,
+        /// As for [`QueryPlan::Staged`].
+        warm: bool,
+    },
+}
+
+/// The records an executed query scores; the variant picks the path.
+pub enum Records<'a> {
+    /// The whole batch as one frame, on the staged path.
+    Staged(&'a TabularFrame),
+    /// A stream the backend pulls chunk by chunk, on the fused path.
+    /// Predictions are bit-exact with the staged path over the equivalent
+    /// materialized frame.
+    Fused(&'a mut dyn RecordStream),
 }
 
 /// A T-SQL analytics query with ML scoring over a pluggable backend.
@@ -82,44 +116,34 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         self.cache.as_ref()
     }
 
-    /// Executes the query: deserializes the model bundle (really), scores
-    /// the records on the backend (really), and assembles the Fig. 11
-    /// end-to-end breakdown (modelled).
+    /// Runs the query for real: compiles the model bundle (or fetches it
+    /// from the artifact cache), scores `records` on the backend, and
+    /// assembles the Fig. 11 end-to-end breakdown from the modelled stage
+    /// costs. `records` picks the path; a cache hit makes the query warm.
+    ///
+    /// On `tracer` it records one [`Scope::Query`] span per charged stage
+    /// on the pipeline's query lane (their fold is `breakdown`, exactly),
+    /// the backend's [`Scope::Offload`] spans inside the scoring interval
+    /// (their fold is `scoring_breakdown`), the measured compile spans on a
+    /// cold query, and, on the fused path, one `"fused chunk"`
+    /// [`Scope::Detail`] span per pulled chunk. CPU backends also record
+    /// measured `exec worker` Detail spans; untraced callers pass
+    /// `&Tracer::disabled(), SimInstant::ZERO`.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Model`] for an unparseable bundle and
     /// [`PipelineError::Backend`] when the backend rejects the request
-    /// (unsupported model) or the frame width mismatches.
+    /// (unsupported model) or the record width mismatches.
     pub fn execute(
         &self,
         bundle: &ModelBundle,
-        frame: &TabularFrame,
-    ) -> Result<QueryRun, PipelineError> {
-        self.execute_traced(bundle, frame, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    /// Like [`QueryPipeline::execute`], but also records the end-to-end
-    /// timeline on `tracer`: one [`Scope::Query`] span per Fig. 11 stage on
-    /// the pipeline's query lane, with the backend's [`Scope::Offload`]
-    /// spans nested inside the `Scoring` span's interval. Folding the
-    /// recorded `Query` spans reproduces `breakdown` exactly; folding the
-    /// `Offload` spans reproduces `scoring_breakdown` exactly. CPU backends
-    /// additionally record measured per-worker `Detail` spans (ignored by
-    /// both folds) showing real executor-pool occupancy.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`QueryPipeline::execute`].
-    pub fn execute_traced(
-        &self,
-        bundle: &ModelBundle,
-        frame: &TabularFrame,
+        records: Records<'_>,
         tracer: &Tracer,
         start: SimInstant,
     ) -> Result<QueryRun, PipelineError> {
-        // Phase 1 — compile (or fetch): deserialize + supports + lower,
-        // skipped entirely on an artifact-cache hit.
+        // Compile (or fetch): deserialize + supports + lower, skipped
+        // entirely on an artifact-cache hit.
         let (model, outcome, timing) = match &self.cache {
             Some(cache) => cache
                 .get_or_prepare_timed(&self.backend, bundle)
@@ -130,511 +154,201 @@ impl<B: ScoringBackend> QueryPipeline<B> {
                 (model, CacheOutcome::Bypass, timing)
             }
         };
+        let warm = outcome == CacheOutcome::Hit;
         let stats = *model.stats();
         let model_bytes = model.model_bytes() as u64;
-        let n_records = frame.n_rows() as u64;
-        let warm = outcome == CacheOutcome::Hit;
-        let t_scoring = self.scoring_start(&stats, model_bytes, n_records, start, warm);
-        // Phase 2 — score the prepared model. Real execution: worker
-        // occupancy is recorded as Detail spans anchored at the scoring
-        // span's simulated start, so the Perfetto view shows measured pool
-        // activity under the modelled timeline.
-        let bound = model.bind(self.backend.name(), frame.n_features())?;
-        let predictions = self
-            .backend
-            .score(bound, &mut FrameScanner::whole(frame), tracer, t_scoring)?
-            .predictions;
-        let scoring_breakdown = self.backend.estimate(&stats, n_records, tracer, t_scoring);
-        let breakdown =
-            self.assemble_sized(&stats, model_bytes, n_records, &scoring_breakdown, warm);
+        let row_bytes = stats.row_bytes() as u64;
+        // Score for real. Measured worker spans start where the chain
+        // reaches scoring with what is known up front: the whole staged
+        // batch, or a stream that has handed off no chunk yet (the end of
+        // model pre-processing).
+        let mut whole;
+        let (stream, path, known): (&mut dyn RecordStream, _, _) = match records {
+            Records::Staged(frame) => {
+                whole = FrameScanner::whole(frame);
+                let n = frame.n_rows() as u64;
+                (&mut whole, Path::Staged { row_bytes }, n)
+            }
+            Records::Fused(stream) => (stream, Path::Fused { n_chunks: 0 }, 0),
+        };
+        let t_stream = start_of(
+            &self.steps(path, warm, model_bytes, known),
+            Stage::Scoring,
+            start,
+        );
+        let bound = model.bind(self.backend.name(), stream.n_features())?;
+        let out = self.backend.score(bound, stream, tracer, t_stream)?;
+        let (path, n_records, chunks) = match path {
+            Path::Staged { .. } => (path, known, &[][..]),
+            Path::Fused { .. } => (
+                Path::Fused {
+                    n_chunks: out.chunks.len(),
+                },
+                out.rows as u64,
+                &out.chunks[..],
+            ),
+        };
+        let mut steps = self.steps(path, warm, model_bytes, n_records);
+        let scoring_breakdown = self.charge_scoring(&mut steps, &stats, n_records, tracer, start);
         if tracer.is_enabled() {
             if !warm {
-                let data_bytes = n_records * stats.row_bytes() as u64;
-                let t_compile = start
-                    + self.params.python_invocation
-                    + self
-                        .params
-                        .marshal_time(n_records, data_bytes + model_bytes);
+                let t_compile = start_of(&steps, Stage::ModelPreprocessing, start);
                 self.record_compile_spans(tracer, t_compile, model_bytes, timing);
             }
-            self.record_query_spans(
-                tracer,
-                start,
-                &stats,
-                model_bytes,
-                n_records,
-                &scoring_breakdown,
-                warm,
-            );
+            record_spans(tracer, &steps, start, n_records, chunks);
         }
         Ok(QueryRun {
-            predictions,
-            breakdown,
+            breakdown: steps.iter().map(|s| (s.stage, s.dur)).collect(),
+            predictions: out.predictions,
             scoring_breakdown,
             cache: outcome,
         })
     }
 
-    /// Estimates the end-to-end breakdown without functional execution —
-    /// used for sweeps at record counts too large to score for real.
+    /// Estimates the end-to-end breakdown of a query over `n_records`
+    /// without running it — used for sweeps at record counts too large to
+    /// score for real. Records the same `Query` and `Offload` spans as
+    /// [`QueryPipeline::execute`] (fused plans get synthesized
+    /// `"fused chunk"` detail), but no measured ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fused plan's `chunk_rows` is zero.
     pub fn estimate(
         &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-    ) -> TimingBreakdown {
-        self.estimate_traced(
-            stats,
-            model_bytes,
-            n_records,
-            &Tracer::disabled(),
-            SimInstant::ZERO,
-        )
-    }
-
-    /// Like [`QueryPipeline::estimate`], but records the same spans as
-    /// [`QueryPipeline::execute_traced`].
-    pub fn estimate_traced(
-        &self,
+        plan: QueryPlan,
         stats: &ModelStats,
         model_bytes: u64,
         n_records: u64,
         tracer: &Tracer,
         start: SimInstant,
     ) -> TimingBreakdown {
-        self.estimate_inner(stats, model_bytes, n_records, tracer, start, false)
-    }
-
-    /// Estimates the *warm* end-to-end breakdown: the model is already
-    /// compiled and cache-resident, so the bundle is not marshalled and
-    /// model pre-processing collapses to a cache lookup.
-    pub fn estimate_warm(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-    ) -> TimingBreakdown {
-        self.estimate_warm_traced(
-            stats,
-            model_bytes,
-            n_records,
-            &Tracer::disabled(),
-            SimInstant::ZERO,
-        )
-    }
-
-    /// Like [`QueryPipeline::estimate_warm`], but records the warm-path
-    /// `Query` spans.
-    pub fn estimate_warm_traced(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> TimingBreakdown {
-        self.estimate_inner(stats, model_bytes, n_records, tracer, start, true)
-    }
-
-    /// Executes the query over the *fused* scan→featurize→score path: the
-    /// backend pulls cache-sized chunks straight off `stream` (scoring each
-    /// one as it lands) instead of receiving a marshalled, pre-processed
-    /// copy of the whole batch.
-    ///
-    /// The returned breakdown therefore charges **no** Python invocation,
-    /// no inbound/outbound marshal, and no separate data-pre-processing
-    /// stage — only model pre-processing (a cache probe when warm), a small
-    /// per-chunk handoff under [`Stage::DataTransfer`], scoring, and
-    /// post-processing. Predictions are bit-exact with
-    /// [`QueryPipeline::execute`] over the equivalent materialized frame.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`QueryPipeline::execute`].
-    pub fn execute_fused(
-        &self,
-        bundle: &ModelBundle,
-        stream: &mut dyn RecordStream,
-    ) -> Result<QueryRun, PipelineError> {
-        self.execute_fused_traced(bundle, stream, &Tracer::disabled(), SimInstant::ZERO)
-    }
-
-    /// Like [`QueryPipeline::execute_fused`], but records the fused
-    /// timeline on `tracer`: one [`Scope::Query`] span per charged stage
-    /// (folding them reproduces `breakdown` exactly), the backend's
-    /// [`Scope::Offload`] spans nested inside the scoring interval, and one
-    /// `"fused chunk"` [`Scope::Detail`] span per pulled chunk (ignored by
-    /// both folds) showing how rows streamed through the kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`QueryPipeline::execute`].
-    pub fn execute_fused_traced(
-        &self,
-        bundle: &ModelBundle,
-        stream: &mut dyn RecordStream,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> Result<QueryRun, PipelineError> {
-        // Phase 1 — compile (or fetch), exactly as on the staged path.
-        let (model, outcome, timing) = match &self.cache {
-            Some(cache) => cache
-                .get_or_prepare_timed(&self.backend, bundle)
-                .map_err(lift)?,
-            None => {
-                let (model, timing) =
-                    mlscore_backend::compile_timed(&self.backend, bundle).map_err(lift)?;
-                (model, CacheOutcome::Bypass, timing)
+        let (path, warm, chunk_rows) = match plan {
+            QueryPlan::Staged { warm } => (
+                Path::Staged {
+                    row_bytes: stats.row_bytes() as u64,
+                },
+                warm,
+                None,
+            ),
+            QueryPlan::Fused { chunk_rows, warm } => {
+                assert!(chunk_rows > 0, "chunk_rows must be positive");
+                let n_chunks = (n_records as usize).div_ceil(chunk_rows);
+                (Path::Fused { n_chunks }, warm, Some(chunk_rows))
             }
         };
-        let warm = outcome == CacheOutcome::Hit;
-        let model_bytes = model.model_bytes() as u64;
-        // Phase 2 — drain the stream through the backend's chunked scorer.
-        // Measured worker spans start where the stream does: right after
-        // model pre-processing, before any chunk handoff is charged.
-        let bound = model.bind(self.backend.name(), stream.n_features())?;
-        let t_stream = self.fused_scoring_start(start, 0, model_bytes, warm);
-        let out = self.backend.score(bound, stream, tracer, t_stream)?;
-        let n_records = out.rows as u64;
-        let t_scoring = self.fused_scoring_start(start, out.chunks.len(), model_bytes, warm);
-        let scoring_breakdown = self
-            .backend
-            .estimate(model.stats(), n_records, tracer, t_scoring);
-        let breakdown = self.assemble_fused(
-            model_bytes,
-            n_records,
-            out.chunks.len(),
-            &scoring_breakdown,
-            warm,
-        );
+        let mut steps = self.steps(path, warm, model_bytes, n_records);
+        self.charge_scoring(&mut steps, stats, n_records, tracer, start);
         if tracer.is_enabled() {
-            if !warm {
-                // The fused path has no Python launch or inbound marshal:
-                // compile starts immediately.
-                self.record_compile_spans(tracer, start, model_bytes, timing);
-            }
-            self.record_fused_query_spans(
-                tracer,
-                start,
-                model_bytes,
-                n_records,
-                &out.chunks,
-                &scoring_breakdown,
-                warm,
-            );
+            let chunks =
+                chunk_rows.map_or_else(Vec::new, |rows| synth_chunks(n_records as usize, rows));
+            record_spans(tracer, &steps, start, n_records, &chunks);
         }
-        Ok(QueryRun {
-            predictions: out.predictions,
-            breakdown,
-            scoring_breakdown,
-            cache: outcome,
-        })
+        steps.iter().map(|s| (s.stage, s.dur)).collect()
     }
 
-    /// Estimates the cold fused breakdown without functional execution,
-    /// for a stream of `n_records` pulled in chunks of `chunk_rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_rows` is zero.
-    pub fn estimate_fused(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        chunk_rows: usize,
-    ) -> TimingBreakdown {
-        self.estimate_fused_traced(
-            stats,
-            model_bytes,
-            n_records,
-            chunk_rows,
-            &Tracer::disabled(),
-            SimInstant::ZERO,
-        )
-    }
-
-    /// Like [`QueryPipeline::estimate_fused`], but records the fused
-    /// `Query` spans plus synthesized per-chunk `"fused chunk"` detail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_rows` is zero.
-    pub fn estimate_fused_traced(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        chunk_rows: usize,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> TimingBreakdown {
-        self.estimate_fused_inner(
-            stats,
-            model_bytes,
-            n_records,
-            chunk_rows,
-            tracer,
-            start,
-            false,
-        )
-    }
-
-    /// Estimates the *warm* fused breakdown: the model is cache-resident,
-    /// so model pre-processing collapses to a cache probe and the query is
-    /// pure handoff + scoring + post-processing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_rows` is zero.
-    pub fn estimate_fused_warm(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        chunk_rows: usize,
-    ) -> TimingBreakdown {
-        self.estimate_fused_warm_traced(
-            stats,
-            model_bytes,
-            n_records,
-            chunk_rows,
-            &Tracer::disabled(),
-            SimInstant::ZERO,
-        )
-    }
-
-    /// Like [`QueryPipeline::estimate_fused_warm`], but records the warm
-    /// fused `Query` spans plus synthesized per-chunk detail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_rows` is zero.
-    pub fn estimate_fused_warm_traced(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        chunk_rows: usize,
-        tracer: &Tracer,
-        start: SimInstant,
-    ) -> TimingBreakdown {
-        self.estimate_fused_inner(
-            stats,
-            model_bytes,
-            n_records,
-            chunk_rows,
-            tracer,
-            start,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_fused_inner(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        chunk_rows: usize,
-        tracer: &Tracer,
-        start: SimInstant,
-        warm: bool,
-    ) -> TimingBreakdown {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let n_chunks = (n_records as usize).div_ceil(chunk_rows);
-        let t_scoring = self.fused_scoring_start(start, n_chunks, model_bytes, warm);
-        let scoring = self.backend.estimate(stats, n_records, tracer, t_scoring);
-        let b = self.assemble_fused(model_bytes, n_records, n_chunks, &scoring, warm);
-        if tracer.is_enabled() {
-            let chunks = synth_chunks(n_records as usize, chunk_rows);
-            self.record_fused_query_spans(
-                tracer,
-                start,
-                model_bytes,
-                n_records,
-                &chunks,
-                &scoring,
-                warm,
-            );
+    /// The ordered steps of one query: the one statement of Fig. 11's
+    /// stage chain. The breakdown is their fold, every anchor instant is a
+    /// running sum over them ([`start_of`]), and the `Query` spans are the
+    /// same steps recorded in order. The scoring step is charged zero here;
+    /// [`QueryPipeline::charge_scoring`] fills in the backend's time.
+    fn steps(&self, path: Path, warm: bool, model_bytes: u64, n_records: u64) -> Vec<Step> {
+        let p = &self.params;
+        // A warm query's model is compiled and cache-resident: model
+        // pre-processing collapses to a cache probe.
+        let model_prep = if warm {
+            Step::new(
+                Stage::ModelPreprocessing,
+                "artifact cache hit",
+                p.cache_lookup,
+            )
+        } else {
+            Step::new(
+                Stage::ModelPreprocessing,
+                "model deserialization",
+                p.model_preprocess_time(model_bytes),
+            )
         }
-        b
-    }
-
-    fn estimate_inner(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        tracer: &Tracer,
-        start: SimInstant,
-        warm: bool,
-    ) -> TimingBreakdown {
-        let t_scoring = self.scoring_start(stats, model_bytes, n_records, start, warm);
-        let scoring = self.backend.estimate(stats, n_records, tracer, t_scoring);
-        let b = self.assemble_sized(stats, model_bytes, n_records, &scoring, warm);
-        if tracer.is_enabled() {
-            self.record_query_spans(tracer, start, stats, model_bytes, n_records, &scoring, warm);
-        }
-        b
-    }
-
-    /// The simulated instant at which the backend scoring call begins:
-    /// after Python invocation, inbound marshalling, and both
-    /// pre-processing stages. The chained additions here mirror the span
-    /// chain in `record_query_spans`, so the two stay bit-identical. On the
-    /// warm path the bundle is not marshalled and model pre-processing is a
-    /// cache probe.
-    fn scoring_start(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        start: SimInstant,
-        warm: bool,
-    ) -> SimInstant {
-        let p = &self.params;
-        let data_bytes = n_records * stats.row_bytes() as u64;
-        let inbound_bytes = if warm {
-            data_bytes
-        } else {
-            data_bytes + model_bytes
-        };
-        let model_prep = if warm {
-            p.cache_lookup
-        } else {
-            p.model_preprocess_time(model_bytes)
-        };
-        start
-            + p.python_invocation
-            + p.marshal_time(n_records, inbound_bytes)
-            + model_prep
-            + p.data_preprocess_per_byte * data_bytes as f64
-    }
-
-    /// The simulated instant at which fused scoring begins: after model
-    /// pre-processing (a cache probe when warm) and the per-chunk handoffs.
-    /// Mirrors the span chain in `record_fused_query_spans` so the two stay
-    /// bit-identical.
-    fn fused_scoring_start(
-        &self,
-        start: SimInstant,
-        n_chunks: usize,
-        model_bytes: u64,
-        warm: bool,
-    ) -> SimInstant {
-        let p = &self.params;
-        let model_prep = if warm {
-            p.cache_lookup
-        } else {
-            p.model_preprocess_time(model_bytes)
-        };
-        start + model_prep + p.chunk_handoff * n_chunks as f64
-    }
-
-    /// Assembles the fused breakdown: no Python invocation, no marshal, no
-    /// separate data-pre-processing pass. `DataTransfer` carries only the
-    /// per-chunk handoff cost.
-    fn assemble_fused(
-        &self,
-        model_bytes: u64,
-        n_records: u64,
-        n_chunks: usize,
-        scoring: &TimingBreakdown,
-        warm: bool,
-    ) -> TimingBreakdown {
-        let p = &self.params;
-        let model_prep = if warm {
-            p.cache_lookup
-        } else {
-            p.model_preprocess_time(model_bytes)
-        };
-        let mut b = TimingBreakdown::new();
-        b.add(Stage::ModelPreprocessing, model_prep);
-        b.add(Stage::DataTransfer, p.chunk_handoff * n_chunks as f64);
-        b.add(Stage::Scoring, scoring.total());
-        b.add(
+        .meta("model_bytes", model_bytes);
+        let scoring = Step::new(Stage::Scoring, "scoring", SimDuration::ZERO)
+            .meta("backend", self.backend.name())
+            .meta("records", n_records);
+        let post = Step::new(
             Stage::PostProcessing,
+            "post-processing",
             p.postprocess_per_record * n_records as f64,
         );
-        b
+        match path {
+            // SQL -> Python: the records, plus the model bundle when cold;
+            // Python -> SQL: one prediction per record, after scoring.
+            Path::Staged { row_bytes } => {
+                let data_bytes = n_records * row_bytes;
+                let (marshal, inbound_bytes) = if warm {
+                    ("marshal records", data_bytes)
+                } else {
+                    ("marshal model + records", data_bytes + model_bytes)
+                };
+                vec![
+                    Step::new(
+                        Stage::PythonInvocation,
+                        "python invocation",
+                        p.python_invocation,
+                    ),
+                    Step::new(
+                        Stage::DataTransfer,
+                        marshal,
+                        p.marshal_time(n_records, inbound_bytes),
+                    )
+                    .meta("bytes", inbound_bytes),
+                    model_prep,
+                    Step::new(
+                        Stage::DataPreprocessing,
+                        "data preprocessing",
+                        p.data_preprocess_per_byte * data_bytes as f64,
+                    ),
+                    scoring,
+                    Step::new(
+                        Stage::DataTransfer,
+                        "marshal results",
+                        p.marshal_results_time(n_records),
+                    ),
+                    post,
+                ]
+            }
+            // In process: no Python launch, no marshal, no separate
+            // pre-processing pass. `DataTransfer` carries only the
+            // per-chunk handoff.
+            Path::Fused { n_chunks } => vec![
+                model_prep,
+                Step::new(
+                    Stage::DataTransfer,
+                    "chunk handoff",
+                    p.chunk_handoff * n_chunks as f64,
+                )
+                .meta("chunks", n_chunks),
+                scoring.meta("path", "fused"),
+                post,
+            ],
+        }
     }
 
-    /// Records the fused-path `Query` spans (their fold reproduces the
-    /// fused breakdown exactly) plus one `"fused chunk"` [`Scope::Detail`]
-    /// span per chunk, laid across the scoring interval proportionally to
-    /// each chunk's row count.
-    #[allow(clippy::too_many_arguments)]
-    fn record_fused_query_spans(
+    /// Charges the backend's modelled scoring at the instant the chain
+    /// reaches it (its `Offload` spans land there) into the scoring step,
+    /// and returns the backend's own breakdown.
+    fn charge_scoring(
         &self,
+        steps: &mut [Step],
+        stats: &ModelStats,
+        n_records: u64,
         tracer: &Tracer,
         start: SimInstant,
-        model_bytes: u64,
-        n_records: u64,
-        chunks: &[StreamChunk],
-        scoring: &TimingBreakdown,
-        warm: bool,
-    ) {
-        let p = &self.params;
-        let t = if warm {
-            tracer
-                .span("artifact cache hit", start)
-                .stage(Stage::ModelPreprocessing)
-                .scope(Scope::Query)
-                .track("pipeline", "query")
-                .meta("model_bytes", model_bytes.to_string())
-                .finish_after(p.cache_lookup)
-        } else {
-            tracer
-                .span("model deserialization", start)
-                .stage(Stage::ModelPreprocessing)
-                .scope(Scope::Query)
-                .track("pipeline", "query")
-                .meta("model_bytes", model_bytes.to_string())
-                .finish_after(p.model_preprocess_time(model_bytes))
-        };
-        let t = tracer
-            .span("chunk handoff", t)
-            .stage(Stage::DataTransfer)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .meta("chunks", chunks.len().to_string())
-            .finish_after(p.chunk_handoff * chunks.len() as f64);
-        let t_score = t;
-        let t = tracer
-            .span("scoring", t)
-            .stage(Stage::Scoring)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .meta("backend", self.backend.name())
-            .meta("records", n_records.to_string())
-            .meta("path", "fused")
-            .finish_after(scoring.total());
-        tracer
-            .span("post-processing", t)
-            .stage(Stage::PostProcessing)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .finish_after(p.postprocess_per_record * n_records as f64);
-        if n_records == 0 {
-            return;
+    ) -> TimingBreakdown {
+        let t_scoring = start_of(steps, Stage::Scoring, start);
+        let scoring = self.backend.estimate(stats, n_records, tracer, t_scoring);
+        for step in steps.iter_mut().filter(|s| s.stage == Stage::Scoring) {
+            step.dur = scoring.total();
         }
-        let mut done = 0u64;
-        for (i, c) in chunks.iter().enumerate() {
-            let at = t_score + scoring.total() * (done as f64 / n_records as f64);
-            let dur = scoring.total() * (c.rows as f64 / n_records as f64);
-            let mut span = tracer
-                .span("fused chunk", at)
-                .scope(Scope::Detail)
-                .track("pipeline", "chunks")
-                .meta("chunk", i.to_string())
-                .meta("rows", c.rows.to_string());
-            if let Some(kernel) = c.kernel {
-                span = span.meta("kernel", kernel);
-            }
-            span.finish_after(dur);
-            done += c.rows as u64;
-        }
+        scoring
     }
 
     /// Records the cold-path compile spans ([`Scope::Compile`]): the
@@ -666,133 +380,97 @@ impl<B: ScoringBackend> QueryPipeline<B> {
             .meta("backend", self.backend.name())
             .finish_after(timing.lower);
     }
+}
 
-    /// Records one `Query` span per Fig. 11 stage. The outbound marshalling
-    /// span is recorded *after* the scoring span (it happens later on the
-    /// timeline), which still folds `DataTransfer` in the same
-    /// inbound-then-outbound order as `assemble_sized`'s single add.
-    #[allow(clippy::too_many_arguments)]
-    fn record_query_spans(
-        &self,
-        tracer: &Tracer,
-        start: SimInstant,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        scoring: &TimingBreakdown,
-        warm: bool,
-    ) {
-        let p = &self.params;
-        let data_bytes = n_records * stats.row_bytes() as u64;
-        let inbound_bytes = if warm {
-            data_bytes
-        } else {
-            data_bytes + model_bytes
-        };
-        let t = tracer
-            .span("python invocation", start)
-            .stage(Stage::PythonInvocation)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .finish_after(p.python_invocation);
-        let t = tracer
-            .span(
-                if warm {
-                    "marshal records"
-                } else {
-                    "marshal model + records"
-                },
-                t,
-            )
-            .stage(Stage::DataTransfer)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .meta("bytes", inbound_bytes.to_string())
-            .finish_after(p.marshal_time(n_records, inbound_bytes));
-        let t = if warm {
-            tracer
-                .span("artifact cache hit", t)
-                .stage(Stage::ModelPreprocessing)
-                .scope(Scope::Query)
-                .track("pipeline", "query")
-                .meta("model_bytes", model_bytes.to_string())
-                .finish_after(p.cache_lookup)
-        } else {
-            tracer
-                .span("model deserialization", t)
-                .stage(Stage::ModelPreprocessing)
-                .scope(Scope::Query)
-                .track("pipeline", "query")
-                .meta("model_bytes", model_bytes.to_string())
-                .finish_after(p.model_preprocess_time(model_bytes))
-        };
-        let t = tracer
-            .span("data preprocessing", t)
-            .stage(Stage::DataPreprocessing)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .finish_after(p.data_preprocess_per_byte * data_bytes as f64);
-        let t = tracer
-            .span("scoring", t)
-            .stage(Stage::Scoring)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .meta("backend", self.backend.name())
-            .meta("records", n_records.to_string())
-            .finish_after(scoring.total());
-        let t = tracer
-            .span("marshal results", t)
-            .stage(Stage::DataTransfer)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .finish_after(p.marshal_results_time(n_records));
-        tracer
-            .span("post-processing", t)
-            .stage(Stage::PostProcessing)
-            .scope(Scope::Query)
-            .track("pipeline", "query")
-            .finish_after(p.postprocess_per_record * n_records as f64);
+/// The path as the stage chain sees it, with the size only that path
+/// charges for.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// Marshalled whole: data movement scales with the row width.
+    Staged { row_bytes: u64 },
+    /// Streamed: data movement scales with the number of chunk handoffs.
+    Fused { n_chunks: usize },
+}
+
+/// One charged step of a query: a Fig. 11 stage, the name and metadata of
+/// the `Query` span that shows it, and its modelled duration.
+#[derive(Debug)]
+struct Step {
+    stage: Stage,
+    name: &'static str,
+    dur: SimDuration,
+    meta: Vec<(&'static str, String)>,
+}
+
+impl Step {
+    fn new(stage: Stage, name: &'static str, dur: SimDuration) -> Self {
+        Self {
+            stage,
+            name,
+            dur,
+            meta: Vec::new(),
+        }
     }
 
-    fn assemble_sized(
-        &self,
-        stats: &ModelStats,
-        model_bytes: u64,
-        n_records: u64,
-        scoring: &TimingBreakdown,
-        warm: bool,
-    ) -> TimingBreakdown {
-        let p = &self.params;
-        let data_bytes = n_records * stats.row_bytes() as u64;
-        // SQL -> Python: records, plus the model bundle on the cold path;
-        // Python -> SQL: one prediction per record (4 bytes each).
-        let inbound_bytes = if warm {
-            data_bytes
-        } else {
-            data_bytes + model_bytes
-        };
-        let model_prep = if warm {
-            p.cache_lookup
-        } else {
-            p.model_preprocess_time(model_bytes)
-        };
-        let mut b = TimingBreakdown::new();
-        b.add(Stage::PythonInvocation, p.python_invocation);
-        b.add(
-            Stage::DataTransfer,
-            p.marshal_time(n_records, inbound_bytes) + p.marshal_results_time(n_records),
-        );
-        b.add(Stage::ModelPreprocessing, model_prep);
-        b.add(
-            Stage::DataPreprocessing,
-            p.data_preprocess_per_byte * data_bytes as f64,
-        );
-        b.add(Stage::Scoring, scoring.total());
-        b.add(
-            Stage::PostProcessing,
-            p.postprocess_per_record * n_records as f64,
-        );
-        b
+    fn meta(mut self, key: &'static str, value: impl ToString) -> Self {
+        self.meta.push((key, value.to_string()));
+        self
+    }
+}
+
+/// `start` plus every step charged before the first `stage` step.
+fn start_of(steps: &[Step], stage: Stage, start: SimInstant) -> SimInstant {
+    steps
+        .iter()
+        .take_while(|s| s.stage != stage)
+        .fold(start, |t, s| t + s.dur)
+}
+
+/// Records `steps` as back-to-back [`Scope::Query`] spans from `start`, then
+/// one `"fused chunk"` [`Scope::Detail`] span per entry of `chunks` (none on
+/// the staged path), laid across the scoring interval in proportion to each
+/// chunk's row count.
+fn record_spans(
+    tracer: &Tracer,
+    steps: &[Step],
+    start: SimInstant,
+    n_records: u64,
+    chunks: &[StreamChunk],
+) {
+    let mut t = start;
+    let (mut t_score, mut scoring) = (start, SimDuration::ZERO);
+    for step in steps {
+        if step.stage == Stage::Scoring {
+            (t_score, scoring) = (t, step.dur);
+        }
+        let mut span = tracer
+            .span(step.name, t)
+            .stage(step.stage)
+            .scope(Scope::Query)
+            .track("pipeline", "query");
+        for (key, value) in &step.meta {
+            span = span.meta(key, value.as_str());
+        }
+        t = span.finish_after(step.dur);
+    }
+    if n_records == 0 {
+        return;
+    }
+    let mut done = 0u64;
+    for (i, c) in chunks.iter().enumerate() {
+        let at = t_score + scoring * (done as f64 / n_records as f64);
+        let dur = scoring * (c.rows as f64 / n_records as f64);
+        let mut span = tracer
+            .span("fused chunk", at)
+            .scope(Scope::Detail)
+            .track("pipeline", "chunks")
+            .meta("chunk", i.to_string())
+            .meta("rows", c.rows.to_string());
+        if let Some(kernel) = c.kernel {
+            span = span.meta("kernel", kernel);
+        }
+        span.finish_after(dur);
+        done += c.rows as u64;
     }
 }
 
@@ -837,11 +515,43 @@ mod tests {
         (bundle, Dataset::iris(300, 2).normalized(), forest)
     }
 
+    /// An untraced staged execution over the whole frame.
+    fn staged<B: ScoringBackend>(
+        pipeline: &QueryPipeline<B>,
+        bundle: &ModelBundle,
+        frame: &TabularFrame,
+    ) -> Result<QueryRun, PipelineError> {
+        pipeline.execute(
+            bundle,
+            Records::Staged(frame),
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        )
+    }
+
+    /// An untraced estimate.
+    fn estimate<B: ScoringBackend>(
+        pipeline: &QueryPipeline<B>,
+        plan: QueryPlan,
+        stats: &ModelStats,
+        model_bytes: u64,
+        n_records: u64,
+    ) -> TimingBreakdown {
+        pipeline.estimate(
+            plan,
+            stats,
+            model_bytes,
+            n_records,
+            &Tracer::disabled(),
+            SimInstant::ZERO,
+        )
+    }
+
     #[test]
     fn functional_execution_returns_reference_predictions() {
         let (bundle, data, forest) = setup(10, 6);
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(4));
-        let run = pipeline.execute(&bundle, data.frame()).unwrap();
+        let run = staged(&pipeline, &bundle, data.frame()).unwrap();
         assert_eq!(
             run.predictions,
             forest.predict_batch(data.frame().as_slice())
@@ -852,7 +562,7 @@ mod tests {
     fn breakdown_contains_all_fig11_stages() {
         let (bundle, data, _) = setup(4, 5);
         let pipeline = QueryPipeline::new(OnnxCpu::single_thread());
-        let run = pipeline.execute(&bundle, data.frame()).unwrap();
+        let run = staged(&pipeline, &bundle, data.frame()).unwrap();
         for stage in Stage::query_breakdown_order() {
             assert!(
                 !run.breakdown.get(stage).is_zero(),
@@ -871,7 +581,8 @@ mod tests {
         let stats = ModelStats::of(&forest);
         let bundle = ModelBundle::serialize(&forest);
         let pipeline = QueryPipeline::new(OnnxCpu::single_thread());
-        let b = pipeline.estimate(&stats, bundle.len() as u64, 1);
+        let cold = QueryPlan::Staged { warm: false };
+        let b = estimate(&pipeline, cold, &stats, bundle.len() as u64, 1);
         assert_eq!(b.dominant().unwrap().0, Stage::PythonInvocation);
     }
 
@@ -881,7 +592,7 @@ mod tests {
         let bundle = ModelBundle::from_bytes(bytes::Bytes::from_static(b"garbage"));
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(2));
         assert!(matches!(
-            pipeline.execute(&bundle, data.frame()),
+            staged(&pipeline, &bundle, data.frame()),
             Err(PipelineError::Model(_))
         ));
     }
@@ -892,7 +603,7 @@ mod tests {
         let wrong = TabularFrame::from_rows(vec![0.0; 6], 2).unwrap();
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(2));
         assert!(matches!(
-            pipeline.execute(&bundle, &wrong),
+            staged(&pipeline, &bundle, &wrong),
             Err(PipelineError::Backend(_))
         ));
     }
@@ -903,9 +614,14 @@ mod tests {
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(4));
         let tracer = Tracer::new();
         let run = pipeline
-            .execute_traced(&bundle, data.frame(), &tracer, SimInstant::ZERO)
+            .execute(
+                &bundle,
+                Records::Staged(data.frame()),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
-        assert_eq!(run, pipeline.execute(&bundle, data.frame()).unwrap());
+        assert_eq!(run, staged(&pipeline, &bundle, data.frame()).unwrap());
         let trace = tracer.take();
         assert_eq!(trace.breakdown(Scope::Query), run.breakdown);
         assert_eq!(trace.breakdown(Scope::Offload), run.scoring_breakdown);
@@ -917,7 +633,12 @@ mod tests {
         let pipeline = QueryPipeline::new(OnnxCpu::paper_52th());
         let tracer = Tracer::new();
         pipeline
-            .execute_traced(&bundle, data.frame(), &tracer, SimInstant::ZERO)
+            .execute(
+                &bundle,
+                Records::Staged(data.frame()),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
         let trace = tracer.take();
         let scoring = trace
@@ -928,7 +649,7 @@ mod tests {
         // Bit-exactness is promised for breakdown folds, not instants: the
         // chained span ends can drift from `start + total()` by an ulp, so
         // nesting is asserted to a 1 ns tolerance.
-        let slack = mlscore_sim::SimDuration::from_nanos(1.0);
+        let slack = SimDuration::from_nanos(1.0);
         for ev in trace.events() {
             if ev.scope == Scope::Offload {
                 assert!(
@@ -959,12 +680,17 @@ mod tests {
         };
         let tracer = Tracer::new();
         pipeline
-            .execute_traced(bundle, frame, &tracer, SimInstant::ZERO)
+            .execute(bundle, Records::Staged(frame), &tracer, SimInstant::ZERO)
             .unwrap();
         let staged = workers(&tracer);
-        let mut stream = mlscore_data::FrameScanner::new(frame, chunk_rows);
+        let mut stream = FrameScanner::new(frame, chunk_rows);
         pipeline
-            .execute_fused_traced(bundle, &mut stream, &tracer, SimInstant::ZERO)
+            .execute(
+                bundle,
+                Records::Fused(&mut stream),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
         (staged, workers(&tracer))
     }
@@ -997,8 +723,10 @@ mod tests {
         let (bundle, _, forest) = setup(4, 6);
         let stats = ModelStats::of(&forest);
         let pipeline = QueryPipeline::new(SklearnCpu::paper_default());
+        let cold = QueryPlan::Staged { warm: false };
         let tracer = Tracer::new();
-        let traced = pipeline.estimate_traced(
+        let traced = pipeline.estimate(
+            cold,
             &stats,
             bundle.len() as u64,
             1_000_000,
@@ -1007,7 +735,7 @@ mod tests {
         );
         assert_eq!(
             traced,
-            pipeline.estimate(&stats, bundle.len() as u64, 1_000_000)
+            estimate(&pipeline, cold, &stats, bundle.len() as u64, 1_000_000)
         );
         assert_eq!(tracer.take().breakdown(Scope::Query), traced);
     }
@@ -1015,10 +743,10 @@ mod tests {
     #[test]
     fn cached_execute_hits_and_scores_identically() {
         let (bundle, data, forest) = setup(8, 6);
-        let cache = Arc::new(mlscore_backend::ArtifactCache::new(4));
+        let cache = Arc::new(ArtifactCache::new(4));
         let pipeline = QueryPipeline::new(OnnxCpu::single_thread()).with_cache(Arc::clone(&cache));
-        let cold = pipeline.execute(&bundle, data.frame()).unwrap();
-        let warm = pipeline.execute(&bundle, data.frame()).unwrap();
+        let cold = staged(&pipeline, &bundle, data.frame()).unwrap();
+        let warm = staged(&pipeline, &bundle, data.frame()).unwrap();
         assert_eq!(cold.cache, CacheOutcome::Miss);
         assert_eq!(warm.cache, CacheOutcome::Hit);
         assert_eq!(warm.predictions, cold.predictions);
@@ -1044,9 +772,9 @@ mod tests {
         let (bundle, data, _) = setup(6, 5);
         let uncached = QueryPipeline::new(OnnxCpu::single_thread());
         let cached = QueryPipeline::new(OnnxCpu::single_thread())
-            .with_cache(Arc::new(mlscore_backend::ArtifactCache::new(4)));
-        let bypass = uncached.execute(&bundle, data.frame()).unwrap();
-        let miss = cached.execute(&bundle, data.frame()).unwrap();
+            .with_cache(Arc::new(ArtifactCache::new(4)));
+        let bypass = staged(&uncached, &bundle, data.frame()).unwrap();
+        let miss = staged(&cached, &bundle, data.frame()).unwrap();
         assert_eq!(bypass.cache, CacheOutcome::Bypass);
         assert_eq!(miss.cache, CacheOutcome::Miss);
         assert_eq!(miss.breakdown, bypass.breakdown);
@@ -1058,11 +786,16 @@ mod tests {
     fn compile_spans_are_recorded_cold_only() {
         let (bundle, data, _) = setup(6, 5);
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(2))
-            .with_cache(Arc::new(mlscore_backend::ArtifactCache::new(4)));
+            .with_cache(Arc::new(ArtifactCache::new(4)));
 
         let tracer = Tracer::new();
         pipeline
-            .execute_traced(&bundle, data.frame(), &tracer, SimInstant::ZERO)
+            .execute(
+                &bundle,
+                Records::Staged(data.frame()),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
         let cold = tracer.take();
         let compile_names: Vec<_> = cold
@@ -1079,7 +812,12 @@ mod tests {
 
         let tracer = Tracer::new();
         let warm = pipeline
-            .execute_traced(&bundle, data.frame(), &tracer, SimInstant::ZERO)
+            .execute(
+                &bundle,
+                Records::Staged(data.frame()),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
         assert_eq!(warm.cache, CacheOutcome::Hit);
         let trace = tracer.take();
@@ -1102,38 +840,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_estimate_matches_warm_execute_breakdown() {
-        let (bundle, data, forest) = setup(6, 5);
-        let pipeline = QueryPipeline::new(OnnxCpu::single_thread())
-            .with_cache(Arc::new(mlscore_backend::ArtifactCache::new(4)));
-        pipeline.execute(&bundle, data.frame()).unwrap();
-        let warm = pipeline.execute(&bundle, data.frame()).unwrap();
-        let est = pipeline.estimate_warm(
-            &ModelStats::of(&forest),
-            bundle.len() as u64,
-            data.frame().n_rows() as u64,
-        );
-        assert_eq!(warm.breakdown, est);
-        let cold_est = pipeline.estimate(
-            &ModelStats::of(&forest),
-            bundle.len() as u64,
-            data.frame().n_rows() as u64,
-        );
-        assert!(est.total() < cold_est.total());
-    }
-
-    #[test]
     fn fused_execute_matches_staged_predictions() {
-        use mlscore_data::{FrameScanner, NormParams, NormalizeStream};
+        use mlscore_data::{NormParams, NormalizeStream};
         let (bundle, data, forest) = setup(10, 6);
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(4));
-        let staged = pipeline.execute(&bundle, data.frame()).unwrap();
+        let staged = staged(&pipeline, &bundle, data.frame()).unwrap();
         // Fused featurization: normalize per chunk off the raw frame, with
         // the params the staged path's whole-frame normalize would fit.
         let raw = Dataset::iris(300, 2);
         let params = NormParams::fit(raw.frame());
         let mut stream = NormalizeStream::new(FrameScanner::new(raw.frame(), 64), params);
-        let fused = pipeline.execute_fused(&bundle, &mut stream).unwrap();
+        let fused = pipeline
+            .execute(
+                &bundle,
+                Records::Fused(&mut stream),
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+            )
+            .unwrap();
         assert_eq!(fused.predictions, staged.predictions);
         assert_eq!(
             fused.predictions,
@@ -1153,17 +877,21 @@ mod tests {
 
     #[test]
     fn fused_traced_folds_to_breakdown_and_records_chunk_detail() {
-        use mlscore_data::FrameScanner;
         let (bundle, data, _) = setup(8, 6);
-        let cache = Arc::new(mlscore_backend::ArtifactCache::new(4));
+        let cache = Arc::new(ArtifactCache::new(4));
         let pipeline = QueryPipeline::new(OnnxCpu::with_threads(4)).with_cache(Arc::clone(&cache));
         // Warm the cache so the fused query runs the cache-resident path.
-        pipeline.execute(&bundle, data.frame()).unwrap();
+        staged(&pipeline, &bundle, data.frame()).unwrap();
 
         let tracer = Tracer::new();
         let mut stream = FrameScanner::new(data.frame(), 64);
         let run = pipeline
-            .execute_fused_traced(&bundle, &mut stream, &tracer, SimInstant::ZERO)
+            .execute(
+                &bundle,
+                Records::Fused(&mut stream),
+                &tracer,
+                SimInstant::ZERO,
+            )
             .unwrap();
         assert_eq!(run.cache, CacheOutcome::Hit);
         let trace = tracer.take();
@@ -1197,49 +925,58 @@ mod tests {
         );
     }
 
+    /// For every plan, the estimate equals the breakdown of the same query
+    /// executed for real: warm after one priming query, fused over 64-row
+    /// chunks.
     #[test]
-    fn fused_estimate_matches_fused_execute_breakdown() {
-        use mlscore_data::FrameScanner;
+    fn estimate_matches_execute_for_every_plan() {
         let (bundle, data, forest) = setup(6, 5);
-        let cache = Arc::new(mlscore_backend::ArtifactCache::new(4));
-        let pipeline = QueryPipeline::new(OnnxCpu::single_thread()).with_cache(Arc::clone(&cache));
         let stats = ModelStats::of(&forest);
-
-        let mut stream = FrameScanner::new(data.frame(), 64);
-        let cold = pipeline.execute_fused(&bundle, &mut stream).unwrap();
-        assert_eq!(
-            cold.breakdown,
-            pipeline.estimate_fused(&stats, bundle.len() as u64, 300, 64)
-        );
-
-        let mut stream = FrameScanner::new(data.frame(), 64);
-        let warm = pipeline.execute_fused(&bundle, &mut stream).unwrap();
-        assert_eq!(warm.cache, CacheOutcome::Hit);
-        assert_eq!(
-            warm.breakdown,
-            pipeline.estimate_fused_warm(&stats, bundle.len() as u64, 300, 64)
-        );
-        // Fused warm ≤ staged warm: the handoff never exceeds the marshal.
-        assert!(
-            pipeline
-                .estimate_fused_warm(&stats, bundle.len() as u64, 300, 64)
-                .total()
-                < pipeline
-                    .estimate_warm(&stats, bundle.len() as u64, 300)
-                    .total()
-        );
-    }
-
-    #[test]
-    fn estimate_matches_execute_breakdown() {
-        let (bundle, data, forest) = setup(6, 5);
-        let pipeline = QueryPipeline::new(SklearnCpu::with_threads(4));
-        let run = pipeline.execute(&bundle, data.frame()).unwrap();
-        let est = pipeline.estimate(
-            &ModelStats::of(&forest),
-            bundle.len() as u64,
-            data.frame().n_rows() as u64,
-        );
-        assert_eq!(run.breakdown, est);
+        let (model_bytes, n) = (bundle.len() as u64, data.frame().n_rows() as u64);
+        let backends: [fn() -> Box<dyn ScoringBackend>; 2] = [
+            || Box::new(SklearnCpu::with_threads(4)),
+            || Box::new(OnnxCpu::single_thread()),
+        ];
+        for backend in backends {
+            let mut totals = Vec::new();
+            for plan in [
+                QueryPlan::Staged { warm: false },
+                QueryPlan::Staged { warm: true },
+                QueryPlan::Fused {
+                    chunk_rows: 64,
+                    warm: false,
+                },
+                QueryPlan::Fused {
+                    chunk_rows: 64,
+                    warm: true,
+                },
+            ] {
+                let pipeline =
+                    QueryPipeline::new(backend()).with_cache(Arc::new(ArtifactCache::new(4)));
+                let (QueryPlan::Staged { warm } | QueryPlan::Fused { warm, .. }) = plan;
+                if warm {
+                    staged(&pipeline, &bundle, data.frame()).unwrap();
+                }
+                let mut stream = FrameScanner::new(data.frame(), 64);
+                let records = match plan {
+                    QueryPlan::Staged { .. } => Records::Staged(data.frame()),
+                    QueryPlan::Fused { .. } => Records::Fused(&mut stream),
+                };
+                let run = pipeline
+                    .execute(&bundle, records, &Tracer::disabled(), SimInstant::ZERO)
+                    .unwrap();
+                assert_eq!(run.cache == CacheOutcome::Hit, warm, "{plan:?}");
+                let est = estimate(&pipeline, plan, &stats, model_bytes, n);
+                assert_eq!(est, run.breakdown, "{plan:?}");
+                totals.push(est.total());
+            }
+            let [staged_cold, staged_warm, fused_cold, fused_warm] = totals[..] else {
+                unreachable!()
+            };
+            assert!(staged_warm < staged_cold);
+            assert!(fused_warm < fused_cold);
+            // Fused warm < staged warm: the handoff never exceeds the marshal.
+            assert!(fused_warm < staged_warm);
+        }
     }
 }

@@ -9,7 +9,7 @@
 use mlscore::prelude::*;
 use mlscore_forest::ModelBundle;
 use mlscore_fpga::FpgaBackend;
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, QueryPlan};
 use mlscore_telemetry::{folded, perfetto};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let pipeline = QueryPipeline::new(FpgaBackend::paper_default());
     let tracer = Tracer::new();
-    let breakdown = pipeline.estimate_traced(
+    let breakdown = pipeline.estimate(
+        QueryPlan::Staged { warm: false },
         &stats,
         bundle.len() as u64,
         1_000_000,

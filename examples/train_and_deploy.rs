@@ -12,7 +12,7 @@ use mlscore_data::train_test_split;
 use mlscore_forest::{metrics::accuracy, ForestBuilder, ModelBundle, TrainOptions};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, QueryPlan, Records};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Training: a real CART forest on synthetic HIGGS (binary task).
@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for backend in backends {
         let name = backend.name().to_string();
         let pipeline = QueryPipeline::new(backend);
-        let run = pipeline.execute(&bundle, test.frame())?;
+        let records = Records::Staged(test.frame());
+        let run = pipeline.execute(&bundle, records, &Tracer::disabled(), SimInstant::ZERO)?;
         println!(
             "{name:<18} end-to-end {:>12} (scoring {:>12})",
             run.total().to_string(),
@@ -68,9 +69,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nend-to-end breakdown at 1M records, FPGA-offloaded scoring:");
     let stats = ModelStats::of(&forest);
     let pipeline = QueryPipeline::new(FpgaBackend::paper_default());
+    let cold = QueryPlan::Staged { warm: false };
     println!(
         "{}",
-        pipeline.estimate(&stats, bundle.len() as u64, 1_000_000)
+        pipeline.estimate(
+            cold,
+            &stats,
+            bundle.len() as u64,
+            1_000_000,
+            &Tracer::disabled(),
+            SimInstant::ZERO
+        )
     );
     Ok(())
 }

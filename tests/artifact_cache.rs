@@ -14,7 +14,7 @@ use mlscore_backend::{ArtifactCache, CacheOutcome, CompiledModel, OnnxCpu, Sklea
 use mlscore_forest::{ModelBundle, Predictions};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, Records};
 use mlscore_sim::SimInstant;
 use mlscore_telemetry::{perfetto, Scope, Tracer};
 
@@ -91,8 +91,12 @@ fn second_execute_is_a_hit_with_identical_scoring_breakdown() {
     for backend in all_backends() {
         let name = backend.name().to_string();
         let pipeline = QueryPipeline::new(backend).with_cache(Arc::new(ArtifactCache::new(4)));
-        let cold = pipeline.execute(&bundle, &frame).unwrap();
-        let warm = pipeline.execute(&bundle, &frame).unwrap();
+        let query = || {
+            let records = Records::Staged(&frame);
+            pipeline.execute(&bundle, records, &Tracer::disabled(), SimInstant::ZERO)
+        };
+        let cold = query().unwrap();
+        let warm = query().unwrap();
         assert_eq!(cold.cache, CacheOutcome::Miss, "{name}");
         assert_eq!(warm.cache, CacheOutcome::Hit, "{name}");
         assert_eq!(warm.predictions, cold.predictions, "{name}");
@@ -117,7 +121,7 @@ fn warm_cold_split_is_visible_in_perfetto_export() {
 
     let tracer = Tracer::new();
     pipeline
-        .execute_traced(&bundle, &frame, &tracer, SimInstant::ZERO)
+        .execute(&bundle, Records::Staged(&frame), &tracer, SimInstant::ZERO)
         .unwrap();
     let cold_trace = tracer.take();
     assert!(cold_trace
@@ -134,7 +138,7 @@ fn warm_cold_split_is_visible_in_perfetto_export() {
 
     let tracer = Tracer::new();
     pipeline
-        .execute_traced(&bundle, &frame, &tracer, SimInstant::ZERO)
+        .execute(&bundle, Records::Staged(&frame), &tracer, SimInstant::ZERO)
         .unwrap();
     let warm_trace = tracer.take();
     assert!(!warm_trace

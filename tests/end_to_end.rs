@@ -7,7 +7,17 @@ use mlscore_backend::{OnnxCpu, SklearnCpu};
 use mlscore_forest::{metrics::accuracy, ForestBuilder, ModelBundle, TrainOptions};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{PipelineError, QueryPipeline, QueryRun, Records};
+
+/// Runs one untraced staged query on a fresh pipeline over `backend`.
+fn query<B: ScoringBackend>(
+    backend: B,
+    bundle: &ModelBundle,
+    frame: &TabularFrame,
+) -> Result<QueryRun, PipelineError> {
+    let untraced = Tracer::disabled();
+    QueryPipeline::new(backend).execute(bundle, Records::Staged(frame), &untraced, SimInstant::ZERO)
+}
 
 /// Trains a small classifier on IRIS-like data and returns (bundle, test
 /// set, expected accuracy floor already verified).
@@ -39,8 +49,7 @@ fn trained_iris() -> (ModelBundle, Dataset) {
 #[test]
 fn trained_model_flows_through_every_backend() {
     let (bundle, test) = trained_iris();
-    let reference = QueryPipeline::new(SklearnCpu::with_threads(1))
-        .execute(&bundle, test.frame())
+    let reference = query(SklearnCpu::with_threads(1), &bundle, test.frame())
         .unwrap()
         .predictions;
     let backends: Vec<Box<dyn ScoringBackend>> = vec![
@@ -51,9 +60,7 @@ fn trained_model_flows_through_every_backend() {
     ];
     for backend in backends {
         let name = backend.name().to_string();
-        let run = QueryPipeline::new(backend)
-            .execute(&bundle, test.frame())
-            .unwrap();
+        let run = query(backend, &bundle, test.frame()).unwrap();
         assert_eq!(run.predictions, reference, "{name}");
         // Every Fig. 11 stage must be present.
         for stage in Stage::query_breakdown_order() {
@@ -68,10 +75,8 @@ fn trained_model_flows_through_every_backend() {
 #[test]
 fn rapids_pipeline_rejects_multiclass_model() {
     let (bundle, test) = trained_iris(); // 3 classes
-    let err = QueryPipeline::new(RapidsFil::p100())
-        .execute(&bundle, test.frame())
-        .unwrap_err();
-    assert!(matches!(err, mlscore_pipeline::PipelineError::Backend(_)));
+    let err = query(RapidsFil::p100(), &bundle, test.frame()).unwrap_err();
+    assert!(matches!(err, PipelineError::Backend(_)));
 }
 
 #[test]
@@ -102,18 +107,14 @@ fn trained_higgs_binary_model_works_on_rapids() {
     );
 
     let bundle = ModelBundle::serialize(&forest);
-    let run = QueryPipeline::new(RapidsFil::p100())
-        .execute(&bundle, test.frame())
-        .unwrap();
+    let run = query(RapidsFil::p100(), &bundle, test.frame()).unwrap();
     assert_eq!(run.predictions, preds);
 }
 
 #[test]
 fn scoring_breakdown_is_a_component_of_the_query_breakdown() {
     let (bundle, test) = trained_iris();
-    let run = QueryPipeline::new(FpgaBackend::paper_default())
-        .execute(&bundle, test.frame())
-        .unwrap();
+    let run = query(FpgaBackend::paper_default(), &bundle, test.frame()).unwrap();
     assert_eq!(
         run.breakdown.get(Stage::Scoring),
         run.scoring_breakdown.total(),
@@ -128,12 +129,8 @@ fn deep_model_is_rejected_by_fpga_but_accepted_by_cpu() {
     let forest = RandomForest::synthetic_full(&cfg, 8);
     let bundle = ModelBundle::serialize(&forest);
     let data = Dataset::iris(50, 2).normalized();
-    assert!(QueryPipeline::new(FpgaBackend::paper_default())
-        .execute(&bundle, data.frame())
-        .is_err());
-    assert!(QueryPipeline::new(SklearnCpu::with_threads(2))
-        .execute(&bundle, data.frame())
-        .is_ok());
+    assert!(query(FpgaBackend::paper_default(), &bundle, data.frame()).is_err());
+    assert!(query(SklearnCpu::with_threads(2), &bundle, data.frame()).is_ok());
 }
 
 #[test]
@@ -143,11 +140,7 @@ fn bundle_survives_storage_roundtrip_through_pipeline() {
     let (bundle, test) = trained_iris();
     let stored: Vec<u8> = bundle.as_bytes().to_vec();
     let restored = ModelBundle::from_bytes(bytes::Bytes::from(stored));
-    let a = QueryPipeline::new(OnnxCpu::single_thread())
-        .execute(&bundle, test.frame())
-        .unwrap();
-    let b = QueryPipeline::new(OnnxCpu::single_thread())
-        .execute(&restored, test.frame())
-        .unwrap();
+    let a = query(OnnxCpu::single_thread(), &bundle, test.frame()).unwrap();
+    let b = query(OnnxCpu::single_thread(), &restored, test.frame()).unwrap();
     assert_eq!(a.predictions, b.predictions);
 }

@@ -12,7 +12,7 @@ use mlscore_backend::{OnnxCpu, SklearnCpu};
 use mlscore_forest::ModelBundle;
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
-use mlscore_pipeline::QueryPipeline;
+use mlscore_pipeline::{QueryPipeline, QueryPlan};
 use mlscore_telemetry::{json, perfetto};
 
 fn backend(idx: usize) -> Box<dyn ScoringBackend> {
@@ -26,14 +26,28 @@ fn backend(idx: usize) -> Box<dyn ScoringBackend> {
     }
 }
 
-/// Runs a traced pipeline estimate and returns everything a property needs
-/// to compare against the untraced path.
+/// The four query plans: staged or fused (512-row chunks), cold or warm.
+fn plan(idx: usize) -> QueryPlan {
+    let warm = idx % 2 == 1;
+    if idx % 4 < 2 {
+        QueryPlan::Staged { warm }
+    } else {
+        QueryPlan::Fused {
+            chunk_rows: 512,
+            warm,
+        }
+    }
+}
+
+/// Runs a traced pipeline estimate of `plan` and returns everything a
+/// property needs to compare against the untraced path.
 fn run_traced(
     trees: usize,
     depth: usize,
     features: usize,
     n_records: u64,
     idx: usize,
+    plan: QueryPlan,
 ) -> (TimingBreakdown, TimingBreakdown, TimingBreakdown, Trace) {
     let forest = RandomForest::synthetic_full(
         &ForestConfig::classification(trees, features, 2).with_depth(depth),
@@ -45,16 +59,20 @@ fn run_traced(
     let direct_scoring =
         backend(idx).estimate(&stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
     let pipeline = QueryPipeline::new(backend(idx));
-    let direct = pipeline.estimate(&stats, bundle.len() as u64, n_records);
+    let estimate = |tracer: &Tracer| {
+        pipeline.estimate(
+            plan,
+            &stats,
+            bundle.len() as u64,
+            n_records,
+            tracer,
+            SimInstant::ZERO,
+        )
+    };
+    let direct = estimate(&Tracer::disabled());
 
     let tracer = Tracer::new();
-    let traced = pipeline.estimate_traced(
-        &stats,
-        bundle.len() as u64,
-        n_records,
-        &tracer,
-        SimInstant::ZERO,
-    );
+    let traced = estimate(&tracer);
     (direct, direct_scoring, traced, tracer.take())
 }
 
@@ -64,7 +82,7 @@ proptest! {
     /// The tentpole contract: folding the recorded spans back into a
     /// `TimingBreakdown` gives *exactly* the breakdown the untraced code
     /// path computes — for the Fig. 11 query scope and the Fig. 6/7
-    /// offload scope alike, on every backend.
+    /// offload scope alike, on every backend and every query plan.
     #[test]
     fn span_fold_equals_direct_breakdown(
         trees in 1usize..150,
@@ -72,11 +90,12 @@ proptest! {
         wide in any::<bool>(),
         exp in 0u32..7,
         idx in 0usize..6,
+        plan_idx in 0usize..4,
     ) {
         let features = if wide { 28 } else { 4 };
         let n_records = 10u64.pow(exp);
         let (direct, direct_scoring, traced, trace) =
-            run_traced(trees, depth, features, n_records, idx);
+            run_traced(trees, depth, features, n_records, idx, plan(plan_idx));
 
         prop_assert_eq!(&traced, &direct);
         prop_assert_eq!(trace.breakdown(Scope::Query), direct);
@@ -90,8 +109,10 @@ proptest! {
         trees in 1usize..150,
         exp in 0u32..7,
         idx in 0usize..6,
+        plan_idx in 0usize..4,
     ) {
-        let (direct, _, traced, _) = run_traced(trees, 8, 28, 10u64.pow(exp), idx);
+        let (direct, _, traced, _) =
+            run_traced(trees, 8, 28, 10u64.pow(exp), idx, plan(plan_idx));
         prop_assert_eq!(traced.total(), direct.total());
     }
 }
@@ -124,7 +145,8 @@ fn lanes_of(doc: &json::JsonValue) -> BTreeMap<(u64, u64), Vec<(f64, f64)>> {
 #[test]
 fn perfetto_export_parses_with_consistent_lane_timestamps() {
     for idx in 0..6 {
-        let (_, _, _, trace) = run_traced(128, 10, 28, 1_000_000, idx);
+        let cold = QueryPlan::Staged { warm: false };
+        let (_, _, _, trace) = run_traced(128, 10, 28, 1_000_000, idx, cold);
         assert!(trace.len() >= 7, "backend {idx}: too few spans");
 
         let text = perfetto::to_json(&trace);
