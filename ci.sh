@@ -51,6 +51,24 @@ grep -q '"fleet::sim::run_fleet" -> "serve::engine::ServeEngine::run"' \
 grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::Run::step_all"' \
     target/callgraph.a.dot
 
+echo "== perfbench smoke (analyzer benchmark, one short run per workload) =="
+# perfbench is a workspace of its own, so the workspace build, tests and
+# clippy above never compile it against the analyzer's public API. Run the
+# benchmark command from BENCHMARK.json briefly on every workload; each
+# run must end in a correct verdict with no failed repeats.
+for w in tokens callgraph waivers; do
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "perfbench $w: $last"
+    case "$last" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "ci: perfbench $w did not report a correct run: $last" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "== bench smoke (repro bench --quick, once per kernel) =="
 # Quick measured sweep into a scratch file, once per vector-tier filter:
 # exercises the wall-clock harness end to end — including the warm+cold

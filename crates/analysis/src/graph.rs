@@ -169,7 +169,7 @@ impl CallGraph {
     /// Builds the graph from already-scanned, already-parsed files.
     /// `files` is `(rel_path, scan, items)` — the same single-lex scans
     /// the token lints run over.
-    pub fn build(files: &[(String, &FileScan, &[Item])]) -> CallGraph {
+    pub fn build(files: &[(String, &FileScan<'_>, &[Item])]) -> CallGraph {
         let mut graph = CallGraph::default();
         for (file_idx, (path, scan, items)) in files.iter().enumerate() {
             let krate = crate_of(path).to_string();
@@ -397,7 +397,7 @@ impl CallGraph {
 #[allow(clippy::too_many_arguments)]
 fn collect_fns(
     out: &mut Vec<FnNode>,
-    scan: &FileScan,
+    scan: &FileScan<'_>,
     items: &[Item],
     prefix: &[String],
     self_ty: Option<&str>,
@@ -458,7 +458,7 @@ fn collect_fns(
 
 /// Extracts call sites and hazard sites from a fn body's significant-token
 /// range `(open, close)` (the braces themselves excluded).
-fn extract_body(scan: &FileScan, open: usize, close: usize) -> (Vec<CallSite>, Vec<Hazard>) {
+fn extract_body(scan: &FileScan<'_>, open: usize, close: usize) -> (Vec<CallSite>, Vec<Hazard>) {
     let mut calls = Vec::new();
     let mut hazards = Vec::new();
     let mut push_hazard = |kind: HazardKind, i: usize, what: String| {
@@ -478,7 +478,7 @@ fn extract_body(scan: &FileScan, open: usize, close: usize) -> (Vec<CallSite>, V
         // --- calls ---------------------------------------------------
         if t.kind == TokenKind::Ident
             && scan.punct(j + 1, "(")
-            && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
+            && !NON_CALL_KEYWORDS.contains(&t.text)
             && !scan.punct(j.wrapping_sub(1), "!")
             && !scan.ident(j.wrapping_sub(1), "fn")
         {
@@ -488,10 +488,10 @@ fn extract_body(scan: &FileScan, open: usize, close: usize) -> (Vec<CallSite>, V
                 && scan.punct(j - 1, ":")
                 && scan.punct(j - 2, ":")
                 && scan.tok(j - 3).kind == TokenKind::Ident)
-                .then(|| scan.tok(j - 3).text.clone());
+                .then(|| scan.tok(j - 3).text.to_string());
             if !scan.in_test(t.line) {
                 calls.push(CallSite {
-                    name: t.text.clone(),
+                    name: t.text.to_string(),
                     qualifier,
                     method,
                     line: t.line,
@@ -510,10 +510,7 @@ fn extract_body(scan: &FileScan, open: usize, close: usize) -> (Vec<CallSite>, V
                 format!(".{}()", scan.tok(j + 1).text),
             );
         }
-        if t.kind == TokenKind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && scan.punct(j + 1, "!")
-        {
+        if t.kind == TokenKind::Ident && PANIC_MACROS.contains(&t.text) && scan.punct(j + 1, "!") {
             // `assert*` macros guard invariants; only the unconditional
             // family is a panic hazard on a request path.
             if t.text != "assert" {
@@ -530,7 +527,7 @@ fn extract_body(scan: &FileScan, open: usize, close: usize) -> (Vec<CallSite>, V
             }
         }
         if t.kind == TokenKind::Ident
-            && ALLOC_TYPES.contains(&t.text.as_str())
+            && ALLOC_TYPES.contains(&t.text)
             && scan.punct(j + 1, ":")
             && scan.punct(j + 2, ":")
             && (scan.ident(j + 3, "new") || scan.ident(j + 3, "with_capacity"))
@@ -599,7 +596,7 @@ mod tests {
             .map(|(p, s)| ((*p).to_string(), FileScan::of(s)))
             .collect();
         let parsed: Vec<Vec<Item>> = scans.iter().map(|(_, s)| parse_items(s)).collect();
-        let view: Vec<(String, &FileScan, &[Item])> = scans
+        let view: Vec<(String, &FileScan<'_>, &[Item])> = scans
             .iter()
             .zip(&parsed)
             .map(|((p, s), items)| (p.clone(), s, items.as_slice()))

@@ -46,19 +46,20 @@ pub const SERVING_ROOTS: &[&str] = &[
 /// of these names.
 pub const EXPORT_ROOTS: &[&str] = &["to_json", "to_jsonl", "render_json", "to_dot"];
 
-/// One analyzed file: its path, single-lex scan, and parsed items — the
-/// unit the workspace tier shares between the token lints and the graph.
-pub struct FileUnit {
+/// One analyzed file: its path and single-lex scan — the unit the
+/// workspace tier shares between the token lints and the graph. The scan
+/// borrows the file's source text.
+pub struct FileUnit<'a> {
     /// Workspace-relative path.
     pub path: String,
     /// The file's single-pass scan (token buffer lexed exactly once).
-    pub scan: FileScan,
+    pub scan: FileScan<'a>,
 }
 
 /// Runs all four interprocedural lints. Returns `(active, suppressed)`
 /// findings, unsorted (the caller merges and sorts with the token-lint
 /// findings).
-pub fn run_interproc(units: &[FileUnit], graph: &CallGraph) -> (Vec<Finding>, Vec<Finding>) {
+pub fn run_interproc(units: &[FileUnit<'_>], graph: &CallGraph) -> (Vec<Finding>, Vec<Finding>) {
     let mut active = Vec::new();
     let mut suppressed = Vec::new();
     let mut sink = Sink {
@@ -81,7 +82,7 @@ impl Sink<'_> {
     /// Emits `finding` (built with `suppressed: None`) unless one of
     /// `allow_lints` suppresses it at the site — the first matching
     /// suppression wins and its reason is recorded on the finding.
-    fn emit(&mut self, scan: &FileScan, allow_lints: &[&str], mut finding: Finding) {
+    fn emit(&mut self, scan: &FileScan<'_>, allow_lints: &[&str], mut finding: Finding) {
         for al in allow_lints {
             if let Some(reason) = scan.suppression_reason(al, finding.line) {
                 finding.suppressed = Some(reason.to_string());
@@ -132,7 +133,7 @@ impl LineDedup {
 }
 
 /// P002: panic sites transitively reachable from a serving entry point.
-fn p002(units: &[FileUnit], graph: &CallGraph, sink: &mut Sink<'_>) {
+fn p002(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
     let mut roots = Vec::new();
     for root in SERVING_ROOTS {
         roots.extend(graph.find_suffix(root));
@@ -169,7 +170,7 @@ fn p002(units: &[FileUnit], graph: &CallGraph, sink: &mut Sink<'_>) {
 
 /// H002: allocations transitively reachable from `// analyze: hot`
 /// regions — the callee side of what H001 checks lexically.
-fn h002(units: &[FileUnit], graph: &CallGraph, sink: &mut Sink<'_>) {
+fn h002(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
     // Roots: every callee reached by a call *site* inside a hot region.
     let mut roots = Vec::new();
     let mut origin: BTreeMap<usize, (String, u32)> = BTreeMap::new();
@@ -236,7 +237,7 @@ fn h002(units: &[FileUnit], graph: &CallGraph, sink: &mut Sink<'_>) {
 
 /// D004: determinism taint — wall-clock, RNG, or unordered-map use
 /// reachable from a function that builds a serialized export.
-fn d004(units: &[FileUnit], graph: &CallGraph, sink: &mut Sink<'_>) {
+fn d004(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
     let mut roots = Vec::new();
     for (i, f) in graph.fns.iter().enumerate() {
         if EXPORT_ROOTS.contains(&f.name.as_str()) {
@@ -275,7 +276,7 @@ fn d004(units: &[FileUnit], graph: &CallGraph, sink: &mut Sink<'_>) {
 
 /// A001: crate-layering violations — any `mlscore_<crate>` reference not
 /// allowed by [`crate::layering::LAYERING`].
-fn a001(units: &[FileUnit], sink: &mut Sink<'_>) {
+fn a001(units: &[FileUnit<'_>], sink: &mut Sink<'_>) {
     for unit in units {
         let krate = crate_of(&unit.path);
         let Some(allowed) = allowed_of(krate) else {

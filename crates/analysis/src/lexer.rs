@@ -7,6 +7,10 @@
 //! `tests/lexer_roundtrip.rs`), which guarantees no source region silently
 //! escapes scanning.
 //!
+//! The lexer is also *zero-copy*: a [`Token`]'s `text` is a slice of the
+//! source it was lexed from, so lexing allocates only the token vector,
+//! never per token, and the tokens live no longer than the source.
+//!
 //! Comments and string/char literals are single tokens, so lint passes that
 //! match identifiers can never fire on prose, doc examples, or string
 //! contents.
@@ -38,27 +42,27 @@ pub enum TokenKind {
 }
 
 /// One lossless token: its kind, exact source text, 1-based start line,
-/// and byte offset of its first byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+/// and byte offset of its first byte. The text borrows the lexed source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// Classification.
     pub kind: TokenKind,
-    /// The exact bytes of the token as they appear in the source.
-    pub text: String,
+    /// The exact bytes of the token: a slice of the source, never a copy.
+    pub text: &'a str,
     /// 1-based line of the token's first byte.
     pub line: u32,
     /// 0-based byte offset of the token's first byte in the source.
     pub offset: usize,
 }
 
-impl Token {
+impl Token<'_> {
     /// Byte offset one past the token's last byte.
     pub fn end_offset(&self) -> usize {
         self.offset + self.text.len()
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.text)
     }
@@ -68,7 +72,7 @@ impl fmt::Display for Token {
 ///
 /// Never fails: malformed input degrades to `Unknown` single-char tokens,
 /// and unterminated literals/comments extend to end of input.
-pub fn lex(source: &str) -> Vec<Token> {
+pub fn lex(source: &str) -> Vec<Token<'_>> {
     Lexer {
         src: source,
         bytes: source.as_bytes(),
@@ -81,8 +85,8 @@ pub fn lex(source: &str) -> Vec<Token> {
 
 /// Concatenates the tokens' text; equal to the lexed source by
 /// construction.
-pub fn render(tokens: &[Token]) -> String {
-    tokens.iter().map(|t| t.text.as_str()).collect()
+pub fn render(tokens: &[Token<'_>]) -> String {
+    tokens.iter().map(|t| t.text).collect()
 }
 
 struct Lexer<'a> {
@@ -90,16 +94,16 @@ struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    out: Vec<Token>,
+    out: Vec<Token<'a>>,
 }
 
-impl Lexer<'_> {
-    fn run(mut self) -> Vec<Token> {
+impl<'a> Lexer<'a> {
+    fn run(mut self) -> Vec<Token<'a>> {
         while self.pos < self.bytes.len() {
             let start = self.pos;
             let line = self.line;
             let kind = self.next_kind();
-            let text = self.src[start..self.pos].to_string();
+            let text = &self.src[start..self.pos];
             debug_assert!(self.pos > start, "lexer must always make progress");
             self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
             self.out.push(Token {
@@ -264,7 +268,14 @@ impl Lexer<'_> {
     fn char_body(&mut self) {
         match self.peek(0) {
             Some(b'\\') => {
-                self.pos += 2.min(self.bytes.len() - self.pos);
+                // Step over the backslash and the whole escaped scalar,
+                // which may be multi-byte (`'\é'`): the token must end on
+                // a char boundary.
+                self.pos += 1;
+                self.pos += self.src[self.pos..]
+                    .chars()
+                    .next()
+                    .map_or(0, char::len_utf8);
                 // Escapes like \u{1F600} have a bracketed payload.
                 if self.peek(0) == Some(b'{') {
                     while !matches!(self.peek(0), None | Some(b'}')) {
@@ -360,7 +371,7 @@ mod tests {
         lex(src)
             .into_iter()
             .filter(|t| t.kind != TokenKind::Whitespace)
-            .map(|t| (t.kind, t.text))
+            .map(|t| (t.kind, t.text.to_string()))
             .collect()
     }
 
@@ -385,7 +396,7 @@ fn f<'a>(x: &'a [u8]) -> u64 {
     #[test]
     fn identifiers_inside_strings_and_comments_stay_opaque() {
         let src = "// HashMap\nlet s = \"HashMap\"; /* HashMap */ let h = 1;";
-        let idents: Vec<String> = lex(src)
+        let idents: Vec<&str> = lex(src)
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -421,7 +432,7 @@ fn f<'a>(x: &'a [u8]) -> u64 {
     #[test]
     fn line_numbers_track_every_token_kind() {
         let src = "a\n\"two\nlines\"\nb /* c\nd */ e";
-        let lines: Vec<(String, u32)> = lex(src)
+        let lines: Vec<(&str, u32)> = lex(src)
             .into_iter()
             .filter(|t| t.kind != TokenKind::Whitespace)
             .map(|t| (t.text, t.line))
@@ -429,11 +440,11 @@ fn f<'a>(x: &'a [u8]) -> u64 {
         assert_eq!(
             lines,
             [
-                ("a".to_string(), 1),
-                ("\"two\nlines\"".to_string(), 2),
-                ("b".to_string(), 4),
-                ("/* c\nd */".to_string(), 4),
-                ("e".to_string(), 5),
+                ("a", 1),
+                ("\"two\nlines\"", 2),
+                ("b", 4),
+                ("/* c\nd */", 4),
+                ("e", 5),
             ]
         );
     }
@@ -449,6 +460,15 @@ fn f<'a>(x: &'a [u8]) -> u64 {
                 "y"
             ]
         );
+    }
+
+    #[test]
+    fn escapes_of_multibyte_scalars_end_on_char_boundaries() {
+        for src in ["'\\é'", "b'\\é'", "x '\\日' y", "'\\é", "b'\\日"] {
+            assert_eq!(render(&lex(src)), src, "lossless on {src:?}");
+        }
+        let toks = kinds("x '\\日' y");
+        assert_eq!(toks[1], (TokenKind::Literal, "'\\日'".to_string()));
     }
 
     #[test]

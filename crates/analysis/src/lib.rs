@@ -202,10 +202,11 @@ fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Analyzes a set of in-memory `(rel_path, source)` files as one
-/// workspace. Each file is lexed exactly once; the single token buffer
-/// is shared by every token lint, the item parser, and the call graph.
+/// workspace. Each file is lexed exactly once; the single token buffer,
+/// whose tokens borrow `files`, is shared by every token lint, the item
+/// parser, and the call graph.
 pub fn analyze_sources(files: &[(String, String)]) -> WorkspaceAnalysis {
-    let units: Vec<interproc::FileUnit> = files
+    let units: Vec<interproc::FileUnit<'_>> = files
         .iter()
         .map(|(path, source)| interproc::FileUnit {
             path: path.clone(),
@@ -223,7 +224,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> WorkspaceAnalysis {
         suppressed.extend(supp);
     }
 
-    let graph_input: Vec<(String, &FileScan, &[parser::Item])> = units
+    let graph_input: Vec<(String, &FileScan<'_>, &[parser::Item])> = units
         .iter()
         .zip(items.iter())
         .map(|(u, it)| (u.path.clone(), &u.scan, it.as_slice()))

@@ -65,7 +65,7 @@ struct RawFinding {
 /// `(active, suppressed)`: test-region findings are dropped, findings
 /// covered by a well-formed allow move to the suppressed list with the
 /// allow's reason attached. Both lists are sorted by `(line, lint)`.
-pub fn run_lints_all(rel_path: &str, scan: &FileScan) -> (Vec<Finding>, Vec<Finding>) {
+pub fn run_lints_all(rel_path: &str, scan: &FileScan<'_>) -> (Vec<Finding>, Vec<Finding>) {
     let krate = crate_of(rel_path);
     let d002 = D002_CRATES.contains(&krate);
     let p001 = P001_CRATES.contains(&krate);
@@ -207,7 +207,7 @@ pub fn run_lints_all(rel_path: &str, scan: &FileScan) -> (Vec<Finding>, Vec<Find
         // --- H001: allocation inside a hot region ------------------
         if hot && scan.in_hot(line) {
             if tok.kind == TokenKind::Ident
-                && ALLOC_TYPES.contains(&tok.text.as_str())
+                && ALLOC_TYPES.contains(&tok.text)
                 && scan.punct(i + 1, ":")
                 && scan.punct(i + 2, ":")
                 && (scan.ident(i + 3, "new") || scan.ident(i + 3, "with_capacity"))
@@ -327,16 +327,16 @@ pub fn run_lints_all(rel_path: &str, scan: &FileScan) -> (Vec<Finding>, Vec<Find
 
 /// Runs every intra-file lint and returns the surviving (active)
 /// findings only.
-pub fn run_lints(rel_path: &str, scan: &FileScan) -> Vec<Finding> {
+pub fn run_lints(rel_path: &str, scan: &FileScan<'_>) -> Vec<Finding> {
     run_lints_all(rel_path, scan).0
 }
 
 /// True when the significant token at `i` can be the base expression of an
 /// index (`x[i]`, `f()[i]`, `a[i][j]`).
-pub(crate) fn is_index_base(scan: &FileScan, i: usize) -> bool {
+pub(crate) fn is_index_base(scan: &FileScan<'_>, i: usize) -> bool {
     let t = scan.tok(i);
     match t.kind {
-        TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&t.text.as_str()),
+        TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&t.text),
         TokenKind::Punct => t.text == ")" || t.text == "]",
         _ => false,
     }
@@ -345,7 +345,7 @@ pub(crate) fn is_index_base(scan: &FileScan, i: usize) -> bool {
 /// Walks a method chain starting at significant index `j` (just past a
 /// call's closing paren); true if the chain contains `finish`/
 /// `finish_after`.
-fn chain_reaches_finish(scan: &FileScan, mut j: usize) -> bool {
+fn chain_reaches_finish(scan: &FileScan<'_>, mut j: usize) -> bool {
     while scan.punct(j, ".") {
         if scan.ident(j + 1, "finish") || scan.ident(j + 1, "finish_after") {
             return true;
@@ -366,7 +366,7 @@ fn chain_reaches_finish(scan: &FileScan, mut j: usize) -> bool {
 /// True when the `.span(` at significant index `dot` sits in a
 /// `let name = ...` statement and `name.finish(...)` /
 /// `name.finish_after(...)` appears later in the file.
-fn let_bound_finish(scan: &FileScan, dot: usize, args_close: usize) -> bool {
+fn let_bound_finish(scan: &FileScan<'_>, dot: usize, args_close: usize) -> bool {
     // Find the statement start: walk back to the nearest `;`, `{`, or `}`.
     let mut k = dot;
     while k > 0 {
@@ -386,9 +386,9 @@ fn let_bound_finish(scan: &FileScan, dot: usize, args_close: usize) -> bool {
     if name_idx >= scan.len() || scan.tok(name_idx).kind != TokenKind::Ident {
         return false;
     }
-    let name = scan.tok(name_idx).text.clone();
+    let name = scan.tok(name_idx).text;
     (args_close + 1..scan.len().saturating_sub(2)).any(|j| {
-        scan.ident(j, &name)
+        scan.ident(j, name)
             && scan.punct(j + 1, ".")
             && (scan.ident(j + 2, "finish") || scan.ident(j + 2, "finish_after"))
     })

@@ -90,7 +90,7 @@ pub struct Item {
 
 /// Parses the file's top-level items. Always succeeds; see the module
 /// docs for the tiling guarantee.
-pub fn parse_items(scan: &FileScan) -> Vec<Item> {
+pub fn parse_items(scan: &FileScan<'_>) -> Vec<Item> {
     let mut p = Parser { scan, pos: 0 };
     p.items(None)
 }
@@ -99,7 +99,7 @@ pub fn parse_items(scan: &FileScan) -> Vec<Item> {
 const MODIFIERS: &[&str] = &["pub", "const", "unsafe", "async", "extern", "default"];
 
 struct Parser<'a> {
-    scan: &'a FileScan,
+    scan: &'a FileScan<'a>,
     pos: usize,
 }
 
@@ -109,8 +109,7 @@ impl Parser<'_> {
     }
 
     fn ident_at(&self, i: usize) -> Option<&str> {
-        (i < self.len() && self.scan.tok(i).kind == TokenKind::Ident)
-            .then(|| self.scan.tok(i).text.as_str())
+        (i < self.len() && self.scan.tok(i).kind == TokenKind::Ident).then(|| self.scan.tok(i).text)
     }
 
     /// Parses items until `close` (a `}` significant index) or EOF.
@@ -203,7 +202,7 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 let path: String = (path_start..self.pos)
-                    .map(|i| self.scan.tok(i).text.as_str())
+                    .map(|i| self.scan.tok(i).text)
                     .collect();
                 let last = self.pos.min(end.saturating_sub(1));
                 if self.pos < end {
@@ -301,7 +300,7 @@ impl Parser<'_> {
         let mut angle = 0usize;
         while self.pos < end && !(angle == 0 && self.scan.punct(self.pos, "{")) {
             let t = self.scan.tok(self.pos);
-            match (t.kind, t.text.as_str()) {
+            match (t.kind, t.text) {
                 (TokenKind::Punct, "<") => angle += 1,
                 (TokenKind::Punct, ">") => angle = angle.saturating_sub(1),
                 (TokenKind::Ident, "where") if angle == 0 => {
@@ -396,7 +395,7 @@ impl Parser<'_> {
         while self.pos < end {
             let t = self.scan.tok(self.pos);
             if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
+                match t.text {
                     "(" | "[" => depth += 1,
                     ")" | "]" => depth = depth.saturating_sub(1),
                     ";" if depth == 0 => {

@@ -1,6 +1,11 @@
 //! File-level scanning shared by every lint: the significant-token view,
 //! `// analyze:` directive parsing (suppressions and hot markers), and
 //! `#[cfg(test)]` / `#[test]` region detection.
+//!
+//! Directive lookups are indexed rather than rescanned: significant-token
+//! lines never decrease, so "the first significant token after line L" is
+//! one binary search over `sig`, and suppression lookups binary-search a
+//! covered-line index built once per file.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::LINTS;
@@ -35,11 +40,14 @@ pub struct BadDirective {
 /// Inclusive line range.
 pub type LineRange = (u32, u32);
 
-/// Everything the lints need to know about one file.
+/// Everything the lints need to know about one file. The tokens borrow
+/// the source text, so a scan lives no longer than its source. Directive
+/// lookups (`suppression_reason`, the lines a directive covers) are
+/// binary searches, not walks of the token list.
 #[derive(Debug)]
-pub struct FileScan {
+pub struct FileScan<'a> {
     /// The full lossless token stream.
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<Token<'a>>,
     /// Indices into `tokens` of significant tokens (no whitespace, no
     /// comments) — what the lint patterns match over.
     pub sig: Vec<usize>,
@@ -51,11 +59,14 @@ pub struct FileScan {
     pub hot_ranges: Vec<LineRange>,
     /// Brace-balanced regions under `#[cfg(test)]` / `#[test]`.
     pub test_ranges: Vec<LineRange>,
+    /// `(covered line, index into suppressions)` for every line each
+    /// suppression covers, sorted by line and then suppression order.
+    covered: Vec<(u32, usize)>,
 }
 
-impl FileScan {
+impl<'a> FileScan<'a> {
     /// Lexes and scans one file.
-    pub fn of(source: &str) -> Self {
+    pub fn of(source: &'a str) -> Self {
         let tokens = lex(source);
         let sig: Vec<usize> = tokens
             .iter()
@@ -76,6 +87,7 @@ impl FileScan {
             bad_directives: Vec::new(),
             hot_ranges: Vec::new(),
             test_ranges: Vec::new(),
+            covered: Vec::new(),
         };
         scan.collect_directives();
         scan.collect_test_ranges();
@@ -83,7 +95,7 @@ impl FileScan {
     }
 
     /// The significant token at significant-index `i`.
-    pub fn tok(&self, i: usize) -> &Token {
+    pub fn tok(&self, i: usize) -> &Token<'a> {
         &self.tokens[self.sig[i]]
     }
 
@@ -129,20 +141,23 @@ impl FileScan {
     }
 
     /// The reason of the well-formed suppression for `lint` covering
-    /// `line`, when one exists.
+    /// `line`, when one exists. When several cover it, the first in
+    /// `suppressions` order supplies the reason.
     pub fn suppression_reason(&self, lint: &str, line: u32) -> Option<&str> {
-        self.suppressions
+        let from = self.covered.partition_point(|&(l, _)| l < line);
+        self.covered[from..]
             .iter()
-            .find(|s| s.lint == lint && s.covers.contains(&line))
+            .take_while(|&&(l, _)| l == line)
+            .map(|&(_, s)| &self.suppressions[s])
+            .find(|s| s.lint == lint)
             .map(|s| s.reason.as_str())
     }
 
-    /// The line of the first significant token strictly after `line`.
-    fn next_sig_line(&self, line: u32) -> Option<u32> {
-        self.sig
-            .iter()
-            .map(|&i| self.tokens[i].line)
-            .find(|&l| l > line)
+    /// The significant index of the first significant token on a line
+    /// strictly after `line` (`len()` when there is none). Significant
+    /// tokens' lines never decrease, so this is one binary search.
+    fn first_sig_after(&self, line: u32) -> usize {
+        self.sig.partition_point(|&i| self.tokens[i].line <= line)
     }
 
     /// Starting from the significant token at `from`, finds the matching
@@ -173,14 +188,14 @@ impl FileScan {
 
     fn collect_directives(&mut self) {
         // Borrow-friendly: gather (line, offset, directive text) first.
-        let comments: Vec<(u32, usize, String)> = self
+        let comments: Vec<(u32, usize, &'a str)> = self
             .tokens
             .iter()
             .filter(|t| t.kind == TokenKind::LineComment)
             .filter_map(|t| {
                 let body = t.text.trim_start_matches('/').trim();
                 body.strip_prefix("analyze:")
-                    .map(|d| (t.line, t.offset, d.trim().to_string()))
+                    .map(|d| (t.line, t.offset, d.trim()))
             })
             .collect();
 
@@ -198,7 +213,7 @@ impl FileScan {
                 }
                 continue;
             }
-            match parse_allow(&directive) {
+            match parse_allow(directive) {
                 Ok((lint, reason)) => {
                     if !LINTS.iter().any(|l| l.code == lint) {
                         self.bad_directives.push(BadDirective {
@@ -209,7 +224,8 @@ impl FileScan {
                         continue;
                     }
                     let mut covers = vec![line];
-                    covers.extend(self.next_sig_line(line));
+                    let next = self.first_sig_after(line);
+                    covers.extend(self.sig.get(next).map(|&i| self.tokens[i].line));
                     self.suppressions.push(Suppression {
                         lint,
                         reason,
@@ -227,12 +243,18 @@ impl FileScan {
         self.hot_ranges.sort_unstable();
         self.suppressions.sort_by_key(|s| s.line);
         self.bad_directives.sort_by_key(|d| d.line);
+        self.covered = self
+            .suppressions
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.covers.iter().map(move |&l| (l, i)))
+            .collect();
+        self.covered.sort_unstable();
     }
 
     /// The `{ ... }` region opened by the first brace after `line`.
     fn brace_region_after(&self, line: u32) -> Option<LineRange> {
-        let from = self.sig.iter().position(|&i| self.tokens[i].line > line)?;
-        let mut open = from;
+        let mut open = self.first_sig_after(line);
         while open < self.len() && !self.punct(open, "{") {
             open += 1;
         }
@@ -250,7 +272,7 @@ impl FileScan {
                 };
                 let idents: Vec<&str> = (i + 2..attr_close)
                     .filter(|&j| self.tok(j).kind == TokenKind::Ident)
-                    .map(|j| self.tok(j).text.as_str())
+                    .map(|j| self.tok(j).text)
                     .collect();
                 let is_test_attr =
                     idents == ["test"] || (idents.contains(&"cfg") && idents.contains(&"test"));

@@ -10,64 +10,8 @@ use proptest::prelude::*;
 
 use mlscore_analysis::lexer::{lex, render, TokenKind};
 
-/// Fragments chosen to exercise every lexer branch and every nasty seam:
-/// comments, nested block comments, raw/byte/char literals, lifetimes,
-/// float and hex numbers, range punctuation, attributes, and fragments
-/// that are individually unterminated.
-const POOL: &[&str] = &[
-    " ",
-    "\n",
-    "\t",
-    "ident",
-    "_x9",
-    "HashMap",
-    "r#match",
-    "'a",
-    "'static",
-    "'x'",
-    "'\\n'",
-    "'\\u{1F600}'",
-    "\"plain\"",
-    "\"esc \\\" \\\\ \\n\"",
-    "r\"raw\"",
-    "r#\"hash \" raw\"#",
-    "b\"bytes\"",
-    "b'q'",
-    "br#\"braw\"#",
-    "// line comment",
-    "/* block */",
-    "/* nested /* deep */ ok */",
-    "0",
-    "42_000u64",
-    "0xFF_AB",
-    "0b1010",
-    "1.5",
-    "1.5e-3",
-    "2E+9f64",
-    "0..10",
-    "..=",
-    "::",
-    "#[derive(Debug)]",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ";",
-    ",",
-    ".",
-    "->",
-    "=>",
-    "&&",
-    "||",
-    "!",
-    "#",
-    "\"unterminated",
-    "/* unterminated",
-    "'",
-    "µ",
-];
+mod fragments;
+use fragments::POOL;
 
 proptest! {
     #[test]
@@ -82,7 +26,7 @@ proptest! {
         let mut cursor = 0usize;
         for t in &tokens {
             prop_assert!(!t.text.is_empty(), "empty token in {src:?}");
-            prop_assert_eq!(&src[cursor..cursor + t.text.len()], t.text.as_str());
+            prop_assert_eq!(&src[cursor..cursor + t.text.len()], t.text);
             cursor += t.text.len();
         }
         prop_assert_eq!(cursor, src.len());
