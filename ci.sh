@@ -69,44 +69,43 @@ for w in tokens callgraph waivers; do
     esac
 done
 
-echo "== bench smoke (repro bench --quick, once per kernel) =="
-# Quick measured sweep into a scratch file, once per vector-tier filter:
-# exercises the wall-clock harness end to end — including the warm+cold
-# artifact-cache pair and the SIMD/QuickScorer kernels — and
-# self-validates the JSON it writes (schema_version >= 3, chosen kernel
-# per cell, cache block with hits >= 1 and cold >= warm).
-for k in auto blocked simd quickscorer; do
-    cargo run --release -q -p mlscore-bench --bin repro -- \
-        bench --quick --kernel "$k" \
-        --out "target/BENCH_cpu_scoring.quick.$k.json" \
-        | tee "target/bench_smoke.$k.log"
-    cargo run --release -q -p mlscore-bench --bin repro -- \
-        bench --check "target/BENCH_cpu_scoring.quick.$k.json"
-    # Every cell must print the cost model's pick.
-    grep -q 'kernel pick: ' "target/bench_smoke.$k.log"
-done
-# Forced runs must say so on the pick line.
-grep -q '\[forced: simd\]' target/bench_smoke.simd.log
+echo "== bench smoke (repro bench --quick, detected and portable SIMD tier) =="
+# Quick measured sweep into a scratch file: exercises the wall-clock
+# harness end to end — the pointer-tree and SIMD kernels, the warm+cold
+# artifact-cache pair and the fused-vs-staged shmoo — and self-validates
+# the JSON it writes (every run bit-exact with a simd_records_per_sec
+# throughput, cache block with hits >= 1 and cold >= warm, fused block).
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --quick --out target/BENCH_cpu_scoring.quick.json
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --check target/BENCH_cpu_scoring.quick.json
+# The same harness with the SIMD walker forced down to its portable
+# fallback tier: the only flat-image kernel must stay bit-exact on the
+# code path hosts without AVX2 run.
+MLSCORE_SIMD=portable cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --quick --out target/BENCH_cpu_scoring.quick.portable.json
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --check target/BENCH_cpu_scoring.quick.portable.json
+grep -q '"simd_level": "portable"' target/BENCH_cpu_scoring.quick.portable.json
 # The quick runs above also exercise the fused-vs-staged shmoo: --check
-# has already enforced (schema v4) that every fused cell is bit-exact and
+# has already enforced (schema v4+) that every fused cell is bit-exact and
 # that the per-chunk handoff eliminates >= 80% of the staged marshal +
 # pre-processing tax. Assert the block actually made it into the output.
-grep -q '"fused"' target/BENCH_cpu_scoring.quick.auto.json
-grep -q '"eliminated_frac"' target/BENCH_cpu_scoring.quick.auto.json
+grep -q '"fused"' target/BENCH_cpu_scoring.quick.json
+grep -q '"eliminated_frac"' target/BENCH_cpu_scoring.quick.json
 # The committed trajectory must stay parseable, non-empty, and carry a
-# valid cache-stats block, per-cell kernel picks, and the fused shmoo.
+# valid cache-stats block and the fused shmoo.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --check BENCH_cpu_scoring.json
-grep -q '"chosen_kernel"' BENCH_cpu_scoring.json
 grep -q '"fused"' BENCH_cpu_scoring.json
 # Regression diff self-check: a report diffed against itself is clean, so
-# the gate only ever fires on real throughput loss. The quick auto run
-# diffed against itself additionally covers the per-metric v4 cells.
+# the gate only ever fires on real throughput loss. The quick run diffed
+# against itself additionally covers the per-metric v5 cells.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --diff BENCH_cpu_scoring.json BENCH_cpu_scoring.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
-    bench --diff target/BENCH_cpu_scoring.quick.auto.json \
-                 target/BENCH_cpu_scoring.quick.auto.json
+    bench --diff target/BENCH_cpu_scoring.quick.json \
+                 target/BENCH_cpu_scoring.quick.json
 
 echo "== serve smoke (repro serve --quick) =="
 # Quick load sweep through the discrete-event serving engine into a scratch

@@ -89,7 +89,7 @@ impl fmt::Display for ArtifactKey {
 pub enum Lowered {
     /// Score the pointer trees directly — no lowering (CPU_SKLearn).
     Reference,
-    /// The Fig. 4b flat node image, pre-decoded for the lockstep kernel
+    /// The Fig. 4b flat node image, re-encoded for the SIMD lane walker
     /// (CPU_ONNX).
     Flat(Arc<FlatImage>),
     /// The quantized node image.

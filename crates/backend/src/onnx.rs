@@ -1,21 +1,20 @@
 //! The ONNX-runtime-like CPU backend ("CPU_ONNX" / "CPU_ONNX_52th").
 //!
 //! Functionally, this engine first compiles the forest into the Fig. 4b
-//! flat layout and scores it with the blocked lockstep kernel on the shared
-//! work-stealing [`ExecPool`] — the same image the FPGA consumes. Its
-//! timing model captures the paper's observation that ONNX "is not
-//! currently optimized for batch scoring": the per-call overhead is small
-//! (it wins below ~5K records), but the per-record cost is higher than
-//! scikit-learn's batch path, so it loses at large batches.
+//! flat layout — the same image the FPGA consumes — re-encoded as a
+//! [`FlatImage`], and scores it with the SIMD lane walker on the shared
+//! work-stealing [`ExecPool`]. Its timing model captures the paper's
+//! observation that ONNX "is not currently optimized for batch
+//! scoring": the per-call overhead is small (it wins below ~5K records),
+//! but the per-record cost is higher than scikit-learn's batch path, so
+//! it loses at large batches.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use mlscore_data::RecordStream;
-use mlscore_exec::{
-    record_sequential_spans, score_stream, ExecPool, FlatImage, KernelChoice, RunConfig,
-};
+use mlscore_exec::{score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
 use mlscore_forest::{ModelStats, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
@@ -23,7 +22,7 @@ use mlscore_telemetry::{Scope, Tracer};
 use crate::artifact::{Lowered, ModelRef};
 use crate::cost::{effective_parallelism, CpuSpec};
 use crate::error::BackendError;
-use crate::traits::{ScoringBackend, StreamChunk, StreamOutcome};
+use crate::traits::{score_on_pool, ScoringBackend, StreamOutcome};
 
 /// Timing-model constants for the ONNX-like engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -154,10 +153,8 @@ impl ScoringBackend for OnnxCpu {
         Ok(Lowered::Flat(Arc::new(image)))
     }
 
-    // Scoring pulls straight off the stream: each chunk is dispatched to
-    // whichever kernel tier (blocked / SIMD walk / QuickScorer) the cost
-    // model ranks fastest for that chunk's row count. All tiers are
-    // bit-exact, so the pick is a pure throughput decision.
+    // Scoring pulls straight off the stream: every chunk goes to the SIMD
+    // lane walker at the tier the host supports, read once per call.
     fn score(
         &self,
         model: ModelRef<'_>,
@@ -166,34 +163,11 @@ impl ScoringBackend for OnnxCpu {
         start: SimInstant,
     ) -> Result<StreamOutcome, BackendError> {
         let image = self.image_of(model.lowered())?;
-        let (predictions, report) = score_stream(
-            image,
-            stream,
-            ExecPool::global(),
-            &self.run_config(model.forest().n_trees()),
-        );
-        record_sequential_spans(
-            report.chunks().iter().map(|c| &c.run),
-            tracer,
-            start,
-            self.name(),
-        );
-        Ok(StreamOutcome {
-            predictions,
-            rows: report.rows(),
-            chunks: report
-                .chunks()
-                .iter()
-                .map(|c| StreamChunk {
-                    rows: c.rows,
-                    kernel: Some(c.choice.kernel.name()),
-                })
-                .collect(),
-        })
-    }
-
-    fn kernel_choice(&self, stats: &ModelStats, n_records: u64) -> Option<KernelChoice> {
-        Some(KernelChoice::from_model_stats(stats, n_records as usize))
+        let cfg = self.run_config(model.forest().n_trees());
+        let level = SimdLevel::detect();
+        Ok(score_on_pool(stream, tracer, start, self.name(), |chunk| {
+            score_simd_batch(image, chunk, ExecPool::global(), &cfg, level)
+        }))
     }
 
     fn estimate(
@@ -284,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_scoring_matches_staged_and_names_kernels() {
+    fn stream_scoring_matches_staged() {
         use mlscore_data::FrameScanner;
         use mlscore_forest::ModelBundle;
         let (forest, data) = higgs_setup();
@@ -301,10 +275,6 @@ mod tests {
             assert_eq!(out.predictions, want, "chunk_rows={chunk_rows}");
             assert_eq!(out.rows, data.frame().n_rows());
             assert_eq!(out.chunks.len(), data.frame().n_rows().div_ceil(chunk_rows));
-            assert!(
-                out.chunks.iter().all(|c| c.kernel.is_some()),
-                "ONNX chunks carry the dispatched kernel name"
-            );
         }
     }
 

@@ -11,16 +11,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_exec::{kernel, record_sequential_spans, ExecPool, RunConfig};
-use mlscore_forest::{ModelStats, Predictions};
+use mlscore_data::RecordStream;
+use mlscore_exec::{score_forest_batch, ExecPool, RunConfig};
+use mlscore_forest::ModelStats;
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
 use crate::artifact::ModelRef;
 use crate::cost::{effective_parallelism, CpuSpec};
 use crate::error::BackendError;
-use crate::traits::{ScoringBackend, StreamChunk, StreamOutcome};
+use crate::traits::{score_on_pool, ScoringBackend, StreamOutcome};
 
 /// Timing-model constants for the sklearn-like engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -127,9 +127,9 @@ impl ScoringBackend for SklearnCpu {
     // trees directly, so the default `lower` (Lowered::Reference) holds and
     // compile/warm scoring differ only in the skipped deserialize.
     //
-    // Each pulled chunk is scored by the batch kernel and the per-chunk
-    // predictions fold in pull order — bit-exact with one whole-frame call
-    // since every record is fully scored within one chunk.
+    // Each pulled chunk is scored by the pointer-tree batch kernel and the
+    // per-chunk predictions fold in pull order — bit-exact with one
+    // whole-frame call since every record is fully scored within one chunk.
     fn score(
         &self,
         model: ModelRef<'_>,
@@ -139,36 +139,9 @@ impl ScoringBackend for SklearnCpu {
     ) -> Result<StreamOutcome, BackendError> {
         let forest = model.forest();
         let cfg = self.run_config();
-        let mut chunks = Vec::new();
-        let mut runs = Vec::new();
-        let mut rows = 0;
-        let mut out: Option<Predictions> = None;
-        while let Some(chunk) = stream.next_chunk() {
-            if chunk.is_empty() {
-                continue;
-            }
-            let (preds, run) = kernel::score_forest_batch(forest, chunk, ExecPool::global(), &cfg);
-            runs.push(run);
-            rows += chunk.n_rows();
-            chunks.push(StreamChunk {
-                rows: chunk.n_rows(),
-                kernel: None,
-            });
-            match &mut out {
-                None => out = Some(preds),
-                Some(acc) => acc.append(&preds),
-            }
-        }
-        let predictions = out.unwrap_or_else(|| {
-            let empty = TabularFrame::with_capacity(0, forest.n_features());
-            kernel::score_forest_batch(forest, &empty, ExecPool::global(), &cfg).0
-        });
-        record_sequential_spans(&runs, tracer, start, self.name());
-        Ok(StreamOutcome {
-            predictions,
-            rows,
-            chunks,
-        })
+        Ok(score_on_pool(stream, tracer, start, self.name(), |chunk| {
+            score_forest_batch(forest, chunk, ExecPool::global(), &cfg)
+        }))
     }
 
     fn estimate(

@@ -1,6 +1,7 @@
 //! The [`ScoringBackend`] trait.
 
 use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
+use mlscore_exec::{record_sequential_spans, score_stream, RunReport};
 use mlscore_forest::{ModelStats, Predictions, RandomForest};
 use mlscore_sim::{SimInstant, TimingBreakdown};
 use mlscore_telemetry::Tracer;
@@ -13,10 +14,6 @@ use crate::error::BackendError;
 pub struct StreamChunk {
     /// Rows in the chunk.
     pub rows: usize,
-    /// The scoring kernel the executor dispatched for this chunk, when
-    /// the backend has a kernel tier (`None` for offload devices and for
-    /// backends with a single code path).
-    pub kernel: Option<&'static str>,
 }
 
 /// The result of scoring a [`RecordStream`].
@@ -86,26 +83,6 @@ pub trait ScoringBackend {
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
         let _ = forest;
         Ok(Lowered::Reference)
-    }
-
-    /// Reports which CPU scoring kernel this backend's executor would pick
-    /// for the given model shape and batch size, with the cost model's
-    /// per-kernel estimates.
-    ///
-    /// `None` (the default) means the backend has no kernel tier to choose
-    /// from — it offloads to fixed hardware or a single code path. Backends
-    /// executing on the shared [`ExecPool`](mlscore_exec::ExecPool) with
-    /// the vectorized tier return the
-    /// [`KernelChoice`](mlscore_exec::KernelChoice) their score path will
-    /// dispatch on, so schedulers and benches can surface the pick without
-    /// scoring anything.
-    fn kernel_choice(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-    ) -> Option<mlscore_exec::KernelChoice> {
-        let _ = (stats, n_records);
-        None
     }
 
     /// Functionally scores every chunk of `stream` against `model`, a
@@ -216,7 +193,7 @@ pub fn score_whole_batch(
                 return Ok(StreamOutcome {
                     predictions: score_frame(chunk)?,
                     rows,
-                    chunks: vec![StreamChunk { rows, kernel: None }],
+                    chunks: vec![StreamChunk { rows }],
                 });
             }
             frame = TabularFrame::with_capacity(total.unwrap_or(rows), chunk.n_features());
@@ -224,7 +201,6 @@ pub fn score_whole_batch(
         frame.extend_rows(chunk.as_slice());
         chunks.push(StreamChunk {
             rows: chunk.n_rows(),
-            kernel: None,
         });
     }
     Ok(StreamOutcome {
@@ -232,6 +208,32 @@ pub fn score_whole_batch(
         rows: frame.n_rows(),
         chunks,
     })
+}
+
+/// Scores `stream` chunk by chunk with `score_chunk` through the executor's
+/// chunk loop ([`score_stream`]) — the [`ScoringBackend::score`] body of
+/// the CPU backends, whose kernels run on the shared
+/// [`ExecPool`](mlscore_exec::ExecPool) — and records every chunk's
+/// measured worker spans on `tracer` under `lane`, back to back from
+/// `start`.
+pub(crate) fn score_on_pool(
+    stream: &mut dyn RecordStream,
+    tracer: &Tracer,
+    start: SimInstant,
+    lane: &str,
+    score_chunk: impl FnMut(&TabularFrame) -> (Predictions, RunReport),
+) -> StreamOutcome {
+    let (predictions, report) = score_stream(stream, score_chunk);
+    record_sequential_spans(report.chunks().iter().map(|c| &c.run), tracer, start, lane);
+    StreamOutcome {
+        predictions,
+        rows: report.rows(),
+        chunks: report
+            .chunks()
+            .iter()
+            .map(|c| StreamChunk { rows: c.rows })
+            .collect(),
+    }
 }
 
 /// Blanket impl so `Box<dyn ScoringBackend>` works wherever a backend does.
@@ -250,14 +252,6 @@ impl<B: ScoringBackend + ?Sized> ScoringBackend for Box<B> {
 
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
         (**self).lower(forest)
-    }
-
-    fn kernel_choice(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-    ) -> Option<mlscore_exec::KernelChoice> {
-        (**self).kernel_choice(stats, n_records)
     }
 
     fn score(
@@ -343,7 +337,6 @@ mod tests {
                 .unwrap();
             assert_eq!(outcome.rows, 10);
             assert_eq!(outcome.chunks.len(), 10usize.div_ceil(chunk_rows));
-            assert!(outcome.chunks.iter().all(|c| c.kernel.is_none()));
             assert_eq!(outcome.predictions, staged);
         }
         // Compiled for "echo" — another backend, or another width, is
@@ -369,10 +362,6 @@ mod tests {
         assert_eq!(
             format!("{:?}", boxed.lower(&forest).unwrap()),
             format!("{:?}", unboxed.lower(&forest).unwrap())
-        );
-        assert_eq!(
-            boxed.kernel_choice(&stats, 70),
-            unboxed.kernel_choice(&stats, 70)
         );
 
         let model = compile(&unboxed, &ModelBundle::serialize(&forest)).unwrap();

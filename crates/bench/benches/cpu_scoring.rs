@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mlscore_backend::{score_once, OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_bench::cpu_bench::naive_predict;
 use mlscore_data::Dataset;
-use mlscore_exec::{kernel, ExecPool, RunConfig};
-use mlscore_forest::{FlatForest, ForestConfig, RandomForest};
+use mlscore_exec::{
+    score_forest_batch, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel,
+};
+use mlscore_forest::{ForestConfig, RandomForest};
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::HummingbirdGpu;
 
@@ -35,7 +37,8 @@ fn bench(c: &mut Criterion) {
 
     // The executor kernels against the seed's naive per-record path, on the
     // same model/frame — the criterion view of the `repro bench` sweep.
-    let flat = FlatForest::from_forest(&forest, forest.max_depth()).unwrap();
+    let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
+    let level = SimdLevel::detect();
     let mut g = c.benchmark_group("blocked_kernel");
     g.sample_size(10);
     g.throughput(Throughput::Elements(n));
@@ -45,11 +48,11 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 4] {
         let pool = ExecPool::new(threads);
         let cfg = RunConfig::for_threads(threads);
-        g.bench_function(&format!("flat_lockstep_{threads}t"), |b| {
-            b.iter(|| kernel::score_flat_batch(&flat, data.frame(), &pool, &cfg))
+        g.bench_function(&format!("flat_simd_{threads}t"), |b| {
+            b.iter(|| score_simd_batch(&image, data.frame(), &pool, &cfg, level))
         });
         g.bench_function(&format!("forest_blocked_{threads}t"), |b| {
-            b.iter(|| kernel::score_forest_batch(&forest, data.frame(), &pool, &cfg))
+            b.iter(|| score_forest_batch(&forest, data.frame(), &pool, &cfg))
         });
     }
     g.finish();

@@ -309,24 +309,20 @@ fn trace(args: &[String]) {
     }
 }
 
-/// `repro bench [--quick] [--kernel auto|blocked|simd|quickscorer]
-///              [--out FILE] [--check FILE]
+/// `repro bench [--quick] [--out FILE] [--check FILE]
 ///              [--diff OLD NEW [--tolerance T]]`
 ///
 /// Runs the measured CPU scoring sweep ([`mlscore_bench::cpu_bench`]) and
-/// writes `BENCH_cpu_scoring.json`; `--kernel` restricts the vector-tier
-/// measurements to one kernel (the blocked baselines always run). With
-/// `--check` it validates an existing report file (the CI smoke gate),
+/// writes `BENCH_cpu_scoring.json`. With `--check` it validates an existing report file (the CI smoke gate),
 /// and with `--diff` it compares two report files cell by cell and exits
 /// non-zero when any throughput number regressed beyond the relative
 /// tolerance.
 fn bench(args: &[String]) {
     use mlscore_bench::cpu_bench::{self, BenchOptions, CaseResult};
     use mlscore_bench::diff;
-    use mlscore_exec::Kernel;
+    use mlscore_exec::SimdLevel;
 
     let mut quick = false;
-    let mut kernel: Option<Kernel> = None;
     let mut out_path = "BENCH_cpu_scoring.json".to_string();
     let mut check: Option<String> = None;
     let mut diff_paths: Option<(String, String)> = None;
@@ -335,14 +331,6 @@ fn bench(args: &[String]) {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--kernel" => match it.next().map(String::as_str) {
-                Some("auto") => kernel = None,
-                Some(name) if Kernel::parse(name).is_some() => kernel = Kernel::parse(name),
-                _ => {
-                    eprintln!("--kernel needs one of auto|blocked|simd|quickscorer");
-                    std::process::exit(2);
-                }
-            },
             "--out" => match it.next() {
                 Some(path) => out_path = path.clone(),
                 None => {
@@ -374,7 +362,7 @@ fn bench(args: &[String]) {
             other => {
                 eprintln!("unknown bench flag '{other}'");
                 eprintln!(
-                    "usage: repro bench [--quick] [--kernel auto|blocked|simd|quickscorer] \
+                    "usage: repro bench [--quick] \
                      [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]"
                 );
                 std::process::exit(2);
@@ -431,11 +419,11 @@ fn bench(args: &[String]) {
         return;
     }
 
-    let opts = BenchOptions { quick, kernel };
+    let opts = BenchOptions { quick };
     println!(
-        "== Measured CPU scoring sweep ({} mode, kernel {}) ==",
+        "== Measured CPU scoring sweep ({} mode, simd tier {}) ==",
         if quick { "quick" } else { "full" },
-        kernel.map_or("auto", Kernel::name)
+        SimdLevel::detect().name()
     );
     let cases = cpu_bench::run(&opts);
     let cache = cpu_bench::run_cache_pair(&opts);
@@ -811,9 +799,10 @@ fn usage() -> String {
                          --fused replays the pull-based RecordStream path: no\n\
                          inbound marshal or data pre-processing stages, only\n\
                          per-chunk handoff, with per-chunk detail spans)\n\
-       bench [--quick] [--kernel auto|blocked|simd|quickscorer] [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]\n\
+       bench [--quick] [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]\n\
                         measure real CPU kernel throughput (naive seed path vs\n\
-                        blocked executor) plus a warm/cold artifact-cache pair,\n\
+                        the pointer-tree and SIMD flat-image kernels) plus a\n\
+                        warm/cold artifact-cache pair and a fused-vs-staged shmoo,\n\
                         and write BENCH_cpu_scoring.json; --check validates an\n\
                         existing report instead; --diff compares two reports\n\
                         cell by cell and exits non-zero on any throughput\n\

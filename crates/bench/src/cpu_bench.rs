@@ -6,20 +6,22 @@
 //! so every future PR has a throughput trajectory to beat.
 //!
 //! The sweep covers {iris, higgs-like} × {8, 128 trees} × {10k, 100k
-//! records} × {1, 4, host threads}, comparing two executions of the same
-//! model over the same frame:
+//! records} × {1, 4, host threads}, comparing executions of the same model
+//! over the same frame:
 //!
 //! * **naive** — the growth seed's per-record path: record-major
 //!   pointer-tree traversal with a fresh `vec![0u32; n_classes]` vote
 //!   buffer allocated for every record.
-//! * **blocked** — the [`mlscore_exec`] kernels on a work-stealing
-//!   [`ExecPool`]: the lockstep flat-layout kernel
-//!   ([`kernel::score_flat_batch`]) and the blocked pointer-tree kernel
-//!   ([`kernel::score_forest_batch`]), both tiling records × trees with
-//!   per-thread reusable scratch.
+//! * **forest** — the blocked pointer-tree kernel
+//!   ([`score_forest_batch`], what the scikit-learn-like backend runs).
+//! * **simd** — the SIMD lane walker over a [`FlatImage`]
+//!   ([`score_simd_batch`], what the ONNX-like backend runs) at the
+//!   detected [`SimdLevel`].
 //!
-//! Every blocked measurement is asserted bit-exact against the naive
-//! reference before its throughput is reported. The emitted JSON is
+//! Both executor kernels run on a work-stealing [`ExecPool`], tiling
+//! records × trees with per-thread reusable scratch, and every measurement
+//! is asserted bit-exact against the naive reference before its
+//! throughput is reported. The emitted JSON is
 //! round-tripped through [`mlscore_telemetry::json::parse`] before it is
 //! handed back, so a malformed report can never be written to disk.
 
@@ -29,10 +31,10 @@ use std::time::{Duration, Instant};
 use mlscore_backend::{compile, ArtifactCache, CacheOutcome, OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_data::{Dataset, FrameScanner, NormParams, NormalizeStream, RecordStream};
 use mlscore_exec::{
-    kernel, pool::default_threads, score_quickscorer_batch, score_simd_batch, ExecPool, FlatImage,
-    ImageLayout, Kernel, KernelChoice, RunConfig, SimdLevel,
+    kernel, pool::default_threads, score_forest_batch, score_simd_batch, ExecPool, FlatImage,
+    RunConfig, SimdLevel,
 };
-use mlscore_forest::{FlatForest, ForestConfig, ModelBundle, Predictions, RandomForest, Task};
+use mlscore_forest::{ForestConfig, ModelBundle, Predictions, RandomForest, Task};
 use mlscore_pipeline::{QueryPipeline, QueryPlan, Records};
 use mlscore_sim::{SimInstant, Stage};
 use mlscore_telemetry::json::{self, write_escaped, JsonValue};
@@ -41,23 +43,11 @@ use mlscore_telemetry::Tracer;
 /// Tree depth used throughout the sweep (the paper's evaluation depth).
 pub const SWEEP_DEPTH: usize = 10;
 
-/// Record cap for the QuickScorer measurement. On the sweep's *full*
-/// depth-10 trees QuickScorer is deliberately pessimal (16 bitvector words
-/// per mask AND — the cost model never picks it there), so timing the full
-/// 100k-record cell would take minutes for a number whose only job is to
-/// show the crossover. The cap keeps the cell honest (records/second is
-/// size-independent at these batch sizes) and the sweep fast; the JSON
-/// records the cap as `quickscorer_records`.
-pub const QS_RECORD_CAP: usize = 2_000;
-
 /// Options for one harness run.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchOptions {
     /// Shrink record counts and iteration counts to a CI smoke run.
     pub quick: bool,
-    /// Restrict the vector-tier measurements to one kernel
-    /// (`repro bench --kernel`); `None` measures every kernel.
-    pub kernel: Option<Kernel>,
 }
 
 impl BenchOptions {
@@ -85,19 +75,13 @@ impl BenchOptions {
 pub struct ThreadRun {
     /// Worker count the executor ran with.
     pub threads: usize,
-    /// Lockstep flat-layout kernel throughput, records/second.
-    pub flat_rps: f64,
     /// Blocked pointer-tree kernel throughput, records/second.
     pub forest_rps: f64,
     /// Explicit-SIMD lane walker throughput at the detected tier,
-    /// records/second (`None` when `--kernel` excluded it).
-    pub simd_rps: Option<f64>,
-    /// QuickScorer bitvector throughput, records/second, measured on the
-    /// [`QS_RECORD_CAP`]-capped sub-batch (`None` when excluded).
-    pub quickscorer_rps: Option<f64>,
+    /// records/second.
+    pub simd_rps: f64,
     /// Best measured kernel over the naive seed path:
-    /// `max(flat, forest, simd) / naive_rps` (QuickScorer excluded — its
-    /// cell runs on a capped batch).
+    /// `max(forest, simd) / naive_rps`.
     pub speedup: f64,
     /// Whether every measured kernel reproduced the naive predictions
     /// exactly.
@@ -117,12 +101,6 @@ pub struct CaseResult {
     pub records: usize,
     /// Seed-style per-record path throughput, records/second.
     pub naive_rps: f64,
-    /// The cost model's verdict for this shape at the full batch size.
-    pub choice: KernelChoice,
-    /// Prepared-layout footprint (walk trees, SIMD image, QuickScorer).
-    pub layout: ImageLayout,
-    /// Records the QuickScorer cell actually scored (the cap).
-    pub qs_records: usize,
     /// Per-kernel results, one per thread count.
     pub runs: Vec<ThreadRun>,
 }
@@ -467,14 +445,6 @@ fn thread_sweep() -> Vec<usize> {
     counts
 }
 
-/// Truncates classification predictions to the first `n` records.
-fn truncate_preds(preds: &Predictions, n: usize) -> Predictions {
-    match preds {
-        Predictions::Classes(c) => Predictions::Classes(c[..n.min(c.len())].to_vec()),
-        Predictions::Values(v) => Predictions::Values(v[..n.min(v.len())].to_vec()),
-    }
-}
-
 /// Measures one sweep cell.
 fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> CaseResult {
     let (data, n_features, n_classes) = match name {
@@ -485,26 +455,12 @@ fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> Ca
         &ForestConfig::classification(trees, n_features, n_classes).with_depth(SWEEP_DEPTH),
         7,
     );
-    let flat = FlatForest::from_forest(&forest, forest.max_depth()).expect("flat encoding");
     let image = FlatImage::from_forest(&forest, forest.max_depth()).expect("flat image");
     let frame = data.frame();
     let iters = opts.iters();
     let level = SimdLevel::detect();
-    let choice = KernelChoice::choose(image.stats(), records, level);
-    let layout = image.layout();
-    let measure_simd = matches!(opts.kernel, None | Some(Kernel::Simd));
-    let measure_qs = matches!(opts.kernel, None | Some(Kernel::Quickscorer));
-
-    // QuickScorer runs on a capped sub-batch (see [`QS_RECORD_CAP`]).
-    let qs_records = records.min(QS_RECORD_CAP);
-    let qs_frame = mlscore_data::TabularFrame::from_rows(
-        frame.as_slice()[..qs_records * n_features].to_vec(),
-        n_features,
-    )
-    .expect("sub-frame");
 
     let reference = naive_predict(&forest, frame.as_slice());
-    let qs_reference = truncate_preds(&reference, qs_records);
     let naive_rps = measure_rps(records, iters, || {
         let preds = naive_predict(&forest, frame.as_slice());
         std::hint::black_box(&preds);
@@ -516,41 +472,22 @@ fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> Ca
         // real even when the host has fewer cores than the sweep point.
         let pool = ExecPool::new(threads);
         let cfg = RunConfig::for_threads(threads);
-        let (flat_preds, _) = kernel::score_flat_batch(&flat, frame, &pool, &cfg);
-        let (forest_preds, _) = kernel::score_forest_batch(&forest, frame, &pool, &cfg);
-        let mut bit_exact = flat_preds == reference && forest_preds == reference;
-        let flat_rps = measure_rps(records, iters, || {
-            let out = kernel::score_flat_batch(&flat, frame, &pool, &cfg);
-            std::hint::black_box(&out);
-        });
+        let (forest_preds, _) = score_forest_batch(&forest, frame, &pool, &cfg);
+        let (simd_preds, _) = score_simd_batch(&image, frame, &pool, &cfg, level);
+        let bit_exact = forest_preds == reference && simd_preds == reference;
         let forest_rps = measure_rps(records, iters, || {
-            let out = kernel::score_forest_batch(&forest, frame, &pool, &cfg);
+            let out = score_forest_batch(&forest, frame, &pool, &cfg);
             std::hint::black_box(&out);
         });
-        let simd_rps = measure_simd.then(|| {
-            let (simd_preds, _) = score_simd_batch(&image, frame, &pool, &cfg, level);
-            bit_exact &= simd_preds == reference;
-            measure_rps(records, iters, || {
-                let out = score_simd_batch(&image, frame, &pool, &cfg, level);
-                std::hint::black_box(&out);
-            })
+        let simd_rps = measure_rps(records, iters, || {
+            let out = score_simd_batch(&image, frame, &pool, &cfg, level);
+            std::hint::black_box(&out);
         });
-        let quickscorer_rps = measure_qs.then(|| {
-            let (qs_preds, _) = score_quickscorer_batch(&image, &qs_frame, &pool, &cfg);
-            bit_exact &= qs_preds == qs_reference;
-            measure_rps(qs_records, iters, || {
-                let out = score_quickscorer_batch(&image, &qs_frame, &pool, &cfg);
-                std::hint::black_box(&out);
-            })
-        });
-        let best = flat_rps.max(forest_rps).max(simd_rps.unwrap_or(0.0));
         runs.push(ThreadRun {
             threads,
-            flat_rps,
             forest_rps,
             simd_rps,
-            quickscorer_rps,
-            speedup: best / naive_rps,
+            speedup: forest_rps.max(simd_rps) / naive_rps,
             bit_exact,
         });
     }
@@ -561,15 +498,11 @@ fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> Ca
         depth: SWEEP_DEPTH,
         records,
         naive_rps,
-        choice,
-        layout,
-        qs_records,
         runs,
     }
 }
 
-/// Runs the full sweep, printing one progress line per cell plus the cost
-/// model's kernel pick (the line `ci.sh` greps).
+/// Runs the full sweep, printing one progress line per cell.
 pub fn run(opts: &BenchOptions) -> Vec<CaseResult> {
     let mut cases = Vec::new();
     for dataset in ["iris", "higgs"] {
@@ -588,31 +521,13 @@ pub fn run(opts: &BenchOptions) -> Vec<CaseResult> {
                     case.trees,
                     case.records,
                     case.naive_rps,
-                    best.flat_rps
-                        .max(best.forest_rps)
-                        .max(best.simd_rps.unwrap_or(0.0)),
+                    best.forest_rps.max(best.simd_rps),
                     best.threads,
                     best.speedup,
                     if case.runs.iter().all(|r| r.bit_exact) {
                         ""
                     } else {
                         "  MISMATCH"
-                    }
-                );
-                println!(
-                    "      kernel pick: {}@{} (blocked {:.0}ns, simd {:.0}ns, \
-                     quickscorer {:.0}ns per record; qs layout {} items x{} words, {} KiB){}",
-                    case.choice.kernel.name(),
-                    case.choice.level.name(),
-                    case.choice.blocked_ns,
-                    case.choice.simd_ns,
-                    case.choice.quickscorer_ns,
-                    case.layout.quickscorer_items,
-                    case.layout.quickscorer_words_per_tree,
-                    case.layout.quickscorer_bytes / 1024,
-                    match opts.kernel {
-                        Some(k) => format!("  [forced: {}]", k.name()),
-                        None => String::new(),
                     }
                 );
                 cases.push(case);
@@ -660,7 +575,7 @@ pub fn to_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"mlscore/bench-cpu-scoring/v1\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if opts.quick { "quick" } else { "full" }
@@ -668,10 +583,6 @@ pub fn to_json(
     out.push_str(&format!(
         "  \"simd_level\": \"{}\",\n",
         SimdLevel::detect().name()
-    ));
-    out.push_str(&format!(
-        "  \"kernel_filter\": \"{}\",\n",
-        opts.kernel.map_or("auto", Kernel::name)
     ));
     out.push_str(&format!("  \"host_threads\": {},\n", default_threads()));
     out.push_str(&format!("  \"record_block\": {},\n", cfg.record_block));
@@ -731,39 +642,16 @@ pub fn to_json(
             case.trees, case.depth, case.records
         ));
         push_num(&mut out, case.naive_rps);
-        out.push_str(&format!(
-            ",\n     \"chosen_kernel\": \"{}\", \"chosen_level\": \"{}\",\n     \
-             \"predicted_ns_per_record\": {{\"blocked\": ",
-            case.choice.kernel.name(),
-            case.choice.level.name()
-        ));
-        push_num(&mut out, case.choice.blocked_ns);
-        out.push_str(", \"simd\": ");
-        push_num(&mut out, case.choice.simd_ns);
-        out.push_str(", \"quickscorer\": ");
-        push_num(&mut out, case.choice.quickscorer_ns);
-        out.push_str(&format!(
-            "}},\n     \"quickscorer_records\": {},",
-            case.qs_records
-        ));
-        out.push_str("\n     \"runs\": [");
+        out.push_str(",\n     \"runs\": [");
         for (j, run) in case.runs.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\n       {{\"threads\": {}, ", run.threads));
-            out.push_str("\"flat_records_per_sec\": ");
-            push_num(&mut out, run.flat_rps);
-            out.push_str(", \"forest_records_per_sec\": ");
+            out.push_str("\"forest_records_per_sec\": ");
             push_num(&mut out, run.forest_rps);
-            if let Some(rps) = run.simd_rps {
-                out.push_str(", \"simd_records_per_sec\": ");
-                push_num(&mut out, rps);
-            }
-            if let Some(rps) = run.quickscorer_rps {
-                out.push_str(", \"quickscorer_records_per_sec\": ");
-                push_num(&mut out, rps);
-            }
+            out.push_str(", \"simd_records_per_sec\": ");
+            push_num(&mut out, run.simd_rps);
             out.push_str(", \"speedup_vs_naive\": ");
             push_num(&mut out, run.speedup);
             out.push_str(&format!(", \"bit_exact\": {}}}", run.bit_exact));
@@ -883,24 +771,6 @@ pub fn validate(text: &str) -> Result<usize, String> {
                 return Err(format!("case {i}: missing numeric \"{key}\""));
             }
         }
-        if version >= 3.0 {
-            // v3 cells must carry the cost model's verdict and the
-            // QuickScorer cap so downstream diffs stay interpretable.
-            if case
-                .get("chosen_kernel")
-                .and_then(JsonValue::as_str)
-                .is_none()
-            {
-                return Err(format!("case {i}: missing \"chosen_kernel\""));
-            }
-            if case
-                .get("quickscorer_records")
-                .and_then(JsonValue::as_f64)
-                .is_none()
-            {
-                return Err(format!("case {i}: missing \"quickscorer_records\""));
-            }
-        }
         let runs = case
             .get("runs")
             .and_then(JsonValue::as_array)
@@ -909,8 +779,14 @@ pub fn validate(text: &str) -> Result<usize, String> {
             return Err(format!("case {i}: \"runs\" is empty"));
         }
         for (j, run) in runs.iter().enumerate() {
-            if run.get("flat_records_per_sec").is_none() {
-                return Err(format!("case {i} run {j}: missing throughput"));
+            if run
+                .get("simd_records_per_sec")
+                .and_then(JsonValue::as_f64)
+                .is_none()
+            {
+                return Err(format!(
+                    "case {i} run {j}: missing \"simd_records_per_sec\""
+                ));
             }
             if run.get("bit_exact") != Some(&JsonValue::Bool(true)) {
                 return Err(format!("case {i} run {j}: not bit-exact"));
@@ -946,21 +822,19 @@ mod tests {
 
     #[test]
     fn quick_cell_is_bit_exact_and_serializes() {
-        let opts = BenchOptions {
-            quick: true,
-            kernel: None,
-        };
+        let opts = BenchOptions { quick: true };
         let case = run_case("iris", 8, 200, &opts);
         assert!(case.runs.iter().all(|r| r.bit_exact));
         assert!(case.naive_rps > 0.0);
-        // With no kernel filter every run measures the full vector tier.
-        assert!(case.runs.iter().all(|r| r.simd_rps.is_some()));
-        assert!(case.runs.iter().all(|r| r.quickscorer_rps.is_some()));
+        assert!(case
+            .runs
+            .iter()
+            .all(|r| r.simd_rps > 0.0 && r.forest_rps > 0.0));
         let cache = run_cache_pair(&opts);
         let fused = fused_cells_for(SklearnCpu::with_threads(2), &higgs_bundle(), &[300], 1);
         let json = to_json(std::slice::from_ref(&case), &cache, &fused, &opts);
         assert_eq!(validate(&json), Ok(1));
-        assert!(json.contains("\"chosen_kernel\""));
+        assert!(json.contains("\"schema_version\": 5"));
         assert!(json.contains("\"simd_records_per_sec\""));
         assert!(json.contains("\"fused\""));
     }
@@ -990,31 +864,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_filter_skips_excluded_tiers() {
-        let opts = BenchOptions {
-            quick: true,
-            kernel: Some(Kernel::Blocked),
-        };
-        let case = run_case("iris", 8, 200, &opts);
-        assert!(case.runs.iter().all(|r| r.bit_exact));
-        assert!(case.runs.iter().all(|r| r.simd_rps.is_none()));
-        assert!(case.runs.iter().all(|r| r.quickscorer_rps.is_none()));
-
-        let simd_only = BenchOptions {
-            quick: true,
-            kernel: Some(Kernel::Simd),
-        };
-        let case = run_case("iris", 8, 200, &simd_only);
-        assert!(case.runs.iter().all(|r| r.simd_rps.is_some()));
-        assert!(case.runs.iter().all(|r| r.quickscorer_rps.is_none()));
-    }
-
-    #[test]
     fn cache_pair_hits_and_warm_is_cheaper() {
-        let cache = run_cache_pair(&BenchOptions {
-            quick: true,
-            kernel: None,
-        });
+        let cache = run_cache_pair(&BenchOptions { quick: true });
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 1);
         assert!(cache.cold_total_secs >= cache.warm_total_secs);
@@ -1044,12 +895,11 @@ mod tests {
     fn validate_enforces_the_v4_fused_bar() {
         let doc = |fused: &str| {
             format!(
-                "{{\"schema\": \"mlscore/bench-cpu-scoring/v1\", \"schema_version\": 4, \
+                "{{\"schema\": \"mlscore/bench-cpu-scoring/v1\", \"schema_version\": 5, \
                  \"cache\": {{\"hits\": 1, \"cold_total_secs\": 2.0, \"warm_total_secs\": 1.0}}, \
                  {fused}\
                  \"cases\": [{{\"trees\": 8, \"records\": 10, \"naive_records_per_sec\": 1.0, \
-                 \"chosen_kernel\": \"blocked\", \"quickscorer_records\": 10, \
-                 \"runs\": [{{\"threads\": 1, \"flat_records_per_sec\": 1.0, \
+                 \"runs\": [{{\"threads\": 1, \"simd_records_per_sec\": 1.0, \
                  \"bit_exact\": true}}]}}]}}"
             )
         };
@@ -1073,6 +923,12 @@ mod tests {
         assert!(validate(&doc(&cell(0.001, 0.999, false)))
             .unwrap_err()
             .contains("bit-exact"));
+        // Every run must carry the SIMD kernel's throughput.
+        let healthy = doc(&cell(0.001, 0.999, true));
+        let no_simd = healthy.replace("simd_records_per_sec", "forest_records_per_sec");
+        assert!(validate(&no_simd)
+            .unwrap_err()
+            .contains("simd_records_per_sec"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Blocked record×tree batch-scoring kernels.
+//! Shared kernel plumbing plus the pointer-tree batch kernel.
 //!
 //! Each kernel runs on an [`ExecPool`]: the pool hands a task contiguous
 //! row ranges, and the task tiles them into blocks of
@@ -7,14 +7,14 @@
 //! traverses it — the opposite loop order from the seed's record-at-a-time
 //! `score_one`, which streamed every tree's nodes past every record.
 //!
-//! The flat-layout kernel additionally walks [`LANES`] records through a
-//! tree in lockstep with a branchless select step, so the traversal's
-//! dependent node loads overlap across records (memory-level parallelism)
-//! instead of serializing down one root-to-leaf chain at a time.
+//! This module holds what both CPU kernels share — the disjoint-write
+//! output slice, the per-thread vote/accumulator scratch, block tiling,
+//! and the [`LANES`] width — plus [`score_forest_batch`], the pointer-tree
+//! kernel the scikit-learn-like backend runs. The flat-image kernel is the
+//! SIMD lane walker in [`kernel_simd`](crate::kernel_simd).
 //!
-//! All scratch (vote counts, regression accumulators, quantized rows) is
-//! thread-local and reused across blocks and calls: the hot loops allocate
-//! nothing.
+//! All scratch is thread-local and reused across blocks and calls: the hot
+//! loops allocate nothing.
 //!
 //! # Bit-exactness
 //!
@@ -25,25 +25,20 @@
 //!   uses;
 //! * regression accumulates each row's tree outputs in ascending tree
 //!   order, the identical `f32` fold the sequential `score_one` /
-//!   `predict_one` paths perform;
-//! * quantization happens once per record with the forest's own
-//!   [`QuantScheme`](mlscore_forest::QuantScheme).
+//!   `predict_one` paths perform.
 
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use mlscore_data::TabularFrame;
-use mlscore_forest::{
-    FlatForest, FlatTree, ForestError, LeafValue, Predictions, QuantizedForest, RandomForest, Task,
-    NODE_WORDS,
-};
+use mlscore_forest::{LeafValue, Predictions, RandomForest, Task};
 
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
-/// Records walked through a flat tree in lockstep by the branchless inner
-/// loop.
+/// Records one SIMD lane group walks through a flat tree in lockstep;
+/// shorter batches (and every batch's tail) take the scalar
+/// `FlatTree::score` path.
 pub const LANES: usize = 8;
 
 /// A shared output slice that parallel tasks write disjoint indices of.
@@ -90,10 +85,6 @@ pub(crate) struct Scratch {
     pub(crate) votes: Vec<u32>,
     /// Per-row regression accumulators for one record block.
     pub(crate) acc: Vec<f32>,
-    /// Quantized features for one record block.
-    pub(crate) xq: Vec<u16>,
-    /// Per-tree leaf bitvectors for the QuickScorer kernel.
-    pub(crate) bv: Vec<u64>,
 }
 
 thread_local! {
@@ -101,8 +92,6 @@ thread_local! {
         RefCell::new(Scratch {
             votes: Vec::new(),
             acc: Vec::new(),
-            xq: Vec::new(),
-            bv: Vec::new(),
         })
     };
 }
@@ -114,414 +103,6 @@ pub(crate) fn blocks(range: Range<usize>, block: usize) -> impl Iterator<Item = 
         .clone()
         .step_by(block)
         .map(move |lo| lo..(lo + block).min(range.end))
-}
-
-/// One flat node decoded for the lockstep walk: the Fig. 4b image stores
-/// child and feature words as `f32`, which costs two saturating
-/// float→int conversions per traversal step; decoding once per scoring
-/// call makes the hot step pure integer selects. Leaves are encoded as
-/// self-loops (`left == right == own index`), so a finished lane keeps
-/// spinning on its leaf with no extra "am I done" select.
-#[derive(Clone, Copy)]
-pub(crate) struct WalkNode {
-    /// Left-child index (`x[feature] <= threshold`); self for leaves.
-    pub(crate) left: u32,
-    /// Right-child index; self for leaves.
-    pub(crate) right: u32,
-    /// Feature column to test; 0 for leaves (an always-in-bounds load).
-    pub(crate) feature: u32,
-    /// Split threshold; unused by leaves (both children are `self`).
-    pub(crate) threshold: f32,
-}
-
-/// A flat tree decoded for traversal, plus its leaf payload table.
-pub(crate) struct WalkTree {
-    pub(crate) nodes: Vec<WalkNode>,
-    /// Word 1 of every node: the leaf outcome at terminal indices.
-    pub(crate) payload: Vec<f32>,
-    /// Fixed step count — the encoded capacity depth.
-    pub(crate) steps: usize,
-}
-
-impl WalkTree {
-    pub(crate) fn decode(tree: &FlatTree) -> Self {
-        let words = tree.words();
-        let n_nodes = words.len() / NODE_WORDS;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        let mut payload = Vec::with_capacity(n_nodes);
-        for i in 0..n_nodes {
-            let w = &words[i * NODE_WORDS..(i + 1) * NODE_WORDS];
-            payload.push(w[1]);
-            if w[0] >= 0.0 {
-                nodes.push(WalkNode {
-                    left: w[0] as u32,
-                    right: w[1] as u32,
-                    feature: w[2] as u32,
-                    threshold: w[3],
-                });
-            } else {
-                nodes.push(WalkNode {
-                    left: i as u32,
-                    right: i as u32,
-                    feature: 0,
-                    threshold: 0.0,
-                });
-            }
-        }
-        Self {
-            nodes,
-            payload,
-            steps: tree.max_depth(),
-        }
-    }
-}
-
-/// A flat forest bundled with its integer-decoded traversal image.
-///
-/// Decoding the Fig. 4b `f32`-word layout into [`WalkTree`]s is the CPU
-/// backend's model-lowering step: it costs one pass over every node array
-/// and used to happen inside [`score_flat_batch`] on *every* scoring call.
-/// Building a `FlatImage` once and scoring it repeatedly with
-/// [`score_image_batch`] hoists that pass out of the hot path, which is
-/// what the artifact cache stores per bundle.
-pub struct FlatImage {
-    flat: FlatForest,
-    walk: Vec<WalkTree>,
-    /// Heap-indexed re-encoding for the explicit-SIMD lane walker, built
-    /// eagerly (it is smaller than `flat`'s own node table).
-    simd: crate::kernel_simd::SimdForest,
-    /// QuickScorer per-feature threshold lists + leaf bitvector masks.
-    /// Built lazily on first use: the mask table is `O(internal nodes ×
-    /// leaf-words)` — ~16 MiB for a 128-tree depth-10 forest — and only
-    /// pays for itself on shallow ensembles the cost model routes there.
-    qs: OnceLock<crate::quickscorer::QuickScorer>,
-    /// Shape inputs to the kernel cost model, computed once here so the
-    /// per-call [`KernelChoice`](crate::choice::KernelChoice) ranking is
-    /// O(1).
-    stats: crate::choice::ImageStats,
-}
-
-impl FlatImage {
-    /// Decodes an already-flattened forest into a reusable image.
-    pub fn from_flat(flat: FlatForest) -> Self {
-        let walk: Vec<WalkTree> = flat.trees().iter().map(WalkTree::decode).collect();
-        let simd = crate::kernel_simd::SimdForest::build(&walk, flat.n_features());
-        let mut internal_nodes = 0usize;
-        let mut max_leaves = 1usize;
-        let mut steps = 0usize;
-        for tree in flat.trees() {
-            let leaves = tree.n_live_leaves();
-            internal_nodes += tree.live_records().saturating_sub(leaves);
-            max_leaves = max_leaves.max(leaves);
-            steps = steps.max(tree.max_depth());
-        }
-        let stats = crate::choice::ImageStats {
-            n_trees: flat.n_trees(),
-            n_features: flat.n_features(),
-            steps,
-            internal_nodes,
-            max_leaves,
-        };
-        Self {
-            flat,
-            walk,
-            simd,
-            qs: OnceLock::new(),
-            stats,
-        }
-    }
-
-    /// Flattens a pointer-tree forest at `max_depth` capacity and decodes
-    /// it in one step.
-    pub fn from_forest(forest: &RandomForest, max_depth: usize) -> Result<Self, ForestError> {
-        Ok(Self::from_flat(FlatForest::from_forest(forest, max_depth)?))
-    }
-
-    /// The underlying flat forest (node tables, task, feature width).
-    pub fn flat(&self) -> &FlatForest {
-        &self.flat
-    }
-
-    /// The decoded lockstep-walk image (one [`WalkTree`] per tree).
-    pub(crate) fn walk(&self) -> &[WalkTree] {
-        &self.walk
-    }
-
-    /// The heap-indexed SIMD traversal image.
-    pub(crate) fn simd(&self) -> &crate::kernel_simd::SimdForest {
-        &self.simd
-    }
-
-    /// The QuickScorer layout, built on first call and cached in the
-    /// image — so a prepared artifact amortizes it like the walk decode.
-    pub(crate) fn quickscorer(&self) -> &crate::quickscorer::QuickScorer {
-        self.qs
-            .get_or_init(|| crate::quickscorer::QuickScorer::build(&self.flat))
-    }
-
-    /// Shape inputs for the kernel cost model.
-    pub fn stats(&self) -> &crate::choice::ImageStats {
-        &self.stats
-    }
-
-    /// Sizes of every prepared layout the image carries. Forces the
-    /// QuickScorer build if it has not run yet (it is cached afterwards,
-    /// exactly as a scoring call would leave it).
-    pub fn layout(&self) -> ImageLayout {
-        let qs = self.quickscorer();
-        ImageLayout {
-            walk_trees: self.walk().len(),
-            simd_bytes: self
-                .simd()
-                .trees
-                .iter()
-                .map(crate::kernel_simd::SimdTree::image_bytes)
-                .sum(),
-            quickscorer_words_per_tree: qs.words_per_tree(),
-            quickscorer_items: qs.n_items(),
-            quickscorer_bytes: qs.layout_bytes(),
-        }
-    }
-}
-
-/// Memory footprint of a [`FlatImage`]'s prepared per-kernel layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageLayout {
-    /// Decoded lockstep-walk trees cached for the blocked kernel.
-    pub walk_trees: usize,
-    /// Bytes held by the heap-indexed SIMD traversal image.
-    pub simd_bytes: usize,
-    /// QuickScorer bitvector words per tree (`ceil(max leaves / 64)`).
-    pub quickscorer_words_per_tree: usize,
-    /// QuickScorer decision-node items across all per-feature lists.
-    pub quickscorer_items: usize,
-    /// Bytes held by the QuickScorer mask, threshold, and leaf tables.
-    pub quickscorer_bytes: usize,
-}
-
-impl std::fmt::Debug for FlatImage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlatImage")
-            .field("n_trees", &self.flat.n_trees())
-            .field("n_features", &self.flat.n_features())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Walks `LANES` consecutive records (starting at `row0`) through one
-/// decoded tree in lockstep, returning each record's leaf outcome.
-///
-/// Every step is a branchless select per lane; the lanes' node loads are
-/// mutually independent, so the traversal's dependent-load chains overlap
-/// across records (memory-level parallelism) instead of serializing down
-/// one root-to-leaf chain at a time. Leaf self-loops let all lanes run the
-/// same fixed step count.
-// analyze: hot
-#[inline]
-fn walk_flat_lanes(tree: &WalkTree, data: &[f32], n_features: usize, row0: usize) -> [f32; LANES] {
-    let nodes = tree.nodes.as_slice();
-    let base_off = row0 * n_features;
-    let mut idx = [0usize; LANES];
-    for _ in 0..tree.steps {
-        for l in 0..LANES {
-            let node = nodes[idx[l]];
-            let x = data[base_off + l * n_features + node.feature as usize];
-            idx[l] = if x <= node.threshold {
-                node.left as usize
-            } else {
-                node.right as usize
-            };
-        }
-    }
-    let mut out = [0f32; LANES];
-    for l in 0..LANES {
-        out[l] = tree.payload[idx[l]];
-    }
-    out
-}
-
-/// Scores one record block of a flat classification forest into `votes`.
-/// `walk` is the decoded image of `forest.trees()`, index for index.
-// analyze: hot
-#[allow(clippy::too_many_arguments)]
-fn flat_classify_block(
-    walk: &[WalkTree],
-    forest: &FlatForest,
-    frame: &TabularFrame,
-    rows: Range<usize>,
-    n_classes: usize,
-    tree_block: usize,
-    s: &mut Scratch,
-    out: &SharedOut<u32>,
-) {
-    let blen = rows.len();
-    let nf = frame.n_features();
-    let data = frame.as_slice();
-    s.votes.clear();
-    s.votes.resize(blen * n_classes, 0);
-    let chunks = walk
-        .chunks(tree_block)
-        .zip(forest.trees().chunks(tree_block));
-    for (wchunk, fchunk) in chunks {
-        let mut k = 0;
-        while k + LANES <= blen {
-            for tree in wchunk {
-                let leaves = walk_flat_lanes(tree, data, nf, rows.start + k);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
-                }
-            }
-            k += LANES;
-        }
-        for tree in fchunk {
-            for r in k..blen {
-                let c = tree.score(frame.row(rows.start + r)) as usize;
-                s.votes[r * n_classes + c] += 1;
-            }
-        }
-    }
-    for r in 0..blen {
-        let counts = &s.votes[r * n_classes..(r + 1) * n_classes];
-        out.write(rows.start + r, RandomForest::majority(counts));
-    }
-}
-
-/// Scores one record block of a flat regression forest into `acc`.
-/// `walk` is the decoded image of `forest.trees()`, index for index.
-// analyze: hot
-fn flat_regress_block(
-    walk: &[WalkTree],
-    forest: &FlatForest,
-    frame: &TabularFrame,
-    rows: Range<usize>,
-    tree_block: usize,
-    s: &mut Scratch,
-    out: &SharedOut<f32>,
-) {
-    let blen = rows.len();
-    let nf = frame.n_features();
-    let data = frame.as_slice();
-    let n_trees = forest.n_trees() as f32;
-    s.acc.clear();
-    s.acc.resize(blen, 0.0);
-    // Chunks ascend and trees ascend within each chunk, so each row's
-    // accumulator adds tree outputs in exactly the sequential fold order.
-    let chunks = walk
-        .chunks(tree_block)
-        .zip(forest.trees().chunks(tree_block));
-    for (wchunk, fchunk) in chunks {
-        let mut k = 0;
-        while k + LANES <= blen {
-            for tree in wchunk {
-                let leaves = walk_flat_lanes(tree, data, nf, rows.start + k);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += LANES;
-        }
-        for tree in fchunk {
-            for r in k..blen {
-                s.acc[r] += tree.score(frame.row(rows.start + r));
-            }
-        }
-    }
-    for r in 0..blen {
-        out.write(rows.start + r, s.acc[r] / n_trees);
-    }
-}
-
-/// Scores a frame against a flat forest on the pool, returning predictions
-/// plus the run's wall-clock occupancy report.
-///
-/// Bit-exact with applying [`FlatForest::score_one`] to every row.
-///
-/// # Panics
-///
-/// Panics if the frame's feature count differs from the model's.
-pub fn score_flat_batch(
-    forest: &FlatForest,
-    frame: &TabularFrame,
-    pool: &ExecPool,
-    cfg: &RunConfig,
-) -> (Predictions, RunReport) {
-    // Decode the f32-word image once per call; the cost is one pass over
-    // the node arrays, amortized over every (record, tree) traversal.
-    let walk: Vec<WalkTree> = forest.trees().iter().map(WalkTree::decode).collect();
-    score_decoded(forest, &walk, frame, pool, cfg)
-}
-
-/// Scores a frame against a pre-decoded [`FlatImage`] on the pool.
-///
-/// Identical to [`score_flat_batch`] except the decode pass already
-/// happened when the image was built, so repeated calls on the same model
-/// pay only the traversal.
-///
-/// # Panics
-///
-/// Panics if the frame's feature count differs from the model's.
-pub fn score_image_batch(
-    image: &FlatImage,
-    frame: &TabularFrame,
-    pool: &ExecPool,
-    cfg: &RunConfig,
-) -> (Predictions, RunReport) {
-    score_decoded(&image.flat, &image.walk, frame, pool, cfg)
-}
-
-fn score_decoded(
-    forest: &FlatForest,
-    walk: &[WalkTree],
-    frame: &TabularFrame,
-    pool: &ExecPool,
-    cfg: &RunConfig,
-) -> (Predictions, RunReport) {
-    assert_eq!(
-        frame.n_features(),
-        forest.n_features(),
-        "frame/model feature width mismatch: frame has {} features, model expects {}",
-        frame.n_features(),
-        forest.n_features()
-    );
-    let n = frame.n_rows();
-    match forest.task() {
-        Task::Classification { n_classes } => {
-            let n_classes = n_classes as usize;
-            let mut out = vec![0u32; n];
-            let shared = SharedOut::new(&mut out);
-            let report = pool.run(n, cfg, &|_w, range| {
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    for rows in blocks(range.clone(), cfg.record_block) {
-                        flat_classify_block(
-                            walk,
-                            forest,
-                            frame,
-                            rows,
-                            n_classes,
-                            cfg.tree_block,
-                            s,
-                            &shared,
-                        );
-                    }
-                });
-            });
-            (Predictions::Classes(out), report)
-        }
-        Task::Regression => {
-            let mut out = vec![0f32; n];
-            let shared = SharedOut::new(&mut out);
-            let report = pool.run(n, cfg, &|_w, range| {
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    for rows in blocks(range.clone(), cfg.record_block) {
-                        flat_regress_block(walk, forest, frame, rows, cfg.tree_block, s, &shared);
-                    }
-                });
-            });
-            (Predictions::Values(out), report)
-        }
-    }
 }
 
 /// Scores a frame against a pointer-tree forest on the pool.
@@ -611,92 +192,10 @@ pub fn score_forest_batch(
     }
 }
 
-/// Scores a frame against a quantized forest on the pool, returning class
-/// ids plus the run report.
-///
-/// Each record is quantized once per block with the forest's scheme, then
-/// voted across trees — bit-exact with [`QuantizedForest::score_one`].
-///
-/// # Panics
-///
-/// Panics if the frame's feature count differs from the model's.
-pub fn score_quantized_batch(
-    forest: &QuantizedForest,
-    frame: &TabularFrame,
-    pool: &ExecPool,
-    cfg: &RunConfig,
-) -> (Vec<u32>, RunReport) {
-    assert_eq!(
-        frame.n_features(),
-        forest.n_features(),
-        "frame/model feature width mismatch: frame has {} features, model expects {}",
-        frame.n_features(),
-        forest.n_features()
-    );
-    let n = frame.n_rows();
-    let nf = forest.n_features();
-    let n_classes = forest.n_classes() as usize;
-    let mut out = vec![0u32; n];
-    let shared = SharedOut::new(&mut out);
-    let report = pool.run(n, cfg, &|_w, range| {
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            for rows in blocks(range.clone(), cfg.record_block) {
-                let blen = rows.len();
-                s.xq.clear();
-                s.xq.resize(blen * nf, 0);
-                for r in 0..blen {
-                    let row = frame.row(rows.start + r);
-                    for (j, &v) in row.iter().enumerate() {
-                        s.xq[r * nf + j] = forest.scheme().quantize(j, v);
-                    }
-                }
-                s.votes.clear();
-                s.votes.resize(blen * n_classes, 0);
-                for chunk in forest.trees().chunks(cfg.tree_block) {
-                    for tree in chunk {
-                        for r in 0..blen {
-                            let c = tree.score_quantized(&s.xq[r * nf..(r + 1) * nf]) as usize;
-                            s.votes[r * n_classes + c] += 1;
-                        }
-                    }
-                }
-                for r in 0..blen {
-                    let counts = &s.votes[r * n_classes..(r + 1) * n_classes];
-                    shared.write(rows.start + r, RandomForest::majority(counts));
-                }
-            }
-        });
-    });
-    (out, report)
-}
-
-/// Parallel indexed fill: computes `f(i)` for every `i in 0..n` on the
-/// pool and collects the results in order.
-///
-/// This is the generic replacement for the seed's per-backend helpers
-/// (`score_chunks` in the sklearn backend, `score_flat` in the ONNX
-/// backend), which both hand-rolled scoped-thread scatter/gather over
-/// static chunks.
-pub fn fill_indexed<T, F>(n: usize, pool: &ExecPool, cfg: &RunConfig, f: F) -> (Vec<T>, RunReport)
-where
-    T: Default + Clone + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); n];
-    let shared = SharedOut::new(&mut out);
-    let report = pool.run(n, cfg, &|_w, range| {
-        for i in range {
-            shared.write(i, f(i));
-        }
-    });
-    (out, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlscore_forest::{ForestConfig, QuantScheme};
+    use mlscore_forest::ForestConfig;
 
     fn frame(rows: usize, nf: usize, seed: u64) -> TabularFrame {
         let data: Vec<f32> = (0..rows * nf)
@@ -709,45 +208,6 @@ mod tests {
 
     fn pool() -> ExecPool {
         ExecPool::new(4)
-    }
-
-    #[test]
-    fn flat_classification_matches_sequential() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(24, 5, 3).with_depth(7), 42);
-        let flat = FlatForest::from_forest(&forest, 7).unwrap();
-        let f = frame(333, 5, 1);
-        let pool = pool();
-        let cfg = RunConfig::for_threads(4)
-            .with_record_block(32)
-            .with_tree_block(5);
-        let (preds, report) = score_flat_batch(&flat, &f, &pool, &cfg);
-        let expected: Vec<u32> = f.rows().map(|r| flat.score_one(r) as u32).collect();
-        assert_eq!(preds.as_classes().unwrap(), expected.as_slice());
-        assert_eq!(report.rows(), 333);
-    }
-
-    #[test]
-    fn flat_regression_matches_sequential_bit_exact() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::regression(17, 4).with_depth(6), 9);
-        let flat = FlatForest::from_forest(&forest, 6).unwrap();
-        let f = frame(200, 4, 7);
-        let pool = pool();
-        let cfg = RunConfig::for_threads(3)
-            .with_record_block(16)
-            .with_tree_block(4);
-        let (preds, _) = score_flat_batch(&flat, &f, &pool, &cfg);
-        let expected: Vec<f32> = f.rows().map(|r| flat.score_one(r)).collect();
-        // Bit-exact, not approximately equal.
-        let got: Vec<u32> = preds
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let want: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -788,104 +248,18 @@ mod tests {
     }
 
     #[test]
-    fn quantized_kernel_matches_score_one() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(12, 4, 3).with_depth(6), 8);
-        let q = QuantizedForest::from_forest(&forest, QuantScheme::unit(4)).unwrap();
-        let f = frame(121, 4, 5);
-        let pool = pool();
-        let cfg = RunConfig::for_threads(2).with_record_block(25);
-        let (preds, _) = score_quantized_batch(&q, &f, &pool, &cfg);
-        let expected: Vec<u32> = f.rows().map(|r| q.score_one(r)).collect();
-        assert_eq!(preds, expected);
-    }
-
-    #[test]
     fn empty_and_single_record_batches() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(4, 3, 2).with_depth(4), 1);
-        let flat = FlatForest::from_forest(&forest, 4).unwrap();
         let pool = pool();
         let cfg = RunConfig::default();
         let empty = TabularFrame::from_rows(vec![], 3).unwrap();
-        let (preds, report) = score_flat_batch(&flat, &empty, &pool, &cfg);
-        assert!(preds.is_empty());
+        let (preds, report) = score_forest_batch(&forest, &empty, &pool, &cfg);
+        assert_eq!(preds, Predictions::Classes(vec![]));
         assert_eq!(report.rows(), 0);
         let one = frame(1, 3, 4);
-        let (preds, report) = score_flat_batch(&flat, &one, &pool, &cfg);
-        assert_eq!(preds.len(), 1);
-        assert_eq!(
-            preds.as_classes().unwrap()[0],
-            flat.score_one(one.row(0)) as u32
-        );
+        let (preds, report) = score_forest_batch(&forest, &one, &pool, &cfg);
+        assert_eq!(preds, forest.predict_batch(one.as_slice()));
         assert_eq!(report.rows(), 1);
-    }
-
-    #[test]
-    fn lockstep_walk_matches_scalar_score() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(1, 4, 3).with_depth(8), 77);
-        // Encode with extra capacity so lockstep runs more steps than the
-        // tree is deep — the leaf self-loop must hold the result.
-        let flat = FlatTree::from_tree(&forest.trees()[0], 10).unwrap();
-        let f = frame(LANES, 4, 6);
-        let leaves = walk_flat_lanes(&WalkTree::decode(&flat), f.as_slice(), 4, 0);
-        for l in 0..LANES {
-            assert_eq!(leaves[l], flat.score(f.row(l)), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn image_batch_matches_flat_batch_bit_exact() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(24, 5, 3).with_depth(7), 42);
-        let image = FlatImage::from_forest(&forest, 7).unwrap();
-        let f = frame(333, 5, 1);
-        let pool = pool();
-        let cfg = RunConfig::for_threads(4)
-            .with_record_block(32)
-            .with_tree_block(5);
-        let (fresh, _) = score_flat_batch(image.flat(), &f, &pool, &cfg);
-        let (cached, _) = score_image_batch(&image, &f, &pool, &cfg);
-        assert_eq!(fresh, cached);
-
-        let reg = RandomForest::synthetic_full(&ForestConfig::regression(17, 4).with_depth(6), 9);
-        let image = FlatImage::from_forest(&reg, 6).unwrap();
-        let f = frame(200, 4, 7);
-        let (fresh, _) = score_flat_batch(image.flat(), &f, &pool, &cfg);
-        let (cached, _) = score_image_batch(&image, &f, &pool, &cfg);
-        let want: Vec<u32> = fresh
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let got: Vec<u32> = cached
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(want, got);
-    }
-
-    #[test]
-    fn fill_indexed_orders_results() {
-        let pool = pool();
-        let cfg = RunConfig::for_threads(4).with_record_block(7);
-        let (v, report) = fill_indexed(100, &pool, &cfg, |i| i * 3);
-        assert_eq!(v, (0..100).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(report.rows(), 100);
-    }
-
-    #[test]
-    fn degenerate_depth_zero_forest() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(3, 2).with_depth(0), 2);
-        let flat = FlatForest::from_forest(&forest, 0).unwrap();
-        let f = frame(33, 2, 8);
-        let pool = pool();
-        let (preds, _) = score_flat_batch(&flat, &f, &pool, &RunConfig::for_threads(2));
-        let expected: Vec<f32> = f.rows().map(|r| flat.score_one(r)).collect();
-        assert_eq!(preds.as_values().unwrap(), expected.as_slice());
     }
 }

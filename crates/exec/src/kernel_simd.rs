@@ -1,13 +1,12 @@
-//! Explicit-SIMD lockstep lane walker over a heap-indexed tree image.
+//! The CPU flat-image kernel: an explicit-SIMD lockstep lane walker over a
+//! heap-indexed tree image.
 //!
-//! The blocked kernel in [`kernel`](crate::kernel) walks [`LANES`] records
-//! through a tree in scalar lockstep: per step and lane it loads a node's
-//! `left`/`right`/`feature`/`threshold` words, compares, and selects the
-//! next child index. This module removes the child-pointer loads entirely
-//! by re-encoding each tree into an implicit binary heap:
+//! [`FlatImage`] is what the ONNX-like backend lowers a forest to: the
+//! Fig. 4b flat layout plus each tree re-encoded into an implicit binary
+//! heap, which removes the child-pointer loads from the traversal:
 //!
 //! ```text
-//!   WalkTree (explicit children)        SimdTree (heap re-encode)
+//!   FlatTree (explicit children)        SimdTree (heap re-encode)
 //!   ┌────┬────┬────┬────┐               ft:      [feat, thr] per slot
 //!   │left│rght│feat│ thr│  node i  ==>  payload: f32 per slot
 //!   └────┴────┴────┴────┘               slot i children = 2i+1 / 2i+2
@@ -23,22 +22,26 @@
 //! padding plays, applied to the payload table.
 //!
 //! Three instruction tiers implement the identical step ([`SimdLevel`]):
-//! AVX2 (8/16 lanes per step via `vpgatherdd`/`vgatherdps`), SSE2 (4-wide
-//! compare/select with scalar gathers), and a hand-unrolled portable u32
-//! fallback. The tier is picked at runtime ([`SimdLevel::detect`]) and can
-//! be forced down with the `MLSCORE_SIMD` environment override; all tiers
-//! are bit-exact with each other and with the blocked walker, because the
+//! AVX-512F (16 lanes per gather, up to 64 in flight), AVX2 (8 lanes per
+//! gather via `vpgatherdd`/`vgatherdps`), and a hand-unrolled portable u32
+//! fallback that compiles to baseline code on any target. The tier is
+//! picked at runtime ([`SimdLevel::detect`]) and can be forced down with
+//! the `MLSCORE_SIMD` environment override; all tiers are bit-exact with
+//! each other and with the sequential `FlatForest::score_one`, because the
 //! compare (`x <= thr`, ordered-quiet, NaN → right child) and the vote /
-//! ascending-tree-order accumulation folds are identical.
+//! ascending-tree-order accumulation folds are identical. Rows past the
+//! last full lane group take the scalar `FlatTree::score` path.
 //!
 //! Build-time validation (every decision node's feature is in range, heap
 //! arithmetic cannot leave the capacity array) is what licenses the
 //! unchecked loads and gathers in the hot loops.
 
 use mlscore_data::TabularFrame;
-use mlscore_forest::{Predictions, RandomForest, Task};
+use mlscore_forest::{
+    FlatForest, FlatTree, ForestError, NodeRecord, Predictions, RandomForest, Task,
+};
 
-use crate::kernel::{blocks, FlatImage, Scratch, SharedOut, WalkTree, LANES, SCRATCH};
+use crate::kernel::{blocks, Scratch, SharedOut, LANES, SCRATCH};
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
@@ -47,9 +50,7 @@ use crate::report::RunReport;
 pub enum SimdLevel {
     /// Hand-unrolled u32-lane scalar code: no `std::arch`, any target.
     Portable,
-    /// SSE2: 4-wide compare/select, scalar feature/threshold gathers.
-    Sse2,
-    /// AVX2: 8-wide gathers and compares, 16 lanes in flight per tree.
+    /// AVX2: 8-wide gathers and compares, up to 64 lanes in flight per tree.
     Avx2,
     /// AVX-512F: 16-wide gathers and mask compares, 64 lanes in flight.
     Avx512,
@@ -67,22 +68,16 @@ impl SimdLevel {
             if std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx2")
             {
-                SimdLevel::Avx512
+                return SimdLevel::Avx512;
             } else if std::arch::is_x86_feature_detected!("avx2") {
-                SimdLevel::Avx2
-            } else {
-                // SSE2 is part of the x86_64 baseline.
-                SimdLevel::Sse2
+                return SimdLevel::Avx2;
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdLevel::Portable
-        }
+        SimdLevel::Portable
     }
 
     /// Runtime pick: hardware detection, capped by the `MLSCORE_SIMD`
-    /// environment override (`portable`, `sse2`, `avx2`, or `avx512`).
+    /// environment override (`portable`, `avx2`, or `avx512`).
     ///
     /// The override can only *lower* the tier — requesting an unsupported
     /// one keeps the strongest the host actually has — and unknown values
@@ -103,7 +98,6 @@ impl SimdLevel {
     pub fn parse(s: &str) -> Option<SimdLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "portable" | "scalar" => Some(SimdLevel::Portable),
-            "sse2" => Some(SimdLevel::Sse2),
             "avx2" => Some(SimdLevel::Avx2),
             "avx512" | "avx512f" => Some(SimdLevel::Avx512),
             _ => None,
@@ -114,10 +108,61 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Portable => "portable",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
         }
+    }
+}
+
+/// A flat forest bundled with its heap-indexed SIMD traversal image.
+///
+/// Re-encoding the Fig. 4b `f32`-word layout into [`SimdTree`]s is the
+/// ONNX-like backend's model-lowering step: it costs one pass over every
+/// node array, so it happens once per model — the artifact cache stores
+/// the image per bundle — and every [`score_simd_batch`] call pays only
+/// the traversal.
+pub struct FlatImage {
+    flat: FlatForest,
+    /// One heap image per tree of `flat`, index for index.
+    trees: Vec<SimdTree>,
+}
+
+impl FlatImage {
+    /// Re-encodes an already-flattened forest into a reusable image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a decision node references a feature outside
+    /// `0..n_features` — corrupt node tables would already panic the
+    /// bounds-checked scalar walker; here the check runs once at build
+    /// time and licenses the walkers' unchecked loads.
+    pub fn from_flat(flat: FlatForest) -> Self {
+        let trees = flat
+            .trees()
+            .iter()
+            .map(|t| SimdTree::build(t, flat.n_features()))
+            .collect();
+        Self { flat, trees }
+    }
+
+    /// Flattens a pointer-tree forest at `max_depth` capacity and
+    /// re-encodes it in one step.
+    pub fn from_forest(forest: &RandomForest, max_depth: usize) -> Result<Self, ForestError> {
+        Ok(Self::from_flat(FlatForest::from_forest(forest, max_depth)?))
+    }
+
+    /// The underlying flat forest (node tables, task, feature width).
+    pub fn flat(&self) -> &FlatForest {
+        &self.flat
+    }
+}
+
+impl std::fmt::Debug for FlatImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlatImage")
+            .field("n_trees", &self.flat.n_trees())
+            .field("n_features", &self.flat.n_features())
+            .finish_non_exhaustive()
     }
 }
 
@@ -128,7 +173,7 @@ impl SimdLevel {
 /// never index out of bounds. Decision slots carry `[feature,
 /// threshold.to_bits()]` in `ft`; every slot under a leaf carries the
 /// leaf's payload in `payload` (see the module docs for why).
-pub(crate) struct SimdTree {
+struct SimdTree {
     /// Interleaved `[feature, threshold_bits]` per heap slot (`2 × cap`).
     /// Slots that are not live decision nodes keep `feature = 0` — an
     /// always-in-bounds column — and an arbitrary threshold.
@@ -139,34 +184,13 @@ pub(crate) struct SimdTree {
     steps: usize,
 }
 
-/// The per-forest SIMD image: one [`SimdTree`] per flat tree, in order.
-pub(crate) struct SimdForest {
-    pub(crate) trees: Vec<SimdTree>,
-}
-
-impl SimdForest {
-    /// Re-encodes a decoded walk image into heap form.
-    ///
-    /// Panics if a decision node references a feature outside
-    /// `0..n_features` — corrupt node tables would already panic the
-    /// bounds-checked scalar walker; here the check runs once at build
-    /// time and licenses the walkers' unchecked loads.
-    pub(crate) fn build(walk: &[WalkTree], n_features: usize) -> Self {
-        let trees = walk
-            .iter()
-            .map(|t| SimdTree::build(t, n_features))
-            .collect();
-        Self { trees }
-    }
-}
-
 impl SimdTree {
-    fn build(walk: &WalkTree, n_features: usize) -> Self {
+    fn build(tree: &FlatTree, n_features: usize) -> Self {
         assert!(
             n_features > 0,
             "SIMD image requires at least one feature column"
         );
-        let steps = walk.steps;
+        let steps = tree.max_depth();
         let cap = (1usize << (steps + 1)) - 1;
         let mut ft = vec![0u32; 2 * cap];
         let mut payload = vec![0f32; cap];
@@ -176,35 +200,31 @@ impl SimdTree {
         // and initializes the entire capacity.
         let mut stack = vec![(0u32, 0usize, 0usize)];
         while let Some((fi, h, d)) = stack.pop() {
-            let node = walk.nodes[fi as usize];
-            let is_leaf = node.left == fi && node.right == fi;
-            if is_leaf {
-                fill_subtree(&mut payload, h, d, steps, walk.payload[fi as usize]);
-            } else if d == steps {
+            match tree.record(fi as usize) {
+                NodeRecord::Leaf { payload: v } => fill_subtree(&mut payload, h, d, steps, v),
                 // Capacity exhausted at a decision node (impossible for
                 // well-formed encodings, where every path fits in `steps`
-                // levels): mirror the lockstep walker, which stops here
-                // and reads the node's word 1.
-                payload[h] = walk.payload[fi as usize];
-            } else {
-                assert!(
-                    (node.feature as usize) < n_features,
-                    "decision node feature {} out of range (model has {})",
-                    node.feature,
-                    n_features
-                );
-                ft[2 * h] = node.feature;
-                ft[2 * h + 1] = node.threshold.to_bits();
-                stack.push((node.left, 2 * h + 1, d + 1));
-                stack.push((node.right, 2 * h + 2, d + 1));
+                // levels): exit with the node's word 1, as a fixed-step
+                // walk of the flat words would.
+                NodeRecord::Decision { right, .. } if d == steps => payload[h] = right as f32,
+                NodeRecord::Decision {
+                    left,
+                    right,
+                    feature,
+                    threshold,
+                } => {
+                    assert!(
+                        (feature as usize) < n_features,
+                        "decision node feature {feature} out of range (model has {n_features})"
+                    );
+                    ft[2 * h] = feature;
+                    ft[2 * h + 1] = threshold.to_bits();
+                    stack.push((left, 2 * h + 1, d + 1));
+                    stack.push((right, 2 * h + 2, d + 1));
+                }
             }
         }
         Self { ft, payload, steps }
-    }
-
-    /// Bytes held by this tree's heap image.
-    pub(crate) fn image_bytes(&self) -> usize {
-        self.ft.len() * 4 + self.payload.len() * 4
     }
 }
 
@@ -226,7 +246,7 @@ fn fill_subtree(payload: &mut [f32], h: usize, d: usize, steps: usize, v: f32) {
 /// Walks `LANES` consecutive records (starting at `row0`) through one
 /// heap-encoded tree in lockstep at the given tier.
 ///
-/// Bit-exact with [`walk_flat_lanes`](crate::kernel) on the same tree.
+/// Bit-exact with [`FlatTree::score`] on each of the lanes' rows.
 // analyze: hot
 #[allow(unsafe_code)]
 #[inline]
@@ -242,7 +262,6 @@ fn walk8(tree: &SimdTree, data: &[f32], nf: usize, row0: usize, level: SimdLevel
         SimdLevel::Avx512 | SimdLevel::Avx2 => {
             return unsafe { x86::walk8_avx2(tree, data, nf, row0) }
         }
-        SimdLevel::Sse2 => return unsafe { x86::walk8_sse2(tree, data, nf, row0) },
         SimdLevel::Portable => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -680,59 +699,6 @@ mod x86 {
         }
         out
     }
-
-    /// 8-lane SSE2 walker: scalar gathers (SSE2 has none), 4-wide ordered
-    /// compare and child-index arithmetic on xmm registers, two halves.
-    ///
-    /// # Safety
-    ///
-    /// `data` must hold `(row0 + LANES) * nf` elements and `nf` must equal
-    /// the tree's build-time feature width. (SSE2 itself is part of the
-    /// x86_64 baseline.)
-    // analyze: hot
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn walk8_sse2(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; LANES] {
-        let ft = tree.ft.as_slice();
-        let base = row0 * nf;
-        let two = _mm_set1_epi32(2);
-        let mut v0 = _mm_setzero_si128();
-        let mut v1 = _mm_setzero_si128();
-        let mut hid = [0i32; LANES];
-        let mut thr = [0f32; LANES];
-        let mut x = [0f32; LANES];
-        for _ in 0..tree.steps {
-            _mm_storeu_si128(hid.as_mut_ptr() as *mut __m128i, v0);
-            _mm_storeu_si128(hid.as_mut_ptr().add(4) as *mut __m128i, v1);
-            for l in 0..LANES {
-                let h = hid[l] as usize * 2;
-                let f = *ft.get_unchecked(h) as usize;
-                thr[l] = f32::from_bits(*ft.get_unchecked(h + 1));
-                x[l] = *data.get_unchecked(base + l * nf + f);
-            }
-            let m0 = _mm_castps_si128(_mm_cmple_ps(
-                _mm_loadu_ps(x.as_ptr()),
-                _mm_loadu_ps(thr.as_ptr()),
-            ));
-            let m1 = _mm_castps_si128(_mm_cmple_ps(
-                _mm_loadu_ps(x.as_ptr().add(4)),
-                _mm_loadu_ps(thr.as_ptr().add(4)),
-            ));
-            v0 = _mm_add_epi32(_mm_add_epi32(v0, v0), _mm_add_epi32(two, m0));
-            v1 = _mm_add_epi32(_mm_add_epi32(v1, v1), _mm_add_epi32(two, m1));
-        }
-        _mm_storeu_si128(hid.as_mut_ptr() as *mut __m128i, v0);
-        _mm_storeu_si128(hid.as_mut_ptr().add(4) as *mut __m128i, v1);
-        let mut out = [0f32; LANES];
-        for l in 0..LANES {
-            out[l] = *tree.payload.get_unchecked(hid[l] as usize);
-        }
-        out
-    }
 }
 
 /// Scores one record block of a classification forest with the SIMD
@@ -755,7 +721,6 @@ fn simd_classify_block(
     s.votes.clear();
     s.votes.resize(blen * n_classes, 0);
     let chunks = image
-        .simd()
         .trees
         .chunks(tree_block)
         .zip(image.flat().trees().chunks(tree_block));
@@ -821,7 +786,6 @@ fn simd_regress_block(
     // Chunks ascend and trees ascend within each chunk, so each row's
     // accumulator adds tree outputs in exactly the sequential fold order.
     let chunks = image
-        .simd()
         .trees
         .chunks(tree_block)
         .zip(image.flat().trees().chunks(tree_block));
@@ -868,10 +832,9 @@ fn simd_regress_block(
 /// Scores a frame against a prepared [`FlatImage`] with the explicit-SIMD
 /// lane walker at the given tier.
 ///
-/// Bit-exact with [`score_image_batch`](crate::kernel::score_image_batch)
-/// (and therefore with the sequential `score_one`): the traversal
-/// decisions, vote counts, and ascending-tree-order regression folds are
-/// identical at every tier.
+/// Bit-exact with the sequential [`FlatForest::score_one`] on every row at
+/// every tier: the traversal decisions, vote counts, and
+/// ascending-tree-order regression folds are identical.
 ///
 /// # Panics
 ///
@@ -947,21 +910,32 @@ mod tests {
     }
 
     fn levels() -> Vec<SimdLevel> {
-        let mut ls = vec![SimdLevel::Portable];
-        if SimdLevel::supported() >= SimdLevel::Sse2 {
-            ls.push(SimdLevel::Sse2);
+        [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512]
+            .into_iter()
+            .filter(|&l| l <= SimdLevel::supported())
+            .collect()
+    }
+
+    /// The sequential reference: [`FlatForest::score_one`] on every row,
+    /// as raw bits so regression outputs compare exactly.
+    fn sequential(image: &FlatImage, f: &TabularFrame) -> Vec<u32> {
+        f.rows()
+            .map(|r| match image.flat().task() {
+                Task::Classification { .. } => image.flat().score_one(r) as u32,
+                Task::Regression => image.flat().score_one(r).to_bits(),
+            })
+            .collect()
+    }
+
+    fn bits(preds: &Predictions) -> Vec<u32> {
+        match preds {
+            Predictions::Classes(c) => c.clone(),
+            Predictions::Values(v) => v.iter().map(|x| x.to_bits()).collect(),
         }
-        if SimdLevel::supported() >= SimdLevel::Avx2 {
-            ls.push(SimdLevel::Avx2);
-        }
-        if SimdLevel::supported() >= SimdLevel::Avx512 {
-            ls.push(SimdLevel::Avx512);
-        }
-        ls
     }
 
     #[test]
-    fn every_level_matches_blocked_classification() {
+    fn every_level_matches_sequential_classification() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(24, 5, 3).with_depth(7), 42);
         let image = FlatImage::from_forest(&forest, 7).unwrap();
@@ -970,16 +944,16 @@ mod tests {
         let cfg = RunConfig::for_threads(4)
             .with_record_block(32)
             .with_tree_block(5);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
+        let want = forest.predict_batch(f.as_slice());
         for level in levels() {
             let (simd, report) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
+            assert_eq!(simd, want, "level {level:?}");
             assert_eq!(report.rows(), 333);
         }
     }
 
     #[test]
-    fn every_level_matches_blocked_regression_bit_exact() {
+    fn every_level_matches_sequential_regression_bit_exact() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::regression(17, 4).with_depth(6), 9);
         let image = FlatImage::from_forest(&forest, 6).unwrap();
@@ -988,22 +962,10 @@ mod tests {
         let cfg = RunConfig::for_threads(3)
             .with_record_block(48)
             .with_tree_block(4);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        let want: Vec<u32> = blocked
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let want = sequential(&image, &f);
         for level in levels() {
             let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            let got: Vec<u32> = simd
-                .as_values()
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, want, "level {level:?}");
+            assert_eq!(bits(&simd), want, "level {level:?}");
         }
     }
 
@@ -1030,10 +992,27 @@ mod tests {
         let f = frame(100, nf, 3);
         let pool = ExecPool::new(2);
         let cfg = RunConfig::for_threads(2);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
+        let want = forest.predict_batch(f.as_slice());
         for level in levels() {
             let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
+            assert_eq!(simd, want, "level {level:?}");
+        }
+    }
+
+    #[test]
+    fn spare_capacity_steps_land_on_the_leaf_payload() {
+        // Encode with extra capacity so every lane runs more steps than
+        // the tree is deep: the propagated payload must hold the result.
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(3, 4, 3).with_depth(8), 77);
+        let image = FlatImage::from_forest(&forest, 10).unwrap();
+        let f = frame(8 * LANES + 3, 4, 6);
+        let pool = ExecPool::new(2);
+        let cfg = RunConfig::for_threads(2);
+        let want = forest.predict_batch(f.as_slice());
+        for level in levels() {
+            let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
+            assert_eq!(simd, want, "level {level:?}");
         }
     }
 
@@ -1046,10 +1025,11 @@ mod tests {
         let cfg = RunConfig::default();
         for rows in [0usize, 1, 7, 8, 9, 15, 16, 17] {
             let f = frame(rows, 3, rows as u64);
-            let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
+            let want = forest.predict_batch(f.as_slice());
             for level in levels() {
-                let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-                assert_eq!(simd, blocked, "rows {rows} level {level:?}");
+                let (simd, report) = score_simd_batch(&image, &f, &pool, &cfg, level);
+                assert_eq!(simd, want, "rows {rows} level {level:?}");
+                assert_eq!(report.rows(), rows);
             }
         }
     }
@@ -1061,10 +1041,10 @@ mod tests {
         let f = frame(33, 2, 8);
         let pool = ExecPool::new(2);
         let cfg = RunConfig::for_threads(2);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
+        let want = sequential(&image, &f);
         for level in levels() {
             let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
+            assert_eq!(bits(&simd), want, "level {level:?}");
         }
     }
 
@@ -1082,10 +1062,10 @@ mod tests {
         let f = TabularFrame::from_rows(data, 4).unwrap();
         let pool = ExecPool::new(2);
         let cfg = RunConfig::for_threads(2);
-        let (blocked, _) = crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
+        let want = sequential(&image, &f);
         for level in levels() {
             let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(simd, blocked, "level {level:?}");
+            assert_eq!(bits(&simd), want, "level {level:?}");
         }
     }
 
@@ -1101,33 +1081,23 @@ mod tests {
         let f = frame(100_000, 4, 1);
         let pool = ExecPool::new(1);
         let cfg = RunConfig::for_threads(1);
-        let time = |label: &str, go: &dyn Fn() -> ()| {
-            go(); // warm
-            let t0 = Instant::now();
-            go();
-            let dt = t0.elapsed().as_secs_f64();
-            println!("{label:>10}: {:>10.0} rec/s", 100_000.0 / dt);
-        };
-        time("blocked", &|| {
-            crate::kernel::score_image_batch(&image, &f, &pool, &cfg);
-        });
         for level in levels() {
-            time(level.name(), &|| {
-                score_simd_batch(&image, &f, &pool, &cfg, level);
-            });
+            score_simd_batch(&image, &f, &pool, &cfg, level); // warm
+            let t0 = Instant::now();
+            score_simd_batch(&image, &f, &pool, &cfg, level);
+            let dt = t0.elapsed().as_secs_f64();
+            println!("{:>10}: {:>10.0} rec/s", level.name(), 100_000.0 / dt);
         }
-        time("qs", &|| {
-            crate::quickscorer::score_quickscorer_batch(&image, &f, &pool, &cfg);
-        });
     }
 
     #[test]
     fn level_parse_and_detect_override() {
         assert_eq!(SimdLevel::parse("avx2"), Some(SimdLevel::Avx2));
-        assert_eq!(SimdLevel::parse("avx512"), Some(SimdLevel::Avx512));
-        assert_eq!(SimdLevel::parse(" SSE2 "), Some(SimdLevel::Sse2));
+        assert_eq!(SimdLevel::parse(" AVX512 "), Some(SimdLevel::Avx512));
         assert_eq!(SimdLevel::parse("portable"), Some(SimdLevel::Portable));
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Portable));
+        // `sse2` names no tier: x86-64 hosts without AVX2 run `portable`.
+        assert_eq!(SimdLevel::parse("sse2"), None);
         assert_eq!(SimdLevel::parse("avx1024"), None);
         for l in levels() {
             assert_eq!(SimdLevel::parse(l.name()), Some(l));

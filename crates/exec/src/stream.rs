@@ -1,15 +1,14 @@
 //! Chunked scoring off a [`RecordStream`]: the executor end of the fused
 //! scan→featurize→score path.
 //!
-//! [`score_stream`] pulls cache-sized chunks from a scanner and feeds each
-//! one to whichever kernel the [`KernelChoice`] cost model picks for that
-//! chunk's row count — the same dispatch
-//! [`score_auto_batch`](crate::choice::score_auto_batch) performs for a
-//! whole frame, re-ranked per chunk (a short final chunk may fall back to
-//! the blocked walker where the full batch would have gone SIMD).
+//! [`score_stream`] is the one chunk loop both CPU backends share: it pulls
+//! cache-sized chunks from a scanner and hands each one to the caller's
+//! per-chunk kernel — the SIMD lane walker over a
+//! [`FlatImage`](crate::FlatImage) for the ONNX-like backend, the
+//! pointer-tree kernel for the scikit-learn-like one.
 //!
 //! Per-chunk predictions are folded deterministically: every record is
-//! fully scored within exactly one chunk, and all kernels are bit-exact at
+//! fully scored within exactly one chunk, and both kernels are bit-exact at
 //! any batch size, so appending chunk predictions in pull order
 //! reproduces the whole-frame result bit for bit (pinned by
 //! `tests/fused_stream.rs`).
@@ -17,20 +16,14 @@
 use mlscore_data::{RecordStream, TabularFrame};
 use mlscore_forest::Predictions;
 
-use crate::choice::{score_auto_batch_at, Kernel, KernelChoice};
-use crate::kernel::{self, FlatImage};
-use crate::kernel_simd::SimdLevel;
-use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
-/// One scored chunk: its row count, the kernel the cost model picked for
-/// it, and the executor's wall-clock report for the run.
+/// One scored chunk: its row count and the executor's wall-clock report
+/// for the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkRun {
     /// Rows in the chunk.
     pub rows: usize,
-    /// The cost model's verdict for this chunk.
-    pub choice: KernelChoice,
     /// Measured per-worker occupancy of the chunk's executor run.
     pub run: RunReport,
 }
@@ -53,48 +46,37 @@ impl StreamReport {
         self.chunks.len()
     }
 
-    /// Per-chunk rows and kernel picks, in pull order.
+    /// Per-chunk rows and executor runs, in pull order.
     pub fn chunks(&self) -> &[ChunkRun] {
         &self.chunks
     }
-
-    /// Distinct kernels dispatched across the run, in first-use order.
-    pub fn kernels(&self) -> Vec<Kernel> {
-        let mut out: Vec<Kernel> = Vec::new();
-        for c in &self.chunks {
-            if !out.contains(&c.choice.kernel) {
-                out.push(c.choice.kernel);
-            }
-        }
-        out
-    }
 }
 
-/// Scores every chunk of `stream` against `image`, folding per-chunk
-/// predictions in pull order.
+/// Scores every non-empty chunk of `stream` with `score_chunk`, folding
+/// per-chunk predictions in pull order.
+///
+/// A stream that yields no rows still returns predictions of the model's
+/// kind: `score_chunk` is called once on an empty frame of the stream's
+/// width, and that call is not reported as a chunk.
 ///
 /// # Panics
 ///
-/// Panics if the stream's feature count differs from the model's (same
-/// contract as the whole-frame kernels).
+/// Propagates `score_chunk`'s panics — the kernels panic if the stream's
+/// feature count differs from the model's.
 pub fn score_stream(
-    image: &FlatImage,
     stream: &mut dyn RecordStream,
-    pool: &ExecPool,
-    cfg: &RunConfig,
+    mut score_chunk: impl FnMut(&TabularFrame) -> (Predictions, RunReport),
 ) -> (Predictions, StreamReport) {
-    let level = SimdLevel::detect();
     let mut report = StreamReport::default();
     let mut out: Option<Predictions> = None;
     while let Some(chunk) = stream.next_chunk() {
         if chunk.is_empty() {
             continue;
         }
-        let (preds, run, choice) = score_auto_batch_at(level, image, chunk, pool, cfg);
+        let (preds, run) = score_chunk(chunk);
         report.rows += chunk.n_rows();
         report.chunks.push(ChunkRun {
             rows: chunk.n_rows(),
-            choice,
             run,
         });
         match &mut out {
@@ -102,19 +84,19 @@ pub fn score_stream(
             Some(acc) => acc.append(&preds),
         }
     }
-    let preds = out.unwrap_or_else(|| empty_predictions(image, pool, cfg));
+    let preds = out.unwrap_or_else(|| {
+        let empty = TabularFrame::with_capacity(0, stream.n_features());
+        score_chunk(&empty).0
+    });
     (preds, report)
-}
-
-/// A zero-record prediction batch of the image's task kind.
-fn empty_predictions(image: &FlatImage, pool: &ExecPool, cfg: &RunConfig) -> Predictions {
-    let empty = TabularFrame::with_capacity(0, image.stats().n_features);
-    kernel::score_image_batch(image, &empty, pool, cfg).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::score_forest_batch;
+    use crate::kernel_simd::{score_simd_batch, FlatImage, SimdLevel};
+    use crate::pool::{ExecPool, RunConfig};
     use mlscore_data::{Dataset, FrameScanner};
     use mlscore_forest::{ForestConfig, RandomForest};
     use mlscore_sim::SimInstant;
@@ -129,21 +111,35 @@ mod tests {
         (forest, image)
     }
 
+    /// Streams `frame` through the SIMD walker at the detected tier.
+    fn simd_stream(
+        image: &FlatImage,
+        stream: &mut dyn RecordStream,
+    ) -> (Predictions, StreamReport) {
+        let level = SimdLevel::detect();
+        let cfg = RunConfig::default();
+        score_stream(stream, |chunk| {
+            score_simd_batch(image, chunk, ExecPool::global(), &cfg, level)
+        })
+    }
+
     #[test]
     fn stream_scoring_matches_whole_frame() {
         let (forest, image) = image(16, 6, 3, 7);
         let data = Dataset::iris(333, 9).normalized();
         let want = forest.predict_batch(data.frame().as_slice());
+        let cfg = RunConfig::default();
         for chunk_rows in [1, 7, 64, 1000] {
             let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
-            let (got, report) = score_stream(
-                &image,
-                &mut scanner,
-                ExecPool::global(),
-                &RunConfig::default(),
-            );
-            assert_eq!(got, want, "chunk_rows={chunk_rows}");
+            let (got, report) = simd_stream(&image, &mut scanner);
+            assert_eq!(got, want, "simd chunk_rows={chunk_rows}");
             assert_eq!(report.rows(), 333);
+            assert_eq!(report.n_chunks(), 333usize.div_ceil(chunk_rows));
+            let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
+            let (got, report) = score_stream(&mut scanner, |chunk| {
+                score_forest_batch(&forest, chunk, ExecPool::global(), &cfg)
+            });
+            assert_eq!(got, want, "forest chunk_rows={chunk_rows}");
             assert_eq!(report.n_chunks(), 333usize.div_ceil(chunk_rows));
         }
     }
@@ -153,12 +149,7 @@ mod tests {
         let (_, image) = image(8, 5, 2, 4);
         let data = Dataset::iris(200, 3).normalized();
         let mut scanner = FrameScanner::new(data.frame(), 64);
-        let (_, report) = score_stream(
-            &image,
-            &mut scanner,
-            ExecPool::global(),
-            &RunConfig::default(),
-        );
+        let (_, report) = simd_stream(&image, &mut scanner);
         let tracer = Tracer::new();
         crate::report::record_sequential_spans(
             report.chunks().iter().map(|c| &c.run),
@@ -180,37 +171,9 @@ mod tests {
         let (_, image) = image(4, 4, 3, 1);
         let frame = TabularFrame::from_rows(vec![], 4).unwrap();
         let mut scanner = FrameScanner::new(&frame, 8);
-        let (preds, report) = score_stream(
-            &image,
-            &mut scanner,
-            ExecPool::global(),
-            &RunConfig::default(),
-        );
+        let (preds, report) = simd_stream(&image, &mut scanner);
         assert_eq!(preds, Predictions::Classes(vec![]));
         assert_eq!(report.rows(), 0);
         assert_eq!(report.n_chunks(), 0);
-    }
-
-    #[test]
-    fn per_chunk_choices_rerank_short_tails() {
-        // 128×10 picks SIMD for large chunks but the blocked walker for
-        // sub-lane tails — the report records both.
-        let (_, image) = image(128, 10, 2, 3);
-        let data = Dataset::iris(crate::kernel::LANES * 4 + 3, 5).normalized();
-        let mut scanner = FrameScanner::new(data.frame(), crate::kernel::LANES * 4);
-        let (_, report) = score_stream(
-            &image,
-            &mut scanner,
-            ExecPool::global(),
-            &RunConfig::default(),
-        );
-        assert_eq!(report.n_chunks(), 2);
-        let kernels: Vec<Kernel> = report.chunks().iter().map(|c| c.choice.kernel).collect();
-        assert_eq!(
-            kernels[1],
-            Kernel::Blocked,
-            "3-row tail avoids the SIMD path"
-        );
-        assert_eq!(report.kernels(), vec![Kernel::Simd, Kernel::Blocked]);
     }
 }

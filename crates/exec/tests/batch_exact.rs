@@ -1,16 +1,17 @@
-//! Property tests: the parallel batch kernels are bit-exact with their
-//! sequential references for every forest representation, across thread
-//! counts (1, 2, 7, and the paper's 52), record/tree block sizes, both
-//! tasks (including majority-vote tie-breaking), and degenerate batches
-//! (empty and single-record frames).
+//! Property tests: both parallel batch kernels — the SIMD walker over a
+//! flat image and the blocked pointer-tree kernel — are bit-exact with
+//! their sequential references across thread counts (1, 2, 7, and the
+//! paper's 52), record/tree block sizes, both tasks (including
+//! majority-vote tie-breaking), and degenerate batches (empty and
+//! single-record frames).
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use mlscore_data::TabularFrame;
-use mlscore_exec::{kernel, ExecPool, RunConfig};
-use mlscore_forest::{FlatForest, ForestConfig, QuantScheme, QuantizedForest, RandomForest};
+use mlscore_exec::{kernel, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
+use mlscore_forest::{ForestConfig, RandomForest};
 
 /// Thread counts exercised for every case: serial, small, odd (uneven
 /// sharding), and the paper's 52-thread Xeon configuration.
@@ -52,7 +53,7 @@ fn sweep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Classification: both the flat lockstep kernel and the blocked
+    /// Classification: both the SIMD flat-image kernel and the blocked
     /// pointer-tree kernel reproduce the sequential result exactly. Few
     /// trees and classes make vote ties common, so the shared
     /// lowest-class-id tie-break is genuinely exercised.
@@ -72,7 +73,8 @@ proptest! {
             &ForestConfig::classification(trees, n_features, n_classes).with_depth(depth),
             model_seed,
         );
-        let flat = FlatForest::from_forest(&forest, forest.max_depth()).unwrap();
+        let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
+        let flat = image.flat();
         let f = frame(rows, n_features, data_seed);
         let forest_ref = forest.predict_batch(f.as_slice());
         let flat_ref: Vec<u32> = f.rows().map(|r| flat.score_one(r) as u32).collect();
@@ -80,7 +82,7 @@ proptest! {
             let (preds, report) = kernel::score_forest_batch(&forest, &f, pool, &cfg);
             prop_assert_eq!(&preds, &forest_ref, "forest kernel, {} threads", cfg.threads);
             prop_assert_eq!(report.rows(), rows);
-            let (preds, _) = kernel::score_flat_batch(&flat, &f, pool, &cfg);
+            let (preds, _) = score_simd_batch(&image, &f, pool, &cfg, SimdLevel::detect());
             prop_assert_eq!(preds.as_classes().unwrap(), flat_ref.as_slice());
         }
     }
@@ -102,7 +104,8 @@ proptest! {
             &ForestConfig::regression(trees, n_features).with_depth(depth),
             model_seed,
         );
-        let flat = FlatForest::from_forest(&forest, forest.max_depth()).unwrap();
+        let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
+        let flat = image.flat();
         let f = frame(rows, n_features, data_seed);
         let forest_ref: Vec<u32> = forest
             .predict_batch(f.as_slice())
@@ -117,37 +120,10 @@ proptest! {
             let got: Vec<u32> =
                 preds.as_values().unwrap().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&got, &forest_ref);
-            let (preds, _) = kernel::score_flat_batch(&flat, &f, pool, &cfg);
+            let (preds, _) = score_simd_batch(&image, &f, pool, &cfg, SimdLevel::detect());
             let got: Vec<u32> =
                 preds.as_values().unwrap().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&got, &flat_ref);
-        }
-    }
-
-    /// Quantized forests: block-quantized parallel scoring matches the
-    /// per-record `score_one` path exactly.
-    #[test]
-    fn quantized_kernel_bit_exact(
-        trees in 1usize..6,
-        depth in 1usize..6,
-        n_features in 2usize..5,
-        n_classes in 2u32..4,
-        rows in 0usize..30,
-        record_block in 1usize..50,
-        model_seed in any::<u64>(),
-        data_seed in any::<u64>(),
-    ) {
-        let forest = RandomForest::synthetic_full(
-            &ForestConfig::classification(trees, n_features, n_classes).with_depth(depth),
-            model_seed,
-        );
-        let quant = QuantizedForest::from_forest(&forest, QuantScheme::unit(n_features)).unwrap();
-        let f = frame(rows, n_features, data_seed);
-        let reference: Vec<u32> = f.rows().map(|r| quant.score_one(r)).collect();
-        for (pool, cfg) in sweep(record_block, 3) {
-            let (preds, report) = kernel::score_quantized_batch(&quant, &f, pool, &cfg);
-            prop_assert_eq!(&preds, &reference);
-            prop_assert_eq!(report.rows(), rows);
         }
     }
 }
@@ -159,15 +135,18 @@ proptest! {
 fn empty_and_single_record_at_every_width() {
     let forest =
         RandomForest::synthetic_full(&ForestConfig::classification(3, 4, 3).with_depth(5), 99);
-    let flat = FlatForest::from_forest(&forest, 5).unwrap();
+    let image = FlatImage::from_forest(&forest, 5).unwrap();
     let empty = TabularFrame::from_rows(vec![], 4).unwrap();
     let one = frame(1, 4, 5);
     for (pool, threads) in pools().iter().zip(THREADS) {
         let cfg = RunConfig::for_threads(threads);
-        let (preds, report) = kernel::score_flat_batch(&flat, &empty, pool, &cfg);
+        let (preds, report) = score_simd_batch(&image, &empty, pool, &cfg, SimdLevel::detect());
         assert!(preds.is_empty());
         assert_eq!(report.rows(), 0);
+        let want = forest.predict_batch(one.as_slice());
         let (preds, _) = kernel::score_forest_batch(&forest, &one, pool, &cfg);
-        assert_eq!(preds, forest.predict_batch(one.as_slice()));
+        assert_eq!(preds, want);
+        let (preds, _) = score_simd_batch(&image, &one, pool, &cfg, SimdLevel::detect());
+        assert_eq!(preds, want);
     }
 }

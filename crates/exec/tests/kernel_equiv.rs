@@ -1,9 +1,10 @@
-//! Cross-kernel equivalence: the blocked image walker, the explicit-SIMD
-//! lane walker at every tier the host supports, and the QuickScorer
-//! bitvector kernel must be bit-exact with the sequential pointer-tree
-//! reference — over the paper's dataset shapes (iris-like and
-//! HIGGS-like), forest sizes {1, 8, 128}, batch-edge record counts
-//! {0, 1, odd, LANES±1}, multiple pool widths, and the `MLSCORE_SIMD`
+//! Flat-kernel equivalence: the explicit-SIMD lane walker — the only
+//! kernel that scores a `FlatImage` — must be bit-exact with the
+//! sequential pointer-tree reference at every tier the host supports,
+//! over the paper's dataset shapes (iris-like and HIGGS-like), forest
+//! sizes {1, 8, 128}, batch-edge record counts (0, 1, odd, and ±1 around
+//! each walker stride: `LANES`, `4·LANES`, `8·LANES`, plus two record
+//! blocks and a tail), multiple pool widths, and the `MLSCORE_SIMD`
 //! env-forced fallback tiers.
 
 use std::sync::OnceLock;
@@ -11,9 +12,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use mlscore_data::{Dataset, TabularFrame};
-use mlscore_exec::{
-    kernel, score_quickscorer_batch, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel,
-};
+use mlscore_exec::pool::DEFAULT_RECORD_BLOCK;
+use mlscore_exec::{kernel, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
 use mlscore_forest::{ForestConfig, Predictions, RandomForest};
 
 /// Pool widths: serial, small, and wider than any sweep batch shard.
@@ -27,16 +27,27 @@ fn pools() -> &'static [ExecPool] {
 
 /// Every SIMD tier the host can actually run, weakest first.
 fn levels() -> Vec<SimdLevel> {
-    [
-        SimdLevel::Portable,
-        SimdLevel::Sse2,
-        SimdLevel::Avx2,
-        SimdLevel::Avx512,
-    ]
-    .into_iter()
-    .filter(|&l| l <= SimdLevel::supported())
-    .collect()
+    [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&l| l <= SimdLevel::supported())
+        .collect()
 }
+
+/// Record counts at the walker's batch edges: empty, one, odd, and one
+/// either side of every lane stride (`walk8`, `walk32`, `walk64`), plus
+/// two full record blocks with a sub-lane tail.
+const EDGE_RECORDS: [usize; 10] = [
+    0,
+    1,
+    37,
+    kernel::LANES - 1,
+    kernel::LANES + 1,
+    4 * kernel::LANES - 1,
+    4 * kernel::LANES + 1,
+    8 * kernel::LANES - 1,
+    8 * kernel::LANES + 1,
+    2 * DEFAULT_RECORD_BLOCK + 3,
+];
 
 /// Predictions as raw bits so regression outputs compare exactly.
 fn bits(preds: &Predictions) -> Vec<u32> {
@@ -60,15 +71,13 @@ fn shaped_frame(dataset: &str, rows: usize) -> TabularFrame {
     data.frame().clone()
 }
 
-/// Runs every kernel on `(forest, frame)` at every pool width and asserts
-/// each one reproduces the sequential reference bit for bit.
-fn assert_all_kernels_exact(forest: &RandomForest, frame: &TabularFrame, what: &str) {
+/// Runs the SIMD walker on `(forest, frame)` at every tier and pool width
+/// and asserts each run reproduces the sequential reference bit for bit.
+fn assert_every_tier_exact(forest: &RandomForest, frame: &TabularFrame, what: &str) {
     let image = FlatImage::from_forest(forest, forest.max_depth()).unwrap();
     let reference = bits(&forest.predict_batch(frame.as_slice()));
     for (pool, threads) in pools().iter().zip(THREADS) {
         let cfg = RunConfig::for_threads(threads);
-        let (preds, _) = kernel::score_image_batch(&image, frame, pool, &cfg);
-        assert_eq!(bits(&preds), reference, "{what}: blocked @{threads}th");
         for level in levels() {
             let (preds, _) = score_simd_batch(&image, frame, pool, &cfg, level);
             assert_eq!(
@@ -78,16 +87,13 @@ fn assert_all_kernels_exact(forest: &RandomForest, frame: &TabularFrame, what: &
                 level.name()
             );
         }
-        let (preds, _) = score_quickscorer_batch(&image, frame, pool, &cfg);
-        assert_eq!(bits(&preds), reference, "{what}: quickscorer @{threads}th");
     }
 }
 
-/// The deterministic grid the issue names: {iris, higgs} shapes ×
-/// {1, 8, 128} trees × batch-edge record counts, classification.
+/// The deterministic grid: {iris, higgs} shapes × {1, 8, 128} trees ×
+/// batch-edge record counts, classification.
 #[test]
-fn grid_blocked_simd_quickscorer_bit_exact() {
-    let record_counts = [0, 1, 37, kernel::LANES - 1, kernel::LANES + 1];
+fn grid_simd_tiers_bit_exact() {
     for dataset in ["iris", "higgs"] {
         let (n_features, n_classes) = if dataset == "iris" { (4, 3) } else { (28, 2) };
         for trees in [1usize, 8, 128] {
@@ -95,32 +101,26 @@ fn grid_blocked_simd_quickscorer_bit_exact() {
                 &ForestConfig::classification(trees, n_features, n_classes).with_depth(6),
                 11,
             );
-            for records in record_counts {
+            for records in EDGE_RECORDS {
                 let frame = shaped_frame(dataset, records);
                 let what = format!("{dataset} x{trees} trees @{records} records");
-                assert_all_kernels_exact(&forest, &frame, &what);
+                assert_every_tier_exact(&forest, &frame, &what);
             }
         }
     }
 }
 
-/// Regression forests go through different accumulation folds in every
-/// kernel; they must still agree bit for bit.
+/// Regression forests go through the accumulation fold instead of the
+/// vote; it must still agree bit for bit at every stride edge.
 #[test]
-fn regression_kernels_bit_exact_at_batch_edges() {
+fn regression_tiers_bit_exact_at_batch_edges() {
     for trees in [1usize, 8] {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::regression(trees, 4).with_depth(6), 23);
-        for records in [
-            0,
-            1,
-            kernel::LANES - 1,
-            kernel::LANES + 1,
-            3 * kernel::LANES,
-        ] {
+        for records in EDGE_RECORDS.into_iter().chain([3 * kernel::LANES]) {
             let frame = shaped_frame("iris", records);
             let what = format!("regression x{trees} trees @{records} records");
-            assert_all_kernels_exact(&forest, &frame, &what);
+            assert_every_tier_exact(&forest, &frame, &what);
         }
     }
 }
@@ -140,7 +140,7 @@ fn env_forced_fallback_levels_stay_bit_exact() {
     let cfg = RunConfig::for_threads(2);
 
     let hw = SimdLevel::supported();
-    for forced in ["portable", "sse2", "avx2", "avx512"] {
+    for forced in ["portable", "avx2", "avx512"] {
         std::env::set_var("MLSCORE_SIMD", forced);
         let detected = SimdLevel::detect();
         // The override can only lower the tier, never raise it.
@@ -149,9 +149,12 @@ fn env_forced_fallback_levels_stay_bit_exact() {
         let (preds, _) = score_simd_batch(&image, &frame, &pool, &cfg, detected);
         assert_eq!(bits(&preds), reference, "forced {forced}");
     }
-    // Unknown values are ignored, not errors.
-    std::env::set_var("MLSCORE_SIMD", "quantum");
-    assert_eq!(SimdLevel::detect(), hw);
+    // Unknown values, `sse2` among them, are ignored,
+    // not errors.
+    for unknown in ["quantum", "sse2"] {
+        std::env::set_var("MLSCORE_SIMD", unknown);
+        assert_eq!(SimdLevel::detect(), hw, "{unknown}");
+    }
     std::env::remove_var("MLSCORE_SIMD");
     assert_eq!(SimdLevel::detect(), hw);
 }
@@ -159,16 +162,17 @@ fn env_forced_fallback_levels_stay_bit_exact() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random shapes: every kernel tier agrees with the sequential
-    /// reference on classification forests, including vote ties (few
-    /// trees and classes make them common) and NaN-free random frames.
+    /// Random shapes: every SIMD tier at every pool width agrees with the
+    /// sequential reference on classification forests, including vote
+    /// ties (few trees and classes make them common), NaN-free random
+    /// frames, and batches long enough to reach the 64-lane stride.
     #[test]
-    fn random_classification_all_kernels_agree(
+    fn random_classification_all_tiers_agree(
         trees in 1usize..10,
         depth in 0usize..7,
         n_features in 2usize..6,
         n_classes in 2u32..4,
-        rows in 0usize..50,
+        rows in 0usize..140,
         model_seed in any::<u64>(),
     ) {
         let forest = RandomForest::synthetic_full(
@@ -187,15 +191,18 @@ proptest! {
         let frame = TabularFrame::from_rows(data, n_features).unwrap();
         let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
         let reference = bits(&forest.predict_batch(frame.as_slice()));
-        let pool = &pools()[1];
-        let cfg = RunConfig::for_threads(THREADS[1]);
-        let (preds, _) = kernel::score_image_batch(&image, &frame, pool, &cfg);
-        prop_assert_eq!(&bits(&preds), &reference);
-        for level in levels() {
-            let (preds, _) = score_simd_batch(&image, &frame, pool, &cfg, level);
-            prop_assert_eq!(&bits(&preds), &reference, "simd/{}", level.name());
+        for (pool, threads) in pools().iter().zip(THREADS) {
+            let cfg = RunConfig::for_threads(threads);
+            for level in levels() {
+                let (preds, _) = score_simd_batch(&image, &frame, pool, &cfg, level);
+                prop_assert_eq!(
+                    &bits(&preds),
+                    &reference,
+                    "simd/{} @{}th",
+                    level.name(),
+                    threads
+                );
+            }
         }
-        let (preds, _) = score_quickscorer_batch(&image, &frame, pool, &cfg);
-        prop_assert_eq!(&bits(&preds), &reference);
     }
 }

@@ -28,8 +28,8 @@ pub const NODE_WORDS: usize = 4;
 pub const NODE_BYTES: usize = NODE_WORDS * 4;
 
 /// One flat node record decoded from its four-word encoding — the typed
-/// view layout builders (the executor's lockstep, SIMD, and QuickScorer
-/// images) consume instead of re-parsing the raw words themselves.
+/// view layout builders (the executor's SIMD image) consume instead of
+/// re-parsing the raw words themselves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeRecord {
     /// A decision record: `x[feature] <= threshold` selects `left`,
@@ -184,19 +184,6 @@ impl FlatTree {
                 threshold: w[3],
             }
         }
-    }
-
-    /// Iterates the decoded records of the whole padded image, in index
-    /// order (padding decodes as sentinel leaves).
-    pub fn records(&self) -> impl Iterator<Item = NodeRecord> + '_ {
-        (0..self.capacity_records()).map(|i| self.record(i))
-    }
-
-    /// Number of leaf records among the live (non-padding) records.
-    pub fn n_live_leaves(&self) -> usize {
-        (0..self.live_records)
-            .filter(|&i| matches!(self.record(i), NodeRecord::Leaf { .. }))
-            .count()
     }
 
     /// Scores one record, returning the raw outcome word (class id as `f32`
@@ -565,9 +552,9 @@ mod tests {
         let forest = RandomForest::synthetic_full(&cfg, 21);
         let flat = FlatTree::from_tree(&forest.trees()[0], 7).unwrap();
         let mut leaves = 0usize;
-        for (i, rec) in flat.records().enumerate() {
+        for i in 0..flat.capacity_records() {
             let base = i * NODE_WORDS;
-            match rec {
+            match flat.record(i) {
                 NodeRecord::Decision {
                     left,
                     right,
@@ -588,7 +575,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(flat.n_live_leaves(), leaves);
         // A full depth-6 tree has 64 leaves and 63 decisions.
         assert_eq!(leaves, 64);
         assert_eq!(flat.live_records(), 127);

@@ -460,16 +460,13 @@ fn record_spans(
     for (i, c) in chunks.iter().enumerate() {
         let at = t_score + scoring * (done as f64 / n_records as f64);
         let dur = scoring * (c.rows as f64 / n_records as f64);
-        let mut span = tracer
+        tracer
             .span("fused chunk", at)
             .scope(Scope::Detail)
             .track("pipeline", "chunks")
             .meta("chunk", i.to_string())
-            .meta("rows", c.rows.to_string());
-        if let Some(kernel) = c.kernel {
-            span = span.meta("kernel", kernel);
-        }
-        span.finish_after(dur);
+            .meta("rows", c.rows.to_string())
+            .finish_after(dur);
         done += c.rows as u64;
     }
 }
@@ -482,7 +479,7 @@ fn synth_chunks(n_records: usize, chunk_rows: usize) -> Vec<StreamChunk> {
     let mut left = n_records;
     while left > 0 {
         let rows = left.min(chunk_rows);
-        chunks.push(StreamChunk { rows, kernel: None });
+        chunks.push(StreamChunk { rows });
         left -= rows;
     }
     chunks

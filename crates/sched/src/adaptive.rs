@@ -216,13 +216,7 @@ impl AdaptiveScheduler {
             .iter()
             .find(|&&i| !self.estimates.contains_key(&(class, i)))
         {
-            return Some(Choice::new(
-                index,
-                SimDuration::ZERO,
-                stats,
-                n_records,
-                backends,
-            ));
+            return Some(Choice::new(index, SimDuration::ZERO, backends));
         }
         // Exploitation: argmin of learned estimates.
         supported
@@ -233,13 +227,7 @@ impl AdaptiveScheduler {
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(index, predicted)| {
-                Choice::new(
-                    index,
-                    SimDuration::from_secs(predicted.max(0.0)),
-                    stats,
-                    n_records,
-                    backends,
-                )
+                Choice::new(index, SimDuration::from_secs(predicted.max(0.0)), backends)
             })
     }
 
@@ -286,13 +274,7 @@ impl AdaptiveScheduler {
             .iter()
             .find(|&&i| !self.estimates.contains_key(&(class, i)))
         {
-            return Some(Choice::new(
-                index,
-                SimDuration::ZERO,
-                stats,
-                n_records,
-                backends,
-            ));
+            return Some(Choice::new(index, SimDuration::ZERO, backends));
         }
         supported
             .into_iter()
@@ -303,13 +285,7 @@ impl AdaptiveScheduler {
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(index, predicted)| {
-                Choice::new(
-                    index,
-                    SimDuration::from_secs(predicted.max(0.0)),
-                    stats,
-                    n_records,
-                    backends,
-                )
+                Choice::new(index, SimDuration::from_secs(predicted.max(0.0)), backends)
             })
     }
 

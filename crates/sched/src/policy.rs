@@ -49,7 +49,7 @@ pub fn choose_amortized_eligible(
             (i, total)
         })
         .min_by(|a, b| a.1.cmp(&b.1))
-        .map(|(index, predicted)| Choice::new(index, predicted, stats, n_records, backends))
+        .map(|(index, predicted)| Choice::new(index, predicted, backends))
 }
 
 /// A scheduling decision.
@@ -61,31 +61,15 @@ pub struct Choice {
     pub name: String,
     /// The time the policy predicted for its choice.
     pub predicted: SimDuration,
-    /// The CPU kernel the chosen backend's executor will dispatch for this
-    /// call (`ScoringBackend::kernel_choice`), when it has a tier to pick
-    /// from; `None` for offload backends with a single code path.
-    pub kernel: Option<&'static str>,
 }
 
 impl Choice {
-    /// Builds the decision record for `backends[index]`, asking the winner
-    /// which CPU scoring kernel its executor would dispatch at this shape
-    /// and batch size.
-    pub fn new(
-        index: usize,
-        predicted: SimDuration,
-        stats: &ModelStats,
-        n_records: u64,
-        backends: &[Box<dyn ScoringBackend>],
-    ) -> Self {
-        let backend = &backends[index];
+    /// Builds the decision record for `backends[index]`.
+    pub fn new(index: usize, predicted: SimDuration, backends: &[Box<dyn ScoringBackend>]) -> Self {
         Self {
             index,
-            name: backend.name().to_string(),
+            name: backends[index].name().to_string(),
             predicted,
-            kernel: backend
-                .kernel_choice(stats, n_records)
-                .map(|c| c.kernel.name()),
         }
     }
 }
@@ -135,7 +119,7 @@ impl Policy for OraclePolicy {
                 )
             })
             .min_by(|a, b| a.1.cmp(&b.1))
-            .map(|(index, predicted)| Choice::new(index, predicted, stats, n_records, backends))
+            .map(|(index, predicted)| Choice::new(index, predicted, backends))
     }
 }
 
@@ -206,9 +190,7 @@ impl Policy for HeuristicPolicy {
         };
         preference.iter().find_map(|kind| {
             self.pick_by_kind(stats, n_records, backends, *kind)
-                .map(|(index, _, predicted)| {
-                    Choice::new(index, predicted, stats, n_records, backends)
-                })
+                .map(|(index, _, predicted)| Choice::new(index, predicted, backends))
         })
     }
 }
@@ -273,7 +255,7 @@ impl Policy for AffineFitPolicy {
                 (i, SimDuration::from_secs(predicted.max(0.0)))
             })
             .min_by(|a, b| a.1.cmp(&b.1))
-            .map(|(index, predicted)| Choice::new(index, predicted, stats, n_records, backends))
+            .map(|(index, predicted)| Choice::new(index, predicted, backends))
     }
 }
 

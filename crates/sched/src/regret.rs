@@ -157,7 +157,7 @@ mod tests {
                     })
                     .min_by(|a, b| a.1.cmp(&b.1))
                     .map(|(index, predicted)| {
-                        crate::policy::Choice::new(index, predicted, stats, n_records, backends)
+                        crate::policy::Choice::new(index, predicted, backends)
                     })
             }
         }

@@ -953,11 +953,6 @@ impl Run<'_> {
             .meta("batch", batch_seq.to_string())
             .meta("requests", batch.len().to_string())
             .meta("records", total_records.to_string());
-        // CPU backends with a kernel tier report which scoring kernel the
-        // executor dispatches for this shape/batch (offload devices don't).
-        if let Some(kernel) = choice.kernel {
-            pass_span = pass_span.meta("kernel", kernel);
-        }
         // Cache-resident models dispatch through the fused streaming path —
         // chunks pulled straight off the coalesced request frames (see
         // `score_merged_stream`) — while cold or uncached passes marshal a
