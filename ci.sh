@@ -12,8 +12,9 @@ cargo test -q --workspace
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# Every target: libraries, binaries, tests and examples.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== workspace lints (repro analyze --check-baseline) =="
 # The determinism & hot-path lint pass (DESIGN.md sections 10 and 15): the
@@ -168,6 +169,17 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
     report --quick --out target/run_report.b.json >/dev/null
 cmp target/run_report.a.json target/run_report.b.json
 grep -q '"slo_alert"\|"alerts"' target/run_report.a.json
+
+echo "== ablations smoke (repro ablations, twice) =="
+# The ablation tables are a pure function of the calibration: two runs
+# must print the same bytes, and every study must be present.
+cargo run --release -q -p mlscore-bench --bin repro -- ablations >target/ablations.a.txt
+cargo run --release -q -p mlscore-bench --bin repro -- ablations >target/ablations.b.txt
+cmp target/ablations.a.txt target/ablations.b.txt
+for a in A1 A2 A3 A5 A6 A7; do
+    grep -q -- "--- Ablation $a:" target/ablations.a.txt
+done
+grep -q 'quantized (16-bit) layout' target/ablations.a.txt
 
 echo "== trace smoke (repro trace --cold / --warm / --fused / --fused --warm) =="
 # Both halves of the two-phase split must render a timeline.

@@ -591,7 +591,7 @@ mod tests {
         assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::Hit));
         assert!(Arc::ptr_eq(&first, &second));
         // A byte-identical re-serialization is still a hit.
-        let again = ModelBundle::from_bytes(bytes::Bytes::from(b.as_bytes().to_vec()));
+        let again = ModelBundle::from_bytes(b.as_bytes());
         let (_, o3) = cache.get_or_prepare(&backend, &again).unwrap();
         assert_eq!(o3, CacheOutcome::Hit);
         assert_eq!(metrics.counter(METRIC_HITS), 2);

@@ -4,7 +4,7 @@
 //! Run `repro --help` for the full target list.
 
 use mlscore_backend::{OnnxCpu, ScoringBackend, SklearnCpu};
-use mlscore_core::{figures, headline::HeadlineReport, report, shmoo::ShmooTable};
+use mlscore_core::{ablations, figures, headline::HeadlineReport, report, shmoo::ShmooTable};
 use mlscore_data::DatasetSpec;
 use mlscore_forest::{ModelBundle, ModelStats};
 use mlscore_fpga::FpgaBackend;
@@ -170,6 +170,114 @@ fn scheduler() {
     }
     print!("{}", registry.render());
     println!();
+}
+
+fn ablations() {
+    let or_never = |n: Option<u64>| n.map_or_else(|| "never".to_string(), |n| n.to_string());
+
+    println!("\n--- Ablation A1: PCIe generation sweep (HIGGS, 128 trees, depth 10) ---");
+    println!(
+        "{:<10} {:>14} {:>14} {:>18}",
+        "link", "FPGA @1M", "speedup vs CPU", "crossover (records)"
+    );
+    for r in ablations::pcie_sweep() {
+        println!(
+            "{:<10} {:>14} {:>13.1}x {:>18}",
+            r.link,
+            r.fpga_1m.to_string(),
+            r.speedup_vs_cpu,
+            or_never(r.crossover)
+        );
+    }
+
+    println!("\n--- Ablation A2: BRAM vs DDR tree memories ---");
+    println!(
+        "{:<8} {:>12} {:>12} {:>12}",
+        "memory", "IRIS 128t", "HIGGS 128t", "HIGGS 1t"
+    );
+    for r in ablations::fpga_memory() {
+        println!(
+            "{:<8} {:>12} {:>12} {:>12}",
+            r.memory,
+            r.iris_128t.to_string(),
+            r.higgs_128t.to_string(),
+            r.higgs_1t.to_string()
+        );
+    }
+    let q = ablations::quantized_capacity();
+    println!("\n    quantized (16-bit) layout vs the Fig. 4b f32 layout:");
+    println!(
+        "      f32 image {} KiB (padded), quantized {} KiB (live), mismatch rate {:.4}%",
+        q.f32_bytes / 1024,
+        q.quantized_bytes / 1024,
+        q.mismatch_rate * 100.0
+    );
+    println!("      -> the same 28.6 MB BRAM holds ~2x the trees (or one more tree level)");
+
+    println!("\n--- Ablation A3: GPU mechanism knobs (HIGGS, 128 trees, 1M records) ---");
+    let g = ablations::gpu_mechanisms();
+    let (rapids, rapids_free) = (g.rapids.total(), g.rapids_divergence_free.total());
+    println!(
+        "  RAPIDS with divergence {rapids}, divergence-free {rapids_free} ({:.2}x)",
+        rapids.ratio(rapids_free)
+    );
+    println!(
+        "  HB with gather-tensor traffic {}, lean {}",
+        g.hummingbird.total(),
+        g.hummingbird_lean.total()
+    );
+    println!(
+        "  measured lane activity (IRIS capped trees): {:.3}; analytic warp_efficiency(10) = {:.3}",
+        g.measured_lane_activity, g.analytic_warp_efficiency
+    );
+
+    println!("\n--- Ablation A5: split execution (FPGA first 10 levels + CPU rest) ---");
+    println!(
+        "{:>6} {:>18} {:>14}",
+        "depth", "finished on FPGA", "CPU visits"
+    );
+    for r in ablations::split_depth() {
+        assert!(r.bit_exact, "split scoring diverged at depth {}", r.depth);
+        println!(
+            "{:>6} {:>17.1}% {:>14}",
+            r.depth,
+            r.fpga_fraction * 100.0,
+            r.cpu_visits
+        );
+    }
+
+    println!("\n--- Ablation A6: GPU generations (HIGGS, 128 trees, depth 10) ---");
+    println!(
+        "{:<6} {:>14} {:>14} {:>16} {:>20}",
+        "GPU", "HB @1M", "RAPIDS @1M", "best-GPU speedup", "GPU crossover (rec)"
+    );
+    for r in ablations::gpu_generations() {
+        println!(
+            "{:<6} {:>14} {:>14} {:>15.1}x {:>20}",
+            r.gpu,
+            r.hummingbird_1m.to_string(),
+            r.rapids_1m.to_string(),
+            r.best_speedup,
+            or_never(r.crossover)
+        );
+    }
+
+    println!(
+        "\n--- Ablation A7: integration modes (HIGGS, 128 trees, 1M records, FPGA scoring) ---"
+    );
+    println!(
+        "{:<18} {:>14} {:>18} {:>24}",
+        "mode", "query total", "scoring fraction", "speedup vs external"
+    );
+    for r in ablations::integration_modes() {
+        println!(
+            "{:<18} {:>14} {:>17.1}% {:>23.1}x",
+            r.mode,
+            r.total.to_string(),
+            r.scoring_fraction * 100.0,
+            r.speedup_vs_external
+        );
+    }
 }
 
 /// Builds the backend a `repro trace` argument names.
@@ -790,6 +898,9 @@ fn usage() -> String {
        fig11            end-to-end T-SQL query breakdown\n\
        headlines        headline ratios from the paper's section IV\n\
        scheduler        policy regret + latency percentiles (telemetry histograms)\n\
+       ablations        ablation tables A1-A3, A5-A7 and A10 (PCIe generation,\n\
+                        BRAM vs DDR, GPU mechanisms, split execution, GPU\n\
+                        generations, integration modes, quantized layout)\n\
        trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]\n\
                         export a Perfetto trace of one simulated query\n\
                         (defaults: higgs 128 1m fpga, cold; records accept k/m\n\
@@ -852,6 +963,7 @@ fn main() {
         "fig11" => fig11(),
         "headlines" => headlines(),
         "scheduler" => scheduler(),
+        "ablations" => ablations(),
         "trace" => trace(&args[2..]),
         "bench" => bench(&args[2..]),
         "serve" => serve(&args[2..]),

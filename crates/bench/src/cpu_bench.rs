@@ -1,6 +1,6 @@
 //! Wall-clock CPU scoring benchmark trajectory (`repro bench`).
 //!
-//! Unlike the figure benches, which replay the *modelled* timing, this
+//! Unlike the figure targets, which replay the *modelled* timing, this
 //! harness measures the library's real execution engines with
 //! `std::time::Instant` and writes the results to `BENCH_cpu_scoring.json`
 //! so every future PR has a throughput trajectory to beat.

@@ -1,9 +1,10 @@
-//! Benchmark crate: Criterion benches (one per paper figure plus
-//! ablations) and the `repro` binary that regenerates every table/figure.
+//! Benchmark crate: the `repro` binary that regenerates every table,
+//! figure and ablation study.
 //!
 //! Run `cargo run -p mlscore-bench --bin repro -- all` to print the full
 //! set, or name a figure: `fig1`, `fig7a`, `fig7b`, `fig8`, `fig9`,
-//! `fig10`, `fig11`, `headlines`, `scheduler`.
+//! `fig10`, `fig11`, `headlines`, `scheduler`; `ablations` prints the
+//! ablation tables.
 //!
 //! [`cpu_bench`] is the *measured* (wall-clock) counterpart: `repro bench`
 //! sweeps the real CPU scoring kernels and writes `BENCH_cpu_scoring.json`.

@@ -1,5 +1,5 @@
 //! Generators for the paper's figures. Each returns a structured table the
-//! `repro` binary (and the benches) render; nothing here prints.
+//! `repro` binary renders; nothing here prints.
 
 use mlscore_backend::{OnnxCpu, ScoringBackend};
 use mlscore_data::DatasetSpec;

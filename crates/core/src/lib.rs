@@ -1,6 +1,6 @@
 //! Experiment harness: calibration, sweeps, and generators for every table
 //! and figure in the paper's evaluation (Figs. 1 and 7–11, plus the §IV
-//! headline ratios).
+//! headline ratios) and for the ablation studies beyond it.
 //!
 //! # Example
 //!
@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod calibration;
 pub mod experiment;
 pub mod export;

@@ -235,8 +235,8 @@ mod tests {
         let champions: Vec<usize> = (0..12).map(|m| r.route(m, 10, &nodes)).collect();
         // Same model, same champion, regardless of load.
         let loaded = views(&[50, 50, 50, 50]);
-        for m in 0..12 {
-            assert_eq!(r.route(m, 10, &loaded), champions[m]);
+        for (m, &champion) in champions.iter().enumerate() {
+            assert_eq!(r.route(m, 10, &loaded), champion);
         }
         // The 12-model paper mix spreads over more than one node.
         let distinct: std::collections::BTreeSet<usize> = champions.iter().copied().collect();

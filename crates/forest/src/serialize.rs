@@ -23,7 +23,7 @@
 //!     leaf:     class u32 (classification) | value f32 (regression)
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 use crate::error::ForestError;
 use crate::forest::{RandomForest, Task};
@@ -32,6 +32,10 @@ use crate::tree::DecisionTree;
 
 const MAGIC: &[u8; 4] = b"MLSB";
 const VERSION: u16 = 1;
+/// Smallest encoded tree: its `n_nodes` count.
+const MIN_TREE_BYTES: usize = 4;
+/// Smallest encoded node: a leaf's tag plus its 4-byte payload.
+const MIN_NODE_BYTES: usize = 5;
 
 /// A serialized random forest — the bytes a DBMS would store in a model
 /// table.
@@ -52,7 +56,8 @@ const VERSION: u16 = 1;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelBundle {
-    bytes: Bytes,
+    // Shared so clones (one per artifact-cache entry) stay cheap.
+    bytes: Arc<[u8]>,
     // Computed once at construction: artifact caches probe the hash on
     // every lookup, so re-walking the bytes each call would make cache
     // probes O(model size).
@@ -74,23 +79,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 impl ModelBundle {
     /// Serializes a forest into a bundle.
     pub fn serialize(forest: &RandomForest) -> Self {
-        let mut buf = BytesMut::with_capacity(64 + forest.n_nodes() * 16);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        match forest.task() {
-            Task::Classification { n_classes } => {
-                buf.put_u8(0);
-                buf.put_u32_le(n_classes);
-            }
-            Task::Regression => {
-                buf.put_u8(1);
-                buf.put_u32_le(0);
-            }
-        }
-        buf.put_u32_le(forest.n_features() as u32);
-        buf.put_u32_le(forest.n_trees() as u32);
+        let mut buf = Vec::with_capacity(64 + forest.n_nodes() * 16);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        let (task_tag, n_classes) = match forest.task() {
+            Task::Classification { n_classes } => (0u8, n_classes),
+            Task::Regression => (1, 0),
+        };
+        buf.push(task_tag);
+        buf.extend_from_slice(&n_classes.to_le_bytes());
+        buf.extend_from_slice(&(forest.n_features() as u32).to_le_bytes());
+        buf.extend_from_slice(&(forest.n_trees() as u32).to_le_bytes());
         for tree in forest.trees() {
-            buf.put_u32_le(tree.len() as u32);
+            buf.extend_from_slice(&(tree.len() as u32).to_le_bytes());
             for node in tree.nodes() {
                 match *node {
                     Node::Decision {
@@ -99,29 +100,30 @@ impl ModelBundle {
                         left,
                         right,
                     } => {
-                        buf.put_u8(0);
-                        buf.put_u16_le(feature);
-                        buf.put_f32_le(threshold);
-                        buf.put_u32_le(left);
-                        buf.put_u32_le(right);
+                        buf.push(0);
+                        buf.extend_from_slice(&feature.to_le_bytes());
+                        buf.extend_from_slice(&threshold.to_le_bytes());
+                        buf.extend_from_slice(&left.to_le_bytes());
+                        buf.extend_from_slice(&right.to_le_bytes());
                     }
                     Node::Leaf(LeafValue::Class(c)) => {
-                        buf.put_u8(1);
-                        buf.put_u32_le(c);
+                        buf.push(1);
+                        buf.extend_from_slice(&c.to_le_bytes());
                     }
                     Node::Leaf(LeafValue::Value(v)) => {
-                        buf.put_u8(1);
-                        buf.put_f32_le(v);
+                        buf.push(1);
+                        buf.extend_from_slice(&v.to_le_bytes());
                     }
                 }
             }
         }
-        Self::from_bytes(buf.freeze())
+        Self::from_bytes(buf)
     }
 
     /// Wraps raw bytes (e.g. read from storage) as a bundle without
     /// validating them; validation happens at [`ModelBundle::deserialize`].
-    pub fn from_bytes(bytes: Bytes) -> Self {
+    pub fn from_bytes(bytes: impl Into<Arc<[u8]>>) -> Self {
+        let bytes = bytes.into();
         let hash = fnv1a(&bytes);
         Self { bytes, hash }
     }
@@ -156,22 +158,25 @@ impl ModelBundle {
 
     /// Parses the bundle back into a forest, validating structure.
     ///
+    /// Counts in the header are untrusted: no vector is pre-sized beyond
+    /// what the remaining bytes could encode.
+    ///
     /// # Errors
     ///
     /// Returns [`ForestError::BadMagic`], [`ForestError::UnsupportedVersion`],
     /// or [`ForestError::Corrupt`] for malformed input, and any structural
     /// validation error from [`RandomForest::from_trees`].
     pub fn deserialize(&self) -> Result<RandomForest, ForestError> {
-        let mut buf = self.bytes.clone();
-        if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
+        let mut buf: &[u8] = &self.bytes;
+        if take::<4>(&mut buf, "magic").ok() != Some(*MAGIC) {
             return Err(ForestError::BadMagic);
         }
-        let version = take_u16(&mut buf, "version")?;
+        let version = u16::from_le_bytes(take(&mut buf, "version")?);
         if version != VERSION {
             return Err(ForestError::UnsupportedVersion(version));
         }
-        let task_tag = take_u8(&mut buf, "task")?;
-        let n_classes = take_u32(&mut buf, "n_classes")?;
+        let [task_tag] = take(&mut buf, "task")?;
+        let n_classes = u32::from_le_bytes(take(&mut buf, "n_classes")?);
         let task = match task_tag {
             0 => {
                 if n_classes == 0 {
@@ -182,28 +187,30 @@ impl ModelBundle {
             1 => Task::Regression,
             t => return Err(ForestError::Corrupt(format!("unknown task tag {t}"))),
         };
-        let n_features = take_u32(&mut buf, "n_features")? as usize;
-        let n_trees = take_u32(&mut buf, "n_trees")? as usize;
-        let mut trees = Vec::with_capacity(n_trees.min(1 << 20));
+        let n_features = u32::from_le_bytes(take(&mut buf, "n_features")?) as usize;
+        let n_trees = u32::from_le_bytes(take(&mut buf, "n_trees")?) as usize;
+        let mut trees = Vec::with_capacity(n_trees.min(buf.len() / MIN_TREE_BYTES));
         for t in 0..n_trees {
-            let n_nodes = take_u32(&mut buf, "n_nodes")? as usize;
-            let mut nodes = Vec::with_capacity(n_nodes.min(1 << 24));
+            let n_nodes = u32::from_le_bytes(take(&mut buf, "n_nodes")?) as usize;
+            let mut nodes = Vec::with_capacity(n_nodes.min(buf.len() / MIN_NODE_BYTES));
             for n in 0..n_nodes {
-                let tag = take_u8(&mut buf, "node tag")?;
+                let [tag] = take(&mut buf, "node tag")?;
                 match tag {
                     0 => {
-                        let feature = take_u16(&mut buf, "feature")?;
-                        let threshold = take_f32(&mut buf, "threshold")?;
-                        let left = take_u32(&mut buf, "left")?;
-                        let right = take_u32(&mut buf, "right")?;
+                        let feature = u16::from_le_bytes(take(&mut buf, "feature")?);
+                        let threshold = f32::from_le_bytes(take(&mut buf, "threshold")?);
+                        let left = u32::from_le_bytes(take(&mut buf, "left")?);
+                        let right = u32::from_le_bytes(take(&mut buf, "right")?);
                         nodes.push(Node::decision(feature, threshold, left, right));
                     }
                     1 => match task {
                         Task::Classification { .. } => {
-                            nodes.push(Node::class_leaf(take_u32(&mut buf, "class")?));
+                            let class = u32::from_le_bytes(take(&mut buf, "class")?);
+                            nodes.push(Node::class_leaf(class));
                         }
                         Task::Regression => {
-                            nodes.push(Node::value_leaf(take_f32(&mut buf, "value")?));
+                            let value = f32::from_le_bytes(take(&mut buf, "value")?);
+                            nodes.push(Node::value_leaf(value));
                         }
                     },
                     other => {
@@ -215,42 +222,23 @@ impl ModelBundle {
             }
             trees.push(DecisionTree::from_nodes(nodes)?);
         }
-        if buf.has_remaining() {
+        if !buf.is_empty() {
             return Err(ForestError::Corrupt(format!(
                 "{} trailing bytes",
-                buf.remaining()
+                buf.len()
             )));
         }
         RandomForest::from_trees(trees, n_features, task)
     }
 }
 
-fn take_u8(buf: &mut Bytes, what: &str) -> Result<u8, ForestError> {
-    if buf.remaining() < 1 {
-        return Err(ForestError::Corrupt(format!("truncated at {what}")));
-    }
-    Ok(buf.get_u8())
-}
-
-fn take_u16(buf: &mut Bytes, what: &str) -> Result<u16, ForestError> {
-    if buf.remaining() < 2 {
-        return Err(ForestError::Corrupt(format!("truncated at {what}")));
-    }
-    Ok(buf.get_u16_le())
-}
-
-fn take_u32(buf: &mut Bytes, what: &str) -> Result<u32, ForestError> {
-    if buf.remaining() < 4 {
-        return Err(ForestError::Corrupt(format!("truncated at {what}")));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn take_f32(buf: &mut Bytes, what: &str) -> Result<f32, ForestError> {
-    if buf.remaining() < 4 {
-        return Err(ForestError::Corrupt(format!("truncated at {what}")));
-    }
-    Ok(buf.get_f32_le())
+/// Splits the next `N` bytes off the cursor.
+fn take<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N], ForestError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| ForestError::Corrupt(format!("truncated at {what}")))?;
+    *buf = rest;
+    Ok(*head)
 }
 
 #[cfg(test)]
@@ -278,7 +266,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let bundle = ModelBundle::from_bytes(Bytes::from_static(b"NOPE\x01\x00"));
+        let bundle = ModelBundle::from_bytes(&b"NOPE\x01\x00"[..]);
         assert_eq!(bundle.deserialize().unwrap_err(), ForestError::BadMagic);
     }
 
@@ -287,9 +275,7 @@ mod tests {
         let forest = sample_forest();
         let mut raw = ModelBundle::serialize(&forest).as_bytes().to_vec();
         raw[4] = 99;
-        let err = ModelBundle::from_bytes(Bytes::from(raw))
-            .deserialize()
-            .unwrap_err();
+        let err = ModelBundle::from_bytes(raw).deserialize().unwrap_err();
         assert_eq!(err, ForestError::UnsupportedVersion(99));
     }
 
@@ -299,7 +285,7 @@ mod tests {
         let raw = ModelBundle::serialize(&forest).as_bytes().to_vec();
         // Cut at a sampling of prefixes; all must fail cleanly, never panic.
         for cut in [0, 3, 5, 7, 11, 15, 16, raw.len() / 2, raw.len() - 1] {
-            let bundle = ModelBundle::from_bytes(Bytes::from(raw[..cut].to_vec()));
+            let bundle = ModelBundle::from_bytes(&raw[..cut]);
             assert!(bundle.deserialize().is_err(), "cut at {cut} must fail");
         }
     }
@@ -309,9 +295,7 @@ mod tests {
         let forest = sample_forest();
         let mut raw = ModelBundle::serialize(&forest).as_bytes().to_vec();
         raw.push(0xAB);
-        let err = ModelBundle::from_bytes(Bytes::from(raw))
-            .deserialize()
-            .unwrap_err();
+        let err = ModelBundle::from_bytes(raw).deserialize().unwrap_err();
         assert!(matches!(err, ForestError::Corrupt(_)));
     }
 
@@ -321,9 +305,7 @@ mod tests {
         let mut raw = ModelBundle::serialize(&forest).as_bytes().to_vec();
         // First node tag lives right after the 19-byte header + 4-byte node count.
         raw[23] = 7;
-        let err = ModelBundle::from_bytes(Bytes::from(raw))
-            .deserialize()
-            .unwrap_err();
+        let err = ModelBundle::from_bytes(raw).deserialize().unwrap_err();
         assert!(matches!(err, ForestError::Corrupt(_)));
     }
 
@@ -335,7 +317,7 @@ mod tests {
         assert_eq!(a.content_hash(), b.content_hash());
         // FNV-1a of the empty input is the offset basis.
         assert_eq!(
-            ModelBundle::from_bytes(Bytes::new()).content_hash(),
+            ModelBundle::from_bytes(Vec::new()).content_hash(),
             0xcbf2_9ce4_8422_2325
         );
         // A different model hashes differently; so does a single flipped bit.
@@ -349,22 +331,19 @@ mod tests {
         raw[10] ^= 1;
         assert_ne!(
             a.content_hash(),
-            ModelBundle::from_bytes(Bytes::from(raw)).content_hash()
+            ModelBundle::from_bytes(raw).content_hash()
         );
     }
 
     #[test]
     fn zero_class_classifier_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u8(0); // classification
-        buf.put_u32_le(0); // zero classes
-        buf.put_u32_le(1);
-        buf.put_u32_le(0);
-        let err = ModelBundle::from_bytes(buf.freeze())
-            .deserialize()
-            .unwrap_err();
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(0); // classification
+        buf.extend_from_slice(&0u32.to_le_bytes()); // zero classes
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        let err = ModelBundle::from_bytes(buf).deserialize().unwrap_err();
         assert!(matches!(err, ForestError::Corrupt(_)));
     }
 

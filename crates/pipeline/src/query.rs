@@ -586,7 +586,7 @@ mod tests {
     #[test]
     fn corrupt_bundle_fails_in_model_preprocessing() {
         let (_, data, _) = setup(1, 3);
-        let bundle = ModelBundle::from_bytes(bytes::Bytes::from_static(b"garbage"));
+        let bundle = ModelBundle::from_bytes(&b"garbage"[..]);
         let pipeline = QueryPipeline::new(SklearnCpu::with_threads(2));
         assert!(matches!(
             staged(&pipeline, &bundle, data.frame()),

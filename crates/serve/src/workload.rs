@@ -244,8 +244,9 @@ mod tests {
         assert_eq!(catalog.len(), 12);
         assert!(!catalog.is_empty());
         let shapes: Vec<ModelStats> = paper_shape_forests().iter().map(ModelStats::of).collect();
-        for i in 0..catalog.len() {
-            assert_eq!(catalog.stats(i), &shapes[i]);
+        assert_eq!(shapes.len(), catalog.len());
+        for (i, shape) in shapes.iter().enumerate() {
+            assert_eq!(catalog.stats(i), shape);
             assert_eq!(
                 catalog.bundle(i).content_hash(),
                 ModelBundle::serialize(catalog.forest(i)).content_hash(),

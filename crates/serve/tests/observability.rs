@@ -116,7 +116,6 @@ fn engine(capacity: Option<usize>, shed: ShedPolicy, coalesce: bool) -> ServeEng
                     latency_slo: Some(SimDuration::from_secs(2.0)),
                     ..ClassSlo::default()
                 },
-                ..QueueConfig::default()
             },
             coalesce: CoalesceConfig {
                 enabled: coalesce,

@@ -139,7 +139,7 @@ fn bundle_survives_storage_roundtrip_through_pipeline() {
     // back in, then scored.
     let (bundle, test) = trained_iris();
     let stored: Vec<u8> = bundle.as_bytes().to_vec();
-    let restored = ModelBundle::from_bytes(bytes::Bytes::from(stored));
+    let restored = ModelBundle::from_bytes(stored);
     let a = query(OnnxCpu::single_thread(), &bundle, test.frame()).unwrap();
     let b = query(OnnxCpu::single_thread(), &restored, test.frame()).unwrap();
     assert_eq!(a.predictions, b.predictions);

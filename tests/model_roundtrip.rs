@@ -58,7 +58,7 @@ proptest! {
         let raw = ModelBundle::serialize(&forest).as_bytes().to_vec();
         let cut = ((raw.len() as f64) * cut_fraction) as usize;
         if cut < raw.len() {
-            let bundle = ModelBundle::from_bytes(bytes::Bytes::from(raw[..cut].to_vec()));
+            let bundle = ModelBundle::from_bytes(&raw[..cut]);
             prop_assert!(bundle.deserialize().is_err());
         }
     }
@@ -77,7 +77,7 @@ proptest! {
         let mut raw = ModelBundle::serialize(&forest).as_bytes().to_vec();
         let idx = flip_byte % raw.len();
         raw[idx] ^= flip_bits;
-        let bundle = ModelBundle::from_bytes(bytes::Bytes::from(raw));
+        let bundle = ModelBundle::from_bytes(raw);
         if let Ok(parsed) = bundle.deserialize() {
             // Structural invariants held by construction.
             prop_assert!(parsed.n_trees() > 0);
