@@ -45,6 +45,18 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
     >/dev/null
 cmp target/callgraph.a.json target/callgraph.b.json
 cmp target/callgraph.a.dot target/callgraph.b.dot
+# The per-file stages run on every core the host offers; pinned to one
+# core, the analyzer takes its one-worker path (no threads spawned) and
+# must still write the same bytes.
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 ./target/release/repro \
+        analyze --callgraph target/callgraph.c.json --dot target/callgraph.c.dot \
+        >/dev/null
+    cmp target/callgraph.a.json target/callgraph.c.json
+    cmp target/callgraph.a.dot target/callgraph.c.dot
+else
+    echo "ci: taskset not found; skipping the one-core analyze check"
+fi
 # ...and must contain the serving stack's load-bearing edges: the fleet
 # driver entering the per-node engine, and the engine's event loop.
 grep -q '"fleet::sim::run_fleet" -> "serve::engine::ServeEngine::run"' \

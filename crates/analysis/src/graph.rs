@@ -27,6 +27,7 @@
 //! happens to share a name.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use crate::lexer::TokenKind;
 use crate::lints::is_index_base;
@@ -170,40 +171,41 @@ impl CallGraph {
     /// `files` is `(rel_path, scan, items)` — the same single-lex scans
     /// the token lints run over.
     pub fn build(files: &[(String, &FileScan<'_>, &[Item])]) -> CallGraph {
-        let mut graph = CallGraph::default();
-        for (file_idx, (path, scan, items)) in files.iter().enumerate() {
-            let krate = crate_of(path).to_string();
-            let mut prefix = vec![krate.clone()];
-            prefix.extend(module_path(path));
-            collect_fns(
-                &mut graph.fns,
-                scan,
-                items,
-                &prefix,
-                None,
-                &krate,
-                path,
-                file_idx,
-            );
-        }
-        graph.fns.sort_by(|a, b| a.qname.cmp(&b.qname));
+        let fns = files
+            .iter()
+            .enumerate()
+            .flat_map(|(file_idx, (path, scan, items))| file_fns(path, scan, items, file_idx))
+            .collect();
+        CallGraph::merge(fns)
+    }
+
+    /// The serial half of [`CallGraph::build`]: orders the per-file fn
+    /// nodes (concatenated in file order) by qualified name, disambiguates
+    /// colliding names, and resolves the edges.
+    pub(crate) fn merge(mut fns: Vec<FnNode>) -> CallGraph {
+        // Stable: equal names keep file order, which fixes who gets `#2`.
+        fns.sort_by(|a, b| a.qname.cmp(&b.qname));
         // Qualified names can collide (e.g. the same helper name in two
         // `#[cfg(...)]` branches); disambiguate deterministically so the
         // exports stay byte-stable.
         let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-        for f in &mut graph.fns {
+        for f in &mut fns {
             let n = seen.entry(f.qname.clone()).or_insert(0);
             *n += 1;
             if *n > 1 {
                 f.qname = format!("{}#{}", f.qname, *n);
             }
         }
-        graph.by_qname = graph
-            .fns
+        let by_qname = fns
             .iter()
             .enumerate()
             .map(|(i, f)| (f.qname.clone(), i))
             .collect();
+        let mut graph = CallGraph {
+            fns,
+            by_qname,
+            edges: Vec::new(),
+        };
         graph.resolve_edges();
         graph
     }
@@ -281,17 +283,14 @@ impl CallGraph {
     /// aligned: `run` matches `ServeEngine::run` only via the suffix
     /// `ServeEngine::run`; use the bare name to match any).
     pub fn find_suffix(&self, suffix: &str) -> Vec<usize> {
+        let aligned = |q: &str| {
+            q.strip_suffix(suffix)
+                .is_some_and(|head| head.is_empty() || head.ends_with("::"))
+        };
         self.fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| {
-                f.qname == suffix
-                    || f.qname.ends_with(&format!("::{suffix}"))
-                    || f.qname
-                        .split('#')
-                        .next()
-                        .is_some_and(|q| q == suffix || q.ends_with(&format!("::{suffix}")))
-            })
+            .filter(|(_, f)| aligned(&f.qname) || f.qname.split('#').next().is_some_and(aligned))
             .map(|(i, _)| i)
             .collect()
     }
@@ -347,12 +346,13 @@ impl CallGraph {
             write_escaped(&mut out, &f.qname);
             out.push_str(", \"file\": ");
             write_escaped(&mut out, &f.file);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ", \"line\": {}, \"calls\": {}, \"hazards\": {} }}",
                 f.line,
                 self.edges[i].len(),
                 f.hazards.len()
-            ));
+            );
         }
         if !self.fns.is_empty() {
             out.push_str("\n  ");
@@ -367,7 +367,7 @@ impl CallGraph {
                 write_escaped(&mut out, &self.fns[ci].qname);
                 out.push_str(", \"to\": ");
                 write_escaped(&mut out, &self.fns[callee].qname);
-                out.push_str(&format!(", \"line\": {line} }}"));
+                let _ = write!(out, ", \"line\": {line} }}");
             }
         }
         if !first {
@@ -382,15 +382,33 @@ impl CallGraph {
         let mut out = String::from("digraph mlscore_calls {\n  rankdir=LR;\n");
         for (ci, outs) in self.edges.iter().enumerate() {
             for &(callee, _) in outs {
-                out.push_str(&format!(
-                    "  \"{}\" -> \"{}\";\n",
+                let _ = writeln!(
+                    out,
+                    "  \"{}\" -> \"{}\";",
                     self.fns[ci].qname, self.fns[callee].qname
-                ));
+                );
             }
         }
         out.push_str("}\n");
         out
     }
+}
+
+/// The fn nodes one file contributes, in item order — the per-file half
+/// of [`CallGraph::build`]. `file_idx` is the file's index in the analyzed
+/// file list.
+pub(crate) fn file_fns(
+    path: &str,
+    scan: &FileScan<'_>,
+    items: &[Item],
+    file_idx: usize,
+) -> Vec<FnNode> {
+    let krate = crate_of(path);
+    let mut prefix = vec![krate.to_string()];
+    prefix.extend(module_path(path));
+    let mut out = Vec::new();
+    collect_fns(&mut out, scan, items, &prefix, None, krate, path, file_idx);
+    out
 }
 
 /// Recursively collects fn nodes from a parsed item tree.

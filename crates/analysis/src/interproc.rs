@@ -56,29 +56,45 @@ pub struct FileUnit<'a> {
     pub scan: FileScan<'a>,
 }
 
-/// Runs all four interprocedural lints. Returns `(active, suppressed)`
+/// Runs all four interprocedural lints, one task each over the shared
+/// graph, on up to one thread per lint. Returns `(active, suppressed)`
 /// findings, unsorted (the caller merges and sorts with the token-lint
 /// findings).
 pub fn run_interproc(units: &[FileUnit<'_>], graph: &CallGraph) -> (Vec<Finding>, Vec<Finding>) {
+    run_interproc_on(units, graph, crate::par::host_workers())
+}
+
+/// [`run_interproc`] on up to `workers` threads. The lints' outputs are
+/// concatenated in P002, H002, D004, A001 order whatever the worker count,
+/// so the stable sort that follows sees the same sequence.
+pub(crate) fn run_interproc_on(
+    units: &[FileUnit<'_>],
+    graph: &CallGraph,
+    workers: usize,
+) -> (Vec<Finding>, Vec<Finding>) {
+    let sinks = crate::par::map_indexed(4, workers, |lint| match lint {
+        0 => p002(units, graph),
+        1 => h002(units, graph),
+        2 => d004(units, graph),
+        _ => a001(units),
+    });
     let mut active = Vec::new();
     let mut suppressed = Vec::new();
-    let mut sink = Sink {
-        active: &mut active,
-        suppressed: &mut suppressed,
-    };
-    p002(units, graph, &mut sink);
-    h002(units, graph, &mut sink);
-    d004(units, graph, &mut sink);
-    a001(units, &mut sink);
+    for sink in sinks {
+        active.extend(sink.active);
+        suppressed.extend(sink.suppressed);
+    }
     (active, suppressed)
 }
 
-struct Sink<'a> {
-    active: &'a mut Vec<Finding>,
-    suppressed: &'a mut Vec<Finding>,
+/// One lint's findings, in emission order.
+#[derive(Default)]
+struct Sink {
+    active: Vec<Finding>,
+    suppressed: Vec<Finding>,
 }
 
-impl Sink<'_> {
+impl Sink {
     /// Emits `finding` (built with `suppressed: None`) unless one of
     /// `allow_lints` suppresses it at the site — the first matching
     /// suppression wins and its reason is recorded on the finding.
@@ -133,7 +149,8 @@ impl LineDedup {
 }
 
 /// P002: panic sites transitively reachable from a serving entry point.
-fn p002(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
+fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
+    let mut sink = Sink::default();
     let mut roots = Vec::new();
     for root in SERVING_ROOTS {
         roots.extend(graph.find_suffix(root));
@@ -166,11 +183,13 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
             );
         }
     }
+    sink
 }
 
 /// H002: allocations transitively reachable from `// analyze: hot`
 /// regions — the callee side of what H001 checks lexically.
-fn h002(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
+fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
+    let mut sink = Sink::default();
     // Roots: every callee reached by a call *site* inside a hot region.
     let mut roots = Vec::new();
     let mut origin: BTreeMap<usize, (String, u32)> = BTreeMap::new();
@@ -233,11 +252,13 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
             );
         }
     }
+    sink
 }
 
 /// D004: determinism taint — wall-clock, RNG, or unordered-map use
 /// reachable from a function that builds a serialized export.
-fn d004(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
+fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
+    let mut sink = Sink::default();
     let mut roots = Vec::new();
     for (i, f) in graph.fns.iter().enumerate() {
         if EXPORT_ROOTS.contains(&f.name.as_str()) {
@@ -272,11 +293,13 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph, sink: &mut Sink<'_>) {
             );
         }
     }
+    sink
 }
 
 /// A001: crate-layering violations — any `mlscore_<crate>` reference not
 /// allowed by [`crate::layering::LAYERING`].
-fn a001(units: &[FileUnit<'_>], sink: &mut Sink<'_>) {
+fn a001(units: &[FileUnit<'_>]) -> Sink {
+    let mut sink = Sink::default();
     for unit in units {
         let krate = crate_of(&unit.path);
         let Some(allowed) = allowed_of(krate) else {
@@ -312,6 +335,7 @@ fn a001(units: &[FileUnit<'_>], sink: &mut Sink<'_>) {
             );
         }
     }
+    sink
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The workspace analyzer's front end (lexer, file scan, whole-workspace
-//! analysis) on hostile inputs, plus one small fixture workspace whose
-//! verdict is pinned exactly.
+//! analysis) on hostile inputs, plus a small fixture workspace whose
+//! verdict is pinned exactly, in a narrow and a wide (more files than
+//! cores) variant.
 //!
 //! The lexer and the scan promise never to fail: malformed source degrades
 //! to `Unknown` tokens and unterminated regions run to end of input. The
@@ -8,9 +9,10 @@
 //! escapes of multi-byte scalars in char literals, unterminated literals
 //! and comments, a lone attribute opener, and directives at end of file.
 
+use mlscore_analysis::cli::render_json;
 use mlscore_analysis::lexer::{lex, render};
 use mlscore_analysis::scan::FileScan;
-use mlscore_analysis::{analyze_sources, Finding};
+use mlscore_analysis::{analyze_sources, analyze_workspace_full, Finding, WorkspaceAnalysis};
 
 const HOSTILE: &[&str] = &[
     "'\\é'",
@@ -136,48 +138,54 @@ fn summary(findings: &[Finding]) -> Vec<(&str, &str, u32, Option<&str>)> {
         .collect()
 }
 
+/// The fixture's active findings as `(lint, file, line, waiver)`.
+const ACTIVE: &[(&str, &str, u32, Option<&str>)] = &[
+    ("P002", "crates/backend/src/prep.rs", 2, None),
+    ("D001", "crates/serve/src/engine.rs", 11, None),
+];
+
+/// The fixture's suppressed findings, the same way.
+const SUPPRESSED: &[(&str, &str, u32, Option<&str>)] = &[
+    (
+        "H001",
+        "crates/backend/src/prep.rs",
+        10,
+        Some("once per batch"),
+    ),
+    (
+        "P001",
+        "crates/serve/src/engine.rs",
+        5,
+        Some("checked by admit"),
+    ),
+    // The direct waiver also justifies the transitive claim.
+    (
+        "P002",
+        "crates/serve/src/engine.rs",
+        5,
+        Some("checked by admit"),
+    ),
+    (
+        "D001",
+        "crates/serve/src/engine.rs",
+        12,
+        Some("bench boundary"),
+    ),
+];
+
 #[test]
 fn fixture_workspace_verdict_is_pinned() {
     let files = fixture();
     let analysis = analyze_sources(&files);
     assert_eq!(
         summary(&analysis.findings),
-        [
-            ("P002", "crates/backend/src/prep.rs", 2, None),
-            ("D001", "crates/serve/src/engine.rs", 11, None),
-        ],
+        ACTIVE,
         "{:#?}",
         analysis.findings
     );
     assert_eq!(
         summary(&analysis.suppressed),
-        [
-            (
-                "H001",
-                "crates/backend/src/prep.rs",
-                10,
-                Some("once per batch")
-            ),
-            (
-                "P001",
-                "crates/serve/src/engine.rs",
-                5,
-                Some("checked by admit")
-            ),
-            // The direct waiver also justifies the transitive claim.
-            (
-                "P002",
-                "crates/serve/src/engine.rs",
-                5,
-                Some("checked by admit")
-            ),
-            (
-                "D001",
-                "crates/serve/src/engine.rs",
-                12,
-                Some("bench boundary")
-            ),
-        ],
+        SUPPRESSED,
         "{:#?}",
         analysis.suppressed
     );
@@ -189,4 +197,95 @@ fn fixture_workspace_verdict_is_pinned() {
     assert_eq!(again.findings, analysis.findings);
     assert_eq!(again.suppressed, analysis.suppressed);
     assert_eq!(again.graph.to_json(), analysis.graph.to_json());
+}
+
+/// The fixture above widened to more files than the host has cores: an
+/// empty file, a test-only file, one qualified name defined in two files,
+/// and fillers with no functions and no findings. `exec::twin::twin` is
+/// defined in `twin.rs` and in `twin/mod.rs`; path order puts `twin.rs`
+/// first, so the `#2` suffix must land on `twin/mod.rs` whichever worker
+/// finishes first.
+fn wide_fixture() -> Vec<(String, String)> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut files = fixture();
+    files.extend(
+        [
+            ("crates/core/src/empty.rs", String::new()),
+            (
+                "crates/exec/src/twin.rs",
+                "pub fn twin() -> u32 {\n    1\n}\n".to_string(),
+            ),
+            (
+                "crates/exec/src/twin/mod.rs",
+                "//! The other twin.\n\npub fn twin() -> u32 {\n    2\n}\n".to_string(),
+            ),
+            (
+                "crates/serve/src/only_tests.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t(x: Option<u32>) -> u32 {\n        \
+                 x.unwrap()\n    }\n}\n"
+                    .to_string(),
+            ),
+        ]
+        .map(|(p, s)| (p.to_string(), s)),
+    );
+    for k in 0..cores + 4 {
+        let body: String = (0..50)
+            .map(|j| format!("pub const K{j}: u32 = {k};\n"))
+            .collect();
+        files.push((format!("crates/telemetry/src/filler_{k:03}.rs"), body));
+    }
+    files.sort();
+    assert!(files.len() > cores);
+    files
+}
+
+/// Everything a user of `repro analyze --json --callgraph --dot` sees.
+fn exports(a: &WorkspaceAnalysis) -> [String; 3] {
+    [
+        render_json(&a.findings, &a.suppressed),
+        a.graph.to_json(),
+        a.graph.to_dot(),
+    ]
+}
+
+#[test]
+fn wide_workspace_verdict_is_pinned_and_repeatable() {
+    let files = wide_fixture();
+    let analysis = analyze_sources(&files);
+    // The extra files add functions but no findings.
+    assert_eq!(summary(&analysis.findings), ACTIVE);
+    assert_eq!(summary(&analysis.suppressed), SUPPRESSED);
+    assert_eq!(analysis.graph.fns.len(), 7);
+    let edges: usize = analysis.graph.edges.iter().map(Vec::len).sum();
+    assert_eq!(edges, 3);
+    let file_of = |qname: &str| {
+        let i = analysis.graph.by_qname[qname];
+        (
+            analysis.graph.fns[i].file.as_str(),
+            analysis.graph.fns[i].line,
+        )
+    };
+    assert_eq!(file_of("exec::twin::twin"), ("crates/exec/src/twin.rs", 1));
+    assert_eq!(
+        file_of("exec::twin::twin#2"),
+        ("crates/exec/src/twin/mod.rs", 3)
+    );
+
+    let first = exports(&analysis);
+    for run in 0..20 {
+        assert!(exports(&analyze_sources(&files)) == first, "run {run}");
+    }
+
+    // Read back from disk, the same workspace gives the same bytes.
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wide-fixture");
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, source) in &files {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("fixture paths have a parent"))
+            .expect("create fixture dir");
+        std::fs::write(path, source).expect("write fixture file");
+    }
+    let from_disk = analyze_workspace_full(&root).expect("fixture workspace is readable");
+    assert!(exports(&from_disk) == first);
+    std::fs::remove_dir_all(&root).expect("remove fixture workspace");
 }
