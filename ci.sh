@@ -193,6 +193,20 @@ for a in A1 A2 A3 A5 A6 A7; do
 done
 grep -q 'quantized (16-bit) layout' target/ablations.a.txt
 
+echo "== scheduler smoke (repro scheduler, twice; the scheduling examples) =="
+# Policy regret and the trace replay are pure functions of the cost
+# models: two runs must print the same bytes, with both sections present.
+cargo run --release -q -p mlscore-bench --bin repro -- scheduler >target/scheduler.a.txt
+cargo run --release -q -p mlscore-bench --bin repro -- scheduler >target/scheduler.b.txt
+cmp target/scheduler.a.txt target/scheduler.b.txt
+grep -q '== Scheduler policy regret' target/scheduler.a.txt
+grep -q '== Trace replay: latency percentiles' target/scheduler.a.txt
+# The examples that drive the scheduler must run to completion, not just
+# compile under clippy.
+for ex in query_mix_simulator offload_advisor analyst_workflow; do
+    cargo run --release -q --example "$ex" >"target/example.$ex.txt"
+done
+
 echo "== trace smoke (repro trace --cold / --warm / --fused / --fused --warm) =="
 # Both halves of the two-phase split must render a timeline.
 cargo run --release -q -p mlscore-bench --bin repro -- \

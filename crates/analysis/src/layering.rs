@@ -82,7 +82,6 @@ pub const LAYERING: &[(&str, &[&str])] = &[
             "telemetry",
             "forest",
             "data",
-            "offload",
             "backend",
             "gpu",
             "fpga",
@@ -158,6 +157,7 @@ mod tests {
         assert!(!may_reference("exec", "backend"));
         assert!(!may_reference("data", "exec"));
         assert!(!may_reference("telemetry", "serve"));
+        assert!(!may_reference("bench", "offload"));
         // Unknown (fixture) crates are unrestricted.
         assert!(may_reference("appa", "appb"));
     }

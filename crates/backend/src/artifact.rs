@@ -27,7 +27,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mlscore_exec::FlatImage;
-use mlscore_forest::{ModelBundle, ModelStats, QuantizedForest, RandomForest};
+use mlscore_forest::{ModelBundle, ModelStats, RandomForest};
 use mlscore_sim::{Clock, SimDuration, WallClock};
 use mlscore_telemetry::MetricsRegistry;
 
@@ -92,8 +92,6 @@ pub enum Lowered {
     /// The Fig. 4b flat node image, re-encoded for the SIMD lane walker
     /// (CPU_ONNX).
     Flat(Arc<FlatImage>),
-    /// The quantized node image.
-    Quantized(Arc<QuantizedForest>),
     /// A backend-private layout; the owning backend downcasts it back.
     Custom(Arc<dyn Any + Send + Sync>),
 }
@@ -103,7 +101,6 @@ impl fmt::Debug for Lowered {
         match self {
             Lowered::Reference => f.write_str("Reference"),
             Lowered::Flat(img) => f.debug_tuple("Flat").field(img).finish(),
-            Lowered::Quantized(q) => f.debug_tuple("Quantized").field(&q.n_features()).finish(),
             Lowered::Custom(_) => f.write_str("Custom(..)"),
         }
     }
@@ -351,8 +348,8 @@ impl CacheStats {
 
     /// Measured queries-per-compile: how many lookups each compiled
     /// artifact served on average (`lookups / misses`, at least 1). This is
-    /// the `expected_reuse` input to
-    /// `AdaptiveScheduler::choose_amortized` — a cache that hits often
+    /// the `expected_reuse` input to `choose_amortized_eligible` and
+    /// `AdaptiveScheduler::choose_amortized_among` — a cache that hits often
     /// amortizes each compile over many queries.
     pub fn expected_reuse(&self) -> u64 {
         self.lookups().checked_div(self.misses).unwrap_or(1).max(1)

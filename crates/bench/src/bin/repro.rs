@@ -11,8 +11,8 @@ use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
 use mlscore_pipeline::{QueryPipeline, QueryPlan};
 use mlscore_sched::{
-    evaluate_policy, paper_backends, AffineFitPolicy, HeuristicPolicy, OraclePolicy, Policy,
-    QueryTrace, TraceOutcome,
+    evaluate_policy, paper_backends, replay, AffineFitPolicy, HeuristicPolicy, OraclePolicy,
+    QueryTrace,
 };
 use mlscore_sim::SimInstant;
 use mlscore_telemetry::{perfetto, MetricsRegistry, Tracer};
@@ -90,36 +90,6 @@ fn headlines() {
     println!();
 }
 
-/// Serial fixed-policy replay: each trace query is charged the modelled
-/// time of the backend the policy picks. (`repro serve` layers queueing,
-/// coalescing, and device contention on top of this simple loop.)
-fn replay_policy(
-    policy: &dyn Policy,
-    trace: &QueryTrace,
-    backends: &[Box<dyn ScoringBackend>],
-) -> TraceOutcome {
-    let mut total = mlscore_sim::SimDuration::ZERO;
-    let mut latencies = Vec::with_capacity(trace.len());
-    let mut picks: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    for q in trace.queries() {
-        let choice = policy
-            .choose(&q.stats, q.n_records, backends)
-            .expect("every trace query has a supporting backend");
-        let latency = backends[choice.index]
-            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
-            .total();
-        total += latency;
-        latencies.push(latency);
-        *picks.entry(choice.name).or_default() += 1;
-    }
-    TraceOutcome {
-        policy: policy.name().to_string(),
-        total,
-        latencies,
-        picks,
-    }
-}
-
 fn scheduler() {
     println!("== Scheduler policy regret (extension A4) ==");
     let backends = paper_backends();
@@ -156,9 +126,9 @@ fn scheduler() {
     let trace = QueryTrace::synthetic(200, 42);
     let registry = MetricsRegistry::new();
     for outcome in [
-        replay_policy(&OraclePolicy, &trace, &backends),
-        replay_policy(&HeuristicPolicy::default(), &trace, &backends),
-        replay_policy(&AffineFitPolicy::default(), &trace, &backends),
+        replay(&mut OraclePolicy, &trace, &backends),
+        replay(&mut HeuristicPolicy::default(), &trace, &backends),
+        replay(&mut AffineFitPolicy::default(), &trace, &backends),
     ] {
         let name = format!("latency.{}", outcome.policy);
         for &latency in &outcome.latencies {
@@ -653,10 +623,7 @@ fn serve(args: &[String]) {
         // A traced rerun of the FPGA overload point: the interesting
         // timeline (queue build-up, merged passes, shed requests).
         let engine = ServeEngine::new(
-            paper_backends()
-                .into_iter()
-                .filter(|b| b.name() == "FPGA")
-                .collect(),
+            serve_bench::fpga_roster(),
             ModelCatalog::paper_mix(),
             ServeConfig {
                 queue: QueueConfig {

@@ -15,8 +15,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mlscore_backend::ScoringBackend;
-use mlscore_sched::paper_backends;
 use mlscore_serve::{
     ArrivalProcess, ClassSlo, CoalesceConfig, JournalKind, ModelCatalog, QueueConfig, ServeConfig,
     ServeEngine, ServingReport, WorkloadSpec,
@@ -25,7 +23,7 @@ use mlscore_sim::SimDuration;
 use mlscore_telemetry::json::{self, JsonValue};
 use mlscore_telemetry::Tracer;
 
-use crate::serve_bench::{CPU_SEATS, GPU_STREAMS, SEED};
+use crate::serve_bench::{fpga_roster, CPU_SEATS, GPU_STREAMS, SEED};
 
 /// Offered Poisson rate of the report workload, queries/second.
 pub const RATE_QPS: f64 = 2_000.0;
@@ -57,13 +55,6 @@ impl RunReportOptions {
             500
         }
     }
-}
-
-fn fpga_roster() -> Vec<Box<dyn ScoringBackend>> {
-    paper_backends()
-        .into_iter()
-        .filter(|b| b.name() == "FPGA")
-        .collect()
 }
 
 /// The engine configuration the report runs: FPGA-only, bounded queue,

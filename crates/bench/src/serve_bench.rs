@@ -15,6 +15,7 @@
 //! through [`mlscore_telemetry::json::parse`] before it is handed back.
 
 use mlscore_backend::ScoringBackend;
+use mlscore_fpga::FpgaBackend;
 use mlscore_sched::paper_backends;
 use mlscore_serve::{
     ArrivalProcess, ClassSlo, CoalesceConfig, ModelCatalog, QueryClass, QueueConfig, ServeConfig,
@@ -204,11 +205,10 @@ fn serve_config(coalesce_on: bool, capacity: usize) -> ServeConfig {
     }
 }
 
-fn fpga_roster() -> Vec<Box<dyn ScoringBackend>> {
-    paper_backends()
-        .into_iter()
-        .filter(|b| b.name() == "FPGA")
-        .collect()
+/// The FPGA-only roster of the overload runs (`repro serve`'s comparison
+/// and trace, `repro report`): the paper's FPGA engine, alone.
+pub fn fpga_roster() -> Vec<Box<dyn ScoringBackend>> {
+    vec![Box::new(FpgaBackend::paper_default())]
 }
 
 /// Runs one engine configuration against one Poisson workload.

@@ -10,13 +10,11 @@
 
 use std::collections::HashMap;
 
-use mlscore_backend::{score_once, BackendError, ScoringBackend};
-use mlscore_data::TabularFrame;
-use mlscore_forest::{ModelStats, Predictions, RandomForest};
-use mlscore_sim::{Clock, SimDuration, SimInstant};
-use mlscore_telemetry::Tracer;
+use mlscore_backend::ScoringBackend;
+use mlscore_forest::ModelStats;
+use mlscore_sim::SimDuration;
 
-use crate::policy::Choice;
+use crate::policy::{argmin, Choice, Policy};
 
 /// Coarse model class used as the learning key: backends behave affinely in
 /// records within a (tree-count, depth, feature-width) bucket.
@@ -48,8 +46,6 @@ struct AffineEstimate {
     intercept: f64,
     /// Per-record cost in seconds.
     slope: f64,
-    /// Observations folded in.
-    observations: u32,
 }
 
 impl AffineEstimate {
@@ -64,22 +60,15 @@ impl AffineEstimate {
 ///
 /// ```
 /// use mlscore_forest::{ForestConfig, ModelStats, RandomForest};
-/// use mlscore_sched::{paper_backends, AdaptiveScheduler};
-/// use mlscore_sim::SimInstant;
-/// use mlscore_telemetry::Tracer;
+/// use mlscore_sched::{paper_backends, replay, AdaptiveScheduler, Policy, QueryTrace, TraceQuery};
 ///
 /// let backends = paper_backends();
 /// let mut sched = AdaptiveScheduler::new(0.3);
 /// let stats = ModelStats::of(&RandomForest::synthetic_full(
 ///     &ForestConfig::classification(128, 28, 2).with_depth(10), 1));
 /// // Feed it a few observed runs, then it schedules from experience.
-/// for _ in 0..8 {
-///     let choice = sched.choose(&stats, 1_000_000, &backends).unwrap();
-///     let observed = backends[choice.index]
-///         .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
-///         .total();
-///     sched.observe(&stats, choice.index, 1_000_000, observed);
-/// }
+/// let query = TraceQuery { stats, n_records: 1_000_000 };
+/// replay(&mut sched, &QueryTrace::new(vec![query; 8]), &backends);
 /// let settled = sched.choose(&stats, 1_000_000, &backends).unwrap();
 /// assert_eq!(settled.name, "FPGA");
 /// ```
@@ -113,36 +102,6 @@ impl AdaptiveScheduler {
         self.estimates.len()
     }
 
-    /// Folds one observed run into the estimates.
-    pub fn observe(
-        &mut self,
-        stats: &ModelStats,
-        backend_index: usize,
-        n_records: u64,
-        observed: SimDuration,
-    ) {
-        let key = (ModelClass::of(stats), backend_index);
-        let t = observed.as_secs();
-        let n = n_records.max(1) as f64;
-        let entry = self.estimates.entry(key).or_insert(AffineEstimate {
-            // First sight: attribute everything to the intercept for tiny
-            // batches, to the slope for big ones.
-            intercept: t.min(0.005),
-            slope: (t / n).min(t),
-            observations: 0,
-        });
-        entry.observations += 1;
-        // Residual update: split the error between intercept (for small
-        // batches) and slope (for large ones), smoothing by alpha.
-        let predicted = entry.predict(n_records);
-        let error = t - predicted;
-        let batch_weight = n / (n + 10_000.0); // big batches inform the slope
-        entry.slope += self.alpha * error * batch_weight / n;
-        entry.intercept += self.alpha * error * (1.0 - batch_weight);
-        entry.slope = entry.slope.max(0.0);
-        entry.intercept = entry.intercept.max(0.0);
-    }
-
     /// Folds one observed prepare (compile) cost into the amortization
     /// table — typically the wall-clock of an artifact-cache miss
     /// (`PrepareTiming::deserialize + lower`), smoothed like the scoring
@@ -161,101 +120,19 @@ impl AdaptiveScheduler {
             .map(|&s| SimDuration::from_secs(s))
     }
 
-    /// Scores `frame` with `forest` on `backends[backend_index]` *for real*
-    /// (a compile-per-call [`score_once`]), measures
-    /// the scoring time on the injected `clock`, and folds the measurement
-    /// into the estimates — the calibration path for functionally real
-    /// backends (the CPU engines running on the executor pool), where
-    /// modelled cost and achieved cost can drift.
-    ///
-    /// The scheduler itself never touches the wall clock: the
-    /// `repro`/bench boundary injects [`mlscore_sim::WallClock`], tests
-    /// inject a [`mlscore_sim::ManualClock`].
-    ///
-    /// Returns the predictions and the measured duration (1 s measured ↦
-    /// 1 s simulated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's scoring error; nothing is folded in on
-    /// failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend_index` is out of range.
-    pub fn observe_measured(
-        &mut self,
-        stats: &ModelStats,
-        backend_index: usize,
-        backends: &[Box<dyn ScoringBackend>],
-        forest: &RandomForest,
-        frame: &TabularFrame,
-        clock: &dyn Clock,
-    ) -> Result<(Predictions, SimDuration), BackendError> {
-        let t0 = clock.now();
-        let predictions = score_once(&backends[backend_index], forest, frame)?;
-        let measured = clock.now().duration_since(t0);
-        self.observe(stats, backend_index, frame.n_rows() as u64, measured);
-        Ok((predictions, measured))
-    }
-
-    /// Schedules a batch: unobserved supported backends are explored first
-    /// (round-robin by index), then the learned estimates are exploited.
-    pub fn choose(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-        backends: &[Box<dyn ScoringBackend>],
-    ) -> Option<Choice> {
-        let class = ModelClass::of(stats);
-        let supported: Vec<usize> = (0..backends.len())
-            .filter(|&i| backends[i].supports(stats).is_ok())
-            .collect();
-        // Exploration: any supported backend we have never run?
-        if let Some(&index) = supported
-            .iter()
-            .find(|&&i| !self.estimates.contains_key(&(class, i)))
-        {
-            return Some(Choice::new(index, SimDuration::ZERO, backends));
-        }
-        // Exploitation: argmin of learned estimates.
-        supported
-            .into_iter()
-            .map(|i| {
-                let est = self.estimates[&(class, i)];
-                (i, est.predict(n_records))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(index, predicted)| {
-                Choice::new(index, SimDuration::from_secs(predicted.max(0.0)), backends)
-            })
-    }
-
-    /// Like [`AdaptiveScheduler::choose`], but charges each backend its
-    /// *amortized* compile cost: `t(n) + prepare / expected_reuse`, where
-    /// `expected_reuse` is how many queries are expected to share the
+    /// The learned-estimate argmin restricted to backends the `eligible`
+    /// mask admits, charging each backend `t(n) + prepare / expected_reuse`
+    /// where `expected_reuse` is how many queries are expected to share the
     /// compiled artifact before it leaves the cache. With a reuse of 1
     /// every query pays its full compile (the cold regime, which penalizes
     /// backends with expensive lowering like the FPGA's BRAM placement);
-    /// as reuse grows the compile term washes out and the decision
-    /// converges to [`AdaptiveScheduler::choose`]. Backends with no
-    /// observed prepare cost are charged nothing.
-    pub fn choose_amortized(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-        expected_reuse: u64,
-        backends: &[Box<dyn ScoringBackend>],
-    ) -> Option<Choice> {
-        self.choose_amortized_among(stats, n_records, expected_reuse, backends, &|_| true)
-    }
-
-    /// [`AdaptiveScheduler::choose_amortized`] restricted to backends the
-    /// `eligible` mask admits. The serving engine passes "this backend's
-    /// device has a free slot right now", so arbitration never parks a
+    /// as reuse grows the compile term washes out and the pick converges
+    /// to [`Policy::choose`]'s. Backends with no observed prepare cost are
+    /// charged nothing. The serving engine passes "this backend's device
+    /// has a free slot right now" as the mask, so arbitration never parks a
     /// query on a busy device while an idle one could serve it. Exploration
-    /// also honours the mask: an unobserved backend is only probed when it
-    /// is currently eligible.
+    /// honours the mask: an unobserved backend is only probed when it is
+    /// currently eligible.
     pub fn choose_amortized_among(
         &self,
         stats: &ModelStats,
@@ -264,57 +141,115 @@ impl AdaptiveScheduler {
         backends: &[Box<dyn ScoringBackend>],
         eligible: &dyn Fn(usize) -> bool,
     ) -> Option<Choice> {
-        let class = ModelClass::of(stats);
-        let reuse = expected_reuse.max(1) as f64;
-        let supported: Vec<usize> = (0..backends.len())
-            .filter(|&i| backends[i].supports(stats).is_ok() && eligible(i))
-            .collect();
-        // Exploration first, exactly as in `choose`.
-        if let Some(&index) = supported
-            .iter()
-            .find(|&&i| !self.estimates.contains_key(&(class, i)))
-        {
-            return Some(Choice::new(index, SimDuration::ZERO, backends));
-        }
-        supported
-            .into_iter()
-            .map(|i| {
-                let est = self.estimates[&(class, i)];
-                let prepare = self.prepare_costs.get(&(class, i)).copied().unwrap_or(0.0);
-                (i, est.predict(n_records) + prepare / reuse)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(index, predicted)| {
-                Choice::new(index, SimDuration::from_secs(predicted.max(0.0)), backends)
-            })
+        self.pick(
+            stats,
+            n_records,
+            backends,
+            eligible,
+            Some(expected_reuse.max(1) as f64),
+        )
     }
 
-    /// Runs a full observe-choose loop against the backends' own cost
-    /// models for `rounds` rounds at a fixed workload, returning the final
-    /// choice. Convenience for simulations and tests.
-    pub fn converge(
-        &mut self,
+    /// Unobserved supported, eligible backends are explored first
+    /// (round-robin by index), then the learned estimates are exploited,
+    /// plus the amortized prepare cost when `reuse` is given.
+    fn pick(
+        &self,
         stats: &ModelStats,
         n_records: u64,
         backends: &[Box<dyn ScoringBackend>],
-        rounds: usize,
+        eligible: &dyn Fn(usize) -> bool,
+        reuse: Option<f64>,
     ) -> Option<Choice> {
-        for _ in 0..rounds {
-            let choice = self.choose(stats, n_records, backends)?;
-            let observed = backends[choice.index]
-                .estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-                .total();
-            self.observe(stats, choice.index, n_records, observed);
+        let class = ModelClass::of(stats);
+        if let Some(index) = (0..backends.len()).find(|&i| {
+            backends[i].supports(stats).is_ok()
+                && eligible(i)
+                && !self.estimates.contains_key(&(class, i))
+        }) {
+            return Some(Choice::new(index, SimDuration::ZERO, backends));
         }
-        self.choose(stats, n_records, backends)
+        argmin(stats, backends, eligible, |i, _| {
+            let predicted = self.estimates[&(class, i)].predict(n_records);
+            match reuse {
+                Some(reuse) => {
+                    let prepare = self.prepare_costs.get(&(class, i)).copied().unwrap_or(0.0);
+                    predicted + prepare / reuse
+                }
+                None => predicted,
+            }
+        })
+    }
+}
+
+/// The online learner as a [`Policy`]: `choose` schedules a batch from
+/// its learned estimates (exploring unobserved backends first) and
+/// `observe` folds each run back in, so [`crate::trace::replay`] drives it
+/// like any fixed policy.
+impl Policy for AdaptiveScheduler {
+    fn name(&self) -> &str {
+        "adaptive"
+    }
+
+    fn choose(
+        &self,
+        stats: &ModelStats,
+        n_records: u64,
+        backends: &[Box<dyn ScoringBackend>],
+    ) -> Option<Choice> {
+        self.pick(stats, n_records, backends, &|_| true, None)
+    }
+
+    /// Folds one observed run into the estimates.
+    fn observe(
+        &mut self,
+        stats: &ModelStats,
+        backend_index: usize,
+        n_records: u64,
+        observed: SimDuration,
+    ) {
+        let key = (ModelClass::of(stats), backend_index);
+        let t = observed.as_secs();
+        let n = n_records.max(1) as f64;
+        let entry = self.estimates.entry(key).or_insert(AffineEstimate {
+            // First sight: attribute everything to the intercept for tiny
+            // batches, to the slope for big ones.
+            intercept: t.min(0.005),
+            slope: (t / n).min(t),
+        });
+        // Residual update: split the error between intercept (for small
+        // batches) and slope (for large ones), smoothing by alpha.
+        let predicted = entry.predict(n_records);
+        let error = t - predicted;
+        let batch_weight = n / (n + 10_000.0); // big batches inform the slope
+        entry.slope += self.alpha * error * batch_weight / n;
+        entry.intercept += self.alpha * error * (1.0 - batch_weight);
+        entry.slope = entry.slope.max(0.0);
+        entry.intercept = entry.intercept.max(0.0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{paper_backends, OraclePolicy, Policy};
+    use crate::policy::{modelled, paper_backends, OraclePolicy};
+    use crate::trace::{replay, QueryTrace, TraceQuery};
     use mlscore_forest::{ForestConfig, RandomForest};
+
+    /// Runs `rounds` observe-choose rounds at one fixed workload.
+    fn warm(
+        sched: &mut AdaptiveScheduler,
+        stats: &ModelStats,
+        n_records: u64,
+        backends: &[Box<dyn ScoringBackend>],
+        rounds: usize,
+    ) {
+        let query = TraceQuery {
+            stats: *stats,
+            n_records,
+        };
+        replay(sched, &QueryTrace::new(vec![query; rounds]), backends);
+    }
 
     fn stats(trees: usize, depth: usize, features: usize, classes: u32) -> ModelStats {
         ModelStats::of(&RandomForest::synthetic_full(
@@ -336,9 +271,7 @@ mod tests {
                 "revisited {} during exploration",
                 c.name
             );
-            let t = backends[c.index]
-                .estimate(&s, 1_000, &Tracer::disabled(), SimInstant::ZERO)
-                .total();
+            let t = modelled(backends[c.index].as_ref(), &s, 1_000);
             sched.observe(&s, c.index, 1_000, t);
         }
         assert_eq!(seen.len(), backends.len());
@@ -353,7 +286,8 @@ mod tests {
         ] {
             let oracle = OraclePolicy.choose(&s, n, &backends).unwrap();
             let mut sched = AdaptiveScheduler::new(0.4);
-            let settled = sched.converge(&s, n, &backends, 20).unwrap();
+            warm(&mut sched, &s, n, &backends, 20);
+            let settled = sched.choose(&s, n, &backends).unwrap();
             assert_eq!(settled.name, oracle.name, "at {n} records");
         }
     }
@@ -373,40 +307,8 @@ mod tests {
         let s = stats(4, 6, 4, 3);
         let mut sched = AdaptiveScheduler::new(0.3);
         assert_eq!(sched.learned(), 0);
-        sched.converge(&s, 1_000, &backends, 10);
+        warm(&mut sched, &s, 1_000, &backends, 10);
         assert!(sched.learned() > 0);
-    }
-
-    #[test]
-    fn observe_measured_runs_for_real_and_learns() {
-        use mlscore_backend::{OnnxCpu, SklearnCpu};
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(8, 4, 3).with_depth(6), 5);
-        let s = ModelStats::of(&forest);
-        let frame = mlscore_data::TabularFrame::from_rows(
-            (0..400).map(|i| (i as f32 * 0.29) % 1.0).collect(),
-            4,
-        )
-        .unwrap();
-        let backends: Vec<Box<dyn ScoringBackend>> = vec![
-            Box::new(SklearnCpu::with_threads(2)),
-            Box::new(OnnxCpu::single_thread()),
-        ];
-        let mut sched = AdaptiveScheduler::new(0.5);
-        // Calibration against the host is the point here, so this test IS
-        // the measurement boundary: inject the real clock.
-        let clock = mlscore_sim::WallClock::new();
-        for i in 0..backends.len() {
-            let (preds, measured) = sched
-                .observe_measured(&s, i, &backends, &forest, &frame, &clock)
-                .unwrap();
-            assert_eq!(preds, forest.predict_batch(frame.as_slice()));
-            assert!(measured > SimDuration::ZERO);
-        }
-        assert_eq!(sched.learned(), 2);
-        // With every backend observed, the scheduler now exploits.
-        let pick = sched.choose(&s, 100, &backends).unwrap();
-        assert!(pick.predicted >= SimDuration::ZERO);
     }
 
     #[test]
@@ -415,7 +317,7 @@ mod tests {
         let s = stats(128, 10, 28, 2);
         let n = 1_000_000u64;
         let mut sched = AdaptiveScheduler::new(0.4);
-        sched.converge(&s, n, &backends, 20);
+        warm(&mut sched, &s, n, &backends, 20);
         // Steady state (infinite reuse) favors the FPGA for the heavy
         // HIGGS-like workload...
         assert_eq!(sched.choose(&s, n, &backends).unwrap().name, "FPGA");
@@ -437,12 +339,16 @@ mod tests {
                 0.0
             })
         );
-        let once = sched.choose_amortized(&s, n, 1, &backends).unwrap();
+        let once = sched
+            .choose_amortized_among(&s, n, 1, &backends, &|_| true)
+            .unwrap();
         assert_ne!(
             once.name, "FPGA",
             "one-shot query must not pay 100 s of compile"
         );
-        let amortized = sched.choose_amortized(&s, n, 1_000_000, &backends).unwrap();
+        let amortized = sched
+            .choose_amortized_among(&s, n, 1_000_000, &backends, &|_| true)
+            .unwrap();
         assert_eq!(amortized.name, "FPGA", "compile cost amortizes away");
     }
 
@@ -454,9 +360,11 @@ mod tests {
             (stats(4, 6, 4, 3), 100u64),
         ] {
             let mut sched = AdaptiveScheduler::new(0.4);
-            sched.converge(&s, n, &backends, 20);
+            warm(&mut sched, &s, n, &backends, 20);
             let plain = sched.choose(&s, n, &backends).unwrap();
-            let amortized = sched.choose_amortized(&s, n, 1, &backends).unwrap();
+            let amortized = sched
+                .choose_amortized_among(&s, n, 1, &backends, &|_| true)
+                .unwrap();
             assert_eq!(plain.name, amortized.name);
             assert_eq!(plain.predicted, amortized.predicted);
         }
@@ -474,14 +382,10 @@ mod tests {
         let s = stats(128, 10, 28, 2);
         let n = 1_000_000u64;
         let mut sched = AdaptiveScheduler::new(0.4);
-        sched.converge(&s, n, &backends, 20);
+        warm(&mut sched, &s, n, &backends, 20);
         let open = sched
             .choose_amortized_among(&s, n, 1, &backends, &|_| true)
             .unwrap();
-        assert_eq!(
-            open.name,
-            sched.choose_amortized(&s, n, 1, &backends).unwrap().name
-        );
         // Mask out the winner: the pick must move elsewhere.
         let masked = sched
             .choose_amortized_among(&s, n, 1, &backends, &|i| i != open.index)
@@ -511,9 +415,7 @@ mod tests {
         for _ in 0..15 {
             for (s, n) in [(&heavy, 1_000_000u64), (&tiny, 10u64)] {
                 if let Some(c) = sched.choose(s, n, &backends) {
-                    let t = backends[c.index]
-                        .estimate(s, n, &Tracer::disabled(), SimInstant::ZERO)
-                        .total();
+                    let t = modelled(backends[c.index].as_ref(), s, n);
                     sched.observe(s, c.index, n, t);
                 }
             }

@@ -7,7 +7,10 @@
 //! models, the static threshold heuristic Fig. 1 suggests, and an affine
 //! (LogCA-style) fitted predictor — plus regret analysis quantifying the
 //! paper's mispick penalties (a wrong offload costs up to ~10x latency; a
-//! wrong stay-on-CPU costs up to ~70x throughput).
+//! wrong stay-on-CPU costs up to ~70x throughput). Every policy, including
+//! the online [`AdaptiveScheduler`], picks through one argmin over the
+//! roster, and [`replay`] is the one serial trace-replay loop for all of
+//! them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,4 +26,4 @@ pub use policy::{
     OraclePolicy, Policy,
 };
 pub use regret::{evaluate_policy, RegretReport};
-pub use trace::{paper_shape_forests, replay_adaptive, QueryTrace, TraceOutcome, TraceQuery};
+pub use trace::{paper_shape_forests, replay, QueryTrace, TraceOutcome, TraceQuery};

@@ -20,6 +20,36 @@ pub fn paper_backends() -> Vec<Box<dyn ScoringBackend>> {
     ]
 }
 
+/// The one argmin over a backend roster: among backends that support the
+/// model and pass `eligible`, the one with the smallest `cost` (seconds),
+/// ties going to the lowest index. Every policy in this crate picks through
+/// it; they differ only in what "eligible" and "cost" mean.
+pub(crate) fn argmin(
+    stats: &ModelStats,
+    backends: &[Box<dyn ScoringBackend>],
+    eligible: impl Fn(usize) -> bool,
+    cost: impl Fn(usize, &dyn ScoringBackend) -> f64,
+) -> Option<Choice> {
+    backends
+        .iter()
+        .enumerate()
+        .filter(|(i, b)| b.supports(stats).is_ok() && eligible(*i))
+        .map(|(i, b)| (i, cost(i, b.as_ref())))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(index, secs)| Choice::new(index, SimDuration::from_secs(secs.max(0.0)), backends))
+}
+
+/// The backend's modelled end-to-end time for `n_records` records.
+pub(crate) fn modelled(
+    backend: &dyn ScoringBackend,
+    stats: &ModelStats,
+    n_records: u64,
+) -> SimDuration {
+    backend
+        .estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
+        .total()
+}
+
 /// Cost-model (oracle) arbitration with amortized compile charging and an
 /// eligibility mask — the serving engine's dispatch rule. Picks the argmin
 /// of `estimate(stats, n).total() + prepare(i) / expected_reuse` over
@@ -37,19 +67,9 @@ pub fn choose_amortized_eligible(
     eligible: &dyn Fn(usize) -> bool,
 ) -> Option<Choice> {
     let reuse = expected_reuse.max(1) as f64;
-    backends
-        .iter()
-        .enumerate()
-        .filter(|(i, b)| b.supports(stats).is_ok() && eligible(*i))
-        .map(|(i, b)| {
-            let total = b
-                .estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-                .total()
-                + prepare(i) / reuse;
-            (i, total)
-        })
-        .min_by(|a, b| a.1.cmp(&b.1))
-        .map(|(index, predicted)| Choice::new(index, predicted, backends))
+    argmin(stats, backends, eligible, |i, b| {
+        (modelled(b, stats, n_records) + prepare(i) / reuse).as_secs()
+    })
 }
 
 /// A scheduling decision.
@@ -89,6 +109,18 @@ pub trait Policy {
         n_records: u64,
         backends: &[Box<dyn ScoringBackend>],
     ) -> Option<Choice>;
+
+    /// Folds the observed time of a run on `backend_index` back into the
+    /// policy. Fixed policies ignore it (the default); an online learner
+    /// updates its estimates.
+    fn observe(
+        &mut self,
+        _stats: &ModelStats,
+        _backend_index: usize,
+        _n_records: u64,
+        _observed: SimDuration,
+    ) {
+    }
 }
 
 /// Picks the backend with the smallest modelled total time — the best any
@@ -107,19 +139,12 @@ impl Policy for OraclePolicy {
         n_records: u64,
         backends: &[Box<dyn ScoringBackend>],
     ) -> Option<Choice> {
-        backends
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.supports(stats).is_ok())
-            .map(|(i, b)| {
-                (
-                    i,
-                    b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-                        .total(),
-                )
-            })
-            .min_by(|a, b| a.1.cmp(&b.1))
-            .map(|(index, predicted)| Choice::new(index, predicted, backends))
+        argmin(
+            stats,
+            backends,
+            |_| true,
+            |_, b| modelled(b, stats, n_records).as_secs(),
+        )
     }
 }
 
@@ -140,30 +165,6 @@ impl Default for HeuristicPolicy {
             cpu_max_records: 5_000,
             simple_max_trees: 1,
         }
-    }
-}
-
-impl HeuristicPolicy {
-    fn pick_by_kind(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-        backends: &[Box<dyn ScoringBackend>],
-        kind: fn(&str) -> bool,
-    ) -> Option<(usize, String, SimDuration)> {
-        backends
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.supports(stats).is_ok() && kind(b.name()))
-            .map(|(i, b)| {
-                (
-                    i,
-                    b.name().to_string(),
-                    b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-                        .total(),
-                )
-            })
-            .min_by(|a, b| a.2.cmp(&b.2))
     }
 }
 
@@ -189,8 +190,12 @@ impl Policy for HeuristicPolicy {
             [is_fpga, is_gpu, is_cpu]
         };
         preference.iter().find_map(|kind| {
-            self.pick_by_kind(stats, n_records, backends, *kind)
-                .map(|(index, _, predicted)| Choice::new(index, predicted, backends))
+            argmin(
+                stats,
+                backends,
+                |i| kind(backends[i].name()),
+                |_, b| modelled(b, stats, n_records).as_secs(),
+            )
         })
     }
 }
@@ -227,35 +232,18 @@ impl Policy for AffineFitPolicy {
         n_records: u64,
         backends: &[Box<dyn ScoringBackend>],
     ) -> Option<Choice> {
-        backends
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.supports(stats).is_ok())
-            .map(|(i, b)| {
-                let t0 = b
-                    .estimate(
-                        stats,
-                        self.probe_small,
-                        &Tracer::disabled(),
-                        SimInstant::ZERO,
-                    )
-                    .total()
-                    .as_secs();
-                let t1 = b
-                    .estimate(
-                        stats,
-                        self.probe_large,
-                        &Tracer::disabled(),
-                        SimInstant::ZERO,
-                    )
-                    .total()
-                    .as_secs();
+        argmin(
+            stats,
+            backends,
+            |_| true,
+            |_, b| {
+                let t0 = modelled(b, stats, self.probe_small).as_secs();
+                let t1 = modelled(b, stats, self.probe_large).as_secs();
                 let slope = (t1 - t0) / (self.probe_large - self.probe_small) as f64;
                 let predicted = t0 + slope * (n_records.saturating_sub(self.probe_small)) as f64;
-                (i, SimDuration::from_secs(predicted.max(0.0)))
-            })
-            .min_by(|a, b| a.1.cmp(&b.1))
-            .map(|(index, predicted)| Choice::new(index, predicted, backends))
+                predicted.max(0.0)
+            },
+        )
     }
 }
 

@@ -4,9 +4,7 @@
 use mlscore_backend::ScoringBackend;
 use mlscore_forest::ModelStats;
 
-use crate::policy::{OraclePolicy, Policy};
-use mlscore_sim::SimInstant;
-use mlscore_telemetry::Tracer;
+use crate::policy::{modelled, OraclePolicy, Policy};
 
 /// Aggregate regret of a policy across a workload grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,9 +59,7 @@ pub fn evaluate_policy(
         if picked.index != best.index {
             mispicks += 1;
         }
-        let actual = backends[picked.index]
-            .estimate(stats, *n, &Tracer::disabled(), SimInstant::ZERO)
-            .total();
+        let actual = modelled(backends[picked.index].as_ref(), stats, *n);
         let factor = actual.ratio(best.predicted);
         worst = worst.max(factor);
         sum += factor;
@@ -144,21 +140,12 @@ mod tests {
                 n_records: u64,
                 backends: &[Box<dyn ScoringBackend>],
             ) -> Option<crate::policy::Choice> {
-                backends
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.name().starts_with("CPU") && b.supports(stats).is_ok())
-                    .map(|(i, b)| {
-                        (
-                            i,
-                            b.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO)
-                                .total(),
-                        )
-                    })
-                    .min_by(|a, b| a.1.cmp(&b.1))
-                    .map(|(index, predicted)| {
-                        crate::policy::Choice::new(index, predicted, backends)
-                    })
+                crate::policy::argmin(
+                    stats,
+                    backends,
+                    |i| backends[i].name().starts_with("CPU"),
+                    |_, b| modelled(b, stats, n_records).as_secs(),
+                )
             }
         }
         let backends = paper_backends();

@@ -3,12 +3,12 @@
 //! Fig. 1's premise is that queries arrive with *mixed* models and batch
 //! sizes, so the offload decision must be made per query. This module
 //! generates synthetic query traces (a skewed mix of the paper's model
-//! shapes and batch sizes) and replays them through the online
-//! [`AdaptiveScheduler`] via [`replay_adaptive`]. Fixed-policy replay
-//! (the old `replay`/`replay_traced` loop) lives in `mlscore-serve`'s
-//! `ServeEngine`, which additionally models queueing and device
-//! contention; with coalescing off it reproduces the legacy makespan
-//! exactly.
+//! shapes and batch sizes) and [`replay`]s them serially through any
+//! [`Policy`] — a fixed policy or the online
+//! [`AdaptiveScheduler`](crate::AdaptiveScheduler). `mlscore-serve`'s
+//! `ServeEngine` layers queueing, coalescing and device contention on top;
+//! on one exclusive single-slot device with batch arrivals and coalescing
+//! off it reproduces this replay's makespan.
 
 use std::collections::BTreeMap;
 
@@ -18,10 +18,10 @@ use rand::{Rng, SeedableRng};
 use mlscore_backend::ScoringBackend;
 use mlscore_data::DatasetSpec;
 use mlscore_forest::{ForestConfig, ModelStats, RandomForest};
-use mlscore_sim::{SimDuration, SimInstant};
-use mlscore_telemetry::{Histogram, Tracer};
+use mlscore_sim::SimDuration;
+use mlscore_telemetry::Histogram;
 
-use crate::adaptive::AdaptiveScheduler;
+use crate::policy::{modelled, Policy};
 
 /// One query in a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,10 +155,16 @@ impl TraceOutcome {
     }
 }
 
-/// Replays a trace through an [`AdaptiveScheduler`], feeding each observed
-/// run back into the learner as it goes (the online setting).
-pub fn replay_adaptive(
-    scheduler: &mut AdaptiveScheduler,
+/// Replays a trace serially: each query runs on the backend `policy`
+/// picks and is charged that backend's modelled time, which is fed back
+/// through [`Policy::observe`] (a no-op for fixed policies, the learning
+/// step for the online scheduler).
+///
+/// # Panics
+///
+/// Panics if no backend supports some trace query.
+pub fn replay(
+    policy: &mut dyn Policy,
     trace: &QueryTrace,
     backends: &[Box<dyn ScoringBackend>],
 ) -> TraceOutcome {
@@ -166,19 +172,17 @@ pub fn replay_adaptive(
     let mut latencies = Vec::with_capacity(trace.len());
     let mut picks: BTreeMap<String, usize> = BTreeMap::new();
     for q in trace.queries() {
-        let choice = scheduler
+        let choice = policy
             .choose(&q.stats, q.n_records, backends)
             .expect("some backend must support every trace query");
-        let latency = backends[choice.index]
-            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
-            .total();
-        scheduler.observe(&q.stats, choice.index, q.n_records, latency);
+        let latency = modelled(backends[choice.index].as_ref(), &q.stats, q.n_records);
+        policy.observe(&q.stats, choice.index, q.n_records, latency);
         total += latency;
         latencies.push(latency);
         *picks.entry(choice.name).or_default() += 1;
     }
     TraceOutcome {
-        policy: "adaptive".to_string(),
+        policy: policy.name().to_string(),
         total,
         latencies,
         picks,
@@ -188,38 +192,8 @@ pub fn replay_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{paper_backends, HeuristicPolicy, OraclePolicy, Policy};
-
-    /// Serial fixed-policy replay, local to these tests: the production
-    /// equivalent is `mlscore-serve`'s `ServeEngine` (which adds queueing
-    /// and device contention); this loop exists only to exercise
-    /// [`TraceOutcome`] and the policies over synthetic traces.
-    fn replay_policy(
-        policy: &dyn Policy,
-        trace: &QueryTrace,
-        backends: &[Box<dyn ScoringBackend>],
-    ) -> TraceOutcome {
-        let mut total = SimDuration::ZERO;
-        let mut latencies = Vec::with_capacity(trace.len());
-        let mut picks: BTreeMap<String, usize> = BTreeMap::new();
-        for q in trace.queries() {
-            let choice = policy
-                .choose(&q.stats, q.n_records, backends)
-                .expect("some backend must support every trace query");
-            let latency = backends[choice.index]
-                .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
-                .total();
-            total += latency;
-            latencies.push(latency);
-            *picks.entry(choice.name).or_default() += 1;
-        }
-        TraceOutcome {
-            policy: policy.name().to_string(),
-            total,
-            latencies,
-            picks,
-        }
-    }
+    use crate::adaptive::AdaptiveScheduler;
+    use crate::policy::{paper_backends, HeuristicPolicy, OraclePolicy};
 
     #[test]
     fn synthetic_draws_back_the_same_trace() {
@@ -254,8 +228,8 @@ mod tests {
     fn oracle_replay_lower_bounds_other_policies() {
         let backends = paper_backends();
         let trace = QueryTrace::synthetic(60, 9);
-        let oracle = replay_policy(&OraclePolicy, &trace, &backends);
-        let heuristic = replay_policy(&HeuristicPolicy::default(), &trace, &backends);
+        let oracle = replay(&mut OraclePolicy, &trace, &backends);
+        let heuristic = replay(&mut HeuristicPolicy::default(), &trace, &backends);
         assert!(oracle.total <= heuristic.total);
         assert_eq!(oracle.latencies.len(), 60);
     }
@@ -264,7 +238,7 @@ mod tests {
     fn oracle_uses_multiple_backends_on_a_mixed_trace() {
         let backends = paper_backends();
         let trace = QueryTrace::synthetic(120, 2);
-        let outcome = replay_policy(&OraclePolicy, &trace, &backends);
+        let outcome = replay(&mut OraclePolicy, &trace, &backends);
         assert!(
             outcome.picks.len() >= 2,
             "a mixed trace needs a mixed placement: {:?}",
@@ -278,7 +252,7 @@ mod tests {
     fn percentiles_are_ordered() {
         let backends = paper_backends();
         let trace = QueryTrace::synthetic(80, 4);
-        let outcome = replay_policy(&OraclePolicy, &trace, &backends);
+        let outcome = replay(&mut OraclePolicy, &trace, &backends);
         let p50 = outcome.percentile(50.0);
         let p95 = outcome.percentile(95.0);
         let p99 = outcome.percentile(99.0);
@@ -293,15 +267,15 @@ mod tests {
         // Repeat the same short mix many times so the learner converges.
         let base = QueryTrace::synthetic(10, 7);
         let repeated = QueryTrace::new((0..12).flat_map(|_| base.queries().to_vec()).collect());
-        let oracle = replay_policy(&OraclePolicy, &repeated, &backends);
+        let oracle = replay(&mut OraclePolicy, &repeated, &backends);
         let mut sched = AdaptiveScheduler::new(0.4);
         // First pass pays the exploration bill (every backend gets probed,
         // including slow ones, on whatever batch arrives).
-        let exploration = replay_adaptive(&mut sched, &repeated, &backends);
+        let exploration = replay(&mut sched, &repeated, &backends);
         assert!(exploration.total >= oracle.total);
         // Second pass runs on learned estimates and must sit close to the
         // oracle.
-        let learned = replay_adaptive(&mut sched, &repeated, &backends);
+        let learned = replay(&mut sched, &repeated, &backends);
         let factor = learned.total.ratio(oracle.total);
         assert!(factor < 1.5, "learned pass {factor}x oracle");
         assert!(learned.total <= exploration.total);
@@ -311,7 +285,7 @@ mod tests {
     fn percentile_comes_from_the_shared_histogram() {
         let backends = paper_backends();
         let trace = QueryTrace::synthetic(50, 11);
-        let outcome = replay_policy(&OraclePolicy, &trace, &backends);
+        let outcome = replay(&mut OraclePolicy, &trace, &backends);
         let h = outcome.latency_histogram();
         assert_eq!(h.count(), 50);
         for p in [50.0, 95.0, 99.0, 100.0] {

@@ -1,12 +1,13 @@
 //! The device-contention model: which backends share which physical
 //! device, and how many concurrent passes each device admits.
 //!
-//! Contention is what separates a serving simulation from the legacy
-//! back-to-back replay: the FPGA is exclusive (one resident bitstream, one
-//! pass at a time), a GPU overlaps a few passes on independent streams,
-//! and the CPU engines share the host's executor seats. Each device is
-//! backed by a [`DeviceLedger`](mlscore_sim::DeviceLedger) slot pool in
-//! the engine; this module only describes the topology.
+//! Contention is what separates a serving simulation from the serial
+//! back-to-back `sched::trace::replay`: the FPGA is exclusive (one
+//! resident bitstream, one pass at a time), a GPU overlaps a few passes on
+//! independent streams, and the CPU engines share the host's executor
+//! seats. Each device is backed by a
+//! [`DeviceLedger`](mlscore_sim::DeviceLedger) slot pool in the engine;
+//! this module only describes the topology.
 
 use mlscore_backend::ScoringBackend;
 
@@ -14,7 +15,7 @@ use mlscore_backend::ScoringBackend;
 /// passes it runs concurrently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceSpec {
-    /// Display name (`CPU`, `GPU`, `FPGA`, `serial`).
+    /// Display name (`CPU`, `GPU`, `FPGA`).
     pub name: String,
     /// Concurrent passes (ledger slots): executor seats on the CPU,
     /// streams on the GPU, 1 on the FPGA.
@@ -61,20 +62,6 @@ impl DeviceRoster {
         Self {
             devices,
             by_backend,
-        }
-    }
-
-    /// A degenerate topology for legacy-replay equivalence: every backend
-    /// shares one single-slot device, so the engine serializes all passes
-    /// back to back exactly like the deprecated `sched::trace::replay`
-    /// loop.
-    pub fn serial(backends: &[Box<dyn ScoringBackend>]) -> Self {
-        Self {
-            devices: vec![DeviceSpec {
-                name: "serial".to_string(),
-                slots: 1,
-            }],
-            by_backend: vec![0; backends.len()],
         }
     }
 
@@ -125,17 +112,5 @@ mod tests {
         let names: Vec<&str> = (0..backends.len()).map(|i| roster.device_name(i)).collect();
         assert_eq!(names, ["CPU", "CPU", "CPU", "GPU", "GPU", "FPGA"]);
         assert_eq!(roster.device_of(5), 2);
-    }
-
-    #[test]
-    fn serial_roster_shares_one_slot() {
-        let backends = paper_backends();
-        let roster = DeviceRoster::serial(&backends);
-        assert_eq!(roster.devices().len(), 1);
-        assert_eq!(roster.devices()[0].slots, 1);
-        for i in 0..backends.len() {
-            assert_eq!(roster.device_of(i), 0);
-            assert_eq!(roster.device_name(i), "serial");
-        }
     }
 }

@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use mlscore_backend::{artifact_key, ArtifactKey, CacheStats, ScoringBackend};
 use mlscore_forest::ModelStats;
 use mlscore_pipeline::PipelineParams;
-use mlscore_sched::{choose_amortized_eligible, AdaptiveScheduler, Choice};
+use mlscore_sched::{choose_amortized_eligible, AdaptiveScheduler, Choice, Policy};
 use mlscore_sim::{DeviceLedger, LruCacheModel, SimDuration, SimInstant, StageClass};
 use mlscore_telemetry::{Histogram, TimeSeriesRecorder, Tracer};
 
@@ -71,9 +71,6 @@ pub struct ServeConfig {
     pub cpu_seats: usize,
     /// Concurrent passes on the shared GPU device (streams).
     pub gpu_streams: usize,
-    /// Replace the whole topology with one single-slot device shared by
-    /// every backend — the legacy-replay equivalence mode.
-    pub serial_device: bool,
     /// Model compile charging: on a simulated artifact-cache miss a pass
     /// additionally pays `PipelineParams::model_preprocess_time`, on a hit
     /// `PipelineParams::cache_lookup`. Off, compiles are free and the
@@ -94,7 +91,6 @@ impl Default for ServeConfig {
             policy: ServePolicy::Oracle,
             cpu_seats: mlscore_exec::pool::default_threads(),
             gpu_streams: 4,
-            serial_device: false,
             charge_compile: true,
             cache_entries: 32,
             observe: ObserveConfig::default(),
@@ -178,15 +174,11 @@ impl ServeEngine {
 
     /// The device topology this configuration induces.
     pub fn roster(&self) -> DeviceRoster {
-        if self.config.serial_device {
-            DeviceRoster::serial(&self.backends)
-        } else {
-            DeviceRoster::paper_default(
-                &self.backends,
-                self.config.cpu_seats,
-                self.config.gpu_streams,
-            )
-        }
+        DeviceRoster::paper_default(
+            &self.backends,
+            self.config.cpu_seats,
+            self.config.gpu_streams,
+        )
     }
 
     /// Runs `spec` to completion, recording spans on `tracer` (pass

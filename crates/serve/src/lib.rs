@@ -1,7 +1,7 @@
 //! `mlscore-serve`: a deterministic discrete-event serving engine over the
 //! scoring backends.
 //!
-//! The legacy replay loop scored a trace back to back on one device at a
+//! `sched::trace::replay` scores a trace back to back, one query at a
 //! time; real DBMS scoring endpoints face *load*: requests arrive on their
 //! own clock, queue behind a bounded admission buffer, merge into
 //! micro-batches when they target the same compiled model, and contend

@@ -104,8 +104,8 @@ impl ModelCatalog {
 /// When queries arrive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
-    /// Every query is present at time zero, in trace order — the legacy
-    /// `sched::trace` replay setting.
+    /// Every query is present at time zero, in trace order — the
+    /// `sched::trace::replay` setting.
     Batch,
     /// Open loop: exponential interarrival times at the offered rate;
     /// arrivals do not react to system state (the overload-capable

@@ -40,14 +40,13 @@ fn arb_config() -> impl Strategy<Value = ServeConfig> {
                 (0.1f64..0.9).prop_map(|alpha| ServePolicy::Adaptive { alpha }),
             ],
             any::<bool>(),
-            any::<bool>(),
         ),
     )
         .prop_map(
             |(
                 (capacity, shed, deadline_ms),
                 (coalesce_on, max_requests, hold_ms),
-                (policy, serial_device, charge_compile),
+                (policy, charge_compile),
             )| {
                 ServeConfig {
                     queue: QueueConfig {
@@ -68,7 +67,6 @@ fn arb_config() -> impl Strategy<Value = ServeConfig> {
                     policy,
                     cpu_seats: 4,
                     gpu_streams: 2,
-                    serial_device,
                     charge_compile,
                     cache_entries: 4,
                     observe: mlscore_serve::ObserveConfig::default(),
@@ -82,7 +80,7 @@ proptest! {
 
     /// Every offered request is accounted for exactly once — completed,
     /// rejected, dropped, timed out, or unservable — no matter the queue
-    /// bound, shed policy, deadlines, coalescing, policy, or topology.
+    /// bound, shed policy, deadlines, coalescing, policy, or compile charging.
     #[test]
     fn requests_are_conserved_under_any_configuration(
         config in arb_config(),

@@ -13,7 +13,7 @@ use mlscore_data::csv;
 use mlscore_forest::{ForestBuilder, ModelBundle, TrainOptions};
 use mlscore_fpga::FpgaBackend;
 use mlscore_pipeline::{consolidate, HostResources, IntegrationMode, PipelineParams};
-use mlscore_sched::{paper_backends, AdaptiveScheduler};
+use mlscore_sched::{paper_backends, replay, AdaptiveScheduler, Policy, QueryTrace, TraceQuery};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Round-trip the dataset through CSV, as an analyst would stage it.
@@ -51,18 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = ModelStats::of(&trained.forest);
     let backends = paper_backends();
     let mut scheduler = AdaptiveScheduler::new(0.4);
-    for round in 1.. {
-        let choice = scheduler
-            .choose(&stats, 1_000_000, &backends)
-            .expect("some backend supports the model");
-        let observed = backends[choice.index]
-            .estimate(&stats, 1_000_000, &Tracer::disabled(), SimInstant::ZERO)
-            .total();
-        scheduler.observe(&stats, choice.index, 1_000_000, observed);
-        println!("  round {round}: ran on {} ({observed})", choice.name);
-        if round >= 8 {
-            break;
-        }
+    let query = QueryTrace::new(vec![TraceQuery {
+        stats,
+        n_records: 1_000_000,
+    }]);
+    for round in 1..=8 {
+        let run = replay(&mut scheduler, &query, &backends);
+        let ran_on = run.picks.keys().next().expect("one query, one pick");
+        println!("  round {round}: ran on {ran_on} ({})", run.total);
     }
     let settled = scheduler.choose(&stats, 1_000_000, &backends).unwrap();
     println!("scheduler settled on {}", settled.name);

@@ -7,46 +7,10 @@
 //! cargo run --release --example query_mix_simulator -- [n_queries] [seed]
 //! ```
 
-use std::collections::BTreeMap;
-
-use mlscore::backend::ScoringBackend;
-use mlscore::sim::SimDuration;
 use mlscore_sched::{
-    paper_backends, replay_adaptive, AdaptiveScheduler, AffineFitPolicy, HeuristicPolicy,
-    OraclePolicy, Policy, QueryTrace, TraceOutcome,
+    paper_backends, replay, AdaptiveScheduler, AffineFitPolicy, HeuristicPolicy, OraclePolicy,
+    Policy, QueryTrace,
 };
-use mlscore_sim::SimInstant;
-use mlscore_telemetry::Tracer;
-
-/// Serial fixed-policy replay: each trace query is charged the modelled
-/// time of the backend the policy picks. (`repro serve` layers queueing,
-/// coalescing, and device contention on top of this simple loop.)
-fn replay_policy(
-    policy: &dyn Policy,
-    trace: &QueryTrace,
-    backends: &[Box<dyn ScoringBackend>],
-) -> TraceOutcome {
-    let mut total = SimDuration::ZERO;
-    let mut latencies = Vec::with_capacity(trace.len());
-    let mut picks: BTreeMap<String, usize> = BTreeMap::new();
-    for q in trace.queries() {
-        let choice = policy
-            .choose(&q.stats, q.n_records, backends)
-            .expect("every trace query has a supporting backend");
-        let latency = backends[choice.index]
-            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
-            .total();
-        total += latency;
-        latencies.push(latency);
-        *picks.entry(choice.name).or_default() += 1;
-    }
-    TraceOutcome {
-        policy: policy.name().to_string(),
-        total,
-        latencies,
-        picks,
-    }
-}
 
 fn main() {
     let n: usize = std::env::args()
@@ -66,19 +30,19 @@ fn main() {
         "policy", "total", "p50", "p95", "p99"
     );
 
-    let policies: [&dyn Policy; 3] = [
-        &OraclePolicy,
-        &HeuristicPolicy::default(),
-        &AffineFitPolicy::default(),
+    let policies: [&mut dyn Policy; 3] = [
+        &mut OraclePolicy,
+        &mut HeuristicPolicy::default(),
+        &mut AffineFitPolicy::default(),
     ];
     let mut outcomes = Vec::new();
     for p in policies {
-        outcomes.push(replay_policy(p, &trace, &backends));
+        outcomes.push(replay(p, &trace, &backends));
     }
     let mut adaptive = AdaptiveScheduler::new(0.4);
     // Warm the learner on one pass, then report the learned behaviour.
-    replay_adaptive(&mut adaptive, &trace, &backends);
-    outcomes.push(replay_adaptive(&mut adaptive, &trace, &backends));
+    replay(&mut adaptive, &trace, &backends);
+    outcomes.push(replay(&mut adaptive, &trace, &backends));
 
     for o in &outcomes {
         println!(

@@ -4,47 +4,32 @@
 
 use mlscore::backend::ScoringBackend;
 use mlscore::prelude::*;
-use mlscore::sched::{paper_backends, OraclePolicy, Policy, QueryTrace};
+use mlscore::sched::{paper_backends, replay, OraclePolicy, QueryTrace};
 use mlscore::serve::{CoalesceConfig, QueueConfig};
-use mlscore::sim::SimDuration;
 use mlscore::telemetry::perfetto;
-use std::collections::BTreeMap;
 
-/// Reference serial replay: queries run back to back, each charged the
-/// modelled time of the backend the policy picks.
-fn serial_replay(
-    policy: &dyn Policy,
-    trace: &QueryTrace,
-    backends: &[Box<dyn ScoringBackend>],
-) -> (SimDuration, BTreeMap<String, u64>) {
-    let mut total = SimDuration::ZERO;
-    let mut picks: BTreeMap<String, u64> = BTreeMap::new();
-    for q in trace.queries() {
-        let choice = policy
-            .choose(&q.stats, q.n_records, backends)
-            .expect("every trace query has a supporting backend");
-        total += backends[choice.index]
-            .estimate(&q.stats, q.n_records, &Tracer::disabled(), SimInstant::ZERO)
-            .total();
-        *picks.entry(choice.name).or_default() += 1;
-    }
-    (total, picks)
+/// The paper's FPGA engine alone: one exclusive single-slot device.
+fn fpga_only() -> Vec<Box<dyn ScoringBackend>> {
+    paper_backends()
+        .into_iter()
+        .filter(|b| b.name() == "FPGA")
+        .collect()
 }
 
-/// The engine configured as a degenerate serial device — batch arrivals,
-/// no coalescing, no compile charging, unbounded queue — is *exactly* the
-/// serial replay loop: same dispatch order, same backend picks, same
-/// makespan (modulo float-addition ulps).
+/// On one exclusive single-slot device — batch arrivals, no coalescing,
+/// no compile charging, unbounded queue — the engine *is* the serial trace
+/// replay: same FIFO dispatch order, same backend picks, same makespan
+/// (modulo float-addition ulps). Every `paper_mix` shape has depth <= 10,
+/// so the FPGA supports every query.
 #[test]
 fn serial_batch_run_reproduces_serial_replay() {
     let queries = 120;
     let seed = 9;
     let engine = ServeEngine::new(
-        paper_backends(),
+        fpga_only(),
         ModelCatalog::paper_mix(),
         ServeConfig {
             coalesce: CoalesceConfig::disabled(),
-            serial_device: true,
             charge_compile: false,
             ..ServeConfig::default()
         },
@@ -59,32 +44,36 @@ fn serial_batch_run_reproduces_serial_replay() {
             &Tracer::disabled(),
         )
         .expect("batch specs are always valid");
-    let (legacy_total, legacy_pick_map) = serial_replay(
-        &OraclePolicy,
+    let legacy = replay(
+        &mut OraclePolicy,
         &QueryTrace::synthetic(queries, seed),
-        &paper_backends(),
+        &fpga_only(),
     );
 
     assert!(report.is_conserved());
     assert_eq!(report.completed, queries as u64);
     // Same backend mix, query for query.
-    let legacy_picks: Vec<(String, u64)> = legacy_pick_map.into_iter().collect();
+    let legacy_picks: Vec<(String, u64)> = legacy
+        .picks
+        .iter()
+        .map(|(n, c)| (n.clone(), *c as u64))
+        .collect();
     let engine_picks: Vec<(String, u64)> =
         report.picks.iter().map(|(n, c)| (n.clone(), *c)).collect();
     assert_eq!(engine_picks, legacy_picks);
-    // Dispatch order is trace order, and each request's service time is the
-    // legacy per-query latency.
+    // Dispatch order is trace order, one request per pass.
+    assert_eq!(report.dispatches.len(), queries);
     for (i, d) in report.dispatches.iter().enumerate() {
         assert_eq!(d.id, i as u64);
         assert_eq!(d.batch, i as u64);
     }
-    // The serial makespan is the legacy total (same additions, same order).
-    let diff = (report.makespan.as_secs() - legacy_total.as_secs()).abs();
+    // The serial makespan is the replay total (same additions, same order).
+    let diff = (report.makespan.as_secs() - legacy.total.as_secs()).abs();
     assert!(
-        diff <= 1e-12 * legacy_total.as_secs().max(1.0),
-        "engine makespan {} vs legacy total {}",
+        diff <= 1e-12 * legacy.total.as_secs().max(1.0),
+        "engine makespan {} vs replay total {}",
         report.makespan,
-        legacy_total
+        legacy.total
     );
 }
 
@@ -133,10 +122,7 @@ fn serving_exports_are_byte_identical_across_runs() {
 fn coalescing_raises_fpga_throughput_under_overload() {
     let run_fpga = |coalesce_on: bool| {
         let engine = ServeEngine::new(
-            paper_backends()
-                .into_iter()
-                .filter(|b| b.name() == "FPGA")
-                .collect(),
+            fpga_only(),
             ModelCatalog::paper_mix(),
             ServeConfig {
                 queue: QueueConfig {
