@@ -157,11 +157,19 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
     --trace-out target/trace_fleet.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
     fleet --check target/BENCH_serving.fleet.quick.json
+# `repro serve` writes a report only where --out points: run with no
+# flags, it must leave the committed schema-v3 file alone.
+cargo run --release -q -p mlscore-bench --bin repro -- serve --quick >/dev/null
 # The committed full-mode report must stay valid and carry the fleet
 # block, and the one-sided perf gate must accept a self-diff of the
 # serving schema (covering the fleet cells).
 cargo run --release -q -p mlscore-bench --bin repro -- \
     fleet --check BENCH_serving.json
+# The committed report is exactly what `repro fleet` writes: a full
+# regeneration (simulated time, ~1 s) must reproduce it byte for byte.
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    fleet --out target/BENCH_serving.full.json >/dev/null
+cmp target/BENCH_serving.full.json BENCH_serving.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --diff BENCH_serving.json BENCH_serving.json
 # The fleet timeline must carry one lane set per node and at least one

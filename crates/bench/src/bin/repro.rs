@@ -538,10 +538,12 @@ fn bench(args: &[String]) {
 /// `repro serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]`
 ///
 /// Runs the serving-engine load sweep ([`mlscore_bench::serve_bench`]) and
-/// writes `BENCH_serving.json`; with `--check` it validates an existing
-/// report instead, and `--trace-out` additionally exports a Perfetto
-/// timeline of the FPGA overload run (per-device lanes with queue-wait,
-/// coalesce, compile, setup/transfer/compute/drain spans).
+/// writes the schema-v2 report (no fleet block) to `--out`, if given —
+/// `repro fleet` is what regenerates the committed `BENCH_serving.json`.
+/// With `--check` it validates an existing report instead, and
+/// `--trace-out` additionally exports a Perfetto timeline of the FPGA
+/// overload run (per-device lanes with queue-wait, coalesce, compile,
+/// setup/transfer/compute/drain spans).
 fn serve(args: &[String]) {
     use mlscore_bench::serve_bench::{self, ServeBenchOptions};
     use mlscore_serve::{
@@ -550,7 +552,7 @@ fn serve(args: &[String]) {
     };
 
     let mut quick = false;
-    let mut out_path = "BENCH_serving.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut check: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut it = args.iter();
@@ -558,7 +560,7 @@ fn serve(args: &[String]) {
         match arg.as_str() {
             "--quick" => quick = true,
             "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
+                Some(path) => out_path = Some(path.clone()),
                 None => {
                     eprintln!("--out needs a file path");
                     std::process::exit(2);
@@ -610,14 +612,16 @@ fn serve(args: &[String]) {
     let opts = ServeBenchOptions { quick };
     let report = serve_bench::run(&opts);
     let json = serve_bench::to_json(&report, &opts, None);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "wrote {out_path}: {} sweep point(s) + FPGA overload comparison",
-        report.sweep.len()
-    );
+    if let Some(out_path) = out_path {
+        std::fs::write(&out_path, &json).unwrap_or_else(|e| {
+            eprintln!("cannot write {out_path}: {e}");
+            std::process::exit(1);
+        });
+        println!(
+            "wrote {out_path}: {} sweep point(s) + FPGA overload comparison",
+            report.sweep.len()
+        );
+    }
 
     if let Some(path) = trace_out {
         // A traced rerun of the FPGA overload point: the interesting
@@ -889,11 +893,13 @@ fn usage() -> String {
                         sweep offered load through the discrete-event serving\n\
                         engine (admission control, micro-batch coalescing,\n\
                         device contention) with coalescing on vs off, plus an\n\
-                        FPGA-only overload comparison, and write\n\
-                        BENCH_serving.json; --check validates an existing\n\
-                        report; --trace-out exports a Perfetto timeline of\n\
-                        the FPGA overload run (per-device lanes, request\n\
-                        flow arrows from queue wait to device pass)\n\
+                        FPGA-only overload comparison; --out writes the\n\
+                        schema-v2 report (nothing is written without it:\n\
+                        `repro fleet` writes BENCH_serving.json); --check\n\
+                        validates an existing report; --trace-out exports a\n\
+                        Perfetto timeline of the FPGA overload run\n\
+                        (per-device lanes, request flow arrows from queue\n\
+                        wait to device pass)\n\
        fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]\n\
                         run the load sweep plus the multi-node fleet shmoo\n\
                         (router policy x traffic scenario, diurnal\n\

@@ -37,7 +37,7 @@ use mlscore_exec::{
 use mlscore_forest::{ForestConfig, ModelBundle, Predictions, RandomForest, Task};
 use mlscore_pipeline::{QueryPipeline, QueryPlan, Records};
 use mlscore_sim::{SimInstant, Stage};
-use mlscore_telemetry::json::{self, write_escaped, JsonValue};
+use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
 use mlscore_telemetry::Tracer;
 
 /// Tree depth used throughout the sweep (the paper's evaluation depth).
@@ -537,29 +537,12 @@ pub fn run(opts: &BenchOptions) -> Vec<CaseResult> {
     cases
 }
 
-/// Pushes `v` as a JSON number with enough precision for throughputs.
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.3}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Pushes `v` as a JSON number with sub-microsecond precision — the fused
-/// handoff taxes are hundreds of microseconds, which `push_num`'s
-/// millisecond precision would round to zero.
-fn push_secs(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.9}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Serializes sweep results to the `BENCH_cpu_scoring.json` document.
 ///
-/// The output is validated with [`validate`] before being returned.
+/// Throughputs and cache-pair numbers carry three decimals; the fused
+/// cells' seconds carry nine, since their handoff taxes are hundreds of
+/// microseconds. The output is validated with [`validate`] before being
+/// returned.
 ///
 /// # Panics
 ///
@@ -572,93 +555,68 @@ pub fn to_json(
     opts: &BenchOptions,
 ) -> String {
     let cfg = RunConfig::default();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mlscore/bench-cpu-scoring/v1\",\n");
-    out.push_str("  \"schema_version\": 5,\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if opts.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!(
-        "  \"simd_level\": \"{}\",\n",
-        SimdLevel::detect().name()
-    ));
-    out.push_str(&format!("  \"host_threads\": {},\n", default_threads()));
-    out.push_str(&format!("  \"record_block\": {},\n", cfg.record_block));
-    out.push_str(&format!("  \"tree_block\": {},\n", cfg.tree_block));
-    out.push_str(&format!("  \"lanes\": {},\n", kernel::LANES));
-    out.push_str("  \"cache\": {\"backend\": ");
-    write_escaped(&mut out, &cache.backend);
-    out.push_str(&format!(
-        ", \"trees\": {}, \"depth\": {}, \"records\": {},\n",
-        cache.trees, cache.depth, cache.records
-    ));
-    out.push_str("            \"cold_total_secs\": ");
-    push_num(&mut out, cache.cold_total_secs);
-    out.push_str(", \"warm_total_secs\": ");
-    push_num(&mut out, cache.warm_total_secs);
-    out.push_str(", \"warm_speedup\": ");
-    push_num(&mut out, cache.warm_speedup());
-    out.push_str(", \"compile_ms\": ");
-    push_num(&mut out, cache.compile_ms);
-    out.push_str(&format!(
-        ", \"hits\": {}, \"misses\": {}}},\n",
-        cache.hits, cache.misses
-    ));
-    out.push_str("  \"fused\": {\"cells\": [");
-    for (i, cell) in fused.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"backend\": ");
-        write_escaped(&mut out, &cell.backend);
-        out.push_str(&format!(
-            ", \"trees\": {}, \"depth\": {}, \"records\": {}, \
-             \"chunk_rows\": {}, \"n_chunks\": {},\n     \"staged_tax_secs\": ",
-            cell.trees, cell.depth, cell.records, cell.chunk_rows, cell.n_chunks
-        ));
-        push_secs(&mut out, cell.staged_tax_secs);
-        out.push_str(", \"fused_tax_secs\": ");
-        push_secs(&mut out, cell.fused_tax_secs);
-        out.push_str(", \"eliminated_frac\": ");
-        push_secs(&mut out, cell.eliminated_frac);
-        out.push_str(",\n     \"staged_wall_secs\": ");
-        push_secs(&mut out, cell.staged_wall_secs);
-        out.push_str(", \"fused_wall_secs\": ");
-        push_secs(&mut out, cell.fused_wall_secs);
-        out.push_str(&format!(", \"bit_exact\": {}}}", cell.bit_exact));
+    let mut w = JsonWriter::pretty();
+    w.begin_object();
+    w.key("schema").str("mlscore/bench-cpu-scoring/v1");
+    w.key("schema_version").uint(5);
+    w.key("mode").str(if opts.quick { "quick" } else { "full" });
+    w.key("simd_level").str(SimdLevel::detect().name());
+    w.key("host_threads").uint(default_threads() as u64);
+    w.key("record_block").uint(cfg.record_block as u64);
+    w.key("tree_block").uint(cfg.tree_block as u64);
+    w.key("lanes").uint(kernel::LANES as u64);
+    w.key("cache").begin_object();
+    w.key("backend").str(&cache.backend);
+    w.key("trees").uint(cache.trees as u64);
+    w.key("depth").uint(cache.depth as u64);
+    w.key("records").uint(cache.records as u64);
+    w.key("cold_total_secs").fixed(cache.cold_total_secs, 3);
+    w.key("warm_total_secs").fixed(cache.warm_total_secs, 3);
+    w.key("warm_speedup").fixed(cache.warm_speedup(), 3);
+    w.key("compile_ms").fixed(cache.compile_ms, 3);
+    w.key("hits").uint(cache.hits);
+    w.key("misses").uint(cache.misses);
+    w.end();
+    w.key("fused").begin_object().key("cells").begin_array();
+    for cell in fused {
+        w.begin_object();
+        w.key("backend").str(&cell.backend);
+        w.key("trees").uint(cell.trees as u64);
+        w.key("depth").uint(cell.depth as u64);
+        w.key("records").uint(cell.records as u64);
+        w.key("chunk_rows").uint(cell.chunk_rows as u64);
+        w.key("n_chunks").uint(cell.n_chunks as u64);
+        w.key("staged_tax_secs").fixed(cell.staged_tax_secs, 9);
+        w.key("fused_tax_secs").fixed(cell.fused_tax_secs, 9);
+        w.key("eliminated_frac").fixed(cell.eliminated_frac, 9);
+        w.key("staged_wall_secs").fixed(cell.staged_wall_secs, 9);
+        w.key("fused_wall_secs").fixed(cell.fused_wall_secs, 9);
+        w.key("bit_exact").bool(cell.bit_exact);
+        w.end();
     }
-    out.push_str("\n  ]},\n");
-    out.push_str("  \"cases\": [");
-    for (i, case) in cases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.end().end();
+    w.key("cases").begin_array();
+    for case in cases {
+        w.begin_object();
+        w.key("dataset").str(&case.dataset);
+        w.key("trees").uint(case.trees as u64);
+        w.key("depth").uint(case.depth as u64);
+        w.key("records").uint(case.records as u64);
+        w.key("naive_records_per_sec").fixed(case.naive_rps, 3);
+        w.key("runs").begin_array();
+        for run in &case.runs {
+            w.begin_object();
+            w.key("threads").uint(run.threads as u64);
+            w.key("forest_records_per_sec").fixed(run.forest_rps, 3);
+            w.key("simd_records_per_sec").fixed(run.simd_rps, 3);
+            w.key("speedup_vs_naive").fixed(run.speedup, 3);
+            w.key("bit_exact").bool(run.bit_exact);
+            w.end();
         }
-        out.push_str("\n    {\"dataset\": ");
-        write_escaped(&mut out, &case.dataset);
-        out.push_str(&format!(
-            ", \"trees\": {}, \"depth\": {}, \"records\": {},\n     \"naive_records_per_sec\": ",
-            case.trees, case.depth, case.records
-        ));
-        push_num(&mut out, case.naive_rps);
-        out.push_str(",\n     \"runs\": [");
-        for (j, run) in case.runs.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n       {{\"threads\": {}, ", run.threads));
-            out.push_str("\"forest_records_per_sec\": ");
-            push_num(&mut out, run.forest_rps);
-            out.push_str(", \"simd_records_per_sec\": ");
-            push_num(&mut out, run.simd_rps);
-            out.push_str(", \"speedup_vs_naive\": ");
-            push_num(&mut out, run.speedup);
-            out.push_str(&format!(", \"bit_exact\": {}}}", run.bit_exact));
-        }
-        out.push_str("\n     ]}");
+        w.end().end();
     }
-    out.push_str("\n  ]\n}\n");
+    w.end().end();
+    let out = w.finish();
     validate(&out).expect("harness emitted invalid JSON");
     out
 }
@@ -681,22 +639,13 @@ pub fn validate(text: &str) -> Result<usize, String> {
         Some(v) if v >= 2.0 => v,
         other => return Err(format!("missing or stale schema_version {other:?}")),
     };
-    let cache = doc.get("cache").ok_or("missing \"cache\" block")?;
-    let hits = cache
-        .get("hits")
-        .and_then(JsonValue::as_f64)
-        .ok_or("cache block: missing numeric \"hits\"")?;
+    let cache: &JsonValue = doc.field("cache", "report")?;
+    let hits: f64 = cache.field("hits", "cache block")?;
     if hits < 1.0 {
         return Err(format!("cache block: expected at least 1 hit, got {hits}"));
     }
-    let cold = cache
-        .get("cold_total_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or("cache block: missing \"cold_total_secs\"")?;
-    let warm = cache
-        .get("warm_total_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or("cache block: missing \"warm_total_secs\"")?;
+    let cold: f64 = cache.field("cold_total_secs", "cache block")?;
+    let warm: f64 = cache.field("warm_total_secs", "cache block")?;
     if cold < warm {
         return Err(format!(
             "cache block: cold total {cold}s is cheaper than warm total {warm}s"
@@ -706,90 +655,59 @@ pub fn validate(text: &str) -> Result<usize, String> {
         // v4 reports must carry the fused-vs-staged shmoo, every cell
         // bit-exact and eliminating at least 80% of the staged marshal +
         // data-pre-processing tax (the fused path's acceptance bar).
-        let cells = doc
-            .get("fused")
-            .ok_or("missing \"fused\" block (v4)")?
-            .get("cells")
-            .and_then(JsonValue::as_array)
-            .ok_or("fused block: missing \"cells\" array")?;
+        let fused: &JsonValue = doc.field("fused", "report (v4)")?;
+        let cells: &[JsonValue] = fused.field("cells", "fused block")?;
         if cells.is_empty() {
             return Err("fused block: \"cells\" is empty".to_string());
         }
         for (i, cell) in cells.iter().enumerate() {
+            let what = format!("fused cell {i}");
             for key in [
                 "records",
                 "chunk_rows",
                 "n_chunks",
-                "staged_tax_secs",
-                "fused_tax_secs",
-                "eliminated_frac",
                 "staged_wall_secs",
                 "fused_wall_secs",
             ] {
-                if cell.get(key).and_then(JsonValue::as_f64).is_none() {
-                    return Err(format!("fused cell {i}: missing numeric \"{key}\""));
-                }
+                cell.field::<f64>(key, &what)?;
             }
+            let staged_tax: f64 = cell.field("staged_tax_secs", &what)?;
+            let fused_tax: f64 = cell.field("fused_tax_secs", &what)?;
+            let eliminated: f64 = cell.field("eliminated_frac", &what)?;
             if cell.get("bit_exact") != Some(&JsonValue::Bool(true)) {
-                return Err(format!("fused cell {i}: not bit-exact"));
+                return Err(format!("{what}: not bit-exact"));
             }
-            let staged_tax = cell
-                .get("staged_tax_secs")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0);
-            let fused_tax = cell
-                .get("fused_tax_secs")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(f64::MAX);
             if fused_tax > 0.2 * staged_tax {
                 return Err(format!(
-                    "fused cell {i}: handoff tax {fused_tax}s exceeds 20% of the \
+                    "{what}: handoff tax {fused_tax}s exceeds 20% of the \
                      staged marshal tax {staged_tax}s"
                 ));
             }
-            let eliminated = cell
-                .get("eliminated_frac")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0);
             if eliminated < 0.8 {
                 return Err(format!(
-                    "fused cell {i}: eliminated fraction {eliminated} is below the 80% bar"
+                    "{what}: eliminated fraction {eliminated} is below the 80% bar"
                 ));
             }
         }
     }
-    let cases = doc
-        .get("cases")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"cases\" array")?;
+    let cases: &[JsonValue] = doc.field("cases", "report")?;
     if cases.is_empty() {
         return Err("\"cases\" is empty".to_string());
     }
     for (i, case) in cases.iter().enumerate() {
+        let what = format!("case {i}");
         for key in ["trees", "records", "naive_records_per_sec"] {
-            if case.get(key).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("case {i}: missing numeric \"{key}\""));
-            }
+            case.field::<f64>(key, &what)?;
         }
-        let runs = case
-            .get("runs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("case {i}: missing \"runs\" array"))?;
+        let runs: &[JsonValue] = case.field("runs", &what)?;
         if runs.is_empty() {
-            return Err(format!("case {i}: \"runs\" is empty"));
+            return Err(format!("{what}: \"runs\" is empty"));
         }
         for (j, run) in runs.iter().enumerate() {
-            if run
-                .get("simd_records_per_sec")
-                .and_then(JsonValue::as_f64)
-                .is_none()
-            {
-                return Err(format!(
-                    "case {i} run {j}: missing \"simd_records_per_sec\""
-                ));
-            }
+            let what = format!("case {i} run {j}");
+            run.field::<f64>("simd_records_per_sec", &what)?;
             if run.get("bit_exact") != Some(&JsonValue::Bool(true)) {
-                return Err(format!("case {i} run {j}: not bit-exact"));
+                return Err(format!("{what}: not bit-exact"));
             }
         }
     }
@@ -929,6 +847,113 @@ mod tests {
         assert!(validate(&no_simd)
             .unwrap_err()
             .contains("simd_records_per_sec"));
+    }
+
+    /// A fixed synthetic sweep: two cases (one with an infinite speedup,
+    /// which must render as `null`), the cache pair and two fused cells.
+    fn synthetic() -> (Vec<CaseResult>, CacheBench, Vec<FusedCell>) {
+        let run = |threads, forest_rps, simd_rps, speedup| ThreadRun {
+            threads,
+            forest_rps,
+            simd_rps,
+            speedup,
+            bit_exact: true,
+        };
+        let case = |dataset: &str, trees, records, naive_rps, runs| CaseResult {
+            dataset: dataset.into(),
+            trees,
+            depth: 10,
+            records,
+            naive_rps,
+            runs,
+        };
+        let cases = vec![
+            case(
+                "iris",
+                8,
+                500,
+                123456.789,
+                vec![
+                    run(1, 2.5e6, 4.0625e6, 32.9),
+                    run(4, 9.75e6, 1.5e7, f64::INFINITY),
+                ],
+            ),
+            case(
+                "higgs",
+                128,
+                2000,
+                0.0004,
+                vec![run(2, 1e5, 3.33333e5, 2.7)],
+            ),
+        ];
+        let cache = CacheBench {
+            backend: "CPU_ONNX".into(),
+            trees: 128,
+            depth: 10,
+            records: 2000,
+            cold_total_secs: 4.6125,
+            warm_total_secs: 4.5,
+            compile_ms: 10.3615,
+            hits: 1,
+            misses: 1,
+        };
+        let cell = |backend: &str, chunk_rows, n_chunks, fused_tax_secs: f64| FusedCell {
+            backend: backend.into(),
+            trees: 128,
+            depth: 10,
+            records: 2000,
+            chunk_rows,
+            n_chunks,
+            staged_tax_secs: 0.14688,
+            fused_tax_secs,
+            eliminated_frac: 1.0 - fused_tax_secs / 0.14688,
+            staged_wall_secs: 0.045672351,
+            fused_wall_secs: 1.25e-10,
+            bit_exact: true,
+        };
+        let fused = vec![
+            cell("CPU_SKLearn_1th", 512, 4, 0.00004),
+            cell("CPU_ONNX", 4096, 1, 0.000006),
+        ];
+        (cases, cache, fused)
+    }
+
+    #[test]
+    fn rendering_matches_the_pinned_document_up_to_whitespace() {
+        // Captured from the hand-written serializer this writer replaced;
+        // only the host-dependent SIMD tier and thread count are filled in.
+        let (cases, cache, fused) = synthetic();
+        for (quick, mode) in [(true, "quick"), (false, "full")] {
+            let json = to_json(&cases, &cache, &fused, &BenchOptions { quick });
+            let stripped: String = json.chars().filter(|c| !matches!(c, ' ' | '\n')).collect();
+            let (simd, threads) = (SimdLevel::detect().name(), default_threads());
+            let golden = format!(
+                concat!(
+                    r#"{{"schema":"mlscore/bench-cpu-scoring/v1","schema_version":5,"mode":"{mode}","#,
+                    r#""simd_level":"{simd}","host_threads":{threads},"record_block":64,"tree_block":16,"#,
+                    r#""lanes":8,"cache":{{"backend":"CPU_ONNX","trees":128,"depth":10,"records":2000,"#,
+                    r#""cold_total_secs":4.612,"warm_total_secs":4.500,"warm_speedup":1.025,"compile_ms":10.361,"#,
+                    r#""hits":1,"misses":1}},"fused":{{"cells":[{{"backend":"CPU_SKLearn_1th","trees":128,"#,
+                    r#""depth":10,"records":2000,"chunk_rows":512,"n_chunks":4,"staged_tax_secs":0.146880000,"#,
+                    r#""fused_tax_secs":0.000040000,"eliminated_frac":0.999727669,"staged_wall_secs":0.045672351,"#,
+                    r#""fused_wall_secs":0.000000000,"bit_exact":true}},{{"backend":"CPU_ONNX","trees":128,"#,
+                    r#""depth":10,"records":2000,"chunk_rows":4096,"n_chunks":1,"staged_tax_secs":0.146880000,"#,
+                    r#""fused_tax_secs":0.000006000,"eliminated_frac":0.999959150,"staged_wall_secs":0.045672351,"#,
+                    r#""fused_wall_secs":0.000000000,"bit_exact":true}}]}},"cases":[{{"dataset":"iris","#,
+                    r#""trees":8,"depth":10,"records":500,"naive_records_per_sec":123456.789,"runs":[{{"threads":1,"#,
+                    r#""forest_records_per_sec":2500000.000,"simd_records_per_sec":4062500.000,"speedup_vs_naive":32.900,"#,
+                    r#""bit_exact":true}},{{"threads":4,"forest_records_per_sec":9750000.000,"simd_records_per_sec":15000000.000,"#,
+                    r#""speedup_vs_naive":null,"bit_exact":true}}]}},{{"dataset":"higgs","trees":128,"#,
+                    r#""depth":10,"records":2000,"naive_records_per_sec":0.000,"runs":[{{"threads":2,"#,
+                    r#""forest_records_per_sec":100000.000,"simd_records_per_sec":333333.000,"speedup_vs_naive":2.700,"#,
+                    r#""bit_exact":true}}]}}]}}"#,
+                ),
+                mode = mode,
+                simd = simd,
+                threads = threads,
+            );
+            assert_eq!(stripped, golden);
+        }
     }
 
     #[test]

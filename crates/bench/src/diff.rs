@@ -1,16 +1,17 @@
 //! Benchmark regression diffing (`repro bench --diff`).
 //!
-//! Compares two benchmark documents cell by cell. The old report's
-//! `"schema"` key picks the comparison:
+//! Compares two benchmark documents cell by cell. Both documents must
+//! carry the same `"schema"`; each is flattened into one map of labelled
+//! cells, and one loop compares the maps:
 //!
-//! - `mlscore/bench-cpu-scoring/v1` (`BENCH_cpu_scoring.json`): cases are
-//!   keyed by `(dataset, trees, depth, records)` and their thread runs by
-//!   thread count; every `*_records_per_sec` number gates.
-//! - `mlscore/bench-serving/v1` (`BENCH_serving.json`): sweep points,
-//!   the FPGA overload pair, and — schema v3 — the fleet shmoo cells are
-//!   flattened to labelled blocks; the higher-is-better metrics
-//!   (throughput, attainment, cache hit rate) gate, while latency and
-//!   device-seconds (lower is better) stay informational.
+//! - `mlscore/bench-cpu-scoring/v1` (`BENCH_cpu_scoring.json`): each case
+//!   is a cell keyed by `(dataset, trees, depth, records)`; its metrics
+//!   are every run's `*_records_per_sec` numbers, named by thread count.
+//! - `mlscore/bench-serving/v1` (`BENCH_serving.json`): each sweep side,
+//!   FPGA overload side and — schema v3 — fleet shmoo cell is a cell;
+//!   the higher-is-better metrics (throughput, attainment, cache hit
+//!   rate) gate, while latency and device-seconds (lower is better) stay
+//!   informational.
 //!
 //! Each gated number in the new report must come within a relative
 //! tolerance of the old one. Missing cases, runs, or blocks are
@@ -33,81 +34,11 @@ use mlscore_telemetry::json::{self, JsonValue};
 /// kernels this gate protects.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
-/// Per-run metric suffix every compared throughput key shares.
+const CPU_SCHEMA: &str = "mlscore/bench-cpu-scoring/v1";
+const SERVING_SCHEMA: &str = "mlscore/bench-serving/v1";
+
+/// Per-run metric suffix every compared CPU throughput key shares.
 const METRIC_SUFFIX: &str = "_records_per_sec";
-
-/// One case's comparable numbers: throughput metrics per thread count.
-#[derive(Debug, Clone, Default)]
-struct CaseCells {
-    /// `threads -> { metric name -> records/second }`, one entry per
-    /// `*_records_per_sec` key the run carries.
-    runs: BTreeMap<u64, BTreeMap<String, f64>>,
-}
-
-/// `(dataset, trees, depth, records)` -> cells, for one report document.
-type CaseMap = BTreeMap<(String, u64, u64, u64), CaseCells>;
-
-fn num(v: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{what}: missing numeric \"{key}\""))
-}
-
-/// Indexes a CPU-scoring report's cases for comparison.
-fn index(text: &str, label: &str) -> Result<CaseMap, String> {
-    let doc = json::parse(text).map_err(|e| format!("{label}: {e}"))?;
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some("mlscore/bench-cpu-scoring/v1") => {}
-        other => return Err(format!("{label}: unexpected schema {other:?}")),
-    }
-    let cases = doc
-        .get("cases")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{label}: missing \"cases\" array"))?;
-    let mut map = CaseMap::new();
-    for (i, case) in cases.iter().enumerate() {
-        let what = format!("{label}: case {i}");
-        let dataset = case
-            .get("dataset")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("{what}: missing \"dataset\""))?
-            .to_string();
-        let key = (
-            dataset,
-            num(case, "trees", &what)? as u64,
-            num(case, "depth", &what)? as u64,
-            num(case, "records", &what)? as u64,
-        );
-        let runs = case
-            .get("runs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("{what}: missing \"runs\" array"))?;
-        let mut cells = CaseCells::default();
-        for run in runs {
-            let JsonValue::Object(fields) = run else {
-                return Err(format!("{what}: run is not an object"));
-            };
-            let mut metrics = BTreeMap::new();
-            for (name, value) in fields {
-                if !name.ends_with(METRIC_SUFFIX) {
-                    continue;
-                }
-                let v = value
-                    .as_f64()
-                    .ok_or_else(|| format!("{what}: non-numeric \"{name}\""))?;
-                metrics.insert(name.clone(), v);
-            }
-            if metrics.is_empty() {
-                return Err(format!("{what}: run has no {METRIC_SUFFIX} metrics"));
-            }
-            cells
-                .runs
-                .insert(num(run, "threads", &what)? as u64, metrics);
-        }
-        map.insert(key, cells);
-    }
-    Ok(map)
-}
 
 /// Higher-is-better metrics gated on every serving sweep/overload block.
 const SERVING_GATED: &[&str] = &[
@@ -121,131 +52,111 @@ const SERVING_GATED: &[&str] = &[
 /// `device_seconds` is deliberately absent: lower is better there.
 const FLEET_GATED: &[&str] = &["throughput_qps", "interactive_attainment", "cache_hit_rate"];
 
-/// Flat serving-report cells: `block label -> { metric -> value }`.
-type ServingMap = BTreeMap<String, BTreeMap<String, f64>>;
+/// A report flattened for comparison: `cell label -> { metric -> value }`.
+type Cells = BTreeMap<String, BTreeMap<String, f64>>;
 
-/// Collects `keys` out of `block` into `map` under `label`.
-fn serving_block(
-    map: &mut ServingMap,
-    label: String,
-    block: &JsonValue,
-    keys: &[&str],
-) -> Result<(), String> {
-    let mut metrics = BTreeMap::new();
-    for &key in keys {
-        if let Some(v) = block.get(key).and_then(JsonValue::as_f64) {
-            metrics.insert(key.to_string(), v);
-        }
-    }
-    if metrics.is_empty() {
-        return Err(format!("{label}: no comparable metrics"));
-    }
-    map.insert(label, metrics);
-    Ok(())
-}
-
-/// Indexes a serving report's sweep points, overload pair, and (schema
-/// v3) fleet cells for comparison.
-fn index_serving(text: &str, label: &str) -> Result<ServingMap, String> {
-    let doc = json::parse(text).map_err(|e| format!("{label}: {e}"))?;
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some("mlscore/bench-serving/v1") => {}
-        other => return Err(format!("{label}: unexpected schema {other:?}")),
-    }
-    let mut map = ServingMap::new();
-    let sweep = doc
-        .get("sweep")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{label}: missing \"sweep\" array"))?;
-    for (i, point) in sweep.iter().enumerate() {
-        let rate = num(point, "rate_qps", &format!("{label}: sweep point {i}"))?;
-        for side in ["coalesce_on", "coalesce_off"] {
-            let block = point
-                .get(side)
-                .ok_or_else(|| format!("{label}: sweep point {i}: missing \"{side}\""))?;
-            serving_block(
-                &mut map,
-                format!("sweep @{rate:.0}qps {side}"),
-                block,
-                SERVING_GATED,
-            )?;
-        }
-    }
-    let fo = doc
-        .get("fpga_overload")
-        .ok_or_else(|| format!("{label}: missing \"fpga_overload\" block"))?;
-    for side in ["coalesce_on", "coalesce_off"] {
-        let block = fo
-            .get(side)
-            .ok_or_else(|| format!("{label}: fpga_overload: missing \"{side}\""))?;
-        serving_block(
-            &mut map,
-            format!("fpga_overload {side}"),
-            block,
-            SERVING_GATED,
-        )?;
-    }
-    if let Some(fleet) = doc.get("fleet") {
-        let cells = fleet
-            .get("cells")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("{label}: fleet: missing \"cells\" array"))?;
-        for (i, cell) in cells.iter().enumerate() {
-            let field = |key: &str| {
-                cell.get(key)
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| format!("{label}: fleet cell {i}: missing \"{key}\""))
-            };
-            let cell_label = format!(
-                "fleet {}/{}/{}",
-                field("policy")?,
-                field("scale")?,
-                field("scenario")?
-            );
-            serving_block(&mut map, cell_label, cell, FLEET_GATED)?;
-        }
-    }
-    Ok(map)
-}
-
-/// One-sided comparison of two flat serving maps.
-fn diff_serving(old_text: &str, new_text: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    let old = index_serving(old_text, "old")?;
-    let new = index_serving(new_text, "new")?;
-    let mut regressions = Vec::new();
-    for (label, old_metrics) in &old {
-        let Some(new_metrics) = new.get(label) else {
-            regressions.push(format!("{label}: block missing from new report"));
-            continue;
-        };
-        for (metric, &old_v) in old_metrics {
-            let Some(&new_v) = new_metrics.get(metric) else {
-                regressions.push(format!("{label}: {metric} missing from new report"));
-                continue;
-            };
-            if new_v < old_v * (1.0 - tolerance) {
-                regressions.push(format!(
-                    "{label}: {metric} regressed {old_v:.3} -> {new_v:.3} \
-                     ({:+.1}%, tolerance {:.0}%)",
-                    (new_v / old_v - 1.0) * 100.0,
-                    tolerance * 100.0,
-                ));
+/// Flattens either schema into labelled cells. A CPU case is one cell
+/// whose metrics are its runs' `*_records_per_sec` numbers, named by
+/// thread count (`"4-thread simd_records_per_sec"`); a serving sweep
+/// side, overload side or fleet cell is one cell of its gated metrics.
+/// Returns the schema with the cells.
+fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), String> {
+    let schema: &str = doc.field("schema", label)?;
+    let mut cells = Cells::new();
+    match schema {
+        CPU_SCHEMA => {
+            let cases: &[JsonValue] = doc.field("cases", label)?;
+            for (i, case) in cases.iter().enumerate() {
+                let what = format!("{label}: case {i}");
+                let num = |key| case.field::<f64>(key, &what).map(|v| v as u64);
+                let dataset: &str = case.field("dataset", &what)?;
+                let cell = format!(
+                    "{dataset} x{} trees depth {} @{}",
+                    num("trees")?,
+                    num("depth")?,
+                    num("records")?
+                );
+                let mut metrics = BTreeMap::new();
+                for run in case.field::<&[JsonValue]>("runs", &what)? {
+                    let threads = run.field::<f64>("threads", &what)? as u64;
+                    let JsonValue::Object(fields) = run else {
+                        return Err(format!("{what}: run is not an object"));
+                    };
+                    let mut any = false;
+                    for (name, value) in fields {
+                        if !name.ends_with(METRIC_SUFFIX) {
+                            continue;
+                        }
+                        let v = value
+                            .as_f64()
+                            .ok_or_else(|| format!("{what}: non-numeric \"{name}\""))?;
+                        metrics.insert(format!("{threads}-thread {name}"), v);
+                        any = true;
+                    }
+                    if !any {
+                        return Err(format!("{what}: run has no {METRIC_SUFFIX} metrics"));
+                    }
+                }
+                cells.insert(cell, metrics);
             }
         }
+        SERVING_SCHEMA => {
+            // One cell per block: the gated metrics it carries.
+            let mut gate = |cell: String, block: &JsonValue, keys: &[&str]| {
+                let metrics: BTreeMap<String, f64> = keys
+                    .iter()
+                    .filter_map(|&key| Some((key.to_string(), block.get(key)?.as_f64()?)))
+                    .collect();
+                if metrics.is_empty() {
+                    return Err(format!("{label}: {cell}: no comparable metrics"));
+                }
+                cells.insert(cell, metrics);
+                Ok(())
+            };
+            let sweep: &[JsonValue] = doc.field("sweep", label)?;
+            for (i, point) in sweep.iter().enumerate() {
+                let what = format!("{label}: sweep point {i}");
+                let rate: f64 = point.field("rate_qps", &what)?;
+                for side in ["coalesce_on", "coalesce_off"] {
+                    let block = point.field(side, &what)?;
+                    gate(format!("sweep @{rate:.0}qps {side}"), block, SERVING_GATED)?;
+                }
+            }
+            let fo: &JsonValue = doc.field("fpga_overload", label)?;
+            for side in ["coalesce_on", "coalesce_off"] {
+                let block = fo.field(side, &format!("{label}: fpga_overload"))?;
+                gate(format!("fpga_overload {side}"), block, SERVING_GATED)?;
+            }
+            if let Some(fleet) = doc.get("fleet") {
+                let fleet_cells: &[JsonValue] = fleet.field("cells", &format!("{label}: fleet"))?;
+                for (i, cell) in fleet_cells.iter().enumerate() {
+                    let what = format!("{label}: fleet cell {i}");
+                    let name = |key| cell.field::<&str>(key, &what);
+                    let cell_label = format!(
+                        "fleet {}/{}/{}",
+                        name("policy")?,
+                        name("scale")?,
+                        name("scenario")?
+                    );
+                    gate(cell_label, cell, FLEET_GATED)?;
+                }
+            }
+        }
+        other => return Err(format!("{label}: unexpected schema {other:?}")),
     }
-    Ok(regressions)
+    Ok((schema, cells))
 }
 
 /// Compares `new_text` against `old_text` with relative `tolerance`.
 ///
-/// The old report's schema picks the comparison (CPU scoring or serving;
+/// Both documents must carry the same schema (CPU scoring or serving;
 /// see the module docs). Returns one human-readable line per regression
-/// (empty: the gate passes). A cell regresses when its new throughput
-/// falls below `old * (1 - tolerance)`; cases, thread runs, blocks, or
-/// per-run metrics present in the old report but absent from the new one
-/// regress unconditionally. The reverse is informational: cells and
-/// metrics that only the *new* report carries (e.g. a kernel tier or
-/// fleet block that just landed) are never regressions.
+/// (empty: the gate passes). A metric regresses when its new value falls
+/// below `old * (1 - tolerance)`; cells or metrics present in the old
+/// report but absent from the new one regress unconditionally. The
+/// reverse is informational: cells and metrics that only the *new*
+/// report carries (e.g. a kernel tier or fleet block that just landed)
+/// are never regressions.
 ///
 /// # Errors
 ///
@@ -256,44 +167,41 @@ pub fn diff(old_text: &str, new_text: &str, tolerance: f64) -> Result<Vec<String
         return Err(format!("tolerance {tolerance} outside [0, 1)"));
     }
     let old_doc = json::parse(old_text).map_err(|e| format!("old: {e}"))?;
-    if let Some("mlscore/bench-serving/v1") = old_doc.get("schema").and_then(JsonValue::as_str) {
-        return diff_serving(old_text, new_text, tolerance);
+    let new_doc = json::parse(new_text).map_err(|e| format!("new: {e}"))?;
+    let (schema, old) = flatten(&old_doc, "old")?;
+    let (new_schema, new) = flatten(&new_doc, "new")?;
+    if new_schema != schema {
+        return Err(format!(
+            "new: schema {new_schema:?} does not match old {schema:?}"
+        ));
     }
-    let old = index(old_text, "old")?;
-    let new = index(new_text, "new")?;
+    // CPU throughputs are records/second; serving metrics include
+    // fractions that need the decimals.
+    let (missing, decimals) = if schema == CPU_SCHEMA {
+        ("case", 0)
+    } else {
+        ("block", 3)
+    };
     let mut regressions = Vec::new();
-    for (key, old_cells) in &old {
-        let (dataset, trees, depth, records) = key;
-        let label = format!("{dataset} x{trees} trees depth {depth} @{records}");
-        let Some(new_cells) = new.get(key) else {
-            regressions.push(format!("{label}: case missing from new report"));
+    for (label, old_metrics) in &old {
+        let Some(new_metrics) = new.get(label) else {
+            regressions.push(format!("{label}: {missing} missing from new report"));
             continue;
         };
-        for (&threads, old_metrics) in &old_cells.runs {
-            let Some(new_metrics) = new_cells.runs.get(&threads) else {
-                regressions.push(format!(
-                    "{label}: {threads}-thread run missing from new report"
-                ));
+        // Only the old report's metrics gate; new-only metrics are
+        // additions, not comparables.
+        for (metric, &old_v) in old_metrics {
+            let Some(&new_v) = new_metrics.get(metric) else {
+                regressions.push(format!("{label}: {metric} missing from new report"));
                 continue;
             };
-            // Only the old report's metrics gate; new-only metrics are
-            // additions, not comparables.
-            for (metric, &old_v) in old_metrics {
-                let Some(&new_v) = new_metrics.get(metric) else {
-                    regressions.push(format!(
-                        "{label}: {threads}-thread {metric} missing from new report"
-                    ));
-                    continue;
-                };
-                let floor = old_v * (1.0 - tolerance);
-                if new_v < floor {
-                    regressions.push(format!(
-                        "{label}: {threads}-thread {metric} regressed \
-                         {old_v:.0} -> {new_v:.0} ({:+.1}%, tolerance {:.0}%)",
-                        (new_v / old_v - 1.0) * 100.0,
-                        tolerance * 100.0,
-                    ));
-                }
+            if new_v < old_v * (1.0 - tolerance) {
+                regressions.push(format!(
+                    "{label}: {metric} regressed {old_v:.decimals$} -> {new_v:.decimals$} \
+                     ({:+.1}%, tolerance {:.0}%)",
+                    (new_v / old_v - 1.0) * 100.0,
+                    tolerance * 100.0,
+                ));
             }
         }
     }

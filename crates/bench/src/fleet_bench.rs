@@ -23,8 +23,6 @@
 //! Like every harness here, the whole shmoo runs in simulated time: the
 //! block is a pure function of the seed and byte-identical across hosts.
 
-use std::fmt::Write as _;
-
 use mlscore_fleet::{
     run_fleet, FleetConfig, FleetReport, NodeSpec, RouterKind, ScalePolicy, ScenarioKind,
     ScenarioSpec,
@@ -32,6 +30,7 @@ use mlscore_fleet::{
 use mlscore_sched::paper_backends;
 use mlscore_serve::{ClassSlo, ModelCatalog, QueueConfig, ServeConfig, ServeEngine};
 use mlscore_sim::SimDuration;
+use mlscore_telemetry::json::JsonWriter;
 use mlscore_telemetry::Tracer;
 
 use crate::serve_bench::SEED;
@@ -281,39 +280,30 @@ pub fn run(opts: &FleetBenchOptions) -> FleetBenchReport {
     }
 }
 
-/// Appends the `"fleet"` block (everything after the key) to a
+/// Writes the `"fleet"` block (the value after the key) of a
 /// `BENCH_serving.json` document under construction.
-pub fn push_json(out: &mut String, report: &FleetBenchReport) {
-    let _ = write!(
-        out,
-        "{{\n    \"nodes\": {},\n    \"cells\": [",
-        report.nodes
-    );
-    for (i, c) in report.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"policy\": \"{}\", \"scale\": \"{}\", \"scenario\": \"{}\",\n       \
-             \"offered\": {}, \"completed\": {}, \"shed\": {}, \"rerouted\": {},\n       \
-             \"throughput_qps\": {:.3}, \"interactive_attainment\": {:.6},\n       \
-             \"cache_hit_rate\": {:.6}, \"device_seconds\": {:.3}, \"peak_nodes\": {}}}",
-            c.policy,
-            c.scale,
-            c.scenario,
-            c.offered,
-            c.completed,
-            c.shed,
-            c.rerouted,
-            c.throughput_qps,
-            c.interactive_attainment,
-            c.cache_hit_rate,
-            c.device_seconds,
-            c.peak_nodes,
-        );
+pub fn write_json(w: &mut JsonWriter, report: &FleetBenchReport) {
+    w.begin_object();
+    w.key("nodes").uint(report.nodes as u64);
+    w.key("cells").begin_array();
+    for c in &report.cells {
+        w.begin_object();
+        w.key("policy").str(&c.policy);
+        w.key("scale").str(&c.scale);
+        w.key("scenario").str(&c.scenario);
+        w.key("offered").uint(c.offered);
+        w.key("completed").uint(c.completed);
+        w.key("shed").uint(c.shed);
+        w.key("rerouted").uint(c.rerouted);
+        w.key("throughput_qps").fixed(c.throughput_qps, 3);
+        w.key("interactive_attainment")
+            .fixed(c.interactive_attainment, 6);
+        w.key("cache_hit_rate").fixed(c.cache_hit_rate, 6);
+        w.key("device_seconds").fixed(c.device_seconds, 3);
+        w.key("peak_nodes").uint(c.peak_nodes as u64);
+        w.end();
     }
-    out.push_str("\n    ]\n  }");
+    w.end().end();
 }
 
 #[cfg(test)]
@@ -364,10 +354,15 @@ mod tests {
     #[test]
     fn fleet_cells_are_deterministic() {
         let opts = FleetBenchOptions { quick: true };
-        let mut a = String::new();
-        push_json(&mut a, &run(&opts));
-        let mut b = String::new();
-        push_json(&mut b, &run(&opts));
-        assert_eq!(a, b, "byte-identical fleet block across reruns");
+        let render = || {
+            let mut w = JsonWriter::compact();
+            write_json(&mut w, &run(&opts));
+            w.finish()
+        };
+        assert_eq!(
+            render(),
+            render(),
+            "byte-identical fleet block across reruns"
+        );
     }
 }

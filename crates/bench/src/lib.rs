@@ -11,7 +11,7 @@
 //!
 //! [`serve_bench`] drives the discrete-event serving engine: `repro serve`
 //! sweeps offered load with micro-batch coalescing on and off and writes
-//! `BENCH_serving.json`.
+//! the report where `--out` points.
 //!
 //! [`run_report`] renders one observed serving run (`repro report`):
 //! windowed metrics, per-class SLO attainment, budget-burn alerts, and

@@ -20,7 +20,7 @@ use mlscore_serve::{
     ServeEngine, ServingReport, WorkloadSpec,
 };
 use mlscore_sim::SimDuration;
-use mlscore_telemetry::json::{self, JsonValue};
+use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
 use mlscore_telemetry::Tracer;
 
 use crate::serve_bench::{fpga_roster, CPU_SEATS, GPU_STREAMS, SEED};
@@ -175,148 +175,108 @@ pub fn slowest(report: &ServingReport, n: usize) -> Vec<SlowRequest> {
     out
 }
 
-fn push_ms(out: &mut String, v: SimDuration) {
-    let _ = write!(out, "{:.6}", v.as_secs() * 1e3);
-}
-
 /// Serializes the run report to its JSON document
-/// (`mlscore/run-report/v1`). Validated with [`validate`] before being
-/// returned.
+/// (`mlscore/run-report/v1`). Latencies are milliseconds with six
+/// decimals (1 ns), instants and busy times seconds with nine. Validated
+/// with [`validate`] before being returned.
 ///
 /// # Panics
 ///
 /// Panics if the writer produced a document [`validate`] rejects — a bug
 /// in this module, not a runtime condition.
 pub fn to_json(report: &ServingReport, opts: &RunReportOptions) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mlscore/run-report/v1\",\n");
-    out.push_str("  \"schema_version\": 1,\n");
-    let _ = write!(
-        out,
-        "  \"mode\": \"{}\",\n  \"seed\": {SEED},\n  \"rate_qps\": {RATE_QPS:.3},\n  \
-         \"queries\": {},\n  \"window_secs\": {:.6},\n  \"makespan_secs\": {:.9},\n",
-        if opts.quick { "quick" } else { "full" },
-        opts.queries(),
-        report.series.window_len().as_secs(),
-        report.makespan.as_secs(),
-    );
-    let _ = writeln!(
-        out,
-        "  \"completed\": {}, \"shed\": {}, \"unservable\": {},",
-        report.completed,
-        report.shed(),
-        report.unservable,
-    );
+    let ms = |v: SimDuration| v.as_secs() * 1e3;
+    let mut w = JsonWriter::pretty();
+    w.begin_object();
+    w.key("schema").str("mlscore/run-report/v1");
+    w.key("schema_version").uint(1);
+    w.key("mode").str(if opts.quick { "quick" } else { "full" });
+    w.key("seed").uint(SEED);
+    w.key("rate_qps").fixed(RATE_QPS, 3);
+    w.key("queries").uint(opts.queries() as u64);
+    w.key("window_secs")
+        .fixed(report.series.window_len().as_secs(), 6);
+    w.key("makespan_secs").fixed(report.makespan.as_secs(), 9);
+    w.key("completed").uint(report.completed);
+    w.key("shed").uint(report.shed());
+    w.key("unservable").uint(report.unservable);
 
     // Per-class slices: completions AND shed counts, attributed.
-    out.push_str("  \"classes\": [");
-    for (i, class) in report.classes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"class\": \"{}\", \"completed\": {}, \"rejected\": {}, \
-             \"dropped\": {}, \"timed_out\": {}, \"shed\": {}, \"slo_violations\": {}, \
-             \"attainment\": {:.6}, \"p50_ms\": ",
-            class.class.name(),
-            class.completed,
-            class.rejected,
-            class.dropped,
-            class.timed_out,
-            class.shed(),
-            class.slo_violations,
-            class.attainment(),
-        );
-        let quantile_ms = |q: f64| {
+    w.key("classes").begin_array();
+    for class in &report.classes {
+        let quantile = |q: f64| {
             if class.latency.count() == 0 {
                 SimDuration::ZERO
             } else {
                 class.latency.quantile(q)
             }
         };
-        push_ms(&mut out, quantile_ms(0.50));
-        out.push_str(", \"p99_ms\": ");
-        push_ms(&mut out, quantile_ms(0.99));
-        out.push('}');
+        w.begin_object();
+        w.key("class").str(class.class.name());
+        w.key("completed").uint(class.completed);
+        w.key("rejected").uint(class.rejected);
+        w.key("dropped").uint(class.dropped);
+        w.key("timed_out").uint(class.timed_out);
+        w.key("shed").uint(class.shed());
+        w.key("slo_violations").uint(class.slo_violations);
+        w.key("attainment").fixed(class.attainment(), 6);
+        w.key("p50_ms").fixed(ms(quantile(0.50)), 6);
+        w.key("p99_ms").fixed(ms(quantile(0.99)), 6);
+        w.end();
     }
-    out.push_str("\n  ],\n");
+    w.end();
 
     // The windowed series.
-    out.push_str("  \"windows\": [");
-    let mut first = true;
+    w.key("windows").begin_array();
     for (index, window) in report.series.windows() {
-        if !first {
-            out.push(',');
+        w.begin_object();
+        w.key("index").uint(index);
+        w.key("start_secs")
+            .fixed(report.series.window_start(index).as_secs(), 9);
+        w.key("arrivals").uint(window.arrivals);
+        w.key("completions").uint(window.completions());
+        w.key("shed").uint(window.shed());
+        w.key("queue_depth_peak").uint(window.queue_depth_peak);
+        w.key("classes").begin_object();
+        for (class, slice) in &window.classes {
+            w.key(class).begin_object();
+            w.key("completions").uint(slice.completions);
+            w.key("shed").uint(slice.shed);
+            w.key("violations").uint(slice.violations);
+            w.key("attainment").fixed(slice.attainment(), 6);
+            w.end();
         }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    {{\"index\": {index}, \"start_secs\": {:.9}, \"arrivals\": {}, \
-             \"completions\": {}, \"shed\": {}, \"queue_depth_peak\": {}, \"classes\": {{",
-            report.series.window_start(index).as_secs(),
-            window.arrivals,
-            window.completions(),
-            window.shed(),
-            window.queue_depth_peak,
-        );
-        for (i, (class, slice)) in window.classes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{class}\": {{\"completions\": {}, \"shed\": {}, \"violations\": {}, \
-                 \"attainment\": {:.6}}}",
-                slice.completions,
-                slice.shed,
-                slice.violations,
-                slice.attainment(),
-            );
+        w.end();
+        w.key("busy_secs").begin_object();
+        for (device, busy) in &window.busy {
+            w.key(device).fixed(busy.as_secs(), 9);
         }
-        out.push_str("}, \"busy_secs\": {");
-        for (i, (device, busy)) in window.busy.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{device}\": {:.9}", busy.as_secs());
-        }
-        out.push_str("}}");
+        w.end().end();
     }
-    out.push_str("\n  ],\n");
+    w.end();
 
     // Budget-burn alerts.
-    out.push_str("  \"alerts\": [");
-    for (i, alert) in report.alerts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"window\": {}, \"start_secs\": {:.9}, \"class\": \"{}\", \
-             \"attainment\": {:.6}, \"burn_rate\": {:.6}}}",
-            alert.window,
-            alert.at.as_secs(),
-            alert.class,
-            alert.attainment,
-            alert.burn_rate,
-        );
+    w.key("alerts").begin_array();
+    for alert in &report.alerts {
+        w.begin_object();
+        w.key("window").uint(alert.window);
+        w.key("start_secs").fixed(alert.at.as_secs(), 9);
+        w.key("class").str(&alert.class);
+        w.key("attainment").fixed(alert.attainment, 6);
+        w.key("burn_rate").fixed(alert.burn_rate, 6);
+        w.end();
     }
-    out.push_str("\n  ],\n");
+    w.end();
 
     // Slowest requests with stage breakdowns.
-    out.push_str("  \"slowest\": [");
-    for (i, slow) in slowest(report, opts.top_n).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"id\": {}, \"class\": \"{}\", \"model\": {}, \"records\": {},\n     ",
-            slow.id, slow.class, slow.model, slow.records,
-        );
-        for (j, (key, v)) in [
+    w.key("slowest").begin_array();
+    for slow in slowest(report, opts.top_n) {
+        w.begin_object();
+        w.key("id").uint(slow.id);
+        w.key("class").str(&slow.class);
+        w.key("model").uint(slow.model as u64);
+        w.key("records").uint(slow.records);
+        for (key, v) in [
             ("latency_ms", slow.latency),
             ("queue_wait_ms", slow.queue_wait),
             ("prepare_ms", slow.prepare),
@@ -324,19 +284,13 @@ pub fn to_json(report: &ServingReport, opts: &RunReportOptions) -> String {
             ("transfer_ms", slow.transfer),
             ("compute_ms", slow.compute),
             ("drain_ms", slow.drain),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{key}\": ");
-            push_ms(&mut out, v);
+        ] {
+            w.key(key).fixed(ms(v), 6);
         }
-        out.push('}');
+        w.end();
     }
-    out.push_str("\n  ]\n}\n");
+    w.end().end();
+    let out = w.finish();
     validate(&out).expect("harness emitted an invalid run report");
     out
 }
@@ -427,12 +381,6 @@ pub fn to_text(report: &ServingReport, opts: &RunReportOptions) -> String {
     out
 }
 
-fn req_f64(v: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{what}: missing numeric \"{key}\""))
-}
-
 /// Checks that `text` is a well-formed run report with the content the
 /// acceptance gate requires: at least two time windows, an attainment
 /// number for every class, and at least one slowest-request breakdown.
@@ -446,40 +394,31 @@ pub fn validate(text: &str) -> Result<(), String> {
         Some("mlscore/run-report/v1") => {}
         other => return Err(format!("unexpected schema {other:?}")),
     }
-    let classes = doc
-        .get("classes")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"classes\" array")?;
+    let classes: &[JsonValue] = doc.field("classes", "report")?;
     if classes.len() < 2 {
         return Err(format!("expected both classes, got {}", classes.len()));
     }
     for (i, class) in classes.iter().enumerate() {
         let what = format!("class {i}");
-        let attainment = req_f64(class, "attainment", &what)?;
+        let attainment: f64 = class.field("attainment", &what)?;
         if !(0.0..=1.0).contains(&attainment) {
             return Err(format!("{what}: attainment {attainment} outside [0, 1]"));
         }
         for key in ["completed", "rejected", "dropped", "timed_out", "shed"] {
-            req_f64(class, key, &what)?;
+            class.field::<f64>(key, &what)?;
         }
     }
-    let windows = doc
-        .get("windows")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"windows\" array")?;
+    let windows: &[JsonValue] = doc.field("windows", "report")?;
     if windows.len() < 2 {
         return Err(format!("expected >= 2 time windows, got {}", windows.len()));
     }
-    let slowest = doc
-        .get("slowest")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"slowest\" array")?;
+    let slowest: &[JsonValue] = doc.field("slowest", "report")?;
     if slowest.is_empty() {
         return Err("no slowest-request breakdown".to_string());
     }
     for (i, slow) in slowest.iter().enumerate() {
         let what = format!("slowest {i}");
-        let latency = req_f64(slow, "latency_ms", &what)?;
+        let latency: f64 = slow.field("latency_ms", &what)?;
         let mut stages = 0.0;
         for key in [
             "queue_wait_ms",
@@ -489,7 +428,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             "compute_ms",
             "drain_ms",
         ] {
-            stages += req_f64(slow, key, &what)?;
+            stages += slow.field::<f64>(key, &what)?;
         }
         // The stage split must re-sum to the latency (rendered at 1 µs
         // resolution, so allow that much slack per stage).
@@ -499,9 +438,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             ));
         }
     }
-    doc.get("alerts")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"alerts\" array")?;
+    doc.field::<&[JsonValue]>("alerts", "report")?;
     Ok(())
 }
 

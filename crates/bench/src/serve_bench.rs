@@ -2,12 +2,13 @@
 //!
 //! Sweeps offered load through [`mlscore_serve::ServeEngine`] — the same
 //! Poisson workload at each rate, once with micro-batch coalescing on and
-//! once with it off — and writes the throughput–latency curves to
-//! `BENCH_serving.json`. A second experiment pins the roster to the FPGA
-//! alone and overloads it, demonstrating the headline effect: merging
-//! queued same-model requests into one device pass amortizes the
-//! accelerator's fixed per-call overheads, so coalescing raises FPGA
-//! throughput at the same offered load.
+//! once with it off — and renders the throughput–latency curves as the
+//! serving report (`repro serve --out`; `repro fleet` appends the fleet
+//! block and writes `BENCH_serving.json`). A second experiment pins the
+//! roster to the FPGA alone and overloads it, demonstrating the headline
+//! effect: merging queued same-model requests into one device pass
+//! amortizes the accelerator's fixed per-call overheads, so coalescing
+//! raises FPGA throughput at the same offered load.
 //!
 //! Everything here runs in *simulated* time, so the report is a pure
 //! function of `(seed, configuration)`: the same invocation produces a
@@ -22,7 +23,7 @@ use mlscore_serve::{
     ServeEngine, ServingReport, WorkloadSpec,
 };
 use mlscore_sim::SimDuration;
-use mlscore_telemetry::json::{self, write_escaped, JsonValue};
+use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
 use mlscore_telemetry::Tracer;
 
 /// Workload seed shared by every experiment in the report.
@@ -296,57 +297,40 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
     }
 }
 
-/// Pushes `v` as a JSON number with fixed precision (keeps the file
-/// byte-stable across runs).
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.3}"));
-    } else {
-        out.push_str("null");
+/// Writes one metrics block. Rates, latencies and utilizations carry
+/// three decimals; attainments carry six, since against a 99% target
+/// three would round every near-miss to 0.990.
+fn write_metrics(w: &mut JsonWriter, m: &PointMetrics) {
+    w.begin_object();
+    w.key("throughput_qps").fixed(m.throughput_qps, 3);
+    w.key("records_per_sec").fixed(m.records_per_sec, 3);
+    w.key("p50_ms").fixed(m.p50_ms, 3);
+    w.key("p95_ms").fixed(m.p95_ms, 3);
+    w.key("p99_ms").fixed(m.p99_ms, 3);
+    w.key("completed").uint(m.completed);
+    w.key("shed").uint(m.shed);
+    w.key("batches").uint(m.batches);
+    w.key("coalesced_batches").uint(m.coalesced_batches);
+    w.key("max_batch").uint(m.max_batch as u64);
+    w.key("mean_batch").fixed(m.mean_batch, 3);
+    w.key("interactive_attainment")
+        .fixed(m.interactive_attainment, 6);
+    w.key("analytical_attainment")
+        .fixed(m.analytical_attainment, 6);
+    w.key("peak_queue_depth").uint(m.peak_queue_depth);
+    w.key("utilization").begin_object();
+    for (name, u) in &m.utilization {
+        w.key(name).fixed(*u, 3);
     }
+    w.end().end();
 }
 
-fn push_metrics(out: &mut String, indent: &str, m: &PointMetrics) {
-    out.push_str("{\n");
-    let field = |out: &mut String, key: &str, v: f64, last: bool| {
-        out.push_str(indent);
-        out.push_str(&format!("  \"{key}\": "));
-        push_num(out, v);
-        out.push_str(if last { "\n" } else { ",\n" });
-    };
-    field(out, "throughput_qps", m.throughput_qps, false);
-    field(out, "records_per_sec", m.records_per_sec, false);
-    field(out, "p50_ms", m.p50_ms, false);
-    field(out, "p95_ms", m.p95_ms, false);
-    field(out, "p99_ms", m.p99_ms, false);
-    out.push_str(indent);
-    out.push_str(&format!(
-        "  \"completed\": {}, \"shed\": {}, \"batches\": {}, \"coalesced_batches\": {}, \
-         \"max_batch\": {},\n",
-        m.completed, m.shed, m.batches, m.coalesced_batches, m.max_batch
-    ));
-    field(out, "mean_batch", m.mean_batch, false);
-    out.push_str(indent);
-    // Attainments get six decimals: against a 99% target, three would
-    // round every near-miss to 0.990.
-    out.push_str(&format!(
-        "  \"interactive_attainment\": {:.6}, \"analytical_attainment\": {:.6}, \
-         \"peak_queue_depth\": {},\n",
-        m.interactive_attainment, m.analytical_attainment, m.peak_queue_depth
-    ));
-    out.push_str(indent);
-    out.push_str("  \"utilization\": {");
-    for (i, (name, u)) in m.utilization.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write_escaped(out, name);
-        out.push_str(": ");
-        push_num(out, *u);
-    }
-    out.push_str("}\n");
-    out.push_str(indent);
-    out.push('}');
+/// Writes a `coalesce_on` / `coalesce_off` pair of metrics blocks.
+fn write_pair(w: &mut JsonWriter, on: &PointMetrics, off: &PointMetrics) {
+    w.key("coalesce_on");
+    write_metrics(w, on);
+    w.key("coalesce_off");
+    write_metrics(w, off);
 }
 
 /// Serializes the report to the `BENCH_serving.json` document.
@@ -365,71 +349,49 @@ pub fn to_json(
     opts: &ServeBenchOptions,
     fleet: Option<&crate::fleet_bench::FleetBenchReport>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mlscore/bench-serving/v1\",\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        if fleet.is_some() { 3 } else { 2 }
-    ));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if opts.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!(
-        "  \"cpu_seats\": {CPU_SEATS}, \"gpu_streams\": {GPU_STREAMS},\n"
-    ));
-    out.push_str(&format!("  \"sweep_queries\": {},\n", report.sweep_queries));
-    out.push_str("  \"sweep\": [");
-    for (i, point) in report.sweep.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"rate_qps\": ");
-        push_num(&mut out, point.rate_qps);
-        out.push_str(",\n     \"coalesce_on\": ");
-        push_metrics(&mut out, "     ", &point.on);
-        out.push_str(",\n     \"coalesce_off\": ");
-        push_metrics(&mut out, "     ", &point.off);
-        out.push_str("\n    }");
+    let mut w = JsonWriter::pretty();
+    w.begin_object();
+    w.key("schema").str("mlscore/bench-serving/v1");
+    w.key("schema_version")
+        .uint(if fleet.is_some() { 3 } else { 2 });
+    w.key("mode").str(if opts.quick { "quick" } else { "full" });
+    w.key("seed").uint(SEED);
+    w.key("cpu_seats").uint(CPU_SEATS as u64);
+    w.key("gpu_streams").uint(GPU_STREAMS as u64);
+    w.key("sweep_queries").uint(report.sweep_queries as u64);
+    w.key("sweep").begin_array();
+    for point in &report.sweep {
+        w.begin_object().key("rate_qps").fixed(point.rate_qps, 3);
+        write_pair(&mut w, &point.on, &point.off);
+        w.end();
     }
-    out.push_str("\n  ],\n");
+    w.end();
     let fo = &report.fpga_overload;
-    out.push_str("  \"fpga_overload\": {\n    \"rate_qps\": ");
-    push_num(&mut out, fo.rate_qps);
-    out.push_str(&format!(",\n    \"queries\": {},", fo.queries));
-    out.push_str("\n    \"coalesce_on\": ");
-    push_metrics(&mut out, "    ", &fo.on);
-    out.push_str(",\n    \"coalesce_off\": ");
-    push_metrics(&mut out, "    ", &fo.off);
-    out.push_str("\n  }");
+    w.key("fpga_overload").begin_object();
+    w.key("rate_qps").fixed(fo.rate_qps, 3);
+    w.key("queries").uint(fo.queries as u64);
+    write_pair(&mut w, &fo.on, &fo.off);
+    w.end();
     if let Some(fleet) = fleet {
-        out.push_str(",\n  \"fleet\": ");
-        crate::fleet_bench::push_json(&mut out, fleet);
+        w.key("fleet");
+        crate::fleet_bench::write_json(&mut w, fleet);
     }
-    out.push_str("\n}\n");
+    w.end();
+    let out = w.finish();
     validate(&out).expect("harness emitted invalid JSON");
     out
-}
-
-fn metrics_f64(block: &JsonValue, key: &str, what: &str) -> Result<f64, String> {
-    block
-        .get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{what}: missing numeric \"{key}\""))
 }
 
 /// Checks the schema-v2 observability block of one metrics object:
 /// per-class attainments in `[0, 1]` and a non-negative peak queue depth.
 fn validate_observability(block: &JsonValue, what: &str) -> Result<(), String> {
     for key in ["interactive_attainment", "analytical_attainment"] {
-        let v = metrics_f64(block, key, what)?;
+        let v: f64 = block.field(key, what)?;
         if !(0.0..=1.0).contains(&v) {
             return Err(format!("{what}: \"{key}\" {v} outside [0, 1]"));
         }
     }
-    let depth = metrics_f64(block, "peak_queue_depth", what)?;
+    let depth: f64 = block.field("peak_queue_depth", what)?;
     if depth < 0.0 {
         return Err(format!("{what}: negative \"peak_queue_depth\" {depth}"));
     }
@@ -457,50 +419,40 @@ pub fn validate(text: &str) -> Result<usize, String> {
         Some(v) if v >= 2.0 => {}
         other => return Err(format!("missing or stale schema_version {other:?}")),
     }
-    let sweep = doc
-        .get("sweep")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing \"sweep\" array")?;
+    let sweep: &[JsonValue] = doc.field("sweep", "report")?;
     if sweep.is_empty() {
         return Err("\"sweep\" is empty".to_string());
     }
     let mut coalesced = 0.0;
     let mut shed = 0.0;
     for (i, point) in sweep.iter().enumerate() {
-        metrics_f64(point, "rate_qps", &format!("sweep point {i}"))?;
+        point.field::<f64>("rate_qps", &format!("sweep point {i}"))?;
         for side in ["coalesce_on", "coalesce_off"] {
-            let block = point
-                .get(side)
-                .ok_or_else(|| format!("sweep point {i}: missing \"{side}\" block"))?;
+            let block: &JsonValue = point.field(side, &format!("sweep point {i}"))?;
             let what = format!("sweep point {i} {side}");
-            metrics_f64(block, "throughput_qps", &what)?;
-            metrics_f64(block, "p99_ms", &what)?;
-            metrics_f64(block, "completed", &what)?;
+            block.field::<f64>("throughput_qps", &what)?;
+            block.field::<f64>("p99_ms", &what)?;
+            block.field::<f64>("completed", &what)?;
             validate_observability(block, &what)?;
-            shed += metrics_f64(block, "shed", &what)?;
+            shed += block.field::<f64>("shed", &what)?;
+            let merged: f64 = block.field("coalesced_batches", &what)?;
             if side == "coalesce_on" {
-                coalesced += metrics_f64(block, "coalesced_batches", &what)?;
-            } else if metrics_f64(block, "coalesced_batches", &what)? > 0.0 {
+                coalesced += merged;
+            } else if merged > 0.0 {
                 return Err(format!("{what}: merged batches with coalescing off"));
             }
         }
     }
-    let fo = doc
-        .get("fpga_overload")
-        .ok_or("missing \"fpga_overload\" block")?;
-    let on = fo
-        .get("coalesce_on")
-        .ok_or("fpga_overload: missing \"coalesce_on\"")?;
-    let off = fo
-        .get("coalesce_off")
-        .ok_or("fpga_overload: missing \"coalesce_off\"")?;
-    coalesced += metrics_f64(on, "coalesced_batches", "fpga_overload on")?;
+    let fo: &JsonValue = doc.field("fpga_overload", "report")?;
+    let on: &JsonValue = fo.field("coalesce_on", "fpga_overload")?;
+    let off: &JsonValue = fo.field("coalesce_off", "fpga_overload")?;
+    coalesced += on.field::<f64>("coalesced_batches", "fpga_overload on")?;
     validate_observability(on, "fpga_overload on")?;
     validate_observability(off, "fpga_overload off")?;
-    shed += metrics_f64(on, "shed", "fpga_overload on")?;
-    shed += metrics_f64(off, "shed", "fpga_overload off")?;
-    let t_on = metrics_f64(on, "throughput_qps", "fpga_overload on")?;
-    let t_off = metrics_f64(off, "throughput_qps", "fpga_overload off")?;
+    shed += on.field::<f64>("shed", "fpga_overload on")?;
+    shed += off.field::<f64>("shed", "fpga_overload off")?;
+    let t_on: f64 = on.field("throughput_qps", "fpga_overload on")?;
+    let t_off: f64 = off.field("throughput_qps", "fpga_overload off")?;
     if t_on < t_off {
         return Err(format!(
             "fpga_overload: coalescing lowered throughput ({t_on:.3} < {t_off:.3} qps)"
@@ -527,32 +479,25 @@ pub fn validate(text: &str) -> Result<usize, String> {
 /// storm, and the autoscaler holds diurnal attainment at or above the
 /// static fleet for fewer device-seconds.
 fn validate_fleet(fleet: &JsonValue) -> Result<(), String> {
-    let cells = fleet
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .ok_or("fleet: missing \"cells\" array")?;
+    let cells: &[JsonValue] = fleet.field("cells", "fleet")?;
     let mut policies = std::collections::BTreeSet::new();
     let mut scenarios = std::collections::BTreeSet::new();
-    let mut indexed: Vec<(String, String, String, &JsonValue)> = Vec::new();
+    let mut indexed: Vec<(&str, &str, &str, &JsonValue)> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let what = format!("fleet cell {i}");
-        let field = |key: &str| {
-            cell.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{what}: missing \"{key}\""))
-        };
-        let (policy, scale, scenario) = (field("policy")?, field("scale")?, field("scenario")?);
+        let policy: &str = cell.field("policy", &what)?;
+        let scale: &str = cell.field("scale", &what)?;
+        let scenario: &str = cell.field("scenario", &what)?;
         for key in ["interactive_attainment", "cache_hit_rate"] {
-            let v = metrics_f64(cell, key, &what)?;
+            let v: f64 = cell.field(key, &what)?;
             if !(0.0..=1.0).contains(&v) {
                 return Err(format!("{what}: \"{key}\" {v} outside [0, 1]"));
             }
         }
-        metrics_f64(cell, "throughput_qps", &what)?;
-        metrics_f64(cell, "device_seconds", &what)?;
-        policies.insert(policy.clone());
-        scenarios.insert(scenario.clone());
+        cell.field::<f64>("throughput_qps", &what)?;
+        cell.field::<f64>("device_seconds", &what)?;
+        policies.insert(policy);
+        scenarios.insert(scenario);
         indexed.push((policy, scale, scenario, cell));
     }
     if policies.len() < 3 || scenarios.len() < 3 {
@@ -565,20 +510,19 @@ fn validate_fleet(fleet: &JsonValue) -> Result<(), String> {
     let cell = |policy: &str, scale: &str, scenario: &str| {
         indexed
             .iter()
-            .find(|(p, s, c, _)| p == policy && s == scale && c == scenario)
-            .map(|(_, _, _, v)| *v)
+            .find(|&&(p, s, c, _)| p == policy && s == scale && c == scenario)
+            .map(|&(_, _, _, v)| v)
             .ok_or_else(|| format!("fleet: missing cell {policy}/{scale}/{scenario}"))
     };
     let ch = cell("consistent-hash", "static", "model-release-storm")?;
     let ll = cell("least-loaded", "static", "model-release-storm")?;
-    let get = |v: &JsonValue, key: &str, what: &str| metrics_f64(v, key, what);
-    let (ch_att, ll_att) = (
-        get(ch, "interactive_attainment", "fleet storm ch")?,
-        get(ll, "interactive_attainment", "fleet storm ll")?,
+    let (ch_att, ll_att): (f64, f64) = (
+        ch.field("interactive_attainment", "fleet storm ch")?,
+        ll.field("interactive_attainment", "fleet storm ll")?,
     );
-    let (ch_hit, ll_hit) = (
-        get(ch, "cache_hit_rate", "fleet storm ch")?,
-        get(ll, "cache_hit_rate", "fleet storm ll")?,
+    let (ch_hit, ll_hit): (f64, f64) = (
+        ch.field("cache_hit_rate", "fleet storm ch")?,
+        ll.field("cache_hit_rate", "fleet storm ll")?,
     );
     if ch_att < ll_att || ch_hit <= ll_hit {
         return Err(format!(
@@ -589,16 +533,16 @@ fn validate_fleet(fleet: &JsonValue) -> Result<(), String> {
     let fixed = cell("consistent-hash", "static", "diurnal")?;
     let scaled = indexed
         .iter()
-        .find(|(p, s, c, _)| p == "consistent-hash" && s != "static" && c == "diurnal")
-        .map(|(_, _, _, v)| *v)
+        .find(|&&(p, s, c, _)| p == "consistent-hash" && s != "static" && c == "diurnal")
+        .map(|&(_, _, _, v)| v)
         .ok_or("fleet: missing autoscaled diurnal cell")?;
-    let (f_att, s_att) = (
-        get(fixed, "interactive_attainment", "fleet diurnal static")?,
-        get(scaled, "interactive_attainment", "fleet diurnal scaled")?,
+    let (f_att, s_att): (f64, f64) = (
+        fixed.field("interactive_attainment", "fleet diurnal static")?,
+        scaled.field("interactive_attainment", "fleet diurnal scaled")?,
     );
-    let (f_cost, s_cost) = (
-        get(fixed, "device_seconds", "fleet diurnal static")?,
-        get(scaled, "device_seconds", "fleet diurnal scaled")?,
+    let (f_cost, s_cost): (f64, f64) = (
+        fixed.field("device_seconds", "fleet diurnal static")?,
+        scaled.field("device_seconds", "fleet diurnal scaled")?,
     );
     if s_att < f_att || s_cost >= f_cost {
         return Err(format!(

@@ -2,11 +2,9 @@
 //! fleet-only dimensions — re-routes, scaling trajectory, and provisioned
 //! cost in device-seconds.
 
-use std::fmt::Write as _;
-
 use mlscore_serve::{ClassReport, QueryClass, ServingReport};
 use mlscore_sim::{SimDuration, SimInstant};
-use mlscore_telemetry::json::write_escaped;
+use mlscore_telemetry::json::JsonWriter;
 use mlscore_telemetry::{Histogram, TimeSeriesRecorder};
 
 use crate::scale::ScaleDecision;
@@ -172,100 +170,79 @@ impl FleetReport {
                 self.latency.quantile(q).as_millis()
             }
         };
-        let mut out = String::new();
-        out.push_str("{\n  \"policy\": ");
-        write_escaped(&mut out, &self.policy);
-        out.push_str(",\n  \"scale\": ");
-        write_escaped(&mut out, &self.scale);
-        out.push_str(",\n  \"scenario\": ");
-        write_escaped(&mut out, &self.scenario);
-        let _ = write!(
-            out,
-            ",\n  \"offered\": {},\n  \"completed\": {},\n  \"rejected\": {},\n  \
-             \"dropped\": {},\n  \"timed_out\": {},\n  \"unservable\": {},\n  \
-             \"rerouted\": {},\n  \"records_scored\": {},\n  \"makespan_s\": {:.6},\n  \
-             \"throughput_qps\": {:.3},\n  \"latency_p50_ms\": {:.3},\n  \
-             \"latency_p99_ms\": {:.3},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-             \"cache_hit_rate\": {:.6},\n  \"device_seconds\": {:.3},\n  \"peak_nodes\": {}",
-            self.offered,
-            self.completed,
-            self.rejected,
-            self.dropped,
-            self.timed_out,
-            self.unservable,
-            self.rerouted,
-            self.records_scored,
-            self.makespan.as_secs(),
-            self.throughput_qps(),
-            q_ms(0.5),
-            q_ms(0.99),
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate(),
-            self.device_seconds,
-            self.peak_nodes,
-        );
-        out.push_str(",\n  \"classes\": [");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"class\": \"{}\", \"completed\": {}, \"shed\": {}, \"drained\": {}, \
-                 \"attainment\": {:.6}}}",
-                c.class.name(),
-                c.completed,
-                c.shed(),
-                c.drained,
-                c.attainment(),
-            );
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.key("policy").str(&self.policy);
+        w.key("scale").str(&self.scale);
+        w.key("scenario").str(&self.scenario);
+        for (key, v) in [
+            ("offered", self.offered),
+            ("completed", self.completed),
+            ("rejected", self.rejected),
+            ("dropped", self.dropped),
+            ("timed_out", self.timed_out),
+            ("unservable", self.unservable),
+            ("rerouted", self.rerouted),
+            ("records_scored", self.records_scored),
+        ] {
+            w.key(key).uint(v);
         }
-        out.push_str("],\n  \"scale_events\": [");
-        for (i, e) in self.scale_events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"window\": {}, \"at_s\": {:.6}, \"decision\": \"{}\", \"nodes\": {}}}",
-                e.window,
-                e.at.as_secs(),
-                match e.decision {
-                    ScaleDecision::Hold => "hold",
-                    ScaleDecision::Up => "up",
-                    ScaleDecision::Down => "down",
-                },
-                e.nodes_after,
-            );
+        w.key("makespan_s").fixed(self.makespan.as_secs(), 6);
+        w.key("throughput_qps").fixed(self.throughput_qps(), 3);
+        w.key("latency_p50_ms").fixed(q_ms(0.5), 3);
+        w.key("latency_p99_ms").fixed(q_ms(0.99), 3);
+        w.key("cache_hits").uint(self.cache_hits);
+        w.key("cache_misses").uint(self.cache_misses);
+        w.key("cache_hit_rate").fixed(self.cache_hit_rate(), 6);
+        w.key("device_seconds").fixed(self.device_seconds, 3);
+        w.key("peak_nodes").uint(self.peak_nodes as u64);
+        w.key("classes").begin_array();
+        for c in &self.classes {
+            w.begin_object();
+            w.key("class").str(c.class.name());
+            w.key("completed").uint(c.completed);
+            w.key("shed").uint(c.shed());
+            w.key("drained").uint(c.drained);
+            w.key("attainment").fixed(c.attainment(), 6);
+            w.end();
         }
-        out.push_str("],\n  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"node\": {}, \"commissioned_s\": {:.6}, \"decommissioned_s\": {}, \
-                 \"straggler\": {}, \"failed\": {}, \"devices\": {}, \"offered\": {}, \
-                 \"completed\": {}, \"drained\": {}, \"cache_hits\": {}}}",
-                n.node,
-                n.commissioned_at.as_secs(),
-                match n.decommissioned_at {
-                    Some(at) => format!("{:.6}", at.as_secs()),
-                    None => "null".to_string(),
-                },
-                n.straggler,
-                n.failed,
-                n.devices,
-                n.report.offered,
-                n.report.completed,
-                n.report.drained,
-                n.report.cache.hits,
-            );
+        w.end();
+        w.key("scale_events").begin_array();
+        for e in &self.scale_events {
+            w.begin_object();
+            w.key("window").uint(e.window);
+            w.key("at_s").fixed(e.at.as_secs(), 6);
+            w.key("decision").str(match e.decision {
+                ScaleDecision::Hold => "hold",
+                ScaleDecision::Up => "up",
+                ScaleDecision::Down => "down",
+            });
+            w.key("nodes").uint(e.nodes_after as u64);
+            w.end();
         }
-        out.push_str("]\n}\n");
-        out
+        w.end();
+        w.key("nodes").begin_array();
+        for n in &self.nodes {
+            w.begin_object();
+            w.key("node").uint(n.node as u64);
+            w.key("commissioned_s")
+                .fixed(n.commissioned_at.as_secs(), 6);
+            w.key("decommissioned_s");
+            match n.decommissioned_at {
+                Some(at) => w.fixed(at.as_secs(), 6),
+                None => w.null(),
+            };
+            w.key("straggler").bool(n.straggler);
+            w.key("failed").bool(n.failed);
+            w.key("devices").uint(n.devices as u64);
+            w.key("offered").uint(n.report.offered);
+            w.key("completed").uint(n.report.completed);
+            w.key("drained").uint(n.report.drained);
+            w.key("cache_hits").uint(n.report.cache.hits);
+            w.end();
+        }
+        w.end().end();
+        w.finish()
     }
 }
 

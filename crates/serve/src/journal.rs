@@ -13,10 +13,8 @@
 //! fixed-width timestamps, so the same run always serializes to the same
 //! bytes.
 
-use std::fmt::Write as _;
-
 use mlscore_sim::{SimDuration, SimInstant};
-use mlscore_telemetry::json::write_escaped;
+use mlscore_telemetry::json::JsonWriter;
 
 use crate::request::{QueryClass, RequestId};
 use crate::slo::SloAlert;
@@ -181,43 +179,36 @@ impl RequestJournal {
     /// in emission order, then one per SLO alert. Timestamps are seconds
     /// with nine fixed decimals, so equal runs serialize byte-identically.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut w = JsonWriter::compact();
         for entry in &self.entries {
-            let _ = write!(
-                out,
-                "{{\"t\":{:.9},\"id\":{},\"event\":\"{}\"",
-                entry.at.as_secs(),
-                entry.id,
-                entry.kind.name(),
-            );
+            w.begin_object();
+            w.key("t").fixed(entry.at.as_secs(), 9);
+            w.key("id").uint(entry.id);
+            w.key("event").str(entry.kind.name());
             match &entry.kind {
                 JournalKind::Arrival {
                     class,
                     model,
                     records,
                 } => {
-                    let _ = write!(
-                        out,
-                        ",\"class\":\"{}\",\"model\":{model},\"records\":{records}",
-                        class.name(),
-                    );
+                    w.key("class").str(class.name());
+                    w.key("model").uint(*model as u64);
+                    w.key("records").uint(*records);
                 }
                 JournalKind::Admitted | JournalKind::Drained => {}
                 JournalKind::Shed { reason } => {
-                    let _ = write!(out, ",\"reason\":\"{}\"", reason.name());
+                    w.key("reason").str(reason.name());
                 }
                 JournalKind::Coalesced { batch, size } => {
-                    let _ = write!(out, ",\"batch\":{batch},\"size\":{size}");
+                    w.key("batch").uint(*batch).key("size").uint(*size as u64);
                 }
                 JournalKind::Dispatched {
                     batch,
                     backend,
                     device,
                 } => {
-                    let _ = write!(out, ",\"batch\":{batch},\"backend\":");
-                    write_escaped(&mut out, backend);
-                    out.push_str(",\"device\":");
-                    write_escaped(&mut out, device);
+                    w.key("batch").uint(*batch);
+                    w.key("backend").str(backend).key("device").str(device);
                 }
                 JournalKind::Completed {
                     latency,
@@ -228,36 +219,34 @@ impl RequestJournal {
                     compute,
                     drain,
                 } => {
-                    let _ = write!(
-                        out,
-                        ",\"latency\":{:.9},\"queue_wait\":{:.9},\"prepare\":{:.9},\
-                         \"setup\":{:.9},\"transfer\":{:.9},\"compute\":{:.9},\"drain\":{:.9}",
-                        latency.as_secs(),
-                        queue_wait.as_secs(),
-                        prepare.as_secs(),
-                        setup.as_secs(),
-                        transfer.as_secs(),
-                        compute.as_secs(),
-                        drain.as_secs(),
-                    );
+                    for (key, v) in [
+                        ("latency", latency),
+                        ("queue_wait", queue_wait),
+                        ("prepare", prepare),
+                        ("setup", setup),
+                        ("transfer", transfer),
+                        ("compute", compute),
+                        ("drain", drain),
+                    ] {
+                        w.key(key).fixed(v.as_secs(), 9);
+                    }
                 }
             }
-            out.push_str("}\n");
+            w.end().end_line();
         }
         for alert in &self.alerts {
-            let _ = write!(
-                out,
-                "{{\"t\":{:.9},\"event\":\"slo_alert\",\"class\":",
-                alert.at.as_secs(),
-            );
-            write_escaped(&mut out, &alert.class);
-            let _ = writeln!(
-                out,
-                ",\"window\":{},\"attainment\":{:.6},\"burn_rate\":{:.6}}}",
-                alert.window, alert.attainment, alert.burn_rate,
-            );
+            w.begin_object();
+            w.key("t").fixed(alert.at.as_secs(), 9);
+            w.key("event")
+                .str("slo_alert")
+                .key("class")
+                .str(&alert.class);
+            w.key("window").uint(alert.window);
+            w.key("attainment").fixed(alert.attainment, 6);
+            w.key("burn_rate").fixed(alert.burn_rate, 6);
+            w.end().end_line();
         }
-        out
+        w.finish()
     }
 }
 

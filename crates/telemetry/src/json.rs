@@ -1,15 +1,22 @@
-//! A minimal JSON value model, writer escaping, and recursive-descent
-//! parser.
+//! The workspace's one JSON path: a value model, a streaming writer, and
+//! a recursive-descent parser.
 //!
-//! The workspace vendors no JSON crate, so the Perfetto exporter writes
-//! JSON by hand and this module provides the small amount of shared
-//! machinery: string escaping for the writer, and a parser used by tests
-//! (and the `repro` CLI) to validate that exported traces are well-formed.
-//! It handles the full JSON grammar except exotic number formats beyond
-//! `f64`.
+//! The workspace vendors no JSON crate. Every exporter — Perfetto traces,
+//! the request journal, the `BENCH_*` and run-report documents — writes
+//! through [`JsonWriter`], which owns separators, escaping, number
+//! formatting and layout; every reader — the report validators, the
+//! benchmark diff, tests — goes through [`parse`] and
+//! [`JsonValue::field`]. The parser handles the full JSON grammar except
+//! exotic number formats beyond `f64`, and caps nesting at [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest container nesting [`parse`] accepts. Every document the
+/// workspace writes nests a handful of levels; the cap turns a hostile
+/// input of nested brackets into a [`JsonError`] instead of a stack
+/// overflow.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +67,57 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The member `key` of this object as a `T` (a number, string, array
+    /// or object). The error names the block being read (`what`), the
+    /// expected type and the key: `what: missing numeric "key"`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the description above if `key` is absent or of another
+    /// type.
+    pub fn field<'a, T: FromJson<'a>>(&'a self, key: &str, what: &str) -> Result<T, String> {
+        self.get(key)
+            .and_then(T::from_json)
+            .ok_or_else(|| format!("{what}: missing {} \"{key}\"", T::KIND))
+    }
+}
+
+/// A type [`JsonValue::field`] can read out of a document.
+pub trait FromJson<'a>: Sized {
+    /// The type's name in error messages.
+    const KIND: &'static str;
+    /// `Some` if `value` holds this type.
+    fn from_json(value: &'a JsonValue) -> Option<Self>;
+}
+
+impl<'a> FromJson<'a> for f64 {
+    const KIND: &'static str = "numeric";
+    fn from_json(value: &'a JsonValue) -> Option<Self> {
+        value.as_f64()
+    }
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    const KIND: &'static str = "string";
+    fn from_json(value: &'a JsonValue) -> Option<Self> {
+        value.as_str()
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [JsonValue] {
+    const KIND: &'static str = "array";
+    fn from_json(value: &'a JsonValue) -> Option<Self> {
+        value.as_array()
+    }
+}
+
+/// An object member (a nested block).
+impl<'a> FromJson<'a> for &'a JsonValue {
+    const KIND: &'static str = "object";
+    fn from_json(value: &'a JsonValue) -> Option<Self> {
+        matches!(value, JsonValue::Object(_)).then_some(value)
+    }
 }
 
 /// A parse failure with byte offset context.
@@ -98,6 +156,236 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// A streaming JSON writer: every exporter in the workspace emits through
+/// it, so separators, escaping ([`write_escaped`]), number formatting and
+/// layout are decided once.
+///
+/// Values are written in call order. Open a container with
+/// [`begin_object`](Self::begin_object) or [`begin_array`](Self::begin_array),
+/// name each object member with [`key`](Self::key) before its value, and
+/// close the innermost container with [`end`](Self::end). Numbers are
+/// written either with fixed decimals ([`fixed`](Self::fixed)) or in
+/// shortest round-trip form ([`float`](Self::float)); both write a
+/// non-finite value as `null`.
+///
+/// There is one layout rule, in two modes:
+///
+/// - [`compact`](Self::compact): no whitespace at all;
+/// - [`pretty`](Self::pretty): a container that holds another container
+///   puts one member per line at two spaces of indent per level; a
+///   container of scalars stays on one line as `{"k": v, "k": v}`. The
+///   document ends with a newline.
+///
+/// ```
+/// use mlscore_telemetry::json::JsonWriter;
+///
+/// let mut w = JsonWriter::pretty();
+/// w.begin_object();
+/// w.key("name").str("fpga");
+/// w.key("busy").begin_object();
+/// w.key("p50").fixed(0.25, 3).key("p99").float(f64::NAN);
+/// w.end();
+/// w.end();
+/// assert_eq!(
+///     w.finish(),
+///     "{\n  \"name\": \"fpga\",\n  \"busy\": {\"p50\": 0.250, \"p99\": null}\n}\n"
+/// );
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    /// Open containers, innermost last.
+    open: Vec<Container>,
+    /// A key was written and its value is still due.
+    keyed: bool,
+}
+
+/// One open container of a [`JsonWriter`].
+#[derive(Debug)]
+struct Container {
+    close: char,
+    /// Byte offset in the output where each member starts.
+    members: Vec<usize>,
+    /// Whether a member is itself a container.
+    nested: bool,
+}
+
+impl JsonWriter {
+    /// A writer with the compact layout (no whitespace).
+    pub fn compact() -> Self {
+        Self::new(false)
+    }
+
+    /// A writer with the pretty layout (see the type docs).
+    pub fn pretty() -> Self {
+        Self::new(true)
+    }
+
+    fn new(pretty: bool) -> Self {
+        Self {
+            out: String::new(),
+            pretty,
+            open: Vec::new(),
+            keyed: false,
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{', '}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[', ']')
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        if let Some(container) = self.open.pop() {
+            if self.pretty && container.nested {
+                self.break_lines(&container.members);
+            }
+            self.out.push(container.close);
+        }
+        self
+    }
+
+    /// Names the next object member.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.member();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.keyed = true;
+        self
+    }
+
+    /// Writes a string.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        self.value();
+        write_escaped(&mut self.out, v);
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn uint(&mut self, v: u64) -> &mut Self {
+        self.value();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.value();
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.value();
+        self.out.push_str("null");
+        self
+    }
+
+    /// Writes `v` with exactly `decimals` digits after the point (`null`
+    /// if it is not finite).
+    pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
+        self.value();
+        if v.is_finite() {
+            let _ = write!(self.out, "{v:.decimals$}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Writes `v` in the shortest form that parses back to the same `f64`
+    /// (`null` if it is not finite).
+    pub fn float(&mut self, v: f64) -> &mut Self {
+        self.value();
+        if v.is_finite() {
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Ends one JSON Lines record: a newline after a top-level value.
+    pub fn end_line(&mut self) -> &mut Self {
+        self.out.push('\n');
+        self
+    }
+
+    /// The text written so far; a pretty document gets its final newline.
+    pub fn finish(mut self) -> String {
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    fn begin(&mut self, open: char, close: char) -> &mut Self {
+        self.value();
+        if let Some(parent) = self.open.last_mut() {
+            parent.nested = true;
+        }
+        self.out.push(open);
+        self.open.push(Container {
+            close,
+            members: Vec::new(),
+            nested: false,
+        });
+        self
+    }
+
+    /// Starts a member of the innermost container: the separator, then a
+    /// note of where the member begins.
+    fn member(&mut self) {
+        if let Some(container) = self.open.last_mut() {
+            if !container.members.is_empty() {
+                self.out.push_str(if self.pretty { ", " } else { "," });
+            }
+            container.members.push(self.out.len());
+        }
+    }
+
+    /// Starts a value: an object member's value follows its key, anything
+    /// else is a member of its own.
+    fn value(&mut self) {
+        if self.keyed {
+            self.keyed = false;
+        } else {
+            self.member();
+        }
+    }
+
+    /// Re-lays a just-closed pretty container's members (written inline,
+    /// `", "`-separated, starting at `members`) one per line, indented one
+    /// level deeper than the container itself.
+    fn break_lines(&mut self, members: &[usize]) {
+        let Some(&first) = members.first() else {
+            return;
+        };
+        let body = self.out.split_off(first);
+        let indent = 2 * self.open.len();
+        let ends = members
+            .iter()
+            .skip(1)
+            .map(|&start| start - first - 2)
+            .chain(std::iter::once(body.len()));
+        for (i, (&start, end)) in members.iter().zip(ends).enumerate() {
+            self.out.push_str(if i == 0 { "\n" } else { ",\n" });
+            self.out.extend(std::iter::repeat_n(' ', indent + 2));
+            self.out.push_str(&body[start - first..end]);
+        }
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n(' ', indent));
+    }
+}
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
@@ -107,6 +395,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -120,6 +409,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -151,8 +442,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),

@@ -23,16 +23,23 @@
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json::write_escaped;
-use crate::span::{SpanEvent, Trace};
+use crate::json::JsonWriter;
+use crate::span::Trace;
 
 /// Serializes a trace to Perfetto-compatible `trace_event` JSON.
 ///
 /// Event order, pid/tid assignment, and metadata are deterministic: ids are
 /// dense integers in order of first appearance, and span events appear in
-/// recording order.
+/// recording order. Each span is followed by its flow steps — `ph:"s"`
+/// (flow start, bound to the span's end instant: the moment the request
+/// leaves the queue) for each [`SpanEvent::flows_out`] id, then `ph:"f"`
+/// with `bp:"e"` (flow end, enclosing-slice binding at the span's start)
+/// for each [`SpanEvent::flows_in`] id — so a flow id's `"s"` precedes its
+/// `"f"` whenever spans were recorded in causal order.
+///
+/// [`SpanEvent::flows_out`]: crate::span::SpanEvent::flows_out
+/// [`SpanEvent::flows_in`]: crate::span::SpanEvent::flows_in
 pub fn to_json(trace: &Trace) -> String {
     let mut pids: BTreeMap<&str, u64> = BTreeMap::new();
     let mut tids: BTreeMap<(&str, &str), u64> = BTreeMap::new();
@@ -46,124 +53,68 @@ pub fn to_json(trace: &Trace) -> String {
             .or_insert(next_tid);
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("displayTimeUnit").str("ns");
+    w.key("traceEvents").begin_array();
 
     // Metadata events: name each process and thread.
     let mut named: Vec<(&&str, &u64)> = pids.iter().collect();
     named.sort_by_key(|(_, pid)| **pid);
-    for (process, pid) in named {
-        push_sep(&mut out, &mut first);
-        out.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
-        let _ = write!(out, "{pid}");
-        out.push_str(",\"args\":{\"name\":");
-        write_escaped(&mut out, process);
-        out.push_str("}}");
+    for (process, &pid) in named {
+        w.begin_object();
+        w.key("ph").str("M").key("name").str("process_name");
+        w.key("pid").uint(pid);
+        w.key("args").begin_object().key("name").str(process).end();
+        w.end();
     }
     let mut lanes: Vec<(&(&str, &str), &u64)> = tids.iter().collect();
     lanes.sort_by_key(|(_, tid)| **tid);
-    for ((process, lane), tid) in lanes {
-        push_sep(&mut out, &mut first);
-        out.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
-        let _ = write!(out, "{}", pids[process]);
-        out.push_str(",\"tid\":");
-        let _ = write!(out, "{tid}");
-        out.push_str(",\"args\":{\"name\":");
-        write_escaped(&mut out, lane);
-        out.push_str("}}");
+    for ((process, lane), &tid) in lanes {
+        w.begin_object();
+        w.key("ph").str("M").key("name").str("thread_name");
+        w.key("pid").uint(pids[process]).key("tid").uint(tid);
+        w.key("args").begin_object().key("name").str(lane).end();
+        w.end();
     }
 
-    // Span events, each followed by its flow steps so a flow id's "s"
-    // precedes its "f" whenever spans were recorded in causal order.
     for ev in trace.events() {
-        push_sep(&mut out, &mut first);
-        write_span(&mut out, ev, &pids, &tids);
-        write_flows(&mut out, ev, &mut first, &pids, &tids);
+        let process = ev.track.process.as_str();
+        let pid = pids[process];
+        let tid = tids[&(process, ev.track.lane.as_str())];
+        w.begin_object();
+        w.key("ph").str("X").key("name").str(&ev.name);
+        w.key("cat").str(&ev.scope.to_string());
+        w.key("ts").float(ev.start.as_micros());
+        w.key("dur").float(ev.dur.as_micros());
+        w.key("pid").uint(pid).key("tid").uint(tid);
+        w.key("args").begin_object();
+        if let Some(stage) = ev.stage {
+            w.key("stage").str(&stage.to_string());
+        }
+        for (k, v) in &ev.metadata {
+            w.key(k).str(v);
+        }
+        w.end().end();
+        for (ph, ids, at) in [
+            ("s", &ev.flows_out, ev.end()),
+            ("f", &ev.flows_in, ev.start),
+        ] {
+            for &id in ids {
+                w.begin_object().key("ph").str(ph);
+                if ph == "f" {
+                    w.key("bp").str("e");
+                }
+                w.key("cat").str("flow").key("name").str("request");
+                w.key("id").uint(id).key("ts").float(at.as_micros());
+                w.key("pid").uint(pid).key("tid").uint(tid);
+                w.end();
+            }
+        }
     }
 
-    out.push_str("]}");
-    out
-}
-
-fn push_sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-}
-
-fn write_span(
-    out: &mut String,
-    ev: &SpanEvent,
-    pids: &BTreeMap<&str, u64>,
-    tids: &BTreeMap<(&str, &str), u64>,
-) {
-    let process = ev.track.process.as_str();
-    out.push_str("{\"ph\":\"X\",\"name\":");
-    write_escaped(out, &ev.name);
-    out.push_str(",\"cat\":");
-    write_escaped(out, &ev.scope.to_string());
-    let _ = write!(
-        out,
-        ",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}",
-        ev.start.as_micros(),
-        ev.dur.as_micros(),
-        pids[process],
-        tids[&(process, ev.track.lane.as_str())],
-    );
-    out.push_str(",\"args\":{");
-    let mut first_arg = true;
-    if let Some(stage) = ev.stage {
-        push_sep(out, &mut first_arg);
-        out.push_str("\"stage\":");
-        write_escaped(out, &stage.to_string());
-    }
-    for (k, v) in &ev.metadata {
-        push_sep(out, &mut first_arg);
-        write_escaped(out, k);
-        out.push(':');
-        write_escaped(out, v);
-    }
-    out.push_str("}}");
-}
-
-/// Emits the flow steps a span carries: `ph:"s"` (flow start, bound to the
-/// span's end instant — the moment the request leaves the queue) for each
-/// [`SpanEvent::flows_out`] id, and `ph:"f"` with `bp:"e"` (flow end,
-/// enclosing-slice binding at the span's start) for each
-/// [`SpanEvent::flows_in`] id.
-fn write_flows(
-    out: &mut String,
-    ev: &SpanEvent,
-    first: &mut bool,
-    pids: &BTreeMap<&str, u64>,
-    tids: &BTreeMap<(&str, &str), u64>,
-) {
-    if ev.flows_out.is_empty() && ev.flows_in.is_empty() {
-        return;
-    }
-    let process = ev.track.process.as_str();
-    let pid = pids[process];
-    let tid = tids[&(process, ev.track.lane.as_str())];
-    for id in &ev.flows_out {
-        push_sep(out, first);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"s\",\"cat\":\"flow\",\"name\":\"request\",\"id\":{id},\
-             \"ts\":{},\"pid\":{pid},\"tid\":{tid}}}",
-            ev.end().as_micros(),
-        );
-    }
-    for id in &ev.flows_in {
-        push_sep(out, first);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"flow\",\"name\":\"request\",\"id\":{id},\
-             \"ts\":{},\"pid\":{pid},\"tid\":{tid}}}",
-            ev.start.as_micros(),
-        );
-    }
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -172,7 +123,7 @@ mod tests {
 
     use super::*;
     use crate::json::{parse, JsonValue};
-    use crate::span::{Scope, Track};
+    use crate::span::{Scope, SpanEvent, Track};
 
     fn sample_trace() -> Trace {
         Trace::from_events(vec![
