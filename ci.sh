@@ -57,9 +57,9 @@ if command -v taskset >/dev/null 2>&1; then
 else
     echo "ci: taskset not found; skipping the one-core analyze check"
 fi
-# ...and must contain the serving stack's load-bearing edges: the fleet
-# driver entering the per-node engine, and the engine's event loop.
-grep -q '"fleet::sim::run_fleet" -> "serve::engine::ServeEngine::run"' \
+# ...and must contain the serving stack's load-bearing edges: the serving
+# benchmark entering the engine, and the engine's event loop.
+grep -q '"bench::serve_bench::run_point" -> "serve::engine::ServeEngine::run"' \
     target/callgraph.a.dot
 grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::Run::step_all"' \
     target/callgraph.a.dot
@@ -131,9 +131,6 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
     --trace-out target/trace_serve.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
     serve --check target/BENCH_serving.quick.json
-# The committed full-mode report must stay valid too.
-cargo run --release -q -p mlscore-bench --bin repro -- \
-    serve --check BENCH_serving.json
 # The serving timeline must carry the per-device contention lane and the
 # per-request queue-wait spans.
 grep -q '"device FPGA"' target/trace_serve.json
@@ -145,39 +142,17 @@ grep -q '"ph":"s","cat":"flow","name":"request"' target/trace_serve.json
 grep -q '"ph":"f","bp":"e","cat":"flow","name":"request"' target/trace_serve.json
 grep -q '"device pass"' target/trace_serve.json
 
-echo "== fleet smoke (repro fleet --quick --check) =="
-# Quick multi-node shmoo: every router policy x traffic scenario plus the
-# diurnal autoscaling pair, written as the schema-v3 document. The
-# validator enforces the two tentpole effects (consistent-hash beats
-# least-loaded on warm-cache attainment + hit rate under the
-# model-release storm; the autoscaler holds the diurnal SLO for fewer
-# device-seconds) and --check requires the fleet block outright.
-cargo run --release -q -p mlscore-bench --bin repro -- \
-    fleet --quick --out target/BENCH_serving.fleet.quick.json \
-    --trace-out target/trace_fleet.json
-cargo run --release -q -p mlscore-bench --bin repro -- \
-    fleet --check target/BENCH_serving.fleet.quick.json
-# `repro serve` writes a report only where --out points: run with no
-# flags, it must leave the committed schema-v3 file alone.
-cargo run --release -q -p mlscore-bench --bin repro -- serve --quick >/dev/null
-# The committed full-mode report must stay valid and carry the fleet
-# block, and the one-sided perf gate must accept a self-diff of the
-# serving schema (covering the fleet cells).
-cargo run --release -q -p mlscore-bench --bin repro -- \
-    fleet --check BENCH_serving.json
-# The committed report is exactly what `repro fleet` writes: a full
+echo "== serving report regeneration (repro serve --out, full) =="
+# The committed report is exactly what `repro serve --out` writes: a full
 # regeneration (simulated time, ~1 s) must reproduce it byte for byte.
 cargo run --release -q -p mlscore-bench --bin repro -- \
-    fleet --out target/BENCH_serving.full.json >/dev/null
+    serve --out target/BENCH_serving.full.json >/dev/null
 cmp target/BENCH_serving.full.json BENCH_serving.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
+    serve --check BENCH_serving.json
+# The one-sided perf gate must accept a self-diff of the serving schema.
+cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --diff BENCH_serving.json BENCH_serving.json
-# The fleet timeline must carry one lane set per node and at least one
-# cross-node re-route with its flow arrow off the failed node's drain.
-grep -q '"serve@node0"' target/trace_fleet.json
-grep -q '"serve@node1"' target/trace_fleet.json
-grep -q '"reroute node' target/trace_fleet.json
-grep -q '"ph":"f","bp":"e","cat":"flow","name":"request"' target/trace_fleet.json
 
 echo "== report smoke (repro report --quick, twice) =="
 # The run report is a pure function of (seed, options): rendering it twice

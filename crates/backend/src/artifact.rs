@@ -29,17 +29,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use mlscore_exec::FlatImage;
 use mlscore_forest::{ModelBundle, ModelStats, RandomForest};
 use mlscore_sim::{Clock, SimDuration, WallClock};
-use mlscore_telemetry::MetricsRegistry;
 
 use crate::error::BackendError;
 use crate::traits::ScoringBackend;
-
-/// Metric names the cache reports under when given a registry.
-pub const METRIC_HITS: &str = "artifact.hits";
-/// See [`METRIC_HITS`].
-pub const METRIC_MISSES: &str = "artifact.misses";
-/// See [`METRIC_HITS`].
-pub const METRIC_EVICTIONS: &str = "artifact.evictions";
 
 /// The identity a compiled model was built under: which bytes, which
 /// backend, which backend configuration.
@@ -274,7 +266,7 @@ pub fn compile<B: ScoringBackend + ?Sized>(
 /// pipeline can attribute cold-path compile spans. Timing comes from
 /// [`WallClock`] — call this only at the `repro`/bench measurement
 /// boundary; everything else should inject a clock via
-/// [`compile_timed_with`] or [`ArtifactCache::with_clock`].
+/// [`compile_timed_with`].
 ///
 /// # Errors
 ///
@@ -336,16 +328,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Fraction of lookups that hit, in `[0, 1]`; zero before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-
     /// Measured queries-per-compile: how many lookups each compiled
     /// artifact served on average (`lookups / misses`, at least 1). This is
     /// the `expected_reuse` input to `choose_amortized_eligible` and
@@ -400,8 +382,6 @@ struct CacheInner {
 pub struct ArtifactCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
-    metrics: Option<Arc<MetricsRegistry>>,
-    clock: Arc<dyn Clock>,
 }
 
 impl fmt::Debug for ArtifactCache {
@@ -425,24 +405,7 @@ impl ArtifactCache {
         Self {
             inner: Mutex::new(CacheInner::default()),
             capacity,
-            metrics: None,
-            clock: Arc::new(WallClock::new()),
         }
-    }
-
-    /// Mirrors hit/miss/eviction counters into `metrics` under
-    /// [`METRIC_HITS`], [`METRIC_MISSES`], and [`METRIC_EVICTIONS`].
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Replaces the time source that stamps [`PrepareTiming`] on misses.
-    /// Defaults to [`WallClock`] (the cache sits at the measurement
-    /// boundary); inject a manual clock for deterministic tests.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Maximum number of resident artifacts.
@@ -499,21 +462,20 @@ impl ArtifactCache {
                 entry.last_used = tick;
                 let model = Arc::clone(&entry.model);
                 inner.hits += 1;
-                drop(inner);
-                self.bump(METRIC_HITS);
                 return Ok((model, CacheOutcome::Hit, PrepareTiming::default()));
             }
         }
         // Compile outside the lock: misses on distinct bundles proceed in
         // parallel. A racing miss on the same key wastes one compile but
         // stays correct — last insert wins and both callers hold valid Arcs.
-        let (model, timing) = compile_timed_with(backend, bundle, self.clock.as_ref())?;
-        let evicted = {
+        // The cache sits at the measurement boundary: misses are timed on
+        // the wall clock.
+        let (model, timing) = compile_timed(backend, bundle)?;
+        {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.tick += 1;
             let tick = inner.tick;
             inner.misses += 1;
-            let mut evicted = 0u64;
             while inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
                 let Some(lru) = inner
                     .map
@@ -525,7 +487,6 @@ impl ArtifactCache {
                 };
                 inner.map.remove(&lru);
                 inner.evictions += 1;
-                evicted += 1;
             }
             inner.map.insert(
                 key,
@@ -534,21 +495,8 @@ impl ArtifactCache {
                     model: Arc::clone(&model),
                 },
             );
-            evicted
-        };
-        self.bump(METRIC_MISSES);
-        if let Some(m) = &self.metrics {
-            if evicted > 0 {
-                m.inc_counter(METRIC_EVICTIONS, evicted);
-            }
         }
         Ok((model, CacheOutcome::Miss, timing))
-    }
-
-    fn bump(&self, name: &str) {
-        if let Some(m) = &self.metrics {
-            m.inc_counter(name, 1);
-        }
     }
 }
 
@@ -578,9 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_and_metrics() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let cache = ArtifactCache::new(4).with_metrics(Arc::clone(&metrics));
+    fn hit_and_miss() {
+        let cache = ArtifactCache::new(4);
         let backend = OnnxCpu::single_thread();
         let b = bundle(1);
         let (first, o1) = cache.get_or_prepare(&backend, &b).unwrap();
@@ -591,9 +538,6 @@ mod tests {
         let again = ModelBundle::from_bytes(b.as_bytes());
         let (_, o3) = cache.get_or_prepare(&backend, &again).unwrap();
         assert_eq!(o3, CacheOutcome::Hit);
-        assert_eq!(metrics.counter(METRIC_HITS), 2);
-        assert_eq!(metrics.counter(METRIC_MISSES), 1);
-        assert_eq!(metrics.counter(METRIC_EVICTIONS), 0);
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -685,10 +629,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_reuse_and_hit_rate() {
+    fn cache_stats_lookups_and_reuse() {
         let empty = CacheStats::default();
         assert_eq!(empty.lookups(), 0);
-        assert_eq!(empty.hit_rate(), 0.0);
         assert_eq!(empty.expected_reuse(), 1);
 
         let warm = CacheStats {
@@ -698,7 +641,6 @@ mod tests {
             entries: 3,
         };
         assert_eq!(warm.lookups(), 12);
-        assert!((warm.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(warm.expected_reuse(), 4);
 
         // All-hit steady state still reports a sane reuse.

@@ -118,11 +118,6 @@ impl OnnxCpu {
         }
     }
 
-    /// The thread count used for scoring.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Executor configuration for one scoring call. ONNX parallelizes
     /// across the ensemble's trees, so the worker count is additionally
     /// capped at the tree count (a single-tree model runs one thread).
@@ -364,6 +359,5 @@ mod tests {
     fn names_match_paper_legends() {
         assert_eq!(OnnxCpu::single_thread().name(), "CPU_ONNX");
         assert_eq!(OnnxCpu::paper_52th().name(), "CPU_ONNX_52th");
-        assert_eq!(OnnxCpu::paper_52th().threads(), 52);
     }
 }

@@ -107,11 +107,6 @@ impl SklearnCpu {
         }
     }
 
-    /// The thread count used for scoring.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Executor configuration for one scoring call.
     fn run_config(&self) -> RunConfig {
         RunConfig::for_threads(self.threads)
@@ -297,7 +292,7 @@ mod tests {
     fn name_reflects_threads() {
         assert_eq!(SklearnCpu::paper_default().name(), "CPU_SKLearn_52th");
         assert_eq!(SklearnCpu::with_threads(1).name(), "CPU_SKLearn_1th");
-        assert_eq!(SklearnCpu::with_threads(4).threads(), 4);
+        assert_eq!(SklearnCpu::with_threads(4).name(), "CPU_SKLearn_4th");
     }
 
     #[test]

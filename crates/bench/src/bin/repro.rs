@@ -538,9 +538,9 @@ fn bench(args: &[String]) {
 /// `repro serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]`
 ///
 /// Runs the serving-engine load sweep ([`mlscore_bench::serve_bench`]) and
-/// writes the schema-v2 report (no fleet block) to `--out`, if given —
-/// `repro fleet` is what regenerates the committed `BENCH_serving.json`.
-/// With `--check` it validates an existing report instead, and
+/// writes the report to `--out`, if given — `repro serve --out
+/// BENCH_serving.json` regenerates the committed file. With `--check` it
+/// validates an existing report instead, and
 /// `--trace-out` additionally exports a Perfetto timeline of the FPGA
 /// overload run (per-device lanes with queue-wait, coalesce, compile,
 /// setup/transfer/compute/drain spans).
@@ -611,7 +611,7 @@ fn serve(args: &[String]) {
     );
     let opts = ServeBenchOptions { quick };
     let report = serve_bench::run(&opts);
-    let json = serve_bench::to_json(&report, &opts, None);
+    let json = serve_bench::to_json(&report, &opts);
     if let Some(out_path) = out_path {
         std::fs::write(&out_path, &json).unwrap_or_else(|e| {
             eprintln!("cannot write {out_path}: {e}");
@@ -660,140 +660,6 @@ fn serve(args: &[String]) {
         println!(
             "wrote {path}: {} spans (open at ui.perfetto.dev)",
             span_trace.len()
-        );
-    }
-}
-
-/// `repro fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]`
-///
-/// Runs the single-server load sweep *and* the multi-node fleet shmoo
-/// ([`mlscore_bench::fleet_bench`]): every router policy × traffic
-/// scenario on a fixed fleet, plus the diurnal autoscaling pair. Writes
-/// the combined schema-v3 `BENCH_serving.json` (the v2 document with a
-/// `"fleet"` block appended). With `--check` it validates an existing
-/// report and requires the fleet block; `--trace-out` exports a Perfetto
-/// timeline of a small fleet run with a node failure injected — one lane
-/// set per node (`serve@node0`, `serve@node1`) and cross-node flow
-/// arrows for every re-routed request.
-fn fleet(args: &[String]) {
-    use mlscore_bench::fleet_bench::{self, FleetBenchOptions};
-    use mlscore_bench::serve_bench::{self, ServeBenchOptions};
-    use mlscore_fleet::{
-        run_fleet, Fault, FleetConfig, RouterKind, ScalePolicy, ScenarioKind, ScenarioSpec,
-    };
-    use mlscore_sim::SimDuration;
-
-    let mut quick = false;
-    let mut out_path = "BENCH_serving.json".to_string();
-    let mut check: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(path.clone()),
-                None => {
-                    eprintln!("--check needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown fleet flag '{other}'");
-                eprintln!(
-                    "usage: repro fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let has_fleet = mlscore_telemetry::json::parse(&text)
-            .ok()
-            .is_some_and(|doc| doc.get("fleet").is_some());
-        if !has_fleet {
-            eprintln!("{path}: no \"fleet\" block — not a schema-v3 fleet report");
-            std::process::exit(1);
-        }
-        match serve_bench::validate(&text) {
-            Ok(n) => println!("{path}: valid fleet serving report, {n} sweep point(s)"),
-            Err(e) => {
-                eprintln!("{path}: invalid fleet serving report: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    println!(
-        "== Serving-engine load sweep ({} mode) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let serve_opts = ServeBenchOptions { quick };
-    let serve_report = serve_bench::run(&serve_opts);
-    println!("== Fleet shmoo: router policy x traffic scenario ==");
-    let fleet_report = fleet_bench::run(&FleetBenchOptions { quick });
-    let json = serve_bench::to_json(&serve_report, &serve_opts, Some(&fleet_report));
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "wrote {out_path}: {} sweep point(s) + {} fleet cell(s)",
-        serve_report.sweep.len(),
-        fleet_report.cells.len()
-    );
-
-    if let Some(path) = trace_out {
-        // A traced rerun of a small fleet under a node failure: per-node
-        // lanes plus the cross-node re-route flow arrows.
-        let tracer = Tracer::new();
-        let mut scenario = ScenarioSpec::new(
-            ScenarioKind::Steady { rate_qps: 6_000.0 },
-            SimDuration::from_secs(1.0),
-            serve_bench::SEED,
-        );
-        scenario.faults.push(Fault {
-            at_window: 5,
-            node: 1,
-        });
-        let config = FleetConfig {
-            initial_nodes: 2,
-            router: RouterKind::RoundRobin,
-            scale: ScalePolicy::Static,
-            seed: serve_bench::SEED,
-        };
-        let fleet = run_fleet(&config, &scenario, &fleet_bench::node_engine, &tracer)
-            .expect("the fleet trace scenario keeps node 0 alive");
-        let span_trace = tracer.take();
-        let trace_json = perfetto::to_json(&span_trace);
-        std::fs::write(&path, &trace_json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "wrote {path}: {} spans, {} re-route(s) (open at ui.perfetto.dev)",
-            span_trace.len(),
-            fleet.rerouted
         );
     }
 }
@@ -894,21 +760,12 @@ fn usage() -> String {
                         engine (admission control, micro-batch coalescing,\n\
                         device contention) with coalescing on vs off, plus an\n\
                         FPGA-only overload comparison; --out writes the\n\
-                        schema-v2 report (nothing is written without it:\n\
-                        `repro fleet` writes BENCH_serving.json); --check\n\
-                        validates an existing report; --trace-out exports a\n\
-                        Perfetto timeline of the FPGA overload run\n\
+                        report (nothing is written without it; `--out\n\
+                        BENCH_serving.json` regenerates the committed file);\n\
+                        --check validates an existing report; --trace-out\n\
+                        exports a Perfetto timeline of the FPGA overload run\n\
                         (per-device lanes, request flow arrows from queue\n\
                         wait to device pass)\n\
-       fleet [--quick] [--out FILE] [--check FILE] [--trace-out FILE]\n\
-                        run the load sweep plus the multi-node fleet shmoo\n\
-                        (router policy x traffic scenario, diurnal\n\
-                        autoscaling pair) and write the schema-v3\n\
-                        BENCH_serving.json with the \"fleet\" block;\n\
-                        --check validates an existing report and requires\n\
-                        the fleet block; --trace-out exports a Perfetto\n\
-                        timeline of a 2-node fleet with a node failure\n\
-                        (per-node lanes, cross-node re-route flow arrows)\n\
        report [--quick] [--out FILE] [--top N]\n\
                         run the observed FPGA overload workload and render\n\
                         the serving run report: windowed metrics, per-class\n\
@@ -940,7 +797,6 @@ fn main() {
         "trace" => trace(&args[2..]),
         "bench" => bench(&args[2..]),
         "serve" => serve(&args[2..]),
-        "fleet" => fleet(&args[2..]),
         "report" => report(&args[2..]),
         "analyze" => std::process::exit(mlscore_analysis::cli::run(&args[2..])),
         "csv" => {

@@ -7,10 +7,9 @@
 //! - `mlscore/bench-cpu-scoring/v1` (`BENCH_cpu_scoring.json`): each case
 //!   is a cell keyed by `(dataset, trees, depth, records)`; its metrics
 //!   are every run's `*_records_per_sec` numbers, named by thread count.
-//! - `mlscore/bench-serving/v1` (`BENCH_serving.json`): each sweep side,
-//!   FPGA overload side and — schema v3 — fleet shmoo cell is a cell;
-//!   the higher-is-better metrics (throughput, attainment, cache hit
-//!   rate) gate, while latency and device-seconds (lower is better) stay
+//! - `mlscore/bench-serving/v1` (`BENCH_serving.json`): each sweep side
+//!   and FPGA overload side is a cell; the higher-is-better metrics
+//!   (throughput, attainment) gate, while latency (lower is better) stays
 //!   informational.
 //!
 //! Each gated number in the new report must come within a relative
@@ -18,9 +17,8 @@
 //! regressions too — a report cannot "improve" by silently dropping the
 //! slow cells. The comparison is keyed on the metrics the *old* report
 //! carries: cells or per-run metrics that only exist in the new report
-//! (a freshly landed kernel tier, a schema bump that adds the fleet
-//! block) are informational, never regressions — so a committed v2
-//! serving report diffs clean against its v3 successor. Improvements are
+//! (a freshly landed kernel tier, a schema bump that adds a block) are
+//! informational, never regressions. Improvements are
 //! never flagged; the diff is a one-sided perf gate, wired into CI as a
 //! self-diff smoke.
 
@@ -48,17 +46,13 @@ const SERVING_GATED: &[&str] = &[
     "analytical_attainment",
 ];
 
-/// Higher-is-better metrics gated on every fleet shmoo cell.
-/// `device_seconds` is deliberately absent: lower is better there.
-const FLEET_GATED: &[&str] = &["throughput_qps", "interactive_attainment", "cache_hit_rate"];
-
 /// A report flattened for comparison: `cell label -> { metric -> value }`.
 type Cells = BTreeMap<String, BTreeMap<String, f64>>;
 
 /// Flattens either schema into labelled cells. A CPU case is one cell
 /// whose metrics are its runs' `*_records_per_sec` numbers, named by
 /// thread count (`"4-thread simd_records_per_sec"`); a serving sweep
-/// side, overload side or fleet cell is one cell of its gated metrics.
+/// side or overload side is one cell of its gated metrics.
 /// Returns the schema with the cells.
 fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), String> {
     let schema: &str = doc.field("schema", label)?;
@@ -102,8 +96,8 @@ fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), Stri
         }
         SERVING_SCHEMA => {
             // One cell per block: the gated metrics it carries.
-            let mut gate = |cell: String, block: &JsonValue, keys: &[&str]| {
-                let metrics: BTreeMap<String, f64> = keys
+            let mut gate = |cell: String, block: &JsonValue| {
+                let metrics: BTreeMap<String, f64> = SERVING_GATED
                     .iter()
                     .filter_map(|&key| Some((key.to_string(), block.get(key)?.as_f64()?)))
                     .collect();
@@ -119,27 +113,13 @@ fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), Stri
                 let rate: f64 = point.field("rate_qps", &what)?;
                 for side in ["coalesce_on", "coalesce_off"] {
                     let block = point.field(side, &what)?;
-                    gate(format!("sweep @{rate:.0}qps {side}"), block, SERVING_GATED)?;
+                    gate(format!("sweep @{rate:.0}qps {side}"), block)?;
                 }
             }
             let fo: &JsonValue = doc.field("fpga_overload", label)?;
             for side in ["coalesce_on", "coalesce_off"] {
                 let block = fo.field(side, &format!("{label}: fpga_overload"))?;
-                gate(format!("fpga_overload {side}"), block, SERVING_GATED)?;
-            }
-            if let Some(fleet) = doc.get("fleet") {
-                let fleet_cells: &[JsonValue] = fleet.field("cells", &format!("{label}: fleet"))?;
-                for (i, cell) in fleet_cells.iter().enumerate() {
-                    let what = format!("{label}: fleet cell {i}");
-                    let name = |key| cell.field::<&str>(key, &what);
-                    let cell_label = format!(
-                        "fleet {}/{}/{}",
-                        name("policy")?,
-                        name("scale")?,
-                        name("scenario")?
-                    );
-                    gate(cell_label, cell, FLEET_GATED)?;
-                }
+                gate(format!("fpga_overload {side}"), block)?;
             }
         }
         other => return Err(format!("{label}: unexpected schema {other:?}")),
@@ -155,7 +135,7 @@ fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), Stri
 /// below `old * (1 - tolerance)`; cells or metrics present in the old
 /// report but absent from the new one regress unconditionally. The
 /// reverse is informational: cells and metrics that only the *new*
-/// report carries (e.g. a kernel tier or fleet block that just landed)
+/// report carries (e.g. a kernel tier that just landed)
 /// are never regressions.
 ///
 /// # Errors
@@ -305,9 +285,8 @@ mod tests {
         assert!(diff(&report(1.0, 1.0), &report(1.0, 1.0), 1.5).is_err());
     }
 
-    /// A minimal serving report: one sweep point, the overload pair, and
-    /// optionally a fleet block (making it schema v3).
-    fn serving(sweep_qps: f64, fleet: Option<&str>) -> String {
+    /// A minimal serving report: one sweep point and the overload pair.
+    fn serving(sweep_qps: f64) -> String {
         let block = |qps: f64| {
             format!(
                 "{{\"throughput_qps\": {qps}, \"records_per_sec\": 9e5,\n\
@@ -315,15 +294,13 @@ mod tests {
                   \"p99_ms\": 12.0}}"
             )
         };
-        let fleet_block = fleet.map_or(String::new(), |f| format!(",\n \"fleet\": {f}"));
         format!(
             "{{\"schema\": \"mlscore/bench-serving/v1\",\n\
-             \"schema_version\": {},\n\
+             \"schema_version\": 4,\n\
              \"sweep\": [{{\"rate_qps\": 1000,\n\
                 \"coalesce_on\": {},\n\
                 \"coalesce_off\": {}}}],\n\
-             \"fpga_overload\": {{\"coalesce_on\": {}, \"coalesce_off\": {}}}{fleet_block}}}",
-            if fleet.is_some() { 3 } else { 2 },
+             \"fpga_overload\": {{\"coalesce_on\": {}, \"coalesce_off\": {}}}}}",
             block(sweep_qps),
             block(sweep_qps * 0.9),
             block(1800.0),
@@ -331,47 +308,19 @@ mod tests {
         )
     }
 
-    /// One fleet cell with tunable attainment.
-    fn fleet_cells(attainment: f64) -> String {
-        format!(
-            "{{\"cells\": [{{\"policy\": \"consistent-hash\", \"scale\": \"static\",\n\
-              \"scenario\": \"model-release-storm\", \"throughput_qps\": 1400.0,\n\
-              \"interactive_attainment\": {attainment:.6}, \"cache_hit_rate\": 0.85,\n\
-              \"device_seconds\": 24.0}}]}}"
-        )
-    }
-
     #[test]
-    fn serving_v2_diffs_clean_against_its_v3_successor() {
-        // The committed v2 report vs. a v3 regeneration with the fleet
-        // block: additions are informational, so the gate passes.
-        let v2 = serving(950.0, None);
-        let v3 = serving(950.0, Some(&fleet_cells(0.86)));
-        assert_eq!(diff(&v2, &v3, 0.25), Ok(vec![]));
-        // Self-diffs on both versions are clean too.
-        assert_eq!(diff(&v2, &v2, 0.25), Ok(vec![]));
-        assert_eq!(diff(&v3, &v3, 0.25), Ok(vec![]));
-    }
-
-    #[test]
-    fn serving_regressions_gate_including_fleet_cells() {
-        let old = serving(950.0, Some(&fleet_cells(0.86)));
+    fn serving_regressions_gate() {
+        let old = serving(950.0);
+        assert_eq!(diff(&old, &old, 0.25), Ok(vec![]));
         // Sweep throughput collapses: both sides regress.
-        let slow = serving(400.0, Some(&fleet_cells(0.86)));
-        let r = diff(&old, &slow, 0.25).unwrap();
+        let r = diff(&old, &serving(400.0), 0.25).unwrap();
         assert_eq!(r.len(), 2, "{r:?}");
         assert!(r.iter().all(|l| l.contains("throughput_qps regressed")));
-        // A fleet cell's attainment collapses.
-        let cold = serving(950.0, Some(&fleet_cells(0.40)));
-        let r = diff(&old, &cold, 0.25).unwrap();
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(
-            r[0].contains("fleet consistent-hash/static/model-release-storm"),
-            "{r:?}"
-        );
-        // Dropping the fleet block entirely is a regression per cell.
-        let r = diff(&old, &serving(950.0, None), 0.25).unwrap();
-        assert!(r.iter().any(|l| l.contains("block missing")), "{r:?}");
+        // A sweep point the new report lacks regresses per side.
+        let moved = old.replace("\"rate_qps\": 1000", "\"rate_qps\": 1200");
+        let r = diff(&old, &moved, 0.25).unwrap();
+        assert_eq!(r.len(), 2, "{r:?}");
+        assert!(r.iter().all(|l| l.contains("block missing")), "{r:?}");
         // Mixing schemas is a structural error, not a diff result.
         assert!(diff(&old, &report(1e6, 2e6), 0.25).is_err());
         assert!(diff(&report(1e6, 2e6), &old, 0.25).is_err());

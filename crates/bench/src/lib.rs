@@ -17,10 +17,6 @@
 //! windowed metrics, per-class SLO attainment, budget-burn alerts, and
 //! slowest-request stage breakdowns from the lifecycle journal.
 //!
-//! [`fleet_bench`] scales serving out (`repro fleet`): the router-policy
-//! × traffic-scenario shmoo over a multi-node fleet plus the diurnal
-//! autoscaling pair, filling the `"fleet"` block of `BENCH_serving.json`.
-//!
 //! [`diff`] compares two benchmark reports cell by cell
 //! (`repro bench --diff old.json new.json`) — CPU scoring *and* serving
 //! documents — and flags regressions beyond a relative tolerance.
@@ -30,6 +26,5 @@
 
 pub mod cpu_bench;
 pub mod diff;
-pub mod fleet_bench;
 pub mod run_report;
 pub mod serve_bench;

@@ -3,8 +3,8 @@
 //! Sweeps offered load through [`mlscore_serve::ServeEngine`] — the same
 //! Poisson workload at each rate, once with micro-batch coalescing on and
 //! once with it off — and renders the throughput–latency curves as the
-//! serving report (`repro serve --out`; `repro fleet` appends the fleet
-//! block and writes `BENCH_serving.json`). A second experiment pins the
+//! serving report (`repro serve --out`, which regenerates
+//! `BENCH_serving.json`). A second experiment pins the
 //! roster to the FPGA alone and overloads it, demonstrating the headline
 //! effect: merging queued same-model requests into one device pass
 //! amortizes the accelerator's fixed per-call overheads, so coalescing
@@ -333,27 +333,19 @@ fn write_pair(w: &mut JsonWriter, on: &PointMetrics, off: &PointMetrics) {
     write_metrics(w, off);
 }
 
-/// Serializes the report to the `BENCH_serving.json` document.
-///
-/// With `fleet` present the document is schema v3 and carries the
-/// fleet-scale shmoo in a `"fleet"` block; without it the output is the
-/// schema-v2 document unchanged, so single-node consumers keep working.
-/// The output is validated with [`validate`] before being returned.
+/// Serializes the report to the `BENCH_serving.json` document (schema
+/// version 4). The output is validated with [`validate`] before being
+/// returned.
 ///
 /// # Panics
 ///
 /// Panics if the writer produced a document [`validate`] rejects — a bug
 /// in this module, not a runtime condition.
-pub fn to_json(
-    report: &ServeBenchReport,
-    opts: &ServeBenchOptions,
-    fleet: Option<&crate::fleet_bench::FleetBenchReport>,
-) -> String {
+pub fn to_json(report: &ServeBenchReport, opts: &ServeBenchOptions) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.key("schema").str("mlscore/bench-serving/v1");
-    w.key("schema_version")
-        .uint(if fleet.is_some() { 3 } else { 2 });
+    w.key("schema_version").uint(4);
     w.key("mode").str(if opts.quick { "quick" } else { "full" });
     w.key("seed").uint(SEED);
     w.key("cpu_seats").uint(CPU_SEATS as u64);
@@ -372,36 +364,46 @@ pub fn to_json(
     w.key("queries").uint(fo.queries as u64);
     write_pair(&mut w, &fo.on, &fo.off);
     w.end();
-    if let Some(fleet) = fleet {
-        w.key("fleet");
-        crate::fleet_bench::write_json(&mut w, fleet);
-    }
     w.end();
     let out = w.finish();
     validate(&out).expect("harness emitted invalid JSON");
     out
 }
 
-/// Checks the schema-v2 observability block of one metrics object:
-/// per-class attainments in `[0, 1]` and a non-negative peak queue depth.
-fn validate_observability(block: &JsonValue, what: &str) -> Result<(), String> {
+/// Checks one metrics block (a sweep or overload side): its counts, rates
+/// and peak queue depth are non-negative and its per-class attainments lie
+/// in `[0, 1]`. Returns the block's `(shed, coalesced_batches)`.
+fn validate_side(block: &JsonValue, what: &str) -> Result<(f64, f64), String> {
+    for key in [
+        "throughput_qps",
+        "p99_ms",
+        "completed",
+        "shed",
+        "coalesced_batches",
+        "peak_queue_depth",
+    ] {
+        let v: f64 = block.field(key, what)?;
+        if v < 0.0 {
+            return Err(format!("{what}: negative \"{key}\" {v}"));
+        }
+    }
     for key in ["interactive_attainment", "analytical_attainment"] {
         let v: f64 = block.field(key, what)?;
         if !(0.0..=1.0).contains(&v) {
             return Err(format!("{what}: \"{key}\" {v} outside [0, 1]"));
         }
     }
-    let depth: f64 = block.field("peak_queue_depth", what)?;
-    if depth < 0.0 {
-        return Err(format!("{what}: negative \"peak_queue_depth\" {depth}"));
-    }
-    Ok(())
+    Ok((
+        block.field("shed", what)?,
+        block.field("coalesced_batches", what)?,
+    ))
 }
 
 /// Checks that `text` is a well-formed serving report with the effects the
-/// experiment exists to demonstrate: at least one coalesced batch, at
-/// least one shed request under overload, and FPGA throughput with
-/// coalescing on no worse than off at the same offered load.
+/// experiment exists to demonstrate: coalescing-off sides never merge, at
+/// least one coalesced batch, at least one shed request under overload,
+/// and FPGA throughput with coalescing on no worse than off at the same
+/// offered load.
 ///
 /// Used both as the harness's own self-check and by `repro serve --check`
 /// (the CI smoke gate). Returns the sweep point count.
@@ -423,19 +425,21 @@ pub fn validate(text: &str) -> Result<usize, String> {
     if sweep.is_empty() {
         return Err("\"sweep\" is empty".to_string());
     }
+    let fo: &JsonValue = doc.field("fpga_overload", "report")?;
+    let mut pairs = vec![(fo, "fpga_overload".to_string())];
+    for (i, point) in sweep.iter().enumerate() {
+        let what = format!("sweep point {i}");
+        point.field::<f64>("rate_qps", &what)?;
+        pairs.push((point, what));
+    }
     let mut coalesced = 0.0;
     let mut shed = 0.0;
-    for (i, point) in sweep.iter().enumerate() {
-        point.field::<f64>("rate_qps", &format!("sweep point {i}"))?;
+    for (pair, what) in &pairs {
         for side in ["coalesce_on", "coalesce_off"] {
-            let block: &JsonValue = point.field(side, &format!("sweep point {i}"))?;
-            let what = format!("sweep point {i} {side}");
-            block.field::<f64>("throughput_qps", &what)?;
-            block.field::<f64>("p99_ms", &what)?;
-            block.field::<f64>("completed", &what)?;
-            validate_observability(block, &what)?;
-            shed += block.field::<f64>("shed", &what)?;
-            let merged: f64 = block.field("coalesced_batches", &what)?;
+            let block: &JsonValue = pair.field(side, what)?;
+            let what = format!("{what} {side}");
+            let (side_shed, merged) = validate_side(block, &what)?;
+            shed += side_shed;
             if side == "coalesce_on" {
                 coalesced += merged;
             } else if merged > 0.0 {
@@ -443,16 +447,12 @@ pub fn validate(text: &str) -> Result<usize, String> {
             }
         }
     }
-    let fo: &JsonValue = doc.field("fpga_overload", "report")?;
-    let on: &JsonValue = fo.field("coalesce_on", "fpga_overload")?;
-    let off: &JsonValue = fo.field("coalesce_off", "fpga_overload")?;
-    coalesced += on.field::<f64>("coalesced_batches", "fpga_overload on")?;
-    validate_observability(on, "fpga_overload on")?;
-    validate_observability(off, "fpga_overload off")?;
-    shed += on.field::<f64>("shed", "fpga_overload on")?;
-    shed += off.field::<f64>("shed", "fpga_overload off")?;
-    let t_on: f64 = on.field("throughput_qps", "fpga_overload on")?;
-    let t_off: f64 = off.field("throughput_qps", "fpga_overload off")?;
+    let t_on: f64 = fo
+        .field::<&JsonValue>("coalesce_on", "fpga_overload")?
+        .field("throughput_qps", "fpga_overload on")?;
+    let t_off: f64 = fo
+        .field::<&JsonValue>("coalesce_off", "fpga_overload")?
+        .field("throughput_qps", "fpga_overload off")?;
     if t_on < t_off {
         return Err(format!(
             "fpga_overload: coalescing lowered throughput ({t_on:.3} < {t_off:.3} qps)"
@@ -466,91 +466,7 @@ pub fn validate(text: &str) -> Result<usize, String> {
             "no request was ever shed — the overload points are not overloaded".to_string(),
         );
     }
-    if let Some(fleet) = doc.get("fleet") {
-        validate_fleet(fleet)?;
-    }
     Ok(sweep.len())
-}
-
-/// Checks the schema-v3 `"fleet"` block: a shmoo over at least three
-/// router policies × three scenarios, plus the two effects the block
-/// exists to demonstrate — consistent-hash routing beats least-loaded on
-/// warm-cache interactive attainment and hit rate under a model-release
-/// storm, and the autoscaler holds diurnal attainment at or above the
-/// static fleet for fewer device-seconds.
-fn validate_fleet(fleet: &JsonValue) -> Result<(), String> {
-    let cells: &[JsonValue] = fleet.field("cells", "fleet")?;
-    let mut policies = std::collections::BTreeSet::new();
-    let mut scenarios = std::collections::BTreeSet::new();
-    let mut indexed: Vec<(&str, &str, &str, &JsonValue)> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let what = format!("fleet cell {i}");
-        let policy: &str = cell.field("policy", &what)?;
-        let scale: &str = cell.field("scale", &what)?;
-        let scenario: &str = cell.field("scenario", &what)?;
-        for key in ["interactive_attainment", "cache_hit_rate"] {
-            let v: f64 = cell.field(key, &what)?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{what}: \"{key}\" {v} outside [0, 1]"));
-            }
-        }
-        cell.field::<f64>("throughput_qps", &what)?;
-        cell.field::<f64>("device_seconds", &what)?;
-        policies.insert(policy);
-        scenarios.insert(scenario);
-        indexed.push((policy, scale, scenario, cell));
-    }
-    if policies.len() < 3 || scenarios.len() < 3 {
-        return Err(format!(
-            "fleet: shmoo too small ({} policies x {} scenarios, need >= 3 x 3)",
-            policies.len(),
-            scenarios.len()
-        ));
-    }
-    let cell = |policy: &str, scale: &str, scenario: &str| {
-        indexed
-            .iter()
-            .find(|&&(p, s, c, _)| p == policy && s == scale && c == scenario)
-            .map(|&(_, _, _, v)| v)
-            .ok_or_else(|| format!("fleet: missing cell {policy}/{scale}/{scenario}"))
-    };
-    let ch = cell("consistent-hash", "static", "model-release-storm")?;
-    let ll = cell("least-loaded", "static", "model-release-storm")?;
-    let (ch_att, ll_att): (f64, f64) = (
-        ch.field("interactive_attainment", "fleet storm ch")?,
-        ll.field("interactive_attainment", "fleet storm ll")?,
-    );
-    let (ch_hit, ll_hit): (f64, f64) = (
-        ch.field("cache_hit_rate", "fleet storm ch")?,
-        ll.field("cache_hit_rate", "fleet storm ll")?,
-    );
-    if ch_att < ll_att || ch_hit <= ll_hit {
-        return Err(format!(
-            "fleet: consistent-hash does not beat least-loaded under the storm \
-             (attainment {ch_att:.6} vs {ll_att:.6}, hit rate {ch_hit:.6} vs {ll_hit:.6})"
-        ));
-    }
-    let fixed = cell("consistent-hash", "static", "diurnal")?;
-    let scaled = indexed
-        .iter()
-        .find(|&&(p, s, c, _)| p == "consistent-hash" && s != "static" && c == "diurnal")
-        .map(|&(_, _, _, v)| v)
-        .ok_or("fleet: missing autoscaled diurnal cell")?;
-    let (f_att, s_att): (f64, f64) = (
-        fixed.field("interactive_attainment", "fleet diurnal static")?,
-        scaled.field("interactive_attainment", "fleet diurnal scaled")?,
-    );
-    let (f_cost, s_cost): (f64, f64) = (
-        fixed.field("device_seconds", "fleet diurnal static")?,
-        scaled.field("device_seconds", "fleet diurnal scaled")?,
-    );
-    if s_att < f_att || s_cost >= f_cost {
-        return Err(format!(
-            "fleet: autoscaler does not hold the diurnal SLO cheaper than static \
-             (attainment {s_att:.6} vs {f_att:.6}, cost {s_cost:.3} vs {f_cost:.3} device-s)"
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -561,12 +477,11 @@ mod tests {
     fn quick_run_serializes_validates_and_is_deterministic() {
         let opts = ServeBenchOptions { quick: true };
         let report = run(&opts);
-        let json = to_json(&report, &opts, None);
+        let json = to_json(&report, &opts);
         assert_eq!(validate(&json), Ok(2));
-        assert!(json.contains("\"schema_version\": 2"), "no fleet, v2");
-        assert!(!json.contains("\"fleet\""));
+        assert!(json.contains("\"schema_version\": 4"));
         // Simulated time: a second run is byte-identical.
-        let again = to_json(&run(&opts), &opts, None);
+        let again = to_json(&run(&opts), &opts);
         assert_eq!(json, again);
     }
 
@@ -588,85 +503,43 @@ mod tests {
         );
     }
 
-    /// A handcrafted fleet block covering 3 policies x 4 scenarios with
-    /// tunable effect numbers.
-    fn fleet_block(ch_att: f64, ll_att: f64, scaled_att: f64, scaled_cost: f64) -> String {
-        let cell = |policy: &str, scale: &str, scenario: &str, att: f64, hit: f64, cost: f64| {
-            format!(
-                "{{\"policy\": \"{policy}\", \"scale\": \"{scale}\", \"scenario\": \"{scenario}\", \
-                 \"interactive_attainment\": {att:.6}, \"cache_hit_rate\": {hit:.6}, \
-                 \"throughput_qps\": 800.0, \"device_seconds\": {cost:.3}}}"
-            )
-        };
-        format!(
-            "{{\"nodes\": 3, \"cells\": [{}]}}",
-            [
-                cell(
-                    "consistent-hash",
-                    "static",
-                    "model-release-storm",
-                    ch_att,
-                    0.9,
-                    40.0
-                ),
-                cell(
-                    "least-loaded",
-                    "static",
-                    "model-release-storm",
-                    ll_att,
-                    0.5,
-                    40.0
-                ),
-                cell("round-robin", "static", "steady", 0.99, 0.6, 40.0),
-                cell("consistent-hash", "static", "flash-crowd", 0.97, 0.8, 40.0),
-                cell("consistent-hash", "static", "diurnal", 0.95, 0.8, 60.0),
-                cell(
-                    "consistent-hash",
-                    "queue-depth",
-                    "diurnal",
-                    scaled_att,
-                    0.8,
-                    scaled_cost
-                ),
-            ]
-            .join(", ")
-        )
-    }
-
-    /// Splices a fleet block into a real v2 document, producing a v3 one.
-    fn splice_fleet(v2: &str, fleet: &str) -> String {
-        let body = v2
-            .trim_end()
-            .strip_suffix('}')
-            .expect("v2 doc ends with the root close")
-            .to_string();
-        format!(
-            "{},\n  \"fleet\": {fleet}\n}}\n",
-            body.replace("\"schema_version\": 2", "\"schema_version\": 3")
-        )
-    }
-
     #[test]
-    fn validate_accepts_v3_fleet_blocks_and_rejects_broken_effects() {
+    fn validate_rejects_negative_counts_and_rates_on_every_side() {
         let opts = ServeBenchOptions { quick: true };
-        let v2 = to_json(&run(&opts), &opts, None);
+        let good = to_json(&run(&opts), &opts);
+        for key in [
+            "throughput_qps",
+            "p99_ms",
+            "completed",
+            "shed",
+            "coalesced_batches",
+        ] {
+            for side in ["coalesce_on", "coalesce_off"] {
+                // The first block of a side is a sweep point's, the last
+                // the FPGA overload's.
+                for last in [false, true] {
+                    let bad = negate(&good, side, key, last);
+                    assert_ne!(bad, good, "{side} {key} not found");
+                    let err = validate(&bad).unwrap_err();
+                    assert!(err.contains(&format!("negative \"{key}\"")), "{err}");
+                }
+            }
+        }
+    }
 
-        // Both effects present: valid.
-        let good = splice_fleet(&v2, &fleet_block(0.95, 0.80, 0.95, 30.0));
-        assert_eq!(validate(&good), Ok(2), "{:?}", validate(&good));
-
-        // Storm effect inverted: consistent-hash loses to least-loaded.
-        let bad_storm = splice_fleet(&v2, &fleet_block(0.70, 0.90, 0.95, 30.0));
-        let err = validate(&bad_storm).unwrap_err();
-        assert!(err.contains("consistent-hash"), "{err}");
-
-        // Autoscaler costs more device-seconds than static provisioning.
-        let bad_scale = splice_fleet(&v2, &fleet_block(0.95, 0.80, 0.95, 90.0));
-        let err = validate(&bad_scale).unwrap_err();
-        assert!(err.contains("autoscaler"), "{err}");
-
-        // Autoscaler drops attainment below the static fleet.
-        let bad_att = splice_fleet(&v2, &fleet_block(0.95, 0.80, 0.60, 30.0));
-        assert!(validate(&bad_att).is_err());
+    /// Rewrites `"key": v` to `"key": -3` inside the first or last `side`
+    /// block of a pretty serving report.
+    fn negate(doc: &str, side: &str, key: &str, last: bool) -> String {
+        let tag = format!("\"{side}\": {{");
+        let at = if last {
+            doc.rfind(&tag)
+        } else {
+            doc.find(&tag)
+        };
+        let at = at.expect("side block present");
+        let key_tag = format!("\"{key}\": ");
+        let k = at + doc[at..].find(&key_tag).expect("key present") + key_tag.len();
+        let end = k + doc[k..].find([',', '}']).expect("value ends");
+        format!("{}-3{}", &doc[..k], &doc[end..])
     }
 }

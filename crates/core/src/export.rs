@@ -5,7 +5,6 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use mlscore_data::DatasetSpec;
-use mlscore_sim::Stage;
 
 use crate::figures::{self, CurveSet, Fig11Row, Fig7Result};
 use crate::shmoo::ShmooTable;
@@ -133,15 +132,6 @@ pub fn save_all(dir: &Path) -> io::Result<Vec<String>> {
     Ok(written)
 }
 
-/// Sanity helper used in tests: a stage column exists for every Fig. 7
-/// component.
-pub fn fig7_stage_names() -> Vec<String> {
-    Stage::fpga_breakdown_order()
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +141,8 @@ mod tests {
         let mut buf = Vec::new();
         write_fig7_csv(&[figures::fig7(DatasetSpec::Iris, 1, 10, 1)], &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        for stage in fig7_stage_names() {
+        for stage in mlscore_sim::Stage::fpga_breakdown_order() {
+            let stage = stage.to_string();
             assert!(text.contains(&stage), "missing {stage}");
         }
         assert!(text.starts_with("dataset,trees,depth,records,stage,seconds"));

@@ -9,7 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::DataError;
 use crate::frame::TabularFrame;
 
 /// A dense column-major matrix of `f32` features.
@@ -44,26 +43,6 @@ impl ColumnarFrame {
             }
         }
         Self { columns, n_rows: n }
-    }
-
-    /// Builds directly from column vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::ZeroFeatures`] for an empty column set and
-    /// [`DataError::ShapeMismatch`] when columns have unequal lengths.
-    pub fn from_columns(columns: Vec<Vec<f32>>) -> Result<Self, DataError> {
-        let Some(first) = columns.first() else {
-            return Err(DataError::ZeroFeatures);
-        };
-        let n_rows = first.len();
-        if let Some(bad) = columns.iter().find(|c| c.len() != n_rows) {
-            return Err(DataError::ShapeMismatch {
-                len: bad.len(),
-                n_features: columns.len(),
-            });
-        }
-        Ok(Self { columns, n_rows })
     }
 
     /// Number of feature columns.
@@ -137,20 +116,6 @@ mod tests {
         let mut buf = [0f32; 3];
         cols.gather_row(1, &mut buf);
         assert_eq!(&buf, rows.row(1));
-    }
-
-    #[test]
-    fn from_columns_validates() {
-        assert!(matches!(
-            ColumnarFrame::from_columns(vec![]),
-            Err(DataError::ZeroFeatures)
-        ));
-        assert!(matches!(
-            ColumnarFrame::from_columns(vec![vec![1.0], vec![1.0, 2.0]]),
-            Err(DataError::ShapeMismatch { .. })
-        ));
-        let ok = ColumnarFrame::from_columns(vec![vec![1.0, 3.0], vec![2.0, 4.0]]).unwrap();
-        assert_eq!(ok.column(1), &[2.0, 4.0]);
     }
 
     #[test]

@@ -491,16 +491,6 @@ impl NormParams {
         Self { min, max }
     }
 
-    /// Identity parameters (every column maps to the constant-column 0.5
-    /// only if touched — with `min == max == NaN` comparisons are false,
-    /// so instead this uses `[0, 1]` bounds, which pass values through).
-    pub fn identity(n_features: usize) -> Self {
-        Self {
-            min: vec![0.0; n_features],
-            max: vec![1.0; n_features],
-        }
-    }
-
     /// Number of feature columns the parameters cover.
     pub fn n_features(&self) -> usize {
         self.min.len()
@@ -763,14 +753,6 @@ mod tests {
             let fused = drain(&mut s);
             assert_eq!(fused.as_slice(), staged.as_slice());
         }
-    }
-
-    #[test]
-    fn identity_params_pass_values_through() {
-        let p = NormParams::identity(3);
-        let mut dst = [0.0f32; 3];
-        p.apply_slice(&[0.25, 0.5, 1.0], &mut dst);
-        assert_eq!(dst, [0.25, 0.5, 1.0]);
     }
 
     #[test]

@@ -350,11 +350,6 @@ impl ExecPool {
         GLOBAL.get_or_init(|| ExecPool::new(default_threads()))
     }
 
-    /// Maximum workers a run can use (spawned threads + the caller).
-    pub fn max_workers(&self) -> usize {
-        self.max_workers
-    }
-
     /// Runs `task` over `0..n_items`, blocking until every item has been
     /// executed. The task receives `(worker_index, row_range)` and is
     /// invoked once per claimed block; distinct invocations receive
@@ -578,7 +573,6 @@ mod tests {
         let a = ExecPool::global() as *const _;
         let b = ExecPool::global() as *const _;
         assert_eq!(a, b);
-        assert!(ExecPool::global().max_workers() >= 1);
     }
 
     #[test]

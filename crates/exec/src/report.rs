@@ -95,24 +95,9 @@ impl RunReport {
         self.elapsed
     }
 
-    /// Measured throughput in rows per second (0 for an empty run).
-    pub fn rows_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.rows as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Per-worker measurements, indexed by worker id.
     pub fn workers(&self) -> &[WorkerReport] {
         &self.workers
-    }
-
-    /// Total steals across all workers.
-    pub fn steals(&self) -> usize {
-        self.workers.iter().map(|w| w.steals).sum()
     }
 
     /// Records one wall-clock busy span per worker on `tracer`, anchored at
@@ -181,8 +166,7 @@ mod tests {
         assert_eq!(r.rows(), 100);
         assert_eq!(r.workers().len(), 1);
         assert!((r.workers()[0].occupancy() - 1.0).abs() < 1e-9);
-        assert!(r.rows_per_sec() > 0.0);
-        assert_eq!(r.steals(), 0);
+        assert_eq!(r.workers()[0].steals, 0);
     }
 
     #[test]

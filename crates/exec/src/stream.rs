@@ -41,11 +41,6 @@ impl StreamReport {
         self.rows
     }
 
-    /// Number of chunks pulled.
-    pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Per-chunk rows and executor runs, in pull order.
     pub fn chunks(&self) -> &[ChunkRun] {
         &self.chunks
@@ -134,13 +129,13 @@ mod tests {
             let (got, report) = simd_stream(&image, &mut scanner);
             assert_eq!(got, want, "simd chunk_rows={chunk_rows}");
             assert_eq!(report.rows(), 333);
-            assert_eq!(report.n_chunks(), 333usize.div_ceil(chunk_rows));
+            assert_eq!(report.chunks().len(), 333usize.div_ceil(chunk_rows));
             let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
             let (got, report) = score_stream(&mut scanner, |chunk| {
                 score_forest_batch(&forest, chunk, ExecPool::global(), &cfg)
             });
             assert_eq!(got, want, "forest chunk_rows={chunk_rows}");
-            assert_eq!(report.n_chunks(), 333usize.div_ceil(chunk_rows));
+            assert_eq!(report.chunks().len(), 333usize.div_ceil(chunk_rows));
         }
     }
 
@@ -163,7 +158,7 @@ mod tests {
             .iter()
             .filter(|e| e.name.starts_with("exec worker"))
             .count();
-        assert!(workers >= report.n_chunks(), "{workers} worker spans");
+        assert!(workers >= report.chunks().len(), "{workers} worker spans");
     }
 
     #[test]
@@ -174,6 +169,6 @@ mod tests {
         let (preds, report) = simd_stream(&image, &mut scanner);
         assert_eq!(preds, Predictions::Classes(vec![]));
         assert_eq!(report.rows(), 0);
-        assert_eq!(report.n_chunks(), 0);
+        assert_eq!(report.chunks().len(), 0);
     }
 }

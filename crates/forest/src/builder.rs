@@ -3,9 +3,8 @@
 //! The paper trains its models with scikit-learn and converts them to ONNX;
 //! here we implement the training path ourselves so examples and tests can
 //! produce *real* models from data. Training follows standard CART: greedy
-//! best-split search per node (Gini/entropy for classification, variance
-//! reduction for regression), with bootstrap sampling and per-node feature
-//! subsampling for forest diversity.
+//! best-split search per node (Gini or entropy), with bootstrap sampling
+//! and per-node feature subsampling for forest diversity.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -21,12 +20,10 @@ use crate::tree::DecisionTree;
 /// Split quality criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SplitCriterion {
-    /// Gini impurity (classification default).
+    /// Gini impurity (the default).
     Gini,
-    /// Shannon entropy (classification).
+    /// Shannon entropy.
     Entropy,
-    /// Variance / mean squared error (regression).
-    Mse,
 }
 
 /// Hyper-parameters for forest training.
@@ -90,8 +87,7 @@ impl ForestBuilder {
         }
     }
 
-    /// Overrides the split criterion (defaults: Gini for classification, MSE
-    /// for regression).
+    /// Overrides the split criterion (default: Gini).
     pub fn criterion(mut self, criterion: SplitCriterion) -> Self {
         self.criterion = Some(criterion);
         self
@@ -110,27 +106,8 @@ impl ForestBuilder {
         y: &[u32],
         n_classes: u32,
     ) -> Result<RandomForest, ForestError> {
-        self.check_shapes(x, n_features, y.len())?;
-        if n_classes == 0 {
-            return Err(ForestError::InvalidTrainingData("zero classes".into()));
-        }
-        if let Some(&bad) = y.iter().find(|&&c| c >= n_classes) {
-            return Err(ForestError::InvalidTrainingData(format!(
-                "label {bad} outside 0..{n_classes}"
-            )));
-        }
-        let criterion = self.criterion.unwrap_or(SplitCriterion::Gini);
-        if criterion == SplitCriterion::Mse {
-            return Err(ForestError::InvalidTrainingData(
-                "mse criterion is for regression".into(),
-            ));
-        }
-        let targets = Targets::Classes {
-            y,
-            n_classes: n_classes as usize,
-        };
-        let (trees, _) = self.train_trees(x, n_features, &targets, criterion)?;
-        RandomForest::from_trees(trees, n_features, Task::Classification { n_classes })
+        self.train_classifier_detailed(x, n_features, y, n_classes)
+            .map(|model| model.forest)
     }
 
     /// Like [`ForestBuilder::train_classifier`], additionally returning
@@ -156,12 +133,7 @@ impl ForestBuilder {
             )));
         }
         let criterion = self.criterion.unwrap_or(SplitCriterion::Gini);
-        if criterion == SplitCriterion::Mse {
-            return Err(ForestError::InvalidTrainingData(
-                "mse criterion is for regression".into(),
-            ));
-        }
-        let targets = Targets::Classes {
+        let targets = Targets {
             y,
             n_classes: n_classes as usize,
         };
@@ -174,30 +146,6 @@ impl ForestBuilder {
             )?,
             feature_importances,
         })
-    }
-
-    /// Trains a regression forest on row-major `x` with targets `y`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForestError::InvalidTrainingData`] on shape mismatches or
-    /// empty data.
-    pub fn train_regressor(
-        &self,
-        x: &[f32],
-        n_features: usize,
-        y: &[f32],
-    ) -> Result<RandomForest, ForestError> {
-        self.check_shapes(x, n_features, y.len())?;
-        let criterion = self.criterion.unwrap_or(SplitCriterion::Mse);
-        if criterion != SplitCriterion::Mse {
-            return Err(ForestError::InvalidTrainingData(
-                "classification criteria are not for regression".into(),
-            ));
-        }
-        let targets = Targets::Values(y);
-        let (trees, _) = self.train_trees(x, n_features, &targets, criterion)?;
-        RandomForest::from_trees(trees, n_features, Task::Regression)
     }
 
     fn check_shapes(
@@ -272,39 +220,29 @@ impl ForestBuilder {
     }
 }
 
-enum Targets<'a> {
-    Classes { y: &'a [u32], n_classes: usize },
-    Values(&'a [f32]),
+/// Class labels of the training rows.
+struct Targets<'a> {
+    y: &'a [u32],
+    n_classes: usize,
 }
 
 impl Targets<'_> {
-    fn leaf(&self, indices: &[usize]) -> LeafValue {
-        match self {
-            Targets::Classes { y, n_classes } => {
-                let mut counts = vec![0u32; *n_classes];
-                for &i in indices {
-                    counts[y[i] as usize] += 1;
-                }
-                LeafValue::Class(RandomForest::majority(&counts))
-            }
-            Targets::Values(y) => {
-                let sum: f64 = indices.iter().map(|&i| y[i] as f64).sum();
-                LeafValue::Value((sum / indices.len() as f64) as f32)
-            }
+    /// Per-class counts over `indices`.
+    fn counts(&self, indices: &[usize]) -> Vec<u32> {
+        let mut counts = vec![0u32; self.n_classes];
+        for &i in indices {
+            counts[self.y[i] as usize] += 1;
         }
+        counts
+    }
+
+    fn leaf(&self, indices: &[usize]) -> LeafValue {
+        LeafValue::Class(RandomForest::majority(&self.counts(indices)))
     }
 
     fn is_pure(&self, indices: &[usize]) -> bool {
-        match self {
-            Targets::Classes { y, .. } => {
-                let first = y[indices[0]];
-                indices.iter().all(|&i| y[i] == first)
-            }
-            Targets::Values(y) => {
-                let first = y[indices[0]];
-                indices.iter().all(|&i| y[i] == first)
-            }
-        }
+        let first = self.y[indices[0]];
+        indices.iter().all(|&i| self.y[i] == first)
     }
 }
 
@@ -405,13 +343,10 @@ impl TreeGrower<'_> {
     }
 
     fn impurity(&self, indices: &[usize]) -> f64 {
-        match (self.targets, self.criterion) {
-            (Targets::Classes { y, n_classes }, SplitCriterion::Gini) => {
-                let mut counts = vec![0usize; *n_classes];
-                for &i in indices {
-                    counts[y[i] as usize] += 1;
-                }
-                let n = indices.len() as f64;
+        let counts = self.targets.counts(indices);
+        let n = indices.len() as f64;
+        match self.criterion {
+            SplitCriterion::Gini => {
                 1.0 - counts
                     .iter()
                     .map(|&c| {
@@ -420,37 +355,14 @@ impl TreeGrower<'_> {
                     })
                     .sum::<f64>()
             }
-            (Targets::Classes { y, n_classes }, SplitCriterion::Entropy) => {
-                let mut counts = vec![0usize; *n_classes];
-                for &i in indices {
-                    counts[y[i] as usize] += 1;
-                }
-                let n = indices.len() as f64;
-                -counts
-                    .iter()
-                    .filter(|&&c| c > 0)
-                    .map(|&c| {
-                        let p = c as f64 / n;
-                        p * p.log2()
-                    })
-                    .sum::<f64>()
-            }
-            (Targets::Classes { .. }, SplitCriterion::Mse) => {
-                unreachable!("mse rejected for classification at entry")
-            }
-            (Targets::Values(y), _) => {
-                let y = *y;
-                let n = indices.len() as f64;
-                let mean: f64 = indices.iter().map(|&i| y[i] as f64).sum::<f64>() / n;
-                indices
-                    .iter()
-                    .map(|&i| {
-                        let d = y[i] as f64 - mean;
-                        d * d
-                    })
-                    .sum::<f64>()
-                    / n
-            }
+            SplitCriterion::Entropy => -counts
+                .iter()
+                .filter(|&&c| c > 0)
+                .map(|&c| {
+                    let p = c as f64 / n;
+                    p * p.log2()
+                })
+                .sum::<f64>(),
         }
     }
 }
@@ -527,24 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn regression_fits_step_function() {
-        let x: Vec<f32> = (0..100).map(|i| i as f32 / 100.0).collect();
-        let y: Vec<f32> = x.iter().map(|&v| if v < 0.5 { 1.0 } else { 5.0 }).collect();
-        let forest = ForestBuilder::new(
-            10,
-            TrainOptions {
-                max_depth: 4,
-                bootstrap: false,
-                ..Default::default()
-            },
-        )
-        .train_regressor(&x, 1, &y)
-        .unwrap();
-        assert!((forest.predict_one(&[0.2]).as_value().unwrap() - 1.0).abs() < 0.2);
-        assert!((forest.predict_one(&[0.8]).as_value().unwrap() - 5.0).abs() < 0.2);
-    }
-
-    #[test]
     fn entropy_criterion_also_learns() {
         let (x, y) = blobs(40);
         let forest = ForestBuilder::new(9, TrainOptions::default())
@@ -574,21 +468,6 @@ mod tests {
             b.train_classifier(&[], 1, &[], 2),
             Err(ForestError::InvalidTrainingData(_))
         ));
-    }
-
-    #[test]
-    fn mse_rejected_for_classification_and_vice_versa() {
-        let (x, y) = blobs(5);
-        let err = ForestBuilder::new(1, TrainOptions::default())
-            .criterion(SplitCriterion::Mse)
-            .train_classifier(&x, 2, &y, 2)
-            .unwrap_err();
-        assert!(matches!(err, ForestError::InvalidTrainingData(_)));
-        let err = ForestBuilder::new(1, TrainOptions::default())
-            .criterion(SplitCriterion::Gini)
-            .train_regressor(&[1.0, 2.0], 1, &[0.5, 0.7])
-            .unwrap_err();
-        assert!(matches!(err, ForestError::InvalidTrainingData(_)));
     }
 
     #[test]

@@ -403,19 +403,6 @@ impl RandomForest {
         best as u32
     }
 
-    /// Per-class vote fractions for one record (classification only) —
-    /// the forest's probability estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics for regression forests or if `x` is shorter than the
-    /// feature count.
-    pub fn predict_proba(&self, x: &[f32]) -> Vec<f32> {
-        let counts = self.vote_counts(x);
-        let n = self.trees.len() as f32;
-        counts.into_iter().map(|c| c as f32 / n).collect()
-    }
-
     /// Scores one record.
     ///
     /// # Panics
@@ -576,28 +563,6 @@ mod tests {
         let classes = batch.as_classes().unwrap();
         for (i, row) in records.chunks_exact(3).enumerate() {
             assert_eq!(f.predict_one(row).as_class().unwrap(), classes[i]);
-        }
-    }
-
-    #[test]
-    fn predict_proba_sums_to_one_and_argmaxes_to_prediction() {
-        let cfg = ForestConfig::classification(9, 4, 3).with_depth(5);
-        let f = RandomForest::synthetic_full(&cfg, 12);
-        for i in 0..20 {
-            let x: Vec<f32> = (0..4)
-                .map(|j| ((i * 13 + j * 7) % 100) as f32 / 100.0)
-                .collect();
-            let p = f.predict_proba(&x);
-            assert_eq!(p.len(), 3);
-            let sum: f32 = p.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-            let argmax = p
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(&a.0)))
-                .unwrap()
-                .0 as u32;
-            assert_eq!(argmax, f.predict_one(&x).as_class().unwrap());
         }
     }
 

@@ -26,12 +26,6 @@ impl TrainedModel {
         });
         order
     }
-
-    /// The single most important feature, if any importance is non-zero.
-    pub fn top_feature(&self) -> Option<usize> {
-        let top = *self.ranked_features().first()?;
-        (self.feature_importances[top] > 0.0).then_some(top)
-    }
 }
 
 /// Accumulates weighted impurity decreases during training; finalized into
@@ -108,7 +102,6 @@ mod tests {
         )
         .train_classifier_detailed(&x, 2, &y, 2)
         .unwrap();
-        assert_eq!(trained.top_feature(), Some(0));
         assert!(trained.feature_importances[0] > 0.9);
         assert_eq!(trained.ranked_features()[0], 0);
         let sum: f64 = trained.feature_importances.iter().sum();

@@ -133,16 +133,6 @@ impl FlatTree {
         })
     }
 
-    /// The raw word image (what the FPGA's tree memory holds).
-    pub fn words(&self) -> &[f32] {
-        &self.words
-    }
-
-    /// Number of live (non-padding) node records.
-    pub fn live_records(&self) -> usize {
-        self.live_records
-    }
-
     /// Total record capacity including padding.
     pub fn capacity_records(&self) -> usize {
         self.words.len() / NODE_WORDS
@@ -380,28 +370,6 @@ impl FlatForest {
             }
         }
     }
-
-    /// Sequentially scores a row-major batch with one reused vote scratch,
-    /// returning the raw outcome word per record.
-    ///
-    /// This is the sequential reference the parallel executor kernels are
-    /// tested bit-exact against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records.len()` is not a multiple of the feature count.
-    pub fn score_batch(&self, records: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            records.len() % self.n_features,
-            0,
-            "records length must be a multiple of n_features"
-        );
-        let mut votes = Vec::new();
-        records
-            .chunks_exact(self.n_features)
-            .map(|row| self.score_one_with(row, &mut votes))
-            .collect()
-    }
 }
 
 thread_local! {
@@ -458,12 +426,12 @@ mod tests {
     fn padding_fills_to_capacity_with_sentinels() {
         let flat = FlatTree::from_tree(&stump(), 3).unwrap();
         assert_eq!(flat.capacity_records(), 16);
-        assert_eq!(flat.live_records(), 3);
+        assert_eq!(flat.live_records, 3);
         assert_eq!(flat.footprint_bytes(), 16 * NODE_BYTES);
         assert_eq!(flat.live_bytes(), 3 * NODE_BYTES);
         // Padding records are leaves.
         for i in 3..16 {
-            assert!(flat.words()[i * NODE_WORDS] < 0.0);
+            assert!(flat.words[i * NODE_WORDS] < 0.0);
         }
     }
 
@@ -506,24 +474,24 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_and_scratch_paths_agree() {
+    fn reused_scratch_and_fresh_scoring_agree() {
         let cfg = ForestConfig::classification(12, 4, 3).with_depth(6);
         let forest = RandomForest::synthetic_full(&cfg, 17);
         let flat = FlatForest::from_forest(&forest, 6).unwrap();
         let records: Vec<f32> = (0..40).map(|i| (i as f32 * 0.173) % 1.0).collect();
-        let batch = flat.score_batch(&records);
         let mut votes = Vec::new();
-        for (i, row) in records.chunks_exact(4).enumerate() {
-            assert_eq!(batch[i], flat.score_one(row));
-            assert_eq!(batch[i], flat.score_one_with(row, &mut votes));
+        for row in records.chunks_exact(4) {
+            assert_eq!(flat.score_one_with(row, &mut votes), flat.score_one(row));
         }
         // Regression path ignores the scratch but must agree too.
         let rcfg = ForestConfig::regression(5, 4).with_depth(4);
         let rforest = RandomForest::synthetic_full(&rcfg, 3);
         let rflat = FlatForest::from_forest(&rforest, 4).unwrap();
-        let rbatch = rflat.score_batch(&records);
-        for (i, row) in records.chunks_exact(4).enumerate() {
-            assert_eq!(rbatch[i].to_bits(), rflat.score_one(row).to_bits());
+        for row in records.chunks_exact(4) {
+            assert_eq!(
+                rflat.score_one_with(row, &mut votes).to_bits(),
+                rflat.score_one(row).to_bits()
+            );
         }
     }
 
@@ -561,15 +529,15 @@ mod tests {
                     feature,
                     threshold,
                 } => {
-                    assert_eq!(left as f32, flat.words()[base]);
-                    assert_eq!(right as f32, flat.words()[base + 1]);
-                    assert_eq!(feature as f32, flat.words()[base + 2]);
-                    assert_eq!(threshold.to_bits(), flat.words()[base + 3].to_bits());
+                    assert_eq!(left as f32, flat.words[base]);
+                    assert_eq!(right as f32, flat.words[base + 1]);
+                    assert_eq!(feature as f32, flat.words[base + 2]);
+                    assert_eq!(threshold.to_bits(), flat.words[base + 3].to_bits());
                 }
                 NodeRecord::Leaf { payload } => {
-                    assert!(flat.words()[base] < 0.0);
-                    assert_eq!(payload.to_bits(), flat.words()[base + 1].to_bits());
-                    if i < flat.live_records() {
+                    assert!(flat.words[base] < 0.0);
+                    assert_eq!(payload.to_bits(), flat.words[base + 1].to_bits());
+                    if i < flat.live_records {
                         leaves += 1;
                     }
                 }
@@ -577,7 +545,7 @@ mod tests {
         }
         // A full depth-6 tree has 64 leaves and 63 decisions.
         assert_eq!(leaves, 64);
-        assert_eq!(flat.live_records(), 127);
+        assert_eq!(flat.live_records, 127);
     }
 
     #[test]

@@ -20,25 +20,6 @@ pub fn accuracy(predicted: &[u32], truth: &[u32]) -> f64 {
     correct as f64 / predicted.len() as f64
 }
 
-/// Mean squared error of regression predictions.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse(predicted: &[f32], truth: &[f32]) -> f64 {
-    assert_eq!(predicted.len(), truth.len(), "length mismatch");
-    assert!(!predicted.is_empty(), "empty prediction set");
-    predicted
-        .iter()
-        .zip(truth)
-        .map(|(p, t)| {
-            let d = (*p - *t) as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / predicted.len() as f64
-}
-
 /// A confusion matrix for multi-class classification; `counts[t][p]` is the
 /// number of records with true class `t` predicted as `p`.
 ///
@@ -117,12 +98,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_length_mismatch_panics() {
         accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn mse_squares_differences() {
-        assert_eq!(mse(&[1.0, 3.0], &[0.0, 1.0]), (1.0 + 4.0) / 2.0);
-        assert_eq!(mse(&[2.0], &[2.0]), 0.0);
     }
 
     #[test]

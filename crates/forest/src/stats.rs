@@ -88,18 +88,6 @@ impl ModelStats {
     pub fn visits_per_record(&self) -> f64 {
         self.mean_path_nodes * self.n_trees as f64
     }
-
-    /// Whether this is a binary classifier — GPU-RAPIDS in the paper only
-    /// supports binary classification, so HIGGS runs use it but IRIS
-    /// (3 classes) cannot.
-    pub fn is_binary(&self) -> bool {
-        self.n_classes == 2
-    }
-
-    /// Whether the model task is regression.
-    pub fn is_regression(&self) -> bool {
-        self.n_classes == 0
-    }
 }
 
 /// Sum of root-to-leaf path node counts, and the number of leaves.
@@ -166,16 +154,12 @@ mod tests {
             &ForestConfig::classification(1, 2, 2).with_depth(2),
             1,
         ));
-        assert!(bin.is_binary());
-        assert!(!bin.is_regression());
         assert_eq!(bin.task(), Task::Classification { n_classes: 2 });
 
         let reg = ModelStats::of(&RandomForest::synthetic_full(
             &ForestConfig::regression(1, 2).with_depth(2),
             1,
         ));
-        assert!(reg.is_regression());
-        assert!(!reg.is_binary());
         assert_eq!(reg.task(), Task::Regression);
     }
 

@@ -86,11 +86,6 @@ impl BramAllocator {
     pub fn regions(&self) -> &[BramRegion] {
         &self.regions
     }
-
-    /// Clears all reservations (reprogramming the design).
-    pub fn reset(&mut self) {
-        self.regions.clear();
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +117,5 @@ mod tests {
         );
         // Failed allocation leaves state unchanged.
         assert_eq!(b.used_bytes(), 90);
-    }
-
-    #[test]
-    fn reset_frees_everything() {
-        let mut b = BramAllocator::new(10);
-        b.alloc("a", 10).unwrap();
-        b.reset();
-        assert_eq!(b.free_bytes(), 10);
-        assert!(b.regions().is_empty());
     }
 }

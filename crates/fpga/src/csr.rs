@@ -1,108 +1,16 @@
-//! Control/Status Register (CSR) model.
+//! Control/Status Register (CSR) setup cost.
 //!
 //! The paper's engine is configured through CSRs and signals completion
 //! through an interrupt ("FPGA setup overhead is less than completion
 //! signal overhead because the former one is done by setting Control/Status
-//! Registers and latter is done through interrupt"). This module models the
-//! register file and the driver sequence that arms one engine pass, so the
-//! setup cost in the timing model is *derived* from the register protocol
-//! rather than being a loose constant.
-
-use serde::{Deserialize, Serialize};
+//! Registers and latter is done through interrupt"). The setup cost in the
+//! timing model is *derived* from the MMIO write sequence that arms one
+//! engine pass rather than being a loose constant.
 
 use mlscore_sim::SimDuration;
 
-/// The engine's register map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(u8)]
-pub enum Reg {
-    /// Control: bit 0 = start, bit 1 = reset.
-    Control = 0,
-    /// Status (read-only): bit 0 = busy, bit 1 = done, bit 2 = error.
-    Status = 1,
-    /// Number of records in the batch.
-    RecordCount = 2,
-    /// Number of trees resident in the PEs for this pass.
-    TreeCount = 3,
-    /// Index of the current pass (for multi-pass models).
-    PassIndex = 4,
-    /// DMA base address of the result memory flush target.
-    ResultBase = 5,
-    /// Interrupt enable.
-    InterruptEnable = 6,
-}
-
-/// Control-register start bit.
-pub const CTRL_START: u32 = 1 << 0;
-/// Control-register reset bit.
-pub const CTRL_RESET: u32 = 1 << 1;
-/// Status busy bit.
-pub const STATUS_BUSY: u32 = 1 << 0;
-/// Status done bit.
-pub const STATUS_DONE: u32 = 1 << 1;
-
-/// A little register file with an access log, so tests (and the timing
-/// model) can account for exactly how many MMIO operations a driver
-/// sequence performs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CsrFile {
-    regs: [u32; 7],
-    writes: u32,
-    reads: u32,
-}
-
-impl CsrFile {
-    /// A freshly reset register file.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writes a register.
-    pub fn write(&mut self, reg: Reg, value: u32) {
-        self.regs[reg as usize] = value;
-        self.writes += 1;
-    }
-
-    /// Reads a register.
-    pub fn read(&mut self, reg: Reg) -> u32 {
-        self.reads += 1;
-        self.regs[reg as usize]
-    }
-
-    /// MMIO writes performed so far.
-    pub fn writes(&self) -> u32 {
-        self.writes
-    }
-
-    /// MMIO reads performed so far.
-    pub fn reads(&self) -> u32 {
-        self.reads
-    }
-
-    /// Hardware-side status update (not counted as an MMIO access).
-    pub fn set_status(&mut self, value: u32) {
-        self.regs[Reg::Status as usize] = value;
-    }
-}
-
-/// The driver sequence arming one engine pass; returns the armed register
-/// file. The sequence is: reset, record count, tree count, pass index,
-/// result base, interrupt enable, start — i.e. [`SETUP_WRITES_PER_PASS`]
-/// MMIO writes.
-pub fn arm_pass(records: u32, trees: u32, pass: u32) -> CsrFile {
-    let mut csr = CsrFile::new();
-    csr.write(Reg::Control, CTRL_RESET);
-    csr.write(Reg::RecordCount, records);
-    csr.write(Reg::TreeCount, trees);
-    csr.write(Reg::PassIndex, pass);
-    csr.write(Reg::ResultBase, 0);
-    csr.write(Reg::InterruptEnable, 1);
-    csr.write(Reg::Control, CTRL_START);
-    csr.set_status(STATUS_BUSY);
-    csr
-}
-
-/// MMIO writes per pass performed by [`arm_pass`].
+/// MMIO writes that arm one engine pass: reset, record count, tree count,
+/// pass index, result base, interrupt enable, start.
 pub const SETUP_WRITES_PER_PASS: u32 = 7;
 
 /// Setup time of one pass given the per-MMIO-write cost: the timing-model
@@ -114,33 +22,6 @@ pub fn setup_time(csr_write: SimDuration) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arm_pass_performs_the_documented_writes() {
-        let csr = arm_pass(1_000, 128, 0);
-        assert_eq!(csr.writes(), SETUP_WRITES_PER_PASS);
-        assert_eq!(csr.reads(), 0);
-    }
-
-    #[test]
-    fn armed_registers_hold_the_workload() {
-        let mut csr = arm_pass(42, 7, 3);
-        assert_eq!(csr.read(Reg::RecordCount), 42);
-        assert_eq!(csr.read(Reg::TreeCount), 7);
-        assert_eq!(csr.read(Reg::PassIndex), 3);
-        assert_eq!(csr.read(Reg::Control), CTRL_START);
-        assert_eq!(csr.read(Reg::Status), STATUS_BUSY);
-        assert_eq!(csr.reads(), 5);
-    }
-
-    #[test]
-    fn status_transitions_do_not_count_as_mmio() {
-        let mut csr = arm_pass(1, 1, 0);
-        let writes = csr.writes();
-        csr.set_status(STATUS_DONE);
-        assert_eq!(csr.writes(), writes);
-        assert_eq!(csr.read(Reg::Status), STATUS_DONE);
-    }
 
     #[test]
     fn setup_time_is_writes_times_cost() {

@@ -86,16 +86,6 @@ impl GpuDevice {
         SimDuration::from_secs(bytes / self.mem_bandwidth.bytes_per_sec())
     }
 
-    /// Time to execute `flops` at `efficiency` of peak.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `0 < efficiency <= 1`.
-    pub fn compute_time(&self, flops: f64, efficiency: f64) -> SimDuration {
-        debug_assert!(efficiency > 0.0 && efficiency <= 1.0);
-        SimDuration::from_secs(flops / (self.peak_flops * efficiency))
-    }
-
     /// Fraction of node-record reads that miss L2 for a model of
     /// `model_bytes`: 0 when the model fits, approaching 1 as it spills.
     pub fn l2_miss_fraction(&self, model_bytes: u64) -> f64 {
@@ -141,14 +131,6 @@ mod tests {
         let g = GpuDevice::tesla_p100();
         let t = g.memory_time(732e9);
         assert!((t.as_secs() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compute_time_scales_with_efficiency() {
-        let g = GpuDevice::tesla_p100();
-        let full = g.compute_time(9.3e12, 1.0);
-        let half = g.compute_time(9.3e12, 0.5);
-        assert!((half.ratio(full) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -105,24 +105,6 @@ impl LogCa {
         }
         Some(self.overhead.as_secs() / denom)
     }
-
-    /// Granularity reaching half the peak speedup (`g_{A/2}` in the LogCA
-    /// paper), or `None` when the offload never wins.
-    pub fn half_peak_granularity(&self) -> Option<f64> {
-        let target = self.peak_speedup() / 2.0;
-        if target <= 0.0 || self.peak_speedup() <= 1.0 {
-            return None;
-        }
-        // speedup(g) = c*g / (o + (beta + c/A) g) = target
-        // => g (c - target*(beta + c/A)) = target * o
-        let c = self.host_per_item.as_secs();
-        let slope = self.beta.as_secs() + c / self.acceleration;
-        let denom = c - target * slope;
-        if denom <= 0.0 {
-            return None;
-        }
-        Some(target * self.overhead.as_secs() / denom)
-    }
 }
 
 #[cfg(test)]
@@ -175,14 +157,6 @@ mod tests {
         );
         assert!(m.break_even().is_none());
         assert!(m.peak_speedup() < 1.0);
-        assert!(m.half_peak_granularity().is_none());
-    }
-
-    #[test]
-    fn half_peak_reaches_half_of_peak() {
-        let m = model();
-        let g = m.half_peak_granularity().unwrap();
-        assert!((m.speedup(g) - m.peak_speedup() / 2.0).abs() < 1e-6 * m.peak_speedup());
     }
 
     #[test]

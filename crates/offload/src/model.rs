@@ -36,17 +36,6 @@ impl OffloadCosts {
     pub fn total(&self) -> SimDuration {
         self.overhead + self.transfer + self.compute
     }
-
-    /// Fraction of the total that is pure overhead (`(O + L) / total`);
-    /// 0 when the total is zero.
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.total();
-        if total.is_zero() {
-            0.0
-        } else {
-            (self.overhead + self.transfer).ratio(total)
-        }
-    }
 }
 
 /// Comparison of running on the host vs. offloading.
@@ -122,7 +111,6 @@ mod tests {
         assert_eq!(costs.transfer, ms(2.0));
         assert_eq!(costs.compute, ms(4.0));
         assert_eq!(costs.total(), ms(7.0));
-        assert!((costs.overhead_fraction() - 3.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -153,11 +141,5 @@ mod tests {
         assert!(s.kernel_speedup() > s.speedup());
         assert_eq!(s.kernel_speedup(), 20.0);
         assert_eq!(s.speedup(), 4.0);
-    }
-
-    #[test]
-    fn zero_total_overhead_fraction() {
-        let costs = OffloadCosts::from_breakdown(&TimingBreakdown::new());
-        assert_eq!(costs.overhead_fraction(), 0.0);
     }
 }

@@ -100,16 +100,6 @@ impl PcieLink {
         )
     }
 
-    /// The link generation.
-    pub fn generation(&self) -> PcieGeneration {
-        self.generation
-    }
-
-    /// Lane count.
-    pub fn lanes(&self) -> u8 {
-        self.lanes
-    }
-
     /// Raw link bandwidth (before protocol derating).
     pub fn raw_bandwidth(&self) -> Bandwidth {
         Bandwidth::from_bytes_per_sec(self.generation.lane_bytes_per_sec() * self.lanes as f64)
@@ -118,17 +108,6 @@ impl PcieLink {
     /// Effective streaming bandwidth seen by large DMAs.
     pub fn effective_bandwidth(&self) -> Bandwidth {
         self.raw_bandwidth().derated(self.efficiency)
-    }
-
-    /// The fixed per-DMA setup latency.
-    pub fn dma_setup(&self) -> SimDuration {
-        self.dma_setup
-    }
-
-    /// Returns a copy with a different DMA setup latency.
-    pub fn with_dma_setup(mut self, dma_setup: SimDuration) -> Self {
-        self.dma_setup = dma_setup;
-        self
     }
 
     /// Total time for one DMA of `bytes`: setup + streaming.
@@ -167,7 +146,7 @@ mod tests {
     fn transfer_includes_setup_stream_does_not() {
         let link = PcieLink::gen3_x16();
         let t = link.transfer(0);
-        assert_eq!(t, link.dma_setup());
+        assert_eq!(t, link.dma_setup);
         assert_eq!(link.stream(0), mlscore_sim::SimDuration::ZERO);
         assert!(link.transfer(1 << 20) > link.stream(1 << 20));
     }
@@ -178,12 +157,6 @@ mod tests {
         let small = link.transfer(64);
         // 64 bytes stream in ~5 ns; setup is 30 µs.
         assert!(small.as_micros() < 31.0 && small.as_micros() > 29.0);
-    }
-
-    #[test]
-    fn with_dma_setup_overrides() {
-        let link = PcieLink::gen3_x16().with_dma_setup(SimDuration::from_micros(1.0));
-        assert_eq!(link.dma_setup(), SimDuration::from_micros(1.0));
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// Number of distinct (model-class, backend) estimates learned.
-    pub fn learned(&self) -> usize {
-        self.estimates.len()
-    }
-
     /// Folds one observed prepare (compile) cost into the amortization
     /// table — typically the wall-clock of an artifact-cache miss
     /// (`PrepareTiming::deserialize + lower`), smoothed like the scoring
@@ -111,13 +106,6 @@ impl AdaptiveScheduler {
         let c = cost.as_secs();
         let entry = self.prepare_costs.entry(key).or_insert(c);
         *entry += self.alpha * (c - *entry);
-    }
-
-    /// The learned prepare cost for a (model-class, backend), if observed.
-    pub fn prepare_cost(&self, stats: &ModelStats, backend_index: usize) -> Option<SimDuration> {
-        self.prepare_costs
-            .get(&(ModelClass::of(stats), backend_index))
-            .map(|&s| SimDuration::from_secs(s))
     }
 
     /// The learned-estimate argmin restricted to backends the `eligible`
@@ -306,9 +294,9 @@ mod tests {
         let backends = paper_backends();
         let s = stats(4, 6, 4, 3);
         let mut sched = AdaptiveScheduler::new(0.3);
-        assert_eq!(sched.learned(), 0);
+        assert_eq!(sched.estimates.len(), 0);
         warm(&mut sched, &s, 1_000, &backends, 10);
-        assert!(sched.learned() > 0);
+        assert!(!sched.estimates.is_empty());
     }
 
     #[test]
@@ -332,8 +320,8 @@ mod tests {
             sched.observe_prepare(&s, i, cost);
         }
         assert_eq!(
-            sched.prepare_cost(&s, 0).unwrap(),
-            SimDuration::from_secs(if backends[0].name() == "FPGA" {
+            sched.prepare_costs.get(&(ModelClass::of(&s), 0)).copied(),
+            Some(if backends[0].name() == "FPGA" {
                 100.0
             } else {
                 0.0

@@ -80,15 +80,6 @@ impl DeviceRoster {
         // analyze: allow(P001, reason="by_backend is built with one entry per roster backend at construction; a miss is an engine bug, not load")
         self.by_backend[backend]
     }
-
-    /// The device name backing backend `i` (`"?"` for an index outside
-    /// the roster).
-    pub fn device_name(&self, backend: usize) -> &str {
-        self.by_backend
-            .get(backend)
-            .and_then(|&d| self.devices.get(d))
-            .map_or("?", |d| d.name.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +100,9 @@ mod tests {
             [("CPU", 52), ("GPU", 4), ("FPGA", 1)]
         );
         // CPU_SKLearn, CPU_ONNX x2 -> CPU; GPU-HB, GPU-RAPIDS -> GPU; FPGA.
-        let names: Vec<&str> = (0..backends.len()).map(|i| roster.device_name(i)).collect();
+        let names: Vec<&str> = (0..backends.len())
+            .map(|i| roster.devices()[roster.device_of(i)].name.as_str())
+            .collect();
         assert_eq!(names, ["CPU", "CPU", "CPU", "GPU", "GPU", "FPGA"]);
         assert_eq!(roster.device_of(5), 2);
     }

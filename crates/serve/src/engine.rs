@@ -13,14 +13,11 @@
 //!
 //! - [`ServeEngine::run`] — the standalone mode: seed a whole
 //!   [`WorkloadSpec`], drain the heap, return the report.
-//! - [`EngineSession`] — the externally-stepped mode the fleet tier
-//!   composes: a fleet controller injects arrivals one by one
-//!   ([`EngineSession::inject`]), advances the node to horizon instants
-//!   ([`EngineSession::step_until`]), and may drain the queue for
-//!   re-routing ([`EngineSession::drain_queue`]) or flush the artifact
-//!   cache ([`EngineSession::invalidate_artifacts`]). Both modes execute
-//!   identical per-event code, so a session fed a spec's arrival stream
-//!   reproduces `run` exactly.
+//! - [`EngineSession`] — the externally-stepped mode: the caller injects
+//!   arrivals one by one ([`EngineSession::inject`]) and advances the
+//!   engine to horizon instants ([`EngineSession::step_until`]). Both
+//!   modes execute identical per-event code, so a session fed a spec's
+//!   arrival stream reproduces `run` exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -162,16 +159,6 @@ impl ServeEngine {
         self
     }
 
-    /// The backend roster.
-    pub fn backends(&self) -> &[Box<dyn ScoringBackend>] {
-        &self.backends
-    }
-
-    /// The model catalog.
-    pub fn catalog(&self) -> &ModelCatalog {
-        &self.catalog
-    }
-
     /// The device topology this configuration induces.
     pub fn roster(&self) -> DeviceRoster {
         DeviceRoster::paper_default(
@@ -190,7 +177,7 @@ impl ServeEngine {
     /// for a spec [`WorkloadSpec::validate`] rejects; a malformed spec is
     /// load a serving endpoint refuses, not a panic.
     pub fn run(&self, spec: &WorkloadSpec, tracer: &Tracer) -> Result<ServingReport, ServeError> {
-        let mut state = SessionState::new(self, 0);
+        let mut state = SessionState::new(self);
         {
             let mut run = Run {
                 engine: self,
@@ -203,12 +190,9 @@ impl ServeEngine {
         Ok(state.into_report(self, tracer))
     }
 
-    /// Consumes the engine into an externally-stepped [`EngineSession`]
-    /// node. `id_base` offsets every request id the node assigns, so a
-    /// fleet of nodes sharing one trace buffer emits globally unique flow
-    /// ids; the node's report still counts only its own requests.
-    pub fn into_session(self, tracer: &Tracer, id_base: RequestId) -> EngineSession {
-        let state = SessionState::new(&self, id_base);
+    /// Consumes the engine into an externally-stepped [`EngineSession`].
+    pub fn into_session(self, tracer: &Tracer) -> EngineSession {
+        let state = SessionState::new(&self);
         EngineSession {
             engine: self,
             tracer: tracer.clone(),
@@ -272,28 +256,9 @@ fn empty_class(class: QueryClass) -> ClassReport {
         rejected: 0,
         dropped: 0,
         timed_out: 0,
-        drained: 0,
         slo_violations: 0,
         latency: Histogram::new(),
     }
-}
-
-/// A queued request removed from a node by
-/// [`EngineSession::drain_queue`], carrying everything a fleet controller
-/// needs to re-inject it elsewhere. The original arrival instant is kept
-/// for attribution; the re-injected copy restarts its latency clock at
-/// the new node (re-routing delay shows up as the cross-node flow gap in
-/// the trace, not as queue wait).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainedRequest {
-    /// The id the draining node had assigned.
-    pub id: RequestId,
-    /// Model (catalog index — fleet nodes share one catalog).
-    pub model: usize,
-    /// Records to score.
-    pub n_records: u64,
-    /// When the request first arrived at the draining node.
-    pub arrival: SimInstant,
 }
 
 /// Mutable state of one run or session — everything the event loop
@@ -306,12 +271,9 @@ struct SessionState {
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
     draws: Vec<(usize, u64)>,
-    id_base: RequestId,
+    /// The id the next arrival takes; also the count of requests that
+    /// entered (`offered` in the report).
     next_id: RequestId,
-    /// Requests that entered this node (`offered` in the report). Equals
-    /// `next_id - id_base`, tracked separately so the report never leaks
-    /// the fleet-wide id offset.
-    arrived: u64,
     /// High-water mark of event processing and injections; guards the
     /// session API against scheduling in the already-stepped past.
     stepped_to: SimInstant,
@@ -330,7 +292,6 @@ struct SessionState {
     dropped: u64,
     timed_out: u64,
     unservable: u64,
-    drained: u64,
     records_scored: u64,
     batches: u64,
     coalesced_batches: u64,
@@ -349,7 +310,7 @@ struct SessionState {
 }
 
 impl SessionState {
-    fn new(engine: &ServeEngine, id_base: RequestId) -> Self {
+    fn new(engine: &ServeEngine) -> Self {
         let roster = engine.roster();
         let ledgers = roster
             .devices()
@@ -371,9 +332,7 @@ impl SessionState {
             events: BinaryHeap::new(),
             seq: 0,
             draws: Vec::new(),
-            id_base,
-            next_id: id_base,
-            arrived: 0,
+            next_id: 0,
             stepped_to: SimInstant::ZERO,
             next_draw: 0,
             think_rng: None,
@@ -387,7 +346,6 @@ impl SessionState {
             dropped: 0,
             timed_out: 0,
             unservable: 0,
-            drained: 0,
             records_scored: 0,
             batches: 0,
             coalesced_batches: 0,
@@ -433,14 +391,13 @@ impl SessionState {
             })
             .collect();
         ServingReport {
-            offered: self.arrived,
+            offered: self.next_id,
             admitted: self.admitted,
             completed: self.completed,
             rejected: self.rejected,
             dropped: self.dropped,
             timed_out: self.timed_out,
             unservable: self.unservable,
-            drained: self.drained,
             records_scored: self.records_scored,
             makespan,
             batches: self.batches,
@@ -529,7 +486,7 @@ impl Run<'_> {
         }
     }
 
-    /// Processes every event at or before `horizon`, then marks the node
+    /// Processes every event at or before `horizon`, then marks the engine
     /// as stepped to `horizon`.
     fn step_until(&mut self, horizon: SimInstant) {
         while self
@@ -548,7 +505,7 @@ impl Run<'_> {
         }
     }
 
-    /// Appends one externally-routed arrival at `at` and returns the id
+    /// Appends one externally-driven arrival at `at` and returns the id
     /// the request will carry. Injections must be non-decreasing in time
     /// (asserted), which — together with the heap's `(at, seq)` order —
     /// makes processing order equal injection order, so the returned id is
@@ -564,44 +521,10 @@ impl Run<'_> {
         );
         self.s.stepped_to = at;
         let draw = self.s.draws.len();
-        let id = self.s.id_base + draw as u64;
+        let id = draw as RequestId;
         self.s.draws.push((model, n_records));
         self.push_event(at, EventKind::Arrival { draw, client: None });
         id
-    }
-
-    /// Removes every queued request for re-routing: each one is journaled
-    /// as drained, closes its queue-wait with a flow origin the re-routing
-    /// controller's span terminates, and stops counting against this
-    /// node's open requests.
-    fn drain_queue(&mut self, now: SimInstant) -> Vec<DrainedRequest> {
-        let victims = self.s.queue.drain();
-        let mut out = Vec::with_capacity(victims.len());
-        for victim in victims {
-            self.s.drained += 1;
-            self.class_mut(victim.class).drained += 1;
-            self.s.holds.remove(&victim.id);
-            self.tracer
-                .span("drain for re-route", victim.arrival)
-                .track("serve", format!("class {}", victim.class.name()))
-                .meta("request", victim.id.to_string())
-                .meta("records", victim.n_records.to_string())
-                .flow_out(victim.id)
-                .finish(now);
-            self.s.journal.emit(now, victim.id, JournalKind::Drained);
-            out.push(DrainedRequest {
-                id: victim.id,
-                model: victim.model,
-                n_records: victim.n_records,
-                arrival: victim.arrival,
-            });
-        }
-        if !out.is_empty() {
-            self.s
-                .series
-                .record_queue_depth(now, self.s.queue.len() as u64);
-        }
-        out
     }
 
     fn arrive(&mut self, now: SimInstant, draw: usize, client: Option<usize>) {
@@ -609,7 +532,6 @@ impl Run<'_> {
         let (model, n_records) = self.s.draws[draw];
         let id = self.s.next_id;
         self.s.next_id += 1;
-        self.s.arrived += 1;
         let request = ServeRequest {
             id,
             class: QueryClass::of(n_records),
@@ -1086,8 +1008,8 @@ impl Run<'_> {
     }
 }
 
-/// One externally-stepped serving node: an owned [`ServeEngine`] plus the
-/// live event-loop state, advanced by a fleet controller instead of a
+/// One externally-stepped serving engine: an owned [`ServeEngine`] plus
+/// the live event-loop state, advanced by its caller instead of a
 /// workload spec.
 ///
 /// A session executes exactly the code `ServeEngine::run` does, event for
@@ -1109,9 +1031,9 @@ impl Run<'_> {
 ///     ServeConfig::default(),
 /// );
 /// let tracer = Tracer::disabled();
-/// let mut node = engine.into_session(&tracer, 0);
-/// node.inject(SimInstant::ZERO, 0, 100);
-/// let report = node.finish();
+/// let mut session = engine.into_session(&tracer);
+/// session.inject(SimInstant::ZERO, 0, 100);
+/// let report = session.finish();
 /// assert!(report.is_conserved());
 /// assert_eq!(report.completed, 1);
 /// ```
@@ -1130,79 +1052,14 @@ impl EngineSession {
         }
     }
 
-    /// The engine this session steps.
-    pub fn engine(&self) -> &ServeEngine {
-        &self.engine
-    }
-
-    /// Current admission-queue depth — the instantaneous load signal
-    /// routers and autoscalers key on.
-    pub fn queue_depth(&self) -> usize {
-        self.state.queue.len()
-    }
-
-    /// High-water mark of processed events and injections.
-    pub fn now(&self) -> SimInstant {
-        self.state.stepped_to
-    }
-
-    /// When the next pending event fires, if any.
-    pub fn next_event_at(&self) -> Option<SimInstant> {
-        self.state.events.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Requests that entered this node so far.
-    pub fn arrived(&self) -> u64 {
-        self.state.arrived
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.state.completed
-    }
-
-    /// The node's windowed metrics so far — autoscalers read the last
-    /// closed window's attainment off this.
-    pub fn series(&self) -> &TimeSeriesRecorder {
-        &self.state.series
-    }
-
-    /// Would scoring `model` find a compiled artifact resident for *any*
-    /// backend in the roster right now? This is the router tier's
-    /// affinity ground truth: it peeks at the very cache model dispatch
-    /// will probe, so "warm" cannot drift from what the node charges.
-    /// Always `false` when compile charging is off.
-    pub fn cache_would_hit(&self, model: usize) -> bool {
-        assert!(
-            model < self.engine.catalog.len(),
-            "cache_would_hit: model index out of catalog range"
-        );
-        let Some(cache) = &self.state.cache else {
-            return false;
-        };
-        self.engine
-            .backends
-            .iter()
-            .any(|b| cache.would_hit(&artifact_key(b.as_ref(), self.engine.catalog.bundle(model))))
-    }
-
-    /// Flushes every resident artifact (counted as evictions) — a
-    /// model-release storm: the next pass per (model, backend) pays a
-    /// full compile again.
-    pub fn invalidate_artifacts(&mut self) {
-        if let Some(cache) = &mut self.state.cache {
-            cache.invalidate_all();
-        }
-    }
-
-    /// Appends one routed arrival at `at` (must be non-decreasing across
+    /// Appends one arrival at `at` (must be non-decreasing across
     /// injections and not before any stepped horizon) and returns the
     /// request id it will carry.
     ///
     /// # Panics
     ///
     /// Panics if `model` is out of catalog range or `at` lies in the
-    /// already-stepped past — both are controller bugs, not load.
+    /// already-stepped past — both are caller bugs, not load.
     pub fn inject(&mut self, at: SimInstant, model: usize, n_records: u64) -> RequestId {
         self.view().inject(at, model, n_records)
     }
@@ -1212,17 +1069,7 @@ impl EngineSession {
         self.view().step_until(horizon);
     }
 
-    /// Removes every queued request for re-routing elsewhere (node drain
-    /// or failure). In-flight device passes are unaffected — their
-    /// accounting already happened at dispatch. Each drained request is
-    /// journaled and closes its wait with a trace flow origin the
-    /// controller's re-route span terminates.
-    pub fn drain_queue(&mut self, now: SimInstant) -> Vec<DrainedRequest> {
-        self.view().drain_queue(now)
-    }
-
-    /// Runs every remaining event to completion and returns the node's
-    /// report.
+    /// Runs every remaining event to completion and returns the report.
     pub fn finish(mut self) -> ServingReport {
         self.view().step_all();
         let EngineSession {
@@ -1681,9 +1528,9 @@ mod tests {
 
         let engine = mk();
         let times = w.open_arrival_times().unwrap();
-        let draws = w.draws(engine.catalog().len());
+        let draws = w.draws(ModelCatalog::paper_mix().len());
         let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer, 0);
+        let mut session = engine.into_session(&tracer);
         for (at, &(model, n_records)) in times.iter().zip(&draws) {
             let _ = session.inject(*at, model, n_records);
         }
@@ -1706,114 +1553,30 @@ mod tests {
             ServeConfig::default(),
         );
         let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer, 0);
+        let mut session = engine.into_session(&tracer);
         let step = SimDuration::from_millis(10.0);
         for i in 0..20u64 {
             let at = SimInstant::ZERO + step * i as f64;
             session.step_until(at);
             session.inject(at, (i % 3) as usize, 100);
         }
-        // `arrived` counts processed arrival events; step over the last
-        // injection to observe it.
         session.step_until(SimInstant::ZERO + step * 19.0);
-        assert_eq!(session.arrived(), 20);
-        assert!(session.now() >= SimInstant::ZERO + step * 19.0);
         let report = session.finish();
         assert!(report.is_conserved());
         assert_eq!(report.offered, 20);
         assert_eq!(report.completed, 20);
-    }
-
-    #[test]
-    fn session_drain_hands_queued_requests_to_another_node() {
-        let tracer = Tracer::new();
-        let mk = |base: u64, ns: &str| {
-            ServeEngine::new(
-                fpga_only(),
-                ModelCatalog::paper_mix(),
-                ServeConfig::default(),
-            )
-            .into_session(&tracer.namespaced(ns), base)
-        };
-        let mut a = mk(0, "node0");
-        let mut b = mk(1 << 32, "node1");
-        let t0 = SimInstant::ZERO;
-        // Flood node A without stepping, so requests pile up in its queue.
-        for i in 0..8 {
-            a.inject(t0, i % 2, 50);
-        }
-        // One pass may already be in flight once events process; step to
-        // t0 so arrivals are queued, then fail the node.
-        a.step_until(t0);
-        let fail_at = SimInstant::ZERO + SimDuration::from_millis(1.0);
-        a.step_until(fail_at);
-        let drained = a.drain_queue(fail_at);
-        assert!(!drained.is_empty(), "a flooded single-FPGA node queues");
-        let rerouted = drained.len() as u64;
-        for r in &drained {
-            let new_id = b.inject(fail_at, r.model, r.n_records);
-            assert!(new_id >= 1 << 32, "node B assigns from its own id base");
-        }
-        let ra = a.finish();
-        let rb = b.finish();
-        assert!(ra.is_conserved(), "drained requests balance admission");
-        assert!(rb.is_conserved());
-        assert_eq!(ra.drained, rerouted);
-        assert_eq!(rb.offered, rerouted);
-        assert_eq!(rb.completed, rerouted);
-        // Fleet-level conservation: everything offered to A terminated
-        // somewhere.
-        assert_eq!(ra.completed + rb.completed, 8);
-        // The journal recorded the drains.
-        let drains = ra
+        // Every arrival was processed at the instant it was injected.
+        let arrivals: Vec<(RequestId, SimInstant)> = report
             .journal
             .entries()
             .iter()
-            .filter(|e| e.kind.name() == "drained")
-            .count() as u64;
-        assert_eq!(drains, rerouted);
-        // Each drained request originated a flow at node A awaiting a
-        // cross-node terminus.
-        let trace = tracer.take();
-        let drain_flow_outs: Vec<u64> = trace
-            .events()
-            .iter()
-            .filter(|e| e.name == "drain for re-route")
-            .flat_map(|e| e.flows_out.clone())
+            .filter(|e| e.kind.name() == "arrival")
+            .map(|e| (e.id, e.at))
             .collect();
-        assert_eq!(drain_flow_outs.len() as u64, rerouted);
-        // Per-node lane namespacing: the two nodes' spans land on
-        // distinct processes.
-        let procs: BTreeSet<String> = trace
-            .events()
-            .iter()
-            .map(|e| e.track.process.clone())
+        let injected: Vec<(RequestId, SimInstant)> = (0..20u64)
+            .map(|i| (i, SimInstant::ZERO + step * i as f64))
             .collect();
-        assert!(procs.contains("serve@node0"), "{procs:?}");
-        assert!(procs.contains("serve@node1"), "{procs:?}");
-    }
-
-    #[test]
-    fn session_cache_affinity_is_visible_and_storms_flush_it() {
-        let engine = ServeEngine::new(
-            fpga_only(),
-            ModelCatalog::paper_mix(),
-            ServeConfig::default(),
-        );
-        let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer, 0);
-        assert!(!session.cache_would_hit(3), "cold node has no artifacts");
-        session.inject(SimInstant::ZERO, 3, 100);
-        session.step_until(SimInstant::ZERO + SimDuration::from_secs(10.0));
-        assert!(session.cache_would_hit(3), "scored model is resident");
-        assert!(!session.cache_would_hit(4));
-        session.invalidate_artifacts();
-        assert!(
-            !session.cache_would_hit(3),
-            "a model-release storm flushes residency"
-        );
-        let report = session.finish();
-        assert!(report.cache.evictions >= 1);
+        assert_eq!(arrivals, injected);
     }
 
     #[test]
@@ -1825,7 +1588,7 @@ mod tests {
             ServeConfig::default(),
         );
         let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer, 0);
+        let mut session = engine.into_session(&tracer);
         session.step_until(SimInstant::from_secs(1.0));
         session.inject(SimInstant::ZERO, 0, 10);
     }

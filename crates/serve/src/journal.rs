@@ -64,10 +64,6 @@ pub enum JournalKind {
         /// Why.
         reason: ShedReason,
     },
-    /// The fleet controller pulled it back out of the queue to re-route
-    /// it to another node (node drain or failure); it continues life —
-    /// and is accounted for — wherever it is re-injected.
-    Drained,
     /// It merged into a multi-request micro-batch.
     Coalesced {
         /// Engine-global batch sequence number.
@@ -110,7 +106,6 @@ impl JournalKind {
             JournalKind::Arrival { .. } => "arrival",
             JournalKind::Admitted => "admitted",
             JournalKind::Shed { .. } => "shed",
-            JournalKind::Drained => "drained",
             JournalKind::Coalesced { .. } => "coalesced",
             JournalKind::Dispatched { .. } => "dispatched",
             JournalKind::Completed { .. } => "completed",
@@ -195,7 +190,7 @@ impl RequestJournal {
                     w.key("model").uint(*model as u64);
                     w.key("records").uint(*records);
                 }
-                JournalKind::Admitted | JournalKind::Drained => {}
+                JournalKind::Admitted => {}
                 JournalKind::Shed { reason } => {
                     w.key("reason").str(reason.name());
                 }

@@ -58,7 +58,7 @@ pub mod workload;
 
 pub use coalesce::{score_merged_stream, CoalesceConfig};
 pub use device::{DeviceRoster, DeviceSpec};
-pub use engine::{DrainedRequest, EngineSession, ServeConfig, ServeEngine, ServePolicy};
+pub use engine::{EngineSession, ServeConfig, ServeEngine, ServePolicy};
 pub use error::ServeError;
 pub use journal::{JournalEntry, JournalKind, RequestJournal, ShedReason};
 pub use queue::{Admission, AdmissionQueue, QueueConfig, ShedPolicy};

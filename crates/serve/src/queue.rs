@@ -145,14 +145,6 @@ impl AdmissionQueue {
         expired
     }
 
-    /// Removes and returns every queued request in FIFO order, leaving
-    /// the queue empty. The fleet controller drains a failed (or
-    /// decommissioning) node's queue this way to re-route the in-queue
-    /// requests to surviving nodes.
-    pub fn drain(&mut self) -> Vec<ServeRequest> {
-        std::mem::take(&mut self.entries).into()
-    }
-
     /// How many requests and records a batch for `model` would contain
     /// right now, without removing anything: queued requests for `model`
     /// in FIFO order, capped at `max_requests` and (past the first
@@ -286,18 +278,6 @@ mod tests {
         let expired = q.expire(SimInstant::ZERO + SimDuration::from_millis(5.1));
         assert_eq!(expired.iter().map(|r| r.id).collect::<Vec<_>>(), [0]);
         assert_eq!(q.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 2]);
-    }
-
-    #[test]
-    fn drain_empties_the_queue_in_fifo_order() {
-        let mut q = AdmissionQueue::new(QueueConfig::default());
-        q.offer(req(0, 7, 10, 0.0));
-        q.offer(req(1, 3, 10, 0.0));
-        q.offer(req(2, 7, 20, 0.0));
-        let drained = q.drain();
-        assert_eq!(drained.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2]);
-        assert!(q.is_empty());
-        assert!(q.drain().is_empty());
     }
 
     #[test]

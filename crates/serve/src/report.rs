@@ -25,11 +25,6 @@ pub struct ClassReport {
     pub dropped: u64,
     /// Requests shed by queue-deadline expiry.
     pub timed_out: u64,
-    /// Requests of this class the fleet controller drained from the
-    /// queue for re-routing to another node. A drained request is not
-    /// shed — it continues life (and is accounted for) wherever it was
-    /// re-injected.
-    pub drained: u64,
     /// Completions that exceeded the class's latency SLO.
     pub slo_violations: u64,
     /// Sojourn-latency distribution (arrival to completion).
@@ -103,9 +98,6 @@ pub struct ServingReport {
     pub timed_out: u64,
     /// Requests no backend in the roster supports.
     pub unservable: u64,
-    /// Queued requests the fleet controller drained for re-routing to
-    /// another node (always zero for standalone `ServeEngine::run` runs).
-    pub drained: u64,
     /// Records actually scored (completed requests only).
     pub records_scored: u64,
     /// Simulated time from the first arrival to the last completion event.
@@ -193,14 +185,13 @@ impl ServingReport {
 
     /// Checks the request-conservation invariant: every offered request is
     /// accounted for exactly once as completed, rejected, dropped, timed
-    /// out, unservable, or drained for re-routing; admission splits
+    /// out, or unservable; admission splits
     /// offered against rejected; and the per-class slices sum back to
     /// every global counter they shard.
     pub fn is_conserved(&self) -> bool {
         let sum = |f: fn(&ClassReport) -> u64| self.classes.iter().map(f).sum::<u64>();
         self.offered == self.admitted + self.rejected
-            && self.admitted
-                == self.completed + self.dropped + self.timed_out + self.unservable + self.drained
+            && self.admitted == self.completed + self.dropped + self.timed_out + self.unservable
             && self.completed == self.dispatches.len() as u64
             && self.completed == self.picks.values().sum::<u64>()
             && self.batch_sizes.values().sum::<u64>() == self.batches
@@ -214,7 +205,6 @@ impl ServingReport {
             && sum(|c| c.rejected) == self.rejected
             && sum(|c| c.dropped) == self.dropped
             && sum(|c| c.timed_out) == self.timed_out
-            && sum(|c| c.drained) == self.drained
     }
 }
 
@@ -231,7 +221,6 @@ mod tests {
             dropped: 0,
             timed_out: 0,
             unservable: 0,
-            drained: 0,
             records_scored: 0,
             makespan: SimDuration::ZERO,
             batches: 0,
@@ -246,7 +235,6 @@ mod tests {
                     rejected: 0,
                     dropped: 0,
                     timed_out: 0,
-                    drained: 0,
                     slo_violations: 0,
                     latency: Histogram::new(),
                 })
@@ -281,35 +269,6 @@ mod tests {
         r.rejected = 1;
         r.completed = 1; // one admitted request vanished
         assert!(!r.is_conserved());
-    }
-
-    #[test]
-    fn drained_requests_balance_admission_without_counting_as_shed() {
-        let mut r = empty_report();
-        r.offered = 2;
-        r.admitted = 2;
-        r.completed = 1;
-        r.classes[0].completed = 1;
-        r.picks.insert("FPGA".to_string(), 1);
-        r.batches = 1;
-        r.batch_sizes.insert(1, 1);
-        r.dispatches.push(DispatchRecord {
-            id: 0,
-            class: QueryClass::Interactive,
-            model: 0,
-            backend: "FPGA".to_string(),
-            batch: 0,
-            dispatched_at: SimInstant::ZERO,
-        });
-        // One admitted request left for another node: without the drain
-        // counter the request is "lost"...
-        assert!(!r.is_conserved());
-        r.drained = 1;
-        // ...and the class slices must own it too.
-        assert!(!r.is_conserved());
-        r.classes[0].drained = 1;
-        assert!(r.is_conserved());
-        assert_eq!(r.shed(), 0, "a drained request is not shed");
     }
 
     #[test]

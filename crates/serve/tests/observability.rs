@@ -1,7 +1,7 @@
 //! Property tests for the request-lifecycle observability layer: window
-//! rotation at exact edges, merge determinism of the windowed series,
-//! bit-exact reconstruction of the engine's latency distributions from the
-//! journal, and byte-identical journal/alert output across reruns.
+//! rotation at exact edges, bit-exact reconstruction of the engine's
+//! latency distributions from the journal, and byte-identical
+//! journal/alert output across reruns.
 
 use std::collections::BTreeMap;
 
@@ -201,46 +201,6 @@ proptest! {
             .map(|&t| rec.window_index(SimInstant::from_secs(t)))
             .collect();
         prop_assert!(indices.windows(2).all(|p| p[0] <= p[1]));
-    }
-
-    /// Splitting an event stream at any point, recording the halves into
-    /// separate recorders, and merging them reproduces the unsplit
-    /// recording exactly — counters, histograms, and peaks all agree —
-    /// and the merge of counters is commutative.
-    #[test]
-    fn merge_of_a_split_stream_equals_the_unsplit_recording(
-        window_ms in 1u64..500,
-        events in proptest::collection::vec(arb_event(), 1..80),
-        split in 0usize..80,
-    ) {
-        let w = SimDuration::from_millis(window_ms as f64);
-        let split = split.min(events.len());
-        let whole = record_all(w, &events);
-        let mut left = record_all(w, &events[..split]);
-        let right = record_all(w, &events[split..]);
-        let mut swapped = record_all(w, &events[split..]);
-        let left_orig = record_all(w, &events[..split]);
-        left.merge(&right);
-        swapped.merge(&left_orig);
-        // The in-order merge equals the unsplit recording exactly, except
-        // `queue_depth_last`, which keeps the merged-in recorder's value
-        // (the unsplit stream's last write may sit in the left half).
-        prop_assert_eq!(whole.len(), left.len());
-        for ((wi, ww), (li, lw)) in whole.windows().zip(left.windows()) {
-            prop_assert_eq!(wi, li);
-            prop_assert_eq!(ww.arrivals, lw.arrivals);
-            prop_assert_eq!(ww.queue_depth_peak, lw.queue_depth_peak);
-            prop_assert_eq!(&ww.classes, &lw.classes);
-            prop_assert_eq!(&ww.busy, &lw.busy);
-        }
-        // Merge order does not change any counter, peak, or histogram.
-        prop_assert_eq!(left.len(), swapped.len());
-        for ((ai, aw), (bi, bw)) in left.windows().zip(swapped.windows()) {
-            prop_assert_eq!(ai, bi);
-            prop_assert_eq!(aw.arrivals, bw.arrivals);
-            prop_assert_eq!(aw.queue_depth_peak, bw.queue_depth_peak);
-            prop_assert_eq!(&aw.classes, &bw.classes);
-        }
     }
 }
 

@@ -12,9 +12,7 @@
 //! - [`LruCacheModel`] — the *residency* model: a deterministic LRU set
 //!   over arbitrary ordered keys, used by the serving engine to decide
 //!   whether a compiled-artifact lookup hits (charge a warm lookup) or
-//!   misses (charge a full compile), and by the fleet router tier to
-//!   reason about per-node artifact affinity. One implementation serves
-//!   both, so a router's notion of "warm" and a node's cannot drift.
+//!   misses (charge a full compile).
 
 use std::collections::BTreeMap;
 
@@ -106,13 +104,6 @@ impl<K: Ord + Clone> LruCacheModel<K> {
         }
         self.resident.insert(key, self.tick);
         false
-    }
-
-    /// Flushes every resident entry, counting each as an eviction — the
-    /// mass-invalidation a model-release storm inflicts on a fleet node.
-    pub fn invalidate_all(&mut self) {
-        self.evictions += self.resident.len() as u64;
-        self.resident.clear();
     }
 
     /// Resident entries.
@@ -215,16 +206,6 @@ impl CacheHierarchy {
         &self.levels
     }
 
-    /// Main memory access latency.
-    pub fn memory_access(&self) -> SimDuration {
-        self.memory_access
-    }
-
-    /// Capacity of the outermost (last-level) cache in bytes.
-    pub fn llc_capacity(&self) -> u64 {
-        self.levels.last().expect("non-empty").capacity_bytes
-    }
-
     /// Expected cost of one access given a resident working set of
     /// `working_set_bytes`.
     ///
@@ -273,19 +254,6 @@ mod tests {
         assert!(cache.would_hit(&3));
         assert_eq!(cache.len(), 2);
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 3, 1));
-    }
-
-    #[test]
-    fn lru_invalidate_all_flushes_and_counts_evictions() {
-        let mut cache: LruCacheModel<&str> = LruCacheModel::new(4);
-        cache.probe("a");
-        cache.probe("b");
-        cache.invalidate_all();
-        assert!(cache.is_empty());
-        assert_eq!(cache.evictions(), 2);
-        // The flush is a storm, not amnesia: counters keep accumulating.
-        assert!(!cache.probe("a"));
-        assert_eq!(cache.misses(), 3);
     }
 
     #[test]
@@ -346,11 +314,6 @@ mod tests {
         let c = h.access_cost(64 << 10);
         assert!(c > SimDuration::from_nanos(1.0));
         assert!(c < SimDuration::from_nanos(4.0));
-    }
-
-    #[test]
-    fn llc_capacity_reported() {
-        assert_eq!(three_level().llc_capacity(), 32 << 20);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl DeviceLedger {
         self.free_at.iter().any(|&t| t <= at)
     }
 
-    /// The earliest instant any slot frees.
-    pub fn next_free(&self) -> SimInstant {
-        *self.free_at.iter().min().expect("at least one slot")
-    }
-
     /// The instant the last reserved work completes (the epoch if nothing
     /// was reserved).
     pub fn completion(&self) -> SimInstant {
@@ -178,7 +173,7 @@ mod tests {
         assert_eq!(s, ready);
         assert_eq!(e, ready + ms(2.0));
         assert!(d.has_free_slot(ready));
-        assert_eq!(d.next_free(), SimInstant::ZERO);
+        assert_eq!(d.free_at.iter().min(), Some(&SimInstant::ZERO));
     }
 
     #[test]

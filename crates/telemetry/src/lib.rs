@@ -16,8 +16,8 @@
 //!   **bit-for-bit equal** to the directly computed one (see [`ExactSplit`]
 //!   for the arithmetic discipline that makes this exact, not approximate).
 //!
-//! The [`MetricsRegistry`] complements spans with named counters, gauges,
-//! and log-bucketed latency histograms (p50/p95/p99/max).
+//! The [`MetricsRegistry`] complements spans with named counters and
+//! log-bucketed latency histograms (p50/p95/p99/max).
 //!
 //! # Example
 //!

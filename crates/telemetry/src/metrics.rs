@@ -1,4 +1,4 @@
-//! Named counters, gauges, and log-bucketed latency histograms.
+//! Named counters and log-bucketed latency histograms.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,24 +131,6 @@ impl Histogram {
     pub fn percentile(&self, p: u8) -> SimDuration {
         self.quantile(f64::from(p) / 100.0)
     }
-
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -178,7 +160,7 @@ pub struct HistogramSnapshot {
     pub histogram: Histogram,
 }
 
-/// A thread-safe registry of named counters, gauges, and histograms.
+/// A thread-safe registry of named counters and histograms.
 ///
 /// Keys are free-form dotted paths (`"sched.queries"`,
 /// `"fpga.passes"`). Reads return copies, so a snapshot is stable while
@@ -186,7 +168,6 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -204,16 +185,6 @@ impl MetricsRegistry {
     /// Current value of a counter (zero if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.lock().get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets the named gauge to `value`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauges.lock().insert(name.to_string(), value);
-    }
-
-    /// Current value of a gauge, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.lock().get(name).copied()
     }
 
     /// Records a sample into the named histogram (creating it if new).
@@ -248,9 +219,6 @@ impl MetricsRegistry {
         let mut out = String::new();
         for (name, v) in self.counters.lock().iter() {
             writeln!(out, "counter   {name:<32} {v}").unwrap();
-        }
-        for (name, v) in self.gauges.lock().iter() {
-            writeln!(out, "gauge     {name:<32} {v}").unwrap();
         }
         for (name, h) in self.histograms.lock().iter() {
             writeln!(out, "histogram {name:<32} {h}").unwrap();
@@ -312,31 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_ranges() {
-        let mut a = Histogram::new();
-        a.record(us(1.0));
-        let mut b = Histogram::new();
-        b.record(us(100.0));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), us(1.0));
-        assert_eq!(a.max(), us(100.0));
-        let mut empty = Histogram::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
-    }
-
-    #[test]
-    fn registry_counters_gauges_histograms() {
+    fn registry_counters_and_histograms() {
         let m = MetricsRegistry::new();
         m.inc_counter("sched.queries", 2);
         m.inc_counter("sched.queries", 3);
         assert_eq!(m.counter("sched.queries"), 5);
         assert_eq!(m.counter("missing"), 0);
-
-        m.set_gauge("fpga.util", 0.75);
-        assert_eq!(m.gauge("fpga.util"), Some(0.75));
-        assert_eq!(m.gauge("missing"), None);
 
         m.record("latency", us(5.0));
         m.record("latency", us(15.0));
@@ -350,7 +299,6 @@ mod tests {
 
         let text = m.render();
         assert!(text.contains("sched.queries"));
-        assert!(text.contains("fpga.util"));
         assert!(text.contains("latency"));
     }
 }

@@ -168,17 +168,6 @@ impl Trace {
         }
         b
     }
-
-    /// Distinct processes in first-appearance order.
-    pub fn processes(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for ev in &self.events {
-            if !out.contains(&ev.track.process.as_str()) {
-                out.push(&ev.track.process);
-            }
-        }
-        out
-    }
 }
 
 /// Splits a stage total across `k` spans such that re-accumulating the
@@ -298,18 +287,6 @@ mod tests {
             SimInstant::ZERO + SimDuration::from_micros(100.0)
         );
         assert_eq!(Trace::new().end(), SimInstant::ZERO);
-    }
-
-    #[test]
-    fn processes_in_first_appearance_order() {
-        let mut a = ev("a", Scope::Detail, None, 0.0, 1.0);
-        a.track = Track::new("fpga", "pass0");
-        let mut b = ev("b", Scope::Detail, None, 0.0, 1.0);
-        b.track = Track::new("pipeline", "query");
-        let mut c = ev("c", Scope::Detail, None, 1.0, 1.0);
-        c.track = Track::new("fpga", "pass1");
-        let trace = Trace::from_events(vec![a, b, c]);
-        assert_eq!(trace.processes(), vec!["fpga", "pipeline"]);
     }
 
     #[test]

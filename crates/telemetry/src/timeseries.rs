@@ -10,9 +10,7 @@
 //! Windows are half-open `[k·w, (k+1)·w)` intervals indexed by
 //! `floor(t / w)`: an event exactly on a window edge belongs to the window
 //! it *opens*. Recording is pure accumulation into a `BTreeMap`, so the
-//! series is a deterministic function of the recorded event stream, and
-//! [`TimeSeriesRecorder::merge`] combines two recorders window by window
-//! (commutative on every counter and on histogram bucket counts).
+//! series is a deterministic function of the recorded event stream.
 
 use std::collections::BTreeMap;
 
@@ -238,38 +236,6 @@ impl TimeSeriesRecorder {
             .max()
             .unwrap_or(0)
     }
-
-    /// Merges another recorder's windows into this one, window by window:
-    /// counters add, peaks take the max, histograms merge, busy time adds.
-    /// `queue_depth_last` keeps the later recorder's value for windows both
-    /// touched (`other` wins, matching "merge newer into older").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two recorders use different window lengths — merging
-    /// misaligned series is meaningless.
-    pub fn merge(&mut self, other: &TimeSeriesRecorder) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge series with different window lengths"
-        );
-        for (&idx, theirs) in &other.windows {
-            let ours = self.windows.entry(idx).or_default();
-            ours.arrivals += theirs.arrivals;
-            ours.queue_depth_peak = ours.queue_depth_peak.max(theirs.queue_depth_peak);
-            ours.queue_depth_last = theirs.queue_depth_last;
-            for (class, cw) in &theirs.classes {
-                let mine = ours.class_mut(class);
-                mine.completions += cw.completions;
-                mine.shed += cw.shed;
-                mine.violations += cw.violations;
-                mine.latency.merge(&cw.latency);
-            }
-            for (device, &busy) in &theirs.busy {
-                *ours.busy.entry(device.clone()).or_insert(SimDuration::ZERO) += busy;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -348,39 +314,6 @@ mod tests {
         assert!((total - 250.0).abs() < 1e-9, "total {total}");
         assert!((shares[0].1 - 50.0).abs() < 1e-9);
         assert!((shares[1].1 - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_is_commutative_on_counters() {
-        let mut a = TimeSeriesRecorder::new(ms(100.0));
-        a.record_arrival(at_ms(10.0), "interactive");
-        a.record_completion(at_ms(10.0), "interactive", ms(1.0), false);
-        a.record_queue_depth(at_ms(10.0), 5);
-        let mut b = TimeSeriesRecorder::new(ms(100.0));
-        b.record_arrival(at_ms(110.0), "analytical");
-        b.record_shed(at_ms(110.0), "analytical");
-        b.record_queue_depth(at_ms(15.0), 2);
-        b.record_busy("GPU", at_ms(10.0), ms(5.0));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.len(), 2);
-        for ((ia, wa), (ib, wb)) in ab.windows().zip(ba.windows()) {
-            assert_eq!(ia, ib);
-            assert_eq!(wa.arrivals, wb.arrivals);
-            assert_eq!(wa.queue_depth_peak, wb.queue_depth_peak);
-            assert_eq!(wa.classes, wb.classes);
-            assert_eq!(wa.busy, wb.busy);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different window lengths")]
-    fn merging_misaligned_series_panics() {
-        let mut a = TimeSeriesRecorder::new(ms(100.0));
-        a.merge(&TimeSeriesRecorder::new(ms(50.0)));
     }
 
     #[test]

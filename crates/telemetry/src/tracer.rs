@@ -22,15 +22,9 @@ struct TraceSink {
 ///
 /// Clones share the same buffer; the tracer is `Send + Sync`, so parallel
 /// CPU scoring workers can record detail spans concurrently.
-///
-/// A *namespaced* clone ([`Tracer::namespaced`]) suffixes every span's
-/// process name with `@<namespace>`, so several instances of the same
-/// subsystem — fleet nodes running one serving engine each — land on
-/// separate Perfetto process groups while still sharing one buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     sink: Option<Arc<TraceSink>>,
-    namespace: Option<Arc<str>>,
 }
 
 impl Tracer {
@@ -38,27 +32,12 @@ impl Tracer {
     pub fn new() -> Self {
         Tracer {
             sink: Some(Arc::new(TraceSink::default())),
-            namespace: None,
         }
     }
 
     /// A tracer that records nothing; all span operations are no-ops.
     pub fn disabled() -> Self {
-        Tracer {
-            sink: None,
-            namespace: None,
-        }
-    }
-
-    /// A clone sharing this tracer's buffer whose spans' process names are
-    /// suffixed `@<namespace>` — e.g. a `serve` span recorded through a
-    /// `node0` namespace lands on process `serve@node0`. Re-namespacing a
-    /// namespaced tracer replaces the suffix rather than stacking them.
-    pub fn namespaced(&self, namespace: impl Into<String>) -> Self {
-        Tracer {
-            sink: self.sink.clone(),
-            namespace: Some(Arc::from(namespace.into())),
-        }
+        Tracer { sink: None }
     }
 
     /// Returns `true` if spans are being recorded.
@@ -90,14 +69,6 @@ impl Tracer {
     pub fn take(&self) -> Trace {
         match &self.sink {
             Some(sink) => Trace::from_events(std::mem::take(&mut sink.events.lock())),
-            None => Trace::new(),
-        }
-    }
-
-    /// A snapshot of the recorded spans, leaving the buffer intact.
-    pub fn snapshot(&self) -> Trace {
-        match &self.sink {
-            Some(sink) => Trace::from_events(sink.events.lock().clone()),
             None => Trace::new(),
         }
     }
@@ -144,15 +115,10 @@ impl SpanGuard<'_> {
         self
     }
 
-    /// Places the span on a timeline row. A namespaced tracer
-    /// ([`Tracer::namespaced`]) rewrites the process to
-    /// `<process>@<namespace>`.
+    /// Places the span on a timeline row.
     pub fn track(mut self, process: &str, lane: impl Into<String>) -> Self {
         if let Some(ev) = &mut self.event {
-            ev.track = match &self.tracer.namespace {
-                Some(ns) => Track::new(format!("{process}@{ns}"), lane),
-                None => Track::new(process, lane),
-            };
+            ev.track = Track::new(process, lane);
         }
         self
     }
@@ -252,7 +218,6 @@ mod tests {
             .finish_after(SimDuration::from_secs(0.5));
         assert_eq!(t1, SimInstant::from_secs(2.5));
         assert!(tracer.take().is_empty());
-        assert!(tracer.snapshot().is_empty());
     }
 
     #[test]
@@ -262,33 +227,7 @@ mod tests {
         clone
             .span("from-clone", SimInstant::ZERO)
             .finish_after(SimDuration::from_nanos(1.0));
-        assert_eq!(tracer.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn namespaced_clone_shares_the_buffer_and_suffixes_the_process() {
-        let tracer = Tracer::new();
-        let node = tracer.namespaced("node3");
-        node.span("pass", SimInstant::ZERO)
-            .track("serve", "device FPGA")
-            .finish_after(SimDuration::from_nanos(1.0));
-        tracer
-            .span("route", SimInstant::ZERO)
-            .track("fleet", "router")
-            .finish_after(SimDuration::from_nanos(1.0));
-        let trace = tracer.take();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.events()[0].track.process, "serve@node3");
-        assert_eq!(trace.events()[0].track.lane, "device FPGA");
-        // The parent tracer stays un-namespaced.
-        assert_eq!(trace.events()[1].track.process, "fleet");
-        // Re-namespacing replaces, never stacks.
-        let renamed = node.namespaced("node4");
-        renamed
-            .span("pass", SimInstant::ZERO)
-            .track("serve", "x")
-            .finish_after(SimDuration::from_nanos(1.0));
-        assert_eq!(tracer.take().events()[0].track.process, "serve@node4");
+        assert_eq!(tracer.take().len(), 1);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! * [`mlscore_sched`] — backend-selection policies.
 //! * [`mlscore_serve`] — discrete-event serving engine: arrival processes,
 //!   admission control, micro-batch coalescing, device contention.
-//! * [`mlscore_fleet`] — multi-node serving fleet: router policies with
-//!   artifact-cache affinity, deterministic autoscaling, traffic scenarios.
 //! * [`mlscore_telemetry`] — span tracing, metrics, Perfetto trace export.
 //! * [`mlscore_core`] — experiment harness and paper figure generators.
 
@@ -32,7 +30,6 @@ pub use mlscore_backend as backend;
 pub use mlscore_core as core;
 pub use mlscore_data as data;
 pub use mlscore_exec as exec;
-pub use mlscore_fleet as fleet;
 pub use mlscore_forest as forest;
 pub use mlscore_fpga as fpga;
 pub use mlscore_gpu as gpu;

@@ -10,9 +10,6 @@ pub use mlscore_data::{
     DEFAULT_CHUNK_ROWS,
 };
 pub use mlscore_exec::{ExecPool, RunConfig, RunReport};
-pub use mlscore_fleet::{
-    run_fleet, FleetConfig, FleetReport, RouterKind, ScalePolicy, ScenarioKind, ScenarioSpec,
-};
 pub use mlscore_forest::{ForestConfig, ModelStats, RandomForest, Task, TrainedModel};
 pub use mlscore_serve::{
     ArrivalProcess, ModelCatalog, ServeConfig, ServeEngine, ServingReport, WorkloadSpec,

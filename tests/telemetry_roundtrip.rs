@@ -281,7 +281,6 @@ fn golden_journal() -> RequestJournal {
     j.emit(at(0.5), 2, arrival(QueryClass::Analytical, 0, 100_000));
     let reason = ShedReason::DroppedOldest;
     j.emit(at(0.5), 2, JournalKind::Shed { reason });
-    j.emit(at(0.75), 1, JournalKind::Drained);
     j.emit(at(1.0), 1, JournalKind::Coalesced { batch: 4, size: 2 });
     j.emit(
         at(1.0),
@@ -324,7 +323,6 @@ fn journal_jsonl_matches_the_pinned_bytes() {
         r#"{"t":0.000250000,"id":1,"event":"admitted"}"#,
         r#"{"t":0.000500000,"id":2,"event":"arrival","class":"analytical","model":0,"records":100000}"#,
         r#"{"t":0.000500000,"id":2,"event":"shed","reason":"dropped-oldest"}"#,
-        r#"{"t":0.000750000,"id":1,"event":"drained"}"#,
         r#"{"t":0.001000000,"id":1,"event":"coalesced","batch":4,"size":2}"#,
         r#"{"t":0.001000000,"id":1,"event":"dispatched","batch":4,"backend":"FPGA","device":"fpga \"0\""}"#,
         r#"{"t":0.003125000,"id":1,"event":"completed","latency":0.002875000,"queue_wait":0.000750000,"prepare":0.000500000,"setup":0.000250000,"transfer":0.000625000,"compute":0.000500000,"drain":0.000250000}"#,
