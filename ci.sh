@@ -154,16 +154,21 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --diff BENCH_serving.json BENCH_serving.json
 
-echo "== report smoke (repro report --quick, twice) =="
+echo "== report smoke (repro report --quick twice, full once) =="
 # The run report is a pure function of (seed, options): rendering it twice
-# must produce byte-identical JSON, and the document must self-validate
-# (>= 2 windows, per-class attainment, >= 1 slowest-request breakdown).
+# must produce byte-identical JSON, and `--out` validates every document
+# before writing it, exiting 1 on failure (>= 2 windows, per-class
+# attainment in [0, 1], whole non-negative per-class counts with shed equal
+# to rejected, >= 1 slowest-request breakdown). The full 500-query report
+# is validated the same way.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     report --quick --out target/run_report.a.json >/dev/null
 cargo run --release -q -p mlscore-bench --bin repro -- \
     report --quick --out target/run_report.b.json >/dev/null
 cmp target/run_report.a.json target/run_report.b.json
 grep -q '"slo_alert"\|"alerts"' target/run_report.a.json
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    report --out target/run_report.full.json >/dev/null
 
 echo "== ablations smoke (repro ablations, twice) =="
 # The ablation tables are a pure function of the calibration: two runs

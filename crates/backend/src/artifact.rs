@@ -330,9 +330,8 @@ impl CacheStats {
 
     /// Measured queries-per-compile: how many lookups each compiled
     /// artifact served on average (`lookups / misses`, at least 1). This is
-    /// the `expected_reuse` input to `choose_amortized_eligible` and
-    /// `AdaptiveScheduler::choose_amortized_among` — a cache that hits often
-    /// amortizes each compile over many queries.
+    /// the `expected_reuse` input to `choose_amortized_eligible` — a cache
+    /// that hits often amortizes each compile over many queries.
     pub fn expected_reuse(&self) -> u64 {
         self.lookups().checked_div(self.misses).unwrap_or(1).max(1)
     }

@@ -546,10 +546,7 @@ fn bench(args: &[String]) {
 /// setup/transfer/compute/drain spans).
 fn serve(args: &[String]) {
     use mlscore_bench::serve_bench::{self, ServeBenchOptions};
-    use mlscore_serve::{
-        ArrivalProcess, CoalesceConfig, ModelCatalog, QueueConfig, ServeConfig, ServeEngine,
-        WorkloadSpec,
-    };
+    use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
 
     let mut quick = false;
     let mut out_path: Option<String> = None;
@@ -630,11 +627,7 @@ fn serve(args: &[String]) {
             serve_bench::fpga_roster(),
             ModelCatalog::paper_mix(),
             ServeConfig {
-                queue: QueueConfig {
-                    capacity: Some(32),
-                    ..QueueConfig::default()
-                },
-                coalesce: CoalesceConfig::default(),
+                capacity: Some(32),
                 cpu_seats: serve_bench::CPU_SEATS,
                 gpu_streams: serve_bench::GPU_STREAMS,
                 ..ServeConfig::default()
@@ -646,7 +639,7 @@ fn serve(args: &[String]) {
                 &WorkloadSpec {
                     queries: if quick { 150 } else { 500 },
                     seed: serve_bench::SEED,
-                    arrivals: ArrivalProcess::OpenPoisson { rate_qps: 2_000.0 },
+                    rate_qps: 2_000.0,
                 },
                 &tracer,
             )
@@ -669,7 +662,8 @@ fn serve(args: &[String]) {
 /// Runs the observed FPGA overload workload ([`mlscore_bench::run_report`])
 /// and prints the human-readable run report; `--out` additionally writes
 /// the JSON document (`mlscore/run-report/v1`), which is byte-identical
-/// across reruns — CI regenerates it twice and compares.
+/// across reruns — CI regenerates it twice and compares. The document is
+/// validated before it is written; an invalid one exits 1 unwritten.
 fn report(args: &[String]) {
     use mlscore_bench::run_report::{self, RunReportOptions};
 
@@ -709,6 +703,10 @@ fn report(args: &[String]) {
     print!("{}", run_report::to_text(&report, &opts));
     if let Some(path) = out_path {
         let json = run_report::to_json(&report, &opts);
+        if let Err(e) = run_report::validate(&json) {
+            eprintln!("refusing to write {path}: invalid run report: {e}");
+            std::process::exit(1);
+        }
         std::fs::write(&path, &json).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);

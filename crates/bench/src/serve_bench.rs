@@ -19,8 +19,7 @@ use mlscore_backend::ScoringBackend;
 use mlscore_fpga::FpgaBackend;
 use mlscore_sched::paper_backends;
 use mlscore_serve::{
-    ArrivalProcess, ClassSlo, CoalesceConfig, ModelCatalog, QueryClass, QueueConfig, ServeConfig,
-    ServeEngine, ServingReport, WorkloadSpec,
+    ModelCatalog, QueryClass, ServeConfig, ServeEngine, ServingReport, WorkloadSpec,
 };
 use mlscore_sim::SimDuration;
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
@@ -88,7 +87,7 @@ pub struct PointMetrics {
     pub p99_ms: f64,
     /// Completed requests.
     pub completed: u64,
-    /// Requests shed (rejected + dropped + timed out).
+    /// Requests shed (rejected at a full queue).
     pub shed: u64,
     /// Device passes executed.
     pub batches: u64,
@@ -177,32 +176,20 @@ pub struct ServeBenchReport {
     pub sweep_queries: usize,
 }
 
-fn serve_config(coalesce_on: bool, capacity: usize) -> ServeConfig {
+/// The benchmark's engine configuration at one queue capacity, with
+/// coalescing on or off.
+pub(crate) fn serve_config(coalesce: bool, capacity: usize) -> ServeConfig {
     ServeConfig {
-        queue: QueueConfig {
-            capacity: Some(capacity),
-            // Latency SLOs so the report's attainment columns measure
-            // something: 50 ms for point lookups, 2 s for full scans.
-            // Violations are counted, never enforced — adding the SLOs
-            // does not perturb scheduling.
-            interactive: ClassSlo {
-                latency_slo: Some(SimDuration::from_millis(50.0)),
-                ..ClassSlo::default()
-            },
-            analytical: ClassSlo {
-                latency_slo: Some(SimDuration::from_secs(2.0)),
-                ..ClassSlo::default()
-            },
-            ..QueueConfig::default()
-        },
-        coalesce: if coalesce_on {
-            CoalesceConfig::default()
-        } else {
-            CoalesceConfig::disabled()
-        },
+        capacity: Some(capacity),
+        // Latency SLOs so the report's attainment columns measure
+        // something: 50 ms for point lookups, 2 s for full scans.
+        // Violations are counted, never enforced — adding the SLOs does
+        // not perturb scheduling.
+        interactive_slo: Some(SimDuration::from_millis(50.0)),
+        analytical_slo: Some(SimDuration::from_secs(2.0)),
+        coalesce,
         cpu_seats: CPU_SEATS,
         gpu_streams: GPU_STREAMS,
-        ..ServeConfig::default()
     }
 }
 
@@ -223,7 +210,7 @@ fn run_point(
     let spec = WorkloadSpec {
         queries,
         seed: SEED,
-        arrivals: ArrivalProcess::OpenPoisson { rate_qps },
+        rate_qps,
     };
     engine
         .run(&spec, &Tracer::disabled())

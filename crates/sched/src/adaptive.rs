@@ -75,9 +75,6 @@ impl AffineEstimate {
 #[derive(Debug, Clone)]
 pub struct AdaptiveScheduler {
     estimates: HashMap<(ModelClass, usize), AffineEstimate>,
-    /// Smoothed one-time prepare (compile) cost in seconds, learned from
-    /// observed artifact-cache misses.
-    prepare_costs: HashMap<(ModelClass, usize), f64>,
     /// Smoothing factor in `(0, 1]`: weight of the newest observation.
     alpha: f64,
 }
@@ -92,81 +89,8 @@ impl AdaptiveScheduler {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         Self {
             estimates: HashMap::new(),
-            prepare_costs: HashMap::new(),
             alpha,
         }
-    }
-
-    /// Folds one observed prepare (compile) cost into the amortization
-    /// table — typically the wall-clock of an artifact-cache miss
-    /// (`PrepareTiming::deserialize + lower`), smoothed like the scoring
-    /// estimates.
-    pub fn observe_prepare(&mut self, stats: &ModelStats, backend_index: usize, cost: SimDuration) {
-        let key = (ModelClass::of(stats), backend_index);
-        let c = cost.as_secs();
-        let entry = self.prepare_costs.entry(key).or_insert(c);
-        *entry += self.alpha * (c - *entry);
-    }
-
-    /// The learned-estimate argmin restricted to backends the `eligible`
-    /// mask admits, charging each backend `t(n) + prepare / expected_reuse`
-    /// where `expected_reuse` is how many queries are expected to share the
-    /// compiled artifact before it leaves the cache. With a reuse of 1
-    /// every query pays its full compile (the cold regime, which penalizes
-    /// backends with expensive lowering like the FPGA's BRAM placement);
-    /// as reuse grows the compile term washes out and the pick converges
-    /// to [`Policy::choose`]'s. Backends with no observed prepare cost are
-    /// charged nothing. The serving engine passes "this backend's device
-    /// has a free slot right now" as the mask, so arbitration never parks a
-    /// query on a busy device while an idle one could serve it. Exploration
-    /// honours the mask: an unobserved backend is only probed when it is
-    /// currently eligible.
-    pub fn choose_amortized_among(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-        expected_reuse: u64,
-        backends: &[Box<dyn ScoringBackend>],
-        eligible: &dyn Fn(usize) -> bool,
-    ) -> Option<Choice> {
-        self.pick(
-            stats,
-            n_records,
-            backends,
-            eligible,
-            Some(expected_reuse.max(1) as f64),
-        )
-    }
-
-    /// Unobserved supported, eligible backends are explored first
-    /// (round-robin by index), then the learned estimates are exploited,
-    /// plus the amortized prepare cost when `reuse` is given.
-    fn pick(
-        &self,
-        stats: &ModelStats,
-        n_records: u64,
-        backends: &[Box<dyn ScoringBackend>],
-        eligible: &dyn Fn(usize) -> bool,
-        reuse: Option<f64>,
-    ) -> Option<Choice> {
-        let class = ModelClass::of(stats);
-        if let Some(index) = (0..backends.len()).find(|&i| {
-            backends[i].supports(stats).is_ok()
-                && eligible(i)
-                && !self.estimates.contains_key(&(class, i))
-        }) {
-            return Some(Choice::new(index, SimDuration::ZERO, backends));
-        }
-        argmin(stats, backends, eligible, |i, _| {
-            let predicted = self.estimates[&(class, i)].predict(n_records);
-            match reuse {
-                Some(reuse) => {
-                    let prepare = self.prepare_costs.get(&(class, i)).copied().unwrap_or(0.0);
-                    predicted + prepare / reuse
-                }
-                None => predicted,
-            }
-        })
     }
 }
 
@@ -185,7 +109,20 @@ impl Policy for AdaptiveScheduler {
         n_records: u64,
         backends: &[Box<dyn ScoringBackend>],
     ) -> Option<Choice> {
-        self.pick(stats, n_records, backends, &|_| true, None)
+        // Unobserved supported backends are explored first (round-robin
+        // by index), then the learned estimates are exploited.
+        let class = ModelClass::of(stats);
+        if let Some(index) = (0..backends.len()).find(|&i| {
+            backends[i].supports(stats).is_ok() && !self.estimates.contains_key(&(class, i))
+        }) {
+            return Some(Choice::new(index, SimDuration::ZERO, backends));
+        }
+        argmin(
+            stats,
+            backends,
+            |_| true,
+            |i, _| self.estimates[&(class, i)].predict(n_records),
+        )
     }
 
     /// Folds one observed run into the estimates.
@@ -300,96 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn amortized_choice_accounts_for_compile_cost() {
-        let backends = paper_backends();
-        let s = stats(128, 10, 28, 2);
-        let n = 1_000_000u64;
-        let mut sched = AdaptiveScheduler::new(0.4);
-        warm(&mut sched, &s, n, &backends, 20);
-        // Steady state (infinite reuse) favors the FPGA for the heavy
-        // HIGGS-like workload...
-        assert_eq!(sched.choose(&s, n, &backends).unwrap().name, "FPGA");
-        // ...but charge it a monster one-time compile (BRAM placement) and
-        // a one-shot query should flee to a backend with free lowering.
-        for (i, b) in backends.iter().enumerate() {
-            let cost = if b.name() == "FPGA" {
-                SimDuration::from_secs(100.0)
-            } else {
-                SimDuration::ZERO
-            };
-            sched.observe_prepare(&s, i, cost);
-        }
-        assert_eq!(
-            sched.prepare_costs.get(&(ModelClass::of(&s), 0)).copied(),
-            Some(if backends[0].name() == "FPGA" {
-                100.0
-            } else {
-                0.0
-            })
-        );
-        let once = sched
-            .choose_amortized_among(&s, n, 1, &backends, &|_| true)
-            .unwrap();
-        assert_ne!(
-            once.name, "FPGA",
-            "one-shot query must not pay 100 s of compile"
-        );
-        let amortized = sched
-            .choose_amortized_among(&s, n, 1_000_000, &backends, &|_| true)
-            .unwrap();
-        assert_eq!(amortized.name, "FPGA", "compile cost amortizes away");
-    }
-
-    #[test]
-    fn amortized_matches_plain_choice_without_prepare_observations() {
-        let backends = paper_backends();
-        for (s, n) in [
-            (stats(128, 10, 28, 2), 1_000_000u64),
-            (stats(4, 6, 4, 3), 100u64),
-        ] {
-            let mut sched = AdaptiveScheduler::new(0.4);
-            warm(&mut sched, &s, n, &backends, 20);
-            let plain = sched.choose(&s, n, &backends).unwrap();
-            let amortized = sched
-                .choose_amortized_among(&s, n, 1, &backends, &|_| true)
-                .unwrap();
-            assert_eq!(plain.name, amortized.name);
-            assert_eq!(plain.predicted, amortized.predicted);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "alpha")]
     fn rejects_bad_alpha() {
         AdaptiveScheduler::new(0.0);
-    }
-
-    #[test]
-    fn amortized_among_respects_the_eligibility_mask() {
-        let backends = paper_backends();
-        let s = stats(128, 10, 28, 2);
-        let n = 1_000_000u64;
-        let mut sched = AdaptiveScheduler::new(0.4);
-        warm(&mut sched, &s, n, &backends, 20);
-        let open = sched
-            .choose_amortized_among(&s, n, 1, &backends, &|_| true)
-            .unwrap();
-        // Mask out the winner: the pick must move elsewhere.
-        let masked = sched
-            .choose_amortized_among(&s, n, 1, &backends, &|i| i != open.index)
-            .unwrap();
-        assert_ne!(masked.index, open.index);
-        // Nothing eligible: no pick, even though everything is supported.
-        assert!(sched
-            .choose_amortized_among(&s, n, 1, &backends, &|_| false)
-            .is_none());
-        // Exploration honours the mask too: a fresh scheduler restricted to
-        // one backend explores exactly that backend.
-        let fresh = AdaptiveScheduler::new(0.4);
-        let probe = fresh
-            .choose_amortized_among(&s, n, 1, &backends, &|i| i == 4)
-            .unwrap();
-        assert_eq!(probe.index, 4);
     }
 
     #[test]

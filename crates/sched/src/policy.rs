@@ -55,9 +55,7 @@ pub(crate) fn modelled(
 /// of `estimate(stats, n).total() + prepare(i) / expected_reuse` over
 /// backends that (a) support the model and (b) pass `eligible` (the engine
 /// passes "this backend's device has a free slot right now"). With every
-/// backend eligible and zero prepare costs this reduces to [`OraclePolicy`];
-/// the learned-estimate counterpart is
-/// `AdaptiveScheduler::choose_amortized_among`.
+/// backend eligible and zero prepare costs this reduces to [`OraclePolicy`].
 pub fn choose_amortized_eligible(
     stats: &ModelStats,
     n_records: u64,

@@ -6,9 +6,10 @@
 //! shapes and batch sizes) and [`replay`]s them serially through any
 //! [`Policy`] — a fixed policy or the online
 //! [`AdaptiveScheduler`](crate::AdaptiveScheduler). `mlscore-serve`'s
-//! `ServeEngine` layers queueing, coalescing and device contention on top;
-//! on one exclusive single-slot device with batch arrivals and coalescing
-//! off it reproduces this replay's makespan.
+//! `ServeEngine` layers queueing, coalescing, compile charging and device
+//! contention on top; on one exclusive single-slot device with every
+//! arrival at t = 0 and coalescing off, its makespan is this replay's total
+//! plus the compile charges.
 
 use std::collections::BTreeMap;
 

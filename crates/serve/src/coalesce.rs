@@ -9,70 +9,28 @@
 //! back per request yields exactly what scoring each request alone would
 //! (forest inference is row-independent).
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_backend::{BackendError, CompiledModel, ScoringBackend};
 use mlscore_data::{ChainScanner, RecordStream, TabularFrame};
 use mlscore_forest::Predictions;
-use mlscore_sim::{SimDuration, SimInstant};
+use mlscore_sim::SimInstant;
 use mlscore_telemetry::Tracer;
 
 use crate::error::ServeError;
 
-/// Coalescer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoalesceConfig {
-    /// Master switch; disabled, every batch holds exactly one request.
-    pub enabled: bool,
-    /// Maximum requests merged into one device pass.
-    pub max_requests: usize,
-    /// Maximum merged records per pass. The first request always fits, so
-    /// an oversized single request still dispatches (as a batch of one).
-    pub max_records: u64,
-    /// How long a dispatchable batch head may be held back waiting for
-    /// more same-model arrivals. Zero (the default) dispatches as soon as
-    /// a device is free — coalescing then happens only when the queue has
-    /// already built up.
-    pub hold: SimDuration,
-}
+/// Most requests merged into one device pass.
+const MAX_REQUESTS: usize = 64;
 
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            max_requests: 64,
-            max_records: 1_000_000,
-            hold: SimDuration::ZERO,
-        }
-    }
-}
+/// Most merged records per pass. The first request always fits, so an
+/// oversized single request still dispatches (as a batch of one).
+const MAX_RECORDS: u64 = 1_000_000;
 
-impl CoalesceConfig {
-    /// A configuration that never merges (every pass scores one request).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// The request cap arbitration sees: 1 when disabled.
-    pub fn effective_max_requests(&self) -> usize {
-        if self.enabled {
-            self.max_requests.max(1)
-        } else {
-            1
-        }
-    }
-
-    /// The record cap arbitration sees: unbounded when disabled (a single
-    /// request is never split).
-    pub fn effective_max_records(&self) -> u64 {
-        if self.enabled {
-            self.max_records.max(1)
-        } else {
-            u64::MAX
-        }
+/// The `(requests, records)` caps on one device pass: with coalescing
+/// off, one request of any size.
+pub(crate) fn batch_caps(coalesce: bool) -> (usize, u64) {
+    if coalesce {
+        (MAX_REQUESTS, MAX_RECORDS)
+    } else {
+        (1, u64::MAX)
     }
 }
 
@@ -195,11 +153,9 @@ mod tests {
 
     #[test]
     fn disabled_config_caps_batches_at_one() {
-        let on = CoalesceConfig::default();
-        let off = CoalesceConfig::disabled();
-        assert!(on.effective_max_requests() > 1);
-        assert_eq!(off.effective_max_requests(), 1);
-        assert_eq!(off.effective_max_records(), u64::MAX);
-        assert!(on.effective_max_records() < u64::MAX);
+        let (on_requests, on_records) = batch_caps(true);
+        assert!(on_requests > 1);
+        assert!(on_records < u64::MAX);
+        assert_eq!(batch_caps(false), (1, u64::MAX));
     }
 }

@@ -1,8 +1,8 @@
 //! The discrete-event serving engine.
 //!
 //! One event loop, simulated time only: arrivals enter the admission
-//! queue, dispatch opportunities (arrivals, device completions, hold
-//! expiries) pull FIFO batches of same-model requests off the queue, an
+//! queue, dispatch opportunities (arrivals and device completions) pull
+//! FIFO batches of same-model requests off the queue, an
 //! eligibility-masked arbitration picks the backend whose device has a
 //! free slot and whose amortized cost is lowest, and a
 //! [`DeviceLedger`] per device serializes the passes. Every duration is a
@@ -22,75 +22,71 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use rand::rngs::StdRng;
-
 use mlscore_backend::{artifact_key, ArtifactKey, CacheStats, ScoringBackend};
 use mlscore_forest::ModelStats;
 use mlscore_pipeline::PipelineParams;
-use mlscore_sched::{choose_amortized_eligible, AdaptiveScheduler, Choice, Policy};
+use mlscore_sched::{choose_amortized_eligible, Choice};
 use mlscore_sim::{DeviceLedger, LruCacheModel, SimDuration, SimInstant, StageClass};
 use mlscore_telemetry::{Histogram, TimeSeriesRecorder, Tracer};
 
-use crate::coalesce::CoalesceConfig;
+use crate::coalesce::batch_caps;
 use crate::device::DeviceRoster;
 use crate::error::ServeError;
 use crate::journal::{JournalKind, RequestJournal, ShedReason};
-use crate::queue::{Admission, AdmissionQueue, QueueConfig};
+use crate::queue::AdmissionQueue;
 use crate::report::{ClassReport, DeviceReport, DispatchRecord, ServingReport};
 use crate::request::{QueryClass, RequestId, ServeRequest};
-use crate::slo::{ObserveConfig, SloMonitor};
-use crate::workload::{exponential, ArrivalProcess, ModelCatalog, WorkloadSpec};
+use crate::slo::{SloMonitor, WINDOW_MS};
+use crate::workload::{ModelCatalog, WorkloadSpec};
 
-/// How dispatch picks a backend for each batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServePolicy {
-    /// Arbitrate on the backends' own cost models
-    /// ([`choose_amortized_eligible`]) — the planning upper bound.
-    Oracle,
-    /// Arbitrate on an online [`AdaptiveScheduler`] that learns costs from
-    /// the runs it dispatches (`alpha` is its smoothing factor).
-    Adaptive {
-        /// Smoothing factor in `(0, 1]`.
-        alpha: f64,
-    },
-}
+/// Compiled artifacts the simulated artifact cache holds, across all
+/// backends. On a miss a pass pays
+/// `PipelineParams::model_preprocess_time`, on a hit
+/// `PipelineParams::cache_lookup`.
+const CACHE_ENTRIES: usize = 32;
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Admission-queue capacity, shed policy, and per-class SLOs.
-    pub queue: QueueConfig,
-    /// Micro-batch coalescing.
-    pub coalesce: CoalesceConfig,
-    /// Dispatch arbitration.
-    pub policy: ServePolicy,
+    /// Admission-queue capacity (`None`: unbounded). A request arriving at
+    /// a full queue is rejected.
+    pub capacity: Option<usize>,
+    /// Target end-to-end latency of an interactive request; completions
+    /// above it count as SLO violations (`None`: untracked). Violations
+    /// are counted, never enforced, so SLOs do not perturb scheduling.
+    pub interactive_slo: Option<SimDuration>,
+    /// Target end-to-end latency of an analytical request (see
+    /// `interactive_slo`).
+    pub analytical_slo: Option<SimDuration>,
+    /// Micro-batch coalescing: merge up to 64 queued same-model requests
+    /// (1 M records) into one device pass. Off, every pass scores one
+    /// request.
+    pub coalesce: bool,
     /// Concurrent passes on the shared CPU device (executor-pool seats).
     pub cpu_seats: usize,
     /// Concurrent passes on the shared GPU device (streams).
     pub gpu_streams: usize,
-    /// Model compile charging: on a simulated artifact-cache miss a pass
-    /// additionally pays `PipelineParams::model_preprocess_time`, on a hit
-    /// `PipelineParams::cache_lookup`. Off, compiles are free and the
-    /// cache model is bypassed entirely.
-    pub charge_compile: bool,
-    /// Capacity of the simulated artifact cache (compiled artifacts
-    /// resident across all backends), when `charge_compile` is on.
-    pub cache_entries: usize,
-    /// Metrics-window length and SLO alerting thresholds.
-    pub observe: ObserveConfig,
+}
+
+impl ServeConfig {
+    /// The latency SLO of `class`.
+    fn latency_slo(&self, class: QueryClass) -> Option<SimDuration> {
+        match class {
+            QueryClass::Interactive => self.interactive_slo,
+            QueryClass::Analytical => self.analytical_slo,
+        }
+    }
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            queue: QueueConfig::default(),
-            coalesce: CoalesceConfig::default(),
-            policy: ServePolicy::Oracle,
+            capacity: None,
+            interactive_slo: None,
+            analytical_slo: None,
+            coalesce: true,
             cpu_seats: mlscore_exec::pool::default_threads(),
             gpu_streams: 4,
-            charge_compile: true,
-            cache_entries: 32,
-            observe: ObserveConfig::default(),
         }
     }
 }
@@ -102,9 +98,7 @@ impl Default for ServeConfig {
 ///
 /// ```
 /// use mlscore_sched::paper_backends;
-/// use mlscore_serve::{
-///     ArrivalProcess, ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec,
-/// };
+/// use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
 /// use mlscore_telemetry::Tracer;
 ///
 /// let engine = ServeEngine::new(
@@ -115,7 +109,7 @@ impl Default for ServeConfig {
 /// let spec = WorkloadSpec {
 ///     queries: 30,
 ///     seed: 7,
-///     arrivals: ArrivalProcess::OpenPoisson { rate_qps: 50.0 },
+///     rate_qps: 50.0,
 /// };
 /// let report = engine.run(&spec, &Tracer::disabled()).expect("servable spec");
 /// assert!(report.is_conserved());
@@ -152,15 +146,8 @@ impl ServeEngine {
         }
     }
 
-    /// Replaces the pipeline cost parameters (compile and cache-lookup
-    /// charges).
-    pub fn with_params(mut self, params: PipelineParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// The device topology this configuration induces.
-    pub fn roster(&self) -> DeviceRoster {
+    fn roster(&self) -> DeviceRoster {
         DeviceRoster::paper_default(
             &self.backends,
             self.config.cpu_seats,
@@ -187,7 +174,7 @@ impl ServeEngine {
             run.seed_arrivals(spec)?;
             run.step_all();
         }
-        Ok(state.into_report(self, tracer))
+        Ok(state.into_report(tracer))
     }
 
     /// Consumes the engine into an externally-stepped [`EngineSession`].
@@ -205,9 +192,8 @@ impl ServeEngine {
 /// order breaks simultaneous-event ties deterministically.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
-    Arrival { draw: usize, client: Option<usize> },
+    Arrival { draw: usize },
     DeviceFree,
-    HoldExpired,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -254,8 +240,6 @@ fn empty_class(class: QueryClass) -> ClassReport {
         class,
         completed: 0,
         rejected: 0,
-        dropped: 0,
-        timed_out: 0,
         slo_violations: 0,
         latency: Histogram::new(),
     }
@@ -277,20 +261,11 @@ struct SessionState {
     /// High-water mark of event processing and injections; guards the
     /// session API against scheduling in the already-stepped past.
     stepped_to: SimInstant,
-    // Closed-loop state.
-    next_draw: usize,
-    think_rng: Option<StdRng>,
-    think_mean: f64,
-    // Arbitration state.
-    adaptive: Option<AdaptiveScheduler>,
-    cache: Option<LruCacheModel<ArtifactKey>>,
-    holds: BTreeSet<RequestId>,
+    cache: LruCacheModel<ArtifactKey>,
     // Accounting.
     admitted: u64,
     completed: u64,
     rejected: u64,
-    dropped: u64,
-    timed_out: u64,
     unservable: u64,
     records_scored: u64,
     batches: u64,
@@ -317,34 +292,19 @@ impl SessionState {
             .iter()
             .map(|d| DeviceLedger::new(d.slots))
             .collect();
-        let adaptive = match engine.config.policy {
-            ServePolicy::Oracle => None,
-            ServePolicy::Adaptive { alpha } => Some(AdaptiveScheduler::new(alpha)),
-        };
-        let cache = engine
-            .config
-            .charge_compile
-            .then(|| LruCacheModel::new(engine.config.cache_entries));
         Self {
             roster,
             ledgers,
-            queue: AdmissionQueue::new(engine.config.queue),
+            queue: AdmissionQueue::new(engine.config.capacity),
             events: BinaryHeap::new(),
             seq: 0,
             draws: Vec::new(),
             next_id: 0,
             stepped_to: SimInstant::ZERO,
-            next_draw: 0,
-            think_rng: None,
-            think_mean: 0.0,
-            adaptive,
-            cache,
-            holds: BTreeSet::new(),
+            cache: LruCacheModel::new(CACHE_ENTRIES),
             admitted: 0,
             completed: 0,
             rejected: 0,
-            dropped: 0,
-            timed_out: 0,
             unservable: 0,
             records_scored: 0,
             batches: 0,
@@ -356,16 +316,16 @@ impl SessionState {
             picks: BTreeMap::new(),
             dispatches: Vec::new(),
             last_completion: SimInstant::ZERO,
-            series: TimeSeriesRecorder::new(engine.config.observe.window),
+            series: TimeSeriesRecorder::new(SimDuration::from_millis(WINDOW_MS)),
             journal: RequestJournal::new(),
         }
     }
 
-    fn into_report(mut self, engine: &ServeEngine, tracer: &Tracer) -> ServingReport {
+    fn into_report(mut self, tracer: &Tracer) -> ServingReport {
         // Scan the finished series for budget-burn alerts; each one lands
         // in the trace (a span covering the offending window on an
         // `slo {class}` lane) and in the journal.
-        let alerts = SloMonitor::scan(&self.series, engine.config.observe);
+        let alerts = SloMonitor::scan(&self.series);
         for alert in &alerts {
             tracer
                 .span("slo alert", alert.at)
@@ -395,8 +355,6 @@ impl SessionState {
             admitted: self.admitted,
             completed: self.completed,
             rejected: self.rejected,
-            dropped: self.dropped,
-            timed_out: self.timed_out,
             unservable: self.unservable,
             records_scored: self.records_scored,
             makespan,
@@ -407,11 +365,8 @@ impl SessionState {
             classes: vec![self.interactive, self.analytical],
             picks: self.picks,
             devices,
-            cache: self.cache.as_ref().map(cache_stats).unwrap_or_default(),
-            expected_reuse: self
-                .cache
-                .as_ref()
-                .map_or(1, |c| cache_stats(c).expected_reuse()),
+            cache: cache_stats(&self.cache),
+            expected_reuse: cache_stats(&self.cache).expected_reuse(),
             dispatches: self.dispatches,
             series: self.series,
             journal: self.journal,
@@ -437,30 +392,10 @@ impl Run<'_> {
     }
 
     fn seed_arrivals(&mut self, spec: &WorkloadSpec) -> Result<(), ServeError> {
-        spec.validate()?;
+        let times = spec.arrival_times()?;
         self.s.draws = spec.draws(self.engine.catalog.len());
-        match spec.arrivals {
-            ArrivalProcess::Batch | ArrivalProcess::OpenPoisson { .. } => {
-                for (draw, at) in spec.open_arrival_times()?.into_iter().enumerate() {
-                    self.push_event(at, EventKind::Arrival { draw, client: None });
-                }
-                self.s.next_draw = spec.queries;
-            }
-            ArrivalProcess::ClosedLoop { clients, think } => {
-                let first = clients.min(spec.queries);
-                for client in 0..first {
-                    self.push_event(
-                        SimInstant::ZERO,
-                        EventKind::Arrival {
-                            draw: client,
-                            client: Some(client),
-                        },
-                    );
-                }
-                self.s.next_draw = first;
-                self.s.think_rng = Some(spec.think_rng());
-                self.s.think_mean = think.as_secs();
-            }
+        for (draw, at) in times.into_iter().enumerate() {
+            self.push_event(at, EventKind::Arrival { draw });
         }
         Ok(())
     }
@@ -471,11 +406,11 @@ impl Run<'_> {
         if now > self.s.stepped_to {
             self.s.stepped_to = now;
         }
-        if let EventKind::Arrival { draw, client } = event.kind {
-            self.arrive(now, draw, client);
+        if let EventKind::Arrival { draw } = event.kind {
+            self.arrive(now, draw);
         }
-        // DeviceFree and HoldExpired carry no state of their own: they
-        // exist to create the dispatch opportunity below.
+        // DeviceFree carries no state of its own: it exists to create the
+        // dispatch opportunity below.
         self.try_dispatch(now);
     }
 
@@ -523,12 +458,12 @@ impl Run<'_> {
         let draw = self.s.draws.len();
         let id = draw as RequestId;
         self.s.draws.push((model, n_records));
-        self.push_event(at, EventKind::Arrival { draw, client: None });
+        self.push_event(at, EventKind::Arrival { draw });
         id
     }
 
-    fn arrive(&mut self, now: SimInstant, draw: usize, client: Option<usize>) {
-        // analyze: allow(P001, reason="arrival events only carry draw indices seed_arrivals/request_left/inject generated below draws.len()")
+    fn arrive(&mut self, now: SimInstant, draw: usize) {
+        // analyze: allow(P001, reason="arrival events only carry draw indices seed_arrivals/inject generated below draws.len()")
         let (model, n_records) = self.s.draws[draw];
         let id = self.s.next_id;
         self.s.next_id += 1;
@@ -538,7 +473,6 @@ impl Run<'_> {
             model,
             n_records,
             arrival: now,
-            client,
         };
         self.s.journal.emit(
             now,
@@ -551,50 +485,19 @@ impl Run<'_> {
         );
         self.s.series.record_arrival(now, request.class.name());
         match self.s.queue.offer(request) {
-            Admission::Admitted => {
+            Ok(()) => {
                 self.s.admitted += 1;
                 self.s.journal.emit(now, id, JournalKind::Admitted);
             }
-            Admission::Rejected(victim) => {
+            Err(victim) => {
                 self.s.rejected += 1;
                 self.class_mut(victim.class).rejected += 1;
                 self.shed(now, &victim, "shed reject", ShedReason::Rejected);
-                self.request_left(now, victim.client);
-            }
-            Admission::DroppedOldest(victim) => {
-                self.s.admitted += 1;
-                self.s.journal.emit(now, id, JournalKind::Admitted);
-                self.s.dropped += 1;
-                self.class_mut(victim.class).dropped += 1;
-                self.shed(now, &victim, "shed drop-oldest", ShedReason::DroppedOldest);
-                self.request_left(now, victim.client);
             }
         }
         self.s
             .series
             .record_queue_depth(now, self.s.queue.len() as u64);
-    }
-
-    /// A request left the system without completing (shed) or completed;
-    /// for closed loops, its client thinks and then issues the next query.
-    fn request_left(&mut self, at: SimInstant, client: Option<usize>) {
-        let Some(client) = client else { return };
-        let Some(rng) = self.s.think_rng.as_mut() else {
-            return;
-        };
-        if self.s.next_draw >= self.s.draws.len() {
-            return;
-        }
-        let draw = self.s.next_draw;
-        self.s.next_draw += 1;
-        let think = exponential(rng, self.s.think_mean);
-        self.push_event(
-            at + think,
-            EventKind::Arrival {
-                draw,
-                client: Some(client),
-            },
-        );
     }
 
     /// Records one shed: a span on the victim's class lane, a journal
@@ -627,14 +530,10 @@ impl Run<'_> {
 
     /// The predicted one-time prepare charge arbitration folds in for
     /// backend `i` on `model`: a warm lookup if the artifact is resident,
-    /// a full model pre-processing pass if not, nothing when compile
-    /// charging is off.
+    /// a full model pre-processing pass if not.
     fn predict_prepare(&self, backend: usize, model: usize) -> SimDuration {
-        let Some(cache) = &self.s.cache else {
-            return SimDuration::ZERO;
-        };
         let key = artifact_key(self.backend(backend), self.engine.catalog.bundle(model));
-        if cache.would_hit(&key) {
+        if self.s.cache.would_hit(&key) {
             self.engine.params.cache_lookup
         } else {
             self.engine
@@ -643,6 +542,16 @@ impl Run<'_> {
         }
     }
 
+    /// Whether backend `i`'s device has a free slot at `now`.
+    fn eligible(&self, i: usize, now: SimInstant) -> bool {
+        self.s
+            .ledgers
+            .get(self.s.roster.device_of(i))
+            .is_some_and(|l| l.has_free_slot(now))
+    }
+
+    /// The amortized-cost argmin over the backends that support `stats`
+    /// and whose device is free at `now`.
     fn arbitrate(
         &self,
         stats: &ModelStats,
@@ -650,131 +559,71 @@ impl Run<'_> {
         model: usize,
         now: SimInstant,
     ) -> Option<Choice> {
-        let eligible = |i: usize| {
-            self.s
-                .ledgers
-                .get(self.s.roster.device_of(i))
-                .is_some_and(|l| l.has_free_slot(now))
-        };
-        let reuse = self
-            .s
-            .cache
-            .as_ref()
-            .map_or(1, |c| cache_stats(c).expected_reuse());
-        match &self.s.adaptive {
-            None => choose_amortized_eligible(
-                stats,
-                n_records,
-                reuse,
-                &self.engine.backends,
-                &|i| self.predict_prepare(i, model),
-                &eligible,
-            ),
-            Some(scheduler) => scheduler.choose_amortized_among(
-                stats,
-                n_records,
-                reuse,
-                &self.engine.backends,
-                &eligible,
-            ),
+        choose_amortized_eligible(
+            stats,
+            n_records,
+            cache_stats(&self.s.cache).expected_reuse(),
+            &self.engine.backends,
+            &|i| self.predict_prepare(i, model),
+            &|i| self.eligible(i, now),
+        )
+    }
+
+    /// `(some backend supports the model, one of those has a free device
+    /// at now)`. Arbitration finds a pick exactly when both hold, so a
+    /// batch is only taken off the queue once it can leave.
+    fn servability(&self, stats: &ModelStats, now: SimInstant) -> (bool, bool) {
+        let mut supported = false;
+        for (i, b) in self.engine.backends.iter().enumerate() {
+            if b.supports(stats).is_ok() {
+                supported = true;
+                if self.eligible(i, now) {
+                    return (true, true);
+                }
+            }
         }
+        (supported, false)
     }
 
-    fn supported_at_all(&self, stats: &ModelStats) -> bool {
-        self.engine
-            .backends
-            .iter()
-            .any(|b| b.supports(stats).is_ok())
-    }
-
-    /// Drains every dispatch opportunity available at `now`: expire lapsed
-    /// deadlines, then repeatedly scan the queue's per-model heads in FIFO
-    /// order and dispatch the first batch whose arbitration finds an
-    /// eligible backend. A head whose devices are all busy does not block
-    /// other models (no cross-model head-of-line blocking), but same-model
-    /// requests only ever leave in FIFO order.
+    /// Drains every dispatch opportunity available at `now`: repeatedly
+    /// scan the queue's per-model heads in FIFO order and dispatch the
+    /// first batch whose model has a free supporting device (or shed it,
+    /// if no backend supports the model at all). A head whose devices are
+    /// all busy does not block other models (no cross-model head-of-line
+    /// blocking), but same-model requests only ever leave in FIFO order.
     fn try_dispatch(&mut self, now: SimInstant) {
-        let expired = self.s.queue.expire(now);
-        let any_expired = !expired.is_empty();
-        for victim in expired {
-            self.s.timed_out += 1;
-            self.class_mut(victim.class).timed_out += 1;
-            self.shed(now, &victim, "deadline timeout", ShedReason::TimedOut);
-            self.request_left(now, victim.client);
-        }
-        if any_expired {
-            self.s
-                .series
-                .record_queue_depth(now, self.s.queue.len() as u64);
-        }
-        let max_requests = self.engine.config.coalesce.effective_max_requests();
-        let max_records = self.engine.config.coalesce.effective_max_records();
-        let hold = if self.engine.config.coalesce.enabled {
-            self.engine.config.coalesce.hold
-        } else {
-            SimDuration::ZERO
-        };
+        let (max_requests, max_records) = batch_caps(self.engine.config.coalesce);
         loop {
             let mut seen = BTreeSet::new();
-            let heads: Vec<ServeRequest> = self
+            let heads: Vec<usize> = self
                 .s
                 .queue
                 .iter()
-                .filter(|r| seen.insert(r.model))
-                .copied()
+                .map(|r| r.model)
+                .filter(|&model| seen.insert(model))
                 .collect();
-            let mut dispatched = false;
-            for head in heads {
-                let (batch_requests, batch_records) =
-                    self.s
-                        .queue
-                        .preview_batch(head.model, max_requests, max_records);
-                // Hold back a partial batch while the coalescing window is
-                // open — more same-model arrivals may still merge in.
-                if !hold.is_zero()
-                    && batch_requests < max_requests
-                    && batch_records < max_records
-                    && now < head.arrival + hold
-                {
-                    if self.s.holds.insert(head.id) {
-                        self.push_event(head.arrival + hold, EventKind::HoldExpired);
-                    }
-                    continue;
-                }
-                let stats = *self.engine.catalog.stats(head.model);
-                match self.arbitrate(&stats, batch_records, head.model, now) {
-                    Some(choice) => {
-                        let batch = self
-                            .s
-                            .queue
-                            .take_batch(head.model, max_requests, max_records);
-                        self.dispatch(now, batch, choice);
-                        dispatched = true;
-                        break; // the queue changed: rescan heads
-                    }
-                    None if !self.supported_at_all(&stats) => {
-                        let batch = self
-                            .s
-                            .queue
-                            .take_batch(head.model, max_requests, max_records);
-                        for victim in batch {
-                            self.s.unservable += 1;
-                            self.shed(now, &victim, "unservable", ShedReason::Unservable);
-                            self.request_left(now, victim.client);
-                        }
-                        self.s
-                            .series
-                            .record_queue_depth(now, self.s.queue.len() as u64);
-                        dispatched = true; // the queue changed: rescan heads
-                        break;
-                    }
-                    // Supported but every eligible device is busy: wait for
-                    // a DeviceFree event.
-                    None => {}
-                }
-            }
-            if !dispatched {
+            // A head whose supporting devices are all busy waits for a
+            // DeviceFree event.
+            let Some(model) = heads.into_iter().find(|&model| {
+                let (supported, free) = self.servability(self.engine.catalog.stats(model), now);
+                free || !supported
+            }) else {
                 break;
+            };
+            let batch = self.s.queue.take_batch(model, max_requests, max_records);
+            let records = batch.iter().map(|r| r.n_records).sum();
+            let stats = *self.engine.catalog.stats(model);
+            match self.arbitrate(&stats, records, model, now) {
+                Some(choice) => self.dispatch(now, batch, choice),
+                None => {
+                    for victim in batch {
+                        self.s.unservable += 1;
+                        self.shed(now, &victim, "unservable", ShedReason::Unservable);
+                    }
+                    self.s
+                        .series
+                        .record_queue_depth(now, self.s.queue.len() as u64);
+                }
             }
         }
     }
@@ -788,29 +637,18 @@ impl Run<'_> {
         let total_records: u64 = batch.iter().map(|r| r.n_records).sum();
 
         // Compile charge through the cache model.
-        let (prepare, prepare_span) = if self.s.cache.is_some() {
-            let key = artifact_key(
-                self.backend(choice.index),
-                self.engine.catalog.bundle(model),
-            );
-            let hit = self.s.cache.as_mut().is_some_and(|cache| cache.probe(key));
-            if hit {
-                (self.engine.params.cache_lookup, Some("cache hit"))
-            } else {
-                let cost = self
-                    .engine
-                    .params
-                    .model_preprocess_time(self.engine.catalog.model_bytes(model));
-                (cost, Some("compile model"))
-            }
+        let key = artifact_key(
+            self.backend(choice.index),
+            self.engine.catalog.bundle(model),
+        );
+        let hit = self.s.cache.probe(key);
+        let prepare = if hit {
+            self.engine.params.cache_lookup
         } else {
-            (SimDuration::ZERO, None)
+            self.engine
+                .params
+                .model_preprocess_time(self.engine.catalog.model_bytes(model))
         };
-        if prepare_span == Some("compile model") {
-            if let Some(scheduler) = &mut self.s.adaptive {
-                scheduler.observe_prepare(&stats, choice.index, prepare);
-            }
-        }
 
         let breakdown = self.backend(choice.index).estimate(
             &stats,
@@ -819,9 +657,6 @@ impl Run<'_> {
             SimInstant::ZERO,
         );
         let score_time = breakdown.total();
-        if let Some(scheduler) = &mut self.s.adaptive {
-            scheduler.observe(&stats, choice.index, total_records, score_time);
-        }
 
         let device = self.s.roster.device_of(choice.index);
         // analyze: allow(P001, reason="ledgers are built one-to-one from roster devices, so device_of indices cannot miss")
@@ -869,16 +704,9 @@ impl Run<'_> {
             .meta("records", total_records.to_string());
         // Cache-resident models dispatch through the fused streaming path —
         // chunks pulled straight off the coalesced request frames (see
-        // `score_merged_stream`) — while cold or uncached passes marshal a
-        // materialized batch first.
-        pass_span = pass_span.meta(
-            "path",
-            if prepare_span == Some("cache hit") {
-                "fused"
-            } else {
-                "staged"
-            },
-        );
+        // `score_merged_stream`) — while cold passes marshal a materialized
+        // batch first.
+        pass_span = pass_span.meta("path", if hit { "fused" } else { "staged" });
         for r in &batch {
             pass_span = pass_span.flow_in(r.id);
         }
@@ -890,15 +718,12 @@ impl Run<'_> {
             .meta("requests", batch.len().to_string())
             .meta("records", total_records.to_string())
             .finish(start);
-        let mut cursor = start;
-        if let Some(name) = prepare_span {
-            cursor = self
-                .tracer
-                .span(name, cursor)
-                .track("serve", lane.as_str())
-                .meta("backend", choice.name.as_str())
-                .finish_after(prepare);
-        }
+        let mut cursor = self
+            .tracer
+            .span(if hit { "cache hit" } else { "compile model" }, start)
+            .track("serve", lane.as_str())
+            .meta("backend", choice.name.as_str())
+            .finish_after(prepare);
         for (name, class) in [
             ("setup", StageClass::Overhead),
             ("transfer", StageClass::Transfer),
@@ -939,9 +764,7 @@ impl Run<'_> {
             let violated = self
                 .engine
                 .config
-                .queue
-                .slo(r.class)
-                .latency_slo
+                .latency_slo(r.class)
                 .is_some_and(|slo| latency > slo);
             let class = self.class_mut(r.class);
             class.completed += 1;
@@ -1000,9 +823,6 @@ impl Run<'_> {
         }
         if end > self.s.last_completion {
             self.s.last_completion = end;
-        }
-        for r in batch {
-            self.request_left(end, r.client);
         }
         self.push_event(end, EventKind::DeviceFree);
     }
@@ -1072,20 +892,13 @@ impl EngineSession {
     /// Runs every remaining event to completion and returns the report.
     pub fn finish(mut self) -> ServingReport {
         self.view().step_all();
-        let EngineSession {
-            engine,
-            tracer,
-            state,
-        } = self;
-        state.into_report(&engine, &tracer)
+        self.state.into_report(&self.tracer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::ShedPolicy;
-    use crate::request::ClassSlo;
     use mlscore_sched::paper_backends;
 
     fn fpga_only() -> Vec<Box<dyn ScoringBackend>> {
@@ -1095,11 +908,11 @@ mod tests {
             .collect()
     }
 
-    fn spec(queries: usize, arrivals: ArrivalProcess) -> WorkloadSpec {
+    fn spec(queries: usize, rate_qps: f64) -> WorkloadSpec {
         WorkloadSpec {
             queries,
             seed: 42,
-            arrivals,
+            rate_qps,
         }
     }
 
@@ -1110,7 +923,7 @@ mod tests {
             ModelCatalog::paper_mix(),
             ServeConfig::default(),
         );
-        let w = spec(60, ArrivalProcess::OpenPoisson { rate_qps: 40.0 });
+        let w = spec(60, 40.0);
         let a = engine.run(&w, &Tracer::disabled()).unwrap();
         let b = engine.run(&w, &Tracer::disabled()).unwrap();
         assert!(a.is_conserved());
@@ -1127,19 +940,12 @@ mod tests {
     #[test]
     fn overload_with_bounded_queue_sheds() {
         let config = ServeConfig {
-            queue: QueueConfig {
-                capacity: Some(4),
-                shed: ShedPolicy::RejectNew,
-                ..QueueConfig::default()
-            },
+            capacity: Some(4),
             ..ServeConfig::default()
         };
         let engine = ServeEngine::new(fpga_only(), ModelCatalog::paper_mix(), config);
         let report = engine
-            .run(
-                &spec(200, ArrivalProcess::OpenPoisson { rate_qps: 5_000.0 }),
-                &Tracer::disabled(),
-            )
+            .run(&spec(200, 5_000.0), &Tracer::disabled())
             .unwrap();
         assert!(report.is_conserved());
         assert!(report.rejected > 0, "queue of 4 at 5k qps must shed");
@@ -1147,102 +953,15 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_evicts_instead_of_rejecting() {
-        let config = ServeConfig {
-            queue: QueueConfig {
-                capacity: Some(4),
-                shed: ShedPolicy::DropOldest,
-                ..QueueConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let engine = ServeEngine::new(fpga_only(), ModelCatalog::paper_mix(), config);
-        let report = engine
-            .run(
-                &spec(200, ArrivalProcess::OpenPoisson { rate_qps: 5_000.0 }),
-                &Tracer::disabled(),
-            )
-            .unwrap();
-        assert!(report.is_conserved());
-        assert!(report.dropped > 0);
-        assert_eq!(report.rejected, 0);
-    }
-
-    #[test]
-    fn deadlines_time_out_queued_requests() {
-        let slo = ClassSlo {
-            queue_deadline: Some(SimDuration::from_millis(1.0)),
-            latency_slo: Some(SimDuration::from_millis(2.0)),
-        };
-        let config = ServeConfig {
-            queue: QueueConfig {
-                interactive: slo,
-                analytical: slo,
-                ..QueueConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        let engine = ServeEngine::new(fpga_only(), ModelCatalog::paper_mix(), config);
-        let report = engine
-            .run(
-                &spec(150, ArrivalProcess::OpenPoisson { rate_qps: 5_000.0 }),
-                &Tracer::disabled(),
-            )
-            .unwrap();
-        assert!(report.is_conserved());
-        assert!(report.timed_out > 0, "1 ms deadlines at 5k qps must lapse");
-        let per_class: u64 = report.classes.iter().map(|c| c.timed_out).sum();
-        assert_eq!(per_class, report.timed_out);
-        // With latency SLOs this tight, queued completions violate them.
-        let violations: u64 = report.classes.iter().map(|c| c.slo_violations).sum();
-        assert!(violations > 0);
-    }
-
-    #[test]
-    fn closed_loop_issues_every_query_and_self_throttles() {
-        let engine = ServeEngine::new(
-            paper_backends(),
-            ModelCatalog::paper_mix(),
-            ServeConfig::default(),
-        );
-        let report = engine
-            .run(
-                &spec(
-                    80,
-                    ArrivalProcess::ClosedLoop {
-                        clients: 4,
-                        think: SimDuration::from_millis(5.0),
-                    },
-                ),
-                &Tracer::disabled(),
-            )
-            .unwrap();
-        assert!(report.is_conserved());
-        assert_eq!(report.offered, 80);
-        // Nothing sheds in a closed loop with an unbounded queue.
-        assert_eq!(report.completed, 80);
-        // At most `clients` requests are ever in flight, so no pass can
-        // merge more than that.
-        assert!(report.max_batch() <= 4);
-    }
-
-    #[test]
     fn coalescing_merges_under_overload_and_disabled_never_does() {
         let mk = |enabled| {
             let config = ServeConfig {
-                coalesce: if enabled {
-                    CoalesceConfig::default()
-                } else {
-                    CoalesceConfig::disabled()
-                },
+                coalesce: enabled,
                 ..ServeConfig::default()
             };
             let engine = ServeEngine::new(fpga_only(), ModelCatalog::paper_mix(), config);
             engine
-                .run(
-                    &spec(300, ArrivalProcess::OpenPoisson { rate_qps: 3_000.0 }),
-                    &Tracer::disabled(),
-                )
+                .run(&spec(300, 3_000.0), &Tracer::disabled())
                 .unwrap()
         };
         let on = mk(true);
@@ -1261,65 +980,13 @@ mod tests {
     }
 
     #[test]
-    fn hold_window_builds_bigger_batches_at_moderate_load() {
-        let mk = |hold| {
-            let config = ServeConfig {
-                coalesce: CoalesceConfig {
-                    hold,
-                    ..CoalesceConfig::default()
-                },
-                ..ServeConfig::default()
-            };
-            let engine = ServeEngine::new(fpga_only(), ModelCatalog::paper_mix(), config);
-            engine
-                .run(
-                    &spec(200, ArrivalProcess::OpenPoisson { rate_qps: 300.0 }),
-                    &Tracer::disabled(),
-                )
-                .unwrap()
-        };
-        let eager = mk(SimDuration::ZERO);
-        let held = mk(SimDuration::from_millis(50.0));
-        assert!(held.is_conserved());
-        assert!(
-            held.mean_batch() > eager.mean_batch(),
-            "holding {:.3} vs eager {:.3}",
-            held.mean_batch(),
-            eager.mean_batch()
-        );
-    }
-
-    #[test]
-    fn adaptive_policy_serves_the_whole_workload() {
-        let config = ServeConfig {
-            policy: ServePolicy::Adaptive { alpha: 0.4 },
-            ..ServeConfig::default()
-        };
-        let engine = ServeEngine::new(paper_backends(), ModelCatalog::paper_mix(), config);
-        let w = spec(120, ArrivalProcess::OpenPoisson { rate_qps: 60.0 });
-        let report = engine.run(&w, &Tracer::disabled()).unwrap();
-        assert!(report.is_conserved());
-        assert_eq!(report.completed, 120);
-        // Exploration probes several backends.
-        assert!(report.picks.len() >= 3, "picks {:?}", report.picks);
-        // Determinism holds for the learner too.
-        let again = engine.run(&w, &Tracer::disabled()).unwrap();
-        assert_eq!(report.dispatches, again.dispatches);
-    }
-
-    #[test]
     fn compile_charging_populates_the_cache_model() {
         let engine = ServeEngine::new(
             fpga_only(),
             ModelCatalog::paper_mix(),
             ServeConfig::default(),
         );
-        let report = engine
-            .run(
-                &spec(100, ArrivalProcess::OpenPoisson { rate_qps: 100.0 }),
-                &Tracer::disabled(),
-            )
-            .unwrap();
+        let report = engine.run(&spec(100, 100.0), &Tracer::disabled()).unwrap();
         assert!(report.is_conserved());
         assert_eq!(report.cache.lookups(), report.batches);
         assert!(
@@ -1329,44 +996,18 @@ mod tests {
         // At most one artifact per (model, backend) pair.
         assert!(report.cache.entries <= 12);
         assert_eq!(report.expected_reuse, report.cache.expected_reuse());
-        // Compile charging off: the cache is bypassed entirely.
-        let free = ServeEngine::new(
-            fpga_only(),
-            ModelCatalog::paper_mix(),
-            ServeConfig {
-                charge_compile: false,
-                ..ServeConfig::default()
-            },
-        );
-        let free_report = free
-            .run(
-                &spec(100, ArrivalProcess::OpenPoisson { rate_qps: 100.0 }),
-                &Tracer::disabled(),
-            )
-            .unwrap();
-        assert_eq!(free_report.cache, CacheStats::default());
-        assert!(free_report.makespan <= report.makespan);
     }
 
     #[test]
     fn observability_feeds_journal_series_and_flows() {
         use crate::journal::JournalKind;
         let config = ServeConfig {
-            queue: QueueConfig {
-                capacity: Some(32),
-                shed: ShedPolicy::RejectNew,
-                ..QueueConfig::default()
-            },
+            capacity: Some(32),
             ..ServeConfig::default()
         };
         let engine = ServeEngine::new(fpga_only(), ModelCatalog::paper_mix(), config);
         let tracer = Tracer::new();
-        let report = engine
-            .run(
-                &spec(200, ArrivalProcess::OpenPoisson { rate_qps: 2_000.0 }),
-                &tracer,
-            )
-            .unwrap();
+        let report = engine.run(&spec(200, 2_000.0), &tracer).unwrap();
         let trace = tracer.take();
         assert!(report.is_conserved());
 
@@ -1436,12 +1077,7 @@ mod tests {
             ServeConfig::default(),
         );
         let tracer = Tracer::new();
-        let report = engine
-            .run(
-                &spec(100, ArrivalProcess::OpenPoisson { rate_qps: 100.0 }),
-                &tracer,
-            )
-            .unwrap();
+        let report = engine.run(&spec(100, 100.0), &tracer).unwrap();
         let trace = tracer.take();
         let path_of = |e: &mlscore_telemetry::SpanEvent| {
             e.metadata
@@ -1480,12 +1116,7 @@ mod tests {
             ServeConfig::default(),
         );
         let tracer = Tracer::new();
-        let report = engine
-            .run(
-                &spec(40, ArrivalProcess::OpenPoisson { rate_qps: 200.0 }),
-                &tracer,
-            )
-            .unwrap();
+        let report = engine.run(&spec(40, 200.0), &tracer).unwrap();
         let trace = tracer.take();
         assert!(!trace.is_empty());
         let lanes: BTreeSet<String> = trace
@@ -1513,36 +1144,61 @@ mod tests {
 
     /// Replays a spec's arrival stream through the session API; the
     /// resulting report must match `ServeEngine::run` on every counter,
-    /// every dispatch, and the full journal — the refactor's ground truth.
+    /// every dispatch, the series, the alerts and the full journal — the
+    /// refactor's ground truth. Two inputs: the full roster at moderate
+    /// load, and the run-report overload point (`bench::run_report`:
+    /// FPGA-only, capacity 32, coalescing on, the benchmark's latency SLOs,
+    /// 2000 qps), where shedding and coalescing actually happen.
     #[test]
     fn session_replay_of_a_spec_matches_run_exactly() {
-        let mk = || {
-            ServeEngine::new(
-                paper_backends(),
-                ModelCatalog::paper_mix(),
-                ServeConfig::default(),
-            )
+        let overload = ServeConfig {
+            capacity: Some(32),
+            interactive_slo: Some(SimDuration::from_millis(50.0)),
+            analytical_slo: Some(SimDuration::from_secs(2.0)),
+            coalesce: true,
+            cpu_seats: 52,
+            gpu_streams: 4,
         };
-        let w = spec(80, ArrivalProcess::OpenPoisson { rate_qps: 500.0 });
-        let batch_report = mk().run(&w, &Tracer::disabled()).unwrap();
+        type Roster = fn() -> Vec<Box<dyn ScoringBackend>>;
+        let inputs: [(Roster, ServeConfig, WorkloadSpec, bool); 2] = [
+            (
+                paper_backends,
+                ServeConfig::default(),
+                spec(80, 500.0),
+                false,
+            ),
+            (fpga_only, overload, spec(150, 2_000.0), true),
+        ];
+        for (roster, config, w, overloaded) in inputs {
+            let mk = || ServeEngine::new(roster(), ModelCatalog::paper_mix(), config.clone());
+            let batch_report = mk().run(&w, &Tracer::disabled()).unwrap();
+            if overloaded {
+                assert!(batch_report.shed() > 0, "the overload input must shed");
+                assert!(batch_report.coalesced_batches > 0, "...and coalesce");
+                assert!(!batch_report.alerts.is_empty(), "...and burn SLO budget");
+            }
 
-        let engine = mk();
-        let times = w.open_arrival_times().unwrap();
-        let draws = w.draws(ModelCatalog::paper_mix().len());
-        let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer);
-        for (at, &(model, n_records)) in times.iter().zip(&draws) {
-            let _ = session.inject(*at, model, n_records);
+            let times = w.arrival_times().unwrap();
+            let draws = w.draws(ModelCatalog::paper_mix().len());
+            let tracer = Tracer::disabled();
+            let mut session = mk().into_session(&tracer);
+            for (at, &(model, n_records)) in times.iter().zip(&draws) {
+                let _ = session.inject(*at, model, n_records);
+            }
+            let replay = session.finish();
+            assert!(replay.is_conserved());
+            assert_eq!(replay.offered, batch_report.offered);
+            assert_eq!(replay.completed, batch_report.completed);
+            assert_eq!(replay.rejected, batch_report.rejected);
+            assert_eq!(replay.coalesced_batches, batch_report.coalesced_batches);
+            assert_eq!(replay.makespan, batch_report.makespan);
+            assert_eq!(replay.picks, batch_report.picks);
+            assert_eq!(replay.dispatches, batch_report.dispatches);
+            assert_eq!(replay.latency, batch_report.latency);
+            assert_eq!(replay.series, batch_report.series);
+            assert_eq!(replay.alerts, batch_report.alerts);
+            assert_eq!(replay.journal, batch_report.journal);
         }
-        let replay = session.finish();
-        assert!(replay.is_conserved());
-        assert_eq!(replay.offered, batch_report.offered);
-        assert_eq!(replay.completed, batch_report.completed);
-        assert_eq!(replay.makespan, batch_report.makespan);
-        assert_eq!(replay.picks, batch_report.picks);
-        assert_eq!(replay.dispatches, batch_report.dispatches);
-        assert_eq!(replay.latency, batch_report.latency);
-        assert_eq!(replay.journal, batch_report.journal);
     }
 
     #[test]

@@ -14,8 +14,7 @@ use mlscore_backend::BackendError;
 #[non_exhaustive]
 pub enum ServeError {
     /// The workload specification cannot be served as written (for
-    /// example, a non-positive Poisson rate or a closed loop with zero
-    /// clients).
+    /// example, a non-positive Poisson rate).
     InvalidWorkload {
         /// What is wrong with the specification.
         reason: String,

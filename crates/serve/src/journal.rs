@@ -22,13 +22,8 @@ use crate::slo::SloAlert;
 /// Why a request was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// Bounced at a full queue (`ShedPolicy::RejectNew`).
+    /// Bounced at a full queue.
     Rejected,
-    /// Evicted from a full queue by a newer arrival
-    /// (`ShedPolicy::DropOldest`).
-    DroppedOldest,
-    /// Queue deadline lapsed before dispatch.
-    TimedOut,
     /// No backend in the roster supports the model.
     Unservable,
 }
@@ -38,8 +33,6 @@ impl ShedReason {
     pub fn name(self) -> &'static str {
         match self {
             ShedReason::Rejected => "rejected",
-            ShedReason::DroppedOldest => "dropped-oldest",
-            ShedReason::TimedOut => "timed-out",
             ShedReason::Unservable => "unservable",
         }
     }
@@ -341,19 +334,14 @@ mod tests {
     #[test]
     fn shed_reasons_have_stable_names() {
         let mut journal = RequestJournal::new();
-        for (id, reason) in [
-            ShedReason::Rejected,
-            ShedReason::DroppedOldest,
-            ShedReason::TimedOut,
-            ShedReason::Unservable,
-        ]
-        .into_iter()
-        .enumerate()
+        for (id, reason) in [ShedReason::Rejected, ShedReason::Unservable]
+            .into_iter()
+            .enumerate()
         {
             journal.emit(at_ms(0.0), id as u64, JournalKind::Shed { reason });
         }
         let jsonl = journal.to_jsonl();
-        for name in ["rejected", "dropped-oldest", "timed-out", "unservable"] {
+        for name in ["rejected", "unservable"] {
             assert!(jsonl.contains(&format!("\"reason\":\"{name}\"")), "{name}");
         }
     }

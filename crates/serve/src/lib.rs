@@ -7,25 +7,26 @@
 //! micro-batches when they target the same compiled model, and contend
 //! for a small set of physical devices. This crate models that regime in
 //! simulated time ([`mlscore_sim::SimInstant`]) so every run is exactly
-//! reproducible:
+//! reproducible. The serving question is narrow: an offered query either
+//! scores on the cheapest free backend, paying its compile, or is shed.
 //!
-//! - [`WorkloadSpec`] / [`ArrivalProcess`] — batch, open-loop Poisson, and
-//!   closed-loop arrival generators over the paper query mix.
-//! - [`AdmissionQueue`] / [`QueueConfig`] — bounded capacity, shed
-//!   policies ([`ShedPolicy`]), and per-class deadlines ([`ClassSlo`]).
-//! - [`CoalesceConfig`] / [`score_merged_stream`] — micro-batch coalescing of
-//!   same-model requests into one device pass, bit-exact on split.
+//! - [`WorkloadSpec`] — open-loop Poisson arrivals over the paper query
+//!   mix.
+//! - [`AdmissionQueue`] — bounded capacity; an arrival at a full queue is
+//!   rejected.
+//! - [`score_merged_stream`] — micro-batch coalescing of same-model
+//!   requests into one device pass, bit-exact on split.
 //! - [`DeviceRoster`] — the contention topology: exclusive FPGA, GPU
 //!   streams, CPU executor seats.
-//! - [`ServeEngine`] — the event loop tying it together, emitting
-//!   telemetry spans and a [`ServingReport`] with throughput, latency
-//!   percentiles, utilization, batch-size distribution, and shed counts.
+//! - [`ServeEngine`] — the event loop tying it together: oracle
+//!   arbitration on the backends' cost models plus the amortized compile
+//!   charge of a simulated artifact cache, emitting telemetry spans and a
+//!   [`ServingReport`] with throughput, latency percentiles, utilization,
+//!   batch-size distribution, shed counts and SLO alerts.
 //!
 //! ```
 //! use mlscore_sched::paper_backends;
-//! use mlscore_serve::{
-//!     ArrivalProcess, ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec,
-//! };
+//! use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
 //! use mlscore_telemetry::Tracer;
 //!
 //! let engine = ServeEngine::new(
@@ -36,7 +37,7 @@
 //! let spec = WorkloadSpec {
 //!     queries: 20,
 //!     seed: 1,
-//!     arrivals: ArrivalProcess::OpenPoisson { rate_qps: 100.0 },
+//!     rate_qps: 100.0,
 //! };
 //! let report = engine.run(&spec, &Tracer::disabled()).expect("servable spec");
 //! assert!(report.is_conserved());
@@ -56,13 +57,13 @@ pub mod request;
 pub mod slo;
 pub mod workload;
 
-pub use coalesce::{score_merged_stream, CoalesceConfig};
+pub use coalesce::score_merged_stream;
 pub use device::{DeviceRoster, DeviceSpec};
-pub use engine::{EngineSession, ServeConfig, ServeEngine, ServePolicy};
+pub use engine::{EngineSession, ServeConfig, ServeEngine};
 pub use error::ServeError;
 pub use journal::{JournalEntry, JournalKind, RequestJournal, ShedReason};
-pub use queue::{Admission, AdmissionQueue, QueueConfig, ShedPolicy};
+pub use queue::AdmissionQueue;
 pub use report::{ClassReport, DeviceReport, DispatchRecord, ServingReport};
-pub use request::{ClassSlo, QueryClass, RequestId, ServeRequest, ANALYTICAL_MIN_RECORDS};
-pub use slo::{ObserveConfig, SloAlert, SloMonitor};
-pub use workload::{exponential, ArrivalProcess, ModelCatalog, WorkloadSpec};
+pub use request::{QueryClass, RequestId, ServeRequest, ANALYTICAL_MIN_RECORDS};
+pub use slo::{SloAlert, SloMonitor};
+pub use workload::{ModelCatalog, WorkloadSpec};

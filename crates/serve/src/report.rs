@@ -21,10 +21,6 @@ pub struct ClassReport {
     pub completed: u64,
     /// Requests of this class bounced at a full queue.
     pub rejected: u64,
-    /// Requests of this class evicted by `ShedPolicy::DropOldest`.
-    pub dropped: u64,
-    /// Requests shed by queue-deadline expiry.
-    pub timed_out: u64,
     /// Completions that exceeded the class's latency SLO.
     pub slo_violations: u64,
     /// Sojourn-latency distribution (arrival to completion).
@@ -32,9 +28,9 @@ pub struct ClassReport {
 }
 
 impl ClassReport {
-    /// Requests of this class shed for any reason.
+    /// Requests of this class shed: the ones bounced at a full queue.
     pub fn shed(&self) -> u64 {
-        self.rejected + self.dropped + self.timed_out
+        self.rejected
     }
 
     /// Fraction of completions that met the latency SLO (`1.0` with no
@@ -90,12 +86,8 @@ pub struct ServingReport {
     pub admitted: u64,
     /// Requests scored to completion.
     pub completed: u64,
-    /// Requests bounced at a full queue (`ShedPolicy::RejectNew`).
+    /// Requests bounced at a full queue.
     pub rejected: u64,
-    /// Queued requests evicted by `ShedPolicy::DropOldest`.
-    pub dropped: u64,
-    /// Queued requests shed by class deadline expiry.
-    pub timed_out: u64,
     /// Requests no backend in the roster supports.
     pub unservable: u64,
     /// Records actually scored (completed requests only).
@@ -116,8 +108,7 @@ pub struct ServingReport {
     pub picks: BTreeMap<String, u64>,
     /// Per-device accounting, in roster order.
     pub devices: Vec<DeviceReport>,
-    /// Artifact-cache counters from the compile model (all zero when
-    /// compile charging is off).
+    /// Artifact-cache counters from the compile model.
     pub cache: CacheStats,
     /// The final measured queries-per-compile arbitration used.
     pub expected_reuse: u64,
@@ -150,9 +141,9 @@ impl ServingReport {
         }
     }
 
-    /// Requests shed for any reason (rejected + dropped + timed out).
+    /// Requests shed: the ones bounced at a full queue.
     pub fn shed(&self) -> u64 {
-        self.rejected + self.dropped + self.timed_out
+        self.rejected
     }
 
     /// Largest number of requests merged into one pass (0 for no passes).
@@ -184,14 +175,13 @@ impl ServingReport {
     }
 
     /// Checks the request-conservation invariant: every offered request is
-    /// accounted for exactly once as completed, rejected, dropped, timed
-    /// out, or unservable; admission splits
-    /// offered against rejected; and the per-class slices sum back to
-    /// every global counter they shard.
+    /// accounted for exactly once as completed, rejected, or unservable;
+    /// admission splits offered against rejected; and the per-class slices
+    /// sum back to every global counter they shard.
     pub fn is_conserved(&self) -> bool {
         let sum = |f: fn(&ClassReport) -> u64| self.classes.iter().map(f).sum::<u64>();
         self.offered == self.admitted + self.rejected
-            && self.admitted == self.completed + self.dropped + self.timed_out + self.unservable
+            && self.admitted == self.completed + self.unservable
             && self.completed == self.dispatches.len() as u64
             && self.completed == self.picks.values().sum::<u64>()
             && self.batch_sizes.values().sum::<u64>() == self.batches
@@ -203,8 +193,6 @@ impl ServingReport {
                 == self.completed
             && sum(|c| c.completed) == self.completed
             && sum(|c| c.rejected) == self.rejected
-            && sum(|c| c.dropped) == self.dropped
-            && sum(|c| c.timed_out) == self.timed_out
     }
 }
 
@@ -218,8 +206,6 @@ mod tests {
             admitted: 0,
             completed: 0,
             rejected: 0,
-            dropped: 0,
-            timed_out: 0,
             unservable: 0,
             records_scored: 0,
             makespan: SimDuration::ZERO,
@@ -233,8 +219,6 @@ mod tests {
                     class,
                     completed: 0,
                     rejected: 0,
-                    dropped: 0,
-                    timed_out: 0,
                     slo_violations: 0,
                     latency: Histogram::new(),
                 })
@@ -288,9 +272,7 @@ mod tests {
         assert_eq!(c.shed(), 0);
         assert_eq!(c.attainment(), 1.0);
         c.rejected = 2;
-        c.dropped = 1;
-        c.timed_out = 3;
-        assert_eq!(c.shed(), 6);
+        assert_eq!(c.shed(), 2);
         c.completed = 4;
         c.slo_violations = 1;
         assert_eq!(c.attainment(), 0.75);

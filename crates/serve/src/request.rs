@@ -1,8 +1,8 @@
-//! Requests, query classes, and per-class SLOs.
+//! Requests and query classes.
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_sim::{SimDuration, SimInstant};
+use mlscore_sim::SimInstant;
 
 /// Engine-assigned request identifier, dense and increasing in arrival
 /// order (ties broken by arrival-event order), so id order *is* arrival
@@ -48,17 +48,6 @@ impl QueryClass {
     }
 }
 
-/// Per-class service-level objectives.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClassSlo {
-    /// Maximum time a request may sit in the admission queue before the
-    /// engine sheds it as timed out (`None`: wait forever).
-    pub queue_deadline: Option<SimDuration>,
-    /// Target end-to-end (sojourn) latency; completions above it count as
-    /// SLO violations in the report (`None`: untracked).
-    pub latency_slo: Option<SimDuration>,
-}
-
 /// One scoring request inside the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeRequest {
@@ -73,8 +62,6 @@ pub struct ServeRequest {
     pub n_records: u64,
     /// When the request entered the system.
     pub arrival: SimInstant,
-    /// Closed-loop client that issued the request, if any.
-    pub client: Option<usize>,
 }
 
 #[cfg(test)]

@@ -1,40 +1,26 @@
 //! Windowed SLO monitoring: per-class attainment and error-budget burn
 //! rate over the run's time series, with alert events when a class burns
-//! budget faster than the configured threshold.
+//! budget faster than the threshold.
 //!
 //! Attainment in a window is the fraction of that window's completions
 //! that met the class latency SLO. The *burn rate* normalizes the miss
 //! fraction by the error budget the target leaves: with a 99% target the
 //! budget is 1%, so a window missing 3% of its completions burns at 3×.
 //! Sustained burn above 1× exhausts the budget before the period ends;
-//! the default threshold of 2× flags windows that are clearly on fire
+//! the threshold of 2× flags windows that are clearly on fire
 //! without alerting on single stray misses.
 
-use mlscore_sim::{SimDuration, SimInstant};
+use mlscore_sim::SimInstant;
 use mlscore_telemetry::TimeSeriesRecorder;
 
-/// Observability configuration for a serving run: how metrics windows
-/// rotate and when SLO alerts fire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObserveConfig {
-    /// Length of one metrics window in simulated time.
-    pub window: SimDuration,
-    /// Latency-SLO attainment target in `(0, 1)`; the error budget is
-    /// `1 - slo_target`.
-    pub slo_target: f64,
-    /// Burn-rate multiple above which a window raises an alert.
-    pub burn_threshold: f64,
-}
+/// Length of one metrics window, in simulated milliseconds.
+pub(crate) const WINDOW_MS: f64 = 100.0;
 
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        Self {
-            window: SimDuration::from_millis(100.0),
-            slo_target: 0.99,
-            burn_threshold: 2.0,
-        }
-    }
-}
+/// Latency-SLO attainment target; the error budget is `1 - SLO_TARGET`.
+const SLO_TARGET: f64 = 0.99;
+
+/// Burn-rate multiple above which a window raises an alert.
+const BURN_THRESHOLD: f64 = 2.0;
 
 /// One SLO alert: a class burned error budget faster than the threshold
 /// during one metrics window.
@@ -48,7 +34,7 @@ pub struct SloAlert {
     pub class: String,
     /// Attainment in the window, in `[0, 1]`.
     pub attainment: f64,
-    /// `(1 - attainment) / (1 - slo_target)` — budget-burn multiple.
+    /// `(1 - attainment) / (1 - SLO_TARGET)` — budget-burn multiple.
     pub burn_rate: f64,
 }
 
@@ -61,17 +47,13 @@ pub struct SloAlert {
 pub struct SloMonitor;
 
 impl SloMonitor {
-    /// Returns every `(window, class)` whose burn rate exceeds
-    /// `config.burn_threshold`, in window order then class order.
+    /// Returns every `(window, class)` whose burn rate exceeds the 2×
+    /// threshold against the 99% target, in window order then class order.
     ///
     /// Windows without completions for a class never alert (attainment is
-    /// vacuously 1), and a target of 1.0 or more leaves no budget to
-    /// meter, so no alerts fire either.
-    pub fn scan(series: &TimeSeriesRecorder, config: ObserveConfig) -> Vec<SloAlert> {
-        let budget = 1.0 - config.slo_target;
-        if budget <= 0.0 {
-            return Vec::new();
-        }
+    /// vacuously 1).
+    pub fn scan(series: &TimeSeriesRecorder) -> Vec<SloAlert> {
+        let budget = 1.0 - SLO_TARGET;
         let mut alerts = Vec::new();
         for (index, window) in series.windows() {
             for (class, slice) in &window.classes {
@@ -80,7 +62,7 @@ impl SloMonitor {
                 }
                 let attainment = slice.attainment();
                 let burn_rate = (1.0 - attainment) / budget;
-                if burn_rate > config.burn_threshold {
+                if burn_rate > BURN_THRESHOLD {
                     alerts.push(SloAlert {
                         window: index,
                         at: series.window_start(index),
@@ -98,6 +80,7 @@ impl SloMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlscore_sim::SimDuration;
 
     fn ms(v: f64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -107,54 +90,41 @@ mod tests {
         SimInstant::ZERO + ms(v)
     }
 
-    fn config() -> ObserveConfig {
-        ObserveConfig {
-            window: ms(100.0),
-            slo_target: 0.9, // 10% budget
-            burn_threshold: 2.0,
-        }
-    }
-
     #[test]
     fn burning_windows_alert_and_healthy_ones_do_not() {
-        let mut series = TimeSeriesRecorder::new(ms(100.0));
-        // Window 0: 1 of 4 violated -> burn 2.5x > 2x.
+        let mut series = TimeSeriesRecorder::new(ms(WINDOW_MS));
+        // Window 0: 1 of 4 violated -> burn 25x > 2x.
         for violated in [true, false, false, false] {
             series.record_completion(at_ms(10.0), "interactive", ms(1.0), violated);
         }
-        // Window 1: all met -> burn 0.
-        series.record_completion(at_ms(110.0), "interactive", ms(1.0), false);
-        let alerts = SloMonitor::scan(&series, config());
+        // Window 1: 1 of 100 violated -> burn 1x, within the threshold.
+        for i in 0..100 {
+            series.record_completion(at_ms(110.0), "interactive", ms(1.0), i == 0);
+        }
+        let alerts = SloMonitor::scan(&series);
         assert_eq!(alerts.len(), 1);
         let alert = &alerts[0];
         assert_eq!(alert.window, 0);
         assert_eq!(alert.class, "interactive");
         assert!((alert.attainment - 0.75).abs() < 1e-12);
-        assert!((alert.burn_rate - 2.5).abs() < 1e-12);
+        assert!((alert.burn_rate - 25.0).abs() < 1e-9);
         assert_eq!(alert.at, SimInstant::ZERO);
     }
 
     #[test]
-    fn empty_windows_and_exhausted_budgets_never_alert() {
-        let mut series = TimeSeriesRecorder::new(ms(100.0));
+    fn empty_windows_never_alert() {
+        let mut series = TimeSeriesRecorder::new(ms(WINDOW_MS));
         series.record_arrival(at_ms(5.0), "interactive"); // no completions
-        assert!(SloMonitor::scan(&series, config()).is_empty());
-
-        series.record_completion(at_ms(10.0), "interactive", ms(1.0), true);
-        let no_budget = ObserveConfig {
-            slo_target: 1.0,
-            ..config()
-        };
-        assert!(SloMonitor::scan(&series, no_budget).is_empty());
+        assert!(SloMonitor::scan(&series).is_empty());
     }
 
     #[test]
     fn alerts_come_out_in_window_then_class_order() {
-        let mut series = TimeSeriesRecorder::new(ms(100.0));
+        let mut series = TimeSeriesRecorder::new(ms(WINDOW_MS));
         series.record_completion(at_ms(110.0), "interactive", ms(1.0), true);
         series.record_completion(at_ms(10.0), "analytical", ms(1.0), true);
         series.record_completion(at_ms(10.0), "interactive", ms(1.0), true);
-        let alerts = SloMonitor::scan(&series, config());
+        let alerts = SloMonitor::scan(&series);
         let keys: Vec<(u64, &str)> = alerts
             .iter()
             .map(|a| (a.window, a.class.as_str()))

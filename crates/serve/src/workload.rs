@@ -1,11 +1,9 @@
-//! Model catalogs and arrival processes.
+//! Model catalogs and open-loop Poisson arrivals.
 //!
 //! The workload half of the serving simulation: *which* concrete models
 //! queries reference (so the coalescer and artifact cache can key on real
-//! bundle content hashes) and *when* queries arrive (open-loop Poisson,
-//! closed-loop clients with think time, or everything-at-once batch).
-//! Everything is seeded and draws from the vendored [`StdRng`]; no wall
-//! clock anywhere.
+//! bundle content hashes) and *when* queries arrive. Everything is seeded
+//! and draws from the vendored [`StdRng`]; no wall clock anywhere.
 
 use std::sync::Arc;
 
@@ -101,33 +99,10 @@ impl ModelCatalog {
     }
 }
 
-/// When queries arrive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Every query is present at time zero, in trace order — the
-    /// `sched::trace::replay` setting.
-    Batch,
-    /// Open loop: exponential interarrival times at the offered rate;
-    /// arrivals do not react to system state (the overload-capable
-    /// setting — queues can grow without bound).
-    OpenPoisson {
-        /// Offered load in queries per second.
-        rate_qps: f64,
-    },
-    /// Closed loop: `clients` concurrent clients, each issuing its next
-    /// query an exponential think time after its previous one completes
-    /// (arrivals self-throttle to the system's speed).
-    ClosedLoop {
-        /// Concurrent clients.
-        clients: usize,
-        /// Mean think time between a completion and the client's next
-        /// query.
-        think: SimDuration,
-    },
-}
-
-/// A complete workload: how many queries, which seed, and the arrival
-/// process. The query *content* (model index, batch size) comes from
+/// A complete workload: how many queries, which seed, and the offered
+/// rate. Queries arrive open loop, with exponential interarrival times at
+/// `rate_qps`; arrivals do not react to system state, so queues can grow
+/// without bound. The query *content* (model index, batch size) comes from
 /// [`QueryTrace::synthetic_draws`] under the same seed, so a workload and a
 /// stats-only trace with equal `(queries, seed)` carry the identical mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,16 +111,14 @@ pub struct WorkloadSpec {
     pub queries: usize,
     /// Master seed; query content and arrival times derive from it.
     pub seed: u64,
-    /// The arrival process.
-    pub arrivals: ArrivalProcess,
+    /// Offered load in queries per second.
+    pub rate_qps: f64,
 }
 
 /// Seed offset separating the arrival-time stream from the query-content
 /// stream (content must match `QueryTrace::synthetic(queries, seed)`
 /// exactly, so arrivals may not consume from the same RNG).
 const ARRIVAL_STREAM: u64 = 0x5EED_AA77;
-/// Seed offset for closed-loop think-time draws.
-const THINK_STREAM: u64 = 0x7417_C0DE;
 
 impl WorkloadSpec {
     /// The `(model index, batch size)` content of each query, in issue
@@ -154,82 +127,45 @@ impl WorkloadSpec {
         QueryTrace::synthetic_draws(self.queries, self.seed, n_models)
     }
 
-    /// Checks that the specification is servable: an open Poisson process
-    /// needs a positive finite rate, and a closed loop needs at least one
-    /// client and a non-negative finite think time.
+    /// Checks that the specification is servable: the rate must be
+    /// positive and finite.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidWorkload`] describing the first
-    /// problem found.
+    /// Returns [`ServeError::InvalidWorkload`] describing the problem.
     pub fn validate(&self) -> Result<(), ServeError> {
-        match self.arrivals {
-            ArrivalProcess::Batch => Ok(()),
-            ArrivalProcess::OpenPoisson { rate_qps } => {
-                if rate_qps > 0.0 && rate_qps.is_finite() {
-                    Ok(())
-                } else {
-                    Err(ServeError::workload(format!(
-                        "Poisson rate must be positive and finite, got {rate_qps}"
-                    )))
-                }
-            }
-            ArrivalProcess::ClosedLoop { clients, think } => {
-                if clients == 0 {
-                    Err(ServeError::workload(
-                        "a closed loop needs at least one client",
-                    ))
-                } else if !think.as_secs().is_finite() || think.as_secs() < 0.0 {
-                    Err(ServeError::workload(format!(
-                        "closed-loop think time must be finite and non-negative, got {} s",
-                        think.as_secs()
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
+        if self.rate_qps > 0.0 && self.rate_qps.is_finite() {
+            Ok(())
+        } else {
+            Err(ServeError::workload(format!(
+                "Poisson rate must be positive and finite, got {}",
+                self.rate_qps
+            )))
         }
     }
 
-    /// Arrival instants for the open processes, one per query, in issue
-    /// order ([`ArrivalProcess::Batch`]: all zero;
-    /// [`ArrivalProcess::OpenPoisson`]: cumulative exponential gaps).
+    /// Arrival instants, one per query, in issue order: cumulative
+    /// exponential gaps at the offered rate.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidWorkload`] on a non-positive or
-    /// non-finite Poisson rate, and on [`ArrivalProcess::ClosedLoop`],
-    /// whose arrivals depend on completions and exist only inside the
-    /// engine.
-    pub fn open_arrival_times(&self) -> Result<Vec<SimInstant>, ServeError> {
+    /// non-finite rate.
+    pub fn arrival_times(&self) -> Result<Vec<SimInstant>, ServeError> {
         self.validate()?;
-        match self.arrivals {
-            ArrivalProcess::Batch => Ok(vec![SimInstant::ZERO; self.queries]),
-            ArrivalProcess::OpenPoisson { rate_qps } => {
-                let mut rng = StdRng::seed_from_u64(self.seed ^ ARRIVAL_STREAM);
-                let mut t = SimInstant::ZERO;
-                Ok((0..self.queries)
-                    .map(|_| {
-                        t += exponential(&mut rng, 1.0 / rate_qps);
-                        t
-                    })
-                    .collect())
-            }
-            ArrivalProcess::ClosedLoop { .. } => Err(ServeError::workload(
-                "closed-loop arrivals are completion-driven; the engine generates them",
-            )),
-        }
-    }
-
-    /// A fresh think-time RNG for closed-loop runs, decorrelated from the
-    /// content and arrival streams.
-    pub fn think_rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed ^ THINK_STREAM)
+        let mut rng = StdRng::seed_from_u64(self.seed ^ ARRIVAL_STREAM);
+        let mut t = SimInstant::ZERO;
+        Ok((0..self.queries)
+            .map(|_| {
+                t += exponential(&mut rng, 1.0 / self.rate_qps);
+                t
+            })
+            .collect())
     }
 }
 
 /// One exponential draw with the given mean.
-pub fn exponential(rng: &mut StdRng, mean_secs: f64) -> SimDuration {
+fn exponential(rng: &mut StdRng, mean_secs: f64) -> SimDuration {
     let u: f64 = rng.gen(); // [0, 1)
     SimDuration::from_secs(-(1.0 - u).ln() * mean_secs)
 }
@@ -262,7 +198,7 @@ mod tests {
         let spec = WorkloadSpec {
             queries: 40,
             seed: 17,
-            arrivals: ArrivalProcess::Batch,
+            rate_qps: 100.0,
         };
         let draws = spec.draws(catalog.len());
         let trace = QueryTrace::synthetic(40, 17);
@@ -273,27 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_arrivals_are_all_at_zero() {
-        let spec = WorkloadSpec {
-            queries: 5,
-            seed: 1,
-            arrivals: ArrivalProcess::Batch,
-        };
-        assert_eq!(
-            spec.open_arrival_times().unwrap(),
-            vec![SimInstant::ZERO; 5]
-        );
-    }
-
-    #[test]
     fn poisson_arrivals_are_increasing_and_rate_scaled() {
         let spec = |rate_qps| WorkloadSpec {
             queries: 2_000,
             seed: 3,
-            arrivals: ArrivalProcess::OpenPoisson { rate_qps },
+            rate_qps,
         };
-        let slow = spec(10.0).open_arrival_times().unwrap();
-        let fast = spec(100.0).open_arrival_times().unwrap();
+        let slow = spec(10.0).arrival_times().unwrap();
+        let fast = spec(100.0).arrival_times().unwrap();
         assert!(slow.windows(2).all(|w| w[0] <= w[1]));
         // Same seed, 10x the rate: the same exponential draws shrink 10x.
         let ratio = slow
@@ -322,64 +245,37 @@ mod tests {
         let spec = WorkloadSpec {
             queries: 10,
             seed: 9,
-            arrivals: ArrivalProcess::OpenPoisson { rate_qps: 50.0 },
+            rate_qps: 50.0,
         };
-        // Same draws regardless of the arrival process...
-        let batch = WorkloadSpec {
-            arrivals: ArrivalProcess::Batch,
+        // Same draws regardless of the offered rate...
+        let faster = WorkloadSpec {
+            rate_qps: 5_000.0,
             ..spec
         };
-        assert_eq!(spec.draws(12), batch.draws(12));
-        // ...and deterministic arrival times.
-        assert_eq!(
-            spec.open_arrival_times().unwrap(),
-            spec.open_arrival_times().unwrap()
+        assert_eq!(spec.draws(12), faster.draws(12));
+        assert_ne!(
+            spec.arrival_times().unwrap(),
+            faster.arrival_times().unwrap()
         );
-    }
-
-    #[test]
-    fn closed_loop_has_no_open_arrival_times() {
-        let err = WorkloadSpec {
-            queries: 4,
-            seed: 0,
-            arrivals: ArrivalProcess::ClosedLoop {
-                clients: 2,
-                think: SimDuration::from_millis(1.0),
-            },
-        }
-        .open_arrival_times()
-        .unwrap_err();
-        assert!(format!("{err}").contains("completion-driven"), "{err}");
+        // ...and deterministic arrival times.
+        assert_eq!(spec.arrival_times().unwrap(), spec.arrival_times().unwrap());
     }
 
     #[test]
     fn validation_rejects_malformed_specs() {
-        let spec = |arrivals| WorkloadSpec {
+        let spec = |rate_qps| WorkloadSpec {
             queries: 4,
             seed: 0,
-            arrivals,
+            rate_qps,
         };
-        for arrivals in [
-            ArrivalProcess::OpenPoisson { rate_qps: 0.0 },
-            ArrivalProcess::OpenPoisson { rate_qps: -3.0 },
-            ArrivalProcess::OpenPoisson {
-                rate_qps: f64::INFINITY,
-            },
-            ArrivalProcess::OpenPoisson { rate_qps: f64::NAN },
-            ArrivalProcess::ClosedLoop {
-                clients: 0,
-                think: SimDuration::from_millis(1.0),
-            },
-        ] {
-            let err = spec(arrivals).validate().unwrap_err();
+        for rate_qps in [0.0, -3.0, f64::INFINITY, f64::NAN] {
+            let err = spec(rate_qps).validate().unwrap_err();
             assert!(
                 matches!(err, ServeError::InvalidWorkload { .. }),
-                "{arrivals:?} must be rejected, got {err:?}"
+                "{rate_qps} must be rejected, got {err:?}"
             );
+            assert!(spec(rate_qps).arrival_times().is_err());
         }
-        assert!(spec(ArrivalProcess::Batch).validate().is_ok());
-        assert!(spec(ArrivalProcess::OpenPoisson { rate_qps: 50.0 })
-            .validate()
-            .is_ok());
+        assert!(spec(50.0).validate().is_ok());
     }
 }

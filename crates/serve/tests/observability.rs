@@ -8,10 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use mlscore_sched::paper_backends;
-use mlscore_serve::{
-    ArrivalProcess, ClassSlo, CoalesceConfig, JournalKind, ModelCatalog, ObserveConfig,
-    QueueConfig, ServeConfig, ServeEngine, ShedPolicy, WorkloadSpec,
-};
+use mlscore_serve::{JournalKind, ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
 use mlscore_sim::{SimDuration, SimInstant};
 use mlscore_telemetry::{Histogram, TimeSeriesRecorder, Tracer};
 
@@ -95,33 +92,20 @@ fn serve_spec(queries: usize, seed: u64, rate_qps: f64) -> WorkloadSpec {
     WorkloadSpec {
         queries,
         seed,
-        arrivals: ArrivalProcess::OpenPoisson { rate_qps },
+        rate_qps,
     }
 }
 
 /// An overload-ish engine so journals exercise shed paths too.
-fn engine(capacity: Option<usize>, shed: ShedPolicy, coalesce: bool) -> ServeEngine {
+fn engine(capacity: Option<usize>, coalesce: bool) -> ServeEngine {
     ServeEngine::new(
         paper_backends(),
         ModelCatalog::paper_mix(),
         ServeConfig {
-            queue: QueueConfig {
-                capacity,
-                shed,
-                interactive: ClassSlo {
-                    latency_slo: Some(SimDuration::from_millis(50.0)),
-                    ..ClassSlo::default()
-                },
-                analytical: ClassSlo {
-                    latency_slo: Some(SimDuration::from_secs(2.0)),
-                    ..ClassSlo::default()
-                },
-            },
-            coalesce: CoalesceConfig {
-                enabled: coalesce,
-                ..CoalesceConfig::default()
-            },
-            observe: ObserveConfig::default(),
+            capacity,
+            interactive_slo: Some(SimDuration::from_millis(50.0)),
+            analytical_slo: Some(SimDuration::from_secs(2.0)),
+            coalesce,
             ..ServeConfig::default()
         },
     )
@@ -217,11 +201,9 @@ proptest! {
         seed in 0u64..1 << 16,
         rate_qps in 100.0f64..4_000.0,
         capacity in prop_oneof![Just(None::<usize>), (1usize..24).prop_map(Some)],
-        drop_oldest in any::<bool>(),
         coalesce in any::<bool>(),
     ) {
-        let shed = if drop_oldest { ShedPolicy::DropOldest } else { ShedPolicy::RejectNew };
-        let report = engine(capacity, shed, coalesce)
+        let report = engine(capacity, coalesce)
             .run(&serve_spec(queries, seed, rate_qps), &Tracer::disabled())
             .unwrap();
         let mut overall = Histogram::new();
@@ -275,10 +257,10 @@ proptest! {
         rate_qps in 100.0f64..4_000.0,
     ) {
         let spec = serve_spec(queries, seed, rate_qps);
-        let a = engine(Some(16), ShedPolicy::RejectNew, true)
+        let a = engine(Some(16), true)
             .run(&spec, &Tracer::disabled())
             .unwrap();
-        let b = engine(Some(16), ShedPolicy::RejectNew, true)
+        let b = engine(Some(16), true)
             .run(&spec, &Tracer::disabled())
             .unwrap();
         prop_assert_eq!(a.journal.to_jsonl(), b.journal.to_jsonl());

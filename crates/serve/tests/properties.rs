@@ -8,88 +8,43 @@ use mlscore_backend::{compile, OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_data::TabularFrame;
 use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
 use mlscore_sched::paper_backends;
-use mlscore_serve::{
-    score_merged_stream, ArrivalProcess, ClassSlo, CoalesceConfig, ModelCatalog, QueueConfig,
-    ServeConfig, ServeEngine, ServePolicy, ShedPolicy, WorkloadSpec,
-};
-use mlscore_sim::SimDuration;
+use mlscore_serve::{score_merged_stream, ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
 use mlscore_telemetry::Tracer;
 
-fn arb_arrivals() -> impl Strategy<Value = ArrivalProcess> {
-    prop_oneof![
-        Just(ArrivalProcess::Batch),
-        (20.0f64..5_000.0).prop_map(|rate_qps| ArrivalProcess::OpenPoisson { rate_qps }),
-        (1usize..6, 0.1f64..20.0).prop_map(|(clients, think_ms)| ArrivalProcess::ClosedLoop {
-            clients,
-            think: SimDuration::from_millis(think_ms),
-        }),
-    ]
+fn arb_rate() -> impl Strategy<Value = f64> {
+    20.0f64..5_000.0
 }
 
 fn arb_config() -> impl Strategy<Value = ServeConfig> {
     (
-        (
-            prop_oneof![Just(None::<usize>), (0usize..12).prop_map(Some)],
-            prop_oneof![Just(ShedPolicy::RejectNew), Just(ShedPolicy::DropOldest)],
-            prop_oneof![Just(None::<f64>), (0.05f64..50.0).prop_map(Some)],
-        ),
-        (any::<bool>(), 1usize..8, 0.0f64..5.0),
-        (
-            prop_oneof![
-                Just(ServePolicy::Oracle),
-                (0.1f64..0.9).prop_map(|alpha| ServePolicy::Adaptive { alpha }),
-            ],
-            any::<bool>(),
-        ),
+        prop_oneof![Just(None::<usize>), (0usize..12).prop_map(Some)],
+        any::<bool>(),
     )
-        .prop_map(
-            |(
-                (capacity, shed, deadline_ms),
-                (coalesce_on, max_requests, hold_ms),
-                (policy, charge_compile),
-            )| {
-                ServeConfig {
-                    queue: QueueConfig {
-                        capacity,
-                        shed,
-                        interactive: ClassSlo {
-                            queue_deadline: deadline_ms.map(SimDuration::from_millis),
-                            latency_slo: None,
-                        },
-                        analytical: ClassSlo::default(),
-                    },
-                    coalesce: CoalesceConfig {
-                        enabled: coalesce_on,
-                        max_requests,
-                        max_records: 1_000_000,
-                        hold: SimDuration::from_millis(hold_ms),
-                    },
-                    policy,
-                    cpu_seats: 4,
-                    gpu_streams: 2,
-                    charge_compile,
-                    cache_entries: 4,
-                    observe: mlscore_serve::ObserveConfig::default(),
-                }
-            },
-        )
+        .prop_map(|(capacity, coalesce)| ServeConfig {
+            capacity,
+            interactive_slo: None,
+            analytical_slo: None,
+            coalesce,
+            cpu_seats: 4,
+            gpu_streams: 2,
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every offered request is accounted for exactly once — completed,
-    /// rejected, dropped, timed out, or unservable — no matter the queue
-    /// bound, shed policy, deadlines, coalescing, policy, or compile charging.
+    /// rejected, or unservable — no matter the queue bound, coalescing, or
+    /// offered rate.
     #[test]
     fn requests_are_conserved_under_any_configuration(
         config in arb_config(),
-        arrivals in arb_arrivals(),
+        rate_qps in arb_rate(),
         queries in 1usize..60,
         seed in 0u64..1 << 16,
     ) {
         let engine = ServeEngine::new(paper_backends(), ModelCatalog::paper_mix(), config);
-        let spec = WorkloadSpec { queries, seed, arrivals };
+        let spec = WorkloadSpec { queries, seed, rate_qps };
         let report = engine.run(&spec, &Tracer::disabled()).unwrap();
         prop_assert!(report.is_conserved());
         prop_assert_eq!(report.offered, queries as u64);
@@ -161,12 +116,12 @@ proptest! {
     #[test]
     fn same_model_dispatch_order_is_fifo_under_stealing(
         config in arb_config(),
-        arrivals in arb_arrivals(),
+        rate_qps in arb_rate(),
         queries in 2usize..60,
         seed in 0u64..1 << 16,
     ) {
         let engine = ServeEngine::new(paper_backends(), ModelCatalog::paper_mix(), config);
-        let spec = WorkloadSpec { queries, seed, arrivals };
+        let spec = WorkloadSpec { queries, seed, rate_qps };
         let report = engine.run(&spec, &Tracer::disabled()).unwrap();
         let mut last_id_for_model = std::collections::HashMap::new();
         let mut last_batch = None;

@@ -6,10 +6,7 @@
 //! Perfetto trace — the serve crate's `D00x` contract.
 
 use mlscore_sched::paper_backends;
-use mlscore_serve::{
-    ArrivalProcess, ModelCatalog, ServeConfig, ServeEngine, ServeError, WorkloadSpec,
-};
-use mlscore_sim::SimDuration;
+use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, ServeError, WorkloadSpec};
 use mlscore_telemetry::{perfetto, Tracer};
 
 fn engine() -> ServeEngine {
@@ -20,39 +17,24 @@ fn engine() -> ServeEngine {
     )
 }
 
-fn spec(arrivals: ArrivalProcess) -> WorkloadSpec {
+fn spec(rate_qps: f64) -> WorkloadSpec {
     WorkloadSpec {
         queries: 25,
         seed: 11,
-        arrivals,
+        rate_qps,
     }
 }
 
 #[test]
 fn malformed_workloads_error_instead_of_panicking() {
     let engine = engine();
-    let malformed = [
-        ArrivalProcess::OpenPoisson { rate_qps: 0.0 },
-        ArrivalProcess::OpenPoisson { rate_qps: -250.0 },
-        ArrivalProcess::OpenPoisson {
-            rate_qps: f64::INFINITY,
-        },
-        ArrivalProcess::OpenPoisson { rate_qps: f64::NAN },
-        // A negative or NaN think time is unconstructible through
-        // SimDuration::from_secs (it debug-asserts), so the zero-client
-        // loop is the reachable malformed closed-loop spec.
-        ArrivalProcess::ClosedLoop {
-            clients: 0,
-            think: SimDuration::from_secs(0.01),
-        },
-    ];
-    for arrivals in malformed {
+    for rate_qps in [0.0, -250.0, f64::INFINITY, f64::NAN] {
         let err = engine
-            .run(&spec(arrivals), &Tracer::disabled())
+            .run(&spec(rate_qps), &Tracer::disabled())
             .expect_err("a malformed spec must be refused");
         assert!(
             matches!(err, ServeError::InvalidWorkload { .. }),
-            "{arrivals:?} yielded the wrong error: {err}"
+            "rate {rate_qps} yielded the wrong error: {err}"
         );
         // The error formats into something a caller can log.
         assert!(format!("{err}").starts_with("invalid workload: "));
@@ -62,17 +44,14 @@ fn malformed_workloads_error_instead_of_panicking() {
 #[test]
 fn valid_workloads_still_run() {
     let report = engine()
-        .run(
-            &spec(ArrivalProcess::OpenPoisson { rate_qps: 400.0 }),
-            &Tracer::disabled(),
-        )
+        .run(&spec(400.0), &Tracer::disabled())
         .expect("a valid spec runs");
     assert!(report.is_conserved());
 }
 
 #[test]
 fn traced_reruns_are_byte_identical() {
-    let spec = spec(ArrivalProcess::OpenPoisson { rate_qps: 900.0 });
+    let spec = spec(900.0);
     let render = || {
         let engine = engine();
         let tracer = Tracer::new();

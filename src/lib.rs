@@ -18,7 +18,7 @@
 //! * [`mlscore_offload`] — PCIe and offload-overhead models.
 //! * [`mlscore_pipeline`] — the end-to-end T-SQL query pipeline.
 //! * [`mlscore_sched`] — backend-selection policies.
-//! * [`mlscore_serve`] — discrete-event serving engine: arrival processes,
+//! * [`mlscore_serve`] — discrete-event serving engine: Poisson arrivals,
 //!   admission control, micro-batch coalescing, device contention.
 //! * [`mlscore_telemetry`] — span tracing, metrics, Perfetto trace export.
 //! * [`mlscore_core`] — experiment harness and paper figure generators.

@@ -11,8 +11,6 @@ pub use mlscore_data::{
 };
 pub use mlscore_exec::{ExecPool, RunConfig, RunReport};
 pub use mlscore_forest::{ForestConfig, ModelStats, RandomForest, Task, TrainedModel};
-pub use mlscore_serve::{
-    ArrivalProcess, ModelCatalog, ServeConfig, ServeEngine, ServingReport, WorkloadSpec,
-};
+pub use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, ServingReport, WorkloadSpec};
 pub use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 pub use mlscore_telemetry::{MetricsRegistry, Scope, Trace, Tracer};

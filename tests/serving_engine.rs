@@ -5,7 +5,7 @@
 use mlscore::backend::ScoringBackend;
 use mlscore::prelude::*;
 use mlscore::sched::{paper_backends, replay, OraclePolicy, QueryTrace};
-use mlscore::serve::{CoalesceConfig, QueueConfig};
+use mlscore::serve::JournalKind;
 use mlscore::telemetry::perfetto;
 
 /// The paper's FPGA engine alone: one exclusive single-slot device.
@@ -16,11 +16,12 @@ fn fpga_only() -> Vec<Box<dyn ScoringBackend>> {
         .collect()
 }
 
-/// On one exclusive single-slot device — batch arrivals, no coalescing,
-/// no compile charging, unbounded queue — the engine *is* the serial trace
-/// replay: same FIFO dispatch order, same backend picks, same makespan
-/// (modulo float-addition ulps). Every `paper_mix` shape has depth <= 10,
-/// so the FPGA supports every query.
+/// On one exclusive single-slot device — every arrival at t = 0, no
+/// coalescing, unbounded queue — the engine *is* the serial trace replay
+/// plus the compile charge: same FIFO dispatch order, same backend picks,
+/// and a makespan equal to the replay total plus every pass's journaled
+/// prepare (modulo float-addition ulps). Every `paper_mix` shape has
+/// depth <= 10, so the FPGA supports every query.
 #[test]
 fn serial_batch_run_reproduces_serial_replay() {
     let queries = 120;
@@ -29,21 +30,22 @@ fn serial_batch_run_reproduces_serial_replay() {
         fpga_only(),
         ModelCatalog::paper_mix(),
         ServeConfig {
-            coalesce: CoalesceConfig::disabled(),
-            charge_compile: false,
+            coalesce: false,
             ..ServeConfig::default()
         },
     );
-    let report = engine
-        .run(
-            &WorkloadSpec {
-                queries,
-                seed,
-                arrivals: ArrivalProcess::Batch,
-            },
-            &Tracer::disabled(),
-        )
-        .expect("batch specs are always valid");
+    // The rate only times arrivals; the draws ignore it.
+    let spec = WorkloadSpec {
+        queries,
+        seed,
+        rate_qps: 1.0,
+    };
+    let tracer = Tracer::disabled();
+    let mut session = engine.into_session(&tracer);
+    for (model, n_records) in spec.draws(ModelCatalog::paper_mix().len()) {
+        let _ = session.inject(SimInstant::ZERO, model, n_records);
+    }
+    let report = session.finish();
     let legacy = replay(
         &mut OraclePolicy,
         &QueryTrace::synthetic(queries, seed),
@@ -67,11 +69,23 @@ fn serial_batch_run_reproduces_serial_replay() {
         assert_eq!(d.id, i as u64);
         assert_eq!(d.batch, i as u64);
     }
-    // The serial makespan is the replay total (same additions, same order).
-    let diff = (report.makespan.as_secs() - legacy.total.as_secs()).abs();
+    // The serial makespan is the replay total plus the compile charge of
+    // every pass, each pass scoring one request.
+    let prepare: f64 = report
+        .journal
+        .entries()
+        .iter()
+        .filter_map(|e| match e.kind {
+            JournalKind::Completed { prepare, .. } => Some(prepare.as_secs()),
+            _ => None,
+        })
+        .sum();
+    assert!(prepare > 0.0, "compile charging is on");
+    let expected = legacy.total.as_secs() + prepare;
+    let diff = (report.makespan.as_secs() - expected).abs();
     assert!(
-        diff <= 1e-12 * legacy.total.as_secs().max(1.0),
-        "engine makespan {} vs replay total {}",
+        diff <= 1e-12 * expected.max(1.0),
+        "engine makespan {} vs replay total {} + prepare {prepare} s",
         report.makespan,
         legacy.total
     );
@@ -86,10 +100,7 @@ fn serving_exports_are_byte_identical_across_runs() {
             paper_backends(),
             ModelCatalog::paper_mix(),
             ServeConfig {
-                queue: QueueConfig {
-                    capacity: Some(16),
-                    ..QueueConfig::default()
-                },
+                capacity: Some(16),
                 ..ServeConfig::default()
             },
         );
@@ -99,7 +110,7 @@ fn serving_exports_are_byte_identical_across_runs() {
                 &WorkloadSpec {
                     queries: 80,
                     seed: 7,
-                    arrivals: ArrivalProcess::OpenPoisson { rate_qps: 900.0 },
+                    rate_qps: 900.0,
                 },
                 &tracer,
             )
@@ -125,15 +136,8 @@ fn coalescing_raises_fpga_throughput_under_overload() {
             fpga_only(),
             ModelCatalog::paper_mix(),
             ServeConfig {
-                queue: QueueConfig {
-                    capacity: Some(32),
-                    ..QueueConfig::default()
-                },
-                coalesce: if coalesce_on {
-                    CoalesceConfig::default()
-                } else {
-                    CoalesceConfig::disabled()
-                },
+                capacity: Some(32),
+                coalesce: coalesce_on,
                 ..ServeConfig::default()
             },
         );
@@ -142,7 +146,7 @@ fn coalescing_raises_fpga_throughput_under_overload() {
                 &WorkloadSpec {
                     queries: 300,
                     seed: 42,
-                    arrivals: ArrivalProcess::OpenPoisson { rate_qps: 2_000.0 },
+                    rate_qps: 2_000.0,
                 },
                 &Tracer::disabled(),
             )

@@ -279,7 +279,7 @@ fn golden_journal() -> RequestJournal {
     j.emit(at(0.25), 1, arrival(QueryClass::Interactive, 3, 10));
     j.emit(at(0.25), 1, JournalKind::Admitted);
     j.emit(at(0.5), 2, arrival(QueryClass::Analytical, 0, 100_000));
-    let reason = ShedReason::DroppedOldest;
+    let reason = ShedReason::Rejected;
     j.emit(at(0.5), 2, JournalKind::Shed { reason });
     j.emit(at(1.0), 1, JournalKind::Coalesced { batch: 4, size: 2 });
     j.emit(
@@ -322,7 +322,7 @@ fn journal_jsonl_matches_the_pinned_bytes() {
         r#"{"t":0.000250000,"id":1,"event":"arrival","class":"interactive","model":3,"records":10}"#,
         r#"{"t":0.000250000,"id":1,"event":"admitted"}"#,
         r#"{"t":0.000500000,"id":2,"event":"arrival","class":"analytical","model":0,"records":100000}"#,
-        r#"{"t":0.000500000,"id":2,"event":"shed","reason":"dropped-oldest"}"#,
+        r#"{"t":0.000500000,"id":2,"event":"shed","reason":"rejected"}"#,
         r#"{"t":0.001000000,"id":1,"event":"coalesced","batch":4,"size":2}"#,
         r#"{"t":0.001000000,"id":1,"event":"dispatched","batch":4,"backend":"FPGA","device":"fpga \"0\""}"#,
         r#"{"t":0.003125000,"id":1,"event":"completed","latency":0.002875000,"queue_wait":0.000750000,"prepare":0.000500000,"setup":0.000250000,"transfer":0.000625000,"compute":0.000500000,"drain":0.000250000}"#,
