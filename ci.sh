@@ -181,7 +181,7 @@ for a in A1 A2 A3 A5 A6 A7; do
 done
 grep -q 'quantized (16-bit) layout' target/ablations.a.txt
 
-echo "== scheduler smoke (repro scheduler, twice; the scheduling examples) =="
+echo "== scheduler smoke (repro scheduler, twice) and every example =="
 # Policy regret and the trace replay are pure functions of the cost
 # models: two runs must print the same bytes, with both sections present.
 cargo run --release -q -p mlscore-bench --bin repro -- scheduler >target/scheduler.a.txt
@@ -189,9 +189,11 @@ cargo run --release -q -p mlscore-bench --bin repro -- scheduler >target/schedul
 cmp target/scheduler.a.txt target/scheduler.b.txt
 grep -q '== Scheduler policy regret' target/scheduler.a.txt
 grep -q '== Trace replay: latency percentiles' target/scheduler.a.txt
-# The examples that drive the scheduler must run to completion, not just
-# compile under clippy.
-for ex in query_mix_simulator offload_advisor analyst_workflow; do
+# Every example must run to completion, not just compile under clippy:
+# they are the library's public-API walkthroughs (forest types, backends,
+# the scheduler, the pipeline and tracing).
+for ex in accelerator_shmoo analyst_workflow fpga_deep_dive offload_advisor \
+    query_mix_simulator quickstart trace_query train_and_deploy; do
     cargo run --release -q --example "$ex" >"target/example.$ex.txt"
 done
 

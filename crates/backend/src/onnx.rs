@@ -241,18 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn regression_matches_reference() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(4, 5).with_depth(4), 3);
-        let frame = mlscore_data::TabularFrame::from_rows(
-            (0..50).map(|i| (i as f32 * 0.17) % 1.0).collect(),
-            5,
-        )
-        .unwrap();
-        let preds = score_once(&OnnxCpu::single_thread(), &forest, &frame).unwrap();
-        assert_eq!(preds, forest.predict_batch(frame.as_slice()));
-    }
-
-    #[test]
     fn stream_scoring_matches_staged() {
         use mlscore_data::FrameScanner;
         use mlscore_forest::ModelBundle;

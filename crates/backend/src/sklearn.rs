@@ -221,18 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn regression_scoring_works() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(6, 3).with_depth(5), 2);
-        let frame = mlscore_data::TabularFrame::from_rows(
-            (0..60).map(|i| (i as f32 * 0.31) % 1.0).collect(),
-            3,
-        )
-        .unwrap();
-        let preds = score_once(&SklearnCpu::with_threads(3), &forest, &frame).unwrap();
-        assert_eq!(preds, forest.predict_batch(frame.as_slice()));
-    }
-
-    #[test]
     fn stream_scoring_matches_staged() {
         use mlscore_forest::ModelBundle;
         let (forest, data) = iris_setup();

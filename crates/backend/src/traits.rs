@@ -2,7 +2,7 @@
 
 use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
 use mlscore_exec::{record_sequential_spans, score_stream, RunReport};
-use mlscore_forest::{ModelStats, Predictions, RandomForest};
+use mlscore_forest::{ModelStats, RandomForest};
 use mlscore_sim::{SimInstant, TimingBreakdown};
 use mlscore_telemetry::Tracer;
 
@@ -19,8 +19,8 @@ pub struct StreamChunk {
 /// The result of scoring a [`RecordStream`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
-    /// Folded predictions for every streamed record, in pull order.
-    pub predictions: Predictions,
+    /// One class id per streamed record, in pull order.
+    pub predictions: Vec<u32>,
     /// Total rows scored.
     pub rows: usize,
     /// Per-chunk accounting, in pull order.
@@ -154,7 +154,7 @@ pub fn score_once<B: ScoringBackend + ?Sized>(
     backend: &B,
     forest: &RandomForest,
     frame: &TabularFrame,
-) -> Result<Predictions, BackendError> {
+) -> Result<Vec<u32>, BackendError> {
     let lowered = backend.lower(forest)?;
     let model = ModelRef::bind(
         backend.name(),
@@ -178,7 +178,7 @@ pub fn score_once<B: ScoringBackend + ?Sized>(
 /// Propagates `score_frame`'s error.
 pub fn score_whole_batch(
     stream: &mut dyn RecordStream,
-    score_frame: impl FnOnce(&TabularFrame) -> Result<Predictions, BackendError>,
+    score_frame: impl FnOnce(&TabularFrame) -> Result<Vec<u32>, BackendError>,
 ) -> Result<StreamOutcome, BackendError> {
     let total = match stream.size_hint() {
         (lower, Some(upper)) if lower == upper => Some(lower),
@@ -221,7 +221,7 @@ pub(crate) fn score_on_pool(
     tracer: &Tracer,
     start: SimInstant,
     lane: &str,
-    score_chunk: impl FnMut(&TabularFrame) -> (Predictions, RunReport),
+    score_chunk: impl FnMut(&TabularFrame) -> (Vec<u32>, RunReport),
 ) -> StreamOutcome {
     let (predictions, report) = score_stream(stream, score_chunk);
     record_sequential_spans(report.chunks().iter().map(|c| &c.run), tracer, start, lane);
@@ -306,7 +306,7 @@ mod tests {
             _start: SimInstant,
         ) -> Result<StreamOutcome, BackendError> {
             score_whole_batch(stream, |frame| {
-                Ok(Predictions::Values(frame.rows().map(|r| r[0]).collect()))
+                Ok(frame.rows().map(|r| r[0] as u32).collect())
             })
         }
 
@@ -324,7 +324,8 @@ mod tests {
     #[test]
     fn whole_batch_helper_gathers_chunks_in_order() {
         let backend = Echo;
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(2, 4).with_depth(3), 1);
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(2, 4, 2).with_depth(3), 1);
         let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
         assert!(matches!(model.lowered(), Lowered::Reference));
         let frame = TabularFrame::from_rows((0..40).map(|i| i as f32).collect(), 4).unwrap();

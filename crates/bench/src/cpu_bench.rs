@@ -34,7 +34,7 @@ use mlscore_exec::{
     kernel, pool::default_threads, score_forest_batch, score_simd_batch, ExecPool, FlatImage,
     RunConfig, SimdLevel,
 };
-use mlscore_forest::{ForestConfig, ModelBundle, Predictions, RandomForest, Task};
+use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
 use mlscore_pipeline::{QueryPipeline, QueryPlan, Records};
 use mlscore_sim::{SimInstant, Stage};
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
@@ -387,40 +387,21 @@ pub fn run_fused(opts: &BenchOptions) -> Vec<FusedCell> {
 
 /// The seed's scoring path, reproduced verbatim as the baseline: for every
 /// record, allocate a fresh vote buffer and walk every pointer tree.
-pub fn naive_predict(forest: &RandomForest, records: &[f32]) -> Predictions {
+pub fn naive_predict(forest: &RandomForest, records: &[f32]) -> Vec<u32> {
     let n_features = forest.n_features();
     assert_eq!(records.len() % n_features, 0);
     let rows = records.chunks_exact(n_features);
-    match forest.task() {
-        Task::Classification { n_classes } => {
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                // One heap allocation per record — the cost the executor's
-                // reusable scratch removes.
-                let mut votes = vec![0u32; n_classes as usize];
-                for tree in forest.trees() {
-                    if let Some(c) = tree.predict(row).as_class() {
-                        votes[c as usize] += 1;
-                    }
-                }
-                out.push(RandomForest::majority(&votes));
-            }
-            Predictions::Classes(out)
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        // One heap allocation per record — the cost the executor's
+        // reusable scratch removes.
+        let mut votes = vec![0u32; forest.n_classes() as usize];
+        for tree in forest.trees() {
+            votes[tree.predict(row) as usize] += 1;
         }
-        Task::Regression => {
-            let n_trees = forest.n_trees() as f32;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let sum: f32 = forest
-                    .trees()
-                    .iter()
-                    .map(|t| t.predict(row).as_value().expect("regression leaf"))
-                    .sum();
-                out.push(sum / n_trees);
-            }
-            Predictions::Values(out)
-        }
+        out.push(RandomForest::majority(&votes));
     }
+    out
 }
 
 /// Runs `f` once as warmup, then `iters` timed passes, keeping the
@@ -727,15 +708,6 @@ mod tests {
             naive_predict(&forest, data.frame().as_slice()),
             forest.predict_batch(data.frame().as_slice())
         );
-
-        let reg = RandomForest::synthetic_full(&ForestConfig::regression(5, 6).with_depth(5), 3);
-        let frame =
-            mlscore_data::TabularFrame::from_rows((0..60).map(|i| i as f32 * 0.13).collect(), 6)
-                .unwrap();
-        let naive = naive_predict(&reg, frame.as_slice());
-        let reference = reg.predict_batch(frame.as_slice());
-        let (a, b) = (naive.as_values().unwrap(), reference.as_values().unwrap());
-        assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub use error::DataError;
 pub use frame::TabularFrame;
 pub use split::train_test_split;
 pub use stream::{
-    ChainScanner, ColumnarScanner, CsvScanner, FrameScanner, NormParams, NormalizeStream,
-    RecordStream, DEFAULT_CHUNK_ROWS,
+    ChainScanner, CsvScanner, FrameScanner, NormParams, NormalizeStream, RecordStream,
+    DEFAULT_CHUNK_ROWS,
 };

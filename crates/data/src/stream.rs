@@ -5,12 +5,12 @@
 //! dominates end-to-end latency. [`RecordStream`] is the abstraction that
 //! *eliminates* those stages in-process instead of simulating them: a
 //! pull-based lending iterator yielding cache-sized chunks of feature rows
-//! from reusable scratch, so a scanner can walk storage (a frame, a
-//! columnar projection, a CSV reader) straight into the executor without
+//! from reusable scratch, so a scanner can walk storage (a frame, several
+//! frames back to back, a CSV reader) straight into the executor without
 //! ever materializing a full marshaled copy.
 //!
 //! Scanners allocate their scratch once at construction; refilling a chunk
-//! is a plain copy (or gather) into that scratch — the hot regions carry
+//! is a plain copy into that scratch — the hot regions carry
 //! `// analyze: hot` markers so the workspace H001 lint keeps them
 //! allocation-free.
 //!
@@ -32,7 +32,6 @@
 
 use std::io::BufRead;
 
-use crate::columnar::ColumnarFrame;
 use crate::csv::CsvError;
 use crate::error::DataError;
 use crate::frame::TabularFrame;
@@ -220,65 +219,6 @@ impl RecordStream for ChainScanner<'_> {
         {
             self.scratch
                 .extend_rows(&frame.as_slice()[self.cursor * f..end * f]);
-        }
-        self.cursor = end;
-        Some(&self.scratch)
-    }
-}
-
-/// Streams a [`ColumnarFrame`] in row-order chunks, gathering each row from
-/// the column arrays through one caller-owned scratch row (the
-/// [`ColumnarFrame::gather_row`] reuse contract).
-#[derive(Debug)]
-pub struct ColumnarScanner<'a> {
-    frame: &'a ColumnarFrame,
-    chunk_rows: usize,
-    cursor: usize,
-    row: Vec<f32>,
-    scratch: TabularFrame,
-}
-
-impl<'a> ColumnarScanner<'a> {
-    /// A scanner over `frame` yielding up to `chunk_rows` rows per chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_rows == 0` or the frame has no columns.
-    pub fn new(frame: &'a ColumnarFrame, chunk_rows: usize) -> Self {
-        assert!(chunk_rows > 0, "chunks must hold at least one row");
-        let f = frame.n_features();
-        Self {
-            frame,
-            chunk_rows,
-            cursor: 0,
-            row: vec![0.0; f],
-            scratch: TabularFrame::with_capacity(chunk_rows, f),
-        }
-    }
-}
-
-impl RecordStream for ColumnarScanner<'_> {
-    fn n_features(&self) -> usize {
-        self.frame.n_features()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.frame.n_rows() - self.cursor;
-        (left, Some(left))
-    }
-
-    fn next_chunk(&mut self) -> Option<&TabularFrame> {
-        if self.cursor >= self.frame.n_rows() {
-            return None;
-        }
-        let end = (self.cursor + self.chunk_rows).min(self.frame.n_rows());
-        self.scratch.clear();
-        // analyze: hot
-        {
-            for i in self.cursor..end {
-                self.frame.gather_row(i, &mut self.row);
-                self.scratch.extend_rows(&self.row);
-            }
         }
         self.cursor = end;
         Some(&self.scratch)
@@ -680,16 +620,6 @@ mod tests {
             ChainScanner::new(vec![], 4).unwrap_err(),
             DataError::ZeroFeatures
         );
-    }
-
-    #[test]
-    fn columnar_scanner_matches_row_order() {
-        let f = frame(37, 5);
-        let columnar = ColumnarFrame::from_rows(&f);
-        for chunk_rows in [1, 8, 100] {
-            let mut s = ColumnarScanner::new(&columnar, chunk_rows);
-            assert_eq!(drain(&mut s), f);
-        }
     }
 
     #[test]

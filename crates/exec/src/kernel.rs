@@ -8,7 +8,7 @@
 //! `score_one`, which streamed every tree's nodes past every record.
 //!
 //! This module holds what both CPU kernels share — the disjoint-write
-//! output slice, the per-thread vote/accumulator scratch, block tiling,
+//! output slice, the per-thread vote scratch, block tiling,
 //! and the [`LANES`] width — plus [`score_forest_batch`], the pointer-tree
 //! kernel the scikit-learn-like backend runs. The flat-image kernel is the
 //! SIMD lane walker in [`kernel_simd`](crate::kernel_simd).
@@ -18,20 +18,15 @@
 //!
 //! # Bit-exactness
 //!
-//! Every kernel reproduces its sequential reference exactly:
-//!
-//! * classification votes are commutative `u32` increments combined with
-//!   [`RandomForest::majority`] — the same tie-breaking rule every backend
-//!   uses;
-//! * regression accumulates each row's tree outputs in ascending tree
-//!   order, the identical `f32` fold the sequential `score_one` /
-//!   `predict_one` paths perform.
+//! Every kernel reproduces its sequential reference exactly: votes are
+//! commutative `u32` increments combined with [`RandomForest::majority`] —
+//! the same tie-breaking rule every backend uses.
 
 use std::cell::RefCell;
 use std::ops::Range;
 
 use mlscore_data::TabularFrame;
-use mlscore_forest::{LeafValue, Predictions, RandomForest, Task};
+use mlscore_forest::RandomForest;
 
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
@@ -77,23 +72,11 @@ impl<T> SharedOut<T> {
     }
 }
 
-/// Reusable per-thread kernel scratch. Grown on first use, then reused
-/// across blocks, runs, and scoring calls.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    /// Per-(row, class) vote counts for one record block.
-    pub(crate) votes: Vec<u32>,
-    /// Per-row regression accumulators for one record block.
-    pub(crate) acc: Vec<f32>,
-}
-
 thread_local! {
-    pub(crate) static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
-            votes: Vec::new(),
-            acc: Vec::new(),
-        })
-    };
+    /// Reusable per-thread kernel scratch: per-(row, class) vote counts
+    /// for one record block. Grown on first use, then reused across
+    /// blocks, runs, and scoring calls.
+    pub(crate) static VOTES: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Splits `range` into sub-blocks of at most `block` rows.
@@ -105,10 +88,10 @@ pub(crate) fn blocks(range: Range<usize>, block: usize) -> impl Iterator<Item = 
         .map(move |lo| lo..(lo + block).min(range.end))
 }
 
-/// Scores a frame against a pointer-tree forest on the pool.
+/// Scores a frame against a pointer-tree forest on the pool into one class
+/// id per row.
 ///
-/// Bit-exact with [`RandomForest::predict_batch`]: votes are commutative
-/// and regression sums accumulate in ascending tree order.
+/// Bit-exact with [`RandomForest::predict_batch`]: votes are commutative.
 ///
 /// # Panics
 ///
@@ -118,7 +101,7 @@ pub fn score_forest_batch(
     frame: &TabularFrame,
     pool: &ExecPool,
     cfg: &RunConfig,
-) -> (Predictions, RunReport) {
+) -> (Vec<u32>, RunReport) {
     assert_eq!(
         frame.n_features(),
         forest.n_features(),
@@ -127,69 +110,32 @@ pub fn score_forest_batch(
         forest.n_features()
     );
     let n = frame.n_rows();
-    match forest.task() {
-        Task::Classification { n_classes } => {
-            let n_classes = n_classes as usize;
-            let mut out = vec![0u32; n];
-            let shared = SharedOut::new(&mut out);
-            let report = pool.run(n, cfg, &|_w, range| {
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    for rows in blocks(range.clone(), cfg.record_block) {
-                        let blen = rows.len();
-                        s.votes.clear();
-                        s.votes.resize(blen * n_classes, 0);
-                        for chunk in forest.trees().chunks(cfg.tree_block) {
-                            for tree in chunk {
-                                for r in 0..blen {
-                                    if let LeafValue::Class(c) =
-                                        tree.predict(frame.row(rows.start + r))
-                                    {
-                                        s.votes[r * n_classes + c as usize] += 1;
-                                    }
-                                }
-                            }
-                        }
+    let n_classes = forest.n_classes() as usize;
+    let mut out = vec![0u32; n];
+    let shared = SharedOut::new(&mut out);
+    let report = pool.run(n, cfg, &|_w, range| {
+        VOTES.with(|v| {
+            let votes = &mut *v.borrow_mut();
+            for rows in blocks(range.clone(), cfg.record_block) {
+                let blen = rows.len();
+                votes.clear();
+                votes.resize(blen * n_classes, 0);
+                for chunk in forest.trees().chunks(cfg.tree_block) {
+                    for tree in chunk {
                         for r in 0..blen {
-                            let counts = &s.votes[r * n_classes..(r + 1) * n_classes];
-                            shared.write(rows.start + r, RandomForest::majority(counts));
+                            let c = tree.predict(frame.row(rows.start + r));
+                            votes[r * n_classes + c as usize] += 1;
                         }
                     }
-                });
-            });
-            (Predictions::Classes(out), report)
-        }
-        Task::Regression => {
-            let n_trees = forest.n_trees() as f32;
-            let mut out = vec![0f32; n];
-            let shared = SharedOut::new(&mut out);
-            let report = pool.run(n, cfg, &|_w, range| {
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    for rows in blocks(range.clone(), cfg.record_block) {
-                        let blen = rows.len();
-                        s.acc.clear();
-                        s.acc.resize(blen, 0.0);
-                        for chunk in forest.trees().chunks(cfg.tree_block) {
-                            for tree in chunk {
-                                for r in 0..blen {
-                                    s.acc[r] += tree
-                                        .predict(frame.row(rows.start + r))
-                                        .as_value()
-                                        // analyze: allow(P001, reason="Task::Regression forests hold Value leaves by construction; a Class leaf is model corruption, not load")
-                                        .expect("regression leaf");
-                                }
-                            }
-                        }
-                        for r in 0..blen {
-                            shared.write(rows.start + r, s.acc[r] / n_trees);
-                        }
-                    }
-                });
-            });
-            (Predictions::Values(out), report)
-        }
-    }
+                }
+                for r in 0..blen {
+                    let counts = &votes[r * n_classes..(r + 1) * n_classes];
+                    shared.write(rows.start + r, RandomForest::majority(counts));
+                }
+            }
+        });
+    });
+    (out, report)
 }
 
 #[cfg(test)]
@@ -222,32 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_regression_kernel_bit_exact() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::regression(11, 3).with_depth(6), 5);
-        let f = frame(97, 3, 3);
-        let pool = pool();
-        let cfg = RunConfig::for_threads(4)
-            .with_record_block(10)
-            .with_tree_block(3);
-        let (preds, _) = score_forest_batch(&forest, &f, &pool, &cfg);
-        let expected = forest.predict_batch(f.as_slice());
-        let got: Vec<u32> = preds
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let want: Vec<u32> = expected
-            .as_values()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn empty_and_single_record_batches() {
         let forest =
             RandomForest::synthetic_full(&ForestConfig::classification(4, 3, 2).with_depth(4), 1);
@@ -255,7 +175,7 @@ mod tests {
         let cfg = RunConfig::default();
         let empty = TabularFrame::from_rows(vec![], 3).unwrap();
         let (preds, report) = score_forest_batch(&forest, &empty, &pool, &cfg);
-        assert_eq!(preds, Predictions::Classes(vec![]));
+        assert!(preds.is_empty());
         assert_eq!(report.rows(), 0);
         let one = frame(1, 3, 4);
         let (preds, report) = score_forest_batch(&forest, &one, &pool, &cfg);

@@ -28,20 +28,18 @@
 //! picked at runtime ([`SimdLevel::detect`]) and can be forced down with
 //! the `MLSCORE_SIMD` environment override; all tiers are bit-exact with
 //! each other and with the sequential `FlatForest::score_one`, because the
-//! compare (`x <= thr`, ordered-quiet, NaN → right child) and the vote /
-//! ascending-tree-order accumulation folds are identical. Rows past the
-//! last full lane group take the scalar `FlatTree::score` path.
+//! compare (`x <= thr`, ordered-quiet, NaN → right child) and the vote
+//! counts are identical. Rows past the last full lane group take the
+//! scalar `FlatTree::score` path.
 //!
 //! Build-time validation (every decision node's feature is in range, heap
 //! arithmetic cannot leave the capacity array) is what licenses the
 //! unchecked loads and gathers in the hot loops.
 
 use mlscore_data::TabularFrame;
-use mlscore_forest::{
-    FlatForest, FlatTree, ForestError, NodeRecord, Predictions, RandomForest, Task,
-};
+use mlscore_forest::{FlatForest, FlatTree, ForestError, NodeRecord, RandomForest};
 
-use crate::kernel::{blocks, Scratch, SharedOut, LANES, SCRATCH};
+use crate::kernel::{blocks, SharedOut, LANES, VOTES};
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
@@ -151,7 +149,7 @@ impl FlatImage {
         Ok(Self::from_flat(FlatForest::from_forest(forest, max_depth)?))
     }
 
-    /// The underlying flat forest (node tables, task, feature width).
+    /// The underlying flat forest (node tables, class count, feature width).
     pub fn flat(&self) -> &FlatForest {
         &self.flat
     }
@@ -701,8 +699,7 @@ mod x86 {
     }
 }
 
-/// Scores one record block of a classification forest with the SIMD
-/// walker into `votes`.
+/// Scores one record block with the SIMD walker into `votes`.
 // analyze: hot
 #[allow(clippy::too_many_arguments)]
 fn simd_classify_block(
@@ -712,14 +709,14 @@ fn simd_classify_block(
     n_classes: usize,
     tree_block: usize,
     level: SimdLevel,
-    s: &mut Scratch,
+    votes: &mut Vec<u32>,
     out: &SharedOut<u32>,
 ) {
     let blen = rows.len();
     let nf = frame.n_features();
     let data = frame.as_slice();
-    s.votes.clear();
-    s.votes.resize(blen * n_classes, 0);
+    votes.clear();
+    votes.resize(blen * n_classes, 0);
     let chunks = image
         .trees
         .chunks(tree_block)
@@ -730,7 +727,7 @@ fn simd_classify_block(
             for tree in schunk {
                 let leaves = walk64(tree, data, nf, rows.start + k, level);
                 for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
+                    votes[(k + l) * n_classes + leaf as usize] += 1;
                 }
             }
             k += 8 * LANES;
@@ -739,7 +736,7 @@ fn simd_classify_block(
             for tree in schunk {
                 let leaves = walk32(tree, data, nf, rows.start + k, level);
                 for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
+                    votes[(k + l) * n_classes + leaf as usize] += 1;
                 }
             }
             k += 4 * LANES;
@@ -748,7 +745,7 @@ fn simd_classify_block(
             for tree in schunk {
                 let leaves = walk8(tree, data, nf, rows.start + k, level);
                 for (l, &leaf) in leaves.iter().enumerate() {
-                    s.votes[(k + l) * n_classes + leaf as usize] += 1;
+                    votes[(k + l) * n_classes + leaf as usize] += 1;
                 }
             }
             k += LANES;
@@ -756,85 +753,21 @@ fn simd_classify_block(
         for tree in fchunk {
             for r in k..blen {
                 let c = tree.score(frame.row(rows.start + r)) as usize;
-                s.votes[r * n_classes + c] += 1;
+                votes[r * n_classes + c] += 1;
             }
         }
     }
     for r in 0..blen {
-        let counts = &s.votes[r * n_classes..(r + 1) * n_classes];
+        let counts = &votes[r * n_classes..(r + 1) * n_classes];
         out.write(rows.start + r, RandomForest::majority(counts));
     }
 }
 
-/// Scores one record block of a regression forest with the SIMD walker.
-// analyze: hot
-fn simd_regress_block(
-    image: &FlatImage,
-    frame: &TabularFrame,
-    rows: std::ops::Range<usize>,
-    tree_block: usize,
-    level: SimdLevel,
-    s: &mut Scratch,
-    out: &SharedOut<f32>,
-) {
-    let blen = rows.len();
-    let nf = frame.n_features();
-    let data = frame.as_slice();
-    let n_trees = image.flat().n_trees() as f32;
-    s.acc.clear();
-    s.acc.resize(blen, 0.0);
-    // Chunks ascend and trees ascend within each chunk, so each row's
-    // accumulator adds tree outputs in exactly the sequential fold order.
-    let chunks = image
-        .trees
-        .chunks(tree_block)
-        .zip(image.flat().trees().chunks(tree_block));
-    for (schunk, fchunk) in chunks {
-        let mut k = 0;
-        while k + 8 * LANES <= blen {
-            for tree in schunk {
-                let leaves = walk64(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += 8 * LANES;
-        }
-        while k + 4 * LANES <= blen {
-            for tree in schunk {
-                let leaves = walk32(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += 4 * LANES;
-        }
-        while k + LANES <= blen {
-            for tree in schunk {
-                let leaves = walk8(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    s.acc[k + l] += leaf;
-                }
-            }
-            k += LANES;
-        }
-        for tree in fchunk {
-            for r in k..blen {
-                s.acc[r] += tree.score(frame.row(rows.start + r));
-            }
-        }
-    }
-    for r in 0..blen {
-        out.write(rows.start + r, s.acc[r] / n_trees);
-    }
-}
-
 /// Scores a frame against a prepared [`FlatImage`] with the explicit-SIMD
-/// lane walker at the given tier.
+/// lane walker at the given tier, into one class id per row.
 ///
 /// Bit-exact with the sequential [`FlatForest::score_one`] on every row at
-/// every tier: the traversal decisions, vote counts, and
-/// ascending-tree-order regression folds are identical.
+/// every tier: the traversal decisions and vote counts are identical.
 ///
 /// # Panics
 ///
@@ -845,7 +778,7 @@ pub fn score_simd_batch(
     pool: &ExecPool,
     cfg: &RunConfig,
     level: SimdLevel,
-) -> (Predictions, RunReport) {
+) -> (Vec<u32>, RunReport) {
     let forest = image.flat();
     assert_eq!(
         frame.n_features(),
@@ -855,44 +788,27 @@ pub fn score_simd_batch(
         forest.n_features()
     );
     let n = frame.n_rows();
-    match forest.task() {
-        Task::Classification { n_classes } => {
-            let n_classes = n_classes as usize;
-            let mut out = vec![0u32; n];
-            let shared = SharedOut::new(&mut out);
-            let report = pool.run(n, cfg, &|_w, range| {
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    for rows in blocks(range.clone(), cfg.record_block) {
-                        simd_classify_block(
-                            image,
-                            frame,
-                            rows,
-                            n_classes,
-                            cfg.tree_block,
-                            level,
-                            s,
-                            &shared,
-                        );
-                    }
-                });
-            });
-            (Predictions::Classes(out), report)
-        }
-        Task::Regression => {
-            let mut out = vec![0f32; n];
-            let shared = SharedOut::new(&mut out);
-            let report = pool.run(n, cfg, &|_w, range| {
-                SCRATCH.with(|s| {
-                    let s = &mut *s.borrow_mut();
-                    for rows in blocks(range.clone(), cfg.record_block) {
-                        simd_regress_block(image, frame, rows, cfg.tree_block, level, s, &shared);
-                    }
-                });
-            });
-            (Predictions::Values(out), report)
-        }
-    }
+    let n_classes = forest.n_classes() as usize;
+    let mut out = vec![0u32; n];
+    let shared = SharedOut::new(&mut out);
+    let report = pool.run(n, cfg, &|_w, range| {
+        VOTES.with(|v| {
+            let votes = &mut *v.borrow_mut();
+            for rows in blocks(range.clone(), cfg.record_block) {
+                simd_classify_block(
+                    image,
+                    frame,
+                    rows,
+                    n_classes,
+                    cfg.tree_block,
+                    level,
+                    votes,
+                    &shared,
+                );
+            }
+        });
+    });
+    (out, report)
 }
 
 #[cfg(test)]
@@ -916,22 +832,9 @@ mod tests {
             .collect()
     }
 
-    /// The sequential reference: [`FlatForest::score_one`] on every row,
-    /// as raw bits so regression outputs compare exactly.
+    /// The sequential reference: [`FlatForest::score_one`] on every row.
     fn sequential(image: &FlatImage, f: &TabularFrame) -> Vec<u32> {
-        f.rows()
-            .map(|r| match image.flat().task() {
-                Task::Classification { .. } => image.flat().score_one(r) as u32,
-                Task::Regression => image.flat().score_one(r).to_bits(),
-            })
-            .collect()
-    }
-
-    fn bits(preds: &Predictions) -> Vec<u32> {
-        match preds {
-            Predictions::Classes(c) => c.clone(),
-            Predictions::Values(v) => v.iter().map(|x| x.to_bits()).collect(),
-        }
+        f.rows().map(|r| image.flat().score_one(r)).collect()
     }
 
     #[test]
@@ -949,23 +852,6 @@ mod tests {
             let (simd, report) = score_simd_batch(&image, &f, &pool, &cfg, level);
             assert_eq!(simd, want, "level {level:?}");
             assert_eq!(report.rows(), 333);
-        }
-    }
-
-    #[test]
-    fn every_level_matches_sequential_regression_bit_exact() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::regression(17, 4).with_depth(6), 9);
-        let image = FlatImage::from_forest(&forest, 6).unwrap();
-        let f = frame(203, 4, 7);
-        let pool = ExecPool::new(3);
-        let cfg = RunConfig::for_threads(3)
-            .with_record_block(48)
-            .with_tree_block(4);
-        let want = sequential(&image, &f);
-        for level in levels() {
-            let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(bits(&simd), want, "level {level:?}");
         }
     }
 
@@ -1036,7 +922,8 @@ mod tests {
 
     #[test]
     fn depth_zero_forest() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(3, 2).with_depth(0), 2);
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(3, 2, 3).with_depth(0), 2);
         let image = FlatImage::from_forest(&forest, 0).unwrap();
         let f = frame(33, 2, 8);
         let pool = ExecPool::new(2);
@@ -1044,7 +931,7 @@ mod tests {
         let want = sequential(&image, &f);
         for level in levels() {
             let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(bits(&simd), want, "level {level:?}");
+            assert_eq!(simd, want, "level {level:?}");
         }
     }
 
@@ -1065,7 +952,7 @@ mod tests {
         let want = sequential(&image, &f);
         for level in levels() {
             let (simd, _) = score_simd_batch(&image, &f, &pool, &cfg, level);
-            assert_eq!(bits(&simd), want, "level {level:?}");
+            assert_eq!(simd, want, "level {level:?}");
         }
     }
 

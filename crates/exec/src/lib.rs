@@ -16,11 +16,10 @@
 //!   (the scikit-learn-like backend).
 //!
 //! [`score_stream`] is the chunk loop both backends drive their kernel
-//! with. Every kernel uses per-thread reusable vote scratch, and every
-//! kernel is bit-exact against the corresponding sequential
-//! `score_one`/`predict_one` path: vote counts are commutative integer
-//! adds, and regression sums accumulate in ascending tree order — the same
-//! floating-point fold the sequential path performs.
+//! with. Every kernel scores into one class id per row, uses per-thread
+//! reusable vote scratch, and is bit-exact against the corresponding
+//! sequential `score_one`/`predict_one` path: vote counts are commutative
+//! integer adds combined by the same majority rule.
 //!
 //! # Example
 //!

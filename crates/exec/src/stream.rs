@@ -14,7 +14,6 @@
 //! `tests/fused_stream.rs`).
 
 use mlscore_data::{RecordStream, TabularFrame};
-use mlscore_forest::Predictions;
 
 use crate::report::RunReport;
 
@@ -47,12 +46,9 @@ impl StreamReport {
     }
 }
 
-/// Scores every non-empty chunk of `stream` with `score_chunk`, folding
-/// per-chunk predictions in pull order.
-///
-/// A stream that yields no rows still returns predictions of the model's
-/// kind: `score_chunk` is called once on an empty frame of the stream's
-/// width, and that call is not reported as a chunk.
+/// Scores every non-empty chunk of `stream` with `score_chunk`, appending
+/// per-chunk class ids in pull order. A stream that yields no rows returns
+/// no class ids and never calls `score_chunk`.
 ///
 /// # Panics
 ///
@@ -60,10 +56,10 @@ impl StreamReport {
 /// feature count differs from the model's.
 pub fn score_stream(
     stream: &mut dyn RecordStream,
-    mut score_chunk: impl FnMut(&TabularFrame) -> (Predictions, RunReport),
-) -> (Predictions, StreamReport) {
+    mut score_chunk: impl FnMut(&TabularFrame) -> (Vec<u32>, RunReport),
+) -> (Vec<u32>, StreamReport) {
     let mut report = StreamReport::default();
-    let mut out: Option<Predictions> = None;
+    let mut out = Vec::new();
     while let Some(chunk) = stream.next_chunk() {
         if chunk.is_empty() {
             continue;
@@ -74,16 +70,9 @@ pub fn score_stream(
             rows: chunk.n_rows(),
             run,
         });
-        match &mut out {
-            None => out = Some(preds),
-            Some(acc) => acc.append(&preds),
-        }
+        out.extend_from_slice(&preds);
     }
-    let preds = out.unwrap_or_else(|| {
-        let empty = TabularFrame::with_capacity(0, stream.n_features());
-        score_chunk(&empty).0
-    });
-    (preds, report)
+    (out, report)
 }
 
 #[cfg(test)]
@@ -107,10 +96,7 @@ mod tests {
     }
 
     /// Streams `frame` through the SIMD walker at the detected tier.
-    fn simd_stream(
-        image: &FlatImage,
-        stream: &mut dyn RecordStream,
-    ) -> (Predictions, StreamReport) {
+    fn simd_stream(image: &FlatImage, stream: &mut dyn RecordStream) -> (Vec<u32>, StreamReport) {
         let level = SimdLevel::detect();
         let cfg = RunConfig::default();
         score_stream(stream, |chunk| {
@@ -167,7 +153,7 @@ mod tests {
         let frame = TabularFrame::from_rows(vec![], 4).unwrap();
         let mut scanner = FrameScanner::new(&frame, 8);
         let (preds, report) = simd_stream(&image, &mut scanner);
-        assert_eq!(preds, Predictions::Classes(vec![]));
+        assert!(preds.is_empty());
         assert_eq!(report.rows(), 0);
         assert_eq!(report.chunks().len(), 0);
     }

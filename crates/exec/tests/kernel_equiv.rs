@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use mlscore_data::{Dataset, TabularFrame};
 use mlscore_exec::pool::DEFAULT_RECORD_BLOCK;
 use mlscore_exec::{kernel, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
-use mlscore_forest::{ForestConfig, Predictions, RandomForest};
+use mlscore_forest::{ForestConfig, RandomForest};
 
 /// Pool widths: serial, small, and wider than any sweep batch shard.
 const THREADS: [usize; 3] = [1, 4, 13];
@@ -49,14 +49,6 @@ const EDGE_RECORDS: [usize; 10] = [
     2 * DEFAULT_RECORD_BLOCK + 3,
 ];
 
-/// Predictions as raw bits so regression outputs compare exactly.
-fn bits(preds: &Predictions) -> Vec<u32> {
-    match preds {
-        Predictions::Classes(c) => c.clone(),
-        Predictions::Values(v) => v.iter().map(|x| x.to_bits()).collect(),
-    }
-}
-
 /// A frame in one of the paper's two shapes; `rows` may be zero.
 fn shaped_frame(dataset: &str, rows: usize) -> TabularFrame {
     let n_features = if dataset == "iris" { 4 } else { 28 };
@@ -75,13 +67,13 @@ fn shaped_frame(dataset: &str, rows: usize) -> TabularFrame {
 /// and asserts each run reproduces the sequential reference bit for bit.
 fn assert_every_tier_exact(forest: &RandomForest, frame: &TabularFrame, what: &str) {
     let image = FlatImage::from_forest(forest, forest.max_depth()).unwrap();
-    let reference = bits(&forest.predict_batch(frame.as_slice()));
+    let reference = forest.predict_batch(frame.as_slice());
     for (pool, threads) in pools().iter().zip(THREADS) {
         let cfg = RunConfig::for_threads(threads);
         for level in levels() {
             let (preds, _) = score_simd_batch(&image, frame, pool, &cfg, level);
             assert_eq!(
-                bits(&preds),
+                preds,
                 reference,
                 "{what}: simd/{} @{threads}th",
                 level.name()
@@ -91,7 +83,7 @@ fn assert_every_tier_exact(forest: &RandomForest, frame: &TabularFrame, what: &s
 }
 
 /// The deterministic grid: {iris, higgs} shapes × {1, 8, 128} trees ×
-/// batch-edge record counts, classification.
+/// batch-edge record counts.
 #[test]
 fn grid_simd_tiers_bit_exact() {
     for dataset in ["iris", "higgs"] {
@@ -110,21 +102,6 @@ fn grid_simd_tiers_bit_exact() {
     }
 }
 
-/// Regression forests go through the accumulation fold instead of the
-/// vote; it must still agree bit for bit at every stride edge.
-#[test]
-fn regression_tiers_bit_exact_at_batch_edges() {
-    for trees in [1usize, 8] {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::regression(trees, 4).with_depth(6), 23);
-        for records in EDGE_RECORDS.into_iter().chain([3 * kernel::LANES]) {
-            let frame = shaped_frame("iris", records);
-            let what = format!("regression x{trees} trees @{records} records");
-            assert_every_tier_exact(&forest, &frame, &what);
-        }
-    }
-}
-
 /// `MLSCORE_SIMD` forces the fallback tiers: every forced level must (a)
 /// actually take effect in [`SimdLevel::detect`], (b) never exceed the
 /// hardware, and (c) stay bit-exact with the reference. This test owns
@@ -135,7 +112,7 @@ fn env_forced_fallback_levels_stay_bit_exact() {
         RandomForest::synthetic_full(&ForestConfig::classification(8, 4, 3).with_depth(6), 31);
     let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
     let frame = shaped_frame("iris", 2 * kernel::LANES + 5);
-    let reference = bits(&forest.predict_batch(frame.as_slice()));
+    let reference = forest.predict_batch(frame.as_slice());
     let pool = ExecPool::new(2);
     let cfg = RunConfig::for_threads(2);
 
@@ -147,7 +124,7 @@ fn env_forced_fallback_levels_stay_bit_exact() {
         assert!(detected <= hw, "forced {forced} exceeded hardware");
         assert_eq!(detected, SimdLevel::parse(forced).unwrap().min(hw));
         let (preds, _) = score_simd_batch(&image, &frame, &pool, &cfg, detected);
-        assert_eq!(bits(&preds), reference, "forced {forced}");
+        assert_eq!(preds, reference, "forced {forced}");
     }
     // Unknown values, `sse2` among them, are ignored,
     // not errors.
@@ -163,7 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random shapes: every SIMD tier at every pool width agrees with the
-    /// sequential reference on classification forests, including vote
+    /// sequential reference, including vote
     /// ties (few trees and classes make them common), NaN-free random
     /// frames, and batches long enough to reach the 64-lane stride.
     #[test]
@@ -190,13 +167,13 @@ proptest! {
             .collect();
         let frame = TabularFrame::from_rows(data, n_features).unwrap();
         let image = FlatImage::from_forest(&forest, forest.max_depth()).unwrap();
-        let reference = bits(&forest.predict_batch(frame.as_slice()));
+        let reference = forest.predict_batch(frame.as_slice());
         for (pool, threads) in pools().iter().zip(THREADS) {
             let cfg = RunConfig::for_threads(threads);
             for level in levels() {
                 let (preds, _) = score_simd_batch(&image, &frame, pool, &cfg, level);
                 prop_assert_eq!(
-                    &bits(&preds),
+                    &preds,
                     &reference,
                     "simd/{} @{}th",
                     level.name(),

@@ -12,9 +12,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
-use crate::forest::{RandomForest, Task};
+use crate::forest::RandomForest;
 use crate::importance::{ImportanceAccumulator, TrainedModel};
-use crate::node::{LeafValue, Node};
+use crate::node::Node;
 use crate::tree::DecisionTree;
 
 /// Split quality criterion.
@@ -66,8 +66,8 @@ impl Default for TrainOptions {
 /// let y = [0u32, 1, 1, 0];
 /// let forest = ForestBuilder::new(25, TrainOptions { max_depth: 3, ..Default::default() })
 ///     .train_classifier(&x, 2, &y, 2)?;
-/// assert_eq!(forest.predict_one(&[0.0, 1.0]).as_class(), Some(1));
-/// assert_eq!(forest.predict_one(&[1.0, 1.0]).as_class(), Some(0));
+/// assert_eq!(forest.predict_one(&[0.0, 1.0]), 1);
+/// assert_eq!(forest.predict_one(&[1.0, 1.0]), 0);
 /// # Ok::<(), mlscore_forest::ForestError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -139,11 +139,7 @@ impl ForestBuilder {
         };
         let (trees, feature_importances) = self.train_trees(x, n_features, &targets, criterion)?;
         Ok(TrainedModel {
-            forest: RandomForest::from_trees(
-                trees,
-                n_features,
-                Task::Classification { n_classes },
-            )?,
+            forest: RandomForest::from_trees(trees, n_features, n_classes)?,
             feature_importances,
         })
     }
@@ -236,8 +232,8 @@ impl Targets<'_> {
         counts
     }
 
-    fn leaf(&self, indices: &[usize]) -> LeafValue {
-        LeafValue::Class(RandomForest::majority(&self.counts(indices)))
+    fn leaf(&self, indices: &[usize]) -> u32 {
+        RandomForest::majority(&self.counts(indices))
     }
 
     fn is_pure(&self, indices: &[usize]) -> bool {
@@ -393,7 +389,7 @@ mod tests {
             .train_classifier(&x, 2, &y, 2)
             .unwrap();
         let preds = forest.predict_batch(&x);
-        assert!(accuracy(preds.as_classes().unwrap(), &y) > 0.95);
+        assert!(accuracy(&preds, &y) > 0.95);
     }
 
     #[test]
@@ -435,7 +431,7 @@ mod tests {
             .train_classifier(&x, 1, &y, 2)
             .unwrap();
         assert_eq!(forest.trees()[0].len(), 1);
-        assert_eq!(forest.predict_one(&[9.0]).as_class(), Some(1));
+        assert_eq!(forest.predict_one(&[9.0]), 1);
     }
 
     #[test]
@@ -446,7 +442,7 @@ mod tests {
             .train_classifier(&x, 2, &y, 2)
             .unwrap();
         let preds = forest.predict_batch(&x);
-        assert!(accuracy(preds.as_classes().unwrap(), &y) > 0.9);
+        assert!(accuracy(&preds, &y) > 0.9);
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub enum ForestError {
         /// Number of classes in the model.
         n_classes: u32,
     },
-    /// A leaf value's kind does not match the forest task (e.g. a numeric
-    /// leaf in a classifier).
-    LeafTaskMismatch,
     /// The tree is empty.
     EmptyTree,
     /// The forest holds no trees.
@@ -96,9 +93,6 @@ impl fmt::Display for ForestError {
             ),
             ForestError::ClassOutOfRange { class, n_classes } => {
                 write!(f, "leaf class {class} outside 0..{n_classes}")
-            }
-            ForestError::LeafTaskMismatch => {
-                write!(f, "leaf value kind does not match forest task")
             }
             ForestError::EmptyTree => write!(f, "tree has no nodes"),
             ForestError::EmptyForest => write!(f, "forest has no trees"),

@@ -1,38 +1,15 @@
-//! Random forests: ensembles of decision trees with voting/averaging.
+//! Random forests: ensembles of decision trees combined by majority vote.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
-use crate::node::{LeafValue, Node};
+use crate::node::Node;
 use crate::tree::DecisionTree;
 
-/// The learning task a forest solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Task {
-    /// Multi-class classification with class ids in `0..n_classes`.
-    /// Tree votes are combined by majority (ties break to the lowest id).
-    Classification {
-        /// Number of classes.
-        n_classes: u32,
-    },
-    /// Regression; tree outputs are averaged.
-    Regression,
-}
-
-impl Task {
-    /// The class count, when classifying.
-    pub fn n_classes(self) -> Option<u32> {
-        match self {
-            Task::Classification { n_classes } => Some(n_classes),
-            Task::Regression => None,
-        }
-    }
-}
-
 /// Shape parameters of a forest — the axes the paper sweeps (number of
-/// trees, tree depth, dataset feature count) plus the task.
+/// trees, tree depth, dataset feature count) plus the class count.
 ///
 /// # Example
 ///
@@ -51,8 +28,9 @@ pub struct ForestConfig {
     pub depth: usize,
     /// Number of input features.
     pub n_features: usize,
-    /// Task (classification with class count, or regression).
-    pub task: Task,
+    /// Number of classes (at least 1); tree votes are combined by majority
+    /// with ties broken to the lowest class id.
+    pub n_classes: u32,
 }
 
 impl ForestConfig {
@@ -62,17 +40,7 @@ impl ForestConfig {
             n_trees,
             depth: 10,
             n_features,
-            task: Task::Classification { n_classes },
-        }
-    }
-
-    /// A regression config with the paper's default depth of 10.
-    pub fn regression(n_trees: usize, n_features: usize) -> Self {
-        Self {
-            n_trees,
-            depth: 10,
-            n_features,
-            task: Task::Regression,
+            n_classes,
         }
     }
 
@@ -83,103 +51,18 @@ impl ForestConfig {
     }
 }
 
-/// A single prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Prediction {
-    /// Predicted class id.
-    Class(u32),
-    /// Predicted value.
-    Value(f32),
-}
-
-impl Prediction {
-    /// The class id, if classifying.
-    pub fn as_class(self) -> Option<u32> {
-        match self {
-            Prediction::Class(c) => Some(c),
-            Prediction::Value(_) => None,
-        }
-    }
-
-    /// The value, if regressing.
-    pub fn as_value(self) -> Option<f32> {
-        match self {
-            Prediction::Class(_) => None,
-            Prediction::Value(v) => Some(v),
-        }
-    }
-}
-
-/// A batch of predictions, matching the forest's [`Task`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Predictions {
-    /// Class ids, one per record.
-    Classes(Vec<u32>),
-    /// Values, one per record.
-    Values(Vec<f32>),
-}
-
-impl Predictions {
-    /// Number of records scored.
-    pub fn len(&self) -> usize {
-        match self {
-            Predictions::Classes(v) => v.len(),
-            Predictions::Values(v) => v.len(),
-        }
-    }
-
-    /// Returns `true` if no records were scored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The class vector, if classifying.
-    pub fn as_classes(&self) -> Option<&[u32]> {
-        match self {
-            Predictions::Classes(v) => Some(v),
-            Predictions::Values(_) => None,
-        }
-    }
-
-    /// The value vector, if regressing.
-    pub fn as_values(&self) -> Option<&[f32]> {
-        match self {
-            Predictions::Classes(_) => None,
-            Predictions::Values(v) => Some(v),
-        }
-    }
-
-    /// Appends `other`'s records — how streaming consumers fold per-chunk
-    /// predictions back into one batch (records partition across chunks,
-    /// so appending in chunk order is bit-exact with one whole-batch
-    /// scoring pass).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two batches are of different prediction kinds.
-    pub fn append(&mut self, other: &Predictions) {
-        match (self, other) {
-            (Predictions::Classes(a), Predictions::Classes(b)) => a.extend_from_slice(b),
-            (Predictions::Values(a), Predictions::Values(b)) => a.extend_from_slice(b),
-            // analyze: allow(P002, reason="invariant: streaming callers fold chunks of one model, whose task kind is fixed, so the kinds always match")
-            _ => panic!("cannot append mismatched prediction kinds"),
-        }
-    }
-}
-
 /// A random forest: an ensemble of [`DecisionTree`]s over a fixed feature
-/// space, combined by majority vote (classification) or averaging
-/// (regression).
+/// space, combined by majority vote.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_features: usize,
-    task: Task,
+    n_classes: u32,
 }
 
 impl RandomForest {
     /// Assembles a forest from trees, validating every tree against the
-    /// feature count and task.
+    /// feature and class counts.
     ///
     /// # Errors
     ///
@@ -188,18 +71,18 @@ impl RandomForest {
     pub fn from_trees(
         trees: Vec<DecisionTree>,
         n_features: usize,
-        task: Task,
+        n_classes: u32,
     ) -> Result<Self, ForestError> {
         if trees.is_empty() {
             return Err(ForestError::EmptyForest);
         }
         for tree in &trees {
-            tree.validate(n_features, task.n_classes())?;
+            tree.validate(n_features, n_classes)?;
         }
         Ok(Self {
             trees,
             n_features,
-            task,
+            n_classes,
         })
     }
 
@@ -228,7 +111,7 @@ impl RandomForest {
         Self {
             trees,
             n_features: config.n_features,
-            task: config.task,
+            n_classes: config.n_classes,
         }
     }
 
@@ -265,7 +148,7 @@ impl RandomForest {
         Self {
             trees,
             n_features: config.n_features,
-            task: config.task,
+            n_classes: config.n_classes,
         }
     }
 
@@ -280,11 +163,7 @@ impl RandomForest {
     ) -> u32 {
         let idx = nodes.len() as u32;
         if leaf_budget == 1 || depth >= config.depth {
-            let leaf = match config.task {
-                Task::Classification { n_classes } => Node::class_leaf(rng.gen_range(0..n_classes)),
-                Task::Regression => Node::value_leaf(rng.gen_range(-1.0..1.0)),
-            };
-            nodes.push(leaf);
+            nodes.push(Node::Leaf(rng.gen_range(0..config.n_classes)));
             return idx;
         }
         // A subtree at `depth` can host at most 2^(config.depth - depth)
@@ -305,11 +184,7 @@ impl RandomForest {
     fn full_tree(config: &ForestConfig, rng: &mut StdRng) -> DecisionTree {
         let depth = config.depth;
         if depth == 0 {
-            let leaf = match config.task {
-                Task::Classification { n_classes } => LeafValue::Class(rng.gen_range(0..n_classes)),
-                Task::Regression => LeafValue::Value(rng.gen_range(-1.0..1.0)),
-            };
-            return DecisionTree::leaf(leaf);
+            return DecisionTree::leaf(rng.gen_range(0..config.n_classes));
         }
         // BFS order: internal levels 0..depth, leaves at level `depth`.
         let n_internal = (1usize << depth) - 1;
@@ -326,11 +201,7 @@ impl RandomForest {
             ));
         }
         for _ in 0..n_leaves {
-            let leaf = match config.task {
-                Task::Classification { n_classes } => Node::class_leaf(rng.gen_range(0..n_classes)),
-                Task::Regression => Node::value_leaf(rng.gen_range(-1.0..1.0)),
-            };
-            nodes.push(leaf);
+            nodes.push(Node::Leaf(rng.gen_range(0..config.n_classes)));
         }
         DecisionTree::from_nodes(nodes).expect("synthetic full tree is structurally valid")
     }
@@ -350,9 +221,9 @@ impl RandomForest {
         self.n_features
     }
 
-    /// The learning task.
-    pub fn task(&self) -> Task {
-        self.task
+    /// Number of classes.
+    pub fn n_classes(&self) -> u32 {
+        self.n_classes
     }
 
     /// Deepest tree depth, in levels.
@@ -369,23 +240,16 @@ impl RandomForest {
         self.trees.iter().map(DecisionTree::len).sum()
     }
 
-    /// Per-class vote counts for one record (classification only).
+    /// Per-class vote counts for one record.
     ///
     /// # Panics
     ///
-    /// Panics for regression forests or if `x` is shorter than the
-    /// feature count (see [`RandomForest::predict_checked`] for the
-    /// validating path).
+    /// Panics if `x` is shorter than the feature count (see
+    /// [`RandomForest::predict_checked`] for the validating path).
     pub fn vote_counts(&self, x: &[f32]) -> Vec<u32> {
-        let n_classes =
-            self.task
-                .n_classes()
-                .expect("vote_counts requires a classification forest") as usize;
-        let mut counts = vec![0u32; n_classes];
+        let mut counts = vec![0u32; self.n_classes as usize];
         for tree in &self.trees {
-            if let LeafValue::Class(c) = tree.predict(x) {
-                counts[c as usize] += 1;
-            }
+            counts[tree.predict(x) as usize] += 1;
         }
         counts
     }
@@ -403,26 +267,13 @@ impl RandomForest {
         best as u32
     }
 
-    /// Scores one record.
+    /// Scores one record into its class id.
     ///
     /// # Panics
     ///
     /// Panics if `x` is shorter than the model's feature count.
-    pub fn predict_one(&self, x: &[f32]) -> Prediction {
-        match self.task {
-            Task::Classification { .. } => {
-                let counts = self.vote_counts(x);
-                Prediction::Class(Self::majority(&counts))
-            }
-            Task::Regression => {
-                let sum: f32 = self
-                    .trees
-                    .iter()
-                    .map(|t| t.predict(x).as_value().expect("regression leaf"))
-                    .sum();
-                Prediction::Value(sum / self.trees.len() as f32)
-            }
-        }
+    pub fn predict_one(&self, x: &[f32]) -> u32 {
+        Self::majority(&self.vote_counts(x))
     }
 
     /// Scores a row-major batch (`records.len()` must be a multiple of the
@@ -431,23 +282,16 @@ impl RandomForest {
     /// # Panics
     ///
     /// Panics if `records.len()` is not a multiple of the feature count.
-    pub fn predict_batch(&self, records: &[f32]) -> Predictions {
+    pub fn predict_batch(&self, records: &[f32]) -> Vec<u32> {
         assert_eq!(
             records.len() % self.n_features,
             0,
             "records length must be a multiple of n_features"
         );
-        let rows = records.chunks_exact(self.n_features);
-        match self.task {
-            Task::Classification { .. } => Predictions::Classes(
-                rows.map(|r| self.predict_one(r).as_class().expect("class"))
-                    .collect(),
-            ),
-            Task::Regression => Predictions::Values(
-                rows.map(|r| self.predict_one(r).as_value().expect("value"))
-                    .collect(),
-            ),
-        }
+        records
+            .chunks_exact(self.n_features)
+            .map(|r| self.predict_one(r))
+            .collect()
     }
 
     /// Scores one record after validating its width.
@@ -456,7 +300,7 @@ impl RandomForest {
     ///
     /// Returns [`ForestError::FeatureWidthMismatch`] when `x.len()` differs
     /// from the model's feature count.
-    pub fn predict_checked(&self, x: &[f32]) -> Result<Prediction, ForestError> {
+    pub fn predict_checked(&self, x: &[f32]) -> Result<u32, ForestError> {
         if x.len() != self.n_features {
             return Err(ForestError::FeatureWidthMismatch {
                 expected: self.n_features,
@@ -474,8 +318,8 @@ mod tests {
     fn stump(class_le: u32, class_gt: u32) -> DecisionTree {
         DecisionTree::from_nodes(vec![
             Node::decision(0, 0.5, 1, 2),
-            Node::class_leaf(class_le),
-            Node::class_leaf(class_gt),
+            Node::Leaf(class_le),
+            Node::Leaf(class_gt),
         ])
         .unwrap()
     }
@@ -489,36 +333,20 @@ mod tests {
 
     #[test]
     fn classification_votes() {
-        let forest = RandomForest::from_trees(
-            vec![stump(0, 1), stump(0, 1), stump(1, 0)],
-            1,
-            Task::Classification { n_classes: 2 },
-        )
-        .unwrap();
-        assert_eq!(forest.predict_one(&[0.1]).as_class(), Some(0)); // 2 votes 0
-        assert_eq!(forest.predict_one(&[0.9]).as_class(), Some(1)); // 2 votes 1
+        let forest =
+            RandomForest::from_trees(vec![stump(0, 1), stump(0, 1), stump(1, 0)], 1, 2).unwrap();
+        assert_eq!(forest.predict_one(&[0.1]), 0); // 2 votes 0
+        assert_eq!(forest.predict_one(&[0.9]), 1); // 2 votes 1
         assert_eq!(forest.vote_counts(&[0.1]), vec![2, 1]);
-    }
-
-    #[test]
-    fn regression_averages() {
-        let trees = vec![
-            DecisionTree::leaf(LeafValue::Value(1.0)),
-            DecisionTree::leaf(LeafValue::Value(3.0)),
-        ];
-        let forest = RandomForest::from_trees(trees, 1, Task::Regression).unwrap();
-        assert_eq!(forest.predict_one(&[0.0]).as_value(), Some(2.0));
     }
 
     #[test]
     fn from_trees_validates() {
         assert_eq!(
-            RandomForest::from_trees(vec![], 1, Task::Regression).unwrap_err(),
+            RandomForest::from_trees(vec![], 1, 2).unwrap_err(),
             ForestError::EmptyForest
         );
-        let err =
-            RandomForest::from_trees(vec![stump(0, 5)], 1, Task::Classification { n_classes: 2 })
-                .unwrap_err();
+        let err = RandomForest::from_trees(vec![stump(0, 5)], 1, 2).unwrap_err();
         assert!(matches!(err, ForestError::ClassOutOfRange { class: 5, .. }));
     }
 
@@ -548,7 +376,7 @@ mod tests {
 
     #[test]
     fn synthetic_depth_zero_is_leaf_only() {
-        let cfg = ForestConfig::regression(2, 3).with_depth(0);
+        let cfg = ForestConfig::classification(2, 3, 2).with_depth(0);
         let f = RandomForest::synthetic_full(&cfg, 9);
         assert_eq!(f.max_depth(), 0);
         assert_eq!(f.n_nodes(), 2);
@@ -559,10 +387,9 @@ mod tests {
         let cfg = ForestConfig::classification(5, 3, 4).with_depth(6);
         let f = RandomForest::synthetic_full(&cfg, 11);
         let records: Vec<f32> = (0..30).map(|i| (i as f32 * 0.37) % 1.0).collect();
-        let batch = f.predict_batch(&records);
-        let classes = batch.as_classes().unwrap();
+        let classes = f.predict_batch(&records);
         for (i, row) in records.chunks_exact(3).enumerate() {
-            assert_eq!(f.predict_one(row).as_class().unwrap(), classes[i]);
+            assert_eq!(f.predict_one(row), classes[i]);
         }
     }
 
@@ -614,16 +441,5 @@ mod tests {
             RandomForest::synthetic_capped(&cfg, 100, 3),
             RandomForest::synthetic_capped(&cfg, 100, 3)
         );
-    }
-
-    #[test]
-    fn predictions_accessors() {
-        let p = Predictions::Classes(vec![1, 0, 1]);
-        assert_eq!(p.len(), 3);
-        assert!(!p.is_empty());
-        assert!(p.as_values().is_none());
-        let v = Predictions::Values(vec![]);
-        assert!(v.is_empty());
-        assert!(v.as_classes().is_none());
     }
 }

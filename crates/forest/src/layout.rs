@@ -2,8 +2,7 @@
 //!
 //! Each node is stored as four 32-bit words. For a decision node the words
 //! are `[left, right, attribute, value]`; for a leaf node the first word is
-//! negative and the second holds the outcome (class id, or the value for
-//! regression). The FPGA inference engine reads trees in exactly this format
+//! negative and the second holds the leaf's class id as an `f32`. The FPGA inference engine reads trees in exactly this format
 //! from its per-PE tree memories, and the ONNX-like CPU backend scores over
 //! it directly.
 //!
@@ -17,8 +16,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
-use crate::forest::{RandomForest, Task};
-use crate::node::{LeafValue, Node};
+use crate::forest::RandomForest;
+use crate::node::Node;
 use crate::tree::DecisionTree;
 
 /// Number of 32-bit words per node record.
@@ -44,8 +43,7 @@ pub enum NodeRecord {
         /// Split threshold.
         threshold: f32,
     },
-    /// A leaf record carrying its raw outcome word (class id as `f32` for
-    /// classification, the value for regression).
+    /// A leaf record carrying its raw outcome word, the class id as `f32`.
     Leaf {
         /// The outcome word.
         payload: f32,
@@ -62,8 +60,8 @@ pub enum NodeRecord {
 ///
 /// let tree = DecisionTree::from_nodes(vec![
 ///     Node::decision(0, 0.5, 1, 2),
-///     Node::class_leaf(0),
-///     Node::class_leaf(1),
+///     Node::Leaf(0),
+///     Node::Leaf(1),
 /// ])?;
 /// let flat = FlatTree::from_tree(&tree, 10)?;
 /// assert_eq!(flat.score(&[0.7]), 1.0);
@@ -112,11 +110,8 @@ impl FlatTree {
                     words.push(feature as f32);
                     words.push(threshold);
                 }
-                Node::Leaf(LeafValue::Class(c)) => {
+                Node::Leaf(c) => {
                     words.extend_from_slice(&[-1.0, c as f32, 0.0, 0.0]);
-                }
-                Node::Leaf(LeafValue::Value(v)) => {
-                    words.extend_from_slice(&[-1.0, v, 0.0, 0.0]);
                 }
             }
         }
@@ -176,8 +171,8 @@ impl FlatTree {
         }
     }
 
-    /// Scores one record, returning the raw outcome word (class id as `f32`
-    /// for classification, value for regression).
+    /// Scores one record, returning the raw outcome word (the class id as
+    /// `f32`).
     ///
     /// This mirrors the PE datapath: repeatedly read a 4-word record, test
     /// the attribute, and branch, until the first word is negative.
@@ -235,25 +230,19 @@ impl FlatTree {
     ///
     /// Returns [`ForestError::Corrupt`] if record fields are not decodable
     /// (only possible for hand-built images).
-    pub fn to_tree(&self, task: Task) -> Result<DecisionTree, ForestError> {
+    pub fn to_tree(&self) -> Result<DecisionTree, ForestError> {
         let mut nodes = Vec::with_capacity(self.live_records);
         for i in 0..self.live_records {
             let base = i * NODE_WORDS;
             let w0 = self.words[base];
             if w0 < 0.0 {
                 let outcome = self.words[base + 1];
-                let leaf = match task {
-                    Task::Classification { .. } => {
-                        if outcome < 0.0 || outcome.fract() != 0.0 {
-                            return Err(ForestError::Corrupt(format!(
-                                "record {i}: non-integer class {outcome}"
-                            )));
-                        }
-                        LeafValue::Class(outcome as u32)
-                    }
-                    Task::Regression => LeafValue::Value(outcome),
-                };
-                nodes.push(Node::Leaf(leaf));
+                if outcome < 0.0 || outcome.fract() != 0.0 {
+                    return Err(ForestError::Corrupt(format!(
+                        "record {i}: non-integer class {outcome}"
+                    )));
+                }
+                nodes.push(Node::Leaf(outcome as u32));
             } else {
                 let left = self.words[base];
                 let right = self.words[base + 1];
@@ -281,7 +270,7 @@ impl FlatTree {
 pub struct FlatForest {
     trees: Vec<FlatTree>,
     n_features: usize,
-    task: Task,
+    n_classes: u32,
 }
 
 impl FlatForest {
@@ -300,7 +289,7 @@ impl FlatForest {
         Ok(Self {
             trees,
             n_features: forest.n_features(),
-            task: forest.task(),
+            n_classes: forest.n_classes(),
         })
     }
 
@@ -319,9 +308,9 @@ impl FlatForest {
         self.n_features
     }
 
-    /// The learning task.
-    pub fn task(&self) -> Task {
-        self.task
+    /// Number of classes.
+    pub fn n_classes(&self) -> u32 {
+        self.n_classes
     }
 
     /// Total padded model image size in bytes (what is DMA'd to the
@@ -330,45 +319,28 @@ impl FlatForest {
         self.trees.iter().map(FlatTree::footprint_bytes).sum()
     }
 
-    /// Scores one record: majority vote (classification) or average
-    /// (regression) over all trees, using the same combination rules as
-    /// [`RandomForest`].
+    /// Scores one record into its class id: majority vote over all trees,
+    /// using the same rule as [`RandomForest`].
     ///
     /// Vote counting reuses a thread-local scratch buffer, so repeated
     /// calls allocate nothing; batch callers that manage their own scratch
     /// should use [`FlatForest::score_one_with`] directly.
-    pub fn score_one(&self, x: &[f32]) -> f32 {
-        match self.task {
-            Task::Classification { .. } => {
-                VOTE_SCRATCH.with(|s| self.score_one_with(x, &mut s.borrow_mut()))
-            }
-            Task::Regression => {
-                let sum: f32 = self.trees.iter().map(|t| t.score(x)).sum();
-                sum / self.trees.len() as f32
-            }
-        }
+    pub fn score_one(&self, x: &[f32]) -> u32 {
+        VOTE_SCRATCH.with(|s| self.score_one_with(x, &mut s.borrow_mut()))
     }
 
     /// Scores one record using a caller-provided vote scratch buffer. The
-    /// buffer is cleared and resized to the class count on every call
-    /// (regression ignores it), so a loop can pass the same `Vec` for
-    /// every record and never reallocate.
+    /// buffer is cleared and resized to the class count on every call, so
+    /// a loop can pass the same `Vec` for every record and never
+    /// reallocate.
     // analyze: hot
-    pub fn score_one_with(&self, x: &[f32], votes: &mut Vec<u32>) -> f32 {
-        match self.task {
-            Task::Classification { n_classes } => {
-                votes.clear();
-                votes.resize(n_classes as usize, 0);
-                for tree in &self.trees {
-                    votes[tree.score(x) as usize] += 1;
-                }
-                RandomForest::majority(votes) as f32
-            }
-            Task::Regression => {
-                let sum: f32 = self.trees.iter().map(|t| t.score(x)).sum();
-                sum / self.trees.len() as f32
-            }
+    pub fn score_one_with(&self, x: &[f32], votes: &mut Vec<u32>) -> u32 {
+        votes.clear();
+        votes.resize(self.n_classes as usize, 0);
+        for tree in &self.trees {
+            votes[tree.score(x) as usize] += 1;
         }
+        RandomForest::majority(votes)
     }
 }
 
@@ -384,8 +356,8 @@ mod tests {
     fn stump() -> DecisionTree {
         DecisionTree::from_nodes(vec![
             Node::decision(0, 0.5, 1, 2),
-            Node::class_leaf(0),
-            Node::class_leaf(1),
+            Node::Leaf(0),
+            Node::Leaf(1),
         ])
         .unwrap()
     }
@@ -401,10 +373,7 @@ mod tests {
         let tree = stump();
         let flat = FlatTree::from_tree(&tree, 4).unwrap();
         for x in [0.0f32, 0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(
-                flat.score(&[x]) as u32,
-                tree.predict(&[x]).as_class().unwrap()
-            );
+            assert_eq!(flat.score(&[x]) as u32, tree.predict(&[x]));
         }
     }
 
@@ -441,7 +410,7 @@ mod tests {
         let forest = RandomForest::synthetic_full(&cfg, 21);
         let tree = &forest.trees()[0];
         let flat = FlatTree::from_tree(tree, 8).unwrap();
-        let back = flat.to_tree(forest.task()).unwrap();
+        let back = flat.to_tree().unwrap();
         assert_eq!(&back, tree);
     }
 
@@ -454,23 +423,8 @@ mod tests {
             let x: Vec<f32> = (0..4)
                 .map(|j| ((i * 7 + j * 13) % 100) as f32 / 100.0)
                 .collect();
-            assert_eq!(
-                flat.score_one(&x) as u32,
-                forest.predict_one(&x).as_class().unwrap(),
-                "record {i}"
-            );
+            assert_eq!(flat.score_one(&x), forest.predict_one(&x), "record {i}");
         }
-    }
-
-    #[test]
-    fn regression_flat_average() {
-        let trees = vec![
-            DecisionTree::leaf(LeafValue::Value(2.0)),
-            DecisionTree::leaf(LeafValue::Value(4.0)),
-        ];
-        let forest = RandomForest::from_trees(trees, 1, Task::Regression).unwrap();
-        let flat = FlatForest::from_forest(&forest, 2).unwrap();
-        assert_eq!(flat.score_one(&[0.0]), 3.0);
     }
 
     #[test]
@@ -482,16 +436,6 @@ mod tests {
         let mut votes = Vec::new();
         for row in records.chunks_exact(4) {
             assert_eq!(flat.score_one_with(row, &mut votes), flat.score_one(row));
-        }
-        // Regression path ignores the scratch but must agree too.
-        let rcfg = ForestConfig::regression(5, 4).with_depth(4);
-        let rforest = RandomForest::synthetic_full(&rcfg, 3);
-        let rflat = FlatForest::from_forest(&rforest, 4).unwrap();
-        for row in records.chunks_exact(4) {
-            assert_eq!(
-                rflat.score_one_with(row, &mut votes).to_bits(),
-                rflat.score_one(row).to_bits()
-            );
         }
     }
 

@@ -1,16 +1,17 @@
 //! Random forest models for the `mlscore` workspace.
 //!
 //! This crate implements the ML model at the heart of the paper: decision
-//! trees and random forests (classification and regression), CART training,
-//! the paper's flat 4-word-per-node memory layout (Fig. 4b) used by the FPGA
-//! inference engine, a versioned binary serialization format (the stand-in
-//! for the ONNX model bundles stored in database tables), and model
-//! statistics consumed by the backend cost models.
+//! trees and random-forest classifiers (every leaf holds a class id, and
+//! trees combine by majority vote), CART training, the paper's flat
+//! 4-word-per-node memory layout (Fig. 4b) used by the FPGA inference
+//! engine, a versioned binary serialization format (the stand-in for the
+//! ONNX model bundles stored in database tables), and model statistics
+//! consumed by the backend cost models.
 //!
 //! # Example
 //!
 //! ```
-//! use mlscore_forest::{ForestConfig, RandomForest, Task};
+//! use mlscore_forest::{ForestConfig, RandomForest};
 //!
 //! // A deterministic synthetic forest like the paper's 128-tree, depth-10
 //! // models (training is also available; see `ForestBuilder`).
@@ -19,8 +20,8 @@
 //!     42,
 //! );
 //! assert_eq!(forest.n_trees(), 8);
-//! let pred = forest.predict_one(&[0.5, 0.1, 0.9, 0.3]);
-//! assert!(pred.as_class().unwrap() < 3);
+//! let class = forest.predict_one(&[0.5, 0.1, 0.9, 0.3]);
+//! assert!(class < 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,10 +41,10 @@ pub mod tree;
 
 pub use builder::{ForestBuilder, SplitCriterion, TrainOptions};
 pub use error::ForestError;
-pub use forest::{ForestConfig, Prediction, Predictions, RandomForest, Task};
+pub use forest::{ForestConfig, RandomForest};
 pub use importance::TrainedModel;
 pub use layout::{FlatForest, FlatTree, NodeRecord, NODE_WORDS};
-pub use node::{LeafValue, Node};
+pub use node::Node;
 pub use quant::{QuantScheme, QuantizedForest, QuantizedTree};
 pub use serialize::ModelBundle;
 pub use stats::ModelStats;

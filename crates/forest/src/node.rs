@@ -2,33 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The value stored in a leaf node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LeafValue {
-    /// Classification outcome: a class id in `0..n_classes`.
-    Class(u32),
-    /// Regression outcome: a predicted value.
-    Value(f32),
-}
-
-impl LeafValue {
-    /// The class id, if this is a classification leaf.
-    pub fn as_class(self) -> Option<u32> {
-        match self {
-            LeafValue::Class(c) => Some(c),
-            LeafValue::Value(_) => None,
-        }
-    }
-
-    /// The numeric value, if this is a regression leaf.
-    pub fn as_value(self) -> Option<f32> {
-        match self {
-            LeafValue::Class(_) => None,
-            LeafValue::Value(v) => Some(v),
-        }
-    }
-}
-
 /// One node of a decision tree.
 ///
 /// The decision rule follows the scikit-learn convention used throughout the
@@ -49,8 +22,8 @@ pub enum Node {
         /// Index of the child taken otherwise.
         right: u32,
     },
-    /// A terminal node carrying the scoring outcome.
-    Leaf(LeafValue),
+    /// A terminal node carrying its class id in `0..n_classes`.
+    Leaf(u32),
 }
 
 impl Node {
@@ -64,16 +37,6 @@ impl Node {
         }
     }
 
-    /// Convenience constructor for a classification leaf.
-    pub fn class_leaf(class: u32) -> Self {
-        Node::Leaf(LeafValue::Class(class))
-    }
-
-    /// Convenience constructor for a regression leaf.
-    pub fn value_leaf(value: f32) -> Self {
-        Node::Leaf(LeafValue::Value(value))
-    }
-
     /// Returns `true` if this node is a leaf.
     pub fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf(_))
@@ -85,17 +48,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn leaf_accessors() {
-        assert_eq!(LeafValue::Class(2).as_class(), Some(2));
-        assert_eq!(LeafValue::Class(2).as_value(), None);
-        assert_eq!(LeafValue::Value(1.5).as_value(), Some(1.5));
-        assert_eq!(LeafValue::Value(1.5).as_class(), None);
-    }
-
-    #[test]
     fn constructors_and_is_leaf() {
-        assert!(Node::class_leaf(0).is_leaf());
-        assert!(Node::value_leaf(0.5).is_leaf());
+        assert!(Node::Leaf(0).is_leaf());
         assert!(!Node::decision(1, 0.5, 1, 2).is_leaf());
     }
 }

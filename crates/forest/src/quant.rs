@@ -12,8 +12,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
-use crate::forest::{RandomForest, Task};
-use crate::node::{LeafValue, Node};
+use crate::forest::RandomForest;
+use crate::node::Node;
 use crate::tree::DecisionTree;
 
 /// Per-feature affine quantization ranges.
@@ -97,9 +97,7 @@ impl QuantizedTree {
     ///
     /// Returns [`ForestError::DepthExceeded`] when the tree has more nodes
     /// than 16-bit indices address, and [`ForestError::ClassOutOfRange`]
-    /// for class ids that do not fit in 16 bits. Regression trees are
-    /// rejected with [`ForestError::LeafTaskMismatch`] (quantized leaves
-    /// hold class ids).
+    /// for class ids that do not fit in 16 bits.
     pub fn from_tree(tree: &DecisionTree, scheme: &QuantScheme) -> Result<Self, ForestError> {
         if tree.len() >= LEAF_MARKER as usize {
             return Err(ForestError::DepthExceeded {
@@ -122,7 +120,7 @@ impl QuantizedTree {
                     feature,
                     threshold_q: scheme.quantize(feature as usize, threshold),
                 }),
-                Node::Leaf(LeafValue::Class(c)) => {
+                Node::Leaf(c) => {
                     let class = u16::try_from(c).map_err(|_| ForestError::ClassOutOfRange {
                         class: c,
                         n_classes: u16::MAX as u32,
@@ -134,7 +132,6 @@ impl QuantizedTree {
                         threshold_q: 0,
                     })
                 }
-                Node::Leaf(LeafValue::Value(_)) => Err(ForestError::LeafTaskMismatch),
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { nodes })
@@ -162,7 +159,7 @@ impl QuantizedTree {
     }
 }
 
-/// A whole classification forest in the quantized layout.
+/// A whole forest in the quantized layout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedForest {
     trees: Vec<QuantizedTree>,
@@ -172,16 +169,12 @@ pub struct QuantizedForest {
 }
 
 impl QuantizedForest {
-    /// Quantizes a classification forest.
+    /// Quantizes a forest.
     ///
     /// # Errors
     ///
-    /// Propagates per-tree errors; rejects regression forests with
-    /// [`ForestError::LeafTaskMismatch`].
+    /// Propagates per-tree errors.
     pub fn from_forest(forest: &RandomForest, scheme: QuantScheme) -> Result<Self, ForestError> {
-        let Task::Classification { n_classes } = forest.task() else {
-            return Err(ForestError::LeafTaskMismatch);
-        };
         let trees = forest
             .trees()
             .iter()
@@ -190,7 +183,7 @@ impl QuantizedForest {
         Ok(Self {
             trees,
             scheme,
-            n_classes,
+            n_classes: forest.n_classes(),
             n_features: forest.n_features(),
         })
     }
@@ -249,9 +242,7 @@ impl QuantizedForest {
         }
         let mismatches = rows
             .iter()
-            .filter(|row| {
-                self.score_one(row) != forest.predict_one(row).as_class().expect("classifier")
-            })
+            .filter(|row| self.score_one(row) != forest.predict_one(row))
             .count();
         mismatches as f64 / rows.len() as f64
     }
@@ -299,29 +290,15 @@ mod tests {
         // exact predictions agree everywhere except the knife edge.
         let tree = DecisionTree::from_nodes(vec![
             Node::decision(0, 0.5, 1, 2),
-            Node::class_leaf(0),
-            Node::class_leaf(1),
+            Node::Leaf(0),
+            Node::Leaf(1),
         ])
         .unwrap();
-        let f =
-            RandomForest::from_trees(vec![tree], 1, Task::Classification { n_classes: 2 }).unwrap();
+        let f = RandomForest::from_trees(vec![tree], 1, 2).unwrap();
         let q = QuantizedForest::from_forest(&f, QuantScheme::unit(1)).unwrap();
         for x in [0.0f32, 0.1, 0.25, 0.49, 0.51, 0.75, 1.0] {
-            assert_eq!(
-                q.score_one(&[x]),
-                f.predict_one(&[x]).as_class().unwrap(),
-                "at {x}"
-            );
+            assert_eq!(q.score_one(&[x]), f.predict_one(&[x]), "at {x}");
         }
-    }
-
-    #[test]
-    fn regression_rejected() {
-        let f = RandomForest::synthetic_full(&ForestConfig::regression(2, 3).with_depth(3), 1);
-        assert_eq!(
-            QuantizedForest::from_forest(&f, QuantScheme::unit(3)).unwrap_err(),
-            ForestError::LeafTaskMismatch
-        );
     }
 
     #[test]

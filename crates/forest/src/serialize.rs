@@ -11,8 +11,8 @@
 //! ```text
 //! magic  b"MLSB"        4 bytes
 //! version u16           currently 1
-//! task    u8            0 = classification, 1 = regression
-//! n_classes u32         0 for regression
+//! task    u8            always 0; any other value is rejected
+//! n_classes u32         1..=65_536
 //! n_features u32
 //! n_trees u32
 //! per tree:
@@ -20,14 +20,14 @@
 //!   per node:
 //!     tag u8            0 = decision, 1 = leaf
 //!     decision: feature u16, threshold f32, left u32, right u32
-//!     leaf:     class u32 (classification) | value f32 (regression)
+//!     leaf:     class u32
 //! ```
 
 use std::sync::Arc;
 
 use crate::error::ForestError;
-use crate::forest::{RandomForest, Task};
-use crate::node::{LeafValue, Node};
+use crate::forest::RandomForest;
+use crate::node::Node;
 use crate::tree::DecisionTree;
 
 const MAGIC: &[u8; 4] = b"MLSB";
@@ -36,6 +36,10 @@ const VERSION: u16 = 1;
 const MIN_TREE_BYTES: usize = 4;
 /// Smallest encoded node: a leaf's tag plus its 4-byte payload.
 const MIN_NODE_BYTES: usize = 5;
+/// Largest class count a bundle may declare: the 16-bit class-id space
+/// the quantized layout assumes. Every scorer sizes a vote vector from the
+/// class count, so an unchecked header could request gigabytes.
+const MAX_CLASSES: u32 = 1 << 16;
 
 /// A serialized random forest — the bytes a DBMS would store in a model
 /// table.
@@ -82,12 +86,8 @@ impl ModelBundle {
         let mut buf = Vec::with_capacity(64 + forest.n_nodes() * 16);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
-        let (task_tag, n_classes) = match forest.task() {
-            Task::Classification { n_classes } => (0u8, n_classes),
-            Task::Regression => (1, 0),
-        };
-        buf.push(task_tag);
-        buf.extend_from_slice(&n_classes.to_le_bytes());
+        buf.push(0); // task tag: classification
+        buf.extend_from_slice(&forest.n_classes().to_le_bytes());
         buf.extend_from_slice(&(forest.n_features() as u32).to_le_bytes());
         buf.extend_from_slice(&(forest.n_trees() as u32).to_le_bytes());
         for tree in forest.trees() {
@@ -106,13 +106,9 @@ impl ModelBundle {
                         buf.extend_from_slice(&left.to_le_bytes());
                         buf.extend_from_slice(&right.to_le_bytes());
                     }
-                    Node::Leaf(LeafValue::Class(c)) => {
+                    Node::Leaf(c) => {
                         buf.push(1);
                         buf.extend_from_slice(&c.to_le_bytes());
-                    }
-                    Node::Leaf(LeafValue::Value(v)) => {
-                        buf.push(1);
-                        buf.extend_from_slice(&v.to_le_bytes());
                     }
                 }
             }
@@ -176,17 +172,15 @@ impl ModelBundle {
             return Err(ForestError::UnsupportedVersion(version));
         }
         let [task_tag] = take(&mut buf, "task")?;
+        if task_tag != 0 {
+            return Err(ForestError::Corrupt(format!("unknown task tag {task_tag}")));
+        }
         let n_classes = u32::from_le_bytes(take(&mut buf, "n_classes")?);
-        let task = match task_tag {
-            0 => {
-                if n_classes == 0 {
-                    return Err(ForestError::Corrupt("classifier with zero classes".into()));
-                }
-                Task::Classification { n_classes }
-            }
-            1 => Task::Regression,
-            t => return Err(ForestError::Corrupt(format!("unknown task tag {t}"))),
-        };
+        if !(1..=MAX_CLASSES).contains(&n_classes) {
+            return Err(ForestError::Corrupt(format!(
+                "class count {n_classes} outside 1..={MAX_CLASSES}"
+            )));
+        }
         let n_features = u32::from_le_bytes(take(&mut buf, "n_features")?) as usize;
         let n_trees = u32::from_le_bytes(take(&mut buf, "n_trees")?) as usize;
         let mut trees = Vec::with_capacity(n_trees.min(buf.len() / MIN_TREE_BYTES));
@@ -203,16 +197,10 @@ impl ModelBundle {
                         let right = u32::from_le_bytes(take(&mut buf, "right")?);
                         nodes.push(Node::decision(feature, threshold, left, right));
                     }
-                    1 => match task {
-                        Task::Classification { .. } => {
-                            let class = u32::from_le_bytes(take(&mut buf, "class")?);
-                            nodes.push(Node::class_leaf(class));
-                        }
-                        Task::Regression => {
-                            let value = f32::from_le_bytes(take(&mut buf, "value")?);
-                            nodes.push(Node::value_leaf(value));
-                        }
-                    },
+                    1 => {
+                        let class = u32::from_le_bytes(take(&mut buf, "class")?);
+                        nodes.push(Node::Leaf(class));
+                    }
                     other => {
                         return Err(ForestError::Corrupt(format!(
                             "tree {t} node {n}: unknown node tag {other}"
@@ -228,7 +216,7 @@ impl ModelBundle {
                 buf.len()
             )));
         }
-        RandomForest::from_trees(trees, n_features, task)
+        RandomForest::from_trees(trees, n_features, n_classes)
     }
 }
 
@@ -253,13 +241,6 @@ mod tests {
     #[test]
     fn roundtrip_classifier() {
         let forest = sample_forest();
-        let bundle = ModelBundle::serialize(&forest);
-        assert_eq!(bundle.deserialize().unwrap(), forest);
-    }
-
-    #[test]
-    fn roundtrip_regressor() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(2, 3).with_depth(3), 5);
         let bundle = ModelBundle::serialize(&forest);
         assert_eq!(bundle.deserialize().unwrap(), forest);
     }

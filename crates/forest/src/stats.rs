@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::forest::{RandomForest, Task};
+use crate::forest::RandomForest;
 use crate::layout::NODE_BYTES;
 use crate::tree::DecisionTree;
 
@@ -33,7 +33,7 @@ pub struct ModelStats {
     pub n_trees: usize,
     /// Number of input features.
     pub n_features: usize,
-    /// Number of classes (0 for regression).
+    /// Number of classes (at least 1).
     pub n_classes: u32,
     /// Deepest tree depth, in levels.
     pub max_depth: usize,
@@ -61,7 +61,7 @@ impl ModelStats {
         Self {
             n_trees: forest.n_trees(),
             n_features: forest.n_features(),
-            n_classes: forest.task().n_classes().unwrap_or(0),
+            n_classes: forest.n_classes(),
             max_depth: forest.max_depth(),
             total_nodes,
             total_leaves,
@@ -112,20 +112,6 @@ fn leaf_path_sum(tree: &DecisionTree) -> (u64, u64) {
     (sum, leaves)
 }
 
-/// Task helper so cost models can reason about stats without the forest.
-impl ModelStats {
-    /// Reconstructs the task from the class count.
-    pub fn task(&self) -> Task {
-        if self.n_classes == 0 {
-            Task::Regression
-        } else {
-            Task::Classification {
-                n_classes: self.n_classes,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,21 +132,6 @@ mod tests {
         assert_eq!(s.visits_per_record(), 24.0);
         assert_eq!(s.live_layout_bytes(), 4 * 63 * 16);
         assert_eq!(s.row_bytes(), 24);
-    }
-
-    #[test]
-    fn binary_and_regression_flags() {
-        let bin = ModelStats::of(&RandomForest::synthetic_full(
-            &ForestConfig::classification(1, 2, 2).with_depth(2),
-            1,
-        ));
-        assert_eq!(bin.task(), Task::Classification { n_classes: 2 });
-
-        let reg = ModelStats::of(&RandomForest::synthetic_full(
-            &ForestConfig::regression(1, 2).with_depth(2),
-            1,
-        ));
-        assert_eq!(reg.task(), Task::Regression);
     }
 
     #[test]

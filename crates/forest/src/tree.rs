@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
-use crate::node::{LeafValue, Node};
+use crate::node::Node;
 
 /// A binary decision tree stored as a flat node vector with the root at
 /// index 0 and forward child references only.
@@ -16,11 +16,11 @@ use crate::node::{LeafValue, Node};
 /// // x[0] <= 0.5 ? class 0 : class 1
 /// let tree = DecisionTree::from_nodes(vec![
 ///     Node::decision(0, 0.5, 1, 2),
-///     Node::class_leaf(0),
-///     Node::class_leaf(1),
+///     Node::Leaf(0),
+///     Node::Leaf(1),
 /// ])?;
-/// assert_eq!(tree.predict(&[0.2]).as_class(), Some(0));
-/// assert_eq!(tree.predict(&[0.9]).as_class(), Some(1));
+/// assert_eq!(tree.predict(&[0.2]), 0);
+/// assert_eq!(tree.predict(&[0.9]), 1);
 /// # Ok::<(), mlscore_forest::ForestError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,10 +60,10 @@ impl DecisionTree {
         Ok(Self { nodes })
     }
 
-    /// Builds a single-leaf tree.
-    pub fn leaf(value: LeafValue) -> Self {
+    /// Builds a single-leaf tree voting for `class`.
+    pub fn leaf(class: u32) -> Self {
         Self {
-            nodes: vec![Node::Leaf(value)],
+            nodes: vec![Node::Leaf(class)],
         }
     }
 
@@ -104,14 +104,15 @@ impl DecisionTree {
         max
     }
 
-    /// Scores one record by root-to-leaf traversal.
+    /// Scores one record by root-to-leaf traversal, returning the leaf's
+    /// class id.
     ///
     /// # Panics
     ///
     /// Panics if a decision node references a feature beyond `x.len()`; use
     /// [`DecisionTree::validate`] against the model's feature count to rule
     /// this out up front.
-    pub fn predict(&self, x: &[f32]) -> LeafValue {
+    pub fn predict(&self, x: &[f32]) -> u32 {
         let mut i = 0usize;
         loop {
             match self.nodes[i] {
@@ -134,7 +135,7 @@ impl DecisionTree {
 
     /// Scores one record, also reporting the number of nodes visited
     /// (root inclusive). Used by divergence/teardown analyses.
-    pub fn predict_counting(&self, x: &[f32]) -> (LeafValue, usize) {
+    pub fn predict_counting(&self, x: &[f32]) -> (u32, usize) {
         let mut i = 0usize;
         let mut visited = 1usize;
         loop {
@@ -163,9 +164,8 @@ impl DecisionTree {
     ///
     /// Returns [`ForestError::FeatureOutOfRange`] or
     /// [`ForestError::ClassOutOfRange`] when nodes reference features or
-    /// classes outside the model, and [`ForestError::LeafTaskMismatch`] when
-    /// a leaf kind conflicts with `n_classes` (`Some` implies classification).
-    pub fn validate(&self, n_features: usize, n_classes: Option<u32>) -> Result<(), ForestError> {
+    /// classes outside the model.
+    pub fn validate(&self, n_features: usize, n_classes: u32) -> Result<(), ForestError> {
         for (i, node) in self.nodes.iter().enumerate() {
             match node {
                 Node::Decision { feature, .. } => {
@@ -177,19 +177,12 @@ impl DecisionTree {
                         });
                     }
                 }
-                Node::Leaf(LeafValue::Class(c)) => match n_classes {
-                    Some(n) if *c >= n => {
+                Node::Leaf(c) => {
+                    if *c >= n_classes {
                         return Err(ForestError::ClassOutOfRange {
                             class: *c,
-                            n_classes: n,
-                        })
-                    }
-                    Some(_) => {}
-                    None => return Err(ForestError::LeafTaskMismatch),
-                },
-                Node::Leaf(LeafValue::Value(_)) => {
-                    if n_classes.is_some() {
-                        return Err(ForestError::LeafTaskMismatch);
+                            n_classes,
+                        });
                     }
                 }
             }
@@ -205,8 +198,8 @@ mod tests {
     fn stump() -> DecisionTree {
         DecisionTree::from_nodes(vec![
             Node::decision(0, 0.5, 1, 2),
-            Node::class_leaf(0),
-            Node::class_leaf(1),
+            Node::Leaf(0),
+            Node::Leaf(1),
         ])
         .unwrap()
     }
@@ -214,20 +207,20 @@ mod tests {
     #[test]
     fn traversal_follows_le_convention() {
         let t = stump();
-        assert_eq!(t.predict(&[0.5]).as_class(), Some(0)); // boundary goes left
-        assert_eq!(t.predict(&[0.500001]).as_class(), Some(1));
+        assert_eq!(t.predict(&[0.5]), 0); // boundary goes left
+        assert_eq!(t.predict(&[0.500001]), 1);
     }
 
     #[test]
     fn depth_counts_levels() {
         assert_eq!(stump().depth(), 1);
-        assert_eq!(DecisionTree::leaf(LeafValue::Class(0)).depth(), 0);
+        assert_eq!(DecisionTree::leaf(0).depth(), 0);
         let deep = DecisionTree::from_nodes(vec![
             Node::decision(0, 0.5, 1, 2),
             Node::decision(0, 0.25, 3, 4),
-            Node::class_leaf(2),
-            Node::class_leaf(0),
-            Node::class_leaf(1),
+            Node::Leaf(2),
+            Node::Leaf(0),
+            Node::Leaf(1),
         ])
         .unwrap();
         assert_eq!(deep.depth(), 2);
@@ -249,14 +242,14 @@ mod tests {
 
     #[test]
     fn rejects_dangling_child() {
-        let err = DecisionTree::from_nodes(vec![Node::decision(0, 0.5, 1, 9), Node::class_leaf(0)])
+        let err = DecisionTree::from_nodes(vec![Node::decision(0, 0.5, 1, 9), Node::Leaf(0)])
             .unwrap_err();
         assert!(matches!(err, ForestError::ChildOutOfRange { child: 9, .. }));
     }
 
     #[test]
     fn rejects_backward_child() {
-        let err = DecisionTree::from_nodes(vec![Node::decision(0, 0.5, 0, 1), Node::class_leaf(0)])
+        let err = DecisionTree::from_nodes(vec![Node::decision(0, 0.5, 0, 1), Node::Leaf(0)])
             .unwrap_err();
         assert!(matches!(err, ForestError::NonTopological { child: 0, .. }));
     }
@@ -264,45 +257,30 @@ mod tests {
     #[test]
     fn validate_feature_and_class_ranges() {
         let t = stump();
-        assert!(t.validate(1, Some(2)).is_ok());
+        assert!(t.validate(1, 2).is_ok());
         assert!(matches!(
-            t.validate(1, Some(1)),
+            t.validate(1, 1),
             Err(ForestError::ClassOutOfRange { .. })
         ));
         let wide = DecisionTree::from_nodes(vec![
             Node::decision(3, 0.5, 1, 2),
-            Node::class_leaf(0),
-            Node::class_leaf(1),
+            Node::Leaf(0),
+            Node::Leaf(1),
         ])
         .unwrap();
         assert!(matches!(
-            wide.validate(2, Some(2)),
+            wide.validate(2, 2),
             Err(ForestError::FeatureOutOfRange { feature: 3, .. })
         ));
-    }
-
-    #[test]
-    fn validate_task_mismatch() {
-        let t = stump();
-        assert_eq!(
-            t.validate(1, None).unwrap_err(),
-            ForestError::LeafTaskMismatch
-        );
-        let reg = DecisionTree::leaf(LeafValue::Value(1.0));
-        assert_eq!(
-            reg.validate(1, Some(2)).unwrap_err(),
-            ForestError::LeafTaskMismatch
-        );
-        assert!(reg.validate(1, None).is_ok());
     }
 
     #[test]
     fn predict_counting_counts_path_nodes() {
         let t = stump();
         let (v, visited) = t.predict_counting(&[0.1]);
-        assert_eq!(v.as_class(), Some(0));
+        assert_eq!(v, 0);
         assert_eq!(visited, 2);
-        let leaf = DecisionTree::leaf(LeafValue::Class(1));
+        let leaf = DecisionTree::leaf(1);
         assert_eq!(leaf.predict_counting(&[0.0]).1, 1);
     }
 }

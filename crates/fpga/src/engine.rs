@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mlscore_forest::{FlatForest, FlatTree, Predictions, RandomForest, Task};
+use mlscore_forest::{FlatForest, FlatTree, RandomForest};
 
 use crate::bram::BramAllocator;
 use crate::device::FpgaDevice;
@@ -123,9 +123,8 @@ pub struct CycleReport {
 /// The outcome of one engine run: real predictions plus cycle accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineRun {
-    /// Predictions from the majority-voting unit (or averaging for
-    /// regression).
-    pub predictions: Predictions,
+    /// Class ids from the majority-voting unit.
+    pub predictions: Vec<u32>,
     /// Cycle accounting for the run.
     pub report: CycleReport,
 }
@@ -204,8 +203,7 @@ impl InferenceEngine {
     /// Functionally: pass `p` maps trees `p*PE .. (p+1)*PE` onto the PEs;
     /// every record flows through the pipeline once per pass; per-tree
     /// outcomes accumulate into the voting unit, which emits the final
-    /// class (ties to the lowest id, like every backend) or the average for
-    /// regression.
+    /// class (ties to the lowest id, like every backend).
     ///
     /// # Panics
     ///
@@ -220,36 +218,20 @@ impl InferenceEngine {
         );
         let n_records = records.len() / n_features;
         let trees = model.flat.trees();
-        let predictions = match model.flat.task() {
-            Task::Classification { n_classes } => {
-                let mut votes = vec![0u32; n_records * n_classes as usize];
-                for pass in trees.chunks(self.config.pe_count) {
-                    for (i, row) in records.chunks_exact(n_features).enumerate() {
-                        for tree in pass {
-                            let class = tree.score(row) as usize;
-                            votes[i * n_classes as usize + class] += 1;
-                        }
-                    }
+        let n_classes = model.flat.n_classes() as usize;
+        let mut votes = vec![0u32; n_records * n_classes];
+        for pass in trees.chunks(self.config.pe_count) {
+            for (i, row) in records.chunks_exact(n_features).enumerate() {
+                for tree in pass {
+                    let class = tree.score(row) as usize;
+                    votes[i * n_classes + class] += 1;
                 }
-                Predictions::Classes(
-                    votes
-                        .chunks_exact(n_classes as usize)
-                        .map(RandomForest::majority)
-                        .collect(),
-                )
             }
-            Task::Regression => {
-                let mut sums = vec![0f32; n_records];
-                for pass in trees.chunks(self.config.pe_count) {
-                    for (i, row) in records.chunks_exact(n_features).enumerate() {
-                        for tree in pass {
-                            sums[i] += tree.score(row);
-                        }
-                    }
-                }
-                Predictions::Values(sums.into_iter().map(|s| s / trees.len() as f32).collect())
-            }
-        };
+        }
+        let predictions = votes
+            .chunks_exact(n_classes)
+            .map(RandomForest::majority)
+            .collect();
         EngineRun {
             predictions,
             report: self.cycle_report(model, n_records as u64),
@@ -315,23 +297,6 @@ mod tests {
             forest.predict_batch(data.frame().as_slice())
         );
         assert_eq!(run.report.passes, 3);
-    }
-
-    #[test]
-    fn regression_averaging() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::regression(10, 3).with_depth(5), 8);
-        let records: Vec<f32> = (0..30).map(|i| (i as f32 * 0.13) % 1.0).collect();
-        let model = engine().load(&forest).unwrap();
-        let run = engine().execute(&model, &records);
-        let reference = forest.predict_batch(&records);
-        let (got, want) = (
-            run.predictions.as_values().unwrap(),
-            reference.as_values().unwrap(),
-        );
-        for (g, w) in got.iter().zip(want) {
-            assert!((g - w).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use mlscore_backend::CpuSpec;
 use mlscore_data::TabularFrame;
-use mlscore_forest::{LeafValue, Node, Predictions, RandomForest, Task};
+use mlscore_forest::{Node, RandomForest};
 use mlscore_sim::{SimDuration, Stage, TimingBreakdown};
 
 use crate::engine::InferenceEngine;
@@ -34,8 +34,8 @@ impl SplitReport {
 }
 
 /// Walks `x` down a tree for at most `depth_budget` levels; returns either
-/// the leaf value or the frontier node index where the budget ran out.
-fn walk_to_depth(nodes: &[Node], x: &[f32], depth_budget: usize) -> Result<LeafValue, usize> {
+/// the leaf's class or the frontier node index where the budget ran out.
+fn walk_to_depth(nodes: &[Node], x: &[f32], depth_budget: usize) -> Result<u32, usize> {
     let mut idx = 0usize;
     for _ in 0..=depth_budget {
         match nodes[idx] {
@@ -58,7 +58,7 @@ fn walk_to_depth(nodes: &[Node], x: &[f32], depth_budget: usize) -> Result<LeafV
 }
 
 /// Continues a traversal from `start` to a leaf, counting visits.
-fn finish_on_cpu(nodes: &[Node], x: &[f32], start: usize) -> (LeafValue, u64) {
+fn finish_on_cpu(nodes: &[Node], x: &[f32], start: usize) -> (u32, u64) {
     let mut idx = start;
     let mut visits = 0u64;
     loop {
@@ -93,7 +93,7 @@ pub fn split_score(
     engine: &InferenceEngine,
     forest: &RandomForest,
     frame: &TabularFrame,
-) -> (Predictions, SplitReport) {
+) -> (Vec<u32>, SplitReport) {
     assert_eq!(
         forest.n_features(),
         frame.n_features(),
@@ -105,7 +105,7 @@ pub fn split_score(
         continued_on_cpu: 0,
         cpu_visits: 0,
     };
-    let mut leaf_for = |row: &[f32], tree: &mlscore_forest::DecisionTree| -> LeafValue {
+    let mut leaf_for = |row: &[f32], tree: &mlscore_forest::DecisionTree| -> u32 {
         match walk_to_depth(tree.nodes(), row, budget) {
             Ok(v) => {
                 report.finished_on_fpga += 1;
@@ -119,34 +119,16 @@ pub fn split_score(
             }
         }
     };
-    let predictions = match forest.task() {
-        Task::Classification { n_classes } => Predictions::Classes(
-            frame
-                .rows()
-                .map(|row| {
-                    let mut counts = vec![0u32; n_classes as usize];
-                    for tree in forest.trees() {
-                        let c = leaf_for(row, tree).as_class().expect("class leaf");
-                        counts[c as usize] += 1;
-                    }
-                    RandomForest::majority(&counts)
-                })
-                .collect(),
-        ),
-        Task::Regression => Predictions::Values(
-            frame
-                .rows()
-                .map(|row| {
-                    let sum: f32 = forest
-                        .trees()
-                        .iter()
-                        .map(|t| leaf_for(row, t).as_value().expect("value leaf"))
-                        .sum();
-                    sum / forest.n_trees() as f32
-                })
-                .collect(),
-        ),
-    };
+    let predictions = frame
+        .rows()
+        .map(|row| {
+            let mut counts = vec![0u32; forest.n_classes() as usize];
+            for tree in forest.trees() {
+                counts[leaf_for(row, tree) as usize] += 1;
+            }
+            RandomForest::majority(&counts)
+        })
+        .collect();
     (predictions, report)
 }
 
@@ -221,21 +203,6 @@ mod tests {
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
         assert_eq!(report.continued_on_cpu, 0);
         assert_eq!(report.fpga_fraction(), 1.0);
-    }
-
-    #[test]
-    fn regression_split_works() {
-        let forest =
-            RandomForest::synthetic_capped(&ForestConfig::regression(3, 3).with_depth(13), 300, 2);
-        let records: Vec<f32> = (0..60).map(|i| (i as f32 * 0.41) % 1.0).collect();
-        let frame = TabularFrame::from_rows(records.clone(), 3).unwrap();
-        let engine = InferenceEngine::paper_default();
-        let (preds, _) = split_score(&engine, &forest, &frame);
-        let reference = forest.predict_batch(&records);
-        let (got, want) = (preds.as_values().unwrap(), reference.as_values().unwrap());
-        for (g, w) in got.iter().zip(want) {
-            assert!((g - w).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mlscore_backend::{
     score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
 };
 use mlscore_data::{ColumnarFrame, RecordStream};
-use mlscore_forest::{FlatForest, ModelStats, Predictions, RandomForest, Task};
+use mlscore_forest::{FlatForest, ModelStats, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
@@ -88,18 +88,14 @@ impl RapidsFil {
         &self.device
     }
 
-    fn check_supported(&self, task: Task) -> Result<(), BackendError> {
-        match task {
-            Task::Classification { n_classes: 2 } => Ok(()),
-            Task::Classification { n_classes } => Err(BackendError::unsupported(
-                "GPU-RAPIDS",
-                format!("only binary classification is supported, model has {n_classes} classes"),
-            )),
-            Task::Regression => Err(BackendError::unsupported(
-                "GPU-RAPIDS",
-                "regression models are routed to Hummingbird in this study",
-            )),
+    fn check_supported(&self, n_classes: u32) -> Result<(), BackendError> {
+        if n_classes == 2 {
+            return Ok(());
         }
+        Err(BackendError::unsupported(
+            "GPU-RAPIDS",
+            format!("only binary classification is supported, model has {n_classes} classes"),
+        ))
     }
 }
 
@@ -109,14 +105,14 @@ impl ScoringBackend for RapidsFil {
     }
 
     fn supports(&self, stats: &ModelStats) -> Result<(), BackendError> {
-        self.check_supported(stats.task())
+        self.check_supported(stats.n_classes)
     }
 
     // Lowering builds the FIL device node table: the dense flat image whose
     // (total_nodes × 16 B) size is exactly what the model-h2d transfer in
     // the cost model charges for.
     fn lower(&self, forest: &RandomForest) -> Result<Lowered, BackendError> {
-        self.check_supported(forest.task())?;
+        self.check_supported(forest.n_classes())?;
         let flat = FlatForest::from_forest(forest, forest.max_depth())?;
         Ok(Lowered::Custom(Arc::new(flat)))
     }
@@ -128,7 +124,7 @@ impl ScoringBackend for RapidsFil {
         _tracer: &Tracer,
         _start: SimInstant,
     ) -> Result<StreamOutcome, BackendError> {
-        self.check_supported(model.forest().task())?;
+        self.check_supported(model.forest().n_classes())?;
         let flat = match model.lowered() {
             Lowered::Custom(any) => any.downcast_ref::<FlatForest>().ok_or_else(|| {
                 BackendError::artifact("GPU-RAPIDS", "custom artifact is not a FIL node table")
@@ -152,9 +148,9 @@ impl ScoringBackend for RapidsFil {
             let mut classes = Vec::with_capacity(columnar.n_rows());
             for i in 0..columnar.n_rows() {
                 columnar.gather_row(i, &mut row);
-                classes.push(flat.score_one_with(&row, &mut votes) as u32);
+                classes.push(flat.score_one_with(&row, &mut votes));
             }
-            Ok(Predictions::Classes(classes))
+            Ok(classes)
         })
     }
 
@@ -305,12 +301,6 @@ mod tests {
         assert!(matches!(err, BackendError::Unsupported { .. }));
         let data = Dataset::iris(10, 1).normalized();
         assert!(score_once(&RapidsFil::p100(), &iris_model, data.frame()).is_err());
-    }
-
-    #[test]
-    fn regression_rejected() {
-        let reg = RandomForest::synthetic_full(&ForestConfig::regression(2, 4).with_depth(3), 1);
-        assert!(RapidsFil::p100().supports(&ModelStats::of(&reg)).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use mlscore_backend::{
     score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
 };
 use mlscore_data::RecordStream;
-use mlscore_forest::{DecisionTree, LeafValue, ModelStats, Node, Predictions, RandomForest, Task};
+use mlscore_forest::{DecisionTree, ModelStats, Node, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
@@ -105,7 +105,7 @@ impl HummingbirdGpu {
 }
 
 /// One tree compiled to the Hummingbird tensor layout: flat per-node arrays
-/// (feature, threshold, children, leaf payload) that the GEMM / traversal
+/// (feature, threshold, children, leaf class) that the GEMM / traversal
 /// formulations gather from. Node order is preserved from the source tree so
 /// the path-match semantics are identical to scoring the pointer tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,8 +117,8 @@ struct TreeTensors {
     /// Left / right child indices per node; unused (zero) for leaves.
     left: Vec<u32>,
     right: Vec<u32>,
-    /// Leaf payload per node; `None` for internal nodes.
-    leaf: Vec<Option<LeafValue>>,
+    /// Leaf class per node; `None` for internal nodes.
+    leaf: Vec<Option<u32>>,
 }
 
 impl TreeTensors {
@@ -159,7 +159,7 @@ impl TreeTensors {
 
     /// Scores one record by the GEMM semantics: evaluate all predicates,
     /// then find the leaf whose path matches them all.
-    fn score(&self, x: &[f32]) -> LeafValue {
+    fn score(&self, x: &[f32]) -> u32 {
         let n = self.leaf.len();
         // Predicate tensor: outcome of every internal node's comparison
         // (leaves contribute `false`, matching a zero row in the matrix).
@@ -231,35 +231,18 @@ impl ScoringBackend for HummingbirdGpu {
                 ))
             }
         };
-        score_whole_batch(stream, |frame| match forest.task() {
-            Task::Classification { n_classes } => {
-                let classes = frame
-                    .rows()
-                    .map(|row| {
-                        let mut counts = vec![0u32; n_classes as usize];
-                        for tree in &tensors.trees {
-                            let c = tree.score(row).as_class().expect("classification leaf");
-                            counts[c as usize] += 1;
-                        }
-                        RandomForest::majority(&counts)
-                    })
-                    .collect();
-                Ok(Predictions::Classes(classes))
-            }
-            Task::Regression => {
-                let values = frame
-                    .rows()
-                    .map(|row| {
-                        let sum: f32 = tensors
-                            .trees
-                            .iter()
-                            .map(|t| t.score(row).as_value().expect("regression leaf"))
-                            .sum();
-                        sum / forest.n_trees() as f32
-                    })
-                    .collect();
-                Ok(Predictions::Values(values))
-            }
+        score_whole_batch(stream, |frame| {
+            let classes = frame
+                .rows()
+                .map(|row| {
+                    let mut counts = vec![0u32; forest.n_classes() as usize];
+                    for tree in &tensors.trees {
+                        counts[tree.score(row) as usize] += 1;
+                    }
+                    RandomForest::majority(&counts)
+                })
+                .collect();
+            Ok(classes)
         })
     }
 
@@ -434,18 +417,6 @@ mod tests {
         let data = Dataset::higgs(120, 8).normalized();
         let preds = score_once(&HummingbirdGpu::p100(), &forest, data.frame()).unwrap();
         assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
-    }
-
-    #[test]
-    fn regression_supported_and_correct() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(5, 3).with_depth(4), 6);
-        let frame = mlscore_data::TabularFrame::from_rows(
-            (0..45).map(|i| (i as f32 * 0.73) % 1.0).collect(),
-            3,
-        )
-        .unwrap();
-        let preds = score_once(&HummingbirdGpu::p100(), &forest, &frame).unwrap();
-        assert_eq!(preds, forest.predict_batch(frame.as_slice()));
     }
 
     #[test]

@@ -29,20 +29,6 @@ impl Default for HostResources {
     }
 }
 
-/// Accelerator resources available for offloaded scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AcceleratorResources {
-    /// Accelerator cards; each card runs one query's device pass at a time
-    /// (one [`DeviceLedger`] slot per card).
-    pub cards: usize,
-}
-
-impl Default for AcceleratorResources {
-    fn default() -> Self {
-        Self { cards: 1 }
-    }
-}
-
 /// Outcome of a consolidation comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConsolidationReport {
@@ -64,47 +50,21 @@ impl ConsolidationReport {
     }
 }
 
-/// [`consolidate_cards`] with the paper's single accelerator card.
-#[allow(clippy::too_many_arguments)] // a deliberate flat API: workload x resources x backends
-pub fn consolidate(
-    host: &HostResources,
-    params: &PipelineParams,
-    cpu_backend: &dyn ScoringBackend,
-    accel_backend: &dyn ScoringBackend,
-    stats: &ModelStats,
-    model_bytes: u64,
-    n_records: u64,
-    queries: u32,
-) -> ConsolidationReport {
-    consolidate_cards(
-        host,
-        &AcceleratorResources::default(),
-        params,
-        cpu_backend,
-        accel_backend,
-        stats,
-        model_bytes,
-        n_records,
-        queries,
-    )
-}
-
 /// Analyzes `queries` identical concurrent queries, each scoring
 /// `n_records` with the given model, comparing a host-only backend against
-/// an accelerator pool of `accel.cards` cards.
+/// the paper's single accelerator card.
 ///
 /// The host-only makespan divides total core-seconds (pipeline stages plus
 /// single-thread-equivalent scoring) across the host's threads, floored by
 /// one query's critical path. The offloaded makespan reserves each query's
-/// device pass on a [`DeviceLedger`] with one slot per card — the same
-/// reservation model the serving engine arbitrates with, so the offline
-/// analysis and the simulator agree on device occupancy by construction —
-/// and takes the maximum of the pool's completion time, the host-side
-/// pipeline work, and a single query's critical path.
+/// device pass on a one-slot [`DeviceLedger`] — the same reservation model
+/// the serving engine arbitrates with, so the offline analysis and the
+/// simulator agree on device occupancy by construction — and takes the
+/// maximum of the card's completion time, the host-side pipeline work, and
+/// a single query's critical path.
 #[allow(clippy::too_many_arguments)] // a deliberate flat API: workload x resources x backends
-pub fn consolidate_cards(
+pub fn consolidate(
     host: &HostResources,
-    accel: &AcceleratorResources,
     params: &PipelineParams,
     cpu_backend: &dyn ScoringBackend,
     accel_backend: &dyn ScoringBackend,
@@ -141,14 +101,14 @@ pub fn consolidate_cards(
             .max(critical_path_host.as_secs()),
     );
 
-    // Offloaded: each query's device pass (compute + transfer) occupies one
-    // card-slot on the shared reservation ledger; the host-side overhead
-    // class of the offload still burns host time.
+    // Offloaded: each query's device pass (compute + transfer) occupies the
+    // card on the shared reservation ledger; the host-side overhead class
+    // of the offload still burns host time.
     let accel_breakdown =
         accel_backend.estimate(stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
     let device_busy = accel_breakdown.total_class(StageClass::Compute)
         + accel_breakdown.total_class(StageClass::Transfer);
-    let mut ledger = DeviceLedger::new(accel.cards.max(1));
+    let mut ledger = DeviceLedger::new(1);
     for _ in 0..queries.max(1) {
         ledger.reserve(SimInstant::ZERO, device_busy);
     }
@@ -301,71 +261,6 @@ mod tests {
         assert!(
             (1.8..2.2).contains(&ratio),
             "serialized scaling ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn one_card_matches_the_single_card_entry_point() {
-        let (stats, bytes) = heavy();
-        let cpu = SklearnCpu::paper_default();
-        let single = consolidate(
-            &HostResources::default(),
-            &PipelineParams::default(),
-            &cpu,
-            &fpga(),
-            &stats,
-            bytes,
-            500_000,
-            16,
-        );
-        let explicit = consolidate_cards(
-            &HostResources::default(),
-            &AcceleratorResources { cards: 1 },
-            &PipelineParams::default(),
-            &cpu,
-            &fpga(),
-            &stats,
-            bytes,
-            500_000,
-            16,
-        );
-        assert_eq!(single, explicit);
-    }
-
-    #[test]
-    fn more_cards_shrink_the_device_bound_makespan() {
-        let (stats, bytes) = heavy();
-        let cpu = SklearnCpu::paper_default();
-        let run = |cards| {
-            consolidate_cards(
-                &HostResources { threads: 10_000 }, // host never binds
-                &AcceleratorResources { cards },
-                &crate::integration::IntegrationMode::InEngine.params(),
-                &cpu,
-                &fpga(),
-                &stats,
-                bytes,
-                1_000_000,
-                256,
-            )
-            .offloaded
-        };
-        let m1 = run(1);
-        let m2 = run(2);
-        let m4 = run(4);
-        assert!(m2 < m1, "2 cards {m2} should beat 1 card {m1}");
-        assert!(m4 < m2, "4 cards {m4} should beat 2 cards {m2}");
-        // In the device-bound regime, doubling cards halves the device term
-        // (256 queries split evenly across cards).
-        let ratio = m1.ratio(m2);
-        assert!((1.9..2.1).contains(&ratio), "card scaling ratio {ratio}");
-        // Diminishing returns: past the point where the device stops
-        // binding, extra cards change nothing.
-        let m128 = run(128);
-        let m256 = run(256);
-        assert_eq!(
-            m128, m256,
-            "once per-query critical path binds, cards are free"
         );
     }
 

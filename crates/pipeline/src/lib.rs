@@ -50,9 +50,7 @@ pub mod integration;
 pub mod params;
 pub mod query;
 
-pub use concurrency::{
-    consolidate, consolidate_cards, AcceleratorResources, ConsolidationReport, HostResources,
-};
+pub use concurrency::{consolidate, ConsolidationReport, HostResources};
 pub use error::PipelineError;
 pub use integration::IntegrationMode;
 pub use params::PipelineParams;

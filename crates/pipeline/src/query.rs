@@ -6,7 +6,7 @@ use mlscore_backend::{
     ArtifactCache, BackendError, CacheOutcome, PrepareTiming, ScoringBackend, StreamChunk,
 };
 use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
-use mlscore_forest::{ModelBundle, ModelStats, Predictions};
+use mlscore_forest::{ModelBundle, ModelStats};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
 
@@ -16,8 +16,8 @@ use crate::params::PipelineParams;
 /// Result of running one T-SQL scoring query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRun {
-    /// The predictions returned to the DBMS.
-    pub predictions: Predictions,
+    /// The class ids returned to the DBMS, one per record.
+    pub predictions: Vec<u32>,
     /// End-to-end breakdown in Fig. 11's stages. The entire backend-side
     /// scoring path (offload overheads included) is folded into
     /// [`Stage::Scoring`].

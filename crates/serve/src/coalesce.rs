@@ -11,7 +11,6 @@
 
 use mlscore_backend::{BackendError, CompiledModel, ScoringBackend};
 use mlscore_data::{ChainScanner, RecordStream, TabularFrame};
-use mlscore_forest::Predictions;
 use mlscore_sim::SimInstant;
 use mlscore_telemetry::Tracer;
 
@@ -52,7 +51,7 @@ pub fn score_merged_stream(
     model: &CompiledModel,
     frames: &[&TabularFrame],
     chunk_rows: usize,
-) -> Result<Vec<Predictions>, ServeError> {
+) -> Result<Vec<Vec<u32>>, ServeError> {
     if frames.is_empty() {
         return Err(ServeError::EmptyBatch);
     }
@@ -66,27 +65,17 @@ pub fn score_merged_stream(
     ))
 }
 
-/// Splits one prediction vector back into per-request vectors by row
-/// count.
-fn split_predictions(merged: Predictions, counts: impl Iterator<Item = usize>) -> Vec<Predictions> {
-    let mut out = Vec::new();
-    let mut offset = 0usize;
-    match merged {
-        Predictions::Classes(all) => {
-            for n in counts {
-                out.push(Predictions::Classes(all[offset..offset + n].to_vec()));
-                offset += n;
-            }
-            debug_assert_eq!(offset, all.len());
-        }
-        Predictions::Values(all) => {
-            for n in counts {
-                out.push(Predictions::Values(all[offset..offset + n].to_vec()));
-                offset += n;
-            }
-            debug_assert_eq!(offset, all.len());
-        }
-    }
+/// Splits one class-id vector back into per-request vectors by row count.
+fn split_predictions(merged: Vec<u32>, counts: impl Iterator<Item = usize>) -> Vec<Vec<u32>> {
+    let mut rest = merged.as_slice();
+    let out = counts
+        .map(|n| {
+            let (head, tail) = rest.split_at(n);
+            rest = tail;
+            head.to_vec()
+        })
+        .collect();
+    debug_assert!(rest.is_empty());
     out
 }
 
@@ -122,21 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn regression_predictions_split_too() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(8, 5).with_depth(5), 4);
-        let backend = SklearnCpu::with_threads(1);
-        let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
-        let frames = [frame(7, 6, 5), frame(8, 9, 5)];
-        let refs: Vec<&TabularFrame> = frames.iter().collect();
-        let split = score_merged_stream(&backend, &model, &refs, 4).unwrap();
-        assert_eq!(split[0].len(), 6);
-        assert_eq!(split[1].len(), 9);
-        assert_eq!(split[0], forest.predict_batch(frames[0].as_slice()));
-    }
-
-    #[test]
     fn fused_merge_rejects_empty_and_mixed_widths() {
-        let forest = RandomForest::synthetic_full(&ForestConfig::regression(4, 3).with_depth(4), 1);
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(4, 3, 2).with_depth(4), 1);
         let backend = SklearnCpu::with_threads(1);
         let model = compile(&backend, &ModelBundle::serialize(&forest)).unwrap();
         assert!(matches!(

@@ -70,12 +70,8 @@ proptest! {
         multi_class in any::<bool>(),
     ) {
         let n_features = 4;
-        let cfg = if multi_class {
-            ForestConfig::classification(trees, n_features, 3)
-        } else {
-            ForestConfig::regression(trees, n_features)
-        }
-        .with_depth(depth);
+        let n_classes = if multi_class { 3 } else { 2 };
+        let cfg = ForestConfig::classification(trees, n_features, n_classes).with_depth(depth);
         let forest = RandomForest::synthetic_full(&cfg, seed);
         let frames: Vec<TabularFrame> = row_counts
             .iter()

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "scored {} records; first ten classes: {:?}",
         cpu_preds.len(),
-        &cpu_preds.as_classes().unwrap()[..10]
+        &cpu_preds[..10]
     );
 
     // Modelled timing: where does the time go on each backend?

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         forest.n_trees(),
         forest.max_depth(),
         forest.n_nodes(),
-        accuracy(preds.as_classes().unwrap(), test.labels()),
+        accuracy(&preds, test.labels()),
     );
 
     // 2. Storage: serialize to the binary bundle a model table would hold.

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use mlscore::prelude::*;
 use mlscore_backend::{ArtifactCache, CacheOutcome, CompiledModel, OnnxCpu, SklearnCpu};
-use mlscore_forest::{ModelBundle, Predictions};
+use mlscore_forest::ModelBundle;
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
 use mlscore_pipeline::{QueryPipeline, Records};
@@ -36,7 +36,7 @@ fn score_compiled(
     backend: &dyn ScoringBackend,
     model: &CompiledModel,
     frame: &TabularFrame,
-) -> Predictions {
+) -> Vec<u32> {
     let bound = model.bind(backend.name(), frame.n_features()).unwrap();
     backend
         .score(

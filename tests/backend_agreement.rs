@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use mlscore::prelude::*;
 use mlscore_backend::{compile, BackendError, OnnxCpu, SklearnCpu};
-use mlscore_forest::{ModelBundle, Predictions};
+use mlscore_forest::ModelBundle;
 use mlscore_fpga::FpgaBackend;
 use mlscore_gpu::{HummingbirdGpu, RapidsFil};
 
@@ -103,41 +103,6 @@ proptest! {
         let preds = score_once(&RapidsFil::p100(), &forest, &frame).unwrap();
         prop_assert_eq!(preds, forest.predict_batch(frame.as_slice()));
     }
-
-    #[test]
-    fn regression_backends_agree(
-        n_trees in 1usize..8,
-        depth in 0usize..7,
-        seed in any::<u64>(),
-    ) {
-        let cfg = ForestConfig::regression(n_trees, 4).with_depth(depth);
-        let forest = RandomForest::synthetic_full(&cfg, seed);
-        let data: Vec<f32> = (0..40 * 4).map(|i| (i as f32 * 0.29) % 1.0).collect();
-        let frame = TabularFrame::from_rows(data, 4).unwrap();
-        let reference = forest.predict_batch(frame.as_slice());
-        let reference_vals = reference.as_values().unwrap();
-        for backend in [
-            Box::new(SklearnCpu::with_threads(3)) as Box<dyn ScoringBackend>,
-            Box::new(OnnxCpu::single_thread()),
-            Box::new(HummingbirdGpu::p100()),
-            Box::new(FpgaBackend::paper_default()),
-        ] {
-            let preds = score_once(&backend, &forest, &frame).unwrap();
-            let values = preds.as_values().unwrap();
-            // Averaging order may differ (FPGA averages across passes), so
-            // allow float tolerance — but it must be tiny.
-            prop_assert_eq!(values.len(), reference_vals.len());
-            for (got, want) in values.iter().zip(reference_vals) {
-                prop_assert!(
-                    (got - want).abs() <= 1e-4,
-                    "backend {}: {} vs {}",
-                    backend.name(),
-                    got,
-                    want
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -147,7 +112,7 @@ fn empty_batch_agreement() {
     let frame = TabularFrame::from_rows(vec![], 4).unwrap();
     for backend in universal_backends() {
         let preds = score_once(&backend, &forest, &frame).unwrap();
-        assert_eq!(preds, Predictions::Classes(vec![]), "{}", backend.name());
+        assert!(preds.is_empty(), "{}", backend.name());
     }
 }
 

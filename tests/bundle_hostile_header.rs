@@ -1,7 +1,9 @@
 //! A model bundle is untrusted bytes: the counts in its header must not
 //! size any allocation beyond what the remaining bytes could encode. A
 //! 23-byte bundle that claims `u32::MAX` trees of `u32::MAX` nodes must
-//! fail cleanly without reserving memory for them.
+//! fail cleanly without reserving memory for them, and a class count
+//! beyond the 16-bit class-id space — which every scorer would size a
+//! vote vector from — is rejected at decode.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,4 +96,29 @@ fn huge_tree_count_with_no_trees_allocates_nothing_large() {
         requested < MIB,
         "decoding a 19-byte bundle requested {requested} bytes"
     );
+}
+
+#[test]
+fn class_count_beyond_16_bits_is_corrupt() {
+    // One tree holding one leaf of class 1, in a model claiming
+    // `u32::MAX` classes: scoring it would request a 16 GiB vote vector.
+    let raw = vec![
+        77, 76, 83, 66, 1, 0, 0, 255, 255, 255, 255, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0,
+        0, 0,
+    ];
+    assert_eq!(raw.len(), 28);
+    let (result, requested) = requested_by(|| ModelBundle::from_bytes(raw).deserialize());
+    assert!(matches!(result, Err(ForestError::Corrupt(_))), "{result:?}");
+    assert!(
+        requested < MIB,
+        "decoding a 28-byte bundle requested {requested} bytes"
+    );
+    // The largest accepted count is the 16-bit id space itself.
+    for (n_classes, ok) in [(1u32 << 16, true), ((1 << 16) + 1, false), (0, false)] {
+        let mut raw = header(1);
+        raw[7..11].copy_from_slice(&n_classes.to_le_bytes());
+        raw.extend_from_slice(&[1, 0, 0, 0, 1, 1, 0, 0, 0]); // one leaf, class 1
+        let result = ModelBundle::from_bytes(raw).deserialize();
+        assert_eq!(result.is_ok(), ok, "{n_classes} classes: {result:?}");
+    }
 }

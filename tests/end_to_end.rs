@@ -41,7 +41,7 @@ fn trained_iris() -> (ModelBundle, Dataset) {
     .unwrap();
     // The model must actually have learned the task.
     let preds = forest.predict_batch(test.frame().as_slice());
-    let acc = accuracy(preds.as_classes().unwrap(), test.labels());
+    let acc = accuracy(&preds, test.labels());
     assert!(acc > 0.85, "trained IRIS accuracy {acc}");
     (ModelBundle::serialize(&forest), test)
 }
@@ -94,7 +94,7 @@ fn trained_higgs_binary_model_works_on_rapids() {
     .train_classifier(train.frame().as_slice(), 28, train.labels(), 2)
     .unwrap();
     let preds = forest.predict_batch(test.frame().as_slice());
-    let acc = accuracy(preds.as_classes().unwrap(), test.labels());
+    let acc = accuracy(&preds, test.labels());
     // Synthetic HIGGS is noisy by construction; the model must still beat
     // the majority-class baseline.
     let majority = {

@@ -1,11 +1,14 @@
 //! Property tests on the model representations: serialization and the flat
 //! layout must both roundtrip losslessly, and flat-layout scoring must
-//! agree with tree scoring on arbitrary inputs.
+//! agree with tree scoring on arbitrary inputs. The paper models' bundle
+//! bytes are pinned: their lengths feed the modelled transfer and
+//! deserialization costs, and their hashes key the artifact cache.
 
 use proptest::prelude::*;
 
 use mlscore::prelude::*;
-use mlscore_forest::{FlatForest, FlatTree, ModelBundle};
+use mlscore_core::calibration::paper_model;
+use mlscore_forest::{FlatForest, FlatTree, ForestError, ModelBundle};
 
 fn arb_config() -> impl Strategy<Value = ForestConfig> {
     (1usize..10, 0usize..9, 1usize..12, 2u32..6).prop_map(
@@ -32,18 +35,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let forest = RandomForest::synthetic_capped(&config, max_leaves, seed);
-        let bundle = ModelBundle::serialize(&forest);
-        prop_assert_eq!(bundle.deserialize().unwrap(), forest);
-    }
-
-    #[test]
-    fn bundle_roundtrip_regression(
-        n_trees in 1usize..8,
-        depth in 0usize..8,
-        seed in any::<u64>(),
-    ) {
-        let cfg = ForestConfig::regression(n_trees, 5).with_depth(depth);
-        let forest = RandomForest::synthetic_full(&cfg, seed);
         let bundle = ModelBundle::serialize(&forest);
         prop_assert_eq!(bundle.deserialize().unwrap(), forest);
     }
@@ -82,9 +73,7 @@ proptest! {
             // Structural invariants held by construction.
             prop_assert!(parsed.n_trees() > 0);
             for tree in parsed.trees() {
-                prop_assert!(tree
-                    .validate(parsed.n_features(), parsed.task().n_classes())
-                    .is_ok());
+                prop_assert!(tree.validate(parsed.n_features(), parsed.n_classes()).is_ok());
             }
         }
     }
@@ -99,13 +88,12 @@ proptest! {
         let flat = FlatForest::from_forest(&forest, config.depth).unwrap();
         // Roundtrip each tree.
         for (flat_tree, tree) in flat.trees().iter().zip(forest.trees()) {
-            prop_assert_eq!(&flat_tree.to_tree(forest.task()).unwrap(), tree);
+            prop_assert_eq!(&flat_tree.to_tree().unwrap(), tree);
         }
         // Score an arbitrary record.
         let row = &xs[..config.n_features.min(xs.len())];
         if row.len() == config.n_features {
-            let expected = forest.predict_one(row).as_class().unwrap();
-            prop_assert_eq!(flat.score_one(row) as u32, expected);
+            prop_assert_eq!(flat.score_one(row), forest.predict_one(row));
         }
     }
 
@@ -129,4 +117,44 @@ fn bundle_len_matches_bytes() {
     let forest = RandomForest::synthetic_full(&cfg, 1);
     let bundle = ModelBundle::serialize(&forest);
     assert_eq!(bundle.len(), bundle.as_bytes().len());
+}
+
+/// The paper models' bundles, byte for byte: length and FNV-1a hash of
+/// `ModelBundle::serialize` for the four shapes the figures sweep.
+#[test]
+fn paper_model_bundles_are_pinned() {
+    for (dataset, trees, depth, len, hash) in [
+        (
+            DatasetSpec::Iris,
+            128,
+            10,
+            241_811,
+            0xe5b3_e10c_b7d7_5846u64,
+        ),
+        (
+            DatasetSpec::Higgs,
+            128,
+            10,
+            2_620_051,
+            0x7797_c3b4_ffd5_e2cd,
+        ),
+        (DatasetSpec::Iris, 1, 6, 1_288, 0x742f_f7c8_ccd6_291c),
+        (DatasetSpec::Higgs, 1, 6, 1_288, 0xb442_f836_9f89_22d8),
+    ] {
+        let bundle = ModelBundle::serialize(&paper_model(dataset, trees, depth));
+        let what = format!("{dataset:?} {trees}x{depth}");
+        assert_eq!(bundle.len(), len, "{what}");
+        assert_eq!(bundle.content_hash(), hash, "{what}");
+    }
+}
+
+/// A bundle with task tag 1 (a one-leaf regression tree predicting 1.0)
+/// no longer decodes: every model is a classifier.
+#[test]
+fn regression_bundle_is_rejected() {
+    let raw = [
+        77, 76, 83, 66, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 128, 63,
+    ];
+    let err = ModelBundle::from_bytes(&raw[..]).deserialize().unwrap_err();
+    assert!(matches!(err, ForestError::Corrupt(_)), "{err:?}");
 }
