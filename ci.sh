@@ -29,20 +29,23 @@ echo "== workspace lints (repro analyze --check-baseline) =="
 cargo build --release -q -p mlscore-bench --bin repro
 t0=$(date +%s%N)
 ./target/release/repro \
-    analyze --check-baseline \
-    --callgraph target/callgraph.a.json --dot target/callgraph.a.dot
+    analyze --check-baseline --json \
+    --callgraph target/callgraph.a.json --dot target/callgraph.a.dot \
+    >target/analyze.a.json
 t1=$(date +%s%N)
 analyze_ms=$(( (t1 - t0) / 1000000 ))
-echo "ci: analyze took ${analyze_ms} ms"
+echo "ci: analyze took ${analyze_ms} ms; findings within the baseline"
 if [ "$analyze_ms" -gt 2000 ]; then
     echo "ci: analyze exceeded its 2000 ms budget (${analyze_ms} ms)" >&2
     exit 1
 fi
-# The call-graph exports are a pure function of the sources: a second run
-# must reproduce them byte for byte.
+# The findings report (whose P002/H002/D004 messages carry the call
+# chains) and the call-graph exports are a pure function of the sources:
+# a second run must reproduce them byte for byte.
 cargo run --release -q -p mlscore-bench --bin repro -- \
-    analyze --callgraph target/callgraph.b.json --dot target/callgraph.b.dot \
-    >/dev/null
+    analyze --json --callgraph target/callgraph.b.json --dot target/callgraph.b.dot \
+    >target/analyze.b.json
+cmp target/analyze.a.json target/analyze.b.json
 cmp target/callgraph.a.json target/callgraph.b.json
 cmp target/callgraph.a.dot target/callgraph.b.dot
 # The per-file stages run on every core the host offers; pinned to one
@@ -50,8 +53,9 @@ cmp target/callgraph.a.dot target/callgraph.b.dot
 # must still write the same bytes.
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 ./target/release/repro \
-        analyze --callgraph target/callgraph.c.json --dot target/callgraph.c.dot \
-        >/dev/null
+        analyze --json --callgraph target/callgraph.c.json --dot target/callgraph.c.dot \
+        >target/analyze.c.json
+    cmp target/analyze.a.json target/analyze.c.json
     cmp target/callgraph.a.json target/callgraph.c.json
     cmp target/callgraph.a.dot target/callgraph.c.dot
 else

@@ -1,6 +1,7 @@
 //! The `analyze` command-line front end, shared by the standalone
 //! `mlscore-analyze` binary and the `repro analyze` subcommand.
 
+use std::fmt::Write;
 use std::fs;
 use std::path::PathBuf;
 
@@ -190,10 +191,11 @@ fn render_finding(out: &mut String, f: &Finding) {
     write_escaped(out, &f.lint);
     out.push_str(", \"file\": ");
     write_escaped(out, &f.file);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ", \"line\": {}, \"offset\": {}, \"message\": ",
         f.line, f.offset
-    ));
+    );
     write_escaped(out, &f.message);
     if let Some(reason) = &f.suppressed {
         out.push_str(", \"suppressed\": ");

@@ -26,11 +26,11 @@
 //! freely, and must not capture call edges from production code that
 //! happens to share a name.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write;
 
 use crate::lexer::TokenKind;
-use crate::lints::is_index_base;
+use crate::lints::{crate_of, is_index_base, ALLOC_METHODS, ALLOC_TYPES};
 use crate::parser::{Item, ItemKind};
 use crate::scan::FileScan;
 
@@ -43,14 +43,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// Panic-family macros.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
-
-/// Container types whose `::new` / `::with_capacity` allocate (shared
-/// with the lexical H001 lint).
-const ALLOC_TYPES: &[&str] = &[
-    "Vec", "String", "Box", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Arc", "Rc",
-];
-/// Methods that allocate on the callee.
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "clone"];
 
 /// What kind of invariant a hazard site threatens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -134,15 +126,6 @@ pub struct CallGraph {
     pub edges: Vec<Vec<(usize, u32)>>,
 }
 
-/// The crate short name of a workspace-relative path (mirrors
-/// [`crate::lints::crate_of`], re-exported here for graph callers).
-fn crate_of(rel_path: &str) -> &str {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("")
-}
-
 /// The module path of a file within its crate: `crates/serve/src/engine.rs`
 /// -> `["engine"]`, `lib.rs` -> `[]`, `bin/repro.rs` -> `["bin", "repro"]`,
 /// `foo/mod.rs` -> `["foo"]`.
@@ -182,101 +165,43 @@ impl CallGraph {
     /// The serial half of [`CallGraph::build`]: orders the per-file fn
     /// nodes (concatenated in file order) by qualified name, disambiguates
     /// colliding names, and resolves the edges.
-    pub(crate) fn merge(mut fns: Vec<FnNode>) -> CallGraph {
-        // Stable: equal names keep file order, which fixes who gets `#2`.
-        fns.sort_by(|a, b| a.qname.cmp(&b.qname));
+    pub(crate) fn merge(fns: Vec<FnNode>) -> CallGraph {
+        // Sort indices, not nodes, then move each node once. Stable: equal
+        // names keep file order, which fixes who gets `#2`.
+        let mut order: Vec<usize> = (0..fns.len()).collect();
+        order.sort_by(|&a, &b| fns[a].qname.cmp(&fns[b].qname));
+        let mut slots: Vec<Option<FnNode>> = fns.into_iter().map(Some).collect();
         // Qualified names can collide (e.g. the same helper name in two
-        // `#[cfg(...)]` branches); disambiguate deterministically so the
-        // exports stay byte-stable.
-        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-        for f in &mut fns {
-            let n = seen.entry(f.qname.clone()).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                f.qname = format!("{}#{}", f.qname, *n);
+        // `#[cfg(...)]` branches). Equal names now form one run; the n-th
+        // node of a run becomes `name#n`, so the exports stay byte-stable.
+        let mut fns: Vec<FnNode> = Vec::with_capacity(slots.len());
+        let (mut run_start, mut run_len) = (0, 0);
+        for &i in &order {
+            let Some(mut f) = slots[i].take() else {
+                continue;
+            };
+            if fns
+                .get(run_start)
+                .is_some_and(|first| first.qname == f.qname)
+            {
+                run_len += 1;
+                let _ = write!(f.qname, "#{run_len}");
+            } else {
+                (run_start, run_len) = (fns.len(), 1);
             }
+            fns.push(f);
         }
         let by_qname = fns
             .iter()
             .enumerate()
             .map(|(i, f)| (f.qname.clone(), i))
             .collect();
-        let mut graph = CallGraph {
+        let edges = resolve_edges(&fns);
+        CallGraph {
             fns,
             by_qname,
-            edges: Vec::new(),
-        };
-        graph.resolve_edges();
-        graph
-    }
-
-    /// Resolves every call site against the symbol table (see the module
-    /// docs for the name-based rules).
-    fn resolve_edges(&mut self) {
-        // name -> indices, split by receiver kind.
-        let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut any: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            any.entry(&f.name).or_default().push(i);
-            if f.has_self {
-                methods.entry(&f.name).or_default().push(i);
-            }
-            if f.self_ty.is_none() {
-                free.entry(&f.name).or_default().push(i);
-            }
+            edges,
         }
-
-        let mut edges: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.fns.len()];
-        for (ci, caller) in self.fns.iter().enumerate() {
-            for call in &caller.calls {
-                let callees: Vec<usize> = match (&call.qualifier, call.method) {
-                    (_, true) => methods.get(call.name.as_str()).cloned().unwrap_or_default(),
-                    (Some(q), false) => {
-                        let q = if q == "Self" {
-                            caller.self_ty.as_deref().unwrap_or(q)
-                        } else {
-                            q.as_str()
-                        };
-                        any.get(call.name.as_str())
-                            .map(|cands| {
-                                cands
-                                    .iter()
-                                    .copied()
-                                    .filter(|&i| {
-                                        let f = &self.fns[i];
-                                        f.self_ty.as_deref() == Some(q)
-                                            || f.krate == q
-                                            || f.qname.rsplit("::").nth(if f.self_ty.is_some() {
-                                                2
-                                            } else {
-                                                1
-                                            }) == Some(q)
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default()
-                    }
-                    (None, false) => free.get(call.name.as_str()).cloned().unwrap_or_default(),
-                };
-                // Layering-aware pruning: a candidate in a crate the
-                // caller cannot depend on is not a real callee. This is
-                // what stops a `tree.score(...)` in an `exec` kernel
-                // from linking to every backend's `score` method.
-                for callee in callees {
-                    if !crate::layering::may_reference(&caller.krate, &self.fns[callee].krate) {
-                        continue;
-                    }
-                    edges[ci].push((callee, call.line));
-                }
-            }
-            edges[ci].sort_unstable();
-            // Dedup exact (callee, line) pairs only — the same callee
-            // called from several lines keeps one edge per line, which
-            // H002 needs to match hot-region call sites.
-            edges[ci].dedup();
-        }
-        self.edges = edges;
     }
 
     /// Indices of fns whose qualified name ends with `suffix` (segment
@@ -295,55 +220,48 @@ impl CallGraph {
             .collect()
     }
 
-    /// BFS from `roots`; returns, for each fn index, the predecessor on a
-    /// shortest call chain from some root (`usize::MAX` marks a root,
-    /// absent = unreachable). Deterministic: neighbors expand in sorted
-    /// order.
-    pub fn reach(&self, roots: &[usize]) -> BTreeMap<usize, usize> {
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+    /// BFS from `roots` (any order, repeats allowed): the shortest call
+    /// chain from some root to every reachable fn. Deterministic: roots
+    /// and neighbors expand in index order, so of two parents at the same
+    /// depth the lower index wins.
+    pub(crate) fn reach(&self, roots: &[usize]) -> Reach {
+        let mut parent = vec![UNREACHED; self.fns.len()];
+        let mut queue = VecDeque::new();
         let mut roots = roots.to_vec();
         roots.sort_unstable();
-        roots.dedup();
-        for &r in &roots {
-            parent.insert(r, usize::MAX);
-            queue.push_back(r);
+        for r in roots {
+            if parent[r] == UNREACHED {
+                parent[r] = r;
+                queue.push_back(r);
+            }
         }
         while let Some(n) = queue.pop_front() {
             for &(callee, _) in &self.edges[n] {
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(callee) {
-                    e.insert(n);
+                if parent[callee] == UNREACHED {
+                    parent[callee] = n;
                     queue.push_back(callee);
                 }
             }
         }
-        parent
-    }
-
-    /// The call chain `root -> ... -> target` for a `reach` result,
-    /// rendered as qualified names.
-    pub fn chain(&self, parents: &BTreeMap<usize, usize>, target: usize) -> Vec<String> {
-        let mut chain = vec![self.fns[target].qname.clone()];
-        let mut cur = target;
-        while let Some(&p) = parents.get(&cur) {
-            if p == usize::MAX {
-                break;
-            }
-            chain.push(self.fns[p].qname.clone());
-            cur = p;
+        Reach {
+            chains: vec![String::new(); parent.len()],
+            parent,
         }
-        chain.reverse();
-        chain
     }
 
     /// Deterministic JSON export: functions and resolved edges, sorted.
     pub fn to_json(&self) -> String {
         use mlscore_telemetry::json::write_escaped;
         let mut out = String::from("{\n  \"version\": 1,\n  \"functions\": [");
+        // Each name is escaped once, then copied into every edge naming it.
+        let mut ids = Vec::with_capacity(self.fns.len());
         for (i, f) in self.fns.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    { \"id\": ");
-            write_escaped(&mut out, &f.qname);
+            let mut id = String::with_capacity(f.qname.len() + 2);
+            write_escaped(&mut id, &f.qname);
+            out.push_str(&id);
+            ids.push(id);
             out.push_str(", \"file\": ");
             write_escaped(&mut out, &f.file);
             let _ = write!(
@@ -364,9 +282,9 @@ impl CallGraph {
                 out.push_str(if first { "\n" } else { ",\n" });
                 first = false;
                 out.push_str("    { \"from\": ");
-                write_escaped(&mut out, &self.fns[ci].qname);
+                out.push_str(&ids[ci]);
                 out.push_str(", \"to\": ");
-                write_escaped(&mut out, &self.fns[callee].qname);
+                out.push_str(&ids[callee]);
                 let _ = write!(out, ", \"line\": {line} }}");
             }
         }
@@ -382,15 +300,157 @@ impl CallGraph {
         let mut out = String::from("digraph mlscore_calls {\n  rankdir=LR;\n");
         for (ci, outs) in self.edges.iter().enumerate() {
             for &(callee, _) in outs {
-                let _ = writeln!(
-                    out,
-                    "  \"{}\" -> \"{}\";",
-                    self.fns[ci].qname, self.fns[callee].qname
-                );
+                out.push_str("  \"");
+                out.push_str(&self.fns[ci].qname);
+                out.push_str("\" -> \"");
+                out.push_str(&self.fns[callee].qname);
+                out.push_str("\";\n");
             }
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// Resolves every call site against the symbol table (see the module docs
+/// for the name-based rules). Returns, per caller, its `(callee, call
+/// line)` edges, sorted and deduplicated.
+fn resolve_edges(fns: &[FnNode]) -> Vec<Vec<(usize, u32)>> {
+    // Every fn under its bare name, in index order. Only looked up, never
+    // iterated, so its order cannot reach an output.
+    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(fns.len());
+    for (i, f) in fns.iter().enumerate() {
+        by_name.entry(&f.name).or_default().push(i);
+    }
+    // Once per graph, not per candidate: each fn's crate id, the layering
+    // verdict for every pair of crates, and the module segment a
+    // `module::f(...)` qualifier matches. `fns` is sorted by qualified
+    // name, which starts with the crate, so one crate is one run of fns.
+    let mut crates: Vec<&str> = Vec::new();
+    let mut crate_id = Vec::with_capacity(fns.len());
+    for f in fns {
+        if crates.last() != Some(&f.krate.as_str()) {
+            crates.push(&f.krate);
+        }
+        crate_id.push(crates.len() - 1);
+    }
+    let may_reference: Vec<bool> = crates
+        .iter()
+        .flat_map(|&from| {
+            crates
+                .iter()
+                .map(move |&to| crate::layering::may_reference(from, to))
+        })
+        .collect();
+    let module: Vec<Option<&str>> = fns
+        .iter()
+        .map(|f| {
+            f.qname
+                .rsplit("::")
+                .nth(if f.self_ty.is_some() { 2 } else { 1 })
+        })
+        .collect();
+
+    let mut edges = Vec::with_capacity(fns.len());
+    for (ci, caller) in fns.iter().enumerate() {
+        let may_call = &may_reference[crate_id[ci] * crates.len()..][..crates.len()];
+        let mut out: Vec<(usize, u32)> = Vec::new();
+        for call in &caller.calls {
+            let Some(candidates) = by_name.get(call.name.as_str()) else {
+                continue;
+            };
+            let qualifier = match &call.qualifier {
+                Some(q) if q == "Self" => Some(caller.self_ty.as_deref().unwrap_or(q)),
+                q => q.as_deref(),
+            };
+            for &callee in candidates {
+                let f = &fns[callee];
+                let named = match qualifier {
+                    _ if call.method => f.has_self,
+                    Some(q) => {
+                        f.self_ty.as_deref() == Some(q) || f.krate == q || module[callee] == Some(q)
+                    }
+                    None => f.self_ty.is_none(),
+                };
+                // Layering-aware pruning: a candidate in a crate the
+                // caller cannot depend on is not a real callee. This is
+                // what stops a `tree.score(...)` in an `exec` kernel from
+                // linking to every backend's `score` method.
+                if named && may_call[crate_id[callee]] {
+                    out.push((callee, call.line));
+                }
+            }
+        }
+        out.sort_unstable();
+        // Dedup exact (callee, line) pairs only — the same callee called
+        // from several lines keeps one edge per line, which H002 needs to
+        // match hot-region call sites.
+        out.dedup();
+        edges.push(out);
+    }
+    edges
+}
+
+/// The parent slot of a fn no root reaches.
+const UNREACHED: usize = usize::MAX;
+
+/// Shortest call chains from a set of roots ([`CallGraph::reach`]), one
+/// slot per fn.
+pub(crate) struct Reach {
+    /// Per fn: its predecessor on a shortest chain from a root. A root is
+    /// its own parent; a fn no root reaches has [`UNREACHED`].
+    parent: Vec<usize>,
+    /// Per fn: its rendered chain, empty until [`Reach::chain`] asks.
+    chains: Vec<String>,
+}
+
+impl Reach {
+    /// Whether some root reaches fn `idx`.
+    pub(crate) fn contains(&self, idx: usize) -> bool {
+        self.parent[idx] != UNREACHED
+    }
+
+    /// The root at the head of `idx`'s chain.
+    pub(crate) fn root_of(&self, idx: usize) -> usize {
+        let mut cur = idx;
+        while self.parent[cur] != cur && self.parent[cur] != UNREACHED {
+            cur = self.parent[cur];
+        }
+        cur
+    }
+
+    /// The chain `root -> ... -> idx` as qualified names joined by ` -> `.
+    /// Each fn's chain is rendered once, from its parent's: repeated and
+    /// sibling queries share the work.
+    pub(crate) fn chain(&mut self, graph: &CallGraph, idx: usize) -> &str {
+        // Climb to the nearest rendered ancestor (or the root), then render
+        // back down.
+        let mut pending = Vec::new();
+        let mut cur = idx;
+        while self.chains[cur].is_empty() {
+            pending.push(cur);
+            let p = self.parent[cur];
+            if p == cur || p == UNREACHED {
+                break;
+            }
+            cur = p;
+        }
+        while let Some(n) = pending.pop() {
+            let qname = &graph.fns[n].qname;
+            let p = self.parent[n];
+            let chain = if p == n || p == UNREACHED {
+                qname.clone()
+            } else {
+                let head = &self.chains[p];
+                let mut chain = String::with_capacity(head.len() + 4 + qname.len());
+                chain.push_str(head);
+                chain.push_str(" -> ");
+                chain.push_str(qname);
+                chain
+            };
+            self.chains[n] = chain;
+        }
+        &self.chains[idx]
     }
 }
 
@@ -714,10 +774,11 @@ mod tests {
         )]);
         let root = g.by_qname["a::root"];
         let leaf = g.by_qname["a::leaf"];
-        let parents = g.reach(&[root]);
-        assert!(parents.contains_key(&leaf));
-        assert!(!parents.contains_key(&g.by_qname["a::stranded"]));
-        assert_eq!(g.chain(&parents, leaf), ["a::root", "a::mid", "a::leaf"]);
+        let mut reach = g.reach(&[root]);
+        assert!(reach.contains(leaf));
+        assert!(!reach.contains(g.by_qname["a::stranded"]));
+        assert_eq!(reach.chain(&g, leaf), "a::root -> a::mid -> a::leaf");
+        assert_eq!(reach.root_of(leaf), root);
     }
 
     #[test]
@@ -742,5 +803,127 @@ mod tests {
         let cold = g.by_qname["a::cold"];
         assert!(g.fns[walk].calls[0].in_hot);
         assert!(!g.fns[cold].calls[0].in_hot);
+    }
+
+    /// Every reached fn with its rendered chain, in fn order.
+    fn chains_of(g: &CallGraph, roots: &[usize]) -> Vec<(usize, String)> {
+        let mut reach = g.reach(roots);
+        let reached: Vec<usize> = (0..g.fns.len()).filter(|&i| reach.contains(i)).collect();
+        reached
+            .into_iter()
+            .map(|i| (i, reach.chain(g, i).to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn merge_resolution_and_reach_are_pinned() {
+        let g = graph_of(&[
+            ("crates/app/src/x.rs", "pub fn f() {}\n"),
+            (
+                "crates/app/src/x/mod.rs",
+                "pub fn f() { helper(); }\nfn helper() {}\n",
+            ),
+            (
+                "crates/app/src/lib.rs",
+                "mod x {\n    pub fn f() {}\n}\npub fn root() {\n    x::f();\n    shared();\n}\n\
+                 impl Engine {\n    pub fn run(&self) {\n        Self::prep();\n        \
+                 self.c();\n        self.b();\n        shared();\n    }\n    fn prep() {}\n    \
+                 fn b(&self) { d(); }\n    fn c(&self) { d(); }\n}\n\
+                 fn d() { e(); }\nfn e() { d(); root(); }\nimpl Other { fn prep() {} }\n\
+                 fn shared() {}\n",
+            ),
+            (
+                "crates/exec/src/lib.rs",
+                "pub fn kernel(t: &Tree) {\n    t.score();\n}\n\
+                 impl Tree {\n    pub fn score(&self) {}\n}\n",
+            ),
+            (
+                "crates/backend/src/lib.rs",
+                "impl Onnx {\n    pub fn score(&self) {}\n}\n",
+            ),
+        ]);
+        let names = [
+            "app::Engine::b",
+            "app::Engine::c",
+            "app::Engine::prep",
+            "app::Engine::run",
+            "app::Other::prep",
+            "app::d",
+            "app::e",
+            "app::root",
+            "app::shared",
+            "app::x::f",
+            "app::x::f#2",
+            "app::x::f#3",
+            "app::x::helper",
+            "backend::Onnx::score",
+            "exec::Tree::score",
+            "exec::kernel",
+        ];
+        let by_qname: Vec<(&str, usize)> =
+            g.by_qname.iter().map(|(q, &i)| (q.as_str(), i)).collect();
+        let want: Vec<(&str, usize)> = names.iter().copied().zip(0..).collect();
+        assert_eq!(by_qname, want);
+        let qnames: Vec<&str> = g.fns.iter().map(|f| f.qname.as_str()).collect();
+        assert_eq!(qnames, names);
+        // The three `app::x::f` collide; `#2` and `#3` follow file order.
+        let files: Vec<&str> = g.fns[9..=11].iter().map(|f| f.file.as_str()).collect();
+        assert_eq!(
+            files,
+            [
+                "crates/app/src/x.rs",
+                "crates/app/src/x/mod.rs",
+                "crates/app/src/lib.rs"
+            ]
+        );
+
+        let edges: Vec<Vec<(usize, u32)>> = vec![
+            vec![(5, 16)],
+            vec![(5, 17)],
+            vec![],
+            // `Self::prep` is `Engine::prep`, never `Other::prep`.
+            vec![(0, 12), (1, 11), (2, 10), (8, 13)],
+            vec![],
+            vec![(6, 19)],
+            vec![(5, 20), (7, 20)],
+            // `x::f()` reaches every `app::x::f`, `#2` and `#3` included.
+            vec![(8, 6), (9, 5), (10, 5), (11, 5)],
+            vec![],
+            vec![],
+            vec![(12, 1)],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            // `exec` may not depend on `backend`: `Onnx::score` is pruned.
+            vec![(14, 2)],
+        ];
+        assert_eq!(g.edges, edges);
+
+        // Roots unsorted and repeated. `shared` hangs off both roots, and
+        // `d` off both `b` and `c`, at equal depth: the lower index wins
+        // each time. The `d -> e -> d` and `e -> root` back edges add
+        // nothing.
+        let run = g.by_qname["app::Engine::run"];
+        let root = g.by_qname["app::root"];
+        let chains = chains_of(&g, &[root, run, root]);
+        let want: Vec<(usize, String)> = [
+            (0, "app::Engine::run -> app::Engine::b"),
+            (1, "app::Engine::run -> app::Engine::c"),
+            (2, "app::Engine::run -> app::Engine::prep"),
+            (3, "app::Engine::run"),
+            (5, "app::Engine::run -> app::Engine::b -> app::d"),
+            (6, "app::Engine::run -> app::Engine::b -> app::d -> app::e"),
+            (7, "app::root"),
+            (8, "app::Engine::run -> app::shared"),
+            (9, "app::root -> app::x::f"),
+            (10, "app::root -> app::x::f#2"),
+            (11, "app::root -> app::x::f#3"),
+            (12, "app::root -> app::x::f#2 -> app::x::helper"),
+        ]
+        .into_iter()
+        .map(|(i, c)| (i, c.to_string()))
+        .collect();
+        assert_eq!(chains, want);
     }
 }

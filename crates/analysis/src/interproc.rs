@@ -19,8 +19,6 @@
 //! suppression already states its invariant is justified for the
 //! transitive claim too.
 
-use std::collections::BTreeMap;
-
 use crate::graph::{CallGraph, HazardKind};
 use crate::layering::allowed_of;
 use crate::lexer::TokenKind;
@@ -72,12 +70,16 @@ pub(crate) fn run_interproc_on(
     graph: &CallGraph,
     workers: usize,
 ) -> (Vec<Finding>, Vec<Finding>) {
-    let sinks = crate::par::map_indexed(4, workers, |lint| match lint {
-        0 => p002(units, graph),
-        1 => h002(units, graph),
-        2 => d004(units, graph),
-        _ => a001(units),
+    // A001 walks every token of every file and takes about as long as
+    // the three graph lints together, so it is claimed first: on two
+    // workers the graph lints then share the other one.
+    let mut sinks = crate::par::map_indexed(4, workers, |lint| match lint {
+        0 => a001(units),
+        1 => p002(units, graph),
+        2 => h002(units, graph),
+        _ => d004(units, graph),
     });
+    sinks.rotate_left(1);
     let mut active = Vec::new();
     let mut suppressed = Vec::new();
     for sink in sinks {
@@ -108,12 +110,6 @@ impl Sink {
         }
         self.active.push(finding);
     }
-}
-
-/// Renders a shortest call chain `root -> ... -> target` for a finding
-/// message.
-fn chain_str(graph: &CallGraph, parents: &BTreeMap<usize, usize>, target: usize) -> String {
-    graph.chain(parents, target).join(" -> ")
 }
 
 /// Builds an unsuppressed finding; [`Sink::emit`] fills in the reason if
@@ -155,9 +151,11 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
     for root in SERVING_ROOTS {
         roots.extend(graph.find_suffix(root));
     }
-    let parents = graph.reach(&roots);
-    for &idx in parents.keys() {
-        let f = &graph.fns[idx];
+    let mut reach = graph.reach(&roots);
+    for (idx, f) in graph.fns.iter().enumerate() {
+        if !reach.contains(idx) {
+            continue;
+        }
         let scan = &units[f.file_idx].scan;
         let flag_index = P001_INDEX_CRATES.contains(&f.krate.as_str());
         let mut seen = LineDedup::new();
@@ -170,11 +168,11 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             if !in_scope || !seen.fresh(h.kind, h.line) {
                 continue;
             }
-            let chain = chain_str(graph, &parents, idx);
             let message = format!(
                 "`{}` reachable from a serving entry point: {} (panic-free serving \
                  requires the whole chain to surface errors)",
-                h.what, chain
+                h.what,
+                reach.chain(graph, idx)
             );
             sink.emit(
                 scan,
@@ -192,7 +190,8 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
     let mut sink = Sink::default();
     // Roots: every callee reached by a call *site* inside a hot region.
     let mut roots = Vec::new();
-    let mut origin: BTreeMap<usize, (String, u32)> = BTreeMap::new();
+    // Per root: the first hot call site `(caller, line)` that reaches it.
+    let mut origin: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
     for (ci, f) in graph.fns.iter().enumerate() {
         let hot_lines: Vec<u32> = f
             .calls
@@ -206,15 +205,15 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         for &(callee, line) in &graph.edges[ci] {
             if hot_lines.contains(&line) {
                 roots.push(callee);
-                origin
-                    .entry(callee)
-                    .or_insert_with(|| (f.qname.clone(), line));
+                origin[callee].get_or_insert((ci, line));
             }
         }
     }
-    let parents = graph.reach(&roots);
-    for &idx in parents.keys() {
-        let f = &graph.fns[idx];
+    let mut reach = graph.reach(&roots);
+    for (idx, f) in graph.fns.iter().enumerate() {
+        if !reach.contains(idx) {
+            continue;
+        }
         let scan = &units[f.file_idx].scan;
         let mut seen = LineDedup::new();
         for h in &f.hazards {
@@ -226,24 +225,17 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             if scan.in_hot(h.line) || !seen.fresh(h.kind, h.line) {
                 continue;
             }
-            let chain = chain_str(graph, &parents, idx);
-            // Walk up to the BFS root to name the hot-region origin.
-            let mut root = idx;
-            while let Some(&p) = parents.get(&root) {
-                if p == usize::MAX {
-                    break;
-                }
-                root = p;
-            }
-            let (hot_fn, hot_line) = origin
-                .get(&root)
-                .cloned()
-                .unwrap_or_else(|| ("<hot region>".to_string(), h.line));
+            // The BFS root names the hot-region origin.
+            let (hot_fn, hot_line) = match origin[reach.root_of(idx)] {
+                Some((caller, line)) => (graph.fns[caller].qname.as_str(), line),
+                None => ("<hot region>", h.line),
+            };
             let message = format!(
                 "allocation `{}` reachable from the hot region in {hot_fn} \
-                 (call at line {hot_line}): {chain} (hot paths must reuse scratch \
+                 (call at line {hot_line}): {} (hot paths must reuse scratch \
                  buffers transitively)",
-                h.what
+                h.what,
+                reach.chain(graph, idx)
             );
             sink.emit(
                 scan,
@@ -265,9 +257,11 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             roots.push(i);
         }
     }
-    let parents = graph.reach(&roots);
-    for &idx in parents.keys() {
-        let f = &graph.fns[idx];
+    let mut reach = graph.reach(&roots);
+    for (idx, f) in graph.fns.iter().enumerate() {
+        if !reach.contains(idx) {
+            continue;
+        }
         let scan = &units[f.file_idx].scan;
         let mut seen = LineDedup::new();
         for h in &f.hazards {
@@ -280,11 +274,11 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             if !seen.fresh(h.kind, h.line) {
                 continue;
             }
-            let chain = chain_str(graph, &parents, idx);
             let message = format!(
-                "{what} `{}` reachable from an export builder: {chain} \
+                "{what} `{}` reachable from an export builder: {} \
                  (exports must be byte-identical across runs)",
-                h.what
+                h.what,
+                reach.chain(graph, idx)
             );
             sink.emit(
                 scan,

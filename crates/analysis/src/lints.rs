@@ -37,12 +37,13 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "trait", "type", "unsafe", "use", "where", "while", "yield",
 ];
 
-/// Container types whose `::new` / `::with_capacity` allocate.
-const ALLOC_TYPES: &[&str] = &[
+/// Container types whose `::new` / `::with_capacity` allocate (H001 here,
+/// the call graph's allocation hazards for H002).
+pub(crate) const ALLOC_TYPES: &[&str] = &[
     "Vec", "String", "Box", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Arc", "Rc",
 ];
-/// Methods that allocate on the callee.
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "clone"];
+/// Methods that allocate on the callee (H001 and the call graph).
+pub(crate) const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "clone"];
 
 /// The crate a workspace-relative path belongs to (`crates/serve/src/x.rs`
 /// -> `serve`; anything else -> `""`).

@@ -138,21 +138,34 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
+///
+/// `"`, `\` and the C0 controls are escaped; everything else is copied as
+/// is. Every byte that needs an escape is ASCII, so none sits inside a
+/// multi-byte character: the runs between them are copied whole.
 pub fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -596,6 +609,83 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-char-at-a-time encoder [`write_escaped`] replaced, kept as
+    /// the reference its output must match byte for byte.
+    fn reference_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Every C0 control, the two escaped printables, DEL, plain ASCII,
+    /// 2-, 3- and 4-byte scalars, and U+2028/U+2029 (valid raw in JSON).
+    fn escape_pool() -> Vec<char> {
+        let mut pool: Vec<char> = (0u8..0x20).map(char::from).collect();
+        pool.extend(['"', '\\', '\u{7f}', 'a', ' ', '/', '~']);
+        pool.extend(['µ', 'é', '\u{7ff}', '€', '\u{fffd}', '\u{2028}', '\u{2029}']);
+        pool.extend(['😀', '\u{10000}', '\u{10ffff}']);
+        pool
+    }
+
+    fn pooled_string() -> impl Strategy<Value = String> {
+        let pool = escape_pool();
+        proptest::collection::vec(0..pool.len(), 0..48)
+            .prop_map(move |picks| picks.iter().map(|&i| pool[i]).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn write_escaped_matches_the_per_char_reference(
+            strings in proptest::collection::vec(pooled_string(), 1..4)
+        ) {
+            for s in &strings {
+                let (mut got, mut want) = (String::from("x"), String::from("x"));
+                write_escaped(&mut got, s);
+                reference_escaped(&mut want, s);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(parse(&got[1..]).unwrap().as_str(), Some(s.as_str()));
+            }
+            // A whole document: keys and values both go through the
+            // escaper, in either layout.
+            for pretty in [false, true] {
+                let mut w = if pretty { JsonWriter::pretty() } else { JsonWriter::compact() };
+                let (open, comma, colon, close) = if pretty {
+                    ("{\n  ", ",\n  ", ": [", "\n}\n")
+                } else {
+                    ("{", ",", ":[", "}")
+                };
+                let mut want = String::from(open);
+                w.begin_object();
+                for (i, s) in strings.iter().enumerate() {
+                    w.key(s).begin_array().str(s).str("k").end();
+                    if i > 0 {
+                        want.push_str(comma);
+                    }
+                    reference_escaped(&mut want, s);
+                    want.push_str(colon);
+                    reference_escaped(&mut want, s);
+                    want.push_str(if pretty { ", \"k\"]" } else { ",\"k\"]" });
+                }
+                w.end();
+                want.push_str(close);
+                prop_assert_eq!(w.finish(), want);
+            }
+        }
+    }
 
     #[test]
     fn parses_nested_document() {
