@@ -16,6 +16,11 @@ echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # Every target: libraries, binaries, tests and examples.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --no-deps (warnings are errors) =="
+# Every default member's docs must build without a warning, so a deleted
+# or private item cannot leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+
 echo "== workspace lints (repro analyze --check-baseline) =="
 # The determinism & hot-path lint pass (DESIGN.md sections 10 and 15): the
 # token lints plus the interprocedural tier (P002 panic reachability, H002

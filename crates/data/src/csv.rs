@@ -10,6 +10,7 @@ use std::io::{BufRead, Write};
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::frame::TabularFrame;
+use crate::stream::{CsvScanner, RecordStream, DEFAULT_CHUNK_ROWS};
 
 /// Errors from CSV parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,8 +76,12 @@ impl From<DataError> for CsvError {
     }
 }
 
-/// Reads a frame from CSV. When `has_header` is set the first line is
-/// skipped.
+/// Most classes a model bundle can carry; a label at or above it is
+/// rejected.
+const MAX_CLASSES: u32 = 65_536;
+
+/// Reads a frame from CSV by draining a [`CsvScanner`]. When `has_header`
+/// is set the first line is skipped.
 ///
 /// # Errors
 ///
@@ -94,78 +99,59 @@ impl From<DataError> for CsvError {
 /// # Ok::<(), mlscore_data::csv::CsvError>(())
 /// ```
 pub fn read_frame<R: BufRead>(reader: R, has_header: bool) -> Result<TabularFrame, CsvError> {
-    let mut data = Vec::new();
-    let mut n_features = None;
-    let mut line_no = 0usize;
-    for line in reader.lines() {
-        let line = line?;
-        line_no += 1;
-        if line_no == 1 && has_header {
-            continue;
-        }
-        let trimmed = line.trim_end_matches('\r');
-        if trimmed.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split(',').collect();
-        let expected = *n_features.get_or_insert(fields.len());
-        if fields.len() != expected {
-            return Err(CsvError::RaggedRow {
-                line: line_no,
-                got: fields.len(),
-                expected,
-            });
-        }
-        for (column, field) in fields.iter().enumerate() {
-            let value: f32 = field.trim().parse().map_err(|_| CsvError::BadField {
-                line: line_no,
-                column,
-                text: (*field).to_string(),
-            })?;
-            data.push(value);
-        }
+    let mut scanner = CsvScanner::new(reader, has_header, DEFAULT_CHUNK_ROWS)?;
+    let mut frame = TabularFrame::with_capacity(0, scanner.n_features());
+    while let Some(chunk) = scanner.next_chunk() {
+        frame.extend_rows(chunk.as_slice());
     }
-    let n_features = n_features.ok_or(CsvError::Empty)?;
-    if data.is_empty() {
-        return Err(CsvError::Empty);
+    match scanner.error() {
+        Some(e) => Err(e.clone()),
+        None => Ok(frame),
     }
-    Ok(TabularFrame::from_rows(data, n_features)?)
 }
 
 /// Reads a labeled dataset: the **last** column is the integer class label.
 ///
 /// # Errors
 ///
-/// Same as [`read_frame`], plus [`CsvError::BadField`] for non-integer or
-/// negative labels.
+/// Same as [`read_frame`], plus [`CsvError::BadField`] (at the label's
+/// line) for a label that is not an integer in `0..65_536`.
 pub fn read_dataset<R: BufRead>(
     reader: R,
     has_header: bool,
     name: &str,
 ) -> Result<Dataset, CsvError> {
-    let wide = read_frame(reader, has_header)?;
-    let f = wide.n_features();
-    if f < 2 {
-        return Err(CsvError::Shape(DataError::ZeroFeatures));
-    }
-    let mut data = Vec::with_capacity(wide.n_rows() * (f - 1));
-    let mut labels = Vec::with_capacity(wide.n_rows());
-    let mut n_classes = 0u32;
-    for (i, row) in wide.rows().enumerate() {
-        let (features, label) = row.split_at(f - 1);
+    // One-row chunks, so the scanner's line is the current row's line.
+    let mut scanner = CsvScanner::new(reader, has_header, 1)?;
+    let f = scanner.n_features();
+    let mut data = Vec::new();
+    let mut labels = Vec::new();
+    let mut bad_label = None;
+    while let Some(row) = scanner.next_chunk() {
+        let (features, label) = row.as_slice().split_at(f - 1);
         data.extend_from_slice(features);
         let raw = label[0];
-        if raw < 0.0 || raw.fract() != 0.0 {
-            return Err(CsvError::BadField {
-                line: i + 1 + usize::from(has_header),
+        if raw < 0.0 || raw.fract() != 0.0 || raw >= MAX_CLASSES as f32 {
+            bad_label.get_or_insert(CsvError::BadField {
+                line: scanner.line_no(),
                 column: f - 1,
                 text: raw.to_string(),
             });
+        } else {
+            labels.push(raw as u32);
         }
-        let class = raw as u32;
-        n_classes = n_classes.max(class + 1);
-        labels.push(class);
     }
+    // A parse error anywhere outranks the shape, which outranks a label.
+    if let Some(e) = scanner.error() {
+        return Err(e.clone());
+    }
+    if f < 2 {
+        return Err(CsvError::Shape(DataError::ZeroFeatures));
+    }
+    if let Some(e) = bad_label {
+        return Err(e);
+    }
+    let n_classes = labels.iter().max().map_or(0, |&class| class + 1);
     let frame = TabularFrame::from_rows(data, f - 1)?;
     Ok(Dataset::new(name, frame, labels, n_classes)?)
 }
@@ -175,14 +161,8 @@ pub fn read_dataset<R: BufRead>(
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
-pub fn write_frame<W: Write>(frame: &TabularFrame, mut writer: W) -> Result<(), CsvError> {
-    let headers: Vec<String> = (0..frame.n_features()).map(|i| format!("f{i}")).collect();
-    writeln!(writer, "{}", headers.join(","))?;
-    for row in frame.rows() {
-        let fields: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        writeln!(writer, "{}", fields.join(","))?;
-    }
-    Ok(())
+pub fn write_frame<W: Write>(frame: &TabularFrame, writer: W) -> Result<(), CsvError> {
+    write_rows(frame, None, writer)
 }
 
 /// Writes a labeled dataset as CSV, label in the last column.
@@ -190,14 +170,35 @@ pub fn write_frame<W: Write>(frame: &TabularFrame, mut writer: W) -> Result<(), 
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
-pub fn write_dataset<W: Write>(dataset: &Dataset, mut writer: W) -> Result<(), CsvError> {
-    let headers: Vec<String> = (0..dataset.frame().n_features())
-        .map(|i| format!("f{i}"))
-        .collect();
-    writeln!(writer, "{},label", headers.join(","))?;
-    for (row, label) in dataset.frame().rows().zip(dataset.labels()) {
-        let fields: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        writeln!(writer, "{},{label}", fields.join(","))?;
+pub fn write_dataset<W: Write>(dataset: &Dataset, writer: W) -> Result<(), CsvError> {
+    write_rows(dataset.frame(), Some(dataset.labels()), writer)
+}
+
+/// The one row writer: a `f0..fN` header (plus `label` when `labels` is
+/// given), then one line per row with its label last. Every value reads
+/// back to the same bits: `Display` round-trips every `f32` but drops a
+/// NaN's sign, which is spelled out instead.
+fn write_rows<W: Write>(
+    frame: &TabularFrame,
+    labels: Option<&[u32]>,
+    mut writer: W,
+) -> Result<(), CsvError> {
+    let headers: Vec<String> = (0..frame.n_features()).map(|i| format!("f{i}")).collect();
+    let label_header = if labels.is_some() { ",label" } else { "" };
+    writeln!(writer, "{}{label_header}", headers.join(","))?;
+    for (i, row) in frame.rows().enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            let sep = if j == 0 { "" } else { "," };
+            if v.is_nan() && v.is_sign_negative() {
+                write!(writer, "{sep}-NaN")?;
+            } else {
+                write!(writer, "{sep}{v}")?;
+            }
+        }
+        match labels {
+            Some(labels) => writeln!(writer, ",{}", labels[i])?,
+            None => writeln!(writer)?,
+        }
     }
     Ok(())
 }
@@ -295,5 +296,61 @@ mod tests {
     fn class_count_is_max_label_plus_one() {
         let d = read_dataset("0.1,0\n0.2,3\n".as_bytes(), false, "x").unwrap();
         assert_eq!(d.n_classes(), 4);
+    }
+
+    #[test]
+    fn fields_parse_before_the_width_check() {
+        let want = CsvError::BadField {
+            line: 2,
+            column: 0,
+            text: "x".to_string(),
+        };
+        assert_eq!(read_frame("1,2\nx\n".as_bytes(), false).unwrap_err(), want);
+        let mut s = CsvScanner::new("1,2\nx\n".as_bytes(), false, 4).unwrap();
+        assert!(s.next_chunk().is_none());
+        assert_eq!(s.error(), Some(&want));
+    }
+
+    #[test]
+    fn dataset_rejects_labels_beyond_the_class_cap() {
+        for text in ["1,4294967296\n", "1,65536\n"] {
+            assert!(matches!(
+                read_dataset(text.as_bytes(), false, "x").unwrap_err(),
+                CsvError::BadField {
+                    line: 1,
+                    column: 1,
+                    ..
+                }
+            ));
+        }
+        let d = read_dataset("1,65535\n".as_bytes(), false, "x").unwrap();
+        assert_eq!(d.n_classes(), 65_536);
+    }
+
+    #[test]
+    fn bad_label_reports_its_physical_line() {
+        let err = read_dataset("f,l\n1,0\n\n2,0.5\n".as_bytes(), true, "x").unwrap_err();
+        assert_eq!(
+            err,
+            CsvError::BadField {
+                line: 4,
+                column: 1,
+                text: "0.5".to_string()
+            }
+        );
+        // A parse error anywhere still outranks an earlier bad label.
+        let err = read_dataset("1,0.5\n2,x\n".as_bytes(), false, "x").unwrap_err();
+        assert!(matches!(err, CsvError::BadField { line: 2, .. }));
+    }
+
+    #[test]
+    fn negative_nan_keeps_its_sign_through_a_roundtrip() {
+        let frame = TabularFrame::from_rows(vec![-f32::NAN, f32::NAN], 2).unwrap();
+        let mut buf = Vec::new();
+        write_frame(&frame, &mut buf).unwrap();
+        assert_eq!(buf, b"f0,f1\n-NaN,NaN\n");
+        let back = read_frame(buf.as_slice(), true).unwrap();
+        let bits = |f: &TabularFrame| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&frame));
     }
 }

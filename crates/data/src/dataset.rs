@@ -42,14 +42,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Generates `n_records` rows of this dataset with the given seed.
-    pub fn generate(self, n_records: usize, seed: u64) -> Dataset {
-        match self {
-            DatasetSpec::Iris => Dataset::iris(n_records, seed),
-            DatasetSpec::Higgs => Dataset::higgs(n_records, seed),
-        }
-    }
-
     /// Both paper datasets, in figure order.
     pub fn all() -> [DatasetSpec; 2] {
         [DatasetSpec::Iris, DatasetSpec::Higgs]
@@ -134,17 +126,6 @@ impl Dataset {
         self.n_classes
     }
 
-    /// A dataset of the first `n` rows.
-    pub fn head(&self, n: usize) -> Dataset {
-        let rows = n.min(self.frame.n_rows());
-        Dataset {
-            name: self.name.clone(),
-            frame: self.frame.head(rows),
-            labels: self.labels[..rows].to_vec(),
-            n_classes: self.n_classes,
-        }
-    }
-
     /// Replaces the frame with its min-max normalized version (labels are
     /// unchanged). Normalized features line up with the `[0, 1)` thresholds
     /// of `RandomForest::synthetic_full` (in `mlscore-forest`)
@@ -174,27 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_generate_dispatches() {
-        let d = DatasetSpec::Higgs.generate(10, 3);
-        assert_eq!(d.frame().n_features(), 28);
-        assert_eq!(d.name(), "HIGGS");
-    }
-
-    #[test]
     fn new_validates_labels() {
         let frame = TabularFrame::from_rows(vec![0.0; 6], 3).unwrap();
         assert!(matches!(
             Dataset::new("x", frame, vec![0], 2),
             Err(DataError::LabelMismatch { rows: 2, labels: 1 })
         ));
-    }
-
-    #[test]
-    fn head_truncates_labels_too() {
-        let d = Dataset::iris(50, 1);
-        let h = d.head(10);
-        assert_eq!(h.frame().n_rows(), 10);
-        assert_eq!(h.labels().len(), 10);
     }
 
     #[test]

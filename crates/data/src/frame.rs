@@ -135,37 +135,6 @@ impl TabularFrame {
         (self.data.len() * 4) as u64
     }
 
-    /// A new frame holding the first `n` rows (clamped to the row count).
-    pub fn head(&self, n: usize) -> TabularFrame {
-        let rows = n.min(self.n_rows());
-        TabularFrame {
-            data: self.data[..rows * self.n_features].to_vec(),
-            n_features: self.n_features,
-        }
-    }
-
-    /// A new frame with exactly `n` rows, cycling existing rows as needed —
-    /// how the paper turned 150 IRIS samples into 1M records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is empty and `n > 0`.
-    pub fn replicate_to(&self, n: usize) -> TabularFrame {
-        assert!(
-            n == 0 || !self.is_empty(),
-            "cannot replicate an empty frame"
-        );
-        let mut data = Vec::with_capacity(n * self.n_features);
-        let n_rows = self.n_rows();
-        for i in 0..n {
-            data.extend_from_slice(self.row(i % n_rows));
-        }
-        TabularFrame {
-            data,
-            n_features: self.n_features,
-        }
-    }
-
     /// Min-max normalizes every column into `[0, 1]` (constant columns map
     /// to 0.5). Returns the normalized frame.
     ///
@@ -217,67 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn head_clamps() {
-        let f = TabularFrame::from_rows(vec![0.0; 8], 2).unwrap();
-        assert_eq!(f.head(2).n_rows(), 2);
-        assert_eq!(f.head(99).n_rows(), 4);
-    }
-
-    #[test]
-    fn replicate_cycles_rows() {
-        let f = TabularFrame::from_rows(vec![1.0, 2.0], 1).unwrap();
-        let r = f.replicate_to(5);
-        assert_eq!(r.as_slice(), &[1.0, 2.0, 1.0, 2.0, 1.0]);
-        assert_eq!(f.replicate_to(0).n_rows(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty frame")]
-    fn replicate_empty_panics() {
-        TabularFrame::from_rows(vec![], 2).unwrap().replicate_to(3);
-    }
-
-    #[test]
     fn normalization_maps_to_unit_interval() {
         let f = TabularFrame::from_rows(vec![0.0, 5.0, 10.0, 5.0, 20.0, 5.0], 2).unwrap();
         let n = f.normalized();
         assert_eq!(n.row(0), &[0.0, 0.5]); // constant column -> 0.5
         assert_eq!(n.row(1), &[0.5, 0.5]);
         assert_eq!(n.row(2), &[1.0, 0.5]);
-    }
-
-    #[test]
-    fn head_edge_cases() {
-        let f = TabularFrame::from_rows(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2).unwrap();
-        // n = 0 is a valid empty frame that keeps its width.
-        let empty = f.head(0);
-        assert!(empty.is_empty());
-        assert_eq!(empty.n_features(), 2);
-        // A single-row head is exactly the first row.
-        assert_eq!(f.head(1).as_slice(), &[1.0, 2.0]);
-        // n > rows clamps to a copy of the whole frame.
-        assert_eq!(f.head(usize::MAX).as_slice(), f.as_slice());
-        // head of an already-empty frame stays empty.
-        let e = TabularFrame::from_rows(vec![], 3).unwrap();
-        assert!(e.head(5).is_empty());
-    }
-
-    #[test]
-    fn replicate_edge_cases() {
-        let f = TabularFrame::from_rows(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
-        // n smaller than the row count truncates.
-        assert_eq!(f.replicate_to(1).as_slice(), &[1.0, 2.0]);
-        // n equal to the row count is an exact copy.
-        assert_eq!(f.replicate_to(2).as_slice(), f.as_slice());
-        // A single-row frame tiles that row.
-        let one = TabularFrame::from_rows(vec![7.0, 8.0], 2).unwrap();
-        assert_eq!(
-            one.replicate_to(3).as_slice(),
-            &[7.0, 8.0, 7.0, 8.0, 7.0, 8.0]
-        );
-        // Replicating an empty frame to zero rows is allowed.
-        let e = TabularFrame::from_rows(vec![], 2).unwrap();
-        assert!(e.replicate_to(0).is_empty());
     }
 
     #[test]

@@ -20,8 +20,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod columnar;
 pub mod csv;
+#[cfg(test)]
+mod csv_props;
 pub mod dataset;
 pub mod error;
 pub mod frame;
@@ -31,12 +32,10 @@ pub mod iris;
 pub mod split;
 pub mod stream;
 
-pub use columnar::ColumnarFrame;
 pub use dataset::{Dataset, DatasetSpec};
 pub use error::DataError;
 pub use frame::TabularFrame;
 pub use split::train_test_split;
 pub use stream::{
-    ChainScanner, CsvScanner, FrameScanner, NormParams, NormalizeStream, RecordStream,
-    DEFAULT_CHUNK_ROWS,
+    CsvScanner, FrameScanner, NormParams, NormalizeStream, RecordStream, DEFAULT_CHUNK_ROWS,
 };

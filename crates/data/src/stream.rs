@@ -64,17 +64,24 @@ pub trait RecordStream {
     fn next_chunk(&mut self) -> Option<&TabularFrame>;
 }
 
-/// Streams an in-memory [`TabularFrame`] in row-order chunks.
+/// Streams in-memory [`TabularFrame`]s in row-order chunks: one frame, or
+/// several same-width frames back to back (the coalescing path's scanner:
+/// `k` queued requests score as one fused pass without ever concatenating
+/// their frames).
 ///
 /// Each refill copies one cache-sized row range into the scanner's
 /// reusable scratch — the stand-in for a storage engine handing over one
-/// page worth of rows. When one chunk holds the whole frame (a staged,
-/// one-chunk scan — see [`FrameScanner::whole`]) the frame itself is lent
-/// out: nothing is copied and no scratch is allocated.
+/// page worth of rows. A frame that fits in one chunk (a staged, one-chunk
+/// scan — see [`FrameScanner::whole`]) is lent out itself: nothing is
+/// copied, and when every frame fits no scratch is allocated. Chunks never
+/// span a frame boundary, so splitting the predictions back per frame is a
+/// plain row count walk.
 #[derive(Debug)]
 pub struct FrameScanner<'a> {
-    frame: &'a TabularFrame,
+    frames: Vec<&'a TabularFrame>,
+    n_features: usize,
     chunk_rows: usize,
+    frame_idx: usize,
     cursor: usize,
     scratch: TabularFrame,
 }
@@ -86,18 +93,7 @@ impl<'a> FrameScanner<'a> {
     ///
     /// Panics if `chunk_rows == 0`.
     pub fn new(frame: &'a TabularFrame, chunk_rows: usize) -> Self {
-        assert!(chunk_rows > 0, "chunks must hold at least one row");
-        let scratch_rows = if chunk_rows >= frame.n_rows() {
-            0
-        } else {
-            chunk_rows
-        };
-        Self {
-            frame,
-            chunk_rows,
-            cursor: 0,
-            scratch: TabularFrame::with_capacity(scratch_rows, frame.n_features()),
-        }
+        Self::over(vec![frame], frame.n_features(), chunk_rows)
     }
 
     /// A scanner yielding all of `frame` as a single borrowed chunk — how
@@ -105,55 +101,8 @@ impl<'a> FrameScanner<'a> {
     pub fn whole(frame: &'a TabularFrame) -> Self {
         Self::new(frame, frame.n_rows().max(1))
     }
-}
 
-impl RecordStream for FrameScanner<'_> {
-    fn n_features(&self) -> usize {
-        self.frame.n_features()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.frame.n_rows() - self.cursor;
-        (left, Some(left))
-    }
-
-    fn next_chunk(&mut self) -> Option<&TabularFrame> {
-        if self.cursor >= self.frame.n_rows() {
-            return None;
-        }
-        let end = (self.cursor + self.chunk_rows).min(self.frame.n_rows());
-        if self.cursor == 0 && end == self.frame.n_rows() {
-            self.cursor = end;
-            return Some(self.frame);
-        }
-        let f = self.frame.n_features();
-        self.scratch.clear();
-        // analyze: hot
-        {
-            self.scratch
-                .extend_rows(&self.frame.as_slice()[self.cursor * f..end * f]);
-        }
-        self.cursor = end;
-        Some(&self.scratch)
-    }
-}
-
-/// Streams several same-width frames back to back — the coalescing path's
-/// scanner: `k` queued requests score as one fused pass without ever
-/// concatenating their frames. Chunks never span a frame boundary, so
-/// splitting the predictions back per request is a plain row count walk.
-#[derive(Debug)]
-pub struct ChainScanner<'a> {
-    frames: Vec<&'a TabularFrame>,
-    n_features: usize,
-    frame_idx: usize,
-    cursor: usize,
-    chunk_rows: usize,
-    scratch: TabularFrame,
-}
-
-impl<'a> ChainScanner<'a> {
-    /// A scanner chaining `frames` in order.
+    /// A scanner over `frames` back to back, in order.
     ///
     /// # Errors
     ///
@@ -164,35 +113,44 @@ impl<'a> ChainScanner<'a> {
     /// # Panics
     ///
     /// Panics if `chunk_rows == 0`.
-    pub fn new(frames: Vec<&'a TabularFrame>, chunk_rows: usize) -> Result<Self, DataError> {
-        assert!(chunk_rows > 0, "chunks must hold at least one row");
+    pub fn chain(frames: &[&'a TabularFrame], chunk_rows: usize) -> Result<Self, DataError> {
         let n_features = frames.first().ok_or(DataError::ZeroFeatures)?.n_features();
-        for frame in &frames {
-            if frame.n_features() != n_features {
-                return Err(DataError::WidthMismatch {
-                    expected: n_features,
-                    got: frame.n_features(),
-                });
-            }
+        if let Some(odd) = frames.iter().find(|f| f.n_features() != n_features) {
+            return Err(DataError::WidthMismatch {
+                expected: n_features,
+                got: odd.n_features(),
+            });
         }
-        Ok(Self {
+        Ok(Self::over(frames.to_vec(), n_features, chunk_rows))
+    }
+
+    /// Builds the scanner over `frames`, which all have `n_features`
+    /// columns.
+    fn over(frames: Vec<&'a TabularFrame>, n_features: usize, chunk_rows: usize) -> Self {
+        assert!(chunk_rows > 0, "chunks must hold at least one row");
+        let scratch_rows = if frames.iter().any(|f| f.n_rows() > chunk_rows) {
+            chunk_rows
+        } else {
+            0
+        };
+        Self {
             frames,
             n_features,
+            chunk_rows,
             frame_idx: 0,
             cursor: 0,
-            chunk_rows,
-            scratch: TabularFrame::with_capacity(chunk_rows, n_features),
-        })
+            scratch: TabularFrame::with_capacity(scratch_rows, n_features),
+        }
     }
 }
 
-impl RecordStream for ChainScanner<'_> {
+impl RecordStream for FrameScanner<'_> {
     fn n_features(&self) -> usize {
         self.n_features
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left: usize = self.frames[self.frame_idx..]
+        let left = self.frames[self.frame_idx..]
             .iter()
             .map(|f| f.n_rows())
             .sum::<usize>()
@@ -208,11 +166,12 @@ impl RecordStream for ChainScanner<'_> {
             self.frame_idx += 1;
             self.cursor = 0;
         }
-        if self.frame_idx >= self.frames.len() {
-            return None;
-        }
-        let frame = self.frames[self.frame_idx];
+        let frame = *self.frames.get(self.frame_idx)?;
         let end = (self.cursor + self.chunk_rows).min(frame.n_rows());
+        if self.cursor == 0 && end == frame.n_rows() {
+            self.cursor = end;
+            return Some(frame);
+        }
         let f = self.n_features;
         self.scratch.clear();
         // analyze: hot
@@ -228,6 +187,11 @@ impl RecordStream for ChainScanner<'_> {
 /// Streams rows straight off a CSV reader (the [`crate::csv`] dialect:
 /// comma-separated numeric fields, optional header, blank lines skipped)
 /// without ever holding more than one chunk of parsed rows.
+///
+/// This is the crate's one CSV parser: [`crate::csv::read_frame`] drains
+/// a scanner. Each row's fields parse left to right before its width is
+/// checked, so a bad field in a short row reports as
+/// [`CsvError::BadField`], not [`CsvError::RaggedRow`].
 ///
 /// The column width is learned from the first data row at construction.
 /// Parse or I/O errors *during* streaming end the stream (`next_chunk`
@@ -273,7 +237,7 @@ impl<R: BufRead> CsvScanner<R> {
         };
         if has_header {
             // Consume the header line; the width comes from the first
-            // data row, exactly as in [`crate::csv::read_frame`].
+            // data row.
             let _ = scanner.read_line()?;
         }
         let first = loop {
@@ -291,6 +255,12 @@ impl<R: BufRead> CsvScanner<R> {
     /// The error that truncated the stream, if any.
     pub fn error(&self) -> Option<&CsvError> {
         self.error.as_ref()
+    }
+
+    /// The 1-based physical line last read: with one-row chunks, the line
+    /// of the row just yielded.
+    pub(crate) fn line_no(&self) -> usize {
+        self.line_no
     }
 
     /// Reads one raw line into the line buffer. `Ok(None)` at EOF.
@@ -584,7 +554,7 @@ mod tests {
         let a = frame(5, 3);
         let b = frame(1, 3);
         let c = frame(9, 3);
-        let mut s = ChainScanner::new(vec![&a, &b, &c], 4).unwrap();
+        let mut s = FrameScanner::chain(&[&a, &b, &c], 4).unwrap();
         assert_eq!(s.size_hint(), (15, Some(15)));
         let got = drain(&mut s);
         let mut want = TabularFrame::with_capacity(15, 3);
@@ -598,7 +568,7 @@ mod tests {
     fn chain_scanner_chunks_never_span_frames() {
         let a = frame(3, 2);
         let b = frame(3, 2);
-        let mut s = ChainScanner::new(vec![&a, &b], 4).unwrap();
+        let mut s = FrameScanner::chain(&[&a, &b], 4).unwrap();
         // 3-row frames under a 4-row cap: each frame yields one chunk.
         assert_eq!(s.next_chunk().unwrap().n_rows(), 3);
         assert_eq!(s.next_chunk().unwrap().n_rows(), 3);
@@ -610,16 +580,34 @@ mod tests {
         let a = frame(2, 2);
         let b = frame(2, 3);
         assert_eq!(
-            ChainScanner::new(vec![&a, &b], 4).unwrap_err(),
+            FrameScanner::chain(&[&a, &b], 4).unwrap_err(),
             DataError::WidthMismatch {
                 expected: 2,
                 got: 3
             }
         );
         assert_eq!(
-            ChainScanner::new(vec![], 4).unwrap_err(),
+            FrameScanner::chain(&[], 4).unwrap_err(),
             DataError::ZeroFeatures
         );
+    }
+
+    #[test]
+    fn chain_scanner_lends_every_frame_that_fits_a_chunk() {
+        let a = frame(3, 2);
+        let b = frame(9, 2);
+        let c = frame(4, 2);
+        let mut s = FrameScanner::chain(&[&a, &b, &c], 4).unwrap();
+        let ptr = |chunk: &TabularFrame| chunk.as_slice().as_ptr();
+        assert_eq!(ptr(s.next_chunk().unwrap()), a.as_slice().as_ptr());
+        for rows in [4, 4, 1] {
+            let chunk = s.next_chunk().unwrap();
+            assert_eq!(chunk.n_rows(), rows);
+            assert_ne!(ptr(chunk), b.as_slice().as_ptr());
+        }
+        assert_eq!(ptr(s.next_chunk().unwrap()), c.as_slice().as_ptr());
+        assert!(s.next_chunk().is_none());
+        assert_eq!(s.size_hint(), (0, Some(0)));
     }
 
     #[test]

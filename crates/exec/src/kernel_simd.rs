@@ -114,7 +114,7 @@ impl SimdLevel {
 
 /// A flat forest bundled with its heap-indexed SIMD traversal image.
 ///
-/// Re-encoding the Fig. 4b `f32`-word layout into [`SimdTree`]s is the
+/// Re-encoding the Fig. 4b `f32`-word layout into `SimdTree`s is the
 /// ONNX-like backend's model-lowering step: it costs one pass over every
 /// node array, so it happens once per model — the artifact cache stores
 /// the image per bundle — and every [`score_simd_batch`] call pays only

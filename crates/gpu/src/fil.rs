@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use mlscore_backend::{
     score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
 };
-use mlscore_data::{ColumnarFrame, RecordStream};
+use mlscore_data::RecordStream;
 use mlscore_forest::{FlatForest, ModelStats, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{Scope, Tracer};
@@ -137,20 +137,15 @@ impl ScoringBackend for RapidsFil {
             }
         };
         score_whole_batch(stream, |frame| {
-            // The RAPIDS path really converts the row-major batch into a
-            // columnar (cuDF-like) frame first, then each "block" gathers its
-            // record from the columns and the trees vote over the node table.
-            // Functionally identical to a straight vote over rows; the
-            // conversion is the work the DataPreprocessing stage charges for.
-            let columnar = ColumnarFrame::from_rows(frame);
-            let mut row = vec![0f32; columnar.n_features()];
+            // The trees vote over the FIL node table row by row. The cuDF
+            // conversion the real RAPIDS path runs first reorders the batch
+            // but changes no vote, so it is only charged (DataPreprocessing
+            // in `estimate`), not performed.
             let mut votes = Vec::new();
-            let mut classes = Vec::with_capacity(columnar.n_rows());
-            for i in 0..columnar.n_rows() {
-                columnar.gather_row(i, &mut row);
-                classes.push(flat.score_one_with(&row, &mut votes));
-            }
-            Ok(classes)
+            Ok(frame
+                .rows()
+                .map(|row| flat.score_one_with(row, &mut votes))
+                .collect())
         })
     }
 

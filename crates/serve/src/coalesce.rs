@@ -10,7 +10,7 @@
 //! (forest inference is row-independent).
 
 use mlscore_backend::{BackendError, CompiledModel, ScoringBackend};
-use mlscore_data::{ChainScanner, RecordStream, TabularFrame};
+use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
 use mlscore_sim::SimInstant;
 use mlscore_telemetry::Tracer;
 
@@ -34,8 +34,9 @@ pub(crate) fn batch_caps(coalesce: bool) -> (usize, u64) {
 }
 
 /// Functionally scores `frames` as one coalesced device pass on `backend`
-/// and splits the predictions back per input frame. A [`ChainScanner`]
-/// pulls cache-sized chunks straight off the request frames — never
+/// and splits the predictions back per input frame. A chained
+/// [`FrameScanner`] pulls cache-sized chunks straight off the request
+/// frames (lending each one that fits in a chunk whole) — never
 /// materializing a concatenated copy — and the warm `model` scores them.
 /// Bit-exact with scoring each frame alone: chunks never span frame
 /// boundaries and forest inference is row-independent, so the folded
@@ -55,7 +56,7 @@ pub fn score_merged_stream(
     if frames.is_empty() {
         return Err(ServeError::EmptyBatch);
     }
-    let mut scanner = ChainScanner::new(frames.to_vec(), chunk_rows)
+    let mut scanner = FrameScanner::chain(frames, chunk_rows)
         .map_err(|e| BackendError::unsupported(backend.name(), format!("chained frames: {e}")))?;
     let bound = model.bind(backend.name(), scanner.n_features())?;
     let out = backend.score(bound, &mut scanner, &Tracer::disabled(), SimInstant::ZERO)?;

@@ -19,6 +19,10 @@
 //!   to the device lane. Flow starts bind to the origin span's end, flow
 //!   ends (`bp:"e"`, enclosing-slice binding) to the terminus span's start.
 //!
+//! [`Track::process`]: crate::span::Track::process
+//! [`Track::lane`]: crate::span::Track::lane
+//! [`SpanEvent::flows_out`]: crate::span::SpanEvent::flows_out
+//! [`SpanEvent::flows_in`]: crate::span::SpanEvent::flows_in
 //! [legacy trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 

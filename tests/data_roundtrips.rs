@@ -1,10 +1,10 @@
-//! Property tests on the data layer: CSV and columnar representations must
-//! round-trip losslessly, and normalization must be idempotent and bounded.
+//! Property tests on the data layer: CSV must round-trip losslessly, and
+//! normalization must be idempotent and bounded.
 
 use proptest::prelude::*;
 
 use mlscore::prelude::*;
-use mlscore_data::{csv, ColumnarFrame};
+use mlscore_data::csv;
 
 fn arb_frame() -> impl Strategy<Value = TabularFrame> {
     (1usize..8).prop_flat_map(|n_features| {
@@ -35,23 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn columnar_roundtrip_is_exact(frame in arb_frame()) {
-        let columnar = ColumnarFrame::from_rows(&frame);
-        prop_assert_eq!(columnar.to_rows(), frame);
-    }
-
-    #[test]
-    fn gather_row_agrees_with_row(frame in arb_frame()) {
-        prop_assume!(!frame.is_empty());
-        let columnar = ColumnarFrame::from_rows(&frame);
-        let mut buf = vec![0f32; frame.n_features()];
-        for i in 0..frame.n_rows().min(10) {
-            columnar.gather_row(i, &mut buf);
-            prop_assert_eq!(buf.as_slice(), frame.row(i));
-        }
-    }
-
-    #[test]
     fn normalization_is_bounded_and_idempotent(frame in arb_frame()) {
         let once = frame.normalized();
         for &v in once.as_slice() {
@@ -60,16 +43,6 @@ proptest! {
         let twice = once.normalized();
         for (a, b) in once.as_slice().iter().zip(twice.as_slice()) {
             prop_assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn replicate_to_preserves_row_identity(frame in arb_frame(), n in 0usize..100) {
-        prop_assume!(!frame.is_empty());
-        let replicated = frame.replicate_to(n);
-        prop_assert_eq!(replicated.n_rows(), n);
-        for i in 0..n {
-            prop_assert_eq!(replicated.row(i), frame.row(i % frame.n_rows()));
         }
     }
 
