@@ -206,7 +206,28 @@ for ex in accelerator_shmoo analyst_workflow fpga_deep_dive offload_advisor \
     cargo run --release -q --example "$ex" >"target/example.$ex.txt"
 done
 
-echo "== trace smoke (repro trace --cold / --warm / --fused / --fused --warm) =="
+echo "== trace smoke (every backend x staged/fused x cold/warm, twice each) =="
+# Every backend's traced estimate is a pure function of its cost model:
+# two runs of each combination must write the same bytes.
+for be in cpu sklearn onnx1 gpu gpu-rapids fpga; do
+    for fused in "" --fused; do
+        for phase in --cold --warm; do
+            for run in a b; do
+                ./target/release/repro trace $phase $fused \
+                    --out "target/trace_${be}${fused}${phase}.$run.json" higgs 128 1m "$be" \
+                    >/dev/null
+            done
+            cmp "target/trace_${be}${fused}${phase}.a.json" "target/trace_${be}${fused}${phase}.b.json"
+        done
+    done
+done
+# A backend that rejects the model is a usage error (exit 2), not a panic.
+status=0
+./target/release/repro trace iris 128 1k gpu-rapids >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "ci: trace of a rejected model exited $status, expected 2" >&2
+    exit 1
+fi
 # Both halves of the two-phase split must render a timeline.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     trace --cold --out target/trace_cold.json >/dev/null

@@ -17,7 +17,7 @@ use mlscore_data::RecordStream;
 use mlscore_exec::{score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
 use mlscore_forest::{ModelStats, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
-use mlscore_telemetry::{Scope, Tracer};
+use mlscore_telemetry::{Scope, StageRecorder, Tracer};
 
 use crate::artifact::{Lowered, ModelRef};
 use crate::cost::{effective_parallelism, CpuSpec};
@@ -183,36 +183,22 @@ impl ScoringBackend for OnnxCpu {
         let parallel = effective_parallelism(usable_threads, n_records);
         let compute = per_record * (n_records as f64 / parallel);
         let spinup = self.params.thread_spinup * (self.threads.saturating_sub(1)) as f64;
-        let mut b = TimingBreakdown::new();
-        b.add(Stage::SoftwareOverhead, self.params.call_overhead + spinup);
-        b.add(Stage::Scoring, compute);
 
-        // Two overhead spans whose left-to-right fold is the same sum the
-        // direct breakdown adds, so reconstruction stays exact.
-        let mut t = tracer
-            .span("session dispatch", start)
-            .stage(Stage::SoftwareOverhead)
-            .scope(Scope::Offload)
-            .track(self.name(), "offload")
+        let mut rec = StageRecorder::new(tracer, self.name(), Scope::Offload);
+        let mut t = rec
+            .span("session dispatch", Stage::SoftwareOverhead, start)
             .meta("backend", self.name())
             .finish_after(self.params.call_overhead);
         if self.threads > 1 {
-            t = tracer
-                .span("thread-pool spinup", t)
-                .stage(Stage::SoftwareOverhead)
-                .scope(Scope::Offload)
-                .track(self.name(), "offload")
-                .meta("threads", self.threads.to_string())
+            t = rec
+                .span("thread-pool spinup", Stage::SoftwareOverhead, t)
+                .meta("threads", self.threads)
                 .finish_after(spinup);
         }
-        tracer
-            .span("flat-forest traversal", t)
-            .stage(Stage::Scoring)
-            .scope(Scope::Offload)
-            .track(self.name(), "offload")
-            .meta("usable_threads", usable_threads.to_string())
+        rec.span("flat-forest traversal", Stage::Scoring, t)
+            .meta("usable_threads", usable_threads)
             .finish_after(compute);
-        b
+        rec.into_breakdown()
     }
 }
 

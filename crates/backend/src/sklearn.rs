@@ -15,7 +15,7 @@ use mlscore_data::RecordStream;
 use mlscore_exec::{score_forest_batch, ExecPool, RunConfig};
 use mlscore_forest::ModelStats;
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
-use mlscore_telemetry::{Scope, Tracer};
+use mlscore_telemetry::{Scope, StageRecorder, Tracer};
 
 use crate::artifact::ModelRef;
 use crate::cost::{effective_parallelism, CpuSpec};
@@ -152,40 +152,29 @@ impl ScoringBackend for SklearnCpu {
             + self.spec.visit_cost(stats) * stats.visits_per_record();
         let parallel = effective_parallelism(self.threads, n_records);
         let compute = per_record * (n_records as f64 / parallel);
-        let mut b = TimingBreakdown::new();
-        b.add(Stage::SoftwareOverhead, self.params.call_overhead);
-        b.add(Stage::Scoring, compute);
 
-        let t = tracer
-            .span("python dispatch", start)
-            .stage(Stage::SoftwareOverhead)
-            .scope(Scope::Offload)
-            .track(self.name(), "offload")
+        let mut rec = StageRecorder::new(tracer, self.name(), Scope::Offload);
+        let t = rec
+            .span("python dispatch", Stage::SoftwareOverhead, start)
             .meta("backend", self.name())
             .finish_after(self.params.call_overhead);
-        tracer
-            .span("batch traversal", t)
-            .stage(Stage::Scoring)
-            .scope(Scope::Offload)
-            .track(self.name(), "offload")
-            .meta("threads", self.threads.to_string())
+        rec.span("batch traversal", Stage::Scoring, t)
+            .meta("threads", self.threads)
             .finish_after(compute);
-        if tracer.is_enabled() {
-            // Worker lanes: the batch is chunked across threads that all run
-            // for (modelled) the same duration.
-            let workers = self
-                .threads
-                .min(n_records.max(1) as usize)
-                .min(MAX_WORKER_LANES);
-            for w in 0..workers {
-                tracer
-                    .span(format!("chunk {w}"), t)
-                    .track(self.name(), format!("worker{w}"))
-                    .meta("records", (n_records / workers as u64).to_string())
-                    .finish_after(compute);
-            }
+        // Worker lanes: the batch is chunked across threads that all run
+        // for (modelled) the same duration.
+        let workers = self
+            .threads
+            .min(n_records.max(1) as usize)
+            .min(MAX_WORKER_LANES);
+        for w in 0..workers {
+            tracer
+                .span(format_args!("chunk {w}"), t)
+                .track(self.name(), format_args!("worker{w}"))
+                .meta("records", n_records / workers as u64)
+                .finish_after(compute);
         }
-        b
+        rec.into_breakdown()
     }
 }
 

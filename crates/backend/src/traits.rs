@@ -128,10 +128,13 @@ pub trait ScoringBackend {
     /// [`Trace::breakdown`](mlscore_telemetry::Trace::breakdown) — yields a
     /// breakdown **equal** to the returned one, stage order and `f64` sums
     /// included, and the result never depends on whether `tracer` is
-    /// enabled. Backends with internal structure worth seeing (FPGA
-    /// passes, PCIe streams, CPU workers) additionally record
-    /// [`Scope::Detail`](mlscore_telemetry::Scope::Detail) spans, which
-    /// breakdowns ignore.
+    /// enabled. Every backend here gets that by construction: it opens
+    /// each stage once on a
+    /// [`StageRecorder`](mlscore_telemetry::StageRecorder) and returns the
+    /// recorder's breakdown. Backends with internal structure worth seeing
+    /// (FPGA passes, PCIe streams, CPU workers) additionally record
+    /// [`Scope::Detail`](mlscore_telemetry::Scope::Detail) spans with plain
+    /// [`Tracer::span`], which breakdowns ignore.
     fn estimate(
         &self,
         stats: &ModelStats,

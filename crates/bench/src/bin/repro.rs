@@ -714,7 +714,7 @@ fn report(args: &[String]) {
         println!(
             "\nwrote {path}: {} window(s), {} alert(s), top-{} slowest",
             report.series.len(),
-            report.alerts.len(),
+            report.journal.alerts().len(),
             opts.top_n
         );
     }

@@ -232,7 +232,7 @@ pub fn to_json(report: &ServingReport, opts: &RunReportOptions) -> String {
 
     // Budget-burn alerts.
     w.key("alerts").begin_array();
-    for alert in &report.alerts {
+    for alert in report.journal.alerts() {
         w.begin_object();
         w.key("window").uint(alert.window);
         w.key("start_secs").fixed(alert.at.as_secs(), 9);
@@ -311,11 +311,15 @@ pub fn to_text(report: &ServingReport, opts: &RunReportOptions) -> String {
             window.queue_depth_peak,
         );
     }
-    if report.alerts.is_empty() {
+    if report.journal.alerts().is_empty() {
         out.push_str("\nno SLO budget-burn alerts\n");
     } else {
-        let _ = writeln!(out, "\nSLO budget-burn alerts ({}):", report.alerts.len());
-        for alert in &report.alerts {
+        let _ = writeln!(
+            out,
+            "\nSLO budget-burn alerts ({}):",
+            report.journal.alerts().len()
+        );
+        for alert in report.journal.alerts() {
             let _ = writeln!(
                 out,
                 "  window {:>3} @ {:>7.3}s  {:<12} attainment {:>7.3}%  burn {:>6.1}x",
@@ -452,7 +456,7 @@ mod tests {
         let report = run(&opts);
         assert!(report.series.len() >= 2, "overload spans several windows");
         assert!(
-            !report.alerts.is_empty(),
+            !report.journal.alerts().is_empty(),
             "50 ms interactive SLO under FPGA overload must burn budget"
         );
         let slow = slowest(&report, 3);

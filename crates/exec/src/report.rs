@@ -115,13 +115,13 @@ impl RunReport {
             };
             let start = base + SimDuration::from_secs(first.as_secs_f64());
             tracer
-                .span(format!("exec worker {i}"), start)
+                .span(format_args!("exec worker {i}"), start)
                 .scope(Scope::Detail)
-                .track(process, format!("worker{i}"))
-                .meta("rows", w.rows.to_string())
-                .meta("chunks", w.chunks.to_string())
-                .meta("steals", w.steals.to_string())
-                .meta("occupancy", format!("{:.3}", w.occupancy()))
+                .track(process, format_args!("worker{i}"))
+                .meta("rows", w.rows)
+                .meta("chunks", w.chunks)
+                .meta("steals", w.steals)
+                .meta("occupancy", format_args!("{:.3}", w.occupancy()))
                 .finish(base + SimDuration::from_secs(w.last_end.as_secs_f64()));
         }
     }

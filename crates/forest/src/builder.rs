@@ -98,7 +98,8 @@ impl ForestBuilder {
     /// # Errors
     ///
     /// Returns [`ForestError::InvalidTrainingData`] on shape mismatches,
-    /// empty data, zero classes, or labels outside `0..n_classes`.
+    /// empty data, zero classes, labels outside `0..n_classes`, or a NaN
+    /// or infinite feature value (the message names its row and column).
     pub fn train_classifier(
         &self,
         x: &[f32],
@@ -130,6 +131,16 @@ impl ForestBuilder {
         if let Some(&bad) = y.iter().find(|&&c| c >= n_classes) {
             return Err(ForestError::InvalidTrainingData(format!(
                 "label {bad} outside 0..{n_classes}"
+            )));
+        }
+        // Split search sorts feature values and cuts halfway between
+        // neighbours: a NaN has no order and an infinity makes a NaN cut.
+        if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+            return Err(ForestError::InvalidTrainingData(format!(
+                "non-finite feature value {} at row {}, column {}",
+                x[i],
+                i / n_features,
+                i % n_features
             )));
         }
         let criterion = self.criterion.unwrap_or(SplitCriterion::Gini);
@@ -464,6 +475,27 @@ mod tests {
             b.train_classifier(&[], 1, &[], 2),
             Err(ForestError::InvalidTrainingData(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_by_position() {
+        let (mut x, y) = blobs(10);
+        for (bad, text) in [
+            (f32::NAN, "NaN"),
+            (f32::INFINITY, "inf"),
+            (-f32::INFINITY, "-inf"),
+        ] {
+            x[7] = bad;
+            let err = ForestBuilder::new(3, TrainOptions::default())
+                .train_classifier(&x, 2, &y, 2)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ForestError::InvalidTrainingData(format!(
+                    "non-finite feature value {text} at row 3, column 1"
+                ))
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mlscore_backend::{
 use mlscore_data::RecordStream;
 use mlscore_forest::{FlatTree, ModelStats, RandomForest};
 use mlscore_sim::{SimInstant, Stage, TimingBreakdown};
-use mlscore_telemetry::{ExactSplit, Scope, Tracer};
+use mlscore_telemetry::{ExactSplit, Scope, StageRecorder, Tracer};
 
 use crate::device::FpgaDevice;
 use crate::engine::{EngineConfig, InferenceEngine, LoadedModel};
@@ -122,205 +122,118 @@ impl ScoringBackend for FpgaBackend {
         let device = self.engine.device();
         let cfg = self.engine.config();
         let link = &device.link;
-        let passes = stats.n_trees.div_ceil(cfg.pe_count) as u64;
-        let mut b = TimingBreakdown::new();
+        let name = <Self as ScoringBackend>::name(self);
+        let passes = stats.n_trees.div_ceil(cfg.pe_count);
 
-        // 1) Input transfer: the model image into the tree memories, one
-        //    DMA per pass. Record streaming overlaps scoring (§IV-B), so it
-        //    is charged inside the scoring component instead.
+        // Input transfer: the model image into the tree memories, one DMA
+        // per pass. Record streaming overlaps scoring (§IV-B), so it is
+        // charged inside the scoring component instead.
         let tree_mem_bytes = (FlatTree::capacity_for_depth(cfg.max_depth) * 16) as u64;
-        let trees_per_pass = (stats.n_trees as u64).div_ceil(passes);
+        let trees_per_pass = (stats.n_trees as u64).div_ceil(passes as u64);
         let input_total = link.transfer(trees_per_pass * tree_mem_bytes) * passes as f64;
-        b.add(Stage::InputTransfer, input_total);
-
-        // 2) FPGA setup: the CSR driver sequence that arms each pass.
+        // FPGA setup: the CSR driver sequence that arms each pass.
         let setup_total = crate::csr::setup_time(device.csr_write) * passes as f64;
-        b.add(Stage::AcceleratorSetup, setup_total);
-
-        // 3) Scoring: pipeline cycles, rate-limited by the overlapped PCIe
-        //    record stream when records arrive slower than 1/cycle.
+        // Scoring: pipeline cycles, rate-limited by the overlapped PCIe
+        // record stream when records arrive slower than 1/cycle.
         let ii = cfg.memory.initiation_interval();
         let fill = cfg.max_depth as u64 + (cfg.pe_count as u64).ilog2() as u64 + 2;
         let per_pass_compute = device.clock.cycles(fill + n_records * ii);
         let per_pass_stream = link.stream(n_records * stats.row_bytes() as u64);
         let scoring_total = per_pass_compute.max(per_pass_stream) * passes as f64;
-        b.add(Stage::Scoring, scoring_total);
-
-        // 4) Completion signalling, per pass: the paper's interrupt, or
-        //    CSR polling (half the poll interval of expected detection
-        //    delay plus one status-register read).
-        let completion = match cfg.completion {
-            crate::engine::CompletionMode::Interrupt => device.interrupt,
-            crate::engine::CompletionMode::Polling { interval } => {
-                interval / 2.0 + device.csr_write
-            }
+        // Completion: the paper's interrupt, once per pass.
+        let completion_total = device.interrupt * passes as f64;
+        let bound = if per_pass_stream > per_pass_compute {
+            "pcie-stream"
+        } else {
+            "compute"
         };
-        let completion_total = completion * passes as f64;
-        b.add(Stage::CompletionSignal, completion_total);
 
-        // 5) Result transfer: one DMA per result-memory flush.
-        let flushes = (n_records as usize)
-            .div_ceil(cfg.result_buffer_records)
-            .max(1) as u64;
-        let result_total = link.transfer(n_records * 4 / flushes) * flushes as f64;
-        b.add(Stage::ResultTransfer, result_total);
-
-        // 6) Host software overhead: fixed per call plus per extra pass.
-        let inter_pass_sw = device.per_pass_software * (passes.saturating_sub(1)) as f64;
-        b.add(
-            Stage::SoftwareOverhead,
-            device.software_overhead + inter_pass_sw,
-        );
-
-        if tracer.is_enabled() {
-            self.record_spans(
-                tracer,
-                start,
-                PassTotals {
-                    passes: passes as usize,
-                    input_total,
-                    setup_total,
-                    scoring_total,
-                    completion_total,
-                    result_total,
-                    inter_pass_sw,
-                    per_pass_compute,
-                    per_pass_stream,
-                    flushes,
-                },
-            );
-        }
-        b
-    }
-}
-
-/// Stage totals handed from the cost model to the span recorder.
-struct PassTotals {
-    passes: usize,
-    input_total: mlscore_sim::SimDuration,
-    setup_total: mlscore_sim::SimDuration,
-    scoring_total: mlscore_sim::SimDuration,
-    completion_total: mlscore_sim::SimDuration,
-    result_total: mlscore_sim::SimDuration,
-    inter_pass_sw: mlscore_sim::SimDuration,
-    per_pass_compute: mlscore_sim::SimDuration,
-    per_pass_stream: mlscore_sim::SimDuration,
-    flushes: u64,
-}
-
-/// Cap on per-pass detail lanes so very wide models stay readable.
-const MAX_PASS_LANES: usize = 8;
-
-impl FpgaBackend {
-    /// Replays the offload timeline onto `tracer`.
-    ///
-    /// Per-pass `Offload` spans are cut with [`ExactSplit`] so folding them
-    /// back in recording order recovers each stage total bit-exactly; the
-    /// per-pass interleaving (input, setup, scoring, completion) still
-    /// yields the same first-occurrence stage order as the direct
-    /// `TimingBreakdown::add` sequence above. The two `SoftwareOverhead`
-    /// spans are recorded last (keeping that stage last in the breakdown)
-    /// but placed where the host actually spends the time: the driver call
-    /// before pass 0, the inter-pass driver work in the gap after pass 0.
-    fn record_spans(&self, tracer: &Tracer, start: SimInstant, t: PassTotals) {
-        let device = self.engine.device();
-        let name = <Self as ScoringBackend>::name(self);
-        let inputs = ExactSplit::new(t.input_total, t.passes);
-        let setups = ExactSplit::new(t.setup_total, t.passes);
-        let scorings = ExactSplit::new(t.scoring_total, t.passes);
-        let completions = ExactSplit::new(t.completion_total, t.passes);
-
+        // Each pass's stages are cut with `ExactSplit`, so the per-pass
+        // spans fold back to every stage total bit-exactly. The host
+        // spans come last (SoftwareOverhead is the breakdown's last stage)
+        // but sit where the host spends the time: the driver call before
+        // pass 0, the inter-pass driver work in the gap after pass 0.
+        let mut rec = StageRecorder::new(tracer, name, Scope::Offload);
         let mut cursor = start + device.software_overhead;
         let mut first_gap = cursor;
-        let stream_bound = t.per_pass_stream > t.per_pass_compute;
-        for (i, (((inp, set), sco), com)) in inputs
-            .zip(setups)
-            .zip(scorings)
-            .zip(completions)
-            .enumerate()
-        {
-            cursor = tracer
-                .span(format!("model dma pass {i}"), cursor)
-                .stage(Stage::InputTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("pass", i.to_string())
+        let per_pass = ExactSplit::new(input_total, passes)
+            .zip(ExactSplit::new(setup_total, passes))
+            .zip(ExactSplit::new(scoring_total, passes))
+            .zip(ExactSplit::new(completion_total, passes));
+        for (i, (((inp, set), sco), com)) in per_pass.enumerate() {
+            cursor = rec
+                .span(
+                    format_args!("model dma pass {i}"),
+                    Stage::InputTransfer,
+                    cursor,
+                )
+                .meta("pass", i)
                 .finish_after(inp);
-            cursor = tracer
-                .span(format!("csr setup pass {i}"), cursor)
-                .stage(Stage::AcceleratorSetup)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("pass", i.to_string())
+            cursor = rec
+                .span(
+                    format_args!("csr setup pass {i}"),
+                    Stage::AcceleratorSetup,
+                    cursor,
+                )
+                .meta("pass", i)
                 .finish_after(set);
             if i < MAX_PASS_LANES {
                 // Detail lanes: the engine pipeline and the overlapped PCIe
                 // record stream run concurrently; scoring is the max.
                 tracer
-                    .span(format!("engine compute pass {i}"), cursor)
-                    .track(name, format!("pass{i}"))
-                    .finish_after(t.per_pass_compute);
+                    .span(format_args!("engine compute pass {i}"), cursor)
+                    .track(name, format_args!("pass{i}"))
+                    .finish_after(per_pass_compute);
                 tracer
-                    .span(format!("record stream pass {i}"), cursor)
+                    .span(format_args!("record stream pass {i}"), cursor)
                     .track(name, "pcie")
-                    .finish_after(t.per_pass_stream);
+                    .finish_after(per_pass_stream);
             }
-            cursor = tracer
-                .span(format!("scoring pass {i}"), cursor)
-                .stage(Stage::Scoring)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("pass", i.to_string())
-                .meta(
-                    "bound",
-                    if stream_bound {
-                        "pcie-stream"
-                    } else {
-                        "compute"
-                    },
-                )
+            cursor = rec
+                .span(format_args!("scoring pass {i}"), Stage::Scoring, cursor)
+                .meta("pass", i)
+                .meta("bound", bound)
                 .finish_after(sco);
-            cursor = tracer
-                .span(format!("completion pass {i}"), cursor)
-                .stage(Stage::CompletionSignal)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("pass", i.to_string())
+            cursor = rec
+                .span(
+                    format_args!("completion pass {i}"),
+                    Stage::CompletionSignal,
+                    cursor,
+                )
+                .meta("pass", i)
                 .finish_after(com);
             if i == 0 {
                 first_gap = cursor;
             }
-            if i + 1 < t.passes {
+            if i + 1 < passes {
                 cursor += device.per_pass_software;
             }
         }
-        tracer
-            .span("result dma", cursor)
-            .stage(Stage::ResultTransfer)
-            .scope(Scope::Offload)
-            .track(name, "offload")
-            .meta("flushes", t.flushes.to_string())
-            .finish_after(t.result_total);
-        // Host-side spans, recorded last so SoftwareOverhead stays the last
-        // stage of the reconstructed breakdown.
-        tracer
-            .span("driver call", start)
-            .stage(Stage::SoftwareOverhead)
-            .scope(Scope::Offload)
-            .track(name, "host")
+
+        // Result transfer: one DMA per result-memory flush.
+        let flushes = (n_records as usize)
+            .div_ceil(cfg.result_buffer_records)
+            .max(1) as u64;
+        rec.span("result dma", Stage::ResultTransfer, cursor)
+            .meta("flushes", flushes)
+            .finish_after(link.transfer(n_records * 4 / flushes) * flushes as f64);
+        // Host software overhead: fixed per call plus per extra pass.
+        rec.span("driver call", Stage::SoftwareOverhead, start)
+            .lane("host")
             .meta("backend", name)
             .finish_after(device.software_overhead);
-        if t.passes > 1 {
-            tracer
-                .span("inter-pass driver", first_gap)
-                .stage(Stage::SoftwareOverhead)
-                .scope(Scope::Offload)
-                .track(name, "host")
-                .meta("passes", t.passes.to_string())
-                .finish_after(t.inter_pass_sw);
+        if passes > 1 {
+            rec.span("inter-pass driver", Stage::SoftwareOverhead, first_gap)
+                .lane("host")
+                .meta("passes", passes)
+                .finish_after(device.per_pass_software * (passes - 1) as f64);
         }
+        rec.into_breakdown()
     }
 }
+
+/// Cap on per-pass detail lanes so very wide models stay readable.
+const MAX_PASS_LANES: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -455,41 +368,6 @@ mod tests {
             .ratio(one_pass.get(Stage::Scoring));
         assert!((1.9..2.1).contains(&ratio), "ratio {ratio}");
         assert!(two_pass.get(Stage::CompletionSignal) > one_pass.get(Stage::CompletionSignal));
-    }
-
-    #[test]
-    fn polling_completion_beats_interrupt_for_latency() {
-        use crate::engine::CompletionMode;
-        use mlscore_sim::SimDuration;
-        let interrupt = FpgaBackend::paper_default();
-        let polling = FpgaBackend::with_config(
-            crate::device::FpgaDevice::stratix10_gx2800(),
-            EngineConfig {
-                completion: CompletionMode::Polling {
-                    interval: SimDuration::from_micros(10.0),
-                },
-                ..EngineConfig::default()
-            },
-        );
-        let s = stats(128, 10, 4);
-        let i = interrupt
-            .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
-            .get(Stage::CompletionSignal);
-        let p = polling
-            .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
-            .get(Stage::CompletionSignal);
-        // Interrupt: 120 µs. Polling at 10 µs: ~6.5 µs expected delay.
-        assert!(p.as_micros() < 10.0, "polling completion {p}");
-        assert!(i.ratio(p) > 10.0, "interrupt {i} vs polling {p}");
-        // Everything else is unchanged.
-        assert_eq!(
-            interrupt
-                .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
-                .get(Stage::Scoring),
-            polling
-                .estimate(&s, 1, &Tracer::disabled(), SimInstant::ZERO)
-                .get(Stage::Scoring)
-        );
     }
 
     #[test]

@@ -8,22 +8,6 @@ use crate::bram::BramAllocator;
 use crate::device::FpgaDevice;
 use crate::error::FpgaError;
 
-/// How the host learns that a pass finished. The paper uses an interrupt
-/// and observes it costs more than the CSR-based setup; a polling driver
-/// trades that latency for host CPU cycles spent reading the status
-/// register.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum CompletionMode {
-    /// Interrupt-driven completion (the paper's design).
-    Interrupt,
-    /// The host polls the status CSR every `interval`; expected detection
-    /// delay is half the interval plus one register read.
-    Polling {
-        /// Poll period.
-        interval: mlscore_sim::SimDuration,
-    },
-}
-
 /// Where tree memories live — on-chip BRAM (the paper's design) or external
 /// DDR (the A2 ablation: same engine, slower node reads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -56,8 +40,6 @@ pub struct EngineConfig {
     pub result_buffer_records: usize,
     /// Tree memory placement.
     pub memory: MemoryBackend,
-    /// Completion signalling mode.
-    pub completion: CompletionMode,
 }
 
 impl Default for EngineConfig {
@@ -67,7 +49,6 @@ impl Default for EngineConfig {
             pe_count: 128,
             result_buffer_records: 4 << 20,
             memory: MemoryBackend::Bram,
-            completion: CompletionMode::Interrupt,
         }
     }
 }

@@ -44,8 +44,7 @@ pub use backend::FpgaBackend;
 pub use bram::BramAllocator;
 pub use device::FpgaDevice;
 pub use engine::{
-    CompletionMode, CycleReport, EngineConfig, EngineRun, InferenceEngine, LoadedModel,
-    MemoryBackend,
+    CycleReport, EngineConfig, EngineRun, InferenceEngine, LoadedModel, MemoryBackend,
 };
 pub use error::FpgaError;
 pub use split::{split_score, SplitReport};

@@ -10,7 +10,7 @@ use mlscore_backend::{
 use mlscore_data::RecordStream;
 use mlscore_forest::{FlatForest, ModelStats, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
-use mlscore_telemetry::{Scope, Tracer};
+use mlscore_telemetry::{Scope, StageRecorder, Tracer};
 
 use crate::device::GpuDevice;
 use crate::divergence::warp_efficiency;
@@ -158,20 +158,10 @@ impl ScoringBackend for RapidsFil {
     ) -> TimingBreakdown {
         let d = &self.device;
         let p = &self.params;
-        let mut b = TimingBreakdown::new();
-
-        // cuDF conversion (host-side pre-processing).
+        let name = <Self as ScoringBackend>::name(self);
+        let mut rec = StageRecorder::new(tracer, name, Scope::Offload);
         let input_bytes = n_records * stats.row_bytes() as u64;
-        let cudf = p.cudf_fixed + p.cudf_per_byte * input_bytes as f64;
-        b.add(Stage::DataPreprocessing, cudf);
-
-        // Model + records to device, results back.
         let model_bytes = (stats.total_nodes * 16) as u64;
-        let model_h2d = d.link.transfer(model_bytes);
-        let records_h2d = d.link.transfer(input_bytes);
-        b.add(Stage::InputTransfer, model_h2d + records_h2d);
-        let results_d2h = d.link.transfer(n_records * 4);
-        b.add(Stage::ResultTransfer, results_d2h);
 
         // Kernel: divergent traversal, compute- or memory-bound.
         let visits = n_records as f64 * stats.visits_per_record();
@@ -182,86 +172,60 @@ impl ScoringBackend for RapidsFil {
         let traffic = visits * 16.0 * miss + (input_bytes + n_records * 4) as f64;
         let memory = d.memory_time(traffic);
         let kernel = compute.max(memory);
-        b.add(Stage::Scoring, kernel);
+
+        // cuDF conversion (host-side pre-processing), then model + records
+        // to the device.
+        let t = rec
+            .span("cudf conversion", Stage::DataPreprocessing, start)
+            .meta("input_bytes", input_bytes)
+            .finish_after(p.cudf_fixed + p.cudf_per_byte * input_bytes as f64);
+        let t = rec
+            .span("model h2d", Stage::InputTransfer, t)
+            .meta("bytes", model_bytes)
+            .finish_after(d.link.transfer(model_bytes));
+        let t_kernel = rec
+            .span("records h2d", Stage::InputTransfer, t)
+            .meta("bytes", input_bytes)
+            .finish_after(d.link.transfer(input_bytes));
+        // The result copy is recorded before the kernel (the breakdown's
+        // stage order) but placed after it.
+        let t_results = rec
+            .span("results d2h", Stage::ResultTransfer, t_kernel + kernel)
+            .finish_after(d.link.transfer(n_records * 4));
+        rec.span("fil inference kernel", Stage::Scoring, t_kernel)
+            .meta(
+                "bound",
+                if memory > compute {
+                    "memory"
+                } else {
+                    "compute"
+                },
+            )
+            .meta("warp_efficiency", format_args!("{eff:.3}"))
+            .finish_after(kernel);
 
         // Launch + driver costs.
         let launches = d.kernel_launch * p.kernels_per_call as f64;
-        b.add(
+        rec.span("kernel launches", Stage::SoftwareOverhead, t_results)
+            .lane("host")
+            .meta("kernels", p.kernels_per_call)
+            .finish_after(launches);
+        rec.span(
+            "driver overhead",
             Stage::SoftwareOverhead,
-            launches + SimDuration::from_micros(200.0),
-        );
-
-        if tracer.is_enabled() {
-            let name = <Self as ScoringBackend>::name(self);
-            // Spans are *recorded* in the breakdown's add order (result d2h
-            // before the kernel span), but *placed* on the timeline in
-            // execution order: cuDF, transfers, kernel, result transfer,
-            // driver teardown.
-            let t = tracer
-                .span("cudf conversion", start)
-                .stage(Stage::DataPreprocessing)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("input_bytes", input_bytes.to_string())
-                .finish_after(cudf);
-            let t = tracer
-                .span("model h2d", t)
-                .stage(Stage::InputTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("bytes", model_bytes.to_string())
-                .finish_after(model_h2d);
-            let t_kernel = tracer
-                .span("records h2d", t)
-                .stage(Stage::InputTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("bytes", input_bytes.to_string())
-                .finish_after(records_h2d);
-            let t_results = tracer
-                .span("results d2h", t_kernel + kernel)
-                .stage(Stage::ResultTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .finish_after(results_d2h);
-            tracer
-                .span("fil inference kernel", t_kernel)
-                .stage(Stage::Scoring)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta(
-                    "bound",
-                    if memory > compute {
-                        "memory"
-                    } else {
-                        "compute"
-                    },
-                )
-                .meta("warp_efficiency", format!("{eff:.3}"))
-                .finish_after(kernel);
-            tracer
-                .span("kernel launches", t_results)
-                .stage(Stage::SoftwareOverhead)
-                .scope(Scope::Offload)
-                .track(name, "host")
-                .meta("kernels", p.kernels_per_call.to_string())
-                .finish_after(launches);
-            tracer
-                .span("driver overhead", t_results + launches)
-                .stage(Stage::SoftwareOverhead)
-                .scope(Scope::Offload)
-                .track(name, "host")
-                .finish_after(SimDuration::from_micros(200.0));
-            // Detail: the individual launches inside the launch span.
-            let mut tl = t_results;
-            for k in 0..(p.kernels_per_call as usize).min(MAX_LAUNCH_LANES) {
-                tl = tracer
-                    .span(format!("launch {k}"), tl)
-                    .track(name, "launches")
-                    .finish_after(d.kernel_launch);
-            }
+            t_results + launches,
+        )
+        .lane("host")
+        .finish_after(SimDuration::from_micros(200.0));
+        // Detail: the individual launches inside the launch span.
+        let mut tl = t_results;
+        for k in 0..(p.kernels_per_call as usize).min(MAX_LAUNCH_LANES) {
+            tl = tracer
+                .span(format_args!("launch {k}"), tl)
+                .track(name, "launches")
+                .finish_after(d.kernel_launch);
         }
-        b
+        rec.into_breakdown()
     }
 }
 

@@ -26,7 +26,7 @@ use mlscore_backend::{
 use mlscore_data::RecordStream;
 use mlscore_forest::{DecisionTree, ModelStats, Node, RandomForest};
 use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
-use mlscore_telemetry::{Scope, Tracer};
+use mlscore_telemetry::{Scope, StageRecorder, Tracer};
 
 use crate::device::GpuDevice;
 use crate::MAX_LAUNCH_LANES;
@@ -255,17 +255,13 @@ impl ScoringBackend for HummingbirdGpu {
     ) -> TimingBreakdown {
         let d = &self.device;
         let p = &self.params;
-        let mut b = TimingBreakdown::new();
+        let name = <Self as ScoringBackend>::name(self);
+        let mut rec = StageRecorder::new(tracer, name, Scope::Offload);
 
         // Transfers: model tensors (~5 words per node: feature, threshold,
         // left, right, value) plus records in, results back.
         let model_bytes = (stats.total_nodes * 20) as u64;
         let input_bytes = n_records * stats.row_bytes() as u64;
-        let model_h2d = d.link.transfer(model_bytes);
-        let records_h2d = d.link.transfer(input_bytes);
-        b.add(Stage::InputTransfer, model_h2d + records_h2d);
-        let results_d2h = d.link.transfer(n_records * 4);
-        b.add(Stage::ResultTransfer, results_d2h);
 
         // Kernel: fixed work per record per tree — the full depth is always
         // walked (perfect-tree traversal), or the full node set evaluated
@@ -285,80 +281,54 @@ impl ScoringBackend for HummingbirdGpu {
             visits * 16.0 * p.traffic_factor * miss + (input_bytes + n_records * 4) as f64;
         let memory = d.memory_time(traffic);
         let kernel = compute.max(memory);
-        b.add(Stage::Scoring, kernel);
+
+        let t = rec
+            .span("model tensors h2d", Stage::InputTransfer, start)
+            .meta("bytes", model_bytes)
+            .finish_after(d.link.transfer(model_bytes));
+        let t_kernel = rec
+            .span("records h2d", Stage::InputTransfer, t)
+            .meta("bytes", input_bytes)
+            .finish_after(d.link.transfer(input_bytes));
+        // The result copy is recorded before the kernel (the breakdown's
+        // stage order) but placed after it.
+        let t_results = rec
+            .span("results d2h", Stage::ResultTransfer, t_kernel + kernel)
+            .finish_after(d.link.transfer(n_records * 4));
+        let kernel_name = if gemm {
+            "gemm kernel"
+        } else {
+            "tensor traversal kernel"
+        };
+        rec.span(kernel_name, Stage::Scoring, t_kernel)
+            .meta(
+                "bound",
+                if memory > compute {
+                    "memory"
+                } else {
+                    "compute"
+                },
+            )
+            .finish_after(kernel);
 
         let n_launches = stats.max_depth as f64 + 2.0;
-        let launches = d.kernel_launch * n_launches;
-        b.add(Stage::SoftwareOverhead, p.framework_overhead + launches);
-
-        if tracer.is_enabled() {
-            let name = <Self as ScoringBackend>::name(self);
-            // Recorded in add order (result d2h before the kernel), placed
-            // in execution order on the timeline.
-            let t = tracer
-                .span("model tensors h2d", start)
-                .stage(Stage::InputTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("bytes", model_bytes.to_string())
-                .finish_after(model_h2d);
-            let t_kernel = tracer
-                .span("records h2d", t)
-                .stage(Stage::InputTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta("bytes", input_bytes.to_string())
-                .finish_after(records_h2d);
-            let t_results = tracer
-                .span("results d2h", t_kernel + kernel)
-                .stage(Stage::ResultTransfer)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .finish_after(results_d2h);
-            tracer
-                .span(
-                    if gemm {
-                        "gemm kernel"
-                    } else {
-                        "tensor traversal kernel"
-                    },
-                    t_kernel,
-                )
-                .stage(Stage::Scoring)
-                .scope(Scope::Offload)
-                .track(name, "offload")
-                .meta(
-                    "bound",
-                    if memory > compute {
-                        "memory"
-                    } else {
-                        "compute"
-                    },
-                )
-                .finish_after(kernel);
-            let t_fw = tracer
-                .span("framework dispatch", t_results)
-                .stage(Stage::SoftwareOverhead)
-                .scope(Scope::Offload)
-                .track(name, "host")
-                .finish_after(p.framework_overhead);
-            tracer
-                .span("kernel launches", t_fw)
-                .stage(Stage::SoftwareOverhead)
-                .scope(Scope::Offload)
-                .track(name, "host")
-                .meta("kernels", format!("{n_launches}"))
-                .finish_after(launches);
-            // Detail: one span per launch, capped.
-            let mut tl = t_fw;
-            for k in 0..(n_launches as usize).min(MAX_LAUNCH_LANES) {
-                tl = tracer
-                    .span(format!("launch {k}"), tl)
-                    .track(name, "launches")
-                    .finish_after(d.kernel_launch);
-            }
+        let t_fw = rec
+            .span("framework dispatch", Stage::SoftwareOverhead, t_results)
+            .lane("host")
+            .finish_after(p.framework_overhead);
+        rec.span("kernel launches", Stage::SoftwareOverhead, t_fw)
+            .lane("host")
+            .meta("kernels", n_launches)
+            .finish_after(d.kernel_launch * n_launches);
+        // Detail: one span per launch, capped.
+        let mut tl = t_fw;
+        for k in 0..(n_launches as usize).min(MAX_LAUNCH_LANES) {
+            tl = tracer
+                .span(format_args!("launch {k}"), tl)
+                .track(name, "launches")
+                .finish_after(d.kernel_launch);
         }
-        b
+        rec.into_breakdown()
     }
 }
 

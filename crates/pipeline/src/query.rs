@@ -370,7 +370,7 @@ impl<B: ScoringBackend> QueryPipeline<B> {
             .stage(Stage::ModelPreprocessing)
             .scope(Scope::Compile)
             .track("pipeline", "compile")
-            .meta("model_bytes", model_bytes.to_string())
+            .meta("model_bytes", model_bytes)
             .finish_after(timing.deserialize);
         tracer
             .span("lower model", t)
@@ -464,8 +464,8 @@ fn record_spans(
             .span("fused chunk", at)
             .scope(Scope::Detail)
             .track("pipeline", "chunks")
-            .meta("chunk", i.to_string())
-            .meta("rows", c.rows.to_string())
+            .meta("chunk", i)
+            .meta("rows", c.rows)
             .finish_after(dur);
         done += c.rows as u64;
     }

@@ -324,17 +324,16 @@ impl SessionState {
     fn into_report(mut self, tracer: &Tracer) -> ServingReport {
         // Scan the finished series for budget-burn alerts; each one lands
         // in the trace (a span covering the offending window on an
-        // `slo {class}` lane) and in the journal.
-        let alerts = SloMonitor::scan(&self.series);
-        for alert in &alerts {
+        // `slo {class}` lane) and in the journal, the report's one copy.
+        for alert in SloMonitor::scan(&self.series) {
             tracer
                 .span("slo alert", alert.at)
-                .track("serve", format!("slo {}", alert.class))
-                .meta("window", alert.window.to_string())
-                .meta("attainment", format!("{:.6}", alert.attainment))
-                .meta("burn rate", format!("{:.6}", alert.burn_rate))
+                .track("serve", format_args!("slo {}", alert.class))
+                .meta("window", alert.window)
+                .meta("attainment", format_args!("{:.6}", alert.attainment))
+                .meta("burn rate", format_args!("{:.6}", alert.burn_rate))
                 .finish(alert.at + self.series.window_len());
-            self.journal.alert(alert.clone());
+            self.journal.alert(alert);
         }
         let makespan = self.last_completion.duration_since(SimInstant::ZERO);
         let devices = self
@@ -370,7 +369,6 @@ impl SessionState {
             dispatches: self.dispatches,
             series: self.series,
             journal: self.journal,
-            alerts,
         }
     }
 }
@@ -505,9 +503,9 @@ impl Run<'_> {
     fn shed(&mut self, now: SimInstant, victim: &ServeRequest, what: &str, reason: ShedReason) {
         self.tracer
             .span(what, victim.arrival)
-            .track("serve", format!("class {}", victim.class.name()))
-            .meta("request", victim.id.to_string())
-            .meta("records", victim.n_records.to_string())
+            .track("serve", format_args!("class {}", victim.class.name()))
+            .meta("request", victim.id)
+            .meta("records", victim.n_records)
             .finish(now);
         self.s
             .journal
@@ -681,13 +679,12 @@ impl Run<'_> {
             .devices()
             .get(device)
             .map_or_else(|| "?".to_string(), |d| d.name.clone());
-        let lane = format!("device {device_name}");
         for r in &batch {
             self.tracer
                 .span("queue wait", r.arrival)
-                .track("serve", format!("class {}", r.class.name()))
-                .meta("request", r.id.to_string())
-                .meta("records", r.n_records.to_string())
+                .track("serve", format_args!("class {}", r.class.name()))
+                .meta("request", r.id)
+                .meta("records", r.n_records)
                 .flow_out(r.id)
                 .finish(start);
         }
@@ -697,11 +694,11 @@ impl Run<'_> {
         let mut pass_span = self
             .tracer
             .span("device pass", start)
-            .track("serve", lane.as_str())
+            .track("serve", format_args!("device {device_name}"))
             .meta("backend", choice.name.as_str())
-            .meta("batch", batch_seq.to_string())
-            .meta("requests", batch.len().to_string())
-            .meta("records", total_records.to_string());
+            .meta("batch", batch_seq)
+            .meta("requests", batch.len())
+            .meta("records", total_records);
         // Cache-resident models dispatch through the fused streaming path —
         // chunks pulled straight off the coalesced request frames (see
         // `score_merged_stream`) — while cold passes marshal a materialized
@@ -713,15 +710,15 @@ impl Run<'_> {
         pass_span.finish(end);
         self.tracer
             .span("coalesce", start)
-            .track("serve", lane.as_str())
+            .track("serve", format_args!("device {device_name}"))
             .meta("backend", choice.name.as_str())
-            .meta("requests", batch.len().to_string())
-            .meta("records", total_records.to_string())
+            .meta("requests", batch.len())
+            .meta("records", total_records)
             .finish(start);
         let mut cursor = self
             .tracer
             .span(if hit { "cache hit" } else { "compile model" }, start)
-            .track("serve", lane.as_str())
+            .track("serve", format_args!("device {device_name}"))
             .meta("backend", choice.name.as_str())
             .finish_after(prepare);
         for (name, class) in [
@@ -735,9 +732,9 @@ impl Run<'_> {
                 cursor = self
                     .tracer
                     .span(name, cursor)
-                    .track("serve", lane.as_str())
+                    .track("serve", format_args!("device {device_name}"))
                     .meta("backend", choice.name.as_str())
-                    .meta("records", total_records.to_string())
+                    .meta("records", total_records)
                     .finish_after(dur);
             }
         }
@@ -1175,7 +1172,10 @@ mod tests {
             if overloaded {
                 assert!(batch_report.shed() > 0, "the overload input must shed");
                 assert!(batch_report.coalesced_batches > 0, "...and coalesce");
-                assert!(!batch_report.alerts.is_empty(), "...and burn SLO budget");
+                assert!(
+                    !batch_report.journal.alerts().is_empty(),
+                    "...and burn SLO budget"
+                );
             }
 
             let times = w.arrival_times().unwrap();
@@ -1196,7 +1196,6 @@ mod tests {
             assert_eq!(replay.dispatches, batch_report.dispatches);
             assert_eq!(replay.latency, batch_report.latency);
             assert_eq!(replay.series, batch_report.series);
-            assert_eq!(replay.alerts, batch_report.alerts);
             assert_eq!(replay.journal, batch_report.journal);
         }
     }

@@ -10,7 +10,6 @@ use mlscore_telemetry::{Histogram, TimeSeriesRecorder};
 
 use crate::journal::RequestJournal;
 use crate::request::{QueryClass, RequestId};
-use crate::slo::SloAlert;
 
 /// Per-class slice of the outcome.
 #[derive(Debug, Clone)]
@@ -116,10 +115,9 @@ pub struct ServingReport {
     pub dispatches: Vec<DispatchRecord>,
     /// Windowed time series of the run's metrics.
     pub series: TimeSeriesRecorder,
-    /// The request-lifecycle journal.
+    /// The request-lifecycle journal, with the SLO budget-burn alerts in
+    /// window-then-class order ([`RequestJournal::alerts`]).
     pub journal: RequestJournal,
-    /// SLO budget-burn alerts, in window-then-class order.
-    pub alerts: Vec<SloAlert>,
 }
 
 impl ServingReport {
@@ -230,7 +228,6 @@ mod tests {
             dispatches: Vec::new(),
             series: TimeSeriesRecorder::new(SimDuration::from_millis(100.0)),
             journal: RequestJournal::new(),
-            alerts: Vec::new(),
         }
     }
 

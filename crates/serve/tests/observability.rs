@@ -242,7 +242,7 @@ proptest! {
             report.series.windows().map(|(_, w)| w.completions()).sum();
         prop_assert_eq!(series_completions, report.completed);
         // Every alert the monitor raised names a real budget burn.
-        for alert in &report.alerts {
+        for alert in report.journal.alerts() {
             prop_assert!(alert.attainment < 0.99);
             prop_assert!(alert.burn_rate > 2.0);
         }
@@ -264,7 +264,7 @@ proptest! {
             .run(&spec, &Tracer::disabled())
             .unwrap();
         prop_assert_eq!(a.journal.to_jsonl(), b.journal.to_jsonl());
-        prop_assert_eq!(&a.alerts, &b.alerts);
+        prop_assert_eq!(a.journal.alerts(), b.journal.alerts());
     }
 }
 

@@ -13,8 +13,13 @@
 //!   multi-pass overlap is visible on a timeline;
 //! - flamegraph "folded" text ([`folded`]);
 //! - a reconstructed `TimingBreakdown` ([`Trace::breakdown`]) that is
-//!   **bit-for-bit equal** to the directly computed one (see [`ExactSplit`]
-//!   for the arithmetic discipline that makes this exact, not approximate).
+//!   **bit-for-bit equal** to the one the model returns.
+//!
+//! That equality holds by construction: a backend's cost model opens each
+//! offload stage once through a [`StageRecorder`], whose spans charge their
+//! duration to the recorder's breakdown as they finish — on a disabled
+//! tracer too — and returns that breakdown. A stage cut into several spans
+//! is split with [`ExactSplit`], so the parts refold to the total exactly.
 //!
 //! The [`MetricsRegistry`] complements spans with named counters and
 //! log-bucketed latency histograms (p50/p95/p99/max).
@@ -55,4 +60,4 @@ pub mod tracer;
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
 pub use span::{ExactSplit, Scope, SpanEvent, Trace, Track};
 pub use timeseries::{ClassWindow, TimeSeriesRecorder, Window};
-pub use tracer::{SpanGuard, Tracer};
+pub use tracer::{ChargedSpan, SpanGuard, StageRecorder, Tracer};

@@ -152,11 +152,13 @@ impl Trace {
     /// Reconstructs the [`TimingBreakdown`] for one accounting scope by
     /// folding staged spans in recording order.
     ///
-    /// Because instrumented cost models emit their staged spans in the same
-    /// order as their direct `TimingBreakdown::add` calls, and split
-    /// multi-span stages with [`ExactSplit`], the reconstruction is equal —
-    /// not approximately, but `==` on the `f64` sums — to the breakdown the
-    /// model computes directly. The integration tests assert this.
+    /// Cost models state each stage once: a backend's `Offload` stages go
+    /// through a [`StageRecorder`](crate::StageRecorder), which charges a
+    /// span's duration as it records it, and the pipeline's `Query` spans
+    /// are its stage list recorded in order. Multi-span stages are cut
+    /// with [`ExactSplit`]. So the reconstruction is equal — not
+    /// approximately, but `==` on the `f64` sums and the stage order — to
+    /// the breakdown the model returns. The integration tests assert this.
     pub fn breakdown(&self, scope: Scope) -> TimingBreakdown {
         let mut b = TimingBreakdown::new();
         for ev in &self.events {

@@ -1,5 +1,6 @@
 //! Property tests on the data layer: CSV must round-trip losslessly, and
-//! normalization must be idempotent and bounded.
+//! normalization must be idempotent and bounded. A dataset read from CSV
+//! with a non-finite feature is refused by the trainer, not a panic.
 
 use proptest::prelude::*;
 
@@ -57,5 +58,26 @@ proptest! {
         for (a, b) in back.frame().as_slice().iter().zip(d.frame().as_slice()) {
             prop_assert_eq!(a, b);
         }
+    }
+}
+
+/// `read_dataset` accepts `NaN` and `inf` fields; training on what it
+/// returns fails with `InvalidTrainingData` naming the row and column.
+#[test]
+fn read_dataset_with_non_finite_feature_is_refused_by_the_trainer() {
+    use mlscore_forest::{ForestBuilder, ForestError, TrainOptions};
+    for (field, text) in [("NaN", "NaN"), ("inf", "inf"), ("-inf", "-inf")] {
+        let body = format!("a,b,label\n0.1,0.2,0\n0.9,{field},1\n0.3,0.4,0\n");
+        let data = csv::read_dataset(body.as_bytes(), true, "hostile").unwrap();
+        let err = ForestBuilder::new(4, TrainOptions::default())
+            .train_classifier(data.frame().as_slice(), 2, data.labels(), 2)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ForestError::InvalidTrainingData(format!(
+                "non-finite feature value {text} at row 1, column 1"
+            )),
+            "field {field}"
+        );
     }
 }

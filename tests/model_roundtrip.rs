@@ -148,6 +148,77 @@ fn paper_model_bundles_are_pinned() {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The traced query timelines, byte for byte: length and FNV-1a of the
+/// Perfetto export of `QueryPipeline::estimate` for every backend on the
+/// HIGGS 128x10 paper model at 1M records, staged cold and fused warm,
+/// plus the 3-pass FPGA HIGGS 300x10 model (the only case with an
+/// inter-pass driver span). Span names, lanes, metadata, placement and
+/// the recording order all feed these bytes.
+#[test]
+fn traced_query_estimates_are_pinned() {
+    use mlscore::backend::{OnnxCpu, SklearnCpu};
+    use mlscore::fpga::FpgaBackend;
+    use mlscore::gpu::{HummingbirdGpu, RapidsFil};
+    use mlscore::pipeline::{QueryPipeline, QueryPlan};
+    use mlscore::telemetry::perfetto;
+
+    let backend = |name: &str| -> Box<dyn ScoringBackend> {
+        match name {
+            "onnx52" => Box::new(OnnxCpu::paper_52th()),
+            "onnx1" => Box::new(OnnxCpu::single_thread()),
+            "sklearn" => Box::new(SklearnCpu::paper_default()),
+            "hummingbird" => Box::new(HummingbirdGpu::p100()),
+            "rapids" => Box::new(RapidsFil::p100()),
+            _ => Box::new(FpgaBackend::paper_default()),
+        }
+    };
+    let staged = QueryPlan::Staged { warm: false };
+    let fused = QueryPlan::Fused {
+        chunk_rows: DEFAULT_CHUNK_ROWS,
+        warm: true,
+    };
+    let pins: [(&str, usize, QueryPlan, usize, u64); 13] = [
+        ("onnx52", 128, staged, 1_875, 0x658a_2d44_6843_b9f3),
+        ("onnx52", 128, fused, 288_137, 0xaded_e2c8_b252_7a7a),
+        ("onnx1", 128, staged, 1_703, 0x7b46_5bff_4c91_6469),
+        ("onnx1", 128, fused, 290_154, 0x1a10_41b8_5000_74e8),
+        ("sklearn", 128, staged, 3_401, 0xbd48_5fa4_d3b7_8ce2),
+        ("sklearn", 128, fused, 291_464, 0xd907_16b0_5ec5_3e3d),
+        ("hummingbird", 128, staged, 3_286, 0xced4_9398_3aff_105b),
+        ("hummingbird", 128, fused, 289_859, 0x8f03_845e_660a_7796),
+        ("rapids", 128, staged, 3_269, 0x9d23_ce53_ad15_7b2b),
+        ("rapids", 128, fused, 289_725, 0xbb62_820a_9b2c_7c1b),
+        ("fpga", 128, staged, 2_804, 0xbc46_13d1_6778_c3d6),
+        ("fpga", 128, fused, 286_728, 0x9e36_1038_f952_6daf),
+        ("fpga", 300, staged, 4_986, 0xd106_a513_373e_09ae),
+    ];
+    for (name, trees, plan, len, hash) in pins {
+        let forest = paper_model(DatasetSpec::Higgs, trees, 10);
+        let stats = ModelStats::of(&forest);
+        let bundle_len = ModelBundle::serialize(&forest).len() as u64;
+        let tracer = Tracer::new();
+        QueryPipeline::new(backend(name)).estimate(
+            plan,
+            &stats,
+            bundle_len,
+            1_000_000,
+            &tracer,
+            SimInstant::ZERO,
+        );
+        let json = perfetto::to_json(&tracer.take());
+        let what = format!("{name} {trees}x10 {plan:?}");
+        assert_eq!(json.len(), len, "{what}");
+        assert_eq!(fnv1a(json.as_bytes()), hash, "{what}");
+    }
+}
+
 /// A bundle with task tag 1 (a one-leaf regression tree predicting 1.0)
 /// no longer decodes: every model is a classifier.
 #[test]
