@@ -76,19 +76,24 @@ grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::Run::step_all"' \
 echo "== perfbench smoke (analyzer benchmark, one short run per workload) =="
 # perfbench is a workspace of its own, so the workspace build, tests and
 # clippy above never compile it against the analyzer's public API. Run the
-# benchmark command from BENCHMARK.json briefly on every workload; each
-# run must end in a correct verdict with no failed repeats.
+# benchmark command from BENCHMARK.json briefly on every workload, untraced
+# and traced; each run must end in a correct verdict with no failed
+# repeats. The traced verdict composes the layers itself (FileScan::of,
+# run_lints_all, CallGraph::build, run_interproc), so it checks that the
+# public per-layer API still gives the whole-workspace verdict.
 for w in tokens callgraph waivers; do
-    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
-    echo "perfbench $w: $last"
-    case "$last" in
-        *'"correct": true'*'"failed": 0,'*) ;;
-        *)
-            echo "ci: perfbench $w did not report a correct run: $last" >&2
-            exit 1
-            ;;
-    esac
+    for trace in 0 1; do
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+        echo "perfbench $w --trace $trace: $last"
+        case "$last" in
+            *'"correct": true'*'"failed": 0,'*) ;;
+            *)
+                echo "ci: perfbench $w --trace $trace did not report a correct run: $last" >&2
+                exit 1
+                ;;
+        esac
+    done
 done
 
 echo "== bench smoke (repro bench --quick, detected and portable SIMD tier) =="

@@ -21,6 +21,11 @@
 //! a false edge costs a suppression with a reason, a missed edge is
 //! listed as a known soundness hole.
 //!
+//! Call and hazard sites are not matched here: the [`FileScan`] classifies
+//! every pattern of a file once, into a site table it shares with the
+//! token lints, and each fn takes the sites anchored inside its body (two
+//! binary searches).
+//!
 //! Functions defined inside `#[cfg(test)]` / `#[test]` regions are
 //! excluded from the table entirely — test helpers may panic and allocate
 //! freely, and must not capture call edges from production code that
@@ -30,19 +35,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write;
 
 use crate::lexer::TokenKind;
-use crate::lints::{crate_of, is_index_base, ALLOC_METHODS, ALLOC_TYPES};
+use crate::lints::crate_of;
 use crate::parser::{Item, ItemKind};
 use crate::scan::FileScan;
-
-/// Keywords that precede `(` without being calls.
-const NON_CALL_KEYWORDS: &[&str] = &[
-    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "fn", "for", "if",
-    "impl", "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "static",
-    "struct", "trait", "type", "unsafe", "use", "where", "while", "yield", "Some", "Ok", "Err",
-];
-
-/// Panic-family macros.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
+use crate::sites::SiteKind;
 
 /// What kind of invariant a hazard site threatens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -535,129 +531,56 @@ fn collect_fns(
 }
 
 /// Extracts call sites and hazard sites from a fn body's significant-token
-/// range `(open, close)` (the braces themselves excluded).
-fn extract_body(scan: &FileScan<'_>, open: usize, close: usize) -> (Vec<CallSite>, Vec<Hazard>) {
+/// range `(open, close)` (the braces themselves excluded): the sites of
+/// the file's site table anchored inside the body, in anchor order.
+pub(crate) fn extract_body(
+    scan: &FileScan<'_>,
+    open: usize,
+    close: usize,
+) -> (Vec<CallSite>, Vec<Hazard>) {
+    let from = scan.sites.partition_point(|s| s.at <= open);
+    let to = scan.sites.partition_point(|s| s.at < close);
     let mut calls = Vec::new();
     let mut hazards = Vec::new();
-    let mut push_hazard = |kind: HazardKind, i: usize, what: String| {
-        let t = scan.tok(i);
+    for &site in &scan.sites[from..to] {
+        let kind = match site.kind {
+            SiteKind::Call => {
+                let (j, t) = (site.at, scan.tok(site.at));
+                if !scan.in_test(t.line) {
+                    let method = j > 0 && scan.punct(j - 1, ".");
+                    let qualifier = (!method
+                        && j >= 3
+                        && scan.punct(j - 1, ":")
+                        && scan.punct(j - 2, ":")
+                        && scan.tok(j - 3).kind == TokenKind::Ident)
+                        .then(|| scan.tok(j - 3).text.to_string());
+                    calls.push(CallSite {
+                        name: t.text.to_string(),
+                        qualifier,
+                        method,
+                        line: t.line,
+                        in_hot: scan.in_hot(t.line),
+                    });
+                }
+                continue;
+            }
+            SiteKind::PanicMethod | SiteKind::PanicMacro => HazardKind::Panic,
+            // The index base must sit inside the body too.
+            SiteKind::Index if site.at > open + 1 => HazardKind::Index,
+            SiteKind::AllocNew | SiteKind::AllocMacro | SiteKind::AllocMethod => HazardKind::Alloc,
+            SiteKind::InstantNow | SiteKind::SystemTimeUse => HazardKind::Clock,
+            SiteKind::AmbientRng | SiteKind::RandRandom => HazardKind::Rng,
+            SiteKind::UnorderedMap => HazardKind::UnorderedMap,
+            _ => continue,
+        };
+        let t = scan.tok(site.token());
         if !scan.in_test(t.line) {
             hazards.push(Hazard {
                 kind,
                 line: t.line,
                 offset: t.offset,
-                what,
+                what: site.what(scan),
             });
-        }
-    };
-
-    for j in open + 1..close {
-        let t = scan.tok(j);
-        // --- calls ---------------------------------------------------
-        if t.kind == TokenKind::Ident
-            && scan.punct(j + 1, "(")
-            && !NON_CALL_KEYWORDS.contains(&t.text)
-            && !scan.punct(j.wrapping_sub(1), "!")
-            && !scan.ident(j.wrapping_sub(1), "fn")
-        {
-            let method = j > 0 && scan.punct(j - 1, ".");
-            let qualifier = (!method
-                && j >= 3
-                && scan.punct(j - 1, ":")
-                && scan.punct(j - 2, ":")
-                && scan.tok(j - 3).kind == TokenKind::Ident)
-                .then(|| scan.tok(j - 3).text.to_string());
-            if !scan.in_test(t.line) {
-                calls.push(CallSite {
-                    name: t.text.to_string(),
-                    qualifier,
-                    method,
-                    line: t.line,
-                    in_hot: scan.in_hot(t.line),
-                });
-            }
-        }
-        // --- hazards -------------------------------------------------
-        if scan.punct(j, ".")
-            && (scan.ident(j + 1, "unwrap") || scan.ident(j + 1, "expect"))
-            && scan.punct(j + 2, "(")
-        {
-            push_hazard(
-                HazardKind::Panic,
-                j + 1,
-                format!(".{}()", scan.tok(j + 1).text),
-            );
-        }
-        if t.kind == TokenKind::Ident && PANIC_MACROS.contains(&t.text) && scan.punct(j + 1, "!") {
-            // `assert*` macros guard invariants; only the unconditional
-            // family is a panic hazard on a request path.
-            if t.text != "assert" {
-                push_hazard(HazardKind::Panic, j, format!("{}!", t.text));
-            }
-        }
-        if scan.punct(j, "[") && j > open + 1 && is_index_base(scan, j - 1) {
-            if let Some(idx_close) = scan.match_group(j, "[", "]") {
-                let is_range =
-                    (j + 1..idx_close).any(|k| scan.punct(k, ".") && scan.punct(k + 1, "."));
-                if !is_range {
-                    push_hazard(HazardKind::Index, j, "[..] indexing".to_string());
-                }
-            }
-        }
-        if t.kind == TokenKind::Ident
-            && ALLOC_TYPES.contains(&t.text)
-            && scan.punct(j + 1, ":")
-            && scan.punct(j + 2, ":")
-            && (scan.ident(j + 3, "new") || scan.ident(j + 3, "with_capacity"))
-        {
-            push_hazard(
-                HazardKind::Alloc,
-                j,
-                format!("{}::{}", t.text, scan.tok(j + 3).text),
-            );
-        }
-        if t.kind == TokenKind::Ident
-            && (t.text == "vec" || t.text == "format")
-            && scan.punct(j + 1, "!")
-        {
-            push_hazard(HazardKind::Alloc, j, format!("{}!", t.text));
-        }
-        if scan.punct(j, ".")
-            && scan.punct(j + 2, "(")
-            && ALLOC_METHODS.iter().any(|m| scan.ident(j + 1, m))
-        {
-            push_hazard(
-                HazardKind::Alloc,
-                j + 1,
-                format!(".{}()", scan.tok(j + 1).text),
-            );
-        }
-        if scan.ident(j, "Instant")
-            && scan.punct(j + 1, ":")
-            && scan.punct(j + 2, ":")
-            && scan.ident(j + 3, "now")
-        {
-            push_hazard(HazardKind::Clock, j, "Instant::now".to_string());
-        }
-        if scan.ident(j, "SystemTime") {
-            push_hazard(HazardKind::Clock, j, "SystemTime".to_string());
-        }
-        for f in ["thread_rng", "from_entropy"] {
-            if scan.ident(j, f) {
-                push_hazard(HazardKind::Rng, j, f.to_string());
-            }
-        }
-        if scan.ident(j, "rand")
-            && scan.punct(j + 1, ":")
-            && scan.punct(j + 2, ":")
-            && scan.ident(j + 3, "random")
-        {
-            push_hazard(HazardKind::Rng, j, "rand::random".to_string());
-        }
-        for ty in ["HashMap", "HashSet"] {
-            if scan.ident(j, ty) {
-                push_hazard(HazardKind::UnorderedMap, j, ty.to_string());
-            }
         }
     }
     (calls, hazards)

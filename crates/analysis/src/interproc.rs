@@ -21,9 +21,9 @@
 
 use crate::graph::{CallGraph, HazardKind};
 use crate::layering::allowed_of;
-use crate::lexer::TokenKind;
 use crate::lints::{crate_of, P001_INDEX_CRATES};
 use crate::scan::FileScan;
+use crate::sites::{SiteKind, CRATE_PREFIX};
 use crate::Finding;
 
 /// Public serving entry points: P002 roots, matched as `::`-aligned
@@ -70,16 +70,12 @@ pub(crate) fn run_interproc_on(
     graph: &CallGraph,
     workers: usize,
 ) -> (Vec<Finding>, Vec<Finding>) {
-    // A001 walks every token of every file and takes about as long as
-    // the three graph lints together, so it is claimed first: on two
-    // workers the graph lints then share the other one.
-    let mut sinks = crate::par::map_indexed(4, workers, |lint| match lint {
-        0 => a001(units),
-        1 => p002(units, graph),
-        2 => h002(units, graph),
-        _ => d004(units, graph),
+    let sinks = crate::par::map_indexed(4, workers, |lint| match lint {
+        0 => p002(units, graph),
+        1 => h002(units, graph),
+        2 => d004(units, graph),
+        _ => a001(units),
     });
-    sinks.rotate_left(1);
     let mut active = Vec::new();
     let mut suppressed = Vec::new();
     for sink in sinks {
@@ -291,7 +287,8 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
 }
 
 /// A001: crate-layering violations — any `mlscore_<crate>` reference not
-/// allowed by [`crate::layering::LAYERING`].
+/// allowed by [`crate::layering::LAYERING`], read from each file's
+/// crate-reference sites.
 fn a001(units: &[FileUnit<'_>]) -> Sink {
     let mut sink = Sink::default();
     for unit in units {
@@ -302,14 +299,12 @@ fn a001(units: &[FileUnit<'_>]) -> Sink {
         };
         let scan = &unit.scan;
         let mut seen_lines: Vec<u32> = Vec::new();
-        for i in 0..scan.len() {
-            let t = scan.tok(i);
-            if t.kind != TokenKind::Ident {
+        for site in &scan.sites {
+            if site.kind != SiteKind::CrateRef {
                 continue;
             }
-            let Some(referenced) = t.text.strip_prefix("mlscore_") else {
-                continue;
-            };
+            let t = scan.tok(site.at);
+            let referenced = &t.text[CRATE_PREFIX.len()..];
             if referenced == krate || allowed.contains(&referenced) {
                 continue;
             }

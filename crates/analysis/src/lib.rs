@@ -55,6 +55,7 @@ pub mod lints;
 mod par;
 pub mod parser;
 pub mod scan;
+mod sites;
 pub mod walk;
 
 use std::fmt;
@@ -205,12 +206,13 @@ fn sort_findings(findings: &mut [Finding]) {
 /// Analyzes a set of in-memory `(rel_path, source)` files as one
 /// workspace.
 ///
-/// Each file is lexed exactly once; the single token buffer, whose tokens
-/// borrow `files`, is shared by every token lint, the item parser, and the
-/// call graph. Everything up to the call graph is a function of one file
-/// and runs on every core the host offers, a file at a time per worker:
-/// first every file's scan, then its item parse, fused token-lint pass and
-/// fn-node extraction. The results merge back in file order, so the
+/// Each file is lexed exactly once, and its patterns are matched once: the
+/// scan's token buffer, whose tokens borrow `files`, feeds the item
+/// parser, and its site table feeds the token lints, the call graph and
+/// A001. Everything up to the call graph is a function of one file and
+/// runs on every core the host offers, a file at a time per worker: first
+/// every file's scan, then its item parse, token-lint pass and fn-node
+/// extraction. The results merge back in file order, so the
 /// serial graph merge, the four interprocedural lints (run side by side,
 /// concatenated in a fixed order) and the final sort see exactly what a
 /// one-core run sees: the analysis is identical for any core count. With

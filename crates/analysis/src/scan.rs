@@ -1,6 +1,7 @@
 //! File-level scanning shared by every lint: the significant-token view,
-//! `// analyze:` directive parsing (suppressions and hot markers), and
-//! `#[cfg(test)]` / `#[test]` region detection.
+//! `// analyze:` directive parsing (suppressions and hot markers),
+//! `#[cfg(test)]` / `#[test]` region detection, and the per-file site
+//! table (the crate's `sites` module) every pattern-matching pass reads.
 //!
 //! Directive lookups are indexed rather than rescanned: significant-token
 //! lines never decrease, so "the first significant token after line L" is
@@ -8,6 +9,7 @@
 //! covered-line index built once per file.
 
 use crate::lexer::{lex, Token, TokenKind};
+use crate::sites::{self, Site};
 use crate::LINTS;
 
 /// An inline suppression parsed from `// analyze: allow(LINT, reason=...)`.
@@ -59,13 +61,15 @@ pub struct FileScan<'a> {
     pub hot_ranges: Vec<LineRange>,
     /// Brace-balanced regions under `#[cfg(test)]` / `#[test]`.
     pub test_ranges: Vec<LineRange>,
+    /// Every lint and hazard pattern in the file, sorted by anchor.
+    pub(crate) sites: Vec<Site>,
     /// `(covered line, index into suppressions)` for every line each
     /// suppression covers, sorted by line and then suppression order.
     covered: Vec<(u32, usize)>,
 }
 
 impl<'a> FileScan<'a> {
-    /// Lexes and scans one file.
+    /// Lexes and scans one file, classifying its sites.
     pub fn of(source: &'a str) -> Self {
         let tokens = lex(source);
         let sig: Vec<usize> = tokens
@@ -87,10 +91,12 @@ impl<'a> FileScan<'a> {
             bad_directives: Vec::new(),
             hot_ranges: Vec::new(),
             test_ranges: Vec::new(),
+            sites: Vec::new(),
             covered: Vec::new(),
         };
         scan.collect_directives();
         scan.collect_test_ranges();
+        scan.sites = sites::classify(&scan);
         scan
     }
 

@@ -58,6 +58,12 @@ impl ScoringBackend for FpgaBackend {
 
     fn supports(&self, stats: &ModelStats) -> Result<(), BackendError> {
         let cfg = self.engine.config();
+        if stats.n_trees == 0 {
+            return Err(BackendError::unsupported(
+                "FPGA",
+                "a model with no trees has no pass to run",
+            ));
+        }
         if stats.max_depth > cfg.max_depth {
             return Err(BackendError::unsupported(
                 "FPGA",
@@ -123,7 +129,9 @@ impl ScoringBackend for FpgaBackend {
         let cfg = self.engine.config();
         let link = &device.link;
         let name = <Self as ScoringBackend>::name(self);
-        let passes = stats.n_trees.div_ceil(cfg.pe_count);
+        // At least one pass, so a model `supports` rejects for having no
+        // trees still prices (one empty pass) instead of dividing by zero.
+        let passes = stats.n_trees.div_ceil(cfg.pe_count).max(1);
 
         // Input transfer: the model image into the tree memories, one DMA
         // per pass. Record streaming overlaps scoring (§IV-B), so it is

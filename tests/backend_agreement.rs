@@ -147,3 +147,47 @@ fn width_mismatch_is_one_artifact_error_on_every_route() {
         }
     }
 }
+
+/// Hand-built stats with no trees (`ModelStats::of` never yields them, but
+/// the fields are public): every backend answers `supports` and prices
+/// `estimate` without panicking, and the FPGA engine, which plans one pass
+/// per `pe_count` trees, refuses the model.
+#[test]
+fn zero_tree_stats_are_refused_by_fpga_and_priced_by_every_backend() {
+    let stats = ModelStats {
+        n_trees: 0,
+        n_features: 4,
+        n_classes: 2,
+        max_depth: 0,
+        total_nodes: 0,
+        total_leaves: 0,
+        mean_path_nodes: 0.0,
+    };
+    let backends: [Box<dyn ScoringBackend>; 5] = [
+        Box::new(SklearnCpu::with_threads(2)),
+        Box::new(OnnxCpu::single_thread()),
+        Box::new(HummingbirdGpu::p100()),
+        Box::new(RapidsFil::p100()),
+        Box::new(FpgaBackend::paper_default()),
+    ];
+    for backend in &backends {
+        let supported = backend.supports(&stats);
+        if backend.name() == "FPGA" {
+            assert!(
+                matches!(supported, Err(BackendError::Unsupported { .. })),
+                "{supported:?}"
+            );
+        }
+        for tracer in [Tracer::disabled(), Tracer::new()] {
+            let total = backend
+                .estimate(&stats, 1_000, &tracer, SimInstant::ZERO)
+                .total()
+                .as_secs();
+            assert!(
+                total.is_finite() && total >= 0.0,
+                "{}: {total}",
+                backend.name()
+            );
+        }
+    }
+}
