@@ -26,9 +26,9 @@ struct RawFinding {
 
 /// Identifiers that precede `[` without forming an index expression.
 const NON_INDEX_KEYWORDS: &[&str] = &[
-    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "fn", "if", "impl",
-    "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "static", "struct",
-    "trait", "type", "unsafe", "use", "where", "while", "yield",
+    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "fn", "for", "if",
+    "impl", "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "static",
+    "struct", "trait", "type", "unsafe", "use", "where", "while", "yield",
 ];
 
 /// Container types whose `::new` / `::with_capacity` allocate.

@@ -91,14 +91,12 @@ impl Site {
 /// Keywords that neither name a callee before `(` nor end an index base
 /// before `[`.
 const KEYWORDS: &[&str] = &[
-    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "fn", "if", "impl",
-    "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "static", "struct",
-    "trait", "type", "unsafe", "use", "where", "while", "yield",
+    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "fn", "for", "if",
+    "impl", "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "static",
+    "struct", "trait", "type", "unsafe", "use", "where", "while", "yield",
 ];
-/// Words besides [`KEYWORDS`] that precede `(` without being calls. `for`
-/// is not in [`KEYWORDS`]: the index check has always taken it for a base
-/// before `[` (`for [a, b] in ..`), and this table keeps that verdict.
-const NON_CALL_WORDS: &[&str] = &["for", "Some", "Ok", "Err"];
+/// Words besides [`KEYWORDS`] that precede `(` without being calls.
+const NON_CALL_WORDS: &[&str] = &["Some", "Ok", "Err"];
 
 /// Methods that can panic on the callee.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];

@@ -232,3 +232,50 @@ fn layering_prunes_impossible_call_edges() {
     ]));
     assert_eq!(lints_of(&analysis), ["H002"], "{:#?}", analysis.findings);
 }
+
+#[test]
+fn for_array_patterns_are_not_index_hazards() {
+    // `for [a, b] in pairs` destructures; it indexes nothing. In the serve
+    // and pipeline crates, where plain indexing is a P001 finding and a
+    // P002 hazard, neither lint may take `for` for an index base. The
+    // same helper with a real index is the control.
+    let workspace = |body: &str| {
+        analyze_sources(&files(&[
+            (
+                "crates/serve/src/engine.rs",
+                "pub struct ServeEngine;\n\
+                 impl ServeEngine {\n\
+                     pub fn run(&self, pairs: &[[u32; 2]]) -> u32 {\n\
+                         sum_pairs(pairs)\n\
+                     }\n\
+                 }\n",
+            ),
+            ("crates/pipeline/src/pairs.rs", body),
+        ]))
+    };
+    let destructured = workspace(
+        "pub fn sum_pairs(pairs: &[[u32; 2]]) -> u32 {\n\
+             let mut total = 0;\n\
+             for [a, b] in pairs {\n\
+                 total += a + b;\n\
+             }\n\
+             total\n\
+         }\n",
+    );
+    assert_eq!(
+        lints_of(&destructured),
+        Vec::<&str>::new(),
+        "{:#?}",
+        destructured.findings
+    );
+    let indexed = workspace(
+        "pub fn sum_pairs(pairs: &[[u32; 2]]) -> u32 {\n\
+             pairs[0][0]\n\
+         }\n",
+    );
+    assert!(
+        lints_of(&indexed).contains(&"P001"),
+        "{:#?}",
+        indexed.findings
+    );
+}

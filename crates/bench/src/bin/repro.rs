@@ -546,7 +546,6 @@ fn bench(args: &[String]) {
 /// setup/transfer/compute/drain spans).
 fn serve(args: &[String]) {
     use mlscore_bench::serve_bench::{self, ServeBenchOptions};
-    use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
 
     let mut quick = false;
     let mut out_path: Option<String> = None;
@@ -621,30 +620,7 @@ fn serve(args: &[String]) {
     }
 
     if let Some(path) = trace_out {
-        // A traced rerun of the FPGA overload point: the interesting
-        // timeline (queue build-up, merged passes, shed requests).
-        let engine = ServeEngine::new(
-            serve_bench::fpga_roster(),
-            ModelCatalog::paper_mix(),
-            ServeConfig {
-                capacity: Some(32),
-                cpu_seats: serve_bench::CPU_SEATS,
-                gpu_streams: serve_bench::GPU_STREAMS,
-                ..ServeConfig::default()
-            },
-        );
-        let tracer = Tracer::new();
-        engine
-            .run(
-                &WorkloadSpec {
-                    queries: if quick { 150 } else { 500 },
-                    seed: serve_bench::SEED,
-                    rate_qps: 2_000.0,
-                },
-                &tracer,
-            )
-            .expect("the overload trace workload is a fixed valid spec");
-        let span_trace = tracer.take();
+        let span_trace = serve_bench::overload_trace(&opts);
         let trace_json = perfetto::to_json(&span_trace);
         std::fs::write(&path, &trace_json).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");

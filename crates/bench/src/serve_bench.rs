@@ -23,7 +23,7 @@ use mlscore_serve::{
 };
 use mlscore_sim::SimDuration;
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
-use mlscore_telemetry::Tracer;
+use mlscore_telemetry::{Trace, Tracer};
 
 /// Workload seed shared by every experiment in the report.
 pub const SEED: u64 = 42;
@@ -35,6 +35,9 @@ pub const CPU_SEATS: usize = 52;
 
 /// Concurrent streams on the serving GPU device.
 pub const GPU_STREAMS: usize = 4;
+
+/// Offered Poisson rate of the FPGA overload runs, queries/second.
+const OVERLOAD_RATE_QPS: f64 = 2_000.0;
 
 /// Options for one harness run.
 #[derive(Debug, Clone, Copy)]
@@ -249,7 +252,7 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
         });
     }
 
-    let overload_rate = 2_000.0;
+    let overload_rate = OVERLOAD_RATE_QPS;
     let overload_queries = opts.overload_queries();
     let on = run_point(
         fpga_roster(),
@@ -282,6 +285,32 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
         },
         sweep_queries: queries,
     }
+}
+
+/// Reruns the FPGA overload point with coalescing on and no latency SLOs,
+/// recording spans: the timeline `repro serve --trace-out` exports (queue
+/// build-up, merged passes, shed requests).
+pub fn overload_trace(opts: &ServeBenchOptions) -> Trace {
+    let engine = ServeEngine::new(
+        fpga_roster(),
+        ModelCatalog::paper_mix(),
+        ServeConfig {
+            capacity: Some(32),
+            cpu_seats: CPU_SEATS,
+            gpu_streams: GPU_STREAMS,
+            ..ServeConfig::default()
+        },
+    );
+    let spec = WorkloadSpec {
+        queries: opts.overload_queries(),
+        seed: SEED,
+        rate_qps: OVERLOAD_RATE_QPS,
+    };
+    let tracer = Tracer::new();
+    engine
+        .run(&spec, &tracer)
+        .expect("the overload trace workload is a fixed valid spec");
+    tracer.take()
 }
 
 /// Writes one metrics block. Rates, latencies and utilizations carry

@@ -20,21 +20,21 @@
 //!   arrival stream reproduces `run` exactly.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use mlscore_backend::{artifact_key, ArtifactKey, CacheStats, ScoringBackend};
 use mlscore_forest::ModelStats;
 use mlscore_pipeline::PipelineParams;
 use mlscore_sched::{choose_amortized_eligible, Choice};
 use mlscore_sim::{DeviceLedger, LruCacheModel, SimDuration, SimInstant, StageClass};
-use mlscore_telemetry::{Histogram, TimeSeriesRecorder, Tracer};
+use mlscore_telemetry::{TimeSeriesRecorder, Tracer};
 
 use crate::coalesce::batch_caps;
 use crate::device::DeviceRoster;
 use crate::error::ServeError;
 use crate::journal::{JournalKind, RequestJournal, ShedReason};
 use crate::queue::AdmissionQueue;
-use crate::report::{ClassReport, DeviceReport, DispatchRecord, ServingReport};
+use crate::report::{DeviceReport, ServingReport};
 use crate::request::{QueryClass, RequestId, ServeRequest};
 use crate::slo::{SloMonitor, WINDOW_MS};
 use crate::workload::{ModelCatalog, WorkloadSpec};
@@ -69,12 +69,16 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// The latency SLO of `class`.
-    fn latency_slo(&self, class: QueryClass) -> Option<SimDuration> {
-        match class {
+    /// Whether a `class` request that took `latency` from arrival to
+    /// completion violated its class's SLO (never, for an untracked
+    /// class). The windowed series and the report's fold both count
+    /// violations with this one test.
+    pub(crate) fn misses_slo(&self, class: QueryClass, latency: SimDuration) -> bool {
+        let slo = match class {
             QueryClass::Interactive => self.interactive_slo,
             QueryClass::Analytical => self.analytical_slo,
-        }
+        };
+        slo.is_some_and(|slo| latency > slo)
     }
 }
 
@@ -174,7 +178,7 @@ impl ServeEngine {
             run.seed_arrivals(spec)?;
             run.step_all();
         }
-        Ok(state.into_report(tracer))
+        Ok(state.into_report(&self.config, tracer))
     }
 
     /// Consumes the engine into an externally-stepped [`EngineSession`].
@@ -234,52 +238,26 @@ fn cache_stats(cache: &LruCacheModel<ArtifactKey>) -> CacheStats {
     }
 }
 
-/// A zeroed per-class accounting slice.
-fn empty_class(class: QueryClass) -> ClassReport {
-    ClassReport {
-        class,
-        completed: 0,
-        rejected: 0,
-        slo_violations: 0,
-        latency: Histogram::new(),
-    }
-}
-
 /// Mutable state of one run or session — everything the event loop
 /// touches, owned so an [`EngineSession`] can hold it across stepping
-/// calls.
+/// calls. It keeps no per-request count: each lifecycle transition is
+/// written once, to the journal, and the report is folded from that.
 struct SessionState {
     roster: DeviceRoster,
     ledgers: Vec<DeviceLedger>,
     queue: AdmissionQueue,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
+    /// `(model, records)` of every seeded or injected arrival. Arrivals
+    /// run in this order (non-decreasing instants, ties broken by
+    /// insertion), so a request's id is its index here.
     draws: Vec<(usize, u64)>,
-    /// The id the next arrival takes; also the count of requests that
-    /// entered (`offered` in the report).
-    next_id: RequestId,
+    /// The sequence number the next device pass takes.
+    next_batch: u64,
     /// High-water mark of event processing and injections; guards the
     /// session API against scheduling in the already-stepped past.
     stepped_to: SimInstant,
     cache: LruCacheModel<ArtifactKey>,
-    // Accounting.
-    admitted: u64,
-    completed: u64,
-    rejected: u64,
-    unservable: u64,
-    records_scored: u64,
-    batches: u64,
-    coalesced_batches: u64,
-    batch_sizes: BTreeMap<usize, u64>,
-    latency: Histogram,
-    /// Per-class accounting as named fields — `class_mut` is a total
-    /// match over [`QueryClass`], so no lookup can miss.
-    interactive: ClassReport,
-    analytical: ClassReport,
-    picks: BTreeMap<String, u64>,
-    dispatches: Vec<DispatchRecord>,
-    last_completion: SimInstant,
-    // Observability.
     series: TimeSeriesRecorder,
     journal: RequestJournal,
 }
@@ -299,29 +277,15 @@ impl SessionState {
             events: BinaryHeap::new(),
             seq: 0,
             draws: Vec::new(),
-            next_id: 0,
+            next_batch: 0,
             stepped_to: SimInstant::ZERO,
             cache: LruCacheModel::new(CACHE_ENTRIES),
-            admitted: 0,
-            completed: 0,
-            rejected: 0,
-            unservable: 0,
-            records_scored: 0,
-            batches: 0,
-            coalesced_batches: 0,
-            batch_sizes: BTreeMap::new(),
-            latency: Histogram::new(),
-            interactive: empty_class(QueryClass::Interactive),
-            analytical: empty_class(QueryClass::Analytical),
-            picks: BTreeMap::new(),
-            dispatches: Vec::new(),
-            last_completion: SimInstant::ZERO,
             series: TimeSeriesRecorder::new(SimDuration::from_millis(WINDOW_MS)),
             journal: RequestJournal::new(),
         }
     }
 
-    fn into_report(mut self, tracer: &Tracer) -> ServingReport {
+    fn into_report(mut self, config: &ServeConfig, tracer: &Tracer) -> ServingReport {
         // Scan the finished series for budget-burn alerts; each one lands
         // in the trace (a span covering the offending window on an
         // `slo {class}` lane) and in the journal, the report's one copy.
@@ -335,41 +299,27 @@ impl SessionState {
                 .finish(alert.at + self.series.window_len());
             self.journal.alert(alert);
         }
-        let makespan = self.last_completion.duration_since(SimInstant::ZERO);
-        let devices = self
-            .roster
-            .devices()
-            .iter()
-            .zip(&self.ledgers)
-            .map(|(spec, ledger)| DeviceReport {
-                name: spec.name.clone(),
-                slots: spec.slots,
-                passes: ledger.reservations(),
-                busy: ledger.busy_time(),
-                utilization: ledger.utilization(makespan),
-            })
-            .collect();
-        ServingReport {
-            offered: self.next_id,
-            admitted: self.admitted,
-            completed: self.completed,
-            rejected: self.rejected,
-            unservable: self.unservable,
-            records_scored: self.records_scored,
-            makespan,
-            batches: self.batches,
-            coalesced_batches: self.coalesced_batches,
-            batch_sizes: self.batch_sizes,
-            latency: self.latency,
-            classes: vec![self.interactive, self.analytical],
-            picks: self.picks,
-            devices,
-            cache: cache_stats(&self.cache),
-            expected_reuse: cache_stats(&self.cache).expected_reuse(),
-            dispatches: self.dispatches,
-            series: self.series,
-            journal: self.journal,
-        }
+        let (roster, ledgers) = (&self.roster, &self.ledgers);
+        ServingReport::fold(
+            self.journal,
+            config,
+            cache_stats(&self.cache),
+            self.series,
+            |makespan| {
+                roster
+                    .devices()
+                    .iter()
+                    .zip(ledgers)
+                    .map(|(spec, ledger)| DeviceReport {
+                        name: spec.name.clone(),
+                        slots: spec.slots,
+                        passes: ledger.reservations(),
+                        busy: ledger.busy_time(),
+                        utilization: ledger.utilization(makespan),
+                    })
+                    .collect()
+            },
+        )
     }
 }
 
@@ -463,8 +413,7 @@ impl Run<'_> {
     fn arrive(&mut self, now: SimInstant, draw: usize) {
         // analyze: allow(P001, reason="arrival events only carry draw indices seed_arrivals/inject generated below draws.len()")
         let (model, n_records) = self.s.draws[draw];
-        let id = self.s.next_id;
-        self.s.next_id += 1;
+        let id = draw as RequestId;
         let request = ServeRequest {
             id,
             class: QueryClass::of(n_records),
@@ -483,15 +432,8 @@ impl Run<'_> {
         );
         self.s.series.record_arrival(now, request.class.name());
         match self.s.queue.offer(request) {
-            Ok(()) => {
-                self.s.admitted += 1;
-                self.s.journal.emit(now, id, JournalKind::Admitted);
-            }
-            Err(victim) => {
-                self.s.rejected += 1;
-                self.class_mut(victim.class).rejected += 1;
-                self.shed(now, &victim, "shed reject", ShedReason::Rejected);
-            }
+            Ok(()) => self.s.journal.emit(now, id, JournalKind::Admitted),
+            Err(victim) => self.shed(now, &victim, "shed reject", ShedReason::Rejected),
         }
         self.s
             .series
@@ -511,13 +453,6 @@ impl Run<'_> {
             .journal
             .emit(now, victim.id, JournalKind::Shed { reason });
         self.s.series.record_shed(now, victim.class.name());
-    }
-
-    fn class_mut(&mut self, class: QueryClass) -> &mut ClassReport {
-        match class {
-            QueryClass::Interactive => &mut self.s.interactive,
-            QueryClass::Analytical => &mut self.s.analytical,
-        }
     }
 
     /// The backend at roster index `i`.
@@ -615,7 +550,6 @@ impl Run<'_> {
                 Some(choice) => self.dispatch(now, batch, choice),
                 None => {
                     for victim in batch {
-                        self.s.unservable += 1;
                         self.shed(now, &victim, "unservable", ShedReason::Unservable);
                     }
                     self.s
@@ -664,11 +598,8 @@ impl Run<'_> {
             .series
             .record_queue_depth(now, self.s.queue.len() as u64);
 
-        let batch_seq = self.s.batches;
-        self.s.batches += 1;
-        if batch.len() > 1 {
-            self.s.coalesced_batches += 1;
-        }
+        let batch_seq = self.s.next_batch;
+        self.s.next_batch += 1;
 
         // Telemetry: per-request queue-wait on the class lanes (each
         // originating its request's causal flow), then the pass phases on
@@ -749,36 +680,11 @@ impl Run<'_> {
         );
         let _ = cursor;
 
-        // Accounting.
-        *self.s.batch_sizes.entry(batch.len()).or_default() += 1;
-        *self.s.picks.entry(choice.name.clone()).or_default() += batch.len() as u64;
         self.s
             .series
             .record_busy(&device_name, start, prepare + score_time);
         for r in &batch {
             let latency = end - r.arrival;
-            self.s.latency.record(latency);
-            let violated = self
-                .engine
-                .config
-                .latency_slo(r.class)
-                .is_some_and(|slo| latency > slo);
-            let class = self.class_mut(r.class);
-            class.completed += 1;
-            class.latency.record(latency);
-            if violated {
-                class.slo_violations += 1;
-            }
-            self.s.completed += 1;
-            self.s.records_scored += r.n_records;
-            self.s.dispatches.push(DispatchRecord {
-                id: r.id,
-                class: r.class,
-                model,
-                backend: choice.name.clone(),
-                batch: batch_seq,
-                dispatched_at: start,
-            });
             if batch.len() > 1 {
                 self.s.journal.emit(
                     start,
@@ -798,9 +704,6 @@ impl Run<'_> {
                     device: device_name.clone(),
                 },
             );
-            // Completions are journaled in the same order the latency
-            // histograms fold them, so refolding the journal reproduces
-            // the report's distributions bit-exactly.
             self.s.journal.emit(
                 end,
                 r.id,
@@ -814,12 +717,10 @@ impl Run<'_> {
                     drain: breakdown.total_class(StageClass::Pipeline),
                 },
             );
+            let violated = self.engine.config.misses_slo(r.class, latency);
             self.s
                 .series
-                .record_completion(end, r.class.name(), latency, violated);
-        }
-        if end > self.s.last_completion {
-            self.s.last_completion = end;
+                .record_completion(end, r.class.name(), violated);
         }
         self.push_event(end, EventKind::DeviceFree);
     }
@@ -889,14 +790,16 @@ impl EngineSession {
     /// Runs every remaining event to completion and returns the report.
     pub fn finish(mut self) -> ServingReport {
         self.view().step_all();
-        self.state.into_report(&self.tracer)
+        self.state.into_report(&self.engine.config, &self.tracer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalEntry;
     use mlscore_sched::paper_backends;
+    use mlscore_telemetry::Histogram;
 
     fn fpga_only() -> Vec<Box<dyn ScoringBackend>> {
         paper_backends()
@@ -928,7 +831,7 @@ mod tests {
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.picks, b.picks);
-        assert_eq!(a.dispatches, b.dispatches);
+        assert_eq!(a.journal, b.journal);
         assert!(a.makespan > SimDuration::ZERO);
         // The mixed trace should use more than one backend.
         assert!(a.picks.len() >= 2, "picks {:?}", a.picks);
@@ -992,7 +895,6 @@ mod tests {
         );
         // At most one artifact per (model, backend) pair.
         assert!(report.cache.entries <= 12);
-        assert_eq!(report.expected_reuse, report.cache.expected_reuse());
     }
 
     #[test]
@@ -1193,7 +1095,23 @@ mod tests {
             assert_eq!(replay.coalesced_batches, batch_report.coalesced_batches);
             assert_eq!(replay.makespan, batch_report.makespan);
             assert_eq!(replay.picks, batch_report.picks);
-            assert_eq!(replay.dispatches, batch_report.dispatches);
+            // Every arrival and dispatch, in order: request, class,
+            // model, records, pass, backend and device.
+            let dispatch_log = |r: &ServingReport| -> Vec<JournalEntry> {
+                r.journal
+                    .entries()
+                    .iter()
+                    .filter(|e| {
+                        matches!(
+                            e.kind,
+                            JournalKind::Arrival { .. } | JournalKind::Dispatched { .. }
+                        )
+                    })
+                    .cloned()
+                    .collect()
+            };
+            assert!(!dispatch_log(&batch_report).is_empty());
+            assert_eq!(dispatch_log(&replay), dispatch_log(&batch_report));
             assert_eq!(replay.latency, batch_report.latency);
             assert_eq!(replay.series, batch_report.series);
             assert_eq!(replay.journal, batch_report.journal);

@@ -4,10 +4,12 @@
 //! arrival, admission, shed, coalesce, dispatch, completion — each
 //! stamped with its simulated instant and the [`RequestId`] it concerns
 //! (lint T002 enforces that no emit site drops the id). The journal is
-//! the ground truth a run report reconstructs stage breakdowns from: a
-//! `completed` entry carries the request's full stage split, recorded in
-//! the same order the engine folds latencies into its histograms, so a
-//! reconstruction refolds to bit-identical distributions.
+//! the engine's only per-request ledger: [`ServingReport`]'s counters,
+//! latency histograms and picks are one fold over it when the run ends,
+//! and a `completed` entry carries the request's full stage split, so a
+//! run report reconstructs stage breakdowns from it too.
+//!
+//! [`ServingReport`]: crate::ServingReport
 //!
 //! [`RequestJournal::to_jsonl`] renders the journal as JSON Lines with
 //! fixed-width timestamps, so the same run always serializes to the same

@@ -20,9 +20,13 @@
 //!   streams, CPU executor seats.
 //! - [`ServeEngine`] — the event loop tying it together: oracle
 //!   arbitration on the backends' cost models plus the amortized compile
-//!   charge of a simulated artifact cache, emitting telemetry spans and a
-//!   [`ServingReport`] with throughput, latency percentiles, utilization,
-//!   batch-size distribution, shed counts and SLO alerts.
+//!   charge of a simulated artifact cache, emitting telemetry spans, a
+//!   windowed series and one [`RequestJournal`] entry per lifecycle
+//!   transition.
+//! - [`ServingReport`] — the journal's fold when the run ends:
+//!   throughput, latency percentiles, batch-size distribution, shed
+//!   counts and picks, beside the device utilization, cache counters,
+//!   series and SLO alerts the loop recorded live.
 //!
 //! ```
 //! use mlscore_sched::paper_backends;
@@ -63,7 +67,7 @@ pub use engine::{EngineSession, ServeConfig, ServeEngine};
 pub use error::ServeError;
 pub use journal::{JournalEntry, JournalKind, RequestJournal, ShedReason};
 pub use queue::AdmissionQueue;
-pub use report::{ClassReport, DeviceReport, DispatchRecord, ServingReport};
+pub use report::{ClassReport, DeviceReport, ServingReport};
 pub use request::{QueryClass, RequestId, ServeRequest, ANALYTICAL_MIN_RECORDS};
 pub use slo::{SloAlert, SloMonitor};
 pub use workload::{ModelCatalog, WorkloadSpec};

@@ -1,6 +1,8 @@
 //! What a serving run produces: conservation counters, latency
-//! distributions, device utilization, batch-size distribution, cache
-//! behavior, and the per-dispatch log the property tests audit.
+//! distributions, batch-size distribution and backend picks, all folded
+//! from the request journal when the run ends (`ServingReport::fold`),
+//! plus what the journal does not carry: device utilization, cache
+//! behavior and the windowed series.
 
 use std::collections::BTreeMap;
 
@@ -8,8 +10,9 @@ use mlscore_backend::CacheStats;
 use mlscore_sim::{SimDuration, SimInstant};
 use mlscore_telemetry::{Histogram, TimeSeriesRecorder};
 
-use crate::journal::RequestJournal;
-use crate::request::{QueryClass, RequestId};
+use crate::engine::ServeConfig;
+use crate::journal::{JournalKind, RequestJournal, ShedReason};
+use crate::request::QueryClass;
 
 /// Per-class slice of the outcome.
 #[derive(Debug, Clone)]
@@ -58,25 +61,8 @@ pub struct DeviceReport {
     pub utilization: f64,
 }
 
-/// One request's dispatch, in dispatch order — the audit trail for the
-/// FIFO-within-class property.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DispatchRecord {
-    /// The request.
-    pub id: RequestId,
-    /// Its class.
-    pub class: QueryClass,
-    /// Its model (catalog index).
-    pub model: usize,
-    /// The backend that served its batch.
-    pub backend: String,
-    /// Which device pass (engine-global batch sequence number) carried it.
-    pub batch: u64,
-    /// When its batch started on the device.
-    pub dispatched_at: SimInstant,
-}
-
-/// The full outcome of one serving run.
+/// The full outcome of one serving run. Every field up to `picks` is a
+/// fold of `journal`.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
     /// Requests the workload offered.
@@ -109,18 +95,114 @@ pub struct ServingReport {
     pub devices: Vec<DeviceReport>,
     /// Artifact-cache counters from the compile model.
     pub cache: CacheStats,
-    /// The final measured queries-per-compile arbitration used.
-    pub expected_reuse: u64,
-    /// Every dispatched request, in dispatch order.
-    pub dispatches: Vec<DispatchRecord>,
     /// Windowed time series of the run's metrics.
     pub series: TimeSeriesRecorder,
-    /// The request-lifecycle journal, with the SLO budget-burn alerts in
-    /// window-then-class order ([`RequestJournal::alerts`]).
+    /// The request-lifecycle journal — the run's one per-request ledger
+    /// and the audit trail of its dispatches — with the SLO budget-burn
+    /// alerts in window-then-class order ([`RequestJournal::alerts`]).
     pub journal: RequestJournal,
 }
 
 impl ServingReport {
+    /// Folds a finished run's `journal` into its report, entry by entry in
+    /// emission order: the conservation counters, the batch-size
+    /// distribution and picks from the dispatches, and the latency
+    /// histograms (overall and per class) from the completions, in the
+    /// order the engine emitted them. A completion counts against its
+    /// class's SLO by [`ServeConfig`]'s test. `devices` maps the makespan
+    /// (the last completion instant) to the per-device accounting.
+    pub(crate) fn fold(
+        journal: RequestJournal,
+        config: &ServeConfig,
+        cache: CacheStats,
+        series: TimeSeriesRecorder,
+        devices: impl FnOnce(SimDuration) -> Vec<DeviceReport>,
+    ) -> Self {
+        let mut report = ServingReport {
+            offered: 0,
+            admitted: 0,
+            completed: 0,
+            rejected: 0,
+            unservable: 0,
+            records_scored: 0,
+            makespan: SimDuration::ZERO,
+            batches: 0,
+            coalesced_batches: 0,
+            batch_sizes: BTreeMap::new(),
+            latency: Histogram::new(),
+            classes: QueryClass::all()
+                .into_iter()
+                .map(|class| ClassReport {
+                    class,
+                    completed: 0,
+                    rejected: 0,
+                    slo_violations: 0,
+                    latency: Histogram::new(),
+                })
+                .collect(),
+            picks: BTreeMap::new(),
+            devices: Vec::new(),
+            cache,
+            series,
+            journal: RequestJournal::new(),
+        };
+        // Each request's class and records, from its arrival entry.
+        let mut requests = BTreeMap::new();
+        // Requests per device pass, by batch sequence number.
+        let mut passes: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut last_completion = SimInstant::ZERO;
+        for entry in journal.entries() {
+            let request = requests.get(&entry.id).copied();
+            let slice =
+                request.and_then(|(class, _)| report.classes.iter_mut().find(|c| c.class == class));
+            match &entry.kind {
+                JournalKind::Arrival { class, records, .. } => {
+                    report.offered += 1;
+                    requests.insert(entry.id, (*class, *records));
+                }
+                JournalKind::Admitted => report.admitted += 1,
+                JournalKind::Shed {
+                    reason: ShedReason::Rejected,
+                } => {
+                    report.rejected += 1;
+                    if let Some(c) = slice {
+                        c.rejected += 1;
+                    }
+                }
+                JournalKind::Shed {
+                    reason: ShedReason::Unservable,
+                } => report.unservable += 1,
+                JournalKind::Coalesced { .. } => {}
+                JournalKind::Dispatched { batch, backend, .. } => {
+                    *passes.entry(*batch).or_default() += 1;
+                    *report.picks.entry(backend.clone()).or_default() += 1;
+                }
+                JournalKind::Completed { latency, .. } => {
+                    report.completed += 1;
+                    report.latency.record(*latency);
+                    last_completion = last_completion.max(entry.at);
+                    if let (Some(c), Some((_, records))) = (slice, request) {
+                        report.records_scored += records;
+                        c.completed += 1;
+                        c.latency.record(*latency);
+                        if config.misses_slo(c.class, *latency) {
+                            c.slo_violations += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for &size in passes.values() {
+            *report.batch_sizes.entry(size).or_default() += 1;
+        }
+        report.batches = passes.len() as u64;
+        report.coalesced_batches = passes.values().filter(|&&size| size > 1).count() as u64;
+        report.makespan = last_completion.duration_since(SimInstant::ZERO);
+        report.devices = devices(report.makespan);
+        report.journal = journal;
+        report
+    }
+
     /// Completed queries per second of makespan (0 for an empty run).
     pub fn throughput_qps(&self) -> f64 {
         if self.makespan.is_zero() {
@@ -174,13 +256,20 @@ impl ServingReport {
 
     /// Checks the request-conservation invariant: every offered request is
     /// accounted for exactly once as completed, rejected, or unservable;
-    /// admission splits offered against rejected; and the per-class slices
-    /// sum back to every global counter they shard.
+    /// admission splits offered against rejected; every completion was
+    /// dispatched once; and the per-class slices sum back to every global
+    /// counter they shard.
     pub fn is_conserved(&self) -> bool {
         let sum = |f: fn(&ClassReport) -> u64| self.classes.iter().map(f).sum::<u64>();
+        let dispatched = self
+            .journal
+            .entries()
+            .iter()
+            .filter(|e| matches!(e.kind, JournalKind::Dispatched { .. }))
+            .count() as u64;
         self.offered == self.admitted + self.rejected
             && self.admitted == self.completed + self.unservable
-            && self.completed == self.dispatches.len() as u64
+            && self.completed == dispatched
             && self.completed == self.picks.values().sum::<u64>()
             && self.batch_sizes.values().sum::<u64>() == self.batches
             && self
@@ -224,8 +313,6 @@ mod tests {
             picks: BTreeMap::new(),
             devices: Vec::new(),
             cache: CacheStats::default(),
-            expected_reuse: 1,
-            dispatches: Vec::new(),
             series: TimeSeriesRecorder::new(SimDuration::from_millis(100.0)),
             journal: RequestJournal::new(),
         }
@@ -286,16 +373,17 @@ mod tests {
         r.batch_sizes.insert(1, 1);
         r.batch_sizes.insert(4, 1);
         r.picks.insert("FPGA".to_string(), 5);
-        r.dispatches = (0..5)
-            .map(|id| DispatchRecord {
+        for id in 0..5 {
+            r.journal.emit(
+                SimInstant::ZERO,
                 id,
-                class: QueryClass::Interactive,
-                model: 0,
-                backend: "FPGA".to_string(),
-                batch: u64::from(id > 0),
-                dispatched_at: SimInstant::ZERO,
-            })
-            .collect();
+                JournalKind::Dispatched {
+                    batch: u64::from(id > 0),
+                    backend: "FPGA".to_string(),
+                    device: "FPGA".to_string(),
+                },
+            );
+        }
         r.makespan = SimDuration::from_secs(2.0);
         assert!(r.is_conserved());
         assert_eq!(r.max_batch(), 4);

@@ -95,11 +95,11 @@ mod tests {
         let mut series = TimeSeriesRecorder::new(ms(WINDOW_MS));
         // Window 0: 1 of 4 violated -> burn 25x > 2x.
         for violated in [true, false, false, false] {
-            series.record_completion(at_ms(10.0), "interactive", ms(1.0), violated);
+            series.record_completion(at_ms(10.0), "interactive", violated);
         }
         // Window 1: 1 of 100 violated -> burn 1x, within the threshold.
         for i in 0..100 {
-            series.record_completion(at_ms(110.0), "interactive", ms(1.0), i == 0);
+            series.record_completion(at_ms(110.0), "interactive", i == 0);
         }
         let alerts = SloMonitor::scan(&series);
         assert_eq!(alerts.len(), 1);
@@ -121,9 +121,9 @@ mod tests {
     #[test]
     fn alerts_come_out_in_window_then_class_order() {
         let mut series = TimeSeriesRecorder::new(ms(WINDOW_MS));
-        series.record_completion(at_ms(110.0), "interactive", ms(1.0), true);
-        series.record_completion(at_ms(10.0), "analytical", ms(1.0), true);
-        series.record_completion(at_ms(10.0), "interactive", ms(1.0), true);
+        series.record_completion(at_ms(110.0), "interactive", true);
+        series.record_completion(at_ms(10.0), "analytical", true);
+        series.record_completion(at_ms(10.0), "interactive", true);
         let alerts = SloMonitor::scan(&series);
         let keys: Vec<(u64, &str)> = alerts
             .iter()

@@ -24,7 +24,6 @@ enum Ev {
     Completion {
         t: f64,
         interactive: bool,
-        latency_ms: f64,
         violated: bool,
     },
     Shed {
@@ -47,14 +46,8 @@ impl Ev {
             Ev::Completion {
                 t,
                 interactive,
-                latency_ms,
                 violated,
-            } => rec.record_completion(
-                SimInstant::from_secs(t),
-                class(interactive),
-                SimDuration::from_millis(latency_ms),
-                violated,
-            ),
+            } => rec.record_completion(SimInstant::from_secs(t), class(interactive), violated),
             Ev::Shed { t, interactive } => {
                 rec.record_shed(SimInstant::from_secs(t), class(interactive));
             }
@@ -67,14 +60,13 @@ fn arb_event() -> impl Strategy<Value = Ev> {
     let t = 0.0f64..8.0;
     prop_oneof![
         (t.clone(), any::<bool>()).prop_map(|(t, interactive)| Ev::Arrival { t, interactive }),
-        (t.clone(), any::<bool>(), 0.01f64..500.0, any::<bool>()).prop_map(
-            |(t, interactive, latency_ms, violated)| Ev::Completion {
+        (t.clone(), any::<bool>(), any::<bool>()).prop_map(|(t, interactive, violated)| {
+            Ev::Completion {
                 t,
                 interactive,
-                latency_ms,
                 violated,
             }
-        ),
+        }),
         (t.clone(), any::<bool>()).prop_map(|(t, interactive)| Ev::Shed { t, interactive }),
         (t, 0u64..64).prop_map(|(t, depth)| Ev::Depth { t, depth }),
     ]
@@ -128,7 +120,7 @@ proptest! {
         let edge = rec.window_start(k);
         prop_assert_eq!(rec.window_index(edge), k);
         let mut rec = rec;
-        rec.record_completion(edge, "interactive", SimDuration::from_millis(1.0), false);
+        rec.record_completion(edge, "interactive", false);
         let touched: Vec<u64> = rec.windows().map(|(i, _)| i).collect();
         prop_assert_eq!(touched, vec![k]);
         if k > 0 {
@@ -157,7 +149,6 @@ proptest! {
             all.push(Ev::Completion {
                 t: w.as_secs() * k as f64,
                 interactive: true,
-                latency_ms: 1.0,
                 violated: false,
             });
         }

@@ -8,7 +8,9 @@ use mlscore_backend::{compile, OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_data::TabularFrame;
 use mlscore_forest::{ForestConfig, ModelBundle, RandomForest};
 use mlscore_sched::paper_backends;
-use mlscore_serve::{score_merged_stream, ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec};
+use mlscore_serve::{
+    score_merged_stream, JournalKind, ModelCatalog, ServeConfig, ServeEngine, WorkloadSpec,
+};
 use mlscore_telemetry::Tracer;
 
 fn arb_rate() -> impl Strategy<Value = f64> {
@@ -108,7 +110,7 @@ proptest! {
     /// The coalescer may steal later same-model requests past earlier
     /// other-model ones, but two requests for the same model always
     /// dispatch in arrival order, and requests inside one pass are
-    /// contiguous in the dispatch log.
+    /// contiguous among the journal's dispatch entries.
     #[test]
     fn same_model_dispatch_order_is_fifo_under_stealing(
         config in arb_config(),
@@ -119,21 +121,34 @@ proptest! {
         let engine = ServeEngine::new(paper_backends(), ModelCatalog::paper_mix(), config);
         let spec = WorkloadSpec { queries, seed, rate_qps };
         let report = engine.run(&spec, &Tracer::disabled()).unwrap();
+        let mut model_of = std::collections::HashMap::new();
         let mut last_id_for_model = std::collections::HashMap::new();
         let mut last_batch = None;
-        for d in &report.dispatches {
+        let mut dispatched = 0;
+        for entry in report.journal.entries() {
+            let batch = match entry.kind {
+                JournalKind::Arrival { model, .. } => {
+                    model_of.insert(entry.id, model);
+                    continue;
+                }
+                JournalKind::Dispatched { batch, .. } => batch,
+                _ => continue,
+            };
+            dispatched += 1;
+            let model = model_of[&entry.id];
             // Request ids are issued in arrival order, so FIFO-within-model
-            // means ids strictly increase per model in the dispatch log.
-            if let Some(prev) = last_id_for_model.insert(d.model, d.id) {
-                prop_assert!(prev < d.id, "model {} dispatched {} after {}", d.model, d.id, prev);
+            // means ids strictly increase per model across dispatches.
+            if let Some(prev) = last_id_for_model.insert(model, entry.id) {
+                prop_assert!(prev < entry.id, "model {} dispatched {} after {}", model, entry.id, prev);
             }
-            // Batch sequence numbers never interleave: the log is grouped
-            // by pass, in dispatch order.
+            // Batch sequence numbers never interleave: dispatches are
+            // grouped by pass, in dispatch order.
             if let Some(prev) = last_batch {
-                prop_assert!(d.batch >= prev);
+                prop_assert!(batch >= prev);
             }
-            last_batch = Some(d.batch);
+            last_batch = Some(batch);
         }
+        prop_assert_eq!(dispatched, report.completed);
         prop_assert!(report.is_conserved());
     }
 }

@@ -63,7 +63,7 @@ fn traced_reruns_are_byte_identical() {
     let (b, trace_b) = render();
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.dispatches, b.dispatches);
+    assert_eq!(a.journal, b.journal);
     assert_eq!(
         trace_a, trace_b,
         "the exported Perfetto trace must be byte-identical across reruns"

@@ -1,9 +1,10 @@
 //! Windowed time-series metrics over simulated time.
 //!
 //! End-of-run aggregates answer *how much*; they cannot answer *when*. The
-//! [`TimeSeriesRecorder`] rotates per-class latency histograms, arrival/
-//! completion/shed counters, queue-depth gauges, and per-device busy time
-//! over fixed simulated-time windows, so a serving run yields a series —
+//! [`TimeSeriesRecorder`] rotates arrival counters, per-class completion,
+//! shed and SLO-violation counters, a queue-depth peak, and per-device
+//! busy time over fixed simulated-time windows, so a serving run yields a
+//! series —
 //! "the queue peaked in window 7, interactive attainment collapsed in
 //! window 8" — instead of one number.
 //!
@@ -16,8 +17,6 @@ use std::collections::BTreeMap;
 
 use mlscore_sim::{SimDuration, SimInstant};
 
-use crate::metrics::Histogram;
-
 /// Per-class slice of one window.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassWindow {
@@ -27,8 +26,6 @@ pub struct ClassWindow {
     pub shed: u64,
     /// Completions in the window that violated the class's latency SLO.
     pub violations: u64,
-    /// Sojourn latencies of the window's completions.
-    pub latency: Histogram,
 }
 
 impl ClassWindow {
@@ -50,9 +47,7 @@ pub struct Window {
     pub arrivals: u64,
     /// Largest queue depth observed during the window.
     pub queue_depth_peak: u64,
-    /// Queue depth at the last observation in the window.
-    pub queue_depth_last: u64,
-    /// Per-class counters and latency histograms, keyed by class name.
+    /// Per-class counters, keyed by class name.
     pub classes: BTreeMap<String, ClassWindow>,
     /// Device busy time overlapping the window, keyed by device name.
     /// A pass spanning several windows is split across them.
@@ -86,7 +81,7 @@ impl Window {
 /// let mut series = TimeSeriesRecorder::new(SimDuration::from_millis(100.0));
 /// let t = SimInstant::ZERO + SimDuration::from_millis(250.0);
 /// series.record_arrival(t, "interactive");
-/// series.record_completion(t, "interactive", SimDuration::from_millis(3.0), false);
+/// series.record_completion(t, "interactive", false);
 /// assert_eq!(series.windows().count(), 1);
 /// assert_eq!(series.window_index(t), 2);
 /// ```
@@ -164,25 +159,16 @@ impl TimeSeriesRecorder {
         w.class_mut(class);
     }
 
-    /// Records one completion with its sojourn latency; `violated` marks a
-    /// latency-SLO miss.
-    pub fn record_completion(
-        &mut self,
-        at: SimInstant,
-        class: &str,
-        latency: SimDuration,
-        violated: bool,
-    ) {
+    /// Records one completion; `violated` marks a latency-SLO miss.
+    pub fn record_completion(&mut self, at: SimInstant, class: &str, violated: bool) {
         let c = self.window_mut(at).class_mut(class);
         c.completions += 1;
-        c.latency.record(latency);
         if violated {
             c.violations += 1;
         }
     }
 
-    /// Records one shed request (rejected, dropped, timed out, or
-    /// unservable).
+    /// Records one shed request (rejected at a full queue, or unservable).
     pub fn record_shed(&mut self, at: SimInstant, class: &str) {
         self.window_mut(at).class_mut(class).shed += 1;
     }
@@ -191,7 +177,6 @@ impl TimeSeriesRecorder {
     pub fn record_queue_depth(&mut self, at: SimInstant, depth: u64) {
         let w = self.window_mut(at);
         w.queue_depth_peak = w.queue_depth_peak.max(depth);
-        w.queue_depth_last = depth;
     }
 
     /// Records `dur` of busy time on `device` starting at `start`,
@@ -266,28 +251,26 @@ mod tests {
     #[test]
     fn completions_shed_and_violations_accumulate_per_class() {
         let mut s = TimeSeriesRecorder::new(ms(100.0));
-        s.record_completion(at_ms(10.0), "interactive", ms(5.0), false);
-        s.record_completion(at_ms(20.0), "interactive", ms(50.0), true);
+        s.record_completion(at_ms(10.0), "interactive", false);
+        s.record_completion(at_ms(20.0), "interactive", true);
         s.record_shed(at_ms(30.0), "analytical");
         let (_, w) = s.windows().next().expect("one window");
         assert_eq!(w.completions(), 2);
         assert_eq!(w.shed(), 1);
         let c = w.classes.get("interactive").expect("class");
         assert_eq!(c.violations, 1);
-        assert_eq!(c.latency.count(), 2);
         assert_eq!(c.attainment(), 0.5);
         assert_eq!(ClassWindow::default().attainment(), 1.0);
     }
 
     #[test]
-    fn queue_depth_tracks_peak_and_last() {
+    fn queue_depth_tracks_peak() {
         let mut s = TimeSeriesRecorder::new(ms(100.0));
         s.record_queue_depth(at_ms(1.0), 3);
         s.record_queue_depth(at_ms(2.0), 9);
         s.record_queue_depth(at_ms(3.0), 4);
         let (_, w) = s.windows().next().expect("one window");
         assert_eq!(w.queue_depth_peak, 9);
-        assert_eq!(w.queue_depth_last, 4);
         assert_eq!(s.peak_queue_depth(), 9);
     }
 

@@ -42,7 +42,8 @@ fn serial_batch_run_reproduces_serial_replay() {
     };
     let tracer = Tracer::disabled();
     let mut session = engine.into_session(&tracer);
-    for (model, n_records) in spec.draws(ModelCatalog::paper_mix().len()) {
+    let draws = spec.draws(ModelCatalog::paper_mix().len());
+    for &(model, n_records) in &draws {
         let _ = session.inject(SimInstant::ZERO, model, n_records);
     }
     let report = session.finish();
@@ -63,12 +64,30 @@ fn serial_batch_run_reproduces_serial_replay() {
     let engine_picks: Vec<(String, u64)> =
         report.picks.iter().map(|(n, c)| (n.clone(), *c)).collect();
     assert_eq!(engine_picks, legacy_picks);
-    // Dispatch order is trace order, one request per pass.
-    assert_eq!(report.dispatches.len(), queries);
-    for (i, d) in report.dispatches.iter().enumerate() {
-        assert_eq!(d.id, i as u64);
-        assert_eq!(d.batch, i as u64);
-    }
+    // Requests arrive in trace order, and dispatch in arrival order, one
+    // request per pass.
+    let arrivals: Vec<(u64, (usize, u64))> = report
+        .journal
+        .entries()
+        .iter()
+        .filter_map(|e| match e.kind {
+            JournalKind::Arrival { model, records, .. } => Some((e.id, (model, records))),
+            _ => None,
+        })
+        .collect();
+    let trace_order: Vec<(u64, (usize, u64))> = (0..).zip(draws).collect();
+    assert_eq!(arrivals, trace_order);
+    let dispatches: Vec<(u64, u64)> = report
+        .journal
+        .entries()
+        .iter()
+        .filter_map(|e| match e.kind {
+            JournalKind::Dispatched { batch, .. } => Some((e.id, batch)),
+            _ => None,
+        })
+        .collect();
+    let serial: Vec<(u64, u64)> = (0..queries as u64).map(|i| (i, i)).collect();
+    assert_eq!(dispatches, serial);
     // The serial makespan is the replay total plus the compile charge of
     // every pass, each pass scoring one request.
     let prepare: f64 = report
@@ -120,7 +139,7 @@ fn serving_exports_are_byte_identical_across_runs() {
     let (json_a, report_a) = run_once();
     let (json_b, report_b) = run_once();
     assert_eq!(json_a, json_b, "Perfetto export must be byte-identical");
-    assert_eq!(report_a.dispatches, report_b.dispatches);
+    assert_eq!(report_a.journal, report_b.journal);
     assert_eq!(report_a.makespan, report_b.makespan);
     assert_eq!(report_a.picks, report_b.picks);
     assert!(report_a.is_conserved());
