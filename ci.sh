@@ -9,6 +9,11 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== cargo test --release -q -p mlscore-exec =="
+# The executor's pool concurrency and panic tests and every SIMD tier's
+# bit-exactness tests, again at optimized speed and codegen.
+cargo test --release -q -p mlscore-exec
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

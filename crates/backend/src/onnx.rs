@@ -3,7 +3,7 @@
 //! Functionally, this engine first compiles the forest into the Fig. 4b
 //! flat layout — the same image the FPGA consumes — re-encoded as a
 //! [`FlatImage`], and scores it with the SIMD lane walker on the shared
-//! work-stealing [`ExecPool`]. Its timing model captures the paper's
+//! [`ExecPool`]. Its timing model captures the paper's
 //! observation that ONNX "is not currently optimized for batch
 //! scoring": the per-call overhead is small (it wins below ~5K records),
 //! but the per-record cost is higher than scikit-learn's batch path, so

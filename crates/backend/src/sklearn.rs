@@ -1,7 +1,7 @@
 //! The scikit-learn-like CPU backend ("CPU_SKLearn").
 //!
 //! Functionally, a blocked multi-threaded tree traversal on the shared
-//! work-stealing [`ExecPool`] (spawned once per process, reused across
+//! [`ExecPool`] (spawned once per process, reused across
 //! calls). The timing model mirrors what the paper measured for
 //! scikit-learn batch scoring: a ~1 ms per-call overhead (the Python-side
 //! dispatch that makes sklearn lose to ONNX below a few thousand records),

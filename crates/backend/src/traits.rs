@@ -1,9 +1,9 @@
 //! The [`ScoringBackend`] trait.
 
 use mlscore_data::{FrameScanner, RecordStream, TabularFrame};
-use mlscore_exec::{record_sequential_spans, score_stream, RunReport};
+use mlscore_exec::RunReport;
 use mlscore_forest::{ModelStats, RandomForest};
-use mlscore_sim::{SimInstant, TimingBreakdown};
+use mlscore_sim::{SimDuration, SimInstant, TimingBreakdown};
 use mlscore_telemetry::Tracer;
 
 use crate::artifact::{Lowered, ModelRef};
@@ -17,7 +17,7 @@ pub struct StreamChunk {
 }
 
 /// The result of scoring a [`RecordStream`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamOutcome {
     /// One class id per streamed record, in pull order.
     pub predictions: Vec<u32>,
@@ -213,30 +213,39 @@ pub fn score_whole_batch(
     })
 }
 
-/// Scores `stream` chunk by chunk with `score_chunk` through the executor's
-/// chunk loop ([`score_stream`]) — the [`ScoringBackend::score`] body of
-/// the CPU backends, whose kernels run on the shared
-/// [`ExecPool`](mlscore_exec::ExecPool) — and records every chunk's
-/// measured worker spans on `tracer` under `lane`, back to back from
-/// `start`.
+/// Scores `stream` chunk by chunk with `score_chunk` — the
+/// [`ScoringBackend::score`] body of the CPU backends, whose kernels run on
+/// the shared [`ExecPool`](mlscore_exec::ExecPool) — and records each
+/// chunk's measured worker spans on `tracer` under `lane`, the chunks' runs
+/// laid back to back from `start` by their measured elapsed times.
+///
+/// Every record is fully scored within exactly one chunk and both kernels
+/// are bit-exact at any batch size, so appending chunk predictions in pull
+/// order reproduces the whole-frame result bit for bit. Empty chunks are
+/// skipped; a stream that yields no rows never calls `score_chunk`.
 pub(crate) fn score_on_pool(
     stream: &mut dyn RecordStream,
     tracer: &Tracer,
     start: SimInstant,
     lane: &str,
-    score_chunk: impl FnMut(&TabularFrame) -> (Vec<u32>, RunReport),
+    mut score_chunk: impl FnMut(&TabularFrame) -> (Vec<u32>, RunReport),
 ) -> StreamOutcome {
-    let (predictions, report) = score_stream(stream, score_chunk);
-    record_sequential_spans(report.chunks().iter().map(|c| &c.run), tracer, start, lane);
-    StreamOutcome {
-        predictions,
-        rows: report.rows(),
-        chunks: report
-            .chunks()
-            .iter()
-            .map(|c| StreamChunk { rows: c.rows })
-            .collect(),
+    let mut out = StreamOutcome::default();
+    let mut at = start;
+    while let Some(chunk) = stream.next_chunk() {
+        if chunk.is_empty() {
+            continue;
+        }
+        let (predictions, run) = score_chunk(chunk);
+        run.record_spans(tracer, at, lane);
+        at += SimDuration::from_secs(run.elapsed().as_secs_f64());
+        out.predictions.extend_from_slice(&predictions);
+        out.rows += chunk.n_rows();
+        out.chunks.push(StreamChunk {
+            rows: chunk.n_rows(),
+        });
     }
+    out
 }
 
 /// Blanket impl so `Box<dyn ScoringBackend>` works wherever a backend does.
@@ -284,6 +293,9 @@ mod tests {
     use crate::artifact::compile;
     use crate::OnnxCpu;
     use mlscore_data::Dataset;
+    use mlscore_exec::{
+        score_forest_batch, score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel,
+    };
     use mlscore_forest::{ForestConfig, ModelBundle};
     use mlscore_telemetry::Scope;
 
@@ -395,5 +407,84 @@ mod tests {
         );
         assert_eq!(boxed_trace.take().breakdown(Scope::Offload), b);
         assert_eq!(unboxed_trace.take().breakdown(Scope::Offload), b);
+    }
+
+    fn kernel_setup() -> (RandomForest, FlatImage, Dataset) {
+        let forest =
+            RandomForest::synthetic_full(&ForestConfig::classification(16, 4, 3).with_depth(6), 7);
+        let image = FlatImage::from_forest(&forest, 6).unwrap();
+        (forest, image, Dataset::iris(333, 9).normalized())
+    }
+
+    #[test]
+    fn pool_loop_scores_both_kernels_chunk_by_chunk() {
+        let (forest, image, data) = kernel_setup();
+        let want = forest.predict_batch(data.frame().as_slice());
+        let cfg = RunConfig::for_threads(2);
+        let level = SimdLevel::detect();
+        for chunk_rows in [1, 7, 64, 1000] {
+            let chunks = 333usize.div_ceil(chunk_rows);
+            let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
+            let out = score_on_pool(
+                &mut scanner,
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+                "cpu",
+                |c| score_simd_batch(&image, c, ExecPool::global(), &cfg, level),
+            );
+            assert_eq!(out.predictions, want, "simd chunk_rows={chunk_rows}");
+            assert_eq!((out.rows, out.chunks.len()), (333, chunks));
+            let mut scanner = FrameScanner::new(data.frame(), chunk_rows);
+            let out = score_on_pool(
+                &mut scanner,
+                &Tracer::disabled(),
+                SimInstant::ZERO,
+                "cpu",
+                |c| score_forest_batch(&forest, c, ExecPool::global(), &cfg),
+            );
+            assert_eq!(out.predictions, want, "forest chunk_rows={chunk_rows}");
+            assert_eq!((out.rows, out.chunks.len()), (333, chunks));
+        }
+    }
+
+    #[test]
+    fn pool_loop_lays_chunk_runs_back_to_back() {
+        let (forest, _, data) = kernel_setup();
+        let cfg = RunConfig::for_threads(2);
+        let tracer = Tracer::new();
+        let mut scanner = FrameScanner::new(data.frame(), 64);
+        let out = score_on_pool(&mut scanner, &tracer, SimInstant::ZERO, "cpu", |c| {
+            score_forest_batch(&forest, c, ExecPool::global(), &cfg)
+        });
+        let trace = tracer.take();
+        let spans: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| e.scope == Scope::Detail && e.name.starts_with("exec worker"))
+            .collect();
+        assert!(
+            spans.len() >= out.chunks.len(),
+            "{} worker spans",
+            spans.len()
+        );
+        // Each chunk's run starts where the previous one's elapsed time
+        // ended, so a worker's spans never overlap across chunks.
+        for (i, later) in spans.iter().enumerate() {
+            for earlier in spans[..i].iter().filter(|e| e.name == later.name) {
+                assert!(earlier.start + earlier.dur <= later.start, "{}", later.name);
+            }
+        }
+    }
+
+    #[test]
+    fn pool_loop_skips_an_empty_stream() {
+        let frame = TabularFrame::from_rows(vec![], 4).unwrap();
+        let tracer = Tracer::new();
+        let mut scanner = FrameScanner::new(&frame, 8);
+        let out = score_on_pool(&mut scanner, &tracer, SimInstant::ZERO, "cpu", |_| {
+            unreachable!("an empty stream has no chunk to score")
+        });
+        assert_eq!(out, StreamOutcome::default());
+        assert!(tracer.take().is_empty());
     }
 }

@@ -3,6 +3,8 @@
 //!
 //! Run `repro --help` for the full target list.
 
+use std::collections::BTreeMap;
+
 use mlscore_backend::{OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_core::{ablations, figures, headline::HeadlineReport, report, shmoo::ShmooTable};
 use mlscore_data::DatasetSpec;
@@ -15,7 +17,7 @@ use mlscore_sched::{
     QueryTrace,
 };
 use mlscore_sim::SimInstant;
-use mlscore_telemetry::{perfetto, MetricsRegistry, Tracer};
+use mlscore_telemetry::{perfetto, Tracer};
 
 fn fig1() {
     println!("== Fig. 1: best-performing hardware by model complexity x data size ==");
@@ -124,21 +126,27 @@ fn scheduler() {
     // same log-bucketed type every layer records into).
     println!("== Trace replay: latency percentiles (200-query synthetic mix) ==");
     let trace = QueryTrace::synthetic(200, 42);
-    let registry = MetricsRegistry::new();
+    let mut picks = BTreeMap::new();
+    let mut latencies = BTreeMap::new();
     for outcome in [
         replay(&mut OraclePolicy, &trace, &backends),
         replay(&mut HeuristicPolicy::default(), &trace, &backends),
         replay(&mut AffineFitPolicy::default(), &trace, &backends),
     ] {
-        let name = format!("latency.{}", outcome.policy);
-        for &latency in &outcome.latencies {
-            registry.record(&name, latency);
-        }
         for (backend, n) in &outcome.picks {
-            registry.inc_counter(&format!("picks.{}.{backend}", outcome.policy), *n as u64);
+            picks.insert(format!("picks.{}.{backend}", outcome.policy), *n);
         }
+        latencies.insert(
+            format!("latency.{}", outcome.policy),
+            outcome.latency_histogram(),
+        );
     }
-    print!("{}", registry.render());
+    for (name, n) in &picks {
+        println!("counter   {name:<32} {n}");
+    }
+    for (name, h) in &latencies {
+        println!("histogram {name:<32} {h}");
+    }
     println!();
 }
 

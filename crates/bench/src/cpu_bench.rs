@@ -18,7 +18,7 @@
 //!   ([`score_simd_batch`], what the ONNX-like backend runs) at the
 //!   detected [`SimdLevel`].
 //!
-//! Both executor kernels run on a work-stealing [`ExecPool`], tiling
+//! Both executor kernels run on the block-cursor [`ExecPool`], tiling
 //! records × trees with per-thread reusable scratch, and every measurement
 //! is asserted bit-exact against the naive reference before its
 //! throughput is reported. The emitted JSON is

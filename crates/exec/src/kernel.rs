@@ -40,10 +40,11 @@ pub const LANES: usize = 8;
 ///
 /// # Safety
 ///
-/// [`ExecPool::run`] invokes the task with disjoint ranges covering
-/// `0..n` exactly once and blocks until all of them have executed, so
-/// every index is written by exactly one worker while the owning `Vec` is
-/// borrowed, and the buffer is only read again after `run` returns.
+/// [`ExecPool::run`] invokes the task with disjoint ranges (covering
+/// `0..n` exactly once unless a task panics) and neither returns nor
+/// unwinds before every invocation has ended, so every index is written by
+/// at most one worker while the owning `Vec` is borrowed, and the buffer
+/// is only read or dropped after `run` is done with it.
 pub(crate) struct SharedOut<T>(*mut T, usize);
 
 #[allow(unsafe_code)]

@@ -2,10 +2,10 @@
 //!
 //! The seed CPU backends spawned scoped threads on every `score()` call and
 //! split rows into static `div_ceil` chunks. This crate replaces that with
-//! a process-wide, spawn-once [`ExecPool`]: a work-stealing pool whose
-//! workers park between calls, claim row ranges in cache-sized blocks from
-//! per-worker deques, and steal half of a victim's remaining range when
-//! their own deque runs dry. On top of the pool sit the two CPU scoring
+//! a process-wide, spawn-once [`ExecPool`] whose workers park between
+//! calls and claim cache-sized row blocks from one job-wide cursor; a
+//! panicking task reaches the caller of [`ExecPool::run`] once every
+//! worker has left the job. On top of the pool sit the two CPU scoring
 //! kernels, one per runtime the paper measures:
 //!
 //! * [`score_simd_batch`] walks a [`FlatImage`] — the Fig. 4b flat layout
@@ -15,8 +15,7 @@
 //! * [`score_forest_batch`] walks the pointer trees in record × tree blocks
 //!   (the scikit-learn-like backend).
 //!
-//! [`score_stream`] is the chunk loop both backends drive their kernel
-//! with. Every kernel scores into one class id per row, uses per-thread
+//! Every kernel scores into one class id per row, uses per-thread
 //! reusable vote scratch, and is bit-exact against the corresponding
 //! sequential `score_one`/`predict_one` path: vote counts are commutative
 //! integer adds combined by the same majority rule.
@@ -48,10 +47,8 @@ pub mod kernel;
 pub mod kernel_simd;
 pub mod pool;
 pub mod report;
-pub mod stream;
 
 pub use kernel::score_forest_batch;
 pub use kernel_simd::{score_simd_batch, FlatImage, SimdLevel};
 pub use pool::{ExecPool, RunConfig};
-pub use report::{record_sequential_spans, RunReport, WorkerReport};
-pub use stream::{score_stream, ChunkRun, StreamReport};
+pub use report::{RunReport, WorkerReport};

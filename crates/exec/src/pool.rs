@@ -1,4 +1,4 @@
-//! The persistent work-stealing thread pool.
+//! The persistent thread pool every CPU scoring kernel runs on.
 //!
 //! # Design
 //!
@@ -10,23 +10,25 @@
 //!   the process — the per-call thread-spawn cost the seed backends paid
 //!   is gone.
 //!
-//! * **Chunk-stealing deques over row ranges.** A job over `n` items seeds
-//!   one contiguous shard per participating worker. Owners split blocks of
-//!   [`RunConfig::record_block`] rows off the *front* of their own shard;
-//!   a worker whose deque runs dry steals the *back half* of a victim's
-//!   largest remaining range. Imbalance (one worker's rows traversing
-//!   deeper trees, or a preempted worker on a busy host) therefore migrates
-//!   work at range granularity instead of leaving static `div_ceil` chunks
-//!   stranded.
+//! * **One block cursor.** Participants claim [`RunConfig::record_block`]
+//!   rows at a time with one `fetch_add` on a job-wide cursor, the pattern
+//!   the analyzer's file fan-out uses. A participant that finishes early
+//!   claims the next block, so a slow block (deeper trees, a preempted
+//!   worker on a busy host) holds up only itself.
 //!
-//! * **Blocking completion.** `run` does not return until every row of the
-//!   job has been executed, which is what makes lending the task closure
-//!   (and, inside the kernels, the output slice) to the persistent workers
-//!   sound; see the safety notes on the two `unsafe` items below — the
-//!   only `unsafe` in the crate.
+//! * **Everyone leaves before `run` does.** Each block runs under
+//!   `catch_unwind`. A participant that finds the cursor past the end, or
+//!   whose block panicked, records its counters and leaves under the one
+//!   mutex `run` waits on. `run` returns — or re-raises the first panic
+//!   payload — only once every participant has left. That is what makes
+//!   lending the task closure (and, inside the kernels, the output slice)
+//!   to the persistent workers sound, and it means no pool thread dies of
+//!   a task's panic; see the safety notes on the two `unsafe` items below
+//!   — the only `unsafe` in the crate.
 
-use std::collections::VecDeque;
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -90,25 +92,26 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Locks `m`, recovering the guard from a poisoned mutex. The pool's
-/// mutexes only guard deques and counters — a panic in a caller's task
-/// closure must not wedge every later scoring call on the shared pool.
+/// Locks `m`, recovering the guard from a poisoned mutex. A panic that
+/// [`ExecPool::run`] re-raises unwinds through its `run_lock` guard; every
+/// mutex here guards data that stays valid at every step, so a caller's
+/// panic must not wedge every later scoring call on the shared pool.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A borrowed task callable with its lifetime erased, so parked workers
 /// can hold it inside the job. Kept as a raw pointer — a job object can
-/// outlive one `run` call (a parked worker may still hold its `Arc` while
-/// re-checking for new epochs), and a raw pointer is allowed to dangle as
-/// long as it is never dereferenced again.
+/// outlive one `run` call (the pool state keeps its `Arc` until the next
+/// job replaces it), and a raw pointer is allowed to dangle as long as it
+/// is never dereferenced again.
 ///
 /// # Safety
 ///
 /// The pointee only lives for the duration of one [`ExecPool::run`] call.
-/// Soundness rests on `run` blocking until `remaining == 0`: workers
-/// invoke the task only while holding a claimed row range, and ranges
-/// cannot exist after the job's row count drains to zero.
+/// Soundness rests on `run` neither returning nor unwinding before every
+/// participant has left the job: participants invoke the task only before
+/// they leave.
 #[derive(Clone, Copy)]
 struct TaskRef(*const (dyn Fn(usize, Range<usize>) + Sync + 'static));
 
@@ -125,8 +128,8 @@ impl TaskRef {
     /// # Safety
     ///
     /// The caller must guarantee `call` is never invoked after the borrow
-    /// of `task` ends. [`ExecPool::run`] upholds this by joining the job
-    /// (waiting for `remaining == 0`) before returning.
+    /// of `task` ends. [`ExecPool::run`] upholds this by waiting, before it
+    /// returns or unwinds, until every participant has left the job.
     #[allow(unsafe_code)]
     unsafe fn erase<'a>(task: &'a (dyn Fn(usize, Range<usize>) + Sync + 'a)) -> Self {
         // SAFETY: fat-pointer lifetime erasure only; see above.
@@ -140,134 +143,84 @@ impl TaskRef {
 
     #[allow(unsafe_code)]
     fn call(&self, worker: usize, range: Range<usize>) {
-        // SAFETY: invoked only while the worker holds a claimed range of a
-        // live job, which `ExecPool::run`'s join guarantees implies the
-        // borrowed closure is still alive.
+        // SAFETY: invoked only by a participant that has not left its job
+        // yet, and `ExecPool::run` keeps the borrowed closure alive until
+        // every participant has left.
         let task = unsafe { &*self.0 };
         task(worker, range)
     }
 }
 
-/// Accumulated per-worker counters for one job.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerStats {
-    rows: usize,
-    chunks: usize,
-    steals: usize,
-    busy_nanos: u128,
-    first_start_nanos: Option<u128>,
-    last_end_nanos: u128,
-}
-
-/// One in-flight job: the erased task plus the stealing state.
+/// One in-flight job: the erased task, the block cursor and the exit
+/// rendezvous.
 struct Job {
     task: TaskRef,
-    /// One deque of pending row ranges per participating worker.
-    queues: Vec<Mutex<VecDeque<Range<usize>>>>,
-    /// Rows not yet executed. The job is complete when this reaches zero.
-    remaining: AtomicUsize,
+    /// Rows in the job.
+    n_items: usize,
     /// Rows per claimed block.
     block: usize,
+    /// Workers taking part: ids `0..participants`.
+    participants: usize,
+    /// The first row no participant has claimed. Relaxed: the cursor only
+    /// hands out disjoint ranges; what the task writes reaches the caller
+    /// through `exit`'s mutex, which every participant takes on leaving.
+    next: AtomicUsize,
     /// Wall-clock epoch of the job, for worker span offsets.
     started: Instant,
-    /// Per-worker counters, written once by each participant on exit.
-    stats: Vec<Mutex<WorkerStats>>,
-    /// Participants that have flushed their counters; the caller waits for
-    /// all of them before assembling the report.
-    stats_written: AtomicUsize,
-    /// Completion rendezvous: the finishing worker notifies the caller.
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    exit: Mutex<Exit>,
+    /// Signalled when the last participant leaves.
+    all_left: Condvar,
+}
+
+/// What participants hand back as they leave a job.
+struct Exit {
+    /// Participants that have not left yet.
+    inside: usize,
+    /// Per-participant counters, indexed by worker id.
+    workers: Vec<WorkerReport>,
+    /// The first panic payload a block raised.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl Job {
-    /// Claims the next block: pop from the own deque front, else steal the
-    /// back half of a victim's range.
-    fn claim(&self, me: usize, stats: &mut WorkerStats) -> Option<Range<usize>> {
-        if let Some(range) = self.pop_front_block(me) {
-            return Some(range);
-        }
-        let n = self.queues.len();
-        for step in 1..n {
-            let victim = (me + step) % n;
-            if let Some(stolen) = self.steal_back_half(victim) {
-                stats.steals += 1;
-                // Keep the back of the stolen range for future pops and
-                // claim its first block now.
-                let take = stolen.len().min(self.block);
-                let (now, later) = (
-                    stolen.start..stolen.start + take,
-                    stolen.start + take..stolen.end,
-                );
-                if !later.is_empty() {
-                    lock_recover(&self.queues[me]).push_front(later);
-                }
-                return Some(now);
-            }
-        }
-        None
-    }
-
-    fn pop_front_block(&self, me: usize) -> Option<Range<usize>> {
-        let mut q = lock_recover(&self.queues[me]);
-        let range = q.pop_front()?;
-        if range.len() > self.block {
-            q.push_front(range.start + self.block..range.end);
-            Some(range.start..range.start + self.block)
-        } else {
-            Some(range)
-        }
-    }
-
-    /// Steals the back half of the victim's last (largest-remaining) range.
-    fn steal_back_half(&self, victim: usize) -> Option<Range<usize>> {
-        let mut q = lock_recover(&self.queues[victim]);
-        let range = q.pop_back()?;
-        if range.len() <= self.block {
-            return Some(range);
-        }
-        let mid = range.start + range.len() / 2;
-        q.push_back(range.start..mid);
-        Some(mid..range.end)
-    }
-
-    /// Executes until the job drains. `me` indexes this participant's deque.
+    /// Claims and runs blocks until the cursor passes the end or a block
+    /// panics, then leaves. `me` is this participant's worker id.
     fn work(&self, me: usize) {
-        let mut local = WorkerStats::default();
+        let mut stats = WorkerReport::default();
+        let mut panicked = None;
         loop {
-            match self.claim(me, &mut local) {
-                Some(range) => {
-                    let len = range.len();
-                    let t0 = self.started.elapsed().as_nanos();
-                    self.task.call(me, range);
-                    let t1 = self.started.elapsed().as_nanos();
-                    local.rows += len;
-                    local.chunks += 1;
-                    local.busy_nanos += t1 - t0;
-                    local.first_start_nanos.get_or_insert(t0);
-                    local.last_end_nanos = t1;
-                    if self.remaining.fetch_sub(len, Ordering::AcqRel) == len {
-                        // Last rows executed: wake the caller. Locking the
-                        // mutex orders this notify against the caller's
-                        // check-then-wait.
-                        let mut done = lock_recover(&self.done);
-                        *done = true;
-                        self.done_cv.notify_all();
-                    }
-                }
-                None => {
-                    if self.remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    // Every pending row is inside another worker's
-                    // in-flight block; nothing to steal, so yield until the
-                    // job drains.
-                    std::thread::yield_now();
-                }
+            let start = self.next.fetch_add(self.block, Ordering::Relaxed);
+            if start >= self.n_items {
+                break;
+            }
+            let range = start..start + self.block.min(self.n_items - start);
+            let len = range.len();
+            let t0 = self.started.elapsed();
+            // The payload is re-raised to the caller of `run`, which then
+            // sees the unwind just as if the closure had panicked inline.
+            let result = panic::catch_unwind(AssertUnwindSafe(|| self.task.call(me, range)));
+            let t1 = self.started.elapsed();
+            stats.rows += len;
+            stats.chunks += 1;
+            stats.busy += t1 - t0;
+            stats.first_start.get_or_insert(t0);
+            stats.last_end = t1;
+            if let Err(payload) = result {
+                // The call fails as a whole: nobody claims another block.
+                self.next.store(self.n_items, Ordering::Relaxed);
+                panicked = Some(payload);
+                break;
             }
         }
-        *lock_recover(&self.stats[me]) = local;
-        self.stats_written.fetch_add(1, Ordering::AcqRel);
+        let mut exit = lock_recover(&self.exit);
+        exit.workers[me] = stats;
+        if exit.panic.is_none() {
+            exit.panic = panicked;
+        }
+        exit.inside -= 1;
+        if exit.inside == 0 {
+            self.all_left.notify_all();
+        }
     }
 }
 
@@ -284,7 +237,7 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// A persistent work-stealing thread pool.
+/// A persistent batch-executor thread pool.
 ///
 /// Cloning is not supported; share the pool by reference (or use the
 /// process-wide [`ExecPool::global`]). Concurrent `run` calls from
@@ -355,8 +308,14 @@ impl ExecPool {
     /// invoked once per claimed block; distinct invocations receive
     /// disjoint ranges covering `0..n_items` exactly once.
     ///
-    /// Worker occupancy, block, and steal counts are returned in the
+    /// Worker occupancy and block counts are returned in the
     /// [`RunReport`].
+    ///
+    /// # Panics
+    ///
+    /// If `task` panics, no further block is claimed, and `run` re-raises
+    /// the first panic's original payload once every participant has left
+    /// the job. The pool's threads survive and serve later calls.
     #[allow(unsafe_code)]
     pub fn run(
         &self,
@@ -365,7 +324,7 @@ impl ExecPool {
         task: &(dyn Fn(usize, Range<usize>) + Sync),
     ) -> RunReport {
         let block = cfg.record_block.max(1);
-        let shards = cfg
+        let participants = cfg
             .threads
             .clamp(1, self.max_workers)
             .min(n_items.div_ceil(block).max(1));
@@ -374,7 +333,7 @@ impl ExecPool {
         if n_items == 0 {
             return RunReport::empty();
         }
-        if shards == 1 {
+        if participants == 1 {
             // Inline fast path: no cross-thread handoff at all.
             task(0, 0..n_items);
             let elapsed = started.elapsed();
@@ -382,30 +341,24 @@ impl ExecPool {
         }
 
         let _serial = lock_recover(&self.run_lock);
-        // SAFETY: `run` joins the job below (waits until `remaining == 0`,
-        // and range claims are the only path to a task invocation), so the
-        // erased borrow outlives every call through it.
+        // SAFETY: `run` waits below until every participant has left the
+        // job — and participants call the task only before leaving — so
+        // the erased borrow outlives every call through it, whether `run`
+        // then returns or re-raises a panic.
         let task = unsafe { TaskRef::erase(task) };
         let job = Arc::new(Job {
             task,
-            queues: (0..shards)
-                .map(|w| {
-                    let lo = n_items * w / shards;
-                    let hi = n_items * (w + 1) / shards;
-                    // The deque holds row *ranges* (work items), not rows.
-                    #[allow(clippy::single_range_in_vec_init)]
-                    Mutex::new(VecDeque::from([lo..hi]))
-                })
-                .collect(),
-            remaining: AtomicUsize::new(n_items),
+            n_items,
             block,
+            participants,
+            next: AtomicUsize::new(0),
             started,
-            stats: (0..shards)
-                .map(|_| Mutex::new(WorkerStats::default()))
-                .collect(),
-            stats_written: AtomicUsize::new(0),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            exit: Mutex::new(Exit {
+                inside: participants,
+                workers: vec![WorkerReport::default(); participants],
+                panic: None,
+            }),
+            all_left: Condvar::new(),
         });
         {
             let mut state = lock_recover(&self.shared.state);
@@ -415,26 +368,21 @@ impl ExecPool {
         }
         // The caller is worker 0.
         job.work(0);
-        let mut done = lock_recover(&job.done);
-        while job.remaining.load(Ordering::Acquire) != 0 {
-            done = job
-                .done_cv
-                .wait(done)
+        let mut exit = lock_recover(&job.exit);
+        while exit.inside > 0 {
+            exit = job
+                .all_left
+                .wait(exit)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        drop(done);
-        // All rows are executed; wait (briefly) for the other participants
-        // to flush their counters so the occupancy report is complete.
-        while job.stats_written.load(Ordering::Acquire) < shards {
-            std::thread::yield_now();
+        if let Some(payload) = exit.panic.take() {
+            panic::resume_unwind(payload);
         }
-        let elapsed = started.elapsed();
-        let workers = job
-            .stats
-            .iter()
-            .map(|s| WorkerReport::from_raw(*lock_recover(s)))
-            .collect();
-        RunReport::new(n_items, elapsed, workers)
+        RunReport::new(
+            n_items,
+            started.elapsed(),
+            std::mem::take(&mut exit.workers),
+        )
     }
 }
 
@@ -447,23 +395,6 @@ impl Drop for ExecPool {
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-impl WorkerReport {
-    fn from_raw(raw: WorkerStats) -> Self {
-        WorkerReport {
-            rows: raw.rows,
-            chunks: raw.chunks,
-            steals: raw.steals,
-            busy: std::time::Duration::from_nanos(raw.busy_nanos.min(u64::MAX as u128) as u64),
-            first_start: raw
-                .first_start_nanos
-                .map(|n| std::time::Duration::from_nanos(n.min(u64::MAX as u128) as u64)),
-            last_end: std::time::Duration::from_nanos(
-                raw.last_end_nanos.min(u64::MAX as u128) as u64
-            ),
         }
     }
 }
@@ -489,8 +420,8 @@ fn worker_loop(shared: &PoolShared, id: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // Workers beyond the job's shard count sit this one out.
-        if id < job.queues.len() {
+        // Workers beyond the job's participant count sit this one out.
+        if id < job.participants {
             job.work(id);
         }
     }
@@ -500,13 +431,64 @@ fn worker_loop(shared: &PoolShared, id: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{mpsc, Barrier};
+    use std::thread;
+    use std::time::Duration;
 
-    #[test]
-    fn covers_every_index_exactly_once() {
-        let pool = ExecPool::new(4);
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// finished within 10 s, so a wedged pool fails the suite instead of
+    /// hanging it.
+    fn within_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(10))
+        {
+            panic!("the pool did not return within 10 s");
+        }
+        if let Err(payload) = handle.join() {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// Runs `task` on `pool` over `n` one-row blocks with the first
+    /// `participants` blocks held at a barrier until each participant has
+    /// claimed one of them, so every participant takes part whatever the
+    /// scheduler does.
+    fn spread(
+        pool: &ExecPool,
+        n: usize,
+        threads: usize,
+        task: impl Fn(usize, Range<usize>) + Sync,
+    ) -> RunReport {
+        let participants = threads.clamp(1, pool.max_workers).min(n);
+        let all_in = Barrier::new(participants);
+        let cfg = RunConfig::for_threads(threads).with_record_block(1);
+        pool.run(n, &cfg, &|w, range| {
+            if range.start < participants {
+                all_in.wait();
+            }
+            task(w, range)
+        })
+    }
+
+    /// The panic message `run` re-raised, or `None` if it returned.
+    fn raised(run: impl FnOnce()) -> Option<String> {
+        let payload = panic::catch_unwind(AssertUnwindSafe(run)).err()?;
+        Some(
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default(),
+        )
+    }
+
+    fn assert_covers_every_index_once(pool: &ExecPool, threads: usize) {
         for n in [0usize, 1, 7, 64, 65, 1000] {
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let cfg = RunConfig::for_threads(4).with_record_block(16);
+            let cfg = RunConfig::for_threads(threads).with_record_block(16);
             let report = pool.run(n, &cfg, &|_w, range| {
                 for i in range {
                     hits[i].fetch_add(1, Ordering::Relaxed);
@@ -515,6 +497,11 @@ mod tests {
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n}");
             assert_eq!(report.rows(), n);
         }
+    }
+
+    #[test]
+    fn covers_every_index_exactly_once() {
+        assert_covers_every_index_once(&ExecPool::new(4), 4);
     }
 
     #[test]
@@ -533,37 +520,102 @@ mod tests {
     #[test]
     fn single_thread_runs_inline() {
         let pool = ExecPool::new(1);
-        let caller = std::thread::current().id();
+        let caller = thread::current().id();
         let cfg = RunConfig::for_threads(1);
         pool.run(10, &cfg, &|w, _range| {
             assert_eq!(w, 0);
-            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(thread::current().id(), caller);
         });
     }
 
     #[test]
-    fn stealing_rebalances_skewed_work() {
-        // Worker 0's shard is artificially slow; the report must show the
-        // other workers stealing part of it.
+    fn every_participant_claims_blocks() {
         let pool = ExecPool::new(4);
-        let cfg = RunConfig::for_threads(4).with_record_block(1);
-        let report = pool.run(256, &cfg, &|_w, range| {
-            for i in range {
-                if i < 64 {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-            }
-        });
-        let total_steals: usize = report.workers().iter().map(|w| w.steals).sum();
-        assert!(total_steals > 0, "expected steals, report {report:?}");
+        let report = spread(&pool, 256, 4, |_w, _range| {});
+        assert_eq!(report.workers().len(), 4);
+        assert!(
+            report.workers().iter().all(|w| w.chunks >= 1),
+            "report {report:?}"
+        );
+        assert_eq!(report.workers().iter().map(|w| w.rows).sum::<usize>(), 256);
         assert_eq!(report.rows(), 256);
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller() {
+        within_watchdog(|| {
+            let pool = ExecPool::new(4);
+            let caller = thread::current().id();
+            let msg = raised(|| {
+                spread(&pool, 64, 4, |_w, range| {
+                    if thread::current().id() != caller {
+                        panic!("helper block {}", range.start);
+                    }
+                });
+            });
+            let msg = msg.expect("run returned despite a helper panic");
+            assert!(msg.starts_with("helper block "), "{msg:?}");
+            assert_covers_every_index_once(&pool, 4);
+        });
+    }
+
+    #[test]
+    fn a_caller_panic_waits_for_the_helpers() {
+        within_watchdog(|| {
+            let pool = ExecPool::new(4);
+            let caller = thread::current().id();
+            let in_flight = AtomicUsize::new(0);
+            let msg = raised(|| {
+                spread(&pool, 4, 4, |w, _range| {
+                    if thread::current().id() == caller {
+                        panic!("worker {w} failed");
+                    }
+                    in_flight.fetch_add(1, Ordering::SeqCst);
+                    thread::sleep(Duration::from_millis(50));
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                });
+            });
+            assert_eq!(msg.as_deref(), Some("worker 0 failed"));
+            // `run` unwound only after every helper's block had returned.
+            assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+            assert_covers_every_index_once(&pool, 4);
+        });
+    }
+
+    #[test]
+    fn the_global_pool_scores_bit_exactly_after_a_panic() {
+        use crate::kernel_simd::{score_simd_batch, FlatImage, SimdLevel};
+        use mlscore_data::Dataset;
+        use mlscore_forest::{ForestConfig, RandomForest};
+
+        within_watchdog(|| {
+            let pool = ExecPool::global();
+            let threads = pool.max_workers;
+            let msg = raised(|| {
+                spread(pool, 64, threads, |_w, range| {
+                    panic!("block {}", range.start);
+                });
+            });
+            assert!(msg.expect("run returned").starts_with("block "));
+            let forest = RandomForest::synthetic_full(
+                &ForestConfig::classification(8, 4, 3).with_depth(6),
+                5,
+            );
+            let image = FlatImage::from_forest(&forest, 6).unwrap();
+            let data = Dataset::iris(300, 2).normalized();
+            let cfg = RunConfig::for_threads(threads).with_record_block(16);
+            let (preds, report) =
+                score_simd_batch(&image, data.frame(), pool, &cfg, SimdLevel::detect());
+            assert_eq!(preds, forest.predict_batch(data.frame().as_slice()));
+            assert_eq!(report.rows(), 300);
+        });
     }
 
     #[test]
     fn run_caps_workers_at_block_count() {
         let pool = ExecPool::new(8);
         let cfg = RunConfig::for_threads(8).with_record_block(64);
-        // 100 rows / 64-row blocks => at most 2 shards.
+        // 100 rows / 64-row blocks => at most 2 participants.
         let report = pool.run(100, &cfg, &|_w, _r| {});
         assert!(report.workers().len() <= 2, "report {report:?}");
     }

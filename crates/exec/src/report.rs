@@ -15,14 +15,12 @@ use mlscore_sim::{SimDuration, SimInstant};
 use mlscore_telemetry::{Scope, Tracer};
 
 /// Per-worker measurements for one [`ExecPool::run`](crate::ExecPool::run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerReport {
     /// Rows this worker executed.
     pub rows: usize,
     /// Blocks this worker claimed.
     pub chunks: usize,
-    /// Successful steals from other workers' deques.
-    pub steals: usize,
     /// Total time spent inside the task closure.
     pub busy: Duration,
     /// Offset of the worker's first block start from the job start, or
@@ -77,7 +75,6 @@ impl RunReport {
             vec![WorkerReport {
                 rows,
                 chunks: 1,
-                steals: 0,
                 busy: elapsed,
                 first_start: Some(Duration::ZERO),
                 last_end: elapsed,
@@ -120,26 +117,9 @@ impl RunReport {
                 .track(process, format_args!("worker{i}"))
                 .meta("rows", w.rows)
                 .meta("chunks", w.chunks)
-                .meta("steals", w.steals)
                 .meta("occupancy", format_args!("{:.3}", w.occupancy()))
                 .finish(base + SimDuration::from_secs(w.last_end.as_secs_f64()));
         }
-    }
-}
-
-/// Records the measured worker spans of consecutive runs
-/// ([`RunReport::record_spans`]), laying them back to back from the
-/// simulated instant `base` by their measured elapsed times.
-pub fn record_sequential_spans<'a>(
-    runs: impl IntoIterator<Item = &'a RunReport>,
-    tracer: &Tracer,
-    base: SimInstant,
-    process: &str,
-) {
-    let mut at = base;
-    for run in runs {
-        run.record_spans(tracer, at, process);
-        at += SimDuration::from_secs(run.elapsed().as_secs_f64());
     }
 }
 
@@ -149,15 +129,7 @@ mod tests {
 
     #[test]
     fn occupancy_of_idle_worker_is_zero() {
-        let w = WorkerReport {
-            rows: 0,
-            chunks: 0,
-            steals: 0,
-            busy: Duration::ZERO,
-            first_start: None,
-            last_end: Duration::ZERO,
-        };
-        assert_eq!(w.occupancy(), 0.0);
+        assert_eq!(WorkerReport::default().occupancy(), 0.0);
     }
 
     #[test]
@@ -166,7 +138,6 @@ mod tests {
         assert_eq!(r.rows(), 100);
         assert_eq!(r.workers().len(), 1);
         assert!((r.workers()[0].occupancy() - 1.0).abs() < 1e-9);
-        assert_eq!(r.workers()[0].steals, 0);
     }
 
     #[test]
@@ -178,19 +149,11 @@ mod tests {
                 WorkerReport {
                     rows: 6,
                     chunks: 2,
-                    steals: 1,
                     busy: Duration::from_millis(1),
                     first_start: Some(Duration::ZERO),
                     last_end: Duration::from_millis(1),
                 },
-                WorkerReport {
-                    rows: 0,
-                    chunks: 0,
-                    steals: 0,
-                    busy: Duration::ZERO,
-                    first_start: None,
-                    last_end: Duration::ZERO,
-                },
+                WorkerReport::default(),
             ],
         );
         let tracer = Tracer::new();

@@ -133,8 +133,7 @@ pub struct TraceOutcome {
 
 impl TraceOutcome {
     /// The latency distribution folded into the shared telemetry
-    /// [`Histogram`] — the same type `repro scheduler` renders and the
-    /// metrics registry aggregates.
+    /// [`Histogram`] — the one `repro scheduler` renders per policy.
     pub fn latency_histogram(&self) -> Histogram {
         let mut h = Histogram::new();
         for &latency in &self.latencies {

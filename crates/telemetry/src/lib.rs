@@ -1,5 +1,5 @@
 //! Observability for the `mlscore` scoring pipeline: span tracing over
-//! simulated time, a metrics registry, and trace exporters.
+//! simulated time, latency histograms, and trace exporters.
 //!
 //! Every cost model in the workspace reports *where simulated time goes*
 //! through a [`TimingBreakdown`](mlscore_sim::TimingBreakdown). That is a
@@ -21,8 +21,8 @@
 //! tracer too — and returns that breakdown. A stage cut into several spans
 //! is split with [`ExactSplit`], so the parts refold to the total exactly.
 //!
-//! The [`MetricsRegistry`] complements spans with named counters and
-//! log-bucketed latency histograms (p50/p95/p99/max).
+//! A [`Histogram`] complements spans with log-bucketed latency
+//! percentiles (p50/p95/p99/max).
 //!
 //! # Example
 //!
@@ -57,7 +57,7 @@ pub mod span;
 pub mod timeseries;
 pub mod tracer;
 
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
+pub use metrics::Histogram;
 pub use span::{ExactSplit, Scope, SpanEvent, Trace, Track};
 pub use timeseries::{ClassWindow, TimeSeriesRecorder, Window};
 pub use tracer::{ChargedSpan, SpanGuard, StageRecorder, Tracer};

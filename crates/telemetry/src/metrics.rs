@@ -1,10 +1,8 @@
-//! Named counters and log-bucketed latency histograms.
+//! Log-bucketed latency histograms.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mlscore_sim::SimDuration;
-use parking_lot::Mutex;
 
 /// Number of logarithmic buckets; base-2 from 1 ns covers 1 ns to ~2.3 h.
 const BUCKETS: usize = 64;
@@ -151,82 +149,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A read-only copy of one histogram plus its name.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Registry key the histogram was recorded under.
-    pub name: String,
-    /// The histogram state at snapshot time.
-    pub histogram: Histogram,
-}
-
-/// A thread-safe registry of named counters and histograms.
-///
-/// Keys are free-form dotted paths (`"sched.queries"`,
-/// `"fpga.passes"`). Reads return copies, so a snapshot is stable while
-/// recording continues.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `by` to the named counter (creating it at zero).
-    pub fn inc_counter(&self, name: &str, by: u64) {
-        *self.counters.lock().entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Current value of a counter (zero if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample into the named histogram (creating it if new).
-    pub fn record(&self, name: &str, d: SimDuration) {
-        self.histograms
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
-    }
-
-    /// A copy of the named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.histograms.lock().get(name).cloned()
-    }
-
-    /// Copies of all histograms, sorted by name.
-    pub fn histograms(&self) -> Vec<HistogramSnapshot> {
-        self.histograms
-            .lock()
-            .iter()
-            .map(|(name, h)| HistogramSnapshot {
-                name: name.clone(),
-                histogram: h.clone(),
-            })
-            .collect()
-    }
-
-    /// Renders every metric as aligned text, one per line.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (name, v) in self.counters.lock().iter() {
-            writeln!(out, "counter   {name:<32} {v}").unwrap();
-        }
-        for (name, h) in self.histograms.lock().iter() {
-            writeln!(out, "histogram {name:<32} {h}").unwrap();
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,28 +199,5 @@ mod tests {
         for p in [0, 1, 50, 99, 100] {
             assert_eq!(h.percentile(p), us(42.0));
         }
-    }
-
-    #[test]
-    fn registry_counters_and_histograms() {
-        let m = MetricsRegistry::new();
-        m.inc_counter("sched.queries", 2);
-        m.inc_counter("sched.queries", 3);
-        assert_eq!(m.counter("sched.queries"), 5);
-        assert_eq!(m.counter("missing"), 0);
-
-        m.record("latency", us(5.0));
-        m.record("latency", us(15.0));
-        let h = m.histogram("latency").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!(m.histogram("missing").is_none());
-
-        let all = m.histograms();
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].name, "latency");
-
-        let text = m.render();
-        assert!(text.contains("sched.queries"));
-        assert!(text.contains("latency"));
     }
 }

@@ -12,7 +12,7 @@
 //! * [`mlscore_data`] — tabular frames and synthetic IRIS/HIGGS generators.
 //! * [`mlscore_backend`] — the [`ScoringBackend`](mlscore_backend::ScoringBackend)
 //!   trait and CPU backends.
-//! * [`mlscore_exec`] — persistent work-stealing batch executor and blocked
+//! * [`mlscore_exec`] — persistent block-cursor batch executor and blocked
 //!   scoring kernels.
 //! * [`mlscore_gpu`] / [`mlscore_fpga`] — accelerator models.
 //! * [`mlscore_offload`] — PCIe and offload-overhead models.

@@ -19,4 +19,4 @@ pub use mlscore_exec::{ExecPool, RunConfig, RunReport};
 pub use mlscore_forest::{ForestConfig, ModelStats, RandomForest, TrainedModel};
 pub use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine, ServingReport, WorkloadSpec};
 pub use mlscore_sim::{SimDuration, SimInstant, Stage, TimingBreakdown};
-pub use mlscore_telemetry::{MetricsRegistry, Scope, Trace, Tracer};
+pub use mlscore_telemetry::{Scope, Trace, Tracer};
