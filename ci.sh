@@ -169,9 +169,6 @@ cargo run --release -q -p mlscore-bench --bin repro -- \
 cmp target/BENCH_serving.full.json BENCH_serving.json
 cargo run --release -q -p mlscore-bench --bin repro -- \
     serve --check BENCH_serving.json
-# The one-sided perf gate must accept a self-diff of the serving schema.
-cargo run --release -q -p mlscore-bench --bin repro -- \
-    bench --diff BENCH_serving.json BENCH_serving.json
 
 echo "== report smoke (repro report --quick twice, full once) =="
 # The run report is a pure function of (seed, options): rendering it twice

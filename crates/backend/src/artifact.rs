@@ -11,9 +11,10 @@
 //!   ([`Lowered`]), tagged with the [`ArtifactKey`] it was compiled under;
 //! * [`compile`] / [`compile_timed`] — the prepare pass itself
 //!   (deserialize → stats → `supports` → `lower`);
-//! * [`ArtifactCache`] — a content-hash-keyed, LRU-evicting cache of
-//!   compiled models with hit/miss/eviction counters, so repeated queries
-//!   against the same bundle skip the whole pass.
+//! * [`ArtifactCache`] — a content-hash-keyed cache of compiled models, so
+//!   repeated queries against the same bundle skip the whole pass. Which
+//!   models stay resident, and the hit/miss/eviction counters, come from
+//!   the same [`LruCacheModel`] the serving engine charges compiles with.
 //!
 //! The cache key is *content-addressed*: [`ModelBundle::content_hash`] over
 //! the serialized bytes, crossed with the backend's name and its
@@ -22,13 +23,13 @@
 //! differently (say, a different FPGA tree-depth capacity) gets its own.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mlscore_exec::FlatImage;
 use mlscore_forest::{ModelBundle, ModelStats, RandomForest};
-use mlscore_sim::{Clock, SimDuration, WallClock};
+use mlscore_sim::{Clock, LruCacheModel, SimDuration, WallClock};
 
 use crate::error::BackendError;
 use crate::traits::ScoringBackend;
@@ -49,7 +50,7 @@ pub struct ArtifactKey {
 /// Builds the cache identity `backend` would compile `bundle` under,
 /// without compiling anything — the hook callers (the serving engine's
 /// cache model, cache-warming tools) use to reason about hits and misses
-/// up front. [`compile_timed`] and [`ArtifactCache::get_or_prepare_timed`]
+/// up front. [`compile_timed`] and [`ArtifactCache::get_or_prepare`]
 /// derive their keys through this same function, so a key predicted here
 /// is exactly the key the cache will use.
 pub fn artifact_key<B: ScoringBackend + ?Sized>(backend: &B, bundle: &ModelBundle) -> ArtifactKey {
@@ -110,24 +111,6 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Assembles a compiled model. Prefer [`compile`], which runs the full
-    /// pass.
-    pub fn new(
-        key: ArtifactKey,
-        forest: Arc<RandomForest>,
-        stats: ModelStats,
-        lowered: Lowered,
-        model_bytes: usize,
-    ) -> Self {
-        Self {
-            key,
-            forest,
-            stats,
-            lowered,
-            model_bytes,
-        }
-    }
-
     /// The cache identity this artifact was compiled under.
     pub fn key(&self) -> &ArtifactKey {
         &self.key
@@ -298,14 +281,13 @@ pub fn compile_timed_with<B: ScoringBackend + ?Sized>(
     backend.supports(&stats)?;
     let lowered = backend.lower(&forest)?;
     let lower = clock.now().duration_since(t1);
-    let key = artifact_key(backend, bundle);
-    let model = Arc::new(CompiledModel::new(
-        key,
-        Arc::new(forest),
+    let model = Arc::new(CompiledModel {
+        key: artifact_key(backend, bundle),
+        forest: Arc::new(forest),
         stats,
         lowered,
-        bundle.len(),
-    ));
+        model_bytes: bundle.len(),
+    });
     Ok((model, PrepareTiming { deserialize, lower }))
 }
 
@@ -323,6 +305,18 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// A snapshot of `lru`'s counters: the one mapping both
+    /// [`ArtifactCache::stats`] and the serving engine's compile model
+    /// report through.
+    pub fn of(lru: &LruCacheModel<ArtifactKey>) -> Self {
+        Self {
+            hits: lru.hits(),
+            misses: lru.misses(),
+            evictions: lru.evictions(),
+            entries: lru.len(),
+        }
+    }
+
     /// Total lookups served (hits plus misses).
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
@@ -337,26 +331,22 @@ impl CacheStats {
     }
 }
 
-struct CacheEntry {
-    last_used: u64,
-    model: Arc<CompiledModel>,
-}
-
-#[derive(Default)]
 struct CacheInner {
-    map: HashMap<ArtifactKey, CacheEntry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    /// Residency: decides every hit, miss and eviction.
+    lru: LruCacheModel<ArtifactKey>,
+    /// The compiled models `lru` holds resident, and no others.
+    models: BTreeMap<ArtifactKey, Arc<CompiledModel>>,
 }
 
 /// A content-addressed cache of [`CompiledModel`]s with LRU eviction.
 ///
 /// Keyed by [`ArtifactKey`] (bundle content hash × backend name × backend
 /// config), so a bundle re-submitted byte-for-byte is a hit and skips
-/// deserialize + lower entirely. Thread-safe; compiled artifacts are shared
-/// out as `Arc`s, so an eviction never invalidates an in-flight query.
+/// deserialize + lower entirely. Residency is an [`LruCacheModel`], the
+/// policy the serving engine uses to charge compiles, so the real cache
+/// and the modelled one agree on every lookup sequence. Thread-safe;
+/// compiled artifacts are shared out as `Arc`s, so an eviction never
+/// invalidates an in-flight query.
 ///
 /// # Example
 ///
@@ -371,24 +361,21 @@ struct CacheInner {
 /// let bundle = ModelBundle::serialize(&forest);
 /// let backend = OnnxCpu::single_thread();
 /// let cache = ArtifactCache::new(4);
-/// let (_, outcome) = cache.get_or_prepare(&backend, &bundle).unwrap();
+/// let (_, outcome, _) = cache.get_or_prepare(&backend, &bundle).unwrap();
 /// assert_eq!(outcome, CacheOutcome::Miss);
-/// let (model, outcome) = cache.get_or_prepare(&backend, &bundle).unwrap();
+/// let (model, outcome, _) = cache.get_or_prepare(&backend, &bundle).unwrap();
 /// assert_eq!(outcome, CacheOutcome::Hit);
 /// assert_eq!(model.stats().n_trees, 8);
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 pub struct ArtifactCache {
     inner: Mutex<CacheInner>,
-    capacity: usize,
 }
 
 impl fmt::Debug for ArtifactCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stats = self.stats();
         f.debug_struct("ArtifactCache")
-            .field("capacity", &self.capacity)
-            .field("stats", &stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -400,34 +387,29 @@ impl ArtifactCache {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "artifact cache capacity must be non-zero");
         Self {
-            inner: Mutex::new(CacheInner::default()),
-            capacity,
+            inner: Mutex::new(CacheInner {
+                lru: LruCacheModel::new(capacity),
+                models: BTreeMap::new(),
+            }),
         }
     }
 
-    /// Maximum number of resident artifacts.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn inner(&self) -> MutexGuard<'_, CacheInner> {
+        // Poison recovery: every critical section leaves the LRU and the
+        // models consistent, so a payload panic on another thread must not
+        // cascade into the serving path.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        // Poison recovery: every critical section leaves the map and
-        // counters consistent, so a payload panic on another thread must
-        // not cascade into the serving path.
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
+        CacheStats::of(&self.inner().lru)
     }
 
     /// Looks up the artifact for (`bundle`, `backend`), compiling and
-    /// inserting it on a miss.
+    /// inserting it on a miss. Also reports the compile sub-step timing,
+    /// measured on the wall clock ([`PrepareTiming::default`] on a hit).
     ///
     /// # Errors
     ///
@@ -436,65 +418,25 @@ impl ArtifactCache {
         &self,
         backend: &B,
         bundle: &ModelBundle,
-    ) -> Result<(Arc<CompiledModel>, CacheOutcome), BackendError> {
-        self.get_or_prepare_timed(backend, bundle)
-            .map(|(model, outcome, _)| (model, outcome))
-    }
-
-    /// [`ArtifactCache::get_or_prepare`], additionally reporting the
-    /// compile sub-step timing ([`PrepareTiming::default`] on a hit).
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`compile`] fails; failures are not cached.
-    pub fn get_or_prepare_timed<B: ScoringBackend + ?Sized>(
-        &self,
-        backend: &B,
-        bundle: &ModelBundle,
     ) -> Result<(Arc<CompiledModel>, CacheOutcome, PrepareTiming), BackendError> {
         let key = artifact_key(backend, bundle);
         {
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                entry.last_used = tick;
-                let model = Arc::clone(&entry.model);
-                inner.hits += 1;
+            let mut inner = self.inner();
+            if let Some(model) = inner.models.get(&key).map(Arc::clone) {
+                inner.lru.probe(key);
                 return Ok((model, CacheOutcome::Hit, PrepareTiming::default()));
             }
         }
         // Compile outside the lock: misses on distinct bundles proceed in
         // parallel. A racing miss on the same key wastes one compile but
-        // stays correct — last insert wins and both callers hold valid Arcs.
-        // The cache sits at the measurement boundary: misses are timed on
-        // the wall clock.
+        // stays correct: the loser's probe counts as a hit, last insert
+        // wins and both callers hold valid Arcs.
         let (model, timing) = compile_timed(backend, bundle)?;
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.misses += 1;
-            while inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-                let Some(lru) = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                inner.map.remove(&lru);
-                inner.evictions += 1;
-            }
-            inner.map.insert(
-                key,
-                CacheEntry {
-                    last_used: tick,
-                    model: Arc::clone(&model),
-                },
-            );
-        }
+        let mut inner = self.inner();
+        let CacheInner { lru, models } = &mut *inner;
+        lru.probe(key.clone());
+        models.retain(|k, _| lru.would_hit(k));
+        models.insert(key, Arc::clone(&model));
         Ok((model, CacheOutcome::Miss, timing))
     }
 }
@@ -529,13 +471,13 @@ mod tests {
         let cache = ArtifactCache::new(4);
         let backend = OnnxCpu::single_thread();
         let b = bundle(1);
-        let (first, o1) = cache.get_or_prepare(&backend, &b).unwrap();
-        let (second, o2) = cache.get_or_prepare(&backend, &b).unwrap();
+        let (first, o1, _) = cache.get_or_prepare(&backend, &b).unwrap();
+        let (second, o2, _) = cache.get_or_prepare(&backend, &b).unwrap();
         assert_eq!((o1, o2), (CacheOutcome::Miss, CacheOutcome::Hit));
         assert!(Arc::ptr_eq(&first, &second));
         // A byte-identical re-serialization is still a hit.
         let again = ModelBundle::from_bytes(b.as_bytes());
-        let (_, o3) = cache.get_or_prepare(&backend, &again).unwrap();
+        let (_, o3, _) = cache.get_or_prepare(&backend, &again).unwrap();
         assert_eq!(o3, CacheOutcome::Hit);
         assert_eq!(
             cache.stats(),
@@ -552,13 +494,13 @@ mod tests {
     fn distinct_backends_and_bundles_get_distinct_artifacts() {
         let cache = ArtifactCache::new(8);
         let b = bundle(1);
-        let (onnx_model, _) = cache.get_or_prepare(&OnnxCpu::single_thread(), &b).unwrap();
-        let (skl_model, o) = cache
+        let (onnx_model, ..) = cache.get_or_prepare(&OnnxCpu::single_thread(), &b).unwrap();
+        let (skl_model, o, _) = cache
             .get_or_prepare(&SklearnCpu::with_threads(1), &b)
             .unwrap();
         assert_eq!(o, CacheOutcome::Miss);
         assert_ne!(onnx_model.key(), skl_model.key());
-        let (_, o) = cache
+        let (_, o, _) = cache
             .get_or_prepare(&OnnxCpu::single_thread(), &bundle(2))
             .unwrap();
         assert_eq!(o, CacheOutcome::Miss);
@@ -573,13 +515,13 @@ mod tests {
         cache.get_or_prepare(&backend, &a).unwrap();
         cache.get_or_prepare(&backend, &b).unwrap();
         // Touch `a` so `b` becomes the LRU victim.
-        let (_, o) = cache.get_or_prepare(&backend, &a).unwrap();
+        let (_, o, _) = cache.get_or_prepare(&backend, &a).unwrap();
         assert_eq!(o, CacheOutcome::Hit);
         cache.get_or_prepare(&backend, &c).unwrap();
         assert_eq!(cache.stats().evictions, 1);
-        let (_, o) = cache.get_or_prepare(&backend, &a).unwrap();
+        let (_, o, _) = cache.get_or_prepare(&backend, &a).unwrap();
         assert_eq!(o, CacheOutcome::Hit);
-        let (_, o) = cache.get_or_prepare(&backend, &b).unwrap();
+        let (_, o, _) = cache.get_or_prepare(&backend, &b).unwrap();
         assert_eq!(o, CacheOutcome::Miss, "b should have been evicted");
     }
 
@@ -601,9 +543,9 @@ mod tests {
         let cache = ArtifactCache::new(2);
         let backend = OnnxCpu::single_thread();
         let b = bundle(5);
-        let (_, outcome, _miss_timing) = cache.get_or_prepare_timed(&backend, &b).unwrap();
+        let (_, outcome, _miss_timing) = cache.get_or_prepare(&backend, &b).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
-        let (_, outcome, hit_timing) = cache.get_or_prepare_timed(&backend, &b).unwrap();
+        let (_, outcome, hit_timing) = cache.get_or_prepare(&backend, &b).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
         assert_eq!(hit_timing, PrepareTiming::default());
     }
@@ -650,5 +592,31 @@ mod tests {
             entries: 1,
         };
         assert_eq!(perfect.expected_reuse(), 1);
+    }
+
+    /// A cache and a bare `LruCacheModel` fed the same seeded lookups agree
+    /// at every step: the cache decides residency with the model alone.
+    #[test]
+    fn residency_matches_the_lru_model_step_for_step() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let bundles: Vec<ModelBundle> = (1..=5).map(bundle).collect();
+        let (onnx, skl) = (OnnxCpu::single_thread(), SklearnCpu::with_threads(1));
+        let backends: [&dyn ScoringBackend; 2] = [&onnx, &skl];
+        let cache = ArtifactCache::new(3);
+        let mut lru = LruCacheModel::new(3);
+        let mut rng = StdRng::seed_from_u64(30);
+        for step in 0..300 {
+            let backend = backends[rng.gen_range(0..backends.len())];
+            let b = &bundles[rng.gen_range(0..bundles.len())];
+            let (_, outcome, _) = cache.get_or_prepare(backend, b).unwrap();
+            let hit = lru.probe(artifact_key(backend, b));
+            assert_eq!(outcome == CacheOutcome::Hit, hit, "step {step}");
+            let stats = cache.stats();
+            assert_eq!(stats, CacheStats::of(&lru), "step {step}");
+            assert_eq!(cache.inner().models.len(), stats.entries, "step {step}");
+        }
+        assert!(lru.hits() > 0 && lru.evictions() > 0);
     }
 }

@@ -9,9 +9,9 @@
 //! records} × {1, 4, host threads}, comparing executions of the same model
 //! over the same frame:
 //!
-//! * **naive** — the growth seed's per-record path: record-major
-//!   pointer-tree traversal with a fresh `vec![0u32; n_classes]` vote
-//!   buffer allocated for every record.
+//! * **naive** — [`RandomForest::predict_batch`], the growth seed's
+//!   per-record path: record-major pointer-tree traversal with a fresh
+//!   vote buffer allocated for every record.
 //! * **forest** — the blocked pointer-tree kernel
 //!   ([`score_forest_batch`], what the scikit-learn-like backend runs).
 //! * **simd** — the SIMD lane walker over a [`FlatImage`]
@@ -245,7 +245,7 @@ fn measure_secs(iters: usize, mut f: impl FnMut()) -> f64 {
     f();
     let mut best = Duration::MAX;
     for _ in 0..iters.max(1) {
-        // analyze: allow(D001, reason="this IS the benchmark: measuring the fused-vs-staged wall clock is the point")
+        // analyze: allow(D001, reason="this IS the benchmark: measuring host scoring wall clock is the point")
         let t = Instant::now();
         f();
         best = best.min(t.elapsed());
@@ -385,37 +385,10 @@ pub fn run_fused(opts: &BenchOptions) -> Vec<FusedCell> {
     cells
 }
 
-/// The seed's scoring path, reproduced verbatim as the baseline: for every
-/// record, allocate a fresh vote buffer and walk every pointer tree.
-pub fn naive_predict(forest: &RandomForest, records: &[f32]) -> Vec<u32> {
-    let n_features = forest.n_features();
-    assert_eq!(records.len() % n_features, 0);
-    let rows = records.chunks_exact(n_features);
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        // One heap allocation per record — the cost the executor's
-        // reusable scratch removes.
-        let mut votes = vec![0u32; forest.n_classes() as usize];
-        for tree in forest.trees() {
-            votes[tree.predict(row) as usize] += 1;
-        }
-        out.push(RandomForest::majority(&votes));
-    }
-    out
-}
-
 /// Runs `f` once as warmup, then `iters` timed passes, keeping the
 /// fastest. Returns records/second.
-fn measure_rps(records: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = Duration::MAX;
-    for _ in 0..iters.max(1) {
-        // analyze: allow(D001, reason="this IS the benchmark: measuring host scoring throughput is the point")
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed());
-    }
-    records as f64 / best.as_secs_f64().max(1e-12)
+fn measure_rps(records: usize, iters: usize, f: impl FnMut()) -> f64 {
+    records as f64 / measure_secs(iters, f).max(1e-12)
 }
 
 /// Thread counts for the sweep: `{1, 4, host}` with duplicates removed.
@@ -441,9 +414,9 @@ fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> Ca
     let iters = opts.iters();
     let level = SimdLevel::detect();
 
-    let reference = naive_predict(&forest, frame.as_slice());
+    let reference = forest.predict_batch(frame.as_slice());
     let naive_rps = measure_rps(records, iters, || {
-        let preds = naive_predict(&forest, frame.as_slice());
+        let preds = forest.predict_batch(frame.as_slice());
         std::hint::black_box(&preds);
     });
 
@@ -698,17 +671,6 @@ pub fn validate(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn naive_predict_matches_reference_batch() {
-        let forest =
-            RandomForest::synthetic_full(&ForestConfig::classification(12, 4, 3).with_depth(7), 21);
-        let data = Dataset::iris(97, 5).normalized();
-        assert_eq!(
-            naive_predict(&forest, data.frame().as_slice()),
-            forest.predict_batch(data.frame().as_slice())
-        );
-    }
 
     #[test]
     fn quick_cell_is_bit_exact_and_serializes() {

@@ -1,19 +1,15 @@
 //! Benchmark regression diffing (`repro bench --diff`).
 //!
-//! Compares two benchmark documents cell by cell. Both documents must
-//! carry the same `"schema"`; each is flattened into one map of labelled
-//! cells, and one loop compares the maps:
-//!
-//! - `mlscore/bench-cpu-scoring/v1` (`BENCH_cpu_scoring.json`): each case
-//!   is a cell keyed by `(dataset, trees, depth, records)`; its metrics
-//!   are every run's `*_records_per_sec` numbers, named by thread count.
-//! - `mlscore/bench-serving/v1` (`BENCH_serving.json`): each sweep side
-//!   and FPGA overload side is a cell; the higher-is-better metrics
-//!   (throughput, attainment) gate, while latency (lower is better) stays
-//!   informational.
+//! Compares two `mlscore/bench-cpu-scoring/v1` documents
+//! (`BENCH_cpu_scoring.json`) cell by cell. Each is flattened into one map
+//! of labelled cells, and one loop compares the maps: each case is a cell
+//! keyed by `(dataset, trees, depth, records)`; its metrics are every
+//! run's `*_records_per_sec` numbers, named by thread count. The simulated
+//! serving report needs no diff: it is a pure function of its seed, so CI
+//! regenerates it and compares the bytes.
 //!
 //! Each gated number in the new report must come within a relative
-//! tolerance of the old one. Missing cases, runs, or blocks are
+//! tolerance of the old one. Missing cases or runs are
 //! regressions too — a report cannot "improve" by silently dropping the
 //! slow cells. The comparison is keyed on the metrics the *old* report
 //! carries: cells or per-run metrics that only exist in the new report
@@ -33,104 +29,63 @@ use mlscore_telemetry::json::{self, JsonValue};
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 const CPU_SCHEMA: &str = "mlscore/bench-cpu-scoring/v1";
-const SERVING_SCHEMA: &str = "mlscore/bench-serving/v1";
 
 /// Per-run metric suffix every compared CPU throughput key shares.
 const METRIC_SUFFIX: &str = "_records_per_sec";
 
-/// Higher-is-better metrics gated on every serving sweep/overload block.
-const SERVING_GATED: &[&str] = &[
-    "throughput_qps",
-    "records_per_sec",
-    "interactive_attainment",
-    "analytical_attainment",
-];
-
 /// A report flattened for comparison: `cell label -> { metric -> value }`.
 type Cells = BTreeMap<String, BTreeMap<String, f64>>;
 
-/// Flattens either schema into labelled cells. A CPU case is one cell
+/// Flattens a CPU scoring report into labelled cells: a case is one cell
 /// whose metrics are its runs' `*_records_per_sec` numbers, named by
-/// thread count (`"4-thread simd_records_per_sec"`); a serving sweep
-/// side or overload side is one cell of its gated metrics.
-/// Returns the schema with the cells.
-fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), String> {
+/// thread count (`"4-thread simd_records_per_sec"`).
+fn flatten(doc: &JsonValue, label: &str) -> Result<Cells, String> {
     let schema: &str = doc.field("schema", label)?;
-    let mut cells = Cells::new();
-    match schema {
-        CPU_SCHEMA => {
-            let cases: &[JsonValue] = doc.field("cases", label)?;
-            for (i, case) in cases.iter().enumerate() {
-                let what = format!("{label}: case {i}");
-                let num = |key| case.field::<f64>(key, &what).map(|v| v as u64);
-                let dataset: &str = case.field("dataset", &what)?;
-                let cell = format!(
-                    "{dataset} x{} trees depth {} @{}",
-                    num("trees")?,
-                    num("depth")?,
-                    num("records")?
-                );
-                let mut metrics = BTreeMap::new();
-                for run in case.field::<&[JsonValue]>("runs", &what)? {
-                    let threads = run.field::<f64>("threads", &what)? as u64;
-                    let JsonValue::Object(fields) = run else {
-                        return Err(format!("{what}: run is not an object"));
-                    };
-                    let mut any = false;
-                    for (name, value) in fields {
-                        if !name.ends_with(METRIC_SUFFIX) {
-                            continue;
-                        }
-                        let v = value
-                            .as_f64()
-                            .ok_or_else(|| format!("{what}: non-numeric \"{name}\""))?;
-                        metrics.insert(format!("{threads}-thread {name}"), v);
-                        any = true;
-                    }
-                    if !any {
-                        return Err(format!("{what}: run has no {METRIC_SUFFIX} metrics"));
-                    }
-                }
-                cells.insert(cell, metrics);
-            }
-        }
-        SERVING_SCHEMA => {
-            // One cell per block: the gated metrics it carries.
-            let mut gate = |cell: String, block: &JsonValue| {
-                let metrics: BTreeMap<String, f64> = SERVING_GATED
-                    .iter()
-                    .filter_map(|&key| Some((key.to_string(), block.get(key)?.as_f64()?)))
-                    .collect();
-                if metrics.is_empty() {
-                    return Err(format!("{label}: {cell}: no comparable metrics"));
-                }
-                cells.insert(cell, metrics);
-                Ok(())
-            };
-            let sweep: &[JsonValue] = doc.field("sweep", label)?;
-            for (i, point) in sweep.iter().enumerate() {
-                let what = format!("{label}: sweep point {i}");
-                let rate: f64 = point.field("rate_qps", &what)?;
-                for side in ["coalesce_on", "coalesce_off"] {
-                    let block = point.field(side, &what)?;
-                    gate(format!("sweep @{rate:.0}qps {side}"), block)?;
-                }
-            }
-            let fo: &JsonValue = doc.field("fpga_overload", label)?;
-            for side in ["coalesce_on", "coalesce_off"] {
-                let block = fo.field(side, &format!("{label}: fpga_overload"))?;
-                gate(format!("fpga_overload {side}"), block)?;
-            }
-        }
-        other => return Err(format!("{label}: unexpected schema {other:?}")),
+    if schema != CPU_SCHEMA {
+        return Err(format!("{label}: unexpected schema {schema:?}"));
     }
-    Ok((schema, cells))
+    let mut cells = Cells::new();
+    let cases: &[JsonValue] = doc.field("cases", label)?;
+    for (i, case) in cases.iter().enumerate() {
+        let what = format!("{label}: case {i}");
+        let num = |key| case.field::<f64>(key, &what).map(|v| v as u64);
+        let dataset: &str = case.field("dataset", &what)?;
+        let cell = format!(
+            "{dataset} x{} trees depth {} @{}",
+            num("trees")?,
+            num("depth")?,
+            num("records")?
+        );
+        let mut metrics = BTreeMap::new();
+        for run in case.field::<&[JsonValue]>("runs", &what)? {
+            let threads = run.field::<f64>("threads", &what)? as u64;
+            let JsonValue::Object(fields) = run else {
+                return Err(format!("{what}: run is not an object"));
+            };
+            let mut any = false;
+            for (name, value) in fields {
+                if !name.ends_with(METRIC_SUFFIX) {
+                    continue;
+                }
+                let v = value
+                    .as_f64()
+                    .ok_or_else(|| format!("{what}: non-numeric \"{name}\""))?;
+                metrics.insert(format!("{threads}-thread {name}"), v);
+                any = true;
+            }
+            if !any {
+                return Err(format!("{what}: run has no {METRIC_SUFFIX} metrics"));
+            }
+        }
+        cells.insert(cell, metrics);
+    }
+    Ok(cells)
 }
 
 /// Compares `new_text` against `old_text` with relative `tolerance`.
 ///
-/// Both documents must carry the same schema (CPU scoring or serving;
-/// see the module docs). Returns one human-readable line per regression
+/// Both documents must be CPU scoring reports (see the module docs).
+/// Returns one human-readable line per regression
 /// (empty: the gate passes). A metric regresses when its new value falls
 /// below `old * (1 - tolerance)`; cells or metrics present in the old
 /// report but absent from the new one regress unconditionally. The
@@ -141,31 +96,19 @@ fn flatten<'a>(doc: &'a JsonValue, label: &str) -> Result<(&'a str, Cells), Stri
 /// # Errors
 ///
 /// Returns a description of the first structural problem in either
-/// document (bad JSON, wrong or mismatched schemas, missing fields).
+/// document (bad JSON, a wrong schema, missing fields).
 pub fn diff(old_text: &str, new_text: &str, tolerance: f64) -> Result<Vec<String>, String> {
     if !(0.0..1.0).contains(&tolerance) {
         return Err(format!("tolerance {tolerance} outside [0, 1)"));
     }
     let old_doc = json::parse(old_text).map_err(|e| format!("old: {e}"))?;
     let new_doc = json::parse(new_text).map_err(|e| format!("new: {e}"))?;
-    let (schema, old) = flatten(&old_doc, "old")?;
-    let (new_schema, new) = flatten(&new_doc, "new")?;
-    if new_schema != schema {
-        return Err(format!(
-            "new: schema {new_schema:?} does not match old {schema:?}"
-        ));
-    }
-    // CPU throughputs are records/second; serving metrics include
-    // fractions that need the decimals.
-    let (missing, decimals) = if schema == CPU_SCHEMA {
-        ("case", 0)
-    } else {
-        ("block", 3)
-    };
+    let old = flatten(&old_doc, "old")?;
+    let new = flatten(&new_doc, "new")?;
     let mut regressions = Vec::new();
     for (label, old_metrics) in &old {
         let Some(new_metrics) = new.get(label) else {
-            regressions.push(format!("{label}: {missing} missing from new report"));
+            regressions.push(format!("{label}: case missing from new report"));
             continue;
         };
         // Only the old report's metrics gate; new-only metrics are
@@ -177,7 +120,7 @@ pub fn diff(old_text: &str, new_text: &str, tolerance: f64) -> Result<Vec<String
             };
             if new_v < old_v * (1.0 - tolerance) {
                 regressions.push(format!(
-                    "{label}: {metric} regressed {old_v:.decimals$} -> {new_v:.decimals$} \
+                    "{label}: {metric} regressed {old_v:.0} -> {new_v:.0} \
                      ({:+.1}%, tolerance {:.0}%)",
                     (new_v / old_v - 1.0) * 100.0,
                     tolerance * 100.0,
@@ -283,46 +226,5 @@ mod tests {
         assert!(diff("not json", "not json", 0.25).is_err());
         assert!(diff(&report(1.0, 1.0), "{\"schema\": \"wrong\"}", 0.25).is_err());
         assert!(diff(&report(1.0, 1.0), &report(1.0, 1.0), 1.5).is_err());
-    }
-
-    /// A minimal serving report: one sweep point and the overload pair.
-    fn serving(sweep_qps: f64) -> String {
-        let block = |qps: f64| {
-            format!(
-                "{{\"throughput_qps\": {qps}, \"records_per_sec\": 9e5,\n\
-                  \"interactive_attainment\": 0.99, \"analytical_attainment\": 1.0,\n\
-                  \"p99_ms\": 12.0}}"
-            )
-        };
-        format!(
-            "{{\"schema\": \"mlscore/bench-serving/v1\",\n\
-             \"schema_version\": 4,\n\
-             \"sweep\": [{{\"rate_qps\": 1000,\n\
-                \"coalesce_on\": {},\n\
-                \"coalesce_off\": {}}}],\n\
-             \"fpga_overload\": {{\"coalesce_on\": {}, \"coalesce_off\": {}}}}}",
-            block(sweep_qps),
-            block(sweep_qps * 0.9),
-            block(1800.0),
-            block(1500.0),
-        )
-    }
-
-    #[test]
-    fn serving_regressions_gate() {
-        let old = serving(950.0);
-        assert_eq!(diff(&old, &old, 0.25), Ok(vec![]));
-        // Sweep throughput collapses: both sides regress.
-        let r = diff(&old, &serving(400.0), 0.25).unwrap();
-        assert_eq!(r.len(), 2, "{r:?}");
-        assert!(r.iter().all(|l| l.contains("throughput_qps regressed")));
-        // A sweep point the new report lacks regresses per side.
-        let moved = old.replace("\"rate_qps\": 1000", "\"rate_qps\": 1200");
-        let r = diff(&old, &moved, 0.25).unwrap();
-        assert_eq!(r.len(), 2, "{r:?}");
-        assert!(r.iter().all(|l| l.contains("block missing")), "{r:?}");
-        // Mixing schemas is a structural error, not a diff result.
-        assert!(diff(&old, &report(1e6, 2e6), 0.25).is_err());
-        assert!(diff(&report(1e6, 2e6), &old, 0.25).is_err());
     }
 }

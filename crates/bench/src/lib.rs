@@ -18,8 +18,8 @@
 //! slowest-request stage breakdowns from the lifecycle journal.
 //!
 //! [`diff`] compares two benchmark reports cell by cell
-//! (`repro bench --diff old.json new.json`) — CPU scoring *and* serving
-//! documents — and flags regressions beyond a relative tolerance.
+//! (`repro bench --diff old.json new.json`) and flags throughput
+//! regressions beyond a relative tolerance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

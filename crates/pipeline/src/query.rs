@@ -145,9 +145,7 @@ impl<B: ScoringBackend> QueryPipeline<B> {
         // Compile (or fetch): deserialize + supports + lower, skipped
         // entirely on an artifact-cache hit.
         let (model, outcome, timing) = match &self.cache {
-            Some(cache) => cache
-                .get_or_prepare_timed(&self.backend, bundle)
-                .map_err(lift)?,
+            Some(cache) => cache.get_or_prepare(&self.backend, bundle).map_err(lift)?,
             None => {
                 let (model, timing) =
                     mlscore_backend::compile_timed(&self.backend, bundle).map_err(lift)?;

@@ -227,17 +227,6 @@ impl Ord for Event {
     }
 }
 
-/// Maps the shared [`LruCacheModel`]'s counters into the backend-facing
-/// [`CacheStats`] record reports carry.
-fn cache_stats(cache: &LruCacheModel<ArtifactKey>) -> CacheStats {
-    CacheStats {
-        hits: cache.hits(),
-        misses: cache.misses(),
-        evictions: cache.evictions(),
-        entries: cache.len(),
-    }
-}
-
 /// Mutable state of one run or session — everything the event loop
 /// touches, owned so an [`EngineSession`] can hold it across stepping
 /// calls. It keeps no per-request count: each lifecycle transition is
@@ -303,7 +292,7 @@ impl SessionState {
         ServingReport::fold(
             self.journal,
             config,
-            cache_stats(&self.cache),
+            CacheStats::of(&self.cache),
             self.series,
             |makespan| {
                 roster
@@ -495,7 +484,7 @@ impl Run<'_> {
         choose_amortized_eligible(
             stats,
             n_records,
-            cache_stats(&self.s.cache).expected_reuse(),
+            CacheStats::of(&self.s.cache).expected_reuse(),
             &self.engine.backends,
             &|i| self.predict_prepare(i, model),
             &|i| self.eligible(i, now),

@@ -10,9 +10,10 @@
 //!   between levels the cost is interpolated smoothly so sweeps do not
 //!   produce artificial cliffs.
 //! - [`LruCacheModel`] — the *residency* model: a deterministic LRU set
-//!   over arbitrary ordered keys, used by the serving engine to decide
+//!   over arbitrary ordered keys. The serving engine uses it to decide
 //!   whether a compiled-artifact lookup hits (charge a warm lookup) or
-//!   misses (charge a full compile).
+//!   misses (charge a full compile), and the real artifact cache uses it
+//!   to decide which compiled models stay resident.
 
 use std::collections::BTreeMap;
 

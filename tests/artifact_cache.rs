@@ -69,10 +69,10 @@ proptest! {
         let cache = ArtifactCache::new(16);
         for backend in all_backends() {
             let fresh = score_once(&backend, &forest, &frame).unwrap();
-            let (model, o1) = cache.get_or_prepare(&backend, &bundle).unwrap();
+            let (model, o1, _) = cache.get_or_prepare(&backend, &bundle).unwrap();
             prop_assert_eq!(o1, CacheOutcome::Miss, "{}", backend.name());
             let cold = score_compiled(&backend, &model, &frame);
-            let (model, o2) = cache.get_or_prepare(&backend, &bundle).unwrap();
+            let (model, o2, _) = cache.get_or_prepare(&backend, &bundle).unwrap();
             prop_assert_eq!(o2, CacheOutcome::Hit, "{}", backend.name());
             let warm = score_compiled(&backend, &model, &frame);
             prop_assert_eq!(&cold, &fresh, "cold prepared disagrees on {}", backend.name());
