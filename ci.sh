@@ -101,7 +101,7 @@ for w in tokens callgraph waivers; do
     done
 done
 
-echo "== bench smoke (repro bench --quick, detected and portable SIMD tier) =="
+echo "== bench smoke (repro bench --quick, detected, avx2 and portable SIMD tiers) =="
 # Quick measured sweep into a scratch file: exercises the wall-clock
 # harness end to end — the pointer-tree and SIMD kernels, the warm+cold
 # artifact-cache pair and the fused-vs-staged shmoo — and self-validates
@@ -119,6 +119,14 @@ MLSCORE_SIMD=portable cargo run --release -q -p mlscore-bench --bin repro -- \
 cargo run --release -q -p mlscore-bench --bin repro -- \
     bench --check target/BENCH_cpu_scoring.quick.portable.json
 grep -q '"simd_level": "portable"' target/BENCH_cpu_scoring.quick.portable.json
+# Forced down to AVX2: on an AVX-512 host the detected run takes the
+# AVX-512 walkers for the 8- and 4-group strides, so only this run covers
+# the AVX2 walker's wide strides end to end (a host without AVX2 runs
+# portable here, which the validator accepts the same way).
+MLSCORE_SIMD=avx2 cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --quick --out target/BENCH_cpu_scoring.quick.avx2.json
+cargo run --release -q -p mlscore-bench --bin repro -- \
+    bench --check target/BENCH_cpu_scoring.quick.avx2.json
 # The quick runs above also exercise the fused-vs-staged shmoo: --check
 # has already enforced (schema v4+) that every fused cell is bit-exact and
 # that the per-chunk handoff eliminates >= 80% of the staged marshal +

@@ -1,4 +1,5 @@
-//! Shared kernel plumbing plus the pointer-tree batch kernel.
+//! The record-block loop both CPU kernels share, plus the pointer-tree
+//! batch kernel.
 //!
 //! Each kernel runs on an [`ExecPool`]: the pool hands a task contiguous
 //! row ranges, and the task tiles them into blocks of
@@ -7,11 +8,14 @@
 //! traverses it — the opposite loop order from the seed's record-at-a-time
 //! `score_one`, which streamed every tree's nodes past every record.
 //!
-//! This module holds what both CPU kernels share — the disjoint-write
-//! output slice, the per-thread vote scratch, block tiling,
-//! and the [`LANES`] width — plus [`score_forest_batch`], the pointer-tree
-//! kernel the scikit-learn-like backend runs. The flat-image kernel is the
-//! SIMD lane walker in [`kernel_simd`](crate::kernel_simd).
+//! That tiling exists once, in `score_blocks`: the feature-width check,
+//! the per-thread vote scratch, the record- and tree-block runs, and the
+//! majority write into a disjoint-write output slice. A kernel only says
+//! how one tree block votes for one record block:
+//! [`score_forest_batch`] (the scikit-learn-like backend) walks the pointer
+//! trees row by row, and the flat-image kernel
+//! ([`kernel_simd`](crate::kernel_simd), the ONNX-like backend) walks
+//! [`LANES`]-row groups in SIMD lockstep.
 //!
 //! All scratch is thread-local and reused across blocks and calls: the hot
 //! loops allocate nothing.
@@ -45,7 +49,7 @@ pub const LANES: usize = 8;
 /// unwinds before every invocation has ended, so every index is written by
 /// at most one worker while the owning `Vec` is borrowed, and the buffer
 /// is only read or dropped after `run` is done with it.
-pub(crate) struct SharedOut<T>(*mut T, usize);
+struct SharedOut<T>(*mut T, usize);
 
 #[allow(unsafe_code)]
 // SAFETY: workers write disjoint indices of a `T: Send` buffer; see above.
@@ -55,7 +59,7 @@ unsafe impl<T: Send> Send for SharedOut<T> {}
 unsafe impl<T: Send> Sync for SharedOut<T> {}
 
 impl<T> SharedOut<T> {
-    pub(crate) fn new(buf: &mut [T]) -> Self {
+    fn new(buf: &mut [T]) -> Self {
         Self(buf.as_mut_ptr(), buf.len())
     }
 
@@ -65,7 +69,7 @@ impl<T> SharedOut<T> {
     /// the pool's disjoint-range contract.
     #[allow(unsafe_code)]
     #[inline]
-    pub(crate) fn write(&self, i: usize, val: T) {
+    fn write(&self, i: usize, val: T) {
         debug_assert!(i < self.1);
         // SAFETY: `i` is in bounds and, per the range contract, no other
         // thread writes it; the pointee stays alive for the whole run.
@@ -77,16 +81,66 @@ thread_local! {
     /// Reusable per-thread kernel scratch: per-(row, class) vote counts
     /// for one record block. Grown on first use, then reused across
     /// blocks, runs, and scoring calls.
-    pub(crate) static VOTES: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    static VOTES: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Splits `range` into sub-blocks of at most `block` rows.
-pub(crate) fn blocks(range: Range<usize>, block: usize) -> impl Iterator<Item = Range<usize>> {
+/// Splits `range` into sub-blocks of at most `block` items.
+fn blocks(range: Range<usize>, block: usize) -> impl Iterator<Item = Range<usize>> {
     let block = block.max(1);
     range
         .clone()
         .step_by(block)
         .map(move |lo| lo..(lo + block).min(range.end))
+}
+
+/// The record-block loop both CPU kernels run: scores `frame` on the pool
+/// into one class id per row.
+///
+/// Each task's rows are tiled into [`RunConfig::record_block`]-row blocks;
+/// for each block, `vote(rows, trees, votes)` tallies one class vote per
+/// (row, tree) for every [`RunConfig::tree_block`]-tree run in order, into
+/// `votes[(row - rows.start) * n_classes + class]` (zeroed per block), and
+/// each row's [`RandomForest::majority`] is written to the output.
+///
+/// # Panics
+///
+/// Panics if the frame's feature count differs from `n_features`.
+pub(crate) fn score_blocks(
+    frame: &TabularFrame,
+    n_features: usize,
+    n_trees: usize,
+    n_classes: usize,
+    pool: &ExecPool,
+    cfg: &RunConfig,
+    vote: impl Fn(Range<usize>, Range<usize>, &mut [u32]) + Sync,
+) -> (Vec<u32>, RunReport) {
+    assert_eq!(
+        frame.n_features(),
+        n_features,
+        "frame/model feature width mismatch: frame has {} features, model expects {}",
+        frame.n_features(),
+        n_features
+    );
+    let n = frame.n_rows();
+    let mut out = vec![0u32; n];
+    let shared = SharedOut::new(&mut out);
+    let report = pool.run(n, cfg, &|_w, range| {
+        VOTES.with(|v| {
+            let votes = &mut *v.borrow_mut();
+            for rows in blocks(range, cfg.record_block) {
+                votes.clear();
+                votes.resize(rows.len() * n_classes, 0);
+                for trees in blocks(0..n_trees, cfg.tree_block) {
+                    vote(rows.clone(), trees, votes);
+                }
+                for r in 0..rows.len() {
+                    let counts = &votes[r * n_classes..(r + 1) * n_classes];
+                    shared.write(rows.start + r, RandomForest::majority(counts));
+                }
+            }
+        });
+    });
+    (out, report)
 }
 
 /// Scores a frame against a pointer-tree forest on the pool into one class
@@ -103,40 +157,16 @@ pub fn score_forest_batch(
     pool: &ExecPool,
     cfg: &RunConfig,
 ) -> (Vec<u32>, RunReport) {
-    assert_eq!(
-        frame.n_features(),
-        forest.n_features(),
-        "frame/model feature width mismatch: frame has {} features, model expects {}",
-        frame.n_features(),
-        forest.n_features()
-    );
-    let n = frame.n_rows();
     let n_classes = forest.n_classes() as usize;
-    let mut out = vec![0u32; n];
-    let shared = SharedOut::new(&mut out);
-    let report = pool.run(n, cfg, &|_w, range| {
-        VOTES.with(|v| {
-            let votes = &mut *v.borrow_mut();
-            for rows in blocks(range.clone(), cfg.record_block) {
-                let blen = rows.len();
-                votes.clear();
-                votes.resize(blen * n_classes, 0);
-                for chunk in forest.trees().chunks(cfg.tree_block) {
-                    for tree in chunk {
-                        for r in 0..blen {
-                            let c = tree.predict(frame.row(rows.start + r));
-                            votes[r * n_classes + c as usize] += 1;
-                        }
-                    }
-                }
-                for r in 0..blen {
-                    let counts = &votes[r * n_classes..(r + 1) * n_classes];
-                    shared.write(rows.start + r, RandomForest::majority(counts));
-                }
+    let (nf, nt) = (forest.n_features(), forest.n_trees());
+    score_blocks(frame, nf, nt, n_classes, pool, cfg, |rows, trees, votes| {
+        for tree in &forest.trees()[trees] {
+            for (r, row) in rows.clone().enumerate() {
+                let c = tree.predict(frame.row(row));
+                votes[r * n_classes + c as usize] += 1;
             }
-        });
-    });
-    (out, report)
+        }
+    })
 }
 
 #[cfg(test)]

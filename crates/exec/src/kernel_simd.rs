@@ -21,25 +21,39 @@
 //! payload wherever they exit — the same trick the Fig. 4b capacity
 //! padding plays, applied to the payload table.
 //!
-//! Three instruction tiers implement the identical step ([`SimdLevel`]):
-//! AVX-512F (16 lanes per gather, up to 64 in flight), AVX2 (8 lanes per
-//! gather via `vpgatherdd`/`vgatherdps`), and a hand-unrolled portable u32
-//! fallback that compiles to baseline code on any target. The tier is
-//! picked at runtime ([`SimdLevel::detect`]) and can be forced down with
-//! the `MLSCORE_SIMD` environment override; all tiers are bit-exact with
-//! each other and with the sequential `FlatForest::score_one`, because the
-//! compare (`x <= thr`, ordered-quiet, NaN → right child) and the vote
-//! counts are identical. Rows past the last full lane group take the
-//! scalar `FlatTree::score` path.
+//! Three instruction tiers implement the identical step ([`SimdLevel`]),
+//! one walker each, generic over `G`, the number of 8-lane groups walked
+//! in one call: `x86::walk_avx512` (`G / 2` chains of 16 lanes per
+//! gather), `x86::walk_avx2` (`G` chains of 8 lanes via
+//! `vpgatherdd`/`vgatherdps`), and `walk_portable`, a hand-unrolled u32
+//! fallback over one group that compiles to baseline code on any target.
+//! Within each record block `walk::<G>` runs the strides `G` = 8, 4 and 1
+//! and picks the walker:
+//!
+//! ```text
+//!   stride G   avx512            avx2            portable
+//!   8          walk_avx512::<8>  walk_avx2::<8>  8 × walk_portable
+//!   4          walk_avx512::<4>  walk_avx2::<4>  4 × walk_portable
+//!   1          walk_avx2::<1>    walk_avx2::<1>  walk_portable
+//! ```
+//!
+//! Rows past the last whole group take the scalar `FlatTree::score` path.
+//! The tier is picked at runtime ([`SimdLevel::detect`]) and can be forced
+//! down with the `MLSCORE_SIMD` environment override; all tiers are
+//! bit-exact with each other and with the sequential
+//! `FlatForest::score_one`, because the compare (`x <= thr`,
+//! ordered-quiet, NaN → right child) and the vote counts are identical.
 //!
 //! Build-time validation (every decision node's feature is in range, heap
 //! arithmetic cannot leave the capacity array) is what licenses the
 //! unchecked loads and gathers in the hot loops.
 
+use std::ops::Range;
+
 use mlscore_data::TabularFrame;
 use mlscore_forest::{FlatForest, FlatTree, ForestError, NodeRecord, RandomForest};
 
-use crate::kernel::{blocks, SharedOut, LANES, VOTES};
+use crate::kernel::{score_blocks, LANES};
 use crate::pool::{ExecPool, RunConfig};
 use crate::report::RunReport;
 
@@ -241,119 +255,63 @@ fn fill_subtree(payload: &mut [f32], h: usize, d: usize, steps: usize, v: f32) {
     }
 }
 
-/// Walks `LANES` consecutive records (starting at `row0`) through one
-/// heap-encoded tree in lockstep at the given tier.
+/// Tallies `trees`' votes for every whole stride of `G` lane groups
+/// (`G × LANES` rows) of the record block `rows` from its `k`-th row on,
+/// walking each stride at `level`'s tier; returns the first row index
+/// (block-relative) left unscored. `votes` holds `n_classes` counters per
+/// row of the block.
 ///
-/// Bit-exact with [`FlatTree::score`] on each of the lanes' rows.
+/// The block loop runs the strides 8, 4 and 1; every tier's walker is
+/// bit-exact with [`FlatTree::score`] on each of its lanes' rows.
 // analyze: hot
 #[allow(unsafe_code)]
 #[inline]
-fn walk8(tree: &SimdTree, data: &[f32], nf: usize, row0: usize, level: SimdLevel) -> [f32; LANES] {
-    debug_assert!(data.len() >= (row0 + LANES) * nf);
-    // SAFETY: the caller passes a frame whose width matched the forest at
-    // entry (`score_simd_batch` asserts it) with at least `LANES` full
-    // rows at `row0`; tree invariants are established by `SimdTree::build`.
-    #[cfg(target_arch = "x86_64")]
-    match level {
-        // A single 8-lane group can't fill a 512-bit gather; the AVX2
-        // walker is the right tool for the tail stride.
-        SimdLevel::Avx512 | SimdLevel::Avx2 => {
-            return unsafe { x86::walk8_avx2(tree, data, nf, row0) }
+fn walk<const G: usize>(
+    trees: &[SimdTree],
+    frame: &TabularFrame,
+    rows: &Range<usize>,
+    mut k: usize,
+    level: SimdLevel,
+    n_classes: usize,
+    votes: &mut [u32],
+) -> usize {
+    let (data, nf) = (frame.as_slice(), frame.n_features());
+    while k + G * LANES <= rows.len() {
+        let row0 = rows.start + k;
+        for tree in trees {
+            // SAFETY: `score_blocks` asserted the frame's width equals the
+            // forest's, the loop condition keeps `G × LANES` whole rows at
+            // `row0` inside `rows` (a sub-range of the frame), tree
+            // invariants are established by `SimdTree::build`, and
+            // `score_simd_batch` clamped `level` to `SimdLevel::supported()`
+            // so every `#[target_feature]` walker runs on a host that has
+            // the feature.
+            let leaves: [[f32; LANES]; G] = unsafe {
+                match level {
+                    // A single 8-lane group can't fill a 512-bit gather;
+                    // the AVX2 walker takes that stride.
+                    #[cfg(target_arch = "x86_64")]
+                    SimdLevel::Avx512 if G.is_multiple_of(2) => {
+                        x86::walk_avx512::<G>(tree, data, nf, row0)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    SimdLevel::Avx512 | SimdLevel::Avx2 => {
+                        x86::walk_avx2::<G>(tree, data, nf, row0)
+                    }
+                    _ => std::array::from_fn(|g| walk_portable(tree, data, nf, row0 + g * LANES)),
+                }
+            };
+            for (l, &leaf) in leaves.as_flattened().iter().enumerate() {
+                votes[(k + l) * n_classes + leaf as usize] += 1;
+            }
         }
-        SimdLevel::Portable => {}
+        k += G * LANES;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = level;
-    // SAFETY: as above.
-    unsafe { walk8_portable(tree, data, nf, row0) }
+    k
 }
 
-/// Walks `2 × LANES` records through one tree: two independent lane groups
-/// in flight so the gather latency of one chain hides behind the other.
-// analyze: hot
-#[allow(unsafe_code)]
-#[inline]
-fn walk16(
-    tree: &SimdTree,
-    data: &[f32],
-    nf: usize,
-    row0: usize,
-    level: SimdLevel,
-) -> [f32; 2 * LANES] {
-    debug_assert!(data.len() >= (row0 + 2 * LANES) * nf);
-    #[cfg(target_arch = "x86_64")]
-    match level {
-        // SAFETY: same contract as `walk8`, with `2 × LANES` rows.
-        SimdLevel::Avx512 => return unsafe { x86::walk16_avx512(tree, data, nf, row0) },
-        SimdLevel::Avx2 => return unsafe { x86::walk16_avx2(tree, data, nf, row0) },
-        _ => {}
-    }
-    let lo = walk8(tree, data, nf, row0, level);
-    let hi = walk8(tree, data, nf, row0 + LANES, level);
-    let mut out = [0f32; 2 * LANES];
-    out[..LANES].copy_from_slice(&lo);
-    out[LANES..].copy_from_slice(&hi);
-    out
-}
-
-/// Walks `4 × LANES` records through one tree — the main-loop stride,
-/// enough independent chains to hide the dependent gather latency.
-// analyze: hot
-#[allow(unsafe_code)]
-#[inline]
-fn walk32(
-    tree: &SimdTree,
-    data: &[f32],
-    nf: usize,
-    row0: usize,
-    level: SimdLevel,
-) -> [f32; 4 * LANES] {
-    debug_assert!(data.len() >= (row0 + 4 * LANES) * nf);
-    #[cfg(target_arch = "x86_64")]
-    match level {
-        // SAFETY: same contract as `walk8`, with `4 × LANES` rows.
-        SimdLevel::Avx512 => return unsafe { x86::walk32_avx512(tree, data, nf, row0) },
-        SimdLevel::Avx2 => return unsafe { x86::walk32_avx2(tree, data, nf, row0) },
-        _ => {}
-    }
-    let lo = walk16(tree, data, nf, row0, level);
-    let hi = walk16(tree, data, nf, row0 + 2 * LANES, level);
-    let mut out = [0f32; 4 * LANES];
-    out[..2 * LANES].copy_from_slice(&lo);
-    out[2 * LANES..].copy_from_slice(&hi);
-    out
-}
-
-/// Walks `8 × LANES` records through one tree — the main-loop stride on
-/// AVX2, where eight independent chains saturate the gather ports.
-// analyze: hot
-#[allow(unsafe_code)]
-#[inline]
-fn walk64(
-    tree: &SimdTree,
-    data: &[f32],
-    nf: usize,
-    row0: usize,
-    level: SimdLevel,
-) -> [f32; 8 * LANES] {
-    debug_assert!(data.len() >= (row0 + 8 * LANES) * nf);
-    #[cfg(target_arch = "x86_64")]
-    match level {
-        // SAFETY: same contract as `walk8`, with `8 × LANES` rows.
-        SimdLevel::Avx512 => return unsafe { x86::walk64_avx512(tree, data, nf, row0) },
-        SimdLevel::Avx2 => return unsafe { x86::walk64_avx2(tree, data, nf, row0) },
-        _ => {}
-    }
-    let lo = walk32(tree, data, nf, row0, level);
-    let hi = walk32(tree, data, nf, row0 + 4 * LANES, level);
-    let mut out = [0f32; 8 * LANES];
-    out[..4 * LANES].copy_from_slice(&lo);
-    out[4 * LANES..].copy_from_slice(&hi);
-    out
-}
-
-/// Hand-unrolled u32-lane portable walker: no `std::arch`, same unchecked
-/// loads as the vector tiers.
+/// Hand-unrolled u32-lane portable walker over one `LANES`-row group: no
+/// `std::arch`, same unchecked loads as the vector tiers.
 ///
 /// # Safety
 ///
@@ -362,7 +320,7 @@ fn walk64(
 // analyze: hot
 #[allow(unsafe_code)]
 #[inline]
-unsafe fn walk8_portable(tree: &SimdTree, data: &[f32], nf: usize, row0: usize) -> [f32; LANES] {
+unsafe fn walk_portable(tree: &SimdTree, data: &[f32], nf: usize, row0: usize) -> [f32; LANES] {
     let ft = tree.ft.as_slice();
     let base = row0 * nf;
     let mut idx = [0u32; LANES];
@@ -402,55 +360,17 @@ unsafe fn walk8_portable(tree: &SimdTree, data: &[f32], nf: usize, row0: usize) 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! `std::arch` walkers. All `unsafe` here is (a) intrinsics gated by
-    //! `#[target_feature]` — callers go through [`super::walk8`], which
-    //! only routes to a tier reported by `SimdLevel::supported()` — and
-    //! (b) unchecked loads/gathers licensed by `SimdTree::build`'s
-    //! validation plus the caller's row-coverage contract.
+    //! `#[target_feature]` — the only caller, [`super::walk`], routes to a
+    //! tier no stronger than `SimdLevel::supported()` — and (b) unchecked
+    //! loads/gathers licensed by `SimdTree::build`'s validation plus the
+    //! caller's row-coverage contract.
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::*;
 
     use super::{SimdTree, LANES};
 
-    /// 8-lane AVX2 walker: one gather per field, pure-ALU child step.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `data` must hold `(row0 + LANES) * nf` elements and
-    /// `nf` must equal the tree's build-time feature width.
-    // analyze: hot
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn walk8_avx2(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; LANES] {
-        let ft = tree.ft.as_ptr() as *const i32;
-        let row = data.as_ptr().add(row0 * nf);
-        let nf = nf as i32;
-        let lane_off = _mm256_setr_epi32(0, nf, 2 * nf, 3 * nf, 4 * nf, 5 * nf, 6 * nf, 7 * nf);
-        let one = _mm256_set1_epi32(1);
-        let two = _mm256_set1_epi32(2);
-        let mut idx = _mm256_setzero_si256();
-        for _ in 0..tree.steps {
-            let h2 = _mm256_slli_epi32::<1>(idx);
-            let feat = _mm256_i32gather_epi32::<4>(ft, h2);
-            let thr = _mm256_i32gather_ps::<4>(ft as *const f32, _mm256_add_epi32(h2, one));
-            let x = _mm256_i32gather_ps::<4>(row, _mm256_add_epi32(lane_off, feat));
-            // Ordered-quiet `x <= thr`: NaN compares false → right child,
-            // exactly the scalar walkers' `if x <= t` semantics.
-            let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(x, thr));
-            // left = 2i+1, right = 2i+2; `go_left` lanes are −1.
-            idx = _mm256_add_epi32(_mm256_add_epi32(idx, idx), _mm256_add_epi32(two, go_left));
-        }
-        let leaf = _mm256_i32gather_ps::<4>(tree.payload.as_ptr(), idx);
-        let mut out = [0f32; LANES];
-        _mm256_storeu_ps(out.as_mut_ptr(), leaf);
-        out
-    }
-
-    /// `G × 8`-lane AVX2 walker: `G` independent 8-lane chains
+    /// AVX2 walker over `G` lane groups: `G` independent 8-lane chains
     /// interleaved in one loop body, so while one chain waits on its
     /// dependent `feature → x[feature]` gather pair the others issue
     /// theirs. The per-step critical path is two gather latencies
@@ -458,10 +378,11 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// As [`walk8_avx2`], with `G × LANES` rows at `row0`.
+    /// Requires AVX2; `data` must hold `(row0 + G × LANES) * nf` elements
+    /// and `nf` must equal the tree's build-time feature width.
     // analyze: hot
     #[target_feature(enable = "avx2")]
-    unsafe fn walk_groups_avx2<const G: usize>(
+    pub(super) unsafe fn walk_avx2<const G: usize>(
         tree: &SimdTree,
         data: &[f32],
         nf: usize,
@@ -496,7 +417,10 @@ mod x86 {
                 x[g] = _mm256_i32gather_ps::<4>(row, _mm256_add_epi32(lane_off[g], feat[g]));
             }
             for g in 0..G {
+                // Ordered-quiet `x <= thr`: NaN compares false → right
+                // child, exactly the scalar walkers' `if x <= t` semantics.
                 let go_left = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(x[g], thr[g]));
+                // left = 2i+1, right = 2i+2; `go_left` lanes are −1.
                 idx[g] = _mm256_add_epi32(
                     _mm256_add_epi32(idx[g], idx[g]),
                     _mm256_add_epi32(two, go_left),
@@ -511,87 +435,30 @@ mod x86 {
         out
     }
 
-    /// 16-lane AVX2 walker: two independent 8-lane chains.
+    /// AVX-512 walker over `G` lane groups: the same step as
+    /// [`walk_avx2`] on 512-bit registers, `G / 2` independent 16-lane
+    /// chains — 16 lanes per gather halve the instruction count, the mask
+    /// compare (`_mm512_cmp_ps_mask`, ordered-quiet, NaN → right) replaces
+    /// the blend arithmetic with a masked subtract, and 32 zmm registers
+    /// keep the chains live without spills.
     ///
     /// # Safety
     ///
-    /// As [`walk8_avx2`], with `2 × LANES` rows at `row0`.
-    // analyze: hot
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn walk16_avx2(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; 2 * LANES] {
-        let groups = walk_groups_avx2::<2>(tree, data, nf, row0);
-        let mut out = [0f32; 2 * LANES];
-        out[..LANES].copy_from_slice(&groups[0]);
-        out[LANES..].copy_from_slice(&groups[1]);
-        out
-    }
-
-    /// 32-lane AVX2 walker: four independent 8-lane chains.
-    ///
-    /// # Safety
-    ///
-    /// As [`walk8_avx2`], with `4 × LANES` rows at `row0`.
-    // analyze: hot
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn walk32_avx2(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; 4 * LANES] {
-        let groups = walk_groups_avx2::<4>(tree, data, nf, row0);
-        let mut out = [0f32; 4 * LANES];
-        for (g, group) in groups.iter().enumerate() {
-            out[g * LANES..(g + 1) * LANES].copy_from_slice(group);
-        }
-        out
-    }
-
-    /// 64-lane AVX2 walker: eight independent 8-lane chains.
-    ///
-    /// # Safety
-    ///
-    /// As [`walk8_avx2`], with `8 × LANES` rows at `row0`.
-    // analyze: hot
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn walk64_avx2(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; 8 * LANES] {
-        let groups = walk_groups_avx2::<8>(tree, data, nf, row0);
-        let mut out = [0f32; 8 * LANES];
-        for (g, group) in groups.iter().enumerate() {
-            out[g * LANES..(g + 1) * LANES].copy_from_slice(group);
-        }
-        out
-    }
-
-    /// `G × 16`-lane AVX-512 walker: the same step as
-    /// [`walk_groups_avx2`] on 512-bit registers — 16 lanes per gather
-    /// halve the instruction count, the mask compare
-    /// (`_mm512_cmp_ps_mask`, ordered-quiet, NaN → right) replaces the
-    /// blend arithmetic with a masked subtract, and 32 zmm registers keep
-    /// `G` chains live without spills.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F; `data` must hold `(row0 + G × 16) * nf`
-    /// elements and `nf` must equal the tree's build-time feature width.
+    /// Requires AVX-512F and an even `G`; `data` must hold
+    /// `(row0 + G × LANES) * nf` elements and `nf` must equal the tree's
+    /// build-time feature width.
     // analyze: hot
     #[target_feature(enable = "avx512f")]
-    unsafe fn walk_groups_avx512<const G: usize>(
+    pub(super) unsafe fn walk_avx512<const G: usize>(
         tree: &SimdTree,
         data: &[f32],
         nf: usize,
         row0: usize,
-    ) -> [[f32; 2 * LANES]; G] {
+    ) -> [[f32; LANES]; G] {
+        debug_assert!(
+            G.is_multiple_of(2),
+            "a 16-lane chain covers two lane groups"
+        );
         let ft = tree.ft.as_ptr() as *const i32;
         let row = data.as_ptr().add(row0 * nf);
         let nf = nf as i32;
@@ -602,9 +469,12 @@ mod x86 {
         );
         let one = _mm512_set1_epi32(1);
         let two = _mm512_set1_epi32(2);
+        // Chain `c` walks groups `2c` and `2c + 1`; only the first `G / 2`
+        // slots of each array are live.
+        let chains = G / 2;
         let mut lane_off = [lane0; G];
-        for (g, off) in lane_off.iter_mut().enumerate() {
-            *off = _mm512_add_epi32(lane0, _mm512_set1_epi32(16 * nf * g as i32));
+        for (c, off) in lane_off.iter_mut().enumerate().take(chains) {
+            *off = _mm512_add_epi32(lane0, _mm512_set1_epi32(16 * nf * c as i32));
         }
         let mut idx = [_mm512_setzero_si512(); G];
         for _ in 0..tree.steps {
@@ -612,159 +482,42 @@ mod x86 {
             let mut feat = h2;
             let mut thr = [_mm512_setzero_ps(); G];
             let mut x = thr;
-            for g in 0..G {
-                h2[g] = _mm512_slli_epi32::<1>(idx[g]);
+            for c in 0..chains {
+                h2[c] = _mm512_slli_epi32::<1>(idx[c]);
             }
-            for g in 0..G {
-                feat[g] = _mm512_i32gather_epi32::<4>(h2[g], ft);
+            for c in 0..chains {
+                feat[c] = _mm512_i32gather_epi32::<4>(h2[c], ft);
             }
-            for g in 0..G {
-                thr[g] = _mm512_i32gather_ps::<4>(_mm512_add_epi32(h2[g], one), ft as *const f32);
+            for c in 0..chains {
+                thr[c] = _mm512_i32gather_ps::<4>(_mm512_add_epi32(h2[c], one), ft as *const f32);
             }
-            for g in 0..G {
-                x[g] = _mm512_i32gather_ps::<4>(_mm512_add_epi32(lane_off[g], feat[g]), row);
+            for c in 0..chains {
+                x[c] = _mm512_i32gather_ps::<4>(_mm512_add_epi32(lane_off[c], feat[c]), row);
             }
-            for g in 0..G {
+            for c in 0..chains {
                 // Ordered-quiet `x <= thr`: NaN compares false → right
                 // child, matching every scalar walker.
-                let go_left = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(x[g], thr[g]);
-                let right = _mm512_add_epi32(_mm512_add_epi32(idx[g], idx[g]), two);
+                let go_left = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(x[c], thr[c]);
+                let right = _mm512_add_epi32(_mm512_add_epi32(idx[c], idx[c]), two);
                 // left = right − 1 on the lanes whose compare succeeded.
-                idx[g] = _mm512_mask_sub_epi32(right, go_left, right, one);
+                idx[c] = _mm512_mask_sub_epi32(right, go_left, right, one);
             }
         }
-        let mut out = [[0f32; 2 * LANES]; G];
-        for g in 0..G {
-            let leaf = _mm512_i32gather_ps::<4>(idx[g], tree.payload.as_ptr());
-            _mm512_storeu_ps(out[g].as_mut_ptr(), leaf);
+        let mut out = [[0f32; LANES]; G];
+        let dst = out.as_mut_ptr() as *mut f32;
+        for (c, &i) in idx.iter().take(chains).enumerate() {
+            let leaf = _mm512_i32gather_ps::<4>(i, tree.payload.as_ptr());
+            _mm512_storeu_ps(dst.add(2 * LANES * c), leaf);
         }
         out
-    }
-
-    /// 16-lane AVX-512 walker: one 16-lane chain.
-    ///
-    /// # Safety
-    ///
-    /// As [`walk_groups_avx512`], with `2 × LANES` rows at `row0`.
-    // analyze: hot
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn walk16_avx512(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; 2 * LANES] {
-        walk_groups_avx512::<1>(tree, data, nf, row0)[0]
-    }
-
-    /// 32-lane AVX-512 walker: two independent 16-lane chains.
-    ///
-    /// # Safety
-    ///
-    /// As [`walk_groups_avx512`], with `4 × LANES` rows at `row0`.
-    // analyze: hot
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn walk32_avx512(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; 4 * LANES] {
-        let groups = walk_groups_avx512::<2>(tree, data, nf, row0);
-        let mut out = [0f32; 4 * LANES];
-        out[..2 * LANES].copy_from_slice(&groups[0]);
-        out[2 * LANES..].copy_from_slice(&groups[1]);
-        out
-    }
-
-    /// 64-lane AVX-512 walker: four independent 16-lane chains.
-    ///
-    /// # Safety
-    ///
-    /// As [`walk_groups_avx512`], with `8 × LANES` rows at `row0`.
-    // analyze: hot
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn walk64_avx512(
-        tree: &SimdTree,
-        data: &[f32],
-        nf: usize,
-        row0: usize,
-    ) -> [f32; 8 * LANES] {
-        let groups = walk_groups_avx512::<4>(tree, data, nf, row0);
-        let mut out = [0f32; 8 * LANES];
-        for (g, group) in groups.iter().enumerate() {
-            out[g * 2 * LANES..(g + 1) * 2 * LANES].copy_from_slice(group);
-        }
-        out
-    }
-}
-
-/// Scores one record block with the SIMD walker into `votes`.
-// analyze: hot
-#[allow(clippy::too_many_arguments)]
-fn simd_classify_block(
-    image: &FlatImage,
-    frame: &TabularFrame,
-    rows: std::ops::Range<usize>,
-    n_classes: usize,
-    tree_block: usize,
-    level: SimdLevel,
-    votes: &mut Vec<u32>,
-    out: &SharedOut<u32>,
-) {
-    let blen = rows.len();
-    let nf = frame.n_features();
-    let data = frame.as_slice();
-    votes.clear();
-    votes.resize(blen * n_classes, 0);
-    let chunks = image
-        .trees
-        .chunks(tree_block)
-        .zip(image.flat().trees().chunks(tree_block));
-    for (schunk, fchunk) in chunks {
-        let mut k = 0;
-        while k + 8 * LANES <= blen {
-            for tree in schunk {
-                let leaves = walk64(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    votes[(k + l) * n_classes + leaf as usize] += 1;
-                }
-            }
-            k += 8 * LANES;
-        }
-        while k + 4 * LANES <= blen {
-            for tree in schunk {
-                let leaves = walk32(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    votes[(k + l) * n_classes + leaf as usize] += 1;
-                }
-            }
-            k += 4 * LANES;
-        }
-        while k + LANES <= blen {
-            for tree in schunk {
-                let leaves = walk8(tree, data, nf, rows.start + k, level);
-                for (l, &leaf) in leaves.iter().enumerate() {
-                    votes[(k + l) * n_classes + leaf as usize] += 1;
-                }
-            }
-            k += LANES;
-        }
-        for tree in fchunk {
-            for r in k..blen {
-                let c = tree.score(frame.row(rows.start + r)) as usize;
-                votes[r * n_classes + c] += 1;
-            }
-        }
-    }
-    for r in 0..blen {
-        let counts = &votes[r * n_classes..(r + 1) * n_classes];
-        out.write(rows.start + r, RandomForest::majority(counts));
     }
 }
 
 /// Scores a frame against a prepared [`FlatImage`] with the explicit-SIMD
 /// lane walker at the given tier, into one class id per row.
+///
+/// `level` is capped at [`SimdLevel::supported`], so a tier the host
+/// cannot execute runs as the strongest one it can.
 ///
 /// Bit-exact with the sequential [`FlatForest::score_one`] on every row at
 /// every tier: the traversal decisions and vote counts are identical.
@@ -779,36 +532,22 @@ pub fn score_simd_batch(
     cfg: &RunConfig,
     level: SimdLevel,
 ) -> (Vec<u32>, RunReport) {
+    let level = level.min(SimdLevel::supported());
     let forest = image.flat();
-    assert_eq!(
-        frame.n_features(),
-        forest.n_features(),
-        "frame/model feature width mismatch: frame has {} features, model expects {}",
-        frame.n_features(),
-        forest.n_features()
-    );
-    let n = frame.n_rows();
     let n_classes = forest.n_classes() as usize;
-    let mut out = vec![0u32; n];
-    let shared = SharedOut::new(&mut out);
-    let report = pool.run(n, cfg, &|_w, range| {
-        VOTES.with(|v| {
-            let votes = &mut *v.borrow_mut();
-            for rows in blocks(range.clone(), cfg.record_block) {
-                simd_classify_block(
-                    image,
-                    frame,
-                    rows,
-                    n_classes,
-                    cfg.tree_block,
-                    level,
-                    votes,
-                    &shared,
-                );
+    let (nf, nt) = (forest.n_features(), forest.n_trees());
+    score_blocks(frame, nf, nt, n_classes, pool, cfg, |rows, trees, votes| {
+        let simd = &image.trees[trees.clone()];
+        let k = walk::<8>(simd, frame, &rows, 0, level, n_classes, votes);
+        let k = walk::<4>(simd, frame, &rows, k, level, n_classes, votes);
+        let k = walk::<1>(simd, frame, &rows, k, level, n_classes, votes);
+        for tree in &forest.trees()[trees] {
+            for r in k..rows.len() {
+                let c = tree.score(frame.row(rows.start + r)) as usize;
+                votes[r * n_classes + c] += 1;
             }
-        });
-    });
-    (out, report)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -848,7 +587,9 @@ mod tests {
             .with_record_block(32)
             .with_tree_block(5);
         let want = forest.predict_batch(f.as_slice());
-        for level in levels() {
+        // `Avx512` on every host: a tier above `SimdLevel::supported()`
+        // must run as the strongest supported one, never fault.
+        for level in levels().into_iter().chain([SimdLevel::Avx512]) {
             let (simd, report) = score_simd_batch(&image, &f, &pool, &cfg, level);
             assert_eq!(simd, want, "level {level:?}");
             assert_eq!(report.rows(), 333);

@@ -2,10 +2,12 @@
 //! kernel that scores a `FlatImage` — must be bit-exact with the
 //! sequential pointer-tree reference at every tier the host supports,
 //! over the paper's dataset shapes (iris-like and HIGGS-like), forest
-//! sizes {1, 8, 128}, batch-edge record counts (0, 1, odd, and ±1 around
-//! each walker stride: `LANES`, `4·LANES`, `8·LANES`, plus two record
-//! blocks and a tail), multiple pool widths, and the `MLSCORE_SIMD`
-//! env-forced fallback tiers.
+//! sizes {1, 8, 128}, batch-edge record counts (0, 1, odd, ±1 around
+//! each lane-group stride — 1, 4 and 8 groups of `LANES` rows — one
+//! block that takes every stride and the scalar tail, and two record
+//! blocks with a tail), record blocks of the default size and of 128
+//! rows, multiple pool widths, and the `MLSCORE_SIMD` env-forced
+//! fallback tiers.
 
 use std::sync::OnceLock;
 
@@ -33,10 +35,12 @@ fn levels() -> Vec<SimdLevel> {
         .collect()
 }
 
-/// Record counts at the walker's batch edges: empty, one, odd, and one
-/// either side of every lane stride (`walk8`, `walk32`, `walk64`), plus
-/// two full record blocks with a sub-lane tail.
-const EDGE_RECORDS: [usize; 10] = [
+/// Record counts at the walker's batch edges: empty, one, odd, one either
+/// side of every stride (1, 4 and 8 lane groups), 127 rows (one 8-group
+/// stride, one 4-group stride, three 1-group strides and a 7-row scalar
+/// tail: every stride in one block once blocks hold 128 rows), plus two
+/// full default record blocks with a sub-lane tail.
+const EDGE_RECORDS: [usize; 11] = [
     0,
     1,
     37,
@@ -46,6 +50,7 @@ const EDGE_RECORDS: [usize; 10] = [
     4 * kernel::LANES + 1,
     8 * kernel::LANES - 1,
     8 * kernel::LANES + 1,
+    8 * kernel::LANES + 4 * kernel::LANES + 3 * kernel::LANES + 7,
     2 * DEFAULT_RECORD_BLOCK + 3,
 ];
 
@@ -63,21 +68,25 @@ fn shaped_frame(dataset: &str, rows: usize) -> TabularFrame {
     data.frame().clone()
 }
 
-/// Runs the SIMD walker on `(forest, frame)` at every tier and pool width
-/// and asserts each run reproduces the sequential reference bit for bit.
+/// Runs the SIMD walker on `(forest, frame)` at every tier, pool width and
+/// record block size (the default, and 128 rows so one block runs the
+/// 8-group stride, then the 4-group stride) and asserts each run
+/// reproduces the sequential reference bit for bit.
 fn assert_every_tier_exact(forest: &RandomForest, frame: &TabularFrame, what: &str) {
     let image = FlatImage::from_forest(forest, forest.max_depth()).unwrap();
     let reference = forest.predict_batch(frame.as_slice());
     for (pool, threads) in pools().iter().zip(THREADS) {
-        let cfg = RunConfig::for_threads(threads);
-        for level in levels() {
-            let (preds, _) = score_simd_batch(&image, frame, pool, &cfg, level);
-            assert_eq!(
-                preds,
-                reference,
-                "{what}: simd/{} @{threads}th",
-                level.name()
-            );
+        for record_block in [DEFAULT_RECORD_BLOCK, 128] {
+            let cfg = RunConfig::for_threads(threads).with_record_block(record_block);
+            for level in levels() {
+                let (preds, _) = score_simd_batch(&image, frame, pool, &cfg, level);
+                assert_eq!(
+                    preds,
+                    reference,
+                    "{what}: simd/{} @{threads}th, {record_block}-row blocks",
+                    level.name()
+                );
+            }
         }
     }
 }
