@@ -3,6 +3,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# expect_exit CODE ARGS...: runs the release `repro` with ARGS and fails
+# the gate unless it exits with CODE.
+expect_exit() {
+    local want=$1 status=0
+    shift
+    ./target/release/repro "$@" >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne "$want" ]; then
+        echo "ci: repro $* exited $status, expected $want" >&2
+        exit 1
+    fi
+}
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -240,12 +252,7 @@ for be in cpu sklearn onnx1 gpu gpu-rapids fpga; do
     done
 done
 # A backend that rejects the model is a usage error (exit 2), not a panic.
-status=0
-./target/release/repro trace iris 128 1k gpu-rapids >/dev/null 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "ci: trace of a rejected model exited $status, expected 2" >&2
-    exit 1
-fi
+expect_exit 2 trace iris 128 1k gpu-rapids
 # Both halves of the two-phase split must render a timeline.
 cargo run --release -q -p mlscore-bench --bin repro -- \
     trace --cold --out target/trace_cold.json >/dev/null
@@ -278,5 +285,14 @@ if grep -q '"marshal' target/trace_fused_cold.json; then
     echo "ci: cold fused trace unexpectedly contains a marshal span" >&2
     exit 1
 fi
+
+echo "== repro exit codes (usage errors exit 2, unreadable files exit 1) =="
+# Every subcommand parses through one grammar: an unknown flag or a flag
+# short of its values is a usage error, never a panic or a silent default.
+for cmd in trace bench serve report; do
+    expect_exit 2 "$cmd" --no-such-flag
+done
+expect_exit 2 bench --diff BENCH_cpu_scoring.json
+expect_exit 1 bench --check target/no-such-dir/BENCH_cpu_scoring.json
 
 echo "ci: all checks passed"

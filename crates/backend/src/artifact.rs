@@ -22,7 +22,7 @@
 //! byte-identical bundles share an artifact; a backend configured
 //! differently (say, a different FPGA tree-depth capacity) gets its own.
 
-use std::any::Any;
+use std::any::{type_name, Any};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -207,6 +207,30 @@ impl<'a> ModelRef<'a> {
     /// The backend-lowered scoring form.
     pub fn lowered(&self) -> &'a Lowered {
         self.lowered
+    }
+
+    /// The backend-private artifact the backend named `backend` lowered,
+    /// as the `T` it stored in [`Lowered::Custom`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError::Artifact`] when the lowered form is not a
+    /// [`Lowered::Custom`] holding a `T`.
+    pub fn custom<T: Any>(&self, backend: &str) -> Result<&'a T, BackendError> {
+        let found = match self.lowered {
+            Lowered::Custom(any) => any.downcast_ref::<T>(),
+            _ => None,
+        };
+        found.ok_or_else(|| {
+            BackendError::artifact(
+                backend,
+                format!(
+                    "expected a custom {} artifact, got {:?}",
+                    type_name::<T>(),
+                    self.lowered
+                ),
+            )
+        })
     }
 }
 

@@ -4,6 +4,7 @@
 //! Run `repro --help` for the full target list.
 
 use std::collections::BTreeMap;
+use std::process::exit;
 
 use mlscore_backend::{OnnxCpu, ScoringBackend, SklearnCpu};
 use mlscore_core::{ablations, figures, headline::HeadlineReport, report, shmoo::ShmooTable};
@@ -18,6 +19,8 @@ use mlscore_sched::{
 };
 use mlscore_sim::SimInstant;
 use mlscore_telemetry::{perfetto, Tracer};
+
+use mlscore_bench::Mode;
 
 fn fig1() {
     println!("== Fig. 1: best-performing hardware by model complexity x data size ==");
@@ -35,14 +38,9 @@ fn fig1() {
     println!();
 }
 
-fn fig7(records: u64, label: &str) {
+fn fig7(label: &str, records: u64, panel: &[figures::Fig7Result]) {
     println!("== Fig. {label}: FPGA scoring-time breakdown ({records} record(s)) ==");
-    let panel = if records == 1 {
-        figures::fig7a()
-    } else {
-        figures::fig7b()
-    };
-    println!("{}", report::render_fig7(&panel));
+    println!("{}", report::render_fig7(panel));
 }
 
 fn fig8() {
@@ -282,63 +280,163 @@ fn parse_count(text: &str) -> Option<u64> {
     digits.parse::<u64>().ok().map(|n| n * mult)
 }
 
-/// `repro trace [--out FILE] [--warm|--cold] [--fused] [dataset] [trees] [records] [backend]`
-fn trace(args: &[String]) {
-    let mut out_path: Option<String> = None;
-    let mut warm = false;
-    let mut fused = false;
-    let mut pos: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            match it.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
+/// One subcommand's command line: what [`Args::parse`] accepts.
+struct Grammar {
+    /// The synopsis after `usage: repro`, also shown by `repro help`.
+    usage: &'static str,
+    /// Every flag with how many values it takes (0 for a switch).
+    flags: &'static [(&'static str, usize)],
+    /// Whether bare arguments are allowed.
+    positionals: bool,
+}
+
+impl Grammar {
+    /// Parses `args`, or prints the error and this usage line and exits 2.
+    fn parse(&self, args: &[String]) -> Args {
+        Args::parse(self, args).unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// Prints `msg` and this subcommand's usage line, then exits 2.
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("{msg}");
+        eprintln!("usage: repro {}", self.usage);
+        exit(2)
+    }
+}
+
+/// A parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// Each flag given, with its values, in the order given.
+    flags: Vec<(&'static str, Vec<String>)>,
+    /// Bare arguments in the order given.
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Parses `args` against `grammar`. A flag's values are the arguments
+    /// that follow it, whatever they look like.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message for an unknown flag, a flag short of values, or
+    /// a bare argument the grammar does not allow.
+    fn parse(grammar: &Grammar, args: &[String]) -> Result<Self, String> {
+        let mut parsed = Self::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&(flag, n)) = grammar.flags.iter().find(|(f, _)| f == arg) {
+                let values: Vec<String> = it.by_ref().take(n).cloned().collect();
+                if values.len() < n {
+                    let plural = if n == 1 { "" } else { "s" };
+                    return Err(format!("{flag} needs {n} value{plural}"));
                 }
+                parsed.flags.push((flag, values));
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag '{arg}'"));
+            } else if grammar.positionals {
+                parsed.positionals.push(arg.clone());
+            } else {
+                return Err(format!("unexpected argument '{arg}'"));
             }
-        } else if arg == "--warm" {
-            warm = true;
-        } else if arg == "--cold" {
-            warm = false;
-        } else if arg == "--fused" {
-            fused = true;
+        }
+        Ok(parsed)
+    }
+
+    /// Where `flag` last appeared, if it did.
+    fn last(&self, flag: &str) -> Option<usize> {
+        self.flags.iter().rposition(|(f, _)| *f == flag)
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.last(flag).is_some()
+    }
+
+    /// The values `flag` took when it last appeared, if it did.
+    fn values(&self, flag: &str) -> Option<&[String]> {
+        let (_, values) = self.flags.iter().rev().find(|(f, _)| *f == flag)?;
+        Some(values)
+    }
+
+    /// The value of a one-value `flag`, if it was given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values(flag)?.first().map(String::as_str)
+    }
+
+    /// `--quick` picks the CI smoke run.
+    fn mode(&self) -> Mode {
+        if self.has("--quick") {
+            Mode::Quick
         } else {
-            pos.push(arg.clone());
+            Mode::Full
         }
     }
-    fn fail(msg: String) -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: repro trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]"
-        );
-        eprintln!("backends: cpu sklearn onnx1 gpu gpu-rapids fpga");
-        std::process::exit(2);
+}
+
+/// Reads `path`, or prints why not and exits 1.
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        exit(1)
+    })
+}
+
+/// Writes `contents` to `path`, or prints why not and exits 1.
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1)
+    });
+}
+
+/// Validates the report at `path` as a `kind` report, printing how many
+/// `unit`s it holds; an invalid report exits 1.
+fn check(path: &str, kind: &str, unit: &str, validate: fn(&str) -> Result<usize, String>) {
+    match validate(&read_file(path)) {
+        Ok(n) => println!("{path}: valid {kind} report, {n} {unit}"),
+        Err(e) => {
+            eprintln!("{path}: invalid {kind} report: {e}");
+            exit(1);
+        }
     }
-    let dataset = match pos.first().map(String::as_str).unwrap_or("higgs") {
+}
+
+const TRACE: Grammar = Grammar {
+    usage: "trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]",
+    flags: &[("--out", 1), ("--warm", 0), ("--cold", 0), ("--fused", 0)],
+    positionals: true,
+};
+
+/// Exports a Perfetto trace of one simulated query (see [`TRACE`]).
+fn trace(args: &[String]) {
+    let args = TRACE.parse(args);
+    let pos =
+        |i: usize, default: &'static str| args.positionals.get(i).map_or(default, String::as_str);
+    let warm = args.last("--warm") > args.last("--cold");
+    let fused = args.has("--fused");
+    let dataset = match pos(0, "higgs") {
         "higgs" => DatasetSpec::Higgs,
         "iris" => DatasetSpec::Iris,
-        other => fail(format!("unknown dataset '{other}'")),
+        other => TRACE.fail(&format!("unknown dataset '{other}'")),
     };
-    let trees: usize = match pos.get(1).map(String::as_str).unwrap_or("128").parse() {
-        Ok(t) if t >= 1 => t,
-        _ => fail(format!("bad tree count '{}' (need >= 1)", pos[1])),
+    let Some(trees) = pos(1, "128").parse().ok().filter(|&t: &usize| t >= 1) else {
+        TRACE.fail(&format!("bad tree count '{}' (need >= 1)", pos(1, "")))
     };
-    let records = match parse_count(pos.get(2).map(String::as_str).unwrap_or("1m")) {
-        Some(n) => n,
-        None => fail(format!("bad record count '{}'", pos[2])),
+    let Some(records) = parse_count(pos(2, "1m")) else {
+        TRACE.fail(&format!("bad record count '{}'", pos(2, "")))
     };
-    let backend_name = pos.get(3).map(String::as_str).unwrap_or("fpga");
-    let backend = match backend_by_name(backend_name) {
-        Some(b) => b,
-        None => fail(format!("unknown backend '{backend_name}'")),
+    let backend_name = pos(3, "fpga");
+    let Some(backend) = backend_by_name(backend_name) else {
+        TRACE.fail(&format!(
+            "unknown backend '{backend_name}' (backends: cpu sklearn onnx1 gpu gpu-rapids fpga)"
+        ))
     };
 
     let forest = mlscore_core::calibration::paper_model(dataset, trees, 10);
     let stats = ModelStats::of(&forest);
     if let Err(e) = backend.supports(&stats) {
-        fail(format!("backend rejects this model: {e}"));
+        TRACE.fail(&format!("backend rejects this model: {e}"));
     }
     let bundle = ModelBundle::serialize(&forest);
     let pipeline = QueryPipeline::new(backend);
@@ -366,153 +464,82 @@ fn trace(args: &[String]) {
     );
     let span_trace = tracer.take();
     let json = perfetto::to_json(&span_trace);
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!(
-                "wrote {path}: {} spans, {} bytes (open at ui.perfetto.dev)",
-                span_trace.len(),
-                json.len()
-            );
-            println!(
-                "{} x{} trees, {} records on {} ({}{}): total {}",
-                dataset.name(),
-                trees,
-                records,
-                pipeline.backend().name(),
-                if warm { "warm" } else { "cold" },
-                if fused { ", fused" } else { "" },
-                breakdown.total()
-            );
-            for (stage, d) in breakdown.iter() {
-                println!("  {stage:<20} {d}");
-            }
-        }
-        None => println!("{json}"),
+    let Some(path) = args.value("--out") else {
+        println!("{json}");
+        return;
+    };
+    write_file(path, &json);
+    println!(
+        "wrote {path}: {} spans, {} bytes (open at ui.perfetto.dev)",
+        span_trace.len(),
+        json.len()
+    );
+    println!(
+        "{} x{} trees, {} records on {} ({}{}): total {}",
+        dataset.name(),
+        trees,
+        records,
+        pipeline.backend().name(),
+        if warm { "warm" } else { "cold" },
+        if fused { ", fused" } else { "" },
+        breakdown.total()
+    );
+    for (stage, d) in breakdown.iter() {
+        println!("  {stage:<20} {d}");
     }
 }
 
-/// `repro bench [--quick] [--out FILE] [--check FILE]
-///              [--diff OLD NEW [--tolerance T]]`
-///
+const BENCH: Grammar = Grammar {
+    usage: "bench [--quick] [--out FILE] [--check FILE] [--diff OLD NEW]",
+    flags: &[("--quick", 0), ("--out", 1), ("--check", 1), ("--diff", 2)],
+    positionals: false,
+};
+
 /// Runs the measured CPU scoring sweep ([`mlscore_bench::cpu_bench`]) and
-/// writes `BENCH_cpu_scoring.json`. With `--check` it validates an existing report file (the CI smoke gate),
-/// and with `--diff` it compares two report files cell by cell and exits
-/// non-zero when any throughput number regressed beyond the relative
-/// tolerance.
+/// writes `BENCH_cpu_scoring.json`. With `--check` it validates an
+/// existing report file (the CI smoke gate), and with `--diff` it compares
+/// two report files cell by cell and exits 1 when any throughput number
+/// regressed beyond [`mlscore_bench::diff::TOLERANCE`].
 fn bench(args: &[String]) {
-    use mlscore_bench::cpu_bench::{self, BenchOptions, CaseResult};
+    use mlscore_bench::cpu_bench::{self, CaseResult};
     use mlscore_bench::diff;
     use mlscore_exec::SimdLevel;
 
-    let mut quick = false;
-    let mut out_path = "BENCH_cpu_scoring.json".to_string();
-    let mut check: Option<String> = None;
-    let mut diff_paths: Option<(String, String)> = None;
-    let mut tolerance = diff::DEFAULT_TOLERANCE;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(path.clone()),
-                None => {
-                    eprintln!("--check needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--diff" => match (it.next(), it.next()) {
-                (Some(old), Some(new)) => diff_paths = Some((old.clone(), new.clone())),
-                _ => {
-                    eprintln!("--diff needs two file paths (old new)");
-                    std::process::exit(2);
-                }
-            },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) => tolerance = t,
-                _ => {
-                    eprintln!("--tolerance needs a fraction in [0, 1)");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench flag '{other}'");
-                eprintln!(
-                    "usage: repro bench [--quick] \
-                     [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some((old_path, new_path)) = diff_paths {
-        let read = |path: &str| {
-            std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            })
-        };
-        let (old_text, new_text) = (read(&old_path), read(&new_path));
-        match diff::diff(&old_text, &new_text, tolerance) {
-            Ok(regressions) if regressions.is_empty() => {
-                println!(
-                    "{new_path}: no regressions vs {old_path} \
-                     (tolerance {:.0}%)",
-                    tolerance * 100.0
-                );
-            }
-            Ok(regressions) => {
-                eprintln!(
-                    "{new_path}: {} regression(s) vs {old_path}:",
-                    regressions.len()
-                );
-                for line in &regressions {
-                    eprintln!("  {line}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
+    let args = BENCH.parse(args);
+    if let Some([old_path, new_path]) = args.values("--diff") {
+        let regressions =
+            diff::diff(&read_file(old_path), &read_file(new_path)).unwrap_or_else(|e| {
                 eprintln!("cannot diff: {e}");
-                std::process::exit(1);
-            }
+                exit(1)
+            });
+        if regressions.is_empty() {
+            let tolerance = diff::TOLERANCE * 100.0;
+            println!("{new_path}: no regressions vs {old_path} (tolerance {tolerance:.0}%)");
+            return;
         }
+        eprintln!(
+            "{new_path}: {} regression(s) vs {old_path}:",
+            regressions.len()
+        );
+        for line in &regressions {
+            eprintln!("  {line}");
+        }
+        exit(1);
+    }
+    if let Some(path) = args.value("--check") {
+        check(path, "benchmark", "case(s)", cpu_bench::validate);
         return;
     }
 
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        match cpu_bench::validate(&text) {
-            Ok(n) => println!("{path}: valid benchmark report, {n} case(s)"),
-            Err(e) => {
-                eprintln!("{path}: invalid benchmark report: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let opts = BenchOptions { quick };
+    let mode = args.mode();
+    let out_path = args.value("--out").unwrap_or("BENCH_cpu_scoring.json");
     println!(
         "== Measured CPU scoring sweep ({} mode, simd tier {}) ==",
-        if quick { "quick" } else { "full" },
+        mode.name(),
         SimdLevel::detect().name()
     );
-    let cases = cpu_bench::run(&opts);
-    let cache = cpu_bench::run_cache_pair(&opts);
+    let cases = cpu_bench::run(mode);
+    let cache = cpu_bench::run_cache_pair(mode);
     println!(
         "cache {:>5} x{:<3} trees, {:>6} records | cold {:.3}s warm {:.3}s ({:.3}x) | \
          compile {:.2}ms | {} hit(s) {} miss(es)",
@@ -527,12 +554,8 @@ fn bench(args: &[String]) {
         cache.misses
     );
     println!("== Fused vs. staged marshaling-tax shmoo ==");
-    let fused = cpu_bench::run_fused(&opts);
-    let json = cpu_bench::to_json(&cases, &cache, &fused, &opts);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
+    let fused = cpu_bench::run_fused(mode);
+    write_file(out_path, &cpu_bench::to_json(&cases, &cache, &fused, mode));
     let worst = cases
         .iter()
         .map(CaseResult::best_speedup)
@@ -543,97 +566,45 @@ fn bench(args: &[String]) {
     );
 }
 
-/// `repro serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]`
-///
+const SERVE: Grammar = Grammar {
+    usage: "serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]",
+    flags: &[
+        ("--quick", 0),
+        ("--out", 1),
+        ("--check", 1),
+        ("--trace-out", 1),
+    ],
+    positionals: false,
+};
+
 /// Runs the serving-engine load sweep ([`mlscore_bench::serve_bench`]) and
 /// writes the report to `--out`, if given — `repro serve --out
 /// BENCH_serving.json` regenerates the committed file. With `--check` it
-/// validates an existing report instead, and
-/// `--trace-out` additionally exports a Perfetto timeline of the FPGA
-/// overload run (per-device lanes with queue-wait, coalesce, compile,
-/// setup/transfer/compute/drain spans).
+/// validates an existing report instead, and `--trace-out` additionally
+/// exports a Perfetto timeline of the FPGA overload run (per-device lanes
+/// with queue-wait, coalesce, compile, setup/transfer/compute/drain spans).
 fn serve(args: &[String]) {
-    use mlscore_bench::serve_bench::{self, ServeBenchOptions};
+    use mlscore_bench::serve_bench;
 
-    let mut quick = false;
-    let mut out_path: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--check" => match it.next() {
-                Some(path) => check = Some(path.clone()),
-                None => {
-                    eprintln!("--check needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown serve flag '{other}'");
-                eprintln!(
-                    "usage: repro serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        match serve_bench::validate(&text) {
-            Ok(n) => println!("{path}: valid serving report, {n} sweep point(s)"),
-            Err(e) => {
-                eprintln!("{path}: invalid serving report: {e}");
-                std::process::exit(1);
-            }
-        }
+    let args = SERVE.parse(args);
+    if let Some(path) = args.value("--check") {
+        check(path, "serving", "sweep point(s)", serve_bench::validate);
         return;
     }
 
-    println!(
-        "== Serving-engine load sweep ({} mode) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let opts = ServeBenchOptions { quick };
-    let report = serve_bench::run(&opts);
-    let json = serve_bench::to_json(&report, &opts);
-    if let Some(out_path) = out_path {
-        std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        });
+    let mode = args.mode();
+    println!("== Serving-engine load sweep ({} mode) ==", mode.name());
+    let report = serve_bench::run(mode);
+    if let Some(path) = args.value("--out") {
+        write_file(path, &serve_bench::to_json(&report, mode));
         println!(
-            "wrote {out_path}: {} sweep point(s) + FPGA overload comparison",
+            "wrote {path}: {} sweep point(s) + FPGA overload comparison",
             report.sweep.len()
         );
     }
-
-    if let Some(path) = trace_out {
-        let span_trace = serve_bench::overload_trace(&opts);
-        let trace_json = perfetto::to_json(&span_trace);
-        std::fs::write(&path, &trace_json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = args.value("--trace-out") {
+        let span_trace = serve_bench::overload_trace(mode);
+        write_file(path, &perfetto::to_json(&span_trace));
         println!(
             "wrote {path}: {} spans (open at ui.perfetto.dev)",
             span_trace.len()
@@ -641,171 +612,264 @@ fn serve(args: &[String]) {
     }
 }
 
-/// `repro report [--quick] [--out FILE] [--top N]`
-///
+const REPORT: Grammar = Grammar {
+    usage: "report [--quick] [--out FILE]",
+    flags: &[("--quick", 0), ("--out", 1)],
+    positionals: false,
+};
+
 /// Runs the observed FPGA overload workload ([`mlscore_bench::run_report`])
 /// and prints the human-readable run report; `--out` additionally writes
 /// the JSON document (`mlscore/run-report/v1`), which is byte-identical
 /// across reruns — CI regenerates it twice and compares. The document is
 /// validated before it is written; an invalid one exits 1 unwritten.
 fn report(args: &[String]) {
-    use mlscore_bench::run_report::{self, RunReportOptions};
+    use mlscore_bench::run_report::{self, TOP_N};
 
-    let mut opts = RunReportOptions::default();
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--top" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.top_n = n,
-                _ => {
-                    eprintln!("--top needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown report flag '{other}'");
-                eprintln!("usage: repro report [--quick] [--out FILE] [--top N]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    println!(
-        "== Serving run report ({} mode) ==",
-        if opts.quick { "quick" } else { "full" }
-    );
-    let report = run_report::run(&opts);
-    print!("{}", run_report::to_text(&report, &opts));
-    if let Some(path) = out_path {
-        let json = run_report::to_json(&report, &opts);
+    let args = REPORT.parse(args);
+    let mode = args.mode();
+    println!("== Serving run report ({} mode) ==", mode.name());
+    let report = run_report::run(mode);
+    print!("{}", run_report::to_text(&report, mode));
+    if let Some(path) = args.value("--out") {
+        let json = run_report::to_json(&report, mode);
         if let Err(e) = run_report::validate(&json) {
             eprintln!("refusing to write {path}: invalid run report: {e}");
-            std::process::exit(1);
+            exit(1);
         }
-        std::fs::write(&path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(path, &json);
         println!(
-            "\nwrote {path}: {} window(s), {} alert(s), top-{} slowest",
+            "\nwrote {path}: {} window(s), {} alert(s), top-{TOP_N} slowest",
             report.series.len(),
             report.journal.alerts().len(),
-            opts.top_n
         );
     }
 }
 
+/// Writes every figure as CSV into the directory named (`figures_out` by
+/// default).
+fn csv(args: &[String]) {
+    let dir = args.first().map_or("figures_out", String::as_str);
+    let written =
+        mlscore_core::export::save_all(std::path::Path::new(dir)).expect("writing figure CSVs");
+    println!("wrote {} CSV files to {dir}/", written.len());
+}
+
+/// One `repro` target: `main` runs it with the arguments after its name,
+/// and `repro help` prints its synopsis (its name, when it takes no
+/// arguments) and help text.
+struct Target {
+    name: &'static str,
+    /// Whether `repro all` runs it: the nine figure targets do.
+    in_all: bool,
+    synopsis: Option<&'static str>,
+    run: fn(&[String]),
+    help: &'static str,
+}
+
+/// Every target, in `repro help` order.
+#[rustfmt::skip]
+const TARGETS: &[Target] = &[
+    Target { name: "all", in_all: false, synopsis: None,
+             run: |_| TARGETS.iter().filter(|t| t.in_all).for_each(|t| (t.run)(&[])),
+             help: "every figure, table, and the scheduler study (default)" },
+    Target { name: "fig1", in_all: true, synopsis: None, run: |_| fig1(),
+             help: "best backend by model complexity x data size" },
+    Target { name: "fig7a", in_all: true, synopsis: None,
+             run: |_| fig7("7a", 1, &figures::fig7a()),
+             help: "FPGA scoring-time breakdown, 1 record" },
+    Target { name: "fig7b", in_all: true, synopsis: None,
+             run: |_| fig7("7b", 1_000_000, &figures::fig7b()),
+             help: "FPGA scoring-time breakdown, 1M records" },
+    Target { name: "fig8", in_all: true, synopsis: None, run: |_| fig8(),
+             help: "best backend + speedup over CPU (depth 10)" },
+    Target { name: "fig9", in_all: true, synopsis: None, run: |_| fig9(),
+             help: "scoring latency curves" },
+    Target { name: "fig10", in_all: true, synopsis: None, run: |_| fig10(),
+             help: "scoring throughput curves" },
+    Target { name: "fig11", in_all: true, synopsis: None, run: |_| fig11(),
+             help: "end-to-end T-SQL query breakdown" },
+    Target { name: "headlines", in_all: true, synopsis: None, run: |_| headlines(),
+             help: "headline ratios from the paper's section IV" },
+    Target { name: "scheduler", in_all: true, synopsis: None, run: |_| scheduler(),
+             help: "policy regret + latency percentiles (telemetry histograms)" },
+    Target { name: "ablations", in_all: false, synopsis: None, run: |_| ablations(),
+             help: "ablation tables A1-A3, A5-A7 and A10 (PCIe generation,\n\
+                    BRAM vs DDR, GPU mechanisms, split execution, GPU\n\
+                    generations, integration modes, quantized layout)" },
+    Target { name: "trace", in_all: false, synopsis: Some(TRACE.usage), run: trace,
+             help: "export a Perfetto trace of one simulated query\n\
+                    (defaults: higgs 128 1m fpga, cold; records accept k/m\n\
+                    suffixes; backends: cpu sklearn onnx1 gpu gpu-rapids fpga;\n\
+                    --warm replays an artifact-cache hit: no bundle marshal,\n\
+                    model pre-processing collapsed to a cache probe;\n\
+                    --fused replays the pull-based RecordStream path: no\n\
+                    inbound marshal or data pre-processing stages, only\n\
+                    per-chunk handoff, with per-chunk detail spans)" },
+    Target { name: "bench", in_all: false, synopsis: Some(BENCH.usage), run: bench,
+             help: "measure real CPU kernel throughput (naive seed path vs\n\
+                    the pointer-tree and SIMD flat-image kernels) plus a\n\
+                    warm/cold artifact-cache pair and a fused-vs-staged shmoo,\n\
+                    and write BENCH_cpu_scoring.json; --check validates an\n\
+                    existing report instead; --diff compares two reports\n\
+                    cell by cell and exits non-zero on any throughput\n\
+                    regression beyond the relative tolerance (25%)" },
+    Target { name: "serve", in_all: false, synopsis: Some(SERVE.usage), run: serve,
+             help: "sweep offered load through the discrete-event serving\n\
+                    engine (admission control, micro-batch coalescing,\n\
+                    device contention) with coalescing on vs off, plus an\n\
+                    FPGA-only overload comparison; --out writes the\n\
+                    report (nothing is written without it; `--out\n\
+                    BENCH_serving.json` regenerates the committed file);\n\
+                    --check validates an existing report; --trace-out\n\
+                    exports a Perfetto timeline of the FPGA overload run\n\
+                    (per-device lanes, request flow arrows from queue\n\
+                    wait to device pass)" },
+    Target { name: "report", in_all: false, synopsis: Some(REPORT.usage), run: report,
+             help: "run the observed FPGA overload workload and render\n\
+                    the serving run report: windowed metrics, per-class\n\
+                    SLO attainment, budget-burn alerts, and the top-N\n\
+                    slowest requests with journal stage breakdowns;\n\
+                    --out writes the deterministic JSON document" },
+    Target { name: "analyze", in_all: false,
+             synopsis: Some("analyze [--json] [--check-baseline] [--write-baseline]"),
+             run: |args| exit(mlscore_analysis::cli::run(args)),
+             help: "run the workspace determinism & hot-path lints\n\
+                    (mlscore-analyze; see DESIGN.md section 10)" },
+    Target { name: "csv", in_all: false, synopsis: Some("csv [dir]"), run: csv,
+             help: "write every figure as CSV (default dir: figures_out)" },
+    Target { name: "help", in_all: false, synopsis: None, run: |_| println!("{}", usage()),
+             help: "this message" },
+];
+
+/// The `repro help` text, rendered from [`TARGETS`].
 fn usage() -> String {
-    "usage: repro [target]\n\
-     targets:\n\
-       all              every figure, table, and the scheduler study (default)\n\
-       fig1             best backend by model complexity x data size\n\
-       fig7a            FPGA scoring-time breakdown, 1 record\n\
-       fig7b            FPGA scoring-time breakdown, 1M records\n\
-       fig8             best backend + speedup over CPU (depth 10)\n\
-       fig9             scoring latency curves\n\
-       fig10            scoring throughput curves\n\
-       fig11            end-to-end T-SQL query breakdown\n\
-       headlines        headline ratios from the paper's section IV\n\
-       scheduler        policy regret + latency percentiles (telemetry histograms)\n\
-       ablations        ablation tables A1-A3, A5-A7 and A10 (PCIe generation,\n\
-                        BRAM vs DDR, GPU mechanisms, split execution, GPU\n\
-                        generations, integration modes, quantized layout)\n\
-       trace [--out FILE] [--warm|--cold] [--fused] [iris|higgs] [trees] [records] [backend]\n\
-                        export a Perfetto trace of one simulated query\n\
-                        (defaults: higgs 128 1m fpga, cold; records accept k/m\n\
-                         suffixes; backends: cpu sklearn onnx1 gpu gpu-rapids fpga;\n\
-                         --warm replays an artifact-cache hit: no bundle marshal,\n\
-                         model pre-processing collapsed to a cache probe;\n\
-                         --fused replays the pull-based RecordStream path: no\n\
-                         inbound marshal or data pre-processing stages, only\n\
-                         per-chunk handoff, with per-chunk detail spans)\n\
-       bench [--quick] [--out FILE] [--check FILE] [--diff OLD NEW [--tolerance T]]\n\
-                        measure real CPU kernel throughput (naive seed path vs\n\
-                        the pointer-tree and SIMD flat-image kernels) plus a\n\
-                        warm/cold artifact-cache pair and a fused-vs-staged shmoo,\n\
-                        and write BENCH_cpu_scoring.json; --check validates an\n\
-                        existing report instead; --diff compares two reports\n\
-                        cell by cell and exits non-zero on any throughput\n\
-                        regression beyond the relative tolerance (default 25%)\n\
-       serve [--quick] [--out FILE] [--check FILE] [--trace-out FILE]\n\
-                        sweep offered load through the discrete-event serving\n\
-                        engine (admission control, micro-batch coalescing,\n\
-                        device contention) with coalescing on vs off, plus an\n\
-                        FPGA-only overload comparison; --out writes the\n\
-                        report (nothing is written without it; `--out\n\
-                        BENCH_serving.json` regenerates the committed file);\n\
-                        --check validates an existing report; --trace-out\n\
-                        exports a Perfetto timeline of the FPGA overload run\n\
-                        (per-device lanes, request flow arrows from queue\n\
-                        wait to device pass)\n\
-       report [--quick] [--out FILE] [--top N]\n\
-                        run the observed FPGA overload workload and render\n\
-                        the serving run report: windowed metrics, per-class\n\
-                        SLO attainment, budget-burn alerts, and the top-N\n\
-                        slowest requests with journal stage breakdowns;\n\
-                        --out writes the deterministic JSON document\n\
-       analyze [--json] [--check-baseline] [--write-baseline]\n\
-                        run the workspace determinism & hot-path lints\n\
-                        (mlscore-analyze; see DESIGN.md section 10)\n\
-       csv [dir]        write every figure as CSV (default dir: figures_out)\n\
-       help             this message"
-        .to_string()
+    let mut text = "usage: repro [target]\ntargets:".to_string();
+    for target in TARGETS {
+        let synopsis = target.synopsis.unwrap_or(target.name);
+        if synopsis.len() < 17 {
+            text += &format!("\n{synopsis:<17}{}", target.help);
+        } else {
+            text += &format!("\n{synopsis}\n{}", target.help);
+        }
+    }
+    text
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let what = args.get(1).map(String::as_str).unwrap_or("all");
-    match what {
-        "fig1" => fig1(),
-        "fig7a" => fig7(1, "7a"),
-        "fig7b" => fig7(1_000_000, "7b"),
-        "fig8" => fig8(),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
-        "headlines" => headlines(),
-        "scheduler" => scheduler(),
-        "ablations" => ablations(),
-        "trace" => trace(&args[2..]),
-        "bench" => bench(&args[2..]),
-        "serve" => serve(&args[2..]),
-        "report" => report(&args[2..]),
-        "analyze" => std::process::exit(mlscore_analysis::cli::run(&args[2..])),
-        "csv" => {
-            let dir = args
-                .get(2)
-                .cloned()
-                .unwrap_or_else(|| "figures_out".to_string());
-            let written = mlscore_core::export::save_all(std::path::Path::new(&dir))
-                .expect("writing figure CSVs");
-            println!("wrote {} CSV files to {dir}/", written.len());
+    let name = match args.get(1).map_or("all", String::as_str) {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let Some(target) = TARGETS.iter().find(|t| t.name == name) else {
+        eprintln!("unknown target '{name}'");
+        eprintln!("{}", usage());
+        exit(2)
+    };
+    (target.run)(args.get(2..).unwrap_or_default());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(grammar: &Grammar, args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Args::parse(grammar, &args)
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        for grammar in [&TRACE, &BENCH, &SERVE, &REPORT] {
+            assert_eq!(
+                parse(grammar, &["--bogus"]),
+                Err("unknown flag '--bogus'".to_string())
+            );
         }
-        "all" => {
-            fig1();
-            fig7(1, "7a");
-            fig7(1_000_000, "7b");
-            fig8();
-            fig9();
-            fig10();
-            fig11();
-            headlines();
-            scheduler();
+        assert!(parse(&BENCH, &["--tolerance", "0.1"]).is_err());
+        assert!(parse(&REPORT, &["--top", "3"]).is_err());
+    }
+
+    #[test]
+    fn valued_flags_need_every_value() {
+        assert_eq!(
+            parse(&SERVE, &["--quick", "--out"]),
+            Err("--out needs 1 value".to_string())
+        );
+        assert_eq!(
+            parse(&BENCH, &["--diff", "old.json"]),
+            Err("--diff needs 2 values".to_string())
+        );
+        let args = parse(&BENCH, &["--diff", "old.json", "new.json"]).unwrap();
+        assert_eq!(
+            args.values("--diff"),
+            Some(&["old.json".to_string(), "new.json".to_string()][..])
+        );
+        // A value is taken as given, even when it looks like a flag.
+        let args = parse(&TRACE, &["--out", "--warm"]).unwrap();
+        assert_eq!(args.value("--out"), Some("--warm"));
+        assert!(!args.has("--warm"));
+    }
+
+    #[test]
+    fn positionals_only_where_the_grammar_allows_them() {
+        for grammar in [&BENCH, &SERVE, &REPORT] {
+            assert_eq!(
+                parse(grammar, &["--quick", "extra"]),
+                Err("unexpected argument 'extra'".to_string())
+            );
         }
-        "help" | "--help" | "-h" => println!("{}", usage()),
-        other => {
-            eprintln!("unknown target '{other}'");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
+        let args = parse(&TRACE, &["iris", "--fused", "8", "1k"]).unwrap();
+        assert_eq!(args.positionals, ["iris", "8", "1k"]);
+        assert!(args.has("--fused"));
+    }
+
+    #[test]
+    fn the_last_of_warm_and_cold_wins() {
+        let warm = |args: &[&str]| {
+            let args = parse(&TRACE, args).unwrap();
+            args.last("--warm") > args.last("--cold")
+        };
+        assert!(!warm(&[]));
+        assert!(warm(&["--warm"]));
+        assert!(!warm(&["--cold"]));
+        assert!(!warm(&["--warm", "--cold"]));
+        assert!(warm(&["--cold", "--warm"]));
+    }
+
+    #[test]
+    fn a_repeated_valued_flag_keeps_its_last_value() {
+        let args = parse(&REPORT, &["--out", "a.json", "--quick", "--out", "b.json"]).unwrap();
+        assert_eq!(args.value("--out"), Some("b.json"));
+        assert_eq!(args.mode(), Mode::Quick);
+        assert_eq!(parse(&REPORT, &[]).unwrap().mode(), Mode::Full);
+    }
+
+    #[test]
+    fn every_target_name_is_unique_and_all_runs_the_nine_figures() {
+        let mut names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), TARGETS.len());
+        let in_all: Vec<&str> = TARGETS
+            .iter()
+            .filter(|t| t.in_all)
+            .map(|t| t.name)
+            .collect();
+        assert_eq!(
+            in_all,
+            [
+                "fig1",
+                "fig7a",
+                "fig7b",
+                "fig8",
+                "fig9",
+                "fig10",
+                "fig11",
+                "headlines",
+                "scheduler"
+            ]
+        );
     }
 }

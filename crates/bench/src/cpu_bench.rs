@@ -40,33 +40,24 @@ use mlscore_sim::{SimInstant, Stage};
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
 use mlscore_telemetry::Tracer;
 
+use crate::Mode;
+
 /// Tree depth used throughout the sweep (the paper's evaluation depth).
 pub const SWEEP_DEPTH: usize = 10;
 
-/// Options for one harness run.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchOptions {
-    /// Shrink record counts and iteration counts to a CI smoke run.
-    pub quick: bool,
+/// Record counts for the sweep.
+fn record_counts(mode: Mode) -> [usize; 2] {
+    match mode {
+        Mode::Quick => [500, 2_000],
+        Mode::Full => [10_000, 100_000],
+    }
 }
 
-impl BenchOptions {
-    /// Record counts for the sweep.
-    fn record_counts(&self) -> [usize; 2] {
-        if self.quick {
-            [500, 2_000]
-        } else {
-            [10_000, 100_000]
-        }
-    }
-
-    /// Timed iterations per measurement (the minimum is kept).
-    fn iters(&self) -> usize {
-        if self.quick {
-            1
-        } else {
-            3
-        }
+/// Timed iterations per measurement (the minimum is kept).
+fn iters(mode: Mode) -> usize {
+    match mode {
+        Mode::Quick => 1,
+        Mode::Full => 3,
     }
 }
 
@@ -152,8 +143,8 @@ impl CacheBench {
 ///
 /// Panics if the cold query is not a miss, the warm query is not a hit, or
 /// the two disagree on predictions — any of which is a cache bug.
-pub fn run_cache_pair(opts: &BenchOptions) -> CacheBench {
-    let records = opts.record_counts()[1];
+pub fn run_cache_pair(mode: Mode) -> CacheBench {
+    let records = record_counts(mode)[1];
     let data = Dataset::higgs(records, 3).normalized();
     let forest = RandomForest::synthetic_full(
         &ForestConfig::classification(128, 28, 2).with_depth(SWEEP_DEPTH),
@@ -345,14 +336,14 @@ fn fused_cells_for<B: ScoringBackend>(
 
 /// Runs the fused-vs-staged shmoo across both CPU backends, printing one
 /// progress line per cell.
-pub fn run_fused(opts: &BenchOptions) -> Vec<FusedCell> {
+pub fn run_fused(mode: Mode) -> Vec<FusedCell> {
     let forest = RandomForest::synthetic_full(
         &ForestConfig::classification(128, 28, 2).with_depth(SWEEP_DEPTH),
         7,
     );
     let bundle = ModelBundle::serialize(&forest);
-    let counts = opts.record_counts();
-    let iters = opts.iters();
+    let counts = record_counts(mode);
+    let iters = iters(mode);
     let mut cells = fused_cells_for(
         SklearnCpu::with_threads(default_threads()),
         &bundle,
@@ -400,7 +391,7 @@ fn thread_sweep() -> Vec<usize> {
 }
 
 /// Measures one sweep cell.
-fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> CaseResult {
+fn run_case(name: &str, trees: usize, records: usize, mode: Mode) -> CaseResult {
     let (data, n_features, n_classes) = match name {
         "iris" => (Dataset::iris(records, 3).normalized(), 4, 3),
         _ => (Dataset::higgs(records, 3).normalized(), 28, 2),
@@ -411,7 +402,7 @@ fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> Ca
     );
     let image = FlatImage::from_forest(&forest, forest.max_depth()).expect("flat image");
     let frame = data.frame();
-    let iters = opts.iters();
+    let iters = iters(mode);
     let level = SimdLevel::detect();
 
     let reference = forest.predict_batch(frame.as_slice());
@@ -457,12 +448,12 @@ fn run_case(name: &str, trees: usize, records: usize, opts: &BenchOptions) -> Ca
 }
 
 /// Runs the full sweep, printing one progress line per cell.
-pub fn run(opts: &BenchOptions) -> Vec<CaseResult> {
+pub fn run(mode: Mode) -> Vec<CaseResult> {
     let mut cases = Vec::new();
     for dataset in ["iris", "higgs"] {
         for trees in [8usize, 128] {
-            for records in opts.record_counts() {
-                let case = run_case(dataset, trees, records, opts);
+            for records in record_counts(mode) {
+                let case = run_case(dataset, trees, records, mode);
                 let best = case
                     .runs
                     .iter()
@@ -506,14 +497,14 @@ pub fn to_json(
     cases: &[CaseResult],
     cache: &CacheBench,
     fused: &[FusedCell],
-    opts: &BenchOptions,
+    mode: Mode,
 ) -> String {
     let cfg = RunConfig::default();
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.key("schema").str("mlscore/bench-cpu-scoring/v1");
     w.key("schema_version").uint(5);
-    w.key("mode").str(if opts.quick { "quick" } else { "full" });
+    w.key("mode").str(mode.name());
     w.key("simd_level").str(SimdLevel::detect().name());
     w.key("host_threads").uint(default_threads() as u64);
     w.key("record_block").uint(cfg.record_block as u64);
@@ -674,17 +665,16 @@ mod tests {
 
     #[test]
     fn quick_cell_is_bit_exact_and_serializes() {
-        let opts = BenchOptions { quick: true };
-        let case = run_case("iris", 8, 200, &opts);
+        let case = run_case("iris", 8, 200, Mode::Quick);
         assert!(case.runs.iter().all(|r| r.bit_exact));
         assert!(case.naive_rps > 0.0);
         assert!(case
             .runs
             .iter()
             .all(|r| r.simd_rps > 0.0 && r.forest_rps > 0.0));
-        let cache = run_cache_pair(&opts);
+        let cache = run_cache_pair(Mode::Quick);
         let fused = fused_cells_for(SklearnCpu::with_threads(2), &higgs_bundle(), &[300], 1);
-        let json = to_json(std::slice::from_ref(&case), &cache, &fused, &opts);
+        let json = to_json(std::slice::from_ref(&case), &cache, &fused, Mode::Quick);
         assert_eq!(validate(&json), Ok(1));
         assert!(json.contains("\"schema_version\": 5"));
         assert!(json.contains("\"simd_records_per_sec\""));
@@ -717,7 +707,7 @@ mod tests {
 
     #[test]
     fn cache_pair_hits_and_warm_is_cheaper() {
-        let cache = run_cache_pair(&BenchOptions { quick: true });
+        let cache = run_cache_pair(Mode::Quick);
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 1);
         assert!(cache.cold_total_secs >= cache.warm_total_secs);
@@ -857,8 +847,8 @@ mod tests {
         // Captured from the hand-written serializer this writer replaced;
         // only the host-dependent SIMD tier and thread count are filled in.
         let (cases, cache, fused) = synthetic();
-        for (quick, mode) in [(true, "quick"), (false, "full")] {
-            let json = to_json(&cases, &cache, &fused, &BenchOptions { quick });
+        for mode in [Mode::Quick, Mode::Full] {
+            let json = to_json(&cases, &cache, &fused, mode);
             let stripped: String = json.chars().filter(|c| !matches!(c, ' ' | '\n')).collect();
             let (simd, threads) = (SimdLevel::detect().name(), default_threads());
             let golden = format!(
@@ -882,7 +872,7 @@ mod tests {
                     r#""forest_records_per_sec":100000.000,"simd_records_per_sec":333333.000,"speedup_vs_naive":2.700,"#,
                     r#""bit_exact":true}}]}}]}}"#,
                 ),
-                mode = mode,
+                mode = mode.name(),
                 simd = simd,
                 threads = threads,
             );

@@ -8,8 +8,8 @@
 //! serving report needs no diff: it is a pure function of its seed, so CI
 //! regenerates it and compares the bytes.
 //!
-//! Each gated number in the new report must come within a relative
-//! tolerance of the old one. Missing cases or runs are
+//! Each gated number in the new report must come within [`TOLERANCE`] of
+//! the old one. Missing cases or runs are
 //! regressions too — a report cannot "improve" by silently dropping the
 //! slow cells. The comparison is keyed on the metrics the *old* report
 //! carries: cells or per-run metrics that only exist in the new report
@@ -22,11 +22,11 @@ use std::collections::BTreeMap;
 
 use mlscore_telemetry::json::{self, JsonValue};
 
-/// Default relative tolerance: a cell may lose up to 25% throughput
-/// before the diff calls it a regression. Wall-clock benchmarks on shared
+/// Relative tolerance: a cell may lose up to 25% throughput before the
+/// diff calls it a regression. Wall-clock benchmarks on shared
 /// CI hosts jitter; a quarter is far outside noise for the blocked
 /// kernels this gate protects.
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
+pub const TOLERANCE: f64 = 0.25;
 
 const CPU_SCHEMA: &str = "mlscore/bench-cpu-scoring/v1";
 
@@ -82,12 +82,12 @@ fn flatten(doc: &JsonValue, label: &str) -> Result<Cells, String> {
     Ok(cells)
 }
 
-/// Compares `new_text` against `old_text` with relative `tolerance`.
+/// Compares `new_text` against `old_text` with relative [`TOLERANCE`].
 ///
 /// Both documents must be CPU scoring reports (see the module docs).
 /// Returns one human-readable line per regression
 /// (empty: the gate passes). A metric regresses when its new value falls
-/// below `old * (1 - tolerance)`; cells or metrics present in the old
+/// below `old * (1 - TOLERANCE)`; cells or metrics present in the old
 /// report but absent from the new one regress unconditionally. The
 /// reverse is informational: cells and metrics that only the *new*
 /// report carries (e.g. a kernel tier that just landed)
@@ -97,10 +97,7 @@ fn flatten(doc: &JsonValue, label: &str) -> Result<Cells, String> {
 ///
 /// Returns a description of the first structural problem in either
 /// document (bad JSON, a wrong schema, missing fields).
-pub fn diff(old_text: &str, new_text: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    if !(0.0..1.0).contains(&tolerance) {
-        return Err(format!("tolerance {tolerance} outside [0, 1)"));
-    }
+pub fn diff(old_text: &str, new_text: &str) -> Result<Vec<String>, String> {
     let old_doc = json::parse(old_text).map_err(|e| format!("old: {e}"))?;
     let new_doc = json::parse(new_text).map_err(|e| format!("new: {e}"))?;
     let old = flatten(&old_doc, "old")?;
@@ -118,12 +115,12 @@ pub fn diff(old_text: &str, new_text: &str, tolerance: f64) -> Result<Vec<String
                 regressions.push(format!("{label}: {metric} missing from new report"));
                 continue;
             };
-            if new_v < old_v * (1.0 - tolerance) {
+            if new_v < old_v * (1.0 - TOLERANCE) {
                 regressions.push(format!(
                     "{label}: {metric} regressed {old_v:.0} -> {new_v:.0} \
                      ({:+.1}%, tolerance {:.0}%)",
                     (new_v / old_v - 1.0) * 100.0,
-                    tolerance * 100.0,
+                    TOLERANCE * 100.0,
                 ));
             }
         }
@@ -149,23 +146,23 @@ mod tests {
     #[test]
     fn self_diff_is_clean() {
         let text = report(1e6, 2e6);
-        assert_eq!(diff(&text, &text, DEFAULT_TOLERANCE), Ok(vec![]));
+        assert_eq!(diff(&text, &text), Ok(vec![]));
     }
 
     #[test]
     fn losses_beyond_tolerance_regress_and_gains_never_do() {
         let old = report(1e6, 2e6);
         // 10% flat loss: inside the 25% tolerance.
-        assert_eq!(diff(&old, &report(0.9e6, 2e6), 0.25), Ok(vec![]));
+        assert_eq!(diff(&old, &report(0.9e6, 2e6)), Ok(vec![]));
         // 30% flat loss: regression.
-        let r = diff(&old, &report(0.7e6, 2e6), 0.25).unwrap();
+        let r = diff(&old, &report(0.7e6, 2e6)).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r[0].contains("flat_records_per_sec"), "{r:?}");
         assert!(r[0].contains("-30.0%"), "{r:?}");
         // Both metrics can regress independently.
-        assert_eq!(diff(&old, &report(0.1e6, 0.1e6), 0.25).unwrap().len(), 2);
+        assert_eq!(diff(&old, &report(0.1e6, 0.1e6)).unwrap().len(), 2);
         // Improvement is never flagged.
-        assert_eq!(diff(&old, &report(9e6, 9e6), 0.25), Ok(vec![]));
+        assert_eq!(diff(&old, &report(9e6, 9e6)), Ok(vec![]));
     }
 
     /// A v3-style report: same cell as [`report`] plus the vector-tier
@@ -191,11 +188,11 @@ mod tests {
     fn missing_cases_and_runs_regress() {
         let old = report(1e6, 2e6);
         let empty = "{\"schema\": \"mlscore/bench-cpu-scoring/v1\", \"cases\": []}";
-        let r = diff(&old, empty, 0.25).unwrap();
+        let r = diff(&old, empty).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r[0].contains("case missing"), "{r:?}");
         // New cases appearing is fine.
-        assert_eq!(diff(empty, &old, 0.25), Ok(vec![]));
+        assert_eq!(diff(empty, &old), Ok(vec![]));
     }
 
     #[test]
@@ -205,15 +202,15 @@ mod tests {
         // the old two-metric report: additions are not regressions.
         let old = report(1e6, 2e6);
         let new = report_with_kernel_tier(1e6, 9e5);
-        assert_eq!(diff(&old, &new, 0.25), Ok(vec![]));
+        assert_eq!(diff(&old, &new), Ok(vec![]));
 
         // But once the old report carries the new metrics, they gate like
         // any other: dropping one or regressing it fails.
         let newer_slow = report_with_kernel_tier(1e6, 1e5);
-        let r = diff(&new, &newer_slow, 0.25).unwrap();
+        let r = diff(&new, &newer_slow).unwrap();
         assert_eq!(r.len(), 1);
         assert!(r[0].contains("simd_records_per_sec regressed"), "{r:?}");
-        let r = diff(&new, &old, 0.25).unwrap();
+        let r = diff(&new, &old).unwrap();
         assert!(
             r.iter().any(|l| l.contains("simd_records_per_sec missing")),
             "{r:?}"
@@ -223,8 +220,7 @@ mod tests {
 
     #[test]
     fn structural_problems_are_errors_not_regressions() {
-        assert!(diff("not json", "not json", 0.25).is_err());
-        assert!(diff(&report(1.0, 1.0), "{\"schema\": \"wrong\"}", 0.25).is_err());
-        assert!(diff(&report(1.0, 1.0), &report(1.0, 1.0), 1.5).is_err());
+        assert!(diff("not json", "not json").is_err());
+        assert!(diff(&report(1.0, 1.0), "{\"schema\": \"wrong\"}").is_err());
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! [`diff`] compares two benchmark reports cell by cell
 //! (`repro bench --diff old.json new.json`) and flags throughput
-//! regressions beyond a relative tolerance.
+//! regressions beyond a fixed relative tolerance ([`diff::TOLERANCE`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,3 +28,22 @@ pub mod cpu_bench;
 pub mod diff;
 pub mod run_report;
 pub mod serve_bench;
+
+/// How large a harness run is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Shrunk to a CI smoke run (`--quick`).
+    Quick,
+    /// The full run whose report is committed.
+    Full,
+}
+
+impl Mode {
+    /// The name every report's `"mode"` field carries.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Quick => "quick",
+            Mode::Full => "full",
+        }
+    }
+}

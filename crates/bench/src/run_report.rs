@@ -4,70 +4,42 @@
 //! where queueing and shed decisions actually bite — and renders what the
 //! observability layer captured: the windowed time series, per-class SLO
 //! attainment (with shed counts alongside completions, so shed load keeps
-//! its class attribution), the SLO budget-burn alerts, and the top-N
+//! its class attribution), the SLO budget-burn alerts, and the [`TOP_N`]
 //! slowest requests with their full stage breakdowns reconstructed from
 //! the request-lifecycle journal.
 //!
 //! Everything runs in simulated time, so both renderings are pure
-//! functions of `(seed, options)`: the JSON document is byte-identical
+//! functions of `(seed, mode)`: the JSON document is byte-identical
 //! across reruns — CI regenerates it twice and compares.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mlscore_serve::{
-    JournalKind, ModelCatalog, ServeConfig, ServeEngine, ServingReport, WorkloadSpec,
-};
+use mlscore_serve::{JournalKind, ModelCatalog, ServeEngine, ServingReport, WorkloadSpec};
 use mlscore_sim::SimDuration;
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
 use mlscore_telemetry::Tracer;
 
-use crate::serve_bench::{fpga_roster, serve_config, SEED};
+use crate::serve_bench::{fpga_roster, overload_queries, serve_config, OVERLOAD_RATE_QPS, SEED};
+use crate::Mode;
 
 /// Offered Poisson rate of the report workload, queries/second.
-pub const RATE_QPS: f64 = 2_000.0;
+pub const RATE_QPS: f64 = OVERLOAD_RATE_QPS;
 
-/// Options for one report run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunReportOptions {
-    /// Shrink the workload to a CI smoke run.
-    pub quick: bool,
-    /// How many slowest requests to break down.
-    pub top_n: usize,
-}
-
-impl Default for RunReportOptions {
-    fn default() -> Self {
-        Self {
-            quick: false,
-            top_n: 5,
-        }
-    }
-}
-
-impl RunReportOptions {
-    /// Queries offered.
-    pub fn queries(&self) -> usize {
-        if self.quick {
-            150
-        } else {
-            500
-        }
-    }
-}
-
-/// The engine configuration the report runs: the serving benchmark's
-/// FPGA overload configuration — queue capacity 32, coalescing on, and the
-/// benchmark's latency SLOs.
-pub fn config() -> ServeConfig {
-    serve_config(true, 32)
-}
+/// How many slowest requests the report breaks down.
+pub const TOP_N: usize = 5;
 
 /// Runs the report workload.
-pub fn run(opts: &RunReportOptions) -> ServingReport {
-    let engine = ServeEngine::new(fpga_roster(), ModelCatalog::paper_mix(), config());
+pub fn run(mode: Mode) -> ServingReport {
+    // The serving benchmark's FPGA overload configuration: queue capacity
+    // 32, coalescing on, and the benchmark's latency SLOs.
+    let engine = ServeEngine::new(
+        fpga_roster(),
+        ModelCatalog::paper_mix(),
+        serve_config(true, 32),
+    );
     let spec = WorkloadSpec {
-        queries: opts.queries(),
+        queries: overload_queries(mode),
         seed: SEED,
         rate_qps: RATE_QPS,
     };
@@ -161,16 +133,16 @@ pub fn slowest(report: &ServingReport, n: usize) -> Vec<SlowRequest> {
 /// (`mlscore/run-report/v1`). Latencies are milliseconds with six
 /// decimals (1 ns), instants and busy times seconds with nine; check the
 /// result with [`validate`].
-pub fn to_json(report: &ServingReport, opts: &RunReportOptions) -> String {
+pub fn to_json(report: &ServingReport, mode: Mode) -> String {
     let ms = |v: SimDuration| v.as_secs() * 1e3;
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.key("schema").str("mlscore/run-report/v1");
     w.key("schema_version").uint(1);
-    w.key("mode").str(if opts.quick { "quick" } else { "full" });
+    w.key("mode").str(mode.name());
     w.key("seed").uint(SEED);
     w.key("rate_qps").fixed(RATE_QPS, 3);
-    w.key("queries").uint(opts.queries() as u64);
+    w.key("queries").uint(overload_queries(mode) as u64);
     w.key("window_secs")
         .fixed(report.series.window_len().as_secs(), 6);
     w.key("makespan_secs").fixed(report.makespan.as_secs(), 9);
@@ -245,7 +217,7 @@ pub fn to_json(report: &ServingReport, opts: &RunReportOptions) -> String {
 
     // Slowest requests with stage breakdowns.
     w.key("slowest").begin_array();
-    for slow in slowest(report, opts.top_n) {
+    for slow in slowest(report, TOP_N) {
         w.begin_object();
         w.key("id").uint(slow.id);
         w.key("class").str(&slow.class);
@@ -269,12 +241,12 @@ pub fn to_json(report: &ServingReport, opts: &RunReportOptions) -> String {
 }
 
 /// Renders the human-readable summary.
-pub fn to_text(report: &ServingReport, opts: &RunReportOptions) -> String {
+pub fn to_text(report: &ServingReport, mode: Mode) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "run report: {} queries @ {RATE_QPS:.0} qps (seed {SEED}, FPGA-only, queue 32)",
-        opts.queries(),
+        overload_queries(mode),
     );
     let _ = writeln!(
         out,
@@ -331,7 +303,7 @@ pub fn to_text(report: &ServingReport, opts: &RunReportOptions) -> String {
             );
         }
     }
-    let slow = slowest(report, opts.top_n);
+    let slow = slowest(report, TOP_N);
     let _ = writeln!(out, "\nslowest {} request(s):", slow.len());
     for s in &slow {
         let _ = writeln!(
@@ -434,26 +406,21 @@ mod tests {
 
     #[test]
     fn quick_report_validates_and_is_deterministic() {
-        let opts = RunReportOptions {
-            quick: true,
-            top_n: 5,
-        };
-        let report = run(&opts);
-        let json = to_json(&report, &opts);
+        let report = run(Mode::Quick);
+        let json = to_json(&report, Mode::Quick);
         assert_eq!(validate(&json), Ok(()));
         // Simulated time: a rerun renders byte-identically.
-        let again = to_json(&run(&opts), &opts);
+        let again = to_json(&run(Mode::Quick), Mode::Quick);
         assert_eq!(json, again);
-        assert_eq!(to_text(&report, &opts), to_text(&run(&opts), &opts));
+        assert_eq!(
+            to_text(&report, Mode::Quick),
+            to_text(&run(Mode::Quick), Mode::Quick)
+        );
     }
 
     #[test]
     fn overload_report_has_windows_alerts_and_slow_requests() {
-        let opts = RunReportOptions {
-            quick: true,
-            top_n: 3,
-        };
-        let report = run(&opts);
+        let report = run(Mode::Quick);
         assert!(report.series.len() >= 2, "overload spans several windows");
         assert!(
             !report.journal.alerts().is_empty(),
@@ -471,18 +438,14 @@ mod tests {
                 s.latency
             );
         }
-        let text = to_text(&report, &opts);
+        let text = to_text(&report, Mode::Quick);
         assert!(text.contains("per-class outcome"));
-        assert!(text.contains("slowest 3 request(s):"));
+        assert!(text.contains("slowest 5 request(s):"));
     }
 
     #[test]
     fn validate_rejects_impossible_class_counts() {
-        let opts = RunReportOptions {
-            quick: true,
-            top_n: 5,
-        };
-        let good = to_json(&run(&opts), &opts);
+        let good = to_json(&run(Mode::Quick), Mode::Quick);
         assert_eq!(validate(&good), Ok(()));
         for (key, value, expect) in [
             ("completed", "-3", "\"completed\" -3 is not a whole count"),

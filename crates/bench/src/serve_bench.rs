@@ -25,6 +25,8 @@ use mlscore_sim::SimDuration;
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
 use mlscore_telemetry::{Trace, Tracer};
 
+use crate::Mode;
+
 /// Workload seed shared by every experiment in the report.
 pub const SEED: u64 = 42;
 
@@ -37,41 +39,30 @@ pub const CPU_SEATS: usize = 52;
 pub const GPU_STREAMS: usize = 4;
 
 /// Offered Poisson rate of the FPGA overload runs, queries/second.
-const OVERLOAD_RATE_QPS: f64 = 2_000.0;
+pub(crate) const OVERLOAD_RATE_QPS: f64 = 2_000.0;
 
-/// Options for one harness run.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeBenchOptions {
-    /// Shrink query counts to a CI smoke run.
-    pub quick: bool,
+/// Queries per sweep point.
+fn sweep_queries(mode: Mode) -> usize {
+    match mode {
+        Mode::Quick => 150,
+        Mode::Full => 600,
+    }
 }
 
-impl ServeBenchOptions {
-    /// Queries per sweep point.
-    fn sweep_queries(&self) -> usize {
-        if self.quick {
-            150
-        } else {
-            600
-        }
+/// Queries in the FPGA overload experiment (and the run report, which
+/// replays its coalescing-on run).
+pub(crate) fn overload_queries(mode: Mode) -> usize {
+    match mode {
+        Mode::Quick => 150,
+        Mode::Full => 500,
     }
+}
 
-    /// Queries in the FPGA overload experiment.
-    fn overload_queries(&self) -> usize {
-        if self.quick {
-            150
-        } else {
-            500
-        }
-    }
-
-    /// Offered Poisson rates for the sweep, queries/second.
-    fn rates(&self) -> Vec<f64> {
-        if self.quick {
-            vec![50.0, 2_000.0]
-        } else {
-            vec![10.0, 50.0, 200.0, 1_000.0, 5_000.0]
-        }
+/// Offered Poisson rates for the sweep, queries/second.
+fn rates(mode: Mode) -> Vec<f64> {
+    match mode {
+        Mode::Quick => vec![50.0, 2_000.0],
+        Mode::Full => vec![10.0, 50.0, 200.0, 1_000.0, 5_000.0],
     }
 }
 
@@ -202,38 +193,36 @@ pub fn fpga_roster() -> Vec<Box<dyn ScoringBackend>> {
     vec![Box::new(FpgaBackend::paper_default())]
 }
 
-/// Runs one engine configuration against one Poisson workload.
+/// Runs one Poisson workload with coalescing on, then off, at queue
+/// `capacity`; both runs must account for every request.
 fn run_point(
-    backends: Vec<Box<dyn ScoringBackend>>,
-    config: ServeConfig,
+    roster: fn() -> Vec<Box<dyn ScoringBackend>>,
+    capacity: usize,
     rate_qps: f64,
     queries: usize,
-) -> ServingReport {
-    let engine = ServeEngine::new(backends, ModelCatalog::paper_mix(), config);
+) -> [ServingReport; 2] {
     let spec = WorkloadSpec {
         queries,
         seed: SEED,
         rate_qps,
     };
-    engine
-        .run(&spec, &Tracer::disabled())
-        .expect("sweep workloads are validated by construction")
+    let pair = [true, false].map(|coalesce| {
+        let config = serve_config(coalesce, capacity);
+        ServeEngine::new(roster(), ModelCatalog::paper_mix(), config)
+            .run(&spec, &Tracer::disabled())
+            .expect("sweep workloads are validated by construction")
+    });
+    assert!(pair.iter().all(|r| r.is_conserved()), "lost requests");
+    pair
 }
 
 /// Runs the sweep and the FPGA overload experiment, printing one progress
 /// line per point.
-pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
-    let queries = opts.sweep_queries();
+pub fn run(mode: Mode) -> ServeBenchReport {
+    let queries = sweep_queries(mode);
     let mut sweep = Vec::new();
-    for rate_qps in opts.rates() {
-        let on = run_point(paper_backends(), serve_config(true, 128), rate_qps, queries);
-        let off = run_point(
-            paper_backends(),
-            serve_config(false, 128),
-            rate_qps,
-            queries,
-        );
-        assert!(on.is_conserved() && off.is_conserved(), "lost requests");
+    for rate_qps in rates(mode) {
+        let [on, off] = run_point(paper_backends, 128, rate_qps, queries);
         println!(
             "{rate_qps:>7.0} qps | coalesced: {:>7.1} qps p99 {:>9.1} ms (merged {:>3}) | \
              solo: {:>7.1} qps p99 {:>9.1} ms | shed {}/{}",
@@ -252,23 +241,10 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
         });
     }
 
-    let overload_rate = OVERLOAD_RATE_QPS;
-    let overload_queries = opts.overload_queries();
-    let on = run_point(
-        fpga_roster(),
-        serve_config(true, 32),
-        overload_rate,
-        overload_queries,
-    );
-    let off = run_point(
-        fpga_roster(),
-        serve_config(false, 32),
-        overload_rate,
-        overload_queries,
-    );
-    assert!(on.is_conserved() && off.is_conserved(), "lost requests");
+    let overload_queries = overload_queries(mode);
+    let [on, off] = run_point(fpga_roster, 32, OVERLOAD_RATE_QPS, overload_queries);
     println!(
-        "FPGA overload @ {overload_rate:.0} qps | coalesced {:>7.1} qps ({} merged passes, \
+        "FPGA overload @ {OVERLOAD_RATE_QPS:.0} qps | coalesced {:>7.1} qps ({} merged passes, \
          max batch {}) | solo {:>7.1} qps",
         on.throughput_qps(),
         on.coalesced_batches,
@@ -278,7 +254,7 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
     ServeBenchReport {
         sweep,
         fpga_overload: FpgaOverload {
-            rate_qps: overload_rate,
+            rate_qps: OVERLOAD_RATE_QPS,
             queries: overload_queries,
             on: PointMetrics::of(&on),
             off: PointMetrics::of(&off),
@@ -290,7 +266,7 @@ pub fn run(opts: &ServeBenchOptions) -> ServeBenchReport {
 /// Reruns the FPGA overload point with coalescing on and no latency SLOs,
 /// recording spans: the timeline `repro serve --trace-out` exports (queue
 /// build-up, merged passes, shed requests).
-pub fn overload_trace(opts: &ServeBenchOptions) -> Trace {
+pub fn overload_trace(mode: Mode) -> Trace {
     let engine = ServeEngine::new(
         fpga_roster(),
         ModelCatalog::paper_mix(),
@@ -302,7 +278,7 @@ pub fn overload_trace(opts: &ServeBenchOptions) -> Trace {
         },
     );
     let spec = WorkloadSpec {
-        queries: opts.overload_queries(),
+        queries: overload_queries(mode),
         seed: SEED,
         rate_qps: OVERLOAD_RATE_QPS,
     };
@@ -357,12 +333,12 @@ fn write_pair(w: &mut JsonWriter, on: &PointMetrics, off: &PointMetrics) {
 ///
 /// Panics if the writer produced a document [`validate`] rejects — a bug
 /// in this module, not a runtime condition.
-pub fn to_json(report: &ServeBenchReport, opts: &ServeBenchOptions) -> String {
+pub fn to_json(report: &ServeBenchReport, mode: Mode) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.key("schema").str("mlscore/bench-serving/v1");
     w.key("schema_version").uint(4);
-    w.key("mode").str(if opts.quick { "quick" } else { "full" });
+    w.key("mode").str(mode.name());
     w.key("seed").uint(SEED);
     w.key("cpu_seats").uint(CPU_SEATS as u64);
     w.key("gpu_streams").uint(GPU_STREAMS as u64);
@@ -491,19 +467,18 @@ mod tests {
 
     #[test]
     fn quick_run_serializes_validates_and_is_deterministic() {
-        let opts = ServeBenchOptions { quick: true };
-        let report = run(&opts);
-        let json = to_json(&report, &opts);
+        let report = run(Mode::Quick);
+        let json = to_json(&report, Mode::Quick);
         assert_eq!(validate(&json), Ok(2));
         assert!(json.contains("\"schema_version\": 4"));
         // Simulated time: a second run is byte-identical.
-        let again = to_json(&run(&opts), &opts);
+        let again = to_json(&run(Mode::Quick), Mode::Quick);
         assert_eq!(json, again);
     }
 
     #[test]
     fn fpga_overload_shows_the_coalescing_win() {
-        let report = run(&ServeBenchOptions { quick: true });
+        let report = run(Mode::Quick);
         let fo = &report.fpga_overload;
         assert!(fo.on.coalesced_batches > 0, "overload must merge batches");
         assert!(fo.on.throughput_qps >= fo.off.throughput_qps);
@@ -521,8 +496,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_negative_counts_and_rates_on_every_side() {
-        let opts = ServeBenchOptions { quick: true };
-        let good = to_json(&run(&opts), &opts);
+        let good = to_json(&run(Mode::Quick), Mode::Quick);
         for key in [
             "throughput_qps",
             "p99_ms",

@@ -4,8 +4,7 @@
 //! --out` and its `--trace-out` Perfetto timeline are pure functions of
 //! the seed, so any change to how the engine books a run shows here.
 
-use mlscore_bench::run_report::{self, RunReportOptions};
-use mlscore_bench::serve_bench::{self, ServeBenchOptions};
+use mlscore_bench::{run_report, serve_bench, Mode};
 use mlscore_telemetry::perfetto;
 
 /// 64-bit FNV-1a over `bytes`.
@@ -22,20 +21,16 @@ fn pin(what: &str, doc: &str, len: usize, hash: u64) {
 
 #[test]
 fn quick_serving_exports_are_pinned() {
-    let opts = RunReportOptions {
-        quick: true,
-        ..RunReportOptions::default()
-    };
-    let report = run_report::run(&opts);
+    let report = run_report::run(Mode::Quick);
     pin(
         "report json",
-        &run_report::to_json(&report, &opts),
+        &run_report::to_json(&report, Mode::Quick),
         3_461,
         0x11e4_91de_5b12_3b93,
     );
     pin(
         "report text",
-        &run_report::to_text(&report, &opts),
+        &run_report::to_text(&report, Mode::Quick),
         1_685,
         0xea3b_ab8c_93e3_8313,
     );
@@ -46,14 +41,13 @@ fn quick_serving_exports_are_pinned() {
         0x2915_e468_303a_a151,
     );
 
-    let opts = ServeBenchOptions { quick: true };
-    let bench = serve_bench::run(&opts);
+    let bench = serve_bench::run(Mode::Quick);
     pin(
         "serve json",
-        &serve_bench::to_json(&bench, &opts),
+        &serve_bench::to_json(&bench, Mode::Quick),
         3_361,
         0x7419_2d86_2122_f1b6,
     );
-    let trace = perfetto::to_json(&serve_bench::overload_trace(&opts));
+    let trace = perfetto::to_json(&serve_bench::overload_trace(Mode::Quick));
     pin("serve trace", &trace, 43_075, 0x2d8f_da63_3313_7a13);
 }

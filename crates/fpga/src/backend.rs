@@ -6,7 +6,7 @@ use mlscore_backend::{
     score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
 };
 use mlscore_data::RecordStream;
-use mlscore_forest::{FlatTree, ModelStats, RandomForest};
+use mlscore_forest::{ModelStats, RandomForest};
 use mlscore_sim::{SimInstant, Stage, TimingBreakdown};
 use mlscore_telemetry::{ExactSplit, Scope, StageRecorder, Tracer};
 
@@ -102,17 +102,7 @@ impl ScoringBackend for FpgaBackend {
         _tracer: &Tracer,
         _start: SimInstant,
     ) -> Result<StreamOutcome, BackendError> {
-        let loaded = match model.lowered() {
-            Lowered::Custom(any) => any.downcast_ref::<LoadedModel>().ok_or_else(|| {
-                BackendError::artifact("FPGA", "custom artifact is not a LoadedModel")
-            })?,
-            other => {
-                return Err(BackendError::artifact(
-                    "FPGA",
-                    format!("expected a loaded engine model, got {other:?}"),
-                ))
-            }
-        };
+        let loaded = model.custom::<LoadedModel>(self.name())?;
         score_whole_batch(stream, |frame| {
             Ok(self.engine.execute(loaded, frame.as_slice()).predictions)
         })
@@ -125,32 +115,27 @@ impl ScoringBackend for FpgaBackend {
         tracer: &Tracer,
         start: SimInstant,
     ) -> TimingBreakdown {
-        let device = self.engine.device();
-        let cfg = self.engine.config();
+        let engine = &self.engine;
+        let device = engine.device();
         let link = &device.link;
         let name = <Self as ScoringBackend>::name(self);
-        // At least one pass, so a model `supports` rejects for having no
-        // trees still prices (one empty pass) instead of dividing by zero.
-        let passes = stats.n_trees.div_ceil(cfg.pe_count).max(1);
+        let passes = engine.passes(stats.n_trees);
 
         // Input transfer: the model image into the tree memories, one DMA
         // per pass. Record streaming overlaps scoring (§IV-B), so it is
         // charged inside the scoring component instead.
-        let tree_mem_bytes = (FlatTree::capacity_for_depth(cfg.max_depth) * 16) as u64;
         let trees_per_pass = (stats.n_trees as u64).div_ceil(passes as u64);
-        let input_total = link.transfer(trees_per_pass * tree_mem_bytes) * passes as f64;
+        let input_total =
+            link.transfer(trees_per_pass * engine.tree_memory_bytes()) * passes as f64;
         // FPGA setup: the CSR driver sequence that arms each pass.
         let setup_total = crate::csr::setup_time(device.csr_write) * passes as f64;
         // Scoring: pipeline cycles, rate-limited by the overlapped PCIe
         // record stream when records arrive slower than 1/cycle.
-        let ii = cfg.memory.initiation_interval();
-        let fill = cfg.max_depth as u64 + (cfg.pe_count as u64).ilog2() as u64 + 2;
-        let per_pass_compute = device.clock.cycles(fill + n_records * ii);
-        let per_pass_stream = link.stream(n_records * stats.row_bytes() as u64);
-        let scoring_total = per_pass_compute.max(per_pass_stream) * passes as f64;
+        let pass = engine.pass_time(n_records, stats.row_bytes() as u64);
+        let scoring_total = pass.scoring() * passes as f64;
         // Completion: the paper's interrupt, once per pass.
         let completion_total = device.interrupt * passes as f64;
-        let bound = if per_pass_stream > per_pass_compute {
+        let bound = if pass.stream > pass.compute {
             "pcie-stream"
         } else {
             "compute"
@@ -191,11 +176,11 @@ impl ScoringBackend for FpgaBackend {
                 tracer
                     .span(format_args!("engine compute pass {i}"), cursor)
                     .track(name, format_args!("pass{i}"))
-                    .finish_after(per_pass_compute);
+                    .finish_after(pass.compute);
                 tracer
                     .span(format_args!("record stream pass {i}"), cursor)
                     .track(name, "pcie")
-                    .finish_after(per_pass_stream);
+                    .finish_after(pass.stream);
             }
             cursor = rec
                 .span(format_args!("scoring pass {i}"), Stage::Scoring, cursor)
@@ -219,9 +204,7 @@ impl ScoringBackend for FpgaBackend {
         }
 
         // Result transfer: one DMA per result-memory flush.
-        let flushes = (n_records as usize)
-            .div_ceil(cfg.result_buffer_records)
-            .max(1) as u64;
+        let flushes = engine.result_flushes(n_records) as u64;
         rec.span("result dma", Stage::ResultTransfer, cursor)
             .meta("flushes", flushes)
             .finish_after(link.transfer(n_records * 4 / flushes) * flushes as f64);

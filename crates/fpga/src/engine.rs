@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use mlscore_forest::{FlatForest, FlatTree, RandomForest};
+use mlscore_sim::SimDuration;
 
 use crate::bram::BramAllocator;
 use crate::device::FpgaDevice;
@@ -101,6 +102,23 @@ pub struct CycleReport {
     pub result_flushes: usize,
 }
 
+/// One engine pass over a batch: the pipeline and the overlapped PCIe
+/// record stream run concurrently, so scoring takes the longer of the two.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PassTime {
+    /// Pipeline fill plus streaming cycles at the fabric clock.
+    pub compute: SimDuration,
+    /// The batch's records over the PCIe link.
+    pub stream: SimDuration,
+}
+
+impl PassTime {
+    /// The pass's scoring time: the longer of compute and stream.
+    pub fn scoring(&self) -> SimDuration {
+        self.compute.max(self.stream)
+    }
+}
+
 /// The outcome of one engine run: real predictions plus cycle accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineRun {
@@ -158,8 +176,8 @@ impl InferenceEngine {
     /// memory backend).
     pub fn load(&self, forest: &RandomForest) -> Result<LoadedModel, FpgaError> {
         let flat = FlatForest::from_forest(forest, self.config.max_depth)?;
-        let passes = forest.n_trees().div_ceil(self.config.pe_count);
-        let tree_mem_bytes = (FlatTree::capacity_for_depth(self.config.max_depth) * 16) as u64;
+        let passes = self.passes(forest.n_trees());
+        let tree_mem_bytes = self.tree_memory_bytes();
         let mut bram = BramAllocator::new(self.device.bram_bytes);
         if self.config.memory == MemoryBackend::Bram {
             let resident_trees = forest.n_trees().min(self.config.pe_count) as u64;
@@ -223,21 +241,55 @@ impl InferenceEngine {
     /// (the pipeline is fully data-oblivious: every record takes the same
     /// slots regardless of its path).
     pub fn cycle_report(&self, model: &LoadedModel, n_records: u64) -> CycleReport {
-        let ii = self.config.memory.initiation_interval();
-        // Fill: one level per cycle down the tree plus the voting tree
-        // (log2 of PE count) and output registration.
-        let fill = self.config.max_depth as u64 + (self.config.pe_count as u64).ilog2() as u64 + 2;
-        let streaming = n_records * ii;
+        let fill = self.fill_cycles();
+        let streaming = n_records * self.config.memory.initiation_interval();
         let passes = model.passes as u64;
         CycleReport {
             passes: model.passes,
             fill_cycles: fill,
             streaming_cycles: streaming * passes,
             total_cycles: passes * (fill + streaming),
-            result_flushes: (n_records as usize)
-                .div_ceil(self.config.result_buffer_records)
-                .max(1),
+            result_flushes: self.result_flushes(n_records),
         }
+    }
+
+    /// Engine passes for a model of `n_trees` trees: `ceil(n_trees /
+    /// pe_count)`, and at least one, so a model with no trees (which
+    /// [`FpgaBackend`](crate::FpgaBackend) refuses) still prices as one
+    /// empty pass. The paper: "if the number of trees is greater than 128,
+    /// we need to call the inference engine multiple times".
+    pub fn passes(&self, n_trees: usize) -> usize {
+        n_trees.div_ceil(self.config.pe_count).max(1)
+    }
+
+    /// Bytes of one PE's tree memory: a full tree at the engine's depth
+    /// capacity in the Fig. 4b layout, 16 bytes a node.
+    pub fn tree_memory_bytes(&self) -> u64 {
+        (FlatTree::capacity_for_depth(self.config.max_depth) * 16) as u64
+    }
+
+    /// Pipeline fill cycles per pass: one level per cycle down the tree,
+    /// the voting tree (log2 of the PE count) and output registration.
+    fn fill_cycles(&self) -> u64 {
+        self.config.max_depth as u64 + (self.config.pe_count as u64).ilog2() as u64 + 2
+    }
+
+    /// One pass over `n_records` records of `row_bytes` each: the pipeline
+    /// cycles at the fabric clock, and the overlapped record stream.
+    pub fn pass_time(&self, n_records: u64, row_bytes: u64) -> PassTime {
+        let cycles = self.fill_cycles() + n_records * self.config.memory.initiation_interval();
+        PassTime {
+            compute: self.device.clock.cycles(cycles),
+            stream: self.device.link.stream(n_records * row_bytes),
+        }
+    }
+
+    /// Result-memory flushes to the host for `n_records`: one per result
+    /// buffer's worth of records, rounded up, and at least one.
+    pub fn result_flushes(&self, n_records: u64) -> usize {
+        (n_records as usize)
+            .div_ceil(self.config.result_buffer_records)
+            .max(1)
     }
 }
 

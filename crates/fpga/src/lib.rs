@@ -44,7 +44,7 @@ pub use backend::FpgaBackend;
 pub use bram::BramAllocator;
 pub use device::FpgaDevice;
 pub use engine::{
-    CycleReport, EngineConfig, EngineRun, InferenceEngine, LoadedModel, MemoryBackend,
+    CycleReport, EngineConfig, EngineRun, InferenceEngine, LoadedModel, MemoryBackend, PassTime,
 };
 pub use error::FpgaError;
 pub use split::{split_score, SplitReport};

@@ -144,14 +144,11 @@ pub fn split_estimate(
     report: &SplitReport,
 ) -> TimingBreakdown {
     let device = engine.device();
-    let cfg = engine.config();
-    let passes = stats.n_trees.div_ceil(cfg.pe_count) as u64;
+    let passes = engine.passes(stats.n_trees);
     let mut b = TimingBreakdown::new();
-    let fill = cfg.max_depth as u64 + (cfg.pe_count as u64).ilog2() as u64 + 2;
-    let per_pass = device
-        .clock
-        .cycles(fill + n_records * cfg.memory.initiation_interval())
-        .max(device.link.stream(n_records * stats.row_bytes() as u64));
+    let per_pass = engine
+        .pass_time(n_records, stats.row_bytes() as u64)
+        .scoring();
     b.add(Stage::Scoring, per_pass * passes as f64);
     // Frontier transfer: one index per (record, tree) that continued.
     b.add(

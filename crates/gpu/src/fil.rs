@@ -125,17 +125,7 @@ impl ScoringBackend for RapidsFil {
         _start: SimInstant,
     ) -> Result<StreamOutcome, BackendError> {
         self.check_supported(model.forest().n_classes())?;
-        let flat = match model.lowered() {
-            Lowered::Custom(any) => any.downcast_ref::<FlatForest>().ok_or_else(|| {
-                BackendError::artifact("GPU-RAPIDS", "custom artifact is not a FIL node table")
-            })?,
-            other => {
-                return Err(BackendError::artifact(
-                    "GPU-RAPIDS",
-                    format!("expected a FIL node table artifact, got {other:?}"),
-                ))
-            }
-        };
+        let flat = model.custom::<FlatForest>(self.name())?;
         score_whole_batch(stream, |frame| {
             // The trees vote over the FIL node table row by row. The cuDF
             // conversion the real RAPIDS path runs first reorders the batch

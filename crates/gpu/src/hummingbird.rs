@@ -220,17 +220,7 @@ impl ScoringBackend for HummingbirdGpu {
         _start: SimInstant,
     ) -> Result<StreamOutcome, BackendError> {
         let forest = model.forest();
-        let tensors = match model.lowered() {
-            Lowered::Custom(any) => any.downcast_ref::<HbTensors>().ok_or_else(|| {
-                BackendError::artifact(self.name(), "custom artifact is not Hummingbird tensors")
-            })?,
-            other => {
-                return Err(BackendError::artifact(
-                    self.name(),
-                    format!("expected a Hummingbird tensor artifact, got {other:?}"),
-                ))
-            }
-        };
+        let tensors = model.custom::<HbTensors>(self.name())?;
         score_whole_batch(stream, |frame| {
             let classes = frame
                 .rows()

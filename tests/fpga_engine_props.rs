@@ -1,11 +1,14 @@
 //! Property tests on the FPGA inference engine: multi-pass voting, cycle
-//! accounting, and BRAM-driven capacity boundaries for arbitrary model
-//! shapes.
+//! accounting, the backend's scoring time against that accounting, and
+//! BRAM-driven capacity boundaries for arbitrary model shapes.
 
 use proptest::prelude::*;
 
 use mlscore::prelude::*;
-use mlscore_fpga::{EngineConfig, FpgaDevice, InferenceEngine, MemoryBackend};
+use mlscore_backend::ScoringBackend;
+use mlscore_fpga::{EngineConfig, FpgaBackend, FpgaDevice, InferenceEngine, MemoryBackend};
+use mlscore_sim::{SimInstant, Stage};
+use mlscore_telemetry::Tracer;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -50,6 +53,33 @@ proptest! {
         // The pipeline is data-oblivious: identical cycle accounting for
         // any record values.
         prop_assert_eq!(run_a.report, run_b.report);
+    }
+
+    #[test]
+    fn estimate_scoring_is_the_cycle_report_at_the_clock_or_the_stream(
+        n_trees in 1usize..400,
+        depth in 0usize..6,
+        n_features in 1usize..40,
+        n_records in 1u64..5_000_000,
+        seed in any::<u64>(),
+    ) {
+        let cfg = ForestConfig::classification(n_trees, n_features, 2).with_depth(depth);
+        let forest = RandomForest::synthetic_full(&cfg, seed);
+        let stats = ModelStats::of(&forest);
+        let backend = FpgaBackend::paper_default();
+        let engine = backend.engine();
+        let report = engine.cycle_report(&engine.load(&forest).unwrap(), n_records);
+        let passes = report.passes as u64;
+        let device = engine.device();
+        // Each pass runs the pipeline and the overlapped record stream side
+        // by side, so it takes the longer of the two.
+        let per_pass = device
+            .clock
+            .cycles(report.total_cycles / passes)
+            .max(device.link.stream(n_records * stats.row_bytes() as u64));
+        let breakdown =
+            backend.estimate(&stats, n_records, &Tracer::disabled(), SimInstant::ZERO);
+        prop_assert_eq!(breakdown.get(Stage::Scoring), per_pass * passes as f64);
     }
 
     #[test]
