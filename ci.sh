@@ -26,6 +26,11 @@ echo "== cargo test --release -q -p mlscore-exec =="
 # bit-exactness tests, again at optimized speed and codegen.
 cargo test --release -q -p mlscore-exec
 
+echo "== cargo test --release -q -p mlscore-analysis =="
+# The analyzer's lexer, scan-table and worker-count proptests, again under
+# optimized codegen: the build perfbench and `repro analyze` run.
+cargo test --release -q -p mlscore-analysis
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

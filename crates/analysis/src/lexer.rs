@@ -78,7 +78,9 @@ pub fn lex(source: &str) -> Vec<Token<'_>> {
         bytes: source.as_bytes(),
         pos: 0,
         line: 1,
-        out: Vec::new(),
+        // Dense generated code measures about three bytes a token and
+        // this repository about four: half the length seldom has to grow.
+        out: Vec::with_capacity(source.len() / 2 + 1),
     }
     .run()
 }
@@ -105,7 +107,11 @@ impl<'a> Lexer<'a> {
             let kind = self.next_kind();
             let text = &self.src[start..self.pos];
             debug_assert!(self.pos > start, "lexer must always make progress");
-            self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
+            // Whitespace counts its own newlines; of the other kinds only
+            // these can hold one.
+            if matches!(kind, TokenKind::BlockComment | TokenKind::Literal) {
+                self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
+            }
             self.out.push(Token {
                 kind,
                 text,
@@ -120,19 +126,28 @@ impl<'a> Lexer<'a> {
         self.bytes.get(self.pos + ahead).copied()
     }
 
+    /// Advances past the run of bytes from `pos` that satisfy `keep`.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
+    }
+
     fn next_kind(&mut self) -> TokenKind {
         let b = self.bytes[self.pos];
         match b {
             b' ' | b'\t' | b'\n' | b'\r' => {
-                while matches!(self.peek(0), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                while let Some(&b) = self.bytes.get(self.pos) {
+                    match b {
+                        b'\n' => self.line += 1,
+                        b' ' | b'\t' | b'\r' => {}
+                        _ => break,
+                    }
                     self.pos += 1;
                 }
                 TokenKind::Whitespace
             }
             b'/' if self.peek(1) == Some(b'/') => {
-                while !matches!(self.peek(0), None | Some(b'\n')) {
-                    self.pos += 1;
-                }
+                self.skip_while(|b| b != b'\n');
                 TokenKind::LineComment
             }
             b'/' if self.peek(1) == Some(b'*') => {
@@ -158,9 +173,7 @@ impl<'a> Lexer<'a> {
             b'\'' => self.char_or_lifetime(),
             b'r' | b'b' if self.is_literal_prefix() => self.prefixed_literal(),
             _ if is_ident_start(b) => {
-                while self.peek(0).is_some_and(is_ident_continue) {
-                    self.pos += 1;
-                }
+                self.skip_while(is_ident_continue);
                 TokenKind::Ident
             }
             b'0'..=b'9' => self.number(),

@@ -210,40 +210,40 @@ fn sort_findings(findings: &mut [Finding]) {
 /// scan's token buffer, whose tokens borrow `files`, feeds the item
 /// parser, and its site table feeds the token lints, the call graph and
 /// A001. Everything up to the call graph is a function of one file and
-/// runs on every core the host offers, a file at a time per worker: first
-/// every file's scan, then its item parse, token-lint pass and fn-node
-/// extraction. The results merge back in file order, so the
-/// serial graph merge, the four interprocedural lints (run side by side,
-/// concatenated in a fixed order) and the final sort see exactly what a
-/// one-core run sees: the analysis is identical for any core count. With
-/// one core nothing is spawned.
+/// runs on every core the host offers, a file at a time per worker, as
+/// one task per file: scan (tokens, the punct and bracket-partner tables,
+/// directives, test regions, sites), item parse, token-lint pass and
+/// fn-node extraction, back to back while the file's tables are still in
+/// cache. The results merge back in file order, so the serial graph
+/// merge, the four interprocedural lints (run side by side, concatenated
+/// in a fixed order) and the final sort see exactly what a one-core run
+/// sees: the analysis is identical for any core count. With one core
+/// nothing is spawned.
 pub fn analyze_sources(files: &[(String, String)]) -> WorkspaceAnalysis {
     analyze_sources_on(files, par::host_workers())
 }
 
 /// [`analyze_sources`] on up to `workers` threads.
 fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAnalysis {
-    // Two fan-outs: every file is scanned before any is parsed. Scanning
-    // and analyzing each file in one task measured ~8% slower on one core
-    // (perfbench `tokens`).
-    let units = par::map_indexed(files.len(), workers, |i| {
+    let per_file = par::map_indexed(files.len(), workers, |i| {
         let (path, source) = &files[i];
-        interproc::FileUnit {
+        let scan = FileScan::of(source);
+        let items = parser::parse_items(&scan);
+        let (active, suppressed) = lints::run_lints_all(path, &scan);
+        let fns = graph::file_fns(path, &scan, &items, i);
+        let unit = interproc::FileUnit {
             path: path.clone(),
-            scan: FileScan::of(source),
-        }
-    });
-    let per_file = par::map_indexed(units.len(), workers, |i| {
-        let interproc::FileUnit { path, scan } = &units[i];
-        let items = parser::parse_items(scan);
-        let (active, suppressed) = lints::run_lints_all(path, scan);
-        (active, suppressed, graph::file_fns(path, scan, &items, i))
+            scan,
+        };
+        (unit, active, suppressed, fns)
     });
 
+    let mut units = Vec::with_capacity(files.len());
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     let mut fns = Vec::new();
-    for (file_active, file_suppressed, file_fns) in per_file {
+    for (unit, file_active, file_suppressed, file_fns) in per_file {
+        units.push(unit);
         findings.extend(file_active);
         suppressed.extend(file_suppressed);
         fns.extend(file_fns);

@@ -3,6 +3,16 @@
 //! `#[cfg(test)]` / `#[test]` region detection, and the per-file site
 //! table (the crate's `sites` module) every pattern-matching pass reads.
 //!
+//! [`FileScan::of`] walks the token buffer once and builds three tables
+//! over the significant tokens: `sig` itself, a punct byte per
+//! significant token (0 for anything that is not a punct), and a
+//! bracket-partner index that maps every `(`, `[` and `{` to its matching
+//! close. The partners come from one stack per bracket kind, so each kind
+//! nests on its own exactly as a per-kind depth count would, unbalanced
+//! input included. [`FileScan::punct`] is then one byte compare and
+//! [`FileScan::match_group`] one lookup: no caller walks a group to find
+//! its end.
+//!
 //! Directive lookups are indexed rather than rescanned: significant-token
 //! lines never decrease, so "the first significant token after line L" is
 //! one binary search over `sig`, and suppression lookups binary-search a
@@ -66,27 +76,57 @@ pub struct FileScan<'a> {
     /// `(covered line, index into suppressions)` for every line each
     /// suppression covers, sorted by line and then suppression order.
     covered: Vec<(u32, usize)>,
+    /// Per significant token: its byte when it is a punct, else 0.
+    puncts: Vec<u8>,
+    /// Per significant token: for a `(`, `[` or `{`, the significant index
+    /// of its matching close ([`NO_PARTNER`] when it has none).
+    partner: Vec<usize>,
 }
+
+/// The `partner` entry of every significant token that is not an opener
+/// with a matching close.
+const NO_PARTNER: usize = usize::MAX;
+
+/// The bracket pairs the partner index covers, as `(open, close)` bytes.
+const BRACKETS: [(u8, u8); 3] = [(b'(', b')'), (b'[', b']'), (b'{', b'}')];
 
 impl<'a> FileScan<'a> {
     /// Lexes and scans one file, classifying its sites.
     pub fn of(source: &'a str) -> Self {
         let tokens = lex(source);
-        let sig: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
+        let mut sig = Vec::with_capacity(tokens.len());
+        let mut puncts = Vec::with_capacity(tokens.len());
+        let mut partner = Vec::with_capacity(tokens.len());
+        // One stack of open significant indices per bracket kind.
+        let mut open: [Vec<usize>; 3] = Default::default();
+        for (i, t) in tokens.iter().enumerate() {
+            let byte = match t.kind {
+                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment => {
+                    continue
+                }
+                TokenKind::Punct => t.text.as_bytes()[0],
+                _ => 0,
+            };
+            let k = sig.len();
+            for (stack, &(o, c)) in open.iter_mut().zip(&BRACKETS) {
+                if byte == o {
+                    stack.push(k);
+                } else if byte == c {
+                    if let Some(o) = stack.pop() {
+                        partner[o] = k;
+                    }
+                }
+            }
+            sig.push(i);
+            puncts.push(byte);
+            partner.push(NO_PARTNER);
+        }
 
         let mut scan = FileScan {
             tokens,
             sig,
+            puncts,
+            partner,
             suppressions: Vec::new(),
             bad_directives: Vec::new(),
             hot_ranges: Vec::new(),
@@ -118,7 +158,7 @@ impl<'a> FileScan<'a> {
     /// True when the significant token at `i` is a punct with this exact
     /// text.
     pub fn punct(&self, i: usize, text: &str) -> bool {
-        i < self.len() && self.tok(i).kind == TokenKind::Punct && self.tok(i).text == text
+        matches!(text.as_bytes(), &[b] if b != 0 && self.puncts.get(i) == Some(&b))
     }
 
     /// True when the significant token at `i` is an identifier with this
@@ -168,28 +208,23 @@ impl<'a> FileScan<'a> {
 
     /// Starting from the significant token at `from`, finds the matching
     /// close for the first `open` punct, honoring nesting of
-    /// `open`/`close`. Returns the significant index of the close.
+    /// `open`/`close`. Returns the significant index of the close. The
+    /// pair must be `(`/`)`, `[`/`]` or `{`/`}`; any other pair has no
+    /// group.
     pub fn match_group(&self, from: usize, open: &str, close: &str) -> Option<usize> {
-        let mut i = from;
-        while i < self.len() && !self.punct(i, open) {
-            i += 1;
-        }
-        if i >= self.len() {
+        let (&[o], &[c]) = (open.as_bytes(), close.as_bytes()) else {
+            return None;
+        };
+        if !BRACKETS.contains(&(o, c)) {
             return None;
         }
-        let mut depth = 0usize;
-        while i < self.len() {
-            if self.punct(i, open) {
-                depth += 1;
-            } else if self.punct(i, close) {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            i += 1;
-        }
-        None
+        let close = self.partner[self.next_punct(from, o)?];
+        (close != NO_PARTNER).then_some(close)
+    }
+
+    /// The significant index of the first punct `byte` at or after `from`.
+    fn next_punct(&self, from: usize, byte: u8) -> Option<usize> {
+        Some(from + self.puncts.get(from..)?.iter().position(|&b| b == byte)?)
     }
 
     fn collect_directives(&mut self) {
@@ -260,10 +295,7 @@ impl<'a> FileScan<'a> {
 
     /// The `{ ... }` region opened by the first brace after `line`.
     fn brace_region_after(&self, line: u32) -> Option<LineRange> {
-        let mut open = self.first_sig_after(line);
-        while open < self.len() && !self.punct(open, "{") {
-            open += 1;
-        }
+        let open = self.next_punct(self.first_sig_after(line), b'{')?;
         let close = self.match_group(open, "{", "}")?;
         Some((self.tok(open).line, self.tok(close).line))
     }
@@ -276,13 +308,7 @@ impl<'a> FileScan<'a> {
                 let Some(attr_close) = self.match_group(i + 1, "[", "]") else {
                     break;
                 };
-                let idents: Vec<&str> = (i + 2..attr_close)
-                    .filter(|&j| self.tok(j).kind == TokenKind::Ident)
-                    .map(|j| self.tok(j).text)
-                    .collect();
-                let is_test_attr =
-                    idents == ["test"] || (idents.contains(&"cfg") && idents.contains(&"test"));
-                if is_test_attr {
+                if self.is_test_attr(i + 2, attr_close) {
                     // The attached item body: next `{` before any `;`.
                     let mut j = attr_close + 1;
                     while j < self.len() && !self.punct(j, "{") && !self.punct(j, ";") {
@@ -302,6 +328,28 @@ impl<'a> FileScan<'a> {
             i += 1;
         }
         self.test_ranges = ranges;
+    }
+
+    /// True when the attribute whose tokens lie in significant indices
+    /// `[from, close)` marks test code: `#[test]`, or a `cfg` naming `test`
+    /// outside any `not(...)` (`#[cfg(not(test))]` marks live code).
+    fn is_test_attr(&self, from: usize, close: usize) -> bool {
+        let (mut idents, mut cfg, mut test) = (0, false, false);
+        let mut j = from;
+        while j < close {
+            if self.ident(j, "not") && self.punct(j + 1, "(") {
+                j = self.match_group(j + 1, "(", ")").map_or(close, |c| c + 1);
+                continue;
+            }
+            let t = self.tok(j);
+            if t.kind == TokenKind::Ident {
+                idents += 1;
+                cfg |= t.text == "cfg";
+                test |= t.text == "test";
+            }
+            j += 1;
+        }
+        test && (idents == 1 || cfg)
     }
 }
 
@@ -417,5 +465,20 @@ fn live() {}
 ";
         let scan = FileScan::of(src);
         assert!(!scan.in_test(3));
+    }
+
+    #[test]
+    fn cfg_not_test_marks_live_code() {
+        let src = "\
+#[cfg(not(test))]
+pub fn live(x: Option<u32>) -> u32 { x.unwrap() }
+#[cfg(all(test, not(feature = \"slow\")))]
+mod tests { fn t() {} }
+";
+        let scan = FileScan::of(src);
+        assert_eq!(scan.test_ranges, [(3, 4)]);
+        let findings = crate::analyze_source("crates/serve/src/lib.rs", src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!((findings[0].lint.as_str(), findings[0].line), ("P001", 2));
     }
 }

@@ -90,32 +90,25 @@ impl Site {
 
 /// Keywords that neither name a callee before `(` nor end an index base
 /// before `[`.
-const KEYWORDS: &[&str] = &[
-    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "fn", "for", "if",
-    "impl", "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "static",
-    "struct", "trait", "type", "unsafe", "use", "where", "while", "yield",
-];
-/// Words besides [`KEYWORDS`] that precede `(` without being calls.
-const NON_CALL_WORDS: &[&str] = &["Some", "Ok", "Err"];
-
-/// Methods that can panic on the callee.
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-/// Unconditional panic macros (`assert*` guards an invariant instead).
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+#[rustfmt::skip]
+fn is_keyword(name: &str) -> bool {
+    matches!(
+        name,
+        "as" | "box" | "break" | "const" | "continue" | "crate" | "dyn" | "else" | "enum"
+            | "fn" | "for" | "if" | "impl" | "in" | "let" | "loop" | "match" | "move" | "mut"
+            | "pub" | "ref" | "return" | "static" | "struct" | "trait" | "type" | "unsafe"
+            | "use" | "where" | "while" | "yield"
+    )
+}
 /// Container types whose `::new` / `::with_capacity` allocate.
-const ALLOC_TYPES: &[&str] = &[
-    "Vec", "String", "Box", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Arc", "Rc",
-];
-/// Constructors of [`ALLOC_TYPES`] that allocate.
-const ALLOC_CONSTRUCTORS: &[&str] = &["new", "with_capacity"];
-/// Macros that allocate.
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-/// Methods that allocate on the callee.
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "clone"];
-/// Ambient (unseeded) RNG constructors.
-const AMBIENT_RNG: &[&str] = &["thread_rng", "from_entropy"];
-/// Maps whose iteration order is unspecified.
-const UNORDERED_MAPS: &[&str] = &["HashMap", "HashSet"];
+#[rustfmt::skip]
+fn is_alloc_type(name: &str) -> bool {
+    matches!(
+        name,
+        "Vec" | "String" | "Box" | "VecDeque" | "HashMap" | "HashSet" | "BTreeMap" | "BTreeSet"
+            | "Arc" | "Rc"
+    )
+}
 /// The prefix of every workspace crate's identifier.
 pub(crate) const CRATE_PREFIX: &str = "mlscore_";
 
@@ -128,35 +121,41 @@ pub(crate) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
         let mut push = |kind| sites.push(Site { kind, at: i });
         match (t.kind, t.text) {
             (TokenKind::Ident, name) => {
-                let path_to = |segs: &[&str]| {
+                // `name::seg` where `seg` passes `is_seg`.
+                let path_to = |is_seg: fn(&str) -> bool| {
                     scan.punct(i + 1, ":")
                         && scan.punct(i + 2, ":")
-                        && segs.iter().any(|s| scan.ident(i + 3, s))
+                        && i + 3 < scan.len()
+                        && scan.tok(i + 3).kind == TokenKind::Ident
+                        && is_seg(scan.tok(i + 3).text)
                 };
                 let bang = scan.punct(i + 1, "!");
+                // `Some(`, `Ok(` and `Err(` build values; they are not calls.
                 if scan.punct(i + 1, "(")
-                    && !KEYWORDS.contains(&name)
-                    && !NON_CALL_WORDS.contains(&name)
+                    && !is_keyword(name)
+                    && !matches!(name, "Some" | "Ok" | "Err")
                     && !scan.punct(i.wrapping_sub(1), "!")
                     && !scan.ident(i.wrapping_sub(1), "fn")
                 {
                     push(SiteKind::Call);
                 }
-                if bang && PANIC_MACROS.contains(&name) {
+                // Unconditional panics only: `assert*` guards an invariant.
+                if bang && matches!(name, "panic" | "unreachable" | "todo" | "unimplemented") {
                     push(SiteKind::PanicMacro);
                 }
-                if ALLOC_TYPES.contains(&name) && path_to(ALLOC_CONSTRUCTORS) {
+                if is_alloc_type(name) && path_to(|s| matches!(s, "new" | "with_capacity")) {
                     push(SiteKind::AllocNew);
                 }
-                if bang && ALLOC_MACROS.contains(&name) {
+                if bang && matches!(name, "vec" | "format") {
                     push(SiteKind::AllocMacro);
                 }
                 match name {
-                    "Instant" if path_to(&["now"]) => push(SiteKind::InstantNow),
+                    "Instant" if path_to(|s| s == "now") => push(SiteKind::InstantNow),
                     "SystemTime" => push(SiteKind::SystemTimeUse),
-                    "rand" if path_to(&["random"]) => push(SiteKind::RandRandom),
-                    _ if AMBIENT_RNG.contains(&name) => push(SiteKind::AmbientRng),
-                    _ if UNORDERED_MAPS.contains(&name) => push(SiteKind::UnorderedMap),
+                    "rand" if path_to(|s| s == "random") => push(SiteKind::RandRandom),
+                    "thread_rng" | "from_entropy" => push(SiteKind::AmbientRng),
+                    // Maps whose iteration order is unspecified.
+                    "HashMap" | "HashSet" => push(SiteKind::UnorderedMap),
                     _ if name.starts_with(CRATE_PREFIX) => push(SiteKind::CrateRef),
                     _ => {}
                 }
@@ -169,8 +168,10 @@ pub(crate) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
                 match method.text {
                     "span" => push(SiteKind::Span),
                     "emit" => push(SiteKind::Emit),
-                    m if PANIC_METHODS.contains(&m) => push(SiteKind::PanicMethod),
-                    m if ALLOC_METHODS.contains(&m) => push(SiteKind::AllocMethod),
+                    "unwrap" | "expect" => push(SiteKind::PanicMethod),
+                    "to_vec" | "to_string" | "to_owned" | "collect" | "clone" => {
+                        push(SiteKind::AllocMethod)
+                    }
                     _ => {}
                 }
             }
@@ -194,7 +195,7 @@ pub(crate) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
 fn is_index_base(scan: &FileScan<'_>, i: usize) -> bool {
     let t = scan.tok(i);
     match t.kind {
-        TokenKind::Ident => !KEYWORDS.contains(&t.text),
+        TokenKind::Ident => !is_keyword(t.text),
         TokenKind::Punct => t.text == ")" || t.text == "]",
         _ => false,
     }

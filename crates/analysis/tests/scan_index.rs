@@ -7,6 +7,11 @@
 //! files built from the lexer fragments with `allow(...)`, `hot` and
 //! `#[cfg(test)]` lines sprinkled in, and asserts both agree on every
 //! lint and every line.
+//!
+//! `punct` reads a per-token byte table and `match_group` a bracket-partner
+//! index. A second property checks both, for every bracket pair and every
+//! start index, against the per-kind depth walk they replaced, over
+//! bracket soups that are unbalanced and interleave the three kinds.
 
 use proptest::prelude::*;
 
@@ -128,18 +133,8 @@ fn first_after(scan: &FileScan<'_>, line: u32) -> Option<usize> {
 /// linear depth count.
 fn brace_region(scan: &FileScan<'_>, line: u32) -> Option<(u32, u32)> {
     let open = (first_after(scan, line)?..scan.sig.len()).find(|&k| sig_punct(scan, k, "{"))?;
-    let mut depth = 0usize;
-    for k in open..scan.sig.len() {
-        if sig_punct(scan, k, "{") {
-            depth += 1;
-        } else if sig_punct(scan, k, "}") {
-            depth -= 1;
-            if depth == 0 {
-                return Some((sig_line(scan, open), sig_line(scan, k)));
-            }
-        }
-    }
-    None
+    let close = match_group_by_walk(scan, open, "{", "}")?;
+    Some((sig_line(scan, open), sig_line(scan, close)))
 }
 
 fn reference(scan: &FileScan<'_>) -> Result<Reference, String> {
@@ -289,4 +284,112 @@ fn hot_marker_without_a_following_brace_is_a_bad_directive() {
     assert!(scan.hot_ranges.is_empty());
     assert_eq!(scan.bad_directives.len(), 1);
     assert_eq!(scan.bad_directives[0].line, 2);
+}
+
+/// Punct texts whose `punct` answer the table test checks at every index.
+const PUNCTS: &[&str] = &[
+    "(", ")", "[", "]", "{", "}", "#", ";", ":", ".", "!", "<", "\0", "::",
+];
+
+/// The bracket pairs `match_group` answers.
+const PAIRS: [(&str, &str); 3] = [("(", ")"), ("[", "]"), ("{", "}")];
+
+/// The matching close for the first `open` at or after `from`, by a
+/// linear depth count of `open`/`close` alone: the walk the partner index
+/// replaced.
+fn match_group_by_walk(scan: &FileScan<'_>, from: usize, open: &str, close: &str) -> Option<usize> {
+    let start = (from..scan.sig.len()).find(|&k| sig_punct(scan, k, open))?;
+    let mut depth = 0usize;
+    for k in start..scan.sig.len() {
+        if sig_punct(scan, k, open) {
+            depth += 1;
+        } else if sig_punct(scan, k, close) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+/// Asserts `punct` and `match_group` on `src` agree with the linear
+/// reference at every significant index (and one past the end).
+fn check_tables(src: &str) -> Result<(), String> {
+    let scan = FileScan::of(src);
+    for k in 0..=scan.sig.len() + 1 {
+        for text in PUNCTS {
+            let want = k < scan.sig.len() && sig_punct(&scan, k, text);
+            if scan.punct(k, text) != want {
+                return Err(format!("punct({k}, {text:?}) != {want} in {src:?}"));
+            }
+        }
+        for (open, close) in PAIRS {
+            let want = match_group_by_walk(&scan, k, open, close);
+            let got = scan.match_group(k, open, close);
+            if got != want {
+                return Err(format!(
+                    "match_group({k}, {open:?}): {got:?}, walk {want:?} in {src:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Bracket-heavy pieces: every opener and close on its own, a few that
+/// come in balanced or crossed runs, and lexer fragments so brackets also
+/// sit inside comments and literals, where they are not punct.
+fn bracket_piece() -> impl Strategy<Value = String> {
+    const BRACKETY: &[&str] = &[
+        "(",
+        ")",
+        "[",
+        "]",
+        "{",
+        "}",
+        "({[",
+        "]})",
+        "(]",
+        "[)",
+        "{)",
+        "(}",
+        "#[cfg(test)]",
+        "\"({[\"",
+        "/* ) */",
+        "// ]\n",
+        "'{'",
+    ];
+    prop_oneof![
+        (0usize..BRACKETY.len()).prop_map(|i| BRACKETY[i].to_string()),
+        (0usize..POOL.len()).prop_map(|i| POOL[i].to_string()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn punct_and_match_group_match_a_depth_walk(
+        pieces in proptest::collection::vec(bracket_piece(), 0usize..40)
+    ) {
+        let src: String = pieces.concat();
+        if let Err(e) = check_tables(&src) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+#[test]
+fn each_bracket_kind_nests_on_its_own() {
+    // `(` ... `]` ... `)`: the square close belongs to no square opener and
+    // does not end the paren group.
+    let src = "( [ ] ] ) { ( } )";
+    check_tables(src).unwrap();
+    let scan = FileScan::of(src);
+    assert_eq!(scan.match_group(0, "(", ")"), Some(4));
+    assert_eq!(scan.match_group(1, "[", "]"), Some(2));
+    assert_eq!(scan.match_group(3, "[", "]"), None);
+    assert_eq!(scan.match_group(5, "{", "}"), Some(7));
+    assert_eq!(scan.match_group(5, "(", ")"), Some(8));
 }
