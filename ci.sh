@@ -31,6 +31,11 @@ echo "== cargo test --release -q -p mlscore-analysis =="
 # optimized codegen: the build perfbench and `repro analyze` run.
 cargo test --release -q -p mlscore-analysis
 
+echo "== cargo test --release -q -p mlscore-forest =="
+# The trainer's sweep-versus-recount split-search proptest, again under
+# optimized codegen: the build examples and `repro` train with.
+cargo test --release -q -p mlscore-forest
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -309,10 +309,19 @@ impl<'a> FileScan<'a> {
                     break;
                 };
                 if self.is_test_attr(i + 2, attr_close) {
-                    // The attached item body: next `{` before any `;`.
+                    // The attached item body: next `{` before any `;`,
+                    // stepping over the signature's `(...)` and `[...]`
+                    // groups (a `[u8; 4]` parameter holds a `;`).
                     let mut j = attr_close + 1;
                     while j < self.len() && !self.punct(j, "{") && !self.punct(j, ";") {
-                        j += 1;
+                        let group_close = if self.punct(j, "(") {
+                            self.match_group(j, "(", ")")
+                        } else if self.punct(j, "[") {
+                            self.match_group(j, "[", "]")
+                        } else {
+                            None
+                        };
+                        j = group_close.unwrap_or(j) + 1;
                     }
                     if self.punct(j, "{") {
                         if let Some(close) = self.match_group(j, "{", "}") {
@@ -465,6 +474,20 @@ fn live() {}
 ";
         let scan = FileScan::of(src);
         assert!(!scan.in_test(3));
+    }
+
+    #[test]
+    fn semicolon_in_a_test_item_signature_keeps_its_body_in_test() {
+        let src = "\
+#[cfg(test)]
+fn helper(a: [u8; 4]) -> u8 {
+    a.first().copied().unwrap()
+}
+";
+        let scan = FileScan::of(src);
+        assert_eq!(scan.test_ranges, [(1, 4)]);
+        let findings = crate::analyze_source("crates/serve/src/lib.rs", src);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

@@ -96,7 +96,6 @@ mod tests {
             10,
             TrainOptions {
                 max_depth: 4,
-                feature_candidates: Some(2),
                 ..Default::default()
             },
         )

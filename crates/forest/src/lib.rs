@@ -39,7 +39,7 @@ pub mod serialize;
 pub mod stats;
 pub mod tree;
 
-pub use builder::{ForestBuilder, SplitCriterion, TrainOptions};
+pub use builder::{ForestBuilder, TrainOptions};
 pub use error::ForestError;
 pub use forest::{ForestConfig, RandomForest};
 pub use importance::TrainedModel;

@@ -39,7 +39,7 @@ const MIN_NODE_BYTES: usize = 5;
 /// Largest class count a bundle may declare: the 16-bit class-id space
 /// the quantized layout assumes. Every scorer sizes a vote vector from the
 /// class count, so an unchecked header could request gigabytes.
-const MAX_CLASSES: u32 = 1 << 16;
+pub(crate) const MAX_CLASSES: u32 = 1 << 16;
 
 /// A serialized random forest — the bytes a DBMS would store in a model
 /// table.

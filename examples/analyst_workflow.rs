@@ -34,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TrainOptions {
             max_depth: 10,
             seed: 9,
-            ..Default::default()
         },
     )
     .train_classifier_detailed(

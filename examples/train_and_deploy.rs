@@ -23,7 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TrainOptions {
             max_depth: 10,
             seed: 5,
-            ..Default::default()
         },
     )
     .train_classifier(

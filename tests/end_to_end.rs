@@ -29,7 +29,6 @@ fn trained_iris() -> (ModelBundle, Dataset) {
         TrainOptions {
             max_depth: 8,
             seed: 3,
-            ..Default::default()
         },
     )
     .train_classifier(
@@ -88,7 +87,6 @@ fn trained_higgs_binary_model_works_on_rapids() {
         TrainOptions {
             max_depth: 6,
             seed: 11,
-            ..Default::default()
         },
     )
     .train_classifier(train.frame().as_slice(), 28, train.labels(), 2)

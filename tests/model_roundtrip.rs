@@ -2,13 +2,14 @@
 //! layout must both roundtrip losslessly, and flat-layout scoring must
 //! agree with tree scoring on arbitrary inputs. The paper models' bundle
 //! bytes are pinned: their lengths feed the modelled transfer and
-//! deserialization costs, and their hashes key the artifact cache.
+//! deserialization costs, and their hashes key the artifact cache. So are
+//! the bundles of every model a test or example trains.
 
 use proptest::prelude::*;
 
 use mlscore::prelude::*;
 use mlscore_core::calibration::paper_model;
-use mlscore_forest::{FlatForest, FlatTree, ForestError, ModelBundle};
+use mlscore_forest::{FlatForest, FlatTree, ForestBuilder, ForestError, ModelBundle, TrainOptions};
 
 fn arb_config() -> impl Strategy<Value = ForestConfig> {
     (1usize..10, 0usize..9, 1usize..12, 2u32..6).prop_map(
@@ -228,4 +229,125 @@ fn regression_bundle_is_rejected() {
     ];
     let err = ModelBundle::from_bytes(&raw[..]).deserialize().unwrap_err();
     assert!(matches!(err, ForestError::Corrupt(_)), "{err:?}");
+}
+
+/// Trains `trees` trees of depth `max_depth` from `seed` on row-major `x`.
+fn train(
+    trees: usize,
+    max_depth: usize,
+    seed: u64,
+    x: &[f32],
+    n_features: usize,
+    y: &[u32],
+    n_classes: u32,
+) -> TrainedModel {
+    ForestBuilder::new(trees, TrainOptions { max_depth, seed })
+        .train_classifier_detailed(x, n_features, y, n_classes)
+        .unwrap()
+}
+
+/// Trains on a whole dataset.
+fn train_on(trees: usize, max_depth: usize, seed: u64, data: &Dataset) -> TrainedModel {
+    train(
+        trees,
+        max_depth,
+        seed,
+        data.frame().as_slice(),
+        data.frame().n_features(),
+        data.labels(),
+        data.n_classes(),
+    )
+}
+
+/// Every model a test or example trains, byte for byte: length and
+/// FNV-1a of its bundle (and, for the example that reports them, of its
+/// feature importances' bits). Training is a pure function of the data
+/// and the options, so any change to the split search that moves a
+/// threshold, a feature pick or an RNG draw moves these hashes.
+#[test]
+fn trained_model_bundles_are_pinned() {
+    use mlscore::data::{csv, train_test_split};
+
+    let split = |data: Dataset, seed| train_test_split(&data, 0.8, seed).unwrap().0;
+    let iris_e2e = split(Dataset::iris(600, 42), 7);
+    let higgs_e2e = split(Dataset::higgs(1_500, 5), 9);
+    let iris_raw = Dataset::iris(400, 9);
+    let higgs_deploy = split(Dataset::higgs(4_000, 11), 3);
+    let higgs_csv = {
+        let mut staged = Vec::new();
+        csv::write_dataset(&Dataset::higgs(3_000, 21), &mut staged).unwrap();
+        csv::read_dataset(staged.as_slice(), true, "HIGGS").unwrap()
+    };
+    let higgs_8k = Dataset::higgs(8_000, 1);
+    // The SIMD kernel's sparse-tree test frame: 300 rows x 5 hashed
+    // features, labels hashed into 3 classes.
+    let sparse_x: Vec<f32> = (0..300 * 5u64)
+        .map(|i| (i.wrapping_mul(2654435761).wrapping_add(17) % 1000) as f32 / 1000.0)
+        .collect();
+    let sparse_y: Vec<u32> = (0..300usize)
+        .map(|i| ((i * 2654435761usize) >> 7) as u32 % 3)
+        .collect();
+
+    let pins: [(&str, TrainedModel, usize, u64, u64); 7] = [
+        (
+            "end_to_end IRIS 20x8",
+            train_on(20, 8, 3, &iris_e2e),
+            5_259,
+            0xff0f_454f_d5e7_9c28,
+            0xc0ef_10ea_8478_42e2,
+        ),
+        (
+            "end_to_end HIGGS 10x6",
+            train_on(10, 6, 11, &higgs_e2e),
+            6_829,
+            0xc9d2_779d_fc87_aeb3,
+            0xa8bf_9a52_11b8_c458,
+        ),
+        (
+            "quantized IRIS 9x6",
+            train_on(9, 6, 2, &iris_raw),
+            1_960,
+            0x0c5b_6589_52a2_ffdc,
+            0x35c1_cd09_3fcd_1c47,
+        ),
+        (
+            "kernel_simd sparse 9x6",
+            train(9, 6, 0, &sparse_x, 5, &sparse_y, 3),
+            3_300,
+            0x92f7_e35d_cf2c_a7b5,
+            0xf280_664f_3f13_3643,
+        ),
+        (
+            "train_and_deploy 32x10",
+            train_on(32, 10, 5, &higgs_deploy),
+            83_747,
+            0xe0c5_c6f9_a85c_a6bc,
+            0x7272_234b_077f_ffc8,
+        ),
+        (
+            "analyst_workflow 24x10",
+            train_on(24, 10, 9, &higgs_csv),
+            58_415,
+            0x823c_0fb8_60ba_276d,
+            0xff63_aa31_65a7_6468,
+        ),
+        (
+            "HIGGS 8k 4x10",
+            train_on(4, 10, 1, &higgs_8k),
+            17_595,
+            0x04d9_4678_5b69_ded5,
+            0x4bb7_acc5_2dcf_eccf,
+        ),
+    ];
+    for (what, model, len, hash, importances_hash) in pins {
+        let bundle = ModelBundle::serialize(&model.forest);
+        assert_eq!(bundle.len(), len, "{what}");
+        assert_eq!(bundle.content_hash(), hash, "{what}");
+        let importances: Vec<u8> = model
+            .feature_importances
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(fnv1a(&importances), importances_hash, "{what}");
+    }
 }

@@ -71,7 +71,6 @@ fn data_driven_scheme_beats_unit_scheme_on_raw_features() {
         mlscore_forest::TrainOptions {
             max_depth: 6,
             seed: 2,
-            ..Default::default()
         },
     )
     .train_classifier(data.frame().as_slice(), 4, data.labels(), 3)
