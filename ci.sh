@@ -31,6 +31,12 @@ echo "== cargo test --release -q -p mlscore-analysis =="
 # optimized codegen: the build perfbench and `repro analyze` run.
 cargo test --release -q -p mlscore-analysis
 
+echo "== cargo test --release -q -p mlscore-telemetry =="
+# The JSON escaper's and integer writer's proptests, again under optimized
+# codegen: every export in the workspace, the analyzer's included, writes
+# through them.
+cargo test --release -q -p mlscore-telemetry
+
 echo "== cargo test --release -q -p mlscore-forest =="
 # The trainer's sweep-versus-recount split-search proptest, again under
 # optimized codegen: the build examples and `repro` train with.

@@ -59,7 +59,11 @@ pub fn to_json(counts: &BTreeMap<(String, String), usize>) -> String {
         out.push_str(", \"file\": ");
         json::write_escaped(&mut out, file);
         let lv = lint_info(lint).map_or(1, |l| l.version);
-        out.push_str(&format!(", \"count\": {count}, \"lint_version\": {lv} }}"));
+        out.push_str(", \"count\": ");
+        json::write_uint(&mut out, *count as u64);
+        out.push_str(", \"lint_version\": ");
+        json::write_uint(&mut out, u64::from(lv));
+        out.push_str(" }");
     }
     if !counts.is_empty() {
         out.push_str("\n  ");

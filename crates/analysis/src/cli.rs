@@ -1,12 +1,12 @@
 //! The `analyze` command-line front end, shared by the standalone
 //! `mlscore-analyze` binary and the `repro analyze` subcommand.
 
-use std::fmt::Write;
 use std::fs;
 use std::path::PathBuf;
 
-use mlscore_telemetry::json::write_escaped;
+use mlscore_telemetry::json::{write_escaped, write_uint};
 
+use crate::graph::CallGraph;
 use crate::{analyze_workspace_full, baseline, Finding, LINTS};
 
 /// Default baseline location, relative to the workspace root.
@@ -97,12 +97,18 @@ pub fn run(args: &[String]) -> i32 {
     };
     let findings = &analysis.findings;
 
-    for (path, contents, what) in [
-        (&opts.callgraph, analysis.graph.to_json(), "call graph"),
-        (&opts.dot, analysis.graph.to_dot(), "dot export"),
-    ] {
+    // Each export is rendered only when its path was given.
+    let exports = [
+        (
+            &opts.callgraph,
+            "call graph",
+            CallGraph::to_json as fn(&CallGraph) -> String,
+        ),
+        (&opts.dot, "dot export", CallGraph::to_dot),
+    ];
+    for (path, what, render) in exports {
         if let Some(path) = path {
-            if let Err(e) = fs::write(path, contents) {
+            if let Err(e) = fs::write(path, render(&analysis.graph)) {
                 eprintln!("analyze: writing {} to {}: {e}", what, path.display());
                 return 2;
             }
@@ -191,11 +197,11 @@ fn render_finding(out: &mut String, f: &Finding) {
     write_escaped(out, &f.lint);
     out.push_str(", \"file\": ");
     write_escaped(out, &f.file);
-    let _ = write!(
-        out,
-        ", \"line\": {}, \"offset\": {}, \"message\": ",
-        f.line, f.offset
-    );
+    out.push_str(", \"line\": ");
+    write_uint(out, u64::from(f.line));
+    out.push_str(", \"offset\": ");
+    write_uint(out, f.offset as u64);
+    out.push_str(", \"message\": ");
     write_escaped(out, &f.message);
     if let Some(reason) = &f.suppressed {
         out.push_str(", \"suppressed\": ");
@@ -209,8 +215,17 @@ fn render_finding(out: &mut String, f: &Finding) {
 /// separate array, each with the `allow` directive's reason under
 /// `suppressed`.
 pub fn render_json(findings: &[Finding], suppressed: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"version\": 2,\n  \"total\": ");
-    out.push_str(&findings.len().to_string());
+    // One reservation: each row's fixed text, its strings and up to 20
+    // digits per number (a string that needs escapes may still grow it).
+    let rows: usize = (findings.iter().chain(suppressed))
+        .map(|f| {
+            let reason = f.suppressed.as_ref().map_or(0, |r| r.len() + 20);
+            f.lint.len() + f.file.len() + f.message.len() + reason + 120
+        })
+        .sum();
+    let mut out = String::with_capacity(96 + rows);
+    out.push_str("{\n  \"version\": 2,\n  \"total\": ");
+    write_uint(&mut out, findings.len() as u64);
     out.push_str(",\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });

@@ -26,16 +26,31 @@
 //! token lints, and each fn takes the sites anchored inside its body (two
 //! binary searches).
 //!
+//! A call site owns no text. It keeps the scan index of its callee-name
+//! token and an FNV-1a hash of the name (`name_key`), taken at
+//! extraction while the token is still in cache. Resolution looks each
+//! site up by that hash among the fns' name keys; only a hit reads the
+//! file's scan again, to compare the name itself and to read the
+//! qualifier. So resolving needs the scans the fns were extracted from,
+//! and a [`CallSite`] means something only next to its file's scan, which
+//! a [`crate::WorkspaceAnalysis`] does not keep. Resolution runs over
+//! fixed chunks of callers on every core, concatenated back in caller
+//! order, so the edges do not depend on the worker count.
+//!
 //! Functions defined inside `#[cfg(test)]` / `#[test]` regions are
 //! excluded from the table entirely — test helpers may panic and allocate
 //! freely, and must not capture call edges from production code that
 //! happens to share a name.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt::Write;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+
+use mlscore_telemetry::json::{write_escaped, write_uint};
 
 use crate::lexer::TokenKind;
 use crate::lints::crate_of;
+use crate::par;
 use crate::parser::{Item, ItemKind};
 use crate::scan::FileScan;
 use crate::sites::SiteKind;
@@ -71,18 +86,45 @@ pub struct Hazard {
 }
 
 /// One call site inside a function body.
+///
+/// The site owns no text: [`CallSite::at`] indexes the scan of the file
+/// that holds the calling fn ([`FnNode::file_idx`]) and means nothing
+/// without it. A [`crate::WorkspaceAnalysis`] does not keep the scans;
+/// whoever does can read the called name and qualifier back through
+/// [`CallSite::name`] and [`CallSite::qualifier`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
-    /// Called name (last path segment).
-    pub name: String,
-    /// `Type` / `module` in `Type::name(...)`, when present.
-    pub qualifier: Option<String>,
+    /// Significant-token index, in its file's scan, of the called name
+    /// (the last path segment).
+    pub at: usize,
+    /// [`name_key`] of the called name.
+    pub(crate) key: u64,
     /// True for `.name(...)` method-call syntax.
     pub method: bool,
     /// 1-based line of the call.
     pub line: u32,
     /// True when the call site sits inside a `// analyze: hot` region.
     pub in_hot: bool,
+}
+
+impl CallSite {
+    /// The called name (last path segment), read from the scan of the
+    /// file the site was extracted from.
+    pub fn name<'a>(&self, scan: &FileScan<'a>) -> &'a str {
+        scan.tok(self.at).text
+    }
+
+    /// `Type` / `module` in `Type::name(...)`, when present, read from the
+    /// scan of the file the site was extracted from.
+    pub fn qualifier<'a>(&self, scan: &FileScan<'a>) -> Option<&'a str> {
+        let j = self.at;
+        (!self.method
+            && j >= 3
+            && scan.punct(j - 1, ":")
+            && scan.punct(j - 2, ":")
+            && scan.tok(j - 3).kind == TokenKind::Ident)
+            .then(|| scan.tok(j - 3).text)
+    }
 }
 
 /// One function node.
@@ -109,6 +151,39 @@ pub struct FnNode {
     /// Extracted hazard sites.
     pub hazards: Vec<Hazard>,
 }
+
+/// FNV-1a hash of a fn name: call sites and fns are matched on it first,
+/// and on the name itself only when it agrees.
+pub(crate) fn name_key(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Hashes a [`name_key`], already an FNV-1a hash, by folding its
+/// well-mixed high half onto its low half.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// Callers per resolution task: enough that a task outweighs claiming it,
+/// few enough that the last tasks still spread over every worker.
+pub(crate) const RESOLVE_CHUNK: usize = 128;
 
 /// The workspace call graph.
 #[derive(Debug, Default)]
@@ -148,20 +223,23 @@ fn module_path(rel_path: &str) -> Vec<String> {
 impl CallGraph {
     /// Builds the graph from already-scanned, already-parsed files.
     /// `files` is `(rel_path, scan, items)` — the same single-lex scans
-    /// the token lints run over.
+    /// the token lints run over. Edges resolve on every core the host
+    /// offers.
     pub fn build(files: &[(String, &FileScan<'_>, &[Item])]) -> CallGraph {
         let fns = files
             .iter()
             .enumerate()
             .flat_map(|(file_idx, (path, scan, items))| file_fns(path, scan, items, file_idx))
             .collect();
-        CallGraph::merge(fns)
+        let scans: Vec<&FileScan<'_>> = files.iter().map(|(_, scan, _)| *scan).collect();
+        CallGraph::merge(fns, &scans, par::host_workers())
     }
 
-    /// The serial half of [`CallGraph::build`]: orders the per-file fn
+    /// The workspace half of [`CallGraph::build`]: orders the per-file fn
     /// nodes (concatenated in file order) by qualified name, disambiguates
-    /// colliding names, and resolves the edges.
-    pub(crate) fn merge(fns: Vec<FnNode>) -> CallGraph {
+    /// colliding names, and resolves the edges on up to `workers` threads.
+    /// `scans[i]` is the scan file `i`'s nodes were extracted from.
+    pub(crate) fn merge(fns: Vec<FnNode>, scans: &[&FileScan<'_>], workers: usize) -> CallGraph {
         // Sort indices, not nodes, then move each node once. Stable: equal
         // names keep file order, which fixes who gets `#2`.
         let mut order: Vec<usize> = (0..fns.len()).collect();
@@ -181,7 +259,8 @@ impl CallGraph {
                 .is_some_and(|first| first.qname == f.qname)
             {
                 run_len += 1;
-                let _ = write!(f.qname, "#{run_len}");
+                f.qname.push('#');
+                write_uint(&mut f.qname, run_len);
             } else {
                 (run_start, run_len) = (fns.len(), 1);
             }
@@ -192,7 +271,7 @@ impl CallGraph {
             .enumerate()
             .map(|(i, f)| (f.qname.clone(), i))
             .collect();
-        let edges = resolve_edges(&fns);
+        let edges = resolve_edges(&fns, scans, workers);
         CallGraph {
             fns,
             by_qname,
@@ -247,26 +326,41 @@ impl CallGraph {
 
     /// Deterministic JSON export: functions and resolved edges, sorted.
     pub fn to_json(&self) -> String {
-        use mlscore_telemetry::json::write_escaped;
-        let mut out = String::from("{\n  \"version\": 1,\n  \"functions\": [");
-        // Each name is escaped once, then copied into every edge naming it.
-        let mut ids = Vec::with_capacity(self.fns.len());
+        // Each name is escaped once, into one buffer, then copied into
+        // every edge naming it: `ids[bounds[i]..bounds[i + 1]]` is fn `i`'s.
+        let mut ids = String::with_capacity(self.fns.iter().map(|f| f.qname.len() + 2).sum());
+        let mut bounds = Vec::with_capacity(self.fns.len() + 1);
+        bounds.push(0);
+        for f in &self.fns {
+            write_escaped(&mut ids, &f.qname);
+            bounds.push(ids.len());
+        }
+        let id = |i: usize| &ids[bounds[i]..bounds[i + 1]];
+        // One reservation: the fixed text of a row plus its names and up
+        // to 20 digits per number (files rarely need escapes).
+        let fn_rows: usize = self.fns.iter().map(|f| f.file.len() + 2 + 130).sum();
+        let edge_rows: usize = (self.edges.iter().enumerate())
+            .map(|(ci, outs)| {
+                (outs.iter())
+                    .map(|&(callee, _)| id(ci).len() + id(callee).len() + 64)
+                    .sum::<usize>()
+            })
+            .sum();
+        let mut out = String::with_capacity(64 + ids.len() + fn_rows + edge_rows);
+        out.push_str("{\n  \"version\": 1,\n  \"functions\": [");
         for (i, f) in self.fns.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    { \"id\": ");
-            let mut id = String::with_capacity(f.qname.len() + 2);
-            write_escaped(&mut id, &f.qname);
-            out.push_str(&id);
-            ids.push(id);
+            out.push_str(id(i));
             out.push_str(", \"file\": ");
             write_escaped(&mut out, &f.file);
-            let _ = write!(
-                out,
-                ", \"line\": {}, \"calls\": {}, \"hazards\": {} }}",
-                f.line,
-                self.edges[i].len(),
-                f.hazards.len()
-            );
+            out.push_str(", \"line\": ");
+            write_uint(&mut out, u64::from(f.line));
+            out.push_str(", \"calls\": ");
+            write_uint(&mut out, self.edges[i].len() as u64);
+            out.push_str(", \"hazards\": ");
+            write_uint(&mut out, f.hazards.len() as u64);
+            out.push_str(" }");
         }
         if !self.fns.is_empty() {
             out.push_str("\n  ");
@@ -278,10 +372,12 @@ impl CallGraph {
                 out.push_str(if first { "\n" } else { ",\n" });
                 first = false;
                 out.push_str("    { \"from\": ");
-                out.push_str(&ids[ci]);
+                out.push_str(id(ci));
                 out.push_str(", \"to\": ");
-                out.push_str(&ids[callee]);
-                let _ = write!(out, ", \"line\": {line} }}");
+                out.push_str(id(callee));
+                out.push_str(", \"line\": ");
+                write_uint(&mut out, u64::from(line));
+                out.push_str(" }");
             }
         }
         if !first {
@@ -293,7 +389,19 @@ impl CallGraph {
 
     /// Graphviz dot export (same ordering as the JSON).
     pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph mlscore_calls {\n  rankdir=LR;\n");
+        const HEAD: &str = "digraph mlscore_calls {\n  rankdir=LR;\n";
+        // Exact size: each edge row is its two names plus 12 bytes.
+        let rows: usize = (self.edges.iter().enumerate())
+            .map(|(ci, outs)| {
+                (outs.iter())
+                    .map(|&(callee, _)| {
+                        self.fns[ci].qname.len() + self.fns[callee].qname.len() + 12
+                    })
+                    .sum::<usize>()
+            })
+            .sum();
+        let mut out = String::with_capacity(HEAD.len() + rows + 2);
+        out.push_str(HEAD);
         for (ci, outs) in self.edges.iter().enumerate() {
             for &(callee, _) in outs {
                 out.push_str("  \"");
@@ -309,14 +417,25 @@ impl CallGraph {
 }
 
 /// Resolves every call site against the symbol table (see the module docs
-/// for the name-based rules). Returns, per caller, its `(callee, call
-/// line)` edges, sorted and deduplicated.
-fn resolve_edges(fns: &[FnNode]) -> Vec<Vec<(usize, u32)>> {
-    // Every fn under its bare name, in index order. Only looked up, never
+/// for the name-based rules) on up to `workers` threads, `scans[i]` being
+/// file `i`'s scan. Returns, per caller, its `(callee, call line)` edges,
+/// sorted and deduplicated.
+fn resolve_edges(
+    fns: &[FnNode],
+    scans: &[&FileScan<'_>],
+    workers: usize,
+) -> Vec<Vec<(usize, u32)>> {
+    // Every fn under its name key, sorted by `(key, index)`, and each key's
+    // run of it: a call site's candidates. The map is only looked up, never
     // iterated, so its order cannot reach an output.
-    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(fns.len());
-    for (i, f) in fns.iter().enumerate() {
-        by_name.entry(&f.name).or_default().push(i);
+    let mut by_key: Vec<(u64, usize)> = (fns.iter().enumerate())
+        .map(|(i, f)| (name_key(&f.name), i))
+        .collect();
+    by_key.sort_unstable();
+    let mut runs: HashMap<u64, Range<usize>, BuildHasherDefault<KeyHasher>> =
+        HashMap::with_capacity_and_hasher(fns.len(), BuildHasherDefault::default());
+    for (i, &(key, _)) in by_key.iter().enumerate() {
+        runs.entry(key).or_insert(i..i).end = i + 1;
     }
     // Once per graph, not per candidate: each fn's crate id, the layering
     // verdict for every pair of crates, and the module segment a
@@ -347,20 +466,28 @@ fn resolve_edges(fns: &[FnNode]) -> Vec<Vec<(usize, u32)>> {
         })
         .collect();
 
-    let mut edges = Vec::with_capacity(fns.len());
-    for (ci, caller) in fns.iter().enumerate() {
+    let resolve = |ci: usize| {
+        let caller = &fns[ci];
+        let scan = scans[caller.file_idx];
         let may_call = &may_reference[crate_id[ci] * crates.len()..][..crates.len()];
         let mut out: Vec<(usize, u32)> = Vec::new();
         for call in &caller.calls {
-            let Some(candidates) = by_name.get(call.name.as_str()) else {
+            // A miss, the common case, touches no scan.
+            let Some(run) = runs.get(&call.key) else {
                 continue;
             };
-            let qualifier = match &call.qualifier {
-                Some(q) if q == "Self" => Some(caller.self_ty.as_deref().unwrap_or(q)),
-                q => q.as_deref(),
+            // A hit: only now read the site's text back from the scan.
+            let name = call.name(scan);
+            let qualifier = match call.qualifier(scan) {
+                Some("Self") => Some(caller.self_ty.as_deref().unwrap_or("Self")),
+                q => q,
             };
-            for &callee in candidates {
+            for &(_, callee) in &by_key[run.clone()] {
                 let f = &fns[callee];
+                // Equal keys, different names: a hash collision.
+                if f.name != name {
+                    continue;
+                }
                 let named = match qualifier {
                     _ if call.method => f.has_self,
                     Some(q) => {
@@ -382,9 +509,18 @@ fn resolve_edges(fns: &[FnNode]) -> Vec<Vec<(usize, u32)>> {
         // from several lines keeps one edge per line, which H002 needs to
         // match hot-region call sites.
         out.dedup();
-        edges.push(out);
-    }
-    edges
+        out
+    };
+    // Fixed chunks of callers, so the tasks do not depend on the worker
+    // count; the chunks come back in caller order.
+    let chunks = fns.len().div_ceil(RESOLVE_CHUNK);
+    par::map_indexed(chunks, workers, |c| {
+        let callers = c * RESOLVE_CHUNK..fns.len().min((c + 1) * RESOLVE_CHUNK);
+        callers.map(resolve).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The parent slot of a fn no root reaches.
@@ -547,17 +683,10 @@ pub(crate) fn extract_body(
             SiteKind::Call => {
                 let (j, t) = (site.at, scan.tok(site.at));
                 if !scan.in_test(t.line) {
-                    let method = j > 0 && scan.punct(j - 1, ".");
-                    let qualifier = (!method
-                        && j >= 3
-                        && scan.punct(j - 1, ":")
-                        && scan.punct(j - 2, ":")
-                        && scan.tok(j - 3).kind == TokenKind::Ident)
-                        .then(|| scan.tok(j - 3).text.to_string());
                     calls.push(CallSite {
-                        name: t.text.to_string(),
-                        qualifier,
-                        method,
+                        at: j,
+                        key: name_key(t.text),
+                        method: j > 0 && scan.punct(j - 1, "."),
                         line: t.line,
                         in_hot: scan.in_hot(t.line),
                     });
@@ -603,6 +732,42 @@ mod tests {
             .map(|((p, s), items)| (p.clone(), s, items.as_slice()))
             .collect();
         CallGraph::build(&view)
+    }
+
+    #[test]
+    fn merge_resolves_the_same_edges_on_any_worker_count() {
+        // Every call form, each name defined in several files and crates,
+        // and enough fns for several resolve chunks.
+        let sources: Vec<(String, String)> = (0..6)
+            .map(|k| {
+                let krate = ["app", "exec", "backend"][k % 3];
+                let body: String = (0..60)
+                    .map(|j| {
+                        let next = (j + 7) % 60;
+                        format!(
+                            "pub fn f{j}() {{ f{next}(); m{k}::f{j}(); Self::g{next}(); Vec::new(); }}\n\
+                             impl T{j} {{ fn g{j}(&self) {{ self.g{next}(); T{next}::g{next}(); f{j}(); }} }}\n"
+                        )
+                    })
+                    .collect();
+                (format!("crates/{krate}/src/m{k}.rs"), body)
+            })
+            .collect();
+        let scans: Vec<FileScan> = sources.iter().map(|(_, s)| FileScan::of(s)).collect();
+        let scan_refs: Vec<&FileScan> = scans.iter().collect();
+        let fns = || -> Vec<FnNode> {
+            (sources.iter().zip(&scans).enumerate())
+                .flat_map(|(i, ((path, _), scan))| file_fns(path, scan, &parse_items(scan), i))
+                .collect()
+        };
+        let serial = CallGraph::merge(fns(), &scan_refs, 1);
+        assert!(serial.fns.len() > 3 * RESOLVE_CHUNK, "{}", serial.fns.len());
+        let edges: usize = serial.edges.iter().map(Vec::len).sum();
+        assert!(edges > serial.fns.len(), "{edges} edges");
+        for workers in [2, 7] {
+            let par = CallGraph::merge(fns(), &scan_refs, workers);
+            assert_eq!(par.edges, serial.edges, "{workers} workers");
+        }
     }
 
     #[test]

@@ -214,8 +214,9 @@ fn sort_findings(findings: &mut [Finding]) {
 /// one task per file: scan (tokens, the punct and bracket-partner tables,
 /// directives, test regions, sites), item parse, token-lint pass and
 /// fn-node extraction, back to back while the file's tables are still in
-/// cache. The results merge back in file order, so the serial graph
-/// merge, the four interprocedural lints (run side by side, concatenated
+/// cache. The results merge back in file order, so the graph merge (its
+/// edges resolved in fixed chunks of callers, concatenated in caller
+/// order), the four interprocedural lints (run side by side, concatenated
 /// in a fixed order) and the final sort see exactly what a one-core run
 /// sees: the analysis is identical for any core count. With one core
 /// nothing is spawned.
@@ -248,7 +249,8 @@ fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAn
         suppressed.extend(file_suppressed);
         fns.extend(file_fns);
     }
-    let graph = graph::CallGraph::merge(fns);
+    let scans: Vec<&FileScan<'_>> = units.iter().map(|u| &u.scan).collect();
+    let graph = graph::CallGraph::merge(fns, &scans, workers);
 
     let (inter_active, inter_supp) = interproc::run_interproc_on(&units, &graph, workers);
     findings.extend(inter_active);
@@ -742,6 +744,8 @@ mod tests {
         assert_eq!(fired, every);
         assert!(serial.suppressed.iter().any(|f| f.lint == "D004"));
         assert!(serial.graph.by_qname.contains_key("exec::twin::twin#2"));
+        // Edge resolution splits the callers into several tasks.
+        assert!(serial.graph.fns.len() > 2 * graph::RESOLVE_CHUNK);
         for workers in [2, files.len() + 3] {
             let par = analyze_sources_on(&files, workers);
             assert_eq!(par.findings, serial.findings, "{workers} workers");

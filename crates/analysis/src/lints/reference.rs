@@ -10,7 +10,7 @@ use super::{
     chain_reaches_finish, crate_of, let_bound_finish, D002_CRATES, P001_CRATES, P001_INDEX_CRATES,
     T002_CRATES,
 };
-use crate::graph::{extract_body, CallSite, Hazard, HazardKind};
+use crate::graph::{extract_body, name_key, CallSite, Hazard, HazardKind};
 use crate::lexer::TokenKind;
 use crate::parser::{parse_items, Item, ItemKind};
 use crate::scan::FileScan;
@@ -353,23 +353,15 @@ fn extract_body_by_token(
             && !NON_CALL_KEYWORDS.contains(&t.text)
             && !scan.punct(j.wrapping_sub(1), "!")
             && !scan.ident(j.wrapping_sub(1), "fn")
+            && !scan.in_test(t.line)
         {
-            let method = j > 0 && scan.punct(j - 1, ".");
-            let qualifier = (!method
-                && j >= 3
-                && scan.punct(j - 1, ":")
-                && scan.punct(j - 2, ":")
-                && scan.tok(j - 3).kind == TokenKind::Ident)
-                .then(|| scan.tok(j - 3).text.to_string());
-            if !scan.in_test(t.line) {
-                calls.push(CallSite {
-                    name: t.text.to_string(),
-                    qualifier,
-                    method,
-                    line: t.line,
-                    in_hot: scan.in_hot(t.line),
-                });
-            }
+            calls.push(CallSite {
+                at: j,
+                key: name_key(t.text),
+                method: j > 0 && scan.punct(j - 1, "."),
+                line: t.line,
+                in_hot: scan.in_hot(t.line),
+            });
         }
         // --- hazards -------------------------------------------------
         if scan.punct(j, ".")
@@ -719,7 +711,7 @@ fn every_fragment_in_one_file_fires_every_token_lint_and_hazard() {
     ];
     assert_eq!(lints, want);
     let (calls, hazards) = extract_body_by_token(&scan, 0, scan.len());
-    assert!(calls.iter().any(|c| c.method) && calls.iter().any(|c| c.qualifier.is_some()));
+    assert!(calls.iter().any(|c| c.method) && calls.iter().any(|c| c.qualifier(&scan).is_some()));
     let mut kinds: Vec<HazardKind> = hazards.iter().map(|h| h.kind).collect();
     kinds.sort();
     kinds.dedup();

@@ -169,6 +169,23 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `v` in decimal, as `format!("{v}")` would, without going
+/// through the formatting machinery.
+pub fn write_uint(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 /// A streaming JSON writer: every exporter in the workspace emits through
 /// it, so separators, escaping ([`write_escaped`]), number formatting and
 /// layout are decided once.
@@ -284,7 +301,7 @@ impl JsonWriter {
     /// Writes an unsigned integer.
     pub fn uint(&mut self, v: u64) -> &mut Self {
         self.value();
-        let _ = write!(self.out, "{v}");
+        write_uint(&mut self.out, v);
         self
     }
 
@@ -683,6 +700,23 @@ mod tests {
                 w.end();
                 want.push_str(close);
                 prop_assert_eq!(w.finish(), want);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn write_uint_matches_format(v in any::<u64>(), len in 0..4usize) {
+            // The drawn value, 0, 9, 10, u64::MAX, and every power of ten
+            // and its predecessor: each digit count and both of its ends.
+            let tens = (0..20).map(|e| 10u64.pow(e));
+            let ends = tens.clone().chain(tens.map(|t| t - 1));
+            for v in [v, 0, 9, 10, u64::MAX].into_iter().chain(ends) {
+                // Appends after whatever the buffer already holds.
+                let head = "x".repeat(len);
+                let mut got = head.clone();
+                write_uint(&mut got, v);
+                prop_assert_eq!(got, format!("{head}{v}"));
             }
         }
     }
