@@ -103,7 +103,9 @@ fi
 # benchmark entering the engine, and the engine's event loop.
 grep -q '"bench::serve_bench::run_point" -> "serve::engine::ServeEngine::run"' \
     target/callgraph.a.dot
-grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::Run::step_all"' \
+grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::EngineSession::finish"' \
+    target/callgraph.a.dot
+grep -q '"serve::engine::EngineSession::finish" -> "serve::engine::EngineSession::step_all"' \
     target/callgraph.a.dot
 
 echo "== perfbench smoke (analyzer benchmark, one short run per workload) =="

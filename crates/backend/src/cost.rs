@@ -9,13 +9,11 @@
 //! models and a ~0.5 µs fixed per-record cost in scikit-learn (vote
 //! aggregation and output assembly) — see DESIGN.md §5.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_forest::ModelStats;
 use mlscore_sim::{CacheHierarchy, CacheLevel, ClockRate, SimDuration};
 
 /// A host CPU description used by the CPU backends' timing models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Core clock.
     pub clock: ClockRate,

@@ -11,8 +11,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_data::RecordStream;
 use mlscore_exec::{score_simd_batch, ExecPool, FlatImage, RunConfig, SimdLevel};
 use mlscore_forest::{ModelStats, RandomForest};
@@ -25,7 +23,7 @@ use crate::error::BackendError;
 use crate::traits::{score_on_pool, ScoringBackend, StreamOutcome};
 
 /// Timing-model constants for the ONNX-like engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnnxCostParams {
     /// Fixed cost of one scoring call (runtime session dispatch).
     pub call_overhead: SimDuration,

@@ -9,8 +9,6 @@
 //! per-node-visit cost from the cache model, divided by the effective
 //! thread parallelism.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_data::RecordStream;
 use mlscore_exec::{score_forest_batch, ExecPool, RunConfig};
 use mlscore_forest::ModelStats;
@@ -23,7 +21,7 @@ use crate::error::BackendError;
 use crate::traits::{score_on_pool, ScoringBackend, StreamOutcome};
 
 /// Timing-model constants for the sklearn-like engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SklearnCostParams {
     /// Fixed cost of one scoring call (Python dispatch, array setup).
     pub call_overhead: SimDuration,

@@ -19,7 +19,8 @@ use mlscore_backend::ScoringBackend;
 use mlscore_fpga::FpgaBackend;
 use mlscore_sched::paper_backends;
 use mlscore_serve::{
-    ModelCatalog, QueryClass, ServeConfig, ServeEngine, ServingReport, WorkloadSpec,
+    ModelCatalog, QueryClass, ServeConfig, ServeEngine, ServingReport, WorkloadSpec, CPU_SEATS,
+    GPU_STREAMS,
 };
 use mlscore_sim::SimDuration;
 use mlscore_telemetry::json::{self, JsonValue, JsonWriter};
@@ -29,14 +30,6 @@ use crate::Mode;
 
 /// Workload seed shared by every experiment in the report.
 pub const SEED: u64 = 42;
-
-/// Executor seats the serving CPU device models (the paper host's 52
-/// hardware threads) — pinned so the report does not depend on the
-/// machine that generated it.
-pub const CPU_SEATS: usize = 52;
-
-/// Concurrent streams on the serving GPU device.
-pub const GPU_STREAMS: usize = 4;
 
 /// Offered Poisson rate of the FPGA overload runs, queries/second.
 pub(crate) const OVERLOAD_RATE_QPS: f64 = 2_000.0;
@@ -272,8 +265,6 @@ pub fn overload_trace(mode: Mode) -> Trace {
         ModelCatalog::paper_mix(),
         ServeConfig {
             capacity: Some(32),
-            cpu_seats: CPU_SEATS,
-            gpu_streams: GPU_STREAMS,
             ..ServeConfig::default()
         },
     );

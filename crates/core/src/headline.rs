@@ -4,7 +4,6 @@
 use std::fmt;
 
 use mlscore_data::DatasetSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::{crossover_records, SweepPoint};
 use crate::figures::fig11;
@@ -16,7 +15,7 @@ pub const DENSE_SWEEP: [u64; 17] = [
 ];
 
 /// Every headline ratio from §IV, as computed by this reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadlineReport {
     /// FPGA speedup over the best CPU, IRIS, 128 trees, 10 levels, 1M
     /// records (paper: 54x).

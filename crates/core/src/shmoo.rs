@@ -2,13 +2,12 @@
 //! cell, with the best speedup over the CPU.
 
 use mlscore_data::DatasetSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::calibration::{RECORD_SWEEP, TREE_SWEEP};
 use crate::experiment::SweepPoint;
 
 /// One shmoo cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShmooCell {
     /// Winning backend's figure-legend name.
     pub winner: String,
@@ -32,7 +31,7 @@ impl ShmooCell {
 }
 
 /// A full shmoo grid for one dataset (Fig. 8 left or right panel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShmooTable {
     /// Dataset family.
     pub dataset: DatasetSpec,

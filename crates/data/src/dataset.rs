@@ -1,14 +1,12 @@
 //! Labeled datasets and the paper's two dataset specifications.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DataError;
 use crate::frame::TabularFrame;
 use crate::higgs;
 use crate::iris;
 
 /// Static description of a dataset family — the two the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DatasetSpec {
     /// IRIS-like: 4 features, 3 classes (§IV-A). Not supported by
     /// GPU-RAPIDS in the paper (multi-class).
@@ -59,7 +57,7 @@ impl DatasetSpec {
 /// assert_eq!(higgs.frame().n_features(), 28);
 /// assert!(higgs.labels().iter().all(|&c| c < 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     name: String,
     frame: TabularFrame,

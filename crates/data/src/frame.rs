@@ -1,7 +1,5 @@
 //! Row-major tabular feature storage.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DataError;
 use crate::stream::NormParams;
 
@@ -20,7 +18,7 @@ use crate::stream::NormParams;
 /// assert_eq!(frame.bytes(), 16);
 /// # Ok::<(), mlscore_data::DataError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TabularFrame {
     data: Vec<f32>,
     n_features: usize,

@@ -13,7 +13,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
 use crate::forest::RandomForest;
@@ -23,7 +22,7 @@ use crate::serialize::MAX_CLASSES;
 use crate::tree::DecisionTree;
 
 /// Hyper-parameters for forest training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOptions {
     /// Maximum tree depth in levels (the paper uses 6 and 10).
     pub max_depth: usize,

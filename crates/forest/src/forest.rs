@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::ForestError;
 use crate::node::Node;
@@ -20,7 +19,7 @@ use crate::tree::DecisionTree;
 /// let cfg = ForestConfig::classification(128, 28, 2).with_depth(10);
 /// assert_eq!(cfg.depth, 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees in the ensemble.
     pub n_trees: usize,
@@ -53,7 +52,7 @@ impl ForestConfig {
 
 /// A random forest: an ensemble of [`DecisionTree`]s over a fixed feature
 /// space, combined by majority vote.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_features: usize,

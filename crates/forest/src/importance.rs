@@ -1,12 +1,10 @@
 //! Impurity-based feature importance, and the [`TrainedModel`] wrapper
 //! returned by detailed training.
 
-use serde::{Deserialize, Serialize};
-
 use crate::forest::RandomForest;
 
 /// A trained model plus training byproducts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedModel {
     /// The forest itself.
     pub forest: RandomForest,

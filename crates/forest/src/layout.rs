@@ -13,8 +13,6 @@
 //! live records for a full depth-10 tree, rounded to a power of two for
 //! indexing); BRAM accounting in `mlscore-fpga` uses this capacity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ForestError;
 use crate::forest::RandomForest;
 use crate::node::Node;
@@ -68,7 +66,7 @@ pub enum NodeRecord {
 /// assert_eq!(flat.capacity_records(), 2048); // 2^(10+1)
 /// # Ok::<(), mlscore_forest::ForestError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatTree {
     words: Vec<f32>,
     live_records: usize,
@@ -266,7 +264,7 @@ impl FlatTree {
 
 /// A whole forest in the flat format — the model image transferred to the
 /// FPGA's tree memories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatForest {
     trees: Vec<FlatTree>,
     n_features: usize,

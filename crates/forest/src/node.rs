@@ -1,7 +1,5 @@
 //! Tree node types.
 
-use serde::{Deserialize, Serialize};
-
 /// One node of a decision tree.
 ///
 /// The decision rule follows the scikit-learn convention used throughout the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// right otherwise. Children are stored as indices into the owning tree's
 /// node vector and must be *forward* references (child index greater than
 /// the parent's), which makes trees acyclic by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Node {
     /// An internal decision node.
     Decision {

@@ -9,15 +9,13 @@
 //! quantized nodes the same BRAM holds twice the trees (or one more level
 //! of depth).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ForestError;
 use crate::forest::RandomForest;
 use crate::node::Node;
 use crate::tree::DecisionTree;
 
 /// Per-feature affine quantization ranges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantScheme {
     mins: Vec<f32>,
     maxs: Vec<f32>,
@@ -67,7 +65,7 @@ impl QuantScheme {
 }
 
 /// A node in the 8-byte quantized format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QuantNode {
     /// Left child index, or the class id for leaves.
     left: u16,
@@ -85,7 +83,7 @@ const LEAF_MARKER: u16 = u16::MAX;
 pub const QUANT_NODE_BYTES: usize = 8;
 
 /// A tree in the quantized layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTree {
     nodes: Vec<QuantNode>,
 }
@@ -160,7 +158,7 @@ impl QuantizedTree {
 }
 
 /// A whole forest in the quantized layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedForest {
     trees: Vec<QuantizedTree>,
     scheme: QuantScheme,

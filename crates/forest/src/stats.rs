@@ -1,7 +1,5 @@
 //! Model statistics consumed by backend cost models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::forest::RandomForest;
 use crate::layout::NODE_BYTES;
 use crate::tree::DecisionTree;
@@ -27,7 +25,7 @@ use crate::tree::DecisionTree;
 /// assert_eq!(stats.max_depth, 10);
 /// assert_eq!(stats.total_nodes, 128 * 2047);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelStats {
     /// Number of trees.
     pub n_trees: usize,

@@ -1,7 +1,5 @@
 //! Decision trees: storage, traversal, and validation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ForestError;
 use crate::node::Node;
 
@@ -23,7 +21,7 @@ use crate::node::Node;
 /// assert_eq!(tree.predict(&[0.9]), 1);
 /// # Ok::<(), mlscore_forest::ForestError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
 }

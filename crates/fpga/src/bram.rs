@@ -6,12 +6,10 @@
 //! named regions against the device capacity so model loading fails exactly
 //! when the paper says it would.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FpgaError;
 
 /// A named BRAM region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BramRegion {
     /// Human-readable purpose ("tree memory", "result memory", ...).
     pub label: String,
@@ -32,7 +30,7 @@ pub struct BramRegion {
 /// assert!(bram.alloc("result memory", 1024).is_err());
 /// # Ok::<(), mlscore_fpga::FpgaError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BramAllocator {
     capacity: u64,
     regions: Vec<BramRegion>,

@@ -1,13 +1,11 @@
 //! FPGA device description.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_offload::PcieLink;
 use mlscore_sim::{ClockRate, SimDuration};
 
 /// An FPGA card: fabric clock, on-chip BRAM capacity, and the host-side
 /// costs of driving it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Marketing name.
     pub name: String,

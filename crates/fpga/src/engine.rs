@@ -1,7 +1,5 @@
 //! The inference engine: functional execution plus a cycle model.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_forest::{FlatForest, FlatTree, RandomForest};
 use mlscore_sim::SimDuration;
 
@@ -11,7 +9,7 @@ use crate::error::FpgaError;
 
 /// Where tree memories live — on-chip BRAM (the paper's design) or external
 /// DDR (the A2 ablation: same engine, slower node reads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryBackend {
     /// On-chip BRAM: one node read per cycle, initiation interval 1.
     Bram,
@@ -30,7 +28,7 @@ impl MemoryBackend {
 }
 
 /// Engine build-time configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Maximum supported tree depth (10 in the paper — bounded by BRAM).
     pub max_depth: usize,
@@ -88,7 +86,7 @@ impl LoadedModel {
 }
 
 /// Per-run cycle accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleReport {
     /// Engine passes executed.
     pub passes: usize,

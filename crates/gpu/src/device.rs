@@ -1,14 +1,12 @@
 //! GPU device description.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_offload::PcieLink;
 use mlscore_sim::{Bandwidth, ClockRate, SimDuration};
 
 /// An analytic GPU device model: enough architecture to drive roofline-style
 /// kernel estimates (compute rate, memory bandwidth, L2 capacity) plus the
 /// host-side costs (kernel launch, PCIe link).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuDevice {
     /// Marketing name.
     pub name: String,

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_backend::{
     score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
 };
@@ -17,7 +15,7 @@ use crate::divergence::warp_efficiency;
 use crate::MAX_LAUNCH_LANES;
 
 /// Timing-model constants for the FIL strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilCostParams {
     /// Fixed cost of the cuDF dataframe conversion (the paper measured
     /// ~120 ms at its 1M-record input size; most of it is fixed Python-side

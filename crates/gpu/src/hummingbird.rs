@@ -18,8 +18,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_backend::{
     score_whole_batch, BackendError, Lowered, ModelRef, ScoringBackend, StreamOutcome,
 };
@@ -32,7 +30,7 @@ use crate::device::GpuDevice;
 use crate::MAX_LAUNCH_LANES;
 
 /// Timing-model constants for the Hummingbird strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HummingbirdCostParams {
     /// Fixed per-call framework overhead (tensor runtime dispatch).
     pub framework_overhead: SimDuration,

@@ -16,8 +16,6 @@
 //! break-even granularity `g1`, and the peak speedup as `g -> inf` — the
 //! same crossover structure Figures 9 and 10 display empirically.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_sim::SimDuration;
 
 /// A LogCA model instance with linear (`beta`) transfer cost.
@@ -40,7 +38,7 @@ use mlscore_sim::SimDuration;
 /// assert!(m.speedup(10.0) < 1.0);      // tiny jobs lose
 /// assert!(m.speedup(1_000_000.0) > 30.0); // big jobs approach peak (~33x)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogCa {
     overhead: SimDuration,
     beta: SimDuration,

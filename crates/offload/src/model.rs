@@ -6,12 +6,10 @@
 //! module turns a backend's [`TimingBreakdown`] into those aggregates and
 //! answers the worth-it question.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_sim::{SimDuration, StageClass, TimingBreakdown};
 
 /// The `O` / `L` / `C_A` aggregates of one offloaded execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadCosts {
     /// Setup, completion signalling, and host software overheads (`O`).
     pub overhead: SimDuration,
@@ -39,7 +37,7 @@ impl OffloadCosts {
 }
 
 /// Comparison of running on the host vs. offloading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadSummary {
     /// Host execution time (`C_H` in Fig. 6 Option 1).
     pub host: SimDuration,

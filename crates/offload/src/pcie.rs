@@ -6,12 +6,10 @@
 //! bandwidth (raw lane rate derated by encoding and DMA protocol
 //! efficiency).
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_sim::{Bandwidth, SimDuration};
 
 /// PCIe generation, determining the per-lane data rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcieGeneration {
     /// 8 GT/s per lane, 128b/130b encoding (~0.985 GB/s/lane raw).
     Gen3,
@@ -33,7 +31,7 @@ impl PcieGeneration {
 }
 
 /// A PCIe link with a DMA-setup latency and protocol efficiency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieLink {
     generation: PcieGeneration,
     lanes: u8,

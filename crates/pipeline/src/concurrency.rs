@@ -7,8 +7,6 @@
 //! scoring stage to a single accelerator card (which serializes scoring
 //! across queries while the host handles the pipeline stages in parallel).
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_backend::ScoringBackend;
 use mlscore_forest::ModelStats;
 use mlscore_sim::{DeviceLedger, SimDuration, SimInstant, Stage, StageClass};
@@ -17,7 +15,7 @@ use mlscore_telemetry::Tracer;
 use crate::params::PipelineParams;
 
 /// Host resources available to concurrent queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostResources {
     /// Hardware threads shared by all queries.
     pub threads: usize,
@@ -30,7 +28,7 @@ impl Default for HostResources {
 }
 
 /// Outcome of a consolidation comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsolidationReport {
     /// Queries analyzed.
     pub queries: u32,

@@ -9,14 +9,12 @@
 //! that future-work discussion quantitative: three integration modes that
 //! rescale the pipeline-stage costs.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_sim::{Bandwidth, SimDuration};
 
 use crate::params::PipelineParams;
 
 /// How the scoring runtime is coupled to the DBMS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntegrationMode {
     /// The paper's measured setup: a fresh external Python process per
     /// query, with row-oriented data marshaling across the process

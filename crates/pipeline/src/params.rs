@@ -1,7 +1,5 @@
 //! Calibrated stage costs for the DBMS pipeline.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_sim::{Bandwidth, SimDuration};
 
 /// Per-stage cost parameters for the T-SQL → Python → scoring pipeline.
@@ -12,7 +10,7 @@ use mlscore_sim::{Bandwidth, SimDuration};
 /// marshaling moves on the order of only 10⁵ rows/s, which is what makes
 /// data transfer the dominant component once scoring is accelerated);
 /// model deserialization scales with bundle bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineParams {
     /// Launching the external Python process (Fig. 11 "Python invocation").
     pub python_invocation: SimDuration,

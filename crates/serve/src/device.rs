@@ -11,6 +11,14 @@
 
 use mlscore_backend::ScoringBackend;
 
+/// Executor seats of the paper topology's CPU device: the paper host's 52
+/// hardware threads. [`ServeConfig::default`](crate::ServeConfig) takes
+/// it, so a run does not depend on the host that simulates it.
+pub const CPU_SEATS: usize = 52;
+
+/// Concurrent streams of the paper topology's GPU device.
+pub const GPU_STREAMS: usize = 4;
+
 /// One physical device: a name (the Perfetto lane suffix) and how many
 /// passes it runs concurrently.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +98,7 @@ mod tests {
     #[test]
     fn paper_roster_folds_six_backends_onto_three_devices() {
         let backends = paper_backends();
-        let roster = DeviceRoster::paper_default(&backends, 52, 4);
+        let roster = DeviceRoster::paper_default(&backends, CPU_SEATS, GPU_STREAMS);
         assert_eq!(
             roster
                 .devices()

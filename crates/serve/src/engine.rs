@@ -9,15 +9,15 @@
 //! cost-model output — the engine never calls a wall clock, so a run is a
 //! pure function of `(workload, config)`.
 //!
-//! Two driving modes share the same event loop:
+//! One [`EngineSession`], borrowed from its [`ServeEngine`], holds a run's
+//! state and drives the loop:
 //!
-//! - [`ServeEngine::run`] — the standalone mode: seed a whole
-//!   [`WorkloadSpec`], drain the heap, return the report.
-//! - [`EngineSession`] — the externally-stepped mode: the caller injects
+//! - [`ServeEngine::run`] seeds a whole [`WorkloadSpec`]'s arrivals into
+//!   a session and finishes it.
+//! - A caller holding a session ([`ServeEngine::session`]) injects
 //!   arrivals one by one ([`EngineSession::inject`]) and advances the
-//!   engine to horizon instants ([`EngineSession::step_until`]). Both
-//!   modes execute identical per-event code, so a session fed a spec's
-//!   arrival stream reproduces `run` exactly.
+//!   engine to horizon instants ([`EngineSession::step_until`]). Fed a
+//!   spec's arrival stream, it reproduces `run` exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -30,7 +30,7 @@ use mlscore_sim::{DeviceLedger, LruCacheModel, SimDuration, SimInstant, StageCla
 use mlscore_telemetry::{TimeSeriesRecorder, Tracer};
 
 use crate::coalesce::batch_caps;
-use crate::device::DeviceRoster;
+use crate::device::{DeviceRoster, CPU_SEATS, GPU_STREAMS};
 use crate::error::ServeError;
 use crate::journal::{JournalKind, RequestJournal, ShedReason};
 use crate::queue::AdmissionQueue;
@@ -83,14 +83,16 @@ impl ServeConfig {
 }
 
 impl Default for ServeConfig {
+    /// Unbounded queue, no SLOs, coalescing on, and the paper topology
+    /// ([`CPU_SEATS`], [`GPU_STREAMS`]) whatever host simulates it.
     fn default() -> Self {
         Self {
             capacity: None,
             interactive_slo: None,
             analytical_slo: None,
             coalesce: true,
-            cpu_seats: mlscore_exec::pool::default_threads(),
-            gpu_streams: 4,
+            cpu_seats: CPU_SEATS,
+            gpu_streams: GPU_STREAMS,
         }
     }
 }
@@ -150,15 +152,6 @@ impl ServeEngine {
         }
     }
 
-    /// The device topology this configuration induces.
-    fn roster(&self) -> DeviceRoster {
-        DeviceRoster::paper_default(
-            &self.backends,
-            self.config.cpu_seats,
-            self.config.gpu_streams,
-        )
-    }
-
     /// Runs `spec` to completion, recording spans on `tracer` (pass
     /// [`Tracer::disabled`] to skip telemetry).
     ///
@@ -168,101 +161,30 @@ impl ServeEngine {
     /// for a spec [`WorkloadSpec::validate`] rejects; a malformed spec is
     /// load a serving endpoint refuses, not a panic.
     pub fn run(&self, spec: &WorkloadSpec, tracer: &Tracer) -> Result<ServingReport, ServeError> {
-        let mut state = SessionState::new(self);
-        {
-            let mut run = Run {
-                engine: self,
-                tracer,
-                s: &mut state,
-            };
-            run.seed_arrivals(spec)?;
-            run.step_all();
-        }
-        Ok(state.into_report(&self.config, tracer))
+        let mut session = self.session(tracer);
+        session.seed_arrivals(spec)?;
+        Ok(session.finish())
     }
 
-    /// Consumes the engine into an externally-stepped [`EngineSession`].
-    pub fn into_session(self, tracer: &Tracer) -> EngineSession {
-        let state = SessionState::new(&self);
-        EngineSession {
-            engine: self,
-            tracer: tracer.clone(),
-            state,
-        }
-    }
-}
-
-/// Heap events, ordered by `(instant, insertion sequence)` — insertion
-/// order breaks simultaneous-event ties deterministically.
-#[derive(Debug, Clone, Copy)]
-enum EventKind {
-    Arrival { draw: usize },
-    DeviceFree,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    at: SimInstant,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Mutable state of one run or session — everything the event loop
-/// touches, owned so an [`EngineSession`] can hold it across stepping
-/// calls. It keeps no per-request count: each lifecycle transition is
-/// written once, to the journal, and the report is folded from that.
-struct SessionState {
-    roster: DeviceRoster,
-    ledgers: Vec<DeviceLedger>,
-    queue: AdmissionQueue,
-    events: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    /// `(model, records)` of every seeded or injected arrival. Arrivals
-    /// run in this order (non-decreasing instants, ties broken by
-    /// insertion), so a request's id is its index here.
-    draws: Vec<(usize, u64)>,
-    /// The sequence number the next device pass takes.
-    next_batch: u64,
-    /// High-water mark of event processing and injections; guards the
-    /// session API against scheduling in the already-stepped past.
-    stepped_to: SimInstant,
-    cache: LruCacheModel<ArtifactKey>,
-    series: TimeSeriesRecorder,
-    journal: RequestJournal,
-}
-
-impl SessionState {
-    fn new(engine: &ServeEngine) -> Self {
-        let roster = engine.roster();
+    /// Starts an externally-stepped [`EngineSession`] on this engine,
+    /// recording spans on `tracer`.
+    pub fn session<'e>(&'e self, tracer: &'e Tracer) -> EngineSession<'e> {
+        let roster = DeviceRoster::paper_default(
+            &self.backends,
+            self.config.cpu_seats,
+            self.config.gpu_streams,
+        );
         let ledgers = roster
             .devices()
             .iter()
             .map(|d| DeviceLedger::new(d.slots))
             .collect();
-        Self {
+        EngineSession {
+            engine: self,
+            tracer,
             roster,
             ledgers,
-            queue: AdmissionQueue::new(engine.config.capacity),
+            queue: AdmissionQueue::new(self.config.capacity),
             events: BinaryHeap::new(),
             seq: 0,
             draws: Vec::new(),
@@ -274,12 +196,139 @@ impl SessionState {
         }
     }
 
-    fn into_report(mut self, config: &ServeConfig, tracer: &Tracer) -> ServingReport {
+    /// The one-time prepare charge of a pass of `model`: a warm lookup if
+    /// its artifact is resident (`hit`), a full model pre-processing pass
+    /// if not. Arbitration predicts with it, and a dispatch charges it.
+    fn prepare(&self, hit: bool, model: usize) -> SimDuration {
+        if hit {
+            self.params.cache_lookup
+        } else {
+            self.params
+                .model_preprocess_time(self.catalog.model_bytes(model))
+        }
+    }
+}
+
+/// Heap events, ordered by `(instant, insertion sequence)` — insertion
+/// order breaks simultaneous-event ties deterministically, and the
+/// sequence is unique, so `kind` never decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EventKind {
+    Arrival { draw: usize },
+    DeviceFree,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Event {
+    at: SimInstant,
+    seq: u64,
+    kind: EventKind,
+}
+
+/// One run of a [`ServeEngine`]: the engine it borrows, the tracer, and
+/// everything the event loop touches, advanced by [`ServeEngine::run`]
+/// or by its caller instead of a workload spec. It keeps no per-request
+/// count: each lifecycle transition is written once, to the journal, and
+/// the report is folded from that.
+///
+/// A session executes exactly the code `ServeEngine::run` does, event for
+/// event — feeding a spec's arrival stream through
+/// [`EngineSession::inject`] and calling [`EngineSession::finish`]
+/// reproduces the standalone report bit for bit.
+///
+/// # Example
+///
+/// ```
+/// use mlscore_sched::paper_backends;
+/// use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine};
+/// use mlscore_sim::SimInstant;
+/// use mlscore_telemetry::Tracer;
+///
+/// let engine = ServeEngine::new(
+///     paper_backends(),
+///     ModelCatalog::paper_mix(),
+///     ServeConfig::default(),
+/// );
+/// let tracer = Tracer::disabled();
+/// let mut session = engine.session(&tracer);
+/// session.inject(SimInstant::ZERO, 0, 100);
+/// let report = session.finish();
+/// assert!(report.is_conserved());
+/// assert_eq!(report.completed, 1);
+/// ```
+pub struct EngineSession<'e> {
+    engine: &'e ServeEngine,
+    tracer: &'e Tracer,
+    roster: DeviceRoster,
+    ledgers: Vec<DeviceLedger>,
+    queue: AdmissionQueue,
+    events: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    /// `(model, records)` of every seeded or injected arrival. Arrivals
+    /// run in this order (non-decreasing instants, ties broken by
+    /// insertion), so a request's id is its index here.
+    draws: Vec<(usize, u64)>,
+    /// The sequence number the next device pass takes.
+    next_batch: u64,
+    /// High-water mark of event processing and injections; guards
+    /// [`EngineSession::inject`] against scheduling in the already-stepped
+    /// past.
+    stepped_to: SimInstant,
+    cache: LruCacheModel<ArtifactKey>,
+    series: TimeSeriesRecorder,
+    journal: RequestJournal,
+}
+
+impl EngineSession<'_> {
+    /// Appends one arrival at `at` (must be non-decreasing across
+    /// injections and not before any stepped horizon) and returns the
+    /// request id it will carry. Together with the heap's `(at, seq)`
+    /// order, that makes processing order equal injection order, so the
+    /// returned id is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is out of catalog range or `at` lies in the
+    /// already-stepped past — both are caller bugs, not load.
+    pub fn inject(&mut self, at: SimInstant, model: usize, n_records: u64) -> RequestId {
+        assert!(
+            model < self.engine.catalog.len(),
+            "inject: model index out of catalog range"
+        );
+        assert!(
+            at >= self.stepped_to,
+            "inject: arrivals must not land in the already-stepped past"
+        );
+        self.stepped_to = at;
+        let draw = self.draws.len();
+        self.draws.push((model, n_records));
+        self.push_event(at, EventKind::Arrival { draw });
+        draw as RequestId
+    }
+
+    /// Processes every pending event at or before `horizon`, then marks
+    /// the session as stepped to `horizon`.
+    pub fn step_until(&mut self, horizon: SimInstant) {
+        while let Some(&Reverse(event)) = self.events.peek() {
+            if event.at > horizon {
+                break;
+            }
+            self.events.pop();
+            self.handle(event);
+        }
+        if horizon > self.stepped_to {
+            self.stepped_to = horizon;
+        }
+    }
+
+    /// Runs every remaining event to completion and returns the report.
+    pub fn finish(mut self) -> ServingReport {
+        self.step_all();
         // Scan the finished series for budget-burn alerts; each one lands
         // in the trace (a span covering the offending window on an
         // `slo {class}` lane) and in the journal, the report's one copy.
         for alert in SloMonitor::scan(&self.series) {
-            tracer
+            self.tracer
                 .span("slo alert", alert.at)
                 .track("serve", format_args!("slo {}", alert.class))
                 .meta("window", alert.window)
@@ -291,7 +340,7 @@ impl SessionState {
         let (roster, ledgers) = (&self.roster, &self.ledgers);
         ServingReport::fold(
             self.journal,
-            config,
+            &self.engine.config,
             CacheStats::of(&self.cache),
             self.series,
             |makespan| {
@@ -310,27 +359,18 @@ impl SessionState {
             },
         )
     }
-}
 
-/// The event loop as a borrowed view: the engine's immutable configuration
-/// and backends, the tracer, and the owned [`SessionState`] being
-/// advanced. `ServeEngine::run` and [`EngineSession`] both drive this.
-struct Run<'a> {
-    engine: &'a ServeEngine,
-    tracer: &'a Tracer,
-    s: &'a mut SessionState,
-}
-
-impl Run<'_> {
     fn push_event(&mut self, at: SimInstant, kind: EventKind) {
-        let seq = self.s.seq;
-        self.s.seq += 1;
-        self.s.events.push(Reverse(Event { at, seq, kind }));
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.push(Reverse(Event { at, seq, kind }));
     }
 
+    /// Seeds every arrival of `spec`. Unlike [`EngineSession::inject`] it
+    /// asserts nothing: a spec is load, checked by its own validation.
     fn seed_arrivals(&mut self, spec: &WorkloadSpec) -> Result<(), ServeError> {
         let times = spec.arrival_times()?;
-        self.s.draws = spec.draws(self.engine.catalog.len());
+        self.draws = spec.draws(self.engine.catalog.len());
         for (draw, at) in times.into_iter().enumerate() {
             self.push_event(at, EventKind::Arrival { draw });
         }
@@ -340,8 +380,8 @@ impl Run<'_> {
     /// Processes one popped event.
     fn handle(&mut self, event: Event) {
         let now = event.at;
-        if now > self.s.stepped_to {
-            self.s.stepped_to = now;
+        if now > self.stepped_to {
+            self.stepped_to = now;
         }
         if let EventKind::Arrival { draw } = event.kind {
             self.arrive(now, draw);
@@ -353,55 +393,14 @@ impl Run<'_> {
 
     /// Drains the heap completely.
     fn step_all(&mut self) {
-        while let Some(Reverse(event)) = self.s.events.pop() {
+        while let Some(Reverse(event)) = self.events.pop() {
             self.handle(event);
         }
-    }
-
-    /// Processes every event at or before `horizon`, then marks the engine
-    /// as stepped to `horizon`.
-    fn step_until(&mut self, horizon: SimInstant) {
-        while self
-            .s
-            .events
-            .peek()
-            .is_some_and(|Reverse(e)| e.at <= horizon)
-        {
-            let Some(Reverse(event)) = self.s.events.pop() else {
-                break;
-            };
-            self.handle(event);
-        }
-        if horizon > self.s.stepped_to {
-            self.s.stepped_to = horizon;
-        }
-    }
-
-    /// Appends one externally-driven arrival at `at` and returns the id
-    /// the request will carry. Injections must be non-decreasing in time
-    /// (asserted), which — together with the heap's `(at, seq)` order —
-    /// makes processing order equal injection order, so the returned id is
-    /// exact.
-    fn inject(&mut self, at: SimInstant, model: usize, n_records: u64) -> RequestId {
-        assert!(
-            model < self.engine.catalog.len(),
-            "inject: model index out of catalog range"
-        );
-        assert!(
-            at >= self.s.stepped_to,
-            "inject: arrivals must not land in the already-stepped past"
-        );
-        self.s.stepped_to = at;
-        let draw = self.s.draws.len();
-        let id = draw as RequestId;
-        self.s.draws.push((model, n_records));
-        self.push_event(at, EventKind::Arrival { draw });
-        id
     }
 
     fn arrive(&mut self, now: SimInstant, draw: usize) {
         // analyze: allow(P001, reason="arrival events only carry draw indices seed_arrivals/inject generated below draws.len()")
-        let (model, n_records) = self.s.draws[draw];
+        let (model, n_records) = self.draws[draw];
         let id = draw as RequestId;
         let request = ServeRequest {
             id,
@@ -410,7 +409,7 @@ impl Run<'_> {
             n_records,
             arrival: now,
         };
-        self.s.journal.emit(
+        self.journal.emit(
             now,
             id,
             JournalKind::Arrival {
@@ -419,14 +418,12 @@ impl Run<'_> {
                 records: n_records,
             },
         );
-        self.s.series.record_arrival(now, request.class.name());
-        match self.s.queue.offer(request) {
-            Ok(()) => self.s.journal.emit(now, id, JournalKind::Admitted),
+        self.series.record_arrival(now, request.class.name());
+        match self.queue.offer(request) {
+            Ok(()) => self.journal.emit(now, id, JournalKind::Admitted),
             Err(victim) => self.shed(now, &victim, "shed reject", ShedReason::Rejected),
         }
-        self.s
-            .series
-            .record_queue_depth(now, self.s.queue.len() as u64);
+        self.series.record_queue_depth(now, self.queue.len() as u64);
     }
 
     /// Records one shed: a span on the victim's class lane, a journal
@@ -438,10 +435,9 @@ impl Run<'_> {
             .meta("request", victim.id)
             .meta("records", victim.n_records)
             .finish(now);
-        self.s
-            .journal
+        self.journal
             .emit(now, victim.id, JournalKind::Shed { reason });
-        self.s.series.record_shed(now, victim.class.name());
+        self.series.record_shed(now, victim.class.name());
     }
 
     /// The backend at roster index `i`.
@@ -450,25 +446,15 @@ impl Run<'_> {
         self.engine.backends[i].as_ref()
     }
 
-    /// The predicted one-time prepare charge arbitration folds in for
-    /// backend `i` on `model`: a warm lookup if the artifact is resident,
-    /// a full model pre-processing pass if not.
-    fn predict_prepare(&self, backend: usize, model: usize) -> SimDuration {
-        let key = artifact_key(self.backend(backend), self.engine.catalog.bundle(model));
-        if self.s.cache.would_hit(&key) {
-            self.engine.params.cache_lookup
-        } else {
-            self.engine
-                .params
-                .model_preprocess_time(self.engine.catalog.model_bytes(model))
-        }
+    /// The artifact backend `i` compiles `model` into.
+    fn artifact(&self, backend: usize, model: usize) -> ArtifactKey {
+        artifact_key(self.backend(backend), self.engine.catalog.bundle(model))
     }
 
     /// Whether backend `i`'s device has a free slot at `now`.
     fn eligible(&self, i: usize, now: SimInstant) -> bool {
-        self.s
-            .ledgers
-            .get(self.s.roster.device_of(i))
+        self.ledgers
+            .get(self.roster.device_of(i))
             .is_some_and(|l| l.has_free_slot(now))
     }
 
@@ -484,9 +470,12 @@ impl Run<'_> {
         choose_amortized_eligible(
             stats,
             n_records,
-            CacheStats::of(&self.s.cache).expected_reuse(),
+            CacheStats::of(&self.cache).expected_reuse(),
             &self.engine.backends,
-            &|i| self.predict_prepare(i, model),
+            &|i| {
+                let hit = self.cache.would_hit(&self.artifact(i, model));
+                self.engine.prepare(hit, model)
+            },
             &|i| self.eligible(i, now),
         )
     }
@@ -518,7 +507,6 @@ impl Run<'_> {
         loop {
             let mut seen = BTreeSet::new();
             let heads: Vec<usize> = self
-                .s
                 .queue
                 .iter()
                 .map(|r| r.model)
@@ -532,7 +520,7 @@ impl Run<'_> {
             }) else {
                 break;
             };
-            let batch = self.s.queue.take_batch(model, max_requests, max_records);
+            let batch = self.queue.take_batch(model, max_requests, max_records);
             let records = batch.iter().map(|r| r.n_records).sum();
             let stats = *self.engine.catalog.stats(model);
             match self.arbitrate(&stats, records, model, now) {
@@ -541,9 +529,7 @@ impl Run<'_> {
                     for victim in batch {
                         self.shed(now, &victim, "unservable", ShedReason::Unservable);
                     }
-                    self.s
-                        .series
-                        .record_queue_depth(now, self.s.queue.len() as u64);
+                    self.series.record_queue_depth(now, self.queue.len() as u64);
                 }
             }
         }
@@ -558,18 +544,8 @@ impl Run<'_> {
         let total_records: u64 = batch.iter().map(|r| r.n_records).sum();
 
         // Compile charge through the cache model.
-        let key = artifact_key(
-            self.backend(choice.index),
-            self.engine.catalog.bundle(model),
-        );
-        let hit = self.s.cache.probe(key);
-        let prepare = if hit {
-            self.engine.params.cache_lookup
-        } else {
-            self.engine
-                .params
-                .model_preprocess_time(self.engine.catalog.model_bytes(model))
-        };
+        let hit = self.cache.probe(self.artifact(choice.index, model));
+        let prepare = self.engine.prepare(hit, model);
 
         let breakdown = self.backend(choice.index).estimate(
             &stats,
@@ -579,22 +555,19 @@ impl Run<'_> {
         );
         let score_time = breakdown.total();
 
-        let device = self.s.roster.device_of(choice.index);
+        let device = self.roster.device_of(choice.index);
         // analyze: allow(P001, reason="ledgers are built one-to-one from roster devices, so device_of indices cannot miss")
-        let (start, end) = self.s.ledgers[device].reserve(now, prepare + score_time);
+        let (start, end) = self.ledgers[device].reserve(now, prepare + score_time);
         debug_assert_eq!(start, now, "arbitration only admits free devices");
-        self.s
-            .series
-            .record_queue_depth(now, self.s.queue.len() as u64);
+        self.series.record_queue_depth(now, self.queue.len() as u64);
 
-        let batch_seq = self.s.next_batch;
-        self.s.next_batch += 1;
+        let batch_seq = self.next_batch;
+        self.next_batch += 1;
 
         // Telemetry: per-request queue-wait on the class lanes (each
         // originating its request's causal flow), then the pass phases on
         // the device lane.
         let device_name = self
-            .s
             .roster
             .devices()
             .get(device)
@@ -669,13 +642,12 @@ impl Run<'_> {
         );
         let _ = cursor;
 
-        self.s
-            .series
+        self.series
             .record_busy(&device_name, start, prepare + score_time);
         for r in &batch {
             let latency = end - r.arrival;
             if batch.len() > 1 {
-                self.s.journal.emit(
+                self.journal.emit(
                     start,
                     r.id,
                     JournalKind::Coalesced {
@@ -684,7 +656,7 @@ impl Run<'_> {
                     },
                 );
             }
-            self.s.journal.emit(
+            self.journal.emit(
                 start,
                 r.id,
                 JournalKind::Dispatched {
@@ -693,7 +665,7 @@ impl Run<'_> {
                     device: device_name.clone(),
                 },
             );
-            self.s.journal.emit(
+            self.journal.emit(
                 end,
                 r.id,
                 JournalKind::Completed {
@@ -707,79 +679,9 @@ impl Run<'_> {
                 },
             );
             let violated = self.engine.config.misses_slo(r.class, latency);
-            self.s
-                .series
-                .record_completion(end, r.class.name(), violated);
+            self.series.record_completion(end, r.class.name(), violated);
         }
         self.push_event(end, EventKind::DeviceFree);
-    }
-}
-
-/// One externally-stepped serving engine: an owned [`ServeEngine`] plus
-/// the live event-loop state, advanced by its caller instead of a
-/// workload spec.
-///
-/// A session executes exactly the code `ServeEngine::run` does, event for
-/// event — feeding a spec's arrival stream through
-/// [`EngineSession::inject`] and calling [`EngineSession::finish`]
-/// reproduces the standalone report bit for bit.
-///
-/// # Example
-///
-/// ```
-/// use mlscore_sched::paper_backends;
-/// use mlscore_serve::{ModelCatalog, ServeConfig, ServeEngine};
-/// use mlscore_sim::SimInstant;
-/// use mlscore_telemetry::Tracer;
-///
-/// let engine = ServeEngine::new(
-///     paper_backends(),
-///     ModelCatalog::paper_mix(),
-///     ServeConfig::default(),
-/// );
-/// let tracer = Tracer::disabled();
-/// let mut session = engine.into_session(&tracer);
-/// session.inject(SimInstant::ZERO, 0, 100);
-/// let report = session.finish();
-/// assert!(report.is_conserved());
-/// assert_eq!(report.completed, 1);
-/// ```
-pub struct EngineSession {
-    engine: ServeEngine,
-    tracer: Tracer,
-    state: SessionState,
-}
-
-impl EngineSession {
-    fn view(&mut self) -> Run<'_> {
-        Run {
-            engine: &self.engine,
-            tracer: &self.tracer,
-            s: &mut self.state,
-        }
-    }
-
-    /// Appends one arrival at `at` (must be non-decreasing across
-    /// injections and not before any stepped horizon) and returns the
-    /// request id it will carry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` is out of catalog range or `at` lies in the
-    /// already-stepped past — both are caller bugs, not load.
-    pub fn inject(&mut self, at: SimInstant, model: usize, n_records: u64) -> RequestId {
-        self.view().inject(at, model, n_records)
-    }
-
-    /// Processes every pending event at or before `horizon`.
-    pub fn step_until(&mut self, horizon: SimInstant) {
-        self.view().step_until(horizon);
-    }
-
-    /// Runs every remaining event to completion and returns the report.
-    pub fn finish(mut self) -> ServingReport {
-        self.view().step_all();
-        self.state.into_report(&self.engine.config, &self.tracer)
     }
 }
 
@@ -1044,8 +946,8 @@ mod tests {
             interactive_slo: Some(SimDuration::from_millis(50.0)),
             analytical_slo: Some(SimDuration::from_secs(2.0)),
             coalesce: true,
-            cpu_seats: 52,
-            gpu_streams: 4,
+            cpu_seats: CPU_SEATS,
+            gpu_streams: GPU_STREAMS,
         };
         type Roster = fn() -> Vec<Box<dyn ScoringBackend>>;
         let inputs: [(Roster, ServeConfig, WorkloadSpec, bool); 2] = [
@@ -1058,8 +960,8 @@ mod tests {
             (fpga_only, overload, spec(150, 2_000.0), true),
         ];
         for (roster, config, w, overloaded) in inputs {
-            let mk = || ServeEngine::new(roster(), ModelCatalog::paper_mix(), config.clone());
-            let batch_report = mk().run(&w, &Tracer::disabled()).unwrap();
+            let engine = ServeEngine::new(roster(), ModelCatalog::paper_mix(), config);
+            let batch_report = engine.run(&w, &Tracer::disabled()).unwrap();
             if overloaded {
                 assert!(batch_report.shed() > 0, "the overload input must shed");
                 assert!(batch_report.coalesced_batches > 0, "...and coalesce");
@@ -1072,7 +974,7 @@ mod tests {
             let times = w.arrival_times().unwrap();
             let draws = w.draws(ModelCatalog::paper_mix().len());
             let tracer = Tracer::disabled();
-            let mut session = mk().into_session(&tracer);
+            let mut session = engine.session(&tracer);
             for (at, &(model, n_records)) in times.iter().zip(&draws) {
                 let _ = session.inject(*at, model, n_records);
             }
@@ -1115,7 +1017,7 @@ mod tests {
             ServeConfig::default(),
         );
         let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer);
+        let mut session = engine.session(&tracer);
         let step = SimDuration::from_millis(10.0);
         for i in 0..20u64 {
             let at = SimInstant::ZERO + step * i as f64;
@@ -1150,7 +1052,7 @@ mod tests {
             ServeConfig::default(),
         );
         let tracer = Tracer::disabled();
-        let mut session = engine.into_session(&tracer);
+        let mut session = engine.session(&tracer);
         session.step_until(SimInstant::from_secs(1.0));
         session.inject(SimInstant::ZERO, 0, 10);
     }

@@ -17,12 +17,16 @@
 //! - [`score_merged_stream`] — micro-batch coalescing of same-model
 //!   requests into one device pass, bit-exact on split.
 //! - [`DeviceRoster`] — the contention topology: exclusive FPGA, GPU
-//!   streams, CPU executor seats.
+//!   streams, CPU executor seats ([`CPU_SEATS`] and [`GPU_STREAMS`] by
+//!   default, the paper host's).
 //! - [`ServeEngine`] — the event loop tying it together: oracle
 //!   arbitration on the backends' cost models plus the amortized compile
 //!   charge of a simulated artifact cache, emitting telemetry spans, a
 //!   windowed series and one [`RequestJournal`] entry per lifecycle
 //!   transition.
+//! - [`EngineSession`] — one run's state, borrowed from its engine:
+//!   [`ServeEngine::run`] seeds a spec into one and finishes it, and an
+//!   external driver injects arrivals and steps it to horizons instead.
 //! - [`ServingReport`] — the journal's fold when the run ends:
 //!   throughput, latency percentiles, batch-size distribution, shed
 //!   counts and picks, beside the device utilization, cache counters,
@@ -62,7 +66,7 @@ pub mod slo;
 pub mod workload;
 
 pub use coalesce::score_merged_stream;
-pub use device::{DeviceRoster, DeviceSpec};
+pub use device::{DeviceRoster, DeviceSpec, CPU_SEATS, GPU_STREAMS};
 pub use engine::{EngineSession, ServeConfig, ServeEngine};
 pub use error::ServeError;
 pub use journal::{JournalEntry, JournalKind, RequestJournal, ShedReason};

@@ -1,7 +1,5 @@
 //! Requests and query classes.
 
-use serde::{Deserialize, Serialize};
-
 use mlscore_sim::SimInstant;
 
 /// Engine-assigned request identifier, dense and increasing in arrival
@@ -15,7 +13,7 @@ pub const ANALYTICAL_MIN_RECORDS: u64 = 10_000;
 /// The two service classes the admission queue distinguishes — the paper's
 /// Fig. 1 regimes: small interactive lookups with tight latency
 /// expectations, and large analytical scans that tolerate queueing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QueryClass {
     /// Small batch; latency-sensitive.
     Interactive,

@@ -41,7 +41,7 @@ fn serial_batch_run_reproduces_serial_replay() {
         rate_qps: 1.0,
     };
     let tracer = Tracer::disabled();
-    let mut session = engine.into_session(&tracer);
+    let mut session = engine.session(&tracer);
     let draws = spec.draws(ModelCatalog::paper_mix().len());
     for &(model, n_records) in &draws {
         let _ = session.inject(SimInstant::ZERO, model, n_records);
