@@ -108,23 +108,26 @@ grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::EngineSession::fin
 grep -q '"serve::engine::EngineSession::finish" -> "serve::engine::EngineSession::step_all"' \
     target/callgraph.a.dot
 
-echo "== perfbench smoke (analyzer benchmark, one short run per workload) =="
+echo "== perfbench smoke (analyzer benchmark, short runs per workload) =="
 # perfbench is a workspace of its own, so the workspace build, tests and
 # clippy above never compile it against the analyzer's public API. Run the
 # benchmark command from BENCHMARK.json briefly on every workload, untraced
 # and traced; each run must end in a correct verdict with no failed
 # repeats. The traced verdict composes the layers itself (FileScan::of,
 # run_lints_all, CallGraph::build, run_interproc), so it checks that the
-# public per-layer API still gives the whole-workspace verdict.
+# public per-layer API still gives the whole-workspace verdict. One more
+# untraced run at seed 7 checks a second generated workspace against the
+# generator's answer.
 for w in tokens callgraph waivers; do
-    for trace in 0 1; do
+    for run in 1:0 1:1 7:0; do
+        seed=${run%:*} trace=${run#*:}
         last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-            --workload "$w" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
-        echo "perfbench $w --trace $trace: $last"
+            --workload "$w" --seed "$seed" --seconds 1 --trace "$trace" | tail -n 1)
+        echo "perfbench $w --seed $seed --trace $trace: $last"
         case "$last" in
             *'"correct": true'*'"failed": 0,'*) ;;
             *)
-                echo "ci: perfbench $w --trace $trace did not report a correct run: $last" >&2
+                echo "ci: perfbench $w --seed $seed --trace $trace did not report a correct run: $last" >&2
                 exit 1
                 ;;
         esac

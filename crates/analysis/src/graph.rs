@@ -42,7 +42,7 @@
 //! freely, and must not capture call edges from production code that
 //! happens to share a name.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
@@ -190,8 +190,6 @@ pub(crate) const RESOLVE_CHUNK: usize = 128;
 pub struct CallGraph {
     /// All non-test functions, sorted by `qname`.
     pub fns: Vec<FnNode>,
-    /// `qname` -> index into `fns`.
-    pub by_qname: BTreeMap<String, usize>,
     /// Resolved edges `caller -> (callee, call line)`, per caller, each
     /// list sorted and deduplicated.
     pub edges: Vec<Vec<(usize, u32)>>,
@@ -200,7 +198,7 @@ pub struct CallGraph {
 /// The module path of a file within its crate: `crates/serve/src/engine.rs`
 /// -> `["engine"]`, `lib.rs` -> `[]`, `bin/repro.rs` -> `["bin", "repro"]`,
 /// `foo/mod.rs` -> `["foo"]`.
-fn module_path(rel_path: &str) -> Vec<String> {
+fn module_path(rel_path: &str) -> Vec<&str> {
     let Some(rest) = rel_path
         .strip_prefix("crates/")
         .and_then(|r| r.split_once('/'))
@@ -210,11 +208,8 @@ fn module_path(rel_path: &str) -> Vec<String> {
         return Vec::new();
     };
     let rest = rest.strip_suffix(".rs").unwrap_or(rest);
-    let mut segs: Vec<String> = rest.split('/').map(str::to_string).collect();
-    if segs
-        .last()
-        .is_some_and(|s| s == "lib" || s == "main" || s == "mod")
-    {
+    let mut segs: Vec<&str> = rest.split('/').collect();
+    if matches!(segs.last(), Some(&("lib" | "main" | "mod"))) {
         segs.pop();
     }
     segs
@@ -266,17 +261,16 @@ impl CallGraph {
             }
             fns.push(f);
         }
-        let by_qname = fns
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.qname.clone(), i))
-            .collect();
         let edges = resolve_edges(&fns, scans, workers);
-        CallGraph {
-            fns,
-            by_qname,
-            edges,
-        }
+        CallGraph { fns, edges }
+    }
+
+    /// The index in `fns` of the fn whose qualified name (with its `#n`
+    /// suffix, if any) is `qname`. A linear scan: `fns` is sorted by name
+    /// before the suffix is added, so `x#10` sorts before `x#2` and a
+    /// binary search would miss.
+    pub fn index_of(&self, qname: &str) -> Option<usize> {
+        self.fns.iter().position(|f| f.qname == qname)
     }
 
     /// Indices of fns whose qualified name ends with `suffix` (segment
@@ -596,20 +590,24 @@ pub(crate) fn file_fns(
     file_idx: usize,
 ) -> Vec<FnNode> {
     let krate = crate_of(path);
-    let mut prefix = vec![krate.to_string()];
-    prefix.extend(module_path(path));
+    let mut prefix = krate.to_string();
+    for seg in module_path(path) {
+        prefix.push_str("::");
+        prefix.push_str(seg);
+    }
     let mut out = Vec::new();
     collect_fns(&mut out, scan, items, &prefix, None, krate, path, file_idx);
     out
 }
 
-/// Recursively collects fn nodes from a parsed item tree.
+/// Recursively collects fn nodes from a parsed item tree. `prefix` is the
+/// `::`-joined crate and module path of the items.
 #[allow(clippy::too_many_arguments)]
 fn collect_fns(
     out: &mut Vec<FnNode>,
     scan: &FileScan<'_>,
     items: &[Item],
-    prefix: &[String],
+    prefix: &str,
     self_ty: Option<&str>,
     krate: &str,
     file: &str,
@@ -626,17 +624,21 @@ fn collect_fns(
                 has_self,
                 body,
             } => {
-                let mut segs: Vec<&str> = prefix.iter().map(String::as_str).collect();
+                let ty_len = self_ty.map_or(0, |ty| ty.len() + 2);
+                let mut qname = String::with_capacity(prefix.len() + ty_len + 2 + name.len());
+                qname.push_str(prefix);
                 if let Some(ty) = self_ty {
-                    segs.push(ty);
+                    qname.push_str("::");
+                    qname.push_str(ty);
                 }
-                segs.push(name);
+                qname.push_str("::");
+                qname.push_str(name);
                 let (calls, hazards) = match body {
                     Some((open, close)) => extract_body(scan, *open, *close),
                     None => (Vec::new(), Vec::new()),
                 };
                 out.push(FnNode {
-                    qname: segs.join("::"),
+                    qname,
                     name: name.clone(),
                     self_ty: self_ty.map(str::to_string),
                     krate: krate.to_string(),
@@ -657,8 +659,7 @@ fn collect_fns(
                 collect_fns(out, scan, items, prefix, Some(name), krate, file, file_idx);
             }
             ItemKind::Mod { name, items } => {
-                let mut nested = prefix.to_vec();
-                nested.push(name.clone());
+                let nested = format!("{prefix}::{name}");
                 collect_fns(out, scan, items, &nested, None, krate, file, file_idx);
             }
             ItemKind::Use { .. } | ItemKind::Other => {}
@@ -796,8 +797,8 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn caller() { helper(); }\nfn helper() {}\nimpl T { fn helper(&self) {} }\n",
         )]);
-        let caller = g.by_qname["a::caller"];
-        let helper = g.by_qname["a::helper"];
+        let caller = g.index_of("a::caller").unwrap();
+        let helper = g.index_of("a::helper").unwrap();
         assert_eq!(g.edges[caller], vec![(helper, 1)]);
     }
 
@@ -807,8 +808,8 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn caller(x: &T) { x.step(); }\nimpl T { fn step(&self) {} }\nfn step() {}\n",
         )]);
-        let caller = g.by_qname["a::caller"];
-        let method = g.by_qname["a::T::step"];
+        let caller = g.index_of("a::caller").unwrap();
+        let method = g.index_of("a::T::step").unwrap();
         assert_eq!(g.edges[caller], vec![(method, 1)]);
     }
 
@@ -819,14 +820,14 @@ mod tests {
             "fn caller() { T::mk(); m::free(); Vec::new(); }\n\
              impl T { fn mk() {} }\nfn free() {}\nfn new() {}\n",
         )]);
-        let caller = g.by_qname["a::m::caller"];
-        let mk = g.by_qname["a::m::T::mk"];
-        let free = g.by_qname["a::m::free"];
+        let caller = g.index_of("a::m::caller").unwrap();
+        let mk = g.index_of("a::m::T::mk").unwrap();
+        let free = g.index_of("a::m::free").unwrap();
         let targets: Vec<usize> = g.edges[caller].iter().map(|&(c, _)| c).collect();
         assert!(targets.contains(&mk));
         assert!(targets.contains(&free));
         // `Vec::new()` must NOT link to the unrelated workspace fn `new`.
-        assert!(!targets.contains(&g.by_qname["a::m::new"]));
+        assert!(!targets.contains(&g.index_of("a::m::new").unwrap()));
     }
 
     #[test]
@@ -860,11 +861,11 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn stranded() { leaf(); }\n",
         )]);
-        let root = g.by_qname["a::root"];
-        let leaf = g.by_qname["a::leaf"];
+        let root = g.index_of("a::root").unwrap();
+        let leaf = g.index_of("a::leaf").unwrap();
         let mut reach = g.reach(&[root]);
         assert!(reach.contains(leaf));
-        assert!(!reach.contains(g.by_qname["a::stranded"]));
+        assert!(!reach.contains(g.index_of("a::stranded").unwrap()));
         assert_eq!(reach.chain(&g, leaf), "a::root -> a::mid -> a::leaf");
         assert_eq!(reach.root_of(leaf), root);
     }
@@ -887,8 +888,8 @@ mod tests {
             "crates/a/src/lib.rs",
             "// analyze: hot\nfn walk() {\n  helper();\n}\nfn cold() { helper(); }\nfn helper() {}\n",
         )]);
-        let walk = g.by_qname["a::walk"];
-        let cold = g.by_qname["a::cold"];
+        let walk = g.index_of("a::walk").unwrap();
+        let cold = g.index_of("a::cold").unwrap();
         assert!(g.fns[walk].calls[0].in_hot);
         assert!(!g.fns[cold].calls[0].in_hot);
     }
@@ -948,10 +949,10 @@ mod tests {
             "exec::Tree::score",
             "exec::kernel",
         ];
-        let by_qname: Vec<(&str, usize)> =
-            g.by_qname.iter().map(|(q, &i)| (q.as_str(), i)).collect();
-        let want: Vec<(&str, usize)> = names.iter().copied().zip(0..).collect();
-        assert_eq!(by_qname, want);
+        for (i, qname) in names.iter().enumerate() {
+            assert_eq!(g.index_of(qname), Some(i), "{qname}");
+        }
+        assert_eq!(g.index_of("app::x::f#4"), None);
         let qnames: Vec<&str> = g.fns.iter().map(|f| f.qname.as_str()).collect();
         assert_eq!(qnames, names);
         // The three `app::x::f` collide; `#2` and `#3` follow file order.
@@ -992,8 +993,8 @@ mod tests {
         // `d` off both `b` and `c`, at equal depth: the lower index wins
         // each time. The `d -> e -> d` and `e -> root` back edges add
         // nothing.
-        let run = g.by_qname["app::Engine::run"];
-        let root = g.by_qname["app::root"];
+        let run = g.index_of("app::Engine::run").unwrap();
+        let root = g.index_of("app::root").unwrap();
         let chains = chains_of(&g, &[root, run, root]);
         let want: Vec<(usize, String)> = [
             (0, "app::Engine::run -> app::Engine::b"),

@@ -46,11 +46,12 @@ pub const EXPORT_ROOTS: &[&str] = &["to_json", "to_jsonl", "render_json", "to_do
 
 /// One analyzed file: its path and single-lex scan — the unit the
 /// workspace tier shares between the token lints and the graph. The scan
-/// borrows the file's source text.
+/// keeps only the file's significant tokens, which borrow its source text.
 pub struct FileUnit<'a> {
     /// Workspace-relative path.
     pub path: String,
-    /// The file's single-pass scan (token buffer lexed exactly once).
+    /// The file's single-pass scan: lexed exactly once, in the loop that
+    /// fills its tables.
     pub scan: FileScan<'a>,
 }
 

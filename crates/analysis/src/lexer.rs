@@ -8,8 +8,12 @@
 //! escapes scanning.
 //!
 //! The lexer is also *zero-copy*: a [`Token`]'s `text` is a slice of the
-//! source it was lexed from, so lexing allocates only the token vector,
-//! never per token, and the tokens live no longer than the source.
+//! source it was lexed from, and the tokens live no longer than the
+//! source. [`Lexer`] is an iterator that allocates nothing: it yields one
+//! token per `next`, dispatching on a 256-entry byte-class table. [`lex`]
+//! collects every token into a vector; [`crate::scan::FileScan::of`]
+//! drives the iterator itself and stores only the significant tokens, so
+//! whitespace and comments are never written to memory there.
 //!
 //! Comments and string/char literals are single tokens, so lint passes that
 //! match identifiers can never fire on prose, doc examples, or string
@@ -68,21 +72,13 @@ impl fmt::Display for Token<'_> {
     }
 }
 
-/// Lexes `source` into a lossless token stream.
+/// Lexes `source` into a lossless token stream: every token of
+/// [`Lexer`], collected.
 ///
 /// Never fails: malformed input degrades to `Unknown` single-char tokens,
 /// and unterminated literals/comments extend to end of input.
 pub fn lex(source: &str) -> Vec<Token<'_>> {
-    Lexer {
-        src: source,
-        bytes: source.as_bytes(),
-        pos: 0,
-        line: 1,
-        // Dense generated code measures about three bytes a token and
-        // this repository about four: half the length seldom has to grow.
-        out: Vec::with_capacity(source.len() / 2 + 1),
-    }
-    .run()
+    Lexer::new(source).collect()
 }
 
 /// Concatenates the tokens' text; equal to the lexed source by
@@ -91,35 +87,112 @@ pub fn render(tokens: &[Token<'_>]) -> String {
     tokens.iter().map(|t| t.text).collect()
 }
 
-struct Lexer<'a> {
+/// The lossless token stream of one source, one token per `next`.
+/// [`lex`] collects it; [`crate::scan::FileScan::of`] drives it and keeps
+/// only the tokens it needs.
+pub struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    out: Vec<Token<'a>>,
+}
+
+/// What the byte that starts a token says about the token.
+#[derive(Clone, Copy)]
+enum Class {
+    /// ` `, `\t`, `\n` or `\r`.
+    Space,
+    /// `_` or an ASCII letter other than `r` and `b`.
+    Ident,
+    /// `r` or `b`: a raw or byte literal's prefix, else an identifier.
+    Prefix,
+    /// An ASCII digit.
+    Digit,
+    /// `/`: a comment or a punct.
+    Slash,
+    /// `"`.
+    Quote,
+    /// `'`: a char literal or a lifetime.
+    Apostrophe,
+    /// Any other ASCII punctuation.
+    Punct,
+    /// Any other ASCII byte (control characters).
+    Other,
+    /// A byte of 0x80 or above; at a token start, a UTF-8 lead byte.
+    Utf8,
+}
+
+/// The [`Class`] of every byte.
+const CLASS: [Class; 256] = {
+    let mut table = [Class::Other; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        table[i] = match b {
+            b' ' | b'\t' | b'\n' | b'\r' => Class::Space,
+            b'r' | b'b' => Class::Prefix,
+            b'_' | b'a'..=b'z' | b'A'..=b'Z' => Class::Ident,
+            b'0'..=b'9' => Class::Digit,
+            b'/' => Class::Slash,
+            b'"' => Class::Quote,
+            b'\'' => Class::Apostrophe,
+            0x80.. => Class::Utf8,
+            _ if b.is_ascii_punctuation() => Class::Punct,
+            _ => Class::Other,
+        };
+        i += 1;
+    }
+    table
+};
+
+/// True for the bytes that continue an identifier: `_` and ASCII
+/// alphanumerics.
+const IDENT_CONTINUE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = i == b'_' as usize || (i as u8).is_ascii_alphanumeric();
+        i += 1;
+    }
+    table
+};
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Token<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Token<'a>> {
+        let start = self.pos;
+        if start >= self.bytes.len() {
+            return None;
+        }
+        let line = self.line;
+        let kind = self.next_kind();
+        let text = &self.src[start..self.pos];
+        debug_assert!(self.pos > start, "lexer must always make progress");
+        // Whitespace counts its own newlines; of the other kinds only
+        // these can hold one.
+        if matches!(kind, TokenKind::BlockComment | TokenKind::Literal) {
+            self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
+        }
+        Some(Token {
+            kind,
+            text,
+            line,
+            offset: start,
+        })
+    }
 }
 
 impl<'a> Lexer<'a> {
-    fn run(mut self) -> Vec<Token<'a>> {
-        while self.pos < self.bytes.len() {
-            let start = self.pos;
-            let line = self.line;
-            let kind = self.next_kind();
-            let text = &self.src[start..self.pos];
-            debug_assert!(self.pos > start, "lexer must always make progress");
-            // Whitespace counts its own newlines; of the other kinds only
-            // these can hold one.
-            if matches!(kind, TokenKind::BlockComment | TokenKind::Literal) {
-                self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
-            }
-            self.out.push(Token {
-                kind,
-                text,
-                line,
-                offset: start,
-            });
+    /// A lexer at the start of `source`, on line 1.
+    pub fn new(source: &'a str) -> Self {
+        Lexer {
+            src: source,
+            bytes: source.as_bytes(),
+            pos: 0,
+            line: 1,
         }
-        self.out
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
@@ -127,15 +200,17 @@ impl<'a> Lexer<'a> {
     }
 
     /// Advances past the run of bytes from `pos` that satisfy `keep`.
+    #[inline]
     fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
         let rest = &self.bytes[self.pos..];
         self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
     }
 
+    #[inline]
     fn next_kind(&mut self) -> TokenKind {
         let b = self.bytes[self.pos];
-        match b {
-            b' ' | b'\t' | b'\n' | b'\r' => {
+        match CLASS[usize::from(b)] {
+            Class::Space => {
                 while let Some(&b) = self.bytes.get(self.pos) {
                     match b {
                         b'\n' => self.line += 1,
@@ -146,56 +221,67 @@ impl<'a> Lexer<'a> {
                 }
                 TokenKind::Whitespace
             }
-            b'/' if self.peek(1) == Some(b'/') => {
-                self.skip_while(|b| b != b'\n');
-                TokenKind::LineComment
-            }
-            b'/' if self.peek(1) == Some(b'*') => {
-                self.pos += 2;
-                let mut depth = 1usize;
-                while depth > 0 {
-                    match (self.peek(0), self.peek(1)) {
-                        (Some(b'/'), Some(b'*')) => {
-                            depth += 1;
-                            self.pos += 2;
-                        }
-                        (Some(b'*'), Some(b'/')) => {
-                            depth -= 1;
-                            self.pos += 2;
-                        }
-                        (Some(_), _) => self.pos += 1,
-                        (None, _) => break,
-                    }
-                }
-                TokenKind::BlockComment
-            }
-            b'"' => self.string_literal(),
-            b'\'' => self.char_or_lifetime(),
-            b'r' | b'b' if self.is_literal_prefix() => self.prefixed_literal(),
-            _ if is_ident_start(b) => {
-                self.skip_while(is_ident_continue);
+            Class::Prefix if self.is_literal_prefix() => self.prefixed_literal(),
+            Class::Ident | Class::Prefix => {
+                self.pos += 1;
+                self.skip_while(|b| IDENT_CONTINUE[usize::from(b)]);
                 TokenKind::Ident
             }
-            b'0'..=b'9' => self.number(),
-            _ if b.is_ascii() => {
-                self.pos += 1;
-                if b.is_ascii_punctuation() {
-                    TokenKind::Punct
-                } else {
-                    TokenKind::Unknown
+            Class::Digit => self.number(),
+            Class::Slash => match self.peek(1) {
+                Some(b'/') => {
+                    self.skip_while(|b| b != b'\n');
+                    TokenKind::LineComment
                 }
+                Some(b'*') => self.block_comment(),
+                _ => {
+                    self.pos += 1;
+                    TokenKind::Punct
+                }
+            },
+            Class::Quote => self.string_literal(),
+            Class::Apostrophe => self.char_or_lifetime(),
+            Class::Punct => {
+                self.pos += 1;
+                TokenKind::Punct
             }
-            _ => {
-                // Skip one whole UTF-8 scalar (input is &str, boundaries
-                // are valid).
-                let c_len = self.src[self.pos..]
-                    .chars()
-                    .next()
-                    .map_or(1, char::len_utf8);
-                self.pos += c_len;
+            Class::Other => {
+                self.pos += 1;
+                TokenKind::Unknown
+            }
+            Class::Utf8 => {
+                // One whole UTF-8 scalar: its lead byte gives its length
+                // (the input is a `&str`, so `pos` is on a boundary).
+                self.pos += match b {
+                    0xF0.. => 4,
+                    0xE0.. => 3,
+                    _ => 2,
+                };
                 TokenKind::Unknown
             }
         }
+    }
+
+    /// `/* ... */` from its opening `/*`, nesting respected; unterminated,
+    /// it runs to the end of input.
+    fn block_comment(&mut self) -> TokenKind {
+        self.pos += 2;
+        let mut depth = 1usize;
+        while depth > 0 {
+            match (self.peek(0), self.peek(1)) {
+                (Some(b'/'), Some(b'*')) => {
+                    depth += 1;
+                    self.pos += 2;
+                }
+                (Some(b'*'), Some(b'/')) => {
+                    depth -= 1;
+                    self.pos += 2;
+                }
+                (Some(_), _) => self.pos += 1,
+                (None, _) => break,
+            }
+        }
+        TokenKind::BlockComment
     }
 
     /// True when the byte at `pos` starts `r"`, `r#"`, `r#ident`, `b"`,
@@ -316,10 +402,13 @@ impl<'a> Lexer<'a> {
     fn char_or_lifetime(&mut self) -> TokenKind {
         debug_assert_eq!(self.peek(0), Some(b'\''));
         // `'a'` / `'\n'` are char literals; `'a` / `'static` are lifetimes.
-        if self.peek(1).is_some_and(is_ident_start) {
+        if self
+            .peek(1)
+            .is_some_and(|b| matches!(CLASS[usize::from(b)], Class::Ident | Class::Prefix))
+        {
             // Scan the identifier run; a trailing quote makes it a char.
             let mut i = 1;
-            while self.peek(i).is_some_and(is_ident_continue) {
+            while self.peek(i).is_some_and(|b| IDENT_CONTINUE[usize::from(b)]) {
                 i += 1;
             }
             if self.peek(i) == Some(b'\'') && i == 2 {
@@ -368,16 +457,13 @@ impl<'a> Lexer<'a> {
     }
 }
 
-fn is_ident_start(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphabetic()
-}
-
-fn is_ident_continue(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphanumeric()
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokenKind, String)> {
@@ -488,6 +574,42 @@ fn f<'a>(x: &'a [u8]) -> u64 {
     fn unterminated_inputs_do_not_loop_or_drop_bytes() {
         for src in ["\"open", "/* open", "r#\"open", "'", "b'"] {
             assert_eq!(render(&lex(src)), src, "lossless on {src:?}");
+        }
+    }
+
+    /// Characters that steer the lexer.
+    const CHARS: &str = " \t\n\r/*\"'#\\rbxeE_aZ09.+-{}()[]!;é日😀\u{b}\u{c}\u{7f}\0";
+
+    /// Seams that open or close a literal, a comment or an escape.
+    const SEAMS: &[&str] = &[
+        "\r\n", "r#\"", "\"#", "br#", "b'", "/*", "*/", "//", "'a", "'\\u{", "0x", "1e",
+    ];
+
+    /// An arbitrary string: each piece is one of [`CHARS`] or, one time
+    /// in four each, one of [`SEAMS`] or an arbitrary Unicode scalar.
+    fn arbitrary_source() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0u32..4, any::<u32>()), 0usize..96).prop_map(|picks| {
+            let chars: Vec<char> = CHARS.chars().collect();
+            let mut src = String::new();
+            for (pick, x) in picks {
+                match pick {
+                    0 => src.push(char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}')),
+                    1 => src.push_str(SEAMS[x as usize % SEAMS.len()]),
+                    _ => src.push(chars[x as usize % chars.len()]),
+                }
+            }
+            src
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The class-table lexer yields the token stream of the guarded
+        /// `match` it replaced: kind, text, line and offset of every token.
+        #[test]
+        fn class_table_lexer_matches_the_guarded_match(src in arbitrary_source()) {
+            prop_assert_eq!(lex(&src), reference::lex(&src), "on {:?}", src);
         }
     }
 }

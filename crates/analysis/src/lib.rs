@@ -207,11 +207,12 @@ fn sort_findings(findings: &mut [Finding]) {
 /// workspace.
 ///
 /// Each file is lexed exactly once, and its patterns are matched once: the
-/// scan's token buffer, whose tokens borrow `files`, feeds the item
-/// parser, and its site table feeds the token lints, the call graph and
-/// A001. Everything up to the call graph is a function of one file and
-/// runs on every core the host offers, a file at a time per worker, as
-/// one task per file: scan (tokens, the punct and bracket-partner tables,
+/// scan's significant tokens, which borrow `files`, feed the item parser,
+/// and its site table feeds the token lints, the call graph and A001.
+/// Everything up to the call graph is a function of one file and runs on
+/// every core the host offers, a file at a time per worker, as one task
+/// per file: scan (one loop that lexes and fills the significant-token,
+/// punct and bracket-partner tables and notes the directive comments; then
 /// directives, test regions, sites), item parse, token-lint pass and
 /// fn-node extraction, back to back while the file's tables are still in
 /// cache. The results merge back in file order, so the graph merge (its
@@ -743,7 +744,7 @@ mod tests {
         let every: std::collections::BTreeSet<&str> = LINTS.iter().map(|l| l.code).collect();
         assert_eq!(fired, every);
         assert!(serial.suppressed.iter().any(|f| f.lint == "D004"));
-        assert!(serial.graph.by_qname.contains_key("exec::twin::twin#2"));
+        assert!(serial.graph.index_of("exec::twin::twin#2").is_some());
         // Edge resolution splits the callers into several tasks.
         assert!(serial.graph.fns.len() > 2 * graph::RESOLVE_CHUNK);
         for workers in [2, files.len() + 3] {

@@ -3,22 +3,24 @@
 //! `#[cfg(test)]` / `#[test]` region detection, and the per-file site
 //! table (the crate's `sites` module) every pattern-matching pass reads.
 //!
-//! [`FileScan::of`] walks the token buffer once and builds three tables
-//! over the significant tokens: `sig` itself, a punct byte per
-//! significant token (0 for anything that is not a punct), and a
-//! bracket-partner index that maps every `(`, `[` and `{` to its matching
-//! close. The partners come from one stack per bracket kind, so each kind
-//! nests on its own exactly as a per-kind depth count would, unbalanced
-//! input included. [`FileScan::punct`] is then one byte compare and
-//! [`FileScan::match_group`] one lookup: no caller walks a group to find
-//! its end.
+//! [`FileScan::of`] is one loop from bytes to tables: it drives the
+//! [`Lexer`] itself and, token by token, drops whitespace and comments
+//! (noting each `// analyze:` line comment as it streams by) and pushes
+//! every other token into the significant-token vector, together with its
+//! punct byte (0 for anything that is not a punct) and its bracket-partner
+//! entry, which maps every `(`, `[` and `{` to its matching close. No token
+//! that is not significant is stored. The partners come from one stack
+//! per bracket kind, so each kind nests on its own exactly as a per-kind
+//! depth count would, unbalanced input included. [`FileScan::punct`] is
+//! then one byte compare and [`FileScan::match_group`] one lookup: no
+//! caller walks a group to find its end.
 //!
 //! Directive lookups are indexed rather than rescanned: significant-token
 //! lines never decrease, so "the first significant token after line L" is
-//! one binary search over `sig`, and suppression lookups binary-search a
-//! covered-line index built once per file.
+//! one binary search over the significant tokens, and suppression lookups
+//! binary-search a covered-line index built once per file.
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 use crate::sites::{self, Site};
 use crate::LINTS;
 
@@ -58,11 +60,6 @@ pub type LineRange = (u32, u32);
 /// binary searches, not walks of the token list.
 #[derive(Debug)]
 pub struct FileScan<'a> {
-    /// The full lossless token stream.
-    pub tokens: Vec<Token<'a>>,
-    /// Indices into `tokens` of significant tokens (no whitespace, no
-    /// comments) — what the lint patterns match over.
-    pub sig: Vec<usize>,
     /// Parsed, well-formed suppressions.
     pub suppressions: Vec<Suppression>,
     /// Malformed directives (become `A000` findings).
@@ -76,6 +73,9 @@ pub struct FileScan<'a> {
     /// `(covered line, index into suppressions)` for every line each
     /// suppression covers, sorted by line and then suppression order.
     covered: Vec<(u32, usize)>,
+    /// The significant tokens (no whitespace, no comments), in source
+    /// order: what the lint patterns match over.
+    toks: Vec<Token<'a>>,
     /// Per significant token: its byte when it is a punct, else 0.
     puncts: Vec<u8>,
     /// Per significant token: for a `(`, `[` or `{`, the significant index
@@ -93,21 +93,30 @@ const BRACKETS: [(u8, u8); 3] = [(b'(', b')'), (b'[', b']'), (b'{', b'}')];
 impl<'a> FileScan<'a> {
     /// Lexes and scans one file, classifying its sites.
     pub fn of(source: &'a str) -> Self {
-        let tokens = lex(source);
-        let mut sig = Vec::with_capacity(tokens.len());
-        let mut puncts = Vec::with_capacity(tokens.len());
-        let mut partner = Vec::with_capacity(tokens.len());
+        // Dense generated code measures over four bytes a significant
+        // token and this repository over six: a third of the length
+        // seldom has to grow.
+        let cap = source.len() / 3 + 1;
+        let mut toks = Vec::with_capacity(cap);
+        let mut puncts = Vec::with_capacity(cap);
+        let mut partner = Vec::with_capacity(cap);
         // One stack of open significant indices per bracket kind.
         let mut open: [Vec<usize>; 3] = Default::default();
-        for (i, t) in tokens.iter().enumerate() {
+        // `(line, offset, directive text)` of every `// analyze:` comment.
+        let mut directives = Vec::new();
+        for t in Lexer::new(source) {
             let byte = match t.kind {
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment => {
-                    continue
+                TokenKind::Whitespace | TokenKind::BlockComment => continue,
+                TokenKind::LineComment => {
+                    if let Some(d) = directive(t.text) {
+                        directives.push((t.line, t.offset, d));
+                    }
+                    continue;
                 }
                 TokenKind::Punct => t.text.as_bytes()[0],
                 _ => 0,
             };
-            let k = sig.len();
+            let k = toks.len();
             for (stack, &(o, c)) in open.iter_mut().zip(&BRACKETS) {
                 if byte == o {
                     stack.push(k);
@@ -117,14 +126,13 @@ impl<'a> FileScan<'a> {
                     }
                 }
             }
-            sig.push(i);
+            toks.push(t);
             puncts.push(byte);
             partner.push(NO_PARTNER);
         }
 
         let mut scan = FileScan {
-            tokens,
-            sig,
+            toks,
             puncts,
             partner,
             suppressions: Vec::new(),
@@ -134,7 +142,7 @@ impl<'a> FileScan<'a> {
             sites: Vec::new(),
             covered: Vec::new(),
         };
-        scan.collect_directives();
+        scan.collect_directives(directives);
         scan.collect_test_ranges();
         scan.sites = sites::classify(&scan);
         scan
@@ -142,17 +150,17 @@ impl<'a> FileScan<'a> {
 
     /// The significant token at significant-index `i`.
     pub fn tok(&self, i: usize) -> &Token<'a> {
-        &self.tokens[self.sig[i]]
+        &self.toks[i]
     }
 
     /// Number of significant tokens.
     pub fn len(&self) -> usize {
-        self.sig.len()
+        self.toks.len()
     }
 
     /// True when the file has no significant tokens.
     pub fn is_empty(&self) -> bool {
-        self.sig.is_empty()
+        self.toks.is_empty()
     }
 
     /// True when the significant token at `i` is a punct with this exact
@@ -203,7 +211,7 @@ impl<'a> FileScan<'a> {
     /// strictly after `line` (`len()` when there is none). Significant
     /// tokens' lines never decrease, so this is one binary search.
     fn first_sig_after(&self, line: u32) -> usize {
-        self.sig.partition_point(|&i| self.tokens[i].line <= line)
+        self.toks.partition_point(|t| t.line <= line)
     }
 
     /// Starting from the significant token at `from`, finds the matching
@@ -227,20 +235,10 @@ impl<'a> FileScan<'a> {
         Some(from + self.puncts.get(from..)?.iter().position(|&b| b == byte)?)
     }
 
-    fn collect_directives(&mut self) {
-        // Borrow-friendly: gather (line, offset, directive text) first.
-        let comments: Vec<(u32, usize, &'a str)> = self
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::LineComment)
-            .filter_map(|t| {
-                let body = t.text.trim_start_matches('/').trim();
-                body.strip_prefix("analyze:")
-                    .map(|d| (t.line, t.offset, d.trim()))
-            })
-            .collect();
-
-        for (line, offset, directive) in comments {
+    /// Parses the `(line, offset, directive text)` of every `// analyze:`
+    /// comment into suppressions, hot ranges and bad directives.
+    fn collect_directives(&mut self, directives: Vec<(u32, usize, &str)>) {
+        for (line, offset, directive) in directives {
             if directive == "hot" {
                 if let Some(range) = self.brace_region_after(line) {
                     self.hot_ranges.push(range);
@@ -266,7 +264,7 @@ impl<'a> FileScan<'a> {
                     }
                     let mut covers = vec![line];
                     let next = self.first_sig_after(line);
-                    covers.extend(self.sig.get(next).map(|&i| self.tokens[i].line));
+                    covers.extend(self.toks.get(next).map(|t| t.line));
                     self.suppressions.push(Suppression {
                         lint,
                         reason,
@@ -360,6 +358,13 @@ impl<'a> FileScan<'a> {
         }
         test && (idents == 1 || cfg)
     }
+}
+
+/// The directive text of a line comment that reads `// analyze: ...`
+/// (any number of leading slashes), trimmed.
+fn directive(comment: &str) -> Option<&str> {
+    let body = comment.trim_start_matches('/').trim();
+    body.strip_prefix("analyze:").map(str::trim)
 }
 
 /// Parses `allow(LINT, reason=...)`; returns `(lint, reason)`.

@@ -3,10 +3,16 @@
 //! `FileScan` answers "the next significant line after L" with a binary
 //! search over `sig`, and `suppression_reason` with a binary search over a
 //! covered-line index. This test rebuilds every answer the slow way — one
-//! linear walk of the public `tokens`/`sig` fields per directive — over
+//! linear walk of the significant tokens (`tok`) per directive, with the
+//! directive comments read from `lex` — over
 //! files built from the lexer fragments with `allow(...)`, `hot` and
 //! `#[cfg(test)]` lines sprinkled in, and asserts both agree on every
 //! lint and every line.
+//!
+//! `FileScan::of` lexes and keeps only the significant tokens in one
+//! loop. A property checks that what it keeps is exactly `lex` with
+//! whitespace and comments filtered out — kind, text, line and offset —
+//! over soups of the lexer fragments, CRLF line ends and directives.
 //!
 //! `punct` reads a per-token byte table and `match_group` a bracket-partner
 //! index. A second property checks both, for every bracket pair and every
@@ -15,7 +21,7 @@
 
 use proptest::prelude::*;
 
-use mlscore_analysis::lexer::TokenKind;
+use mlscore_analysis::lexer::{lex, Token, TokenKind};
 use mlscore_analysis::scan::FileScan;
 use mlscore_analysis::LINTS;
 
@@ -105,7 +111,8 @@ struct RefSuppression {
     covers: Vec<u32>,
 }
 
-/// Every directive lookup answered by linear scans of `tokens`/`sig`.
+/// Every directive lookup answered by linear scans of the significant
+/// tokens.
 #[derive(Debug, Default, PartialEq)]
 struct Reference {
     suppressions: Vec<RefSuppression>,
@@ -115,33 +122,32 @@ struct Reference {
 }
 
 fn sig_line(scan: &FileScan<'_>, k: usize) -> u32 {
-    scan.tokens[scan.sig[k]].line
+    scan.tok(k).line
 }
 
 fn sig_punct(scan: &FileScan<'_>, k: usize, text: &str) -> bool {
-    let t = &scan.tokens[scan.sig[k]];
+    let t = scan.tok(k);
     t.kind == TokenKind::Punct && t.text == text
 }
 
 /// The first significant index on a line after `line`, walking from the
 /// start of the file.
 fn first_after(scan: &FileScan<'_>, line: u32) -> Option<usize> {
-    (0..scan.sig.len()).find(|&k| sig_line(scan, k) > line)
+    (0..scan.len()).find(|&k| sig_line(scan, k) > line)
 }
 
 /// The brace region opened by the first `{` after `line`, matched by a
 /// linear depth count.
 fn brace_region(scan: &FileScan<'_>, line: u32) -> Option<(u32, u32)> {
-    let open = (first_after(scan, line)?..scan.sig.len()).find(|&k| sig_punct(scan, k, "{"))?;
+    let open = (first_after(scan, line)?..scan.len()).find(|&k| sig_punct(scan, k, "{"))?;
     let close = match_group_by_walk(scan, open, "{", "}")?;
     Some((sig_line(scan, open), sig_line(scan, close)))
 }
 
-fn reference(scan: &FileScan<'_>) -> Result<Reference, String> {
+fn reference(src: &str, scan: &FileScan<'_>) -> Result<Reference, String> {
     let mut r = Reference::default();
-    for t in scan
-        .tokens
-        .iter()
+    for t in lex(src)
+        .into_iter()
         .filter(|t| t.kind == TokenKind::LineComment)
     {
         let Some(body) = t
@@ -184,7 +190,7 @@ fn reference(scan: &FileScan<'_>) -> Result<Reference, String> {
 /// directive field and on `suppression_reason` for every lint × line.
 fn check(src: &str) -> Result<(), String> {
     let scan = FileScan::of(src);
-    let want = reference(&scan)?;
+    let want = reference(src, &scan)?;
     let got = Reference {
         suppressions: scan
             .suppressions
@@ -206,7 +212,7 @@ fn check(src: &str) -> Result<(), String> {
     if got != want {
         return Err(format!("scan {got:#?}\nreference {want:#?}\nin {src:?}"));
     }
-    let last = scan.tokens.last().map_or(1, |t| t.line + 1);
+    let last = lex(src).last().map_or(1, |t| t.line + 1);
     for lint in LINTS {
         for line in 0..=last {
             let reference = want
@@ -286,6 +292,61 @@ fn hot_marker_without_a_following_brace_is_a_bad_directive() {
     assert_eq!(scan.bad_directives[0].line, 2);
 }
 
+/// Asserts that the significant tokens of `FileScan::of(src)` are the
+/// tokens of `lex(src)` that are neither whitespace nor comments.
+fn check_significant(src: &str) -> Result<(), String> {
+    let scan = FileScan::of(src);
+    let want: Vec<Token<'_>> = lex(src)
+        .into_iter()
+        .filter(|t| {
+            !matches!(
+                t.kind,
+                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+            )
+        })
+        .collect();
+    let got: Vec<Token<'_>> = (0..scan.len()).map(|k| *scan.tok(k)).collect();
+    if got != want {
+        return Err(format!("scan {got:#?}\nlex {want:#?}\nin {src:?}"));
+    }
+    Ok(())
+}
+
+/// Pieces beyond the lexer fragments for the significant-token property:
+/// CRLF line ends, raw strings with more hashes, a lifetime beside a char
+/// and a directive on a CRLF line.
+const SEAMS: &[&str] = &[
+    "\r\n",
+    "x\r\ny",
+    "br##\"a\"# b\"##",
+    "r##\"open\"#",
+    "'a'b 'c",
+    "/* a /* b */",
+    "\r\n// analyze: allow(D001, reason=\"crlf\")\r\n",
+    "日本",
+];
+
+fn seam_piece() -> impl Strategy<Value = String> {
+    prop_oneof![
+        piece().prop_map(|p| render(&[p])),
+        (0usize..SEAMS.len()).prop_map(|i| SEAMS[i].to_string()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn significant_tokens_are_lex_without_whitespace_and_comments(
+        pieces in proptest::collection::vec(seam_piece(), 0usize..48)
+    ) {
+        let src: String = pieces.concat();
+        if let Err(e) = check_significant(&src) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
 /// Punct texts whose `punct` answer the table test checks at every index.
 const PUNCTS: &[&str] = &[
     "(", ")", "[", "]", "{", "}", "#", ";", ":", ".", "!", "<", "\0", "::",
@@ -298,9 +359,9 @@ const PAIRS: [(&str, &str); 3] = [("(", ")"), ("[", "]"), ("{", "}")];
 /// linear depth count of `open`/`close` alone: the walk the partner index
 /// replaced.
 fn match_group_by_walk(scan: &FileScan<'_>, from: usize, open: &str, close: &str) -> Option<usize> {
-    let start = (from..scan.sig.len()).find(|&k| sig_punct(scan, k, open))?;
+    let start = (from..scan.len()).find(|&k| sig_punct(scan, k, open))?;
     let mut depth = 0usize;
-    for k in start..scan.sig.len() {
+    for k in start..scan.len() {
         if sig_punct(scan, k, open) {
             depth += 1;
         } else if sig_punct(scan, k, close) {
@@ -317,9 +378,9 @@ fn match_group_by_walk(scan: &FileScan<'_>, from: usize, open: &str, close: &str
 /// reference at every significant index (and one past the end).
 fn check_tables(src: &str) -> Result<(), String> {
     let scan = FileScan::of(src);
-    for k in 0..=scan.sig.len() + 1 {
+    for k in 0..=scan.len() + 1 {
         for text in PUNCTS {
-            let want = k < scan.sig.len() && sig_punct(&scan, k, text);
+            let want = k < scan.len() && sig_punct(&scan, k, text);
             if scan.punct(k, text) != want {
                 return Err(format!("punct({k}, {text:?}) != {want} in {src:?}"));
             }

@@ -45,6 +45,7 @@ proptest! {
         queries in 1usize..60,
         seed in 0u64..1 << 16,
     ) {
+        let coalesce = config.coalesce;
         let engine = ServeEngine::new(paper_backends(), ModelCatalog::paper_mix(), config);
         let spec = WorkloadSpec { queries, seed, rate_qps };
         let report = engine.run(&spec, &Tracer::disabled()).unwrap();
@@ -55,9 +56,17 @@ proptest! {
             queries as u64
         );
         // Coalescing off means strictly one request per pass.
-        if !engine.run(&spec, &Tracer::disabled()).unwrap().is_conserved() {
-            unreachable!("determinism: the rerun conserves iff the first did");
+        if !coalesce {
+            prop_assert_eq!(report.coalesced_batches, 0);
+            prop_assert!(
+                report.batch_sizes.keys().all(|&size| size == 1),
+                "batch sizes {:?} without coalescing",
+                report.batch_sizes
+            );
         }
+        // The run is deterministic: a rerun writes the same journal.
+        let rerun = engine.run(&spec, &Tracer::disabled()).unwrap();
+        prop_assert_eq!(rerun.journal.to_jsonl(), report.journal.to_jsonl());
     }
 
     /// Scoring `k` same-model requests as one concatenated pass and

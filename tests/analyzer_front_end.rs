@@ -10,7 +10,7 @@
 //! and comments, a lone attribute opener, and directives at end of file.
 
 use mlscore_analysis::cli::render_json;
-use mlscore_analysis::lexer::{lex, render};
+use mlscore_analysis::lexer::{lex, render, Token, TokenKind};
 use mlscore_analysis::scan::FileScan;
 use mlscore_analysis::{analyze_sources, analyze_workspace_full, Finding, WorkspaceAnalysis};
 
@@ -55,8 +55,21 @@ fn survives(src: &str) {
     }
     assert_eq!(cursor, src.len());
 
+    // The scan keeps exactly the tokens that are neither whitespace nor
+    // comments, as `lex` yields them.
     let scan = FileScan::of(src);
-    assert!(scan.len() <= scan.tokens.len());
+    let significant: Vec<Token<'_>> = tokens
+        .iter()
+        .filter(|t| {
+            !matches!(
+                t.kind,
+                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+            )
+        })
+        .copied()
+        .collect();
+    let kept: Vec<Token<'_>> = (0..scan.len()).map(|k| *scan.tok(k)).collect();
+    assert_eq!(kept, significant, "significant tokens of {src:?}");
     for path in ["crates/serve/src/hostile.rs", "crates/exec/src/hostile.rs"] {
         analyze_sources(&[(path.to_string(), src.to_string())]);
     }
@@ -259,7 +272,7 @@ fn wide_workspace_verdict_is_pinned_and_repeatable() {
     let edges: usize = analysis.graph.edges.iter().map(Vec::len).sum();
     assert_eq!(edges, 3);
     let file_of = |qname: &str| {
-        let i = analysis.graph.by_qname[qname];
+        let i = analysis.graph.index_of(qname).unwrap();
         (
             analysis.graph.fns[i].file.as_str(),
             analysis.graph.fns[i].line,
