@@ -34,7 +34,9 @@ cargo test --release -q -p mlscore-analysis
 echo "== cargo test --release -q -p mlscore-telemetry =="
 # The JSON escaper's and integer writer's proptests, again under optimized
 # codegen: every export in the workspace, the analyzer's included, writes
-# through them.
+# through them. The escaper skips clean 16-byte chunks whole; its
+# chunk-boundary proptest puts an escape byte or a multi-byte scalar at
+# every offset of a clean run and compares with the per-char reference.
 cargo test --release -q -p mlscore-telemetry
 
 echo "== cargo test --release -q -p mlscore-forest =="

@@ -37,12 +37,21 @@
 //! fixed chunks of callers on every core, concatenated back in caller
 //! order, so the edges do not depend on the worker count.
 //!
+//! A fn node and its hazards own no text either, besides the qualified
+//! name the exports print. A [`FnNode`]'s crate, self type and last
+//! segment are ranges of its qualified name, its file is stored once per
+//! file in [`CallGraph::files`], and a [`Hazard`] keeps its entry of the
+//! file's site table: [`Hazard::what`] renders it from the scan, only for
+//! a hazard that becomes a P002/H002/D004 message, straight into that
+//! message.
+//!
 //! Functions defined inside `#[cfg(test)]` / `#[test]` regions are
 //! excluded from the table entirely — test helpers may panic and allocate
 //! freely, and must not capture call edges from production code that
 //! happens to share a name.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
@@ -53,7 +62,7 @@ use crate::lints::crate_of;
 use crate::par;
 use crate::parser::{Item, ItemKind};
 use crate::scan::FileScan;
-use crate::sites::SiteKind;
+use crate::sites::{Site, SiteKind};
 
 /// What kind of invariant a hazard site threatens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -73,6 +82,10 @@ pub enum HazardKind {
 }
 
 /// One hazard site inside a function body.
+///
+/// The hazard owns no text: it keeps its entry of the file's site table,
+/// and [`Hazard::what`] renders the site from that file's scan, so only a
+/// hazard that ends up in a finding's message is ever spelled out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hazard {
     /// Classification.
@@ -81,8 +94,17 @@ pub struct Hazard {
     pub line: u32,
     /// Byte offset of the site's first token.
     pub offset: usize,
-    /// Short rendering of the site (`.unwrap()`, `vec!`, ...).
-    pub what: String,
+    /// The site in its file's site table.
+    pub(crate) site: Site,
+}
+
+impl Hazard {
+    /// Short rendering of the site (`.unwrap()`, `vec!`, ...), read from
+    /// the scan of the file the hazard was extracted from and written
+    /// straight into whatever formats it.
+    pub fn what<'a>(&self, scan: &FileScan<'a>) -> impl fmt::Display + 'a {
+        self.site.what(scan)
+    }
 }
 
 /// One call site inside a function body.
@@ -128,18 +150,24 @@ impl CallSite {
 }
 
 /// One function node.
+///
+/// The qualified name is the node's only text. Its crate, self type and
+/// last segment are ranges of it ([`FnNode::krate`], [`FnNode::self_ty`],
+/// [`FnNode::name`]), and its file is [`CallGraph::files`]`[file_idx]`,
+/// stored once per file. The `#n` suffix the graph appends to a colliding
+/// name sits after every range, so no range moves.
 #[derive(Debug, Clone)]
 pub struct FnNode {
     /// Unique qualified name (`serve::engine::ServeEngine::run`).
     pub qname: String,
-    /// Last segment (`run`).
-    pub name: String,
-    /// Impl/trait self type when the fn is associated.
-    pub self_ty: Option<String>,
-    /// Crate short name (`serve`).
-    pub krate: String,
-    /// Workspace-relative file.
-    pub file: String,
+    /// `qname[..krate_end]` is the crate.
+    krate_end: u32,
+    /// `qname[ty_start..name_start - 2]` is the self type when
+    /// `ty_start < name_start`; `ty_start == name_start` for a free fn.
+    ty_start: u32,
+    /// `qname[name_start..name_end]` is the last segment.
+    name_start: u32,
+    name_end: u32,
     /// Index of the file in the analyzed file list.
     pub file_idx: usize,
     /// 1-based line of the item start.
@@ -150,6 +178,24 @@ pub struct FnNode {
     pub calls: Vec<CallSite>,
     /// Extracted hazard sites.
     pub hazards: Vec<Hazard>,
+}
+
+impl FnNode {
+    /// Last segment (`run`).
+    pub fn name(&self) -> &str {
+        &self.qname[self.name_start as usize..self.name_end as usize]
+    }
+
+    /// Impl/trait self type when the fn is associated.
+    pub fn self_ty(&self) -> Option<&str> {
+        let (ty, name) = (self.ty_start as usize, self.name_start as usize);
+        (ty < name).then(|| &self.qname[ty..name - 2])
+    }
+
+    /// Crate short name (`serve`).
+    pub fn krate(&self) -> &str {
+        &self.qname[..self.krate_end as usize]
+    }
 }
 
 /// FNV-1a hash of a fn name: call sites and fns are matched on it first,
@@ -190,6 +236,9 @@ pub(crate) const RESOLVE_CHUNK: usize = 128;
 pub struct CallGraph {
     /// All non-test functions, sorted by `qname`.
     pub fns: Vec<FnNode>,
+    /// The workspace-relative path of every analyzed file, in file order:
+    /// [`FnNode::file_idx`] indexes it.
+    pub files: Vec<String>,
     /// Resolved edges `caller -> (callee, call line)`, per caller, each
     /// list sorted and deduplicated.
     pub edges: Vec<Vec<(usize, u32)>>,
@@ -226,15 +275,22 @@ impl CallGraph {
             .enumerate()
             .flat_map(|(file_idx, (path, scan, items))| file_fns(path, scan, items, file_idx))
             .collect();
+        let paths = files.iter().map(|(path, _, _)| path.clone()).collect();
         let scans: Vec<&FileScan<'_>> = files.iter().map(|(_, scan, _)| *scan).collect();
-        CallGraph::merge(fns, &scans, par::host_workers())
+        CallGraph::merge(fns, paths, &scans, par::host_workers())
     }
 
     /// The workspace half of [`CallGraph::build`]: orders the per-file fn
     /// nodes (concatenated in file order) by qualified name, disambiguates
     /// colliding names, and resolves the edges on up to `workers` threads.
-    /// `scans[i]` is the scan file `i`'s nodes were extracted from.
-    pub(crate) fn merge(fns: Vec<FnNode>, scans: &[&FileScan<'_>], workers: usize) -> CallGraph {
+    /// `files[i]` is the path and `scans[i]` the scan of file `i`, which
+    /// the nodes with `file_idx == i` were extracted from.
+    pub(crate) fn merge(
+        fns: Vec<FnNode>,
+        files: Vec<String>,
+        scans: &[&FileScan<'_>],
+        workers: usize,
+    ) -> CallGraph {
         // Sort indices, not nodes, then move each node once. Stable: equal
         // names keep file order, which fixes who gets `#2`.
         let mut order: Vec<usize> = (0..fns.len()).collect();
@@ -262,7 +318,7 @@ impl CallGraph {
             fns.push(f);
         }
         let edges = resolve_edges(&fns, scans, workers);
-        CallGraph { fns, edges }
+        CallGraph { fns, files, edges }
     }
 
     /// The index in `fns` of the fn whose qualified name (with its `#n`
@@ -332,7 +388,9 @@ impl CallGraph {
         let id = |i: usize| &ids[bounds[i]..bounds[i + 1]];
         // One reservation: the fixed text of a row plus its names and up
         // to 20 digits per number (files rarely need escapes).
-        let fn_rows: usize = self.fns.iter().map(|f| f.file.len() + 2 + 130).sum();
+        let fn_rows: usize = (self.fns.iter())
+            .map(|f| self.files[f.file_idx].len() + 2 + 130)
+            .sum();
         let edge_rows: usize = (self.edges.iter().enumerate())
             .map(|(ci, outs)| {
                 (outs.iter())
@@ -347,7 +405,7 @@ impl CallGraph {
             out.push_str("    { \"id\": ");
             out.push_str(id(i));
             out.push_str(", \"file\": ");
-            write_escaped(&mut out, &f.file);
+            write_escaped(&mut out, &self.files[f.file_idx]);
             out.push_str(", \"line\": ");
             write_uint(&mut out, u64::from(f.line));
             out.push_str(", \"calls\": ");
@@ -423,7 +481,7 @@ fn resolve_edges(
     // run of it: a call site's candidates. The map is only looked up, never
     // iterated, so its order cannot reach an output.
     let mut by_key: Vec<(u64, usize)> = (fns.iter().enumerate())
-        .map(|(i, f)| (name_key(&f.name), i))
+        .map(|(i, f)| (name_key(f.name()), i))
         .collect();
     by_key.sort_unstable();
     let mut runs: HashMap<u64, Range<usize>, BuildHasherDefault<KeyHasher>> =
@@ -438,8 +496,8 @@ fn resolve_edges(
     let mut crates: Vec<&str> = Vec::new();
     let mut crate_id = Vec::with_capacity(fns.len());
     for f in fns {
-        if crates.last() != Some(&f.krate.as_str()) {
-            crates.push(&f.krate);
+        if crates.last() != Some(&f.krate()) {
+            crates.push(f.krate());
         }
         crate_id.push(crates.len() - 1);
     }
@@ -456,7 +514,7 @@ fn resolve_edges(
         .map(|f| {
             f.qname
                 .rsplit("::")
-                .nth(if f.self_ty.is_some() { 2 } else { 1 })
+                .nth(if f.self_ty().is_some() { 2 } else { 1 })
         })
         .collect();
 
@@ -473,21 +531,21 @@ fn resolve_edges(
             // A hit: only now read the site's text back from the scan.
             let name = call.name(scan);
             let qualifier = match call.qualifier(scan) {
-                Some("Self") => Some(caller.self_ty.as_deref().unwrap_or("Self")),
+                Some("Self") => Some(caller.self_ty().unwrap_or("Self")),
                 q => q,
             };
             for &(_, callee) in &by_key[run.clone()] {
                 let f = &fns[callee];
                 // Equal keys, different names: a hash collision.
-                if f.name != name {
+                if f.name() != name {
                     continue;
                 }
                 let named = match qualifier {
                     _ if call.method => f.has_self,
                     Some(q) => {
-                        f.self_ty.as_deref() == Some(q) || f.krate == q || module[callee] == Some(q)
+                        f.self_ty() == Some(q) || f.krate() == q || module[callee] == Some(q)
                     }
-                    None => f.self_ty.is_none(),
+                    None => f.self_ty().is_none(),
                 };
                 // Layering-aware pruning: a candidate in a crate the
                 // caller cannot depend on is not a real callee. This is
@@ -596,21 +654,20 @@ pub(crate) fn file_fns(
         prefix.push_str(seg);
     }
     let mut out = Vec::new();
-    collect_fns(&mut out, scan, items, &prefix, None, krate, path, file_idx);
+    collect_fns(&mut out, scan, items, &prefix, None, krate.len(), file_idx);
     out
 }
 
 /// Recursively collects fn nodes from a parsed item tree. `prefix` is the
-/// `::`-joined crate and module path of the items.
-#[allow(clippy::too_many_arguments)]
+/// `::`-joined crate and module path of the items, and its first
+/// `krate_len` bytes are the crate.
 fn collect_fns(
     out: &mut Vec<FnNode>,
     scan: &FileScan<'_>,
     items: &[Item],
     prefix: &str,
     self_ty: Option<&str>,
-    krate: &str,
-    file: &str,
+    krate_len: usize,
     file_idx: usize,
 ) {
     for item in items {
@@ -627,22 +684,27 @@ fn collect_fns(
                 let ty_len = self_ty.map_or(0, |ty| ty.len() + 2);
                 let mut qname = String::with_capacity(prefix.len() + ty_len + 2 + name.len());
                 qname.push_str(prefix);
+                // Without a self type, the name starts where one would.
+                let ty_start = qname.len() + 2;
                 if let Some(ty) = self_ty {
                     qname.push_str("::");
                     qname.push_str(ty);
                 }
                 qname.push_str("::");
+                let name_start = qname.len();
                 qname.push_str(name);
                 let (calls, hazards) = match body {
                     Some((open, close)) => extract_body(scan, *open, *close),
                     None => (Vec::new(), Vec::new()),
                 };
+                // Source files are far below 4 GiB, and so is any name in one.
+                let at = |i: usize| i as u32;
                 out.push(FnNode {
+                    krate_end: at(krate_len),
+                    ty_start: at(ty_start),
+                    name_start: at(name_start),
+                    name_end: at(qname.len()),
                     qname,
-                    name: name.clone(),
-                    self_ty: self_ty.map(str::to_string),
-                    krate: krate.to_string(),
-                    file: file.to_string(),
                     file_idx,
                     line: item.span.line_start,
                     has_self: *has_self,
@@ -653,14 +715,14 @@ fn collect_fns(
             ItemKind::Impl {
                 self_ty: ty, items, ..
             } => {
-                collect_fns(out, scan, items, prefix, Some(ty), krate, file, file_idx);
+                collect_fns(out, scan, items, prefix, Some(ty), krate_len, file_idx);
             }
             ItemKind::Trait { name, items } => {
-                collect_fns(out, scan, items, prefix, Some(name), krate, file, file_idx);
+                collect_fns(out, scan, items, prefix, Some(name), krate_len, file_idx);
             }
             ItemKind::Mod { name, items } => {
                 let nested = format!("{prefix}::{name}");
-                collect_fns(out, scan, items, &nested, None, krate, file, file_idx);
+                collect_fns(out, scan, items, &nested, None, krate_len, file_idx);
             }
             ItemKind::Use { .. } | ItemKind::Other => {}
         }
@@ -709,7 +771,7 @@ pub(crate) fn extract_body(
                 kind,
                 line: t.line,
                 offset: t.offset,
-                what: site.what(scan),
+                site,
             });
         }
     }
@@ -761,12 +823,13 @@ mod tests {
                 .flat_map(|(i, ((path, _), scan))| file_fns(path, scan, &parse_items(scan), i))
                 .collect()
         };
-        let serial = CallGraph::merge(fns(), &scan_refs, 1);
+        let paths = || sources.iter().map(|(path, _)| path.clone()).collect();
+        let serial = CallGraph::merge(fns(), paths(), &scan_refs, 1);
         assert!(serial.fns.len() > 3 * RESOLVE_CHUNK, "{}", serial.fns.len());
         let edges: usize = serial.edges.iter().map(Vec::len).sum();
         assert!(edges > serial.fns.len(), "{edges} edges");
         for workers in [2, 7] {
-            let par = CallGraph::merge(fns(), &scan_refs, workers);
+            let par = CallGraph::merge(fns(), paths(), &scan_refs, workers);
             assert_eq!(par.edges, serial.edges, "{workers} workers");
         }
     }
@@ -956,7 +1019,10 @@ mod tests {
         let qnames: Vec<&str> = g.fns.iter().map(|f| f.qname.as_str()).collect();
         assert_eq!(qnames, names);
         // The three `app::x::f` collide; `#2` and `#3` follow file order.
-        let files: Vec<&str> = g.fns[9..=11].iter().map(|f| f.file.as_str()).collect();
+        let files: Vec<&str> = g.fns[9..=11]
+            .iter()
+            .map(|f| g.files[f.file_idx].as_str())
+            .collect();
         assert_eq!(
             files,
             [

@@ -153,8 +153,8 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         if !reach.contains(idx) {
             continue;
         }
-        let scan = &units[f.file_idx].scan;
-        let flag_index = P001_INDEX_CRATES.contains(&f.krate.as_str());
+        let FileUnit { path, scan } = &units[f.file_idx];
+        let flag_index = P001_INDEX_CRATES.contains(&f.krate());
         let mut seen = LineDedup::new();
         for h in &f.hazards {
             let in_scope = match h.kind {
@@ -168,13 +168,13 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             let message = format!(
                 "`{}` reachable from a serving entry point: {} (panic-free serving \
                  requires the whole chain to surface errors)",
-                h.what,
+                h.what(scan),
                 reach.chain(graph, idx)
             );
             sink.emit(
                 scan,
                 &["P002", "P001"],
-                finding("P002", &f.file, h.line, h.offset, message),
+                finding("P002", path, h.line, h.offset, message),
             );
         }
     }
@@ -211,7 +211,7 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         if !reach.contains(idx) {
             continue;
         }
-        let scan = &units[f.file_idx].scan;
+        let FileUnit { path, scan } = &units[f.file_idx];
         let mut seen = LineDedup::new();
         for h in &f.hazards {
             if h.kind != HazardKind::Alloc {
@@ -231,13 +231,13 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
                 "allocation `{}` reachable from the hot region in {hot_fn} \
                  (call at line {hot_line}): {} (hot paths must reuse scratch \
                  buffers transitively)",
-                h.what,
+                h.what(scan),
                 reach.chain(graph, idx)
             );
             sink.emit(
                 scan,
                 &["H002", "H001"],
-                finding("H002", &f.file, h.line, h.offset, message),
+                finding("H002", path, h.line, h.offset, message),
             );
         }
     }
@@ -250,7 +250,7 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
     let mut sink = Sink::default();
     let mut roots = Vec::new();
     for (i, f) in graph.fns.iter().enumerate() {
-        if EXPORT_ROOTS.contains(&f.name.as_str()) {
+        if EXPORT_ROOTS.contains(&f.name()) {
             roots.push(i);
         }
     }
@@ -259,7 +259,7 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         if !reach.contains(idx) {
             continue;
         }
-        let scan = &units[f.file_idx].scan;
+        let FileUnit { path, scan } = &units[f.file_idx];
         let mut seen = LineDedup::new();
         for h in &f.hazards {
             let (what, direct): (&str, &str) = match h.kind {
@@ -274,13 +274,13 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             let message = format!(
                 "{what} `{}` reachable from an export builder: {} \
                  (exports must be byte-identical across runs)",
-                h.what,
+                h.what(scan),
                 reach.chain(graph, idx)
             );
             sink.emit(
                 scan,
                 &["D004", direct],
-                finding("D004", &f.file, h.line, h.offset, message),
+                finding("D004", path, h.line, h.offset, message),
             );
         }
     }

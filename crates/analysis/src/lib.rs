@@ -251,7 +251,8 @@ fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAn
         fns.extend(file_fns);
     }
     let scans: Vec<&FileScan<'_>> = units.iter().map(|u| &u.scan).collect();
-    let graph = graph::CallGraph::merge(fns, &scans, workers);
+    let paths = units.iter().map(|u| u.path.clone()).collect();
+    let graph = graph::CallGraph::merge(fns, paths, &scans, workers);
 
     let (inter_active, inter_supp) = interproc::run_interproc_on(&units, &graph, workers);
     findings.extend(inter_active);
@@ -735,6 +736,16 @@ mod tests {
             )
         };
         let serial = analyze_sources_on(&files, 1);
+        // Every exported byte, each P002/H002/D004 message's hazard text
+        // and chain included, as `(length, FNV-1a)`.
+        let pins = [
+            (698_690, 0xfdd4_a40f_16da_bb7c),
+            (2_426_461, 0xc405_7ee7_27de_d501),
+            (1_523_785, 0x614b_2312_02f8_b19b),
+        ];
+        for (doc, pin) in <[String; 3]>::from(exports(&serial)).iter().zip(pins) {
+            assert_eq!((doc.len(), graph::name_key(doc)), pin);
+        }
         let fired: std::collections::BTreeSet<&str> = serial
             .findings
             .iter()

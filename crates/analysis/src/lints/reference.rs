@@ -10,7 +10,7 @@ use super::{
     chain_reaches_finish, crate_of, let_bound_finish, D002_CRATES, P001_CRATES, P001_INDEX_CRATES,
     T002_CRATES,
 };
-use crate::graph::{extract_body, name_key, CallSite, Hazard, HazardKind};
+use crate::graph::{extract_body, name_key, CallSite, HazardKind};
 use crate::lexer::TokenKind;
 use crate::parser::{parse_items, Item, ItemKind};
 use crate::scan::FileScan;
@@ -324,19 +324,29 @@ fn is_index_base(scan: &FileScan<'_>, i: usize) -> bool {
     }
 }
 
+/// A hazard as the per-token pass spells it: a `graph::Hazard` with its
+/// text rendered.
+#[derive(Debug, PartialEq)]
+struct RefHazard {
+    kind: HazardKind,
+    line: u32,
+    offset: usize,
+    what: String,
+}
+
 /// The parent's call and hazard extraction: walks every significant token
 /// of a fn body's range `(open, close)` (the braces themselves excluded).
 fn extract_body_by_token(
     scan: &FileScan<'_>,
     open: usize,
     close: usize,
-) -> (Vec<CallSite>, Vec<Hazard>) {
+) -> (Vec<CallSite>, Vec<RefHazard>) {
     let mut calls = Vec::new();
     let mut hazards = Vec::new();
     let mut push_hazard = |kind: HazardKind, i: usize, what: String| {
         let t = scan.tok(i);
         if !scan.in_test(t.line) {
-            hazards.push(Hazard {
+            hazards.push(RefHazard {
                 kind,
                 line: t.line,
                 offset: t.offset,
@@ -659,8 +669,17 @@ fn assert_agrees(src: &str) {
     let mut ranges = vec![(0, scan.len())];
     bodies(&parse_items(&scan), &mut ranges);
     for (open, close) in ranges {
+        let (calls, hazards) = extract_body(&scan, open, close);
+        let hazards: Vec<RefHazard> = (hazards.iter())
+            .map(|h| RefHazard {
+                kind: h.kind,
+                line: h.line,
+                offset: h.offset,
+                what: h.what(&scan).to_string(),
+            })
+            .collect();
         assert_eq!(
-            extract_body(&scan, open, close),
+            (calls, hazards),
             extract_body_by_token(&scan, open, close),
             "body ({open}, {close}): {src:?}"
         );

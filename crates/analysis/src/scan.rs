@@ -15,6 +15,13 @@
 //! then one byte compare and [`FileScan::match_group`] one lookup: no
 //! caller walks a group to find its end.
 //!
+//! Directives own nothing. A well-formed `allow` becomes a [`Suppression`]
+//! that borrows its reason from the comment in the source, names its lint
+//! by the [`LINTS`] entry's own `&'static str` code, and stores the two
+//! lines it covers inline; only a malformed directive, which is rare,
+//! formats a message of its own. So a file's waivers cost no allocation
+//! beyond the growth of the suppression list and its index.
+//!
 //! Directive lookups are indexed rather than rescanned: significant-token
 //! lines never decrease, so "the first significant token after line L" is
 //! one binary search over the significant tokens, and suppression lookups
@@ -25,18 +32,30 @@ use crate::sites::{self, Site};
 use crate::LINTS;
 
 /// An inline suppression parsed from `// analyze: allow(LINT, reason=...)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
+///
+/// It owns nothing: the lint is the [`LINTS`] entry's own code, the
+/// reason a slice of the comment in the source, and the two lines it
+/// covers are stored inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Suppression<'a> {
     /// The lint code the comment allows.
-    pub lint: String,
-    /// The mandatory justification. Suppressions without one do not
-    /// suppress (they raise `A000` instead), so this is always non-empty.
-    pub reason: String,
+    pub lint: &'static str,
+    /// The mandatory justification, trimmed and unquoted. Suppressions
+    /// without one do not suppress (they raise `A000` instead), so this is
+    /// always non-empty.
+    pub reason: &'a str,
     /// Line of the comment itself.
     pub line: u32,
+    /// The next line holding a significant token, when the file has one.
+    pub next_line: Option<u32>,
+}
+
+impl Suppression<'_> {
     /// Lines the suppression covers: the comment's own line and the next
     /// line holding a significant token.
-    pub covers: Vec<u32>,
+    pub fn covers(&self) -> impl Iterator<Item = u32> {
+        std::iter::once(self.line).chain(self.next_line)
+    }
 }
 
 /// A malformed `// analyze:` directive (missing reason, unknown lint,
@@ -54,14 +73,14 @@ pub struct BadDirective {
 /// Inclusive line range.
 pub type LineRange = (u32, u32);
 
-/// Everything the lints need to know about one file. The tokens borrow
-/// the source text, so a scan lives no longer than its source. Directive
-/// lookups (`suppression_reason`, the lines a directive covers) are
-/// binary searches, not walks of the token list.
+/// Everything the lints need to know about one file. The tokens and the
+/// suppressions borrow the source text, so a scan lives no longer than
+/// its source. Directive lookups (`suppression_reason`, the lines a
+/// directive covers) are binary searches, not walks of the token list.
 #[derive(Debug)]
 pub struct FileScan<'a> {
-    /// Parsed, well-formed suppressions.
-    pub suppressions: Vec<Suppression>,
+    /// Parsed, well-formed suppressions, in line order.
+    pub suppressions: Vec<Suppression<'a>>,
     /// Malformed directives (become `A000` findings).
     pub bad_directives: Vec<BadDirective>,
     /// Brace-balanced regions following `// analyze: hot` markers.
@@ -197,14 +216,14 @@ impl<'a> FileScan<'a> {
     /// The reason of the well-formed suppression for `lint` covering
     /// `line`, when one exists. When several cover it, the first in
     /// `suppressions` order supplies the reason.
-    pub fn suppression_reason(&self, lint: &str, line: u32) -> Option<&str> {
+    pub fn suppression_reason(&self, lint: &str, line: u32) -> Option<&'a str> {
         let from = self.covered.partition_point(|&(l, _)| l < line);
         self.covered[from..]
             .iter()
             .take_while(|&&(l, _)| l == line)
             .map(|&(_, s)| &self.suppressions[s])
             .find(|s| s.lint == lint)
-            .map(|s| s.reason.as_str())
+            .map(|s| s.reason)
     }
 
     /// The significant index of the first significant token on a line
@@ -237,7 +256,7 @@ impl<'a> FileScan<'a> {
 
     /// Parses the `(line, offset, directive text)` of every `// analyze:`
     /// comment into suppressions, hot ranges and bad directives.
-    fn collect_directives(&mut self, directives: Vec<(u32, usize, &str)>) {
+    fn collect_directives(&mut self, directives: Vec<(u32, usize, &'a str)>) {
         for (line, offset, directive) in directives {
             if directive == "hot" {
                 if let Some(range) = self.brace_region_after(line) {
@@ -254,22 +273,20 @@ impl<'a> FileScan<'a> {
             }
             match parse_allow(directive) {
                 Ok((lint, reason)) => {
-                    if !LINTS.iter().any(|l| l.code == lint) {
+                    let Some(known) = LINTS.iter().find(|l| l.code == lint) else {
                         self.bad_directives.push(BadDirective {
                             line,
                             offset,
                             message: format!("unknown lint `{lint}` in allow directive"),
                         });
                         continue;
-                    }
-                    let mut covers = vec![line];
-                    let next = self.first_sig_after(line);
-                    covers.extend(self.toks.get(next).map(|t| t.line));
+                    };
+                    let next_line = self.toks.get(self.first_sig_after(line)).map(|t| t.line);
                     self.suppressions.push(Suppression {
-                        lint,
+                        lint: known.code,
                         reason,
                         line,
-                        covers,
+                        next_line,
                     });
                 }
                 Err(msg) => self.bad_directives.push(BadDirective {
@@ -282,12 +299,10 @@ impl<'a> FileScan<'a> {
         self.hot_ranges.sort_unstable();
         self.suppressions.sort_by_key(|s| s.line);
         self.bad_directives.sort_by_key(|d| d.line);
-        self.covered = self
-            .suppressions
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| s.covers.iter().map(move |&l| (l, i)))
-            .collect();
+        self.covered = Vec::with_capacity(2 * self.suppressions.len());
+        for (i, s) in self.suppressions.iter().enumerate() {
+            self.covered.extend(s.covers().map(|l| (l, i)));
+        }
         self.covered.sort_unstable();
     }
 
@@ -367,8 +382,9 @@ fn directive(comment: &str) -> Option<&str> {
     body.strip_prefix("analyze:").map(str::trim)
 }
 
-/// Parses `allow(LINT, reason=...)`; returns `(lint, reason)`.
-fn parse_allow(directive: &str) -> Result<(String, String), String> {
+/// Parses `allow(LINT, reason=...)`; returns `(lint, reason)`, both
+/// trimmed slices of `directive`.
+fn parse_allow(directive: &str) -> Result<(&str, &str), String> {
     let inner = directive
         .strip_prefix("allow(")
         .and_then(|rest| rest.strip_suffix(')'))
@@ -381,17 +397,16 @@ fn parse_allow(directive: &str) -> Result<(String, String), String> {
     let (lint, rest) = inner
         .split_once(',')
         .ok_or_else(|| "allow directive is missing the mandatory reason".to_string())?;
-    let lint = lint.trim().to_string();
     let reason = rest
         .trim()
         .strip_prefix("reason")
         .and_then(|r| r.trim_start().strip_prefix('='))
-        .map(|r| r.trim().trim_matches('"').trim().to_string())
+        .map(|r| r.trim().trim_matches('"').trim())
         .ok_or_else(|| "allow directive is missing the mandatory reason".to_string())?;
     if reason.is_empty() {
         return Err("allow directive has an empty reason".to_string());
     }
-    Ok((lint.to_string(), reason))
+    Ok((lint.trim(), reason))
 }
 
 #[cfg(test)]
@@ -409,7 +424,7 @@ let t = Instant::now();
         let s = &scan.suppressions[0];
         assert_eq!(s.lint, "D001");
         assert_eq!(s.reason, "bench measurement site");
-        assert_eq!(s.covers, vec![1, 2]);
+        assert_eq!((s.line, s.next_line), (1, Some(2)));
         assert!(scan.suppressed("D001", 2));
         assert!(!scan.suppressed("D002", 2));
         assert!(scan.bad_directives.is_empty());

@@ -12,6 +12,8 @@
 //! is a call *and* ambient RNG); at one anchor they come in [`SiteKind`]
 //! declaration order.
 
+use std::fmt;
+
 use crate::lexer::TokenKind;
 use crate::scan::FileScan;
 
@@ -73,18 +75,31 @@ impl Site {
         }
     }
 
-    /// The site's short rendering (`.unwrap()`, `vec!`, `Vec::new`, ...).
-    pub(crate) fn what(self, scan: &FileScan<'_>) -> String {
+    /// The site's short rendering (`.unwrap()`, `vec!`, `Vec::new`, ...),
+    /// borrowed from the scan: formatting it writes the pieces straight
+    /// into the message, with no `String` of its own.
+    pub(crate) fn what<'a>(self, scan: &FileScan<'a>) -> SiteText<'a> {
         let text = |i: usize| scan.tok(i).text;
-        match self.kind {
-            SiteKind::PanicMethod | SiteKind::AllocMethod => format!(".{}()", text(self.at + 1)),
-            SiteKind::PanicMacro | SiteKind::AllocMacro => format!("{}!", text(self.at)),
-            SiteKind::AllocNew => format!("{}::{}", text(self.at), text(self.at + 3)),
-            SiteKind::Index => "[..] indexing".to_string(),
-            SiteKind::InstantNow => "Instant::now".to_string(),
-            SiteKind::RandRandom => "rand::random".to_string(),
-            _ => text(self.at).to_string(),
-        }
+        SiteText(match self.kind {
+            SiteKind::PanicMethod | SiteKind::AllocMethod => [".", text(self.at + 1), "()"],
+            SiteKind::PanicMacro | SiteKind::AllocMacro => [text(self.at), "!", ""],
+            SiteKind::AllocNew => [text(self.at), "::", text(self.at + 3)],
+            SiteKind::Index => ["[..] indexing", "", ""],
+            SiteKind::InstantNow => ["Instant::now", "", ""],
+            SiteKind::RandRandom => ["rand::random", "", ""],
+            _ => [text(self.at), "", ""],
+        })
+    }
+}
+
+/// A site's short rendering ([`Site::what`]): pieces of the source and
+/// fixed text, written one after another.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteText<'a>([&'a str; 3]);
+
+impl fmt::Display for SiteText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.iter().try_for_each(|piece| f.write_str(piece))
     }
 }
 

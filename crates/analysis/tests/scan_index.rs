@@ -196,10 +196,10 @@ fn check(src: &str) -> Result<(), String> {
             .suppressions
             .iter()
             .map(|s| RefSuppression {
-                lint: s.lint.clone(),
-                reason: s.reason.clone(),
+                lint: s.lint.to_string(),
+                reason: s.reason.to_string(),
                 line: s.line,
-                covers: s.covers.clone(),
+                covers: s.covers().collect(),
             })
             .collect(),
         hot_ranges: scan.hot_ranges.clone(),
@@ -253,7 +253,10 @@ fn allow_on_the_last_line_covers_only_itself() {
     let src = "fn f() {}\n// analyze: allow(D001, reason=\"first\")";
     check(src).unwrap();
     let scan = FileScan::of(src);
-    assert_eq!(scan.suppressions[0].covers, [2]);
+    assert_eq!(
+        (scan.suppressions[0].line, scan.suppressions[0].next_line),
+        (2, None)
+    );
     assert_eq!(scan.suppression_reason("D001", 2), Some("first"));
     assert_eq!(scan.suppression_reason("D001", 3), None);
 }
@@ -265,8 +268,14 @@ fn first_of_two_allows_covering_a_line_supplies_the_reason() {
                let t = Instant::now();\n";
     check(src).unwrap();
     let scan = FileScan::of(src);
-    assert_eq!(scan.suppressions[0].covers, [1, 3]);
-    assert_eq!(scan.suppressions[1].covers, [2, 3]);
+    assert_eq!(
+        (scan.suppressions[0].line, scan.suppressions[0].next_line),
+        (1, Some(3))
+    );
+    assert_eq!(
+        (scan.suppressions[1].line, scan.suppressions[1].next_line),
+        (2, Some(3))
+    );
     assert_eq!(scan.suppression_reason("D001", 3), Some("first"));
     assert_eq!(scan.suppression_reason("D001", 2), Some("second"));
 }
@@ -277,7 +286,10 @@ fn trailing_same_line_allow_covers_its_line_and_the_next() {
                let u = Instant::now();\n";
     check(src).unwrap();
     let scan = FileScan::of(src);
-    assert_eq!(scan.suppressions[0].covers, [1, 3]);
+    assert_eq!(
+        (scan.suppressions[0].line, scan.suppressions[0].next_line),
+        (1, Some(3))
+    );
     assert_eq!(scan.suppression_reason("D001", 1), Some("first"));
     assert_eq!(scan.suppression_reason("D001", 3), Some("first"));
 }

@@ -20,7 +20,7 @@
 //!   spec's arrival stream, it reproduces `run` exactly.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use mlscore_backend::{artifact_key, ArtifactKey, CacheStats, ScoringBackend};
 use mlscore_forest::ModelStats;
@@ -497,29 +497,20 @@ impl EngineSession<'_> {
     }
 
     /// Drains every dispatch opportunity available at `now`: repeatedly
-    /// scan the queue's per-model heads in FIFO order and dispatch the
+    /// take the queue's per-model heads in FIFO order and dispatch the
     /// first batch whose model has a free supporting device (or shed it,
     /// if no backend supports the model at all). A head whose devices are
     /// all busy does not block other models (no cross-model head-of-line
     /// blocking), but same-model requests only ever leave in FIFO order.
+    /// Each turn looks once at each model's FIFO, however long the queue.
     fn try_dispatch(&mut self, now: SimInstant) {
         let (max_requests, max_records) = batch_caps(self.engine.config.coalesce);
-        loop {
-            let mut seen = BTreeSet::new();
-            let heads: Vec<usize> = self
-                .queue
-                .iter()
-                .map(|r| r.model)
-                .filter(|&model| seen.insert(model))
-                .collect();
-            // A head whose supporting devices are all busy waits for a
-            // DeviceFree event.
-            let Some(model) = heads.into_iter().find(|&model| {
-                let (supported, free) = self.servability(self.engine.catalog.stats(model), now);
-                free || !supported
-            }) else {
-                break;
-            };
+        // A head whose supporting devices are all busy waits for a
+        // DeviceFree event.
+        while let Some(model) = self.queue.heads().into_iter().find(|&model| {
+            let (supported, free) = self.servability(self.engine.catalog.stats(model), now);
+            free || !supported
+        }) {
             let batch = self.queue.take_batch(model, max_requests, max_records);
             let records = batch.iter().map(|r| r.n_records).sum();
             let stats = *self.engine.catalog.stats(model);
@@ -691,6 +682,7 @@ mod tests {
     use crate::journal::JournalEntry;
     use mlscore_sched::paper_backends;
     use mlscore_telemetry::Histogram;
+    use std::collections::BTreeSet;
 
     fn fpga_only() -> Vec<Box<dyn ScoringBackend>> {
         paper_backends()

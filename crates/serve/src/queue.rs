@@ -1,7 +1,7 @@
 //! The admission queue: bounded capacity with tail drop, and
 //! FIFO-preserving batch extraction for the coalescer.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::request::ServeRequest;
 
@@ -13,9 +13,20 @@ use crate::request::ServeRequest;
 /// for the same model always dispatch in arrival order (the FIFO-within-
 /// class guarantee — the coalescer may *steal* later same-model requests
 /// past earlier other-model ones, but never reorders within a model).
+///
+/// The queue keeps one FIFO per model, each request tagged with its
+/// arrival sequence number across all models, so finding the per-model
+/// heads ([`AdmissionQueue::heads`]) costs one look per model and taking
+/// a batch touches only the requests it takes, however long the queue.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionQueue {
-    entries: VecDeque<ServeRequest>,
+    /// Per model index: its queued `(arrival sequence, request)`s in
+    /// arrival order (empty once drained; a model keeps its entry).
+    fifos: BTreeMap<usize, VecDeque<(u64, ServeRequest)>>,
+    /// Requests queued over all models.
+    len: usize,
+    /// The sequence number the next admitted request takes.
+    next_seq: u64,
     capacity: Option<usize>,
 }
 
@@ -24,24 +35,36 @@ impl AdmissionQueue {
     /// unbounded).
     pub fn new(capacity: Option<usize>) -> Self {
         Self {
-            entries: VecDeque::new(),
             capacity,
+            ..Self::default()
         }
     }
 
     /// Queued requests.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` if nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Queued requests in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &ServeRequest> {
-        self.entries.iter()
+        let mut queued: Vec<&(u64, ServeRequest)> = self.fifos.values().flatten().collect();
+        queued.sort_unstable_by_key(|&&(seq, _)| seq);
+        queued.into_iter().map(|(_, r)| r)
+    }
+
+    /// The models with queued requests, ordered by their oldest request's
+    /// arrival: the order in which each model's head reached the queue.
+    pub fn heads(&self) -> Vec<usize> {
+        let mut heads: Vec<(u64, usize)> = (self.fifos.iter())
+            .filter_map(|(&model, fifo)| fifo.front().map(|&(seq, _)| (seq, model)))
+            .collect();
+        heads.sort_unstable();
+        heads.into_iter().map(|(_, model)| model).collect()
     }
 
     /// Offers a request.
@@ -50,10 +73,12 @@ impl AdmissionQueue {
     ///
     /// Hands the request back when the queue is full.
     pub fn offer(&mut self, request: ServeRequest) -> Result<(), ServeRequest> {
-        if self.capacity.is_some_and(|c| self.entries.len() >= c) {
+        if self.capacity.is_some_and(|c| self.len >= c) {
             return Err(request);
         }
-        self.entries.push_back(request);
+        (self.fifos.entry(request.model).or_default()).push_back((self.next_seq, request));
+        self.next_seq += 1;
+        self.len += 1;
         Ok(())
     }
 
@@ -69,22 +94,21 @@ impl AdmissionQueue {
         max_records: u64,
     ) -> Vec<ServeRequest> {
         let mut taken: Vec<ServeRequest> = Vec::new();
+        let Some(fifo) = self.fifos.get_mut(&model) else {
+            return taken;
+        };
         let mut records = 0u64;
-        let mut full = false;
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        for r in std::mem::take(&mut self.entries) {
-            if r.model == model && !full {
-                full = taken.len() >= max_requests
-                    || (!taken.is_empty() && records + r.n_records > max_records);
-                if !full {
-                    records += r.n_records;
-                    taken.push(r);
-                    continue;
-                }
+        while let Some(&(_, r)) = fifo.front() {
+            if taken.len() >= max_requests
+                || (!taken.is_empty() && records + r.n_records > max_records)
+            {
+                break;
             }
-            kept.push_back(r);
+            records += r.n_records;
+            taken.push(r);
+            fifo.pop_front();
         }
-        self.entries = kept;
+        self.len -= taken.len();
         taken
     }
 }
@@ -94,6 +118,108 @@ mod tests {
     use super::*;
     use crate::request::QueryClass;
     use mlscore_sim::{SimDuration, SimInstant};
+    use proptest::prelude::*;
+
+    /// The single-deque queue the per-model FIFOs replaced, kept as the
+    /// reference their heads and batches must match.
+    struct ReferenceQueue {
+        entries: VecDeque<ServeRequest>,
+        capacity: Option<usize>,
+    }
+
+    impl ReferenceQueue {
+        fn offer(&mut self, request: ServeRequest) -> Result<(), ServeRequest> {
+            if self.capacity.is_some_and(|c| self.entries.len() >= c) {
+                return Err(request);
+            }
+            self.entries.push_back(request);
+            Ok(())
+        }
+
+        /// Each model once, in the order its first queued request appears.
+        fn heads(&self) -> Vec<usize> {
+            let mut heads: Vec<usize> = Vec::new();
+            for r in &self.entries {
+                if !heads.contains(&r.model) {
+                    heads.push(r.model);
+                }
+            }
+            heads
+        }
+
+        fn take_batch(
+            &mut self,
+            model: usize,
+            max_requests: usize,
+            max_records: u64,
+        ) -> Vec<ServeRequest> {
+            let mut taken: Vec<ServeRequest> = Vec::new();
+            let mut records = 0u64;
+            let mut full = false;
+            let mut kept = VecDeque::with_capacity(self.entries.len());
+            for r in std::mem::take(&mut self.entries) {
+                if r.model == model && !full {
+                    full = taken.len() >= max_requests
+                        || (!taken.is_empty() && records + r.n_records > max_records);
+                    if !full {
+                        records += r.n_records;
+                        taken.push(r);
+                        continue;
+                    }
+                }
+                kept.push_back(r);
+            }
+            self.entries = kept;
+            taken
+        }
+    }
+
+    /// One queue operation: an offer `(model, records)` or a batch take
+    /// `(model, max_requests, max_records)`.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Offer(usize, u64),
+        Take(usize, usize, u64),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (0..3u32, 0..5usize, 1..2_000u64, 0..6usize).prop_map(
+            |(kind, model, records, max_requests)| match kind {
+                // Offers outnumber takes, so the queue builds up.
+                0 | 1 => Op::Offer(model, records),
+                _ => Op::Take(model, max_requests, records * 2),
+            },
+        );
+        proptest::collection::vec(op, 0..120)
+    }
+
+    proptest! {
+        #[test]
+        fn per_model_fifos_match_the_single_deque_queue(
+            ops in arb_ops(),
+            capacity in 0..40usize,
+            bounded in any::<bool>(),
+        ) {
+            let capacity = bounded.then_some(capacity);
+            let mut q = AdmissionQueue::new(capacity);
+            let mut reference = ReferenceQueue { entries: VecDeque::new(), capacity };
+            for (id, op) in (0u64..).zip(ops) {
+                match op {
+                    Op::Offer(model, records) => {
+                        let r = req(id, model, records, 0.0);
+                        prop_assert_eq!(q.offer(r), reference.offer(r));
+                    }
+                    Op::Take(model, max_requests, max_records) => prop_assert_eq!(
+                        q.take_batch(model, max_requests, max_records),
+                        reference.take_batch(model, max_requests, max_records)
+                    ),
+                }
+                prop_assert_eq!(q.heads(), reference.heads());
+                prop_assert_eq!(q.len(), reference.entries.len());
+                prop_assert!(q.iter().eq(reference.entries.iter()));
+            }
+        }
+    }
 
     fn req(id: u64, model: usize, n_records: u64, arrival_ms: f64) -> ServeRequest {
         ServeRequest {

@@ -1,7 +1,9 @@
 //! The workspace analyzer's front end (lexer, file scan, whole-workspace
 //! analysis) on hostile inputs, plus a small fixture workspace whose
 //! verdict is pinned exactly, in a narrow and a wide (more files than
-//! cores) variant.
+//! cores) variant: its findings report, call-graph JSON and dot are
+//! compared byte for byte, so a changed message (a hazard's text, a call
+//! chain, a waiver's reason) fails as surely as a changed line.
 //!
 //! The lexer and the scan promise never to fail: malformed source degrades
 //! to `Unknown` tokens and unterminated regions run to end of input. The
@@ -186,6 +188,71 @@ const SUPPRESSED: &[(&str, &str, u32, Option<&str>)] = &[
     ),
 ];
 
+/// `render_json` of both fixtures' findings, byte for byte: every message
+/// (the hazard text and call chain of a P002 included) and every waiver.
+const FINDINGS_JSON: &str = r#"{
+  "version": 2,
+  "total": 2,
+  "findings": [
+    { "lint": "P002", "file": "crates/backend/src/prep.rs", "line": 2, "offset": 46, "message": "`.unwrap()` reachable from a serving entry point: serve::engine::ServeEngine::run -> backend::prep::prepare (panic-free serving requires the whole chain to surface errors)" },
+    { "lint": "D001", "file": "crates/serve/src/engine.rs", "line": 11, "offset": 246, "message": "wall-clock read `Instant::now` outside an allowlisted measurement site (route through `mlscore_sim::Clock` or `SimInstant`)" }
+  ],
+  "suppressed": [
+    { "lint": "H001", "file": "crates/backend/src/prep.rs", "line": 10, "offset": 227, "message": "allocating call `.to_vec()` in a hot region: hoist and reuse scratch buffers", "suppressed": "once per batch" },
+    { "lint": "P001", "file": "crates/serve/src/engine.rs", "line": 5, "offset": 167, "message": "`.unwrap()` on a request path: return the crate's error type instead", "suppressed": "checked by admit" },
+    { "lint": "P002", "file": "crates/serve/src/engine.rs", "line": 5, "offset": 167, "message": "`.unwrap()` reachable from a serving entry point: serve::engine::ServeEngine::run (panic-free serving requires the whole chain to surface errors)", "suppressed": "checked by admit" },
+    { "lint": "D001", "file": "crates/serve/src/engine.rs", "line": 12, "offset": 274, "message": "wall-clock read `Instant::now` outside an allowlisted measurement site (route through `mlscore_sim::Clock` or `SimInstant`)", "suppressed": "bench boundary" }
+  ]
+}"#;
+
+/// `CallGraph::to_json` of the narrow fixture, byte for byte.
+const CALLGRAPH_JSON: &str = r#"{
+  "version": 1,
+  "functions": [
+    { "id": "backend::prep::fold", "file": "crates/backend/src/prep.rs", "line": 8, "calls": 0, "hazards": 1 },
+    { "id": "backend::prep::lookup", "file": "crates/backend/src/prep.rs", "line": 4, "calls": 0, "hazards": 0 },
+    { "id": "backend::prep::prepare", "file": "crates/backend/src/prep.rs", "line": 1, "calls": 1, "hazards": 1 },
+    { "id": "serve::engine::ServeEngine::run", "file": "crates/serve/src/engine.rs", "line": 3, "calls": 2, "hazards": 1 },
+    { "id": "serve::engine::stamp", "file": "crates/serve/src/engine.rs", "line": 10, "calls": 0, "hazards": 2 }
+  ],
+  "edges": [
+    { "from": "backend::prep::prepare", "to": "backend::prep::lookup", "line": 2 },
+    { "from": "serve::engine::ServeEngine::run", "to": "backend::prep::prepare", "line": 7 },
+    { "from": "serve::engine::ServeEngine::run", "to": "serve::engine::stamp", "line": 6 }
+  ]
+}
+"#;
+
+/// `CallGraph::to_json` of the wide fixture: the narrow one's fns plus
+/// both twins, `#2` on the one in `twin/mod.rs`.
+const WIDE_CALLGRAPH_JSON: &str = r#"{
+  "version": 1,
+  "functions": [
+    { "id": "backend::prep::fold", "file": "crates/backend/src/prep.rs", "line": 8, "calls": 0, "hazards": 1 },
+    { "id": "backend::prep::lookup", "file": "crates/backend/src/prep.rs", "line": 4, "calls": 0, "hazards": 0 },
+    { "id": "backend::prep::prepare", "file": "crates/backend/src/prep.rs", "line": 1, "calls": 1, "hazards": 1 },
+    { "id": "exec::twin::twin", "file": "crates/exec/src/twin.rs", "line": 1, "calls": 0, "hazards": 0 },
+    { "id": "exec::twin::twin#2", "file": "crates/exec/src/twin/mod.rs", "line": 3, "calls": 0, "hazards": 0 },
+    { "id": "serve::engine::ServeEngine::run", "file": "crates/serve/src/engine.rs", "line": 3, "calls": 2, "hazards": 1 },
+    { "id": "serve::engine::stamp", "file": "crates/serve/src/engine.rs", "line": 10, "calls": 0, "hazards": 2 }
+  ],
+  "edges": [
+    { "from": "backend::prep::prepare", "to": "backend::prep::lookup", "line": 2 },
+    { "from": "serve::engine::ServeEngine::run", "to": "backend::prep::prepare", "line": 7 },
+    { "from": "serve::engine::ServeEngine::run", "to": "serve::engine::stamp", "line": 6 }
+  ]
+}
+"#;
+
+/// `CallGraph::to_dot` of both fixtures (the twins have no edges).
+const CALLGRAPH_DOT: &str = r#"digraph mlscore_calls {
+  rankdir=LR;
+  "backend::prep::prepare" -> "backend::prep::lookup";
+  "serve::engine::ServeEngine::run" -> "backend::prep::prepare";
+  "serve::engine::ServeEngine::run" -> "serve::engine::stamp";
+}
+"#;
+
 #[test]
 fn fixture_workspace_verdict_is_pinned() {
     let files = fixture();
@@ -205,6 +272,11 @@ fn fixture_workspace_verdict_is_pinned() {
     let edges: usize = analysis.graph.edges.iter().map(Vec::len).sum();
     assert_eq!(analysis.graph.fns.len(), 5);
     assert_eq!(edges, 3, "run -> stamp, run -> prepare, prepare -> lookup");
+    // Every exported byte, messages included.
+    assert_eq!(
+        exports(&analysis),
+        [FINDINGS_JSON, CALLGRAPH_JSON, CALLGRAPH_DOT]
+    );
     // The verdict is a pure function of the sources.
     let again = analyze_sources(&files);
     assert_eq!(again.findings, analysis.findings);
@@ -272,11 +344,8 @@ fn wide_workspace_verdict_is_pinned_and_repeatable() {
     let edges: usize = analysis.graph.edges.iter().map(Vec::len).sum();
     assert_eq!(edges, 3);
     let file_of = |qname: &str| {
-        let i = analysis.graph.index_of(qname).unwrap();
-        (
-            analysis.graph.fns[i].file.as_str(),
-            analysis.graph.fns[i].line,
-        )
+        let f = &analysis.graph.fns[analysis.graph.index_of(qname).unwrap()];
+        (analysis.graph.files[f.file_idx].as_str(), f.line)
     };
     assert_eq!(file_of("exec::twin::twin"), ("crates/exec/src/twin.rs", 1));
     assert_eq!(
@@ -285,6 +354,7 @@ fn wide_workspace_verdict_is_pinned_and_repeatable() {
     );
 
     let first = exports(&analysis);
+    assert_eq!(first, [FINDINGS_JSON, WIDE_CALLGRAPH_JSON, CALLGRAPH_DOT]);
     for run in 0..20 {
         assert!(exports(&analyze_sources(&files)) == first, "run {run}");
     }
