@@ -109,6 +109,15 @@ grep -q '"serve::engine::ServeEngine::run" -> "serve::engine::EngineSession::fin
     target/callgraph.a.dot
 grep -q '"serve::engine::EngineSession::finish" -> "serve::engine::EngineSession::step_all"' \
     target/callgraph.a.dot
+# Out-of-line test modules (`#[cfg(test)] mod name;`) are test code as a
+# whole: no fn of theirs may enter the call graph.
+for test_only in analysis::lexer::reference:: analysis::lints::reference:: \
+    analysis::sites::reference:: data::csv_props::; do
+    if grep -qF "\"$test_only" target/callgraph.a.dot; then
+        echo "ci: the call graph names a fn from a test-only file ($test_only)" >&2
+        exit 1
+    fi
+done
 
 echo "== perfbench smoke (analyzer benchmark, short runs per workload) =="
 # perfbench is a workspace of its own, so the workspace build, tests and

@@ -10,10 +10,14 @@
 //! The lexer is also *zero-copy*: a [`Token`]'s `text` is a slice of the
 //! source it was lexed from, and the tokens live no longer than the
 //! source. [`Lexer`] is an iterator that allocates nothing: it yields one
-//! token per `next`, dispatching on a 256-entry byte-class table. [`lex`]
-//! collects every token into a vector; [`crate::scan::FileScan::of`]
-//! drives the iterator itself and stores only the significant tokens, so
-//! whitespace and comments are never written to memory there.
+//! token per `next`, and [`lex`] collects them. [`crate::scan::FileScan::of`]
+//! drives the same per-class arms through a step that first steps over
+//! the whitespace run at the cursor itself, so whitespace never becomes a
+//! token there. Every token start is tested in frequency order: a punct
+//! other than `/`, then an identifier not starting with `r` or `b` (each
+//! one read of a 256-entry byte-class table and one branch), and only
+//! then the `match` on the byte's class that takes comments, literals,
+//! numbers, lifetimes, whitespace and the rest.
 //!
 //! Comments and string/char literals are single tokens, so lint passes that
 //! match identifiers can never fire on prose, doc examples, or string
@@ -162,25 +166,7 @@ impl<'a> Iterator for Lexer<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Token<'a>> {
-        let start = self.pos;
-        if start >= self.bytes.len() {
-            return None;
-        }
-        let line = self.line;
-        let kind = self.next_kind();
-        let text = &self.src[start..self.pos];
-        debug_assert!(self.pos > start, "lexer must always make progress");
-        // Whitespace counts its own newlines; of the other kinds only
-        // these can hold one.
-        if matches!(kind, TokenKind::BlockComment | TokenKind::Literal) {
-            self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
-        }
-        Some(Token {
-            kind,
-            text,
-            line,
-            offset: start,
-        })
+        (self.pos < self.bytes.len()).then(|| self.token())
     }
 }
 
@@ -195,6 +181,16 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The next token that is not whitespace: the step
+    /// [`crate::scan::FileScan::of`] drives. It steps over the whitespace
+    /// run at the cursor, counting its newlines, then takes the token
+    /// after it as [`Lexer::next`] would.
+    #[inline(always)]
+    pub(crate) fn next_non_space(&mut self) -> Option<Token<'a>> {
+        self.skip_space();
+        (self.pos < self.bytes.len()).then(|| self.token())
+    }
+
     fn peek(&self, ahead: usize) -> Option<u8> {
         self.bytes.get(self.pos + ahead).copied()
     }
@@ -206,27 +202,66 @@ impl<'a> Lexer<'a> {
         self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
     }
 
-    #[inline]
-    fn next_kind(&mut self) -> TokenKind {
-        let b = self.bytes[self.pos];
-        match CLASS[usize::from(b)] {
+    /// Advances past the whitespace run at `pos` (possibly empty),
+    /// counting its newlines.
+    #[inline(always)]
+    fn skip_space(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            match b {
+                b'\n' => self.line += 1,
+                b' ' | b'\t' | b'\r' => {}
+                _ => break,
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// The token at `pos`, which must be before the end of input. The two
+    /// commonest starts come first, each one table read and one branch: a
+    /// punct other than `/`, then an identifier not starting with `r` or
+    /// `b`. Every other start, whitespace included, goes through the
+    /// class `match`.
+    #[inline(always)]
+    fn token(&mut self) -> Token<'a> {
+        let start = self.pos;
+        let line = self.line;
+        let class = CLASS[usize::from(self.bytes[start])];
+        let kind = if matches!(class, Class::Punct) {
+            self.pos += 1;
+            TokenKind::Punct
+        } else if matches!(class, Class::Ident) {
+            self.ident()
+        } else {
+            self.rare_kind(class)
+        };
+        debug_assert!(self.pos > start, "lexer must always make progress");
+        Token {
+            kind,
+            text: &self.src[start..self.pos],
+            line,
+            offset: start,
+        }
+    }
+
+    /// An identifier from its first byte.
+    #[inline(always)]
+    fn ident(&mut self) -> TokenKind {
+        self.pos += 1;
+        self.skip_while(|b| IDENT_CONTINUE[usize::from(b)]);
+        TokenKind::Ident
+    }
+
+    /// The kind of every token [`Lexer::token`] does not take first,
+    /// advancing past it.
+    fn rare_kind(&mut self, class: Class) -> TokenKind {
+        let start = self.pos;
+        let kind = match class {
             Class::Space => {
-                while let Some(&b) = self.bytes.get(self.pos) {
-                    match b {
-                        b'\n' => self.line += 1,
-                        b' ' | b'\t' | b'\r' => {}
-                        _ => break,
-                    }
-                    self.pos += 1;
-                }
+                self.skip_space();
                 TokenKind::Whitespace
             }
             Class::Prefix if self.is_literal_prefix() => self.prefixed_literal(),
-            Class::Ident | Class::Prefix => {
-                self.pos += 1;
-                self.skip_while(|b| IDENT_CONTINUE[usize::from(b)]);
-                TokenKind::Ident
-            }
+            Class::Ident | Class::Prefix => self.ident(),
             Class::Digit => self.number(),
             Class::Slash => match self.peek(1) {
                 Some(b'/') => {
@@ -252,14 +287,23 @@ impl<'a> Lexer<'a> {
             Class::Utf8 => {
                 // One whole UTF-8 scalar: its lead byte gives its length
                 // (the input is a `&str`, so `pos` is on a boundary).
-                self.pos += match b {
+                self.pos += match self.bytes[start] {
                     0xF0.. => 4,
                     0xE0.. => 3,
                     _ => 2,
                 };
                 TokenKind::Unknown
             }
+        };
+        // Whitespace counts its own newlines; of the other kinds only
+        // these can hold one.
+        if matches!(kind, TokenKind::BlockComment | TokenKind::Literal) {
+            self.line += self.bytes[start..self.pos]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count() as u32;
         }
+        kind
     }
 
     /// `/* ... */` from its opening `/*`, nesting respected; unterminated,

@@ -215,7 +215,11 @@ fn sort_findings(findings: &mut [Finding]) {
 /// punct and bracket-partner tables and notes the directive comments; then
 /// directives, test regions, sites), item parse, token-lint pass and
 /// fn-node extraction, back to back while the file's tables are still in
-/// cache. The results merge back in file order, so the graph merge (its
+/// cache. A file that an out-of-line `#[cfg(test)] mod name;` declares,
+/// and every submodule file below it, is then test code as a whole: its
+/// token lints and fn nodes are taken again with the whole file one test
+/// region, so only its malformed directives (A000) still report. The
+/// results merge back in file order, so the graph merge (its
 /// edges resolved in fixed chunks of callers, concatenated in caller
 /// order), the four interprocedural lints (run side by side, concatenated
 /// in a fixed order) and the final sort see exactly what a one-core run
@@ -227,25 +231,39 @@ pub fn analyze_sources(files: &[(String, String)]) -> WorkspaceAnalysis {
 
 /// [`analyze_sources`] on up to `workers` threads.
 fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAnalysis {
-    let per_file = par::map_indexed(files.len(), workers, |i| {
-        let (path, source) = &files[i];
-        let scan = FileScan::of(source);
-        let items = parser::parse_items(&scan);
-        let (active, suppressed) = lints::run_lints_all(path, &scan);
-        let fns = graph::file_fns(path, &scan, &items, i);
-        let unit = interproc::FileUnit {
-            path: path.clone(),
-            scan,
-        };
-        (unit, active, suppressed, fns)
+    // What one file's scan gives: its active and suppressed token-lint
+    // findings and its fn nodes.
+    let facts = |i: usize, scan: &FileScan<'_>| {
+        let path = &files[i].0;
+        let items = parser::parse_items(scan);
+        let (active, suppressed) = lints::run_lints_all(path, scan);
+        (active, suppressed, graph::file_fns(path, scan, &items, i))
+    };
+    let mut per_file = par::map_indexed(files.len(), workers, |i| {
+        let scan = FileScan::of(&files[i].1);
+        let file_facts = facts(i, &scan);
+        (scan, file_facts)
     });
+    // A file an out-of-line `#[cfg(test)] mod name;` declares is test code
+    // as a whole: its facts are taken again with the whole file one test
+    // region.
+    let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
+    for i in test_only_files(&paths, per_file.iter().map(|(scan, _)| &scan.test_mods)) {
+        let (scan, file_facts) = &mut per_file[i];
+        scan.test_ranges = vec![scan::WHOLE_FILE];
+        *file_facts = facts(i, scan);
+    }
 
     let mut units = Vec::with_capacity(files.len());
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     let mut fns = Vec::new();
-    for (unit, file_active, file_suppressed, file_fns) in per_file {
-        units.push(unit);
+    for ((scan, (file_active, file_suppressed, file_fns)), path) in per_file.into_iter().zip(paths)
+    {
+        units.push(interproc::FileUnit {
+            path: path.to_string(),
+            scan,
+        });
         findings.extend(file_active);
         suppressed.extend(file_suppressed);
         fns.extend(file_fns);
@@ -264,6 +282,46 @@ fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAn
         suppressed,
         graph,
     }
+}
+
+/// The indices of the files that out-of-line test modules declare, in
+/// order. `mods` yields, for each file of `paths`, the module paths it
+/// declares under a test attribute ([`FileScan::test_mods`]). Declared in
+/// `dir/lib.rs`,
+/// `dir/main.rs`, `dir/mod.rs` or a `src/bin/` root, the module `name`
+/// is the file `dir/name.rs` or `dir/name/mod.rs`; declared in
+/// `dir/m.rs`, it is `dir/m/name.rs` or `dir/m/name/mod.rs`. Every file
+/// below the module's directory is one of its submodules and test code
+/// too.
+fn test_only_files<'m>(paths: &[&str], mods: impl Iterator<Item = &'m Vec<String>>) -> Vec<usize> {
+    let mut prefixes = Vec::new();
+    for (path, declared) in paths.iter().zip(mods) {
+        if declared.is_empty() {
+            continue;
+        }
+        let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+        let stem = file.strip_suffix(".rs").unwrap_or(file);
+        let root = matches!(stem, "lib" | "main" | "mod") || dir.ends_with("src/bin");
+        let module_dir = if root {
+            dir.to_string()
+        } else {
+            format!("{dir}/{stem}")
+        };
+        prefixes.extend(declared.iter().map(|m| {
+            format!("{module_dir}/{m}")
+                .trim_start_matches('/')
+                .to_string()
+        }));
+    }
+    (0..paths.len())
+        .filter(|&f| {
+            prefixes.iter().any(|p| {
+                paths[f]
+                    .strip_prefix(p.as_str())
+                    .is_some_and(|rest| rest == ".rs" || rest.starts_with('/'))
+            })
+        })
+        .collect()
 }
 
 /// Analyzes the whole workspace rooted at `root` — token and
@@ -312,6 +370,33 @@ mod tests {
     const SERVE: &str = "crates/serve/src/fixture.rs";
     /// Fixture path outside all crate-scoped lints.
     const NEUTRAL: &str = "crates/telemetry/src/fixture.rs";
+
+    #[test]
+    fn test_only_files_follow_the_module_tree() {
+        let paths = [
+            "crates/a/src/lib.rs",
+            "crates/a/src/t.rs",
+            "crates/a/src/t/sub.rs",
+            "crates/a/src/t_live.rs",
+            "crates/a/src/m.rs",
+            "crates/a/src/m/u/mod.rs",
+            "crates/a/src/m/live.rs",
+            "crates/a/src/m/i/w.rs",
+            "crates/a/src/bin/tool.rs",
+            "crates/a/src/bin/v.rs",
+        ];
+        let declared = |i: usize| -> Vec<String> {
+            let mods: &[&str] = match i {
+                0 => &["t"],
+                4 => &["u", "i/w"],
+                8 => &["v"],
+                _ => &[],
+            };
+            mods.iter().map(|m| m.to_string()).collect()
+        };
+        let mods: Vec<Vec<String>> = (0..paths.len()).map(declared).collect();
+        assert_eq!(test_only_files(&paths, mods.iter()), [1, 2, 5, 7, 9]);
+    }
 
     fn codes(path: &str, src: &str) -> Vec<String> {
         analyze_source(path, src)

@@ -1,19 +1,26 @@
 //! File-level scanning shared by every lint: the significant-token view,
 //! `// analyze:` directive parsing (suppressions and hot markers),
-//! `#[cfg(test)]` / `#[test]` region detection, and the per-file site
-//! table (the crate's `sites` module) every pattern-matching pass reads.
+//! `#[cfg(test)]` / `#[test]` / `#![cfg(test)]` region detection, the
+//! out-of-line test modules a file declares, and the per-file site table
+//! (the crate's `sites` module) every pattern-matching pass reads.
 //!
 //! [`FileScan::of`] is one loop from bytes to tables: it drives the
-//! [`Lexer`] itself and, token by token, drops whitespace and comments
-//! (noting each `// analyze:` line comment as it streams by) and pushes
-//! every other token into the significant-token vector, together with its
-//! punct byte (0 for anything that is not a punct) and its bracket-partner
-//! entry, which maps every `(`, `[` and `{` to its matching close. No token
-//! that is not significant is stored. The partners come from one stack
-//! per bracket kind, so each kind nests on its own exactly as a per-kind
-//! depth count would, unbalanced input included. [`FileScan::punct`] is
-//! then one byte compare and [`FileScan::match_group`] one lookup: no
-//! caller walks a group to find its end.
+//! [`Lexer`] one step per significant token or comment (the step skips the
+//! whitespace before it), hands each `// analyze:` line comment to
+//! directive collection, drops the other comments, and pushes every other
+//! token into the significant-token rows together with its punct byte (0
+//! for anything that is not a punct). One `match` on that byte keeps one
+//! stack of open indices per bracket kind, so each kind nests on its own
+//! exactly as a per-kind depth count would, unbalanced input included;
+//! every matched pair fills the bracket-partner table, which maps each
+//! `(`, `[` and `{` to its close, after the loop. No token that is not
+//! significant is stored. [`FileScan::punct`] is then one byte compare and
+//! [`FileScan::match_group`] one lookup: no caller walks a group to find
+//! its end.
+//!
+//! A stored row is a token's text, line and kind in 24 bytes; its byte
+//! offset is where the text sits in the source, so [`FileScan::tok`]
+//! rebuilds the full [`Token`] by value. Partners are `u32` indices.
 //!
 //! Directives own nothing. A well-formed `allow` becomes a [`Suppression`]
 //! that borrows its reason from the comment in the source, names its lint
@@ -73,6 +80,9 @@ pub struct BadDirective {
 /// Inclusive line range.
 pub type LineRange = (u32, u32);
 
+/// The line range of a whole file.
+pub const WHOLE_FILE: LineRange = (1, u32::MAX);
+
 /// Everything the lints need to know about one file. The tokens and the
 /// suppressions borrow the source text, so a scan lives no longer than
 /// its source. Directive lookups (`suppression_reason`, the lines a
@@ -85,29 +95,46 @@ pub struct FileScan<'a> {
     pub bad_directives: Vec<BadDirective>,
     /// Brace-balanced regions following `// analyze: hot` markers.
     pub hot_ranges: Vec<LineRange>,
-    /// Brace-balanced regions under `#[cfg(test)]` / `#[test]`.
+    /// Brace-balanced regions under `#[cfg(test)]` / `#[test]`, and the
+    /// region an inner `#![cfg(test)]` marks: the `{ ... }` group around
+    /// it, or [`WHOLE_FILE`] at the top level.
     pub test_ranges: Vec<LineRange>,
+    /// The out-of-line modules a test attribute marks
+    /// (`#[cfg(test)] mod name;`), each as its path relative to this
+    /// file's module: `name`, or `a/name` inside `mod a { ... }`. The
+    /// files that hold them are test code as a whole
+    /// ([`crate::analyze_sources`] marks them so).
+    pub(crate) test_mods: Vec<String>,
     /// Every lint and hazard pattern in the file, sorted by anchor.
     pub(crate) sites: Vec<Site>,
     /// `(covered line, index into suppressions)` for every line each
     /// suppression covers, sorted by line and then suppression order.
     covered: Vec<(u32, usize)>,
+    /// The scanned source; a row's offset is its text's distance from
+    /// the start of it.
+    src: &'a str,
     /// The significant tokens (no whitespace, no comments), in source
     /// order: what the lint patterns match over.
-    toks: Vec<Token<'a>>,
+    rows: Vec<Row<'a>>,
     /// Per significant token: its byte when it is a punct, else 0.
-    puncts: Vec<u8>,
+    pub(crate) puncts: Vec<u8>,
     /// Per significant token: for a `(`, `[` or `{`, the significant index
     /// of its matching close ([`NO_PARTNER`] when it has none).
-    partner: Vec<usize>,
+    partner: Vec<u32>,
+}
+
+/// One stored significant token: a [`Token`] without its offset, which
+/// [`FileScan::tok`] recomputes from the text's position in the source.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) line: u32,
+    pub(crate) kind: TokenKind,
 }
 
 /// The `partner` entry of every significant token that is not an opener
 /// with a matching close.
-const NO_PARTNER: usize = usize::MAX;
-
-/// The bracket pairs the partner index covers, as `(open, close)` bytes.
-const BRACKETS: [(u8, u8); 3] = [(b'(', b')'), (b'[', b']'), (b'{', b'}')];
+const NO_PARTNER: u32 = u32::MAX;
 
 impl<'a> FileScan<'a> {
     /// Lexes and scans one file, classifying its sites.
@@ -116,48 +143,62 @@ impl<'a> FileScan<'a> {
         // token and this repository over six: a third of the length
         // seldom has to grow.
         let cap = source.len() / 3 + 1;
-        let mut toks = Vec::with_capacity(cap);
+        let mut rows = Vec::with_capacity(cap);
         let mut puncts = Vec::with_capacity(cap);
-        let mut partner = Vec::with_capacity(cap);
+        // `(opener, close)` significant indices of every matched pair.
+        let mut pairs = Vec::new();
         // One stack of open significant indices per bracket kind.
-        let mut open: [Vec<usize>; 3] = Default::default();
+        let (mut parens, mut squares, mut braces) = (Vec::new(), Vec::new(), Vec::new());
         // `(line, offset, directive text)` of every `// analyze:` comment.
         let mut directives = Vec::new();
-        for t in Lexer::new(source) {
+        let mut lexer = Lexer::new(source);
+        while let Some(t) = lexer.next_non_space() {
             let byte = match t.kind {
-                TokenKind::Whitespace | TokenKind::BlockComment => continue,
+                TokenKind::Punct => t.text.as_bytes()[0],
                 TokenKind::LineComment => {
                     if let Some(d) = directive(t.text) {
                         directives.push((t.line, t.offset, d));
                     }
                     continue;
                 }
-                TokenKind::Punct => t.text.as_bytes()[0],
+                TokenKind::BlockComment => continue,
                 _ => 0,
             };
-            let k = toks.len();
-            for (stack, &(o, c)) in open.iter_mut().zip(&BRACKETS) {
-                if byte == o {
-                    stack.push(k);
-                } else if byte == c {
-                    if let Some(o) = stack.pop() {
-                        partner[o] = k;
-                    }
-                }
+            // Like lines, significant indices are `u32`: a source shorter
+            // than 4 GiB has fewer tokens, so `k` never reaches
+            // `NO_PARTNER`.
+            let k = rows.len() as u32;
+            match byte {
+                b'(' => parens.push(k),
+                b'[' => squares.push(k),
+                b'{' => braces.push(k),
+                b')' => close(&mut parens, &mut pairs, k),
+                b']' => close(&mut squares, &mut pairs, k),
+                b'}' => close(&mut braces, &mut pairs, k),
+                _ => {}
             }
-            toks.push(t);
+            rows.push(Row {
+                text: t.text,
+                line: t.line,
+                kind: t.kind,
+            });
             puncts.push(byte);
-            partner.push(NO_PARTNER);
         }
 
+        let mut partner = vec![NO_PARTNER; rows.len()];
+        for (o, c) in pairs {
+            partner[o as usize] = c;
+        }
         let mut scan = FileScan {
-            toks,
+            src: source,
+            rows,
             puncts,
             partner,
             suppressions: Vec::new(),
             bad_directives: Vec::new(),
             hot_ranges: Vec::new(),
             test_ranges: Vec::new(),
+            test_mods: Vec::new(),
             sites: Vec::new(),
             covered: Vec::new(),
         };
@@ -167,19 +208,33 @@ impl<'a> FileScan<'a> {
         scan
     }
 
-    /// The significant token at significant-index `i`.
-    pub fn tok(&self, i: usize) -> &Token<'a> {
-        &self.toks[i]
+    /// The significant token at significant-index `i`, rebuilt by value
+    /// from its stored row.
+    #[inline]
+    pub fn tok(&self, i: usize) -> Token<'a> {
+        let r = self.rows[i];
+        Token {
+            kind: r.kind,
+            text: r.text,
+            line: r.line,
+            offset: r.text.as_ptr() as usize - self.src.as_ptr() as usize,
+        }
+    }
+
+    /// The stored row of the significant token at `i`, when there is one.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> Option<Row<'a>> {
+        self.rows.get(i).copied()
     }
 
     /// Number of significant tokens.
     pub fn len(&self) -> usize {
-        self.toks.len()
+        self.rows.len()
     }
 
     /// True when the file has no significant tokens.
     pub fn is_empty(&self) -> bool {
-        self.toks.is_empty()
+        self.rows.is_empty()
     }
 
     /// True when the significant token at `i` is a punct with this exact
@@ -191,7 +246,8 @@ impl<'a> FileScan<'a> {
     /// True when the significant token at `i` is an identifier with this
     /// exact text.
     pub fn ident(&self, i: usize, text: &str) -> bool {
-        i < self.len() && self.tok(i).kind == TokenKind::Ident && self.tok(i).text == text
+        self.row(i)
+            .is_some_and(|r| r.kind == TokenKind::Ident && r.text == text)
     }
 
     /// True when `line` falls inside any `#[cfg(test)]` / `#[test]` region.
@@ -230,7 +286,7 @@ impl<'a> FileScan<'a> {
     /// strictly after `line` (`len()` when there is none). Significant
     /// tokens' lines never decrease, so this is one binary search.
     fn first_sig_after(&self, line: u32) -> usize {
-        self.toks.partition_point(|t| t.line <= line)
+        self.rows.partition_point(|r| r.line <= line)
     }
 
     /// Starting from the significant token at `from`, finds the matching
@@ -242,11 +298,11 @@ impl<'a> FileScan<'a> {
         let (&[o], &[c]) = (open.as_bytes(), close.as_bytes()) else {
             return None;
         };
-        if !BRACKETS.contains(&(o, c)) {
+        if !matches!((o, c), (b'(', b')') | (b'[', b']') | (b'{', b'}')) {
             return None;
         }
         let close = self.partner[self.next_punct(from, o)?];
-        (close != NO_PARTNER).then_some(close)
+        (close != NO_PARTNER).then_some(close as usize)
     }
 
     /// The significant index of the first punct `byte` at or after `from`.
@@ -281,7 +337,7 @@ impl<'a> FileScan<'a> {
                         });
                         continue;
                     };
-                    let next_line = self.toks.get(self.first_sig_after(line)).map(|t| t.line);
+                    let next_line = self.row(self.first_sig_after(line)).map(|r| r.line);
                     self.suppressions.push(Suppression {
                         lint: known.code,
                         reason,
@@ -313,43 +369,105 @@ impl<'a> FileScan<'a> {
         Some((self.tok(open).line, self.tok(close).line))
     }
 
+    /// Finds the test regions and the out-of-line test modules, jumping
+    /// from one `#` to the next.
     fn collect_test_ranges(&mut self) {
         let mut ranges = Vec::new();
+        let mut test_mods = Vec::new();
         let mut i = 0;
-        while i < self.len() {
-            if self.punct(i, "#") && self.punct(i + 1, "[") {
-                let Some(attr_close) = self.match_group(i + 1, "[", "]") else {
-                    break;
-                };
-                if self.is_test_attr(i + 2, attr_close) {
-                    // The attached item body: next `{` before any `;`,
-                    // stepping over the signature's `(...)` and `[...]`
-                    // groups (a `[u8; 4]` parameter holds a `;`).
-                    let mut j = attr_close + 1;
-                    while j < self.len() && !self.punct(j, "{") && !self.punct(j, ";") {
-                        let group_close = if self.punct(j, "(") {
-                            self.match_group(j, "(", ")")
-                        } else if self.punct(j, "[") {
-                            self.match_group(j, "[", "]")
-                        } else {
-                            None
-                        };
-                        j = group_close.unwrap_or(j) + 1;
-                    }
-                    if self.punct(j, "{") {
-                        if let Some(close) = self.match_group(j, "{", "}") {
-                            ranges.push((self.tok(i).line, self.tok(close).line));
-                            i = close + 1;
-                            continue;
-                        }
-                    }
-                }
-                i = attr_close + 1;
+        while let Some(hash) = self.next_punct(i, b'#') {
+            i = hash + 1;
+            // `#![...]` is an inner attribute: it marks what encloses it.
+            let inner = self.punct(hash + 1, "!");
+            let open = hash + 1 + usize::from(inner);
+            if !self.punct(open, "[") {
                 continue;
             }
-            i += 1;
+            let Some(attr_close) = self.match_group(open, "[", "]") else {
+                break;
+            };
+            i = attr_close + 1;
+            if !self.is_test_attr(open + 1, attr_close) {
+                continue;
+            }
+            if inner {
+                ranges.push(match self.enclosing_braces(hash).last() {
+                    Some(&o) => (self.tok(o).line, self.close_line(o)),
+                    None => WHOLE_FILE,
+                });
+                continue;
+            }
+            // The attached item body: next `{` before any `;`, stepping
+            // over the signature's `(...)` and `[...]` groups (a `[u8; 4]`
+            // parameter holds a `;`).
+            let mut j = attr_close + 1;
+            while j < self.len() && !self.punct(j, "{") && !self.punct(j, ";") {
+                let group_close = if self.punct(j, "(") {
+                    self.match_group(j, "(", ")")
+                } else if self.punct(j, "[") {
+                    self.match_group(j, "[", "]")
+                } else {
+                    None
+                };
+                j = group_close.unwrap_or(j) + 1;
+            }
+            if self.punct(j, "{") {
+                if let Some(close) = self.match_group(j, "{", "}") {
+                    ranges.push((self.tok(hash).line, self.tok(close).line));
+                    i = close + 1;
+                }
+            } else if self.punct(j, ";") && self.ident(j - 2, "mod") {
+                test_mods.extend(self.module_path(j - 1));
+            }
         }
         self.test_ranges = ranges;
+        self.test_mods = test_mods;
+    }
+
+    /// The significant indices of the `{` openers whose groups enclose
+    /// significant index `k`, outermost first. An opener with no close
+    /// encloses everything after it.
+    fn enclosing_braces(&self, k: usize) -> Vec<usize> {
+        let mut enclosing = Vec::new();
+        let mut i = 0;
+        while let Some(open) = self.next_punct(i, b'{').filter(|&o| o < k) {
+            let close = self.partner[open];
+            if close == NO_PARTNER || close as usize > k {
+                enclosing.push(open);
+                i = open + 1;
+            } else {
+                i = close as usize + 1;
+            }
+        }
+        enclosing
+    }
+
+    /// The line of the close matching the `{` at `open`; `u32::MAX`, the
+    /// end of the file, when it has none.
+    fn close_line(&self, open: usize) -> u32 {
+        match self.partner[open] {
+            NO_PARTNER => u32::MAX,
+            close => self.tok(close as usize).line,
+        }
+    }
+
+    /// The path, relative to this file's module, of the module the
+    /// identifier at `name` declares (`mod name;` gives `name`, the same
+    /// inside `mod a { ... }` gives `a/name`); `None` when a group other
+    /// than an inline `mod` encloses the declaration.
+    fn module_path(&self, name: usize) -> Option<String> {
+        let mut path = String::new();
+        for open in self.enclosing_braces(name) {
+            if open < 2
+                || !self.ident(open - 2, "mod")
+                || self.tok(open - 1).kind != TokenKind::Ident
+            {
+                return None;
+            }
+            path.push_str(self.tok(open - 1).text);
+            path.push('/');
+        }
+        (self.tok(name).kind == TokenKind::Ident).then(|| path + self.tok(name).text)
     }
 
     /// True when the attribute whose tokens lie in significant indices
@@ -372,6 +490,15 @@ impl<'a> FileScan<'a> {
             j += 1;
         }
         test && (idents == 1 || cfg)
+    }
+}
+
+/// Pairs the close at significant index `k` with the innermost opener on
+/// its kind's `stack`, when one is open.
+#[inline]
+fn close(stack: &mut Vec<u32>, pairs: &mut Vec<(u32, u32)>, k: u32) {
+    if let Some(o) = stack.pop() {
+        pairs.push((o, k));
     }
 }
 
@@ -523,5 +650,59 @@ mod tests { fn t() {} }
         let findings = crate::analyze_source("crates/serve/src/lib.rs", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!((findings[0].lint.as_str(), findings[0].line), ("P001", 2));
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_what_encloses_it() {
+        let src = "#![cfg(test)]\nfn f() { x.unwrap(); }\n";
+        let scan = FileScan::of(src);
+        assert_eq!(scan.test_ranges, [WHOLE_FILE]);
+        let findings = crate::analyze_source("crates/serve/src/x.rs", src);
+        assert!(findings.is_empty(), "{findings:?}");
+
+        // Inside an inline module it marks that module only; other inner
+        // attributes mark nothing.
+        let src = "\
+#![forbid(unsafe_code)]
+#![cfg_attr(test, allow(dead_code))]
+mod m {
+    #![cfg(test)]
+    fn g() { y.unwrap(); }
+}
+fn live() { z.unwrap(); }
+";
+        let scan = FileScan::of(src);
+        assert_eq!(scan.test_ranges, [(3, 6)]);
+        let findings = crate::analyze_source("crates/serve/src/x.rs", src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!((findings[0].lint.as_str(), findings[0].line), ("P001", 7));
+    }
+
+    #[test]
+    fn out_of_line_test_modules_are_listed_by_path() {
+        let src = "\
+#[cfg(test)]
+mod props;
+#[cfg(not(test))]
+mod live;
+mod a {
+    #[cfg(test)]
+    pub(crate) mod b;
+}
+fn f() {
+    #[cfg(test)]
+    mod c;
+}
+#[test]
+fn t() {}
+";
+        let scan = FileScan::of(src);
+        assert_eq!(scan.test_mods, ["props", "a/b"]);
+        assert_eq!(scan.test_ranges, [(13, 14)]);
+    }
+
+    #[test]
+    fn a_stored_row_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Row<'_>>() <= 24);
     }
 }

@@ -279,3 +279,64 @@ fn for_array_patterns_are_not_index_hazards() {
         indexed.findings
     );
 }
+
+#[test]
+fn files_of_out_of_line_test_modules_are_test_code() {
+    // `#[cfg(test)] mod props;` makes `props.rs` and its submodule
+    // `props/deep.rs` test code: no token finding, no fn node, and so no
+    // edge from the serving root into them.
+    let analysis = analyze_sources(&files(&[
+        (
+            "crates/serve/src/lib.rs",
+            "pub mod engine;\n#[cfg(test)]\nmod props;\n",
+        ),
+        (
+            "crates/serve/src/engine.rs",
+            "pub struct ServeEngine;\n\
+             impl ServeEngine {\n\
+                 pub fn run(&self) {\n\
+                     helper();\n\
+                     deeper();\n\
+                 }\n\
+             }\n",
+        ),
+        (
+            "crates/serve/src/props.rs",
+            "mod deep;\npub fn helper() { v.unwrap(); }\n",
+        ),
+        (
+            "crates/serve/src/props/deep.rs",
+            "pub fn deeper() { w.unwrap(); }\n",
+        ),
+        // A sibling whose name only starts like the module's stays live.
+        (
+            "crates/serve/src/props_live.rs",
+            "pub fn other() { u.unwrap(); }\n",
+        ),
+    ]));
+    let found: Vec<(&str, &str)> = analysis
+        .findings
+        .iter()
+        .map(|f| (f.lint.as_str(), f.file.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        [("P001", "crates/serve/src/props_live.rs")],
+        "{:#?}",
+        analysis.findings
+    );
+    let qnames: Vec<&str> = analysis
+        .graph
+        .fns
+        .iter()
+        .map(|f| f.qname.as_str())
+        .collect();
+    assert_eq!(
+        qnames,
+        [
+            "serve::engine::ServeEngine::run",
+            "serve::props_live::other"
+        ]
+    );
+    assert!(analysis.graph.edges.iter().all(Vec::is_empty));
+}

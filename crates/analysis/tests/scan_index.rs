@@ -317,7 +317,7 @@ fn check_significant(src: &str) -> Result<(), String> {
             )
         })
         .collect();
-    let got: Vec<Token<'_>> = (0..scan.len()).map(|k| *scan.tok(k)).collect();
+    let got: Vec<Token<'_>> = (0..scan.len()).map(|k| scan.tok(k)).collect();
     if got != want {
         return Err(format!("scan {got:#?}\nlex {want:#?}\nin {src:?}"));
     }

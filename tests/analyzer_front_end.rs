@@ -70,7 +70,7 @@ fn survives(src: &str) {
         })
         .copied()
         .collect();
-    let kept: Vec<Token<'_>> = (0..scan.len()).map(|k| *scan.tok(k)).collect();
+    let kept: Vec<Token<'_>> = (0..scan.len()).map(|k| scan.tok(k)).collect();
     assert_eq!(kept, significant, "significant tokens of {src:?}");
     for path in ["crates/serve/src/hostile.rs", "crates/exec/src/hostile.rs"] {
         analyze_sources(&[(path.to_string(), src.to_string())]);
