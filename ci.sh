@@ -129,21 +129,42 @@ echo "== perfbench smoke (analyzer benchmark, short runs per workload) =="
 # public per-layer API still gives the whole-workspace verdict. One more
 # untraced run at seed 7 checks a second generated workspace against the
 # generator's answer.
+# perfbench [PREFIX...] -- WORKLOAD SEED TRACE: runs one 1-second perfbench
+# run under PREFIX (a command such as `taskset -c 0`, or nothing) and
+# fails the gate unless it reports a correct run.
+perfbench() {
+    local prefix=()
+    while [ "$1" != -- ]; do
+        prefix+=("$1")
+        shift
+    done
+    local w=$2 seed=$3 trace=$4 last
+    last=$("${prefix[@]}" cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed "$seed" --seconds 1 --trace "$trace" | tail -n 1)
+    echo "perfbench ${prefix[*]:+${prefix[*]} }$w --seed $seed --trace $trace: $last"
+    case "$last" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "ci: perfbench ${prefix[*]:+${prefix[*]} }$w --seed $seed --trace $trace did not report a correct run: $last" >&2
+            exit 1
+            ;;
+    esac
+}
 for w in tokens callgraph waivers; do
     for run in 1:0 1:1 7:0; do
-        seed=${run%:*} trace=${run#*:}
-        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-            --workload "$w" --seed "$seed" --seconds 1 --trace "$trace" | tail -n 1)
-        echo "perfbench $w --seed $seed --trace $trace: $last"
-        case "$last" in
-            *'"correct": true'*'"failed": 0,'*) ;;
-            *)
-                echo "ci: perfbench $w --seed $seed --trace $trace did not report a correct run: $last" >&2
-                exit 1
-                ;;
-        esac
+        perfbench -- "$w" "${run%:*}" "${run#*:}"
     done
 done
+# Pinned to one core, the analyzer takes its one-worker path (no threads
+# spawned): one more untraced run per workload there.
+if command -v taskset >/dev/null 2>&1; then
+    for w in tokens callgraph waivers; do
+        perfbench taskset -c 0 -- "$w" 1 0
+    done
+else
+    echo "ci: taskset not found; skipping the one-core perfbench runs"
+fi
 
 echo "== bench smoke (repro bench --quick, detected, avx2 and portable SIMD tiers) =="
 # Quick measured sweep into a scratch file: exercises the wall-clock

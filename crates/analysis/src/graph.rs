@@ -45,6 +45,17 @@
 //! a hazard that becomes a P002/H002/D004 message, straight into that
 //! message.
 //!
+//! The graph allocates per file and per graph, not per name, site or
+//! edge. The item names a node is built from are slices of the source. A
+//! file's call sites and hazards go into two tables of the file, each
+//! sized once by counting the file's sites; the merge joins every file's
+//! into the graph's two tables, and a node keeps `u32` ranges of them
+//! ([`CallGraph::calls_of`], [`CallGraph::hazards_of`]). A resolution
+//! task gathers each caller's edges in one scratch buffer and hands out
+//! a list of their exact size. `Reach` keeps only the parent links of
+//! its shortest chains; a chain is written, by a loop over them, straight
+//! into the message that shows it.
+//!
 //! Functions defined inside `#[cfg(test)]` / `#[test]` regions are
 //! excluded from the table entirely — test helpers may panic and allocate
 //! freely, and must not capture call edges from production code that
@@ -155,7 +166,9 @@ impl CallSite {
 /// last segment are ranges of it ([`FnNode::krate`], [`FnNode::self_ty`],
 /// [`FnNode::name`]), and its file is [`CallGraph::files`]`[file_idx]`,
 /// stored once per file. The `#n` suffix the graph appends to a colliding
-/// name sits after every range, so no range moves.
+/// name sits after every range, so no range moves. Its call sites and
+/// hazards are ranges of the graph's two site tables
+/// ([`CallGraph::calls_of`], [`CallGraph::hazards_of`]).
 #[derive(Debug, Clone)]
 pub struct FnNode {
     /// Unique qualified name (`serve::engine::ServeEngine::run`).
@@ -174,10 +187,10 @@ pub struct FnNode {
     pub line: u32,
     /// True when the parameter list has a `self` receiver.
     pub has_self: bool,
-    /// Extracted call sites.
-    pub calls: Vec<CallSite>,
-    /// Extracted hazard sites.
-    pub hazards: Vec<Hazard>,
+    /// The fn's call sites in the call-site table.
+    calls: Range<u32>,
+    /// The fn's hazards in the hazard table.
+    hazards: Range<u32>,
 }
 
 impl FnNode {
@@ -242,6 +255,10 @@ pub struct CallGraph {
     /// Resolved edges `caller -> (callee, call line)`, per caller, each
     /// list sorted and deduplicated.
     pub edges: Vec<Vec<(usize, u32)>>,
+    /// Every fn's call sites, one run per fn, in file order.
+    calls: Vec<CallSite>,
+    /// Every fn's hazards, one run per fn, in file order.
+    hazards: Vec<Hazard>,
 }
 
 /// The module path of a file within its crate: `crates/serve/src/engine.rs`
@@ -269,28 +286,55 @@ impl CallGraph {
     /// `files` is `(rel_path, scan, items)` — the same single-lex scans
     /// the token lints run over. Edges resolve on every core the host
     /// offers.
-    pub fn build(files: &[(String, &FileScan<'_>, &[Item])]) -> CallGraph {
-        let fns = files
-            .iter()
-            .enumerate()
-            .flat_map(|(file_idx, (path, scan, items))| file_fns(path, scan, items, file_idx))
+    pub fn build(files: &[(String, &FileScan<'_>, &[Item<'_>])]) -> CallGraph {
+        let per_file = (files.iter().enumerate())
+            .map(|(file_idx, (path, scan, items))| file_fns(path, scan, items, file_idx))
             .collect();
         let paths = files.iter().map(|(path, _, _)| path.clone()).collect();
         let scans: Vec<&FileScan<'_>> = files.iter().map(|(_, scan, _)| *scan).collect();
-        CallGraph::merge(fns, paths, &scans, par::host_workers())
+        CallGraph::merge(per_file, paths, &scans, par::host_workers())
     }
 
-    /// The workspace half of [`CallGraph::build`]: orders the per-file fn
-    /// nodes (concatenated in file order) by qualified name, disambiguates
-    /// colliding names, and resolves the edges on up to `workers` threads.
-    /// `files[i]` is the path and `scans[i]` the scan of file `i`, which
-    /// the nodes with `file_idx == i` were extracted from.
+    /// The call sites of fn `idx`, in body order.
+    pub fn calls_of(&self, idx: usize) -> &[CallSite] {
+        let r = &self.fns[idx].calls;
+        &self.calls[r.start as usize..r.end as usize]
+    }
+
+    /// The hazards of fn `idx`, in body order.
+    pub fn hazards_of(&self, idx: usize) -> &[Hazard] {
+        let r = &self.fns[idx].hazards;
+        &self.hazards[r.start as usize..r.end as usize]
+    }
+
+    /// The workspace half of [`CallGraph::build`]: joins the files' fn
+    /// nodes (`per_file`, in file order) and their site tables, orders the
+    /// nodes by qualified name, disambiguates colliding names, and
+    /// resolves the edges on up to `workers` threads. `files[i]` is the
+    /// path and `scans[i]` the scan of file `i`, which `per_file[i]` was
+    /// extracted from.
     pub(crate) fn merge(
-        fns: Vec<FnNode>,
+        per_file: Vec<FileFns>,
         files: Vec<String>,
         scans: &[&FileScan<'_>],
         workers: usize,
     ) -> CallGraph {
+        // Each file's sites go after the sites of the files before it, and
+        // its nodes' ranges move with them.
+        let total = |len: fn(&FileFns) -> usize| per_file.iter().map(len).sum();
+        let mut fns = Vec::with_capacity(total(|f| f.fns.len()));
+        let mut calls = Vec::with_capacity(total(|f| f.calls.len()));
+        let mut hazards = Vec::with_capacity(total(|f| f.hazards.len()));
+        for file in per_file {
+            let (c, h) = (calls.len() as u32, hazards.len() as u32);
+            fns.extend(file.fns.into_iter().map(|mut f| {
+                f.calls = f.calls.start + c..f.calls.end + c;
+                f.hazards = f.hazards.start + h..f.hazards.end + h;
+                f
+            }));
+            calls.extend(file.calls);
+            hazards.extend(file.hazards);
+        }
         // Sort indices, not nodes, then move each node once. Stable: equal
         // names keep file order, which fixes who gets `#2`.
         let mut order: Vec<usize> = (0..fns.len()).collect();
@@ -317,8 +361,14 @@ impl CallGraph {
             }
             fns.push(f);
         }
-        let edges = resolve_edges(&fns, scans, workers);
-        CallGraph { fns, files, edges }
+        let edges = resolve_edges(&fns, &calls, scans, workers);
+        CallGraph {
+            fns,
+            files,
+            edges,
+            calls,
+            hazards,
+        }
     }
 
     /// The index in `fns` of the fn whose qualified name (with its `#n`
@@ -351,7 +401,7 @@ impl CallGraph {
     /// depth the lower index wins.
     pub(crate) fn reach(&self, roots: &[usize]) -> Reach {
         let mut parent = vec![UNREACHED; self.fns.len()];
-        let mut queue = VecDeque::new();
+        let mut queue = VecDeque::with_capacity(self.fns.len());
         let mut roots = roots.to_vec();
         roots.sort_unstable();
         for r in roots {
@@ -369,8 +419,8 @@ impl CallGraph {
             }
         }
         Reach {
-            chains: vec![String::new(); parent.len()],
             parent,
+            path: Vec::new(),
         }
     }
 
@@ -469,11 +519,13 @@ impl CallGraph {
 }
 
 /// Resolves every call site against the symbol table (see the module docs
-/// for the name-based rules) on up to `workers` threads, `scans[i]` being
-/// file `i`'s scan. Returns, per caller, its `(callee, call line)` edges,
-/// sorted and deduplicated.
+/// for the name-based rules) on up to `workers` threads, `calls` being the
+/// call-site table the fns' ranges index and `scans[i]` file `i`'s scan.
+/// Returns, per caller, its `(callee, call line)` edges, sorted and
+/// deduplicated.
 fn resolve_edges(
     fns: &[FnNode],
+    calls: &[CallSite],
     scans: &[&FileScan<'_>],
     workers: usize,
 ) -> Vec<Vec<(usize, u32)>> {
@@ -518,12 +570,12 @@ fn resolve_edges(
         })
         .collect();
 
-    let resolve = |ci: usize| {
+    // Pushes caller `ci`'s edges onto `out`, which comes in empty.
+    let resolve = |ci: usize, out: &mut Vec<(usize, u32)>| {
         let caller = &fns[ci];
         let scan = scans[caller.file_idx];
         let may_call = &may_reference[crate_id[ci] * crates.len()..][..crates.len()];
-        let mut out: Vec<(usize, u32)> = Vec::new();
-        for call in &caller.calls {
+        for call in &calls[caller.calls.start as usize..caller.calls.end as usize] {
             // A miss, the common case, touches no scan.
             let Some(run) = runs.get(&call.key) else {
                 continue;
@@ -556,23 +608,31 @@ fn resolve_edges(
                 }
             }
         }
-        out.sort_unstable();
-        // Dedup exact (callee, line) pairs only — the same callee called
-        // from several lines keeps one edge per line, which H002 needs to
-        // match hot-region call sites.
-        out.dedup();
-        out
     };
     // Fixed chunks of callers, so the tasks do not depend on the worker
-    // count; the chunks come back in caller order.
+    // count; the chunks come back in caller order. A chunk gathers each
+    // caller's edges in one scratch buffer and hands out a list of their
+    // exact size (none for a caller without edges).
     let chunks = fns.len().div_ceil(RESOLVE_CHUNK);
-    par::map_indexed(chunks, workers, |c| {
+    let per_chunk = par::map_indexed(chunks, workers, |c| {
         let callers = c * RESOLVE_CHUNK..fns.len().min((c + 1) * RESOLVE_CHUNK);
-        callers.map(resolve).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        let mut scratch = Vec::new();
+        callers
+            .map(|ci| {
+                scratch.clear();
+                resolve(ci, &mut scratch);
+                scratch.sort_unstable();
+                // Dedup exact (callee, line) pairs only — the same callee
+                // called from several lines keeps one edge per line, which
+                // H002 needs to match hot-region call sites.
+                scratch.dedup();
+                scratch.to_vec()
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut edges = Vec::with_capacity(fns.len());
+    per_chunk.into_iter().for_each(|chunk| edges.extend(chunk));
+    edges
 }
 
 /// The parent slot of a fn no root reaches.
@@ -584,8 +644,9 @@ pub(crate) struct Reach {
     /// Per fn: its predecessor on a shortest chain from a root. A root is
     /// its own parent; a fn no root reaches has [`UNREACHED`].
     parent: Vec<usize>,
-    /// Per fn: its rendered chain, empty until [`Reach::chain`] asks.
-    chains: Vec<String>,
+    /// Scratch for [`Reach::write_chain`]: the chain being written, from
+    /// its last fn back to its root.
+    path: Vec<usize>,
 }
 
 impl Reach {
@@ -596,76 +657,108 @@ impl Reach {
 
     /// The root at the head of `idx`'s chain.
     pub(crate) fn root_of(&self, idx: usize) -> usize {
-        let mut cur = idx;
-        while self.parent[cur] != cur && self.parent[cur] != UNREACHED {
-            cur = self.parent[cur];
-        }
-        cur
+        links(&self.parent, idx).last().unwrap_or(idx)
     }
 
-    /// The chain `root -> ... -> idx` as qualified names joined by ` -> `.
-    /// Each fn's chain is rendered once, from its parent's: repeated and
-    /// sibling queries share the work.
-    pub(crate) fn chain(&mut self, graph: &CallGraph, idx: usize) -> &str {
-        // Climb to the nearest rendered ancestor (or the root), then render
-        // back down.
-        let mut pending = Vec::new();
-        let mut cur = idx;
-        while self.chains[cur].is_empty() {
-            pending.push(cur);
-            let p = self.parent[cur];
-            if p == cur || p == UNREACHED {
-                break;
+    /// The length in bytes of what [`Reach::write_chain`] appends for
+    /// `idx`.
+    pub(crate) fn chain_len(&self, graph: &CallGraph, idx: usize) -> usize {
+        links(&self.parent, idx)
+            .map(|n| graph.fns[n].qname.len() + " -> ".len())
+            .sum::<usize>()
+            - " -> ".len()
+    }
+
+    /// Appends the chain `root -> ... -> idx` to `out`: qualified names
+    /// joined by ` -> `. A loop over the parent links, not a recursion, so
+    /// a chain of any depth is written.
+    pub(crate) fn write_chain(&mut self, graph: &CallGraph, idx: usize, out: &mut String) {
+        self.path.clear();
+        self.path.extend(links(&self.parent, idx));
+        for (i, &n) in self.path.iter().rev().enumerate() {
+            if i > 0 {
+                out.push_str(" -> ");
             }
-            cur = p;
+            out.push_str(&graph.fns[n].qname);
         }
-        while let Some(n) = pending.pop() {
-            let qname = &graph.fns[n].qname;
-            let p = self.parent[n];
-            let chain = if p == n || p == UNREACHED {
-                qname.clone()
-            } else {
-                let head = &self.chains[p];
-                let mut chain = String::with_capacity(head.len() + 4 + qname.len());
-                chain.push_str(head);
-                chain.push_str(" -> ");
-                chain.push_str(qname);
-                chain
-            };
-            self.chains[n] = chain;
-        }
-        &self.chains[idx]
     }
 }
 
-/// The fn nodes one file contributes, in item order — the per-file half
-/// of [`CallGraph::build`]. `file_idx` is the file's index in the analyzed
-/// file list.
+/// The fns on `idx`'s chain in a [`Reach`]'s `parent` table, from `idx`
+/// back to its root.
+fn links(parent: &[usize], idx: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(Some(idx), |&cur| {
+        let p = parent[cur];
+        (p != cur && p != UNREACHED).then_some(p)
+    })
+}
+
+/// The fn nodes one file contributes, in item order, with the call sites
+/// and hazards of their bodies: the per-file half of
+/// [`CallGraph::build`]. Each node's site ranges index this file's two
+/// tables until [`CallGraph::merge`] joins every file's.
+pub(crate) struct FileFns {
+    fns: Vec<FnNode>,
+    calls: Vec<CallSite>,
+    hazards: Vec<Hazard>,
+}
+
+/// The [`FileFns`] of one file; `file_idx` is the file's index in the
+/// analyzed file list. Each of the three lists is allocated once: every
+/// fn item, test code included, bounds the nodes, and the file's call and
+/// hazard sites bound its fns'.
 pub(crate) fn file_fns(
     path: &str,
     scan: &FileScan<'_>,
-    items: &[Item],
+    items: &[Item<'_>],
     file_idx: usize,
-) -> Vec<FnNode> {
+) -> FileFns {
     let krate = crate_of(path);
     let mut prefix = krate.to_string();
     for seg in module_path(path) {
         prefix.push_str("::");
         prefix.push_str(seg);
     }
-    let mut out = Vec::new();
-    collect_fns(&mut out, scan, items, &prefix, None, krate.len(), file_idx);
+    let sites = |keep: fn(SiteKind) -> bool| scan.sites.iter().filter(|s| keep(s.kind)).count();
+    let mut out = FileFns {
+        fns: Vec::with_capacity(fn_items(items)),
+        calls: Vec::with_capacity(sites(|kind| kind == SiteKind::Call)),
+        hazards: Vec::with_capacity(sites(|kind| hazard_kind(kind).is_some())),
+    };
+    collect_fns(
+        &mut out,
+        scan,
+        items,
+        &mut prefix,
+        None,
+        krate.len(),
+        file_idx,
+    );
     out
+}
+
+/// The number of fn items in an item tree, nested ones included.
+fn fn_items(items: &[Item<'_>]) -> usize {
+    (items.iter())
+        .map(|item| match &item.kind {
+            ItemKind::Fn { .. } => 1,
+            ItemKind::Impl { items, .. }
+            | ItemKind::Trait { items, .. }
+            | ItemKind::Mod { items, .. } => fn_items(items),
+            ItemKind::Use { .. } | ItemKind::Other => 0,
+        })
+        .sum()
 }
 
 /// Recursively collects fn nodes from a parsed item tree. `prefix` is the
 /// `::`-joined crate and module path of the items, and its first
-/// `krate_len` bytes are the crate.
+/// `krate_len` bytes are the crate; a nested `mod` appends its name for
+/// its items and takes it off again.
 fn collect_fns(
-    out: &mut Vec<FnNode>,
+    out: &mut FileFns,
     scan: &FileScan<'_>,
-    items: &[Item],
-    prefix: &str,
+    items: &[Item<'_>],
+    prefix: &mut String,
     self_ty: Option<&str>,
     krate_len: usize,
     file_idx: usize,
@@ -693,13 +786,14 @@ fn collect_fns(
                 qname.push_str("::");
                 let name_start = qname.len();
                 qname.push_str(name);
-                let (calls, hazards) = match body {
-                    Some((open, close)) => extract_body(scan, *open, *close),
-                    None => (Vec::new(), Vec::new()),
-                };
-                // Source files are far below 4 GiB, and so is any name in one.
+                let (calls, hazards) = (out.calls.len(), out.hazards.len());
+                if let Some((open, close)) = body {
+                    extract_body(scan, *open, *close, &mut out.calls, &mut out.hazards);
+                }
+                // Source files are far below 4 GiB, and so is any name in
+                // one and the site count of a workspace.
                 let at = |i: usize| i as u32;
-                out.push(FnNode {
+                out.fns.push(FnNode {
                     krate_end: at(krate_len),
                     ty_start: at(ty_start),
                     name_start: at(name_start),
@@ -708,62 +802,74 @@ fn collect_fns(
                     file_idx,
                     line: item.span.line_start,
                     has_self: *has_self,
-                    calls,
-                    hazards,
+                    calls: at(calls)..at(out.calls.len()),
+                    hazards: at(hazards)..at(out.hazards.len()),
                 });
             }
             ItemKind::Impl {
                 self_ty: ty, items, ..
             } => {
-                collect_fns(out, scan, items, prefix, Some(ty), krate_len, file_idx);
+                collect_fns(out, scan, items, prefix, Some(*ty), krate_len, file_idx);
             }
             ItemKind::Trait { name, items } => {
-                collect_fns(out, scan, items, prefix, Some(name), krate_len, file_idx);
+                collect_fns(out, scan, items, prefix, Some(*name), krate_len, file_idx);
             }
             ItemKind::Mod { name, items } => {
-                let nested = format!("{prefix}::{name}");
-                collect_fns(out, scan, items, &nested, None, krate_len, file_idx);
+                let outer = prefix.len();
+                prefix.push_str("::");
+                prefix.push_str(name);
+                collect_fns(out, scan, items, prefix, None, krate_len, file_idx);
+                prefix.truncate(outer);
             }
             ItemKind::Use { .. } | ItemKind::Other => {}
         }
     }
 }
 
+/// The hazard a site of this kind is, when it is one.
+fn hazard_kind(kind: SiteKind) -> Option<HazardKind> {
+    Some(match kind {
+        SiteKind::PanicMethod | SiteKind::PanicMacro => HazardKind::Panic,
+        SiteKind::Index => HazardKind::Index,
+        SiteKind::AllocNew | SiteKind::AllocMacro | SiteKind::AllocMethod => HazardKind::Alloc,
+        SiteKind::InstantNow | SiteKind::SystemTimeUse => HazardKind::Clock,
+        SiteKind::AmbientRng | SiteKind::RandRandom => HazardKind::Rng,
+        SiteKind::UnorderedMap => HazardKind::UnorderedMap,
+        _ => return None,
+    })
+}
+
 /// Extracts call sites and hazard sites from a fn body's significant-token
 /// range `(open, close)` (the braces themselves excluded): the sites of
-/// the file's site table anchored inside the body, in anchor order.
+/// the file's site table anchored inside the body, in anchor order,
+/// appended to `calls` and `hazards`.
 pub(crate) fn extract_body(
     scan: &FileScan<'_>,
     open: usize,
     close: usize,
-) -> (Vec<CallSite>, Vec<Hazard>) {
+    calls: &mut Vec<CallSite>,
+    hazards: &mut Vec<Hazard>,
+) {
     let from = scan.sites.partition_point(|s| s.at <= open);
     let to = scan.sites.partition_point(|s| s.at < close);
-    let mut calls = Vec::new();
-    let mut hazards = Vec::new();
     for &site in &scan.sites[from..to] {
-        let kind = match site.kind {
-            SiteKind::Call => {
-                let (j, t) = (site.at, scan.tok(site.at));
-                if !scan.in_test(t.line) {
-                    calls.push(CallSite {
-                        at: j,
-                        key: name_key(t.text),
-                        method: j > 0 && scan.punct(j - 1, "."),
-                        line: t.line,
-                        in_hot: scan.in_hot(t.line),
-                    });
-                }
-                continue;
+        if site.kind == SiteKind::Call {
+            let (j, t) = (site.at, scan.tok(site.at));
+            if !scan.in_test(t.line) {
+                calls.push(CallSite {
+                    at: j,
+                    key: name_key(t.text),
+                    method: j > 0 && scan.punct(j - 1, "."),
+                    line: t.line,
+                    in_hot: scan.in_hot(t.line),
+                });
             }
-            SiteKind::PanicMethod | SiteKind::PanicMacro => HazardKind::Panic,
-            // The index base must sit inside the body too.
-            SiteKind::Index if site.at > open + 1 => HazardKind::Index,
-            SiteKind::AllocNew | SiteKind::AllocMacro | SiteKind::AllocMethod => HazardKind::Alloc,
-            SiteKind::InstantNow | SiteKind::SystemTimeUse => HazardKind::Clock,
-            SiteKind::AmbientRng | SiteKind::RandRandom => HazardKind::Rng,
-            SiteKind::UnorderedMap => HazardKind::UnorderedMap,
-            _ => continue,
+            continue;
+        }
+        // The index base must sit inside the body too.
+        let in_body = site.kind != SiteKind::Index || site.at > open + 1;
+        let Some(kind) = hazard_kind(site.kind).filter(|_| in_body) else {
+            continue;
         };
         let t = scan.tok(site.token());
         if !scan.in_test(t.line) {
@@ -775,7 +881,6 @@ pub(crate) fn extract_body(
             });
         }
     }
-    (calls, hazards)
 }
 
 #[cfg(test)]
@@ -789,7 +894,7 @@ mod tests {
             .map(|(p, s)| ((*p).to_string(), FileScan::of(s)))
             .collect();
         let parsed: Vec<Vec<Item>> = scans.iter().map(|(_, s)| parse_items(s)).collect();
-        let view: Vec<(String, &FileScan<'_>, &[Item])> = scans
+        let view: Vec<(String, &FileScan<'_>, &[Item<'_>])> = scans
             .iter()
             .zip(&parsed)
             .map(|((p, s), items)| (p.clone(), s, items.as_slice()))
@@ -818,9 +923,9 @@ mod tests {
             .collect();
         let scans: Vec<FileScan> = sources.iter().map(|(_, s)| FileScan::of(s)).collect();
         let scan_refs: Vec<&FileScan> = scans.iter().collect();
-        let fns = || -> Vec<FnNode> {
+        let fns = || -> Vec<FileFns> {
             (sources.iter().zip(&scans).enumerate())
-                .flat_map(|(i, ((path, _), scan))| file_fns(path, scan, &parse_items(scan), i))
+                .map(|(i, ((path, _), scan))| file_fns(path, scan, &parse_items(scan), i))
                 .collect()
         };
         let paths = || sources.iter().map(|(path, _)| path.clone()).collect();
@@ -911,7 +1016,7 @@ mod tests {
             "fn f(xs: &[u64], i: usize) -> u64 {\n  let v = Vec::new();\n  \
              let t = Instant::now();\n  xs[i] + x.unwrap()\n}\n",
         )]);
-        let kinds: Vec<HazardKind> = g.fns[0].hazards.iter().map(|h| h.kind).collect();
+        let kinds: Vec<HazardKind> = g.hazards_of(0).iter().map(|h| h.kind).collect();
         assert!(kinds.contains(&HazardKind::Alloc));
         assert!(kinds.contains(&HazardKind::Clock));
         assert!(kinds.contains(&HazardKind::Index));
@@ -929,7 +1034,7 @@ mod tests {
         let mut reach = g.reach(&[root]);
         assert!(reach.contains(leaf));
         assert!(!reach.contains(g.index_of("a::stranded").unwrap()));
-        assert_eq!(reach.chain(&g, leaf), "a::root -> a::mid -> a::leaf");
+        assert_eq!(chain(&mut reach, &g, leaf), "a::root -> a::mid -> a::leaf");
         assert_eq!(reach.root_of(leaf), root);
     }
 
@@ -953,8 +1058,17 @@ mod tests {
         )]);
         let walk = g.index_of("a::walk").unwrap();
         let cold = g.index_of("a::cold").unwrap();
-        assert!(g.fns[walk].calls[0].in_hot);
-        assert!(!g.fns[cold].calls[0].in_hot);
+        assert!(g.calls_of(walk)[0].in_hot);
+        assert!(!g.calls_of(cold)[0].in_hot);
+    }
+
+    /// `idx`'s chain as [`Reach::write_chain`] writes it, checked against
+    /// the length [`Reach::chain_len`] gives.
+    fn chain(reach: &mut Reach, g: &CallGraph, idx: usize) -> String {
+        let mut out = String::new();
+        reach.write_chain(g, idx, &mut out);
+        assert_eq!(out.len(), reach.chain_len(g, idx), "{out}");
+        out
     }
 
     /// Every reached fn with its rendered chain, in fn order.
@@ -963,7 +1077,7 @@ mod tests {
         let reached: Vec<usize> = (0..g.fns.len()).filter(|&i| reach.contains(i)).collect();
         reached
             .into_iter()
-            .map(|i| (i, reach.chain(g, i).to_string()))
+            .map(|i| (i, chain(&mut reach, g, i)))
             .collect()
     }
 

@@ -18,8 +18,17 @@
 //! for H002, `allow(D001/D002/D003)` for D004) — a site whose direct
 //! suppression already states its invariant is justified for the
 //! transitive claim too.
+//!
+//! A finding costs its own allocations and no more: the chain in its
+//! message is written from the BFS parent links straight into one
+//! `String` sized for the whole message (`chain_message`), and the
+//! per-fn `(kind, line)` dedup and hot-line lists are buffers reused
+//! across the fns of a lint. So a chain thousands of links deep costs
+//! what a short one does.
 
-use crate::graph::{CallGraph, HazardKind};
+use std::fmt::{self, Write as _};
+
+use crate::graph::{CallGraph, HazardKind, Reach};
 use crate::layering::allowed_of;
 use crate::lints::{crate_of, P001_INDEX_CRATES};
 use crate::scan::FileScan;
@@ -77,8 +86,8 @@ pub(crate) fn run_interproc_on(
         2 => d004(units, graph),
         _ => a001(units),
     });
-    let mut active = Vec::new();
-    let mut suppressed = Vec::new();
+    let mut active = Vec::with_capacity(sinks.iter().map(|s| s.active.len()).sum());
+    let mut suppressed = Vec::with_capacity(sinks.iter().map(|s| s.suppressed.len()).sum());
     for sink in sinks {
         active.extend(sink.active);
         suppressed.extend(sink.suppressed);
@@ -122,13 +131,48 @@ fn finding(lint: &str, file: &str, line: u32, offset: usize, message: String) ->
     }
 }
 
+/// A P002/H002/D004 message: `head`, then the chain from the root to fn
+/// `idx`, then `tail`, in one `String` allocated once at its final size.
+/// `head` is measured, then written, with `write!`: the site text and
+/// any line number go in without a `String` of their own.
+fn chain_message(
+    reach: &mut Reach,
+    graph: &CallGraph,
+    idx: usize,
+    head: fmt::Arguments<'_>,
+    tail: &str,
+) -> String {
+    /// Counts the bytes written to it.
+    struct Len(usize);
+    impl fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(reach.chain_len(graph, idx) + tail.len());
+    // Writing to a `Len` or a `String` cannot fail.
+    let _ = len.write_fmt(head);
+    let mut message = String::with_capacity(len.0);
+    let _ = message.write_fmt(head);
+    reach.write_chain(graph, idx, &mut message);
+    message.push_str(tail);
+    message
+}
+
 /// One finding per `(hazard kind, line)` within a function bounds noise:
-/// two `HashMap`s on one line are one problem, not two.
+/// two `HashMap`s on one line are one problem, not two. One is reused
+/// across the fns of a lint, [`LineDedup::clear`]ed between them.
 struct LineDedup(Vec<(HazardKind, u32)>);
 
 impl LineDedup {
     fn new() -> Self {
         Self(Vec::new())
+    }
+
+    /// Forgets every `(kind, line)` seen, keeping the buffer.
+    fn clear(&mut self) {
+        self.0.clear();
     }
 
     /// True the first time `(kind, line)` is seen.
@@ -149,14 +193,15 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         roots.extend(graph.find_suffix(root));
     }
     let mut reach = graph.reach(&roots);
+    let mut seen = LineDedup::new();
     for (idx, f) in graph.fns.iter().enumerate() {
         if !reach.contains(idx) {
             continue;
         }
         let FileUnit { path, scan } = &units[f.file_idx];
         let flag_index = P001_INDEX_CRATES.contains(&f.krate());
-        let mut seen = LineDedup::new();
-        for h in &f.hazards {
+        seen.clear();
+        for h in graph.hazards_of(idx) {
             let in_scope = match h.kind {
                 HazardKind::Panic => true,
                 HazardKind::Index => flag_index,
@@ -165,11 +210,12 @@ fn p002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             if !in_scope || !seen.fresh(h.kind, h.line) {
                 continue;
             }
-            let message = format!(
-                "`{}` reachable from a serving entry point: {} (panic-free serving \
-                 requires the whole chain to surface errors)",
-                h.what(scan),
-                reach.chain(graph, idx)
+            let message = chain_message(
+                &mut reach,
+                graph,
+                idx,
+                format_args!("`{}` reachable from a serving entry point: ", h.what(scan)),
+                " (panic-free serving requires the whole chain to surface errors)",
             );
             sink.emit(
                 scan,
@@ -189,13 +235,16 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
     let mut roots = Vec::new();
     // Per root: the first hot call site `(caller, line)` that reaches it.
     let mut origin: Vec<Option<(usize, u32)>> = vec![None; graph.fns.len()];
-    for (ci, f) in graph.fns.iter().enumerate() {
-        let hot_lines: Vec<u32> = f
-            .calls
-            .iter()
-            .filter(|c| c.in_hot)
-            .map(|c| c.line)
-            .collect();
+    let mut hot_lines = Vec::new();
+    for ci in 0..graph.fns.len() {
+        hot_lines.clear();
+        hot_lines.extend(
+            graph
+                .calls_of(ci)
+                .iter()
+                .filter(|c| c.in_hot)
+                .map(|c| c.line),
+        );
         if hot_lines.is_empty() {
             continue;
         }
@@ -207,13 +256,14 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         }
     }
     let mut reach = graph.reach(&roots);
+    let mut seen = LineDedup::new();
     for (idx, f) in graph.fns.iter().enumerate() {
         if !reach.contains(idx) {
             continue;
         }
         let FileUnit { path, scan } = &units[f.file_idx];
-        let mut seen = LineDedup::new();
-        for h in &f.hazards {
+        seen.clear();
+        for h in graph.hazards_of(idx) {
             if h.kind != HazardKind::Alloc {
                 continue;
             }
@@ -227,12 +277,16 @@ fn h002(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
                 Some((caller, line)) => (graph.fns[caller].qname.as_str(), line),
                 None => ("<hot region>", h.line),
             };
-            let message = format!(
-                "allocation `{}` reachable from the hot region in {hot_fn} \
-                 (call at line {hot_line}): {} (hot paths must reuse scratch \
-                 buffers transitively)",
-                h.what(scan),
-                reach.chain(graph, idx)
+            let message = chain_message(
+                &mut reach,
+                graph,
+                idx,
+                format_args!(
+                    "allocation `{}` reachable from the hot region in {hot_fn} \
+                     (call at line {hot_line}): ",
+                    h.what(scan)
+                ),
+                " (hot paths must reuse scratch buffers transitively)",
             );
             sink.emit(
                 scan,
@@ -255,13 +309,14 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
         }
     }
     let mut reach = graph.reach(&roots);
+    let mut seen = LineDedup::new();
     for (idx, f) in graph.fns.iter().enumerate() {
         if !reach.contains(idx) {
             continue;
         }
         let FileUnit { path, scan } = &units[f.file_idx];
-        let mut seen = LineDedup::new();
-        for h in &f.hazards {
+        seen.clear();
+        for h in graph.hazards_of(idx) {
             let (what, direct): (&str, &str) = match h.kind {
                 HazardKind::Clock => ("wall-clock read", "D001"),
                 HazardKind::Rng => ("ambient RNG", "D003"),
@@ -271,11 +326,15 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
             if !seen.fresh(h.kind, h.line) {
                 continue;
             }
-            let message = format!(
-                "{what} `{}` reachable from an export builder: {} \
-                 (exports must be byte-identical across runs)",
-                h.what(scan),
-                reach.chain(graph, idx)
+            let message = chain_message(
+                &mut reach,
+                graph,
+                idx,
+                format_args!(
+                    "{what} `{}` reachable from an export builder: ",
+                    h.what(scan)
+                ),
+                " (exports must be byte-identical across runs)",
             );
             sink.emit(
                 scan,
@@ -292,6 +351,7 @@ fn d004(units: &[FileUnit<'_>], graph: &CallGraph) -> Sink {
 /// crate-reference sites.
 fn a001(units: &[FileUnit<'_>]) -> Sink {
     let mut sink = Sink::default();
+    let mut seen_lines: Vec<u32> = Vec::new();
     for unit in units {
         let krate = crate_of(&unit.path);
         let Some(allowed) = allowed_of(krate) else {
@@ -299,7 +359,7 @@ fn a001(units: &[FileUnit<'_>]) -> Sink {
             continue;
         };
         let scan = &unit.scan;
-        let mut seen_lines: Vec<u32> = Vec::new();
+        seen_lines.clear();
         for site in &scan.sites {
             if site.kind != SiteKind::CrateRef {
                 continue;

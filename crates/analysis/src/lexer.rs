@@ -19,6 +19,13 @@
 //! then the `match` on the byte's class that takes comments, literals,
 //! numbers, lifetimes, whitespace and the rest.
 //!
+//! Whitespace is stepped over a byte at a time, except the indentation
+//! after a newline: there eight bytes are read as one little-endian word,
+//! XORed with eight spaces, and its trailing zero bits count the spaces
+//! that lead it, until fewer than eight bytes remain. Every other run
+//! (identifiers, the rest of the whitespace) keeps the byte loop: a word
+//! step over those measured slower, as runs are short.
+//!
 //! Comments and string/char literals are single tokens, so lint passes that
 //! match identifiers can never fire on prose, doc examples, or string
 //! contents.
@@ -203,16 +210,41 @@ impl<'a> Lexer<'a> {
     }
 
     /// Advances past the whitespace run at `pos` (possibly empty),
-    /// counting its newlines.
+    /// counting its newlines. The indentation after a newline is stepped
+    /// over a word at a time.
     #[inline(always)]
     fn skip_space(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             match b {
-                b'\n' => self.line += 1,
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                    self.skip_indent();
+                    continue;
+                }
                 b' ' | b'\t' | b'\r' => {}
                 _ => break,
             }
             self.pos += 1;
+        }
+    }
+
+    /// Advances past the spaces at `pos` eight bytes at a time, while
+    /// eight bytes remain: a word XORed with eight spaces is zero in
+    /// exactly the bytes that are spaces, so its trailing zero bits count
+    /// the spaces that lead it (the word is read little-endian). What is
+    /// left, within eight bytes of the end, [`Lexer::skip_space`] steps
+    /// over a byte at a time.
+    #[inline(always)]
+    fn skip_indent(&mut self) {
+        const SPACES: u64 = u64::from_le_bytes([b' '; 8]);
+        while let Some(word) = self.bytes[self.pos..].first_chunk::<8>() {
+            let rest = u64::from_le_bytes(*word) ^ SPACES;
+            if rest != 0 {
+                self.pos += (rest.trailing_zeros() / 8) as usize;
+                return;
+            }
+            self.pos += 8;
         }
     }
 
@@ -621,12 +653,46 @@ fn f<'a>(x: &'a [u8]) -> u64 {
         }
     }
 
+    #[test]
+    fn indentation_ending_near_the_end_of_input_is_stepped_over_whole() {
+        // 1 to 20 spaces after a newline, then 0 to 8 bytes to the end of
+        // input: the word step's bound falls inside the run, at its end,
+        // and past it.
+        for spaces in 1..=20 {
+            for tail in [
+                "", "x", "xy", "x\t", "abc", "a b c", "x\n ", "abcdefg", "abcdefgh",
+            ] {
+                let src = format!("a\n{}{tail}", " ".repeat(spaces));
+                let toks = lex(&src);
+                assert_eq!(toks, reference::lex(&src), "on {src:?}");
+                assert_eq!(toks[1].text.len(), 1 + spaces, "on {src:?}");
+            }
+        }
+    }
+
     /// Characters that steer the lexer.
     const CHARS: &str = " \t\n\r/*\"'#\\rbxeE_aZ09.+-{}()[]!;é日😀\u{b}\u{c}\u{7f}\0";
 
     /// Seams that open or close a literal, a comment or an escape.
+    /// Indentation runs longer and shorter than the eight bytes
+    /// [`Lexer::skip_indent`] steps over at a time reach its word path.
     const SEAMS: &[&str] = &[
-        "\r\n", "r#\"", "\"#", "br#", "b'", "/*", "*/", "//", "'a", "'\\u{", "0x", "1e",
+        "\r\n",
+        "r#\"",
+        "\"#",
+        "br#",
+        "b'",
+        "/*",
+        "*/",
+        "//",
+        "'a",
+        "'\\u{",
+        "0x",
+        "1e",
+        "\n        ",
+        "\n            x",
+        "\n   \t  ",
+        "\n       ",
     ];
 
     /// An arbitrary string: each piece is one of [`CHARS`] or, one time

@@ -257,7 +257,7 @@ fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAn
     let mut units = Vec::with_capacity(files.len());
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
-    let mut fns = Vec::new();
+    let mut fns = Vec::with_capacity(files.len());
     for ((scan, (file_active, file_suppressed, file_fns)), path) in per_file.into_iter().zip(paths)
     {
         units.push(interproc::FileUnit {
@@ -266,7 +266,7 @@ fn analyze_sources_on(files: &[(String, String)], workers: usize) -> WorkspaceAn
         });
         findings.extend(file_active);
         suppressed.extend(file_suppressed);
-        fns.extend(file_fns);
+        fns.push(file_fns);
     }
     let scans: Vec<&FileScan<'_>> = units.iter().map(|u| &u.scan).collect();
     let paths = units.iter().map(|u| u.path.clone()).collect();

@@ -669,7 +669,8 @@ fn assert_agrees(src: &str) {
     let mut ranges = vec![(0, scan.len())];
     bodies(&parse_items(&scan), &mut ranges);
     for (open, close) in ranges {
-        let (calls, hazards) = extract_body(&scan, open, close);
+        let (mut calls, mut hazards) = (Vec::new(), Vec::new());
+        extract_body(&scan, open, close, &mut calls, &mut hazards);
         let hazards: Vec<RefHazard> = (hazards.iter())
             .map(|h| RefHazard {
                 kind: h.kind,

@@ -14,6 +14,13 @@
 //! `tests/parser_tiling.rs`). Tiling is what guarantees the call-graph
 //! tier cannot silently skip a region of source the way a lost parse
 //! would.
+//!
+//! Items borrow their names: a name or self type is a slice of the
+//! source (`<anonymous>` / `<unknown>` when there is none), and only a
+//! `use` path, joined from several tokens, owns its text. The items of
+//! every list being parsed sit on one stack, and a finished list moves
+//! off it into a `Vec` of its exact size, so a file's parse allocates one
+//! list per item list and the stack's growth, not per item.
 
 use crate::lexer::TokenKind;
 use crate::scan::FileScan;
@@ -31,13 +38,14 @@ pub struct Span {
     pub line_end: u32,
 }
 
-/// What kind of item a parsed node is.
+/// What kind of item a parsed node is. Names are slices of the source
+/// (`<anonymous>` / `<unknown>` when the item has none).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ItemKind {
+pub enum ItemKind<'a> {
     /// `fn name(...) { ... }` (or a bodyless trait-method declaration).
     Fn {
         /// The function's name.
-        name: String,
+        name: &'a str,
         /// True when the parameter list starts with a `self` receiver.
         has_self: bool,
         /// Significant-token index range `[open_brace, close_brace]` of
@@ -47,23 +55,23 @@ pub enum ItemKind {
     /// `impl Type { ... }` / `impl Trait for Type { ... }`.
     Impl {
         /// Last path segment of the implemented-for type.
-        self_ty: String,
+        self_ty: &'a str,
         /// The associated items.
-        items: Vec<Item>,
+        items: Vec<Item<'a>>,
     },
     /// `trait Name { ... }`.
     Trait {
         /// The trait's name.
-        name: String,
+        name: &'a str,
         /// The trait's associated items.
-        items: Vec<Item>,
+        items: Vec<Item<'a>>,
     },
     /// `mod name { ... }` or `mod name;`.
     Mod {
         /// The module's name.
-        name: String,
+        name: &'a str,
         /// Items of an inline module body (empty for `mod name;`).
-        items: Vec<Item>,
+        items: Vec<Item<'a>>,
     },
     /// `use path::to::thing;` — `path` is the significant-token text
     /// joined without whitespace (`a::b::{c, d}`).
@@ -78,9 +86,9 @@ pub enum ItemKind {
 
 /// One parsed item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Item {
+pub struct Item<'a> {
     /// Structural classification.
-    pub kind: ItemKind,
+    pub kind: ItemKind<'a>,
     /// Byte + line extent.
     pub span: Span,
     /// Inclusive significant-token index range `[first, last]` the item
@@ -90,31 +98,39 @@ pub struct Item {
 
 /// Parses the file's top-level items. Always succeeds; see the module
 /// docs for the tiling guarantee.
-pub fn parse_items(scan: &FileScan<'_>) -> Vec<Item> {
-    let mut p = Parser { scan, pos: 0 };
+pub fn parse_items<'a>(scan: &FileScan<'a>) -> Vec<Item<'a>> {
+    let mut p = Parser {
+        scan,
+        pos: 0,
+        stack: Vec::new(),
+    };
     p.items(None)
 }
 
 /// Modifier / qualifier keywords that may precede an item keyword.
 const MODIFIERS: &[&str] = &["pub", "const", "unsafe", "async", "extern", "default"];
 
-struct Parser<'a> {
-    scan: &'a FileScan<'a>,
+struct Parser<'s, 'a> {
+    scan: &'s FileScan<'a>,
     pos: usize,
+    /// The items of every list still being parsed, innermost list last:
+    /// a finished list moves off the top into a `Vec` of its exact size.
+    stack: Vec<Item<'a>>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'_, 'a> {
     fn len(&self) -> usize {
         self.scan.len()
     }
 
-    fn ident_at(&self, i: usize) -> Option<&str> {
-        (i < self.len() && self.scan.tok(i).kind == TokenKind::Ident).then(|| self.scan.tok(i).text)
+    fn ident_at(&self, i: usize) -> Option<&'a str> {
+        let t = self.scan.row(i)?;
+        (t.kind == TokenKind::Ident).then_some(t.text)
     }
 
     /// Parses items until `close` (a `}` significant index) or EOF.
-    fn items(&mut self, close: Option<usize>) -> Vec<Item> {
-        let mut out = Vec::new();
+    fn items(&mut self, close: Option<usize>) -> Vec<Item<'a>> {
+        let base = self.stack.len();
         let end = close.unwrap_or(self.len());
         while self.pos < end {
             let start = self.pos;
@@ -124,7 +140,7 @@ impl Parser<'_> {
                 // Defensive: never loop; swallow one token as Other.
                 self.pos = start + 1;
             }
-            out.push(item);
+            self.stack.push(item);
         }
         // Step past the closing `}` of a nested body; at top level, stay
         // at EOF.
@@ -132,11 +148,11 @@ impl Parser<'_> {
             Some(c) => c + 1,
             None => end,
         };
-        out
+        self.stack.drain(base..).collect()
     }
 
     /// Parses one item starting at `self.pos`, never reading past `end`.
-    fn item(&mut self, end: usize) -> Item {
+    fn item(&mut self, end: usize) -> Item<'a> {
         let first = self.pos;
 
         // Leading attributes: `#[...]` / `#![...]`.
@@ -201,9 +217,9 @@ impl Parser<'_> {
                 while self.pos < end && !self.scan.punct(self.pos, ";") {
                     self.pos += 1;
                 }
-                let path: String = (path_start..self.pos)
-                    .map(|i| self.scan.tok(i).text)
-                    .collect();
+                let texts = (path_start..self.pos).map(|i| self.scan.tok(i).text);
+                let mut path = String::with_capacity(texts.clone().map(str::len).sum());
+                texts.for_each(|t| path.push_str(t));
                 let last = self.pos.min(end.saturating_sub(1));
                 if self.pos < end {
                     self.pos += 1; // the `;`
@@ -214,9 +230,9 @@ impl Parser<'_> {
         }
     }
 
-    fn fn_item(&mut self, first: usize, end: usize) -> Item {
+    fn fn_item(&mut self, first: usize, end: usize) -> Item<'a> {
         self.pos += 1; // `fn`
-        let name = self.ident_at(self.pos).unwrap_or("<anonymous>").to_string();
+        let name = self.ident_at(self.pos).unwrap_or("<anonymous>");
         if self.pos < end {
             self.pos += 1;
         }
@@ -290,13 +306,13 @@ impl Parser<'_> {
         )
     }
 
-    fn impl_item(&mut self, first: usize, end: usize) -> Item {
+    fn impl_item(&mut self, first: usize, end: usize) -> Item<'a> {
         self.pos += 1; // `impl`
                        // Header: everything up to the `{` at angle-depth 0. The
                        // implemented-for type is the last angle-depth-0 ident of the
                        // header (after `for` when present): `impl fmt::Display for
                        // ServingReport` -> `ServingReport`, `impl<B> Foo<B>` -> `Foo`.
-        let mut self_ty = String::from("<unknown>");
+        let mut self_ty = "<unknown>";
         let mut angle = 0usize;
         while self.pos < end && !(angle == 0 && self.scan.punct(self.pos, "{")) {
             let t = self.scan.tok(self.pos);
@@ -310,9 +326,7 @@ impl Parser<'_> {
                     }
                     break;
                 }
-                (TokenKind::Ident, name) if angle == 0 => {
-                    self_ty = name.to_string();
-                }
+                (TokenKind::Ident, name) if angle == 0 => self_ty = name,
                 _ => {}
             }
             if !(angle == 0 && self.scan.punct(self.pos, "{")) {
@@ -327,9 +341,9 @@ impl Parser<'_> {
         self.mk(first, close, ItemKind::Impl { self_ty, items })
     }
 
-    fn trait_item(&mut self, first: usize, end: usize) -> Item {
+    fn trait_item(&mut self, first: usize, end: usize) -> Item<'a> {
         self.pos += 1; // `trait`
-        let name = self.ident_at(self.pos).unwrap_or("<anonymous>").to_string();
+        let name = self.ident_at(self.pos).unwrap_or("<anonymous>");
         // Header (generics, supertraits, where clause) up to `{` or `;`
         // at angle-depth 0 (`trait Alias = Bound;` ends without a body).
         let mut angle = 0usize;
@@ -362,9 +376,9 @@ impl Parser<'_> {
         self.mk(first, close, ItemKind::Trait { name, items })
     }
 
-    fn mod_item(&mut self, first: usize, end: usize) -> Item {
+    fn mod_item(&mut self, first: usize, end: usize) -> Item<'a> {
         self.pos += 1; // `mod`
-        let name = self.ident_at(self.pos).unwrap_or("<anonymous>").to_string();
+        let name = self.ident_at(self.pos).unwrap_or("<anonymous>");
         if self.pos < end {
             self.pos += 1;
         }
@@ -390,7 +404,7 @@ impl Parser<'_> {
 
     /// Recovery: consume to the next `;` at depth 0 or through the next
     /// brace group, whichever comes first, and emit an `Other` item.
-    fn other(&mut self, first: usize, end: usize) -> Item {
+    fn other(&mut self, first: usize, end: usize) -> Item<'a> {
         let mut depth = 0usize;
         while self.pos < end {
             let t = self.scan.tok(self.pos);
@@ -429,12 +443,12 @@ impl Parser<'_> {
 
     /// Like [`Self::other`], but used when a structured parse lost its
     /// footing mid-item: resumes consumption from the current position.
-    fn other_from(&mut self, first: usize, end: usize) -> Item {
+    fn other_from(&mut self, first: usize, end: usize) -> Item<'a> {
         self.other(first, end)
     }
 
     /// Builds an item spanning significant indices `[first, last]`.
-    fn mk(&self, first: usize, last: usize, kind: ItemKind) -> Item {
+    fn mk(&self, first: usize, last: usize, kind: ItemKind<'a>) -> Item<'a> {
         let last = last.clamp(first, self.len().saturating_sub(1));
         let a = self.scan.tok(first);
         let b = self.scan.tok(last);
@@ -455,7 +469,7 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn parse(src: &str) -> Vec<Item> {
+    fn parse(src: &str) -> Vec<Item<'_>> {
         parse_items(&FileScan::of(src))
     }
 

@@ -12,9 +12,11 @@
 //! for anything that is not a punct). One `match` on that byte keeps one
 //! stack of open indices per bracket kind, so each kind nests on its own
 //! exactly as a per-kind depth count would, unbalanced input included;
-//! every matched pair fills the bracket-partner table, which maps each
-//! `(`, `[` and `{` to its close, after the loop. No token that is not
-//! significant is stored. [`FileScan::punct`] is then one byte compare and
+//! each close fills its opener's entry in the bracket-partner table,
+//! which maps each `(`, `[` and `{` to its close. The tables are each
+//! sized once per file, from the source length, so none regrows in the
+//! usual case. No token that is not significant is stored.
+//! [`FileScan::punct`] is then one byte compare and
 //! [`FileScan::match_group`] one lookup: no caller walks a group to find
 //! its end.
 //!
@@ -33,6 +35,8 @@
 //! lines never decrease, so "the first significant token after line L" is
 //! one binary search over the significant tokens, and suppression lookups
 //! binary-search a covered-line index built once per file.
+
+use std::ops::Range;
 
 use crate::lexer::{Lexer, Token, TokenKind};
 use crate::sites::{self, Site};
@@ -95,9 +99,10 @@ pub struct FileScan<'a> {
     pub bad_directives: Vec<BadDirective>,
     /// Brace-balanced regions following `// analyze: hot` markers.
     pub hot_ranges: Vec<LineRange>,
-    /// Brace-balanced regions under `#[cfg(test)]` / `#[test]`, and the
-    /// region an inner `#![cfg(test)]` marks: the `{ ... }` group around
-    /// it, or [`WHOLE_FILE`] at the top level.
+    /// Brace-balanced regions under `#[test]` or a `cfg` whose predicate
+    /// implies `test` (`#[cfg(test)]`, `#[cfg(all(test, ..))]`), and the
+    /// region such an inner attribute (`#![cfg(test)]`) marks: the
+    /// `{ ... }` group around it, or [`WHOLE_FILE`] at the top level.
     pub test_ranges: Vec<LineRange>,
     /// The out-of-line modules a test attribute marks
     /// (`#[cfg(test)] mod name;`), each as its path relative to this
@@ -145,9 +150,11 @@ impl<'a> FileScan<'a> {
         let cap = source.len() / 3 + 1;
         let mut rows = Vec::with_capacity(cap);
         let mut puncts = Vec::with_capacity(cap);
-        // `(opener, close)` significant indices of every matched pair.
-        let mut pairs = Vec::new();
-        // One stack of open significant indices per bracket kind.
+        // Each opener's close is filled in when the close arrives.
+        let mut partner = Vec::with_capacity(cap);
+        // One stack of open significant indices per bracket kind. They
+        // hold only the open brackets, so they start empty: sized like the
+        // rows, their untouched capacity measured slower on long files.
         let (mut parens, mut squares, mut braces) = (Vec::new(), Vec::new(), Vec::new());
         // `(line, offset, directive text)` of every `// analyze:` comment.
         let mut directives = Vec::new();
@@ -172,9 +179,9 @@ impl<'a> FileScan<'a> {
                 b'(' => parens.push(k),
                 b'[' => squares.push(k),
                 b'{' => braces.push(k),
-                b')' => close(&mut parens, &mut pairs, k),
-                b']' => close(&mut squares, &mut pairs, k),
-                b'}' => close(&mut braces, &mut pairs, k),
+                b')' => close(&mut parens, &mut partner, k),
+                b']' => close(&mut squares, &mut partner, k),
+                b'}' => close(&mut braces, &mut partner, k),
                 _ => {}
             }
             rows.push(Row {
@@ -183,12 +190,9 @@ impl<'a> FileScan<'a> {
                 kind: t.kind,
             });
             puncts.push(byte);
+            partner.push(NO_PARTNER);
         }
 
-        let mut partner = vec![NO_PARTNER; rows.len()];
-        for (o, c) in pairs {
-            partner[o as usize] = c;
-        }
         let mut scan = FileScan {
             src: source,
             rows,
@@ -471,34 +475,77 @@ impl<'a> FileScan<'a> {
     }
 
     /// True when the attribute whose tokens lie in significant indices
-    /// `[from, close)` marks test code: `#[test]`, or a `cfg` naming `test`
-    /// outside any `not(...)` (`#[cfg(not(test))]` marks live code).
+    /// `[from, close)` marks test code: `#[test]`, or a `cfg` whose
+    /// predicate implies `test` ([`FileScan::implies_test`]), so
+    /// `#[cfg(not(test))]` and `#[cfg(any(test, feature = "x"))]` mark
+    /// live code.
     fn is_test_attr(&self, from: usize, close: usize) -> bool {
-        let (mut idents, mut cfg, mut test) = (0, false, false);
-        let mut j = from;
-        while j < close {
-            if self.ident(j, "not") && self.punct(j + 1, "(") {
-                j = self.match_group(j + 1, "(", ")").map_or(close, |c| c + 1);
-                continue;
-            }
-            let t = self.tok(j);
-            if t.kind == TokenKind::Ident {
-                idents += 1;
-                cfg |= t.text == "cfg";
-                test |= t.text == "test";
-            }
-            j += 1;
+        match self.call(from..close) {
+            Some(("cfg", args)) => self.implies_test(args, 0),
+            Some(_) => false,
+            None => from + 1 == close && self.ident(from, "test"),
         }
-        test && (idents == 1 || cfg)
+    }
+
+    /// When the tokens in `range` are exactly `name( ... )`, the name and
+    /// the range inside the parentheses.
+    fn call(&self, range: Range<usize>) -> Option<(&'a str, Range<usize>)> {
+        let name = self
+            .row(range.start)
+            .filter(|r| r.kind == TokenKind::Ident)?;
+        let open = range.start + 1;
+        if !self.punct(open, "(") || self.partner[open] as usize + 1 != range.end {
+            return None;
+        }
+        Some((name.text, open + 1..range.end - 1))
+    }
+
+    /// True when the `cfg` predicate in `pred` holds only where `test`
+    /// does: `test` itself, an `all(..)` with such an argument, or an
+    /// `any(..)` whose every argument is one. `not(..)`, `feature = ".."`
+    /// and anything else do not. Deeper than [`MAX_CFG_DEPTH`], a
+    /// predicate counts as live code.
+    fn implies_test(&self, pred: Range<usize>, depth: usize) -> bool {
+        if depth > MAX_CFG_DEPTH {
+            return false;
+        }
+        match self.call(pred.clone()) {
+            Some(("all", args)) => self.cfg_args(args).any(|a| self.implies_test(a, depth + 1)),
+            Some(("any", args)) => self.cfg_args(args).all(|a| self.implies_test(a, depth + 1)),
+            Some(_) => false,
+            None => pred.len() == 1 && self.ident(pred.start, "test"),
+        }
+    }
+
+    /// The comma-separated arguments in `args`, stepping over nested
+    /// groups; a trailing comma adds no argument.
+    fn cfg_args(&self, args: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = args.start;
+        std::iter::from_fn(move || {
+            let mut j = start;
+            while j < args.end && !self.punct(j, ",") {
+                j = match self.partner[j] {
+                    NO_PARTNER => j + 1,
+                    close => close as usize + 1,
+                };
+            }
+            let arg = start..j.min(args.end);
+            start = j + 1;
+            (!arg.is_empty()).then_some(arg)
+        })
     }
 }
 
+/// How deeply `all(..)` / `any(..)` may nest in a `cfg` that
+/// [`FileScan::implies_test`] reads.
+const MAX_CFG_DEPTH: usize = 32;
+
 /// Pairs the close at significant index `k` with the innermost opener on
-/// its kind's `stack`, when one is open.
+/// its kind's `stack`, when one is open, in the `partner` table.
 #[inline]
-fn close(stack: &mut Vec<u32>, pairs: &mut Vec<(u32, u32)>, k: u32) {
+fn close(stack: &mut Vec<u32>, partner: &mut [u32], k: u32) {
     if let Some(o) = stack.pop() {
-        pairs.push((o, k));
+        partner[o as usize] = k;
     }
 }
 
@@ -650,6 +697,54 @@ mod tests { fn t() {} }
         let findings = crate::analyze_source("crates/serve/src/lib.rs", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!((findings[0].lint.as_str(), findings[0].line), ("P001", 2));
+    }
+
+    #[test]
+    fn cfg_any_test_or_feature_marks_live_code() {
+        let src = "\
+#[cfg(any(test, feature = \"bench\"))]
+pub fn f(x: Option<u32>) -> u32 { x.unwrap() }
+pub fn g(x: Option<u32>) -> u32 { x.unwrap() }
+";
+        let scan = FileScan::of(src);
+        assert!(scan.test_ranges.is_empty(), "{:?}", scan.test_ranges);
+        let findings = crate::analyze_source("crates/serve/src/lib.rs", src);
+        let lines: Vec<(&str, u32)> = (findings.iter())
+            .map(|f| (f.lint.as_str(), f.line))
+            .collect();
+        assert_eq!(lines, [("P001", 2), ("P001", 3)]);
+    }
+
+    #[test]
+    fn cfg_all_with_test_marks_test_code() {
+        let scan = FileScan::of("#[cfg(all(test, feature = \"x\"))]\nmod t {\n    fn f() {}\n}\n");
+        assert_eq!(scan.test_ranges, [(1, 4)]);
+    }
+
+    #[test]
+    fn cfg_any_whose_every_argument_implies_test_marks_test_code() {
+        let scan = FileScan::of("#[cfg(any(test, all(test, unix)))]\nfn f() {\n}\n");
+        assert_eq!(scan.test_ranges, [(1, 3)]);
+        // One argument that does not imply `test` is enough to keep it live.
+        for live in [
+            "any(test, unix)",
+            "any(test, not(test))",
+            "all(unix, any(test, x))",
+        ] {
+            let src = format!("#[cfg({live})]\nfn f() {{\n}}\n");
+            assert!(FileScan::of(&src).test_ranges.is_empty(), "{live}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_cfg_predicates_do_not_overflow() {
+        let depth = 100_000;
+        let src = format!(
+            "#[cfg({}test{})]\nfn f() {{}}\n",
+            "all(".repeat(depth),
+            ")".repeat(depth)
+        );
+        assert!(FileScan::of(&src).test_ranges.is_empty());
     }
 
     #[test]
