@@ -166,6 +166,18 @@ else
     echo "ci: taskset not found; skipping the one-core perfbench runs"
 fi
 
+echo "== ab.sh smoke (one pair of 1-second perfbench runs of one binary) =="
+# ab.sh compares two perfbench binaries in alternating pairs and prints
+# one summary line per side. Run against itself once, it must print both.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+pb="${CARGO_TARGET_DIR:-perfbench/target}/release/mlscore-perfbench"
+./ab.sh "$pb" "$pb" tokens 1 1 1 >target/ab.txt
+cat target/ab.txt
+grep -q '^ab: parent tokens seed 1: latency_ms median .* won [0-9]*/1 scaled, [0-9]*/1 raw$' \
+    target/ab.txt
+grep -q '^ab: change tokens seed 1: latency_ms median .* won [0-9]*/1 scaled, [0-9]*/1 raw$' \
+    target/ab.txt
+
 echo "== bench smoke (repro bench --quick, detected, avx2 and portable SIMD tiers) =="
 # Quick measured sweep into a scratch file: exercises the wall-clock
 # harness end to end — the pointer-tree and SIMD kernels, the warm+cold

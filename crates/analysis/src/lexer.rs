@@ -12,19 +12,27 @@
 //! source. [`Lexer`] is an iterator that allocates nothing: it yields one
 //! token per `next`, and [`lex`] collects them. [`crate::scan::FileScan::of`]
 //! drives the same per-class arms through a step that first steps over
-//! the whitespace run at the cursor itself, so whitespace never becomes a
-//! token there. Every token start is tested in frequency order: a punct
-//! other than `/`, then an identifier not starting with `r` or `b` (each
-//! one read of a 256-entry byte-class table and one branch), and only
-//! then the `match` on the byte's class that takes comments, literals,
+//! the whitespace at the cursor itself, so whitespace never becomes a
+//! token there, and that hands back a tag byte with each token, set in the
+//! arm that took it (a punct's own byte, the scan's class of an
+//! identifier, 0 otherwise), so the scan does not branch on the kind
+//! again. Every token start is tested in frequency order: a punct other
+//! than `/`, then an identifier not starting with `r` or `b` (each one
+//! read of a 256-entry byte-class table and one branch), and only then
+//! the `match` on the byte's class that takes comments, literals,
 //! numbers, lifetimes, whitespace and the rest.
 //!
-//! Whitespace is stepped over a byte at a time, except the indentation
-//! after a newline: there eight bytes are read as one little-endian word,
-//! XORed with eight spaces, and its trailing zero bits count the spaces
-//! that lead it, until fewer than eight bytes remain. Every other run
-//! (identifiers, the rest of the whitespace) keeps the byte loop: a word
-//! step over those measured slower, as runs are short.
+//! The step takes a single space before a token, the commonest run,
+//! without a branch, and enters the whitespace loop only when more
+//! whitespace follows it. That loop steps a byte at a time, except over
+//! the indentation after a newline: there eight bytes are read as one
+//! little-endian word, XORed with eight spaces, and its trailing zero bits
+//! count the spaces that lead it, until fewer than eight bytes remain. A
+//! line comment's end is found a word at a time too: in the word XORed
+//! with eight newlines, the lowest set bit of `(v - 0x01..01) & !v &
+//! 0x80..80` marks the first newline exactly. Identifiers keep the byte
+//! loop: a word-at-a-time range test over them measured slower, as most
+//! are short (DESIGN.md §15).
 //!
 //! Comments and string/char literals are single tokens, so lint passes that
 //! match identifiers can never fire on prose, doc examples, or string
@@ -168,6 +176,31 @@ const IDENT_CONTINUE: [bool; 256] = {
     table
 };
 
+/// The index of the first byte of `bytes` equal to `byte`. Eight bytes
+/// are read at a time as one little-endian word while eight remain, and
+/// the byte loop takes the rest. In the word XORed with eight copies of
+/// `byte`, the bytes equal to it are zero; subtracting one from every
+/// byte sets the high bit of each zero byte, and of no byte below the
+/// first zero one (a borrow starts only at a zero byte), so the lowest
+/// set bit of `(v - 0x01..01) & !v & 0x80..80` marks the first match
+/// exactly.
+#[inline(always)]
+pub(crate) fn position_of(bytes: &[u8], byte: u8) -> Option<usize> {
+    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let copies = u64::from_le_bytes([byte; 8]);
+    let mut i = 0;
+    while let Some(word) = bytes[i..].first_chunk::<8>() {
+        let v = u64::from_le_bytes(*word) ^ copies;
+        let hits = v.wrapping_sub(LOW) & !v & HIGH;
+        if hits != 0 {
+            return Some(i + (hits.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    Some(i + bytes[i..].iter().position(|&b| b == byte)?)
+}
+
 impl<'a> Iterator for Lexer<'a> {
     type Item = Token<'a>;
 
@@ -188,14 +221,54 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// The next token that is not whitespace: the step
+    /// The next token that is not whitespace, with its tag byte: the step
     /// [`crate::scan::FileScan::of`] drives. It steps over the whitespace
-    /// run at the cursor, counting its newlines, then takes the token
-    /// after it as [`Lexer::next`] would.
+    /// before the token, counting its newlines, then takes the token as
+    /// [`Lexer::next`] would. The tag is a punct's own byte, `ident_tag` of
+    /// an identifier's text, and 0 for anything else; it is set in the
+    /// branch that takes the token, so the caller does not branch on the
+    /// kind again. It repeats [`Lexer::token`]'s two fast arms rather than
+    /// share them: one shared arm measured 2–7% slower (DESIGN.md §15).
     #[inline(always)]
-    pub(crate) fn next_non_space(&mut self) -> Option<Token<'a>> {
-        self.skip_space();
-        (self.pos < self.bytes.len()).then(|| self.token())
+    pub(crate) fn next_tagged(
+        &mut self,
+        ident_tag: impl Fn(&'a str) -> u8,
+    ) -> Option<(Token<'a>, u8)> {
+        // Most runs are one space: step over it without a branch, and
+        // enter the whitespace loop only when more whitespace follows.
+        self.pos += usize::from(self.bytes.get(self.pos) == Some(&b' '));
+        let mut first = *self.bytes.get(self.pos)?;
+        let mut class = CLASS[usize::from(first)];
+        if matches!(class, Class::Space) {
+            self.skip_space();
+            first = *self.bytes.get(self.pos)?;
+            class = CLASS[usize::from(first)];
+        }
+        let start = self.pos;
+        let line = self.line;
+        let token = |kind, text| Token {
+            kind,
+            text,
+            line,
+            offset: start,
+        };
+        if matches!(class, Class::Punct) {
+            self.pos += 1;
+            return Some((token(TokenKind::Punct, &self.src[start..self.pos]), first));
+        }
+        if matches!(class, Class::Ident) {
+            self.ident();
+            let text = &self.src[start..self.pos];
+            return Some((token(TokenKind::Ident, text), ident_tag(text)));
+        }
+        let kind = self.rare_kind(class);
+        let text = &self.src[start..self.pos];
+        let tag = match kind {
+            TokenKind::Punct => first,
+            TokenKind::Ident => ident_tag(text),
+            _ => 0,
+        };
+        Some((token(kind, text), tag))
     }
 
     fn peek(&self, ahead: usize) -> Option<u8> {
@@ -248,6 +321,14 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Advances to the next `\n`, the end of input when there is none,
+    /// eight bytes at a time ([`position_of`]).
+    #[inline]
+    fn skip_to_newline(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += position_of(rest, b'\n').unwrap_or(rest.len());
+    }
+
     /// The token at `pos`, which must be before the end of input. The two
     /// commonest starts come first, each one table read and one branch: a
     /// punct other than `/`, then an identifier not starting with `r` or
@@ -297,7 +378,7 @@ impl<'a> Lexer<'a> {
             Class::Digit => self.number(),
             Class::Slash => match self.peek(1) {
                 Some(b'/') => {
-                    self.skip_while(|b| b != b'\n');
+                    self.skip_to_newline();
                     TokenKind::LineComment
                 }
                 Some(b'*') => self.block_comment(),
@@ -670,12 +751,80 @@ fn f<'a>(x: &'a [u8]) -> u64 {
         }
     }
 
+    /// The tokens and tags of the step [`crate::scan::FileScan::of`]
+    /// drives, which skips the whitespace before each token itself. An
+    /// identifier's tag is its length here.
+    fn tagged(src: &str) -> Vec<(Token<'_>, u8)> {
+        let mut lexer = Lexer::new(src);
+        std::iter::from_fn(|| lexer.next_tagged(|name| name.len() as u8)).collect()
+    }
+
+    /// What [`tagged`] must yield: the reference's tokens, whitespace left
+    /// out, each with its tag.
+    fn want_tagged(src: &str) -> Vec<(Token<'_>, u8)> {
+        reference::lex(src)
+            .into_iter()
+            .filter(|t| t.kind != TokenKind::Whitespace)
+            .map(|t| {
+                let tag = match t.kind {
+                    TokenKind::Punct => t.text.as_bytes()[0],
+                    TokenKind::Ident => t.text.len() as u8,
+                    _ => 0,
+                };
+                (t, tag)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runs_at_the_word_steps_seams_match_the_reference() {
+        let agree = |src: &str| {
+            assert_eq!(lex(src), reference::lex(src), "on {src:?}");
+            assert_eq!(tagged(src), want_tagged(src), "on {src:?}");
+        };
+        // Identifiers either side of an eight-byte word, at the end of
+        // input and before the bytes either side of each range of
+        // identifier bytes, a non-ASCII letter, `_` and a digit.
+        for len in [7, 8, 9, 16, 17] {
+            let name = &"abcdefghijklmnopq"[..len];
+            for after in ["", ":", "@", "[", "`", "{", "\u{7f}", "é", "_", "0"] {
+                agree(&format!("{name}{after}"));
+                agree(&format!("x {name}{after} y"));
+            }
+        }
+        // Line comments that end at the end of input, and 1 to 7 bytes
+        // before it.
+        for body in 0..=17 {
+            let comment = format!("a //{}", "c".repeat(body));
+            for after in 0..=7 {
+                let tail = if after == 0 {
+                    String::new()
+                } else {
+                    format!("\n{}", "x".repeat(after - 1))
+                };
+                agree(&format!("{comment}{tail}"));
+            }
+        }
+        // Two spaces, and a space and a tab, between tokens: more than the
+        // single space the step takes without the whitespace loop.
+        for gap in ["  ", " \t", "\t ", " \n ", " "] {
+            agree(&format!("a{gap}b{gap}({gap}"));
+        }
+    }
+
     /// Characters that steer the lexer.
     const CHARS: &str = " \t\n\r/*\"'#\\rbxeE_aZ09.+-{}()[]!;é日😀\u{b}\u{c}\u{7f}\0";
 
     /// Seams that open or close a literal, a comment or an escape.
     /// Indentation runs longer and shorter than the eight bytes
     /// [`Lexer::skip_indent`] steps over at a time reach its word path.
+    /// Identifiers of 7 to 17 bytes meet the bytes either side of each
+    /// range of identifier bytes (`:` `@` `[` `` ` `` `{` and DEL), a
+    /// non-ASCII letter, `_` or a digit; line comments end with and without
+    /// a newline; and two spaces or a space and a tab stand between tokens.
+    /// These are the seams a word step over identifiers or comments, or a
+    /// single-space step before the whitespace loop, would have to get
+    /// right.
     const SEAMS: &[&str] = &[
         "\r\n",
         "r#\"",
@@ -693,6 +842,27 @@ fn f<'a>(x: &'a [u8]) -> u64 {
         "\n            x",
         "\n   \t  ",
         "\n       ",
+        "abcdefg",
+        "abcdefgh",
+        "abcdefghi",
+        "abcdefghijklmnop",
+        "abcdefghijklmnopq",
+        "ABCDEFGH",
+        "a_2345678",
+        ":",
+        "@",
+        "[",
+        "`",
+        "{",
+        "\u{7f}",
+        "é",
+        "_",
+        "0",
+        "// comment\n",
+        "//\n",
+        "// c",
+        "  ",
+        " \t",
     ];
 
     /// An arbitrary string: each piece is one of [`CHARS`] or, one time
@@ -720,6 +890,9 @@ fn f<'a>(x: &'a [u8]) -> u64 {
         #[test]
         fn class_table_lexer_matches_the_guarded_match(src in arbitrary_source()) {
             prop_assert_eq!(lex(&src), reference::lex(&src), "on {:?}", src);
+            // The step that skips whitespace itself yields the same
+            // tokens, whitespace left out, each with its tag.
+            prop_assert_eq!(tagged(&src), want_tagged(&src), "on {:?}", src);
         }
     }
 }

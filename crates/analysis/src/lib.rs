@@ -212,7 +212,7 @@ fn sort_findings(findings: &mut [Finding]) {
 /// Everything up to the call graph is a function of one file and runs on
 /// every core the host offers, a file at a time per worker, as one task
 /// per file: scan (one loop that lexes and fills the significant-token,
-/// punct and bracket-partner tables and notes the directive comments; then
+/// class and bracket-partner tables and notes the directive comments; then
 /// directives, test regions, sites), item parse, token-lint pass and
 /// fn-node extraction, back to back while the file's tables are still in
 /// cache. A file that an out-of-line `#[cfg(test)] mod name;` declares,
@@ -592,6 +592,32 @@ mod tests {
         let reuse = "// analyze: hot\nfn f(buf: &mut Vec<u64>) {\n  buf.clear();\n  \
                      buf.resize(4, 0);\n}\n";
         assert!(codes(NEUTRAL, reuse).is_empty());
+    }
+
+    #[test]
+    fn h001_fires_on_turbofish_constructors() {
+        let src = "// analyze: hot\nfn f(n: usize) {\n  let a = Vec::<u8>::with_capacity(n);\n  \
+                   let b = Vec::with_capacity(n);\n  let c = String::new();\n  \
+                   let d = std::collections::HashMap::<u32, u32>::new();\n  \
+                   let e = HashMap::<u32, Vec<u8>>::new();\n  \
+                   let g = Box::<[u8]>::from(xs);\n}\n";
+        let h001: Vec<(u32, String)> = analyze_source("crates/exec/src/lib.rs", src)
+            .into_iter()
+            .filter(|f| f.lint == "H001")
+            .map(|f| (f.line, f.message))
+            .collect();
+        let want = [
+            (3, "`Vec::with_capacity`"),
+            (4, "`Vec::with_capacity`"),
+            (5, "`String::new`"),
+            (6, "`HashMap::new`"),
+            (7, "`HashMap::new`"),
+        ];
+        assert_eq!(h001.len(), want.len(), "{h001:?}");
+        for ((line, message), (want_line, what)) in h001.iter().zip(want) {
+            assert_eq!(*line, want_line, "{h001:?}");
+            assert!(message.contains(what), "{message} names {what}");
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 const ALLOC_TYPES: &[&str] = &[
     "Vec", "String", "Box", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Arc", "Rc",
 ];
+/// The constructors of [`ALLOC_TYPES`] that allocate.
+const CTORS: &[&str] = &["new", "with_capacity"];
 /// Methods that allocate on the callee.
 const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "clone"];
 
@@ -47,6 +49,32 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// Panic-family macros.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
+
+/// The significant index of `seg` when the tokens after `i` read `::seg`
+/// or `::<..>::seg` and `seg` is one of `segs`. The turbofish runs to the
+/// `>` that brings the count of `<` less `>` back to zero; a `;` or a `{`
+/// on the way, or the end of the file, means no path.
+fn path_to(scan: &FileScan<'_>, i: usize, segs: &[&str]) -> Option<usize> {
+    let colons = |j: usize| scan.punct(j, ":") && scan.punct(j + 1, ":");
+    let mut seg = i + 3;
+    if !colons(i + 1) {
+        return None;
+    }
+    if scan.punct(seg, "<") {
+        let mut open = 0i64;
+        let close = (seg..scan.len())
+            .take_while(|&j| !scan.punct(j, ";") && !scan.punct(j, "{"))
+            .find(|&j| {
+                open += i64::from(scan.punct(j, "<")) - i64::from(scan.punct(j, ">"));
+                open == 0
+            })?;
+        if !colons(close + 1) {
+            return None;
+        }
+        seg = close + 3;
+    }
+    segs.iter().any(|s| scan.ident(seg, s)).then_some(seg)
+}
 
 /// The parent's fused pass: runs every intra-file lint over one scanned
 /// file, trying every pattern at every significant token. Returns
@@ -79,11 +107,7 @@ fn lints_by_token(rel_path: &str, scan: &FileScan<'_>) -> (Vec<Finding>, Vec<Fin
         let offset = tok.offset;
 
         // --- D001: wall-clock reads --------------------------------
-        if scan.ident(i, "Instant")
-            && scan.punct(i + 1, ":")
-            && scan.punct(i + 2, ":")
-            && scan.ident(i + 3, "now")
-        {
+        if scan.ident(i, "Instant") && path_to(scan, i, &["now"]).is_some() {
             push(
                 "D001",
                 line,
@@ -132,11 +156,7 @@ fn lints_by_token(rel_path: &str, scan: &FileScan<'_>) -> (Vec<Finding>, Vec<Fin
                 );
             }
         }
-        if scan.ident(i, "rand")
-            && scan.punct(i + 1, ":")
-            && scan.punct(i + 2, ":")
-            && scan.ident(i + 3, "random")
-        {
+        if scan.ident(i, "rand") && path_to(scan, i, &["random"]).is_some() {
             push(
                 "D003",
                 line,
@@ -194,11 +214,8 @@ fn lints_by_token(rel_path: &str, scan: &FileScan<'_>) -> (Vec<Finding>, Vec<Fin
 
         // --- H001: allocation inside a hot region ------------------
         if hot && scan.in_hot(line) {
-            if tok.kind == TokenKind::Ident
-                && ALLOC_TYPES.contains(&tok.text)
-                && scan.punct(i + 1, ":")
-                && scan.punct(i + 2, ":")
-                && (scan.ident(i + 3, "new") || scan.ident(i + 3, "with_capacity"))
+            if let Some(ctor) = path_to(scan, i, CTORS)
+                .filter(|_| tok.kind == TokenKind::Ident && ALLOC_TYPES.contains(&tok.text))
             {
                 push(
                     "H001",
@@ -207,7 +224,7 @@ fn lints_by_token(rel_path: &str, scan: &FileScan<'_>) -> (Vec<Finding>, Vec<Fin
                     format!(
                         "allocation `{}::{}` in a hot region: hoist and reuse scratch buffers",
                         tok.text,
-                        scan.tok(i + 3).text
+                        scan.tok(ctor).text
                     ),
                 );
             }
@@ -400,16 +417,13 @@ fn extract_body_by_token(
                 }
             }
         }
-        if t.kind == TokenKind::Ident
-            && ALLOC_TYPES.contains(&t.text)
-            && scan.punct(j + 1, ":")
-            && scan.punct(j + 2, ":")
-            && (scan.ident(j + 3, "new") || scan.ident(j + 3, "with_capacity"))
+        if let Some(ctor) = path_to(scan, j, CTORS)
+            .filter(|_| t.kind == TokenKind::Ident && ALLOC_TYPES.contains(&t.text))
         {
             push_hazard(
                 HazardKind::Alloc,
                 j,
-                format!("{}::{}", t.text, scan.tok(j + 3).text),
+                format!("{}::{}", t.text, scan.tok(ctor).text),
             );
         }
         if t.kind == TokenKind::Ident
@@ -428,11 +442,7 @@ fn extract_body_by_token(
                 format!(".{}()", scan.tok(j + 1).text),
             );
         }
-        if scan.ident(j, "Instant")
-            && scan.punct(j + 1, ":")
-            && scan.punct(j + 2, ":")
-            && scan.ident(j + 3, "now")
-        {
+        if scan.ident(j, "Instant") && path_to(scan, j, &["now"]).is_some() {
             push_hazard(HazardKind::Clock, j, "Instant::now".to_string());
         }
         if scan.ident(j, "SystemTime") {
@@ -443,11 +453,7 @@ fn extract_body_by_token(
                 push_hazard(HazardKind::Rng, j, f.to_string());
             }
         }
-        if scan.ident(j, "rand")
-            && scan.punct(j + 1, ":")
-            && scan.punct(j + 2, ":")
-            && scan.ident(j + 3, "random")
-        {
+        if scan.ident(j, "rand") && path_to(scan, j, &["random"]).is_some() {
             push_hazard(HazardKind::Rng, j, "rand::random".to_string());
         }
         for ty in ["HashMap", "HashSet"] {
@@ -488,6 +494,12 @@ const FRAGMENTS: &[&str] = &[
     "Vec::new()",
     "String::with_capacity(n)",
     "Box::new(x)",
+    "Vec::<u8>::with_capacity(n)",
+    "HashMap::<u32, Vec<u8>>::new()",
+    "Instant::<u8>::now()",
+    "Vec::<",
+    "<",
+    ">",
     "Arc",
     "vec![0u8; 4]",
     "format!(\"{x}\")",

@@ -8,17 +8,29 @@
 //! [`Lexer`] one step per significant token or comment (the step skips the
 //! whitespace before it), hands each `// analyze:` line comment to
 //! directive collection, drops the other comments, and pushes every other
-//! token into the significant-token rows together with its punct byte (0
-//! for anything that is not a punct). One `match` on that byte keeps one
-//! stack of open indices per bracket kind, so each kind nests on its own
-//! exactly as a per-kind depth count would, unbalanced input included;
-//! each close fills its opener's entry in the bracket-partner table,
-//! which maps each `(`, `[` and `{` to its close. The tables are each
-//! sized once per file, from the source length, so none regrows in the
-//! usual case. No token that is not significant is stored.
-//! [`FileScan::punct`] is then one byte compare and
-//! [`FileScan::match_group`] one lookup: no caller walks a group to find
-//! its end.
+//! token into the significant-token rows together with its class byte,
+//! which the step sets in the branch that took the token:
+//!
+//! - a punct's class byte is the punct itself;
+//! - an identifier's is 1 (`IDENT_ALONE`) when it may start a site that
+//!   needs no follower (length 7, 10 or 12, or the `mlscore_` prefix), 3
+//!   (`IDENT_LEADS`) when `(`, `!` or `:` follows it (the loop upgrades it
+//!   from 2 when it pushes that punct), and 2 (`IDENT`) otherwise;
+//! - every other token's is 0.
+//!
+//! No one-byte punct text is a control byte, so [`FileScan::punct`] is
+//! still one byte compare, and the site classifier finds the tokens a site
+//! can start at by searching this one dense table. One `match` on the
+//! class byte keeps one stack of open indices per bracket kind, so each
+//! kind nests on its own exactly as a per-kind depth count would,
+//! unbalanced input included; each close fills its opener's entry in the
+//! bracket-partner table, which maps each `(`, `[` and `{` to its close.
+//! The tables are each sized once per file, at a quarter of the source
+//! length, so none regrows in the usual case. No token that is not
+//! significant is stored. [`FileScan::match_group`] is one search and one
+//! lookup: no caller walks a group to find its end. The search for the
+//! next punct of one kind (the next `#` of an attribute, the next `{`)
+//! reads the class table eight bytes at a time.
 //!
 //! A stored row is a token's text, line and kind in 24 bytes; its byte
 //! offset is where the text sits in the source, so [`FileScan::tok`]
@@ -38,7 +50,7 @@
 
 use std::ops::Range;
 
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::lexer::{position_of, Lexer, Token, TokenKind};
 use crate::sites::{self, Site};
 use crate::LINTS;
 
@@ -121,8 +133,10 @@ pub struct FileScan<'a> {
     /// The significant tokens (no whitespace, no comments), in source
     /// order: what the lint patterns match over.
     rows: Vec<Row<'a>>,
-    /// Per significant token: its byte when it is a punct, else 0.
-    pub(crate) puncts: Vec<u8>,
+    /// Per significant token: its class byte (a punct's own byte,
+    /// [`IDENT_ALONE`], [`IDENT_LEADS`] or [`IDENT`] for an identifier, 0
+    /// for anything else).
+    pub(crate) classes: Vec<u8>,
     /// Per significant token: for a `(`, `[` or `{`, the significant index
     /// of its matching close ([`NO_PARTNER`] when it has none).
     partner: Vec<u32>,
@@ -141,15 +155,26 @@ pub(crate) struct Row<'a> {
 /// with a matching close.
 const NO_PARTNER: u32 = u32::MAX;
 
+/// The class byte of an identifier that no `(`, `!` or `:` follows and
+/// that cannot start a site alone.
+pub(crate) const IDENT: u8 = 2;
+/// The class byte of an identifier that may start a site with no
+/// follower ([`sites::may_start_alone`]). One below [`IDENT`], so the scan
+/// sets it without a branch.
+pub(crate) const IDENT_ALONE: u8 = IDENT - 1;
+/// The class byte of an identifier, not [`IDENT_ALONE`], that `(`, `!` or
+/// `:` follows. One above [`IDENT`], so the upgrade is an add.
+pub(crate) const IDENT_LEADS: u8 = IDENT + 1;
+
 impl<'a> FileScan<'a> {
     /// Lexes and scans one file, classifying its sites.
     pub fn of(source: &'a str) -> Self {
         // Dense generated code measures over four bytes a significant
-        // token and this repository over six: a third of the length
-        // seldom has to grow.
-        let cap = source.len() / 3 + 1;
+        // token and this repository over six: a quarter of the length
+        // seldom has to grow, and measured faster than a third.
+        let cap = source.len() / 4 + 1;
         let mut rows = Vec::with_capacity(cap);
-        let mut puncts = Vec::with_capacity(cap);
+        let mut classes = Vec::with_capacity(cap);
         // Each opener's close is filled in when the close arrives.
         let mut partner = Vec::with_capacity(cap);
         // One stack of open significant indices per bracket kind. They
@@ -159,9 +184,9 @@ impl<'a> FileScan<'a> {
         // `(line, offset, directive text)` of every `// analyze:` comment.
         let mut directives = Vec::new();
         let mut lexer = Lexer::new(source);
-        while let Some(t) = lexer.next_non_space() {
-            let byte = match t.kind {
-                TokenKind::Punct => t.text.as_bytes()[0],
+        let ident_tag = |name: &str| IDENT - u8::from(sites::may_start_alone(name));
+        while let Some((t, class)) = lexer.next_tagged(ident_tag) {
+            match t.kind {
                 TokenKind::LineComment => {
                     if let Some(d) = directive(t.text) {
                         directives.push((t.line, t.offset, d));
@@ -169,14 +194,18 @@ impl<'a> FileScan<'a> {
                     continue;
                 }
                 TokenKind::BlockComment => continue,
-                _ => 0,
-            };
+                _ => {}
+            }
             // Like lines, significant indices are `u32`: a source shorter
             // than 4 GiB has fewer tokens, so `k` never reaches
             // `NO_PARTNER`.
             let k = rows.len() as u32;
-            match byte {
-                b'(' => parens.push(k),
+            match class {
+                b'(' => {
+                    parens.push(k);
+                    lead(&mut classes);
+                }
+                b'!' | b':' => lead(&mut classes),
                 b'[' => squares.push(k),
                 b'{' => braces.push(k),
                 b')' => close(&mut parens, &mut partner, k),
@@ -189,14 +218,14 @@ impl<'a> FileScan<'a> {
                 line: t.line,
                 kind: t.kind,
             });
-            puncts.push(byte);
+            classes.push(class);
             partner.push(NO_PARTNER);
         }
 
         let mut scan = FileScan {
             src: source,
             rows,
-            puncts,
+            classes,
             partner,
             suppressions: Vec::new(),
             bad_directives: Vec::new(),
@@ -231,6 +260,12 @@ impl<'a> FileScan<'a> {
         self.rows.get(i).copied()
     }
 
+    /// The text of the significant token at `i`, which must exist.
+    #[inline]
+    pub(crate) fn text(&self, i: usize) -> &'a str {
+        self.rows[i].text
+    }
+
     /// Number of significant tokens.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -244,14 +279,19 @@ impl<'a> FileScan<'a> {
     /// True when the significant token at `i` is a punct with this exact
     /// text.
     pub fn punct(&self, i: usize, text: &str) -> bool {
-        matches!(text.as_bytes(), &[b] if b != 0 && self.puncts.get(i) == Some(&b))
+        matches!(text.as_bytes(), &[b] if b.is_ascii_punctuation() && self.classes.get(i) == Some(&b))
     }
 
     /// True when the significant token at `i` is an identifier with this
     /// exact text.
     pub fn ident(&self, i: usize, text: &str) -> bool {
-        self.row(i)
-            .is_some_and(|r| r.kind == TokenKind::Ident && r.text == text)
+        self.is_ident(i) && self.rows[i].text == text
+    }
+
+    /// True when the significant token at `i` is an identifier.
+    #[inline]
+    pub(crate) fn is_ident(&self, i: usize) -> bool {
+        matches!(self.classes.get(i), Some(&(IDENT_ALONE..=IDENT_LEADS)))
     }
 
     /// True when `line` falls inside any `#[cfg(test)]` / `#[test]` region.
@@ -311,7 +351,7 @@ impl<'a> FileScan<'a> {
 
     /// The significant index of the first punct `byte` at or after `from`.
     fn next_punct(&self, from: usize, byte: u8) -> Option<usize> {
-        Some(from + self.puncts.get(from..)?.iter().position(|&b| b == byte)?)
+        Some(from + position_of(self.classes.get(from..)?, byte)?)
     }
 
     /// Parses the `(line, offset, directive text)` of every `// analyze:`
@@ -539,6 +579,15 @@ impl<'a> FileScan<'a> {
 /// How deeply `all(..)` / `any(..)` may nest in a `cfg` that
 /// [`FileScan::implies_test`] reads.
 const MAX_CFG_DEPTH: usize = 32;
+
+/// Upgrades the last class byte from [`IDENT`] to [`IDENT_LEADS`]: a `(`,
+/// `!` or `:` follows that identifier.
+#[inline]
+fn lead(classes: &mut [u8]) {
+    if let Some(c) = classes.last_mut() {
+        *c += u8::from(*c == IDENT);
+    }
+}
 
 /// Pairs the close at significant index `k` with the innermost opener on
 /// its kind's `stack`, when one is open, in the `partner` table.

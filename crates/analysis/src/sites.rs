@@ -7,11 +7,17 @@
 //! this table instead of walking the tokens themselves, so each pattern
 //! below is spelled in exactly one place.
 //!
-//! Classification looks only where a site can start. It reads the dense
-//! punct table first: of the puncts only `.` (a method site) and `[` (an
-//! index) can start one. An identifier is looked at only when `(`, `!` or
-//! `:` follows it, or when it could be a pattern that needs none of them;
-//! then one `match` on its name decides every pattern it can start.
+//! Classification visits only the tokens a site can start at. The scan
+//! gives each significant token one class byte ([`FileScan::of`]): of the
+//! puncts only `[` (an index) is visited, and of the identifiers only one
+//! that `(`, `!` or `:` follows or one that may start a pattern needing
+//! none of them ([`may_start_alone`]). A method site, `.name(`, is found
+//! from its name, which `(` follows, and anchored at the `.` before it, so
+//! the `.` of a field access is never visited. [`classify`] jumps from one
+//! such class byte to the next with a `position` over a 256-entry table,
+//! so a token that cannot start a site is never read from the rows; then
+//! one `match` on an identifier's name decides every pattern it can
+//! start.
 //!
 //! Sites are sorted by anchor. One anchor can carry two sites
 //! (`HashMap::new` is an allocation *and* an unordered map, `thread_rng(`
@@ -20,8 +26,7 @@
 
 use std::fmt;
 
-use crate::lexer::TokenKind;
-use crate::scan::FileScan;
+use crate::scan::{FileScan, IDENT_ALONE, IDENT_LEADS};
 
 /// What pattern starts at a site's anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +94,12 @@ impl Site {
         SiteText(match self.kind {
             SiteKind::PanicMethod | SiteKind::AllocMethod => [".", text(self.at + 1), "()"],
             SiteKind::PanicMacro | SiteKind::AllocMacro => [text(self.at), "!", ""],
-            SiteKind::AllocNew => [text(self.at), "::", text(self.at + 3)],
+            // An `AllocNew` site always has its constructor.
+            SiteKind::AllocNew => [
+                text(self.at),
+                "::",
+                path_seg(scan, self.at).map_or("", text),
+            ],
             SiteKind::Index => ["[..] indexing", "", ""],
             SiteKind::InstantNow => ["Instant::now", "", ""],
             SiteKind::RandRandom => ["rand::random", "", ""],
@@ -124,71 +134,73 @@ macro_rules! keyword {
 /// The prefix of every workspace crate's identifier.
 pub(crate) const CRATE_PREFIX: &str = "mlscore_";
 
+/// True when an identifier may start a site with no `(`, `!` or `:` after
+/// it: its length is that of such a pattern (`HashMap`, `SystemTime`,
+/// `thread_rng`, `from_entropy`) or it starts with [`CRATE_PREFIX`]. The
+/// scan asks this of every identifier, so the length test is a bit of a
+/// mask, not a branch.
+#[inline]
+pub(crate) fn may_start_alone(name: &str) -> bool {
+    const LENGTHS: u64 = 1 << 7 | 1 << 10 | 1 << 12;
+    let length = (LENGTHS >> name.len().min(63)) & 1 != 0;
+    length | name.starts_with(CRATE_PREFIX)
+}
+
+/// The class bytes [`classify`] visits: `[` and the identifiers
+/// [`FileScan::of`] marks as candidates.
+const STARTS: [bool; 256] = {
+    let mut table = [false; 256];
+    table[b'[' as usize] = true;
+    table[IDENT_ALONE as usize] = true;
+    table[IDENT_LEADS as usize] = true;
+    table
+};
+
 /// Classifies the significant tokens of `scan` into their sites, sorted
 /// by anchor.
 ///
-/// Only a `.`, a `[` or an identifier can start a site, so the dense punct
-/// table is read first and every other punct is skipped there. An
-/// identifier is skipped unless `(`, `!` or `:` follows it or its length
-/// is that of a pattern that needs none (`HashMap`, `SystemTime`,
-/// `thread_rng`, `from_entropy`) or it starts with [`CRATE_PREFIX`]; one
-/// `match` on the name classifies the rest.
+/// Only a `[`, a candidate identifier or the `.` before a candidate can
+/// start a site, so the class table is searched for the next `[` or
+/// candidate and every other token is passed over unread; one `match` on
+/// an identifier's name classifies the rest.
 pub(crate) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
     use SiteKind::*;
-    let puncts = &scan.puncts[..];
-    // The punct byte at `i`; 0 past either end or for a non-punct.
-    let punct = |i: usize| puncts.get(i).copied().unwrap_or(0);
+    let classes = &scan.classes[..];
+    // The class byte at `i`; 0 past either end.
+    let class = |i: usize| classes.get(i).copied().unwrap_or(0);
     let mut sites = Vec::new();
-    for (i, &byte) in puncts.iter().enumerate() {
-        let mut push = |kind| sites.push(Site { kind, at: i });
-        match byte {
-            0 => {}
-            b'.' => {
-                let method = match scan.row(i + 1) {
-                    Some(m) if m.kind == TokenKind::Ident && punct(i + 2) == b'(' => m.text,
-                    _ => continue,
-                };
-                match method {
-                    "span" => push(Span),
-                    "emit" => push(Emit),
-                    "unwrap" | "expect" => push(PanicMethod),
-                    "to_vec" | "to_string" | "to_owned" | "collect" | "clone" => push(AllocMethod),
-                    _ => {}
-                }
-                continue;
-            }
-            b'[' => {
-                if i > 0 && is_index_base(scan, i - 1) {
-                    if let Some(close) = scan.match_group(i, "[", "]") {
-                        if !puncts[i + 1..close].windows(2).any(|w| w == b"..") {
-                            push(Index);
-                        }
+    let mut from = 0;
+    while let Some(skipped) = classes[from..].iter().position(|&c| STARTS[usize::from(c)]) {
+        let i = from + skipped;
+        from = i + 1;
+        if classes[i] == b'[' {
+            if i > 0 && is_index_base(scan, i - 1) {
+                if let Some(close) = scan.match_group(i, "[", "]") {
+                    if !classes[i + 1..close].windows(2).any(|w| w == b"..") {
+                        sites.push(Site { kind: Index, at: i });
                     }
                 }
-                continue;
             }
-            _ => continue,
-        }
-        let t = scan.tok(i);
-        if t.kind != TokenKind::Ident {
             continue;
         }
-        let name = t.text;
-        let next = punct(i + 1);
-        if !matches!(next, b'(' | b'!' | b':')
-            && !matches!(name.len(), 7 | 10 | 12)
-            && !name.starts_with(CRATE_PREFIX)
-        {
-            continue;
+        let name = scan.text(i);
+        let next = class(i + 1);
+        // A method site, `.name(`, is anchored at the `.` before the name:
+        // the name is a candidate, as `(` follows it, and the `.` is not.
+        if next == b'(' && class(i.wrapping_sub(1)) == b'.' {
+            let method = match name {
+                "span" => Some(Span),
+                "emit" => Some(Emit),
+                "unwrap" | "expect" => Some(PanicMethod),
+                "to_vec" | "to_string" | "to_owned" | "collect" | "clone" => Some(AllocMethod),
+                _ => None,
+            };
+            sites.extend(method.map(|kind| Site { kind, at: i - 1 }));
         }
-        // `name::seg` where `seg` passes `is_seg`.
-        let path_to = |is_seg: fn(&str) -> bool| {
-            next == b':'
-                && punct(i + 2) == b':'
-                && scan
-                    .row(i + 3)
-                    .is_some_and(|seg| seg.kind == TokenKind::Ident && is_seg(seg.text))
-        };
+        let mut push = |kind| sites.push(Site { kind, at: i });
+        // `name::seg` or `name::<..>::seg` where `seg` passes `is_seg`.
+        let path_to =
+            |is_seg: fn(&str) -> bool| path_seg(scan, i).is_some_and(|j| is_seg(scan.text(j)));
         let ctor = |seg: &str| matches!(seg, "new" | "with_capacity");
         let bang = next == b'!';
         // The sites the name starts besides a call, in `SiteKind` order.
@@ -212,7 +224,7 @@ pub(crate) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
             "thread_rng" | "from_entropy" => (Some(AmbientRng), None),
             _ => (name.starts_with(CRATE_PREFIX).then_some(CrateRef), None),
         };
-        if next == b'(' && punct(i.wrapping_sub(1)) != b'!' && !scan.ident(i.wrapping_sub(1), "fn")
+        if next == b'(' && class(i.wrapping_sub(1)) != b'!' && !scan.ident(i.wrapping_sub(1), "fn")
         {
             push(Call);
         }
@@ -221,14 +233,47 @@ pub(crate) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
     sites
 }
 
+/// The significant index of `seg` in the path `name::seg` or, with a
+/// turbofish, `name::<..>::seg`, the identifier `name` being at `i`.
+/// The generic group is skipped by `<`/`>` depth (a `>>` is two closers)
+/// and ends the search at a `;` or a `{` before it closes, or at the end
+/// of the file.
+fn path_seg(scan: &FileScan<'_>, i: usize) -> Option<usize> {
+    let path = |j: usize| scan.punct(j, ":") && scan.punct(j + 1, ":");
+    if !path(i + 1) {
+        return None;
+    }
+    let mut seg = i + 3;
+    if scan.punct(seg, "<") {
+        let mut depth = 0usize;
+        loop {
+            match scan.classes.get(seg)? {
+                b'<' => depth += 1,
+                b'>' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                b';' | b'{' => return None,
+                _ => {}
+            }
+            seg += 1;
+        }
+        if !path(seg + 1) {
+            return None;
+        }
+        seg += 3;
+    }
+    scan.is_ident(seg).then_some(seg)
+}
+
 /// True when the significant token at `i` can be the base expression of an
 /// index (`x[i]`, `f()[i]`, `a[i][j]`).
 fn is_index_base(scan: &FileScan<'_>, i: usize) -> bool {
-    let t = scan.tok(i);
-    match t.kind {
-        TokenKind::Ident => !matches!(t.text, keyword!()),
-        TokenKind::Punct => matches!(t.text, ")" | "]"),
-        _ => false,
+    match scan.classes[i] {
+        IDENT_ALONE..=IDENT_LEADS => !matches!(scan.text(i), keyword!()),
+        c => matches!(c, b')' | b']'),
     }
 }
 
@@ -257,16 +302,42 @@ mod tests {
         "SystemTimes", "thread_rnG", "from_entropY", "x",
     ];
 
-    /// What can follow a name: each punct a site needs, and a plain token.
-    const AFTER: &[&str] = &["(", "!", "::", ".", "[", " y"];
+    /// What can follow a name: each punct a site needs, a turbofish, a
+    /// comment before a `(`, a `[` that is never closed, and a plain
+    /// token.
+    const AFTER: &[&str] = &[
+        "(", "!", "::", "::<u8>::", ".", "[", " y", "/* c */(", "// c\n(", "[0",
+    ];
 
     /// What can precede a name: the tokens the call and method rules
     /// look back or ahead at, or nothing.
     const BEFORE: &[&str] = &["", "fn ", "!", ".", "x ", ")", "]"];
 
-    /// Pieces between names: closers, ranges, literals and comments.
+    /// Pieces between names: closers, ranges, literals, comments, generic
+    /// brackets, and paths and macros cut short (at the end of input when
+    /// a soup ends with one).
     const GLUE: &[&str] = &[
-        ")", "]", "..", "{", "}", ";", "0", "\"s\"", "'a", "// c\n", "/* c */", "::", "(", "[",
+        ")",
+        "]",
+        "..",
+        "{",
+        "}",
+        ";",
+        "0",
+        "\"s\"",
+        "'a",
+        "// c\n",
+        "/* c */",
+        "::",
+        "(",
+        "[",
+        "::<u8>",
+        "<",
+        ">",
+        ">>",
+        "HashMap::",
+        "vec!",
+        "x /* c */ (",
     ];
 
     fn assert_agrees(src: &str) {

@@ -38,13 +38,12 @@ pub(super) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
         let mut push = |kind| sites.push(Site { kind, at: i });
         match (t.kind, t.text) {
             (TokenKind::Ident, name) => {
-                // `name::seg` where `seg` passes `is_seg`.
+                // `name::seg` or `name::<..>::seg` where `seg` passes
+                // `is_seg`.
                 let path_to = |is_seg: fn(&str) -> bool| {
-                    scan.punct(i + 1, ":")
-                        && scan.punct(i + 2, ":")
-                        && i + 3 < scan.len()
-                        && scan.tok(i + 3).kind == TokenKind::Ident
-                        && is_seg(scan.tok(i + 3).text)
+                    path_seg(scan, i).is_some_and(|j| {
+                        scan.tok(j).kind == TokenKind::Ident && is_seg(scan.tok(j).text)
+                    })
                 };
                 let bang = scan.punct(i + 1, "!");
                 // `Some(`, `Ok(` and `Err(` build values; they are not calls.
@@ -105,6 +104,30 @@ pub(super) fn classify(scan: &FileScan<'_>) -> Vec<Site> {
         }
     }
     sites
+}
+
+/// The significant index after `name::` or after `name::<..>::`, `name`
+/// being at `i`: the turbofish's `<` and `>` are counted, and a `;` or a
+/// `{` before its last `>`, or the end of the file, means no path.
+fn path_seg(scan: &FileScan<'_>, i: usize) -> Option<usize> {
+    let colons = |j: usize| scan.punct(j, ":") && scan.punct(j + 1, ":");
+    if !colons(i + 1) {
+        return None;
+    }
+    if !scan.punct(i + 3, "<") {
+        return (i + 3 < scan.len()).then_some(i + 3);
+    }
+    let mut depth = 0i64;
+    for j in i + 3..scan.len() {
+        if scan.punct(j, ";") || scan.punct(j, "{") {
+            return None;
+        }
+        depth += i64::from(scan.punct(j, "<")) - i64::from(scan.punct(j, ">"));
+        if depth == 0 {
+            return (colons(j + 1) && j + 3 < scan.len()).then_some(j + 3);
+        }
+    }
+    None
 }
 
 /// True when the significant token at `i` can be the base expression of an

@@ -61,31 +61,45 @@ fn p002_catches_a_cross_crate_panic_chain() {
 #[test]
 fn h002_catches_a_transitively_reached_hot_allocation() {
     // The hot region itself is clean (H001 has nothing to say); the
-    // allocation hides one call away.
-    let analysis = analyze_sources(&files(&[(
-        "crates/exec/src/kern.rs",
-        "// analyze: hot\n\
-         pub fn walk_block(n: usize) -> usize {\n\
-             helper_scratch(n)\n\
-         }\n\
-         fn helper_scratch(n: usize) -> usize {\n\
-             let v = vec![0u8; n];\n\
-             v.len()\n\
-         }\n",
-    )]));
-    assert_eq!(lints_of(&analysis), ["H002"], "{:#?}", analysis.findings);
-    let f = &analysis.findings[0];
-    assert_eq!(f.line, 6);
-    assert!(
-        f.message.contains("exec::kern::walk_block"),
-        "finding must name the hot origin: {}",
-        f.message
-    );
-    assert!(
-        f.message.contains("exec::kern::helper_scratch"),
-        "finding must carry the chain: {}",
-        f.message
-    );
+    // allocation hides one call away, as a macro or a turbofish
+    // constructor.
+    for (alloc, what) in [
+        ("vec![0u8; n]", "`vec!`"),
+        ("Vec::<u8>::with_capacity(n)", "`Vec::with_capacity`"),
+    ] {
+        let analysis = analyze_sources(&files(&[(
+            "crates/exec/src/kern.rs",
+            format!(
+                "// analyze: hot\n\
+                 pub fn walk_block(n: usize) -> usize {{\n\
+                     helper_scratch(n)\n\
+                 }}\n\
+                 fn helper_scratch(n: usize) -> usize {{\n\
+                     let v = {alloc};\n\
+                     v.len()\n\
+                 }}\n"
+            )
+            .as_str(),
+        )]));
+        assert_eq!(lints_of(&analysis), ["H002"], "{:#?}", analysis.findings);
+        let f = &analysis.findings[0];
+        assert_eq!(f.line, 6);
+        assert!(
+            f.message.contains(what),
+            "finding must name {what}: {}",
+            f.message
+        );
+        assert!(
+            f.message.contains("exec::kern::walk_block"),
+            "finding must name the hot origin: {}",
+            f.message
+        );
+        assert!(
+            f.message.contains("exec::kern::helper_scratch"),
+            "finding must carry the chain: {}",
+            f.message
+        );
+    }
 }
 
 #[test]
