@@ -1,5 +1,7 @@
 //! The `analyze` command-line front end, shared by the standalone
-//! `mlscore-analyze` binary and the `repro analyze` subcommand.
+//! `mlscore-analyze` binary and the `repro analyze` subcommand. Its exit
+//! code is the CI gate: 1 on any active finding. An inline `allow` with a
+//! reason is the only way to waive one.
 
 use std::fs;
 use std::path::PathBuf;
@@ -7,10 +9,7 @@ use std::path::PathBuf;
 use mlscore_telemetry::json::{write_escaped, write_uint};
 
 use crate::graph::CallGraph;
-use crate::{analyze_workspace_full, baseline, Finding, LINTS};
-
-/// Default baseline location, relative to the workspace root.
-pub const DEFAULT_BASELINE: &str = "analysis-baseline.json";
+use crate::{analyze_workspace_full, Finding, LINTS};
 
 const USAGE: &str = "\
 usage: analyze [options]
@@ -19,23 +18,16 @@ Runs the mlscore workspace lints (see DESIGN.md \u{a7}10, \u{a7}15) over crates/
 
 options:
   --json               emit machine-readable JSON instead of human diagnostics
-  --check-baseline     compare findings against the committed baseline; fail on
-                       new findings AND on stale baseline entries
-  --write-baseline     regenerate the baseline from current findings and exit
-  --baseline <file>    baseline path (default: analysis-baseline.json)
   --callgraph <file>   write the workspace call graph as deterministic JSON
   --dot <file>         write the workspace call graph in Graphviz dot format
   --root <dir>         workspace root (default: current directory)
   --list-lints         print the lint catalog and exit
   -h, --help           this text
 
-exit codes: 0 clean/pass, 1 findings or baseline mismatch, 2 usage/io error";
+exit codes: 0 clean, 1 active findings, 2 usage/io error";
 
 struct Options {
     json: bool,
-    check_baseline: bool,
-    write_baseline: bool,
-    baseline: Option<PathBuf>,
     callgraph: Option<PathBuf>,
     dot: Option<PathBuf>,
     root: PathBuf,
@@ -45,9 +37,6 @@ struct Options {
 pub fn run(args: &[String]) -> i32 {
     let mut opts = Options {
         json: false,
-        check_baseline: false,
-        write_baseline: false,
-        baseline: None,
         callgraph: None,
         dot: None,
         root: PathBuf::from("."),
@@ -56,12 +45,6 @@ pub fn run(args: &[String]) -> i32 {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--check-baseline" => opts.check_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--baseline" => match it.next() {
-                Some(path) => opts.baseline = Some(PathBuf::from(path)),
-                None => return usage_error("--baseline needs a path"),
-            },
             "--callgraph" => match it.next() {
                 Some(path) => opts.callgraph = Some(PathBuf::from(path)),
                 None => return usage_error("--callgraph needs a path"),
@@ -76,7 +59,7 @@ pub fn run(args: &[String]) -> i32 {
             },
             "--list-lints" => {
                 for lint in LINTS {
-                    println!("{}  v{}  {}", lint.code, lint.version, lint.summary);
+                    println!("{}  {}", lint.code, lint.summary);
                 }
                 return 0;
             }
@@ -115,62 +98,12 @@ pub fn run(args: &[String]) -> i32 {
         }
     }
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join(DEFAULT_BASELINE));
-
-    if opts.write_baseline {
-        let doc = baseline::to_json(&baseline::aggregate(findings));
-        if let Err(e) = fs::write(&baseline_path, doc) {
-            eprintln!("analyze: writing {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "analyze: wrote baseline for {} finding(s) to {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return 0;
-    }
-
     if opts.json {
         println!("{}", render_json(findings, &analysis.suppressed));
     } else {
         for f in findings {
             println!("{f}");
         }
-    }
-
-    if opts.check_baseline {
-        let doc = match fs::read_to_string(&baseline_path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("analyze: reading {}: {e}", baseline_path.display());
-                return 2;
-            }
-        };
-        let entries = match baseline::parse(&doc) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("analyze: {}: {e}", baseline_path.display());
-                return 2;
-            }
-        };
-        let errors = baseline::check(findings, &entries);
-        if errors.is_empty() {
-            if !opts.json {
-                println!(
-                    "analyze: clean ({} finding(s), all within baseline)",
-                    findings.len()
-                );
-            }
-            return 0;
-        }
-        for e in &errors {
-            eprintln!("analyze: {e}");
-        }
-        return 1;
     }
 
     if findings.is_empty() {

@@ -38,14 +38,12 @@
 //! ```
 //!
 //! and a reason is mandatory — an `allow` without one both fails to
-//! suppress and raises `A000`. Findings are compared against a committed
-//! `analysis-baseline.json` in CI (see [`baseline`]); the baseline is
-//! empty and may only shrink.
+//! suppress and raises `A000`. An inline `allow` is the only waiver: CI
+//! fails on any active finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod cli;
 pub mod graph;
 pub mod interproc;
@@ -100,11 +98,6 @@ pub struct LintInfo {
     pub code: &'static str,
     /// One-line description.
     pub summary: &'static str,
-    /// Schema version of the lint's semantics. Bumped when a lint's
-    /// definition changes enough that baseline entries recorded against
-    /// the old definition go stale; baseline entries carry the version
-    /// they were recorded under (see [`baseline`]).
-    pub version: u32,
 }
 
 /// Every lint the analyzer knows, in report order.
@@ -112,69 +105,52 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         code: "A000",
         summary: "malformed `// analyze:` directive (missing or empty reason, unknown lint)",
-        version: 1,
     },
     LintInfo {
         code: "A001",
         summary: "crate-layering violation (cross-crate reference outside the table)",
-        version: 1,
     },
     LintInfo {
         code: "D001",
         summary: "wall-clock read outside an allowlisted measurement site",
-        version: 1,
     },
     LintInfo {
         code: "D002",
         summary: "unordered map in a report/export-building crate",
-        version: 1,
     },
     LintInfo {
         code: "D003",
         summary: "ambient or unseeded RNG construction",
-        version: 1,
     },
     LintInfo {
         code: "D004",
         summary: "determinism hazard transitively reachable from an export builder",
-        version: 1,
     },
     LintInfo {
         code: "P001",
         summary: "panic path (unwrap/expect/panic!/plain indexing) in request-serving code",
-        version: 1,
     },
     LintInfo {
         code: "P002",
         summary: "panic site transitively reachable from a serving entry point",
-        version: 1,
     },
     LintInfo {
         code: "H001",
         summary: "allocation inside a `// analyze: hot` region",
-        version: 1,
     },
     LintInfo {
         code: "H002",
         summary: "allocation transitively reachable from a `// analyze: hot` region",
-        version: 1,
     },
     LintInfo {
         code: "T001",
         summary: "telemetry span opened without a matching finish",
-        version: 1,
     },
     LintInfo {
         code: "T002",
         summary: "request-lifecycle journal emit without a request id",
-        version: 1,
     },
 ];
-
-/// Looks up a lint's catalog entry by code.
-pub fn lint_info(code: &str) -> Option<&'static LintInfo> {
-    LINTS.iter().find(|l| l.code == code)
-}
 
 /// Analyzes one file's source text with the *token* lints only
 /// (interprocedural lints need the whole workspace — see
@@ -345,16 +321,6 @@ pub fn analyze_workspace_full(root: &Path) -> io::Result<WorkspaceAnalysis> {
         .map(|(rel, source)| Ok((rel, source?)))
         .collect::<io::Result<Vec<_>>>()?;
     Ok(analyze_sources_on(&files, workers))
-}
-
-/// Analyzes the whole workspace rooted at `root`; active findings come
-/// back sorted by `(file, line, lint, offset)`.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the traversal or file reads.
-pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(analyze_workspace_full(root)?.findings)
 }
 
 #[cfg(test)]

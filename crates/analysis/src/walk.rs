@@ -5,8 +5,8 @@
 //! vendored dependency stand-ins under `vendor/` — integration tests and
 //! vendor stubs are not request-path code. Symlinked directories are not
 //! followed, so a link back up the tree cannot make the walk read a file
-//! twice. Paths come back sorted and workspace-relative so output and
-//! baselines are byte-stable.
+//! twice. Paths come back sorted and workspace-relative so reports and
+//! exports are byte-stable.
 
 use std::fs;
 use std::io;

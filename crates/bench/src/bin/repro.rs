@@ -732,7 +732,7 @@ const TARGETS: &[Target] = &[
                     slowest requests with journal stage breakdowns;\n\
                     --out writes the deterministic JSON document" },
     Target { name: "analyze", in_all: false,
-             synopsis: Some("analyze [--json] [--check-baseline] [--write-baseline]"),
+             synopsis: Some("analyze [--json] [--callgraph FILE] [--dot FILE] [--root DIR] [--list-lints] [--help]"),
              run: |args| exit(mlscore_analysis::cli::run(args)),
              help: "run the workspace determinism & hot-path lints\n\
                     (mlscore-analyze; see DESIGN.md section 10)" },

@@ -573,13 +573,17 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four hex digits (no sign).
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &digit| {
+                                    Some(code * 16 + char::from(digit).to_digit(16)?)
+                                })
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogates are not paired up; traces we write
                             // never contain them.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -590,13 +594,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // at once. Both are ASCII, so the run ends on a char
+                    // boundary (the input came from a `&str`).
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -813,6 +822,31 @@ mod tests {
         write_escaped(&mut doc, nasty);
         let v = parse(&doc).unwrap();
         assert_eq!(v.as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn long_strings_round_trip() {
+        // A 1 MiB run between escapes and multi-byte scalars at both ends:
+        // the parser copies a run whole, so this stays linear.
+        let ends = "\"µ\\\n日\u{1}";
+        let long = format!("{ends}{}{ends}", "x".repeat(1 << 20));
+        let mut doc = String::new();
+        write_escaped(&mut doc, &long);
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(long.as_str()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u00g1\"",
+        ] {
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
     }
 
     #[test]
